@@ -15,10 +15,6 @@ bit tables are keyed to.  Faulty pids default to the registry's
 attack-specific choices, picked so the attack actually bites (see
 :mod:`repro.processors.registry`).
 
-This module's own ``ATTACKS``/``make_attack`` names are deprecated
-import shims for that registry, kept for callers of the pre-service
-API.
-
 Every sweep consumes :class:`repro.service.RunSpec` — the one
 declarative run description shared with the CLI and the benchmarks —
 and runs through a :class:`repro.service.ConsensusService`.
@@ -26,7 +22,6 @@ and runs through a :class:`repro.service.ConsensusService`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -38,7 +33,6 @@ from repro.analysis.complexity import (
 from repro.broadcast_bit.ideal import default_b
 from repro.processors.adversary import Adversary
 from repro.processors.registry import FAULT_GRID_ATTACKS
-from repro.processors.registry import make_attack as _make_attack
 from repro.service.service import ConsensusService
 from repro.service.spec import RunSpec
 
@@ -122,56 +116,6 @@ def sweep_n(
 
 
 # -- fault-injection sweeps ---------------------------------------------------
-
-#: Deprecated module attributes and their canonical replacements; kept
-#: as import shims (module ``__getattr__``) that warn exactly once.
-_DEPRECATED = {
-    "ATTACKS": "repro.processors.ATTACKS",
-    "make_attack": "repro.processors.make_attack",
-}
-_DEPRECATION_WARNED: set = set()
-#: Memoized shim for the historical module-constant ``ATTACKS`` dict,
-#: so repeated accesses return one object (identity-stable, like the
-#: constant it replaces) instead of rebuilding factories per access.
-_ATTACKS_SHIM: Optional[dict] = None
-
-
-def __getattr__(name: str):
-    """Deprecated aliases of the canonical attack registry.
-
-    ``repro.analysis.sweeps.ATTACKS`` and ``.make_attack`` moved to
-    :mod:`repro.processors`; these shims keep pre-service callers
-    working and emit one :class:`DeprecationWarning` per name per
-    process.  The shimmed ``ATTACKS`` preserves its historical shape —
-    a dict of ``(n, t, l_bits) -> Adversary`` factories over the pinned
-    fault-grid attacks.
-    """
-    if name not in _DEPRECATED:
-        raise AttributeError(
-            "module %r has no attribute %r" % (__name__, name)
-        )
-    if name not in _DEPRECATION_WARNED:
-        _DEPRECATION_WARNED.add(name)
-        warnings.warn(
-            "repro.analysis.sweeps.%s is deprecated; use %s"
-            % (name, _DEPRECATED[name]),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if name == "make_attack":
-        return _make_attack
-    global _ATTACKS_SHIM
-    if _ATTACKS_SHIM is None:
-        _ATTACKS_SHIM = {
-            attack: (
-                lambda n, t, l_bits, _attack=attack: _make_attack(
-                    _attack, n, t, l_bits
-                )
-            )
-            for attack in FAULT_GRID_ATTACKS
-        }
-    return _ATTACKS_SHIM
-
 
 @dataclass(frozen=True)
 class FaultSweepPoint:

@@ -128,9 +128,8 @@ class AccountedIdealBroadcast(BroadcastBackend):
         Exactly the bookkeeping ``count`` scalar honest
         :meth:`broadcast_bit` calls under ``tag`` would perform — one
         instance bump, ``B(n)`` bits and ``n(n-1)`` messages each — as
-        single batched increments.  The cross-generation fast path calls
-        this to replay failure-free generations without dispatching any
-        broadcast at all.
+        single batched increments.  The cohort engine calls this to
+        replay honest broadcasts without dispatching any at all.
         """
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)

@@ -274,8 +274,8 @@ PackedBits` row, the return value maps each pid to a ``PackedBits``
         """Account ``count`` honest-source instances under ``tag`` in O(1).
 
         Only meaningful on backends with :attr:`constant_cost_honest`;
-        the cross-generation fast path uses it to replay failure-free
-        generations without running the broadcast protocol.  The
+        the cohort engine uses it to replay honest broadcasts without
+        running the broadcast protocol.  The
         default raises, so callers must check the flag first.
         """
         raise NotImplementedError(

@@ -34,7 +34,6 @@ import argparse
 import asyncio
 import json
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from repro.analysis.complexity import (
@@ -62,26 +61,6 @@ from repro.service.serving import (
     ServingClient,
     ServingError,
 )
-
-
-def __getattr__(name: str):
-    """Deprecated alias: ``repro.cli.ATTACKS`` moved to the canonical
-    registry at :data:`repro.processors.ATTACKS` (one warning per
-    process; note the canonical registry maps names to
-    :class:`~repro.processors.AttackEntry` records, not to the old
-    ``(faulty, seed)`` factories)."""
-    if name != "ATTACKS":
-        raise AttributeError(
-            "module %r has no attribute %r" % (__name__, name)
-        )
-    if not getattr(__getattr__, "_warned", False):
-        __getattr__._warned = True
-        warnings.warn(
-            "repro.cli.ATTACKS is deprecated; use repro.processors.ATTACKS",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _ATTACKS
 
 
 def _parse_value(text: str, l_bits: int) -> int:

@@ -131,8 +131,8 @@ class InterleavedCode:
 
         All generations' rows are stacked into one
         ``(g * interleave, k)`` array so the whole batch is a single
-        generator product — the ``(generations * rows, k)`` encode of the
-        cross-generation fast path.  Returns one ``n``-super-symbol
+        generator product — the ``(generations * rows, k)`` whole-run
+        encode of the cohort engine.  Returns one ``n``-super-symbol
         codeword list per part.
         """
         count = len(parts)

@@ -187,9 +187,10 @@ class ReedSolomonCode:
     ) -> List[List[int]]:
         """Encode ``g`` independent ``k``-symbol parts in one matmat.
 
-        The cross-generation batching primitive: all failure-free
-        generations of a run encode as a single ``(g, k)`` row-stacked
-        product instead of ``g`` separate :meth:`encode` calls.  Returns
+        The cross-generation batching primitive: all generations of a
+        run (or of a batch of runs) encode as a single ``(g, k)``
+        row-stacked product instead of ``g`` separate :meth:`encode`
+        calls.  Returns
         one ``n``-symbol codeword list per part.
         """
         if not parts:

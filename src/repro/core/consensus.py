@@ -41,30 +41,31 @@ class MultiValuedConsensus:
     metered network, ``Broadcast_Single_Bit`` backend), runs ``⌈L/D⌉``
     generations of Algorithm 1 and reassembles the per-generation symbol
     decisions into one L-bit value per fault-free processor.  The
-    execution itself lives in
-    :func:`repro.service.engine.execute_consensus`; this class is the
-    compatibility shim that builds per-run state and delegates, while
-    :class:`~repro.service.service.ConsensusService` drives the same
-    engine with state shared across many instances.
+    execution itself lives in the service package: :meth:`run` asks the
+    lane planner (:mod:`repro.service.planner`) and either runs the
+    per-generation engine
+    (:func:`repro.service.engine.execute_consensus`) or, for a
+    failure-free run with equal inputs, the cohort engine over a private
+    cohort of one (:mod:`repro.service.cohort`).
 
     Two toggles select between the observationally identical engines
     (see ``docs/ARCHITECTURE.md`` for the contract):
 
-    * ``batch_generations`` — ``True`` (default) replays runs of
-      failure-free all-match generations as bulk bookkeeping (one
-      batched encode at most, O(1) accounting per generation);
-      ``False`` forces the per-generation protocol everywhere.
-    * ``vectorized`` — ``True`` (default) runs each deviating
-      generation's array-backed path, whose diagnosis stage dispatches
-      grouped broadcasts; ``False`` forces the scalar per-edge
-      reference implementation.  Probabilistic backends always run the
-      scalar path regardless (honest views can genuinely diverge, so
-      no shared reference view exists).
+    * ``batch_generations`` — ``True`` (default) lets a failure-free
+      run with equal inputs replay its generations as O(1) accounting
+      each, with no encode at all; ``False`` forces the per-generation
+      protocol everywhere.
+    * ``vectorized`` — ``True`` (default) runs each generation's
+      array-backed path, whose diagnosis stage dispatches grouped
+      broadcasts; ``False`` forces the scalar per-edge reference
+      implementation.  Probabilistic backends always run the scalar
+      path regardless (honest views can genuinely diverge, so no shared
+      reference view exists).
 
     Whatever the toggles, decisions, per-generation records, metered
     bits *and* messages by tag, the round clock, backend instance
     counts and every adversary hook's order and arguments are
-    byte-identical — the equivalence suites and the benchmarks'
+    byte-identical — the differential suite and the benchmarks'
     ``--check``/``--faults`` gates assert it on every run.
 
     >>> config = ConsensusConfig.create(n=4, t=1, l_bits=16)
@@ -82,7 +83,6 @@ class MultiValuedConsensus:
         vectorized: bool = True,
         code=None,
         parts_cache: Optional[Dict[int, List[List[int]]]] = None,
-        encode_cache: Optional[Dict[tuple, List[List[int]]]] = None,
         arena=None,
         journal: bool = False,
     ):
@@ -103,10 +103,6 @@ class MultiValuedConsensus:
             parts_cache: shared content-keyed cache of
                 :meth:`parts_of` splits (value -> parts); entries are
                 shared read-only across instances.  Default: private.
-            encode_cache: shared cache of whole-run batched encodes
-                keyed by the run's part tuples; the service pre-fills
-                it with one cross-instance matmat.  Default: ``None``
-                (encode locally).
             arena: a preallocated
                 :class:`~repro.service.arena.ExchangeArena` for the
                 vectorized data plane; the service passes its own so
@@ -120,10 +116,9 @@ class MultiValuedConsensus:
                 unchanged either way.
         """
         self.config = config
-        #: When True (the default), failure-free generations run through
-        #: the batched cross-generation fast path; False forces the
-        #: scalar per-generation protocol everywhere (used by the
-        #: equivalence tests, and as an escape hatch).
+        #: When True (the default), a failure-free equal-input run goes
+        #: through the cohort engine; False forces the per-generation
+        #: protocol everywhere (the reference, and an escape hatch).
         self.batch_generations = batch_generations
         #: When True (the default), per-generation protocols run their
         #: vectorized adversarial path (array-backed views; requires an
@@ -156,9 +151,6 @@ class MultiValuedConsensus:
         self._parts_cache: Dict[int, List[List[int]]] = (
             parts_cache if parts_cache is not None else {}
         )
-        #: Optional service-shared whole-run encode cache (see
-        #: :class:`repro.service.engine._FastGenerationState`).
-        self.encode_cache = encode_cache
         #: The vectorized data plane's preallocated exchange arena;
         #: ``None`` until a vectorized generation needs it (and forever
         #: on forced-scalar runs — the arena-reuse tests assert that).
@@ -266,6 +258,22 @@ class MultiValuedConsensus:
         """
         # Imported lazily: repro.service imports this module at package
         # init, so a top-level import here would be circular.
+        from repro.service.planner import Lane, plan_lane
+
+        lane = plan_lane(
+            self.config,
+            self.vectorized,
+            self.batch_generations,
+            self.adversary,
+            inputs,
+        )
+        if lane is Lane.COHORT:
+            from repro.service.cohort import CohortContext, run_cohort_instance
+
+            context = CohortContext(
+                self.config, self.code, self.adversary, self.ensure_arena()
+            )
+            return run_cohort_instance(context, self, inputs)
         from repro.service.engine import execute_consensus
 
         return execute_consensus(self, inputs)

@@ -57,6 +57,7 @@ from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
 from repro.utils.bits import PackedBits, is_exact_int
+from repro.utils.memo import ValueMemo
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
@@ -73,16 +74,17 @@ class ProtocolCaches:
     deployment: the service layer's cohort batching hands one
     :class:`ProtocolCaches` to every protocol of a cohort, turning the
     per-generation caches (useful only within a single generation) into
-    cohort-lifetime ones.
+    cohort-lifetime ones — which is why the three keyed by symbol
+    *values* are bounded (the clique memo is keyed by M-view pattern).
     """
 
     __slots__ = ("clique", "decode", "consistency", "encode")
 
     def __init__(self):
         self.clique: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
-        self.decode: Dict[frozenset, Tuple[int, ...]] = {}
-        self.consistency: Dict[frozenset, bool] = {}
-        self.encode: Dict[Tuple[int, ...], List[int]] = {}
+        self.decode: Dict[frozenset, Tuple[int, ...]] = ValueMemo()
+        self.consistency: Dict[frozenset, bool] = ValueMemo()
+        self.encode: Dict[Tuple[int, ...], List[int]] = ValueMemo()
 
 
 class GenerationProtocol:

@@ -30,7 +30,7 @@ reports everything (materializing batches into messages), while
 ``deliver_arrays`` keeps batches as arrays and only materializes for the
 journal.
 
-A third, traffic-free granularity serves the cross-generation fast path:
+A third, traffic-free granularity serves the cohort engine:
 :meth:`SyncNetwork.charge_round` accounts a full round's bits/messages
 and advances the round clock without materializing anything — the
 bookkeeping-only replay of a round whose delivered payloads are known
@@ -467,10 +467,10 @@ class SyncNetwork:
         The bookkeeping equivalent of :meth:`send_many` over ``count``
         edges followed by :meth:`deliver_arrays` with the delivery
         discarded: meter ``Counter`` state and the round clock end up
-        byte-identical.  This is the cross-generation fast path's unit —
-        replaying a failure-free generation whose delivered payloads are
-        known never to be read (every all-match generation decides from
-        its own input part, not from decoded traffic).
+        byte-identical.  This is the cohort engine's unit — replaying
+        a symbol round whose delivered payloads are known never to be
+        read (honest senders deliver their shared-codeword symbol;
+        faulty payloads are classified at the hook, not on receipt).
 
         Refuses to run when scalar or batched traffic is already
         buffered in the current round (the caller would silently swallow

@@ -1,14 +1,15 @@
 """Attack-cohort batching: one generation engine per attack shape.
 
-``run_many`` batches mix honest and adversarial instances; PR 3
-vectorized *within* one instance and the failure-free fast path batches
-*across* honest instances, but every adversarial instance still ran the
-full per-generation :class:`~repro.core.generation.GenerationProtocol`.
-This module closes that gap.  Instances of one batch that share an
-*attack shape* — same ``(n, t, L, D)`` layout, same canonical attack and
-declared faulty set (:func:`repro.service.spec.cohort_key`) — run
-through one :class:`CohortContext` that shares everything the protocol
-recomputes identically across them:
+Instances whose honest processors share one input value run here
+instead of through one full
+:class:`~repro.core.generation.GenerationProtocol` per generation.
+Instances that share an *attack shape* — same ``(n, t, L, D)`` layout,
+same canonical attack and declared faulty set
+(:func:`repro.service.spec.cohort_key`) — run through one
+:class:`CohortContext`.  A failure-free run is the cohort of the empty
+faulty set: no hook exists to fire, so every generation is three
+charges and no codeword is ever encoded.  The context shares everything
+the protocol recomputes identically across its instances:
 
 * the diagnosis-graph *structure* per graph state (trust mask, live
   sets, the faulty senders' recipient lists, the conforming M baseline
@@ -56,6 +57,7 @@ matching/checking stages.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -73,6 +75,7 @@ from repro.graphs.cliques import find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.service.engine import finalize_result, prepare_instance
 from repro.utils.bits import is_exact_int
+from repro.utils.memo import ValueMemo
 
 
 class _GraphStructure:
@@ -125,37 +128,6 @@ class _GraphStructure:
         )
 
 
-#: Cache-miss sentinel for the steady-plan table (``None`` is a valid,
-#: cached "ineligible" entry there).
-_UNSET = object()
-
-
-class _SteadyPlan:
-    """Per-graph-state replay plan for fully conforming generations.
-
-    When no adversary hook can *influence* a generation (base
-    ``ideal_broadcast_bit``; base ``matching_symbol`` or no live faulty
-    sender; and a ``m_vector`` override only with every controlled
-    processor isolated, whose M rows dispatch as zeros whatever the
-    hook returns) and every payload conforms, the generation's
-    observable effects reduce to three constant charges plus the
-    conforming decision record — everything here is value-independent,
-    so one plan replays every such generation of every cohort instance
-    at this graph state.  ``mv_fire`` records whether the (discarded)
-    ``m_vector`` hooks must still be invoked so stateful adversaries
-    observe the exact scalar call sequence.
-    """
-
-    __slots__ = ("m_total", "no_match", "n_out", "p_match", "mv_fire")
-
-    def __init__(self, m_total, no_match, n_out, p_match, mv_fire):
-        self.m_total = m_total
-        self.no_match = no_match
-        self.n_out = n_out
-        self.p_match = p_match
-        self.mv_fire = mv_fire
-
-
 class _ReplayPlan:
     """Per-(graph state, deviation pattern) replay of a recurring
     generation whose only deviations are *silent* (missing/invalid
@@ -164,28 +136,27 @@ class _ReplayPlan:
     Under those conditions every downstream artifact — M rows, match
     set, detection flags, decision-cleanliness — is a function of the
     deviation *pattern*, not of the instance's values, so generations
-    repeating the pattern (e.g. a crashed sender staying silent for the
-    whole run) replay from this plan.  Overridden ``m_vector``/
-    ``detected_flag`` hooks still fire every generation in scalar order
-    and their returns are honoured; only the value-independent
-    bookkeeping around them is cached.
+    repeating the pattern replay from this plan: a crashed sender
+    staying silent for the whole run, or the *empty* pattern of a fully
+    conforming generation (every generation of a failure-free run).
+    Overridden ``m_vector``/``detected_flag`` hooks still fire every
+    generation in scalar order and their returns are honoured; only the
+    value-independent bookkeeping around them is cached.
     """
 
     __slots__ = (
-        "hdev_key", "missing", "ctrl_row_bool", "ctrl_bits", "m_total",
-        "info", "per_info",
+        "hdev_key", "missing", "ctrl_row_bool", "m_total", "info",
+        "per_info",
     )
 
-    def __init__(self, hdev_key, missing, ctrl_row_bool, ctrl_bits,
-                 m_total, info):
+    def __init__(self, hdev_key, missing, ctrl_row_bool, m_total, info):
         self.hdev_key = hdev_key
         self.missing = missing
         #: Controlled pids' M expectation rows (the m_vector hook args).
         self.ctrl_row_bool = ctrl_row_bool
-        #: Their dispatched bits (base-``m_vector`` plans only).
-        self.ctrl_bits = ctrl_bits
         self.m_total = m_total
-        #: Resolved match info when the M view is hook-independent.
+        #: Resolved match info when the M view is hook-independent
+        #: (base ``m_vector``, or every controlled row isolated).
         self.info = info
         #: id(_MatchInfo) -> (det_list, detectors_base, clean); match
         #: infos are immortal in the context cache, so ids are stable.
@@ -196,7 +167,8 @@ class _MatchInfo:
     """Checking-stage structure derived from one (graph, M view) pair."""
 
     __slots__ = (
-        "p_match", "match_set", "outsiders", "trusted_ctrl", "pos_ok",
+        "p_match", "match_set", "outsiders", "ctrl_outsider",
+        "trusted_ctrl", "pos_ok",
     )
 
     def __init__(
@@ -218,6 +190,8 @@ class _MatchInfo:
             q for q in range(n)
             if q not in match_set and q not in struct.isolated
         ]
+        #: Whether some outsider's ``detected_flag`` hook can fire.
+        self.ctrl_outsider = any(q in controlled for q in self.outsiders)
         pm_ctrl = [f for f in p_match if f in controlled]
         #: Controlled P_match members each outsider trusts — the only
         #: senders whose payloads can flip its Detected flag (honest
@@ -248,7 +222,8 @@ class CohortContext:
         config: ConsensusConfig,
         code,
         adversary: Adversary,
-        arena=None,
+        arena,
+        encode_cache=None,
     ):
         self.config = config
         self.code = code
@@ -276,24 +251,28 @@ class CohortContext:
         )
         #: Protocol-level memos shared with delegated diagnosis stages.
         self.caches = ProtocolCaches()
+        # Pattern-keyed tables: a handful of entries per attack shape,
+        # kept for good (replay plans hold match infos by id).
         self._structs: Dict[Tuple, _GraphStructure] = {}
         self._match: Dict[Tuple, _MatchInfo] = {}
-        self._steady: Dict[Tuple, Optional[_SteadyPlan]] = {}
         self._replays: Dict[Tuple, _ReplayPlan] = {}
-        self._values: Dict[tuple, int] = {}
-        self._tags: List[Tuple[str, str, str]] = []
         self._rows: Dict[Tuple, List[Optional[List[int]]]] = {}
-        self._decisions: Dict[tuple, Dict[int, tuple]] = {}
-        self._part_tuples: Dict[int, List[tuple]] = {}
-        self._local_encodes: Dict[Tuple, List[List[int]]] = {}
+        self._tags: List[Tuple[str, str, str]] = []
+        # Value-keyed tables: bounded, a long-lived cohort sees an
+        # endless stream of fresh values.
+        self._values: Dict[tuple, int] = ValueMemo()
+        self._decisions: Dict[tuple, Dict[int, tuple]] = ValueMemo()
+        self._part_tuples: Dict[int, List[tuple]] = ValueMemo()
+        #: Whole-run codewords by part sequence; the service passes its
+        #: own table so its cross-instance batched encode lands here.
+        self._encodes: Dict[Tuple, List[List[int]]] = (
+            encode_cache if encode_cache is not None else ValueMemo()
+        )
         self._dtype = np.int64 if self.c <= 62 else object
-        #: The shared exchange arena (the service passes its own, so
-        #: cohort lanes reuse the same (n, n) buffers as the per-
-        #: instance engines); delegated diagnosis protocols get it too.
-        if arena is None:
-            from repro.service.arena import ExchangeArena
-
-            arena = ExchangeArena(self.n, self._dtype, _MISSING)
+        #: The owner's exchange arena (the service's, or a one-shot
+        #: run's own), so cohort lanes reuse the same (n, n) buffers as
+        #: the per-instance engines; delegated diagnosis protocols get
+        #: it too.
         self.arena = arena
         self.zero1 = [0]
         self.one1 = [1]
@@ -343,51 +322,6 @@ class CohortContext:
             self._match[mkey] = info
         return info
 
-    def steady_plan_for(
-        self, struct: _GraphStructure
-    ) -> Optional[_SteadyPlan]:
-        """The conforming-generation replay plan for one graph state, or
-        ``None`` when some hook would still fire in it (overridden
-        ``m_vector``/``ideal_broadcast_bit``, or an overridden
-        ``detected_flag`` with controlled outsiders) or its decisions
-        are not the shared conforming decode."""
-        plan = self._steady.get(struct.key, _UNSET)
-        if plan is not _UNSET:
-            return plan
-        plan = None
-        # An overridden m_vector is tolerable only when every controlled
-        # processor is isolated: its hooks still fire (mv_fire) but the
-        # dispatch zeroes their rows whatever they return.
-        if self.ib_default and (
-            self.mv_default or self.controlled <= struct.isolated
-        ):
-            n = self.n
-            outcomes = []
-            m_total = 0
-            for i in range(n):
-                if i in struct.isolated:
-                    outcomes.append([0] * (n - 1))
-                else:
-                    outcomes.append(struct.base_bits[i])
-                    m_total += n - 1
-            ctrl_key = tuple(
-                tuple(outcomes[i]) for i in self.controlled_sorted
-            )
-            info = self.match_info_for(struct, (), ctrl_key, outcomes)
-            mv_fire = not self.mv_default
-            if info.p_match is None:
-                plan = _SteadyPlan(m_total, True, 0, None, mv_fire)
-            elif info.pos_ok and (
-                self.df_default
-                or not any(q in self.controlled for q in info.outsiders)
-            ):
-                plan = _SteadyPlan(
-                    m_total, False, len(info.outsiders), info.p_match,
-                    mv_fire,
-                )
-        self._steady[struct.key] = plan
-        return plan
-
     def structure_for(self, graph) -> _GraphStructure:
         mask = np.asarray(graph.trust_mask())
         key = (mask.tobytes(), tuple(sorted(graph.isolated)))
@@ -397,21 +331,14 @@ class CohortContext:
             self._structs[key] = struct
         return struct
 
-    def codeword_runs(
-        self, consensus: MultiValuedConsensus, parts: List[List[int]]
-    ) -> List[List[int]]:
-        """Whole-run codewords for one part sequence, via the service's
-        shared encode cache when attached (cross-instance batching)."""
+    def codeword_runs(self, parts: List[List[int]]) -> List[List[int]]:
+        """Whole-run codewords for one part sequence: one batched
+        ``(generations * rows, k)`` generator matmat, memoized."""
         key = tuple(tuple(part) for part in parts)
-        cache = (
-            consensus.encode_cache
-            if consensus.encode_cache is not None
-            else self._local_encodes
-        )
-        runs = cache.get(key)
+        runs = self._encodes.get(key)
         if runs is None:
             runs = self.code.encode_generations(parts)
-            cache[key] = runs
+            self._encodes[key] = runs
         return runs
 
     def part_tuples_for(self, value: int, parts) -> List[tuple]:
@@ -447,11 +374,11 @@ class CohortContext:
             self.caches.consistency[key] = cached
         return cached
 
-    def scatter(self) -> np.ndarray:
-        """The shared ``(n, n)`` diagnosis scatter buffer — the arena's
-        exchange view, reset to :data:`_MISSING` (the delegated stage
-        never retains it)."""
-        return self.arena.exchange_view()
+
+def _row_bits(row: Sequence[bool], i: int) -> List[int]:
+    """Processor ``i``'s n-entry M row as its n-1 broadcast bits (the
+    own slot is never broadcast)."""
+    return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
 
 
 def _journal_symbol_round(
@@ -503,19 +430,22 @@ class _InstanceRun:
     """One cohort instance's generation loop over the shared context."""
 
     __slots__ = (
-        "ctx", "consensus", "adversary", "cw_runs", "ref_runs",
+        "ctx", "consensus", "adversary", "ref_parts", "cw_runs",
         "ref_tuples", "distinct", "ms_skip", "default_parts", "view",
         "struct",
     )
 
-    def __init__(self, ctx, consensus, cw_runs, ref_runs, ref_tuples,
-                 distinct, default_parts):
+    def __init__(self, ctx, consensus, ref_parts, ref_tuples, distinct,
+                 default_parts):
         self.ctx = ctx
         self.consensus = consensus
         self.adversary = consensus.adversary
-        self.cw_runs = cw_runs
-        self.ref_runs = ref_runs
+        self.ref_parts = ref_parts
+        #: Per-pid whole-run codewords, encoded on first read (_rows).
+        self.cw_runs = None
         self.ref_tuples = ref_tuples
+        #: Controlled pid -> parts, where its effective input differs
+        #: from the honest one.
         self.distinct = distinct
         # With the base matching_symbol hook and no controlled processor
         # holding a distinct value, every payload is the sender's honest
@@ -526,6 +456,21 @@ class _InstanceRun:
         #: Graph structure carried across generations; only a diagnosis
         #: can mutate the graph, so it is invalidated exactly there.
         self.struct = None
+
+    def _rows(self, g: int):
+        """Every processor's codeword row for generation ``g`` and the
+        shared honest codeword.  The whole-run encode happens on the
+        first read, so a run in which no lane inspects a payload (every
+        failure-free run) never encodes at all."""
+        cw_runs = self.cw_runs
+        if cw_runs is None:
+            ctx = self.ctx
+            cw_runs = [ctx.codeword_runs(self.ref_parts)] * ctx.n
+            for pid, parts in self.distinct.items():
+                cw_runs[pid] = ctx.codeword_runs(parts)
+            self.cw_runs = cw_runs
+        row_of = [runs[g] for runs in cw_runs]
+        return row_of, row_of[self.ctx.honest[0]]
 
     def _make_view(self):
         """One snapshot per generation, shared across its hook sites
@@ -549,14 +494,15 @@ class _InstanceRun:
             struct = ctx.structure_for(consensus.graph)
             self.struct = struct
         sym_tag, m_tag, det_tag = ctx.tags_for(g)
-        cw_runs = self.cw_runs
-        row_of = None
-        cw = None
         # A journalling network must observe materialized messages, so
         # the symbol round's charge_round collapse is replaced by the
         # engine's real two-batch traffic (see _journal_symbol_round).
         journalling = consensus.network.journal is not None
         faulty_sends: List[Tuple[int, int, object]] = []
+        fire = bool(struct.fab_recips) and not self.ms_skip
+        row_of = cw = None
+        if fire or journalling:
+            row_of, cw = self._rows(g)
 
         # -- lines 1(a)-1(b): the symbol round --------------------------
         # Honest traffic is value-independent accounting; faulty live
@@ -568,9 +514,7 @@ class _InstanceRun:
         offcw: Dict[Tuple[int, int], int] = {}
         m_false: List[Tuple[int, int]] = []
         valid: Dict[Tuple[int, int], int] = {}
-        if struct.fab_recips and not self.ms_skip:
-            row_of = [cw_runs[pid][g] for pid in range(n)]
-            cw = self.ref_runs[g]
+        if fire:
             n_sent = 0
             view = self._make_view()
             limit = ctx.symbol_limit
@@ -606,81 +550,39 @@ class _InstanceRun:
                 # Hooks skipped: every live faulty sender conforms and
                 # sends its own codeword symbol to each trusted peer.
                 faulty_sends = [
-                    (f, r, cw_runs[f][g][f])
+                    (f, r, row_of[f][f])
                     for f, recips in struct.fab_recips.items()
                     for r in recips
                 ]
         if journalling:
             _journal_symbol_round(
-                ctx, consensus.network, struct, self.ref_runs[g],
-                faulty_sends, sym_tag,
+                ctx, consensus.network, struct, cw, faulty_sends, sym_tag
             )
         else:
             consensus.network.charge_round(
                 sym_tag, struct.honest_edges + n_sent, ctx.c
             )
 
-        # -- steady lane: fully conforming generation -------------------
-        # No payload deviated and no further hook can fire: replay the
-        # generation from the per-graph-state plan (three constant
-        # charges + the shared conforming decision record).
-        if not m_false and not self.distinct:
-            plan = ctx.steady_plan_for(struct)
-            if plan is not None:
-                backend = consensus.backend
-                if plan.mv_fire:
-                    view = self._make_view()
-                    base_bool = struct.base_bool
-                    for i in ctx.controlled_sorted:
-                        adversary.m_vector(i, list(base_bool[i]), g, view)
-                if plan.m_total:
-                    backend.charge_honest_instances(m_tag, plan.m_total)
-                if plan.no_match:
-                    default = tuple(self.default_parts[g])
-                    return GenerationResult(
-                        generation=g,
-                        outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                        decisions={pid: default for pid in ctx.honest},
-                        p_match=None,
-                    )
-                if plan.n_out:
-                    backend.charge_honest_instances(det_tag, plan.n_out)
-                return GenerationResult(
-                    generation=g,
-                    outcome=GenerationOutcome.DECIDED_CHECKING,
-                    decisions=ctx.decisions_for(self.ref_tuples[g]),
-                    p_match=plan.p_match,
-                    detectors=[],
-                )
         # -- replay lane: recurring silent-deviation pattern ------------
         # All deviations silent (no valid off-codeword payload) and no
         # distinct input: everything but the per-generation hook calls
         # is determined by (graph state, pattern) and replays from the
         # cached plan.  A crashed sender staying silent all run hits
-        # this every generation after the first.
-        if m_false and not offcw and not self.distinct and ctx.ib_default:
-            rkey = (struct.key, tuple(m_false))
-            plan = ctx._replays.get(rkey)
-            if plan is None:
-                plan = self._build_replay(struct, missing, m_false,
-                                          row_of, valid)
-                ctx._replays[rkey] = plan
+        # this every generation after the first; a fully conforming
+        # generation is the empty pattern.
+        if not offcw and not self.distinct and ctx.ib_default:
+            plan = self._replay_plan(struct, missing, m_false, row_of, valid)
             return self._run_replay(plan, struct, g, m_tag, det_tag,
                                     row_of, cw, valid)
 
         if row_of is None:
-            row_of = [cw_runs[pid][g] for pid in range(n)]
-            cw = self.ref_runs[g]
+            row_of, cw = self._rows(g)
 
         # -- lines 1(c)-1(e): M vectors and the match set ---------------
         hdev_key = tuple(
             sorted(p for p in m_false if p[1] not in controlled)
         )
-        rows_key = (struct.key, hdev_key)
-        honest_bits = ctx._rows.get(rows_key)
-        if honest_bits is None:
-            honest_bits = self._honest_rows(struct, hdev_key)
-            ctx._rows[rows_key] = honest_bits
+        honest_bits = self._honest_rows(struct, hdev_key)
         ctrl_touched = {r for (f, r) in m_false if r in controlled}
         rows: List[Tuple[int, List[int]]] = []
         mv_fire = not ctx.mv_default
@@ -695,16 +597,11 @@ class _InstanceRun:
                 row_i = struct.base_bool[i]
                 base_bits = struct.base_bits[i]
             if mv_fire:
-                m_i = list(
-                    adversary.m_vector(i, list(row_i), g, self._make_view())
-                )
-                if len(m_i) != n:
-                    m_i = (m_i + [False] * n)[:n]
-                bits = [1 if m_i[j] else 0 for j in range(n) if j != i]
+                bits = self._hooked_m_bits(i, row_i, g)
             elif base_bits is not None:
                 bits = base_bits
             else:
-                bits = [1 if row_i[j] else 0 for j in range(n) if j != i]
+                bits = _row_bits(row_i, i)
             rows.append((i, bits))
         outcomes = self._dispatch(rows, m_tag, struct)
 
@@ -716,16 +613,7 @@ class _InstanceRun:
         info = ctx.match_info_for(struct, hdev_key, ctrl_key, outcomes)
 
         if info.p_match is None:
-            # Line 1(f): honest inputs provably differ; decide default.
-            default = tuple(self.default_parts[g])
-            decisions = {pid: default for pid in ctx.honest}
-            return GenerationResult(
-                generation=g,
-                outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                decisions=decisions,
-                p_match=None,
-            )
-        p_match = info.p_match
+            return self._default_result(g)
 
         # -- lines 2(a)-2(b): checking stage ----------------------------
         detectors: List[int] = []
@@ -759,52 +647,72 @@ class _InstanceRun:
         coutcomes = (
             self._dispatch(crows, det_tag, struct) if crows else []
         )
-
-        if not any(outcome[0] for outcome in coutcomes):
-            # Line 2(c): decide C^{-1}(R_i / P_match).  When no deviation
-            # reaches an honest decision row and the conforming position
-            # counts are decodable, every honest processor decodes the
-            # shared codeword's own part.
-            if info.pos_ok and self._clean_for_decisions(
-                info, missing, offcw
-            ):
-                decisions = ctx.decisions_for(self.ref_tuples[g])
-            else:
-                decisions = self._general_decisions(
-                    info, struct, row_of, cw, valid
-                )
-            return GenerationResult(
-                generation=g,
-                outcome=GenerationOutcome.DECIDED_CHECKING,
-                decisions=decisions,
-                p_match=p_match,
-                detectors=detectors,
+        flagged = [
+            q for (q, _), outcome in zip(crows, coutcomes) if outcome[0]
+        ]
+        if flagged:
+            return self._diagnose(
+                struct, g, info.p_match, row_of, valid, flagged, detectors
             )
+        # Line 2(c): decide C^{-1}(R_i / P_match).  When no deviation
+        # reaches an honest decision row and the conforming position
+        # counts are decodable, every honest processor decodes the
+        # shared codeword's own part.
+        if info.pos_ok and self._clean_for_decisions(info, missing, offcw):
+            decisions = ctx.decisions_for(self.ref_tuples[g])
+        else:
+            decisions = self._general_decisions(
+                info, struct, row_of, cw, valid
+            )
+        return GenerationResult(
+            generation=g,
+            outcome=GenerationOutcome.DECIDED_CHECKING,
+            decisions=decisions,
+            p_match=info.p_match,
+            detectors=detectors,
+        )
 
-        # -- lines 3(a)-3(i): diagnosis, delegated ----------------------
+    def _default_result(self, g: int) -> GenerationResult:
+        """Line 1(f): honest inputs provably differ; decide the default."""
+        default = tuple(self.default_parts[g])
+        return GenerationResult(
+            generation=g,
+            outcome=GenerationOutcome.NO_MATCH_DEFAULT,
+            decisions={pid: default for pid in self.ctx.honest},
+            p_match=None,
+        )
+
+    def _diagnose(self, struct, g, p_match, row_of, valid, flagged,
+                  detectors):
+        """Lines 3(a)-3(i), delegated: diagnosis is rare and already
+        grouped, so it runs the vectorized protocol's own stage on the
+        cohort's shared caches.  ``flagged`` are the outsiders whose
+        broadcast Detected flag is set."""
+        ctx = self.ctx
+        consensus = self.consensus
         # Diagnosis mutates the graph: drop the carried structure.
         self.struct = None
+        if row_of is None:
+            row_of, _ = self._rows(g)
         received = self._scatter_received(struct, row_of, valid)
-        detected_arr = np.zeros(n, dtype=bool)
-        for (q, _), outcome in zip(crows, coutcomes):
-            detected_arr[q] = bool(outcome[0])
+        detected_arr = np.zeros(ctx.n, dtype=bool)
+        detected_arr[flagged] = True
         protocol = GenerationProtocol(
             config=ctx.config,
             code=ctx.code,
             network=consensus.network,
             graph=consensus.graph,
             backend=consensus.backend,
-            adversary=adversary,
+            adversary=self.adversary,
             generation=g,
             view_provider=consensus._make_view,
             vectorized=True,
             caches=ctx.caches,
             arena=ctx.arena,
         )
-        codewords = {pid: row_of[pid] for pid in range(n)}
         return protocol._diagnosis_stage_vec(
             p_match,
-            codewords,
+            dict(enumerate(row_of)),
             received,
             detected_arr,
             detectors,
@@ -814,21 +722,21 @@ class _InstanceRun:
 
     # -- replay lane ----------------------------------------------------
 
-    def _build_replay(self, struct, missing, m_false, row_of, valid):
-        """Derive the value-independent replay plan of one silent
-        deviation pattern (every deviating payload missing/invalid, so
-        every M expectation row is a function of the pattern alone)."""
+    def _replay_plan(self, struct, missing=(), m_false=(), row_of=None,
+                     valid=None):
+        """The memoized replay plan of one silent deviation pattern
+        (every deviating payload missing/invalid, so every M
+        expectation row is a function of the pattern alone)."""
         ctx = self.ctx
+        rkey = (struct.key, tuple(m_false))
+        plan = ctx._replays.get(rkey)
+        if plan is not None:
+            return plan
         controlled = ctx.controlled
         n = ctx.n
         hdev_key = tuple(
             sorted(p for p in m_false if p[1] not in controlled)
         )
-        rows_key = (struct.key, hdev_key)
-        honest_bits = ctx._rows.get(rows_key)
-        if honest_bits is None:
-            honest_bits = self._honest_rows(struct, hdev_key)
-            ctx._rows[rows_key] = honest_bits
         ctrl_touched = {r for (f, r) in m_false if r in controlled}
         ctrl_row_bool = {}
         outcomes: List[Optional[List[int]]] = [None] * n
@@ -845,27 +753,28 @@ class _InstanceRun:
                 outcomes[i] = [0] * (n - 1)
             else:
                 m_total += n - 1
-        ctrl_bits = None
         info = None
-        if ctx.mv_default:
-            ctrl_bits = {}
-            for i in ctx.controlled_sorted:
-                row_i = ctrl_row_bool[i]
-                bits = [1 if row_i[j] else 0 for j in range(n) if j != i]
-                ctrl_bits[i] = bits
-                if outcomes[i] is None:
-                    outcomes[i] = bits
+        # An overridden m_vector leaves the M view hook-independent only
+        # when every controlled processor is isolated: the dispatch
+        # zeroes their rows whatever the hook returns.
+        if ctx.mv_default or controlled <= struct.isolated:
+            honest_bits = self._honest_rows(struct, hdev_key)
             for i in range(n):
-                if outcomes[i] is None:
+                if outcomes[i] is not None:
+                    continue
+                if i in controlled:
+                    outcomes[i] = _row_bits(ctrl_row_bool[i], i)
+                else:
                     outcomes[i] = honest_bits[i]
             ctrl_key = tuple(
                 tuple(outcomes[i]) for i in ctx.controlled_sorted
             )
             info = ctx.match_info_for(struct, hdev_key, ctrl_key, outcomes)
-        return _ReplayPlan(
-            hdev_key, frozenset(missing), ctrl_row_bool, ctrl_bits,
-            m_total, info,
+        plan = _ReplayPlan(
+            hdev_key, frozenset(missing), ctrl_row_bool, m_total, info
         )
+        ctx._replays[rkey] = plan
+        return plan
 
     def _run_replay(self, plan, struct, g, m_tag, det_tag, row_of, cw,
                     valid):
@@ -874,53 +783,41 @@ class _InstanceRun:
         their returns are honoured; all pattern-determined bookkeeping
         comes from the plan."""
         ctx = self.ctx
-        consensus = self.consensus
-        adversary = self.adversary
-        backend = consensus.backend
+        backend = self.consensus.backend
         n = ctx.n
         controlled = ctx.controlled
         info = plan.info
-        if info is None:
-            # Overridden m_vector: the dispatched M view depends on the
-            # per-generation hook returns.
+        if not ctx.mv_default:
+            # Overridden m_vector: fires every generation, and its
+            # returns shape the M view unless the row is isolated.
             outcomes_ctrl = {}
             for i in ctx.controlled_sorted:
-                m_i = list(adversary.m_vector(
-                    i, list(plan.ctrl_row_bool[i]), g, self._make_view()
-                ))
-                if len(m_i) != n:
-                    m_i = (m_i + [False] * n)[:n]
-                bits = [1 if m_i[j] else 0 for j in range(n) if j != i]
+                bits = self._hooked_m_bits(i, plan.ctrl_row_bool[i], g)
                 outcomes_ctrl[i] = (
                     [0] * (n - 1) if i in struct.isolated else bits
                 )
-            ctrl_key = tuple(
-                tuple(outcomes_ctrl[i]) for i in ctx.controlled_sorted
-            )
-            info = ctx._match.get((struct.key, plan.hdev_key, ctrl_key))
             if info is None:
-                honest_bits = ctx._rows[(struct.key, plan.hdev_key)]
-                outcomes = []
-                for i in range(n):
-                    if i in controlled:
-                        outcomes.append(outcomes_ctrl[i])
-                    elif i in struct.isolated:
-                        outcomes.append([0] * (n - 1))
-                    else:
-                        outcomes.append(honest_bits[i])
-                info = ctx.match_info_for(
-                    struct, plan.hdev_key, ctrl_key, outcomes
+                ctrl_key = tuple(
+                    tuple(outcomes_ctrl[i]) for i in ctx.controlled_sorted
                 )
+                info = ctx._match.get(
+                    (struct.key, plan.hdev_key, ctrl_key)
+                )
+                if info is None:
+                    honest_bits = self._honest_rows(struct, plan.hdev_key)
+                    outcomes = [
+                        outcomes_ctrl[i] if i in controlled
+                        else [0] * (n - 1) if i in struct.isolated
+                        else honest_bits[i]
+                        for i in range(n)
+                    ]
+                    info = ctx.match_info_for(
+                        struct, plan.hdev_key, ctrl_key, outcomes
+                    )
         if plan.m_total:
             backend.charge_honest_instances(m_tag, plan.m_total)
         if info.p_match is None:
-            default = tuple(self.default_parts[g])
-            return GenerationResult(
-                generation=g,
-                outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                decisions={pid: default for pid in ctx.honest},
-                p_match=None,
-            )
+            return self._default_result(g)
         per = plan.per_info.get(id(info))
         if per is None:
             det_list = []
@@ -938,62 +835,36 @@ class _InstanceRun:
             plan.per_info[id(info)] = per
         det_list, detectors_base, clean = per
         df_fire = not ctx.df_default
-        flag_list = []
-        any_flag = False
+        flagged = []
         for q, detected, ctrl_q in det_list:
             flag = detected
             if ctrl_q and df_fire:
-                flag = bool(adversary.detected_flag(
+                flag = bool(self.adversary.detected_flag(
                     q, detected, g, self._make_view()
                 ))
-            flag_list.append(flag)
             if flag:
-                any_flag = True
+                flagged.append(q)
         if det_list:
             backend.charge_honest_instances(det_tag, len(det_list))
-        if not any_flag:
-            if info.pos_ok and clean:
-                decisions = ctx.decisions_for(self.ref_tuples[g])
-            else:
-                decisions = self._general_decisions(
-                    info, struct, row_of, cw, valid
-                )
-            return GenerationResult(
-                generation=g,
-                outcome=GenerationOutcome.DECIDED_CHECKING,
-                decisions=decisions,
-                p_match=info.p_match,
-                detectors=list(detectors_base),
+        if flagged:
+            return self._diagnose(
+                struct, g, info.p_match, row_of, valid, flagged,
+                list(detectors_base),
             )
-        # Diagnosis mutates the graph: drop the carried structure.
-        self.struct = None
-        received = self._scatter_received(struct, row_of, valid)
-        detected_arr = np.zeros(n, dtype=bool)
-        for (q, _detected, _ctrl), flag in zip(det_list, flag_list):
-            if flag:
-                detected_arr[q] = True
-        protocol = GenerationProtocol(
-            config=ctx.config,
-            code=ctx.code,
-            network=consensus.network,
-            graph=consensus.graph,
-            backend=backend,
-            adversary=adversary,
+        if info.pos_ok and clean:
+            decisions = ctx.decisions_for(self.ref_tuples[g])
+        else:
+            if row_of is None:
+                row_of, cw = self._rows(g)
+            decisions = self._general_decisions(
+                info, struct, row_of, cw, valid
+            )
+        return GenerationResult(
             generation=g,
-            view_provider=consensus._make_view,
-            vectorized=True,
-            caches=ctx.caches,
-            arena=ctx.arena,
-        )
-        codewords = {pid: row_of[pid] for pid in range(n)}
-        return protocol._diagnosis_stage_vec(
-            info.p_match,
-            codewords,
-            received,
-            detected_arr,
-            list(detectors_base),
-            struct.isolated,
-            self.default_parts[g],
+            outcome=GenerationOutcome.DECIDED_CHECKING,
+            decisions=decisions,
+            p_match=info.p_match,
+            detectors=list(detectors_base),
         )
 
     # -- helpers --------------------------------------------------------
@@ -1019,11 +890,26 @@ class _InstanceRun:
             backend.charge_honest_instances(tag, total)
         return outcomes
 
+    def _hooked_m_bits(self, i, row_i, g):
+        """Fire controlled pid ``i``'s ``m_vector`` hook on its
+        expectation row; the return, normalized to broadcast bits."""
+        n = self.ctx.n
+        m_i = list(
+            self.adversary.m_vector(i, list(row_i), g, self._make_view())
+        )
+        if len(m_i) != n:
+            m_i = (m_i + [False] * n)[:n]
+        return _row_bits(m_i, i)
+
     def _honest_rows(self, struct, hdev_key):
         """Every honest processor's M broadcast bits under one deviation
-        pattern (controlled slots stay ``None``)."""
+        pattern (controlled slots stay ``None``), memoized."""
         ctx = self.ctx
-        rows: List[Optional[List[int]]] = [None] * ctx.n
+        rows_key = (struct.key, hdev_key)
+        rows = ctx._rows.get(rows_key)
+        if rows is not None:
+            return rows
+        rows = [None] * ctx.n
         touched: Dict[int, List[int]] = {}
         for f, r in hdev_key:
             touched.setdefault(r, []).append(f)
@@ -1036,6 +922,7 @@ class _InstanceRun:
                 for f in cols:
                     bits[f - 1 if f > i else f] = 0
                 rows[i] = bits
+        ctx._rows[rows_key] = rows
         return rows
 
     def _ctrl_row(self, struct, row_of, valid, i):
@@ -1079,13 +966,10 @@ class _InstanceRun:
         or a controlled recipient."""
         match_set = info.match_set
         controlled = self.ctx.controlled
-        for f, r in missing:
-            if f in match_set and r not in controlled:
-                return False
-        for f, r in offcw:
-            if f in match_set and r not in controlled:
-                return False
-        return True
+        return not any(
+            f in match_set and r not in controlled
+            for f, r in itertools.chain(missing, offcw)
+        )
 
     def _general_decisions(self, info, struct, row_of, cw, valid):
         """Exact mirror of the vectorized line 2(c) decode, decoding
@@ -1132,7 +1016,9 @@ class _InstanceRun:
         """Materialize the checking-stage received matrix for the
         delegated diagnosis stage."""
         ctx = self.ctx
-        received = ctx.scatter()
+        # The arena's exchange view, reset to _MISSING (the delegated
+        # stage never retains it).
+        received = ctx.arena.exchange_view()
         mask = struct.mask
         for j in ctx.honest:
             received[mask[j], j] = row_of[j][j]
@@ -1154,47 +1040,35 @@ def run_cohort_instance(
     consensus: MultiValuedConsensus,
     inputs: Sequence[int],
 ):
-    """Run one cohort-eligible instance; byte-identical to
-    ``consensus.run(list(inputs))``.
+    """Run one cohort-eligible instance; byte-identical to the
+    per-generation engine on the same ``consensus`` and ``inputs``.
 
-    Eligibility (checked by the service planner, not re-checked here):
-    an error-free constant-cost backend exposing the flat dispatch path,
-    a non-empty controlled set, and all honest processors sharing one
-    raw input value — that shared value's codeword is the baseline every
-    deviation is classified against.
+    Eligibility (decided by :func:`repro.service.planner.plan_lane`, not
+    re-checked here): an error-free constant-cost backend exposing the
+    flat dispatch path, no injected network faults, and all honest
+    processors sharing one raw input value — that shared value's
+    codeword is the baseline every deviation is classified against.
+    The controlled set may be empty (a failure-free run).
     """
     config = consensus.config
-    n = config.n
     honest = ctx.honest
     effective = prepare_instance(consensus, inputs)
-    parts_by_pid = {
-        pid: consensus.parts_for(effective[pid]) for pid in range(n)
-    }
     ref_value = effective[honest[0]]
-    ref_parts = parts_by_pid[honest[0]]
+    ref_parts = consensus.parts_for(ref_value)
     default_parts = consensus.parts_for(config.default_value)
-    runs_by_id: Dict[int, List[List[int]]] = {}
-    cw_runs: Dict[int, List[List[int]]] = {}
-    for pid in range(n):
-        parts = parts_by_pid[pid]
-        runs = runs_by_id.get(id(parts))
-        if runs is None:
-            runs = ctx.codeword_runs(consensus, parts)
-            runs_by_id[id(parts)] = runs
-        cw_runs[pid] = runs
     # Controlled pids whose effective input differs from the honest one
     # (input_value hooks): their M expectation rows need elementwise
     # treatment; everything honest-facing still keys off the shared
-    # codeword (parts_for shares one object per value).
-    distinct = frozenset(
-        pid for pid in ctx.controlled
-        if parts_by_pid[pid] is not ref_parts
-    )
+    # codeword.
+    distinct = {
+        pid: consensus.parts_for(effective[pid])
+        for pid in ctx.controlled_sorted
+        if effective[pid] != ref_value
+    }
     run = _InstanceRun(
         ctx,
         consensus,
-        cw_runs,
-        runs_by_id[id(ref_parts)],
+        ref_parts,
         ctx.part_tuples_for(ref_value, ref_parts),
         distinct,
         default_parts,
@@ -1211,28 +1085,39 @@ def run_cohort_instance(
         if struct is None:
             struct = ctx.structure_for(consensus.graph)
             run.struct = struct
-        # Hook-free steady state: no matching_symbol call can fire
+        # Fast-forward tail: no matching_symbol call can fire
         # (conforming by construction, or no live faulty edge remains),
-        # M/broadcast hooks are the base identity, and the graph state
-        # admits a steady plan.  Nothing can deviate, so no diagnosis
-        # can mutate the graph: every remaining generation replays as
-        # three constant charges plus the shared conforming record.
+        # the broadcast hook is the base identity, and the empty
+        # pattern's plan has a hook-independent M view, no
+        # detected_flag hook to fire and the shared conforming decode.
+        # Nothing can deviate, so no diagnosis can mutate the graph:
+        # every remaining generation replays as three constant charges
+        # plus the shared conforming record.
         if (
             (run.ms_skip or not struct.fab_recips)
             and not run.distinct
             and ctx.ib_default
         ):
-            plan = ctx.steady_plan_for(struct)
-            if plan is not None and not plan.no_match:
+            plan = run._replay_plan(struct)  # the empty pattern
+            info = plan.info
+            if (
+                info is not None
+                and info.p_match is not None
+                and info.pos_ok
+                and (ctx.df_default or not info.ctrl_outsider)
+            ):
                 sym_count = struct.honest_edges + struct.fab_sent
+                n_out = len(info.outsiders)
                 ref_tuples = run.ref_tuples
                 c = ctx.c
                 extras = consensus._view_extras
                 adversary = consensus.adversary
                 base_bool = struct.base_bool
                 controlled_sorted = ctx.controlled_sorted
-                mv_fire = plan.mv_fire
+                mv_fire = not ctx.mv_default
                 journalling = network.journal is not None
+                for pid in honest:
+                    decided_parts[pid].extend(ref_tuples[g:])
                 while g < generations:
                     extras["generation"] = g
                     sym_tag, m_tag, det_tag = ctx.tags_for(g)
@@ -1240,10 +1125,11 @@ def run_cohort_instance(
                         # This lane is hook-free (every live faulty
                         # sender conforms), so the materialized faulty
                         # batch carries each sender's own symbol.
+                        row_of, cw = run._rows(g)
                         _journal_symbol_round(
-                            ctx, network, struct, run.ref_runs[g],
+                            ctx, network, struct, cw,
                             [
-                                (f, r, run.cw_runs[f][g][f])
+                                (f, r, row_of[f][f])
                                 for f, recips in struct.fab_recips.items()
                                 for r in recips
                             ],
@@ -1252,6 +1138,8 @@ def run_cohort_instance(
                     else:
                         network.charge_round(sym_tag, sym_count, c)
                     if mv_fire:
+                        # Every controlled row is isolated: the hooks
+                        # fire, the dispatch zeroes what they return.
                         view = consensus._make_view()
                         for i in controlled_sorted:
                             adversary.m_vector(
@@ -1261,20 +1149,15 @@ def run_cohort_instance(
                         backend.charge_honest_instances(
                             m_tag, plan.m_total
                         )
-                    if plan.n_out:
-                        backend.charge_honest_instances(
-                            det_tag, plan.n_out
-                        )
-                    part = ref_tuples[g]
+                    if n_out:
+                        backend.charge_honest_instances(det_tag, n_out)
                     generation_results.append(GenerationResult(
                         generation=g,
                         outcome=GenerationOutcome.DECIDED_CHECKING,
-                        decisions=ctx.decisions_for(part),
-                        p_match=plan.p_match,
+                        decisions=ctx.decisions_for(ref_tuples[g]),
+                        p_match=info.p_match,
                         detectors=[],
                     ))
-                    for pid in honest:
-                        decided_parts[pid].append(part)
                     g += 1
                 break
         consensus._view_extras["generation"] = g
@@ -1290,7 +1173,7 @@ def run_cohort_instance(
     # The conforming decision rows are the reference parts themselves,
     # whose packed value is the honest input — seed the shared packing
     # cache so finalize never re-packs a conforming run.
-    ctx._values.setdefault(tuple(run.ref_tuples), ref_value)
+    ctx._values[tuple(run.ref_tuples)] = ref_value
     return finalize_result(
         consensus, inputs, honest, generation_results, decided_parts,
         default_used, value_cache=ctx._values,

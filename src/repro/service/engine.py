@@ -1,25 +1,23 @@
-"""The cross-generation orchestration engine.
+"""The per-generation engine and the run prologue/epilogue.
 
-This module owns the execution of one consensus instance — the
-``⌈L/D⌉``-generation loop of Algorithm 1, including the cross-generation
-failure-free fast path — operating on the per-instance state held by a
+:func:`execute_consensus` runs one consensus instance as the paper
+writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1, one
+:class:`~repro.core.generation.GenerationProtocol` per generation —
+operating on the per-instance state held by a
 :class:`~repro.core.consensus.MultiValuedConsensus` object (diagnosis
-graph, metered network, backend, code).
+graph, metered network, backend, code).  It is the lane the planner
+(:mod:`repro.service.planner`) picks when no work can be shared, and
+with ``vectorized=False`` it is the scalar reference every other lane is
+held byte-identical to.
 
-It lives in the service package because the service layer is what drives
-it at scale: :class:`~repro.service.service.ConsensusService` runs many
-instances through :func:`execute_consensus` while sharing the expensive
-read-only state (code tables, content-keyed part splits, batched
-cross-instance encodes) that a one-shot
-``MultiValuedConsensus(config).run(values)`` call — now a compatibility
-shim delegating here — would rebuild per run.
+:func:`prepare_instance` and :func:`finalize_result` are the prologue
+and epilogue it shares with the cohort engine
+(:mod:`repro.service.cohort`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.generation import GenerationProtocol
 from repro.core.result import (
@@ -30,206 +28,6 @@ from repro.core.result import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.consensus import MultiValuedConsensus
-
-
-class _FastGenerationState:
-    """Precomputed state for the cross-generation failure-free fast path.
-
-    All ``L/D`` generations are independent until a fault or an input
-    mismatch surfaces, so their codewords are produced by *one* batched
-    ``(generations * rows, k)`` generator matmat
-    (:meth:`~repro.coding.reed_solomon.ReedSolomonCode.encode_generations`)
-    and each all-match generation replays as a handful of batched
-    bookkeeping calls — one :class:`~repro.network.message.SymbolBatch`
-    for the symbol exchange, one ``broadcast_bits_many`` per broadcast
-    stage — with byte-identical metering to the scalar protocol.
-
-    A generation is *all-match* when every processor holds the same part
-    for it: then every M vector is all-true, ``P_match`` is the first
-    ``n - t`` processors, no outsider detects, and every processor's
-    checking-stage decode returns the common part.  Any other generation
-    (and every generation once the diagnosis graph loses an edge) is
-    replayed through the scalar :class:`GenerationProtocol`.
-
-    On top of :meth:`emit` (one generation's batched bookkeeping),
-    :meth:`emit_run` replays a *run* of consecutive all-match
-    generations with the per-generation machinery amortized away
-    entirely — the L → 2^22 regime's bookkeeping fast path.  An
-    all-match generation's delivered payloads are never read (each
-    processor decides its own part), so when the backend's honest
-    broadcasts are pure accounting
-    (:attr:`~repro.broadcast_bit.interface.BroadcastBackend.\
-constant_cost_honest`) and the network keeps no journal, each
-    generation reduces to one :meth:`SyncNetwork.charge_round` plus two
-    :meth:`charge_honest_instances` calls and a shared-dict generation
-    record, with meter ``Counter`` state, round clock and backend
-    instance counts byte-identical to the per-generation path.
-
-    When the engine carries a service-provided ``encode_cache``
-    (:class:`~repro.service.service.ConsensusService` instances sharing
-    one config), the lazy whole-run encode first consults it — the
-    service pre-fills it with one cross-*instance*
-    ``(instances × generations × rows, k)`` matmat — and publishes its
-    own encode back, so no two instances of a batch ever encode the
-    same value twice.
-    """
-
-    def __init__(self, consensus: "MultiValuedConsensus",
-                 parts_by_pid: Dict[int, List[List[int]]]):
-        config = consensus.config
-        n = config.n
-        self.consensus = consensus
-        self.config = config
-        self.honest = sorted(range(n))  # fast path requires zero faults
-        self.p_match = tuple(range(n - config.t))
-        self.outsiders = list(range(n - config.t, n))
-        # Pairwise distinct part sequences; generation g is all-match iff
-        # every distinct sequence agrees on row g.
-        # parts_by_pid shares one list object per distinct input value, so
-        # identity is equality here.
-        distinct: List[List[List[int]]] = []
-        seen_ids = set()
-        for pid in range(n):
-            parts = parts_by_pid[pid]
-            if id(parts) not in seen_ids:
-                seen_ids.add(id(parts))
-                distinct.append(parts)
-        reference = distinct[0]
-        if len(distinct) == 1:
-            self.all_match = np.ones(config.generations, dtype=bool)
-        else:
-            self.all_match = np.array(
-                [
-                    all(
-                        other[g] == reference[g] for other in distinct[1:]
-                    )
-                    for g in range(config.generations)
-                ],
-                dtype=bool,
-            )
-        # The batched whole-run encode is deferred until the first
-        # all-match generation actually needs a codeword: with (say)
-        # fully differing honest inputs every generation replays scalar
-        # and the batch would be dead work.
-        self.parts = [tuple(part) for part in reference]
-        self._reference = reference
-        self._codewords: Optional[List[List[int]]] = None
-        # Complete-graph exchange edges, reused every generation.
-        off_diagonal = ~np.eye(n, dtype=bool)
-        self.senders, self.receivers = np.nonzero(off_diagonal)
-        self.sender_list = self.senders.tolist()
-        self.m_row = [1] * (n - 1)
-        #: Shared per-part decision records: all-match generations with
-        #: the same part reuse one decisions dict (read-only downstream).
-        self._decisions_cache: Dict[tuple, Dict[int, tuple]] = {}
-
-    def _whole_run_codewords(self) -> List[List[int]]:
-        """The batched whole-run encode, via the shared cache when one
-        is attached (cross-instance batching), else computed locally."""
-        cache = self.consensus.encode_cache
-        if cache is None:
-            return self.consensus.code.encode_generations(self._reference)
-        key = tuple(self.parts)
-        codewords = cache.get(key)
-        if codewords is None:
-            codewords = self.consensus.code.encode_generations(
-                self._reference
-            )
-            cache[key] = codewords
-        return codewords
-
-    def emit(self, g: int) -> GenerationResult:
-        """Replay generation ``g``'s failure-free bookkeeping, batched."""
-        consensus = self.consensus
-        config = self.config
-        if self._codewords is None:
-            # One (generations * rows, k) generator matmat for the whole
-            # run, on first use.
-            self._codewords = self._whole_run_codewords()
-        codeword = self._codewords[g]
-        tag = "gen%d" % g
-        if config.symbol_bits <= 62:
-            # Packed payload lane (see SymbolBatch): one gather instead
-            # of n(n-1) Python objects.
-            payloads = np.asarray(codeword, dtype=np.int64)[self.senders]
-        else:
-            payloads = [codeword[s] for s in self.sender_list]
-        consensus.network.send_many(
-            self.senders,
-            self.receivers,
-            payloads,
-            bits=config.symbol_bits,
-            tag="%s.matching.symbols" % tag,
-        )
-        consensus.network.deliver_arrays()
-        consensus.backend.broadcast_bits_many(
-            [(i, self.m_row) for i in range(config.n)],
-            "%s.matching.M" % tag,
-        )
-        if self.outsiders:
-            consensus.backend.broadcast_bits_many(
-                [(q, [0]) for q in self.outsiders],
-                "%s.checking.detected" % tag,
-            )
-        part = self.parts[g]
-        return GenerationResult(
-            generation=g,
-            outcome=GenerationOutcome.DECIDED_CHECKING,
-            decisions=self._decisions_for(part),
-            p_match=self.p_match,
-        )
-
-    def _decisions_for(self, part: tuple) -> Dict[int, tuple]:
-        """One decisions dict per distinct part, shared across records."""
-        decisions = self._decisions_cache.get(part)
-        if decisions is None:
-            decisions = {pid: part for pid in self.honest}
-            self._decisions_cache[part] = decisions
-        return decisions
-
-    def emit_run(self, g0: int, g1: int) -> List[GenerationResult]:
-        """Replay generations ``[g0, g1)`` (all all-match) in bulk.
-
-        When the backend charges honest broadcasts in O(1) and the
-        network keeps no journal, each generation is three accounting
-        calls — the symbol round, the M broadcasts, the Detected
-        broadcasts — and a shared-dict record: no payload encode, no
-        per-edge validation, no batch objects.  Otherwise (Phase-King
-        and friends, or a journalling network) every generation goes
-        through :meth:`emit`, which runs the real broadcast protocol.
-        """
-        consensus = self.consensus
-        config = self.config
-        network = consensus.network
-        backend = consensus.backend
-        if not backend.constant_cost_honest or network.journal is not None:
-            return [self.emit(g) for g in range(g0, g1)]
-        n = config.n
-        edges = n * (n - 1)
-        m_instances = n * (n - 1)  # n sources, n - 1 M bits each
-        detected_instances = len(self.outsiders)
-        results: List[GenerationResult] = []
-        for g in range(g0, g1):
-            tag = "gen%d" % g
-            network.charge_round(
-                "%s.matching.symbols" % tag, edges, config.symbol_bits
-            )
-            backend.charge_honest_instances(
-                "%s.matching.M" % tag, m_instances
-            )
-            if detected_instances:
-                backend.charge_honest_instances(
-                    "%s.checking.detected" % tag, detected_instances
-                )
-            results.append(
-                GenerationResult(
-                    generation=g,
-                    outcome=GenerationOutcome.DECIDED_CHECKING,
-                    decisions=self._decisions_for(self.parts[g]),
-                    p_match=self.p_match,
-                )
-            )
-        return results
 
 
 def prepare_instance(
@@ -295,11 +93,15 @@ def finalize_result(
         # value; share the packing across fault-free processors.
         if value_cache is None:
             value_cache = {}
+        parts = value = None
         for pid in honest:
-            key = tuple(tuple(part) for part in decided_parts[pid])
-            if key not in value_cache:
-                value_cache[key] = consensus.value_of(decided_parts[pid])
-            decisions[pid] = value_cache[key]
+            if decided_parts[pid] != parts:  # else: same as the last pid
+                parts = decided_parts[pid]
+                key = tuple(tuple(part) for part in parts)
+                if key not in value_cache:
+                    value_cache[key] = consensus.value_of(parts)
+                value = value_cache[key]
+            decisions[pid] = value
 
     honest_inputs = [inputs[pid] for pid in honest]
     honest_inputs_equal = len(set(honest_inputs)) == 1
@@ -319,15 +121,12 @@ def finalize_result(
 def execute_consensus(
     consensus: "MultiValuedConsensus", inputs: Sequence[int]
 ) -> ConsensusResult:
-    """Run one consensus instance over ``inputs[pid]``.
+    """Run one consensus instance over ``inputs[pid]``, generation by
+    generation.
 
-    The engine behind
-    :meth:`~repro.core.consensus.MultiValuedConsensus.run` and the
-    per-instance step of
-    :meth:`~repro.service.service.ConsensusService.run_many`: consumes
-    the instance state owned by ``consensus`` (which must be fresh — the
-    diagnosis graph, meter and round clock are mutated) and returns the
-    :class:`~repro.core.result.ConsensusResult`.
+    Consumes the instance state owned by ``consensus`` (which must be
+    fresh — the diagnosis graph, meter and round clock are mutated) and
+    returns the :class:`~repro.core.result.ConsensusResult`.
     """
     config = consensus.config
     adversary = consensus.adversary
@@ -337,67 +136,28 @@ def execute_consensus(
     ]
     effective = prepare_instance(consensus, inputs)
     # Honest processors holding the same value derive the same symbol
-    # view; key the (expensive, deterministic) split by content so the
-    # common all-equal-inputs case splits once, not n times — and only
-    # once per *service batch* when the consensus carries a shared
-    # parts cache.
+    # view; parts_for keys the (expensive, deterministic) split by
+    # content, so equal inputs split once, not n times.
     parts_by_pid: Dict[int, List[List[int]]] = {
         pid: consensus.parts_for(effective[pid]) for pid in range(config.n)
     }
     default_parts = consensus.parts_for(config.default_value)
+    # The shared arena persists the (n, n) buffers across generations;
+    # forced-scalar (and probabilistic-backend) runs must never build
+    # one.
+    arena = (
+        consensus.ensure_arena()
+        if consensus.vectorized and consensus.backend.error_free
+        else None
+    )
 
     generation_results: List[GenerationResult] = []
     decided_parts: Dict[int, List[Sequence[int]]] = {
         pid: [] for pid in honest
     }
     default_used = False
-
-    # Cross-generation batching: with no faulty processors and a
-    # complete diagnosis graph, generations are independent, so their
-    # codewords come from one batched encode and each all-match
-    # generation replays as a few batched bookkeeping calls.  Any
-    # generation that could deviate — differing parts, a Byzantine
-    # processor, a removed edge — runs the scalar per-generation
-    # protocol instead (and once an edge is removed the fast path
-    # stays off for the rest of the run).
-    fast: Optional[_FastGenerationState] = None
-    if (
-        consensus.batch_generations
-        and consensus.backend.error_free
-        and not adversary.faulty
-        # Injected network faults make traffic content-dependent, so
-        # no round may be replayed as bookkeeping (charge_round would
-        # refuse anyway; see FaultInjectionError).
-        and getattr(adversary, "fault_plan", None) is None
-        and consensus.graph.is_complete()
-    ):
-        fast = _FastGenerationState(consensus, parts_by_pid)
-
-    g = 0
-    while g < config.generations:
+    for g in range(config.generations):
         consensus._view_extras["generation"] = g
-        if (
-            fast is not None
-            and fast.all_match[g]
-            and consensus.graph.is_complete()
-        ):
-            # Maximal run of consecutive all-match generations: no
-            # protocol executes inside it (so the graph cannot
-            # change), and the whole run replays as bulk
-            # bookkeeping.  Fast generations always decide at the
-            # checking stage, never on the default.
-            g_end = g + 1
-            while (
-                g_end < config.generations and fast.all_match[g_end]
-            ):
-                g_end += 1
-            run_results = fast.emit_run(g, g_end)
-            generation_results.extend(run_results)
-            for result in run_results:
-                for pid in honest:
-                    decided_parts[pid].append(result.decisions[pid])
-            g = g_end
-            continue
         protocol = GenerationProtocol(
             config=config,
             code=consensus.code,
@@ -408,14 +168,7 @@ def execute_consensus(
             generation=g,
             view_provider=consensus._make_view,
             vectorized=consensus.vectorized,
-            # The shared arena persists the (n, n) buffers across
-            # generations; forced-scalar (and probabilistic-backend)
-            # runs must never build one.
-            arena=(
-                consensus.ensure_arena()
-                if consensus.vectorized and consensus.backend.error_free
-                else None
-            ),
+            arena=arena,
         )
         result = protocol.run(
             {pid: parts_by_pid[pid][g] for pid in range(config.n)},
@@ -428,7 +181,6 @@ def execute_consensus(
             break
         for pid in honest:
             decided_parts[pid].append(result.decisions[pid])
-        g += 1
 
     return finalize_result(
         consensus,

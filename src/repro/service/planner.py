@@ -1,0 +1,80 @@
+"""The lane planner: which engine executes one consensus instance.
+
+An instance runs one of three ways, and this module's
+:func:`plan_lane` is the only code that knows the gates between them:
+
+* ``Lane.CLONE`` — priced from the service's failure-free template
+  (:meth:`ConsensusService._clone_result`); nothing executes.
+* ``Lane.COHORT`` — :func:`repro.service.cohort.run_cohort_instance`
+  over a shared :class:`~repro.service.cohort.CohortContext`.  A
+  failure-free run is the cohort of the empty faulty set.
+* ``Lane.PER_GENERATION`` — :func:`repro.service.engine.
+  execute_consensus`, one :class:`~repro.core.generation.
+  GenerationProtocol` per generation (vectorized, or the scalar
+  reference when ``vectorized`` is off or the backend is probabilistic).
+
+All three are byte-identical to the forced-scalar reference; the choice
+only decides how much work is shared.
+"""
+
+from __future__ import annotations
+
+import enum
+from typing import Sequence
+
+from repro.core.config import BACKENDS, ConsensusConfig
+from repro.processors.adversary import Adversary
+
+
+class Lane(enum.Enum):
+    CLONE = "clone"
+    COHORT = "cohort"
+    PER_GENERATION = "per_generation"
+
+
+def plan_lane(
+    config: ConsensusConfig,
+    vectorized: bool,
+    batch_generations: bool,
+    adversary: Adversary,
+    inputs: Sequence[int],
+    batch: bool = False,
+    reuse_results: bool = False,
+    journal: bool = False,
+) -> Lane:
+    """The lane for one instance of the deployment ``(config,
+    vectorized, batch_generations)``.
+
+    ``batch`` says the instance is one of a ``run_many`` batch (a lone
+    adversarial instance shares nothing, so it stays per-generation);
+    ``reuse_results`` that the caller holds a result template;
+    ``journal`` that the run is recorded.
+    """
+    backend = BACKENDS[config.backend]
+    faulty = adversary.faulty
+    n = config.n
+    # Both shared lanes replay value-independent accounting, which needs
+    # agreement (an error-free backend), content-independent traffic (no
+    # injected network faults) and one common honest input — checked on
+    # the raw inputs: input_value hooks fire once, inside the run.
+    if not (
+        batch_generations
+        and backend.error_free
+        and getattr(adversary, "fault_plan", None) is None
+        and len(inputs) == n
+        and len({inputs[pid] for pid in range(n) if pid not in faulty}) == 1
+    ):
+        return Lane.PER_GENERATION
+    # A cloned result is priced, not executed: it has no journal.
+    if reuse_results and not faulty and not journal:
+        return Lane.CLONE
+    # The cohort engine charges honest broadcasts in O(1) and dispatches
+    # controlled rows flat, on the vectorized engine's semantics.
+    cohort_capable = (
+        vectorized
+        and backend.constant_cost_honest
+        and hasattr(backend, "broadcast_rows_flat")
+    )
+    if cohort_capable and (batch or not faulty):
+        return Lane.COHORT
+    return Lane.PER_GENERATION

@@ -11,10 +11,14 @@ deployment and owns everything reusable across instances:
   value, however many instances hold it),
 * the cross-instance encode cache (one
   ``(instances × generations × rows, k)`` generator matmat for a whole
-  batch's codewords),
+  batch's adversarial cohorts),
+* the attack-shape cohort contexts (:mod:`repro.service.cohort`),
 * the failure-free *result template* (the metering of an all-match run
   is value-independent, so one real run prices every failure-free
   instance of the batch).
+
+Which engine runs an instance is the lane planner's decision
+(:func:`repro.service.planner.plan_lane`), nowhere else's.
 
 ``run`` executes one instance; ``run_many`` executes a batch with
 cross-instance batching; ``submit``/``drain`` queue instances between
@@ -25,7 +29,7 @@ Every path is **byte-identical** to looping
 ``MultiValuedConsensus(config).run(...)`` over the same instances — the
 per-instance :class:`~repro.core.result.ConsensusResult` records and
 meter snapshots match field for field, which
-``tests/test_service.py`` and ``benchmarks/bench_throughput.py
+``tests/test_differential.py`` and ``benchmarks/bench_throughput.py
 --check`` assert for every registered attack.
 
 >>> from repro.core.config import ConsensusConfig
@@ -47,12 +51,15 @@ from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary
 from repro.service.arena import ExchangeArena
 from repro.service.cohort import CohortContext, run_cohort_instance
+from repro.service.engine import execute_consensus
+from repro.service.planner import Lane, plan_lane
 from repro.service.spec import (
     InstanceSpec,
     RunSpec,
     WorkloadSpec,
     cohort_key,
 )
+from repro.utils.memo import ValueMemo
 
 #: Anything ``run_many``/``submit`` accepts as one instance: a spec, the
 #: per-processor input sequence, or a single value every processor holds.
@@ -102,36 +109,23 @@ class ConsensusService:
         #: One code instance for every run of this service; its
         #: interpolation caches warm monotonically across instances.
         self.code = self.config.make_code()
-        self._parts_cache: Dict[int, List[List[int]]] = {}
-        self._encode_cache: Dict[tuple, List[List[int]]] = {}
+        # Value-keyed memos: bounded, the deployment is long-lived.
+        self._parts_cache: Dict[int, List[List[int]]] = ValueMemo()
+        self._encode_cache: Dict[tuple, List[List[int]]] = ValueMemo()
+        self._decisions_cache: Dict[tuple, Dict[int, tuple]] = ValueMemo()
         #: value-independent failure-free template (see _clone_result).
         self._template: Optional[ConsensusResult] = None
-        self._decisions_cache: Dict[tuple, Dict[int, tuple]] = {}
         self._pending: List[InstanceSpec] = []
-        backend_cls = BACKENDS[self.config.backend]
-        self._backend_error_free = bool(backend_cls.error_free)
-        self._constant_cost = bool(
-            getattr(backend_cls, "constant_cost_honest", False)
-        )
         #: The deployment's preallocated exchange arena: every engine
         #: and cohort this service builds shares its ``(n, n)`` buffers
         #: (the service runs instances strictly sequentially, so one
         #: generation is ever in flight).  Built on first vectorized
         #: need; a forced-scalar service never builds one.
         self._arena: Optional[ExchangeArena] = None
-        #: Attack-shape cohort contexts, keyed by ``cohort_key`` (see
-        #: :mod:`repro.service.cohort`); persistent like the encode
-        #: cache, so repeated ``run_many`` calls keep their warmth.
+        #: Cohort contexts, keyed by ``cohort_key`` (see
+        #: :mod:`repro.service.cohort`); persistent, so repeated
+        #: ``run_many`` calls keep their warmth.
         self._cohorts: Dict[tuple, CohortContext] = {}
-        # Cohort batching needs the vectorized engines' semantics plus
-        # the ideal backend's flat dispatch / bulk accounting surface.
-        self._cohort_capable = (
-            self.spec.vectorized
-            and self.spec.batch_generations
-            and self._backend_error_free
-            and self._constant_cost
-            and hasattr(backend_cls, "broadcast_rows_flat")
-        )
 
     # -- engine construction ------------------------------------------------
 
@@ -150,11 +144,12 @@ class ConsensusService:
         journal: bool = False,
     ) -> MultiValuedConsensus:
         """A fresh per-instance engine wired to this service's shared
-        read-only state (code tables, part splits, encode cache) and,
-        on the vectorized path, the shared exchange arena."""
+        read-only state (code tables, part splits) and, on the
+        vectorized path, the shared exchange arena."""
         arena = (
             self._ensure_arena()
-            if self.spec.vectorized and self._backend_error_free
+            if self.spec.vectorized
+            and BACKENDS[self.config.backend].error_free
             else None
         )
         return MultiValuedConsensus(
@@ -165,7 +160,6 @@ class ConsensusService:
             vectorized=self.spec.vectorized,
             code=self.code,
             parts_cache=self._parts_cache,
-            encode_cache=self._encode_cache,
             arena=arena,
             journal=journal,
         )
@@ -403,115 +397,86 @@ class ConsensusService:
         self, specs: Sequence[InstanceSpec], transcript=None
     ) -> List[ConsensusResult]:
         results: List[Optional[ConsensusResult]] = [None] * len(specs)
-        n = self.config.n
-        journal = transcript is not None
-        plan: List[Tuple[int, InstanceSpec, Adversary, bool, bool]] = []
-        for idx, instance in enumerate(specs):
+        plan: List[Tuple[InstanceSpec, Adversary, Lane]] = []
+        for instance in specs:
             adversary = instance.resolve(self.spec).make_adversary()
-            # Cloned results are priced, not executed: there is no
-            # journal to authenticate, so recording disables cloning.
-            clonable = (
-                not journal
-                and self.reuse_results
-                and self.spec.batch_generations
-                and self._backend_error_free
-                and not adversary.faulty
-                and getattr(adversary, "fault_plan", None) is None
-                and len(instance.inputs) == n
-                and len(set(instance.inputs)) == 1
+            lane = self._plan(
+                instance, adversary, self.reuse_results,
+                journal=transcript is not None,
             )
-            # Adversarial instances whose honest processors share one
-            # raw input value run through the attack-shape cohort
-            # engine (the honest check is pre-hook: input_value hooks
-            # fire exactly once, inside the cohort run).
-            cohortable = (
-                not clonable
-                and self._cohort_capable
-                and bool(adversary.faulty)
-                # Injected network faults keep a run off the cohort
-                # lanes: the cohort engine replays symbol rounds as
-                # charge_round bookkeeping, which an installed fault
-                # schedule refuses (see FaultInjectionError).
-                and getattr(adversary, "fault_plan", None) is None
-                and len(instance.inputs) == n
-                and len({
-                    instance.inputs[pid]
-                    for pid in range(n)
-                    if pid not in adversary.faulty
-                }) == 1
-            )
-            plan.append((idx, instance, adversary, clonable, cohortable))
+            plan.append((instance, adversary, lane))
         self._prewarm_encodes(plan)
-        for idx, instance, adversary, clonable, cohortable in plan:
-            engine = None
-            if clonable:
+        for idx, (instance, adversary, lane) in enumerate(plan):
+            if lane is Lane.CLONE:
                 results[idx] = self._run_or_clone(instance, adversary)
-            elif cohortable:
-                key = cohort_key(self.spec, instance)
-                ctx = self._cohorts.get(key)
-                if ctx is None:
-                    ctx = CohortContext(
-                        self.config, self.code, adversary,
-                        arena=self._ensure_arena(),
-                    )
-                    self._cohorts[key] = ctx
-                engine = self._make_engine(adversary, journal=journal)
-                results[idx] = run_cohort_instance(
-                    ctx, engine, instance.inputs
-                )
             else:
-                engine = self._make_engine(adversary, journal=journal)
-                results[idx] = engine.run(list(instance.inputs))
-            if journal:
-                assert engine is not None  # cloning is disabled above
-                transcript.capture(
-                    self.spec,
-                    instance,
-                    engine.network.journal,
-                    results[idx],
+                results[idx] = self._execute(
+                    instance, adversary, lane, transcript
                 )
         return results  # type: ignore[return-value]
+
+    def _plan(
+        self,
+        instance: InstanceSpec,
+        adversary: Adversary,
+        reuse_results: bool,
+        journal: bool = False,
+    ) -> Lane:
+        """The lane of one ``run_many`` instance of this deployment."""
+        return plan_lane(
+            self.config,
+            self.spec.vectorized,
+            self.spec.batch_generations,
+            adversary,
+            instance.inputs,
+            batch=True,
+            reuse_results=reuse_results,
+            journal=journal,
+        )
+
+    def _execute(
+        self,
+        instance: InstanceSpec,
+        adversary: Adversary,
+        lane: Lane,
+        transcript=None,
+    ) -> ConsensusResult:
+        """Execute one instance on ``lane`` with a fresh engine,
+        recording it when a ``transcript`` recorder is given."""
+        engine = self._make_engine(adversary, journal=transcript is not None)
+        if lane is Lane.COHORT:
+            key = cohort_key(self.spec, instance)
+            ctx = self._cohorts.get(key)
+            if ctx is None:
+                ctx = CohortContext(
+                    self.config, self.code, adversary,
+                    self._ensure_arena(), self._encode_cache,
+                )
+                self._cohorts[key] = ctx
+            result = run_cohort_instance(ctx, engine, instance.inputs)
+        else:
+            result = execute_consensus(engine, list(instance.inputs))
+        if transcript is not None:
+            transcript.capture(
+                self.spec, instance, engine.network.journal, result
+            )
+        return result
 
     def _prewarm_encodes(self, plan) -> None:
         """The cross-*instance* batched encode: one
         ``(instances × generations × rows, k)`` generator matmat for
-        every distinct all-equal value whose engine run will need its
-        whole-run codewords, pre-filling the shared encode cache the
-        per-instance fast path consults.
+        the batch's adversarial cohort instances, pre-filling the encode
+        table their contexts read.
 
-        Engines only encode whole runs when the failure-free fast path
-        actually replays payloads — an error-free backend whose honest
-        broadcasts are *not* pure accounting (e.g. ``phase_king``).
-        Under the ideal backend all-match generations reduce to
-        accounting and never touch a codeword, so honest instances have
-        nothing to batch there — but cohort-batched adversarial
-        instances always need the whole-run codewords of their honest
-        common value (deviations are classified against them), so those
-        values join the batch on any backend.
+        Deviations are classified against the whole-run codewords of the
+        honest common value, so adversarial cohort instances read them;
+        a failure-free cohort instance never does (no payload is ever
+        inspected), so it stays out and encodes nothing.
         """
         pending: List[int] = []
         seen = set()
-        if (
-            self.spec.batch_generations
-            and self._backend_error_free
-            and not self._constant_cost
-        ):
-            for idx, instance, adversary, clonable, cohortable in plan:
-                if adversary.faulty or len(set(instance.inputs)) != 1:
-                    continue
-                if clonable and self._template is not None:
-                    continue  # will be cloned: no engine run, no encode
-                value = instance.inputs[0]
-                if value in seen:
-                    continue
-                seen.add(value)
-                pending.append(value)
-                if clonable:
-                    # Only the first clonable instance runs an engine (it
-                    # becomes the template); later ones clone.
-                    break
-        for idx, instance, adversary, clonable, cohortable in plan:
-            if not cohortable:
+        for instance, adversary, lane in plan:
+            if lane is not Lane.COHORT or not adversary.faulty:
                 continue
             value = next(
                 instance.inputs[pid]
@@ -542,7 +507,7 @@ class ConsensusService:
         self, instance: InstanceSpec, adversary: Adversary
     ) -> ConsensusResult:
         """Price a failure-free all-equal instance from the shared
-        template, building it with one real engine run on first need.
+        template, building it with one real run on first need.
 
         An all-match failure-free run's metering depends only on the
         config (every charge is sized by ``n``, ``symbol_bits`` and the
@@ -553,8 +518,11 @@ class ConsensusService:
         the throughput benchmark's ``--check`` gate.
         """
         if self._template is None:
-            engine = self._make_engine(adversary)
-            template = engine.run(list(instance.inputs))
+            template = self._execute(
+                instance,
+                adversary,
+                self._plan(instance, adversary, reuse_results=False),
+            )
             expected_generations = self.config.generations
             if (
                 template.default_used

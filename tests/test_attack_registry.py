@@ -1,6 +1,4 @@
-"""The canonical attack registry and its deprecation shims."""
-
-import warnings
+"""The canonical attack registry."""
 
 import pytest
 
@@ -12,12 +10,10 @@ from repro.processors import (
     TIMING_FAULT_ATTACKS,
     Adversary,
     CrashAdversary,
-    FalseDetectionAdversary,
     RandomAdversary,
     SlowBleedAdversary,
     StagedEquivocationAdversary,
     SymbolCorruptionAdversary,
-    TrustPoisoningAdversary,
     make_attack,
     normalize_attack,
 )
@@ -155,45 +151,17 @@ class TestMakeAttack:
 
 
 class TestDeprecatedShims:
-    def test_sweeps_attacks_shim_warns_once(self):
-        sweeps._DEPRECATION_WARNED.discard("ATTACKS")
-        with pytest.warns(DeprecationWarning, match="repro.processors"):
-            shim = sweeps.ATTACKS
-        # historical shape: (n, t, l_bits) factories over the grid set
-        assert sorted(shim) == sorted(FAULT_GRID_ATTACKS)
-        adversary = shim["false_detect"](7, 2, 64)
-        assert type(adversary) is FalseDetectionAdversary
-        assert adversary.faulty == {5, 6}
-        # second access is silent and identity-stable, like the module
-        # constant the shim replaces
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert sweeps.ATTACKS is shim
-
-    def test_sweeps_make_attack_shim_warns_once(self):
-        sweeps._DEPRECATION_WARNED.discard("make_attack")
-        with pytest.warns(DeprecationWarning, match="make_attack"):
-            shim = sweeps.make_attack
-        assert type(shim("trust_poison", 7, 2, 64)) is (
-            TrustPoisoningAdversary
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sweeps.make_attack
+    """The ``sweeps.ATTACKS`` / ``sweeps.make_attack`` / ``cli.ATTACKS``
+    shims are gone; neither module resolves unknown names."""
 
     def test_sweeps_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             sweeps.no_such_thing
-
-    def test_cli_attacks_shim_warns_once(self):
-        cli_module.__getattr__._warned = False
-        with pytest.warns(DeprecationWarning, match="repro.cli.ATTACKS"):
-            shim = cli_module.ATTACKS
-        assert shim is ATTACKS
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cli_module.ATTACKS
+        with pytest.raises(AttributeError):
+            sweeps.ATTACKS
 
     def test_cli_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             cli_module.no_such_thing
+        with pytest.raises(AttributeError):
+            cli_module.ATTACKS

@@ -343,7 +343,7 @@ def test_charge_round_still_refuses_on_journalling_networks():
 
 
 def test_transcript_composes_with_batched_fast_paths():
-    """Recording through the cohort fast-forward/steady lanes (which
+    """Recording through the cohort fast-forward/replay lanes (which
     collapse rounds into ``charge_round`` when not recording) now
     auto-materializes instead of raising, and stays byte-identical."""
     spec = RunSpec(n=7, l_bits=128, attack="crash")
@@ -359,7 +359,7 @@ def test_transcript_composes_with_batched_fast_paths():
     assert compare(result, reference).identical
     assert replay(recorder.transcript).ok
 
-    # The honest cross-generation fast path records too.
+    # The failure-free run (the empty cohort) records too.
     honest = ConsensusService(RunSpec(n=7, l_bits=128))
     honest_recorder = TranscriptRecorder()
     honest.run(VALUE, transcript=honest_recorder)

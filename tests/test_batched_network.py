@@ -502,9 +502,11 @@ def _assert_runs_equivalent(config, inputs, adversary_factory, label):
 
 
 class TestCrossGenerationBatchingEquivalence:
-    """The tentpole's contract: the fast path is observationally identical
-    to the per-generation protocol — decisions, per-generation records,
-    byte-identical metering, round clock and backend instance counts."""
+    """``batch_generations`` on (a failure-free equal-input run goes
+    through the cohort engine) is observationally identical to off (the
+    per-generation protocol everywhere) — decisions, per-generation
+    records, byte-identical metering, round clock and backend instance
+    counts."""
 
     def test_all_equal_inputs(self):
         rng = random.Random(21)
@@ -545,8 +547,9 @@ class TestCrossGenerationBatchingEquivalence:
         )
 
     def test_phase_king_backend(self):
-        # A non-ideal error-free backend: the fast path must meter its
-        # real per-bit broadcasts identically to the scalar path.
+        # A non-ideal error-free backend runs real per-bit broadcasts,
+        # so the planner keeps it on the per-generation engine either
+        # way; metering must not depend on the toggle.
         config = ConsensusConfig.create(
             n=4, l_bits=64, backend="phase_king"
         )

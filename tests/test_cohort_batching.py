@@ -179,9 +179,12 @@ class TestWarmService:
         assert third == reference
 
     def test_cohort_contexts_grouped_by_shape(self):
-        # The four adversarial cycle attacks form four cohorts; honest
-        # instances run the clone path and never create one.
+        # The four adversarial cycle attacks form four cohorts, and
+        # the honest instances' template run is the cohort of the empty
+        # faulty set (every later honest instance is a clone).
         spec = RunSpec(n=7, l_bits=64)
         service = ConsensusService(spec)
         service.run_many(interleaved_cycle(7, 10))
-        assert len(service._cohorts) == 5  # 4 cycle shapes + slow_bleed
+        # 4 adversarial cycle shapes + slow_bleed + the failure-free one
+        assert len(service._cohorts) == 6
+        assert sum(ctx.instances for ctx in service._cohorts.values()) == 10

@@ -1,0 +1,250 @@
+"""The differential harness: every execution path against one reference.
+
+The repo's contract is that *how* an instance executes is unobservable:
+the one-shot ``MultiValuedConsensus.run``, ``ConsensusService.run``,
+``run_many`` (result cloning and the cohort lanes) and ``run_many`` with
+``reuse_results=False`` must all return what the forced-scalar service
+(``vectorized=False, batch_generations=False, reuse_results=False``)
+returns — decisions, per-generation records, meter snapshot — and leave
+the same round clock, backend instance counts and, when recording, the
+same journal.  One grid checks that for every registry attack
+(``none`` included) at n ∈ {4, 7, 31}, with and without a journal.
+
+The instance under test is always the *second* of its batch, behind a
+same-shape instance with another value: on the ``run_many`` path that
+makes a failure-free instance a clone of the first's template and an
+adversarial one a run through an already warm cohort.
+"""
+
+import functools
+
+import pytest
+
+from repro.audit import Transcript, TranscriptRecorder
+from repro.coding.interleaved import InterleavedCode
+from repro.coding.reed_solomon import ReedSolomonCode
+from repro.core.consensus import MultiValuedConsensus
+from repro.processors import ATTACKS
+from repro.service import ConsensusService, InstanceSpec, RunSpec
+from repro.service import cohort as cohort_module
+from repro.service import engine as engine_module
+from repro.service import service as service_module
+
+SIZES = {4: 64, 7: 256, 31: 64}
+PATHS = ["one_shot", "service_run", "run_many", "run_many_no_reuse"]
+
+
+def instances_for(attack, n):
+    """The warm-up instance and the instance under test."""
+    l_bits = SIZES[n]
+    return [
+        InstanceSpec(
+            inputs=((0xB5 * (13 * n + i + 1)) % (1 << l_bits),) * n,
+            attack=attack,
+            seed=i + 1,
+        )
+        for i in range(2)
+    ]
+
+
+class Observed:
+    """What one execution left behind, in comparable form."""
+
+    def __init__(self, result, engine=None, transcript=None):
+        self.result = result
+        #: (round clock, backend instances, backend bits charged); a
+        #: cloned instance has no engine, hence no clocks to compare.
+        self.clocks = None if engine is None else (
+            engine.network.round_index,
+            engine.backend.stats.instances,
+            engine.backend.stats.bits_charged,
+        )
+        #: The journal in wire form, without the (spec-bound) HMACs.
+        self.journal = None if transcript is None else [
+            (e.round_index, e.sender, e.receiver, e.tag, e.bits, e.payload)
+            for e in transcript.entries
+        ]
+
+
+def capture_engines(service):
+    """Make ``service`` remember every per-instance engine it builds."""
+    service.parts_for(0)  # build the splitter engine first: not an instance
+    engines = []
+    make_engine = service._make_engine
+
+    def remembering(*args, **kwargs):
+        engines.append(make_engine(*args, **kwargs))
+        return engines[-1]
+
+    service._make_engine = remembering
+    return engines
+
+
+def run_service(spec, instances, journal, batch, reuse_results=True):
+    """The instance under test through a service: ``run_many`` over the
+    batch, or ``run`` instance by instance."""
+    service = ConsensusService(spec, reuse_results=reuse_results)
+    engines = capture_engines(service)
+    recorder = TranscriptRecorder() if journal else None
+    if batch:
+        results = service.run_many(instances, transcript=recorder)
+    else:
+        results = [
+            service.run(instance, transcript=recorder)
+            for instance in instances
+        ]
+    # A clone builds no engine: with one engine fewer than instances,
+    # the instance under test (the last) was priced, not executed.
+    engine = engines[-1] if len(engines) == len(instances) else None
+    return Observed(
+        results[-1], engine, recorder.transcript if journal else None
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def reference(attack, n):
+    """The forced-scalar service's execution, journal always on."""
+    spec = RunSpec(
+        n=n, l_bits=SIZES[n], vectorized=False, batch_generations=False
+    )
+    return run_service(
+        spec, instances_for(attack, n), journal=True, batch=False,
+        reuse_results=False,
+    )
+
+
+def observe(path, attack, n, journal):
+    spec = RunSpec(n=n, l_bits=SIZES[n])
+    instances = instances_for(attack, n)
+    if path == "one_shot":
+        instance = instances[-1]
+        effective = instance.resolve(spec)
+        engine = MultiValuedConsensus(
+            effective.make_config(),
+            adversary=effective.make_adversary(),
+            journal=journal,
+        )
+        result = engine.run(list(instance.inputs))
+        transcript = Transcript.record(
+            spec, instance, engine.network.journal, result
+        ) if journal else None
+        return Observed(result, engine, transcript)
+    return run_service(
+        spec, instances, journal,
+        batch=path != "service_run",
+        reuse_results=path != "run_many_no_reuse",
+    )
+
+
+@pytest.mark.parametrize("journal", [False, True], ids=["plain", "journal"])
+@pytest.mark.parametrize("n", sorted(SIZES))
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+@pytest.mark.parametrize("path", PATHS)
+def test_path_equals_forced_scalar_reference(path, attack, n, journal):
+    expected = reference(attack, n)
+    observed = observe(path, attack, n, journal)
+    assert observed.result == expected.result
+    if observed.clocks is not None:
+        assert observed.clocks == expected.clocks
+    if journal:
+        assert observed.journal == expected.journal
+
+
+def test_grid_reaches_every_lane(monkeypatch):
+    """The grid above is only as good as its routing: the honest
+    second-of-batch instance must be a clone (or, recorded, an empty-
+    cohort run), the adversarial one a cohort run, and ``service.run``
+    must keep adversarial instances on the per-generation engine."""
+    calls = {"execute_consensus": 0, "run_cohort_instance": 0}
+    # The service binds both engines by name; the one-shot dispatch
+    # looks them up in their home modules at call time.
+    homes = {
+        "execute_consensus": (service_module, engine_module),
+        "run_cohort_instance": (service_module, cohort_module),
+    }
+    for name, modules in homes.items():
+        original = getattr(modules[0], name)
+
+        def spy(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, spy)
+
+    def lanes(*args, **kwargs):
+        calls.update(execute_consensus=0, run_cohort_instance=0)
+        observed = observe(*args, **kwargs)
+        return (
+            calls["execute_consensus"], calls["run_cohort_instance"],
+            observed.clocks is None,
+        )
+
+    # (per-generation runs, cohort runs, instance under test cloned)
+    assert lanes("run_many", "none", 7, False) == (0, 1, True)
+    assert lanes("run_many", "none", 7, True) == (0, 2, False)
+    assert lanes("run_many_no_reuse", "none", 7, False) == (0, 2, False)
+    assert lanes("run_many", "crash", 7, False) == (0, 2, False)
+    assert lanes("run_many", "omit_rounds", 7, False) == (2, 0, False)
+    assert lanes("service_run", "none", 7, False) == (0, 2, False)
+    assert lanes("service_run", "crash", 7, True) == (2, 0, False)
+    assert lanes("one_shot", "none", 7, True) == (0, 1, False)
+    assert lanes("one_shot", "crash", 7, False) == (1, 0, False)
+
+
+class TestFailureFreeRunsNeverEncode:
+    """A failure-free run on the ideal backend inspects no payload, so
+    whichever path executes it makes zero ``encode_generations`` calls
+    (what keeps L = 2^19 and beyond cheap)."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        calls = []
+        for cls in (ReedSolomonCode, InterleavedCode):
+            original = cls.encode_generations
+
+            def spy(self, parts, _original=original):
+                calls.append(len(parts))
+                return _original(self, parts)
+
+            monkeypatch.setattr(cls, "encode_generations", spy)
+        return calls
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("n", sorted(SIZES))
+    def test_zero_whole_run_encodes(self, encodes, path, n):
+        observed = observe(path, "none", n, journal=False)
+        assert observed.result == reference("none", n).result
+        assert encodes == []
+
+    def test_wide_symbol_one_shot(self, encodes):
+        # L = 2^19 at n = 7: the interleaved wide-symbol code.
+        from repro.core.config import ConsensusConfig
+
+        config = ConsensusConfig.create(n=7, l_bits=1 << 19)
+        value = (1 << (1 << 19)) - 0xC0FFEE
+        result = MultiValuedConsensus(config).run([value] * 7)
+        assert result.error_free and result.value == value
+        assert result.total_bits == 8834070
+        assert encodes == []
+
+
+def test_journalled_failure_free_run_goes_through_the_empty_cohort(
+    monkeypatch,
+):
+    """Recording keeps a failure-free run on the cohort lane (the
+    symbol rounds materialize instead of collapsing into
+    ``charge_round``) and the journal is the reference's."""
+    seen = []
+    original = cohort_module.run_cohort_instance
+
+    def spy(ctx, consensus, inputs):
+        seen.append((sorted(ctx.controlled), consensus.network.journal))
+        return original(ctx, consensus, inputs)
+
+    monkeypatch.setattr(cohort_module, "run_cohort_instance", spy)
+    observed = observe("one_shot", "none", 7, journal=True)
+    [(controlled, journal)] = seen
+    assert controlled == []
+    assert journal, "the journal recorded nothing"
+    assert observed.journal == reference("none", 7).journal

@@ -231,7 +231,7 @@ class TestDefaultGroupedDispatch:
 
 
 class TestBulkBookkeepingPrimitives:
-    """The cross-generation fast path's O(1) accounting calls."""
+    """The cohort engine's O(1) accounting calls."""
 
     def test_charge_round_matches_send_deliver(self):
         reference = SyncNetwork(4)

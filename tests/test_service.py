@@ -24,7 +24,6 @@ from repro.service import (
     SerialExecutor,
     WorkloadSpec,
 )
-from repro.service import engine as engine_module
 from repro.service import service as service_module
 
 
@@ -127,61 +126,74 @@ class TestRunManyEquivalence:
         results = ConsensusService(spec).run_many(instances)
         assert results == reference
 
-    def test_cross_instance_encode_prewarm(self):
-        # With result reuse off under a non-constant-cost backend every
-        # instance executes, and the batch's whole-run codewords come
-        # from one cross-instance encode_generations matmat.
-        spec = RunSpec(n=4, l_bits=64, backend="phase_king")
+    def test_cross_instance_encode_prewarm(self, monkeypatch):
+        # The adversarial cohort instances of a batch read their honest
+        # value's whole-run codewords; those come from one
+        # cross-instance encode_generations matmat, and the failure-free
+        # instance of the batch joins no encode at all.
+        spec = RunSpec(n=4, l_bits=64)
         service = ConsensusService(spec, reuse_results=False)
+        encodes = []
+        original = service.code.encode_generations
+
+        def spy(parts):
+            encodes.append(len(parts))
+            return original(parts)
+
+        monkeypatch.setattr(service.code, "encode_generations", spy)
         values = (3, 5, 8, 13)
-        instances = [InstanceSpec(inputs=(v,) * 4) for v in values]
+        instances = [
+            InstanceSpec(inputs=(v,) * 4, attack="corrupt") for v in values
+        ] + [InstanceSpec(inputs=(21,) * 4)]
         results = service.run_many(instances)
         assert results == looped_reference(spec, instances)
-        # one encode-cache entry per distinct value, filled by the
-        # prewarm before any instance ran
-        assert len(service._encode_cache) == len(set(values))
+        # one encode-cache entry per distinct adversarial value, filled
+        # by the single prewarm call before any instance ran
+        assert len(service._encode_cache) == len(values)
+        assert encodes == [len(values) * service.config.generations]
+
+
+def count_executions(monkeypatch):
+    """Spy on both executing lanes of the service: returns the
+    (per-generation, cohort) input logs.  A cloned instance shows up in
+    neither."""
+    logs = []
+    for name in ("execute_consensus", "run_cohort_instance"):
+        calls = []
+        original = getattr(service_module, name)
+
+        def spy(*args, _calls=calls, _original=original):
+            _calls.append(tuple(args[-1]))
+            return _original(*args)
+
+        monkeypatch.setattr(service_module, name, spy)
+        logs.append(calls)
+    return logs
 
 
 class TestTemplateFastPath:
-    def count_engine_runs(self, monkeypatch):
-        calls = []
-        original = engine_module.execute_consensus
-
-        def spy(consensus, inputs):
-            calls.append(tuple(inputs))
-            return original(consensus, inputs)
-
-        monkeypatch.setattr(engine_module, "execute_consensus", spy)
-        return calls
 
     def test_one_engine_run_prices_the_batch(self, monkeypatch):
-        calls = self.count_engine_runs(monkeypatch)
+        per_generation, cohort = count_executions(monkeypatch)
         spec = RunSpec(n=7, l_bits=128)
         service = ConsensusService(spec)
         results = service.run_many([1, 2, 3, 4, 5])
         assert len(results) == 5
         assert [r.value for r in results] == [1, 2, 3, 4, 5]
-        assert len(calls) == 1  # the template; clones never execute
+        # the template runs as the empty cohort; clones never execute
+        assert (per_generation, cohort) == ([], [(1,) * 7])
         assert service._template is not None
 
     def test_reuse_results_false_executes_every_instance(self, monkeypatch):
-        calls = self.count_engine_runs(monkeypatch)
+        per_generation, cohort = count_executions(monkeypatch)
         service = ConsensusService(
             RunSpec(n=7, l_bits=128), reuse_results=False
         )
         service.run_many([1, 2, 3])
-        assert len(calls) == 3
+        assert len(per_generation) + len(cohort) == 3
 
     def test_adversarial_and_mixed_instances_execute(self, monkeypatch):
-        calls = self.count_engine_runs(monkeypatch)
-        cohort_runs = []
-        original = service_module.run_cohort_instance
-
-        def spy(ctx, consensus, inputs):
-            cohort_runs.append(tuple(inputs))
-            return original(ctx, consensus, inputs)
-
-        monkeypatch.setattr(service_module, "run_cohort_instance", spy)
+        per_generation, cohort = count_executions(monkeypatch)
         spec = RunSpec(n=7, l_bits=128)
         service = ConsensusService(spec)
         instances = [
@@ -191,15 +203,27 @@ class TestTemplateFastPath:
             InstanceSpec(inputs=tuple(range(7))),               # executes
         ]
         service.run_many(instances)
-        assert len(calls) == 2
-        assert len(cohort_runs) == 1
+        assert cohort == [(5,) * 7, (5,) * 7]
+        assert per_generation == [tuple(range(7))]
 
     def test_template_survives_across_batches(self, monkeypatch):
-        calls = self.count_engine_runs(monkeypatch)
+        per_generation, cohort = count_executions(monkeypatch)
         service = ConsensusService(RunSpec(n=7, l_bits=128))
         service.run_many([1, 2])
         service.run_many([3, 4])
-        assert len(calls) == 1
+        assert len(per_generation) + len(cohort) == 1
+
+    def test_non_cohort_backend_template_runs_per_generation(
+        self, monkeypatch
+    ):
+        # phase_king runs real broadcast rounds: the planner keeps its
+        # template on the per-generation engine, clones still follow.
+        per_generation, cohort = count_executions(monkeypatch)
+        service = ConsensusService(
+            RunSpec(n=4, l_bits=64, backend="phase_king")
+        )
+        service.run_many([7, 9, 13])
+        assert (len(per_generation), cohort) == (1, [])
 
     def test_clone_meters_are_independent_copies(self):
         service = ConsensusService(RunSpec(n=4, l_bits=64))
@@ -391,21 +415,15 @@ class TestExecutors:
         # real engine, shard workers included.
         from repro.service.executors import _run_shard
 
-        calls = []
-        original = engine_module.execute_consensus
-
-        def spy(consensus, inputs):
-            calls.append(1)
-            return original(consensus, inputs)
-
-        monkeypatch.setattr(engine_module, "execute_consensus", spy)
+        per_generation, cohort = count_executions(monkeypatch)
         spec = RunSpec(n=4, l_bits=32)
         instances = tuple(InstanceSpec(inputs=(v,) * 4) for v in (1, 2, 3))
         _run_shard((spec, True, instances))
-        assert len(calls) == 1  # template + clones
-        calls.clear()
+        assert len(per_generation) + len(cohort) == 1  # template + clones
+        per_generation.clear()
+        cohort.clear()
         _run_shard((spec, False, instances))
-        assert len(calls) == 3  # real execution per instance
+        assert len(per_generation) + len(cohort) == 3  # one run each
 
     def test_process_executor_rejects_live_b_function(self):
         config = ConsensusConfig.create(
@@ -416,3 +434,55 @@ class TestExecutors:
             service.run_many([1, 2], executor="process")
         # ...but the serial path handles it fine
         assert [r.value for r in service.run_many([1, 2])] == [1, 2]
+
+
+class TestBoundedMemos:
+    """A long-lived service sees an endless stream of fresh values:
+    every memo keyed by instance values must stay bounded, and
+    forgetting must never change a result."""
+
+    CYCLE = [
+        "none", "none", "none", "corrupt",
+        "none", "crash", "none", "trust_poison",
+    ]
+
+    def test_value_keyed_tables_stay_under_capacity(self, monkeypatch):
+        from repro.utils import memo
+
+        capacity = 48
+        monkeypatch.setattr(memo, "VALUE_MEMO_CAPACITY", capacity)
+        spec = RunSpec(n=7, l_bits=256)
+        service = ConsensusService(spec)
+        executing = ConsensusService(spec, reuse_results=False)
+        for batch in range(3 * capacity // 16):
+            instances = [
+                InstanceSpec(
+                    inputs=((0x9E3779B1 * (16 * batch + i + 1)) % (1 << 256),)
+                    * 7,
+                    attack=self.CYCLE[i % len(self.CYCLE)],
+                    seed=batch,
+                )
+                for i in range(16)
+            ]
+            assert service.run_many(instances) == executing.run_many(
+                instances
+            )
+        for deployment in (service, executing):
+            tables = {
+                "parts": deployment._parts_cache,
+                "encode": deployment._encode_cache,
+                "decisions": deployment._decisions_cache,
+            }
+            for key, ctx in deployment._cohorts.items():
+                assert ctx._encodes is deployment._encode_cache
+                tables.update({
+                    (key, "part_tuples"): ctx._part_tuples,
+                    (key, "values"): ctx._values,
+                    (key, "decisions"): ctx._decisions,
+                    (key, "decode"): ctx.caches.decode,
+                    (key, "consistency"): ctx.caches.consistency,
+                    (key, "codeword"): ctx.caches.encode,
+                })
+            for name, table in tables.items():
+                assert isinstance(table, memo.ValueMemo), name
+                assert len(table) <= capacity, name
