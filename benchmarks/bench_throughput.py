@@ -15,12 +15,11 @@ with its own input value) executed three ways —
   :class:`~repro.service.executors.ProcessExecutor`.
 
 plus a mixed honest/adversarial batch — the fault-sweep shape cohort
-batching and the work-stealing executor exist for.  The mixed section
-times four ways: looped, serial cold (fresh service, first batch pays
-the cohort build), serial steady-state (the same warm long-lived
-service the deployment shape keeps around — recorded as
-``serial_per_sec``), process-sharded and work-stealing, with a
-per-attack cohort timing breakdown and the cohort count.  Every mode's
+batching exists for.  The mixed section times four ways: looped,
+serial cold (fresh service, first batch pays the cohort build), serial
+steady-state (the same warm long-lived service the deployment shape
+keeps around — recorded as ``serial_per_sec``) and process-sharded,
+with a per-attack cohort timing breakdown and the cohort count.  Every mode's
 per-instance results are asserted byte-identical to the looped
 reference on every run — the service must never trade a single bit of
 fidelity for speed.  ``BENCH_throughput.json`` records instances/sec
@@ -30,8 +29,7 @@ mixed-workload serial-vs-looped bar on the (n=7, L=2^12, 40) point.
 
 ``--check`` additionally sweeps every canonical attack
 (``repro.processors.ATTACKS``) at n ∈ {4, 7, 31}, running each workload
-looped, batched, process-sharded and work-stealing and asserting
-byte-identical per-instance results and bit totals — plus one
+looped, batched and process-sharded and asserting byte-identical per-instance results and bit totals — plus one
 interleaved mixed-cycle batch covering every attack in the mixed
 cycle — the service-layer analogue of ``bench_wallclock.py``'s
 ``--check`` discipline.  It also runs the ``tracemalloc`` allocation
@@ -63,7 +61,6 @@ from repro.service import (
     InstanceSpec,
     ProcessExecutor,
     RunSpec,
-    WorkStealingExecutor,
 )
 
 #: Deterministic input seed: every run times the identical workload.
@@ -80,7 +77,7 @@ ACCEPTANCE_POINT = (7, 1 << 14, 64)
 ACCEPTANCE_SPEEDUP = 3.0
 
 #: Mixed workload: honest instances interleaved with registry attacks,
-#: the fault-sweep shape cohort batching and work stealing exist for.
+#: the fault-sweep shape cohort batching exists for.
 MIXED_ATTACK_CYCLE = ["none", "corrupt", "crash", "trust_poison", "random"]
 FULL_MIXED = (7, 1 << 12, 40)
 QUICK_MIXED = (7, 1 << 10, 10)
@@ -247,12 +244,6 @@ def run_mixed_point(n: int, l_bits: int, count: int, repeats: int) -> dict:
             instances, executor=ProcessExecutor()
         ),
     )
-    steal_s, stolen = _best_of(
-        repeats,
-        lambda: ConsensusService(spec).run_many(
-            instances, executor=WorkStealingExecutor()
-        ),
-    )
 
     _assert_identical(
         looped,
@@ -260,7 +251,6 @@ def run_mixed_point(n: int, l_bits: int, count: int, repeats: int) -> dict:
             "serial_cold": serial_cold,
             "serial_steady": serial,
             "process": processed,
-            "work_steal": stolen,
         },
         "mixed (n=%d, L=%d)" % (n, l_bits),
     )
@@ -303,8 +293,6 @@ def run_mixed_point(n: int, l_bits: int, count: int, repeats: int) -> dict:
         "serial_per_sec": round(count / steady_s, 1),
         "process_seconds": round(process_s, 4),
         "process_per_sec": round(count / process_s, 1),
-        "work_steal_seconds": round(steal_s, 4),
-        "work_steal_per_sec": round(count / steal_s, 1),
         "speedup_serial_vs_looped": round(looped_s / steady_s, 2),
         "speedup_process_vs_serial": round(cold_s / process_s, 2),
         "by_attack": by_attack,
@@ -312,24 +300,23 @@ def run_mixed_point(n: int, l_bits: int, count: int, repeats: int) -> dict:
     }
     if workers == 1:
         # See run_throughput_point: with one schedulable CPU the
-        # process/work_steal rows measure pool overhead, not
+        # process row measures pool overhead, not
         # parallelism — speedup_process_vs_serial is not a regression.
         record["parallelism_degenerate"] = True
     return record
 
 
 def run_check() -> int:
-    """The byte-identity sweep: every canonical attack, three engines.
+    """The byte-identity sweep: every canonical attack, both executors.
 
     For each (n, attack) workload — two all-equal adversarial
     instances, one honest all-equal instance and one honest
-    mixed-inputs instance — assert that ``run_many`` (serial,
-    process-sharded and work-stealing, both of which reconstruct
-    seeded stateful adversaries in the workers) returns per-instance
-    results and bit totals byte-identical to the looped one-shot
-    reference.  One additional interleaved mixed-cycle batch per n
-    covers every attack in ``MIXED_ATTACK_CYCLE`` with differing
-    seeds, duplicate cohorts and the work-stealing unit queue.
+    mixed-inputs instance — assert that ``run_many`` (serial and
+    process-sharded, which reconstructs seeded stateful adversaries in
+    the workers) returns per-instance results and bit totals
+    byte-identical to the looped one-shot reference.  One additional
+    interleaved mixed-cycle batch per n covers every attack in
+    ``MIXED_ATTACK_CYCLE`` with differing seeds and duplicate cohorts.
     """
     checked = 0
     for n, l_bits in CHECK_NS:
@@ -352,16 +339,9 @@ def run_check() -> int:
             processed = ConsensusService(spec).run_many(
                 instances, executor=ProcessExecutor(shards=2)
             )
-            stolen = ConsensusService(spec).run_many(
-                instances, executor=WorkStealingExecutor(workers=2)
-            )
             _assert_identical(
                 looped,
-                {
-                    "serial": serial,
-                    "process": processed,
-                    "work_steal": stolen,
-                },
+                {"serial": serial, "process": processed},
                 "check (n=%d, %s)" % (n, attack),
             )
             if sum(r.total_bits for r in serial) != sum(
@@ -373,7 +353,7 @@ def run_check() -> int:
                 )
             checked += 1
         # Interleaved mixed cycle: every mixed-workload attack in one
-        # batch, two seeds per attack, through every executor.
+        # batch, two seeds per attack, through both executors.
         mixed = [
             InstanceSpec(
                 inputs=(values[idx % 4],) * n,
@@ -390,15 +370,12 @@ def run_check() -> int:
                 "process": ConsensusService(spec).run_many(
                     mixed, executor=ProcessExecutor(shards=3)
                 ),
-                "work_steal": ConsensusService(spec).run_many(
-                    mixed, executor=WorkStealingExecutor(workers=3)
-                ),
             },
             "check mixed cycle (n=%d)" % n,
         )
         checked += 1
     print(
-        "checked %d workloads: run_many serial, process and work_steal "
+        "checked %d workloads: run_many serial and process "
         "byte-identical to the looped reference" % checked
     )
     return checked
@@ -556,7 +533,7 @@ def main() -> None:
     mixed = run_mixed_point(n, l_bits, count, repeats)
     print(
         "mixed n=%d L=2^%d %d inst  looped %6.1f/s  serial %7.1f/s "
-        "(%.1fx; cold %.1f/s)  process %7.1f/s  steal %7.1f/s "
+        "(%.1fx; cold %.1f/s)  process %7.1f/s "
         "(%s workers, %d cohorts)"
         % (
             n,
@@ -567,7 +544,6 @@ def main() -> None:
             mixed["speedup_serial_vs_looped"],
             mixed["serial_cold_per_sec"],
             mixed["process_per_sec"],
-            mixed["work_steal_per_sec"],
             mixed["workers"],
             mixed["cohorts"],
         )

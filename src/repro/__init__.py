@@ -45,7 +45,6 @@ from repro.service import (
     RunSpec,
     SerialExecutor,
     WorkloadSpec,
-    WorkStealingExecutor,
 )
 
 __version__ = "1.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "WorkloadSpec",
     "SerialExecutor",
     "ProcessExecutor",
-    "WorkStealingExecutor",
     "AsyncExecutor",
     "ATTACKS",
     "make_attack",

@@ -266,6 +266,7 @@ class MultiValuedConsensus:
             self.batch_generations,
             self.adversary,
             inputs,
+            journal=self.network.journal is not None,
         )
         if lane is Lane.COHORT:
             from repro.service.cohort import CohortContext, run_cohort_instance

@@ -25,7 +25,6 @@ from repro.service.executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    WorkStealingExecutor,
 )
 from repro.service.service import ConsensusService
 from repro.service.spec import InstanceSpec, RunSpec, WorkloadSpec
@@ -38,7 +37,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "WorkStealingExecutor",
     "AsyncExecutor",
     "EXECUTORS",
 ]

@@ -8,23 +8,43 @@ same canonical attack and declared faulty set
 (:func:`repro.service.spec.cohort_key`) — run through one
 :class:`CohortContext`.  A failure-free run is the cohort of the empty
 faulty set: no hook exists to fire, so every generation is three
-charges and no codeword is ever encoded.  The context shares everything
-the protocol recomputes identically across its instances:
+charges and no codeword is ever encoded.
 
-* the diagnosis-graph *structure* per graph state (trust mask, live
-  sets, the faulty senders' recipient lists, the conforming M baseline
-  and its broadcast bit rows),
-* the honest M rows per deviation pattern and the M-matrix →
-  ``P_match`` clique search, keyed by the dispatched M rows (one search
-  per distinct M view, however many generations and instances produce
-  it),
-* checking-stage structure (which ``P_match`` members each outsider
-  trusts, per-processor decode position counts),
-* decode/consistency/clique memos
-  (:class:`~repro.core.generation.ProtocolCaches`) shared with the
-  delegated diagnosis stage,
-* the ``(n, n)`` diagnosis scatter buffer and the per-part shared
-  decisions dicts.
+A generation has **one path** (:meth:`_InstanceRun.step`), the shape of
+the paper's Algorithm 1:
+
+1. *Symbol round.*  Honest traffic is value-independent accounting;
+   live faulty senders fire their ``matching_symbol`` hooks in scalar
+   order and the payloads are classified into the generation's
+   *deviation pattern* (which (sender, recipient) pairs make an M bit
+   false, which payloads are missing, which are valid but off the
+   honest codeword).
+2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
+   M expectation rows handed to the ``m_vector`` hooks, the unhooked M
+   broadcast rows, the match set they resolve to and, per match set,
+   the checking-stage facts (:class:`_Checking`).  When every deviation
+   is *silent* (missing/invalid, none valid-but-off-codeword) and no
+   controlled processor holds a distinct input, all of that is a
+   function of the pattern alone and the plan is memoized for the life
+   of the cohort — a crashed sender's second generation, and every
+   generation of a conforming run (the empty pattern), compute nothing.
+   Otherwise the plan depends on this generation's values and is built
+   fresh.
+3. *Execute.*  Fire the overridden ``m_vector`` hooks, dispatch the M
+   rows, resolve the match set, fire the overridden ``detected_flag``
+   hooks, dispatch the flags, then decide — or, when a flag is raised,
+   delegate to the vectorized
+   :meth:`GenerationProtocol._diagnosis_stage_vec` on a protocol wired
+   to the cohort's shared caches (diagnosis is rare and already
+   grouped).
+
+Besides the plans the context shares everything the protocol recomputes
+identically across its instances: the diagnosis-graph *structure* per
+graph state, the M view → ``P_match`` clique search (one per distinct M
+view, however many generations and instances produce it), decode /
+consistency memos (:class:`~repro.core.generation.ProtocolCaches`)
+shared with the delegated diagnosis stage, the ``(n, n)`` diagnosis
+scatter buffer and the per-part shared decisions dicts.
 
 The contract is the PR 3/PR 5 discipline wholesale: results — decisions,
 :class:`~repro.core.result.GenerationResult` records, meter snapshots,
@@ -48,16 +68,16 @@ charge_honest_instances` — identical counters).
   stateless base implementation returning its honest argument; skipping
   the call cannot be observed.  Overridden hooks always fire.
 
-Any generation that reaches the diagnosis stage delegates to the
-vectorized :meth:`GenerationProtocol._diagnosis_stage_vec` on a
-protocol wired to the cohort's shared caches — diagnosis is rare and
-already grouped, so the cohort engine only fast-paths the hot
-matching/checking stages.
+A recorded run never comes here: the journal must observe materialized
+messages, ``charge_round`` refuses a journalling network, and the
+planner keeps such runs on the per-generation engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -78,20 +98,33 @@ from repro.utils.bits import is_exact_int
 from repro.utils.memo import ValueMemo
 
 
+@functools.lru_cache(maxsize=None)
+def _generation_tags(g: int) -> Tuple[str, str, str]:
+    """Generation ``g``'s (symbols, M, detected) meter tags, formatted
+    once per process instead of once per generation per instance (one
+    entry per generation index, so the table stays small)."""
+    prefix = "gen%d" % g
+    return (
+        prefix + ".matching.symbols",
+        prefix + ".matching.M",
+        prefix + ".checking.detected",
+    )
+
+
 class _GraphStructure:
     """Value-independent structure of one diagnosis-graph state.
 
     Everything here depends only on the graph's trust mask / isolated
     set and the cohort's controlled set, so one instance serves every
     generation of every cohort instance that reaches this graph state.
-    The M *baseline* (``m_base``/``base_bits``) is the conforming case —
+    The M *baseline* (``base_bool``/``base_bits``) is the conforming case —
     every delivered symbol matches the recipient's codeword — from which
     per-generation deviations are applied as sparse overrides.
     """
 
     __slots__ = (
         "key", "mask", "isolated", "live", "fab_recips", "fab_sent",
-        "honest_edges", "m_base", "base_bool", "base_bits",
+        "honest_edges", "base_bool", "base_bits", "m_total", "plans",
     )
 
     def __init__(self, graph, controlled: FrozenSet[int], n: int, key):
@@ -121,46 +154,80 @@ class _GraphStructure:
         )
         eye = np.eye(n, dtype=bool)
         m_base = mask | eye
-        self.m_base = m_base
         self.base_bool = m_base.tolist()
         self.base_bits = (
             m_base.astype(np.int8)[~eye].reshape(n, n - 1).tolist()
         )
+        #: Bits one M dispatch charges: every live processor's n-1.
+        self.m_total = (n - 1) * sum(live)
+        #: Deviation pattern -> the memoized plan of a generation that
+        #: shows it in this graph state (see :class:`_Plan`).
+        self.plans: Dict[Tuple, _Plan] = {}
 
 
-class _ReplayPlan:
-    """Per-(graph state, deviation pattern) replay of a recurring
-    generation whose only deviations are *silent* (missing/invalid
-    payloads, no valid off-codeword symbol, no distinct input).
+class _Plan:
+    """What one generation's deviation pattern determines before any
+    ``m_vector``/``detected_flag`` hook has fired.
 
-    Under those conditions every downstream artifact — M rows, match
-    set, detection flags, decision-cleanliness — is a function of the
-    deviation *pattern*, not of the instance's values, so generations
-    repeating the pattern replay from this plan: a crashed sender
-    staying silent for the whole run, or the *empty* pattern of a fully
-    conforming generation (every generation of a failure-free run).
-    Overridden ``m_vector``/``detected_flag`` hooks still fire every
-    generation in scalar order and their returns are honoured; only the
-    value-independent bookkeeping around them is cached.
+    Memoized per (graph state, pattern) when every deviation is silent
+    and no controlled processor holds a distinct input — then all of it
+    is a function of the pattern, not of the instance's values; built
+    fresh for the one generation otherwise (see :meth:`_InstanceRun.\
+step`).  Overridden hooks fire every generation in scalar order
+    and their returns are honoured either way: the plan only holds what
+    is computed *around* them.
     """
 
     __slots__ = (
-        "hdev_key", "missing", "ctrl_row_bool", "m_total", "info",
-        "per_info",
+        "hdev_key", "missing", "offcw", "ctrl_rows", "m_rows", "info",
+        "checks",
     )
 
-    def __init__(self, hdev_key, missing, ctrl_row_bool, m_total, info):
+    def __init__(self, hdev_key, missing, offcw, ctrl_rows, m_rows):
+        #: The pattern's pairs with an honest recipient, sorted: with
+        #: the graph state they determine every honest M row.
         self.hdev_key = hdev_key
+        #: (sender, recipient) pairs whose payload never arrived valid /
+        #: arrived valid but off the honest codeword.
         self.missing = missing
+        self.offcw = offcw
         #: Controlled pids' M expectation rows (the m_vector hook args).
-        self.ctrl_row_bool = ctrl_row_bool
-        self.m_total = m_total
-        #: Resolved match info when the M view is hook-independent
-        #: (base ``m_vector``, or every controlled row isolated).
-        self.info = info
-        #: id(_MatchInfo) -> (det_list, detectors_base, clean); match
-        #: infos are immortal in the context cache, so ids are stable.
-        self.per_info: Dict[int, tuple] = {}
+        self.ctrl_rows = ctrl_rows
+        #: Every processor's unhooked M broadcast bits, isolated
+        #: sources zeroed (the dispatch zeroes them whatever they hold).
+        self.m_rows = m_rows
+        #: Match info of the unhooked M view, resolved on first use.
+        self.info: Optional[_MatchInfo] = None
+        #: Per match info (one per match key; held by reference, so the
+        #: entry cannot outlive or alias it) the checking-stage facts.
+        self.checks: Dict[_MatchInfo, _Checking] = {}
+
+
+#: The one-bit Detected broadcast rows (shared, read-only).
+_SET, _CLEAR = [1], [0]
+
+
+class _Checking:
+    """Checking-stage facts of one (plan, match info) pair: what each
+    outsider's honest detection computes, and what follows when no
+    ``detected_flag``/broadcast hook changes a flag."""
+
+    __slots__ = ("detected", "detectors", "rows", "flagged", "clean")
+
+    def __init__(self, detected, controlled, clean):
+        #: (outsider, honest Detected value), in outsider order.
+        self.detected = detected
+        #: Honest outsiders that detected.
+        self.detectors = [
+            q for q, hit in detected if hit and q not in controlled
+        ]
+        #: The unhooked flag rows and the outsiders they flag.
+        self.rows = [_SET if hit else _CLEAR for _, hit in detected]
+        self.flagged = [q for q, hit in detected if hit]
+        #: Every honest processor decodes the shared codeword's own
+        #: part: the conforming position counts are decodable and no
+        #: deviation reaches an honest decision row.
+        self.clean = clean
 
 
 class _MatchInfo:
@@ -235,9 +302,8 @@ class CohortContext:
         controlled = frozenset(adversary.faulty)
         self.controlled = controlled
         self.controlled_sorted = sorted(controlled)
-        self.honest = [
-            pid for pid in range(self.n) if pid not in controlled
-        ]
+        self.pids = range(self.n)
+        self.honest = [pid for pid in self.pids if pid not in controlled]
         # A hook the attack class leaves at the Adversary base is the
         # stateless honest identity: eliding the call is unobservable.
         a_type = type(adversary)
@@ -252,12 +318,9 @@ class CohortContext:
         #: Protocol-level memos shared with delegated diagnosis stages.
         self.caches = ProtocolCaches()
         # Pattern-keyed tables: a handful of entries per attack shape,
-        # kept for good (replay plans hold match infos by id).
+        # kept for good.
         self._structs: Dict[Tuple, _GraphStructure] = {}
         self._match: Dict[Tuple, _MatchInfo] = {}
-        self._replays: Dict[Tuple, _ReplayPlan] = {}
-        self._rows: Dict[Tuple, List[Optional[List[int]]]] = {}
-        self._tags: List[Tuple[str, str, str]] = []
         # Value-keyed tables: bounded, a long-lived cohort sees an
         # endless stream of fresh values.
         self._values: Dict[tuple, int] = ValueMemo()
@@ -268,41 +331,23 @@ class CohortContext:
         self._encodes: Dict[Tuple, List[List[int]]] = (
             encode_cache if encode_cache is not None else ValueMemo()
         )
-        self._dtype = np.int64 if self.c <= 62 else object
         #: The owner's exchange arena (the service's, or a one-shot
-        #: run's own), so cohort lanes reuse the same (n, n) buffers as
+        #: run's own), so the cohort reuses the same (n, n) buffers as
         #: the per-instance engines; delegated diagnosis protocols get
         #: it too.
         self.arena = arena
-        self.zero1 = [0]
-        self.one1 = [1]
         #: Instances served through this cohort (benchmark introspection).
         self.instances = 0
 
-    def tags_for(self, g: int) -> Tuple[str, str, str]:
-        """The generation's (symbols, M, detected) meter tags, formatted
-        once per cohort instead of once per generation per instance."""
-        tags = self._tags
-        while len(tags) <= g:
-            prefix = "gen%d" % len(tags)
-            tags.append((
-                prefix + ".matching.symbols",
-                prefix + ".matching.M",
-                prefix + ".checking.detected",
-            ))
-        return tags[g]
-
-    def match_info_for(
-        self,
-        struct: _GraphStructure,
-        hdev_key: Tuple,
-        ctrl_key: Tuple,
-        outcomes: List[List[int]],
-    ) -> _MatchInfo:
+    def match_info_for(self, struct, hdev_key, outcomes) -> _MatchInfo:
         """The match set of one dispatched M view, memoized — honest
-        rows are determined by (graph, deviation), so the key only
-        carries the controlled rows on top of that."""
-        mkey = (struct.key, hdev_key, ctrl_key)
+        rows are determined by (graph, deviation) and isolated rows are
+        zero, so the key only carries the live controlled rows on top
+        of that."""
+        live = struct.live
+        mkey = (struct.key, hdev_key, tuple(
+            tuple(outcomes[i]) for i in self.controlled_sorted if live[i]
+        ))
         info = self._match.get(mkey)
         if info is None:
             n = self.n
@@ -381,49 +426,8 @@ def _row_bits(row: Sequence[bool], i: int) -> List[int]:
     return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
 
 
-def _journal_symbol_round(
-    ctx: "CohortContext",
-    network,
-    struct: "_GraphStructure",
-    ref_row: Sequence[int],
-    faulty_sends: Sequence[Tuple[int, int, object]],
-    sym_tag: str,
-) -> None:
-    """Materialize one symbol round on a journalling network.
-
-    The cohort lanes normally collapse the round into one
-    ``charge_round`` (value-independent accounting) — which a
-    journalling network refuses, because the journal must observe real
-    messages.  This fallback reproduces the engine's exact traffic
-    instead: one honest batch over the live trusted edges (each sender's
-    own codeword symbol, ``ref_row``), one faulty batch of the raw hook
-    payloads in scalar hook order, then a single ``deliver_arrays``.
-    The meter Counter sums and the per-round-sorted journal are
-    byte-identical to the forced-scalar reference; only the collapsed
-    charge is traded for the two batched sends.
-    """
-    mask = struct.mask
-    if ctx.controlled_sorted:
-        mask = mask.copy()
-        mask[ctx.controlled_sorted, :] = False
-    senders, receivers = np.nonzero(mask)
-    if senders.shape[0]:
-        if ctx._dtype is object:
-            payloads = [ref_row[s] for s in senders.tolist()]
-        else:
-            payloads = np.asarray(ref_row, dtype=np.int64)[senders]
-        network.send_many(
-            senders, receivers, payloads, bits=ctx.c, tag=sym_tag
-        )
-    if faulty_sends:
-        network.send_many(
-            [s for s, _, _ in faulty_sends],
-            [r for _, r, _ in faulty_sends],
-            [p for _, _, p in faulty_sends],
-            bits=ctx.c,
-            tag=sym_tag,
-        )
-    network.deliver_arrays()
+#: The deviations of a symbol round in which no hook fired.
+_NOTHING = MappingProxyType({})
 
 
 class _InstanceRun:
@@ -432,7 +436,7 @@ class _InstanceRun:
     __slots__ = (
         "ctx", "consensus", "adversary", "ref_parts", "cw_runs",
         "ref_tuples", "distinct", "ms_skip", "default_parts", "view",
-        "struct",
+        "struct", "rows", "conforming",
     )
 
     def __init__(self, ctx, consensus, ref_parts, ref_tuples, distinct,
@@ -452,25 +456,33 @@ class _InstanceRun:
         # shared-codeword symbol: classification is statically empty.
         self.ms_skip = ctx.ms_default and not distinct
         self.default_parts = default_parts
-        self.view = None
         #: Graph structure carried across generations; only a diagnosis
         #: can mutate the graph, so it is invalidated exactly there.
         self.struct = None
+        #: The current generation's view snapshot and (codeword rows,
+        #: honest codeword), each built on first use (step resets them).
+        self.view = self.rows = None
+        #: Every generation so far decided the shared codeword's own
+        #: part for every honest processor.
+        self.conforming = True
 
     def _rows(self, g: int):
         """Every processor's codeword row for generation ``g`` and the
         shared honest codeword.  The whole-run encode happens on the
-        first read, so a run in which no lane inspects a payload (every
-        failure-free run) never encodes at all."""
-        cw_runs = self.cw_runs
-        if cw_runs is None:
-            ctx = self.ctx
-            cw_runs = [ctx.codeword_runs(self.ref_parts)] * ctx.n
-            for pid, parts in self.distinct.items():
-                cw_runs[pid] = ctx.codeword_runs(parts)
-            self.cw_runs = cw_runs
-        row_of = [runs[g] for runs in cw_runs]
-        return row_of, row_of[self.ctx.honest[0]]
+        first read, so a run in which no payload is ever inspected
+        (every failure-free run) never encodes at all."""
+        rows = self.rows
+        if rows is None:
+            cw_runs = self.cw_runs
+            if cw_runs is None:
+                ctx = self.ctx
+                cw_runs = [ctx.codeword_runs(self.ref_parts)] * ctx.n
+                for pid, parts in self.distinct.items():
+                    cw_runs[pid] = ctx.codeword_runs(parts)
+                self.cw_runs = cw_runs
+            row_of = [runs[g] for runs in cw_runs]
+            rows = self.rows = (row_of, row_of[self.ctx.honest[0]])
+        return rows
 
     def _make_view(self):
         """One snapshot per generation, shared across its hook sites
@@ -482,27 +494,17 @@ class _InstanceRun:
             self.view = view
         return view
 
-    def run_generation(self, g: int) -> GenerationResult:
+    def step(self, g: int) -> GenerationResult:
+        """Generation ``g`` of Algorithm 1: the symbol round, the plan
+        of its deviation pattern, then one execute body."""
         ctx = self.ctx
         consensus = self.consensus
-        adversary = self.adversary
-        n = ctx.n
-        controlled = ctx.controlled
-        self.view = None
+        consensus._view_extras["generation"] = g
+        self.view = self.rows = None
         struct = self.struct
         if struct is None:
-            struct = ctx.structure_for(consensus.graph)
-            self.struct = struct
-        sym_tag, m_tag, det_tag = ctx.tags_for(g)
-        # A journalling network must observe materialized messages, so
-        # the symbol round's charge_round collapse is replaced by the
-        # engine's real two-batch traffic (see _journal_symbol_round).
-        journalling = consensus.network.journal is not None
-        faulty_sends: List[Tuple[int, int, object]] = []
-        fire = bool(struct.fab_recips) and not self.ms_skip
-        row_of = cw = None
-        if fire or journalling:
-            row_of, cw = self._rows(g)
+            struct = self.struct = ctx.structure_for(consensus.graph)
+        sym_tag, m_tag, det_tag = _generation_tags(g)
 
         # -- lines 1(a)-1(b): the symbol round --------------------------
         # Honest traffic is value-independent accounting; faulty live
@@ -510,12 +512,14 @@ class _InstanceRun:
         # the payloads are classified against two expectations: the
         # recipient's own codeword row (drives its M bit) and the shared
         # honest codeword (drives checking and decisions).
-        missing: Set[Tuple[int, int]] = set()
-        offcw: Dict[Tuple[int, int], int] = {}
-        m_false: List[Tuple[int, int]] = []
-        valid: Dict[Tuple[int, int], int] = {}
-        if fire:
+        if struct.fab_recips and not self.ms_skip:
+            missing: Set[Tuple[int, int]] = set()
+            offcw: Dict[Tuple[int, int], int] = {}
+            m_false: List[Tuple[int, int]] = []
+            valid: Dict[Tuple[int, int], int] = {}
             n_sent = 0
+            adversary = self.adversary
+            row_of, cw = self._rows(g)
             view = self._make_view()
             limit = ctx.symbol_limit
             for f, recips in struct.fab_recips.items():
@@ -528,10 +532,6 @@ class _InstanceRun:
                         missing.add((f, r))
                         m_false.append((f, r))
                         continue
-                    if journalling:
-                        # Raw hook return: the engine sends invalid
-                        # payloads too (charged, rejected on receipt).
-                        faulty_sends.append((f, r, payload))
                     n_sent += 1
                     if is_exact_int(payload) and 0 <= payload < limit:
                         payload = int(payload)
@@ -545,125 +545,98 @@ class _InstanceRun:
                         missing.add((f, r))
                         m_false.append((f, r))
         else:
+            # No hook to fire: every live faulty sender delivers its own
+            # symbol, nothing deviates.
+            missing = offcw = valid = _NOTHING
+            m_false = ()
             n_sent = struct.fab_sent
-            if journalling:
-                # Hooks skipped: every live faulty sender conforms and
-                # sends its own codeword symbol to each trusted peer.
-                faulty_sends = [
-                    (f, r, row_of[f][f])
-                    for f, recips in struct.fab_recips.items()
-                    for r in recips
-                ]
-        if journalling:
-            _journal_symbol_round(
-                ctx, consensus.network, struct, cw, faulty_sends, sym_tag
+        consensus.network.charge_round(
+            sym_tag, struct.honest_edges + n_sent, ctx.c
+        )
+        # The plan of this deviation pattern: memoized when every
+        # deviating payload is missing/invalid and every controlled
+        # input is the honest one (each M expectation row is then a
+        # function of the pattern alone), built fresh otherwise.
+        pattern = None if offcw or self.distinct else tuple(m_false)
+        plan = struct.plans.get(pattern)
+        if plan is None:
+            plan = self._build_plan(
+                struct, m_false, missing, offcw, valid, g
             )
-        else:
-            consensus.network.charge_round(
-                sym_tag, struct.honest_edges + n_sent, ctx.c
-            )
-
-        # -- replay lane: recurring silent-deviation pattern ------------
-        # All deviations silent (no valid off-codeword payload) and no
-        # distinct input: everything but the per-generation hook calls
-        # is determined by (graph state, pattern) and replays from the
-        # cached plan.  A crashed sender staying silent all run hits
-        # this every generation after the first; a fully conforming
-        # generation is the empty pattern.
-        if not offcw and not self.distinct and ctx.ib_default:
-            plan = self._replay_plan(struct, missing, m_false, row_of, valid)
-            return self._run_replay(plan, struct, g, m_tag, det_tag,
-                                    row_of, cw, valid)
-
-        if row_of is None:
-            row_of, cw = self._rows(g)
+            if pattern is not None:
+                struct.plans[pattern] = plan
 
         # -- lines 1(c)-1(e): M vectors and the match set ---------------
-        hdev_key = tuple(
-            sorted(p for p in m_false if p[1] not in controlled)
+        # Overridden m_vector hooks fire on every controlled row; the
+        # dispatch zeroes an isolated source's row whatever it returns.
+        rows = plan.m_rows
+        if not ctx.mv_default:
+            for i in ctx.controlled_sorted:
+                bits = self._hooked_m_bits(i, plan.ctrl_rows[i], g)
+                if struct.live[i]:
+                    if rows is plan.m_rows:
+                        rows = list(rows)
+                    rows[i] = bits
+        outcomes = self._dispatch(
+            ctx.pids, rows, m_tag, struct, struct.m_total
         )
-        honest_bits = self._honest_rows(struct, hdev_key)
-        ctrl_touched = {r for (f, r) in m_false if r in controlled}
-        rows: List[Tuple[int, List[int]]] = []
-        mv_fire = not ctx.mv_default
-        for i in range(n):
-            if i not in controlled:
-                rows.append((i, honest_bits[i]))
-                continue
-            if i in self.distinct or i in ctrl_touched:
-                row_i = self._ctrl_row(struct, row_of, valid, i)
-                base_bits = None
-            else:
-                row_i = struct.base_bool[i]
-                base_bits = struct.base_bits[i]
-            if mv_fire:
-                bits = self._hooked_m_bits(i, row_i, g)
-            elif base_bits is not None:
-                bits = base_bits
-            else:
-                bits = _row_bits(row_i, i)
-            rows.append((i, bits))
-        outcomes = self._dispatch(rows, m_tag, struct)
-
-        # Honest outcomes are determined by (graph, deviation) — only
-        # the controlled rows can vary the M view beyond that.
-        ctrl_key = tuple(
-            tuple(outcomes[i]) for i in ctx.controlled_sorted
-        )
-        info = ctx.match_info_for(struct, hdev_key, ctrl_key, outcomes)
-
+        if outcomes is plan.m_rows:  # nothing hooked: the plan's view
+            info = plan.info
+            if info is None:
+                info = plan.info = ctx.match_info_for(
+                    struct, plan.hdev_key, outcomes
+                )
+        else:
+            info = ctx.match_info_for(struct, plan.hdev_key, outcomes)
         if info.p_match is None:
-            return self._default_result(g)
+            # Line 1(f): honest inputs provably differ; decide the
+            # default.
+            default = tuple(self.default_parts[g])
+            return GenerationResult(
+                generation=g,
+                outcome=GenerationOutcome.NO_MATCH_DEFAULT,
+                decisions={pid: default for pid in ctx.honest},
+                p_match=None,
+            )
 
         # -- lines 2(a)-2(b): checking stage ----------------------------
-        detectors: List[int] = []
-        crows: List[Tuple[int, List[int]]] = []
-        df_fire = not ctx.df_default
-        for q in info.outsiders:
-            detected = False
-            needs_consistency = False
-            for f in info.trusted_ctrl[q]:
-                pair = (f, q)
-                if pair in missing:
-                    detected = True  # a trusted member stayed silent
-                    break
-                if pair in offcw:
-                    needs_consistency = True
-            if not detected and needs_consistency:
-                detected = self._slow_detect(struct, info, q, valid, cw)
-            if q in controlled:
-                flag = detected
-                if df_fire:
-                    flag = bool(
-                        adversary.detected_flag(
-                            q, detected, g, self._make_view()
-                        )
-                    )
-            else:
-                flag = detected
-                if flag:
-                    detectors.append(q)
-            crows.append((q, ctx.one1 if flag else ctx.zero1))
-        coutcomes = (
-            self._dispatch(crows, det_tag, struct) if crows else []
-        )
-        flagged = [
-            q for (q, _), outcome in zip(crows, coutcomes) if outcome[0]
-        ]
-        if flagged:
-            return self._diagnose(
-                struct, g, info.p_match, row_of, valid, flagged, detectors
+        check = plan.checks.get(info)
+        if check is None:
+            check = plan.checks[info] = self._checking(
+                plan, struct, info, valid, g
             )
-        # Line 2(c): decide C^{-1}(R_i / P_match).  When no deviation
-        # reaches an honest decision row and the conforming position
-        # counts are decodable, every honest processor decodes the
-        # shared codeword's own part.
-        if info.pos_ok and self._clean_for_decisions(info, missing, offcw):
+        # Overridden detected_flag hooks fire on every controlled
+        # outsider, in outsider order.
+        rows = check.rows
+        if info.ctrl_outsider and not ctx.df_default:
+            rows = list(rows)
+            for k, (q, hit) in enumerate(check.detected):
+                if q in ctx.controlled:
+                    flag = self.adversary.detected_flag(
+                        q, hit, g, self._make_view()
+                    )
+                    rows[k] = _SET if flag else _CLEAR
+        outcomes = self._dispatch(
+            info.outsiders, rows, det_tag, struct, len(rows)
+        )
+        if outcomes is check.rows:  # nothing hooked: the plan's flags
+            flagged = check.flagged
+        else:
+            flagged = [
+                q for q, flag in zip(info.outsiders, outcomes) if flag[0]
+            ]
+        detectors = list(check.detectors)
+        if flagged:
+            self.conforming = False
+            return self._diagnose(
+                struct, g, info.p_match, valid, flagged, detectors
+            )
+        # Line 2(c): decide C^{-1}(R_i / P_match).
+        if check.clean:
             decisions = ctx.decisions_for(self.ref_tuples[g])
         else:
-            decisions = self._general_decisions(
-                info, struct, row_of, cw, valid
-            )
+            self.conforming = False
+            decisions = self._general_decisions(info, struct, valid, g)
         return GenerationResult(
             generation=g,
             outcome=GenerationOutcome.DECIDED_CHECKING,
@@ -672,18 +645,74 @@ class _InstanceRun:
             detectors=detectors,
         )
 
-    def _default_result(self, g: int) -> GenerationResult:
-        """Line 1(f): honest inputs provably differ; decide the default."""
-        default = tuple(self.default_parts[g])
-        return GenerationResult(
-            generation=g,
-            outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-            decisions={pid: default for pid in self.ctx.honest},
-            p_match=None,
+    def _build_plan(self, struct, m_false, missing, offcw, valid, g):
+        """The plan of one generation's deviation pattern: ``m_false``
+        are the pairs whose M bit is false, in hook order."""
+        ctx = self.ctx
+        controlled = ctx.controlled
+        touched: Dict[int, List[int]] = {}
+        for f, r in m_false:
+            touched.setdefault(r, []).append(f)
+        zero = [0] * (ctx.n - 1)
+        ctrl_rows = {}
+        m_rows = []
+        for i in range(ctx.n):
+            senders = touched.get(i)
+            if i in controlled:
+                if i in self.distinct or senders:
+                    row = self._ctrl_row(struct, valid, i, g)
+                    bits = _row_bits(row, i)
+                else:
+                    row = struct.base_bool[i]
+                    bits = struct.base_bits[i]
+                ctrl_rows[i] = row
+            else:
+                bits = struct.base_bits[i]
+                if senders:
+                    bits = list(bits)
+                    for f in senders:
+                        bits[f - 1 if f > i else f] = 0
+            m_rows.append(bits if struct.live[i] else zero)
+        return _Plan(
+            tuple(sorted(p for p in m_false if p[1] not in controlled)),
+            missing, offcw, ctrl_rows, m_rows,
         )
 
-    def _diagnose(self, struct, g, p_match, row_of, valid, flagged,
-                  detectors):
+    def _checking(self, plan, struct, info, valid, g):
+        """Each outsider's honest Detected value under ``plan``'s
+        deviations and whether the conforming decode applies."""
+        ctx = self.ctx
+        missing = plan.missing
+        offcw = plan.offcw
+        detected = []
+        for q in info.outsiders:
+            hit = suspect = False
+            for f in info.trusted_ctrl[q]:
+                if (f, q) in missing:
+                    hit = True  # a trusted member stayed silent
+                    break
+                if (f, q) in offcw:
+                    suspect = True
+            if suspect and not hit:
+                # Its honest consistency check over the received
+                # P_match symbols, some valid but off the codeword.
+                mask = struct.mask
+                cw = self._rows(g)[1]
+                hit = not ctx.cached_consistent({
+                    j: valid[(j, q)] if j in ctx.controlled else cw[j]
+                    for j in info.p_match if mask[q, j]
+                })
+            detected.append((q, hit))
+        # No deviation reaches an honest decision row: every
+        # missing/off-codeword payload has its sender outside P_match
+        # or a controlled recipient.
+        clean = info.pos_ok and not any(
+            f in info.match_set and r not in ctx.controlled
+            for f, r in itertools.chain(missing, offcw)
+        )
+        return _Checking(detected, ctx.controlled, clean)
+
+    def _diagnose(self, struct, g, p_match, valid, flagged, detectors):
         """Lines 3(a)-3(i), delegated: diagnosis is rare and already
         grouped, so it runs the vectorized protocol's own stage on the
         cohort's shared caches.  ``flagged`` are the outsiders whose
@@ -692,8 +721,7 @@ class _InstanceRun:
         consensus = self.consensus
         # Diagnosis mutates the graph: drop the carried structure.
         self.struct = None
-        if row_of is None:
-            row_of, _ = self._rows(g)
+        row_of = self._rows(g)[0]
         received = self._scatter_received(struct, row_of, valid)
         detected_arr = np.zeros(ctx.n, dtype=bool)
         detected_arr[flagged] = True
@@ -720,175 +748,23 @@ class _InstanceRun:
             self.default_parts[g],
         )
 
-    # -- replay lane ----------------------------------------------------
-
-    def _replay_plan(self, struct, missing=(), m_false=(), row_of=None,
-                     valid=None):
-        """The memoized replay plan of one silent deviation pattern
-        (every deviating payload missing/invalid, so every M
-        expectation row is a function of the pattern alone)."""
-        ctx = self.ctx
-        rkey = (struct.key, tuple(m_false))
-        plan = ctx._replays.get(rkey)
-        if plan is not None:
-            return plan
-        controlled = ctx.controlled
-        n = ctx.n
-        hdev_key = tuple(
-            sorted(p for p in m_false if p[1] not in controlled)
-        )
-        ctrl_touched = {r for (f, r) in m_false if r in controlled}
-        ctrl_row_bool = {}
-        outcomes: List[Optional[List[int]]] = [None] * n
-        m_total = 0
-        for i in range(n):
-            if i in controlled:
-                if i in ctrl_touched:
-                    ctrl_row_bool[i] = self._ctrl_row(
-                        struct, row_of, valid, i
-                    )
-                else:
-                    ctrl_row_bool[i] = struct.base_bool[i]
-            if i in struct.isolated:
-                outcomes[i] = [0] * (n - 1)
-            else:
-                m_total += n - 1
-        info = None
-        # An overridden m_vector leaves the M view hook-independent only
-        # when every controlled processor is isolated: the dispatch
-        # zeroes their rows whatever the hook returns.
-        if ctx.mv_default or controlled <= struct.isolated:
-            honest_bits = self._honest_rows(struct, hdev_key)
-            for i in range(n):
-                if outcomes[i] is not None:
-                    continue
-                if i in controlled:
-                    outcomes[i] = _row_bits(ctrl_row_bool[i], i)
-                else:
-                    outcomes[i] = honest_bits[i]
-            ctrl_key = tuple(
-                tuple(outcomes[i]) for i in ctx.controlled_sorted
-            )
-            info = ctx.match_info_for(struct, hdev_key, ctrl_key, outcomes)
-        plan = _ReplayPlan(
-            hdev_key, frozenset(missing), ctrl_row_bool, m_total, info
-        )
-        ctx._replays[rkey] = plan
-        return plan
-
-    def _run_replay(self, plan, struct, g, m_tag, det_tag, row_of, cw,
-                    valid):
-        """One generation from a replay plan — hook calls (overridden
-        ``m_vector``/``detected_flag``) still fire in scalar order and
-        their returns are honoured; all pattern-determined bookkeeping
-        comes from the plan."""
-        ctx = self.ctx
-        backend = self.consensus.backend
-        n = ctx.n
-        controlled = ctx.controlled
-        info = plan.info
-        if not ctx.mv_default:
-            # Overridden m_vector: fires every generation, and its
-            # returns shape the M view unless the row is isolated.
-            outcomes_ctrl = {}
-            for i in ctx.controlled_sorted:
-                bits = self._hooked_m_bits(i, plan.ctrl_row_bool[i], g)
-                outcomes_ctrl[i] = (
-                    [0] * (n - 1) if i in struct.isolated else bits
-                )
-            if info is None:
-                ctrl_key = tuple(
-                    tuple(outcomes_ctrl[i]) for i in ctx.controlled_sorted
-                )
-                info = ctx._match.get(
-                    (struct.key, plan.hdev_key, ctrl_key)
-                )
-                if info is None:
-                    honest_bits = self._honest_rows(struct, plan.hdev_key)
-                    outcomes = [
-                        outcomes_ctrl[i] if i in controlled
-                        else [0] * (n - 1) if i in struct.isolated
-                        else honest_bits[i]
-                        for i in range(n)
-                    ]
-                    info = ctx.match_info_for(
-                        struct, plan.hdev_key, ctrl_key, outcomes
-                    )
-        if plan.m_total:
-            backend.charge_honest_instances(m_tag, plan.m_total)
-        if info.p_match is None:
-            return self._default_result(g)
-        per = plan.per_info.get(id(info))
-        if per is None:
-            det_list = []
-            detectors_base = []
-            for q in info.outsiders:
-                detected = any(
-                    (f, q) in plan.missing for f in info.trusted_ctrl[q]
-                )
-                ctrl_q = q in controlled
-                det_list.append((q, detected, ctrl_q))
-                if detected and not ctrl_q:
-                    detectors_base.append(q)
-            clean = self._clean_for_decisions(info, plan.missing, ())
-            per = (det_list, detectors_base, clean)
-            plan.per_info[id(info)] = per
-        det_list, detectors_base, clean = per
-        df_fire = not ctx.df_default
-        flagged = []
-        for q, detected, ctrl_q in det_list:
-            flag = detected
-            if ctrl_q and df_fire:
-                flag = bool(self.adversary.detected_flag(
-                    q, detected, g, self._make_view()
-                ))
-            if flag:
-                flagged.append(q)
-        if det_list:
-            backend.charge_honest_instances(det_tag, len(det_list))
-        if flagged:
-            return self._diagnose(
-                struct, g, info.p_match, row_of, valid, flagged,
-                list(detectors_base),
-            )
-        if info.pos_ok and clean:
-            decisions = ctx.decisions_for(self.ref_tuples[g])
-        else:
-            if row_of is None:
-                row_of, cw = self._rows(g)
-            decisions = self._general_decisions(
-                info, struct, row_of, cw, valid
-            )
-        return GenerationResult(
-            generation=g,
-            outcome=GenerationOutcome.DECIDED_CHECKING,
-            decisions=decisions,
-            p_match=info.p_match,
-            detectors=list(detectors_base),
-        )
-
     # -- helpers --------------------------------------------------------
 
-    def _dispatch(self, rows, tag, struct):
-        """Broadcast dispatch: the flat row path when the adversary's
-        ``ideal_broadcast_bit`` hook must fire, pure bulk accounting
-        (identical counters, identical outcomes) when it is the base
-        honest identity."""
+    def _dispatch(self, sources, rows, tag, struct, total):
+        """Broadcast ``rows[k]`` from ``sources[k]`` (isolated sources
+        hold zero rows; ``total`` is the live sources' bit count): the
+        flat row path when the adversary's ``ideal_broadcast_bit`` hook
+        must fire, pure bulk accounting (identical counters, and the
+        outcomes are ``rows`` itself) when it is the base honest
+        identity."""
         backend = self.consensus.backend
-        if not self.ctx.ib_default:
-            return backend.broadcast_rows_flat(rows, tag, struct.isolated)
-        isolated = struct.isolated
-        outcomes = []
-        total = 0
-        for source, bits in rows:
-            if source in isolated:
-                outcomes.append([0] * len(bits))
-            else:
-                total += len(bits)
-                outcomes.append(bits)
-        if total:
-            backend.charge_honest_instances(tag, total)
-        return outcomes
+        if self.ctx.ib_default:
+            if total:
+                backend.charge_honest_instances(tag, total)
+            return rows
+        return backend.broadcast_rows_flat(
+            list(zip(sources, rows)), tag, struct.isolated
+        )
 
     def _hooked_m_bits(self, i, row_i, g):
         """Fire controlled pid ``i``'s ``m_vector`` hook on its
@@ -901,37 +777,14 @@ class _InstanceRun:
             m_i = (m_i + [False] * n)[:n]
         return _row_bits(m_i, i)
 
-    def _honest_rows(self, struct, hdev_key):
-        """Every honest processor's M broadcast bits under one deviation
-        pattern (controlled slots stay ``None``), memoized."""
-        ctx = self.ctx
-        rows_key = (struct.key, hdev_key)
-        rows = ctx._rows.get(rows_key)
-        if rows is not None:
-            return rows
-        rows = [None] * ctx.n
-        touched: Dict[int, List[int]] = {}
-        for f, r in hdev_key:
-            touched.setdefault(r, []).append(f)
-        for i in ctx.honest:
-            cols = touched.get(i)
-            if cols is None:
-                rows[i] = struct.base_bits[i]
-            else:
-                bits = list(struct.base_bits[i])
-                for f in cols:
-                    bits[f - 1 if f > i else f] = 0
-                rows[i] = bits
-        ctx._rows[rows_key] = rows
-        return rows
-
-    def _ctrl_row(self, struct, row_of, valid, i):
+    def _ctrl_row(self, struct, valid, i, g):
         """Elementwise M row of controlled pid ``i`` — its expectation is
         its *own* codeword row, which differs from the honest one when
         its effective input does."""
         ctx = self.ctx
         mask = struct.mask
         controlled = ctx.controlled
+        row_of = self._rows(g)[0]
         exp = row_of[i]
         row = []
         for j in range(ctx.n):
@@ -946,35 +799,11 @@ class _InstanceRun:
                 row.append(row_of[j][j] == exp[j])
         return row
 
-    def _slow_detect(self, struct, info, q, valid, cw):
-        """Outsider ``q``'s honest consistency check over its received
-        P_match symbols (reached only when a trusted controlled member
-        delivered a valid off-codeword payload)."""
-        ctx = self.ctx
-        mask = struct.mask
-        controlled = ctx.controlled
-        symbols = {}
-        for j in info.p_match:
-            if not mask[q, j]:
-                continue
-            symbols[j] = valid[(j, q)] if j in controlled else cw[j]
-        return not ctx.cached_consistent(symbols)
-
-    def _clean_for_decisions(self, info, missing, offcw):
-        """True when no deviation reaches an honest decision row: every
-        missing/off-codeword payload has its sender outside ``P_match``
-        or a controlled recipient."""
-        match_set = info.match_set
-        controlled = self.ctx.controlled
-        return not any(
-            f in match_set and r not in controlled
-            for f, r in itertools.chain(missing, offcw)
-        )
-
-    def _general_decisions(self, info, struct, row_of, cw, valid):
+    def _general_decisions(self, info, struct, valid, g):
         """Exact mirror of the vectorized line 2(c) decode, decoding
         once per distinct symbol row."""
         ctx = self.ctx
+        row_of, cw = self._rows(g)
         mask = struct.mask
         controlled = ctx.controlled
         p_match = info.p_match
@@ -1074,101 +903,22 @@ def run_cohort_instance(
         default_parts,
     )
     generation_results: List[GenerationResult] = []
-    decided_parts: Dict[int, List[tuple]] = {pid: [] for pid in honest}
     default_used = False
-    generations = config.generations
-    network = consensus.network
-    backend = consensus.backend
-    g = 0
-    while g < generations:
-        struct = run.struct
-        if struct is None:
-            struct = ctx.structure_for(consensus.graph)
-            run.struct = struct
-        # Fast-forward tail: no matching_symbol call can fire
-        # (conforming by construction, or no live faulty edge remains),
-        # the broadcast hook is the base identity, and the empty
-        # pattern's plan has a hook-independent M view, no
-        # detected_flag hook to fire and the shared conforming decode.
-        # Nothing can deviate, so no diagnosis can mutate the graph:
-        # every remaining generation replays as three constant charges
-        # plus the shared conforming record.
-        if (
-            (run.ms_skip or not struct.fab_recips)
-            and not run.distinct
-            and ctx.ib_default
-        ):
-            plan = run._replay_plan(struct)  # the empty pattern
-            info = plan.info
-            if (
-                info is not None
-                and info.p_match is not None
-                and info.pos_ok
-                and (ctx.df_default or not info.ctrl_outsider)
-            ):
-                sym_count = struct.honest_edges + struct.fab_sent
-                n_out = len(info.outsiders)
-                ref_tuples = run.ref_tuples
-                c = ctx.c
-                extras = consensus._view_extras
-                adversary = consensus.adversary
-                base_bool = struct.base_bool
-                controlled_sorted = ctx.controlled_sorted
-                mv_fire = not ctx.mv_default
-                journalling = network.journal is not None
-                for pid in honest:
-                    decided_parts[pid].extend(ref_tuples[g:])
-                while g < generations:
-                    extras["generation"] = g
-                    sym_tag, m_tag, det_tag = ctx.tags_for(g)
-                    if journalling:
-                        # This lane is hook-free (every live faulty
-                        # sender conforms), so the materialized faulty
-                        # batch carries each sender's own symbol.
-                        row_of, cw = run._rows(g)
-                        _journal_symbol_round(
-                            ctx, network, struct, cw,
-                            [
-                                (f, r, row_of[f][f])
-                                for f, recips in struct.fab_recips.items()
-                                for r in recips
-                            ],
-                            sym_tag,
-                        )
-                    else:
-                        network.charge_round(sym_tag, sym_count, c)
-                    if mv_fire:
-                        # Every controlled row is isolated: the hooks
-                        # fire, the dispatch zeroes what they return.
-                        view = consensus._make_view()
-                        for i in controlled_sorted:
-                            adversary.m_vector(
-                                i, list(base_bool[i]), g, view
-                            )
-                    if plan.m_total:
-                        backend.charge_honest_instances(
-                            m_tag, plan.m_total
-                        )
-                    if n_out:
-                        backend.charge_honest_instances(det_tag, n_out)
-                    generation_results.append(GenerationResult(
-                        generation=g,
-                        outcome=GenerationOutcome.DECIDED_CHECKING,
-                        decisions=ctx.decisions_for(ref_tuples[g]),
-                        p_match=info.p_match,
-                        detectors=[],
-                    ))
-                    g += 1
-                break
-        consensus._view_extras["generation"] = g
-        result = run.run_generation(g)
+    for g in range(config.generations):
+        result = run.step(g)
         generation_results.append(result)
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
             default_used = True
             break
-        for pid in honest:
-            decided_parts[pid].append(result.decisions[pid])
-        g += 1
+    if run.conforming:
+        # Every generation decided the reference part itself: one
+        # shared column instead of n transposed copies.
+        decided_parts = dict.fromkeys(honest, run.ref_tuples)
+    else:
+        decided_parts = {
+            pid: [result.decisions[pid] for result in generation_results]
+            for pid in honest
+        }
     ctx.instances += 1
     # The conforming decision rows are the reference parts themselves,
     # whose packed value is the honest input — seed the shared packing

@@ -14,11 +14,6 @@ An :class:`Executor` receives the service and the coerced
   including stateful seeded adversaries reconstructed from
   ``(attack, seed, faulty)``, are byte-identical to serial execution
   whatever the shard boundaries.
-* :class:`WorkStealingExecutor` — dynamic scheduling over the same
-  worker-process model: the batch is grouped into cohort-sized work
-  units (one per :func:`~repro.service.spec.cohort_key`) that workers
-  pull from a shared queue as they finish, instead of static contiguous
-  shards.
 * :class:`AsyncExecutor` — event-loop integration: the batch runs on
   one dedicated worker thread while an ``asyncio`` caller awaits
   :meth:`~AsyncExecutor.run_async`, so a serving loop keeps admitting
@@ -27,13 +22,11 @@ An :class:`Executor` receives the service and the coerced
 
 Choosing between them: static sharding has no queue traffic and each
 shard amortizes its own template/encode caches over the longest
-possible run of instances — the right trade for uniform batches.
-Mixed-attack batches are not uniform: per-instance cost varies by an
-order of magnitude across attack shapes, and a static boundary can
-idle most of the pool behind one slow shard; the work-stealing queue
-keeps every worker busy until the units run out.  The async executor
-is not about parallelism at all (one worker thread, GIL-bound): it
-exists so that batch execution does not block an event loop.
+possible run of instances; it pays from about n = 31 up (1.5-1.6x on
+two CPUs), below that pool start-up costs more than the batch.  The
+async executor is not about parallelism at all (one worker thread,
+GIL-bound): it exists so that batch execution does not block an event
+loop.
 
 >>> from repro.service import ConsensusService, RunSpec
 >>> service = ConsensusService(RunSpec(n=4, l_bits=16))
@@ -47,10 +40,10 @@ import asyncio
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.result import ConsensusResult
-from repro.service.spec import InstanceSpec, RunSpec, cohort_key
+from repro.service.spec import InstanceSpec, RunSpec
 
 
 def _usable_cpus() -> int:
@@ -58,16 +51,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _pool_context(start_method: Optional[str]):
-    """A ``multiprocessing`` context for ``start_method``; ``None``
-    prefers ``fork`` (cheap, shares the warm interpreter) and falls
-    back to ``spawn`` where fork is unavailable."""
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
 
 
 class Executor:
@@ -131,9 +114,6 @@ class ProcessExecutor(Executor):
         self.shards = shards
         self.start_method = start_method
 
-    def _context(self):
-        return _pool_context(self.start_method)
-
     def run(self, service, specs):
         specs = list(specs)
         if not specs:
@@ -160,109 +140,17 @@ class ProcessExecutor(Executor):
             for i in range(shards)
             if bounds[i] < bounds[i + 1]
         ]
-        ctx = self._context()
+        start_method = self.start_method
+        if start_method is None:
+            methods = multiprocessing.get_all_start_methods()
+            start_method = "fork" if "fork" in methods else "spawn"
+        ctx = multiprocessing.get_context(start_method)
         with ctx.Pool(processes=len(payloads)) as pool:
             shard_results = pool.map(_run_shard, payloads)
         results: List[ConsensusResult] = []
         for shard in shard_results:
             results.extend(shard)
         return results
-
-
-_WORKER_SERVICE = None
-
-
-def _init_steal_worker(spec: RunSpec, reuse_results: bool) -> None:
-    """Pool initializer: build one long-lived service per worker so
-    template/encode/cohort caches amortize across every unit the
-    worker steals."""
-    global _WORKER_SERVICE
-    from repro.service.service import ConsensusService
-
-    _WORKER_SERVICE = ConsensusService(spec, reuse_results=reuse_results)
-
-
-def _run_unit(
-    unit: Tuple[int, Tuple[InstanceSpec, ...]]
-) -> Tuple[int, List[ConsensusResult]]:
-    """Worker entry point: run one cohort work unit on the worker's
-    long-lived service."""
-    unit_id, instances = unit
-    return unit_id, _WORKER_SERVICE._run_many_local(list(instances))
-
-
-class WorkStealingExecutor(Executor):
-    """Dynamic scheduling: a queue of cohort-sized work units.
-
-    The batch is grouped by :func:`~repro.service.spec.cohort_key`
-    (in-batch order preserved within each unit) and the units are fed
-    to worker processes through a shared queue — ``imap_unordered``
-    with ``chunksize=1`` — so whichever worker finishes first pulls
-    the next unit.  One slow cohort (e.g. ``random`` at large ``n``)
-    therefore cannot idle the rest of the pool behind a static shard
-    boundary, and every unit lands on a worker whose service already
-    holds that cohort's shared buffers if it stole the same key
-    before.
-
-    Results are reassembled by original batch position and are
-    byte-identical to :class:`SerialExecutor` whatever the worker
-    count: an instance's result depends only on its own spec (the
-    service caches are pure memoization), and units never reorder
-    instances within a cohort.
-
-    Args:
-        workers: worker process count; default the usable CPU count,
-            capped at the unit count.
-        start_method: as for :class:`ProcessExecutor`.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
-        self.workers = workers
-        self.start_method = start_method
-
-    def run(self, service, specs):
-        specs = list(specs)
-        if not specs:
-            return []
-        if service.config.b_function is not None:
-            raise ValueError(
-                "WorkStealingExecutor cannot ship a config with a live "
-                "b_function callable to worker processes; use the "
-                "serial executor for this deployment"
-            )
-        groups: Dict[Tuple, List[int]] = {}
-        for idx, instance in enumerate(specs):
-            groups.setdefault(
-                cohort_key(service.spec, instance), []
-            ).append(idx)
-        unit_indices = list(groups.values())
-        workers = self.workers if self.workers is not None else _usable_cpus()
-        workers = max(1, min(workers or 1, len(unit_indices)))
-        if workers == 1:
-            return service._run_many_local(specs)
-        units = [
-            (unit_id, tuple(specs[idx] for idx in indices))
-            for unit_id, indices in enumerate(unit_indices)
-        ]
-        ctx = _pool_context(self.start_method)
-        results: List[Optional[ConsensusResult]] = [None] * len(specs)
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_steal_worker,
-            initargs=(service.spec, service.reuse_results),
-        ) as pool:
-            for unit_id, unit_results in pool.imap_unordered(
-                _run_unit, units, chunksize=1
-            ):
-                for idx, result in zip(
-                    unit_indices[unit_id], unit_results
-                ):
-                    results[idx] = result
-        return results  # type: ignore[return-value]
 
 
 class AsyncExecutor(Executor):
@@ -339,6 +227,5 @@ class AsyncExecutor(Executor):
 EXECUTORS = {
     "serial": SerialExecutor,
     "process": ProcessExecutor,
-    "work_steal": WorkStealingExecutor,
     "async": AsyncExecutor,
 }

@@ -12,6 +12,7 @@ An instance runs one of three ways, and this module's
   execute_consensus`, one :class:`~repro.core.generation.
   GenerationProtocol` per generation (vectorized, or the scalar
   reference when ``vectorized`` is off or the backend is probabilistic).
+  Every recorded run takes this lane.
 
 All three are byte-identical to the forced-scalar reference; the choice
 only decides how much work is shared.
@@ -54,19 +55,23 @@ def plan_lane(
     faulty = adversary.faulty
     n = config.n
     # Both shared lanes replay value-independent accounting, which needs
-    # agreement (an error-free backend), content-independent traffic (no
-    # injected network faults) and one common honest input — checked on
-    # the raw inputs: input_value hooks fire once, inside the run.
+    # nobody watching the messages (a journal must observe materialized
+    # ones: ``charge_round`` refuses a journalling network, a cloned
+    # result has no journal at all), agreement (an error-free backend),
+    # content-independent traffic (no injected network faults) and one
+    # common honest input — checked on the raw inputs: input_value hooks
+    # fire once, inside the run.
     if not (
         batch_generations
+        and not journal
         and backend.error_free
         and getattr(adversary, "fault_plan", None) is None
         and len(inputs) == n
         and len({inputs[pid] for pid in range(n) if pid not in faulty}) == 1
     ):
         return Lane.PER_GENERATION
-    # A cloned result is priced, not executed: it has no journal.
-    if reuse_results and not faulty and not journal:
+    # A cloned result is priced, not executed.
+    if reuse_results and not faulty:
         return Lane.CLONE
     # The cohort engine charges honest broadcasts in O(1) and dispatches
     # controlled rows flat, on the vectorized engine's semantics.

@@ -73,8 +73,10 @@ class ConsensusService:
         config_or_spec: the deployment, as a validated
             :class:`ConsensusConfig` or a declarative :class:`RunSpec`.
         vectorized / batch_generations: engine toggles (see
-            :class:`MultiValuedConsensus`); when a :class:`RunSpec` is
-            given its toggles win.
+            :class:`MultiValuedConsensus`) of a deployment given as a
+            ``ConsensusConfig``; a :class:`RunSpec` carries its own, so
+            combining one with a non-default toggle raises
+            ``ValueError``.
         reuse_results: when ``True`` (default), ``run_many`` prices
             failure-free all-equal-input instances from one shared
             template run (their metering is value-independent) instead
@@ -91,6 +93,12 @@ class ConsensusService:
         reuse_results: bool = True,
     ):
         if isinstance(config_or_spec, RunSpec):
+            if not (vectorized and batch_generations):
+                raise ValueError(
+                    "a RunSpec carries its own engine toggles; set "
+                    "vectorized/batch_generations on the spec, not on "
+                    "the service"
+                )
             self.spec = config_or_spec
             self.config = config_or_spec.make_config()
         elif isinstance(config_or_spec, ConsensusConfig):

@@ -294,8 +294,9 @@ def test_result_tampering_breaks_the_seal():
 
 @pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_journal_equivalence_across_engine_lanes(attack):
-    """Scalar, vectorized and cohort-batched runs of one spec leave
-    byte-identical journals (not just bits and decisions)."""
+    """Scalar, vectorized and batched (``run_many``) runs of one spec
+    leave byte-identical journals (not just bits and decisions); the
+    recorded batch never enters the cohort engine."""
     spec = RunSpec(n=7, l_bits=64, attack=attack)
     effective = InstanceSpec(inputs=(VALUE,) * 7).resolve(spec)
 
@@ -314,52 +315,51 @@ def test_journal_equivalence_across_engine_lanes(attack):
     vec_result = vec_service.run(VALUE, transcript=vec_recorder)
     assert vec_recorder.transcript.messages() == scalar_journal
 
-    cohort_service = ConsensusService(spec)
-    cohort_recorder = TranscriptRecorder()
-    [cohort_result] = cohort_service.run_many(
-        [InstanceSpec(inputs=(VALUE,) * 7)], transcript=cohort_recorder
+    batch_service = ConsensusService(spec)
+    batch_recorder = TranscriptRecorder()
+    [batch_result] = batch_service.run_many(
+        [InstanceSpec(inputs=(VALUE,) * 7)], transcript=batch_recorder
     )
-    adversary = spec.make_adversary()
-    if adversary.faulty and getattr(adversary, "fault_plan", None) is None:
-        assert cohort_service._cohorts, "cohort lane was not exercised"
-    elif getattr(adversary, "fault_plan", None) is not None:
-        # Fault-plan runs stay off the cohort lanes by design: injected
-        # traffic cannot be charge-round'd away.
-        assert not cohort_service._cohorts
-    assert cohort_recorder.transcript.messages() == scalar_journal
+    # The cohort's rounds are accounting a journal cannot observe.
+    assert not batch_service._cohorts
+    assert batch_recorder.transcript.messages() == scalar_journal
 
     assert compare(scalar_result, vec_result).identical
-    assert compare(scalar_result, cohort_result).identical
+    assert compare(scalar_result, batch_result).identical
 
 
-# -- satellite: charge_round recording fallback ----------------------------
+# -- satellite: recording stays off charge_round ---------------------------
 
 
 def test_charge_round_still_refuses_on_journalling_networks():
-    """The unit-level refusal stays: callers must materialize instead."""
+    """The refusal is the guard behind the planner's rule that a
+    recorded run never enters the cohort engine."""
     network = SyncNetwork(3, journal=True)
     with pytest.raises(NetworkError, match="journalling"):
         network.charge_round("x", count=6, bits=4)
 
 
 def test_transcript_composes_with_batched_fast_paths():
-    """Recording through the cohort fast-forward/replay lanes (which
-    collapse rounds into ``charge_round`` when not recording) now
-    auto-materializes instead of raising, and stays byte-identical."""
+    """A batch the cohort engine would serve (its rounds collapse into
+    ``charge_round``) is recorded on the per-generation engine instead:
+    same result as the unrecorded cohort run, and the transcript
+    replays."""
     spec = RunSpec(n=7, l_bits=128, attack="crash")
     recorder = TranscriptRecorder()
     service = ConsensusService(spec)
     [result] = service.run_many(
         [InstanceSpec(inputs=(VALUE,) * 7)], transcript=recorder
     )
-    assert service._cohorts, "expected the cohort lane"
-    [reference] = ConsensusService(spec).run_many(
+    assert not service._cohorts, "a recorded run entered the cohort"
+    reference_service = ConsensusService(spec)
+    [reference] = reference_service.run_many(
         [InstanceSpec(inputs=(VALUE,) * 7)]
     )
+    assert reference_service._cohorts, "expected the cohort engine"
     assert compare(result, reference).identical
     assert replay(recorder.transcript).ok
 
-    # The failure-free run (the empty cohort) records too.
+    # A failure-free run (unrecorded: the empty cohort) records too.
     honest = ConsensusService(RunSpec(n=7, l_bits=128))
     honest_recorder = TranscriptRecorder()
     honest.run(VALUE, transcript=honest_recorder)

@@ -9,7 +9,7 @@ per shape.  The contract under test: cohort batching is
 the looped one-shot reference field for field, for every registered
 attack, whatever the batch composition (interleaved attacks, duplicate
 cohorts, singleton cohorts, differing seeds within one cohort), the
-executor (serial / process / work-stealing) or the shard/worker count —
+executor (serial / process) or the shard count —
 and must equal the **forced-scalar** (``vectorized=False``) engine as
 well: the same equivalence discipline the vectorized adversarial path
 is held to, extended to batches.
@@ -25,7 +25,6 @@ from repro.service import (
     ProcessExecutor,
     RunSpec,
     SerialExecutor,
-    WorkStealingExecutor,
 )
 
 #: The benchmark's mixed-workload cycle (honest + four attack shapes).
@@ -120,18 +119,8 @@ class TestInterleavedExecutors:
             SerialExecutor(),
             ProcessExecutor(shards=2),
             ProcessExecutor(shards=5),
-            WorkStealingExecutor(workers=2),
-            WorkStealingExecutor(workers=4),
-            "work_steal",
         ],
-        ids=[
-            "serial",
-            "process-2",
-            "process-5",
-            "steal-2",
-            "steal-4",
-            "steal-by-name",
-        ],
+        ids=["serial", "process-2", "process-5"],
     )
     def test_mixed_cycle_byte_identical(self, executor):
         spec = RunSpec(n=7, l_bits=256)
@@ -144,7 +133,7 @@ class TestInterleavedExecutors:
 
     def test_n31_singleton_cohorts(self):
         # One instance per cycle attack: every cohort is a singleton,
-        # and the work-stealing queue has exactly one unit per cohort.
+        # whichever side of a shard boundary it lands on.
         spec = RunSpec(n=31, l_bits=64)
         instances = [
             InstanceSpec(inputs=(0xACE + idx,) * 31, attack=attack, seed=idx)
@@ -152,11 +141,11 @@ class TestInterleavedExecutors:
         ]
         reference = looped_reference(spec, instances)
         serial = ConsensusService(spec).run_many(instances)
-        stolen = ConsensusService(spec).run_many(
-            instances, executor=WorkStealingExecutor(workers=2)
+        sharded = ConsensusService(spec).run_many(
+            instances, executor=ProcessExecutor(shards=2)
         )
         assert serial == reference
-        assert stolen == reference
+        assert sharded == reference
 
 
 class TestWarmService:
@@ -165,8 +154,8 @@ class TestWarmService:
     def test_warm_rerun_byte_identical(self):
         # The steady-state shape the service exists for: the same warm
         # long-lived service re-running a workload exercises the cached
-        # cohort plans (steady / replay / fast-forward lanes) instead
-        # of rebuilding them — results must not drift by a bit.
+        # cohort plans instead of rebuilding them — results must not
+        # drift by a bit.
         spec = RunSpec(n=7, l_bits=256)
         instances = interleaved_cycle(7, 10)
         reference = looped_reference(spec, instances)

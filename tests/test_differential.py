@@ -152,9 +152,10 @@ def test_path_equals_forced_scalar_reference(path, attack, n, journal):
 
 def test_grid_reaches_every_lane(monkeypatch):
     """The grid above is only as good as its routing: the honest
-    second-of-batch instance must be a clone (or, recorded, an empty-
-    cohort run), the adversarial one a cohort run, and ``service.run``
-    must keep adversarial instances on the per-generation engine."""
+    second-of-batch instance must be a clone, the adversarial one a
+    cohort run, ``service.run`` must keep adversarial instances on the
+    per-generation engine, and a recorded run never enters the cohort
+    whatever path asks for it."""
     calls = {"execute_consensus": 0, "run_cohort_instance": 0}
     # The service binds both engines by name; the one-shot dispatch
     # looks them up in their home modules at call time.
@@ -182,33 +183,38 @@ def test_grid_reaches_every_lane(monkeypatch):
 
     # (per-generation runs, cohort runs, instance under test cloned)
     assert lanes("run_many", "none", 7, False) == (0, 1, True)
-    assert lanes("run_many", "none", 7, True) == (0, 2, False)
+    assert lanes("run_many", "none", 7, True) == (2, 0, False)
     assert lanes("run_many_no_reuse", "none", 7, False) == (0, 2, False)
     assert lanes("run_many", "crash", 7, False) == (0, 2, False)
+    assert lanes("run_many", "crash", 7, True) == (2, 0, False)
     assert lanes("run_many", "omit_rounds", 7, False) == (2, 0, False)
     assert lanes("service_run", "none", 7, False) == (0, 2, False)
     assert lanes("service_run", "crash", 7, True) == (2, 0, False)
-    assert lanes("one_shot", "none", 7, True) == (0, 1, False)
+    assert lanes("service_run", "none", 7, True) == (2, 0, False)
+    assert lanes("one_shot", "none", 7, False) == (0, 1, False)
+    assert lanes("one_shot", "none", 7, True) == (1, 0, False)
     assert lanes("one_shot", "crash", 7, False) == (1, 0, False)
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Every ``encode_generations`` call made while the test runs."""
+    calls = []
+    for cls in (ReedSolomonCode, InterleavedCode):
+        original = cls.encode_generations
+
+        def spy(self, parts, _original=original):
+            calls.append(len(parts))
+            return _original(self, parts)
+
+        monkeypatch.setattr(cls, "encode_generations", spy)
+    return calls
 
 
 class TestFailureFreeRunsNeverEncode:
     """A failure-free run on the ideal backend inspects no payload, so
     whichever path executes it makes zero ``encode_generations`` calls
     (what keeps L = 2^19 and beyond cheap)."""
-
-    @pytest.fixture
-    def encodes(self, monkeypatch):
-        calls = []
-        for cls in (ReedSolomonCode, InterleavedCode):
-            original = cls.encode_generations
-
-            def spy(self, parts, _original=original):
-                calls.append(len(parts))
-                return _original(self, parts)
-
-            monkeypatch.setattr(cls, "encode_generations", spy)
-        return calls
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("n", sorted(SIZES))
@@ -232,19 +238,124 @@ class TestFailureFreeRunsNeverEncode:
 def test_journalled_failure_free_run_goes_through_the_empty_cohort(
     monkeypatch,
 ):
-    """Recording keeps a failure-free run on the cohort lane (the
-    symbol rounds materialize instead of collapsing into
-    ``charge_round``) and the journal is the reference's."""
-    seen = []
-    original = cohort_module.run_cohort_instance
+    """The id is kept for the test floor; what it pins is the opposite
+    of its name: recording takes even a failure-free run off the cohort
+    (whose symbol rounds are ``charge_round`` accounting a journal
+    cannot observe) and onto the per-generation engine, and the journal
+    is the forced-scalar reference's."""
+    entered = []
+    monkeypatch.setattr(
+        cohort_module, "run_cohort_instance",
+        lambda *args: entered.append(args),
+    )
+    monkeypatch.setattr(
+        service_module, "run_cohort_instance",
+        lambda *args: entered.append(args),
+    )
+    for path in PATHS:
+        observed = observe(path, "none", 7, journal=True)
+        assert observed.journal, "the journal recorded nothing"
+        assert observed.journal == reference("none", 7).journal
+    assert entered == []
 
-    def spy(ctx, consensus, inputs):
-        seen.append((sorted(ctx.controlled), consensus.network.journal))
-        return original(ctx, consensus, inputs)
 
-    monkeypatch.setattr(cohort_module, "run_cohort_instance", spy)
-    observed = observe("one_shot", "none", 7, journal=True)
-    [(controlled, journal)] = seen
-    assert controlled == []
-    assert journal, "the journal recorded nothing"
-    assert observed.journal == reference("none", 7).journal
+#: The adversary hooks either engine can fire on this grid's backend.
+HOOKS = (
+    "input_value", "matching_symbol", "m_vector", "detected_flag",
+    "ideal_broadcast_bit",
+)
+
+
+def plan_count(ctx):
+    """Entries in a cohort's plan table (one sub-table per graph
+    state)."""
+    return sum(len(struct.plans) for struct in ctx._structs.values())
+
+
+def test_plan_memo(monkeypatch, encodes):
+    """The plan is what the one step memoizes: a crashed sender's
+    second generation and a second same-shape instance add no entry to
+    the cohort's plan table, the adversary's hooks fire in the order
+    (and with the arguments) the forced-scalar engine fires them, and a
+    failure-free run still encodes nothing."""
+    n, l_bits = 7, 256
+    spec = RunSpec(n=n, l_bits=l_bits, attack="crash")
+    instances = instances_for("crash", n)
+
+    def hook_log(service):
+        """Record every hook call of every adversary ``service`` makes,
+        per instance."""
+        logs = []
+        make_engine = service._make_engine
+
+        def logging_engine(adversary, *args, **kwargs):
+            log = []
+            logs.append(log)
+            for name in HOOKS:
+                original = getattr(adversary, name)
+
+                def spy(pid, *rest, _name=name, _original=original):
+                    # The trailing argument is the view snapshot.
+                    log.append((_name, pid) + rest[:-1])
+                    return _original(pid, *rest)
+
+                setattr(adversary, name, spy)
+            return make_engine(adversary, *args, **kwargs)
+
+        service._make_engine = logging_engine
+        return logs
+
+    scalar = ConsensusService(
+        RunSpec(n=n, l_bits=l_bits, attack="crash", vectorized=False,
+                batch_generations=False),
+        reuse_results=False,
+    )
+    scalar.parts_for(0)  # the splitter engine is not an instance
+    scalar_logs = hook_log(scalar)
+    expected = [scalar.run(instance) for instance in instances]
+
+    service = ConsensusService(spec)
+    service.parts_for(0)
+    logs = hook_log(service)
+    sizes = []
+    original_step = cohort_module._InstanceRun.step
+
+    def counting_step(run, g):
+        result = original_step(run, g)
+        sizes.append(plan_count(run.ctx))
+        return result
+
+    monkeypatch.setattr(cohort_module._InstanceRun, "step", counting_step)
+    assert service.run_many(instances) == expected
+    [ctx] = service._cohorts.values()
+    assert ctx.instances == 2
+    generations = len(expected[0].generation_results)
+    assert generations > 2 and len(sizes) == 2 * generations
+    # The first generation builds the silent pattern's plan; every later
+    # generation and the whole second instance look it up.
+    assert sizes == [1] * (2 * generations)
+    [struct] = ctx._structs.values()  # silence convicts nobody
+    [plan] = struct.plans.values()
+    assert plan.missing and not plan.offcw
+    # Base hooks the crash attack does not override are elided (that is
+    # unobservable), so compare the overridden ones.
+    overridden = {
+        name for name in HOOKS
+        if getattr(type(spec.make_adversary()), name)
+        is not getattr(cohort_module.Adversary, name)
+    }
+    assert "matching_symbol" in overridden
+    for log, scalar_log in zip(logs, scalar_logs):
+        assert [call for call in log if call[0] in overridden] == [
+            call for call in scalar_log if call[0] in overridden
+        ]
+        assert any(call[0] == "matching_symbol" for call in log)
+
+    # The failure-free cohort: one plan (the empty pattern), no encode.
+    del encodes[:]  # the crash cohort above did encode
+    honest = ConsensusService(RunSpec(n=n, l_bits=l_bits), reuse_results=False)
+    results = honest.run_many([1, 2, 3])
+    assert [r.value for r in results] == [1, 2, 3]
+    [ctx] = honest._cohorts.values()
+    assert plan_count(ctx) == 1
+    assert encodes == []
