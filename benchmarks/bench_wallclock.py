@@ -11,8 +11,9 @@ seed baseline, and an assertion-friendly copy of the metered bit totals
 ``--faults`` adds the adversarial grid: every attack from
 the pinned ``repro.processors.FAULT_GRID_ATTACKS`` set over
 fault-injection (n, L) points
-(n = 7 through 255), each run on the vectorized adversarial path —
-whose diagnosis stage dispatches through the grouped
+(n = 7 through 255), each run on the default engine — a one-shot run
+whose honest processors share one input is a cold cohort of one, its
+diagnosis stages dispatching through the grouped
 ``broadcast_bits_many_grouped`` backend call — *and* the forced-scalar
 reference engine.  The two runs must agree byte-for-byte (decisions,
 bits and messages by tag) and match the expected bit-total table — the
@@ -232,10 +233,10 @@ def run_point(n: int, l_bits: int) -> dict:
 
 
 def run_fault_point(n: int, l_bits: int, attack: str) -> dict:
-    """One fault-injection point: vectorized vs forced-scalar.
+    """One fault-injection point: the default engine vs forced-scalar.
 
     Both runs must produce byte-identical metering (bits *and* messages
-    by tag) and identical decisions; the vectorized/scalar wall-clock
+    by tag) and identical decisions; the default/scalar wall-clock
     ratio is the adversarial speedup this benchmark tracks.
     """
     value = random.Random(INPUT_SEED).getrandbits(l_bits)

@@ -184,11 +184,11 @@ def sweep_faults(
         attacks: attack names from :data:`repro.processors.ATTACKS`;
             default the pinned
             :data:`repro.processors.FAULT_GRID_ATTACKS` grid, sorted.
-        vectorized: ``True`` (default) runs the vectorized adversarial
-            path, whose diagnosis stage dispatches per-generation
-            grouped broadcasts — practical at ``n = 31/63/127``;
-            ``False`` forces the scalar reference engine (the
-            benchmarks' byte-identity baseline).
+        vectorized: ``True`` (default) runs the default engine — each
+            point's honest processors share one input, so that is the
+            cohort engine over a cohort of one — practical at
+            ``n = 31/63/127/255``; ``False`` forces the scalar reference
+            engine (the benchmarks' byte-identity baseline).
 
     Returns:
         One :class:`FaultSweepPoint` per ``(n, attack)`` pair, in grid

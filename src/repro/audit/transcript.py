@@ -13,11 +13,12 @@ position — the accountability property the pod line of work makes a
 first-class consensus feature.
 
 Serialization reuses the lossless conventions of
-:mod:`repro.service.serving.wire`: plain JSON with exact
-arbitrary-precision ints (multi-thousand-bit super-symbol payloads
-round-trip with no hex detour), tuples as lists, int dict keys as
-strings, every conversion inverted exactly on decode.  The canonical
-byte form (sorted keys, no whitespace) gives a stable content digest.
+:mod:`repro.service.serving.wire`: plain JSON, the L-bit consensus
+values (instance inputs, result decisions, common input) as lowercase
+hex strings, symbol payloads as exact ints, tuples as lists, int dict
+keys as strings, every conversion inverted exactly on decode.  The
+canonical byte form (sorted keys, no whitespace) gives a stable content
+digest.
 
 >>> from repro.service import ConsensusService, RunSpec
 >>> service = ConsensusService(RunSpec(n=4, l_bits=16))
@@ -49,7 +50,8 @@ from repro.service.serving.wire import (
 from repro.service.spec import InstanceSpec, RunSpec
 
 #: Transcript format identifier, bumped on any incompatible change.
-TRANSCRIPT_VERSION = 1
+#: 2: L-bit values as hex strings (wire v2).
+TRANSCRIPT_VERSION = 2
 
 #: Demo master key used when the caller does not supply one.  Real
 #: deployments derive per-deployment keys; the default exists so that
@@ -145,16 +147,7 @@ class TranscriptEntry:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "TranscriptEntry":
-        return cls(
-            index=payload["index"],
-            round_index=payload["round"],
-            sender=payload["sender"],
-            receiver=payload["receiver"],
-            tag=payload["tag"],
-            bits=payload["bits"],
-            payload=payload["payload"],
-            auth=payload["auth"],
-        )
+        return cls(auth=payload["auth"], **_entry_kwargs(payload))
 
     def matches_message(self, message: Message) -> Optional[str]:
         """Name of the first field differing from ``message`` (or None)."""
@@ -287,6 +280,11 @@ class Transcript:
     @classmethod
     def from_wire(cls, payload: dict) -> "Transcript":
         """Exact inverse of :meth:`to_wire`."""
+        if payload["format"] != TRANSCRIPT_VERSION:
+            raise ValueError(
+                "transcript format %r, expected format %d"
+                % (payload["format"], TRANSCRIPT_VERSION)
+            )
         return cls(
             spec=runspec_from_wire(payload["spec"]),
             instance=instance_from_wire(payload["instance"]),

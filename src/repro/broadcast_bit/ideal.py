@@ -74,53 +74,9 @@ class AccountedIdealBroadcast(BroadcastBackend):
         return {pid: outcome for pid in range(self.n)}
 
     def broadcast_bits(self, source, bits, tag, ignored=frozenset()):
-        """Batched fast path: semantics identical to the base class
-        (one instance per bit), with one meter entry per call.
-
-        The returned per-pid lists are one shared row (agreement means
-        every processor receives the same bits); callers must treat them
-        as read-only, the same contract as :meth:`broadcast_bits_many`.
-
-        A :class:`~repro.utils.bits.PackedBits` row skips the per-bit
-        validation (packed rows are 0/1 by construction) and, for an
-        honest source, is returned *as-is* — the same packed object
-        shared by every pid, the bulk packed accounting the wire format
-        exists for.  Controlled sources unpack, replay the scalar hook
-        sequence and repack, so adversaries observe per-bit semantics
-        unchanged.
-        """
-        packed = isinstance(bits, PackedBits)
-        if source in ignored:
-            if packed:
-                return dict.fromkeys(range(self.n), PackedBits.zeros(len(bits)))
-            return dict.fromkeys(range(self.n), [0] * len(bits))
-        if not packed:
-            for bit in bits:
-                if bit not in (0, 1):
-                    raise ValueError("bit must be 0 or 1, got %r" % (bit,))
-        if self.adversary.controls(source):
-            outcomes = []
-            view = self._view()  # one snapshot for the call's instances
-            for bit in bits.tolist() if packed else bits:
-                instance = self._next_instance()
-                value = self.adversary.ideal_broadcast_bit(
-                    source, bit, instance, view
-                )
-                outcomes.append(1 if value else 0)
-            if packed:
-                outcomes = PackedBits.from_bits(outcomes)
-        else:
-            # Honest source: the outcome is the input; one bulk instance
-            # bump replaces the per-bit counter walk.
-            self.stats.instances += len(bits)
-            outcomes = bits if packed else list(bits)
-        self.stats.bits_charged += self._b * len(bits)
-        self.meter.add(
-            tag,
-            self._b * len(bits),
-            messages=self.n * (self.n - 1) * len(bits),
-        )
-        return dict.fromkeys(range(self.n), outcomes)
+        """One row through :meth:`_dispatch`: the base class's
+        semantics (one instance per bit) with one meter entry."""
+        return self._dispatch([(source, bits)], tag, ignored)[0]
 
     def charge_honest_instances(self, tag: str, count: int) -> None:
         """O(1) bulk accounting for ``count`` honest-source instances.
@@ -140,21 +96,36 @@ class AccountedIdealBroadcast(BroadcastBackend):
         )
 
     def broadcast_bits_many_grouped(self, rows, tag, ignored=frozenset()):
-        """Grouped fast path: plan each row in order (per-source planning
-        hooks fire in the scalar plan/dispatch interleaving), collapse
-        honest rows to bulk instance bumps, replay controlled rows'
-        per-instance hook sequence at their exact position, and write
-        one summed meter entry for the whole group — byte-identical
-        ``Counter`` state to per-row :meth:`broadcast_bits` calls.
+        """Lazily planned rows through :meth:`_dispatch`: each
+        ``plan()`` runs immediately before its row dispatches, so
+        per-source planning hooks keep the scalar plan/dispatch
+        interleaving."""
+        return self._dispatch(
+            ((source, plan()) for source, plan in rows), tag, ignored
+        )
 
-        The returned per-pid lists of one row are shared (not copied per
-        pid); callers must treat them as read-only.
+    def broadcast_bits_many(self, rows, tag, ignored=frozenset()):
+        """Rows known up front through :meth:`_dispatch`."""
+        return self._dispatch(rows, tag, ignored)
+
+    def _dispatch(self, rows, tag, ignored):
+        """The one row loop behind every per-pid entry point.
+
+        ``rows`` is an iterable of ``(source, bits)``, consumed one row
+        at a time.  Honest and controlled rows are handled as the class
+        docstring says (one view snapshot per controlled row), ignored
+        sources yield zero rows without charges or hooks, and the call
+        writes one summed meter entry.
+
+        Packed rows (:class:`~repro.utils.bits.PackedBits`) skip the
+        per-bit validation (0/1 by construction) and come back packed —
+        an honest one *as-is*, a controlled one unpacked, replayed and
+        repacked.  The per-pid values of one row are one shared object;
+        callers must treat them as read-only.
         """
         outcomes: list = []
         total = 0
-        charged_rows = 0
-        for source, plan in rows:
-            bits = plan()
+        for source, bits in rows:
             packed = isinstance(bits, PackedBits)
             if not packed:
                 bits = list(bits)
@@ -174,8 +145,6 @@ class AccountedIdealBroadcast(BroadcastBackend):
                             "bit must be 0 or 1, got %r" % (bit,)
                         )
             if self.adversary.controls(source):
-                # Scalar per-instance replay: one view snapshot for the
-                # row, then one hook per bit with sequential instance ids.
                 view = self._view()
                 row = []
                 for bit in bits.tolist() if packed else bits:
@@ -190,9 +159,8 @@ class AccountedIdealBroadcast(BroadcastBackend):
                 self.stats.instances += len(bits)
                 row = bits
             total += len(bits)
-            charged_rows += 1
             outcomes.append(dict.fromkeys(range(self.n), row))
-        if charged_rows:
+        if total:
             self.stats.bits_charged += self._b * total
             self.meter.add(
                 tag,
@@ -245,50 +213,6 @@ class AccountedIdealBroadcast(BroadcastBackend):
                 self._b * total,
                 messages=self.n * (self.n - 1) * total,
             )
-        return outcomes
-
-    def broadcast_bits_many(self, rows, tag, ignored=frozenset()):
-        """Bulk fast path: when every source is honest and live, outcomes
-        are the inputs and the whole call is one accounting entry with
-        the summed totals — byte-identical Counter state to the per-row
-        scalar path.  Controlled sources fall back to the scalar loop so
-        adversary hooks observe the exact per-instance sequence.
-
-        The returned per-pid lists of one row are shared (not copied per
-        pid); callers must treat them as read-only.  Packed rows
-        (:class:`~repro.utils.bits.PackedBits`) skip per-bit validation
-        and are shared without copying — the bulk packed accounting path.
-        """
-        if not rows:
-            return []
-        if any(
-            self.adversary.controls(source) or source in ignored
-            for source, _ in rows
-        ):
-            return super().broadcast_bits_many(rows, tag, ignored)
-        total = 0
-        outcomes: list = []
-        for source, bits in rows:
-            if isinstance(bits, PackedBits):
-                row = bits  # 0/1 by construction; shared as-is
-            else:
-                for bit in bits:
-                    if bit not in (0, 1):
-                        raise ValueError(
-                            "bit must be 0 or 1, got %r" % (bit,)
-                        )
-                row = list(bits)
-            if not 0 <= source < self.n:
-                raise ValueError("source %d out of range" % source)
-            total += len(bits)
-            outcomes.append(dict.fromkeys(range(self.n), row))
-        self.stats.instances += total
-        self.stats.bits_charged += self._b * total
-        self.meter.add(
-            tag,
-            self._b * total,
-            messages=self.n * (self.n - 1) * total,
-        )
         return outcomes
 
     def bits_per_instance(self) -> float:

@@ -44,17 +44,19 @@ class MultiValuedConsensus:
     execution itself lives in the service package: :meth:`run` asks the
     lane planner (:mod:`repro.service.planner`) and either runs the
     per-generation engine
-    (:func:`repro.service.engine.execute_consensus`) or, for a
-    failure-free run with equal inputs, the cohort engine over a private
-    cohort of one (:mod:`repro.service.cohort`).
+    (:func:`repro.service.engine.execute_consensus`) or, for any run
+    whose honest processors share one input (adversarial or not), the
+    cohort engine over a private cohort of one
+    (:mod:`repro.service.cohort`).
 
     Two toggles select between the observationally identical engines
     (see ``docs/ARCHITECTURE.md`` for the contract):
 
-    * ``batch_generations`` — ``True`` (default) lets a failure-free
-      run with equal inputs replay its generations as O(1) accounting
-      each, with no encode at all; ``False`` forces the per-generation
-      protocol everywhere.
+    * ``batch_generations`` — ``True`` (default) sends any run whose
+      honest processors share one input through the cohort engine:
+      honest traffic is O(1) accounting per generation, adversary hooks
+      fire in scalar order, and a failure-free run never encodes at
+      all; ``False`` forces the per-generation protocol everywhere.
     * ``vectorized`` — ``True`` (default) runs each generation's
       array-backed path, whose diagnosis stage dispatches grouped
       broadcasts; ``False`` forces the scalar per-edge reference
@@ -116,16 +118,8 @@ class MultiValuedConsensus:
                 unchanged either way.
         """
         self.config = config
-        #: When True (the default), a failure-free equal-input run goes
-        #: through the cohort engine; False forces the per-generation
-        #: protocol everywhere (the reference, and an escape hatch).
+        #: The engine toggles (see the class docstring).
         self.batch_generations = batch_generations
-        #: When True (the default), per-generation protocols run their
-        #: vectorized adversarial path (array-backed views; requires an
-        #: error-free backend, falling back to scalar otherwise); False
-        #: forces the scalar per-edge reference implementation — the
-        #: baseline of the adversarial equivalence suite and of the
-        #: fault-injection benchmarks' `--check` discipline.
         self.vectorized = vectorized
         self.adversary = adversary if adversary is not None else Adversary()
         if (

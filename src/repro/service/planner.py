@@ -6,13 +6,14 @@ An instance runs one of three ways, and this module's
 * ``Lane.CLONE`` — priced from the service's failure-free template
   (:meth:`ConsensusService._clone_result`); nothing executes.
 * ``Lane.COHORT`` — :func:`repro.service.cohort.run_cohort_instance`
-  over a shared :class:`~repro.service.cohort.CohortContext`.  A
-  failure-free run is the cohort of the empty faulty set.
+  over a :class:`~repro.service.cohort.CohortContext`.  A single
+  instance is a cohort of one, a failure-free run the cohort of the
+  empty faulty set.
 * ``Lane.PER_GENERATION`` — :func:`repro.service.engine.
   execute_consensus`, one :class:`~repro.core.generation.
   GenerationProtocol` per generation (vectorized, or the scalar
-  reference when ``vectorized`` is off or the backend is probabilistic).
-  Every recorded run takes this lane.
+  reference when ``vectorized`` is off or the backend is probabilistic):
+  the traffic that cannot share, and every recorded run.
 
 All three are byte-identical to the forced-scalar reference; the choice
 only decides how much work is shared.
@@ -39,16 +40,13 @@ def plan_lane(
     batch_generations: bool,
     adversary: Adversary,
     inputs: Sequence[int],
-    batch: bool = False,
     reuse_results: bool = False,
     journal: bool = False,
 ) -> Lane:
     """The lane for one instance of the deployment ``(config,
-    vectorized, batch_generations)``.
+    vectorized, batch_generations)``, one-shot or one of a batch alike.
 
-    ``batch`` says the instance is one of a ``run_many`` batch (a lone
-    adversarial instance shares nothing, so it stays per-generation);
-    ``reuse_results`` that the caller holds a result template;
+    ``reuse_results`` says the caller holds a result template;
     ``journal`` that the run is recorded.
     """
     backend = BACKENDS[config.backend]
@@ -75,11 +73,10 @@ def plan_lane(
         return Lane.CLONE
     # The cohort engine charges honest broadcasts in O(1) and dispatches
     # controlled rows flat, on the vectorized engine's semantics.
-    cohort_capable = (
+    if (
         vectorized
         and backend.constant_cost_honest
         and hasattr(backend, "broadcast_rows_flat")
-    )
-    if cohort_capable and (batch or not faulty):
+    ):
         return Lane.COHORT
     return Lane.PER_GENERATION

@@ -72,11 +72,8 @@ class ConsensusService:
     Args:
         config_or_spec: the deployment, as a validated
             :class:`ConsensusConfig` or a declarative :class:`RunSpec`.
-        vectorized / batch_generations: engine toggles (see
-            :class:`MultiValuedConsensus`) of a deployment given as a
-            ``ConsensusConfig``; a :class:`RunSpec` carries its own, so
-            combining one with a non-default toggle raises
-            ``ValueError``.
+            The engine toggles (``vectorized``, ``batch_generations``)
+            are fields of the spec; a config gets the defaults.
         reuse_results: when ``True`` (default), ``run_many`` prices
             failure-free all-equal-input instances from one shared
             template run (their metering is value-independent) instead
@@ -88,26 +85,14 @@ class ConsensusService:
     def __init__(
         self,
         config_or_spec: Union[ConsensusConfig, RunSpec],
-        vectorized: bool = True,
-        batch_generations: bool = True,
         reuse_results: bool = True,
     ):
         if isinstance(config_or_spec, RunSpec):
-            if not (vectorized and batch_generations):
-                raise ValueError(
-                    "a RunSpec carries its own engine toggles; set "
-                    "vectorized/batch_generations on the spec, not on "
-                    "the service"
-                )
             self.spec = config_or_spec
             self.config = config_or_spec.make_config()
         elif isinstance(config_or_spec, ConsensusConfig):
             self.config = config_or_spec
-            self.spec = RunSpec.from_config(
-                config_or_spec,
-                vectorized=vectorized,
-                batch_generations=batch_generations,
-            )
+            self.spec = RunSpec.from_config(config_or_spec)
         else:
             raise TypeError(
                 "expected a ConsensusConfig or RunSpec, got %r"
@@ -437,7 +422,6 @@ class ConsensusService:
             self.spec.batch_generations,
             adversary,
             instance.inputs,
-            batch=True,
             reuse_results=reuse_results,
             journal=journal,
         )

@@ -38,6 +38,7 @@ from repro.service.serving.wire import (
     instance_to_wire,
     result_from_wire,
     runspec_to_wire,
+    value_to_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
 
@@ -244,7 +245,7 @@ class ServingClient:
         elif isinstance(inputs, int):
             # A bare value: the *server* broadcasts it to all n
             # processors, so clients need not know the deployment size.
-            payload["value"] = inputs
+            payload["value"] = value_to_wire(inputs)
             if attack is not None:
                 payload["attack"] = attack
             if seed is not None:

@@ -62,11 +62,16 @@ from repro.service.serving.wire import (
     result_to_wire,
     runspec_from_wire,
     runspec_to_wire,
+    value_from_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
 
 #: Default TCP port for ``repro-sim serve`` (overridable everywhere).
 DEFAULT_PORT = 7411
+
+#: Longest request line the TCP front-end reads (asyncio's 64 KiB
+#: default is below one instance at n=4, L=2^16: n × L/4 hex digits).
+MAX_FRAME_BYTES = 1 << 24
 
 
 class _Request:
@@ -231,7 +236,7 @@ class ConsensusServer:
             # down with it.
             if value < 0 or value >> spec.l_bits:
                 raise InvalidRequestError(
-                    "input value %d does not fit in l_bits=%d"
+                    "input value 0x%x does not fit in l_bits=%d"
                     % (value, spec.l_bits)
                 )
         attack = (
@@ -450,7 +455,7 @@ class ConsensusServer:
         """
         await self.start()
         self._tcp = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, limit=MAX_FRAME_BYTES
         )
         return self._tcp
 
@@ -465,7 +470,12 @@ class ConsensusServer:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Over MAX_FRAME_BYTES; the stream dropped part of it.
+                    await respond(_error(None, InvalidRequestError(str(exc))))
+                    break
                 if not line:
                     break
                 try:
@@ -526,7 +536,7 @@ class ConsensusServer:
                 elif "value" in message:
                     # The bare-value shorthand: the server broadcasts
                     # it to all n processors of the target deployment.
-                    inputs = int(message["value"])
+                    inputs = value_from_wire(message["value"])
                     overrides = {
                         "attack": message.get("attack"),
                         "seed": message.get("seed"),

@@ -7,11 +7,14 @@ line) over TCP.  Everything that crosses the wire is declarative —
 :class:`~repro.core.result.ConsensusResult` — and every codec here is
 **lossless**: ``decode(encode(x)) == x`` field for field, which is what
 lets the serving equivalence tests assert that a result served over TCP
-is byte-identical to a direct ``run_many`` on the same specs.  Python's
-``json`` keeps arbitrary-precision ints exact, so multi-thousand-bit
-consensus values need no hex detour; the only conversions are the
-JSON-forced ones (int dict keys to strings, tuples to lists), each
-inverted exactly on decode.
+is byte-identical to a direct ``run_many`` on the same specs.  The
+L-bit consensus values (instance inputs, result decisions, the common
+input, the ``submit`` op's bare ``value``) cross as lowercase hex
+strings: Python ≥ 3.11 refuses int↔decimal-string conversions beyond
+4300 digits, which a full-width value of L ≥ 2^14 bits exceeds, and hex
+conversion has no such cap.  Everything else stays a JSON int; the
+remaining conversions are the JSON-forced ones (int dict keys to
+strings, tuples to lists), each inverted exactly on decode.
 
 >>> from repro.service.spec import InstanceSpec
 >>> spec = InstanceSpec(inputs=(7, 7, 7, 7), attack="corrupt", seed=3)
@@ -32,8 +35,20 @@ from repro.network.metrics import MeterSnapshot
 from repro.service.spec import InstanceSpec, RunSpec
 
 #: Wire protocol identifier, bumped on any incompatible codec change;
-#: the server advertises it in every ``ps`` response.
-WIRE_VERSION = 1
+#: the server advertises it in every ``ps`` response.  2: L-bit values
+#: as hex strings.
+WIRE_VERSION = 2
+
+
+def value_to_wire(value: int) -> str:
+    """An L-bit value as a lowercase hex string (no prefix)."""
+    return "%x" % value
+
+
+def value_from_wire(text: str) -> int:
+    """Exact inverse of :func:`value_to_wire` (``TypeError`` for a JSON
+    number: wire v1 sent decimal ints here)."""
+    return int(text, 16)
 
 
 # -- specs ------------------------------------------------------------------
@@ -58,7 +73,7 @@ def runspec_from_wire(payload: dict) -> RunSpec:
 def instance_to_wire(instance: InstanceSpec) -> dict:
     """An :class:`InstanceSpec` as a JSON-safe dict."""
     return {
-        "inputs": list(instance.inputs),
+        "inputs": [value_to_wire(value) for value in instance.inputs],
         "attack": instance.attack,
         "seed": instance.seed,
         "faulty": (
@@ -70,7 +85,7 @@ def instance_to_wire(instance: InstanceSpec) -> dict:
 def instance_from_wire(payload: dict) -> InstanceSpec:
     """Exact inverse of :func:`instance_to_wire`."""
     return InstanceSpec(
-        inputs=tuple(payload["inputs"]),
+        inputs=tuple(value_from_wire(value) for value in payload["inputs"]),
         attack=payload.get("attack"),
         seed=payload.get("seed"),
         faulty=(
@@ -135,7 +150,8 @@ def result_to_wire(result: ConsensusResult) -> dict:
     ``total_bits``) the in-process one does."""
     return {
         "decisions": {
-            str(pid): value for pid, value in result.decisions.items()
+            str(pid): value_to_wire(value)
+            for pid, value in result.decisions.items()
         },
         "generation_results": [
             _generation_to_wire(record)
@@ -148,7 +164,10 @@ def result_to_wire(result: ConsensusResult) -> dict:
         "diagnosis_count": result.diagnosis_count,
         "default_used": result.default_used,
         "honest_inputs_equal": result.honest_inputs_equal,
-        "common_input": result.common_input,
+        "common_input": (
+            None if result.common_input is None
+            else value_to_wire(result.common_input)
+        ),
     }
 
 
@@ -156,7 +175,8 @@ def result_from_wire(payload: dict) -> ConsensusResult:
     """Exact inverse of :func:`result_to_wire`."""
     return ConsensusResult(
         decisions={
-            int(pid): value for pid, value in payload["decisions"].items()
+            int(pid): value_from_wire(value)
+            for pid, value in payload["decisions"].items()
         },
         generation_results=[
             _generation_from_wire(record)
@@ -169,5 +189,8 @@ def result_from_wire(payload: dict) -> ConsensusResult:
         diagnosis_count=payload["diagnosis_count"],
         default_used=payload["default_used"],
         honest_inputs_equal=payload["honest_inputs_equal"],
-        common_input=payload["common_input"],
+        common_input=(
+            None if payload["common_input"] is None
+            else value_from_wire(payload["common_input"])
+        ),
     )

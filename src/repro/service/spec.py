@@ -95,15 +95,7 @@ class RunSpec:
         )
 
     @classmethod
-    def from_config(
-        cls,
-        config: ConsensusConfig,
-        attack: str = "none",
-        seed: int = 0,
-        faulty: Optional[Sequence[int]] = None,
-        vectorized: bool = True,
-        batch_generations: bool = True,
-    ) -> "RunSpec":
+    def from_config(cls, config: ConsensusConfig) -> "RunSpec":
         """Describe an existing config (``b_function`` excepted — that
         field is a live callable and cannot be described declaratively;
         configs carrying one stay usable in-process but cannot cross to
@@ -114,14 +106,9 @@ class RunSpec:
             t=config.t,
             d_bits=config.d_bits,
             backend=config.backend,
-            attack=attack,
-            seed=seed,
-            faulty=tuple(faulty) if faulty is not None else None,
             default_value=config.default_value,
             kappa=config.kappa,
             allow_t_ge_n3=config.allow_t_ge_n3,
-            vectorized=vectorized,
-            batch_generations=batch_generations,
         )
 
 

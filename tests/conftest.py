@@ -8,6 +8,12 @@ from repro import ConsensusConfig, MultiValuedConsensus
 from repro.processors import Adversary
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: takes seconds; deselect with -m 'not slow'"
+    )
+
+
 #: (n, t) pairs covering the t < n/3 envelope at several scales.
 NT_PAIRS = [(4, 1), (5, 1), (7, 2), (10, 3), (13, 4)]
 

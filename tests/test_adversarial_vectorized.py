@@ -17,12 +17,14 @@ unpruned search the asymptotic bottleneck) must finish within a time
 budget.
 """
 
+import functools
 import random
 import time
 
 import numpy as np
 import pytest
 
+from repro.analysis import sweeps as sweeps_module
 from repro.analysis.sweeps import sweep_faults
 from repro.processors import FAULT_GRID_ATTACKS, make_attack
 from repro.core.config import ConsensusConfig
@@ -30,6 +32,7 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import RandomAdversary
+from repro.service import RunSpec
 
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
 CONSENSUS_HOOKS = {
@@ -73,10 +76,14 @@ class DiagnosisLiarAdversary(Adversary):
 def assert_runs_equivalent(config, inputs, adversary_factory, label):
     runs = {}
     for vectorized in (True, False):
+        # batch_generations=False: this suite holds the *per-generation*
+        # vectorized engine to the scalar one (the default engine for
+        # these runs is the cohort, covered by test_differential.py).
         consensus = MultiValuedConsensus(
             config,
             adversary=adversary_factory(),
             vectorized=vectorized,
+            batch_generations=False,
         )
         runs[vectorized] = (consensus, consensus.run(inputs))
     vec_consensus, vec = runs[True]
@@ -247,7 +254,9 @@ class TestVectorizedDispatch:
         )
         config = ConsensusConfig.create(n=7, l_bits=256)
         result = MultiValuedConsensus(
-            config, adversary=make_attack("trust_poison", 7, 2, 256)
+            config,
+            adversary=make_attack("trust_poison", 7, 2, 256),
+            batch_generations=False,
         ).run([99] * 7)
         assert result.error_free
 
@@ -289,23 +298,36 @@ class TestVectorizedDispatch:
 
 
 class TestSweepFaults:
-    def test_grid_rows_and_bounds(self):
-        points = sweep_faults([7], 1 << 10)
-        assert len(points) == len(FAULT_GRID_ATTACKS)
-        for point in points:
-            assert point.t == 2
-            assert point.diagnosis_count <= point.diagnosis_bound
-            assert not point.default_used
+    @staticmethod
+    def _both_engines(monkeypatch, *args, **kwargs):
+        """The grid on the default engine (the cohort of one) and on the
+        per-generation vectorized engine this suite is about —
+        ``sweep_faults`` builds its own ``RunSpec``, so the second is
+        pinned there."""
+        default = sweep_faults(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                sweeps_module, "RunSpec",
+                functools.partial(RunSpec, batch_generations=False),
+            )
+            return default, sweep_faults(*args, **kwargs)
 
-    def test_scalar_grid_matches_vectorized(self):
-        fast = sweep_faults([7], 1 << 9, attacks=["corrupt", "crash"])
+    def test_grid_rows_and_bounds(self, monkeypatch):
+        for points in self._both_engines(monkeypatch, [7], 1 << 10):
+            assert len(points) == len(FAULT_GRID_ATTACKS)
+            for point in points:
+                assert point.t == 2
+                assert point.diagnosis_count <= point.diagnosis_bound
+                assert not point.default_used
+
+    def test_scalar_grid_matches_vectorized(self, monkeypatch):
         slow = sweep_faults(
             [7], 1 << 9, attacks=["corrupt", "crash"], vectorized=False
         )
-        assert [p.total_bits for p in fast] == [p.total_bits for p in slow]
-        assert [p.diagnosis_count for p in fast] == [
-            p.diagnosis_count for p in slow
-        ]
+        for fast in self._both_engines(
+            monkeypatch, [7], 1 << 9, attacks=["corrupt", "crash"]
+        ):
+            assert fast == slow
 
     def test_unknown_attack_rejected(self):
         with pytest.raises(ValueError, match="unknown attack"):
@@ -421,6 +443,7 @@ class TestCliqueSearchRegression:
         result = MultiValuedConsensus(
             config,
             adversary=make_attack("corrupt", n, config.t, 256),
+            batch_generations=False,
         ).run([value] * n)
         elapsed = time.perf_counter() - start
         assert result.error_free

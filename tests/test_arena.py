@@ -108,8 +108,12 @@ class TestDirtyArenaRegression:
         fresh = []
         for instance in self._instances():
             run_spec = instance.resolve(spec)
+            # The per-generation engine on fresh state: the reference
+            # the arena's (n, n) buffers were written against.
             consensus = MultiValuedConsensus(
-                run_spec.make_config(), adversary=run_spec.make_adversary()
+                run_spec.make_config(),
+                adversary=run_spec.make_adversary(),
+                batch_generations=False,
             )
             fresh.append(consensus.run(list(instance.inputs)))
         for idx, (want, got) in enumerate(zip(fresh, shared)):
@@ -139,6 +143,7 @@ class TestDirtyArenaRegression:
                 config,
                 adversary=make_attack("corrupt", N, T, L, seed=3),
                 arena=arena,
+                batch_generations=False,
             )
             results.append(consensus.run([VALUE] * N))
         private = MultiValuedConsensus(

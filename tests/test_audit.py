@@ -91,6 +91,35 @@ def test_record_verify_replay_prove(n, attack):
     assert proof.transcript_digest == transcript.digest()
 
 
+def test_full_width_value_at_l_2_16(tmp_path):
+    """A full-width 2^16-bit value is ~19.7k decimal digits, past the
+    interpreter's 4300-digit int<->str cap (transcript format 1 could
+    not record it); the hex value fields carry it through record ->
+    save -> load -> verify -> prove."""
+    l_bits = 1 << 16
+    value = random.Random(16).getrandbits(l_bits) | 1 << (l_bits - 1)
+    spec = RunSpec(n=4, l_bits=l_bits, attack="crash")
+    result, recorded = ConsensusService(spec).record(value)
+    assert result.value == value
+    path = tmp_path / "transcript.json"
+    recorded.save(path)
+    transcript = Transcript.load(path)
+    assert transcript.digest() == recorded.digest()
+    assert transcript.result == result
+    assert verify_transcript(transcript).ok
+    proof = prove(transcript)
+    assert proof.ok
+    assert list(proof.culprits) == sorted(spec.make_adversary().faulty)
+
+
+def test_other_transcript_formats_are_refused():
+    _, transcript = ConsensusService(RunSpec(n=4, l_bits=32)).record(VALUE)
+    wire = transcript.to_wire()
+    wire["format"] = 1
+    with pytest.raises(ValueError, match="format 1"):
+        Transcript.from_wire(wire)
+
+
 def test_audited_service_fixture(audited_service):
     """The reusable fixture certifies runs end to end and still returns
     byte-identical results."""
@@ -282,7 +311,7 @@ def test_result_tampering_breaks_the_seal():
     service = ConsensusService(RunSpec(n=4, l_bits=16, attack="crash"))
     _, transcript = service.record(0xBEEF)
     wire = transcript.to_wire()
-    wire["result"]["decisions"]["0"] = 12345
+    wire["result"]["decisions"]["0"] = "3039"  # hex, wire v2
     report = verify_transcript(Transcript.from_wire(wire))
     assert not report.ok
     assert report.failed_index is None

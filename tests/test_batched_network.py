@@ -350,10 +350,15 @@ class TestBoolPayloadRegression:
             ("bool", _BoolPayloadAdversary([2])),
             ("invalid_int", _InvalidIntAdversary([2], 1 << config.symbol_bits)),
         ):
-            result = MultiValuedConsensus(config, adversary=adversary).run(
-                [value] * 7
+            # On the per-generation engine (``_valid_symbol``) and on
+            # the default one (the cohort classifies payloads itself).
+            result, default = (
+                MultiValuedConsensus(
+                    config, adversary=adversary, batch_generations=batch
+                ).run([value] * 7)
+                for batch in (False, True)
             )
-            assert result.error_free
+            assert result.error_free and result == default
             runs[name] = result
         assert runs["bool"].decisions == runs["invalid_int"].decisions
         assert (

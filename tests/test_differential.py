@@ -17,6 +17,7 @@ adversarial one a run through an already warm cohort.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.consensus import MultiValuedConsensus
 from repro.processors import ATTACKS
+from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import cohort as cohort_module
 from repro.service import engine as engine_module
@@ -152,10 +154,11 @@ def test_path_equals_forced_scalar_reference(path, attack, n, journal):
 
 def test_grid_reaches_every_lane(monkeypatch):
     """The grid above is only as good as its routing: the honest
-    second-of-batch instance must be a clone, the adversarial one a
-    cohort run, ``service.run`` must keep adversarial instances on the
-    per-generation engine, and a recorded run never enters the cohort
-    whatever path asks for it."""
+    second-of-batch instance must be a clone, an adversarial instance a
+    cohort run on every path (``run_many``, ``service.run`` and the
+    one-shot alike: a single instance is a cohort of one), an instance
+    under a fault plan a per-generation run, and a recorded run never
+    enters the cohort whatever path asks for it."""
     calls = {"execute_consensus": 0, "run_cohort_instance": 0}
     # The service binds both engines by name; the one-shot dispatch
     # looks them up in their home modules at call time.
@@ -189,11 +192,14 @@ def test_grid_reaches_every_lane(monkeypatch):
     assert lanes("run_many", "crash", 7, True) == (2, 0, False)
     assert lanes("run_many", "omit_rounds", 7, False) == (2, 0, False)
     assert lanes("service_run", "none", 7, False) == (0, 2, False)
+    assert lanes("service_run", "crash", 7, False) == (0, 2, False)
     assert lanes("service_run", "crash", 7, True) == (2, 0, False)
     assert lanes("service_run", "none", 7, True) == (2, 0, False)
     assert lanes("one_shot", "none", 7, False) == (0, 1, False)
     assert lanes("one_shot", "none", 7, True) == (1, 0, False)
-    assert lanes("one_shot", "crash", 7, False) == (1, 0, False)
+    assert lanes("one_shot", "crash", 7, False) == (0, 1, False)
+    assert lanes("one_shot", "crash", 7, True) == (1, 0, False)
+    assert lanes("one_shot", "omit_rounds", 7, False) == (1, 0, False)
 
 
 @pytest.fixture
@@ -359,3 +365,75 @@ def test_plan_memo(monkeypatch, encodes):
     [ctx] = honest._cohorts.values()
     assert plan_count(ctx) == 1
     assert encodes == []
+
+
+class LoggingRandomAdversary(RandomAdversary):
+    """A live adversary no registry name describes: the seeded chaos
+    monkey (one RNG shared by every hook, so any reordering of hook
+    calls changes every later return) logging each call's name and
+    arguments."""
+
+    def __init__(self, faulty, seed, rate):
+        super().__init__(faulty, seed, rate)
+        self.log = []
+
+
+def _logged(name):
+    def hook(self, *args):
+        # Mutable arguments (M rows, trust dicts) are snapshotted; the
+        # trailing argument is the view.
+        self.log.append((name,) + tuple(
+            tuple(sorted(arg.items())) if isinstance(arg, dict)
+            else tuple(arg) if isinstance(arg, list) else arg
+            for arg in args[:-1]
+        ))
+        return getattr(RandomAdversary, name)(self, *args)
+
+    return hook
+
+
+for _name in HOOKS + ("diagnosis_symbol", "trust_vector"):
+    setattr(LoggingRandomAdversary, _name, _logged(_name))
+
+
+@pytest.mark.parametrize("n, seed", [(4, 3), (7, 2), (7, 3), (10, 4)])
+def test_live_stateful_adversary_through_a_cold_cohort_of_one(
+    monkeypatch, n, seed
+):
+    """The one-shot ``run`` of a live adversary object — a private
+    cohort built cold inside the call — equals the forced-scalar run in
+    result, clocks and the full hook log."""
+    from repro.core.config import ConsensusConfig
+
+    entered = []
+    original = cohort_module.run_cohort_instance
+    monkeypatch.setattr(
+        cohort_module, "run_cohort_instance",
+        lambda *args: entered.append(1) or original(*args),
+    )
+    config = ConsensusConfig.create(n=n, l_bits=512)
+    value = random.Random(seed).getrandbits(512)
+    # Pid 0 sits inside the lexicographic-first P_match (so its
+    # diagnosis_symbol hook can fire), the rest outside.
+    faulty = [0] + list(range(n - config.t + 1, n))
+    observed = {}
+    for name, toggles in (
+        ("cohort", {}),
+        ("scalar", {"vectorized": False, "batch_generations": False}),
+    ):
+        adversary = LoggingRandomAdversary(faulty, seed, rate=0.15)
+        engine = MultiValuedConsensus(config, adversary=adversary, **toggles)
+        observed[name] = (
+            Observed(engine.run([value] * n), engine), adversary.log
+        )
+        assert len(entered) == 1  # the default run, never the scalar one
+    (cohort, cohort_log), (scalar, scalar_log) = (
+        observed["cohort"], observed["scalar"]
+    )
+    assert cohort.result == scalar.result and cohort.result.error_free
+    assert cohort.clocks == scalar.clocks
+    assert cohort_log == scalar_log
+    # The run was not a trivial one: every stage's hooks fired.
+    assert {call[0] for call in cohort_log} == set(HOOKS) | {
+        "diagnosis_symbol", "trust_vector",
+    }

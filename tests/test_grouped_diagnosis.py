@@ -105,7 +105,9 @@ class TestGroupedDiagnosisEquivalence:
         calls (symbols, then trust vectors) per diagnosis generation."""
         config = ConsensusConfig.create(n=7, l_bits=512)
         adversary = make_attack("corrupt", 7, config.t, 512)
-        consensus = MultiValuedConsensus(config, adversary=adversary)
+        consensus = MultiValuedConsensus(
+            config, adversary=adversary, batch_generations=False
+        )
         tags = []
         original = consensus.backend.broadcast_bits_many_grouped
 
@@ -299,9 +301,9 @@ class TestLargeN:
         value = random.Random(127).getrandbits(1 << 12)
         adversary = make_attack("trust_poison", n, config.t, 1 << 12)
         start = time.perf_counter()
-        result = MultiValuedConsensus(config, adversary=adversary).run(
-            [value] * n
-        )
+        result = MultiValuedConsensus(
+            config, adversary=adversary, batch_generations=False
+        ).run([value] * n)
         elapsed = time.perf_counter() - start
         assert result.error_free
         assert result.diagnosis_count == 1

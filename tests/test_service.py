@@ -328,22 +328,19 @@ class TestServiceApi:
 
     @pytest.mark.parametrize("toggle", ["vectorized", "batch_generations"])
     def test_spec_rejects_engine_toggle_keywords(self, toggle):
-        # A RunSpec carries its own toggles; the keyword used to be
-        # dropped silently and the default engine ran.
-        spec = RunSpec(n=4, l_bits=32)
-        with pytest.raises(ValueError, match="RunSpec carries its own"):
-            ConsensusService(spec, **{toggle: False})
-        # Spelling the default out, and reuse_results (not part of the
-        # spec), stay accepted; a config still takes the keywords.
-        service = ConsensusService(
-            spec, vectorized=True, batch_generations=True,
-            reuse_results=False,
-        )
-        assert service.spec is spec and not service.reuse_results
+        # The engine toggles have one spelling, the RunSpec's fields:
+        # the service takes them neither beside a spec nor beside a
+        # config.
+        spec = RunSpec(n=4, l_bits=32, **{toggle: False})
         config = ConsensusConfig.create(n=4, t=1, l_bits=32)
-        scalar = ConsensusService(config, **{toggle: False})
-        assert getattr(scalar.spec, toggle) is False
-        assert scalar.run(9) == service.run(9)
+        for deployment in (spec, config):
+            with pytest.raises(TypeError, match=toggle):
+                ConsensusService(deployment, **{toggle: False})
+        # reuse_results is not part of the spec and stays a keyword.
+        service = ConsensusService(spec, reuse_results=False)
+        assert service.spec is spec and not service.reuse_results
+        assert getattr(ConsensusService(config).spec, toggle) is True
+        assert service.run(9) == ConsensusService(config).run(9)
 
     def test_run_matches_one_shot(self):
         config = ConsensusConfig.create(n=7, t=2, l_bits=96)

@@ -14,6 +14,7 @@ No ``pytest-asyncio`` in the container: async scenarios run via
 """
 
 import asyncio
+import random
 import time
 
 import pytest
@@ -471,6 +472,35 @@ class TestServingOverTCP:
         with serve_background(SPEC) as client:
             served = client.submit(21, attack="corrupt", seed=3)
         assert wires([served]) == wires(direct)
+
+    def test_full_width_value_at_l_2_16_round_trips(self):
+        # ~19.7k decimal digits per value — past the interpreter's
+        # 4300-digit int<->str cap wire v1 ran into — and a request line
+        # past asyncio's 64 KiB default limit.
+        l_bits = 1 << 16
+        spec = RunSpec(n=4, l_bits=l_bits)
+        value = random.Random(16).getrandbits(l_bits) | 1 << (l_bits - 1)
+        batch = [
+            InstanceSpec(inputs=(value,) * 4),
+            InstanceSpec(inputs=(value,) * 4, attack="crash", seed=1),
+        ]
+        direct = ConsensusService(spec).run_many(batch)
+        with serve_background(spec) as client:
+            served = client.submit_many(batch)
+            bare = client.submit(value)
+        assert served == direct and bare == direct[0]
+        assert bare.value == value
+
+    def test_oversized_request_line_is_rejected_typed(self, monkeypatch):
+        from repro.service.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_FRAME_BYTES", 1 << 10)
+        with serve_background(SPEC) as client:
+            with pytest.raises(InvalidRequestError, match="limit"):
+                client.submit(InstanceSpec(inputs=(1,) * 400))
+            # The server hung up on that connection only.
+            client.close()
+            assert client.submit(5).value == 5
 
     def test_rejections_surface_as_the_same_exception_classes(self):
         with serve_background(SPEC) as client:
