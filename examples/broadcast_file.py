@@ -8,17 +8,22 @@ Byzantine relays and even a Byzantine source.
 
 Usage::
 
-    python examples/broadcast_file.py
+    python examples/broadcast_file.py [TOP_EXPONENT]
+
+``TOP_EXPONENT`` (default 24) caps the L sweep: L = 2^24 is 9199
+generations and most of the run time.
 
 See docs/ARCHITECTURE.md (layer map: the §4 broadcast sits in
 src/repro/core/ on top of the same coding and network layers).
 """
 
+import sys
+
 from repro.core import MultiValuedBroadcast
 from repro.processors import SymbolCorruptionAdversary
 
 
-def main() -> None:
+def main(top_exponent: int = 24) -> None:
     n, t = 10, 3
     l_bits = 8 * 4096  # a 4 KiB payload
     payload = int.from_bytes(bytes(range(256)) * 16, "big")
@@ -38,7 +43,7 @@ def main() -> None:
     # dominates at small L and washes out as L grows.  Show the trend.
     print("\nratio to the (n-1)L lower bound as L grows "
           "(paper: -> 1.5x + epsilon):")
-    for exp in (12, 16, 20, 24):
+    for exp in range(12, top_exponent + 1, 4):
         l = 1 << exp
         bc = MultiValuedBroadcast(n=n, t=t, l_bits=l)
         res = bc.run(source=0, value=payload % (1 << l))
@@ -66,4 +71,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*map(int, sys.argv[1:2]))

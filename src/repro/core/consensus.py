@@ -12,8 +12,8 @@ one-shot compatibility entry point::
 
 For anything beyond a single run, prefer the service layer
 (:class:`~repro.service.service.ConsensusService`), which is constructed
-once per configuration and amortizes the code tables, part splits and
-batched encodes across many instances::
+once per configuration and amortizes the code tables, the default
+split and the attack-shape plans across many instances::
 
     from repro import ConsensusService
 
@@ -32,6 +32,24 @@ from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
 from repro.utils.bits import pack_symbols, unpack_symbols
+
+
+def split_value(config: ConsensusConfig, value: int) -> List[List[int]]:
+    """Split an L-bit value into ``generations`` lists of ``k`` symbols.
+
+    Big-endian throughout; the tail generation is zero-padded, matching
+    the paper's divisibility convenience assumption.
+    """
+    if value < 0 or value >> config.l_bits:
+        raise ValueError("value does not fit in %d bits" % config.l_bits)
+    # Right-pad to the generation boundary, then split the whole value
+    # into symbols with one vectorised unpack instead of per-bit lists.
+    padded = value << (config.padded_bits - config.l_bits)
+    k = config.data_symbols
+    symbols = unpack_symbols(
+        padded, config.generations * k, config.symbol_bits
+    )
+    return [symbols[g * k:(g + 1) * k] for g in range(config.generations)]
 
 
 class MultiValuedConsensus:
@@ -84,7 +102,7 @@ class MultiValuedConsensus:
         batch_generations: bool = True,
         vectorized: bool = True,
         code=None,
-        parts_cache: Optional[Dict[int, List[List[int]]]] = None,
+        default_parts: Optional[List[List[int]]] = None,
         arena=None,
         journal: bool = False,
     ):
@@ -102,9 +120,9 @@ class MultiValuedConsensus:
                 shared instance so its (deterministic, content-keyed)
                 interpolation caches warm across instances.  Default:
                 build a fresh one.
-            parts_cache: shared content-keyed cache of
-                :meth:`parts_of` splits (value -> parts); entries are
-                shared read-only across instances.  Default: private.
+            default_parts: the split of ``config.default_value``, which
+                a deployment computes once for all its instances.
+                Default: split on first need.
             arena: a preallocated
                 :class:`~repro.service.arena.ExchangeArena` for the
                 vectorized data plane; the service passes its own so
@@ -142,8 +160,10 @@ class MultiValuedConsensus:
         if fault_plan is not None:
             self.network.install_faults(fault_plan.compile(config.n))
         self.code = code if code is not None else config.make_code()
-        self._parts_cache: Dict[int, List[List[int]]] = (
-            parts_cache if parts_cache is not None else {}
+        #: This instance's splits by value (see :meth:`parts_for`).
+        self._parts: Dict[int, List[List[int]]] = (
+            {} if default_parts is None
+            else {config.default_value: default_parts}
         )
         #: The vectorized data plane's preallocated exchange arena;
         #: ``None`` until a vectorized generation needs it (and forever
@@ -157,38 +177,18 @@ class MultiValuedConsensus:
     # -- value <-> symbol plumbing --------------------------------------------------
 
     def parts_of(self, value: int) -> List[List[int]]:
-        """Split an L-bit value into ``generations`` lists of ``k`` symbols.
-
-        Big-endian throughout; the tail generation is zero-padded, matching
-        the paper's divisibility convenience assumption.
-        """
-        config = self.config
-        if value < 0 or value >> config.l_bits:
-            raise ValueError(
-                "value does not fit in %d bits" % config.l_bits
-            )
-        # Right-pad to the generation boundary, then split the whole value
-        # into symbols with one vectorised unpack instead of per-bit lists.
-        padded = value << (config.padded_bits - config.l_bits)
-        k = config.data_symbols
-        symbols = unpack_symbols(
-            padded, config.generations * k, config.symbol_bits
-        )
-        return [
-            symbols[g * k:(g + 1) * k] for g in range(config.generations)
-        ]
+        """:func:`split_value` under this instance's config."""
+        return split_value(self.config, value)
 
     def parts_for(self, value: int) -> List[List[int]]:
-        """Content-keyed :meth:`parts_of`: one split per distinct value.
-
-        The cache may be shared across instances by the service layer;
-        the returned list (one object per value) is shared and must be
-        treated as read-only.
+        """Content-keyed :meth:`parts_of`: one split per distinct value
+        of this instance, however many processors hold it.  The returned
+        list (one object per value) is shared and must be treated as
+        read-only.
         """
-        parts = self._parts_cache.get(value)
+        parts = self._parts.get(value)
         if parts is None:
-            parts = self.parts_of(value)
-            self._parts_cache[value] = parts
+            parts = self._parts[value] = self.parts_of(value)
         return parts
 
     def value_of(self, parts: Sequence[Sequence[int]]) -> int:

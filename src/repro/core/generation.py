@@ -57,34 +57,10 @@ from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
 from repro.utils.bits import PackedBits, is_exact_int
-from repro.utils.memo import ValueMemo
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
 _MISSING = -1
-
-
-class ProtocolCaches:
-    """Shareable memo dictionaries for :class:`GenerationProtocol`.
-
-    Every cache is a pure content-keyed memo of a deterministic function
-    of the (config, code) pair — clique search by M-view, decode /
-    consistency by symbol set, encode by part — so one instance may be
-    shared across generations, and across *consensus instances* of one
-    deployment: the service layer's cohort batching hands one
-    :class:`ProtocolCaches` to every protocol of a cohort, turning the
-    per-generation caches (useful only within a single generation) into
-    cohort-lifetime ones — which is why the three keyed by symbol
-    *values* are bounded (the clique memo is keyed by M-view pattern).
-    """
-
-    __slots__ = ("clique", "decode", "consistency", "encode")
-
-    def __init__(self):
-        self.clique: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
-        self.decode: Dict[frozenset, Tuple[int, ...]] = ValueMemo()
-        self.consistency: Dict[frozenset, bool] = ValueMemo()
-        self.encode: Dict[Tuple[int, ...], List[int]] = ValueMemo()
 
 
 class GenerationProtocol:
@@ -101,7 +77,6 @@ class GenerationProtocol:
         generation: int,
         view_provider: Callable[[], GlobalView],
         vectorized: bool = True,
-        caches: Optional[ProtocolCaches] = None,
         arena=None,
     ):
         self.config = config
@@ -127,16 +102,13 @@ class GenerationProtocol:
         if not self._honest:
             raise ValueError("at least one fault-free processor required")
         self._reference = self._honest[0]
-        # Private per-generation memos by default; a caller-supplied
-        # ProtocolCaches (cohort batching) substitutes cohort-lifetime
-        # ones — every entry is content-keyed and deterministic, so
-        # sharing never changes an outcome.
-        if caches is None:
-            caches = ProtocolCaches()
-        self._clique_cache = caches.clique
-        self._decode_cache = caches.decode
-        self._consistency_cache = caches.consistency
-        self._encode_cache = caches.encode
+        # Per-generation memos: the n processors of one generation hold
+        # few distinct symbol sets, so each is coded once; nothing here
+        # outlives the generation.
+        self._clique_cache: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
+        self._decode_cache: Dict[frozenset, Tuple[int, ...]] = {}
+        self._consistency_cache: Dict[frozenset, bool] = {}
+        self._codeword_cache: Dict[Tuple[int, ...], List[int]] = {}
         #: numpy lane for symbol matrices: wide interleaved super-symbols
         #: do not fit an int64, so they fall back to object arrays (the
         #: boolean mask algebra is dtype-independent).
@@ -184,10 +156,10 @@ class GenerationProtocol:
         holding the same part (the common all-equal-inputs case) share one
         codeword computation instead of encoding once per processor."""
         key = tuple(part)
-        cached = self._encode_cache.get(key)
+        cached = self._codeword_cache.get(key)
         if cached is None:
             cached = self.code.encode(list(key))
-            self._encode_cache[key] = cached
+            self._codeword_cache[key] = cached
         return cached
 
     def _cached_decode(self, positions: Dict[int, int]) -> Tuple[int, ...]:

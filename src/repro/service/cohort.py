@@ -34,17 +34,18 @@ the paper's Algorithm 1:
    rows, resolve the match set, fire the overridden ``detected_flag``
    hooks, dispatch the flags, then decide — or, when a flag is raised,
    delegate to the vectorized
-   :meth:`GenerationProtocol._diagnosis_stage_vec` on a protocol wired
-   to the cohort's shared caches (diagnosis is rare and already
-   grouped).
+   :meth:`GenerationProtocol._diagnosis_stage_vec` (diagnosis is rare
+   and already grouped).
 
-Besides the plans the context shares everything the protocol recomputes
-identically across its instances: the diagnosis-graph *structure* per
-graph state, the M view → ``P_match`` clique search (one per distinct M
-view, however many generations and instances produce it), decode /
-consistency memos (:class:`~repro.core.generation.ProtocolCaches`)
-shared with the delegated diagnosis stage, the ``(n, n)`` diagnosis
-scatter buffer and the per-part shared decisions dicts.
+What the context keeps across its instances is **value-independent**:
+one table of diagnosis-graph *structures*, each holding the plans and
+the M view → ``P_match`` match sets (one clique search per distinct M
+view, however many generations and instances produce it) reached in its
+graph state, plus the ``(n, n)`` diagnosis scatter buffer.  Everything
+derived from an instance's values — part tuples, whole-run codewords —
+lives on its :class:`_InstanceRun` and dies with it.  A seeded attack
+(``random``) makes a pattern a value in disguise, so the table forgets
+at :data:`MAX_PATTERN_ENTRIES`.
 
 The contract is the PR 3/PR 5 discipline wholesale: results — decisions,
 :class:`~repro.core.result.GenerationResult` records, meter snapshots,
@@ -85,17 +86,18 @@ import numpy as np
 from repro.coding.reed_solomon import DecodingError
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.consensus import MultiValuedConsensus
-from repro.core.generation import (
-    _MISSING,
-    GenerationProtocol,
-    ProtocolCaches,
-)
+from repro.core.generation import _MISSING, GenerationProtocol
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.service.engine import finalize_result, prepare_instance
 from repro.utils.bits import is_exact_int
-from repro.utils.memo import ValueMemo
+
+#: Pattern entries (graph structures, their plans and match sets) a
+#: cohort keeps before it starts over: each is a pure function of its
+#: key.  A deterministic attack recurs through a few dozen at most
+#: (``slow_bleed``: one graph state per diagnosis), a seeded one never.
+MAX_PATTERN_ENTRIES = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,12 +125,12 @@ class _GraphStructure:
     """
 
     __slots__ = (
-        "key", "mask", "isolated", "live", "fab_recips", "fab_sent",
+        "mask", "isolated", "live", "fab_recips", "fab_sent",
         "honest_edges", "base_bool", "base_bits", "m_total", "plans",
+        "matches",
     )
 
-    def __init__(self, graph, controlled: FrozenSet[int], n: int, key):
-        self.key = key
+    def __init__(self, graph, controlled: FrozenSet[int], n: int):
         # Isolation drops every edge of the pid, so the mask alone
         # already encodes liveness (its isolated rows/columns are zero);
         # copy it because trust_mask() is a live view of mutable state.
@@ -163,6 +165,9 @@ class _GraphStructure:
         #: Deviation pattern -> the memoized plan of a generation that
         #: shows it in this graph state (see :class:`_Plan`).
         self.plans: Dict[Tuple, _Plan] = {}
+        #: (honest deviations, live controlled M rows) -> the match set
+        #: of that M view in this graph state (see :class:`_MatchInfo`).
+        self.matches: Dict[Tuple, _MatchInfo] = {}
 
 
 class _Plan:
@@ -290,7 +295,6 @@ class CohortContext:
         code,
         adversary: Adversary,
         arena,
-        encode_cache=None,
     ):
         self.config = config
         self.code = code
@@ -315,22 +319,8 @@ class CohortContext:
         self.ib_default = (
             a_type.ideal_broadcast_bit is Adversary.ideal_broadcast_bit
         )
-        #: Protocol-level memos shared with delegated diagnosis stages.
-        self.caches = ProtocolCaches()
-        # Pattern-keyed tables: a handful of entries per attack shape,
-        # kept for good.
+        #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
-        self._match: Dict[Tuple, _MatchInfo] = {}
-        # Value-keyed tables: bounded, a long-lived cohort sees an
-        # endless stream of fresh values.
-        self._values: Dict[tuple, int] = ValueMemo()
-        self._decisions: Dict[tuple, Dict[int, tuple]] = ValueMemo()
-        self._part_tuples: Dict[int, List[tuple]] = ValueMemo()
-        #: Whole-run codewords by part sequence; the service passes its
-        #: own table so its cross-instance batched encode lands here.
-        self._encodes: Dict[Tuple, List[List[int]]] = (
-            encode_cache if encode_cache is not None else ValueMemo()
-        )
         #: The owner's exchange arena (the service's, or a one-shot
         #: run's own), so the cohort reuses the same (n, n) buffers as
         #: the per-instance engines; delegated diagnosis protocols get
@@ -345,10 +335,10 @@ class CohortContext:
         zero, so the key only carries the live controlled rows on top
         of that."""
         live = struct.live
-        mkey = (struct.key, hdev_key, tuple(
+        mkey = (hdev_key, tuple(
             tuple(outcomes[i]) for i in self.controlled_sorted if live[i]
         ))
-        info = self._match.get(mkey)
+        info = struct.matches.get(mkey)
         if info is None:
             n = self.n
             m_matrix = np.empty((n, n), dtype=bool)
@@ -364,7 +354,7 @@ class CohortContext:
             info = _MatchInfo(
                 p_match, struct, self.controlled, self.honest, self.k, n
             )
-            self._match[mkey] = info
+            struct.matches[mkey] = info
         return info
 
     def structure_for(self, graph) -> _GraphStructure:
@@ -372,52 +362,20 @@ class CohortContext:
         key = (mask.tobytes(), tuple(sorted(graph.isolated)))
         struct = self._structs.get(key)
         if struct is None:
-            struct = _GraphStructure(graph, self.controlled, self.n, key)
+            struct = _GraphStructure(graph, self.controlled, self.n)
             self._structs[key] = struct
         return struct
 
-    def codeword_runs(self, parts: List[List[int]]) -> List[List[int]]:
-        """Whole-run codewords for one part sequence: one batched
-        ``(generations * rows, k)`` generator matmat, memoized."""
-        key = tuple(tuple(part) for part in parts)
-        runs = self._encodes.get(key)
-        if runs is None:
-            runs = self.code.encode_generations(parts)
-            self._encodes[key] = runs
-        return runs
-
-    def part_tuples_for(self, value: int, parts) -> List[tuple]:
-        """Per-generation part tuples of one input value, shared across
-        the cohort (the conforming decision rows decode to exactly the
-        sender's own part)."""
-        tuples = self._part_tuples.get(value)
-        if tuples is None:
-            tuples = [tuple(part) for part in parts]
-            self._part_tuples[value] = tuples
-        return tuples
-
-    def decisions_for(self, part: tuple) -> Dict[int, tuple]:
-        decisions = self._decisions.get(part)
-        if decisions is None:
-            decisions = {pid: part for pid in self.honest}
-            self._decisions[part] = decisions
-        return decisions
-
-    def cached_decode(self, positions: Dict[int, int]) -> Tuple[int, ...]:
-        key = frozenset(positions.items())
-        cached = self.caches.decode.get(key)
-        if cached is None:
-            cached = tuple(self.code.decode_subset(positions))
-            self.caches.decode[key] = cached
-        return cached
-
-    def cached_consistent(self, positions: Dict[int, int]) -> bool:
-        key = frozenset(positions.items())
-        cached = self.caches.consistency.get(key)
-        if cached is None:
-            cached = self.code.is_consistent(positions)
-            self.caches.consistency[key] = cached
-        return cached
+    def forget_if_full(self) -> None:
+        """Start the pattern table over once it holds
+        :data:`MAX_PATTERN_ENTRIES` (checked between instances, so a
+        run never loses the structure it carries)."""
+        retained = sum(
+            1 + len(struct.plans) + len(struct.matches)
+            for struct in self._structs.values()
+        )
+        if retained >= MAX_PATTERN_ENTRIES:
+            self._structs.clear()
 
 
 def _row_bits(row: Sequence[bool], i: int) -> List[int]:
@@ -434,20 +392,24 @@ class _InstanceRun:
     """One cohort instance's generation loop over the shared context."""
 
     __slots__ = (
-        "ctx", "consensus", "adversary", "ref_parts", "cw_runs",
-        "ref_tuples", "distinct", "ms_skip", "default_parts", "view",
-        "struct", "rows", "conforming",
+        "ctx", "consensus", "adversary", "ref_parts", "ref_codewords",
+        "cw_runs", "ref_tuples", "distinct", "ms_skip", "default_parts",
+        "view", "struct", "rows", "conforming",
     )
 
-    def __init__(self, ctx, consensus, ref_parts, ref_tuples, distinct,
+    def __init__(self, ctx, consensus, ref_parts, ref_codewords, distinct,
                  default_parts):
         self.ctx = ctx
         self.consensus = consensus
         self.adversary = consensus.adversary
         self.ref_parts = ref_parts
+        #: The honest value's whole-run codewords, if its batch encoded them.
+        self.ref_codewords = ref_codewords
         #: Per-pid whole-run codewords, encoded on first read (_rows).
         self.cw_runs = None
-        self.ref_tuples = ref_tuples
+        #: Per-generation part tuples of the honest value (a conforming
+        #: decision row decodes to exactly the sender's own part).
+        self.ref_tuples = [tuple(part) for part in ref_parts]
         #: Controlled pid -> parts, where its effective input differs
         #: from the honest one.
         self.distinct = distinct
@@ -475,11 +437,22 @@ class _InstanceRun:
         if rows is None:
             cw_runs = self.cw_runs
             if cw_runs is None:
+                # One batched (generations * rows, k) generator matmat
+                # per distinct value: parts_for hands the pids holding
+                # one value one parts object.
                 ctx = self.ctx
-                cw_runs = [ctx.codeword_runs(self.ref_parts)] * ctx.n
-                for pid, parts in self.distinct.items():
-                    cw_runs[pid] = ctx.codeword_runs(parts)
-                self.cw_runs = cw_runs
+                encode = ctx.code.encode_generations
+                ref_parts = self.ref_parts
+                runs_of = {
+                    id(ref_parts): self.ref_codewords or encode(ref_parts)
+                }
+                for parts in self.distinct.values():
+                    if id(parts) not in runs_of:
+                        runs_of[id(parts)] = encode(parts)
+                cw_runs = self.cw_runs = [
+                    runs_of[id(self.distinct.get(pid, ref_parts))]
+                    for pid in ctx.pids
+                ]
             row_of = [runs[g] for runs in cw_runs]
             rows = self.rows = (row_of, row_of[self.ctx.honest[0]])
         return rows
@@ -633,7 +606,7 @@ class _InstanceRun:
             )
         # Line 2(c): decide C^{-1}(R_i / P_match).
         if check.clean:
-            decisions = ctx.decisions_for(self.ref_tuples[g])
+            decisions = dict.fromkeys(ctx.honest, self.ref_tuples[g])
         else:
             self.conforming = False
             decisions = self._general_decisions(info, struct, valid, g)
@@ -698,7 +671,7 @@ class _InstanceRun:
                 # P_match symbols, some valid but off the codeword.
                 mask = struct.mask
                 cw = self._rows(g)[1]
-                hit = not ctx.cached_consistent({
+                hit = not ctx.code.is_consistent({
                     j: valid[(j, q)] if j in ctx.controlled else cw[j]
                     for j in info.p_match if mask[q, j]
                 })
@@ -714,9 +687,9 @@ class _InstanceRun:
 
     def _diagnose(self, struct, g, p_match, valid, flagged, detectors):
         """Lines 3(a)-3(i), delegated: diagnosis is rare and already
-        grouped, so it runs the vectorized protocol's own stage on the
-        cohort's shared caches.  ``flagged`` are the outsiders whose
-        broadcast Detected flag is set."""
+        grouped, so it runs the vectorized protocol's own stage.
+        ``flagged`` are the outsiders whose broadcast Detected flag is
+        set."""
         ctx = self.ctx
         consensus = self.consensus
         # Diagnosis mutates the graph: drop the carried structure.
@@ -735,7 +708,6 @@ class _InstanceRun:
             generation=g,
             view_provider=consensus._make_view,
             vectorized=True,
-            caches=ctx.caches,
             arena=ctx.arena,
         )
         return protocol._diagnosis_stage_vec(
@@ -831,7 +803,7 @@ class _InstanceRun:
                     j: v for j, v in zip(p_match, values) if v != _MISSING
                 }
                 try:
-                    decided = ctx.cached_decode(positions)
+                    decided = tuple(ctx.code.decode_subset(positions))
                 except (DecodingError, ValueError):
                     raise ProtocolInvariantError(
                         "undecodable checking-stage symbols at pid %d"
@@ -868,6 +840,7 @@ def run_cohort_instance(
     ctx: CohortContext,
     consensus: MultiValuedConsensus,
     inputs: Sequence[int],
+    prewarmed: Optional[Dict[int, Tuple[list, list]]] = None,
 ):
     """Run one cohort-eligible instance; byte-identical to the
     per-generation engine on the same ``consensus`` and ``inputs``.
@@ -878,12 +851,17 @@ def run_cohort_instance(
     processors sharing one raw input value — that shared value's
     codeword is the baseline every deviation is classified against.
     The controlled set may be empty (a failure-free run).
+
+    ``prewarmed`` maps a value to its (split, whole-run codewords) where
+    the caller's batch computed them (:meth:`ConsensusService._prewarm`).
     """
     config = consensus.config
     honest = ctx.honest
+    ctx.forget_if_full()
     effective = prepare_instance(consensus, inputs)
     ref_value = effective[honest[0]]
-    ref_parts = consensus.parts_for(ref_value)
+    warm = prewarmed.get(ref_value) if prewarmed else None
+    ref_parts, ref_codewords = warm or (consensus.parts_for(ref_value), None)
     default_parts = consensus.parts_for(config.default_value)
     # Controlled pids whose effective input differs from the honest one
     # (input_value hooks): their M expectation rows need elementwise
@@ -895,12 +873,7 @@ def run_cohort_instance(
         if effective[pid] != ref_value
     }
     run = _InstanceRun(
-        ctx,
-        consensus,
-        ref_parts,
-        ctx.part_tuples_for(ref_value, ref_parts),
-        distinct,
-        default_parts,
+        ctx, consensus, ref_parts, ref_codewords, distinct, default_parts
     )
     generation_results: List[GenerationResult] = []
     default_used = False
@@ -910,21 +883,16 @@ def run_cohort_instance(
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
             default_used = True
             break
-    if run.conforming:
-        # Every generation decided the reference part itself: one
-        # shared column instead of n transposed copies.
-        decided_parts = dict.fromkeys(honest, run.ref_tuples)
-    else:
-        decided_parts = {
-            pid: [result.decisions[pid] for result in generation_results]
-            for pid in honest
-        }
     ctx.instances += 1
-    # The conforming decision rows are the reference parts themselves,
-    # whose packed value is the honest input — seed the shared packing
-    # cache so finalize never re-packs a conforming run.
-    ctx._values[tuple(run.ref_tuples)] = ref_value
+    # A conforming run decided the reference part itself every
+    # generation, whose packed value is the honest input: nothing to
+    # reassemble.
+    conforming = run.conforming
+    decided_parts = None if conforming else {
+        pid: [result.decisions[pid] for result in generation_results]
+        for pid in honest
+    }
     return finalize_result(
         consensus, inputs, honest, generation_results, decided_parts,
-        default_used, value_cache=ctx._values,
+        default_used, conforming_value=ref_value if conforming else None,
     )

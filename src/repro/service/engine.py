@@ -72,35 +72,31 @@ def finalize_result(
     inputs: Sequence[int],
     honest: List[int],
     generation_results: List[GenerationResult],
-    decided_parts: Dict[int, List[Sequence[int]]],
+    decided_parts: Optional[Dict[int, List[Sequence[int]]]],
     default_used: bool,
-    value_cache: Optional[Dict[tuple, int]] = None,
+    conforming_value: Optional[int] = None,
 ) -> ConsensusResult:
     """Shared run epilogue: reassemble per-generation decisions into the
     L-bit outputs and snapshot the meter — identical for every engine.
 
-    ``value_cache`` optionally shares the parts→value packing across
-    runs (the cohort runner passes a per-cohort cache pre-seeded with
-    the conforming decision rows, whose packed value is the honest
-    input itself)."""
+    ``conforming_value`` is the value every fault-free processor
+    decided, when the caller knows it without reassembling (the cohort
+    runner's conforming runs decide the honest input's own parts);
+    ``decided_parts`` is then not read."""
     config = consensus.config
-    decisions: Dict[int, int] = {}
     if default_used:
-        for pid in honest:
-            decisions[pid] = config.default_value
+        decisions = dict.fromkeys(honest, config.default_value)
+    elif conforming_value is not None:
+        decisions = dict.fromkeys(honest, conforming_value)
     else:
         # Identical per-generation decisions reassemble to the same
         # value; share the packing across fault-free processors.
-        if value_cache is None:
-            value_cache = {}
+        decisions = {}
         parts = value = None
         for pid in honest:
             if decided_parts[pid] != parts:  # else: same as the last pid
                 parts = decided_parts[pid]
-                key = tuple(tuple(part) for part in parts)
-                if key not in value_cache:
-                    value_cache[key] = consensus.value_of(parts)
-                value = value_cache[key]
+                value = consensus.value_of(parts)
             decisions[pid] = value
 
     honest_inputs = [inputs[pid] for pid in honest]

@@ -21,7 +21,7 @@ An :class:`Executor` receives the service and the coerced
   executor the serving tier (:mod:`repro.service.serving`) drives.
 
 Choosing between them: static sharding has no queue traffic and each
-shard amortizes its own template/encode caches over the longest
+shard amortizes its own template and batched encodes over the longest
 possible run of instances; it pays from about n = 31 up (1.5-1.6x on
 two CPUs), below that pool start-up costs more than the batch.  The
 async executor is not about parallelism at all (one worker thread,

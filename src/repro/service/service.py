@@ -3,19 +3,24 @@
 ``MultiValuedConsensus(config).run(values)`` rebuilds the code tables,
 the backend and the network on every call — fine for one run, wasteful
 for traffic.  :class:`ConsensusService` is constructed **once** per
-deployment and owns everything reusable across instances:
+deployment and owns everything reusable across instances.  What it
+keeps for its lifetime is **value-independent** — *shapes*, never
+values:
 
 * the code tables (one ``config.make_code()``, interpolation caches
   warm across instances),
-* the content-keyed ``parts_of`` split cache (one split per distinct
-  value, however many instances hold it),
-* the cross-instance encode cache (one
-  ``(instances × generations × rows, k)`` generator matmat for a whole
-  batch's adversarial cohorts),
-* the attack-shape cohort contexts (:mod:`repro.service.cohort`),
+* the default value's split (a function of the config alone),
+* the attack-shape cohort contexts (:mod:`repro.service.cohort`):
+  graph structures, plans, match sets,
 * the failure-free *result template* (the metering of an all-match run
   is value-independent, so one real run prices every failure-free
   instance of the batch).
+
+Everything derived from an input value — its split, its codewords, its
+decision rows — is scoped to its instance, or to its ``run_many`` batch
+(one ``(instances × generations × rows, k)`` generator matmat encodes
+the batch's adversarial cohort values), and dies with it
+(``docs/ARCHITECTURE.md``, "What a deployment remembers").
 
 Which engine runs an instance is the lane planner's decision
 (:func:`repro.service.planner.plan_lane`), nowhere else's.
@@ -45,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import BACKENDS, ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus
+from repro.core.consensus import MultiValuedConsensus, split_value
 from repro.core.result import ConsensusResult, GenerationResult
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary
@@ -59,7 +64,6 @@ from repro.service.spec import (
     WorkloadSpec,
     cohort_key,
 )
-from repro.utils.memo import ValueMemo
 
 #: Anything ``run_many``/``submit`` accepts as one instance: a spec, the
 #: per-processor input sequence, or a single value every processor holds.
@@ -102,10 +106,10 @@ class ConsensusService:
         #: One code instance for every run of this service; its
         #: interpolation caches warm monotonically across instances.
         self.code = self.config.make_code()
-        # Value-keyed memos: bounded, the deployment is long-lived.
-        self._parts_cache: Dict[int, List[List[int]]] = ValueMemo()
-        self._encode_cache: Dict[tuple, List[List[int]]] = ValueMemo()
-        self._decisions_cache: Dict[tuple, Dict[int, tuple]] = ValueMemo()
+        #: The default value's split, a function of the config alone.
+        self._default_parts = split_value(
+            self.config, self.config.default_value
+        )
         #: value-independent failure-free template (see _clone_result).
         self._template: Optional[ConsensusResult] = None
         self._pending: List[InstanceSpec] = []
@@ -137,7 +141,7 @@ class ConsensusService:
         journal: bool = False,
     ) -> MultiValuedConsensus:
         """A fresh per-instance engine wired to this service's shared
-        read-only state (code tables, part splits) and, on the
+        read-only state (code tables, the default split) and, on the
         vectorized path, the shared exchange arena."""
         arena = (
             self._ensure_arena()
@@ -152,27 +156,10 @@ class ConsensusService:
             batch_generations=self.spec.batch_generations,
             vectorized=self.spec.vectorized,
             code=self.code,
-            parts_cache=self._parts_cache,
+            default_parts=self._default_parts,
             arena=arena,
             journal=journal,
         )
-
-    def parts_for(self, value: int) -> List[List[int]]:
-        """The service-shared content-keyed ``parts_of`` split.
-
-        Splitting depends only on the config; the splitter engine is a
-        meterless throwaway wired to the same shared cache every
-        per-instance engine consults.
-        """
-        return self._splitter.parts_for(value)
-
-    @property
-    def _splitter(self) -> MultiValuedConsensus:
-        engine = getattr(self, "_splitter_engine", None)
-        if engine is None:
-            engine = self._make_engine(Adversary([]))
-            self._splitter_engine = engine
-        return engine
 
     # -- single-instance API ------------------------------------------------
 
@@ -204,7 +191,7 @@ class ConsensusService:
 
         Always executes a real engine — byte-identical to
         ``MultiValuedConsensus(config, adversary).run(inputs)`` but with
-        the service's shared code tables and caches.
+        the service's shared code tables.
         """
         if adversary is not None and (
             attack is not None or seed is not None or faulty is not None
@@ -398,13 +385,13 @@ class ConsensusService:
                 journal=transcript is not None,
             )
             plan.append((instance, adversary, lane))
-        self._prewarm_encodes(plan)
+        prewarmed = self._prewarm(plan)  # dies with the batch
         for idx, (instance, adversary, lane) in enumerate(plan):
             if lane is Lane.CLONE:
                 results[idx] = self._run_or_clone(instance, adversary)
             else:
                 results[idx] = self._execute(
-                    instance, adversary, lane, transcript
+                    instance, adversary, lane, transcript, prewarmed
                 )
         return results  # type: ignore[return-value]
 
@@ -432,20 +419,23 @@ class ConsensusService:
         adversary: Adversary,
         lane: Lane,
         transcript=None,
+        prewarmed=None,
     ) -> ConsensusResult:
-        """Execute one instance on ``lane`` with a fresh engine,
-        recording it when a ``transcript`` recorder is given."""
+        """Execute one instance on ``lane`` with a fresh engine (handing
+        it its batch's :meth:`_prewarm` table), recording it when a
+        ``transcript`` recorder is given."""
         engine = self._make_engine(adversary, journal=transcript is not None)
         if lane is Lane.COHORT:
             key = cohort_key(self.spec, instance)
             ctx = self._cohorts.get(key)
             if ctx is None:
                 ctx = CohortContext(
-                    self.config, self.code, adversary,
-                    self._ensure_arena(), self._encode_cache,
+                    self.config, self.code, adversary, self._ensure_arena()
                 )
                 self._cohorts[key] = ctx
-            result = run_cohort_instance(ctx, engine, instance.inputs)
+            result = run_cohort_instance(
+                ctx, engine, instance.inputs, prewarmed
+            )
         else:
             result = execute_consensus(engine, list(instance.inputs))
         if transcript is not None:
@@ -454,19 +444,19 @@ class ConsensusService:
             )
         return result
 
-    def _prewarm_encodes(self, plan) -> None:
+    def _prewarm(self, plan) -> Dict[int, Tuple[list, list]]:
         """The cross-*instance* batched encode: one
         ``(instances × generations × rows, k)`` generator matmat for
-        the batch's adversarial cohort instances, pre-filling the encode
-        table their contexts read.
+        the batch's adversarial cohort instances.  Returns the table
+        those instances read instead of splitting and encoding
+        themselves: honest value -> (split, whole-run codewords).
 
         Deviations are classified against the whole-run codewords of the
         honest common value, so adversarial cohort instances read them;
         a failure-free cohort instance never does (no payload is ever
         inspected), so it stays out and encodes nothing.
         """
-        pending: List[int] = []
-        seen = set()
+        splits: Dict[int, List[List[int]]] = {}
         for instance, adversary, lane in plan:
             if lane is not Lane.COHORT or not adversary.faulty:
                 continue
@@ -475,25 +465,18 @@ class ConsensusService:
                 for pid in range(self.config.n)
                 if pid not in adversary.faulty
             )
-            if value not in seen:
-                seen.add(value)
-                pending.append(value)
-        parts_lists = [self.parts_for(value) for value in pending]
-        missing = [
-            parts
-            for parts in parts_lists
-            if tuple(tuple(part) for part in parts) not in self._encode_cache
-        ]
-        if len(missing) < 2:
-            return  # a single run's lazy encode is already one matmat
-        flat = [part for parts in missing for part in parts]
-        codewords = self.code.encode_generations(flat)
-        offset = 0
-        for parts in missing:
-            count = len(parts)
-            key = tuple(tuple(part) for part in parts)
-            self._encode_cache[key] = codewords[offset:offset + count]
-            offset += count
+            if value not in splits:
+                splits[value] = split_value(self.config, value)
+        if len(splits) < 2:
+            return {}  # a single run's lazy encode is already one matmat
+        codewords = self.code.encode_generations(
+            [part for parts in splits.values() for part in parts]
+        )
+        generations = self.config.generations
+        return {
+            value: (parts, codewords[i * generations:(i + 1) * generations])
+            for i, (value, parts) in enumerate(splits.items())
+        }
 
     def _run_or_clone(
         self, instance: InstanceSpec, adversary: Adversary
@@ -533,25 +516,21 @@ class ConsensusService:
     def _clone_result(self, value: int) -> ConsensusResult:
         template = self._template
         assert template is not None
-        parts = self.parts_for(value)  # validates the value's range
-        n = self.config.n
-        records: List[GenerationResult] = []
-        for reference in template.generation_results:
-            part = tuple(parts[reference.generation])
-            decisions = self._decisions_cache.get(part)
-            if decisions is None:
-                decisions = {pid: part for pid in range(n)}
-                self._decisions_cache[part] = decisions
-            records.append(
-                GenerationResult(
-                    generation=reference.generation,
-                    outcome=reference.outcome,
-                    decisions=decisions,
-                    p_match=reference.p_match,
-                )
+        parts = split_value(self.config, value)  # validates the range
+        pids = range(self.config.n)
+        records = [
+            GenerationResult(
+                generation=reference.generation,
+                outcome=reference.outcome,
+                decisions=dict.fromkeys(
+                    pids, tuple(parts[reference.generation])
+                ),
+                p_match=reference.p_match,
             )
+            for reference in template.generation_results
+        ]
         return ConsensusResult(
-            decisions={pid: value for pid in range(n)},
+            decisions=dict.fromkeys(pids, value),
             generation_results=records,
             meter=MeterSnapshot(
                 bits_by_tag=dict(template.meter.bits_by_tag),

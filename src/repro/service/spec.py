@@ -173,7 +173,7 @@ class WorkloadSpec:
     """A batch of independent consensus instances sharing one deployment.
 
     The unit of cross-instance batching: every instance shares the
-    :class:`RunSpec`'s config (hence code tables and caches), and the
+    :class:`RunSpec`'s config (hence code tables and plans), and the
     executors shard the ``instances`` tuple across workers.
     """
 

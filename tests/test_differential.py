@@ -70,7 +70,6 @@ class Observed:
 
 def capture_engines(service):
     """Make ``service`` remember every per-instance engine it builds."""
-    service.parts_for(0)  # build the splitter engine first: not an instance
     engines = []
     make_engine = service._make_engine
 
@@ -316,12 +315,10 @@ def test_plan_memo(monkeypatch, encodes):
                 batch_generations=False),
         reuse_results=False,
     )
-    scalar.parts_for(0)  # the splitter engine is not an instance
     scalar_logs = hook_log(scalar)
     expected = [scalar.run(instance) for instance in instances]
 
     service = ConsensusService(spec)
-    service.parts_for(0)
     logs = hook_log(service)
     sizes = []
     original_step = cohort_module._InstanceRun.step

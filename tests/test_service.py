@@ -9,6 +9,7 @@ must equal the looped one-shot
 for field, for every canonical attack, mixed workloads included.
 """
 
+import collections
 import pickle
 
 import pytest
@@ -25,6 +26,7 @@ from repro.service import (
     WorkloadSpec,
 )
 from repro.service import service as service_module
+from repro.service.cohort import MAX_PATTERN_ENTRIES
 
 
 def looped_reference(spec, instances):
@@ -147,9 +149,8 @@ class TestRunManyEquivalence:
         ] + [InstanceSpec(inputs=(21,) * 4)]
         results = service.run_many(instances)
         assert results == looped_reference(spec, instances)
-        # one encode-cache entry per distinct adversarial value, filled
-        # by the single prewarm call before any instance ran
-        assert len(service._encode_cache) == len(values)
+        # the single prewarm call, before any instance ran, encoded
+        # every distinct adversarial value; no instance encoded again
         assert encodes == [len(values) * service.config.generations]
 
 
@@ -158,12 +159,15 @@ def count_executions(monkeypatch):
     (per-generation, cohort) input logs.  A cloned instance shows up in
     neither."""
     logs = []
-    for name in ("execute_consensus", "run_cohort_instance"):
+    # (engine, inputs) and (context, engine, inputs, ...).
+    for name, inputs_at in (
+        ("execute_consensus", 1), ("run_cohort_instance", 2)
+    ):
         calls = []
         original = getattr(service_module, name)
 
-        def spy(*args, _calls=calls, _original=original):
-            _calls.append(tuple(args[-1]))
+        def spy(*args, _calls=calls, _original=original, _at=inputs_at):
+            _calls.append(tuple(args[_at]))
             return _original(*args)
 
         monkeypatch.setattr(service_module, name, spy)
@@ -452,53 +456,110 @@ class TestExecutors:
         assert [r.value for r in service.run_many([1, 2])] == [1, 2]
 
 
-class TestBoundedMemos:
-    """A long-lived service sees an endless stream of fresh values:
-    every memo keyed by instance values must stay bounded, and
-    forgetting must never change a result."""
+def census(service):
+    """``len()`` of every container reachable from ``service`` and its
+    cohort contexts, summed by attribute path (``[]`` stands for any
+    key or index, so two censuses compare whatever the keys are).
+    Immutable deployment state is not walked: the spec, the config and
+    the code tables (keyed by codeword position set, a property of
+    ``(n, k)``, not of any instance)."""
+    sizes = collections.Counter()
+    seen = set()
 
-    CYCLE = [
-        "none", "none", "none", "corrupt",
-        "none", "crash", "none", "trust_poison",
-    ]
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            children = list(obj) + list(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            children = list(obj)
+        elif type(obj).__module__.startswith("repro."):
+            fields = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                for name in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, name):
+                        fields[name] = getattr(obj, name)
+            for name, value in fields.items():
+                if name not in ("spec", "config", "code"):
+                    walk(value, "%s.%s" % (path, name))
+            return
+        else:
+            return  # numbers, strings, arrays
+        sizes[path] += len(obj)
+        for child in children:
+            walk(child, path + "[]")
 
-    def test_value_keyed_tables_stay_under_capacity(self, monkeypatch):
-        from repro.utils import memo
+    walk(service, "service")
+    return sizes
 
-        capacity = 48
-        monkeypatch.setattr(memo, "VALUE_MEMO_CAPACITY", capacity)
-        spec = RunSpec(n=7, l_bits=256)
-        service = ConsensusService(spec)
-        executing = ConsensusService(spec, reuse_results=False)
-        for batch in range(3 * capacity // 16):
+
+#: The registry attacks the cohort engine takes (a fault plan attacks
+#: the network itself, which keeps the run on the per-generation engine).
+COHORT_ATTACKS = sorted(
+    attack for attack in ATTACKS
+    if getattr(
+        RunSpec(n=7, l_bits=64, attack=attack).make_adversary(),
+        "fault_plan", None,
+    ) is None
+)
+
+#: Census paths of a cohort's pattern table and its two sub-tables.
+PATTERNS = "service._cohorts[]._structs"
+PATTERN_TABLES = (PATTERNS, PATTERNS + "[].plans", PATTERNS + "[].matches")
+
+
+class TestRetention:
+    """A deployment remembers shapes, not values: what a long-lived
+    service retains does not grow with the instances it has served,
+    every fresh value and fresh seed of them — and forgetting never
+    changes a result."""
+
+    BATCH = 16
+
+    def serve(self, services, spec, attack, batches, start):
+        for batch in range(start, start + batches):
             instances = [
                 InstanceSpec(
-                    inputs=((0x9E3779B1 * (16 * batch + i + 1)) % (1 << 256),)
-                    * 7,
-                    attack=self.CYCLE[i % len(self.CYCLE)],
-                    seed=batch,
+                    inputs=(
+                        (0x9E3779B1 * (self.BATCH * batch + i + 1))
+                        % (1 << spec.l_bits),
+                    ) * spec.n,
+                    attack=attack,
+                    seed=self.BATCH * batch + i,
                 )
-                for i in range(16)
+                for i in range(self.BATCH)
             ]
-            assert service.run_many(instances) == executing.run_many(
-                instances
-            )
-        for deployment in (service, executing):
-            tables = {
-                "parts": deployment._parts_cache,
-                "encode": deployment._encode_cache,
-                "decisions": deployment._decisions_cache,
+            first, *rest = [s.run_many(instances) for s in services]
+            assert all(results == first for results in rest)
+
+    @pytest.mark.parametrize("n,l_bits,attack", [
+        (7, 64, attack) for attack in COHORT_ATTACKS
+    ] + [(31, 64, "random")])
+    def test_retained_entries_do_not_grow(self, n, l_bits, attack):
+        spec = RunSpec(n=n, l_bits=l_bits)
+        services = [
+            ConsensusService(spec),
+            ConsensusService(spec, reuse_results=False),
+        ]
+        batches = 64 // self.BATCH
+        self.serve(services, spec, attack, batches, 0)          # N
+        after_n = [census(service) for service in services]
+        self.serve(services, spec, attack, 2 * batches, batches)  # 3N
+        after_3n = [census(service) for service in services]
+        if attack != "random":
+            assert after_3n == after_n
+            return
+        # A seeded attack's patterns never recur: the pattern table is
+        # bounded instead (an instance adds at most a structure, a plan
+        # and two match sets per generation), everything else is flat.
+        ceiling = MAX_PATTERN_ENTRIES + 4 * services[0].config.generations
+        for before, after in zip(after_n, after_3n):
+            assert sum(after[path] for path in PATTERN_TABLES) < ceiling
+            assert {
+                path: size for path, size in after.items()
+                if not path.startswith(PATTERNS)
+            } == {
+                path: size for path, size in before.items()
+                if not path.startswith(PATTERNS)
             }
-            for key, ctx in deployment._cohorts.items():
-                assert ctx._encodes is deployment._encode_cache
-                tables.update({
-                    (key, "part_tuples"): ctx._part_tuples,
-                    (key, "values"): ctx._values,
-                    (key, "decisions"): ctx._decisions,
-                    (key, "decode"): ctx.caches.decode,
-                    (key, "consistency"): ctx.caches.consistency,
-                    (key, "codeword"): ctx.caches.encode,
-                })
-            for name, table in tables.items():
-                assert isinstance(table, memo.ValueMemo), name
-                assert len(table) <= capacity, name
