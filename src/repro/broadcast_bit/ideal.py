@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.broadcast_bit.interface import BroadcastBackend
+from repro.processors.adversary import hook_is_default
 from repro.utils.bits import PackedBits
 
 
@@ -33,11 +34,12 @@ class AccountedIdealBroadcast(BroadcastBackend):
     fire for it, every batched entry point here collapses honest work to
     pure accounting (:attr:`constant_cost_honest`): bulk instance bumps
     and one meter entry per call, with ``Counter`` state byte-identical
-    to the scalar per-instance loop.  Controlled sources always replay
-    the exact scalar per-instance sequence — same instance ids, same
-    ``ideal_broadcast_bit`` hook order and arguments — at their position
-    in the batch, so stateful seeded adversaries cannot tell the paths
-    apart.
+    to the scalar per-instance loop.  Controlled sources whose adversary
+    overrides ``ideal_broadcast_bit`` always replay the exact scalar
+    per-instance sequence — same instance ids, same hook order and
+    arguments — at their position in the batch, so stateful seeded
+    adversaries cannot tell the paths apart; one that leaves the hook at
+    the base is accounted like an honest source (:meth:`_row_loop`).
     """
 
     name = "ideal"
@@ -109,42 +111,74 @@ class AccountedIdealBroadcast(BroadcastBackend):
         return self._dispatch(rows, tag, ignored)
 
     def _dispatch(self, rows, tag, ignored):
-        """The one row loop behind every per-pid entry point.
+        """Every per-pid entry point: :meth:`_row_loop` with validated
+        bits, each outcome row fanned out as one object shared by all
+        pids (callers must treat it as read-only)."""
+        pids = range(self.n)
+        return [
+            dict.fromkeys(pids, row)
+            for row in self._row_loop(rows, tag, ignored, validate=True)
+        ]
+
+    def broadcast_rows_flat(self, rows, tag, ignored=frozenset()):
+        """Compact dispatch for engine-normalized rows: returns one flat
+        bit list per row instead of per-pid dicts (agreement makes every
+        fault-free view that shared list).
+
+        The observable execution is byte-identical to
+        :meth:`broadcast_bits_many` over the same rows (it is the same
+        :meth:`_row_loop`).  Callers must pass bits already normalized
+        to 0/1 (the engines always do), which is what lets this path
+        skip the per-bit validation; rows come back shared and
+        read-only.  This is the cohort engine's unit: the per-pid dict
+        fan-out of the generic entry points is pure allocation when the
+        caller only ever reads the reference view.
+        """
+        return self._row_loop(rows, tag, ignored, validate=False)
+
+    def _row_loop(self, rows, tag, ignored, validate):
+        """The one row loop behind every batched entry point.
 
         ``rows`` is an iterable of ``(source, bits)``, consumed one row
-        at a time.  Honest and controlled rows are handled as the class
-        docstring says (one view snapshot per controlled row), ignored
-        sources yield zero rows without charges or hooks, and the call
-        writes one summed meter entry.
+        at a time; returns each row's single outcome.  The source range
+        and (with ``validate``) every bit are checked first, as the
+        scalar loop does; then an ignored source yields a zero row
+        without charges or hooks, and the call writes one summed meter
+        entry for the rest.
 
-        Packed rows (:class:`~repro.utils.bits.PackedBits`) skip the
-        per-bit validation (0/1 by construction) and come back packed —
-        an honest one *as-is*, a controlled one unpacked, replayed and
-        repacked.  The per-pid values of one row are one shared object;
-        callers must treat them as read-only.
+        A row whose source is honest — or controlled by an adversary
+        that leaves ``ideal_broadcast_bit`` at the base
+        (:func:`~repro.processors.adversary.hook_is_default`: the
+        stateless honest identity) — is pure accounting: one bulk
+        instance bump, and the row comes back *as-is*.  An overridden
+        hook replays the scalar per-instance sequence, one view snapshot
+        per row.
+
+        Packed rows (:class:`~repro.utils.bits.PackedBits`) are 0/1 by
+        construction and come back packed (a hooked one unpacked,
+        replayed and repacked).
         """
+        hooked = not hook_is_default(self.adversary, "ideal_broadcast_bit")
         outcomes: list = []
         total = 0
         for source, bits in rows:
             packed = isinstance(bits, PackedBits)
-            if not packed:
-                bits = list(bits)
-            if source in ignored:
-                zero = (
-                    PackedBits.zeros(len(bits)) if packed
-                    else [0] * len(bits)
-                )
-                outcomes.append(dict.fromkeys(range(self.n), zero))
-                continue
             if not 0 <= source < self.n:
                 raise ValueError("source %d out of range" % source)
-            if not packed:
+            if validate and not packed:
+                bits = list(bits)
                 for bit in bits:
                     if bit not in (0, 1):
                         raise ValueError(
                             "bit must be 0 or 1, got %r" % (bit,)
                         )
-            if self.adversary.controls(source):
+            if source in ignored:
+                outcomes.append(
+                    PackedBits.zeros(len(bits)) if packed
+                    else [0] * len(bits)
+                )
+                continue
+            if hooked and self.adversary.controls(source):
                 view = self._view()
                 row = []
                 for bit in bits.tolist() if packed else bits:
@@ -155,52 +189,6 @@ class AccountedIdealBroadcast(BroadcastBackend):
                     row.append(1 if value else 0)
                 if packed:
                     row = PackedBits.from_bits(row)
-            else:
-                self.stats.instances += len(bits)
-                row = bits
-            total += len(bits)
-            outcomes.append(dict.fromkeys(range(self.n), row))
-        if total:
-            self.stats.bits_charged += self._b * total
-            self.meter.add(
-                tag,
-                self._b * total,
-                messages=self.n * (self.n - 1) * total,
-            )
-        return outcomes
-
-    def broadcast_rows_flat(self, rows, tag, ignored=frozenset()):
-        """Compact dispatch for engine-normalized rows: returns one flat
-        bit list per row instead of per-pid dicts (agreement makes every
-        fault-free view that shared list).
-
-        The observable execution is byte-identical to
-        :meth:`broadcast_bits_many` over the same rows — same instance
-        ids and bumps in row order, same ``ideal_broadcast_bit`` hook
-        order and arguments (one view snapshot per controlled row), same
-        meter ``Counter`` sums and ``stats`` totals, ignored sources
-        yield zero rows without charges or hooks.  Callers must pass
-        bits already normalized to 0/1 (the engines always do), which is
-        what lets this path skip the per-bit validation; rows come back
-        shared and read-only.  This is the cohort fast path's unit: the
-        per-pid dict fan-out of the generic entry points is pure
-        allocation when the caller only ever reads the reference view.
-        """
-        outcomes: list = []
-        total = 0
-        for source, bits in rows:
-            if source in ignored:
-                outcomes.append([0] * len(bits))
-                continue
-            if self.adversary.controls(source):
-                view = self._view()  # one snapshot per controlled row
-                row = []
-                for bit in bits:
-                    instance = self._next_instance()
-                    value = self.adversary.ideal_broadcast_bit(
-                        source, bit, instance, view
-                    )
-                    row.append(1 if value else 0)
             else:
                 self.stats.instances += len(bits)
                 row = bits

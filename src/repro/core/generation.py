@@ -55,7 +55,9 @@ from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import (
+    Adversary, GlobalView, hook_is_default,
+)
 from repro.utils.bits import PackedBits, is_exact_int
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
@@ -1027,7 +1029,10 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
         adversaries replay byte-identically.  The ``O(n)``
         views-per-source assembly is collapsed to the reference view
         plus the faulty processors' own views (their hooks must see
-        exactly what they would have seen on the scalar path).
+        exactly what they would have seen on the scalar path), and a
+        symbol row is read back once per distinct row *object*: a
+        backend that hands every pid one shared row (the ideal one)
+        costs no conversion at all when that row is the planned one.
         """
         view = self._view()
         n = self.n
@@ -1042,31 +1047,42 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
         # Lines 3(a)-3(b): P_match members broadcast their own symbol,
         # one grouped backend call for the whole sub-stage.
         symbol_tag = "%s.diagnosis.symbol" % self.tag
+        reference = self._reference
         r_ref: Dict[int, int] = {}
-        r_own: Dict[int, Dict[int, int]] = {i: {} for i in faulty_live}
+        #: Faulty pid -> the R# entries its own view holds differently.
+        r_own: Dict[int, Dict[int, int]] = {}
+        #: One (wire row, symbol) pair per P_match member, in plan order.
+        planned: List[Tuple[PackedBits, int]] = []
 
         def symbol_plan(j: int) -> Callable[[], PackedBits]:
             def plan() -> PackedBits:
-                honest_symbol = codewords[j][j]
-                symbol = honest_symbol
+                symbol = codewords[j][j]
                 if self.adversary.controls(j):
                     symbol = (
                         self.adversary.diagnosis_symbol(
-                            j, honest_symbol, self.generation, view
+                            j, symbol, self.generation, view
                         )
                         % self.code.symbol_limit
                     )
                 # Packed wire row; big-int safe for wide super-symbols.
-                return PackedBits.from_int(symbol, self.c)
+                row = PackedBits.from_int(symbol, self.c)
+                planned.append((row, int(symbol)))
+                return row
             return plan
 
         symbol_outcomes = self.backend.broadcast_bits_many_grouped(
             [(j, symbol_plan(j)) for j in p_match], symbol_tag, isolated
         )
-        for j, outcome in zip(p_match, symbol_outcomes):
-            r_ref[j] = outcome[self._reference].to_int()
+        for j, outcome, (row, symbol) in zip(
+            p_match, symbol_outcomes, planned
+        ):
+            ref_row = outcome[reference]
+            # The planned row handed straight back is the symbol the
+            # plan already holds; any other row is read once.
+            r_ref[j] = symbol if ref_row is row else ref_row.to_int()
             for i in faulty_live:
-                r_own[i][j] = outcome[i].to_int()
+                if outcome[i] is not ref_row:  # views may differ
+                    r_own.setdefault(i, {})[j] = outcome[i].to_int()
 
         # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
         # everyone live.  The honest baseline is one boolean matrix;
@@ -1085,8 +1101,10 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
             & (mine != _MISSING).astype(bool)
             & (mine == r_ref_arr[np.newaxis, :]).astype(bool)
         )
-        for i in faulty_live:
-            r_i = np.array([r_own[i][j] for j in p_match], dtype=dtype)
+        for i, own in r_own.items():
+            r_i = np.array(
+                [own.get(j, r_ref[j]) for j in p_match], dtype=dtype
+            )
             honest_trust_mat[i] = (
                 trusts_mat[i]
                 & (mine[i] != _MISSING).astype(bool)
@@ -1095,14 +1113,15 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
 
         trust_ref = self._ensure_arena().trust_view(n_pm)
         live_row = np.zeros(n, dtype=bool)
-        reference = self._reference
         # Packed wire rows: one packbits over the (fixed-up) honest
-        # trust matrix; controlled rows repack after their hook.
+        # trust matrix; controlled rows repack after an overridden
+        # hook (the base one returns its argument: the honest row).
         trust_packed = np.packbits(honest_trust_mat, axis=1)
+        trust_hooked = not hook_is_default(self.adversary, "trust_vector")
 
         def trust_plan(i: int) -> Callable[[], PackedBits]:
             def plan() -> PackedBits:
-                if self.adversary.controls(i):
+                if trust_hooked and self.adversary.controls(i):
                     honest_trust = {
                         j: bool(honest_trust_mat[i, index])
                         for index, j in enumerate(p_match)

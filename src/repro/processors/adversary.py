@@ -296,3 +296,13 @@ class Adversary:
         succeed.
         """
         return False
+
+
+def hook_is_default(adversary: Adversary, name: str) -> bool:
+    """Whether ``adversary``'s class leaves hook ``name`` at the
+    :class:`Adversary` base, i.e. plays it as the stateless honest
+    identity, so an engine may elide the call unobservably.  Anything
+    else — a subclass override, a class-level router
+    (``CompositeAdversary``), a wrapper (``DeviationRecorder``) — reads
+    as overriding and must keep firing."""
+    return getattr(type(adversary), name) is getattr(Adversary, name)

@@ -65,9 +65,10 @@ broadcast_rows_flat` (same hook sequence and instance ids, no per-pid
   at the honest base implementation, pure bulk accounting
   (:meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
 charge_honest_instances` — identical counters).
-* *Base-hook elision*: a hook the attack class does not override is the
-  stateless base implementation returning its honest argument; skipping
-  the call cannot be observed.  Overridden hooks always fire.
+* *Base-hook elision*: a hook the attack leaves at the base
+  (:func:`~repro.processors.adversary.hook_is_default`) is the stateless
+  implementation returning its honest argument; skipping the call
+  cannot be observed.  Overridden hooks always fire.
 
 A recorded run never comes here: the journal must observe materialized
 messages, ``charge_round`` refuses a journalling network, and the
@@ -89,7 +90,7 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.core.generation import _MISSING, GenerationProtocol
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
-from repro.processors.adversary import Adversary
+from repro.processors.adversary import Adversary, hook_is_default
 from repro.service.engine import finalize_result, prepare_instance
 from repro.utils.bits import is_exact_int
 
@@ -308,17 +309,11 @@ class CohortContext:
         self.controlled_sorted = sorted(controlled)
         self.pids = range(self.n)
         self.honest = [pid for pid in self.pids if pid not in controlled]
-        # A hook the attack class leaves at the Adversary base is the
-        # stateless honest identity: eliding the call is unobservable.
-        a_type = type(adversary)
-        self.ms_default = (
-            a_type.matching_symbol is Adversary.matching_symbol
-        )
-        self.mv_default = a_type.m_vector is Adversary.m_vector
-        self.df_default = a_type.detected_flag is Adversary.detected_flag
-        self.ib_default = (
-            a_type.ideal_broadcast_bit is Adversary.ideal_broadcast_bit
-        )
+        # Base-hook elision (module docstring): hook_is_default is the rule.
+        self.ms_default = hook_is_default(adversary, "matching_symbol")
+        self.mv_default = hook_is_default(adversary, "m_vector")
+        self.df_default = hook_is_default(adversary, "detected_flag")
+        self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
         #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
         #: The owner's exchange arena (the service's, or a one-shot

@@ -1,8 +1,10 @@
 """Adversary framework: default honesty, hook coverage, strategy logic."""
 
 
+from repro.audit.replay import DeviationRecorder
 from repro.processors import (
     Adversary,
+    CompositeAdversary,
     CrashAdversary,
     EquivocatingAdversary,
     FalseAccusationAdversary,
@@ -10,8 +12,15 @@ from repro.processors import (
     RandomAdversary,
     SlowBleedAdversary,
     SymbolCorruptionAdversary,
+    TrustPoisoningAdversary,
 )
-from repro.processors.adversary import GlobalView
+from repro.processors.adversary import GlobalView, hook_is_default
+
+#: The hooks an engine may elide when they are left at the base.
+ELIDABLE_HOOKS = (
+    "matching_symbol", "m_vector", "detected_flag", "trust_vector",
+    "ideal_broadcast_bit",
+)
 
 
 def view(n=7, t=2, faulty=(5, 6), extras=None):
@@ -46,6 +55,25 @@ class TestBaseAdversary:
         assert adversary.forwarded_symbol(0, 1, 9, 0, v) == 9
         assert adversary.source_codeword(0, [1, 2], 0, v) == [1, 2]
         assert adversary.forge_signature(0, 1, "m", v) is False
+
+    def test_hook_is_default_reads_the_class(self):
+        assert all(hook_is_default(Adversary([0]), h) for h in ELIDABLE_HOOKS)
+        poison = TrustPoisoningAdversary([0])
+        assert not hook_is_default(poison, "trust_vector")
+        assert not hook_is_default(poison, "detected_flag")
+        assert hook_is_default(poison, "ideal_broadcast_bit")
+        assert hook_is_default(poison, "matching_symbol")
+
+    def test_routers_and_wrappers_read_as_overriding(self):
+        # Both delegate to strategies the class cannot see: every hook
+        # must keep firing, even around an all-honest inner adversary.
+        for adversary in (
+            CompositeAdversary({0: Adversary([0])}),
+            DeviationRecorder(Adversary([0])),
+        ):
+            assert not any(
+                hook_is_default(adversary, h) for h in ELIDABLE_HOOKS
+            )
 
     def test_global_view_honest_property(self):
         v = view(n=5, t=1, faulty=[4])
