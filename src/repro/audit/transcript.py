@@ -12,13 +12,15 @@ message, or truncating the tail all break verification at a localizable
 position — the accountability property the pod line of work makes a
 first-class consensus feature.
 
-Serialization reuses the lossless conventions of
-:mod:`repro.service.serving.wire`: plain JSON, the L-bit consensus
-values (instance inputs, result decisions, common input) as lowercase
-hex strings, symbol payloads as exact ints, tuples as lists, int dict
-keys as strings, every conversion inverted exactly on decode.  The
-canonical byte form (sorted keys, no whitespace) gives a stable content
-digest.
+Serialization reuses the lossless codecs of
+:mod:`repro.service.serving.wire` (v3): plain JSON, each distinct L-bit
+consensus value once as a lowercase hex string with instance inputs,
+result decisions and the common input as indices into that list, symbol
+payloads as exact ints, tuples as lists, every conversion inverted
+exactly on decode.  The chain seed and the seal are computed over those
+encoded bytes, which is sound because the codecs re-encode a decoded
+payload to the same bytes.  The canonical byte form (sorted keys, no
+whitespace) gives a stable content digest.
 
 >>> from repro.service import ConsensusService, RunSpec
 >>> service = ConsensusService(RunSpec(n=4, l_bits=16))
@@ -50,8 +52,8 @@ from repro.service.serving.wire import (
 from repro.service.spec import InstanceSpec, RunSpec
 
 #: Transcript format identifier, bumped on any incompatible change.
-#: 2: L-bit values as hex strings (wire v2).
-TRANSCRIPT_VERSION = 2
+#: 3: instance and result in wire v3 (each distinct thing once).
+TRANSCRIPT_VERSION = 3
 
 #: Demo master key used when the caller does not supply one.  Real
 #: deployments derive per-deployment keys; the default exists so that

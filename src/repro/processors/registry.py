@@ -237,6 +237,10 @@ def normalize_attack(name: str) -> str:
     attack.  Unknown names pass through unchanged (the caller's lookup
     reports them with the full menu).
     """
+    if not isinstance(name, str):
+        raise TypeError(
+            "attack must be a string, got %s" % type(name).__name__
+        )
     canonical = name.strip().lower().replace("-", "_")
     return _ALIASES.get(canonical, canonical)
 

@@ -67,8 +67,9 @@ class QueueFullError(AdmissionError):
 
 class InvalidRequestError(AdmissionError):
     """The request can never succeed (wrong input arity for the
-    deployment, unknown attack name, malformed wire payload) and is
-    rejected immediately — retrying without change will not help."""
+    deployment, unknown attack name, a ``faulty`` set the deployment
+    cannot run, malformed wire payload) and is rejected immediately —
+    retrying without change will not help."""
 
     code = "invalid_request"
 

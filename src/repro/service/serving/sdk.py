@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence
 from repro.core.result import ConsensusResult
 from repro.service.serving.batcher import AdmissionError
 from repro.service.serving.wire import (
+    INTERNAL_ERROR,
     instance_to_wire,
     result_from_wire,
     runspec_to_wire,
@@ -45,8 +46,9 @@ from repro.service.spec import InstanceSpec, RunSpec
 
 class ServingError(RuntimeError):
     """Transport- or protocol-level client failure (cannot connect,
-    connection dropped, malformed response) — distinct from an
-    :class:`AdmissionError`, which is the *server* refusing a request."""
+    connection dropped, malformed response) or the server's
+    ``internal_error`` reply — distinct from an :class:`AdmissionError`,
+    which is the *server* refusing a request."""
 
 
 def _rejection(code: str, message: str) -> AdmissionError:
@@ -118,17 +120,25 @@ class ServingClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _send(self, payload: dict) -> int:
-        self._next_id += 1
-        payload["id"] = self._next_id
+    def _send(self, payloads: Sequence[dict]) -> List[int]:
+        """Number and send request lines — however many, one ``write``
+        and one ``flush``, so a pipelined chunk reaches the server
+        together and lands in one collection window."""
+        ids = []
+        lines = []
+        for payload in payloads:
+            self._next_id += 1
+            payload["id"] = self._next_id
+            ids.append(self._next_id)
+            lines.append(json.dumps(payload).encode() + b"\n")
         stream = self._connect()
         try:
-            stream.write(json.dumps(payload).encode() + b"\n")
+            stream.write(b"".join(lines))
             stream.flush()
         except OSError as exc:
             self.close()
             raise ServingError("connection lost while sending") from exc
-        return self._next_id
+        return ids
 
     def _read_response(self) -> dict:
         stream = self._connect()
@@ -150,13 +160,15 @@ class ServingClient:
     def _unwrap(response: dict) -> dict:
         if response.get("ok"):
             return response
-        raise _rejection(
-            response.get("error", "admission_rejected"),
-            response.get("message", "request rejected"),
-        )
+        code = response.get("error", "admission_rejected")
+        message = response.get("message", "request rejected")
+        if code == INTERNAL_ERROR:
+            # Not a refusal: the server failed while handling it.
+            raise ServingError("server failed on the request: %s" % message)
+        raise _rejection(code, message)
 
     def _request(self, payload: dict) -> dict:
-        self._send(payload)
+        self._send([payload])
         return self._unwrap(self._read_response())
 
     # -- typed operations ---------------------------------------------------
@@ -204,14 +216,15 @@ class ServingClient:
         """Pipeline a batch of instances over the connection and block
         for all results, returned in submission order.
 
-        All requests go out before any reply is read, so the batch
-        lands inside one server-side collection window (sizes up to
-        the server's ``max_batch`` flush as one ``run_many`` cohort).
+        All requests go out in one write before any reply is read, so
+        the batch lands inside one server-side collection window (sizes
+        up to the server's ``max_batch`` flush as one ``run_many``
+        cohort).
         """
-        ids = [
-            self._send(self._submit_payload(inputs, None, None, None, spec))
+        ids = self._send([
+            self._submit_payload(inputs, None, None, None, spec)
             for inputs in batch
-        ]
+        ])
         by_id = {}
         for _ in ids:
             response = self._read_response()

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -57,6 +58,7 @@ from repro.service.serving.batcher import (
 )
 from repro.service.serving.stats import ServingStats
 from repro.service.serving.wire import (
+    INTERNAL_ERROR,
     WIRE_VERSION,
     instance_from_wire,
     result_to_wire,
@@ -65,6 +67,8 @@ from repro.service.serving.wire import (
     value_from_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
+
+logger = logging.getLogger(__name__)
 
 #: Default TCP port for ``repro-sim serve`` (overridable everywhere).
 DEFAULT_PORT = 7411
@@ -246,6 +250,24 @@ class ConsensusServer:
             raise InvalidRequestError(
                 "unknown attack %r (choose from %s)"
                 % (attack, sorted(ATTACKS))
+            )
+        faulty = (
+            instance.faulty if instance.faulty is not None else spec.faulty
+        )
+        for pid in faulty or ():
+            if not isinstance(pid, int) or not 0 <= pid < spec.n:
+                raise InvalidRequestError(
+                    "faulty pid %r is not a processor of an n=%d deployment"
+                    % (pid, spec.n)
+                )
+        if (
+            faulty
+            and not spec.allow_t_ge_n3
+            and len(set(faulty)) > spec.resolved_t
+        ):
+            raise InvalidRequestError(
+                "%d faulty processors, but the deployment tolerates t=%d"
+                % (len(set(faulty)), spec.resolved_t)
             )
         return instance
 
@@ -450,8 +472,10 @@ class ConsensusServer:
         non-default deployment), ``ps``, ``shutdown``.  Every request
         may carry an ``id``, echoed in its response, so clients can
         pipeline submits over one connection; error responses carry the
-        :class:`AdmissionError` wire ``code``.  Returns the listening
-        ``asyncio`` server (``port=0`` picks an ephemeral port).
+        :class:`AdmissionError` wire ``code``, or ``internal_error``
+        when the handler itself failed — every submit is answered.
+        Returns the listening ``asyncio`` server (``port=0`` picks an
+        ephemeral port).
         """
         await self.start()
         self._tcp = await asyncio.start_server(
@@ -548,7 +572,7 @@ class ConsensusServer:
                     }
                 else:
                     raise KeyError("instance")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
                 raise InvalidRequestError(
                     "malformed submit payload: %s" % exc
                 ) from exc
@@ -559,9 +583,6 @@ class ConsensusServer:
             else:
                 result = await self.submit(inputs, spec=spec, **overrides)
                 transcript = None
-        except AdmissionError as exc:
-            await respond(_error(request_id, exc))
-        else:
             payload = {
                 "id": request_id,
                 "ok": True,
@@ -569,7 +590,14 @@ class ConsensusServer:
             }
             if transcript is not None:
                 payload["transcript"] = transcript.to_wire()
-            await respond(payload)
+        except AdmissionError as exc:
+            payload = _error(request_id, exc)
+        except Exception as exc:
+            # Every submit is answered: a client left without a reply
+            # blocks until its socket times out.
+            logger.exception("submit %r failed", request_id)
+            payload = _error(request_id, exc)
+        await respond(payload)
 
     async def _shutdown_from_op(self) -> None:
         """The TCP ``shutdown`` op: drain, then close the listener."""
@@ -580,10 +608,16 @@ class ConsensusServer:
             self._tcp = None
 
 
-def _error(request_id, exc: AdmissionError) -> dict:
+def _error(request_id, exc: Exception) -> dict:
+    """The reply to a failed request: an :class:`AdmissionError` crosses
+    under its wire code, anything else is the server's own failure."""
+    if isinstance(exc, AdmissionError):
+        code, message = exc.code, str(exc)
+    else:
+        code, message = INTERNAL_ERROR, "%s: %s" % (type(exc).__name__, exc)
     return {
         "id": request_id,
         "ok": False,
-        "error": exc.code,
-        "message": str(exc),
+        "error": code,
+        "message": message,
     }

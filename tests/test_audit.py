@@ -115,8 +115,8 @@ def test_full_width_value_at_l_2_16(tmp_path):
 def test_other_transcript_formats_are_refused():
     _, transcript = ConsensusService(RunSpec(n=4, l_bits=32)).record(VALUE)
     wire = transcript.to_wire()
-    wire["format"] = 1
-    with pytest.raises(ValueError, match="format 1"):
+    wire["format"] = 2
+    with pytest.raises(ValueError, match="format 2"):
         Transcript.from_wire(wire)
 
 
@@ -311,7 +311,8 @@ def test_result_tampering_breaks_the_seal():
     service = ConsensusService(RunSpec(n=4, l_bits=16, attack="crash"))
     _, transcript = service.record(0xBEEF)
     wire = transcript.to_wire()
-    wire["result"]["decisions"]["0"] = "3039"  # hex, wire v2
+    assert wire["result"]["values"] == ["beef"]
+    wire["result"]["values"][0] = "3039"  # the one agreed value, wire v3
     report = verify_transcript(Transcript.from_wire(wire))
     assert not report.ok
     assert report.failed_index is None

@@ -14,11 +14,22 @@ No ``pytest-asyncio`` in the container: async scenarios run via
 """
 
 import asyncio
+import json
 import random
+import socket
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.result import (
+    ConsensusResult,
+    GenerationOutcome,
+    GenerationResult,
+)
+from repro.network.metrics import MeterSnapshot
 from repro.service import (
     AsyncExecutor,
     ConsensusService,
@@ -191,6 +202,102 @@ class TestServingStats:
 # -- wire codec -------------------------------------------------------------
 
 
+WIDE = 4000  # bits: past the 4300-decimal-digit int<->str cap
+
+wire_values = st.integers(0, 255) | st.integers(
+    1 << (WIDE - 1), (1 << WIDE) - 1
+)
+wire_pids = st.integers(0, 9)
+pid_tuples = st.none() | st.lists(
+    wire_pids, unique=True, max_size=5
+).map(tuple)
+meter_tags = st.builds(
+    "gen%d.%s".__mod__,
+    st.tuples(
+        st.integers(0, 20),
+        st.sampled_from(["matching.symbols", "matching.M", "diagnosis.trust"]),
+    ),
+)
+meter_counts = st.dictionaries(meter_tags, st.integers(0, 1 << 40), max_size=6)
+
+
+@st.composite
+def wire_results(draw):
+    """Results no engine would return but the codec must carry: pids in
+    any order deciding among a few values and symbol vectors (so the pid
+    groups interleave), generation records drawn from a few shapes (so
+    the shape table is shared), either meter dict on its own tags."""
+
+    def pid_map(xs):
+        pids = draw(st.permutations(range(7)))[: draw(st.integers(0, 7))]
+        return {pid: draw(st.sampled_from(xs)) for pid in pids}
+
+    pool = draw(st.lists(wire_values, min_size=1, max_size=3))
+    vectors = draw(
+        st.lists(
+            st.tuples(st.integers(0, 1 << 21), st.integers(0, 3)),
+            min_size=1, max_size=3,
+        )
+    )
+    shapes = draw(
+        st.lists(
+            st.fixed_dictionaries({
+                "outcome": st.sampled_from(GenerationOutcome),
+                "p_match": pid_tuples,
+                "p_decide": pid_tuples,
+                "removed_edges": st.lists(
+                    st.tuples(wire_pids, wire_pids), max_size=3
+                ),
+                "isolated": st.lists(wire_pids, max_size=2),
+                "detectors": st.lists(wire_pids, max_size=2),
+            }),
+            min_size=1, max_size=3,
+        )
+    )
+    # A record's pids fall into up to three groups by one of two
+    # layouts, so records share a shape while their symbols differ.
+    layouts = [pid_map(range(3)) for _ in range(2)]
+    records = []
+    for generation in draw(st.lists(st.integers(0, 40), max_size=6)):
+        layout = draw(st.sampled_from(layouts))
+        symbols = draw(
+            st.lists(st.sampled_from(vectors), min_size=3, max_size=3)
+        )
+        records.append(GenerationResult(
+            generation=generation,
+            decisions={pid: symbols[group] for pid, group in layout.items()},
+            **draw(st.sampled_from(shapes)),
+        ))
+    bits = draw(meter_counts)
+    messages = draw(
+        meter_counts
+        | st.fixed_dictionaries(
+            {tag: st.integers(0, 1 << 20) for tag in bits}
+        )
+    )
+    return ConsensusResult(
+        decisions=pid_map(pool),
+        generation_results=records,
+        meter=MeterSnapshot(bits_by_tag=bits, messages_by_tag=messages),
+        diagnosis_count=draw(st.integers(0, 6)),
+        default_used=draw(st.booleans()),
+        honest_inputs_equal=draw(st.booleans()),
+        # None, a decided value, or one no pid decided.
+        common_input=draw(st.none() | st.sampled_from(pool) | wire_values),
+    )
+
+
+wire_instances = st.builds(
+    InstanceSpec,
+    inputs=st.lists(wire_values, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)
+    ),
+    attack=st.none() | st.sampled_from(["corrupt", "slow-bleed"]),
+    seed=st.none() | st.integers(0, 1 << 32),
+    faulty=st.none() | st.lists(wire_pids, max_size=3),
+)
+
+
 class TestWireCodec:
     def test_runspec_roundtrip_exact(self):
         spec = RunSpec(
@@ -199,38 +306,67 @@ class TestWireCodec:
         )
         assert runspec_from_wire(runspec_to_wire(spec)) == spec
 
-    def test_instance_roundtrip_exact(self):
-        instance = InstanceSpec(
-            inputs=(1 << 4000, 0, 3, 4), attack="corrupt", seed=9,
-            faulty=(2,),
+    @settings(max_examples=200, deadline=None)
+    @given(result=wire_results(), instance=wire_instances)
+    def test_v3_codecs_are_lossless_and_stable(self, result, instance):
+        """``decode(loads(dumps(encode(x)))) == x`` (lossless through
+        JSON, bigints exact) and ``encode(decode(encode(x))) ==
+        encode(x)`` (stable: the transcript seal is over the encoded
+        bytes of a *decoded* result)."""
+        for x, encode, decode in (
+            (result, result_to_wire, result_from_wire),
+            (instance, instance_to_wire, instance_from_wire),
+        ):
+            wire = encode(x)
+            assert json.loads(json.dumps(wire)) == wire  # JSON-safe
+            assert decode(json.loads(json.dumps(wire))) == x
+            assert encode(decode(wire)) == wire
+
+    def test_engine_results_roundtrip_with_properties(self):
+        results = ConsensusService(SPEC).run_many(list(MIXED))
+        for result in results:
+            decoded = result_from_wire(result_to_wire(result))
+            assert decoded == result
+            assert (decoded.value, decoded.valid, decoded.total_bits) == (
+                result.value, result.valid, result.total_bits
+            )
+
+    def test_failure_free_result_line_says_the_value_once(self):
+        """n=7, L=1024: 11.8 kB in wire v2, where the agreed value
+        crossed 15 times and the symbols 7 times per generation."""
+        value = random.Random(7).getrandbits(1024) | 1 << 1023
+        [result] = ConsensusService(RunSpec(n=7, l_bits=1024)).run_many(
+            [value]
         )
-        assert instance_from_wire(instance_to_wire(instance)) == instance
+        line = json.dumps(result_to_wire(result)) + "\n"
+        assert len(line) <= 3200
+        assert line.count("%x" % value) == 1
 
     @pytest.mark.parametrize(
-        "instance",
+        "breakage",
         [
-            InstanceSpec(inputs=(9, 9, 9, 9)),
-            InstanceSpec(inputs=(1, 2, 3, 4), attack="corrupt", seed=7),
-            InstanceSpec(inputs=(5, 5, 5, 5), attack="trust_poison", seed=2),
+            lambda wire: wire["decisions"][1].__setitem__(0, -1),
+            lambda wire: wire["decisions"][1].__setitem__(0, 1),
+            lambda wire: wire.__setitem__("common_input", -1),
+            lambda wire: wire["generations"][0].__setitem__(1, 99),
+            lambda wire: wire["generations"][0].__setitem__(1, -1),
+            lambda wire: wire["generations"][0][2].append([1, 2]),
+            lambda wire: wire["decisions"][0].append([3]),
+            lambda wire: wire["meter"]["bits"].pop(),
         ],
-        ids=["honest", "corrupt", "trust_poison"],
+        ids=[
+            "negative-value-index", "value-index-past-end",
+            "negative-common-input", "shape-index-past-end",
+            "negative-shape-index", "more-symbols-than-groups",
+            "more-groups-than-values", "fewer-counts-than-tags",
+        ],
     )
-    def test_result_roundtrip_exact(self, instance):
-        result = ConsensusService(SPEC).run_many([instance])[0]
-        decoded = result_from_wire(result_to_wire(result))
-        assert decoded == result
-        assert decoded.value == result.value
-        assert decoded.valid == result.valid
-        assert decoded.meter.total_bits == result.meter.total_bits
-
-    def test_wire_payload_survives_json(self):
-        import json
-
-        result = ConsensusService(RunSpec(n=4, l_bits=4096)).run_many(
-            [InstanceSpec(inputs=(1 << 4000,) * 4)]
-        )[0]
-        payload = json.loads(json.dumps(result_to_wire(result)))
-        assert result_from_wire(payload) == result  # bigints stay exact
+    def test_out_of_range_indices_do_not_decode(self, breakage):
+        [result] = ConsensusService(SPEC).run_many([9])
+        wire = result_to_wire(result)
+        breakage(wire)
+        with pytest.raises(ValueError):
+            result_from_wire(wire)
 
 
 # -- AsyncExecutor ----------------------------------------------------------
@@ -416,6 +552,55 @@ class TestConsensusServer:
         snapshot = asyncio.run(scenario())
         assert snapshot["stats"]["rejected"] == {"invalid_request": 3}
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"faulty": (9,)},
+            {"faulty": ("a",)},
+            {"faulty": (0, 1, 2)},  # n=4 tolerates t=1
+            {"attack": ["corrupt"]},
+        ],
+        ids=[
+            "pid-out-of-range", "pid-not-an-int", "more-than-t", "attack-list",
+        ],
+    )
+    def test_a_request_that_cannot_run_never_reaches_a_cohort(self, overrides):
+        """Each of these used to pass admission, die mid-flush and fail
+        every cohort-mate's future with its own exception."""
+
+        async def scenario():
+            server = ConsensusServer(SPEC, window_ms=20.0)
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    server.submit(5),
+                    server.submit(7, **overrides),
+                    return_exceptions=True,
+                )
+            finally:
+                await server.stop()
+
+        good, bad = asyncio.run(scenario())
+        assert good.value == 5
+        assert isinstance(bad, InvalidRequestError)
+
+    def test_faulty_is_validated_on_the_deployment_default_too(self):
+        async def scenario():
+            server = ConsensusServer(SPEC, window_ms=1.0)
+            await server.start()
+            try:
+                with pytest.raises(InvalidRequestError, match="faulty pid 9"):
+                    await server.submit(
+                        7, spec=RunSpec(n=4, l_bits=16, faulty=(9,))
+                    )
+                # At most t distinct pids: a repeated pid counts once.
+                result = await server.submit(7, faulty=(1, 1))
+            finally:
+                await server.stop()
+            return result
+
+        assert asyncio.run(scenario()).value == 7
+
     def test_ps_snapshot_shape(self):
         async def scenario():
             server = ConsensusServer(SPEC, window_ms=2.0, max_batch=8)
@@ -510,6 +695,88 @@ class TestServingOverTCP:
                 client.submit(InstanceSpec(inputs=(1, 2, 3)))
             result = client.submit(5)  # connection survives rejections
         assert result.value == 5
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            {"instance": {"inputs": ["7"] * 4, "attack": None,
+                          "seed": None, "faulty": None}},
+            {"instance": {"values": ["7"], "inputs": [0, 0, 0, 1]}},
+            {"instance": {"values": ["7", "8"], "inputs": [0, 0, 0, -1]}},
+            {"value": "7", "faulty": [9]},
+            {"value": "7", "faulty": ["a"]},
+            {"value": "7", "faulty": [0, 1, 2]},
+            {"value": "7", "attack": ["corrupt"]},
+            {"instance": {"values": ["7"], "inputs": [0] * 4,
+                          "attack": ["corrupt"]}},
+        ],
+        ids=[
+            "v2-instance", "index-past-end", "negative-index",
+            "faulty-out-of-range", "faulty-not-an-int", "faulty-more-than-t",
+            "attack-list", "instance-attack-list",
+        ],
+    )
+    def test_hostile_frame_gets_a_typed_reply_and_harms_nobody(self, hostile):
+        """Raw socket, hostile and good request pipelined in one write:
+        the hostile one is refused by code, the good one resolves, and
+        the connection keeps serving."""
+
+        def lines(*messages):
+            return b"".join(
+                json.dumps(message).encode() + b"\n" for message in messages
+            )
+
+        with serve_background(SPEC, window_ms=20.0) as client:
+            with socket.create_connection(
+                (client.host, client.port), timeout=10.0
+            ) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(lines(
+                    dict(hostile, op="submit", id="hostile"),
+                    {"op": "submit", "id": "good", "value": "5"},
+                ))
+                stream.flush()
+                replies = {}
+                for _ in range(2):
+                    reply = json.loads(stream.readline())
+                    replies[reply["id"]] = reply
+                stream.write(lines({"op": "submit", "id": 3, "value": "6"}))
+                stream.flush()
+                after = json.loads(stream.readline())
+        assert replies["hostile"]["ok"] is False
+        assert replies["hostile"]["error"] == "invalid_request"
+        assert result_from_wire(replies["good"]["result"]).value == 5
+        assert result_from_wire(after["result"]).value == 6
+
+    def test_a_failing_handler_still_answers(self, monkeypatch):
+        """Anything the handler does not expect is answered as
+        ``internal_error`` (the SDK's ``ServingError``), not left to the
+        client's socket timeout."""
+        from repro.service.serving import server as server_module
+
+        def broken(result):
+            raise RuntimeError("codec exploded")
+
+        with serve_background(SPEC) as client:
+            with monkeypatch.context() as patch:
+                patch.setattr(server_module, "result_to_wire", broken)
+                with pytest.raises(ServingError, match="codec exploded"):
+                    client.submit(5)
+            assert client.submit(5).value == 5  # same connection
+
+    def test_submit_many_is_one_write_and_one_server_side_flush(self):
+        with serve_background(SPEC, window_ms=250.0, max_batch=64) as client:
+            client.ps()  # connects
+            client._file = stream = mock.Mock(wraps=client._file)
+            served = client.submit_many(list(range(32)))
+            sends = [
+                call[0] for call in stream.method_calls
+                if call[0] != "readline"
+            ]
+            stats = client.ps()["stats"]
+        assert [result.value for result in served] == list(range(32))
+        assert sends == ["write", "flush"]
+        assert (stats["flushes"], stats["max_batch"]) == (1, 32)
 
     def test_non_default_deployment_over_the_wire(self):
         other = RunSpec(n=7, l_bits=16)
