@@ -55,15 +55,26 @@ def main() -> None:
     )
 
     # Two Byzantine replicas claim a *different* object towards half the
-    # cluster (a poisoning attempt on the commit).
+    # cluster (a poisoning attempt on the commit).  They are the two
+    # lowest pids, the ones the deterministic P_match search would
+    # otherwise pick first.
     forged = int.from_bytes(make_object(len(object_bytes), b"evil"), "big")
-    adversary = EquivocatingAdversary(faulty=[5, 6], split=3, alt_value=forged)
+    adversary = EquivocatingAdversary(faulty=[0, 1], split=3, alt_value=forged)
     protocol = MultiValuedConsensus(config, adversary=adversary)
     result = protocol.run([value] * n)
 
     committed = result.value
     assert result.consistent, "storage cluster diverged!"
     assert committed == value, "cluster committed the wrong object!"
+    shunned = sum(
+        1 for record in result.generation_results
+        if not set(record.p_match) & adversary.faulty
+    )
+    assert shunned, "the equivocation never reached the matching stage!"
+    print(
+        "generations whose match set shut both equivocators out: %d of %d"
+        % (shunned, len(result.generation_results))
+    )
     digest = hashlib.sha256(
         committed.to_bytes(len(object_bytes), "big")
     ).hexdigest()

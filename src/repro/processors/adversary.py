@@ -18,7 +18,7 @@ can still lie about the value itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 
 @dataclass
@@ -48,6 +48,24 @@ class Adversary:
     def __init__(self, faulty: Optional[Sequence[int]] = None):
         self.faulty: Set[int] = set(faulty or ())
 
+    def __init_subclass__(cls, **kwargs):
+        """Keep the two forms of the symbol hook from disagreeing: a
+        class that redefines :meth:`matching_symbol` alone gets the
+        derived :meth:`matching_row` back (whatever row an ancestor
+        wrote answered for the ancestor's scalar form), and a row
+        without its scalar form beside it is refused."""
+        super().__init_subclass__(**kwargs)
+        body = cls.__dict__
+        if "matching_symbol" in body:
+            if "matching_row" not in body:
+                cls.matching_row = Adversary.matching_row
+        elif "matching_row" in body:
+            raise TypeError(
+                "%s defines matching_row without the matching_symbol it "
+                "answers for; define both in one class body"
+                % cls.__name__
+            )
+
     def controls(self, pid: int) -> bool:
         return pid in self.faulty
 
@@ -73,6 +91,50 @@ class Adversary:
         message from a trusted peer as a mismatching distinguished value).
         """
         return honest_symbol
+
+    def matching_row(
+        self,
+        pid: int,
+        recipients: Sequence[int],
+        honest_symbol: int,
+        generation: int,
+        view: GlobalView,
+    ) -> Tuple[Optional[int], Mapping[int, Optional[int]]]:
+        """The row form of :meth:`matching_symbol`: everything a faulty
+        ``pid`` sends in one symbol round, asked once.
+
+        Line 1(a) has a processor send the *one* symbol ``S_i[i]`` to
+        every processor it trusts, so a Byzantine sender's round is that
+        one payload plus its exceptions.  Returns ``(payload,
+        exceptions)``: the payload every one of ``recipients`` gets and
+        a mapping ``recipient -> payload`` of those that get something
+        else, keyed by the pids handed in (a key outside ``recipients``
+        is ignored).  Payloads mean what :meth:`matching_symbol`'s
+        return means, ``None`` included, and the answer expands to
+        exactly the scalar answers:
+        ``[exceptions.get(r, payload) for r in recipients]``.
+
+        This base implementation *derives* the row: it fires
+        :meth:`matching_symbol` once per recipient, in the order given,
+        with the one ``view`` — so a strategy that overrides only the
+        scalar form keeps its exact call sequence, arguments and RNG
+        draws whichever engine runs it.  A strategy whose answer does
+        not depend on who is asking overrides both forms, in one class
+        body (``__init_subclass__`` enforces it), with an
+        O(exceptions) row.  The cohort engine
+        (:mod:`repro.service.cohort`) asks for rows; the scalar and
+        per-generation engines ask per recipient.
+        """
+        exceptions = {}
+        for recipient in recipients:
+            sent = self.matching_symbol(
+                pid, recipient, honest_symbol, generation, view
+            )
+            # Exact comparison: True == 1 and 1.0 == 1, but neither is
+            # the symbol 1 on receipt.
+            if type(sent) is not type(honest_symbol) or sent != honest_symbol:
+                exceptions[recipient] = sent
+        return honest_symbol, exceptions
 
     def m_vector(
         self,

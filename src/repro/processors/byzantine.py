@@ -8,9 +8,22 @@ protocol property survives.  All randomness is seeded for reproducibility.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from repro.processors.adversary import Adversary, GlobalView
+
+
+def _codeword_symbol(
+    value: int, pid: int, generation: int, view: GlobalView
+) -> Optional[int]:
+    """Position ``pid`` of ``value``'s generation-``generation``
+    codeword, from the ``code`` and ``parts_of`` every consensus engine
+    publishes in the view extras; ``None`` where a view lacks them."""
+    code = view.extras.get("code")
+    parts_of = view.extras.get("parts_of")
+    if code is None or parts_of is None:
+        return None
+    return code.encode(parts_of(value)[generation])[pid]
 
 
 class CrashAdversary(Adversary):
@@ -32,6 +45,10 @@ class CrashAdversary(Adversary):
         if self._crashed(generation):
             return None
         return honest_symbol
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Silent to all, or honest to all.
+        return (None if self._crashed(generation) else honest_symbol), {}
 
     def m_vector(self, pid, honest_m, generation, view):
         if self._crashed(generation):
@@ -58,9 +75,11 @@ class SymbolCorruptionAdversary(Adversary):
     """Faulty processors corrupt the RS symbol sent to chosen victims.
 
     ``victims`` maps faulty pid -> list of recipients whose copy gets
-    XOR-flipped.  Everything else (M vectors, broadcasts) stays honest, so
-    this exercises detection by the checking stage and blame assignment by
-    the diagnosis stage in isolation.
+    XOR-flipped; a faulty pid the map does not name corrupts nobody.
+    Without a map (``None`` or empty) every faulty processor corrupts
+    every recipient.  Everything else (M vectors, broadcasts) stays
+    honest, so this exercises detection by the checking stage and blame
+    assignment by the diagnosis stage in isolation.
     """
 
     def __init__(
@@ -70,22 +89,36 @@ class SymbolCorruptionAdversary(Adversary):
         flip_mask: int = 1,
     ):
         super().__init__(faulty)
-        self.victims = {
-            pid: set(v) for pid, v in (victims or {}).items()
-        }
-        if not victims:
-            # Default: every faulty processor corrupts every recipient.
-            self.victims = {pid: None for pid in self.faulty}
+        #: Without a map (``None`` or empty) every faulty processor —
+        #: one taken over later included — corrupts every recipient;
+        #: under an explicit map a pid it does not name corrupts nobody.
+        self._everyone = not victims
+        if self._everyone:
+            self.victims = dict.fromkeys(self.faulty)
+        else:
+            self.victims = {pid: set(v) for pid, v in victims.items()}
         self.flip_mask = flip_mask
 
+    def _targets(self, pid: int) -> Optional[Collection[int]]:
+        """The recipients ``pid`` corrupts; ``None`` means all of them."""
+        return None if self._everyone else self.victims.get(pid, ())
+
     def _is_victim(self, pid: int, recipient: int) -> bool:
-        targets = self.victims.get(pid)
+        targets = self._targets(pid)
         return targets is None or recipient in targets
 
     def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
         if self._is_victim(pid, recipient):
             return honest_symbol ^ self.flip_mask
         return honest_symbol
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Flipped to all, or honest plus the victims.
+        targets = self._targets(pid)
+        flipped = honest_symbol ^ self.flip_mask
+        if targets is None:
+            return flipped, {}
+        return honest_symbol, dict.fromkeys(targets, flipped)
 
     def forwarded_symbol(self, pid, recipient, honest_symbol, generation, view):
         if self._is_victim(pid, recipient):
@@ -100,11 +133,9 @@ class SymbolCorruptionAdversary(Adversary):
 
 class EquivocatingAdversary(Adversary):
     """Faulty processors pretend to hold different inputs towards different
-    peers: recipients with pid below ``split`` see symbols of
-    ``value_low``'s codeword, the rest see ``value_high``'s.
-
-    The M flags are computed honestly *per pretended value*, which is the
-    strongest equivocation consistent with the message format.
+    peers: recipients with pid below ``split`` see symbols of the honest
+    input's codeword, the rest see ``alt_value``'s (split and encoded
+    with the ``parts_of`` and ``code`` the engine publishes in the view).
     """
 
     def __init__(self, faulty: Sequence[int], split: int, alt_value: int):
@@ -117,10 +148,9 @@ class EquivocatingAdversary(Adversary):
 
     def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
         if recipient >= self.split:
-            code = view.extras.get("code")
-            alt_parts = view.extras.get("alt_parts")
-            if code is not None and alt_parts is not None:
-                return code.encode(alt_parts[generation])[pid]
+            alt = _codeword_symbol(self.alt_value, pid, generation, view)
+            if alt is not None:
+                return alt
         return honest_symbol
 
 
@@ -263,12 +293,24 @@ class SlowBleedAdversary(Adversary):
             )
         return choice
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
+    def _victim_of(self, pid, generation, view) -> Optional[int]:
+        """The one recipient ``pid`` corrupts this generation, if any."""
         plan = self._plan_for(generation, view)
-        if plan is not None and plan[0] == "attack":
-            if (pid, recipient) == (plan[1], plan[2]):
-                return honest_symbol ^ 1
+        if plan is not None and plan[0] == "attack" and pid == plan[1]:
+            return plan[2]
+        return None
+
+    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
+        if recipient == self._victim_of(pid, generation, view):
+            return honest_symbol ^ 1
         return honest_symbol
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Honest plus at most the one planned victim.
+        victim = self._victim_of(pid, generation, view)
+        if victim is None:
+            return honest_symbol, {}
+        return honest_symbol, {victim: honest_symbol ^ 1}
 
     def m_vector(self, pid, honest_m, generation, view):
         plan = self._plan_for(generation, view)
@@ -453,20 +495,23 @@ class StagedEquivocationAdversary(Adversary):
         self.deceived = set(deceived)
         self.alt_value = alt_value
 
-    def _alt_symbol(self, pid: int, generation: int, view: GlobalView):
-        code = view.extras.get("code")
-        parts_of = view.extras.get("parts_of")
-        if code is None or parts_of is None:
-            return None
-        parts = parts_of(self.alt_value)
-        return code.encode(parts[generation])[pid]
-
     def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
         if recipient in self.deceived:
-            alt = self._alt_symbol(pid, generation, view)
+            alt = _codeword_symbol(self.alt_value, pid, generation, view)
             if alt is not None:
                 return alt
         return honest_symbol
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Honest plus the deceived; the alternative symbol is encoded
+        # once, not once per deceived recipient — and, like the scalar
+        # form, not at all once no deceived pid is left to send to.
+        if self.deceived.isdisjoint(recipients):
+            return honest_symbol, {}
+        alt = _codeword_symbol(self.alt_value, pid, generation, view)
+        if alt is None:
+            return honest_symbol, {}
+        return honest_symbol, dict.fromkeys(self.deceived, alt)
 
     def m_vector(self, pid, honest_m, generation, view):
         # Claim to match everyone: the pairwise condition lets the lie

@@ -17,6 +17,7 @@ from repro.processors.adversary import Adversary
 _ROUTED_HOOKS = (
     "input_value",
     "matching_symbol",
+    "matching_row",
     "m_vector",
     "detected_flag",
     "diagnosis_symbol",

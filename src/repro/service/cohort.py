@@ -13,12 +13,20 @@ charges and no codeword is ever encoded.
 A generation has **one path** (:meth:`_InstanceRun.step`), the shape of
 the paper's Algorithm 1:
 
-1. *Symbol round.*  Honest traffic is value-independent accounting;
-   live faulty senders fire their ``matching_symbol`` hooks in scalar
-   order and the payloads are classified into the generation's
-   *deviation pattern* (which (sender, recipient) pairs make an M bit
-   false, which payloads are missing, which are valid but off the
-   honest codeword).
+1. *Symbol round.*  Honest traffic is value-independent accounting.
+   Line 1(a) has a processor send its *one* symbol to everyone it
+   trusts, so each live faulty sender is asked once, senders ascending,
+   for its row (:meth:`~repro.processors.adversary.Adversary.\
+matching_row`): the payload every recipient gets plus the recipients
+   that get something else.  The answers, normalized as on receipt,
+   are the round's :class:`_SymbolRound` — a common payload per sender
+   and a sparse ``(sender, recipient)`` table of exceptions — which
+   every later step reads; the *deviation pattern* is its (silent
+   senders, exception pairs).  A strategy that only overrides the
+   per-recipient ``matching_symbol`` gets the derived row, which fires
+   that hook once per recipient in scalar order with scalar arguments;
+   this engine never calls the scalar form itself, so the round costs
+   O(faulty + deviations) for a strategy that answers in row form.
 2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
    M expectation rows handed to the ``m_vector`` hooks, the unhooked M
    broadcast rows, the match set they resolve to and, per match set,
@@ -51,9 +59,10 @@ The contract is the PR 3/PR 5 discipline wholesale: results — decisions,
 :class:`~repro.core.result.GenerationResult` records, meter snapshots,
 round clock, backend instance ids — are **byte-identical** to a looped
 one-shot run, and every per-instance :class:`Adversary` hook fires in
-the exact scalar order with the exact scalar arguments, so seeded
-stateful attacks replay identically.  Two classes of shortcut keep that
-true while skipping work:
+the exact scalar order with the exact scalar arguments (the symbol hook
+through its row form, step 1), so seeded stateful attacks replay
+identically.  Two classes of shortcut keep that true while skipping
+work:
 
 * *Unobservable accounting*: the matching round's one-or-two
   ``send_many`` + ``deliver_arrays`` collapse to one
@@ -78,8 +87,6 @@ planner keeps such runs on the per-generation engine.
 from __future__ import annotations
 
 import functools
-import itertools
-from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -141,10 +148,13 @@ class _GraphStructure:
         self.isolated = isolated
         live = [pid not in isolated for pid in range(n)]
         self.live = live
-        # Faulty live senders and their recipient lists, in the exact
-        # scalar hook order (sender ascending, recipients sorted).
+        # Faulty live senders and their recipients, in the exact scalar
+        # hook order (sender ascending, recipients sorted); tuples,
+        # because the row hook is handed them.
         self.fab_recips = {
-            s: [r for r in sorted(graph.trusted_by(s)) if r not in isolated]
+            s: tuple(
+                r for r in sorted(graph.trusted_by(s)) if r not in isolated
+            )
             for s in range(n)
             if s in controlled and live[s]
         }
@@ -184,19 +194,12 @@ step`).  Overridden hooks fire every generation in scalar order
     is computed *around* them.
     """
 
-    __slots__ = (
-        "hdev_key", "missing", "offcw", "ctrl_rows", "m_rows", "info",
-        "checks",
-    )
+    __slots__ = ("hdev_key", "ctrl_rows", "m_rows", "info", "checks")
 
-    def __init__(self, hdev_key, missing, offcw, ctrl_rows, m_rows):
+    def __init__(self, hdev_key, ctrl_rows, m_rows):
         #: The pattern's pairs with an honest recipient, sorted: with
         #: the graph state they determine every honest M row.
         self.hdev_key = hdev_key
-        #: (sender, recipient) pairs whose payload never arrived valid /
-        #: arrived valid but off the honest codeword.
-        self.missing = missing
-        self.offcw = offcw
         #: Controlled pids' M expectation rows (the m_vector hook args).
         self.ctrl_rows = ctrl_rows
         #: Every processor's unhooked M broadcast bits, isolated
@@ -240,8 +243,8 @@ class _MatchInfo:
     """Checking-stage structure derived from one (graph, M view) pair."""
 
     __slots__ = (
-        "p_match", "match_set", "outsiders", "ctrl_outsider",
-        "trusted_ctrl", "pos_ok",
+        "p_match", "match_set", "outsiders", "ctrl_outsider", "pm_ctrl",
+        "pos_ok",
     )
 
     def __init__(
@@ -265,13 +268,10 @@ class _MatchInfo:
         ]
         #: Whether some outsider's ``detected_flag`` hook can fire.
         self.ctrl_outsider = any(q in controlled for q in self.outsiders)
-        pm_ctrl = [f for f in p_match if f in controlled]
-        #: Controlled P_match members each outsider trusts — the only
-        #: senders whose payloads can flip its Detected flag (honest
-        #: members always deliver their shared-codeword symbol).
-        self.trusted_ctrl = {
-            q: [f for f in pm_ctrl if mask[q, f]] for q in self.outsiders
-        }
+        #: Controlled P_match members — the only senders whose payloads
+        #: can flip an outsider's Detected flag or reach a decision row
+        #: (honest members always deliver their shared-codeword symbol).
+        self.pm_ctrl = match_set & controlled
         # Conforming-case decode feasibility: with every payload on the
         # honest codeword, does every honest processor hold >= k
         # checking-stage positions?
@@ -310,7 +310,11 @@ class CohortContext:
         self.pids = range(self.n)
         self.honest = [pid for pid in self.pids if pid not in controlled]
         # Base-hook elision (module docstring): hook_is_default is the rule.
-        self.ms_default = hook_is_default(adversary, "matching_symbol")
+        # The symbol hook has two forms; only a class leaving both at
+        # the base plays the round as the honest identity.
+        self.ms_default = hook_is_default(
+            adversary, "matching_symbol"
+        ) and hook_is_default(adversary, "matching_row")
         self.mv_default = hook_is_default(adversary, "m_vector")
         self.df_default = hook_is_default(adversary, "detected_flag")
         self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
@@ -379,8 +383,91 @@ def _row_bits(row: Sequence[bool], i: int) -> List[int]:
     return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
 
 
-#: The deviations of a symbol round in which no hook fired.
-_NOTHING = MappingProxyType({})
+#: The plan key of a symbol round in which nothing deviates.
+_CONFORMING = ((), ())
+
+
+class _SymbolRound:
+    """What the live faulty senders put on the wire in one symbol
+    round: per sender the payload every recipient got, plus the sparse
+    table of the (sender, recipient) pairs that got something else.
+
+    Payloads are held as the recipient reads them: an exact ``int`` in
+    ``[0, symbol_limit)``, or :data:`_MISSING` for silence (``None``,
+    not charged) and for anything else (charged, invalid on receipt).
+    An exception naming a pid the sender has no live trusted edge to is
+    ignored, and one that reads like the sender's common payload is not
+    kept, so ``exceptions`` holds exactly the pairs that differ.
+    """
+
+    __slots__ = ("common", "exceptions", "silent", "sent", "offcw")
+
+    def __init__(self, adversary, struct, row_of, cw, g, view, limit):
+        common: Dict[int, int] = {}
+        exceptions: Dict[Tuple[int, int], int] = {}
+        silent = []
+        sent = 0
+        offcw = False
+        mask = struct.mask
+        n = len(mask)
+        # One row hook per sender, senders ascending, recipients sorted:
+        # a derived row fires the scalar hooks in the exact scalar order.
+        for f, recips in struct.fab_recips.items():
+            payload, others = adversary.matching_row(
+                f, recips, row_of[f][f], g, view
+            )
+            quiet = payload is None
+            if not quiet:
+                sent += len(recips)
+            if not (is_exact_int(payload) and 0 <= payload < limit):
+                payload = _MISSING
+                silent.append(f)
+            elif payload != cw[f]:
+                offcw = True
+            common[f] = payload
+            if not others:
+                continue
+            trusted = mask[f]
+            for r, other in others.items():
+                if not (is_exact_int(r) and 0 <= r < n and trusted[r]):
+                    continue
+                if (other is None) != quiet:
+                    sent += 1 if quiet else -1
+                if not (is_exact_int(other) and 0 <= other < limit):
+                    other = _MISSING
+                if other != payload:
+                    exceptions[(f, r)] = other
+                    if other != _MISSING and other != cw[f]:
+                        offcw = True
+        #: sender -> the payload each of its recipients got, bar these:
+        self.common = common
+        #: (sender, recipient) -> the payload that pair got instead.
+        self.exceptions = exceptions
+        #: Senders whose common payload never arrives valid, ascending.
+        self.silent = tuple(silent)
+        #: Payloads charged: every one that was not silence.
+        self.sent = sent
+        #: Some payload is valid but off the honest codeword.
+        self.offcw = offcw
+
+    def payload(self, f: int, r: int) -> int:
+        """What live trusted recipient ``r`` got from faulty sender ``f``."""
+        return self.exceptions.get((f, r), self.common[f])
+
+    def deviations(self, cw, fab_recips, senders):
+        """``(sender, recipient, payload)`` of every payload from one of
+        ``senders`` that is not the honest codeword's symbol."""
+        common = self.common
+        exceptions = self.exceptions
+        for f in senders:
+            payload = common[f]
+            if payload != cw[f]:
+                for r in fab_recips[f]:
+                    if (f, r) not in exceptions:
+                        yield f, r, payload
+        for (f, r), payload in exceptions.items():
+            if payload != cw[f] and f in senders:
+                yield f, r, payload
 
 
 class _InstanceRun:
@@ -408,9 +495,9 @@ class _InstanceRun:
         #: Controlled pid -> parts, where its effective input differs
         #: from the honest one.
         self.distinct = distinct
-        # With the base matching_symbol hook and no controlled processor
+        # With the symbol hook at the base and no controlled processor
         # holding a distinct value, every payload is the sender's honest
-        # shared-codeword symbol: classification is statically empty.
+        # shared-codeword symbol: there is no round to read.
         self.ms_skip = ctx.ms_default and not distinct
         self.default_parts = default_parts
         #: Graph structure carried across generations; only a diagnosis
@@ -475,62 +562,35 @@ class _InstanceRun:
         sym_tag, m_tag, det_tag = _generation_tags(g)
 
         # -- lines 1(a)-1(b): the symbol round --------------------------
-        # Honest traffic is value-independent accounting; faulty live
-        # senders fire their matching_symbol hooks in scalar order and
-        # the payloads are classified against two expectations: the
-        # recipient's own codeword row (drives its M bit) and the shared
-        # honest codeword (drives checking and decisions).
+        # Honest traffic is value-independent accounting; each live
+        # faulty sender is asked once for its row (matching_row), which
+        # the round holds as its recipients read it.
         if struct.fab_recips and not self.ms_skip:
-            missing: Set[Tuple[int, int]] = set()
-            offcw: Dict[Tuple[int, int], int] = {}
-            m_false: List[Tuple[int, int]] = []
-            valid: Dict[Tuple[int, int], int] = {}
-            n_sent = 0
-            adversary = self.adversary
             row_of, cw = self._rows(g)
-            view = self._make_view()
-            limit = ctx.symbol_limit
-            for f, recips in struct.fab_recips.items():
-                own = row_of[f][f]
-                exp = cw[f]
-                for r in recips:
-                    payload = adversary.matching_symbol(f, r, own, g, view)
-                    if payload is None:
-                        # Silent: no bits on the wire, M bit False.
-                        missing.add((f, r))
-                        m_false.append((f, r))
-                        continue
-                    n_sent += 1
-                    if is_exact_int(payload) and 0 <= payload < limit:
-                        payload = int(payload)
-                        valid[(f, r)] = payload
-                        if payload != row_of[r][f]:
-                            m_false.append((f, r))
-                        if payload != exp:
-                            offcw[(f, r)] = payload
-                    else:
-                        # Sent (charged) but invalid on receipt.
-                        missing.add((f, r))
-                        m_false.append((f, r))
+            sym = _SymbolRound(
+                self.adversary, struct, row_of, cw, g, self._make_view(),
+                ctx.symbol_limit,
+            )
+            n_sent = sym.sent
+            # Memoized when every deviating payload is missing/invalid
+            # and every controlled input is the honest one (each M
+            # expectation row is then a function of the pattern alone),
+            # built fresh otherwise.
+            pattern = None if sym.offcw or self.distinct else (
+                sym.silent, tuple(sym.exceptions)
+            )
         else:
             # No hook to fire: every live faulty sender delivers its own
             # symbol, nothing deviates.
-            missing = offcw = valid = _NOTHING
-            m_false = ()
+            sym = None
             n_sent = struct.fab_sent
+            pattern = _CONFORMING
         consensus.network.charge_round(
             sym_tag, struct.honest_edges + n_sent, ctx.c
         )
-        # The plan of this deviation pattern: memoized when every
-        # deviating payload is missing/invalid and every controlled
-        # input is the honest one (each M expectation row is then a
-        # function of the pattern alone), built fresh otherwise.
-        pattern = None if offcw or self.distinct else tuple(m_false)
         plan = struct.plans.get(pattern)
         if plan is None:
-            plan = self._build_plan(
-                struct, m_false, missing, offcw, valid, g
-            )
+            plan = self._build_plan(struct, sym, g)
             if pattern is not None:
                 struct.plans[pattern] = plan
 
@@ -571,7 +631,7 @@ class _InstanceRun:
         check = plan.checks.get(info)
         if check is None:
             check = plan.checks[info] = self._checking(
-                plan, struct, info, valid, g
+                struct, info, sym, g
             )
         # Overridden detected_flag hooks fire on every controlled
         # outsider, in outsider order.
@@ -597,14 +657,14 @@ class _InstanceRun:
         if flagged:
             self.conforming = False
             return self._diagnose(
-                struct, g, info.p_match, valid, flagged, detectors
+                struct, g, info.p_match, sym, flagged, detectors
             )
         # Line 2(c): decide C^{-1}(R_i / P_match).
         if check.clean:
             decisions = dict.fromkeys(ctx.honest, self.ref_tuples[g])
         else:
             self.conforming = False
-            decisions = self._general_decisions(info, struct, valid, g)
+            decisions = self._general_decisions(info, struct, sym, g)
         return GenerationResult(
             generation=g,
             outcome=GenerationOutcome.DECIDED_CHECKING,
@@ -613,14 +673,18 @@ class _InstanceRun:
             detectors=detectors,
         )
 
-    def _build_plan(self, struct, m_false, missing, offcw, valid, g):
-        """The plan of one generation's deviation pattern: ``m_false``
-        are the pairs whose M bit is false, in hook order."""
+    def _build_plan(self, struct, sym, g):
+        """The plan of one generation's deviation pattern."""
         ctx = self.ctx
         controlled = ctx.controlled
+        #: recipient -> the senders whose payload is not the honest
+        #: codeword's symbol (what an honest M bit rejects).
         touched: Dict[int, List[int]] = {}
-        for f, r in m_false:
-            touched.setdefault(r, []).append(f)
+        if sym is not None:
+            for f, r, _ in sym.deviations(
+                self._rows(g)[1], struct.fab_recips, sym.common
+            ):
+                touched.setdefault(r, []).append(f)
         zero = [0] * (ctx.n - 1)
         ctrl_rows = {}
         m_rows = []
@@ -628,7 +692,7 @@ class _InstanceRun:
             senders = touched.get(i)
             if i in controlled:
                 if i in self.distinct or senders:
-                    row = self._ctrl_row(struct, valid, i, g)
+                    row = self._ctrl_row(struct, sym, i, g)
                     bits = _row_bits(row, i)
                 else:
                     row = struct.base_bool[i]
@@ -642,45 +706,50 @@ class _InstanceRun:
                         bits[f - 1 if f > i else f] = 0
             m_rows.append(bits if struct.live[i] else zero)
         return _Plan(
-            tuple(sorted(p for p in m_false if p[1] not in controlled)),
-            missing, offcw, ctrl_rows, m_rows,
+            tuple(sorted(
+                (f, r) for r, senders in touched.items()
+                if r not in controlled for f in senders
+            )),
+            ctrl_rows, m_rows,
         )
 
-    def _checking(self, plan, struct, info, valid, g):
-        """Each outsider's honest Detected value under ``plan``'s
+    def _checking(self, struct, info, sym, g):
+        """Each outsider's honest Detected value under this round's
         deviations and whether the conforming decode applies."""
         ctx = self.ctx
-        missing = plan.missing
-        offcw = plan.offcw
+        controlled = ctx.controlled
+        # Only a controlled P_match member's deviating payload matters:
+        # to an outsider it is a silent trusted member (detected) or a
+        # valid symbol off the codeword (suspect); to an honest
+        # recipient it reaches a decision row.
+        hit: Set[int] = set()
+        suspect: Set[int] = set()
+        clean = info.pos_ok
+        if sym is not None and info.pm_ctrl:
+            cw = self._rows(g)[1]
+            match_set = info.match_set
+            for _, r, payload in sym.deviations(
+                cw, struct.fab_recips, info.pm_ctrl
+            ):
+                if r not in controlled:
+                    clean = False
+                if r not in match_set:
+                    (hit if payload == _MISSING else suspect).add(r)
         detected = []
         for q in info.outsiders:
-            hit = suspect = False
-            for f in info.trusted_ctrl[q]:
-                if (f, q) in missing:
-                    hit = True  # a trusted member stayed silent
-                    break
-                if (f, q) in offcw:
-                    suspect = True
-            if suspect and not hit:
+            flag = q in hit
+            if not flag and q in suspect:
                 # Its honest consistency check over the received
                 # P_match symbols, some valid but off the codeword.
                 mask = struct.mask
-                cw = self._rows(g)[1]
-                hit = not ctx.code.is_consistent({
-                    j: valid[(j, q)] if j in ctx.controlled else cw[j]
+                flag = not ctx.code.is_consistent({
+                    j: sym.payload(j, q) if j in controlled else cw[j]
                     for j in info.p_match if mask[q, j]
                 })
-            detected.append((q, hit))
-        # No deviation reaches an honest decision row: every
-        # missing/off-codeword payload has its sender outside P_match
-        # or a controlled recipient.
-        clean = info.pos_ok and not any(
-            f in info.match_set and r not in ctx.controlled
-            for f, r in itertools.chain(missing, offcw)
-        )
-        return _Checking(detected, ctx.controlled, clean)
+            detected.append((q, flag))
+        return _Checking(detected, controlled, clean)
 
-    def _diagnose(self, struct, g, p_match, valid, flagged, detectors):
+    def _diagnose(self, struct, g, p_match, sym, flagged, detectors):
         """Lines 3(a)-3(i), delegated: diagnosis is rare and already
         grouped, so it runs the vectorized protocol's own stage.
         ``flagged`` are the outsiders whose broadcast Detected flag is
@@ -690,7 +759,7 @@ class _InstanceRun:
         # Diagnosis mutates the graph: drop the carried structure.
         self.struct = None
         row_of = self._rows(g)[0]
-        received = self._scatter_received(struct, row_of, valid)
+        received = self._scatter_received(struct, row_of, sym)
         detected_arr = np.zeros(ctx.n, dtype=bool)
         detected_arr[flagged] = True
         protocol = GenerationProtocol(
@@ -744,7 +813,7 @@ class _InstanceRun:
             m_i = (m_i + [False] * n)[:n]
         return _row_bits(m_i, i)
 
-    def _ctrl_row(self, struct, valid, i, g):
+    def _ctrl_row(self, struct, sym, i, g):
         """Elementwise M row of controlled pid ``i`` — its expectation is
         its *own* codeword row, which differs from the honest one when
         its effective input does."""
@@ -760,13 +829,14 @@ class _InstanceRun:
             elif not mask[i, j]:
                 row.append(False)
             elif j in controlled:
-                payload = valid.get((j, i))
-                row.append(payload is not None and payload == exp[j])
+                # A live controlled sender, so the round holds its
+                # payload; _MISSING equals no symbol.
+                row.append(sym.payload(j, i) == exp[j])
             else:
                 row.append(row_of[j][j] == exp[j])
         return row
 
-    def _general_decisions(self, info, struct, valid, g):
+    def _general_decisions(self, info, struct, sym, g):
         """Exact mirror of the vectorized line 2(c) decode, decoding
         once per distinct symbol row."""
         ctx = self.ctx
@@ -774,7 +844,6 @@ class _InstanceRun:
         mask = struct.mask
         controlled = ctx.controlled
         p_match = info.p_match
-        ms_skip = self.ms_skip
         decisions: Dict[int, tuple] = {}
         row_cache: Dict[tuple, tuple] = {}
         for pid in ctx.honest:
@@ -784,12 +853,11 @@ class _InstanceRun:
                     values.append(row_of[pid][pid])
                 elif not mask[pid, j]:
                     values.append(_MISSING)
-                elif j in controlled:
-                    if ms_skip:
-                        values.append(cw[j])
-                    else:
-                        values.append(valid.get((j, pid), _MISSING))
+                elif sym is not None and j in controlled:
+                    values.append(sym.payload(j, pid))
                 else:
+                    # An honest sender, or a controlled one with no
+                    # hook to fire: its shared-codeword symbol.
                     values.append(cw[j])
             key = tuple(values)
             decided = row_cache.get(key)
@@ -808,7 +876,7 @@ class _InstanceRun:
             decisions[pid] = decided
         return decisions
 
-    def _scatter_received(self, struct, row_of, valid):
+    def _scatter_received(self, struct, row_of, sym):
         """Materialize the checking-stage received matrix for the
         delegated diagnosis stage."""
         ctx = self.ctx
@@ -818,13 +886,18 @@ class _InstanceRun:
         mask = struct.mask
         for j in ctx.honest:
             received[mask[j], j] = row_of[j][j]
-        if self.ms_skip:
+        if sym is None:
             # Conforming controlled senders delivered their honest
             # symbol to every live trusted recipient, like honest ones.
             for f in struct.fab_recips:
                 received[mask[f], f] = row_of[f][f]
         else:
-            for (f, r), payload in valid.items():
+            # One masked column per sender, then the exceptions (a
+            # missing payload is the buffer's own fill value).
+            for f, payload in sym.common.items():
+                if payload != _MISSING:
+                    received[mask[f], f] = payload
+            for (f, r), payload in sym.exceptions.items():
                 received[r, f] = payload
         for i in range(ctx.n):
             received[i, i] = row_of[i][i]

@@ -1,9 +1,17 @@
 """Adversary framework: default honesty, hook coverage, strategy logic."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit.replay import DeviationRecorder
+from repro.core.config import ConsensusConfig
+from repro.core.consensus import MultiValuedConsensus
 from repro.processors import (
+    ATTACKS,
+    AdaptiveAdversary,
     Adversary,
+    CollidingInputAdversary,
     CompositeAdversary,
     CrashAdversary,
     EquivocatingAdversary,
@@ -11,10 +19,14 @@ from repro.processors import (
     FalseDetectionAdversary,
     RandomAdversary,
     SlowBleedAdversary,
+    StagedEquivocationAdversary,
     SymbolCorruptionAdversary,
     TrustPoisoningAdversary,
+    make_attack,
 )
 from repro.processors.adversary import GlobalView, hook_is_default
+from repro.service.cohort import CohortContext
+from repro.service.engine import prepare_instance
 
 #: The hooks an engine may elide when they are left at the base.
 ELIDABLE_HOOKS = (
@@ -112,6 +124,37 @@ class TestSymbolCorruption:
         v = view(faulty=[0])
         assert adversary.matching_symbol(0, 1, 0, 0, v) == 0xF
 
+    def test_pid_absent_from_a_partial_map_corrupts_nobody(self):
+        # None doubled as "everyone" and as dict.get's default, so the
+        # unnamed pid 1 used to flip every symbol it sent.
+        adversary = SymbolCorruptionAdversary([0, 1], victims={0: [6]})
+        v = view(faulty=[0, 1])
+        recipients = [r for r in range(7) if r != 1]
+        assert [
+            adversary.matching_symbol(1, r, 5, 0, v) for r in recipients
+        ] == [5] * 6
+        assert adversary.matching_row(1, recipients, 5, 0, v) == (5, {})
+        assert adversary.matching_symbol(0, 6, 5, 0, v) == 4
+        assert adversary.matching_row(0, [1, 6], 5, 0, v) == (5, {6: 4})
+        assert adversary.forwarded_symbol(1, 6, 5, 0, v) == 5
+        assert adversary.source_symbol(1, 6, 5, 0, v) == 5
+
+    def test_partial_map_under_a_wrapper_that_adds_pids(self):
+        # AdaptiveAdversary widens strategy.faulty after the map was
+        # read; the added pid 5 is still not in the map.
+        strategy = SymbolCorruptionAdversary([0], victims={0: [6]})
+        adversary = AdaptiveAdversary({0: [0], 1: [5]}, strategy)
+        assert strategy.faulty == {0, 5}
+        v = view(faulty=[0, 5])
+        assert adversary.matching_symbol(5, 6, 9, 1, v) == 9
+        assert adversary.matching_row(5, [0, 6], 9, 1, v) == (9, {})
+        assert adversary.matching_row(0, [5, 6], 9, 1, v) == (9, {6: 8})
+        # Without a map "everyone" still covers a pid added later.
+        everyone = SymbolCorruptionAdversary([0])
+        AdaptiveAdversary({0: [0], 1: [5]}, everyone)
+        assert everyone.matching_symbol(5, 6, 9, 1, v) == 8
+        assert everyone.matching_row(5, [0, 6], 9, 1, v) == (8, {})
+
 
 class TestSimpleStrategies:
     def test_false_accusation(self):
@@ -124,8 +167,170 @@ class TestSimpleStrategies:
 
     def test_equivocator_needs_extras(self):
         adversary = EquivocatingAdversary(faulty=[0], split=3, alt_value=9)
-        # Without code/alt_parts in extras it behaves honestly.
+        # Without code/parts_of in extras it behaves honestly.
         assert adversary.matching_symbol(0, 5, 7, 0, view()) == 7
+        # With what every consensus engine publishes, pids from the
+        # split up see the alternative value's codeword.
+        v, consensus = engine_view(7, adversary)
+        alt = consensus.code.encode(consensus.parts_of(9)[0])
+        honest = alt[0] ^ 1
+        assert adversary.matching_symbol(0, 5, honest, 0, v) == alt[0]
+        assert adversary.matching_symbol(0, 2, honest, 0, v) == honest
+
+
+def engine_view(n, adversary, l_bits=64):
+    """The view a consensus engine hands ``adversary``'s hooks (``code``,
+    ``parts_of``, the diagnosis graph, ...) and the engine behind it."""
+    consensus = MultiValuedConsensus(
+        ConsensusConfig.create(n=n, l_bits=l_bits), adversary=adversary
+    )
+    prepare_instance(consensus, [0xB5 * n] * n)
+    return consensus._make_view(), consensus
+
+
+class OddPayloads(Adversary):
+    """Scalar form only: payloads no honest processor sends."""
+
+    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
+        return (
+            None, True, -1, 1 << 40, float(honest_symbol), honest_symbol,
+        )[(recipient + generation) % 6]
+
+
+def _explicit(cls, **kwargs):
+    return lambda n, t: cls(list(range(t)), **kwargs)
+
+
+#: Every way the library builds an adversary: the registry entries and
+#: the exported strategy classes, as ``(n, t) -> adversary``.
+SUBJECTS = {
+    "attack:" + name: (
+        lambda n, t, _name=name: make_attack(_name, n, t, 64, seed=7)
+    )
+    for name in ATTACKS
+}
+SUBJECTS.update({
+    "Adversary": _explicit(Adversary),
+    "CrashAdversary": _explicit(CrashAdversary, crash_generation=1),
+    "SymbolCorruptionAdversary": _explicit(SymbolCorruptionAdversary),
+    "SymbolCorruptionAdversary/partial": lambda n, t: (
+        SymbolCorruptionAdversary(range(t), victims={0: [n - 1, n + 3]})
+    ),
+    "EquivocatingAdversary": _explicit(
+        EquivocatingAdversary, split=2, alt_value=1234
+    ),
+    "FalseAccusationAdversary": _explicit(FalseAccusationAdversary),
+    "FalseDetectionAdversary": _explicit(FalseDetectionAdversary),
+    "SlowBleedAdversary": _explicit(SlowBleedAdversary),
+    "RandomAdversary": _explicit(RandomAdversary, seed=3, rate=0.7),
+    "CollidingInputAdversary": _explicit(
+        CollidingInputAdversary, forged_value=5
+    ),
+    "TrustPoisoningAdversary": _explicit(TrustPoisoningAdversary),
+    "StagedEquivocationAdversary": lambda n, t: StagedEquivocationAdversary(
+        range(t), deceived=[n - 1, n - 2], alt_value=99
+    ),
+    "AdaptiveAdversary": lambda n, t: AdaptiveAdversary(
+        {0: [0], 1: list(range(1, t))},
+        SymbolCorruptionAdversary([0], victims={0: [n - 1]}),
+    ),
+    "CompositeAdversary": lambda n, t: CompositeAdversary({
+        0: CrashAdversary([0], crash_generation=1),
+        **{pid: RandomAdversary([pid], seed=pid) for pid in range(1, t)},
+    }),
+    "DeviationRecorder": lambda n, t: DeviationRecorder(
+        RandomAdversary(range(t), seed=5)
+    ),
+    "OddPayloads": _explicit(OddPayloads),
+})
+
+
+class TestRowFormAgreesWithScalarForm:
+    """``matching_row`` is ``matching_symbol`` asked once: on two
+    identically built adversaries, expanding one's row answers equals
+    the other's per-recipient answers, call after call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_expands_to_the_scalar_answers(self, data):
+        name = data.draw(st.sampled_from(sorted(SUBJECTS)))
+        n = data.draw(st.sampled_from([4, 7, 31]))
+        t = (n - 1) // 3
+        by_row, by_symbol = SUBJECTS[name](n, t), SUBJECTS[name](n, t)
+        row_view, consensus = engine_view(n, by_row)
+        symbol_view, _ = engine_view(n, by_symbol)
+        senders = sorted(by_row.faulty) or [0]
+        calls = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(senders),
+                st.lists(st.integers(0, n - 1), unique=True),
+                st.integers(0, consensus.code.symbol_limit - 1),
+                st.integers(0, consensus.config.generations - 1),
+            ),
+            min_size=1, max_size=4,
+        ))
+        for pid, recipients, honest_symbol, generation in calls:
+            payload, exceptions = by_row.matching_row(
+                pid, recipients, honest_symbol, generation, row_view
+            )
+            expanded = [exceptions.get(r, payload) for r in recipients]
+            asked = [
+                by_symbol.matching_symbol(
+                    pid, r, honest_symbol, generation, symbol_view
+                )
+                for r in recipients
+            ]
+            # Exactly: True is not the symbol 1, 5.0 not the symbol 5.
+            assert [(type(x), x) for x in expanded] == [
+                (type(x), x) for x in asked
+            ]
+
+    def test_overriding_the_scalar_form_alone_gets_the_derived_row(self):
+        class Lopsided(CrashAdversary):
+            def matching_symbol(
+                self, pid, recipient, honest_symbol, generation, view
+            ):
+                return None if recipient % 2 else honest_symbol
+
+        # CrashAdversary's own row ("silent to all") answered for
+        # CrashAdversary's scalar form, not for this one.
+        assert Lopsided.matching_row is Adversary.matching_row
+        assert CrashAdversary.matching_row is not Adversary.matching_row
+        assert Lopsided([0]).matching_row(0, [1, 2, 3], 5, 0, view()) == (
+            5, {1: None, 3: None}
+        )
+
+    def test_a_row_without_its_scalar_form_is_refused(self):
+        with pytest.raises(TypeError, match="matching_row"):
+            class RowOnly(Adversary):
+                def matching_row(
+                    self, pid, recipients, honest_symbol, generation, view
+                ):
+                    return None, {}
+
+        with pytest.raises(TypeError, match="matching_row"):
+            class InheritedScalar(CrashAdversary):
+                def matching_row(
+                    self, pid, recipients, honest_symbol, generation, view
+                ):
+                    return honest_symbol, {}
+
+    def test_ms_default_needs_both_forms_at_the_base(self):
+        def ms_default(adversary):
+            consensus = MultiValuedConsensus(
+                ConsensusConfig.create(n=7, l_bits=64), adversary=adversary
+            )
+            return CohortContext(
+                consensus.config, consensus.code, adversary,
+                consensus.ensure_arena(),
+            ).ms_default
+
+        assert ms_default(Adversary([5, 6]))
+        assert ms_default(TrustPoisoningAdversary([5, 6]))
+        assert not ms_default(CrashAdversary([5, 6]))
+        assert not ms_default(OddPayloads([5, 6]))
+        assert not ms_default(CompositeAdversary({5: Adversary([5])}))
+        assert not ms_default(DeviationRecorder(Adversary([5, 6])))
 
 
 class TestRandomAdversary:

@@ -144,10 +144,19 @@ class TestAdversarialRuns:
         assert result.diagnosis_count == 1
 
     def test_equivocating_inputs(self):
-        adversary = EquivocatingAdversary(faulty=[5, 6], split=3,
-                                          alt_value=1234)
+        # Low pids, which the lexicographic P_match search would pick;
+        # the alternative value differs from the honest one in every
+        # generation's part.
+        adversary = EquivocatingAdversary(faulty=[0, 1], split=3,
+                                          alt_value=0xFEDCBA9876543210)
         result = run_consensus(7, 2, 64, [999] * 7, adversary=adversary)
         assert_error_free(result, expected=999)
+        # The attack attacks: pids 3..6 saw another codeword's symbols,
+        # so no match set holds an equivocator (a faulty-but-compliant
+        # [0, 1] gives (0, 1, 2, 3, 4) throughout).
+        assert [g.p_match for g in result.generation_results] == [
+            (2, 3, 4, 5, 6)
+        ] * 4
 
     def test_faulty_input_substitution(self):
         class LyingInput(Adversary):

@@ -281,8 +281,10 @@ def test_plan_memo(monkeypatch, encodes):
     """The plan is what the one step memoizes: a crashed sender's
     second generation and a second same-shape instance add no entry to
     the cohort's plan table, the adversary's hooks fire in the order
-    (and with the arguments) the forced-scalar engine fires them, and a
-    failure-free run still encodes nothing."""
+    (and with the arguments) the forced-scalar engine fires them — the
+    symbol round as one ``matching_row`` per sender where the scalar
+    engine asks per recipient — and a failure-free run still encodes
+    nothing."""
     n, l_bits = 7, 256
     spec = RunSpec(n=n, l_bits=l_bits, attack="crash")
     instances = instances_for("crash", n)
@@ -296,7 +298,7 @@ def test_plan_memo(monkeypatch, encodes):
         def logging_engine(adversary, *args, **kwargs):
             log = []
             logs.append(log)
-            for name in HOOKS:
+            for name in HOOKS + ("matching_row",):
                 original = getattr(adversary, name)
 
                 def spy(pid, *rest, _name=name, _original=original):
@@ -338,8 +340,10 @@ def test_plan_memo(monkeypatch, encodes):
     # generation and the whole second instance look it up.
     assert sizes == [1] * (2 * generations)
     [struct] = ctx._structs.values()  # silence convicts nobody
-    [plan] = struct.plans.values()
-    assert plan.missing and not plan.offcw
+    # Its key says who fell silent, not to whom: no exception pairs.
+    [(silent, exceptions)] = struct.plans
+    assert silent == tuple(sorted(spec.make_adversary().faulty))
+    assert exceptions == ()
     # Base hooks the crash attack does not override are elided (that is
     # unobservable), so compare the overridden ones.
     overridden = {
@@ -348,11 +352,25 @@ def test_plan_memo(monkeypatch, encodes):
         is not getattr(cohort_module.Adversary, name)
     }
     assert "matching_symbol" in overridden
+
+    def per_recipient(log):
+        """``log`` with every row call spelt as the scalar calls it
+        stands for."""
+        for call in log:
+            if call[0] == "matching_row":
+                _, pid, recipients, honest_symbol, g = call
+                for recipient in recipients:
+                    yield ("matching_symbol", pid, recipient, honest_symbol, g)
+            elif call[0] in overridden:
+                yield call
+
     for log, scalar_log in zip(logs, scalar_logs):
-        assert [call for call in log if call[0] in overridden] == [
-            call for call in scalar_log if call[0] in overridden
-        ]
-        assert any(call[0] == "matching_symbol" for call in log)
+        assert list(per_recipient(log)) == list(per_recipient(scalar_log))
+        # The cohort asked each sender once; the scalar engine has no
+        # row form to ask.
+        assert not any(call[0] == "matching_symbol" for call in log)
+        assert any(call[0] == "matching_row" for call in log)
+        assert not any(call[0] == "matching_row" for call in scalar_log)
 
     # The failure-free cohort: one plan (the empty pattern), no encode.
     del encodes[:]  # the crash cohort above did encode
@@ -393,13 +411,12 @@ for _name in HOOKS + ("diagnosis_symbol", "trust_vector"):
     setattr(LoggingRandomAdversary, _name, _logged(_name))
 
 
-@pytest.mark.parametrize("n, seed", [(4, 3), (7, 2), (7, 3), (10, 4)])
-def test_live_stateful_adversary_through_a_cold_cohort_of_one(
-    monkeypatch, n, seed
-):
-    """The one-shot ``run`` of a live adversary object — a private
-    cohort built cold inside the call — equals the forced-scalar run in
-    result, clocks and the full hook log."""
+def cold_cohort_and_scalar(monkeypatch, n, value, make_adversary):
+    """One live adversary object through the one-shot ``run`` — a
+    private cohort built cold inside the call — and an identically
+    built one through the forced-scalar run: ``(result, cohort
+    adversary, scalar adversary)``, after asserting equal results and
+    clocks."""
     from repro.core.config import ConsensusConfig
 
     entered = []
@@ -409,28 +426,145 @@ def test_live_stateful_adversary_through_a_cold_cohort_of_one(
         lambda *args: entered.append(1) or original(*args),
     )
     config = ConsensusConfig.create(n=n, l_bits=512)
-    value = random.Random(seed).getrandbits(512)
-    # Pid 0 sits inside the lexicographic-first P_match (so its
-    # diagnosis_symbol hook can fire), the rest outside.
-    faulty = [0] + list(range(n - config.t + 1, n))
-    observed = {}
-    for name, toggles in (
-        ("cohort", {}),
-        ("scalar", {"vectorized": False, "batch_generations": False}),
+    observed = []
+    for toggles in (
+        {}, {"vectorized": False, "batch_generations": False},
     ):
-        adversary = LoggingRandomAdversary(faulty, seed, rate=0.15)
+        adversary = make_adversary(config)
         engine = MultiValuedConsensus(config, adversary=adversary, **toggles)
-        observed[name] = (
-            Observed(engine.run([value] * n), engine), adversary.log
+        observed.append(
+            (Observed(engine.run([value] * n), engine), adversary)
         )
         assert len(entered) == 1  # the default run, never the scalar one
-    (cohort, cohort_log), (scalar, scalar_log) = (
-        observed["cohort"], observed["scalar"]
-    )
+    (cohort, by_cohort), (scalar, by_scalar) = observed
     assert cohort.result == scalar.result and cohort.result.error_free
     assert cohort.clocks == scalar.clocks
-    assert cohort_log == scalar_log
-    # The run was not a trivial one: every stage's hooks fired.
-    assert {call[0] for call in cohort_log} == set(HOOKS) | {
-        "diagnosis_symbol", "trust_vector",
-    }
+    return cohort.result, by_cohort, by_scalar
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(4, 3), (7, 2), (7, 3), (10, 4), (31, 5)]
+)
+def test_live_stateful_adversary_through_a_cold_cohort_of_one(
+    monkeypatch, n, seed
+):
+    """The one-shot ``run`` of a live adversary object equals the
+    forced-scalar run in result, clocks and the full hook log: a
+    strategy that overrides only the scalar ``matching_symbol`` is
+    still asked per recipient (through the derived row), in the scalar
+    engine's exact (pid, recipient, honest symbol, generation)
+    sequence."""
+
+    def make_adversary(config):
+        # Pid 0 sits inside the lexicographic-first P_match (so its
+        # diagnosis_symbol hook can fire), the rest outside.
+        faulty = [0] + list(range(n - config.t + 1, n))
+        return LoggingRandomAdversary(faulty, seed, rate=0.15)
+
+    _, by_cohort, by_scalar = cold_cohort_and_scalar(
+        monkeypatch, n, random.Random(seed).getrandbits(512), make_adversary
+    )
+    assert by_cohort.log == by_scalar.log
+    # The run was not a trivial one: every stage's hooks fired (at
+    # n = 31 pid 0 deviates towards some of its 30 recipients in every
+    # generation, so it never sits in a P_match to be diagnosed from).
+    assert {call[0] for call in by_cohort.log} == set(HOOKS) | {
+        "trust_vector",
+    } | ({"diagnosis_symbol"} if n < 31 else set())
+
+
+def test_symbol_round_asks_a_row_strategy_once_per_sender(monkeypatch):
+    """A count, not a timing: the cohort engine asks a strategy that
+    answers in row form once per live faulty sender per generation and
+    never per recipient; the scalar engine asks per recipient only."""
+    from repro.processors import CrashAdversary
+
+    class CountingCrash(CrashAdversary):
+        def __init__(self, faulty):
+            super().__init__(faulty)
+            self.rows = self.symbols = 0
+
+        def matching_symbol(self, *args):
+            self.symbols += 1
+            return super().matching_symbol(*args)
+
+        def matching_row(self, *args):
+            self.rows += 1
+            return super().matching_row(*args)
+
+    n, t = 31, 10
+    result, by_cohort, by_scalar = cold_cohort_and_scalar(
+        monkeypatch, n, 0x5EED << 300,
+        lambda config: CountingCrash(range(n - t, n)),
+    )
+    # Silence convicts nobody: all t senders stay live, trusted by all.
+    generations = len(result.generation_results)
+    assert generations > 2 and result.diagnosis_count == 0
+    assert (by_cohort.rows, by_cohort.symbols) == (t * generations, 0)
+    assert (by_scalar.rows, by_scalar.symbols) == (
+        0, t * (n - 1) * generations
+    )
+
+
+class OddAnswers(cohort_module.Adversary):
+    """Answers no honest processor gives.  Pid 0, inside the
+    lexicographic-first P_match, stays silent towards the last pid —
+    which costs it that pid's trust in the first diagnosis, so from
+    then on the exception names a pid the sender has no edge to, and
+    counting it would move the bits charged — and names itself, pids
+    that do not exist and a key that is no pid.  The other faulty pid
+    sends ``True`` (passes ``isinstance(x, int)`` and the range check
+    but is no symbol: charged, missing on receipt), an out-of-range
+    int and silence."""
+
+    def _odd(self, pid, view):
+        if pid == 0:
+            return {view.n - 1: None, pid: 0, view.n + 3: 0, -1: 0, "x": 0}
+        return {1: True, 2: 1 << 40, 3: None}
+
+    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
+        return self._odd(pid, view).get(recipient, honest_symbol)
+
+
+class OddAnswersInRowForm(OddAnswers):
+    # Both forms in one body, as the class-creation guard asks.
+    matching_symbol = OddAnswers.matching_symbol
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return honest_symbol, self._odd(pid, view)
+
+
+class TrueToAlmostAll(cohort_module.Adversary):
+    """Every faulty sender's common payload is ``True``; pid 1 gets the
+    honest symbol and pid 2 silence (exceptions under a common payload
+    that is charged but never arrives)."""
+
+    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
+        return {1: honest_symbol, 2: None}.get(recipient, True)
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return True, {1: honest_symbol, 2: None}
+
+
+@pytest.mark.parametrize(
+    "adversary_class, diagnosed",
+    [
+        (OddAnswers, True), (OddAnswersInRowForm, True),
+        (TrueToAlmostAll, False),
+    ],
+    ids=["scalar_form", "row_form", "true_to_almost_all"],
+)
+def test_row_answers_are_read_as_the_scalar_payloads_are(
+    monkeypatch, adversary_class, diagnosed
+):
+    """Exceptions aimed at an untrusted, own or non-existent pid are
+    ignored and a ``True`` payload is charged but missing: result
+    (meter included) and clocks equal the forced-scalar run."""
+    result, _, _ = cold_cohort_and_scalar(
+        monkeypatch, 7, 0xC0DE << 200,
+        lambda config: adversary_class([0, 5]),
+    )
+    # Pid 0's silence towards pid 6 was diagnosed, so every later
+    # generation's exception names an untrusted pid.
+    assert (result.diagnosis_count >= 1) == diagnosed
+    assert len(result.generation_results) > 2
