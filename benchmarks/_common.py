@@ -1,39 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""What every experiment prints: a titled fixed-width table.
 
-Every benchmark regenerates one experiment from DESIGN.md's index (the
-paper has no empirical tables — its evaluation is the set of quantitative
-claims in §3.4, §1 and §4) and prints the rows it reproduces, so running
-``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment
-driver.  Numbers are deterministic bit counts; pytest-benchmark's timing
-is secondary (it measures the simulator, not the algorithm's complexity).
+The paper has no empirical tables — its evaluation is the set of
+quantitative claims in §3.4, §1 and §4 — so each ``bench_*.py``
+regenerates one experiment of the index in ``docs/BENCHMARKS.md``,
+prints the rows it reproduces and asserts the claim on them.  The
+numbers are deterministic bit counts; time is ``perf/``'s business.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, Sequence
+from repro.analysis import format_table
 
 
-def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]):
-    """Fixed-width table printer for experiment output."""
-    rows = [tuple(str(cell) for cell in row) for row in rows]
-    header = [str(cell) for cell in header]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    line = "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(header))
-    print()
-    print("### %s" % title)
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-
-
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark.
-
-    The experiments are deterministic bit-counting runs; repeating them
-    only rescales wall-clock noise, so a single round suffices.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def print_table(title, header, rows):
+    print("\n### %s\n%s" % (title, format_table(header, rows)))

@@ -1,15 +1,14 @@
 """E10 (ablation) — the Broadcast_Single_Bit substitution.
 
-DESIGN.md §5: the paper assumes bit-optimal 1-bit broadcasts with
-``B = Θ(n²)`` ([1, 2]); we model those with the accounted-ideal backend
-and implement a real error-free Phase-King backend with measured
-``B = Θ(n²t)``.  This ablation quantifies the gap: the same consensus run
-under both backends, total bits compared, correctness identical.
+The paper assumes bit-optimal 1-bit broadcasts with ``B = Θ(n²)``
+([1, 2]); we model those with the accounted-ideal backend and implement
+a real error-free Phase-King backend with measured ``B = Θ(n²t)``
+(``docs/BENCHMARKS.md``, "Substitutions").  This ablation quantifies the
+gap: the same consensus run under both backends, total bits compared,
+correctness identical.
 """
 
-import pytest
-
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import phase_king_bits
@@ -45,9 +44,8 @@ def run_backend_comparison():
     return rows, results
 
 
-@pytest.mark.benchmark(group="E10")
-def test_e10_backend_ablation(benchmark):
-    rows, results = once(benchmark, run_backend_comparison)
+def test_e10_backend_ablation():
+    rows, results = run_backend_comparison()
     print_table(
         "E10  accounted-ideal (B=2n²) vs real Phase-King (B=Θ(n²t)) "
         "(n=%d, t=%d, L=%d)" % (N, T, L_BITS),
@@ -99,11 +97,8 @@ def run_randomized_backend():
     return rows, result, worst, rigged.round_cap
 
 
-@pytest.mark.benchmark(group="E10")
-def test_e10_randomized_backend(benchmark):
-    rows, result, worst_rounds, round_cap = once(
-        benchmark, run_randomized_backend
-    )
+def test_e10_randomized_backend():
+    rows, result, worst_rounds, round_cap = run_randomized_backend()
     print_table(
         "E10b  randomized common-coin backend (n=%d, t=%d, L=%d)"
         % (N, T, L_BITS),

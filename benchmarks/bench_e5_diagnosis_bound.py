@@ -6,9 +6,7 @@ with enough generations to exhaust its budget, and count diagnosis stages
 and isolation events.
 """
 
-import pytest
-
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.processors import SlowBleedAdversary
 
@@ -43,9 +41,8 @@ def run_bound_check():
     return rows
 
 
-@pytest.mark.benchmark(group="E5")
-def test_e5_diagnosis_bound(benchmark):
-    rows = once(benchmark, run_bound_check)
+def test_e5_diagnosis_bound():
+    rows = run_bound_check()
     print_table(
         "E5  diagnosis stages under the slow-bleed adversary vs t(t+1)",
         ("n", "t", "gens", "diagnoses", "bound", "edges removed",

@@ -14,9 +14,7 @@ also run randomly-differing inputs, where Fitzi-Hirt only errs at its
 (d-1)/2^κ collision floor.
 """
 
-import pytest
-
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.baselines import FitziHirtConsensus, PolynomialHash, collision_for
 
@@ -63,9 +61,8 @@ def run_random_trials():
     return fh_errors, ours_errors
 
 
-@pytest.mark.benchmark(group="E6")
-def test_e6_error_freedom(benchmark):
-    fh_attack, ours_attack = once(benchmark, run_attack_trials)
+def test_e6_error_freedom():
+    fh_attack, ours_attack = run_attack_trials()
     fh_random, ours_random = run_random_trials()
     family = PolynomialHash(L_BITS, KAPPA)
     print_table(

@@ -9,9 +9,7 @@ within ``1.5 (n-1) L_padded`` at every L (the exact per-generation bound
 ``(n-1)²/(n-1-t) <= 1.5(n-1)`` for ``t < n/3``).
 """
 
-import pytest
-
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro.core import MultiValuedBroadcast
 
 N, T = 7, 2
@@ -45,9 +43,8 @@ def run_broadcast_sweep():
     return rows
 
 
-@pytest.mark.benchmark(group="E7")
-def test_e7_broadcast_complexity(benchmark):
-    rows = once(benchmark, run_broadcast_sweep)
+def test_e7_broadcast_complexity():
+    rows = run_broadcast_sweep()
     print_table(
         "E7  multi-valued broadcast vs the (n-1)L lower bound "
         "(n=%d, t=%d; paper: ratio -> 1.5)" % (N, T),

@@ -5,29 +5,39 @@ correct broadcast tolerates the substitute's fault bound, errs only when
 the substitute errs, and changes only the sub-linear-in-L complexity term.
 
 We run n=7, t=3 (impossible error-free) over Dolev-Strong with simulated
-pseudo-signatures, sweeping the security parameter κ, and record: runs
-erred, forgeries succeeded, broadcast disagreements, and the data-path
-leading term (which must stay the same as the error-free algorithm's).
+pseudo-signatures, sweeping the security parameter κ.  What §4 claims is
+a rate, so that is what is asserted: forgeries succeed at most at the
+substitute's rate ``2^-κ`` (within ``SLACK_SIGMAS`` binomial standard
+deviations plus one — never "none in these twelve seeds"), never more
+often at a larger κ, a run errs only when a broadcast disagreed, and the
+data path costs what the error-free algorithm's does at every κ.
 """
 
-import pytest
+import math
 
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
+from repro.analysis import leading_term_per_bit
 from repro.broadcast_bit import BernoulliForgingAdversary
 
 N, T, L_BITS = 7, 3, 64
 RUNS = 12
 KAPPAS = [2, 4, 8, 16]
+#: Successes allowed above ``attempts · 2^-κ``: this many standard
+#: deviations of the binomial count, plus one whole forgery so that the
+#: bound stays meaningful where the expectation is far below one.
+SLACK_SIGMAS = 4.0
+
+
+def forgery_bound(attempts: int, kappa: int) -> float:
+    expected = attempts * 2.0 ** -kappa
+    return expected + SLACK_SIGMAS * math.sqrt(expected) + 1
 
 
 def run_kappa_sweep():
     rows = []
     for kappa in KAPPAS:
-        errors = 0
-        forgeries = 0
-        disagreements = 0
-        data_bits = 0
+        errors = attempts = forgeries = disagreements = 0
         for seed in range(RUNS):
             config = ConsensusConfig.create(
                 n=N, t=T, l_bits=L_BITS, backend="dolev_strong",
@@ -42,39 +52,38 @@ def run_kappa_sweep():
                 errors += 1
                 # The paper: errors can only come from broadcast failures.
                 assert protocol.backend.stats.disagreements > 0
+            attempts += adversary.forgeries_attempted
             forgeries += adversary.forgeries_succeeded
             disagreements += protocol.backend.stats.disagreements
-            data_bits += sum(
+            # The data path is independent of the broadcast substitution:
+            # n(n-1)/(n-2t) bits per (padded) value bit, in every run.
+            assert sum(
                 bits
                 for tag, bits in result.meter.bits_by_tag.items()
                 if tag.endswith("matching.symbols")
+            ) == leading_term_per_bit(N, T) * (
+                config.generations * config.d_bits
             )
-        rows.append(
-            (
-                kappa,
-                "%d/%d" % (errors, RUNS),
-                forgeries,
-                disagreements,
-                data_bits // RUNS,
-            )
-        )
+        rows.append((kappa, errors, attempts, forgeries, disagreements))
     return rows
 
 
-@pytest.mark.benchmark(group="E8")
-def test_e8_beyond_n3(benchmark):
-    rows = once(benchmark, run_kappa_sweep)
+def test_e8_beyond_n3():
+    rows = run_kappa_sweep()
     print_table(
         "E8  t=3 >= n/3=7/3 via Dolev-Strong pseudo-signatures "
         "(%d runs per kappa)" % RUNS,
-        ("kappa", "runs erred", "forgeries", "bsb disagreements",
-         "avg data-path bits"),
-        rows,
+        ("kappa", "runs erred", "attempts", "forgeries", "expected",
+         "bound", "bsb disagreements"),
+        [
+            (kappa, "%d/%d" % (errors, RUNS), attempts, forgeries,
+             "%.2f" % (attempts * 2.0 ** -kappa),
+             "%.2f" % forgery_bound(attempts, kappa), disagreements)
+            for kappa, errors, attempts, forgeries, disagreements in rows
+        ],
     )
-    # Forgeries (and hence error opportunities) vanish as kappa grows.
-    forgeries = [row[2] for row in rows]
-    assert forgeries[-1] == 0
-    assert forgeries[0] >= forgeries[-1]
-    # The data path is independent of the broadcast substitution.
-    data_paths = {row[4] for row in rows}
-    assert len(data_paths) == 1
+    for kappa, _, attempts, forgeries, _ in rows:
+        assert forgeries <= forgery_bound(attempts, kappa)
+    # Forgeries (and hence error opportunities) thin out as kappa grows.
+    succeeded = [row[3] for row in rows]
+    assert succeeded == sorted(succeeded, reverse=True)

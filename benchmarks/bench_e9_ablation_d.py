@@ -1,15 +1,13 @@
 """E9 (ablation) — the generation-size trade-off behind the optimal D.
 
-DESIGN.md calls out D as the paper's central tuning knob: small D wastes
+D is the paper's central tuning knob (§3.4, Eq. (2)): small D wastes
 broadcast overhead on many generations; large D inflates the per-diagnosis
 cost (the adversary can burn ``t(t+1)`` of them).  We sweep D around the
 paper's optimum under the worst-case adversary and confirm the measured
 total is minimised near D*.
 """
 
-import pytest
-
-from benchmarks._common import once, print_table
+from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.analysis.complexity import optimal_d, optimal_d_feasible
 from repro.broadcast_bit.ideal import default_b
@@ -54,9 +52,8 @@ def run_d_sweep():
     return rows, d_star
 
 
-@pytest.mark.benchmark(group="E9")
-def test_e9_ablation_d(benchmark):
-    rows, d_star = once(benchmark, run_d_sweep)
+def test_e9_ablation_d():
+    rows, d_star = run_d_sweep()
     print_table(
         "E9  D ablation under worst-case diagnosis load "
         "(n=%d, t=%d, L=%d; D* = %d, analytic D* = %.0f)"

@@ -2,50 +2,34 @@
 
 The Mostefaoui backend's cost is a random variable: under a fair coin
 each round decides with probability >= 1/2, so the expected round count
-is a small constant (<= 4 is the budget CI asserts), while a rigged coin
-stalls exactly to the ``round_cap`` derandomization bound.  This sweep
-measures both across deployments and seeds, plus the timing-fault grid
-(omission / delay attacks from ``TIMING_FAULT_ATTACKS``) on the full
-engine, and writes ``BENCH_randomized.json`` at the repo root.
+is a small constant (<= 4 is the budget asserted here), while a rigged
+coin stalls exactly to the ``round_cap`` derandomization bound.  This
+sweep measures both across deployments and seeds, plus the timing-fault
+grid (omission / delay attacks from ``TIMING_FAULT_ATTACKS``) on the
+full engine.  Counts of rounds and bits, seeded: every run repeats.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_randomized.py           # full
-    PYTHONPATH=src python benchmarks/bench_randomized.py --quick   # CI smoke
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q -s   # assert
+    PYTHONPATH=src python benchmarks/bench_randomized.py   # + write the report
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 from pathlib import Path
 
+from _common import print_table
 from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast, RiggedCoin
 from repro.processors import TIMING_FAULT_ATTACKS
 from repro.service import ConsensusService, RunSpec
 
 SIZES = ((4, 1), (7, 2), (10, 3))
-#: CI budget on the measured mean rounds per instance under a fair coin.
+INSTANCES = 200
+SEEDS = range(5)
+#: Budget on the measured mean rounds per instance under a fair coin.
 EXPECTED_ROUNDS_BUDGET = 4.0
-
-
-def print_table(title, header, rows):
-    """Fixed-width table printer (standalone twin of _common's)."""
-    rows = [tuple(str(cell) for cell in row) for row in rows]
-    header = [str(cell) for cell in header]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows))
-        if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    line = "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(header))
-    print()
-    print("### %s" % title)
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
 
 
 def run_round_sweep(instances: int, seeds) -> list:
@@ -109,32 +93,15 @@ def run_timing_grid(l_bits: int) -> list:
     return records
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="fewer seeds/instances and skip the JSON write (CI smoke)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_randomized.json",
-        help="where to write the JSON report (full mode only)",
-    )
-    args = parser.parse_args()
-    instances = 50 if args.quick else 200
-    seeds = range(2) if args.quick else range(5)
-
-    rounds = run_round_sweep(instances, seeds)
+def run_report() -> dict:
+    """Measure, print and assert all three sections; the tracked report."""
+    rounds = run_round_sweep(INSTANCES, SEEDS)
     worst = run_worst_case()
     grid = run_timing_grid(l_bits=64)
-
     print_table(
         "randomized backend: measured expected rounds (fair coin, %d "
         "instances per cell; budget <= %.1f)"
-        % (instances, EXPECTED_ROUNDS_BUDGET),
+        % (INSTANCES, EXPECTED_ROUNDS_BUDGET),
         ("n", "t", "seed", "E[rounds]", "max"),
         [
             (r["n"], r["t"], r["seed"], "%.3f" % r["expected_rounds"],
@@ -152,28 +119,37 @@ def main() -> None:
         ("attack", "n", "t", "total bits"),
         [(r["attack"], r["n"], r["t"], r["total_bits"]) for r in grid],
     )
-
-    # The budget assertion CI leans on: every cell's measured mean is
-    # within the fair-coin expectation budget, and the rigged coin never
-    # escapes the derandomization cap.
+    # Every cell's measured mean is within the fair-coin expectation
+    # budget, and the rigged coin never escapes the derandomization cap.
     worst_mean = max(r["expected_rounds"] for r in rounds)
     assert worst_mean <= EXPECTED_ROUNDS_BUDGET, worst_mean
     assert worst["rounds_max"] <= worst["round_cap"] + 2
+    return {
+        "benchmark": "bench_randomized",
+        "expected_rounds_budget": EXPECTED_ROUNDS_BUDGET,
+        "expected_rounds_worst_cell": worst_mean,
+        "rounds": rounds,
+        "rigged_worst_case": worst,
+        "timing_fault_grid": grid,
+    }
 
-    if not args.quick:
-        report = {
-            "benchmark": "bench_randomized",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "expected_rounds_budget": EXPECTED_ROUNDS_BUDGET,
-            "expected_rounds_worst_cell": worst_mean,
-            "rounds": rounds,
-            "rigged_worst_case": worst,
-            "timing_fault_grid": grid,
-        }
-        args.output.write_text(json.dumps(report, indent=2) + "\n")
-        print("\nwrote %s" % args.output)
-    print("\nOK: expected rounds within budget across %d cells" % len(rounds))
+
+def test_randomized_backend_and_timing_faults():
+    run_report()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--output",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent
+        / "BENCH_randomized.json",
+        help="where to write the JSON report",
+    )
+    args = parser.parse_args()
+    args.output.write_text(json.dumps(run_report(), indent=2) + "\n")
+    print("\nwrote %s" % args.output)
 
 
 if __name__ == "__main__":

@@ -257,72 +257,73 @@ def linbft_amortized_bits(
 # -- measured sweep --------------------------------------------------------------
 
 
-def measured_complexity_sweep(
-    ns, l_bits: int, kappa: float = 128.0
-) -> list:
-    """Run one failure-free instance per ``n`` and compare bits to models.
+def measured_complexity_sweep(specs, kappa: float = 128.0) -> list:
+    """Run each deployment once and compare its metered bits to the models.
 
-    For each ``n`` (with ``t = ⌊(n-1)/3⌋``) this runs the real engine at
-    ``l_bits`` and records, next to the measured totals:
+    ``specs`` are :class:`repro.service.RunSpec`-s (``n``, ``L`` and, where
+    a scenario pins them, ``t``, ``D``, attack and faulty set).  Each runs
+    on the real engine with one common all-ones input and is recorded
+    next to:
 
     * ``onl_bits`` — the O(nL) data-path term
       ``n(n-1)/(n-2t) · D · ⌈L/D⌉`` (padded L); the measured
-      matching-symbol bits must equal it *exactly*;
+      matching-symbol bits of a failure-free run equal it *exactly*;
     * ``model_bits`` — :func:`failure_free_total_bits` at the engine's
-      actual ``D``, the full failure-free Eq. (1) prediction;
+      actual ``D``, the full failure-free Eq. (1) prediction, and
+      ``stage_bits`` / ``stage_model_bits``, the metered and the Eq. (1)
+      bits of each stage (:func:`repro.analysis.report.stage_rows`);
     * the §1 comparison curves at the same point:
       :func:`fitzi_hirt_bits`, :func:`bitwise_baseline_bits` and the
       :func:`linbft_amortized_bits` overlay.
 
-    Failure-free totals are input-independent, so the sweep is
-    deterministic.  Core modules are imported lazily — analysis stays
-    import-light for the formula-only consumers.
+    Failure-free totals are input-independent and registry attacks are
+    seeded, so the sweep is deterministic.  Core modules are imported
+    lazily — analysis stays import-light for the formula-only consumers.
     """
+    from repro.analysis.report import stage_rows
     from repro.broadcast_bit.ideal import default_b
-    from repro.core.config import ConsensusConfig
     from repro.core.consensus import MultiValuedConsensus
 
     records = []
-    for n in ns:
-        t = (n - 1) // 3
-        config = ConsensusConfig.create(n=n, t=t, l_bits=int(l_bits))
-        result = MultiValuedConsensus(config).run(
-            [(1 << config.l_bits) - 1] * n
-        )
+    for spec in specs:
+        config = spec.make_config()
+        n, t, l_bits = config.n, config.t, config.l_bits
+        result = MultiValuedConsensus(
+            config, adversary=spec.make_adversary()
+        ).run([(1 << l_bits) - 1] * n)
         if not result.error_free:
-            raise AssertionError("failure-free run deviated at n=%d" % n)
+            raise AssertionError("consensus failed under %r" % (spec,))
         measured = result.meter.total_bits
         data_bits = sum(
             bits
             for tag, bits in result.meter.bits_by_tag.items()
             if tag.endswith("matching.symbols")
         )
+        stages = stage_rows(result, config)
         b = default_b(n)
         padded = config.generations * config.d_bits
         onl = leading_term_per_bit(n, t) * padded
-        model = failure_free_total_bits(
-            n, t, config.l_bits, config.d_bits, b
-        )
+        model = failure_free_total_bits(n, t, l_bits, config.d_bits, b)
         records.append(
             {
                 "n": n,
                 "t": t,
-                "l_bits": config.l_bits,
+                "l_bits": l_bits,
                 "d_bits": config.d_bits,
                 "generations": config.generations,
+                "attack": spec.attack,
+                "diagnosis_count": result.diagnosis_count,
                 "b": b,
                 "measured_bits": measured,
                 "data_bits": data_bits,
+                "stage_bits": {stage: bits for stage, bits, _ in stages},
+                "stage_model_bits": {stage: bits for stage, _, bits in stages},
                 "onl_bits": onl,
                 "model_bits": model,
                 "model_ratio": measured / model,
-                "fitzi_hirt_bits": fitzi_hirt_bits(
-                    n, t, config.l_bits, kappa, b
-                ),
-                "bitwise_bits": bitwise_baseline_bits(config.l_bits, b),
-                "linbft_bits": linbft_amortized_bits(
-                    n, config.l_bits, kappa
-                ),
+                "fitzi_hirt_bits": fitzi_hirt_bits(n, t, l_bits, kappa, b),
+                "bitwise_bits": bitwise_baseline_bits(l_bits, b),
+                "linbft_bits": linbft_amortized_bits(n, l_bits, kappa),
             }
         )
     return records

@@ -10,8 +10,8 @@ named attack from the canonical registry
 ``n = 4`` to the large-n regime (31/63/127) the vectorized adversarial
 path and its grouped diagnosis broadcasts make practical; the default
 sweep set is the pinned
-:data:`repro.processors.FAULT_GRID_ATTACKS` grid the tracked benchmark
-bit tables are keyed to.  Faulty pids default to the registry's
+:data:`repro.processors.FAULT_GRID_ATTACKS` grid the bit totals pinned in
+``tests/test_pinned_bits.py`` are keyed to.  Faulty pids default to the registry's
 attack-specific choices, picked so the attack actually bites (see
 :mod:`repro.processors.registry`).
 
@@ -188,7 +188,7 @@ def sweep_faults(
             point's honest processors share one input, so that is the
             cohort engine over a cohort of one — practical at
             ``n = 31/63/127/255``; ``False`` forces the scalar reference
-            engine (the benchmarks' byte-identity baseline).
+            engine (``tests/test_differential.py``'s baseline).
 
     Returns:
         One :class:`FaultSweepPoint` per ``(n, attack)`` pair, in grid

@@ -8,8 +8,8 @@ Byzantine consensus, per the description in the reproduced paper's §1:
     whose L-bit input value matches the agreed hashed value deliver the L
     bits to the other processors jointly."
 
-Stages of our reconstruction (DESIGN.md §5 records it as a substitution
-for the closed-source original):
+Stages of our reconstruction (``docs/BENCHMARKS.md``, "Substitutions",
+records it as one for the closed-source original):
 
 1. **Key** — a common random κ-bit hash key (Fitzi-Hirt generate it with a
    protocol coin; we draw it from a seeded RNG known to the adversary,

@@ -9,7 +9,7 @@ cites).  Five interchangeable backends implement the same contract:
 * :class:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast` — behaves as
   a correct broadcast and *charges* a configurable ``B(n)``; reproduces the
   paper's complexity formulas exactly (the substitution documented in
-  DESIGN.md §5).
+  ``docs/BENCHMARKS.md``).
 * :class:`~repro.broadcast_bit.phase_king.PhaseKingBroadcast` — a real,
   error-free protocol (source round + ``t+1``-phase King consensus,
   ``t < n/3``), ``B = Θ(n²t)`` measured bits.

@@ -7,8 +7,8 @@ correct 1-bit broadcast (it cites the authenticated algorithms of
 Pfitzmann-Waidner and Dolev-Strong) yields a consensus tolerating whatever
 that broadcast tolerates, erring only when the broadcast errs.
 
-Substitution (DESIGN.md §5): real pseudo-signature schemes fail with
-probability ~``2^-kappa``.  We simulate signatures as unforgeable tokens
+Substitution (``docs/BENCHMARKS.md``): real pseudo-signature schemes fail
+with probability ~``2^-kappa``.  We simulate signatures as unforgeable tokens
 ``(signer, message)`` plus an adversary hook deciding whether each forgery
 *attempt* succeeds; :class:`BernoulliForgingAdversary` makes attempts
 succeed independently with probability ``2^-kappa``.  A successful forgery

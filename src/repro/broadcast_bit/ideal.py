@@ -8,7 +8,7 @@ validity for an honest source; a faulty source picks any single bit), and
 the *cost* charged to the meter is a configurable ``B(n)``, default
 ``2·n²`` bits, which makes measured totals line up with Eq. (1)-(3).
 
-Using this backend is the substitution documented in DESIGN.md §5; the
+Using this backend is a substitution (``docs/BENCHMARKS.md``); the
 Phase-King backend provides the end-to-end error-free execution, and
 benchmark E10 quantifies the gap between the two.
 """

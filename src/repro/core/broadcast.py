@@ -4,8 +4,8 @@ The paper states that the techniques of Algorithm 1 yield a broadcast of
 an L-bit value with ``C_bro(L) < 1.5(n-1)L + Θ(n⁴ L^0.5)`` bits, citing the
 authors' technical report [8] for the construction.  This module
 implements the natural such construction from the paper's own toolbox —
-coded dispersal plus detect-then-diagnose — and DESIGN.md §5 documents it
-as our reconstruction of [8]:
+coded dispersal plus detect-then-diagnose — and ``docs/BENCHMARKS.md``
+("Substitutions") documents it as our reconstruction of [8]:
 
 Per generation of ``D`` bits (all control traffic via
 ``Broadcast_Single_Bit``):
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,8 +157,6 @@ class MultiValuedBroadcast:
             faulty=set(self.adversary.faulty),
             extras=dict(self._extras),
         )
-
-    # -- value plumbing ---------------------------------------------------------
 
     # -- value plumbing ---------------------------------------------------------
 

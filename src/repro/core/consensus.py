@@ -85,8 +85,8 @@ class MultiValuedConsensus:
     Whatever the toggles, decisions, per-generation records, metered
     bits *and* messages by tag, the round clock, backend instance
     counts and every adversary hook's order and arguments are
-    byte-identical — the differential suite and the benchmarks'
-    ``--check``/``--faults`` gates assert it on every run.
+    byte-identical — ``tests/test_differential.py`` asserts it at
+    n ∈ {4, 7, 31} and, under ``-m large_n``, at n ∈ {127, 255}.
 
     >>> config = ConsensusConfig.create(n=4, t=1, l_bits=16)
     >>> result = MultiValuedConsensus(config).run([0xBEEF] * 4)

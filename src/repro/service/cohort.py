@@ -325,8 +325,6 @@ class CohortContext:
         #: the per-instance engines; delegated diagnosis protocols get
         #: it too.
         self.arena = arena
-        #: Instances served through this cohort (benchmark introspection).
-        self.instances = 0
 
     def match_info_for(self, struct, hdev_key, outcomes) -> _MatchInfo:
         """The match set of one dispatched M view, memoized — honest
@@ -951,7 +949,6 @@ def run_cohort_instance(
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
             default_used = True
             break
-    ctx.instances += 1
     # A conforming run decided the reference part itself every
     # generation, whose packed value is the honest input: nothing to
     # reassemble.

@@ -22,8 +22,9 @@ An :class:`Executor` receives the service and the coerced
 
 Choosing between them: static sharding has no queue traffic and each
 shard amortizes its own template and batched encodes over the longest
-possible run of instances; it pays from about n = 31 up (1.5-1.6x on
-two CPUs), below that pool start-up costs more than the batch.  The
+possible run of instances; against that, every ``run`` starts a fresh
+pool, each worker rebuilds the deployment cold and results are pickled
+back, so a batch has to be long enough to repay all three.  The
 async executor is not about parallelism at all (one worker thread,
 GIL-bound): it exists so that batch execution does not block an event
 loop.

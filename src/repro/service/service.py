@@ -34,8 +34,8 @@ Every path is **byte-identical** to looping
 ``MultiValuedConsensus(config).run(...)`` over the same instances — the
 per-instance :class:`~repro.core.result.ConsensusResult` records and
 meter snapshots match field for field, which
-``tests/test_differential.py`` and ``benchmarks/bench_throughput.py
---check`` assert for every registered attack.
+``tests/test_service.py::TestRunManyEquivalence`` and the path grid of
+``tests/test_differential.py`` assert for every registered attack.
 
 >>> from repro.core.config import ConsensusConfig
 >>> service = ConsensusService(ConsensusConfig.create(n=4, t=1, l_bits=16))
@@ -489,8 +489,8 @@ class ConsensusService:
         generation count, never by payload values), so one template run
         prices every such instance; decisions and per-generation records
         are rebuilt from the instance's own value.  Byte-identity with a
-        looped one-shot run is asserted by the service test suite and
-        the throughput benchmark's ``--check`` gate.
+        looped one-shot run is asserted by
+        ``tests/test_service.py::TestRunManyEquivalence``.
         """
         if self._template is None:
             template = self._execute(

@@ -16,9 +16,9 @@ the event loop free to admit the next window's traffic.
 Every served result is byte-identical to a direct ``run_many`` on the
 same :class:`~repro.service.spec.InstanceSpec`s — micro-batching
 changes *when* instances execute, never what they return
-(``tests/test_serving.py`` and ``benchmarks/bench_serving.py --check``
-assert this, extending the PR 5/6 equivalence discipline to the
-serving tier).
+(``tests/test_serving.py::TestConsensusServer`` and
+``::TestServingOverTCP`` assert this, extending the PR 5/6 equivalence
+discipline to the serving tier).
 
 In-process use (the TCP front-end in :meth:`ConsensusServer.serve_tcp`
 and the client SDK in :mod:`repro.service.serving.sdk` layer on top):

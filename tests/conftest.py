@@ -12,6 +12,21 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: takes seconds; deselect with -m 'not slow'"
     )
+    config.addinivalue_line(
+        "markers",
+        "large_n: forced-scalar reference runs at n >= 127, a minute in "
+        "all; run only when selected with -m large_n",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Leave the ``large_n`` rows out unless ``-m`` asks for them."""
+    if "large_n" in config.option.markexpr:
+        return
+    large = [item for item in items if "large_n" in item.keywords]
+    if large:
+        config.hook.pytest_deselected(items=large)
+        items[:] = [item for item in items if "large_n" not in item.keywords]
 
 
 #: (n, t) pairs covering the t < n/3 envelope at several scales.

@@ -24,6 +24,10 @@ from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.arena import ExchangeArena
 
 N, T, L = 7, 2, 256
+#: Every buffer an arena can hold.
+BUFFERS = (
+    "_exchange", "_codewords", "_m", "_adjacency", "_detected", "_trust",
+)
 VALUE = 0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A
 
 
@@ -31,10 +35,7 @@ class TestExchangeArenaUnit:
     def test_buffers_allocated_lazily(self):
         arena = ExchangeArena(5, np.int64)
         assert arena.acquisitions == 0
-        for name in (
-            "_exchange", "_codewords", "_m", "_adjacency", "_detected",
-            "_trust",
-        ):
+        for name in BUFFERS:
             assert getattr(arena, name) is None
 
     def test_exchange_view_resets_to_sentinel(self):
@@ -102,6 +103,15 @@ class TestDirtyArenaRegression:
             InstanceSpec(inputs=(VALUE,) * N, attack="corrupt", seed=3),
         ]
 
+    @staticmethod
+    def _buffers(arena):
+        """``id`` of every buffer the arena has allocated so far."""
+        return {
+            name: id(getattr(arena, name))
+            for name in BUFFERS
+            if getattr(arena, name) is not None
+        }
+
     def test_shared_arena_matches_fresh_state_reference(self):
         spec = RunSpec(n=N, l_bits=L)
         shared = ConsensusService(spec).run_many(self._instances())
@@ -127,10 +137,15 @@ class TestDirtyArenaRegression:
         service = ConsensusService(spec)
         instance = InstanceSpec(inputs=(VALUE,) * N, attack="corrupt", seed=3)
         first = service.run_many([instance])[0]
+        arena = service._arena
+        assert arena is not None and arena.acquisitions > 0
+        acquired, buffers = arena.acquisitions, self._buffers(arena)
         second = service.run_many([instance])[0]
         assert first == second
-        assert service._arena is not None
-        assert service._arena.acquisitions > 0
+        # The re-run went through the same arena (the count grew) and
+        # its buffers were reset, never reallocated (they did not move).
+        assert service._arena is arena and arena.acquisitions > acquired
+        assert buffers and self._buffers(arena) == buffers
 
     def test_one_shot_runs_share_no_state(self):
         # Two one-shot consensus objects build private arenas lazily;

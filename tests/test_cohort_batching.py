@@ -97,12 +97,12 @@ class TestEveryAttackCohorts:
             r.total_bits for r in reference
         )
 
-    # The fault-grid attacks' n = 4 cells are held to the same
-    # reference by tests/test_differential.py ([run_many-<attack>-4-*]);
-    # their batch-composition half is test_cohort_batch_vs_looped[4-*].
+    # The fault-grid attacks' cells are held to the same reference by
+    # tests/test_differential.py ([run_many-<attack>-<n>-*]); their
+    # batch-composition half is test_cohort_batch_vs_looped[<n>-*].
     @pytest.mark.parametrize("n, attack", [
         (n, attack) for n in (4, 7) for attack in sorted(ATTACKS)
-        if n != 4 or attack not in FAULT_GRID_ATTACKS
+        if attack not in FAULT_GRID_ATTACKS
     ])
     def test_forced_scalar_reference(self, n, attack):
         # The scalar engine fires every adversary hook one processor at
@@ -181,4 +181,3 @@ class TestWarmService:
         service.run_many(interleaved_cycle(7, 10))
         # 4 adversarial cycle shapes + slow_bleed + the failure-free one
         assert len(service._cohorts) == 6
-        assert sum(ctx.instances for ctx in service._cohorts.values()) == 10

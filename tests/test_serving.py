@@ -693,6 +693,8 @@ class TestServingOverTCP:
                 client.submit(5, attack="no_such_attack")
             with pytest.raises(InvalidRequestError):
                 client.submit(InstanceSpec(inputs=(1, 2, 3)))
+            with pytest.raises(InvalidRequestError):
+                client.submit(1 << SPEC.l_bits)  # one bit too wide
             result = client.submit(5)  # connection survives rejections
         assert result.value == 5
 

@@ -2,8 +2,10 @@
 """Internal link checker for the repo's markdown documentation.
 
 Scans the given markdown files (default: ``README.md`` and
-``docs/*.md``) for references that point *into the repository* and
-fails when a target does not exist, so stale docs fail the build:
+``docs/*.md``) and the ``run:`` lines of the CI workflow for references
+that point *into the repository* and fails when a target does not
+exist, so stale docs — and a workflow step naming a deleted script —
+fail the build:
 
 * inline links and images — ``[text](target)`` / ``![alt](target)``;
 * reference-style definitions — ``[label]: target``;
@@ -11,7 +13,9 @@ fails when a target does not exist, so stale docs fail the build:
   and friends (any backtick span that looks like a path under a
   known top-level directory, or a tracked top-level file);
 * prose mentions of repo paths such as ``docs/ARCHITECTURE.md`` or
-  ``benchmarks/bench_wallclock.py`` outside code fences.
+  ``benchmarks/bench_complexity.py`` outside code fences;
+* in ``.github/workflows/ci.yml``, every repo path a ``run:`` command
+  names (a glob such as ``benchmarks/bench_*.py`` must match a file).
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -33,15 +37,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Top-level directories whose paths we expect docs to reference.
 KNOWN_DIRS = (
-    "src", "tests", "benchmarks", "examples", "docs", "tools", ".github",
+    "src", "tests", "benchmarks", "examples", "docs", "tools", "perf",
+    ".github",
 )
+WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
 INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 BACKTICK_SPAN = re.compile(r"`([^`\n]+)`")
+#: A repo path in prose or in a shell command; may be a glob.
 PROSE_PATH = re.compile(
-    r"(?<![\w`/.-])((?:%s)/[\w./-]+)" % "|".join(KNOWN_DIRS)
+    r"(?<![\w`/.-])((?:%s)/[\w./*-]+)" % "|".join(KNOWN_DIRS)
 )
+RUN_KEY = re.compile(r"^(\s*)(?:- )?run:(.*)$")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -119,7 +127,7 @@ def check_file(path: Path) -> list:
                     "%s: backtick path %r does not exist" % (path, candidate)
                 )
         elif re.fullmatch(r"[\w-]+\.(?:md|py|json|txt|yml)", candidate):
-            # A bare filename (`bench_wallclock.py`, `README.md`): it
+            # A bare filename (`bench_complexity.py`, `README.md`): it
             # must exist *somewhere* in the repo under that name.
             if candidate not in basenames:
                 problems.append(
@@ -138,19 +146,51 @@ def check_file(path: Path) -> list:
     return problems
 
 
+def run_commands(text: str):
+    """The shell text of every ``run:`` key: the rest of its line plus
+    the more deeply indented lines that follow (a ``|`` block or a
+    folded plain scalar)."""
+    indent = None
+    for line in text.splitlines():
+        key = RUN_KEY.match(line)
+        if key:
+            indent = len(key.group(1))
+            yield key.group(2)
+        elif indent is not None and (
+            not line.strip() or len(line) - len(line.lstrip()) > indent
+        ):
+            yield line
+        else:
+            indent = None
+
+
+def check_workflow(path: Path) -> list:
+    problems = []
+    for command in run_commands(path.read_text()):
+        for candidate in PROSE_PATH.findall(command):
+            if not any(REPO_ROOT.glob(candidate)):
+                problems.append(
+                    "%s: run line names %r, which does not exist"
+                    % (path, candidate)
+                )
+    return problems
+
+
 def main(argv) -> int:
     if argv:
         files = [Path(arg) for arg in argv]
     else:
         files = [REPO_ROOT / "README.md"] + sorted(
             (REPO_ROOT / "docs").glob("*.md")
-        )
+        ) + [WORKFLOW]
     problems = []
     for path in files:
         if not path.exists():
             problems.append("missing input file %s" % path)
-            continue
-        problems.extend(check_file(path))
+        elif path.suffix == ".yml":
+            problems.extend(check_workflow(path))
+        else:
+            problems.extend(check_file(path))
     for problem in problems:
         print("BROKEN:", problem)
     print(
