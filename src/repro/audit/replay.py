@@ -50,6 +50,10 @@ _UNPROVABLE_HOOKS = frozenset(
     {"input_value", "forge_signature", "coin_reveal"}
 )
 
+#: Hooks whose receiver applies ``is_exact_int``: ``True`` or ``1.0`` sent
+#: for ``1`` is missing to it, so another type deviates though ``==`` holds.
+_EXACT_HOOKS = frozenset({"matching_symbol", "source_symbol", "forwarded_symbol"})
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -102,7 +106,9 @@ class DeviationRecorder(Adversary):
         honest: Any,
         sent: Any,
     ) -> None:
-        if sent != honest:
+        if sent != honest or (
+            hook in _EXACT_HOOKS and type(sent) is not type(honest)
+        ):
             self.deviations.append(
                 Deviation(
                     pid=pid,

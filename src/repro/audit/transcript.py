@@ -36,7 +36,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Union
 
 from repro.core.result import ConsensusResult
@@ -74,6 +76,44 @@ def _encode_payload(payload: Any) -> Any:
     if isinstance(payload, int):
         return int(payload)
     return {"repr": repr(payload)}
+
+
+#: The fields a journalled ``Message`` and a ``TranscriptEntry`` share.
+_SENT = attrgetter("round_index", "sender", "receiver", "tag", "bits")
+
+
+def _entry_bytes(index: int, sent: Any, payload: Any, quoted: dict) -> bytes:
+    """Entry ``index``'s authenticated bytes: ``_canonical`` of
+    :meth:`TranscriptEntry.content_wire` byte for byte, written from the
+    fields of ``sent`` (``Message`` or ``TranscriptEntry``) and its
+    wire-form ``payload``; ``quoted`` keeps each distinct tag's JSON quoting
+    for one walk.  ``TypeError`` unless the integer fields are exact ``int``
+    and the tag a ``str``: ``%d`` prints ``True`` or ``4.0`` as the int it
+    is not, and the tag over that would verify."""
+    round_index, sender, receiver, tag, bits = _SENT(sent)
+    if not (
+        type(index) is type(round_index) is type(sender) is type(receiver)
+        is type(bits) is int
+    ):
+        raise TypeError("entry %r: an integer field is not an int" % (index,))
+    return (
+        b'{"bits":%d,"index":%d,"payload":%b,"receiver":%d,"round":%d,'
+        b'"sender":%d,"tag":%b}'
+    ) % (
+        bits, index,
+        b"%d" % payload if type(payload) is int else _canonical(payload),
+        receiver, round_index, sender,
+        quoted.get(tag) or quoted.setdefault(tag, _json_str(tag).encode()),
+    )
+
+
+def _same_hex(expected: str, stored: Any) -> bool:
+    """``compare_digest``; a stored tag it would refuse is a mismatch."""
+    return (
+        isinstance(stored, str)
+        and stored.isascii()
+        and hmac.compare_digest(expected, stored)
+    )
 
 
 class Keyring:
@@ -148,8 +188,8 @@ class TranscriptEntry:
         return payload
 
     @classmethod
-    def from_wire(cls, payload: dict) -> "TranscriptEntry":
-        return cls(auth=payload["auth"], **_entry_kwargs(payload))
+    def from_wire(cls, payload: dict, where: str = "entry") -> "TranscriptEntry":
+        return cls(*[_field(payload, name, where) for name in _ENTRY_KEYS])
 
     def matches_message(self, message: Message) -> Optional[str]:
         """Name of the first field differing from ``message`` (or None)."""
@@ -225,25 +265,14 @@ class Transcript:
         ring = Keyring(key)
         chain = cls._chain_seed(spec, instance, ring.key_id)
         entries: List[TranscriptEntry] = []
+        quoted: dict = {}
         for index, message in enumerate(journal):
-            content = {
-                "index": index,
-                "round": message.round_index,
-                "sender": message.sender,
-                "receiver": message.receiver,
-                "tag": message.tag,
-                "bits": message.bits,
-                "payload": _encode_payload(message.payload),
-            }
-            entry_bytes = _canonical(content)
-            auth = hmac.new(
-                ring.key_for(message.sender),
-                chain + entry_bytes,
-                hashlib.sha256,
-            ).hexdigest()
-            chain = hashlib.sha256(chain + entry_bytes).digest()
+            payload = _encode_payload(message.payload)
+            link = chain + _entry_bytes(index, message, payload, quoted)
+            auth = hmac.digest(ring.key_for(message.sender), link, "sha256")
+            chain = hashlib.sha256(link).digest()
             entries.append(
-                TranscriptEntry(auth=auth, **_entry_kwargs(content))
+                TranscriptEntry(index, *_SENT(message), payload, auth.hex())
             )
         result_bytes = _canonical(result_to_wire(result))
         return cls(
@@ -281,23 +310,29 @@ class Transcript:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "Transcript":
-        """Exact inverse of :meth:`to_wire`."""
-        if payload["format"] != TRANSCRIPT_VERSION:
+        """Exact inverse of :meth:`to_wire`; ``ValueError`` if malformed."""
+        version = _field(payload, "format", "transcript")
+        if version != TRANSCRIPT_VERSION:
             raise ValueError(
                 "transcript format %r, expected format %d"
-                % (payload["format"], TRANSCRIPT_VERSION)
+                % (version, TRANSCRIPT_VERSION)
             )
+        entries = _field(payload, "entries", "transcript")
+        if not isinstance(entries, list):
+            raise ValueError("transcript: field 'entries' is not a list")
         return cls(
-            spec=runspec_from_wire(payload["spec"]),
-            instance=instance_from_wire(payload["instance"]),
-            entries=tuple(
-                TranscriptEntry.from_wire(entry)
-                for entry in payload["entries"]
+            spec=runspec_from_wire(_field(payload, "spec", "transcript")),
+            instance=instance_from_wire(
+                _field(payload, "instance", "transcript")
             ),
-            result=result_from_wire(payload["result"]),
-            key_id=payload["key_id"],
-            seal=payload["seal"],
-            version=payload["format"],
+            entries=tuple(
+                TranscriptEntry.from_wire(entry, "entry %d" % position)
+                for position, entry in enumerate(entries)
+            ),
+            result=result_from_wire(_field(payload, "result", "transcript")),
+            key_id=_field(payload, "key_id", "transcript"),
+            seal=_field(payload, "seal", "transcript"),
+            version=version,
         )
 
     def save(self, path: Union[str, "object"]) -> None:
@@ -315,7 +350,22 @@ class Transcript:
 
     def digest(self) -> str:
         """Stable content digest over the canonical serialized form."""
-        return hashlib.sha256(_canonical(self.to_wire())).hexdigest()
+        quoted: dict = {}
+        try:
+            entries = b",".join(
+                b'{"auth":%b,%b' % (
+                    _json_str(entry.auth).encode(),
+                    _entry_bytes(entry.index, entry, entry.payload, quoted)[1:],
+                )
+                for entry in self.entries
+            )
+        except TypeError:  # a hostile entry: only the generic encoder is total
+            return hashlib.sha256(_canonical(self.to_wire())).hexdigest()
+        # "entries" sorts first, so the first "[]" is its empty list.
+        frame = _canonical(replace(self, entries=()).to_wire())
+        return hashlib.sha256(
+            frame.replace(b"[]", b"[%b]" % entries, 1)
+        ).hexdigest()
 
     # -- inspection ---------------------------------------------------
 
@@ -351,16 +401,15 @@ class Transcript:
         return verify_transcript(self, key=key)
 
 
-def _entry_kwargs(content: dict) -> dict:
-    return {
-        "index": content["index"],
-        "round_index": content["round"],
-        "sender": content["sender"],
-        "receiver": content["receiver"],
-        "tag": content["tag"],
-        "bits": content["bits"],
-        "payload": content["payload"],
-    }
+#: Wire names of an entry's fields, in ``TranscriptEntry`` field order.
+_ENTRY_KEYS = ("index", "round", "sender", "receiver", "tag", "bits", "payload", "auth")
+
+
+def _field(container: Any, name: str, where: str) -> Any:
+    """``container[name]`` of a wire form that may be hostile."""
+    if not isinstance(container, dict) or name not in container:
+        raise ValueError("%s: missing field %r" % (where, name))
+    return container[name]
 
 
 def verify_transcript(
@@ -390,32 +439,36 @@ def verify_transcript(
     chain = Transcript._chain_seed(
         transcript.spec, transcript.instance, ring.key_id
     )
+    quoted: dict = {}
     for position, entry in enumerate(transcript.entries):
         if entry.index != position:
             return VerifyReport(
                 ok=False,
                 checked=position,
                 failed_index=position,
-                reason="entry index %d found at position %d: an entry"
+                reason="entry index %r found at position %d: an entry"
                 " was dropped or reordered" % (entry.index, position),
             )
-        entry_bytes = _canonical(entry.content_wire())
-        expected = hmac.new(
-            ring.key_for(entry.sender), chain + entry_bytes, hashlib.sha256
-        ).hexdigest()
-        if not hmac.compare_digest(expected, entry.auth):
+        try:
+            link = chain + _entry_bytes(entry.index, entry, entry.payload, quoted)
+        except TypeError:
+            link = None  # an inexact-typed field: no tag is valid over it
+        if link is None or not _same_hex(
+            hmac.digest(ring.key_for(entry.sender), link, "sha256").hex(),
+            entry.auth,
+        ):
             return VerifyReport(
                 ok=False,
                 checked=position,
                 failed_index=position,
                 reason="authentication tag mismatch at entry %d"
-                " (sender %d, round %d, tag %r)"
+                " (sender %r, round %r, tag %r)"
                 % (position, entry.sender, entry.round_index, entry.tag),
             )
-        chain = hashlib.sha256(chain + entry_bytes).digest()
+        chain = hashlib.sha256(link).digest()
     result_bytes = _canonical(result_to_wire(transcript.result))
     expected_seal = ring.seal(len(transcript.entries), chain, result_bytes)
-    if not hmac.compare_digest(expected_seal, transcript.seal):
+    if not _same_hex(expected_seal, transcript.seal):
         return VerifyReport(
             ok=False,
             checked=len(transcript.entries),

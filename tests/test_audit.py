@@ -8,13 +8,18 @@ result byte-identical), and proven — the culpability proof must name
 properties for the serialization, a tamper-localization fuzz over
 single-entry edits, journal-materialization equivalence across engine
 lanes, the ``charge_round`` recording-fallback regression, and the
-serving-tier / CLI opt-ins.
+serving-tier / CLI opt-ins.  Format 3's bytes are pinned: the entry
+formatter against ``json.dumps`` as a property, a golden file saved by
+an earlier commit, and a table of hostile transcripts that must fail
+typed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +34,15 @@ from repro.audit import (
     replay,
     verify_transcript,
 )
+from repro.audit.replay import DeviationRecorder
+from repro.audit.transcript import TranscriptEntry, _canonical, _entry_bytes
 from repro.cli import main as cli_main
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
 from repro.network.message import Message
 from repro.network.metrics import MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
-from repro.processors import ATTACKS
+from repro.processors import ATTACKS, Adversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.serving.sdk import serve_background
 
@@ -239,6 +246,102 @@ def test_save_load_file_roundtrip(tmp_path):
     assert verify_transcript(loaded).ok
 
 
+# -- the bytes are pinned, not trusted --------------------------------------
+
+_field_ints = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+#: Quotes, backslashes, non-ASCII and control characters included.
+_texts = st.text(max_size=12)
+_wire_payloads = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 70), max_value=1 << 4100),
+    st.builds(lambda text: {"repr": text}, _texts),
+)
+_exact_entries = st.builds(
+    TranscriptEntry,
+    index=_field_ints, round_index=_field_ints, sender=_field_ints,
+    receiver=_field_ints, tag=_texts, bits=_field_ints,
+    payload=_wire_payloads, auth=_texts,
+)
+#: What a hostile file can put where an int belongs; such an entry has
+#: no authenticated bytes, but it still has a digest.
+_inexact_entries = st.builds(
+    TranscriptEntry,
+    index=st.booleans(), round_index=st.floats(allow_nan=False),
+    sender=st.none(), receiver=_texts, tag=st.integers(), bits=_field_ints,
+    payload=_wire_payloads, auth=st.one_of(st.none(), st.integers(), _texts),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry=_exact_entries)
+def test_entry_formatter_is_canonical_json(entry):
+    """The one producer of an entry's authenticated bytes writes what
+    ``json.dumps`` wrote before it (transcript format 3)."""
+    assert _entry_bytes(entry.index, entry, entry.payload, {}) == json.dumps(
+        entry.content_wire(), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(st.one_of(_exact_entries, _inexact_entries), max_size=5))
+def test_digest_is_the_hash_of_the_canonical_wire_form(entries):
+    transcript = Transcript(
+        spec=_SPEC, instance=_INSTANCE, entries=tuple(entries),
+        result=_RESULT, key_id="0123456789abcdef", seal="\"seal\\",
+    )
+    assert transcript.digest() == hashlib.sha256(
+        _canonical(transcript.to_wire())
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("field", ["round_index", "sender", "receiver", "bits"])
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_record_refuses_an_inexact_integer_field(field, value):
+    """``%d`` would write ``True`` and ``1.0`` as ``1`` where the
+    parent's ``json.dumps`` wrote ``true`` and ``1.0``: refused up front
+    (the one property this formatter gives up)."""
+    fields = dict(sender=1, receiver=0, payload=3, bits=1,
+                  tag="gen0.matching.symbols", round_index=1)
+    if field == "receiver":
+        fields["sender"] = 0
+    fields[field] = value
+    with pytest.raises(TypeError, match="not an int"):
+        Transcript.record(_SPEC, _INSTANCE, [Message(**fields)], _RESULT)
+
+
+GOLDEN = Path(__file__).parent / "data" / "transcript_v3_n4_crash.json"
+GOLDEN_DIGEST = (
+    "dc9867ea4c4632f5705c790ffd166644c4ef4df1176212df5c14b636ea9f6322"
+)
+
+
+def test_golden_format_3_transcript(tmp_path):
+    """A file saved by the commit before the entry formatter existed
+    (``repro-sim audit record --n 4 --l-bits 16 --attack crash --seed 11
+    --value 0xBEEF``): it loads, verifies, convicts exactly its faulty
+    pid, and recording the same run again saves the same bytes."""
+    transcript = Transcript.load(GOLDEN)
+    assert transcript.version == 3
+    assert transcript.digest() == GOLDEN_DIGEST
+    report = verify_transcript(transcript)
+    assert report.ok and report.checked == len(transcript.entries) == 18
+    proof = prove(transcript)
+    assert proof.ok
+    assert proof.culprits == proof.claimed_faulty == (3,)
+    assert proof.transcript_digest == GOLDEN_DIGEST
+
+    again = tmp_path / "again.json"
+    assert cli_main([
+        "audit", "record", "--n", "4", "--l-bits", "16", "--attack",
+        "crash", "--seed", "11", "--value", "0xBEEF", "--out", str(again),
+    ]) == 0
+    assert again.read_bytes() == GOLDEN.read_bytes()
+    resaved = tmp_path / "resaved.json"
+    transcript.save(resaved)
+    assert resaved.read_bytes() == GOLDEN.read_bytes()
+
+
 # -- satellite: single-entry tamper localization fuzz ----------------------
 
 
@@ -305,6 +408,100 @@ def test_tampering_is_detected_and_localized(n, attack, seed):
             assert "seal" in report.reason
         else:
             assert report.failed_index == index, (mode, index, report)
+    # Type swaps JSON can express and ``==`` cannot see: each field keeps
+    # its value and changes its type, and must fail where it stands (a
+    # ``%d`` formatter alone would print the same bytes and verify).
+    entries = transcript.to_wire()["entries"]
+    symbol = next(
+        (e["index"] for e in entries if e["payload"] in (0, 1)), None
+    )
+    for field, index, swap in [
+        ("sender", 0, float), ("bits", 0, float), ("index", 1, bool),
+        ("payload", symbol, bool),
+    ]:
+        if index is None:
+            continue  # no 0/1 symbol in this journal
+        wire = transcript.to_wire()
+        entry = wire["entries"][index]
+        entry[field] = swap(entry[field])
+        assert entry[field] == entries[index][field]
+        report = verify_transcript(Transcript.from_wire(wire))
+        assert (report.ok, report.checked, report.failed_index) == (
+            False, index, index
+        ), (field, report)
+
+
+def _set_entry(index, field, value):
+    def edit(wire):
+        wire["entries"][index][field] = value
+    return edit
+
+
+def _set(field, value):
+    def edit(wire):
+        wire[field] = value
+    return edit
+
+
+#: (edit, outcome): an int is the entry ``verify`` must fail at, "seal" a
+#: seal mismatch, any other string the ``ValueError`` ``from_wire`` must
+#: raise.  Every row made the verifier or the loader raise ``TypeError``
+#: or ``KeyError`` before they were total.
+HOSTILE = {
+    "auth-non-ascii": (_set_entry(2, "auth", "\u00e9" * 64), 2),
+    "auth-null": (_set_entry(2, "auth", None), 2),
+    "auth-number": (_set_entry(2, "auth", 7), 2),
+    "sender-string": (_set_entry(3, "sender", "1"), 3),
+    "sender-null": (_set_entry(3, "sender", None), 3),
+    "tag-number": (_set_entry(3, "tag", 5), 3),
+    "tag-list": (_set_entry(3, "tag", ["gen0"]), 3),
+    "index-string": (_set_entry(1, "index", "1"), 1),
+    "seal-non-ascii": (_set("seal", "\u00e9" * 64), "seal"),
+    "seal-null": (_set("seal", None), "seal"),
+    "seal-number": (_set("seal", 3), "seal"),
+    "entry-field-missing": (
+        lambda wire: wire["entries"][4].pop("bits"), "entry 4.*'bits'",
+    ),
+    "entry-is-a-list": (
+        lambda wire: wire["entries"].__setitem__(4, [4, 0, 1, 2]),
+        "entry 4.*'index'",
+    ),
+    "entries-is-an-object": (_set("entries", {"0": {}}), "'entries'"),
+    "entries-is-null": (_set("entries", None), "'entries'"),
+    "entries-missing": (lambda wire: wire.pop("entries"), "'entries'"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(HOSTILE))
+def test_hostile_transcripts_fail_typed(row):
+    """A hostile file fails verification or loading; it does not crash
+    the verifier, and the verifier still passes a valid transcript
+    afterwards."""
+    edit, outcome = HOSTILE[row]
+    _, transcript = ConsensusService(
+        RunSpec(n=4, l_bits=16, attack="crash")
+    ).record(0xBEEF)
+    wire = transcript.to_wire()
+    edit(wire)
+    if isinstance(outcome, str) and outcome != "seal":
+        with pytest.raises(ValueError, match=outcome):
+            Transcript.from_wire(wire)
+    else:
+        hostile = Transcript.from_wire(wire)
+        report = verify_transcript(hostile)
+        assert not report.ok
+        if outcome == "seal":
+            assert report.failed_index is None and "seal" in report.reason
+            assert report.checked == len(transcript.entries)
+        else:
+            assert (report.checked, report.failed_index) == (outcome, outcome)
+        # prove() verifies for itself and has a digest to report.
+        proof = prove(hostile)
+        assert not proof.verified and not proof.ok
+        assert proof.transcript_digest == hashlib.sha256(
+            _canonical(wire)
+        ).hexdigest()
+    assert verify_transcript(transcript).ok
 
 
 def test_result_tampering_breaks_the_seal():
@@ -421,6 +618,32 @@ def test_run_many_recording_rejects_parallel_executors():
         service.run_many(
             [VALUE], executor="process", transcript=TranscriptRecorder()
         )
+
+
+# -- the recorder sees what the receivers see --------------------------------
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["default", "scalar"])
+def test_recorder_notes_a_type_punned_symbol(scalar):
+    """``False == 0`` and ``True == 1``, but receivers take a symbol only
+    as an exact int: a sender that puns its symbols is shut out of
+    ``P_match``, and the recorder must say why."""
+
+    class Punned(Adversary):
+        def matching_symbol(self, pid, recipient, honest_symbol, generation,
+                            view):
+            return bool(honest_symbol)
+
+    recorder = DeviationRecorder(Punned([0]))
+    toggles = {"vectorized": False, "batch_generations": False} if scalar else {}
+    engine = MultiValuedConsensus(
+        RunSpec(n=4, l_bits=64).make_config(), adversary=recorder, **toggles
+    )
+    result = engine.run([0] * 4)
+    assert result.generation_results
+    assert all(g.p_match == (1, 2, 3) for g in result.generation_results)
+    noted = {(d.pid, d.hook) for d in recorder.deviations}
+    assert noted == {(0, "matching_symbol")}
 
 
 # -- serving-tier opt-in ---------------------------------------------------

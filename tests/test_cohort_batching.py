@@ -97,11 +97,12 @@ class TestEveryAttackCohorts:
             r.total_bits for r in reference
         )
 
-    # The fault-grid attacks' cells are held to the same reference by
-    # tests/test_differential.py ([run_many-<attack>-<n>-*]); their
-    # batch-composition half is test_cohort_batch_vs_looped[<n>-*].
+    # The fault-grid attacks' cells, and every attack's n = 4 cell, are
+    # held to the same reference by tests/test_differential.py
+    # ([run_many-<attack>-<n>-*]); their batch-composition half is
+    # test_cohort_batch_vs_looped[<n>-*].
     @pytest.mark.parametrize("n, attack", [
-        (n, attack) for n in (4, 7) for attack in sorted(ATTACKS)
+        (7, attack) for attack in sorted(ATTACKS)
         if attack not in FAULT_GRID_ATTACKS
     ])
     def test_forced_scalar_reference(self, n, attack):

@@ -15,7 +15,11 @@ fail the build:
 * prose mentions of repo paths such as ``docs/ARCHITECTURE.md`` or
   ``benchmarks/bench_complexity.py`` outside code fences;
 * in ``.github/workflows/ci.yml``, every repo path a ``run:`` command
-  names (a glob such as ``benchmarks/bench_*.py`` must match a file).
+  names (a glob such as ``benchmarks/bench_*.py`` must match a file);
+* in ``CHANGES.md`` (any file of that name), the house rule for entries
+  numbered 22 and up: one line of at most 1 200 characters that names a
+  ``docs/measurements/*.md`` file which exists.  Older entries name
+  files since deleted and are not link-checked.
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -41,6 +45,10 @@ KNOWN_DIRS = (
     ".github",
 )
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+CHANGES = REPO_ROOT / "CHANGES.md"
+#: The first entry held to the house rule, and the rule's length limit.
+CHANGES_ENFORCED_FROM = 22
+CHANGES_ENTRY_LIMIT = 1200
 
 INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
@@ -50,6 +58,8 @@ PROSE_PATH = re.compile(
     r"(?<![\w`/.-])((?:%s)/[\w./*-]+)" % "|".join(KNOWN_DIRS)
 )
 RUN_KEY = re.compile(r"^(\s*)(?:- )?run:(.*)$")
+CHANGES_ENTRY = re.compile(r"^PR (\d+):")
+MEASUREMENTS_FILE = re.compile(r"docs/measurements/[\w.-]+\.md")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -176,19 +186,44 @@ def check_workflow(path: Path) -> list:
     return problems
 
 
+def check_changes(path: Path) -> list:
+    problems = []
+    for line in path.read_text().splitlines():
+        entry = CHANGES_ENTRY.match(line)
+        if not entry or int(entry.group(1)) < CHANGES_ENFORCED_FROM:
+            continue
+        if len(line) > CHANGES_ENTRY_LIMIT:
+            problems.append(
+                "%s: entry PR %s is %d characters, limit %d (move the"
+                " tables to docs/measurements/)"
+                % (path, entry.group(1), len(line), CHANGES_ENTRY_LIMIT)
+            )
+        if not any(
+            (REPO_ROOT / name).is_file()
+            for name in MEASUREMENTS_FILE.findall(line)
+        ):
+            problems.append(
+                "%s: entry PR %s names no existing docs/measurements/ file"
+                % (path, entry.group(1))
+            )
+    return problems
+
+
 def main(argv) -> int:
     if argv:
         files = [Path(arg) for arg in argv]
     else:
         files = [REPO_ROOT / "README.md"] + sorted(
             (REPO_ROOT / "docs").glob("*.md")
-        ) + [WORKFLOW]
+        ) + [WORKFLOW, CHANGES]
     problems = []
     for path in files:
         if not path.exists():
             problems.append("missing input file %s" % path)
         elif path.suffix == ".yml":
             problems.extend(check_workflow(path))
+        elif path.name == CHANGES.name:
+            problems.extend(check_changes(path))
         else:
             problems.extend(check_file(path))
     for problem in problems:
