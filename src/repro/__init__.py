@@ -37,15 +37,7 @@ from repro.core import (
     ProtocolInvariantError,
 )
 from repro.processors import ATTACKS, Adversary, make_attack
-from repro.service import (
-    AsyncExecutor,
-    ConsensusService,
-    InstanceSpec,
-    ProcessExecutor,
-    RunSpec,
-    SerialExecutor,
-    WorkloadSpec,
-)
+from repro.service import ConsensusService, InstanceSpec, RunSpec
 
 __version__ = "1.1.0"
 
@@ -53,10 +45,6 @@ __all__ = [
     "ConsensusService",
     "RunSpec",
     "InstanceSpec",
-    "WorkloadSpec",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "AsyncExecutor",
     "ATTACKS",
     "make_attack",
     "ConsensusConfig",

@@ -50,10 +50,9 @@ from repro.analysis.sweeps import sweep_l
 from repro.baselines import BitwiseConsensus, FitziHirtConsensus
 from repro.broadcast_bit.ideal import default_b
 from repro.core import MultiValuedBroadcast
-from repro.processors import Adversary, make_attack, normalize_attack
+from repro.processors import normalize_attack
 from repro.processors import ATTACKS as _ATTACKS
 from repro.service import ConsensusService, InstanceSpec, RunSpec
-from repro.service.executors import EXECUTORS
 from repro.service.serving import (
     DEFAULT_PORT,
     AdmissionError,
@@ -93,14 +92,6 @@ def _make_spec(args) -> RunSpec:
     )
 
 
-def _make_adversary(args) -> Adversary:
-    t = args.t if args.t is not None else (args.n - 1) // 3
-    return make_attack(
-        args.attack, args.n, t, args.l_bits,
-        seed=args.seed, faulty=_parse_faulty(args),
-    )
-
-
 def cmd_consensus(args) -> int:
     service = ConsensusService(_make_spec(args))
     value = _parse_value(args.value, args.l_bits)
@@ -111,7 +102,7 @@ def cmd_consensus(args) -> int:
             )
             for i in range(args.instances)
         ]
-        results = service.run_many(batch, executor=args.executor)
+        results = service.run_many(batch)
         rows = [
             (
                 i,
@@ -138,7 +129,7 @@ def cmd_consensus(args) -> int:
 def cmd_broadcast(args) -> int:
     broadcast = MultiValuedBroadcast(
         n=args.n, t=args.t, l_bits=args.l_bits, backend=args.backend,
-        adversary=_make_adversary(args),
+        adversary=_make_spec(args).make_adversary(),
     )
     value = _parse_value(args.value, args.l_bits)
     result = broadcast.run(source=args.source, value=value)
@@ -482,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=1,
                    help="independent instances to batch through the "
                    "service (per-instance seeds seed, seed+1, ...)")
-    p.add_argument("--executor", default="serial",
-                   choices=sorted(EXECUTORS),
-                   help="batch executor for --instances > 1")
     p.set_defaults(func=cmd_consensus)
 
     p = sub.add_parser("broadcast", help="run the §4 multi-valued broadcast")

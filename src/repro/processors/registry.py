@@ -197,7 +197,7 @@ ATTACKS: Dict[str, AttackEntry] = {
 }
 
 #: The pinned fault-injection grid: the six deterministic attacks the
-#: adversarial grids and ``sweep_faults`` have always swept (the bit
+#: adversarial grids have always swept (the bit
 #: totals pinned in ``tests/test_pinned_bits.py`` are keyed to exactly
 #: this set).  ``false_accuse`` and ``random`` stay out: the former
 #: cannot force a diagnosis on its own and the latter is for

@@ -3,7 +3,7 @@
 Built for the traffic-serving workload shape: one long-lived
 :class:`~repro.service.service.ConsensusService` per deployment, many
 independent consensus instances through it, with cross-instance
-batching and pluggable executors.  One-shot
+batching.  One-shot
 :class:`~repro.core.consensus.MultiValuedConsensus` remains as the
 compatibility entry point and delegates to this package's engine.
 
@@ -19,24 +19,11 @@ See ``docs/ARCHITECTURE.md`` ("Service layer") for where this package
 sits and the byte-identity contract its batching honours.
 """
 
-from repro.service.executors import (
-    EXECUTORS,
-    AsyncExecutor,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-)
 from repro.service.service import ConsensusService
-from repro.service.spec import InstanceSpec, RunSpec, WorkloadSpec
+from repro.service.spec import InstanceSpec, RunSpec
 
 __all__ = [
     "ConsensusService",
     "RunSpec",
     "InstanceSpec",
-    "WorkloadSpec",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "AsyncExecutor",
-    "EXECUTORS",
 ]

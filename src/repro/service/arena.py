@@ -20,9 +20,9 @@ Ownership and reset rules (also documented in ``docs/ARCHITECTURE.md``):
   one-shot :class:`~repro.core.consensus.MultiValuedConsensus` runs own
   a private one.
 * A view is only valid until the *next* acquisition of the same kind:
-  the engine is strictly generation-sequential (the process executor
-  gives each worker its own service state, hence its own arena), so
-  exactly one generation is ever in flight per arena.
+  the engine is strictly generation-sequential (the serving tier's
+  flushes share one worker thread), so exactly one generation is ever
+  in flight per arena.
 * Acquiring a view resets it to its documented fill (``fill_value`` for
   the exchange matrix, ``False`` for Detected/Trust); views documented
   as fully overwritten by their producer (codewords, M, adjacency) are

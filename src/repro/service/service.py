@@ -27,8 +27,11 @@ Which engine runs an instance is the lane planner's decision
 
 ``run`` executes one instance; ``run_many`` executes a batch with
 cross-instance batching; ``submit``/``drain`` queue instances between
-batches.  Batches can be sharded over worker processes with a pluggable
-:class:`~repro.service.executors.Executor`.
+batches.  A batch runs in one place — this process, this service's
+shared state; an instance that can never run is refused where it
+enters (:meth:`InstanceSpec.validate
+<repro.service.spec.InstanceSpec.validate>`), before anything is queued
+or executed.
 
 Every path is **byte-identical** to looping
 ``MultiValuedConsensus(config).run(...)`` over the same instances — the
@@ -58,12 +61,7 @@ from repro.service.arena import ExchangeArena
 from repro.service.cohort import CohortContext, run_cohort_instance
 from repro.service.engine import execute_consensus
 from repro.service.planner import Lane, plan_lane
-from repro.service.spec import (
-    InstanceSpec,
-    RunSpec,
-    WorkloadSpec,
-    cohort_key,
-)
+from repro.service.spec import InstanceSpec, RunSpec, cohort_key
 
 #: Anything ``run_many``/``submit`` accepts as one instance: a spec, the
 #: per-processor input sequence, or a single value every processor holds.
@@ -180,7 +178,7 @@ class ConsensusService:
         ``seed`` and ``faulty`` override the service spec's defaults via
         the canonical attack registry; passing a live ``adversary``
         object bypasses the registry entirely (such instances cannot be
-        described to a process executor).
+        described declaratively, hence neither recorded nor served).
 
         ``transcript`` is an optional
         :class:`~repro.audit.TranscriptRecorder`: the engine journals
@@ -260,9 +258,13 @@ class ConsensusService:
         faulty: Optional[Sequence[int]] = None,
     ) -> int:
         """Queue one instance for the next :meth:`drain`; returns its
-        ticket (the index of its result in the drained list)."""
+        ticket (the index of its result in the drained list).  An
+        instance that can never run raises :class:`ValueError` here and
+        is not queued."""
         self._pending.append(
-            self._coerce(inputs, attack=attack, seed=seed, faulty=faulty)
+            self._coerce(
+                inputs, attack=attack, seed=seed, faulty=faulty
+            ).validate(self.spec)
         )
         return len(self._pending) - 1
 
@@ -271,81 +273,37 @@ class ConsensusService:
         """Number of submitted instances awaiting :meth:`drain`."""
         return len(self._pending)
 
-    def drain(self, executor=None) -> List[ConsensusResult]:
-        """Run every submitted instance (one :meth:`run_many` batch) and
-        return their results in submission (ticket) order."""
+    def drain(self) -> List[ConsensusResult]:
+        """Run every submitted instance (one batch, as :meth:`run_many`
+        would) and return their results in submission (ticket) order."""
         batch, self._pending = self._pending, []
-        return self.run_many(batch, executor=executor)
+        return self._run_many_local(batch)
 
     def run_many(
         self,
         instances: Sequence[InstanceLike],
-        executor=None,
         transcript=None,
     ) -> List[ConsensusResult]:
-        """Run a batch of independent consensus instances.
+        """Run a batch of independent consensus instances, in-process,
+        with cross-instance batching.
 
         Results arrive in instance order and are byte-identical — per
         instance: decisions, generation records, meter snapshot — to
-        looping ``MultiValuedConsensus`` over the same instances.
+        looping ``MultiValuedConsensus`` over the same instances.  Every
+        instance is validated before the first one executes.
 
         Args:
             instances: instance descriptions (:data:`InstanceLike`).
-            executor: ``None``/"serial" runs in-process with
-                cross-instance batching; "process" (or a configured
-                :class:`~repro.service.executors.ProcessExecutor`)
-                shards the batch over worker processes, each worker
-                batching its shard the same way.
             transcript: optional
                 :class:`~repro.audit.TranscriptRecorder`; captures one
                 authenticated transcript per instance, in order.
-                Recording is in-process only (the journals live in this
-                process), so it composes with the serial executor alone.
         """
-        specs = [self._coerce(instance) for instance in instances]
-        if transcript is not None:
-            from repro.service.executors import SerialExecutor
-
-            if executor is not None and executor != "serial" and not (
-                isinstance(executor, SerialExecutor)
-            ):
-                raise ValueError(
-                    "transcript recording runs in-process; use the "
-                    "serial executor (got %r)" % (executor,)
-                )
-            return self._run_many_local(specs, transcript=transcript)
-        if executor is None:
-            return self._run_many_local(specs)
-        if isinstance(executor, str):
-            from repro.service.executors import EXECUTORS
-
-            try:
-                executor = EXECUTORS[executor]()
-            except KeyError:
-                raise ValueError(
-                    "unknown executor %r (choose from %s)"
-                    % (executor, sorted(EXECUTORS))
-                )
-        return executor.run(self, specs)
-
-    def run_workload(
-        self, workload: WorkloadSpec, executor=None
-    ) -> List[ConsensusResult]:
-        """Run a :class:`WorkloadSpec`'s instances (the workload's own
-        :class:`RunSpec` must match this service's deployment)."""
-        if workload.spec != self.spec:
-            raise ValueError(
-                "workload spec %r does not match this service's %r"
-                % (workload.spec, self.spec)
-            )
-        return self.run_many(workload.instances, executor=executor)
-
-    @classmethod
-    def execute(cls, workload: WorkloadSpec, executor=None):
-        """One-call convenience: build the service a workload describes
-        and run its instances."""
-        return cls(workload.spec).run_many(
-            workload.instances, executor=executor
+        return self._run_many_local(
+            [
+                self._coerce(instance).validate(self.spec)
+                for instance in instances
+            ],
+            transcript=transcript,
         )
 
     # -- internals ----------------------------------------------------------

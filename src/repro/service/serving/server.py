@@ -46,7 +46,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.result import ConsensusResult
-from repro.processors.registry import ATTACKS
 from repro.service.executors import AsyncExecutor
 from repro.service.service import ConsensusService, InstanceLike
 from repro.service.serving.batcher import (
@@ -111,8 +110,6 @@ class ConsensusServer:
         max_queue: bounded admission queue across all deployments;
             beyond it, :meth:`submit` raises
             :class:`~repro.service.serving.batcher.QueueFullError`.
-        executor: the :class:`~repro.service.executors.AsyncExecutor`
-            batches run on (a private one by default).
         sample_cap: latency samples retained for percentiles (see
             :class:`~repro.service.serving.stats.ServingStats`).
     """
@@ -123,7 +120,6 @@ class ConsensusServer:
         window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
-        executor: Optional[AsyncExecutor] = None,
         sample_cap: int = 65536,
     ):
         if isinstance(spec, ConsensusService):
@@ -147,7 +143,8 @@ class ConsensusServer:
             max_batch=self.max_batch,
             max_queue=self.max_queue,
         )
-        self._executor = executor if executor is not None else AsyncExecutor()
+        #: the one worker thread every flush of this server runs on.
+        self._executor = AsyncExecutor()
         self.stats = ServingStats(sample_cap=sample_cap)
         self._flush_task: Optional[asyncio.Task] = None
         #: set on any admission — wakes an idle flush loop.
@@ -226,51 +223,6 @@ class ConsensusServer:
             self._services[spec] = service
         return service
 
-    def _validate(
-        self, instance: InstanceSpec, spec: RunSpec
-    ) -> InstanceSpec:
-        if len(instance.inputs) != spec.n:
-            raise InvalidRequestError(
-                "instance carries %d inputs for an n=%d deployment"
-                % (len(instance.inputs), spec.n)
-            )
-        for value in instance.inputs:
-            # Reject at admission: an instance that can never run would
-            # otherwise fail mid-flush and take its cohort-mates' batch
-            # down with it.
-            if value < 0 or value >> spec.l_bits:
-                raise InvalidRequestError(
-                    "input value 0x%x does not fit in l_bits=%d"
-                    % (value, spec.l_bits)
-                )
-        attack = (
-            instance.attack if instance.attack is not None else spec.attack
-        )
-        if attack not in ATTACKS:
-            raise InvalidRequestError(
-                "unknown attack %r (choose from %s)"
-                % (attack, sorted(ATTACKS))
-            )
-        faulty = (
-            instance.faulty if instance.faulty is not None else spec.faulty
-        )
-        for pid in faulty or ():
-            if not isinstance(pid, int) or not 0 <= pid < spec.n:
-                raise InvalidRequestError(
-                    "faulty pid %r is not a processor of an n=%d deployment"
-                    % (pid, spec.n)
-                )
-        if (
-            faulty
-            and not spec.allow_t_ge_n3
-            and len(set(faulty)) > spec.resolved_t
-        ):
-            raise InvalidRequestError(
-                "%d faulty processors, but the deployment tolerates t=%d"
-                % (len(set(faulty)), spec.resolved_t)
-            )
-        return instance
-
     async def submit(
         self,
         inputs: InstanceLike,
@@ -306,15 +258,14 @@ class ConsensusServer:
             raise ServerClosedError("server is not admitting requests")
         spec = spec if spec is not None else self.spec
         try:
-            instance = self._validate(
-                self.service_for(spec)._coerce(
-                    inputs, attack=attack, seed=seed, faulty=faulty
-                ),
-                spec,
+            # Refused at admission: an instance that can never run
+            # would otherwise fail mid-flush and take its cohort-mates'
+            # batch down with it.
+            instance = (
+                self.service_for(spec)
+                ._coerce(inputs, attack=attack, seed=seed, faulty=faulty)
+                .validate(spec)
             )
-        except AdmissionError:
-            self.stats.record_rejection(InvalidRequestError.code)
-            raise
         except (TypeError, ValueError) as exc:
             self.stats.record_rejection(InvalidRequestError.code)
             raise InvalidRequestError(str(exc)) from exc

@@ -5,26 +5,27 @@ generation size, backend, attack, seed — that the CLI, the sweep
 drivers, the benchmarks and the service layer all consume, replacing the
 three ad-hoc parameter paths those callers used to keep.  It is a plain
 frozen dataclass of picklable fields, so it crosses process boundaries
-unchanged: the process executor ships specs (never live adversary or
-backend objects) to its workers, which rebuild identical deployments via
-the canonical attack registry.
+unchanged: the ``repro-sim serve`` child and the wire carry specs (never
+live adversary or backend objects), and whoever holds one rebuilds an
+identical deployment via the canonical attack registry.
 
-:class:`InstanceSpec` describes one consensus instance of a workload
-(the per-processor inputs plus any per-instance attack override), and
-:class:`WorkloadSpec` bundles a shared :class:`RunSpec` with many
-instances — the unit :meth:`ConsensusService.run_many
-<repro.service.service.ConsensusService.run_many>` and the executors
-operate on.
+:class:`InstanceSpec` describes one consensus instance of a batch (the
+per-processor inputs plus any per-instance attack override) —
+:meth:`ConsensusService.run_many
+<repro.service.service.ConsensusService.run_many>` takes a sequence of
+them — and :meth:`InstanceSpec.validate` is the one place an instance
+that can never run on a deployment is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.config import ConsensusConfig
 from repro.processors.adversary import Adversary
 from repro.processors.registry import (
+    ATTACKS,
     attack_cohort_id,
     make_attack,
     normalize_attack,
@@ -98,8 +99,8 @@ class RunSpec:
     def from_config(cls, config: ConsensusConfig) -> "RunSpec":
         """Describe an existing config (``b_function`` excepted — that
         field is a live callable and cannot be described declaratively;
-        configs carrying one stay usable in-process but cannot cross to
-        executor workers)."""
+        configs carrying one stay usable in-process but cannot cross a
+        process boundary)."""
         return cls(
             n=config.n,
             l_bits=config.l_bits,
@@ -114,10 +115,10 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """One consensus instance of a workload.
+    """One consensus instance of a batch.
 
     ``attack``/``seed``/``faulty`` default to "inherit from the
-    workload's :class:`RunSpec`" (``attack=None``); an explicit value
+    deployment's :class:`RunSpec`" (``attack=None``); an explicit value
     overrides per instance, which is how a single ``run_many`` batch
     mixes honest and adversarial instances.
     """
@@ -147,6 +148,49 @@ class InstanceSpec:
             overrides["faulty"] = self.faulty
         return replace(spec, **overrides) if overrides else spec
 
+    def validate(self, spec: RunSpec) -> "InstanceSpec":
+        """Refuse an instance that can never run on deployment ``spec``.
+
+        Called where an instance enters — ``ConsensusService.submit`` /
+        ``run_many`` and the server's admission — so a bad one fails
+        alone instead of mid-batch, taking its batch-mates with it.
+        Returns ``self``; raises :class:`ValueError`.
+        """
+        if len(self.inputs) != spec.n:
+            raise ValueError(
+                "instance carries %d inputs for an n=%d deployment"
+                % (len(self.inputs), spec.n)
+            )
+        for value in self.inputs:
+            if value < 0 or value >> spec.l_bits:
+                raise ValueError(
+                    "input value 0x%x does not fit in l_bits=%d"
+                    % (value, spec.l_bits)
+                )
+        attack = self.attack if self.attack is not None else spec.attack
+        if attack not in ATTACKS:
+            raise ValueError(
+                "unknown attack %r (choose from %s)"
+                % (attack, sorted(ATTACKS))
+            )
+        faulty = self.faulty if self.faulty is not None else spec.faulty
+        for pid in faulty or ():
+            if not isinstance(pid, int) or not 0 <= pid < spec.n:
+                raise ValueError(
+                    "faulty pid %r is not a processor of an n=%d deployment"
+                    % (pid, spec.n)
+                )
+        if (
+            faulty
+            and not spec.allow_t_ge_n3
+            and len(set(faulty)) > spec.resolved_t
+        ):
+            raise ValueError(
+                "%d faulty processors, but the deployment tolerates t=%d"
+                % (len(set(faulty)), spec.resolved_t)
+            )
+        return self
+
 
 def cohort_key(spec: RunSpec, instance: InstanceSpec) -> Tuple:
     """The attack-shape key cohort batching groups instances by.
@@ -166,33 +210,3 @@ def cohort_key(spec: RunSpec, instance: InstanceSpec) -> Tuple:
         effective.l_bits,
         effective.d_bits,
     ) + attack_cohort_id(effective.attack, effective.faulty)
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A batch of independent consensus instances sharing one deployment.
-
-    The unit of cross-instance batching: every instance shares the
-    :class:`RunSpec`'s config (hence code tables and plans), and the
-    executors shard the ``instances`` tuple across workers.
-    """
-
-    spec: RunSpec
-    instances: Tuple[InstanceSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-
-    @classmethod
-    def all_equal(
-        cls, spec: RunSpec, values: Sequence[int], **overrides
-    ) -> "WorkloadSpec":
-        """One failure-free-shaped instance per value in ``values``,
-        each with all ``n`` processors holding that value."""
-        return cls(
-            spec=spec,
-            instances=tuple(
-                InstanceSpec(inputs=(value,) * spec.n, **overrides)
-                for value in values
-            ),
-        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
@@ -49,6 +51,44 @@ def assert_error_free(result, expected=None):
     assert result.valid, "validity violated: %r" % (result.decisions,)
     if expected is not None:
         assert result.value == expected
+
+
+#: The five ways an instance can never run on RunSpec(n=4, l_bits=16),
+#: as (kind, submit/run_many arguments, message) — the messages are the
+#: server's ``invalid_request`` texts, byte for byte.
+BAD_INSTANCES = [
+    ("oversized", dict(inputs=1 << 20),
+     "input value 0x100000 does not fit in l_bits=16"),
+    ("wrong_length", dict(inputs=(1, 2, 3)),
+     "instance carries 3 inputs for an n=4 deployment"),
+    ("unknown_attack", dict(inputs=1, attack="nope"),
+     "unknown attack 'nope' (choose from"),
+    ("faulty_out_of_range", dict(inputs=1, attack="crash", faulty=(9,)),
+     "faulty pid 9 is not a processor of an n=4 deployment"),
+    ("faulty_over_t", dict(inputs=1, attack="crash", faulty=(0, 1)),
+     "2 faulty processors, but the deployment tolerates t=1"),
+]
+BAD_IDS = [kind for kind, _, _ in BAD_INSTANCES]
+
+
+def run_chunked(spec, instances, chunks):
+    """``instances`` cut into ``chunks`` contiguous slices, each slice a
+    ``run_many`` on a *fresh* service rebuilt from the pickled spec and
+    pickled instances — what a micro-batcher flush, the ``repro-sim
+    serve`` child or a caller sharding by hand does.  Results, in
+    instance order, must not depend on where the cuts fall or on which
+    service object ran a slice (``chunks`` beyond ``len(instances)``
+    leaves the surplus slices empty)."""
+    from repro.service import ConsensusService
+
+    bounds = [len(instances) * i // chunks for i in range(chunks + 1)]
+    results = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        service = ConsensusService(pickle.loads(pickle.dumps(spec)))
+        results.extend(
+            service.run_many(pickle.loads(pickle.dumps(instances[lo:hi])))
+        )
+    return results
 
 
 @pytest.fixture

@@ -17,22 +17,18 @@ unpruned search the asymptotic bottleneck) must finish within a time
 budget.
 """
 
-import functools
 import random
 import time
 
 import numpy as np
 import pytest
 
-from repro.analysis import sweeps as sweeps_module
-from repro.analysis.sweeps import sweep_faults
 from repro.processors import FAULT_GRID_ATTACKS, make_attack
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import RandomAdversary
-from repro.service import RunSpec
 
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
 CONSENSUS_HOOKS = {
@@ -298,36 +294,9 @@ class TestVectorizedDispatch:
 
 
 class TestSweepFaults:
-    @staticmethod
-    def _both_engines(monkeypatch, *args, **kwargs):
-        """The grid on the default engine (the cohort of one) and on the
-        per-generation vectorized engine this suite is about —
-        ``sweep_faults`` builds its own ``RunSpec``, so the second is
-        pinned there."""
-        default = sweep_faults(*args, **kwargs)
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                sweeps_module, "RunSpec",
-                functools.partial(RunSpec, batch_generations=False),
-            )
-            return default, sweep_faults(*args, **kwargs)
-
-    def test_grid_rows_and_bounds(self, monkeypatch):
-        for points in self._both_engines(monkeypatch, [7], 1 << 10):
-            assert len(points) == len(FAULT_GRID_ATTACKS)
-            for point in points:
-                assert point.t == 2
-                assert point.diagnosis_count <= point.diagnosis_bound
-                assert not point.default_used
-
-    def test_scalar_grid_matches_vectorized(self, monkeypatch):
-        slow = sweep_faults(
-            [7], 1 << 9, attacks=["corrupt", "crash"], vectorized=False
-        )
-        for fast in self._both_engines(
-            monkeypatch, [7], 1 << 9, attacks=["corrupt", "crash"]
-        ):
-            assert fast == slow
+    """The registry's refusals (the fault grid's agreement, validity and
+    ``t(t+1)`` bound: ``tests/test_differential.py``,
+    ``test_reference_holds_theorem_1``)."""
 
     def test_unknown_attack_rejected(self):
         with pytest.raises(ValueError, match="unknown attack"):

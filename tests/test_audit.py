@@ -612,14 +612,6 @@ def test_run_many_recording_disables_result_cloning():
         assert compare(result, ref).identical
 
 
-def test_run_many_recording_rejects_parallel_executors():
-    service = ConsensusService(RunSpec(n=4, l_bits=16))
-    with pytest.raises(ValueError, match="serial"):
-        service.run_many(
-            [VALUE], executor="process", transcript=TranscriptRecorder()
-        )
-
-
 # -- the recorder sees what the receivers see --------------------------------
 
 

@@ -8,8 +8,8 @@ per shape.  The contract under test: cohort batching is
 *observationally free*.  Per instance, the returned result must equal
 the looped one-shot reference field for field, for every registered
 attack, whatever the batch composition (interleaved attacks, duplicate
-cohorts, singleton cohorts, differing seeds within one cohort), the
-executor (serial / process) or the shard count —
+cohorts, singleton cohorts, differing seeds within one cohort) or the
+places the batch is cut into chunks run by separate services —
 and must equal the **forced-scalar** (``vectorized=False``) engine as
 well: the same equivalence discipline the vectorized adversarial path
 is held to, extended to batches.
@@ -19,13 +19,8 @@ import pytest
 
 from repro.core.consensus import MultiValuedConsensus
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS
-from repro.service import (
-    ConsensusService,
-    InstanceSpec,
-    ProcessExecutor,
-    RunSpec,
-    SerialExecutor,
-)
+from repro.service import ConsensusService, InstanceSpec, RunSpec
+from tests.conftest import run_chunked
 
 #: The benchmark's mixed-workload cycle (honest + four attack shapes).
 MIXED_CYCLE = ["none", "corrupt", "crash", "trust_poison", "random"]
@@ -117,29 +112,21 @@ class TestEveryAttackCohorts:
 
 
 class TestInterleavedExecutors:
-    """The mixed cycle through every executor and worker count."""
+    """The mixed cycle as one batch and cut into chunks, each chunk on
+    its own service rebuilt from the pickled spec."""
 
     @pytest.mark.parametrize(
-        "executor",
-        [
-            SerialExecutor(),
-            ProcessExecutor(shards=2),
-            ProcessExecutor(shards=5),
-        ],
-        ids=["serial", "process-2", "process-5"],
+        "chunks", [1, 2, 5], ids=["serial", "process-2", "process-5"]
     )
-    def test_mixed_cycle_byte_identical(self, executor):
+    def test_mixed_cycle_byte_identical(self, chunks):
         spec = RunSpec(n=7, l_bits=256)
         instances = interleaved_cycle(7, 12)
         reference = looped_reference(spec, instances)
-        results = ConsensusService(spec).run_many(
-            instances, executor=executor
-        )
-        assert results == reference
+        assert run_chunked(spec, instances, chunks) == reference
 
     def test_n31_singleton_cohorts(self):
         # One instance per cycle attack: every cohort is a singleton,
-        # whichever side of a shard boundary it lands on.
+        # whichever side of a chunk boundary it lands on.
         spec = RunSpec(n=31, l_bits=64)
         instances = [
             InstanceSpec(inputs=(0xACE + idx,) * 31, attack=attack, seed=idx)
@@ -147,9 +134,7 @@ class TestInterleavedExecutors:
         ]
         reference = looped_reference(spec, instances)
         serial = ConsensusService(spec).run_many(instances)
-        sharded = ConsensusService(spec).run_many(
-            instances, executor=ProcessExecutor(shards=2)
-        )
+        sharded = run_chunked(spec, instances, 2)
         assert serial == reference
         assert sharded == reference
 

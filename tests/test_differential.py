@@ -154,6 +154,17 @@ def test_path_equals_forced_scalar_reference(path, attack, n, journal):
         assert observed.journal == expected.journal
 
 
+@pytest.mark.parametrize("n", sorted(SIZES))
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+def test_reference_holds_theorem_1(attack, n):
+    """What every cell above is equal to is itself error-free and
+    within the ``t(t+1)`` diagnosis bound, for every registry attack."""
+    result = reference(attack, n).result
+    t = (n - 1) // 3
+    assert result.error_free
+    assert result.diagnosis_count <= t * (t + 1)
+
+
 def test_grid_reaches_every_lane(monkeypatch):
     """The grid above is only as good as its routing: the honest
     second-of-batch instance must be a clone, an adversarial instance a

@@ -7,7 +7,9 @@ annotations are the documentation tools read; this keeps them honest.
 
 import doctest
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
 import sys
 import typing
@@ -111,3 +113,23 @@ def test_every_annotation_resolves():
             except NameError as error:
                 unresolved.append("%s.%s: %s" % (info.name, name, error))
     assert checked > 500 and unresolved == []
+
+
+def test_a_citation_names_a_member_its_file_defines(tmp_path):
+    """``tools/check_links.py`` on ``file.py::Name``: a renamed test or
+    helper fails the docs job instead of leaving a citation behind."""
+    location = importlib.util.spec_from_file_location(
+        "check_links",
+        pathlib.Path(__file__).parent.parent / "tools" / "check_links.py",
+    )
+    check_links = importlib.util.module_from_spec(location)
+    location.loader.exec_module(check_links)
+    fixture = tmp_path / "fixture.md"
+    fixture.write_text(
+        "`tests/test_service.py::TestRetention`,"
+        " `core/generation.py::_send_matching_symbols`\n"
+    )
+    assert check_links.check_file(fixture) == []
+    fixture.write_text("`tests/test_service.py::NoSuchClass`\n")
+    [problem] = check_links.check_file(fixture)
+    assert "tests/test_service.py::NoSuchClass" in problem

@@ -1,8 +1,9 @@
-"""Service layer: ConsensusService, specs, executors, batching fidelity.
+"""Service layer: ConsensusService, specs, batching fidelity.
 
 The load-bearing contract: everything ``run_many`` does — template
-reuse, shared caches, cross-instance encodes, process sharding — must be
-*observationally free*.  Per instance, the returned
+reuse, shared caches, cross-instance encodes — must be
+*observationally free*, wherever a batch is cut and whichever service
+object, rebuilt from the pickled spec, runs a chunk.  Per instance, the returned
 :class:`ConsensusResult` (decisions, generation records, meter snapshot)
 must equal the looped one-shot
 ``MultiValuedConsensus(config, adversary).run(inputs)`` reference field
@@ -10,6 +11,7 @@ for field, for every canonical attack, mixed workloads included.
 """
 
 import collections
+import inspect
 import pickle
 
 import pytest
@@ -17,16 +19,10 @@ import pytest
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
 from repro.processors import ATTACKS
-from repro.service import (
-    ConsensusService,
-    InstanceSpec,
-    ProcessExecutor,
-    RunSpec,
-    SerialExecutor,
-    WorkloadSpec,
-)
+from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import service as service_module
 from repro.service.cohort import MAX_PATTERN_ENTRIES
+from tests.conftest import BAD_IDS, BAD_INSTANCES, run_chunked
 
 
 def looped_reference(spec, instances):
@@ -75,20 +71,21 @@ class TestRunManyEquivalence:
 
     @pytest.mark.parametrize("attack", sorted(ATTACKS))
     def test_every_attack_process_executor(self, attack):
+        # One batch, and two chunks each on its own service rebuilt
+        # from the pickled spec.
         spec = RunSpec(n=7, l_bits=128)
         values = [0x11 * (i + 3) for i in range(4)]
         instances = mixed_workload(spec, attack, values)
         reference = looped_reference(spec, instances)
-        results = ConsensusService(spec).run_many(
-            instances, executor=ProcessExecutor(shards=2)
-        )
-        assert results == reference
+        assert ConsensusService(spec).run_many(instances) == reference
+        assert run_chunked(spec, instances, 2) == reference
 
     def test_stateful_seeded_adversaries_across_processes(self):
         # RandomAdversary draws from a seeded RNG on every hook and
-        # SlowBleed plans against its own mutated state; workers must
-        # reconstruct both from (attack, seed, faulty) and replay the
-        # exact looped behaviour whatever the shard boundaries.
+        # SlowBleed plans against its own mutated state; whoever holds
+        # the pickled specs must reconstruct both from (attack, seed,
+        # faulty) and replay the exact looped behaviour wherever the
+        # batch is cut.
         spec = RunSpec(n=7, l_bits=192)
         instances = []
         for i in range(8):
@@ -103,11 +100,9 @@ class TestRunManyEquivalence:
                     InstanceSpec(inputs=(0xACE + i,) * 7, attack="slow_bleed")
                 )
         reference = looped_reference(spec, instances)
-        for shards in (2, 3, 8):
-            results = ConsensusService(spec).run_many(
-                instances, executor=ProcessExecutor(shards=shards)
-            )
-            assert results == reference, "shards=%d diverged" % shards
+        for chunks in (2, 3, 8):
+            results = run_chunked(spec, instances, chunks)
+            assert results == reference, "chunks=%d diverged" % chunks
 
     def test_duplicate_values_share_results(self):
         spec = RunSpec(n=7, l_bits=128)
@@ -268,28 +263,11 @@ class TestSpecs:
 
     def test_specs_pickle(self):
         spec = RunSpec(n=7, l_bits=64, attack="slow_bleed")
-        workload = WorkloadSpec.all_equal(spec, [1, 2, 3])
-        assert pickle.loads(pickle.dumps(workload)) == workload
-
-    def test_workload_all_equal(self):
-        spec = RunSpec(n=4, l_bits=16)
-        workload = WorkloadSpec.all_equal(spec, [7, 8], attack="crash")
-        assert [i.inputs for i in workload.instances] == [
-            (7,) * 4, (8,) * 4
-        ]
-        assert {i.attack for i in workload.instances} == {"crash"}
-
-    def test_execute_workload(self):
-        spec = RunSpec(n=4, l_bits=16)
-        workload = WorkloadSpec.all_equal(spec, [7, 8])
-        results = ConsensusService.execute(workload)
-        assert [r.value for r in results] == [7, 8]
-
-    def test_run_workload_rejects_foreign_spec(self):
-        service = ConsensusService(RunSpec(n=4, l_bits=16))
-        foreign = WorkloadSpec.all_equal(RunSpec(n=7, l_bits=16), [1])
-        with pytest.raises(ValueError, match="does not match"):
-            service.run_workload(foreign)
+        batch = (
+            spec,
+            tuple(InstanceSpec(inputs=(v,) * 7, seed=v) for v in (1, 2, 3)),
+        )
+        assert pickle.loads(pickle.dumps(batch)) == batch
 
 
 class TestSubmitDrain:
@@ -392,68 +370,72 @@ class TestServiceApi:
         with pytest.raises(ValueError, match="does not fit"):
             service.run_many([1 << 16])
 
-    def test_unknown_executor_name(self):
+
+class TestValidation:
+    """A request that can never run is refused where it enters, once
+    (server admission: ``tests/test_serving.py::TestConsensusServer``,
+    ``test_admission_refuses_with_the_same_message``)."""
+
+    @pytest.mark.parametrize("_kind, bad, message", BAD_INSTANCES, ids=BAD_IDS)
+    def test_submit_refuses_and_keeps_the_other_tickets(
+        self, _kind, bad, message
+    ):
         service = ConsensusService(RunSpec(n=4, l_bits=16))
-        with pytest.raises(ValueError, match="unknown executor"):
-            service.run_many([1], executor="threads")
+        assert service.submit(7) == 0
+        with pytest.raises(ValueError) as info:
+            service.submit(**bad)
+        assert message in str(info.value)
+        assert service.submit(8) == 1
+        assert service.pending == 2
+        assert [r.value for r in service.drain()] == [7, 8]
+
+    @pytest.mark.parametrize("_kind, bad, message", BAD_INSTANCES, ids=BAD_IDS)
+    def test_run_many_refuses_before_executing_anything(
+        self, monkeypatch, _kind, bad, message
+    ):
+        per_generation, cohort = count_executions(monkeypatch)
+        service = ConsensusService(RunSpec(n=4, l_bits=16))
+        with pytest.raises(ValueError) as info:
+            service.run_many([1, service._coerce(**bad), 2])
+        assert message in str(info.value)
+        assert (per_generation, cohort) == ([], [])
+        assert service._template is None
+
+
+def test_the_batch_surface_has_no_knob():
+    """A re-added executor knob, or an export that names nothing, fails
+    here rather than in review."""
+    import repro
+    import repro.service
+    from repro.service.serving import ConsensusServer
+
+    run_many = inspect.signature(ConsensusService.run_many).parameters
+    assert list(run_many) == ["self", "instances", "transcript"]
+    assert run_many["instances"].default is inspect.Parameter.empty
+    assert run_many["transcript"].default is None
+    assert list(inspect.signature(ConsensusService.drain).parameters) == [
+        "self"
+    ]
+    assert "executor" not in inspect.signature(
+        ConsensusServer.__init__
+    ).parameters
+    for module in (repro, repro.service):
+        for name in module.__all__:
+            assert hasattr(module, name), "%s.__all__ names %r" % (
+                module.__name__, name,
+            )
 
 
 class TestExecutors:
-    def test_serial_executor_matches_default(self):
-        spec = RunSpec(n=4, l_bits=32)
-        instances = [InstanceSpec(inputs=(v,) * 4) for v in (1, 2, 3)]
-        default = ConsensusService(spec).run_many(instances)
-        serial = ConsensusService(spec).run_many(
-            instances, executor=SerialExecutor()
-        )
-        named = ConsensusService(spec).run_many(
-            instances, executor="serial"
-        )
-        assert default == serial == named
-
-    def test_process_executor_empty_batch(self):
-        service = ConsensusService(RunSpec(n=4, l_bits=16))
-        assert service.run_many([], executor="process") == []
+    """Where a batch is cut does not show (``run_chunked``)."""
 
     def test_process_executor_more_shards_than_instances(self):
+        # More chunks than instances: the surplus chunks are empty
+        # batches on their own fresh services.
         spec = RunSpec(n=4, l_bits=32)
-        results = ConsensusService(spec).run_many(
-            [1, 2], executor=ProcessExecutor(shards=8)
-        )
+        results = run_chunked(spec, [1, 2], 8)
+        assert results == ConsensusService(spec).run_many([1, 2])
         assert [r.value for r in results] == [1, 2]
-
-    def test_process_executor_single_shard_runs_inline(self):
-        spec = RunSpec(n=4, l_bits=32)
-        results = ConsensusService(spec).run_many(
-            [5], executor=ProcessExecutor(shards=1)
-        )
-        assert results[0].value == 5
-
-    def test_shard_worker_honours_reuse_results(self, monkeypatch):
-        # The escape hatch must survive the trip through a worker
-        # payload: reuse_results=False means every instance executes a
-        # real engine, shard workers included.
-        from repro.service.executors import _run_shard
-
-        per_generation, cohort = count_executions(monkeypatch)
-        spec = RunSpec(n=4, l_bits=32)
-        instances = tuple(InstanceSpec(inputs=(v,) * 4) for v in (1, 2, 3))
-        _run_shard((spec, True, instances))
-        assert len(per_generation) + len(cohort) == 1  # template + clones
-        per_generation.clear()
-        cohort.clear()
-        _run_shard((spec, False, instances))
-        assert len(per_generation) + len(cohort) == 3  # one run each
-
-    def test_process_executor_rejects_live_b_function(self):
-        config = ConsensusConfig.create(
-            n=4, t=1, l_bits=32, b_function=lambda n: 4 * n * n
-        )
-        service = ConsensusService(config)
-        with pytest.raises(ValueError, match="b_function"):
-            service.run_many([1, 2], executor="process")
-        # ...but the serial path handles it fine
-        assert [r.value for r in service.run_many([1, 2])] == [1, 2]
 
 
 def census(service):

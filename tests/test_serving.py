@@ -30,12 +30,8 @@ from repro.core.result import (
     GenerationResult,
 )
 from repro.network.metrics import MeterSnapshot
-from repro.service import (
-    AsyncExecutor,
-    ConsensusService,
-    InstanceSpec,
-    RunSpec,
-)
+from repro.service import ConsensusService, InstanceSpec, RunSpec
+from repro.service.executors import AsyncExecutor
 from repro.service.serving import (
     AdmissionError,
     ConsensusServer,
@@ -56,6 +52,7 @@ from repro.service.serving.wire import (
     runspec_from_wire,
     runspec_to_wire,
 )
+from tests.conftest import BAD_IDS, BAD_INSTANCES
 
 SPEC = RunSpec(n=4, l_bits=16)
 
@@ -374,10 +371,25 @@ class TestWireCodec:
 
 class TestAsyncExecutor:
     def test_results_byte_identical_to_serial(self):
-        service = ConsensusService(SPEC)
-        async_results = service.run_many(list(MIXED), executor="async")
-        serial_results = service.run_many(list(MIXED), executor="serial")
-        assert wires(async_results) == wires(serial_results)
+        # Two batches submitted at once run one after the other, in
+        # submission order, each equal to a run_many of its own.
+        first, second = list(MIXED), list(reversed(MIXED))
+
+        async def scenario():
+            executor = AsyncExecutor()
+            service = ConsensusService(SPEC)
+            try:
+                return await asyncio.gather(
+                    executor.run_async(service, first),
+                    executor.run_async(service, second),
+                )
+            finally:
+                executor.shutdown()
+
+        direct = ConsensusService(SPEC)
+        assert [wires(batch) for batch in asyncio.run(scenario())] == [
+            wires(direct.run_many(first)), wires(direct.run_many(second))
+        ]
 
     def test_run_async_from_a_loop(self):
         service = ConsensusService(SPEC)
@@ -393,22 +405,15 @@ class TestAsyncExecutor:
             service.run_many(list(MIXED))
         )
 
-    def test_sync_run_inside_a_running_loop_raises(self):
-        service = ConsensusService(SPEC)
-
-        async def scenario():
-            with pytest.raises(RuntimeError, match="run_async"):
-                AsyncExecutor().run(service, list(MIXED))
-
-        asyncio.run(scenario())
-
     def test_shutdown_is_idempotent_and_executor_stays_usable(self):
         service = ConsensusService(SPEC)
         executor = AsyncExecutor()
-        first = executor.run(service, [InstanceSpec(inputs=(3, 3, 3, 3))])
+        batch = [InstanceSpec(inputs=(3, 3, 3, 3))]
+        first = asyncio.run(executor.run_async(service, batch))
         executor.shutdown()
         executor.shutdown()
-        again = executor.run(service, [InstanceSpec(inputs=(3, 3, 3, 3))])
+        again = asyncio.run(executor.run_async(service, batch))
+        executor.shutdown()
         assert wires(first) == wires(again)
 
 
@@ -583,6 +588,28 @@ class TestConsensusServer:
         good, bad = asyncio.run(scenario())
         assert good.value == 5
         assert isinstance(bad, InvalidRequestError)
+
+    @pytest.mark.parametrize("_kind, bad, message", BAD_INSTANCES, ids=BAD_IDS)
+    def test_admission_refuses_with_the_same_message(
+        self, _kind, bad, message
+    ):
+        """The table ``ConsensusService.submit`` / ``run_many`` refuse
+        (``tests/test_service.py::TestValidation``), at the server: the
+        same function, so the same text under ``invalid_request``."""
+
+        async def scenario():
+            server = ConsensusServer(RunSpec(n=4, l_bits=16), window_ms=1.0)
+            await server.start()
+            try:
+                with pytest.raises(InvalidRequestError) as info:
+                    await server.submit(**bad)
+                return str(info.value), server.ps()["stats"]["rejected"]
+            finally:
+                await server.stop()
+
+        text, rejected = asyncio.run(scenario())
+        assert message in text
+        assert rejected == {InvalidRequestError.code: 1}
 
     def test_faulty_is_validated_on_the_deployment_default_too(self):
         async def scenario():

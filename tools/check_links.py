@@ -2,8 +2,9 @@
 """Internal link checker for the repo's markdown documentation.
 
 Scans the given markdown files (default: ``README.md`` and
-``docs/*.md``) and the ``run:`` lines of the CI workflow for references
-that point *into the repository* and fails when a target does not
+``docs/*.md``), the ``run:`` lines of the CI workflow and the library's
+docstrings for references that point *into the repository* and fails
+when a target does not
 exist, so stale docs — and a workflow step naming a deleted script —
 fail the build:
 
@@ -19,7 +20,13 @@ fail the build:
 * in ``CHANGES.md`` (any file of that name), the house rule for entries
   numbered 22 and up: one line of at most 1 200 characters that names a
   ``docs/measurements/*.md`` file which exists.  Older entries name
-  files since deleted and are not link-checked.
+  files since deleted and are not link-checked;
+* member citations — ``tests/test_service.py::TestRetention``,
+  ``core/generation.py::_send_matching_symbols`` (a path not under a
+  top-level directory is looked up under ``src/repro/``) — in the
+  markdown files and in the docstrings of ``src/repro/**/*.py``: the
+  file must define ``class Name`` or ``def Name``, so renaming a cited
+  test cannot leave the citation behind.
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -60,6 +67,8 @@ PROSE_PATH = re.compile(
 RUN_KEY = re.compile(r"^(\s*)(?:- )?run:(.*)$")
 CHANGES_ENTRY = re.compile(r"^PR (\d+):")
 MEASUREMENTS_FILE = re.compile(r"docs/measurements/[\w.-]+\.md")
+#: ``path/to/file.py::Name`` (docstrings wrap the whole in `` `` ``).
+CITATION = re.compile(r"((?:[\w.-]+/)+[\w-]+\.py)::(\w+)")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -89,11 +98,30 @@ def looks_like_repo_path(target: str) -> bool:
     return "/" in target and first in KNOWN_DIRS
 
 
+def check_citations(path: Path, text: str) -> list:
+    """Every ``file.py::Name`` in ``text`` names a class or function
+    that ``file.py`` defines."""
+    problems = []
+    for cited, name in sorted(set(CITATION.findall(text))):
+        target = REPO_ROOT / cited
+        if cited.split("/", 1)[0] not in KNOWN_DIRS:
+            target = REPO_ROOT / "src" / "repro" / cited
+        if not target.is_file() or not re.search(
+            r"^\s*(?:class|(?:async )?def) %s\b" % name,
+            target.read_text(), re.MULTILINE,
+        ):
+            problems.append(
+                "%s: cites %s::%s, which that file does not define"
+                % (path, cited, name)
+            )
+    return problems
+
+
 def check_file(path: Path) -> list:
     text = path.read_text()
     prose = CODE_FENCE.sub("", text)
     anchors = {anchor_of(h) for h in HEADING.findall(text)}
-    problems = []
+    problems = check_citations(path, text)
 
     def check_target(target: str, kind: str) -> None:
         if target.startswith(("http://", "https://", "mailto:")):
@@ -215,7 +243,9 @@ def main(argv) -> int:
     else:
         files = [REPO_ROOT / "README.md"] + sorted(
             (REPO_ROOT / "docs").glob("*.md")
-        ) + [WORKFLOW, CHANGES]
+        ) + [WORKFLOW, CHANGES] + sorted(
+            (REPO_ROOT / "src" / "repro").rglob("*.py")
+        )
     problems = []
     for path in files:
         if not path.exists():
@@ -224,6 +254,8 @@ def main(argv) -> int:
             problems.extend(check_workflow(path))
         elif path.name == CHANGES.name:
             problems.extend(check_changes(path))
+        elif path.suffix == ".py":
+            problems.extend(check_citations(path, path.read_text()))
         else:
             problems.extend(check_file(path))
     for problem in problems:
