@@ -86,11 +86,15 @@ class AccountedIdealBroadcast(BroadcastBackend):
         Exactly the bookkeeping ``count`` scalar honest
         :meth:`broadcast_bit` calls under ``tag`` would perform — one
         instance bump, ``B(n)`` bits and ``n(n-1)`` messages each — as
-        single batched increments.  The cohort engine calls this to
-        replay honest broadcasts without dispatching any at all.
+        single batched increments.  The cohort engine and the diagnosis
+        stage call this to replay honest broadcasts without dispatching
+        any at all.  Zero instances touch nothing: zero scalar
+        broadcasts leave no tag in the meter.
         """
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)
+        if not count:
+            return
         self.stats.instances += count
         self.stats.bits_charged += self._b * count
         self.meter.add(

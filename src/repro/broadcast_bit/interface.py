@@ -274,9 +274,10 @@ PackedBits` row, the return value maps each pid to a ``PackedBits``
         """Account ``count`` honest-source instances under ``tag`` in O(1).
 
         Only meaningful on backends with :attr:`constant_cost_honest`;
-        the cohort engine uses it to replay honest broadcasts without
-        running the broadcast protocol.  The
-        default raises, so callers must check the flag first.
+        the cohort engine and the vectorized diagnosis stage use it to
+        replay honest broadcasts without running the broadcast
+        protocol.  The default raises, so callers must check the flag
+        first.
         """
         raise NotImplementedError(
             "backend %s has no constant-cost honest accounting" % self.name

@@ -34,21 +34,24 @@ Every adversary hook fires the same number of times, in the same order,
 with the same arguments on both paths — per-faulty-pid overrides are
 applied onto the batched arrays — so stateful adversaries (seeded RNGs,
 attack planners) behave identically and metering is byte-identical.
-The diagnosis stage's per-source single-bit broadcasts dispatch through
-``broadcast_bits_many_grouped`` on the vectorized path: one grouped
-backend call per sub-stage whose per-source *planners* keep the scalar
-plan/dispatch hook interleaving (see
+The diagnosis stage's per-source single-bit broadcasts go through one
+dispatch rule on the vectorized path
+(:meth:`GenerationProtocol._dispatch_sources`): fault-free sources are
+priced where the backend allows it and the rest dispatch through
+``broadcast_bits_many_grouped``, whose per-source *planners* keep the
+scalar plan/dispatch hook interleaving (see
 :mod:`repro.broadcast_bit.interface`), which is what makes ``n >= 127``
 fault-injection sweeps practical.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.broadcast_bit.interface import BroadcastBackend
+from repro.broadcast_bit.interface import BroadcastBackend, PlannedRow
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.result import GenerationOutcome, GenerationResult
@@ -666,12 +669,15 @@ class GenerationProtocol:
         isolated: FrozenSet[int],
         default_part: Sequence[int],
         detectors: List[int],
-        r_sharp_of: Callable[[int], Dict[int, int]],
+        r_sharp_of: Optional[Callable[[int], Dict[int, int]]] = None,
     ) -> GenerationResult:
         """Lines 3(f)-3(i): false-alarm isolation, over-degree rule,
         ``P_decide`` and the decode — identical on both paths once the
         reference R#/Detected views and the removed edges are known.
-        ``r_sharp_of(pid)`` supplies the per-pid R# for the final decode.
+        ``r_sharp_of(pid)`` supplies the per-pid R# for the final decode
+        (the scalar path, which checks the decisions agree); without it
+        every fault-free processor holds the reference R# — the
+        vectorized path's agreement premise — and one decode serves all.
         """
         match_set = set(p_match)
 
@@ -719,12 +725,17 @@ class GenerationProtocol:
                 detectors=detectors,
             )
 
-        decisions = {}
-        for pid in self._honest:
-            r_sharp = r_sharp_of(pid)
-            positions = {j: r_sharp[j] for j in p_decide}
-            decisions[pid] = self._cached_decode(positions)
-        self._assert_common(decisions, "diagnosis-stage decision")
+        if r_sharp_of is None:
+            decisions = dict.fromkeys(self._honest, self._cached_decode(
+                {j: reference_r_sharp[j] for j in p_decide}
+            ))
+        else:
+            decisions = {}
+            for pid in self._honest:
+                r_sharp = r_sharp_of(pid)
+                positions = {j: r_sharp[j] for j in p_decide}
+                decisions[pid] = self._cached_decode(positions)
+            self._assert_common(decisions, "diagnosis-stage decision")
 
         return GenerationResult(
             generation=self.generation,
@@ -1006,6 +1017,50 @@ class GenerationProtocol:
             detected_ref[q] = bool(outcome[reference][0])
         return detected_ref, detectors
 
+    def _dispatch_sources(
+        self,
+        rows: Sequence[PlannedRow],
+        width: int,
+        tag: str,
+        isolated: FrozenSet[int],
+    ) -> Dict[int, Dict[int, PackedBits]]:
+        """The diagnosis stage's one dispatch rule, for both sub-stages:
+        ``rows`` holds the ``(source, plan)`` rows of the sub-stage's
+        live sources, each ``width`` bits, in broadcast order.
+
+        Under a backend whose honest broadcasts are pure accounting
+        (:attr:`~repro.broadcast_bit.interface.BroadcastBackend.\
+constant_cost_honest`) a fault-free source's outcome is its own row at
+        every processor (validity), which the stage already holds, and
+        no hook fires for it: each maximal run of fault-free sources is
+        priced with one ``charge_honest_instances`` — its plans are
+        never called — and each maximal run of controlled sources goes
+        through one ``broadcast_bits_many_grouped`` call.  Runs are
+        taken in order, so a controlled source's planning hook and its
+        per-instance backend hooks fire at their scalar position with
+        their scalar instance ids, and the meter's sums, the instance
+        count and the bits charged equal the scalar loop's.  Any other
+        backend runs real rounds for every source: all rows, one call.
+
+        Returns ``source -> outcome`` for the dispatched rows only.
+        """
+        backend = self.backend
+        price_honest = backend.constant_cost_honest
+        controls = self.adversary.controls
+        outcomes: Dict[int, Dict[int, PackedBits]] = {}
+        for dispatch, run in itertools.groupby(
+            rows, key=lambda row: not price_honest or controls(row[0])
+        ):
+            run = list(run)
+            if dispatch:
+                outcomes.update(zip(
+                    [source for source, _ in run],
+                    backend.broadcast_bits_many_grouped(run, tag, isolated),
+                ))
+            else:
+                backend.charge_honest_instances(tag, len(run) * width)
+        return outcomes
+
     def _diagnosis_stage_vec(
         self,
         p_match: Tuple[int, ...],
@@ -1016,14 +1071,18 @@ class GenerationProtocol:
         isolated: FrozenSet[int],
         default_part: Sequence[int],
     ) -> GenerationResult:
-        """Lines 3(a)-3(i) with R#/Trust views as arrays.
+        """Lines 3(a)-3(i) as array work: R# one vector, Trust one
+        boolean ``(n, |P_match|)`` matrix, edge removal one matrix
+        update.
 
-        The stage's ``O(n)`` per-source single-bit broadcasts dispatch
-        as one :meth:`~repro.broadcast_bit.interface.BroadcastBackend.\
-broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
-        vectors).  The grouped call invokes each source's *planner* —
-        which fires that source's adversary hook (``diagnosis_symbol``,
-        ``trust_vector``) — immediately before that source's backend
+        Both sub-stages (symbols, then trust vectors) start from what
+        validity gives — a fault-free source's row arrives as sent, so
+        R# is the codeword diagonal and the Trust view the honest trust
+        matrix — and hand their per-source single-bit broadcasts to
+        :meth:`_dispatch_sources`, which reads back only the rows it
+        had to dispatch.  A dispatched source's *planner* fires that
+        source's adversary hook (``diagnosis_symbol``,
+        ``trust_vector``) immediately before that source's backend
         instances, so every adversary and backend hook still fires in
         the exact scalar plan/dispatch interleaving and seeded stateful
         adversaries replay byte-identically.  The ``O(n)``
@@ -1044,15 +1103,17 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
             if self.adversary.controls(i) and i not in isolated
         ]
 
-        # Lines 3(a)-3(b): P_match members broadcast their own symbol,
-        # one grouped backend call for the whole sub-stage.
+        # Lines 3(a)-3(b): P_match members broadcast their own symbol
+        # (members are live: an isolated source's M row is all zero, so
+        # it is in no clique).
         symbol_tag = "%s.diagnosis.symbol" % self.tag
         reference = self._reference
-        r_ref: Dict[int, int] = {}
+        own_symbols = [codewords[j][j] for j in p_match]
+        r_ref: Dict[int, int] = dict(zip(p_match, own_symbols))
         #: Faulty pid -> the R# entries its own view holds differently.
         r_own: Dict[int, Dict[int, int]] = {}
-        #: One (wire row, symbol) pair per P_match member, in plan order.
-        planned: List[Tuple[PackedBits, int]] = []
+        #: Dispatched member -> its (wire row, symbol) pair.
+        planned: Dict[int, Tuple[PackedBits, int]] = {}
 
         def symbol_plan(j: int) -> Callable[[], PackedBits]:
             def plan() -> PackedBits:
@@ -1066,16 +1127,16 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
                     )
                 # Packed wire row; big-int safe for wide super-symbols.
                 row = PackedBits.from_int(symbol, self.c)
-                planned.append((row, int(symbol)))
+                planned[j] = (row, int(symbol))
                 return row
             return plan
 
-        symbol_outcomes = self.backend.broadcast_bits_many_grouped(
-            [(j, symbol_plan(j)) for j in p_match], symbol_tag, isolated
+        symbol_outcomes = self._dispatch_sources(
+            [(j, symbol_plan(j)) for j in p_match],
+            self.c, symbol_tag, isolated,
         )
-        for j, outcome, (row, symbol) in zip(
-            p_match, symbol_outcomes, planned
-        ):
+        for j, outcome in symbol_outcomes.items():
+            row, symbol = planned[j]
             ref_row = outcome[reference]
             # The planned row handed straight back is the symbol the
             # plan already holds; any other row is read once.
@@ -1090,8 +1151,7 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
         # hook sees them.
         trust_tag = "%s.diagnosis.trust" % self.tag
         mine = received[:, pm].copy()
-        for index, j in enumerate(p_match):
-            mine[j, index] = codewords[j][j]
+        mine[pm, np.arange(n_pm)] = own_symbols
         trusts_mat = np.asarray(self.graph.trust_mask())[:, pm] | (
             np.arange(n)[:, np.newaxis] == pm[np.newaxis, :]
         )
@@ -1111,8 +1171,6 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
                 & (mine[i] == r_i).astype(bool)
             )
 
-        trust_ref = self._ensure_arena().trust_view(n_pm)
-        live_row = np.zeros(n, dtype=bool)
         # Packed wire rows: one packbits over the (fixed-up) honest
         # trust matrix; controlled rows repack after an overridden
         # hook (the base one returns its argument: the honest row).
@@ -1122,13 +1180,12 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
         def trust_plan(i: int) -> Callable[[], PackedBits]:
             def plan() -> PackedBits:
                 if trust_hooked and self.adversary.controls(i):
-                    honest_trust = {
-                        j: bool(honest_trust_mat[i, index])
-                        for index, j in enumerate(p_match)
-                    }
                     trust_i = dict(
                         self.adversary.trust_vector(
-                            i, dict(honest_trust), self.generation, view
+                            i,
+                            dict(zip(p_match, honest_trust_mat[i].tolist())),
+                            self.generation,
+                            view,
                         )
                     )
                     return PackedBits.from_bits([
@@ -1137,43 +1194,40 @@ broadcast_bits_many_grouped` call per sub-stage (symbols, then trust
                 return PackedBits(trust_packed[i], n_pm)
             return plan
 
-        live = [i for i in range(n) if i not in isolated]
-        trust_outcomes = self.backend.broadcast_bits_many_grouped(
-            [(i, trust_plan(i)) for i in live], trust_tag, isolated
+        live = np.array(
+            [i for i in range(n) if i not in isolated], dtype=np.int64
         )
-        if live:
-            live_arr = np.array(live, dtype=np.int64)
-            live_row[live_arr] = True
-            # One bulk unpack assembles every live reference row; rows of
-            # isolated processors keep the view's reset-False fill.
-            lanes = np.stack(
-                [outcome[reference].lanes for outcome in trust_outcomes]
-            )
-            trust_ref[live_arr] = np.unpackbits(
+        trust_outcomes = self._dispatch_sources(
+            [(i, trust_plan(i)) for i in live.tolist()],
+            n_pm, trust_tag, isolated,
+        )
+        # The reference Trust view: validity for every live row, then
+        # one bulk unpack of the rows that were dispatched; rows of
+        # isolated processors keep the view's reset-False fill.
+        trust_ref = self._ensure_arena().trust_view(n_pm)
+        trust_ref[live] = honest_trust_mat[live]
+        if trust_outcomes:
+            lanes = np.stack([
+                outcome[reference].lanes
+                for outcome in trust_outcomes.values()
+            ])
+            trust_ref[list(trust_outcomes)] = np.unpackbits(
                 lanes, axis=1, count=n_pm
             ).astype(bool)
 
-        # Line 3(e): edge removal from the reference view; np.argwhere's
-        # row-major order reproduces the scalar (i ascending, then
-        # P_match ascending) removal order exactly.
-        removable = (
-            live_row[:, np.newaxis]
-            & (np.arange(n)[:, np.newaxis] != pm[np.newaxis, :])
-            & ~trust_ref
-        )
-        removed_edges: List[Tuple[int, int]] = []
-        for i, index in np.argwhere(removable):
-            j = int(pm[index])
-            if self.graph.remove_edge(int(i), j):
-                removed_edges.append(tuple(sorted((int(i), j))))
+        # Line 3(e): every live processor accuses the members its
+        # broadcast Trust vector rejects; one matrix update, in the
+        # scalar removal order.
+        accuse = np.zeros((n, n), dtype=bool)
+        accuse[live[:, np.newaxis], pm] = ~trust_ref[live]
+        removed_edges = self.graph.remove_accused(accuse)
 
         return self._diagnosis_verdict(
             p_match,
-            dict(r_ref),
-            [bool(flag) for flag in detected_ref],
+            r_ref,
+            detected_ref.tolist(),
             removed_edges,
             isolated,
             default_part,
             detectors,
-            lambda pid: r_ref,
         )

@@ -17,15 +17,16 @@ The class itself enforces only the structural rules (monotone removal,
 isolation bookkeeping); the semantic invariants are checked by the test
 suite against ground-truth fault sets.
 
-Adjacency is backed by an ``(n, n)`` boolean matrix so the engines'
-hot-path trust filtering is a single mask lookup (:meth:`trust_mask`)
-instead of per-edge :meth:`trusts` calls; the symmetric matrix and the
-removal history are kept in lockstep.
+The graph *is* its symmetric ``(n, n)`` boolean adjacency matrix (plus
+the set of isolated vertices): the engines' hot-path trust filtering is
+a single mask lookup (:meth:`trust_mask`), a diagnosis removes its edges
+as one matrix update (:meth:`remove_accused`), and the removal history
+is read off the matrix — an edge is removed iff its entry is clear.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,7 +54,6 @@ class DiagnosisGraph:
         adj = np.ones((n, n), dtype=bool)
         np.fill_diagonal(adj, False)
         self._adj: np.ndarray = adj
-        self._removed: Set[FrozenSet[int]] = set()
         self._isolated: Set[int] = set()
 
     # -- queries ------------------------------------------------------------
@@ -72,7 +72,7 @@ class DiagnosisGraph:
         ``mask[i, j]`` is True iff ``i`` and ``j`` (``i != j``) trust each
         other; the diagonal is False.  The view is backed by live graph
         state — it reflects subsequent removals — and is marked
-        non-writeable so callers cannot bypass :meth:`remove_edge`.
+        non-writeable so callers cannot bypass the mutators.
         """
         view = self._adj.view()
         view.flags.writeable = False
@@ -103,7 +103,7 @@ class DiagnosisGraph:
 
     def is_complete(self) -> bool:
         """True iff no edge has ever been removed (the failure-free state)."""
-        return not self._removed
+        return int(self._adj.sum()) == self.n * (self.n - 1)
 
     def edges(self) -> List[Tuple[int, int]]:
         """All present edges as sorted (i, j) pairs with i < j."""
@@ -112,7 +112,8 @@ class DiagnosisGraph:
 
     def removed_edges(self) -> List[Tuple[int, int]]:
         """All removed edges as sorted (i, j) pairs with i < j."""
-        return sorted(tuple(sorted(edge)) for edge in self._removed)
+        upper = np.triu(~self._adj, k=1)
+        return [(int(i), int(j)) for i, j in np.argwhere(upper)]
 
     # -- mutation -----------------------------------------------------------
 
@@ -130,15 +131,34 @@ class DiagnosisGraph:
             return False
         self._adj[i, j] = False
         self._adj[j, i] = False
-        self._removed.add(frozenset((i, j)))
         return True
+
+    def remove_accused(self, accuse: np.ndarray) -> List[Tuple[int, int]]:
+        """Line 3(e) as one matrix update: remove every present edge
+        ``(i, j)`` with ``accuse[i, j]`` set (an ``(n, n)`` boolean
+        matrix; self-accusations name no edge and are ignored).
+
+        Returns the removed edges as sorted pairs, in the order the
+        loop ``for i, j in np.argwhere(accuse): remove_edge(i, j)``
+        removes them: row-major over the accusations, an edge accused
+        from both ends listed where it is first accused.
+        """
+        adj = self._adj
+        # An accusation below the diagonal comes second when its mirror
+        # (an earlier row) accuses too.
+        first = accuse & adj & ~np.tril(accuse.T)
+        adj &= ~(first | first.T)
+        pairs = np.argwhere(first)
+        return list(zip(
+            pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()
+        ))
 
     def isolate(self, i: int) -> None:
         """Mark ``i`` identified-faulty and drop all its remaining edges."""
         self._check(i)
         self._isolated.add(i)
-        for j in map(int, np.flatnonzero(self._adj[i])):
-            self.remove_edge(i, j)
+        self._adj[i, :] = False
+        self._adj[:, i] = False
 
     def apply_overdegree_rule(self, t: int) -> List[int]:
         """Line 3(g): isolate every vertex with more than ``t`` removed edges.
@@ -203,13 +223,12 @@ class DiagnosisGraph:
     def copy(self) -> "DiagnosisGraph":
         dup = DiagnosisGraph(self.n)
         dup._adj = self._adj.copy()
-        dup._removed = set(self._removed)
         dup._isolated = set(self._isolated)
         return dup
 
     def __repr__(self) -> str:
         return "DiagnosisGraph(n=%d, removed=%d, isolated=%r)" % (
             self.n,
-            len(self._removed),
+            len(self.removed_edges()),
             sorted(self._isolated),
         )

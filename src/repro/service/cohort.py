@@ -42,8 +42,10 @@ matching_row`): the payload every recipient gets plus the recipients
    rows, resolve the match set, fire the overridden ``detected_flag``
    hooks, dispatch the flags, then decide — or, when a flag is raised,
    delegate to the vectorized
-   :meth:`GenerationProtocol._diagnosis_stage_vec` (diagnosis is rare
-   and already grouped).
+   :meth:`GenerationProtocol._diagnosis_stage_vec`, which is array
+   work: it prices the fault-free sources' broadcasts, dispatches only
+   the controlled sources' rows, removes the accused edges as one
+   matrix update and decodes once.
 
 What the context keeps across its instances is **value-independent**:
 one table of diagnosis-graph *structures*, each holding the plans and
@@ -748,8 +750,8 @@ class _InstanceRun:
         return _Checking(detected, controlled, clean)
 
     def _diagnose(self, struct, g, p_match, sym, flagged, detectors):
-        """Lines 3(a)-3(i), delegated: diagnosis is rare and already
-        grouped, so it runs the vectorized protocol's own stage.
+        """Lines 3(a)-3(i), delegated to the vectorized protocol's own
+        stage (recorded runs need it there too).
         ``flagged`` are the outsiders whose broadcast Detected flag is
         set."""
         ctx = self.ctx
@@ -793,8 +795,7 @@ class _InstanceRun:
         identity."""
         backend = self.consensus.backend
         if self.ctx.ib_default:
-            if total:
-                backend.charge_honest_instances(tag, total)
+            backend.charge_honest_instances(tag, total)
             return rows
         return backend.broadcast_rows_flat(
             list(zip(sources, rows)), tag, struct.isolated

@@ -1,5 +1,6 @@
 """Diagnosis graph and clique search."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,3 +209,85 @@ class TestDiagnosisGraph:
         for i in range(n):
             expected = sum(1 for e in removed if i in e)
             assert graph.removed_edges_at(i) == expected
+
+
+class TestMatrixUpdatesMatchEdgeLoops:
+    """The diagnosis stage's two array updates against the per-edge
+    loops they replaced, run on a copy of the same graph: same returned
+    list in the same order, same matrix, same removal history."""
+
+    @staticmethod
+    def _random_graph(data, n):
+        """A reachable graph state: some edges gone, some vertices
+        isolated (row and column clear)."""
+        graph = DiagnosisGraph(n)
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for a, b in data.draw(st.lists(pair, max_size=2 * n)):
+            if a != b:
+                graph.remove_edge(a, b)
+        for v in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            graph.isolate(v)
+        return graph
+
+    @staticmethod
+    def _assert_same_state(graph, oracle):
+        assert np.array_equal(graph.trust_mask(), oracle.trust_mask())
+        assert graph.removed_edges() == oracle.removed_edges()
+        assert graph.to_dict() == oracle.to_dict()
+        assert graph.is_complete() == oracle.is_complete()
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_remove_accused_is_the_remove_edge_loop(self, n, data):
+        graph = self._random_graph(data, n)
+        oracle = graph.copy()
+        accuse = np.array(
+            data.draw(st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )),
+            dtype=bool,
+        )
+        expected = []
+        for i, j in np.argwhere(accuse):
+            if i != j and oracle.remove_edge(int(i), int(j)):
+                expected.append(tuple(sorted((int(i), int(j)))))
+        before = accuse.copy()
+        assert graph.remove_accused(accuse) == expected
+        assert np.array_equal(accuse, before)  # the argument is read only
+        self._assert_same_state(graph, oracle)
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_isolate_is_the_per_edge_loop(self, n, data):
+        graph = self._random_graph(data, n)
+        oracle = graph.copy()
+        v = data.draw(st.integers(0, n - 1))
+        for j in sorted(oracle.trusted_by(v)):
+            oracle.remove_edge(v, j)
+        graph.isolate(v)
+        assert graph.is_isolated(v)
+        assert graph.trusted_by(v) == set()
+        assert np.array_equal(graph.trust_mask(), oracle.trust_mask())
+        assert graph.removed_edges() == oracle.removed_edges()
+
+    def test_edge_accused_from_both_ends_is_listed_once_at_the_first(self):
+        graph = DiagnosisGraph(4)
+        accuse = np.zeros((4, 4), dtype=bool)
+        accuse[3, 0] = accuse[0, 3] = accuse[2, 1] = accuse[1, 1] = True
+        assert graph.remove_accused(accuse) == [(0, 3), (1, 2)]
+        assert graph.remove_accused(accuse) == []
+        assert graph.removed_edges() == [(0, 3), (1, 2)]
+        assert not graph.is_complete()
+
+    def test_history_is_read_off_the_matrix(self):
+        graph = DiagnosisGraph(5)
+        assert graph.is_complete() and graph.removed_edges() == []
+        graph.isolate(4)
+        assert graph.removed_edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+        assert DiagnosisGraph.from_dict(graph.to_dict()).to_dict() == (
+            graph.to_dict()
+        )
+        assert "removed=4" in repr(graph)

@@ -1,21 +1,26 @@
 """Grouped diagnosis broadcasts: equivalence and accounting contracts.
 
-The tentpole contract of ``broadcast_bits_many_grouped``: the vectorized
-diagnosis stage plans, dispatches and meters each generation's ``O(n)``
-per-source single-bit broadcasts as one grouped backend call, yet the
-execution is observationally identical to the forced-scalar reference —
-per-source planning hooks (``diagnosis_symbol``, ``trust_vector``)
-interleave with the backend's per-instance hooks in the exact scalar
-order, instance ids are sequential across rows, and the meter ``Counter``
-state is byte-identical.  Also covers the backend-level contract directly
+The diagnosis stage's dispatch rule: under the accounted-ideal backend
+a fault-free source's broadcast is priced (its outcome is the row the
+stage already holds) and only the controlled sources' rows go through
+``broadcast_bits_many_grouped``, one call per maximal run of controlled
+sources; any other backend gets every row of a sub-stage in one grouped
+call.  Either way the execution is observationally identical to the
+forced-scalar reference — per-source planning hooks
+(``diagnosis_symbol``, ``trust_vector``) interleave with the backend's
+per-instance hooks in the exact scalar order, instance ids are
+sequential across rows, and the meter ``Counter`` state is
+byte-identical.  Also covers the backend-level contract directly
 (accounted-ideal bulk override and the per-row default the
 protocol-simulating backends inherit), the cross-generation bulk
 bookkeeping primitives (``SyncNetwork.charge_round``,
 ``charge_honest_instances``), and what a diagnosis may cost in
-``PackedBits`` conversions: one per distinct row, counted at n = 127 on
-the shared-row backend and at n = 7 on the backends whose views differ.
+``PackedBits`` conversions: at most one per live controlled source's
+row, counted at n = 127 on the shared-row backend, and one per view at
+n = 7 on the backends whose views differ.
 """
 
+import itertools
 import random
 import time
 
@@ -27,6 +32,7 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
+from repro.core.result import GenerationOutcome
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors.adversary import Adversary
 from repro.utils.bits import PackedBits
@@ -48,20 +54,25 @@ class SharedRngDiagnosisAdversary(Adversary):
     def __init__(self, faulty, seed=0):
         super().__init__(faulty)
         self.rng = random.Random(seed)
+        #: The planning and dispatch hooks, in the order they fired.
+        self.events = []
 
     def detected_flag(self, pid, honest_flag, generation, view):
         return True
 
     def diagnosis_symbol(self, pid, honest_symbol, generation, view):
+        self.events.append(("symbol", pid, honest_symbol))
         return honest_symbol ^ (1 if self.rng.random() < 0.5 else 0)
 
     def trust_vector(self, pid, honest_trust, generation, view):
+        self.events.append(("trust", pid, dict(honest_trust)))
         return {
             j: trusted and self.rng.random() < 0.9
             for j, trusted in honest_trust.items()
         }
 
     def ideal_broadcast_bit(self, source, bit, instance, view):
+        self.events.append(("bsb", source, bit, instance))
         return bit ^ (1 if self.rng.random() < 0.25 else 0)
 
 
@@ -83,10 +94,19 @@ class StatefulBroadcastOnlyAdversary(InterleaveRecordingAdversary):
     the hook for classes that leave it at the base; for this one every
     call must still fire, in order, or the flip positions move."""
 
+    period = 3
+
     def ideal_broadcast_bit(self, source, bit, instance, view):
         self.events.append(("bsb", source, bit, instance))
         calls = sum(1 for event in self.events if event[0] == "bsb")
-        return bit ^ (1 if calls % 3 == 0 else 0)
+        return bit ^ (1 if calls % self.period == 0 else 0)
+
+
+class EverySecondBitAdversary(StatefulBroadcastOnlyAdversary):
+    """The same with every second instance flipped, which raises enough
+    Detected flags to reach the diagnosis stage from any faulty set."""
+
+    period = 2
 
 
 class SplitViewAdversary(Adversary):
@@ -143,11 +163,23 @@ def count_conversions(monkeypatch, *names):
     return counts
 
 
-class TestGroupedDiagnosisEquivalence:
-    """Vectorized (grouped) vs forced-scalar, every attack, n ∈ {7, 10}
-    (n = 4 is ``test_differential.py``'s, on every path)."""
+def controlled_runs(sources, faulty):
+    """The maximal runs of controlled pids among ``sources``, in order."""
+    return [
+        list(run)
+        for controlled, run in itertools.groupby(
+            sources, key=lambda source: source in faulty
+        )
+        if controlled
+    ]
 
-    @pytest.mark.parametrize("n", [7, 10])
+
+class TestGroupedDiagnosisEquivalence:
+    """Vectorized (grouped) vs forced-scalar, every attack at n = 10
+    (n ∈ {4, 7} are ``test_differential.py``'s, on every path: its
+    journal rows run this per-generation engine)."""
+
+    @pytest.mark.parametrize("n", [10])
     @pytest.mark.parametrize("attack", sorted(FAULT_GRID_ATTACKS))
     def test_attack(self, n, attack):
         config = ConsensusConfig.create(n=n, l_bits=512)
@@ -171,28 +203,94 @@ class TestGroupedDiagnosisEquivalence:
             "shared-rng n=%d" % n,
         )
 
-    def test_grouped_path_engaged(self):
-        """The vectorized diagnosis stage dispatches exactly two grouped
-        calls (symbols, then trust vectors) per diagnosis generation."""
-        config = ConsensusConfig.create(n=7, l_bits=512)
-        adversary = make_attack("corrupt", 7, config.t, 512)
-        consensus = MultiValuedConsensus(
-            config, adversary=adversary, batch_generations=False
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("low", [False, True], ids=["ends", "low"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda faulty: SharedRngDiagnosisAdversary(faulty, seed=5),
+            lambda faulty: EverySecondBitAdversary(faulty, []),
+        ],
+        ids=["shared_rng", "broadcast_only"],
+    )
+    def test_priced_runs_between_controlled_ones(self, make, low, n):
+        """Two faulty pids with fault-free sources between them: the
+        stage prices a run of honest broadcasts *between* two dispatched
+        runs, so a wrong instance id or a hook out of place shows in the
+        recorded stream.  ``[1, n - 1]`` sits inside and outside
+        ``P_match`` with pid 0 as the reference; ``[0, 2]`` moves the
+        reference to pid 1; later diagnoses run with a controlled
+        source already isolated."""
+        faulty = [0, 2] if low else [1, n - 1]
+        config = ConsensusConfig.create(n=n, l_bits=256)
+        inputs = [random.Random(n).getrandbits(256)] * n
+        runs = assert_runs_equivalent(
+            config, inputs, lambda: make(faulty), "faulty %r" % faulty
         )
-        tags = []
+        (vec, vec_result), (scalar, _) = runs[True], runs[False]
+        assert vec_result.diagnosis_count >= 2
+        assert vec.adversary.events == scalar.adversary.events
+        assert any(e[0] == "bsb" for e in vec.adversary.events)
+        # The cohort engine delegates to the same stage.
+        cohort = MultiValuedConsensus(config, adversary=make(faulty))
+        cohort_result = cohort.run(inputs)
+        assert cohort.adversary.events == scalar.adversary.events
+        assert cohort_result.decisions == vec_result.decisions
+        assert cohort_result.meter == vec_result.meter
+        assert cohort.backend.stats == scalar.backend.stats
+        assert cohort.graph.to_dict() == scalar.graph.to_dict()
+        # The second diagnosis ran with a controlled source isolated.
+        assert vec.graph.isolated == set(faulty)
+
+    def test_grouped_path_engaged(self):
+        for backend in ("ideal", "phase_king"):
+            self._check_grouped_calls(backend)
+
+    @staticmethod
+    def _check_grouped_calls(backend):
+        """What reaches ``broadcast_bits_many_grouped`` per diagnosis:
+        under the ideal backend the live controlled sources of each
+        sub-stage, one call per maximal controlled run; under a backend
+        that runs real rounds exactly two calls (symbols, then trust
+        vectors) carrying every live source's row."""
+        n, faulty = 7, [1, 6]
+        config = ConsensusConfig.create(n=n, l_bits=64, backend=backend)
+        consensus = MultiValuedConsensus(
+            config,
+            adversary=SharedRngDiagnosisAdversary(faulty, seed=3),
+            batch_generations=False,
+        )
+        calls = []
         original = consensus.backend.broadcast_bits_many_grouped
 
         def spy(rows, tag, ignored=frozenset()):
-            tags.append(tag)
+            calls.append((tag, [source for source, _ in rows]))
             return original(rows, tag, ignored)
 
         consensus.backend.broadcast_bits_many_grouped = spy
-        value = random.Random(4).getrandbits(512)
-        result = consensus.run([value] * 7)
+        value = random.Random(4).getrandbits(64)
+        result = consensus.run([value] * n)
         assert result.error_free
-        assert result.diagnosis_count >= 1
-        assert len(tags) == 2 * result.diagnosis_count
-        assert all(".diagnosis." in tag for tag in tags)
+        assert result.diagnosis_count >= 2
+        expected = []
+        isolated = set()
+        for record in result.generation_results:
+            if record.outcome is not GenerationOutcome.DECIDED_DIAGNOSIS:
+                continue
+            live = [i for i in range(n) if i not in isolated]
+            for stage, sources in (
+                ("symbol", list(record.p_match)), ("trust", live),
+            ):
+                tag = "gen%d.diagnosis.%s" % (record.generation, stage)
+                if backend == "ideal":
+                    expected.extend(
+                        (tag, run) for run in controlled_runs(sources, faulty)
+                    )
+                else:
+                    expected.append((tag, sources))
+            isolated.update(record.isolated)
+        assert calls == expected
+        assert isolated  # some diagnosis ran with a source isolated
 
 
 class TestIdealGroupedBackendContract:
@@ -432,34 +530,58 @@ class TestBulkBookkeepingPrimitives:
         assert bulk.stats.instances == reference.stats.instances
         assert bulk.stats.bits_charged == reference.stats.bits_charged
 
+    def test_charging_zero_instances_leaves_no_tag(self):
+        """Zero scalar broadcasts leave the meter empty; so must pricing
+        zero of them, or the result is not ``==`` its reference."""
+        reference = AccountedIdealBroadcast(4, 1)
+        assert reference.broadcast_bits_many([], "x") == []
+        bulk = AccountedIdealBroadcast(4, 1)
+        bulk.charge_honest_instances("x", 0)
+        assert bulk.meter.snapshot() == reference.meter.snapshot()
+        assert bulk.meter.snapshot().bits_by_tag == {}
+        assert bulk.stats == reference.stats
+
 
 class TestLargeN:
     """The n = 127 regime the grouped diagnosis path opens up."""
 
     def test_n127_diagnosis_under_time_budget(self, monkeypatch):
         # One diagnosis at n = 127 (t = 42).  The budget is a count, not
-        # a clock: the ideal backend hands every pid one shared row, so
-        # the stage converts once per distinct row — |P_match| symbol
-        # rows out, one trust row per controlled pid (trust_poison
-        # overrides that hook) — never once per (view, row), which was
-        # (42 + 1) * |P_match| reads back before.
+        # a clock: a fault-free source's broadcast is priced and its
+        # planner never runs, so the stage converts at most once per
+        # live controlled source — a symbol row out per controlled
+        # P_match member (trust_poison's faulty pids sit outside
+        # P_match: none), one trust row per controlled pid (it
+        # overrides that hook) — where every P_match member's symbol
+        # row was planned and converted before.
         n = 127
         config = ConsensusConfig.create(n=n, l_bits=1 << 12)
         value = random.Random(127).getrandbits(1 << 12)
         adversary = make_attack("trust_poison", n, config.t, 1 << 12)
+        consensus = MultiValuedConsensus(config, adversary=adversary)
+        dispatched = []
+        original = consensus.backend.broadcast_bits_many_grouped
+
+        def spy(rows, tag, ignored=frozenset()):
+            dispatched.extend(source for source, _ in rows)
+            return original(rows, tag, ignored)
+
+        consensus.backend.broadcast_bits_many_grouped = spy
         counts = count_conversions(
             monkeypatch, "to_int", "from_bits", "from_int"
         )
-        result = MultiValuedConsensus(config, adversary=adversary).run(
-            [value] * n
-        )
+        result = consensus.run([value] * n)
         assert result.error_free
         assert result.diagnosis_count == 1
         (diagnosis,) = [
             g for g in result.generation_results if g.removed_edges
         ]
-        assert counts["from_int"] == len(diagnosis.p_match)
-        assert sum(counts.values()) <= len(diagnosis.p_match) + n
+        faulty = adversary.faulty
+        symbol_rows = [j for j in diagnosis.p_match if j in faulty]
+        # A plan runs only inside the grouped call: no honest source's did.
+        assert dispatched == symbol_rows + sorted(faulty)
+        assert counts["from_int"] == len(symbol_rows) == 0
+        assert sum(counts.values()) <= len(dispatched) == config.t
 
     def test_n127_failure_free_bulk_replay(self):
         # Failure-free n = 127: every generation all-match, so the whole
