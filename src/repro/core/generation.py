@@ -34,12 +34,20 @@ Every adversary hook fires the same number of times, in the same order,
 with the same arguments on both paths — per-faulty-pid overrides are
 applied onto the batched arrays — so stateful adversaries (seeded RNGs,
 attack planners) behave identically and metering is byte-identical.
-The diagnosis stage's per-source single-bit broadcasts go through one
-dispatch rule on the vectorized path
-(:meth:`GenerationProtocol._dispatch_sources`): fault-free sources are
-priced where the backend allows it and the rest dispatch through
-``broadcast_bits_many_grouped``, whose per-source *planners* keep the
-scalar plan/dispatch hook interleaving (see
+
+The vectorized path leaves the work that does not change from one
+generation to the next to the run loop
+(:func:`repro.service.engine.execute_consensus`), which holds it for one
+run: the generation's codewords arrive encoded (one whole-run
+``encode_generations`` per distinct value) and the line 1(e) clique
+search is memoized per distinct adjacency.  Line 2(c) decides a row that
+equals some processor's codeword on ``P_match`` as that codeword's data
+and decodes only the rest.  Every single-bit broadcast — M vectors,
+Detected flags, diagnosis symbols and trust vectors — goes through one
+dispatch rule (:meth:`GenerationProtocol._dispatch_sources`): fault-free
+sources are priced where the backend allows it and the rest dispatch
+through ``broadcast_bits_many_grouped``, whose per-source *planners*
+keep the scalar plan/dispatch hook interleaving (see
 :mod:`repro.broadcast_bit.interface`), which is what makes ``n >= 127``
 fault-injection sweeps practical.
 """
@@ -68,6 +76,12 @@ from repro.utils.bits import PackedBits, is_exact_int
 _MISSING = -1
 
 
+def _row_bits(row: Sequence[bool], i: int) -> List[int]:
+    """Processor ``i``'s n-entry M row as its n-1 broadcast bits (the
+    own slot is never broadcast)."""
+    return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
+
+
 class GenerationProtocol:
     """Executes Algorithm 1 for one generation ``g``."""
 
@@ -83,6 +97,7 @@ class GenerationProtocol:
         view_provider: Callable[[], GlobalView],
         vectorized: bool = True,
         arena=None,
+        clique_memo: Optional[Dict[bytes, Optional[Tuple[int, ...]]]] = None,
     ):
         self.config = config
         self.code = code
@@ -106,6 +121,9 @@ class GenerationProtocol:
         )
         if not self._honest:
             raise ValueError("at least one fault-free processor required")
+        self._controlled = [
+            pid for pid in range(self.n) if adversary.controls(pid)
+        ]
         self._reference = self._honest[0]
         # Per-generation memos: the n processors of one generation hold
         # few distinct symbol sets, so each is coded once; nothing here
@@ -122,6 +140,10 @@ class GenerationProtocol:
         #: buffers; the engine owner (service or one-shot consensus)
         #: passes its arena so buffers persist across generations.
         self._arena = arena
+        #: Vectorized line 1(e) memo, adjacency bytes -> match set; the
+        #: run loop passes one per run (a diagnosis changes the key, so
+        #: an entry is never stale), default one per generation.
+        self._clique_memo = {} if clique_memo is None else clique_memo
 
     # -- helpers -----------------------------------------------------------------
 
@@ -219,11 +241,20 @@ class GenerationProtocol:
         self,
         parts: Dict[int, Sequence[int]],
         default_part: Sequence[int],
+        codewords: Optional[Dict[int, List[int]]] = None,
     ) -> GenerationResult:
-        """Run one generation on ``parts[pid]`` (``k`` symbols each)."""
+        """Run one generation on ``parts[pid]`` (``k`` symbols each).
+
+        ``codewords[pid]`` is the encode of ``parts[pid]`` where the
+        caller already holds it (the run loop's whole-run encode); the
+        vectorized path encodes ``parts`` here otherwise, and the scalar
+        path always does.
+        """
         isolated = frozenset(self.graph.isolated)
         if self.vectorized:
-            return self._run_vectorized(parts, default_part, isolated)
+            if codewords is None:
+                codewords = self._encode_codewords(parts)
+            return self._run_vectorized(codewords, default_part, isolated)
 
         codewords, received = self._matching_exchange(parts, isolated)
         m_view = self._matching_broadcast(codewords, received, isolated)
@@ -752,11 +783,12 @@ class GenerationProtocol:
 
     def _run_vectorized(
         self,
-        parts: Dict[int, Sequence[int]],
+        codewords: Dict[int, List[int]],
         default_part: Sequence[int],
         isolated: FrozenSet[int],
     ) -> GenerationResult:
-        """Array-backed replay of :meth:`run` for error-free backends.
+        """Array-backed replay of :meth:`run` for error-free backends,
+        on the generation's already encoded ``codewords``.
 
         The broadcast contract (agreement at every fault-free processor)
         lets one *reference* view stand in for all fault-free views, so
@@ -765,8 +797,8 @@ class GenerationProtocol:
         checks become vacuous here and live on in the scalar path, which
         the equivalence suite replays against this one.
         """
-        codewords, codeword_arr, received = self._matching_exchange_vec(
-            parts, isolated
+        codeword_arr, received = self._matching_exchange_vec(
+            codewords, isolated
         )
         m_matrix = self._matching_broadcast_vec(
             codeword_arr, received, isolated
@@ -793,29 +825,20 @@ class GenerationProtocol:
         outside[list(p_match)] = False
         if not bool((detected_ref & outside).any()):
             # Line 2(c): decide C^{-1}(R_i / P_match).  Honest processors
-            # usually hold identical symbol rows, so decode once per
+            # usually hold identical symbol rows, so decide once per
             # distinct row.
             decisions = {}
             pm = np.array(p_match, dtype=np.int64)
+            classes = codeword_arr[:, pm]
             row_cache: Dict[tuple, Tuple[int, ...]] = {}
             for pid in self._honest:
                 values = received[pid, pm]
                 key = tuple(values.tolist())
                 decided = row_cache.get(key)
                 if decided is None:
-                    positions = {
-                        int(j): int(v)
-                        for j, v in zip(p_match, values)
-                        if v != _MISSING
-                    }
-                    try:
-                        decided = self._cached_decode(positions)
-                    except (DecodingError, ValueError):
-                        raise ProtocolInvariantError(
-                            "undecodable checking-stage symbols at pid %d"
-                            % pid
-                        )
-                    row_cache[key] = decided
+                    decided = row_cache[key] = self._checking_decision(
+                        pid, p_match, values, classes, codeword_arr
+                    )
                 decisions[pid] = decided
             return GenerationResult(
                 generation=self.generation,
@@ -830,18 +853,51 @@ class GenerationProtocol:
             isolated, default_part,
         )
 
+    def _checking_decision(
+        self,
+        pid: int,
+        p_match: Tuple[int, ...],
+        values: np.ndarray,
+        classes: np.ndarray,
+        codeword_arr: np.ndarray,
+    ) -> Tuple[int, ...]:
+        """Line 2(c) for one distinct symbol row ``values`` (``pid``'s
+        row over ``P_match``).
+
+        A row equal to some processor's codeword at every ``P_match``
+        position (``classes`` holds those restrictions) decides that
+        codeword's first ``k`` symbols: the code is systematic and MDS
+        and ``|P_match| = n - t >= k``, so exactly one codeword passes
+        through those positions, and its data is what ``decode_subset``
+        would return.  Any other row — a missing symbol, a Byzantine
+        one on no processor's codeword — is decoded.
+        """
+        hits = np.flatnonzero((classes == values).all(axis=1))
+        if hits.size:
+            return tuple(codeword_arr[hits[0], :self.k].tolist())
+        positions = {
+            int(j): int(v) for j, v in zip(p_match, values) if v != _MISSING
+        }
+        try:
+            return self._cached_decode(positions)
+        except (DecodingError, ValueError):
+            raise ProtocolInvariantError(
+                "undecodable checking-stage symbols at pid %d" % pid
+            )
+
     def _matching_exchange_vec(
         self,
-        parts: Dict[int, Sequence[int]],
+        codewords: Dict[int, List[int]],
         isolated: FrozenSet[int],
-    ) -> Tuple[Dict[int, List[int]], np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Lines 1(a)-1(b) with the symbol view as one ``(n, n)`` matrix.
 
-        ``received[i, j]`` is the symbol ``j`` sent to ``i`` (:data:`_MISSING`
-        for silence, invalid payloads and untrusted senders), scattered
-        straight from the round's :class:`SymbolBatch` arrays.
+        Returns the codeword matrix (row ``pid`` is ``codewords[pid]``)
+        and ``received[i, j]``, the symbol ``j`` sent to ``i``
+        (:data:`_MISSING` for silence, invalid payloads and untrusted
+        senders), scattered straight from the round's
+        :class:`SymbolBatch` arrays.
         """
-        codewords = self._encode_codewords(parts)
         delivery, trusted_batches = self._send_matching_symbols(
             codewords, isolated
         )
@@ -849,8 +905,7 @@ class GenerationProtocol:
         dtype = self._symbol_dtype
         arena = self._ensure_arena()
         codeword_arr = arena.codeword_view()
-        for pid in range(self.n):
-            codeword_arr[pid] = codewords[pid]
+        codeword_arr[...] = [codewords[pid] for pid in range(self.n)]
         received = arena.exchange_view()
         for index, batch in enumerate(delivery.batches):
             if index < trusted_batches:
@@ -890,7 +945,7 @@ class GenerationProtocol:
         received[np.arange(self.n), np.arange(self.n)] = codeword_arr[
             np.arange(self.n), np.arange(self.n)
         ]
-        return codewords, codeword_arr, received
+        return codeword_arr, received
 
     def _matching_broadcast_vec(
         self,
@@ -902,65 +957,71 @@ class GenerationProtocol:
 
         Returns the reference view ``m[i, j]`` = "``i`` claims its symbol
         from ``j`` matched" as every fault-free processor received it.
+        It starts as the honest M matrix — validity makes a fault-free
+        source's row arrive as sent — and the controlled processors'
+        ``m_vector`` hooks fire on their honest rows, in pid order,
+        before anything is broadcast (as on the scalar path).  Every
+        live row then goes through :meth:`_dispatch_sources`, which
+        reads back only the rows it had to dispatch; an isolated source
+        broadcasts nothing, so its row is cleared.
         """
         view = self._view()
+        n = self.n
         tag = "%s.matching.M" % self.tag
         mask = np.asarray(self.graph.trust_mask())
-        honest_m = (
-            mask
-            & (received != _MISSING).astype(bool)
-            & (received == codeword_arr).astype(bool)
-        )
-        np.fill_diagonal(honest_m, True)
-        off_diagonal = ~np.eye(self.n, dtype=bool)
-        # Packed wire rows: one packbits over the honest matrix replaces
-        # n per-row bit lists; the backend shares each honest row's
-        # PackedBits straight through ("packed in, packed out").
-        packed_rows = np.packbits(
-            honest_m[off_diagonal].reshape(self.n, self.n - 1), axis=1
-        )
-        rows: List[Tuple[int, PackedBits]] = []
-        for i in range(self.n):
-            if self.adversary.controls(i):
-                m_i = list(
-                    self.adversary.m_vector(
-                        i,
-                        [bool(x) for x in honest_m[i]],
-                        self.generation,
-                        view,
-                    )
-                )
-                if len(m_i) != self.n:
-                    m_i = (m_i + [False] * self.n)[: self.n]
-                bits = PackedBits.from_bits(
-                    [1 if m_i[j] else 0 for j in range(self.n) if j != i]
-                )
-            else:
-                bits = PackedBits(packed_rows[i], self.n - 1)
-            rows.append((i, bits))
-        outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         m_matrix = self._ensure_arena().m_view()
-        reference = self._reference
-        # Assemble the reference M view with one bulk unpack: row-major
-        # fill of the off-diagonal positions reproduces the scalar
-        # ``row[:i]`` / ``row[i:]`` placement exactly.
-        lanes = np.stack(
-            [outcome[reference].lanes for outcome in outcomes]
-        )
-        bits_mat = np.unpackbits(lanes, axis=1, count=self.n - 1)
-        m_matrix[off_diagonal] = bits_mat.reshape(-1)
+        # A codeword symbol is never _MISSING, so a missing one mismatches.
+        np.logical_and(mask, received == codeword_arr, out=m_matrix)
         np.fill_diagonal(m_matrix, True)
+        #: Controlled pid -> the n - 1 bits its hook chose to broadcast.
+        hooked: Dict[int, List[int]] = {}
+        for i in self._controlled:
+            m_i = list(
+                self.adversary.m_vector(
+                    i, m_matrix[i].tolist(), self.generation, view
+                )
+            )
+            if len(m_i) != n:
+                m_i = (m_i + [False] * n)[:n]
+            hooked[i] = _row_bits(m_i, i)
+
+        def plan(i: int) -> Callable[[], List[int]]:
+            def bits() -> List[int]:
+                if i in hooked:
+                    return hooked[i]
+                return _row_bits(m_matrix[i].tolist(), i)
+            return bits
+
+        outcomes = self._dispatch_sources(
+            [(i, plan(i)) for i in range(n) if i not in isolated],
+            n - 1, tag, isolated,
+        )
+        reference = self._reference
+        for i, outcome in outcomes.items():
+            # The scalar ``row[:i]`` / ``row[i:]`` placement.
+            bits = outcome[reference]
+            m_matrix[i, :i] = bits[:i]
+            m_matrix[i, i + 1:] = bits[i:]
+        for i in isolated:
+            m_matrix[i] = False
+            m_matrix[i, i] = True
         return m_matrix
 
     def _find_match_set_vec(
         self, m_matrix: np.ndarray
     ) -> Optional[Tuple[int, ...]]:
-        """Line 1(e) on the M-matrix: pairwise-matching = ``m & m.T``."""
+        """Line 1(e) on the M-matrix: pairwise-matching = ``m & m.T``,
+        searched once per distinct adjacency (:attr:`_clique_memo`)."""
         adjacency = self._ensure_arena().adjacency_view()
         np.logical_and(m_matrix, m_matrix.T, out=adjacency)
         np.fill_diagonal(adjacency, False)
-        clique = find_clique_matrix(adjacency, self.n - self.t)
-        return tuple(clique) if clique is not None else None
+        key = adjacency.tobytes()
+        if key not in self._clique_memo:
+            clique = find_clique_matrix(adjacency, self.n - self.t)
+            self._clique_memo[key] = (
+                tuple(clique) if clique is not None else None
+            )
+        return self._clique_memo[key]
 
     def _checking_stage_vec(
         self,
@@ -969,7 +1030,10 @@ class GenerationProtocol:
         isolated: FrozenSet[int],
     ) -> Tuple[np.ndarray, List[int]]:
         """Lines 2(a)-2(b); returns the reference Detected flags as a
-        boolean vector plus the fault-free detectors."""
+        boolean vector plus the fault-free detectors.  The controlled
+        outsiders' ``detected_flag`` hooks fire first, in outsider
+        order; the one-bit rows then go through
+        :meth:`_dispatch_sources` like the M rows."""
         view = self._view()
         tag = "%s.checking.detected" % self.tag
         match_set = set(p_match)
@@ -996,7 +1060,10 @@ class GenerationProtocol:
             honest_detected[q] = not self._cached_consistent(symbols)
 
         detectors: List[int] = []
-        rows: List[Tuple[int, List[int]]] = []
+        # Detected rows stay scalar one-bit lists by design (a flag is
+        # not a "row of bits"); only the reference flag vector is arena'd.
+        detected_ref = self._ensure_arena().detected_view()
+        rows: List[PlannedRow] = []
         for q in outsiders:
             flag = honest_detected[q]
             if self.adversary.controls(q):
@@ -1007,13 +1074,11 @@ class GenerationProtocol:
                 )
             elif flag:
                 detectors.append(q)
-            rows.append((q, [1 if flag else 0]))
-        outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
-        # Detected rows stay scalar one-bit lists by design (a flag is
-        # not a "row of bits"); only the reference flag vector is arena'd.
-        detected_ref = self._ensure_arena().detected_view()
+            detected_ref[q] = flag
+            rows.append((q, lambda bit=[1 if flag else 0]: bit))
+        outcomes = self._dispatch_sources(rows, 1, tag, isolated)
         reference = self._reference
-        for (q, _), outcome in zip(rows, outcomes):
+        for q, outcome in outcomes.items():
             detected_ref[q] = bool(outcome[reference][0])
         return detected_ref, detectors
 
@@ -1023,10 +1088,12 @@ class GenerationProtocol:
         width: int,
         tag: str,
         isolated: FrozenSet[int],
-    ) -> Dict[int, Dict[int, PackedBits]]:
-        """The diagnosis stage's one dispatch rule, for both sub-stages:
-        ``rows`` holds the ``(source, plan)`` rows of the sub-stage's
-        live sources, each ``width`` bits, in broadcast order.
+    ) -> Dict[int, Dict[int, Sequence[int]]]:
+        """The vectorized path's one dispatch rule, for each of its four
+        broadcast sub-stages (M, Detected, diagnosis symbols, trust
+        vectors): ``rows`` holds the ``(source, plan)`` rows of the
+        sub-stage's live sources, each ``width`` bits, in broadcast
+        order.
 
         Under a backend whose honest broadcasts are pure accounting
         (:attr:`~repro.broadcast_bit.interface.BroadcastBackend.\
@@ -1042,12 +1109,14 @@ constant_cost_honest`) a fault-free source's outcome is its own row at
         count and the bits charged equal the scalar loop's.  Any other
         backend runs real rounds for every source: all rows, one call.
 
-        Returns ``source -> outcome`` for the dispatched rows only.
+        Returns ``source -> outcome`` for the dispatched rows only, each
+        row in the form its plan returned (a bit list or
+        :class:`~repro.utils.bits.PackedBits`).
         """
         backend = self.backend
         price_honest = backend.constant_cost_honest
         controls = self.adversary.controls
-        outcomes: Dict[int, Dict[int, PackedBits]] = {}
+        outcomes: Dict[int, Dict[int, Sequence[int]]] = {}
         for dispatch, run in itertools.groupby(
             rows, key=lambda row: not price_honest or controls(row[0])
         ):

@@ -96,7 +96,7 @@ import numpy as np
 from repro.coding.reed_solomon import DecodingError
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.consensus import MultiValuedConsensus
-from repro.core.generation import _MISSING, GenerationProtocol
+from repro.core.generation import _MISSING, GenerationProtocol, _row_bits
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
 from repro.processors.adversary import Adversary, hook_is_default
@@ -375,12 +375,6 @@ class CohortContext:
         )
         if retained >= MAX_PATTERN_ENTRIES:
             self._structs.clear()
-
-
-def _row_bits(row: Sequence[bool], i: int) -> List[int]:
-    """Processor ``i``'s n-entry M row as its n-1 broadcast bits (the
-    own slot is never broadcast)."""
-    return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
 
 
 #: The plan key of a symbol round in which nothing deviates.

@@ -17,7 +17,7 @@ and epilogue it shares with the cohort engine
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.generation import GenerationProtocol
 from repro.core.result import (
@@ -99,6 +99,13 @@ def finalize_result(
                 value = consensus.value_of(parts)
             decisions[pid] = value
 
+    # The run is over: drop the engine's two references to itself (the
+    # hooks' parts_of and the backend's view provider are its bound
+    # methods), so a finished engine is freed when its owner lets go,
+    # not whenever the cycle collector next runs.
+    consensus._view_extras = {}
+    consensus.backend._view_provider = None
+
     honest_inputs = [inputs[pid] for pid in honest]
     honest_inputs_equal = len(set(honest_inputs)) == 1
     return ConsensusResult(
@@ -138,21 +145,27 @@ def execute_consensus(
         pid: consensus.parts_for(effective[pid]) for pid in range(config.n)
     }
     default_parts = consensus.parts_for(config.default_value)
+    vectorized = consensus.vectorized and consensus.backend.error_free
     # The shared arena persists the (n, n) buffers across generations;
     # forced-scalar (and probabilistic-backend) runs must never build
     # one.
-    arena = (
-        consensus.ensure_arena()
-        if consensus.vectorized and consensus.backend.error_free
-        else None
-    )
+    arena = consensus.ensure_arena() if vectorized else None
+    # Per-run work the vectorized generations share, done once and
+    # dropped with the run: the line 1(e) clique memo, and the whole
+    # run's codewords — one encode_generations per distinct value (pids
+    # holding one value share its parts object), made once generation 0
+    # has not decided the default, so a run that stops there encodes
+    # that generation only.
+    clique_memo: Dict[bytes, Optional[Tuple[int, ...]]] = {}
+    codeword_runs: Optional[Dict[int, List[List[int]]]] = None
 
     generation_results: List[GenerationResult] = []
     decided_parts: Dict[int, List[Sequence[int]]] = {
         pid: [] for pid in honest
     }
     default_used = False
-    for g in range(config.generations):
+    generations = config.generations
+    for g in range(generations):
         consensus._view_extras["generation"] = g
         protocol = GenerationProtocol(
             config=config,
@@ -165,10 +178,15 @@ def execute_consensus(
             view_provider=consensus._make_view,
             vectorized=consensus.vectorized,
             arena=arena,
+            clique_memo=clique_memo,
         )
         result = protocol.run(
             {pid: parts_by_pid[pid][g] for pid in range(config.n)},
             default_parts[g],
+            codewords=None if codeword_runs is None else {
+                pid: codeword_runs[id(parts)][g]
+                for pid, parts in parts_by_pid.items()
+            },
         )
         generation_results.append(result)
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
@@ -177,6 +195,13 @@ def execute_consensus(
             break
         for pid in honest:
             decided_parts[pid].append(result.decisions[pid])
+        if vectorized and codeword_runs is None and g + 1 < generations:
+            codeword_runs = {}
+            for parts in parts_by_pid.values():
+                if id(parts) not in codeword_runs:
+                    codeword_runs[id(parts)] = (
+                        consensus.code.encode_generations(parts)
+                    )
 
     return finalize_result(
         consensus,

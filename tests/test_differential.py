@@ -28,6 +28,7 @@ from repro.audit import Transcript, TranscriptRecorder
 from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.consensus import MultiValuedConsensus
+from repro.core.result import GenerationOutcome
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
 from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
@@ -39,17 +40,31 @@ SIZES = {4: 64, 7: 256, 31: 64}
 PATHS = ["one_shot", "service_run", "run_many", "run_many_no_reuse"]
 
 
-def instances_for(attack, n):
-    """The warm-up instance and the instance under test."""
+#: The split-input rows, by how many processors beyond ``t`` hold the
+#: second value: with ``t`` of them the ``n - t`` others still match
+#: and the checking stage decides every generation; with ``t + 1`` no
+#: match set exists and generation 0 decides the default.
+SPLITS = {"decides": 0, "defaults": 1}
+
+
+def instances_for(attack, n, split=0):
+    """The warm-up instance and the instance under test: every processor
+    on one value, or pids ``1 .. split`` on a second one (pid 0 keeps
+    the first, so a low or a high faulty set leaves honest processors
+    on both)."""
     l_bits = SIZES[n]
-    return [
-        InstanceSpec(
-            inputs=((0xB5 * (13 * n + i + 1)) % (1 << l_bits),) * n,
+    instances = []
+    for i in range(2):
+        value = (0xB5 * (13 * n + i + 1)) % (1 << l_bits)
+        other = (0x5B * (17 * n + i + 1)) % (1 << l_bits)
+        instances.append(InstanceSpec(
+            inputs=tuple(
+                other if 1 <= pid <= split else value for pid in range(n)
+            ),
             attack=attack,
             seed=i + 1,
-        )
-        for i in range(2)
-    ]
+        ))
+    return instances
 
 
 class Observed:
@@ -106,20 +121,20 @@ def run_service(spec, instances, journal, batch, reuse_results=True):
 
 
 @functools.lru_cache(maxsize=None)
-def reference(attack, n):
+def reference(attack, n, split=0):
     """The forced-scalar service's execution, journal always on."""
     spec = RunSpec(
         n=n, l_bits=SIZES[n], vectorized=False, batch_generations=False
     )
     return run_service(
-        spec, instances_for(attack, n), journal=True, batch=False,
+        spec, instances_for(attack, n, split), journal=True, batch=False,
         reuse_results=False,
     )
 
 
-def observe(path, attack, n, journal):
+def observe(path, attack, n, journal, split=0):
     spec = RunSpec(n=n, l_bits=SIZES[n])
-    instances = instances_for(attack, n)
+    instances = instances_for(attack, n, split)
     if path == "one_shot":
         instance = instances[-1]
         effective = instance.resolve(spec)
@@ -150,6 +165,29 @@ def test_path_equals_forced_scalar_reference(path, attack, n, journal):
     assert observed.result == expected.result
     if observed.clocks is not None:
         assert observed.clocks == expected.clocks
+    if journal:
+        assert observed.journal == expected.journal
+
+
+@pytest.mark.parametrize("journal", [False, True], ids=["plain", "journal"])
+@pytest.mark.parametrize("n", sorted(SIZES))
+@pytest.mark.parametrize("attack", ("none",) + FAULT_GRID_ATTACKS)
+@pytest.mark.parametrize("path", ["one_shot", "run_many"])
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_split_inputs_equal_forced_scalar_reference(
+    split, path, attack, n, journal
+):
+    """Honest processors on two values — the per-generation engine's
+    own traffic: the checking stage deciding every generation over
+    outsiders that hold the other value, or generation 0 finding no
+    match set and deciding the default."""
+    holders = RunSpec(n=n, l_bits=SIZES[n]).make_config().t + SPLITS[split]
+    expected = reference(attack, n, holders)
+    if attack == "none":
+        assert expected.result.default_used == (split == "defaults")
+    observed = observe(path, attack, n, journal, holders)
+    assert observed.result == expected.result
+    assert observed.clocks == expected.clocks
     if journal:
         assert observed.journal == expected.journal
 
@@ -252,6 +290,83 @@ class TestFailureFreeRunsNeverEncode:
         assert result.error_free and result.value == value
         assert result.total_bits == 8834070
         assert encodes == []
+
+
+class TestPerRunWorkIsDoneOnce:
+    """Counts, not timings: the per-generation engine does its per-run
+    work once a run.  An instance whose honest inputs differ encodes
+    each distinct value's whole run in one ``encode_generations`` call
+    once generation 0 has not defaulted, searches each distinct M
+    pattern's clique once, decides line 2(c) off the codeword classes
+    (no ``decode_subset``) and, under the ideal backend, prices its
+    fault-free M and Detected broadcasts (no ``broadcast_bits_many``)."""
+
+    @staticmethod
+    def run_counted(monkeypatch, inputs):
+        """One-shot run of ``inputs`` at n = 7, L = 2^12: its result
+        and how often the three counted calls were made."""
+        from repro.core import generation as generation_module
+        from repro.core.config import ConsensusConfig
+
+        counts = dict.fromkeys(
+            ("find_clique_matrix", "decode_subset", "broadcast_bits_many"), 0
+        )
+
+        def counted(name, original):
+            def spy(*args):
+                counts[name] += 1
+                return original(*args)
+            return spy
+
+        monkeypatch.setattr(
+            generation_module, "find_clique_matrix", counted(
+                "find_clique_matrix", generation_module.find_clique_matrix
+            ),
+        )
+        for cls in (ReedSolomonCode, InterleavedCode):
+            monkeypatch.setattr(cls, "decode_subset", counted(
+                "decode_subset", cls.decode_subset
+            ))
+        engine = MultiValuedConsensus(
+            ConsensusConfig.create(n=7, l_bits=1 << 12)
+        )
+        engine.backend.broadcast_bits_many = counted(
+            "broadcast_bits_many", engine.backend.broadcast_bits_many
+        )
+        return engine.run(list(inputs)), counts
+
+    def test_split_instance(self, monkeypatch, encodes):
+        # Random values: their parts differ in every generation, so the
+        # whole run shows one M pattern.
+        rng = random.Random(25)
+        a, b = rng.getrandbits(1 << 12), rng.getrandbits(1 << 12)
+        result, counts = self.run_counted(monkeypatch, [a] * 5 + [b] * 2)
+        generations = len(result.generation_results)
+        assert generations > 2 and result.value == a
+        assert all(
+            record.outcome is GenerationOutcome.DECIDED_CHECKING
+            for record in result.generation_results
+        )
+        assert encodes == [generations, generations]  # a's run, b's run
+        assert counts == {
+            "find_clique_matrix": 1, "decode_subset": 0,
+            "broadcast_bits_many": 0,
+        }
+
+    def test_all_distinct_instance_encodes_generation_0_only(
+        self, monkeypatch, encodes
+    ):
+        rng = random.Random(26)
+        result, counts = self.run_counted(
+            monkeypatch, [rng.getrandbits(1 << 12) for _ in range(7)]
+        )
+        assert result.default_used
+        assert len(result.generation_results) == 1
+        assert encodes == []
+        assert counts == {
+            "find_clique_matrix": 1, "decode_subset": 0,
+            "broadcast_bits_many": 0,
+        }
 
 
 def test_journalled_failure_free_run_goes_through_the_empty_cohort(

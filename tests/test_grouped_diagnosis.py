@@ -1,6 +1,7 @@
 """Grouped diagnosis broadcasts: equivalence and accounting contracts.
 
-The diagnosis stage's dispatch rule: under the accounted-ideal backend
+The per-generation engine's one dispatch rule, which its M, Detected
+and both diagnosis sub-stages share: under the accounted-ideal backend
 a fault-free source's broadcast is priced (its outcome is the row the
 stage already holds) and only the controlled sources' rows go through
 ``broadcast_bits_many_grouped``, one call per maximal run of controlled
@@ -248,11 +249,13 @@ class TestGroupedDiagnosisEquivalence:
 
     @staticmethod
     def _check_grouped_calls(backend):
-        """What reaches ``broadcast_bits_many_grouped`` per diagnosis:
-        under the ideal backend the live controlled sources of each
-        sub-stage, one call per maximal controlled run; under a backend
-        that runs real rounds exactly two calls (symbols, then trust
-        vectors) carrying every live source's row."""
+        """What reaches ``broadcast_bits_many_grouped`` in each of the
+        per-generation engine's four broadcast sub-stages (M vectors,
+        Detected flags, then, in a diagnosis, symbols and trust
+        vectors): under the ideal backend the sub-stage's live
+        controlled sources, one call per maximal controlled run; under a
+        backend that runs real rounds one call carrying every live
+        source's row.  ``broadcast_bits_many`` is never called."""
         n, faulty = 7, [1, 6]
         config = ConsensusConfig.create(n=n, l_bits=64, backend=backend)
         consensus = MultiValuedConsensus(
@@ -268,6 +271,7 @@ class TestGroupedDiagnosisEquivalence:
             return original(rows, tag, ignored)
 
         consensus.backend.broadcast_bits_many_grouped = spy
+        consensus.backend.broadcast_bits_many = None  # never called
         value = random.Random(4).getrandbits(64)
         result = consensus.run([value] * n)
         assert result.error_free
@@ -275,21 +279,30 @@ class TestGroupedDiagnosisEquivalence:
         expected = []
         isolated = set()
         for record in result.generation_results:
-            if record.outcome is not GenerationOutcome.DECIDED_DIAGNOSIS:
-                continue
             live = [i for i in range(n) if i not in isolated]
-            for stage, sources in (
-                ("symbol", list(record.p_match)), ("trust", live),
-            ):
-                tag = "gen%d.diagnosis.%s" % (record.generation, stage)
+            stages = [("matching.M", live)]
+            if record.p_match is not None:
+                stages.append(("checking.detected", [
+                    i for i in live if i not in record.p_match
+                ]))
+            if record.outcome is GenerationOutcome.DECIDED_DIAGNOSIS:
+                stages += [
+                    ("diagnosis.symbol", list(record.p_match)),
+                    ("diagnosis.trust", live),
+                ]
+            for stage, sources in stages:
+                tag = "gen%d.%s" % (record.generation, stage)
                 if backend == "ideal":
                     expected.extend(
                         (tag, run) for run in controlled_runs(sources, faulty)
                     )
-                else:
+                elif sources:
                     expected.append((tag, sources))
             isolated.update(record.isolated)
         assert calls == expected
+        assert {tag.split(".", 1)[1] for tag, _ in calls} >= {
+            "matching.M", "checking.detected", "diagnosis.trust",
+        }
         assert isolated  # some diagnosis ran with a source isolated
 
 

@@ -12,10 +12,13 @@ whatever inputs the honest processors hold, every run must satisfy:
 * Theorem 1 — at most t(t+1) diagnosis stages.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ConsensusConfig, MultiValuedConsensus
+from repro.coding.interleaved import InterleavedCode
+from repro.coding.reed_solomon import ReedSolomonCode, min_symbol_bits
 from repro.processors import RandomAdversary
 
 
@@ -140,3 +143,42 @@ class TestValueRoundtripProperties:
         protocol = MultiValuedConsensus(config)
         value = data.draw(st.integers(0, (1 << l_bits) - 1))
         assert protocol.value_of(protocol.parts_of(value)) == value
+
+
+#: The paper's C_2t at n in {4, 7, 10}: plain, and interleaved (three
+#: rows), as the engines build them for narrow and wide symbols.
+CODES = [
+    code
+    for n, t in ((4, 1), (7, 2), (10, 3))
+    for code in (
+        ReedSolomonCode(n, n - 2 * t),
+        InterleavedCode(n, n - 2 * t, min_symbol_bits(n), 3),
+    )
+]
+
+
+class TestCodewordClassProperty:
+    """What lets line 2(c) decide a row that equals some processor's
+    codeword at every ``P_match`` position without decoding it: a
+    codeword restricted to any ``|S| >= k`` positions is consistent,
+    and decodes to that codeword's first ``k`` symbols — its data, the
+    code being systematic.  The codeword is taken from the whole-run
+    encode the engines read (``encode_generations``), which must equal
+    ``encode``."""
+
+    @pytest.mark.parametrize("code", CODES, ids=repr)
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_restriction_decodes_to_the_codewords_data(self, code, data):
+        part = data.draw(st.lists(
+            st.integers(0, code.symbol_limit - 1),
+            min_size=code.k, max_size=code.k,
+        ))
+        subset = data.draw(
+            st.sets(st.integers(0, code.n - 1), min_size=code.k)
+        )
+        [word] = code.encode_generations([part])
+        assert word == code.encode(part)
+        restricted = {p: word[p] for p in subset}
+        assert code.is_consistent(restricted)
+        assert code.decode_subset(restricted) == word[:code.k] == part

@@ -11,8 +11,11 @@ for field, for every canonical attack, mixed workloads included.
 """
 
 import collections
+import contextlib
+import gc
 import inspect
 import pickle
+import weakref
 
 import pytest
 
@@ -545,3 +548,59 @@ class TestRetention:
                 path: size for path, size in before.items()
                 if not path.startswith(PATTERNS)
             }
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The cyclic garbage collector disabled for the block: what is
+    freed inside it was freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+#: Five processors on one value, two on another: the per-generation lane.
+SPLIT = (0xA5,) * 5 + (0x5A,) * 2
+
+
+class TestFinishedEnginesAreAcyclic:
+    """A finished engine is freed as soon as its owner lets go of it,
+    not whenever the cycle collector next runs: the hooks' ``parts_of``
+    and the backend's view provider are the engine's own bound methods
+    until the run's shared epilogue drops them."""
+
+    @pytest.mark.parametrize("inputs, attack", [
+        (SPLIT, None), ((0xA5,) * 7, "crash"),
+    ], ids=["per_generation", "cohort"])
+    def test_service_engines(self, inputs, attack):
+        service = ConsensusService(RunSpec(n=7, l_bits=64))
+        engines = []
+        make_engine = service._make_engine
+
+        def remembering(*args, **kwargs):
+            engine = make_engine(*args, **kwargs)
+            engines.append(weakref.ref(engine))
+            return engine
+
+        service._make_engine = remembering
+        with collector_off():
+            results = service.run_many(
+                [InstanceSpec(inputs=inputs, attack=attack)] * 2
+            )
+            assert all(result.error_free for result in results)
+            assert len(engines) == 2
+            assert [engine() for engine in engines] == [None, None]
+
+    @pytest.mark.parametrize("inputs", [SPLIT, (0xA5,) * 7],
+                             ids=["per_generation", "cohort"])
+    def test_one_shot_engine(self, inputs):
+        config = ConsensusConfig.create(n=7, l_bits=64)
+        with collector_off():
+            engine = MultiValuedConsensus(config)
+            assert engine.run(list(inputs)).error_free
+            finished = weakref.ref(engine)
+            del engine
+            assert finished() is None
