@@ -64,15 +64,10 @@ class BernoulliForgingAdversary(Adversary):
 class DolevStrongBroadcast(BroadcastBackend):
     """Probabilistically correct broadcast for any ``t < n``.
 
-    ``error_free = False`` keeps the consensus engines on their scalar
-    reference path (honest views can genuinely diverge here, so no
-    shared reference view exists to vectorize over).  The batched entry
-    points — including the grouped diagnosis-stage call — therefore
-    inherit the base class's per-row dispatch, which preserves the
-    per-instance forgery-RNG stream (:class:`BernoulliForgingAdversary`)
-    exactly as the scalar loop drives it; ``constant_cost_honest`` stays
-    False because even honest-source instances run the full signed-relay
-    protocol.
+    Even honest-source instances run the full signed-relay protocol, so
+    ``constant_cost_honest`` stays False and the consensus engines run
+    their scalar reference over it (honest views can genuinely diverge
+    here, so no shared reference view exists to vectorize over).
     """
 
     name = "dolev_strong"

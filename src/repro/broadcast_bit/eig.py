@@ -42,10 +42,8 @@ class EIGBroadcast(BroadcastBackend):
 
     Like Phase-King, this backend simulates real relay rounds whose
     faulty relays get per-edge ``eig_relay`` hooks regardless of who the
-    source is, so the batched entry points (including the grouped
-    diagnosis-stage call) inherit the base class's per-row dispatch and
-    ``constant_cost_honest`` stays False: there is no honest-source
-    accounting shortcut that would preserve hook order.
+    source is, so ``constant_cost_honest`` stays False and the consensus
+    engines run their scalar reference over it.
     """
 
     name = "eig"

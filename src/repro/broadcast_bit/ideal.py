@@ -102,10 +102,15 @@ class AccountedIdealBroadcast(BroadcastBackend):
         )
 
     def broadcast_bits_many_grouped(self, rows, tag, ignored=frozenset()):
-        """Lazily planned rows through :meth:`_dispatch`: each
-        ``plan()`` runs immediately before its row dispatches, so
-        per-source planning hooks keep the scalar plan/dispatch
-        interleaving."""
+        """Lazily planned ``(source, plan)`` rows through
+        :meth:`_dispatch`: each ``plan()`` runs immediately before its
+        row dispatches, so per-source planning hooks
+        (``diagnosis_symbol``, ``trust_vector``) keep the scalar
+        plan/dispatch interleaving with this backend's per-instance
+        hooks, which pre-planned rows (:meth:`broadcast_bits_many`)
+        would reorder.  The vectorized engine's unit for controlled
+        sources; a plan may return a :class:`~repro.utils.bits.\
+PackedBits` row, which comes back packed."""
         return self._dispatch(
             ((source, plan()) for source, plan in rows), tag, ignored
         )

@@ -21,15 +21,15 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.network.metrics import BitMeter
 from repro.processors.adversary import Adversary, GlobalView
-from repro.utils.bits import PackedBits
 
-#: A deferred row of a grouped broadcast: ``(source, plan)`` where
-#: ``plan()`` returns the source's bit string.  The plan is invoked
-#: immediately before the source's broadcast instances dispatch, so
-#: per-source planning hooks (e.g. an adversary choosing the bits) fire
-#: interleaved with the backend's own per-instance hooks, in exactly the
-#: order a per-source loop of :meth:`BroadcastBackend.broadcast_bits`
-#: calls would produce.
+#: A deferred row of the ideal backend's grouped broadcast
+#: (``AccountedIdealBroadcast.broadcast_bits_many_grouped``):
+#: ``(source, plan)`` where ``plan()`` returns the source's bit string.
+#: The plan is invoked immediately before the source's broadcast
+#: instances dispatch, so per-source planning hooks (e.g. an adversary
+#: choosing the bits) fire interleaved with the backend's own
+#: per-instance hooks, in exactly the order a per-source loop of
+#: :meth:`BroadcastBackend.broadcast_bits` calls would produce.
 PlannedRow = Tuple[int, Callable[[], Sequence[int]]]
 
 
@@ -46,7 +46,7 @@ class BroadcastStats:
 class BroadcastBackend(abc.ABC):
     """Base class wiring up metering, adversary access and instance ids.
 
-    Three batched entry points layer on top of the per-instance
+    Two batched entry points layer on top of the per-instance
     :meth:`broadcast_bit` primitive, each with the same contract — the
     observable execution (outcomes, meter ``Counter`` state, instance
     ids, adversary-hook order and arguments) is identical to the scalar
@@ -55,11 +55,14 @@ class BroadcastBackend(abc.ABC):
     * :meth:`broadcast_bits` — one source, a bit string, one backend
       instance per bit;
     * :meth:`broadcast_bits_many` — several pre-planned ``(source,
-      bits)`` rows under one tag (the matching/checking stages' unit);
-    * :meth:`broadcast_bits_many_grouped` — several ``(source, plan)``
-      rows whose bits are computed lazily per row (the diagnosis
-      stage's unit, where per-source adversary hooks must interleave
-      with dispatch).
+      bits)`` rows under one tag (the scalar reference's unit).
+
+    A backend whose honest broadcasts are pure accounting
+    (:attr:`constant_cost_honest`) also defines the vectorized engines'
+    entry points — ``charge_honest_instances``,
+    ``broadcast_bits_many_grouped`` and ``broadcast_rows_flat``
+    (:class:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast`); every
+    other backend runs real rounds and serves the scalar reference only.
     """
 
     #: short name used in configs and reports
@@ -68,7 +71,7 @@ class BroadcastBackend(abc.ABC):
     error_free = True
     #: True when an honest, live source's broadcast has no per-instance
     #: hooks and a cost chargeable in O(1) via
-    #: :meth:`charge_honest_instances` (the accounted-ideal backend).
+    #: ``charge_honest_instances`` (the accounted-ideal backend).
     #: Protocol-simulating backends (Phase-King, EIG, Dolev-Strong) run
     #: real rounds whose faulty *non-source* processors still get hooks,
     #: so their cost cannot be replayed without executing the protocol.
@@ -168,28 +171,12 @@ class BroadcastBackend(abc.ABC):
             ``pid -> list of received bits`` for every pid, aligned with
             ``bits``.  Under an error-free backend every fault-free
             pid's list is equal.
-
-        Packed rows: when ``bits`` is a :class:`~repro.utils.bits.\
-PackedBits` row, the return value maps each pid to a ``PackedBits``
-        row instead of a list ("packed in, packed out").  This scalar
-        loop — unpack, one instance per bit, repack — is the contractual
-        reference every backend's packed path must match bit-for-bit;
-        all four backends therefore support packed rows, and only the
-        accounted-ideal backend overrides it with bulk packed
-        accounting.
         """
-        packed = isinstance(bits, PackedBits)
-        bit_list = bits.tolist() if packed else bits
         results: Dict[int, List[int]] = {pid: [] for pid in range(self.n)}
-        for bit in bit_list:
+        for bit in bits:
             outcome = self.broadcast_bit(source, bit, tag, ignored)
             for pid in range(self.n):
                 results[pid].append(outcome[pid])
-        if packed:
-            return {
-                pid: PackedBits.from_bits(values)
-                for pid, values in results.items()
-            }
         return results
 
     def broadcast_bits_many(
@@ -204,14 +191,12 @@ PackedBits` row, the return value maps each pid to a ``PackedBits``
         Semantically identical to one :meth:`broadcast_bits` call per
         row (and this default implementation is exactly that); backends
         with a cheaper bulk path override it with byte-identical
-        accounting.  This is the unit of the engines' vectorized
-        matching/checking stages — one call per (stage, generation)
-        instead of one per (stage, generation, source) — and is only
-        appropriate when every row's bits are known *before* the first
-        row dispatches (the scalar reference plans all rows up front
-        too, so hook interleaving is preserved).  When a row's bits are
-        produced by a hook that must fire in dispatch order, use
-        :meth:`broadcast_bits_many_grouped` instead.
+        accounting.  This is the unit of the scalar reference's M and
+        Detected broadcasts — one call per (stage, generation) instead
+        of one per (stage, generation, source) — and is only appropriate
+        when every row's bits are known *before* the first row
+        dispatches (the scalar reference plans all rows up front, so
+        hook interleaving is preserved).
 
         >>> from repro.broadcast_bit.ideal import AccountedIdealBroadcast
         >>> backend = AccountedIdealBroadcast(4, 1)
@@ -224,64 +209,6 @@ PackedBits` row, the return value maps each pid to a ``PackedBits``
             self.broadcast_bits(source, bits, tag, ignored)
             for source, bits in rows
         ]
-
-    def broadcast_bits_many_grouped(
-        self,
-        rows: Sequence[PlannedRow],
-        tag: str,
-        ignored: FrozenSet[int] = frozenset(),
-    ) -> List[Dict[int, List[int]]]:
-        """Broadcast several *lazily planned* bit strings under one tag.
-
-        ``rows`` holds ``(source, plan)`` pairs; each ``plan()`` is
-        invoked immediately before its source's instances dispatch and
-        returns that source's bits.  This is the diagnosis stage's unit:
-        the scalar reference loop fires each source's planning hook
-        (``diagnosis_symbol``, ``trust_vector``) and then immediately
-        runs that source's broadcast instances, so a stateful adversary
-        sharing one RNG across planning and backend hooks observes a
-        strict plan/dispatch interleaving per source.  Pre-planning all
-        rows (:meth:`broadcast_bits_many`) would reorder those hook
-        streams; this entry point preserves them exactly.
-
-        This default implementation *is* the scalar loop — plan row,
-        dispatch row — so every backend inherits correct interleaving;
-        backends whose honest dispatch has no hooks
-        (:attr:`constant_cost_honest`) override it to dispatch the whole
-        group as one bulk-accounted call with byte-identical meter
-        ``Counter`` state, instance ids and hook order.
-
-        >>> from repro.broadcast_bit.ideal import AccountedIdealBroadcast
-        >>> backend = AccountedIdealBroadcast(4, 1)
-        >>> rows = [(0, lambda: [1, 0]), (1, lambda: [0, 1])]
-        >>> outcomes = backend.broadcast_bits_many_grouped(rows, "demo")
-        >>> [outcome[2] for outcome in outcomes]
-        [[1, 0], [0, 1]]
-
-        Returns one ``pid -> bits`` dict per row, aligned with ``rows``.
-        A plan returning a :class:`~repro.utils.bits.PackedBits` row
-        yields packed outcomes (see :meth:`broadcast_bits`).
-        """
-        results = []
-        for source, plan in rows:
-            bits = plan()
-            if not isinstance(bits, PackedBits):
-                bits = list(bits)
-            results.append(self.broadcast_bits(source, bits, tag, ignored))
-        return results
-
-    def charge_honest_instances(self, tag: str, count: int) -> None:
-        """Account ``count`` honest-source instances under ``tag`` in O(1).
-
-        Only meaningful on backends with :attr:`constant_cost_honest`;
-        the cohort engine and the vectorized diagnosis stage use it to
-        replay honest broadcasts without running the broadcast
-        protocol.  The default raises, so callers must check the flag
-        first.
-        """
-        raise NotImplementedError(
-            "backend %s has no constant-cost honest accounting" % self.name
-        )
 
     @abc.abstractmethod
     def _broadcast_one(

@@ -109,15 +109,13 @@ class MostefaouiBroadcast(BroadcastBackend):
     Faulty processors act through three hooks: ``est_value`` (per-edge
     EST payloads, ``None`` = silent), ``aux_value`` (per-edge AUX
     payloads) and ``coin_reveal`` (the dealer's coin for one round).
-    The batched entry points inherit the base class's per-instance
-    dispatch — a randomized instance cannot be replayed from accounting
-    alone, so ``constant_cost_honest`` stays False and the engines force
-    their scalar path exactly as they do for ``dolev_strong``.
+    A randomized instance cannot be replayed from accounting alone, so
+    ``constant_cost_honest`` stays False and the engines run their
+    scalar reference over it.
     """
 
     name = "mostefaoui"
     error_free = False
-    constant_cost_honest = False
 
     def __init__(
         self,

@@ -168,15 +168,12 @@ def run_king_consensus(
 class PhaseKingBroadcast(BroadcastBackend):
     """Real error-free broadcast; every message individually metered.
 
-    The batched entry points (``broadcast_bits_many`` and the grouped
-    diagnosis-stage variant ``broadcast_bits_many_grouped``) inherit the
-    base class's per-row dispatch: every instance simulates its full
-    King phases, because even an honest source's instance carries
-    per-round adversary hooks (``king_value``/``king_proposal``/
-    ``king_bit`` fire for every faulty processor, source or not).  That
-    rules out the accounted-ideal backend's O(1) honest shortcut
-    (``constant_cost_honest`` stays False) but keeps hook order and
-    per-round meter tags exactly scalar.
+    Every instance simulates its full King phases, because even an
+    honest source's instance carries per-round adversary hooks
+    (``king_value``/``king_proposal``/``king_bit`` fire for every faulty
+    processor, source or not).  Nothing is priced
+    (``constant_cost_honest`` stays False), so the consensus engines run
+    their scalar reference over it.
     """
 
     name = "phase_king"

@@ -209,6 +209,8 @@ class MultiValuedBroadcast:
         (including the source) ends with a decision."""
         if not 0 <= source < self.n:
             raise ValueError("source %d out of range" % source)
+        if value < 0 or value >> self.l_bits:
+            raise ValueError("value does not fit in %d bits" % self.l_bits)
         honest = [
             pid for pid in range(self.n)
             if not self.adversary.controls(pid)
@@ -221,7 +223,6 @@ class MultiValuedBroadcast:
             "l_bits": self.l_bits,
         }
 
-        value %= 1 << self.l_bits
         stream = int_to_bits(value, self.l_bits)
         decided_bits: Dict[int, List[int]] = {pid: [] for pid in honest}
         diagnosis_count = 0

@@ -76,11 +76,12 @@ class MultiValuedConsensus:
       fire in scalar order, and a failure-free run never encodes at
       all; ``False`` forces the per-generation protocol everywhere.
     * ``vectorized`` — ``True`` (default) runs each generation's
-      array-backed path, whose diagnosis stage dispatches grouped
-      broadcasts; ``False`` forces the scalar per-edge reference
-      implementation.  Probabilistic backends always run the scalar
-      path regardless (honest views can genuinely diverge, so no shared
-      reference view exists).
+      array-backed path, which prices fault-free broadcasts and
+      dispatches the controlled rows grouped; ``False`` forces the
+      scalar per-edge reference implementation.  Backends whose honest
+      broadcasts run real rounds run scalar regardless (nothing to
+      price; under a probabilistic backend honest views can genuinely
+      diverge, so no shared reference view exists).
 
     Whatever the toggles, decisions, per-generation records, metered
     bits *and* messages by tag, the round clock, backend instance
@@ -128,7 +129,7 @@ class MultiValuedConsensus:
                 vectorized data plane; the service passes its own so
                 the ``(n, n)`` buffers persist across instances.
                 Default: built lazily on the first vectorized
-                generation (:meth:`ensure_arena`) — forced-scalar runs
+                generation (:meth:`ensure_arena`) — reference runs
                 never build one.
             journal: when True the network records every delivered
                 :class:`~repro.network.message.Message` (the raw
@@ -167,7 +168,7 @@ class MultiValuedConsensus:
         )
         #: The vectorized data plane's preallocated exchange arena;
         #: ``None`` until a vectorized generation needs it (and forever
-        #: on forced-scalar runs — the arena-reuse tests assert that).
+        #: on reference runs — the arena-reuse tests assert that).
         self.arena = arena
         self._view_extras: Dict[str, object] = {}
         self.backend = config.make_backend(
@@ -204,10 +205,9 @@ class MultiValuedConsensus:
     def ensure_arena(self):
         """This instance's exchange arena, built on first need.
 
-        Callers (the engine) only invoke this on the vectorized
-        error-free path; buffers inside the arena are in turn allocated
-        lazily, so merely ensuring it never allocates an ``(n, n)``
-        matrix.
+        Callers (the engines) only invoke this on a vectorized lane;
+        buffers inside the arena are in turn allocated lazily, so
+        merely ensuring it never allocates an ``(n, n)`` matrix.
         """
         if self.arena is None:
             # Imported lazily: repro.service imports this module at
@@ -271,4 +271,4 @@ class MultiValuedConsensus:
             return run_cohort_instance(context, self, inputs)
         from repro.service.engine import execute_consensus
 
-        return execute_consensus(self, inputs)
+        return execute_consensus(self, inputs, lane)

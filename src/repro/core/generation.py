@@ -20,20 +20,22 @@ lowest-pid fault-free processor's view, the *reference view*.
 Two observationally identical executions coexist:
 
 * the **scalar** path — per-edge dicts and per-pid view assembly, the
-  reference implementation kept for the probabilistic backend (where
-  honest views can genuinely diverge) and for equivalence tests;
-* the **vectorized** path (the default under an error-free backend) —
-  the symbol exchange lands in one ``(n, n)`` numpy view assembled from
-  :class:`~repro.network.message.SymbolBatch` arrays, M vectors, Detected
-  flags and Trust vectors are boolean matrices, and broadcast views are
-  built once for the reference processor (the error-free broadcast
-  contract makes every fault-free view equal) plus individually for
-  faulty processors, whose adversary hooks receive their own view.
+  reference implementation every other engine is held to, and the only
+  engine for backends whose honest broadcasts run real rounds
+  (``phase_king``, ``eig`` and the probabilistic ones, where honest
+  views can genuinely diverge);
+* the **vectorized** path (the planner's ``Lane.PER_GENERATION``, under
+  a backend whose honest broadcasts are priced) — the symbol exchange
+  lands in one ``(n, n)`` numpy view assembled from
+  :class:`~repro.network.message.SymbolBatch` arrays, M vectors,
+  Detected flags and Trust vectors are boolean matrices, and broadcast
+  views are built once, for the reference processor: the backend hands
+  every processor one shared row, so every view is that one.
 
 Every adversary hook fires the same number of times, in the same order,
-with the same arguments on both paths — per-faulty-pid overrides are
-applied onto the batched arrays — so stateful adversaries (seeded RNGs,
-attack planners) behave identically and metering is byte-identical.
+with the same arguments on both paths — controlled rows are applied
+onto the batched arrays — so stateful adversaries (seeded RNGs, attack
+planners) behave identically and metering is byte-identical.
 
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
@@ -45,8 +47,8 @@ equals some processor's codeword on ``P_match`` as that codeword's data
 and decodes only the rest.  Every single-bit broadcast — M vectors,
 Detected flags, diagnosis symbols and trust vectors — goes through one
 dispatch rule (:meth:`GenerationProtocol._dispatch_sources`): fault-free
-sources are priced where the backend allows it and the rest dispatch
-through ``broadcast_bits_many_grouped``, whose per-source *planners*
+sources are priced and the controlled ones dispatch through
+``broadcast_bits_many_grouped``, whose per-source *planners*
 keep the scalar plan/dispatch hook interleaving (see
 :mod:`repro.broadcast_bit.interface`), which is what makes ``n >= 127``
 fault-injection sweeps practical.
@@ -112,10 +114,10 @@ class GenerationProtocol:
         self.k = config.data_symbols
         self.c = config.symbol_bits
         self.tag = "gen%d" % generation
-        #: The vectorized path shares one broadcast view across fault-free
-        #: processors, which is only sound when the backend guarantees
-        #: agreement; probabilistic backends always run the scalar path.
-        self.vectorized = bool(vectorized) and backend.error_free
+        #: The planner's choice (:func:`repro.service.planner.plan_lane`):
+        #: the vectorized path prices fault-free broadcasts and shares
+        #: one broadcast view, so it needs a priced-honest backend.
+        self.vectorized = vectorized
         self._honest = sorted(
             pid for pid in range(self.n) if not adversary.controls(pid)
         )
@@ -787,8 +789,8 @@ class GenerationProtocol:
         default_part: Sequence[int],
         isolated: FrozenSet[int],
     ) -> GenerationResult:
-        """Array-backed replay of :meth:`run` for error-free backends,
-        on the generation's already encoded ``codewords``.
+        """Array-backed replay of :meth:`run` for priced-honest
+        backends, on the generation's already encoded ``codewords``.
 
         The broadcast contract (agreement at every fault-free processor)
         lets one *reference* view stand in for all fault-free views, so
@@ -1095,30 +1097,28 @@ class GenerationProtocol:
         sub-stage's live sources, each ``width`` bits, in broadcast
         order.
 
-        Under a backend whose honest broadcasts are pure accounting
-        (:attr:`~repro.broadcast_bit.interface.BroadcastBackend.\
-constant_cost_honest`) a fault-free source's outcome is its own row at
-        every processor (validity), which the stage already holds, and
-        no hook fires for it: each maximal run of fault-free sources is
-        priced with one ``charge_honest_instances`` — its plans are
-        never called — and each maximal run of controlled sources goes
-        through one ``broadcast_bits_many_grouped`` call.  Runs are
-        taken in order, so a controlled source's planning hook and its
-        per-instance backend hooks fire at their scalar position with
-        their scalar instance ids, and the meter's sums, the instance
-        count and the bits charged equal the scalar loop's.  Any other
-        backend runs real rounds for every source: all rows, one call.
+        The backend's honest broadcasts are pure accounting (the
+        planner sends nothing else here), so a fault-free source's
+        outcome is its own row at every processor (validity), which the
+        stage already holds, and no hook fires for it: each maximal run
+        of fault-free sources is priced with one
+        ``charge_honest_instances`` — its plans are never called — and
+        each maximal run of controlled sources goes through one
+        ``broadcast_bits_many_grouped`` call.  Runs are taken in order,
+        so a controlled source's planning hook and its per-instance
+        backend hooks fire at their scalar position with their scalar
+        instance ids, and the meter's sums, the instance count and the
+        bits charged equal the scalar loop's.
 
         Returns ``source -> outcome`` for the dispatched rows only, each
         row in the form its plan returned (a bit list or
         :class:`~repro.utils.bits.PackedBits`).
         """
         backend = self.backend
-        price_honest = backend.constant_cost_honest
         controls = self.adversary.controls
         outcomes: Dict[int, Dict[int, Sequence[int]]] = {}
         for dispatch, run in itertools.groupby(
-            rows, key=lambda row: not price_honest or controls(row[0])
+            rows, key=lambda row: controls(row[0])
         ):
             run = list(run)
             if dispatch:
@@ -1154,23 +1154,17 @@ constant_cost_honest`) a fault-free source's outcome is its own row at
         ``trust_vector``) immediately before that source's backend
         instances, so every adversary and backend hook still fires in
         the exact scalar plan/dispatch interleaving and seeded stateful
-        adversaries replay byte-identically.  The ``O(n)``
-        views-per-source assembly is collapsed to the reference view
-        plus the faulty processors' own views (their hooks must see
-        exactly what they would have seen on the scalar path), and a
-        symbol row is read back once per distinct row *object*: a
-        backend that hands every pid one shared row (the ideal one)
-        costs no conversion at all when that row is the planned one.
+        adversaries replay byte-identically.  The backend hands every
+        pid one shared row, so the ``O(n)`` views-per-source assembly
+        collapses to the reference view, and a symbol row costs no
+        conversion at all when the row that came back is the planned
+        one.
         """
         view = self._view()
         n = self.n
         dtype = self._symbol_dtype
         pm = np.array(p_match, dtype=np.int64)
         n_pm = len(p_match)
-        faulty_live = [
-            i for i in range(n)
-            if self.adversary.controls(i) and i not in isolated
-        ]
 
         # Lines 3(a)-3(b): P_match members broadcast their own symbol
         # (members are live: an isolated source's M row is all zero, so
@@ -1179,8 +1173,6 @@ constant_cost_honest`) a fault-free source's outcome is its own row at
         reference = self._reference
         own_symbols = [codewords[j][j] for j in p_match]
         r_ref: Dict[int, int] = dict(zip(p_match, own_symbols))
-        #: Faulty pid -> the R# entries its own view holds differently.
-        r_own: Dict[int, Dict[int, int]] = {}
         #: Dispatched member -> its (wire row, symbol) pair.
         planned: Dict[int, Tuple[PackedBits, int]] = {}
 
@@ -1210,14 +1202,9 @@ constant_cost_honest`) a fault-free source's outcome is its own row at
             # The planned row handed straight back is the symbol the
             # plan already holds; any other row is read once.
             r_ref[j] = symbol if ref_row is row else ref_row.to_int()
-            for i in faulty_live:
-                if outcome[i] is not ref_row:  # views may differ
-                    r_own.setdefault(i, {})[j] = outcome[i].to_int()
 
         # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
-        # everyone live.  The honest baseline is one boolean matrix;
-        # faulty rows are recomputed from their own R# view before their
-        # hook sees them.
+        # everyone live.  The honest baseline is one boolean matrix.
         trust_tag = "%s.diagnosis.trust" % self.tag
         mine = received[:, pm].copy()
         mine[pm, np.arange(n_pm)] = own_symbols
@@ -1230,19 +1217,10 @@ constant_cost_honest`) a fault-free source's outcome is its own row at
             & (mine != _MISSING).astype(bool)
             & (mine == r_ref_arr[np.newaxis, :]).astype(bool)
         )
-        for i, own in r_own.items():
-            r_i = np.array(
-                [own.get(j, r_ref[j]) for j in p_match], dtype=dtype
-            )
-            honest_trust_mat[i] = (
-                trusts_mat[i]
-                & (mine[i] != _MISSING).astype(bool)
-                & (mine[i] == r_i).astype(bool)
-            )
 
-        # Packed wire rows: one packbits over the (fixed-up) honest
-        # trust matrix; controlled rows repack after an overridden
-        # hook (the base one returns its argument: the honest row).
+        # Packed wire rows: one packbits over the honest trust matrix;
+        # controlled rows repack after an overridden hook (the base one
+        # returns its argument: the honest row).
         trust_packed = np.packbits(honest_trust_mat, axis=1)
         trust_hooked = not hook_is_default(self.adversary, "trust_vector")
 

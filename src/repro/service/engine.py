@@ -6,9 +6,9 @@ writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1, one
 operating on the per-instance state held by a
 :class:`~repro.core.consensus.MultiValuedConsensus` object (diagnosis
 graph, metered network, backend, code).  It is the lane the planner
-(:mod:`repro.service.planner`) picks when no work can be shared, and
-with ``vectorized=False`` it is the scalar reference every other lane is
-held byte-identical to.
+(:mod:`repro.service.planner`) picks when no work can be shared
+(``Lane.PER_GENERATION``), and on ``Lane.REFERENCE`` it is the scalar
+reference every other lane is held byte-identical to.
 
 :func:`prepare_instance` and :func:`finalize_result` are the prologue
 and epilogue it shares with the cohort engine
@@ -25,6 +25,7 @@ from repro.core.result import (
     GenerationOutcome,
     GenerationResult,
 )
+from repro.service.planner import Lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.consensus import MultiValuedConsensus
@@ -122,10 +123,11 @@ def finalize_result(
 
 
 def execute_consensus(
-    consensus: "MultiValuedConsensus", inputs: Sequence[int]
+    consensus: "MultiValuedConsensus", inputs: Sequence[int], lane: Lane
 ) -> ConsensusResult:
     """Run one consensus instance over ``inputs[pid]``, generation by
-    generation.
+    generation, on the vectorized generation (``Lane.PER_GENERATION``)
+    or the scalar reference (``Lane.REFERENCE``) as the planner chose.
 
     Consumes the instance state owned by ``consensus`` (which must be
     fresh — the diagnosis graph, meter and round clock are mutated) and
@@ -145,10 +147,9 @@ def execute_consensus(
         pid: consensus.parts_for(effective[pid]) for pid in range(config.n)
     }
     default_parts = consensus.parts_for(config.default_value)
-    vectorized = consensus.vectorized and consensus.backend.error_free
+    vectorized = lane is Lane.PER_GENERATION
     # The shared arena persists the (n, n) buffers across generations;
-    # forced-scalar (and probabilistic-backend) runs must never build
-    # one.
+    # reference runs must never build one.
     arena = consensus.ensure_arena() if vectorized else None
     # Per-run work the vectorized generations share, done once and
     # dropped with the run: the line 1(e) clique memo, and the whole
@@ -176,7 +177,7 @@ def execute_consensus(
             adversary=adversary,
             generation=g,
             view_provider=consensus._make_view,
-            vectorized=consensus.vectorized,
+            vectorized=vectorized,
             arena=arena,
             clique_memo=clique_memo,
         )

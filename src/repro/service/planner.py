@@ -1,6 +1,6 @@
 """The lane planner: which engine executes one consensus instance.
 
-An instance runs one of three ways, and this module's
+An instance runs one of four ways, and this module's
 :func:`plan_lane` is the only code that knows the gates between them:
 
 * ``Lane.CLONE`` — priced from the service's failure-free template
@@ -10,12 +10,15 @@ An instance runs one of three ways, and this module's
   instance is a cohort of one, a failure-free run the cohort of the
   empty faulty set.
 * ``Lane.PER_GENERATION`` — :func:`repro.service.engine.
-  execute_consensus`, one :class:`~repro.core.generation.
-  GenerationProtocol` per generation (vectorized, or the scalar
-  reference when ``vectorized`` is off or the backend is probabilistic):
-  the traffic that cannot share, and every recorded run.
+  execute_consensus` with one vectorized :class:`~repro.core.generation.
+  GenerationProtocol` per generation: the traffic that cannot share,
+  and every recorded run.
+* ``Lane.REFERENCE`` — the same loop on the scalar reference
+  generation: ``vectorized`` off, or a backend whose honest broadcasts
+  run real rounds (``phase_king``, ``eig``, ``dolev_strong``,
+  ``mostefaoui``).
 
-All three are byte-identical to the forced-scalar reference; the choice
+All four are byte-identical to the forced-scalar reference; the choice
 only decides how much work is shared.
 """
 
@@ -32,6 +35,7 @@ class Lane(enum.Enum):
     CLONE = "clone"
     COHORT = "cohort"
     PER_GENERATION = "per_generation"
+    REFERENCE = "reference"
 
 
 def plan_lane(
@@ -52,13 +56,18 @@ def plan_lane(
     backend = BACKENDS[config.backend]
     faulty = adversary.faulty
     n = config.n
-    # Both shared lanes replay value-independent accounting, which needs
-    # nobody watching the messages (a journal must observe materialized
-    # ones: ``charge_round`` refuses a journalling network, a cloned
-    # result has no journal at all), agreement (an error-free backend),
-    # content-independent traffic (no injected network faults) and one
-    # common honest input — checked on the raw inputs: input_value hooks
-    # fire once, inside the run.
+    # The one engine predicate: the vectorized engines (cohort and
+    # per-generation) price honest broadcasts and dispatch only the
+    # controlled rows, which needs a backend whose honest broadcast is
+    # pure accounting; every other run takes the scalar reference.
+    priced = vectorized and backend.constant_cost_honest
+    # The clone and cohort lanes replay value-independent accounting,
+    # which needs nobody watching the messages (a journal must observe
+    # materialized ones: ``charge_round`` refuses a journalling network,
+    # a cloned result has no journal at all), agreement (an error-free
+    # backend), content-independent traffic (no injected network faults)
+    # and one common honest input — checked on the raw inputs:
+    # input_value hooks fire once, inside the run.
     if not (
         batch_generations
         and not journal
@@ -67,16 +76,8 @@ def plan_lane(
         and len(inputs) == n
         and len({inputs[pid] for pid in range(n) if pid not in faulty}) == 1
     ):
-        return Lane.PER_GENERATION
+        return Lane.PER_GENERATION if priced else Lane.REFERENCE
     # A cloned result is priced, not executed.
     if reuse_results and not faulty:
         return Lane.CLONE
-    # The cohort engine charges honest broadcasts in O(1) and dispatches
-    # controlled rows flat, on the vectorized engine's semantics.
-    if (
-        vectorized
-        and backend.constant_cost_honest
-        and hasattr(backend, "broadcast_rows_flat")
-    ):
-        return Lane.COHORT
-    return Lane.PER_GENERATION
+    return Lane.COHORT if priced else Lane.REFERENCE

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import BACKENDS, ConsensusConfig
+from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus, split_value
 from repro.core.result import ConsensusResult, GenerationResult
 from repro.network.metrics import BitMeter, MeterSnapshot
@@ -115,7 +115,8 @@ class ConsensusService:
         #: and cohort this service builds shares its ``(n, n)`` buffers
         #: (the service runs instances strictly sequentially, so one
         #: generation is ever in flight).  Built on first vectorized
-        #: need; a forced-scalar service never builds one.
+        #: need; a service whose instances all take the reference lane
+        #: never builds one.
         self._arena: Optional[ExchangeArena] = None
         #: Cohort contexts, keyed by ``cohort_key`` (see
         #: :mod:`repro.service.cohort`); persistent, so repeated
@@ -135,18 +136,15 @@ class ConsensusService:
     def _make_engine(
         self,
         adversary: Adversary,
+        lane: Lane,
         meter: Optional[BitMeter] = None,
         journal: bool = False,
     ) -> MultiValuedConsensus:
-        """A fresh per-instance engine wired to this service's shared
-        read-only state (code tables, the default split) and, on the
-        vectorized path, the shared exchange arena."""
-        arena = (
-            self._ensure_arena()
-            if self.spec.vectorized
-            and BACKENDS[self.config.backend].error_free
-            else None
-        )
+        """A fresh per-instance engine for ``lane``, wired to this
+        service's shared read-only state (code tables, the default
+        split) and, off the reference lane, the shared exchange
+        arena."""
+        arena = self._ensure_arena() if lane is not Lane.REFERENCE else None
         return MultiValuedConsensus(
             self.config,
             adversary=adversary,
@@ -209,8 +207,12 @@ class ConsensusService:
         )
         if adversary is None:
             adversary = instance.resolve(self.spec).make_adversary()
+        journal = transcript is not None
         engine = self._make_engine(
-            adversary, meter=meter, journal=transcript is not None
+            adversary,
+            self._plan(instance, adversary, False, journal=journal),
+            meter=meter,
+            journal=journal,
         )
         result = engine.run(list(instance.inputs))
         if transcript is not None:
@@ -382,7 +384,9 @@ class ConsensusService:
         """Execute one instance on ``lane`` with a fresh engine (handing
         it its batch's :meth:`_prewarm` table), recording it when a
         ``transcript`` recorder is given."""
-        engine = self._make_engine(adversary, journal=transcript is not None)
+        engine = self._make_engine(
+            adversary, lane, journal=transcript is not None
+        )
         if lane is Lane.COHORT:
             key = cohort_key(self.spec, instance)
             ctx = self._cohorts.get(key)
@@ -395,7 +399,7 @@ class ConsensusService:
                 ctx, engine, instance.inputs, prewarmed
             )
         else:
-            result = execute_consensus(engine, list(instance.inputs))
+            result = execute_consensus(engine, list(instance.inputs), lane)
         if transcript is not None:
             transcript.capture(
                 self.spec, instance, engine.network.journal, result

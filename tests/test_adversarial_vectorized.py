@@ -29,6 +29,7 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import RandomAdversary
+from repro.service.planner import Lane, plan_lane
 
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
 CONSENSUS_HOOKS = {
@@ -261,29 +262,39 @@ class TestVectorizedDispatch:
     def test_probabilistic_backend_falls_back_to_scalar(self):
         # The shared-reference-view shortcut is only sound under the
         # error-free broadcast contract; the §4 substrate keeps the
-        # scalar per-pid views.
-        from repro.core.generation import GenerationProtocol
-
+        # scalar per-pid views, whatever the toggle asks for.
         config = ConsensusConfig.create(
             n=4, t=1, l_bits=64, backend="dolev_strong"
         )
-        consensus = MultiValuedConsensus(config, vectorized=True)
-        protocol = GenerationProtocol(
-            config=config,
-            code=consensus.code,
-            network=consensus.network,
-            graph=consensus.graph,
-            backend=consensus.backend,
-            adversary=consensus.adversary,
-            generation=0,
-            view_provider=consensus._make_view,
-            vectorized=True,
+        for batch_generations in (True, False):
+            assert plan_lane(
+                config, True, batch_generations, Adversary(), [7] * 4
+            ) is Lane.REFERENCE
+
+    @pytest.mark.parametrize("backend", ["phase_king", "eig"])
+    def test_real_round_backends_run_the_reference(
+        self, backend, monkeypatch
+    ):
+        # A backend whose honest broadcasts run real rounds prices
+        # nothing, so a diagnosing run takes the scalar reference: the
+        # vectorized generation never runs and no arena is built.
+        from repro.core.generation import GenerationProtocol
+
+        def boom(*args, **kwargs):
+            raise AssertionError("vectorized generation under %s" % backend)
+
+        monkeypatch.setattr(GenerationProtocol, "_run_vectorized", boom)
+        config = ConsensusConfig.create(n=7, l_bits=64, backend=backend)
+        consensus = MultiValuedConsensus(
+            config, adversary=make_attack("corrupt", 7, config.t, 64)
         )
-        assert not protocol.vectorized
+        result = consensus.run([0x5A5A] * 7)
+        assert result.error_free and result.diagnosis_count >= 1
+        assert consensus.arena is None
 
     def test_phase_king_backend_equivalence(self):
-        # A real (non-ideal) error-free backend under faults: the
-        # vectorized path must meter its per-bit broadcasts identically.
+        # A real (non-ideal) error-free backend under faults: both
+        # toggles must meter its per-bit broadcasts identically.
         config = ConsensusConfig.create(
             n=4, l_bits=64, backend="phase_king"
         )

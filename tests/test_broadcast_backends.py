@@ -18,6 +18,7 @@ from repro.broadcast_bit import (
     phase_king_bits,
 )
 from repro.broadcast_bit.eig import eig_message_count
+from repro.core.config import BACKENDS
 from repro.broadcast_bit.phase_king import (
     king_consensus_bits,
     run_king_consensus,
@@ -306,9 +307,12 @@ class TestPackedRowEquivalence:
     The packed `PackedBits` wire format is an encoding change, not a
     semantic one: for identical deployments, `broadcast_bits_many` over
     packed rows must produce the same outcomes, meter Counter state and
-    instance ids as the same call over plain bit lists.  n = 31 runs the
-    protocol-simulating backends at t = 1 to keep EIG's exponential tree
-    small; the packed path is per-bit identical regardless of t.
+    instance ids as the same call over plain bit lists.  Only the
+    priced-honest backend (the vectorized engines' one) hands packed
+    rows back packed; the others read a packed row as the bit sequence
+    it is and answer with lists.  n = 31 runs the protocol-simulating
+    backends at t = 1 to keep EIG's exponential tree small; the packed
+    path is per-bit identical regardless of t.
     """
 
     NS = [(4, 1), (7, 2), (31, 1)]
@@ -353,10 +357,13 @@ class TestPackedRowEquivalence:
         for listed, packed in zip(outcomes[False], outcomes[True]):
             assert set(listed) == set(packed) == set(range(n))
             for pid in range(n):
-                assert isinstance(packed[pid], PackedBits)
-                assert packed[pid].tolist() == listed[pid]
+                assert (
+                    isinstance(packed[pid], PackedBits)
+                    == cls.constant_cost_honest
+                )
+                assert list(packed[pid]) == listed[pid]
 
-    @pytest.mark.parametrize("cls", ALL_BACKENDS)
+    @pytest.mark.parametrize("cls", [AccountedIdealBroadcast])
     def test_grouped_packed_matches_list(self, cls):
         n, t = 7, 2
         results = {}
@@ -396,4 +403,24 @@ class TestPackedRowEquivalence:
         )
         assert backend.meter.total_bits == 0
         for pid in range(4):
-            assert outcome[pid] == PackedBits.zeros(3)
+            assert list(outcome[pid]) == [0, 0, 0]
+
+
+#: The entry points only the vectorized engines call.
+VECTORIZED_ENTRY_POINTS = (
+    "charge_honest_instances",
+    "broadcast_bits_many_grouped",
+    "broadcast_rows_flat",
+)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_vectorized_entry_points_exactly_on_priced_backends(name):
+    """The planner picks a vectorized engine by ``constant_cost_honest``
+    alone, so that flag must promise the engines' entry points: a
+    priced-honest backend defines all three, and no other backend
+    defines any (nothing inherits a fallback that would run)."""
+    cls = BACKENDS[name]
+    assert {
+        entry: hasattr(cls, entry) for entry in VECTORIZED_ENTRY_POINTS
+    } == dict.fromkeys(VECTORIZED_ENTRY_POINTS, cls.constant_cost_honest)

@@ -133,3 +133,14 @@ def test_a_citation_names_a_member_its_file_defines(tmp_path):
     fixture.write_text("`tests/test_service.py::NoSuchClass`\n")
     [problem] = check_links.check_file(fixture)
     assert "tests/test_service.py::NoSuchClass" in problem
+    # Class.method: the method must be defined in that class's body.
+    fixture.write_text(
+        "`broadcast_bit/ideal.py::AccountedIdealBroadcast._row_loop`\n"
+    )
+    assert check_links.check_file(fixture) == []
+    fixture.write_text(
+        "`broadcast_bit/interface.py::"
+        "BroadcastBackend.broadcast_bits_many_grouped`\n"
+    )
+    [problem] = check_links.check_file(fixture)
+    assert "BroadcastBackend.broadcast_bits_many_grouped" in problem

@@ -2,23 +2,20 @@
 
 The per-generation engine's one dispatch rule, which its M, Detected
 and both diagnosis sub-stages share: under the accounted-ideal backend
-a fault-free source's broadcast is priced (its outcome is the row the
-stage already holds) and only the controlled sources' rows go through
+(the only one the vectorized engines run on) a fault-free source's
+broadcast is priced (its outcome is the row the stage already holds)
+and only the controlled sources' rows go through
 ``broadcast_bits_many_grouped``, one call per maximal run of controlled
-sources; any other backend gets every row of a sub-stage in one grouped
-call.  Either way the execution is observationally identical to the
+sources.  The execution is observationally identical to the
 forced-scalar reference — per-source planning hooks
 (``diagnosis_symbol``, ``trust_vector``) interleave with the backend's
 per-instance hooks in the exact scalar order, instance ids are
 sequential across rows, and the meter ``Counter`` state is
-byte-identical.  Also covers the backend-level contract directly
-(accounted-ideal bulk override and the per-row default the
-protocol-simulating backends inherit), the cross-generation bulk
-bookkeeping primitives (``SyncNetwork.charge_round``,
-``charge_honest_instances``), and what a diagnosis may cost in
-``PackedBits`` conversions: at most one per live controlled source's
-row, counted at n = 127 on the shared-row backend, and one per view at
-n = 7 on the backends whose views differ.
+byte-identical.  Also covers the backend-level contract directly (the
+accounted-ideal bulk override), the cross-generation bulk bookkeeping
+primitives (``SyncNetwork.charge_round``, ``charge_honest_instances``),
+and what a diagnosis may cost in ``PackedBits`` conversions: at most
+one per live controlled source's row, counted at n = 127.
 """
 
 import itertools
@@ -108,40 +105,6 @@ class EverySecondBitAdversary(StatefulBroadcastOnlyAdversary):
     Detected flags to reach the diagnosis stage from any faulty set."""
 
     period = 2
-
-
-class SplitViewAdversary(Adversary):
-    """Makes a faulty processor's own R# view differ from the reference.
-
-    Faulty ``P_match`` member 1 corrupts its generation-0 symbol toward
-    the outsiders (forcing a diagnosis); faulty member 2 then equivocates
-    as the *broadcast source* of its diagnosis symbol.  The fault-free
-    agree on some row; under EIG the source's own view keeps the honest
-    symbol, so ``trust_vector`` must be fed from pid 2's own row.  The
-    hook arguments are recorded to compare against the scalar run.
-    """
-
-    def __init__(self, faulty):
-        super().__init__(faulty)
-        self.armed = False
-        self.trusts = []
-
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if generation == 0 and pid == 1 and recipient >= 5:
-            return honest_symbol ^ 1
-        return honest_symbol
-
-    def diagnosis_symbol(self, pid, honest_symbol, generation, view):
-        self.armed = pid == 2
-        return honest_symbol
-
-    def trust_vector(self, pid, honest_trust, generation, view):
-        self.armed = False
-        self.trusts.append((pid, dict(honest_trust)))
-        return honest_trust
-
-    def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
-        return recipient & 1 if self.armed else honest_bit
 
 
 def count_conversions(monkeypatch, *names):
@@ -244,20 +207,14 @@ class TestGroupedDiagnosisEquivalence:
         assert vec.graph.isolated == set(faulty)
 
     def test_grouped_path_engaged(self):
-        for backend in ("ideal", "phase_king"):
-            self._check_grouped_calls(backend)
-
-    @staticmethod
-    def _check_grouped_calls(backend):
         """What reaches ``broadcast_bits_many_grouped`` in each of the
         per-generation engine's four broadcast sub-stages (M vectors,
         Detected flags, then, in a diagnosis, symbols and trust
-        vectors): under the ideal backend the sub-stage's live
-        controlled sources, one call per maximal controlled run; under a
-        backend that runs real rounds one call carrying every live
-        source's row.  ``broadcast_bits_many`` is never called."""
+        vectors): the sub-stage's live controlled sources, one call per
+        maximal controlled run.  ``broadcast_bits_many`` is never
+        called."""
         n, faulty = 7, [1, 6]
-        config = ConsensusConfig.create(n=n, l_bits=64, backend=backend)
+        config = ConsensusConfig.create(n=n, l_bits=64)
         consensus = MultiValuedConsensus(
             config,
             adversary=SharedRngDiagnosisAdversary(faulty, seed=3),
@@ -292,12 +249,9 @@ class TestGroupedDiagnosisEquivalence:
                 ]
             for stage, sources in stages:
                 tag = "gen%d.%s" % (record.generation, stage)
-                if backend == "ideal":
-                    expected.extend(
-                        (tag, run) for run in controlled_runs(sources, faulty)
-                    )
-                elif sources:
-                    expected.append((tag, sources))
+                expected.extend(
+                    (tag, run) for run in controlled_runs(sources, faulty)
+                )
             isolated.update(record.isolated)
         assert calls == expected
         assert {tag.split(".", 1)[1] for tag, _ in calls} >= {
@@ -415,7 +369,7 @@ class TestIdealGroupedBackendContract:
         assert grouped[2].instances == scalar[2].instances == 4
 
     # Validation comes before the ignored-source shortcut, as in the
-    # contractual scalar loop the other backends inherit.
+    # contractual scalar loop the other backends run.
 
     @staticmethod
     def _backends():
@@ -428,10 +382,11 @@ class TestIdealGroupedBackendContract:
     def test_invalid_bit_rejected(self):
         for backend in self._backends():
             for ignored in (frozenset(), frozenset([0])):
-                with pytest.raises(ValueError):
-                    backend.broadcast_bits_many_grouped(
-                        [(0, lambda: [2])], "diag", ignored
-                    )
+                if backend.constant_cost_honest:
+                    with pytest.raises(ValueError):
+                        backend.broadcast_bits_many_grouped(
+                            [(0, lambda: [2])], "diag", ignored
+                        )
                 with pytest.raises(ValueError):
                     backend.broadcast_bits(0, [2], "diag", ignored)
             assert backend.stats.instances == 0
@@ -439,10 +394,11 @@ class TestIdealGroupedBackendContract:
     def test_out_of_range_source_rejected(self):
         for backend in self._backends():
             for ignored in (frozenset(), frozenset([7])):
-                with pytest.raises(ValueError):
-                    backend.broadcast_bits_many_grouped(
-                        [(7, lambda: [1, 0])], "diag", ignored
-                    )
+                if backend.constant_cost_honest:
+                    with pytest.raises(ValueError):
+                        backend.broadcast_bits_many_grouped(
+                            [(7, lambda: [1, 0])], "diag", ignored
+                        )
                 with pytest.raises(ValueError):
                     backend.broadcast_bits(7, [1, 0], "diag", ignored)
             assert backend.stats.instances == 0
@@ -453,39 +409,14 @@ class TestIdealGroupedBackendContract:
 
 
 class TestDefaultGroupedDispatch:
-    """Protocol-simulating backends inherit the per-row scalar loop."""
-
-    def test_phase_king_grouped_matches_scalar_rows(self):
-        rows = [(0, [1, 0]), (1, [1, 1]), (3, [0, 1])]
-
-        def run(grouped):
-            adversary = Adversary([2])
-            backend = PhaseKingBroadcast(4, 1, adversary=adversary)
-            if grouped:
-                outcomes = backend.broadcast_bits_many_grouped(
-                    [(s, lambda bits=bits: bits) for s, bits in rows],
-                    "diag",
-                )
-            else:
-                outcomes = [
-                    backend.broadcast_bits(s, bits, "diag")
-                    for s, bits in rows
-                ]
-            return outcomes, backend.meter.snapshot(), backend.stats
-
-        grouped = run(True)
-        scalar = run(False)
-        assert grouped[0] == scalar[0]
-        assert grouped[1] == scalar[1]
-        assert grouped[2].instances == scalar[2].instances
-        assert grouped[2].bits_charged == scalar[2].bits_charged
+    """Protocol-simulating backends price nothing: they have no
+    accounting shortcut to offer the vectorized engines."""
 
     def test_constant_cost_flags(self):
         assert AccountedIdealBroadcast(4, 1).constant_cost_honest
         backend = PhaseKingBroadcast(4, 1)
         assert not backend.constant_cost_honest
-        with pytest.raises(NotImplementedError):
-            backend.charge_honest_instances("tag", 3)
+        assert not hasattr(backend, "charge_honest_instances")
 
 
 class TestBulkBookkeepingPrimitives:
@@ -609,45 +540,3 @@ class TestLargeN:
         assert result.error_free
         assert result.decisions == dict.fromkeys(range(n), value)
         assert elapsed < 5.0
-
-
-class TestPerViewConversion:
-    """Backends that run a real protocol hand each pid its own row, and
-    a faulty pid's row can hold another value: its view converts."""
-
-    @pytest.mark.parametrize("backend", ["phase_king", "eig"])
-    def test_faulty_view_read_from_its_own_row(self, backend, monkeypatch):
-        n = 7
-        config = ConsensusConfig.create(n=n, l_bits=64, backend=backend)
-        value = random.Random(3).getrandbits(64)
-        runs = assert_runs_equivalent(
-            config, [value] * n, lambda: SplitViewAdversary([1, 2]), backend
-        )
-        (vec, vec_result), (scalar, _) = runs[True], runs[False]
-        assert vec_result.diagnosis_count == 1
-        assert vec.adversary.trusts == scalar.adversary.trusts
-
-        consensus = MultiValuedConsensus(
-            config, adversary=SplitViewAdversary([1, 2]),
-            batch_generations=False,
-        )
-        symbol_rows = []
-        original = consensus.backend.broadcast_bits_many_grouped
-
-        def spy(rows, tag, ignored=frozenset()):
-            outcomes = original(rows, tag, ignored)
-            if tag.endswith(".diagnosis.symbol"):
-                symbol_rows.extend(outcomes)
-            return outcomes
-
-        consensus.backend.broadcast_bits_many_grouped = spy
-        counts = count_conversions(monkeypatch, "to_int")
-        consensus.run([value] * n)
-        # Reference view + two live faulty views, every P_match row.
-        assert len(symbol_rows) == 5
-        assert counts["to_int"] == 3 * len(symbol_rows)
-        assert all(row[1] is not row[0] for row in symbol_rows)
-        if backend == "eig":
-            # The equivocating source's own row keeps its honest symbol.
-            assert symbol_rows[2][2] != symbol_rows[2][0]
-            assert symbol_rows[2][1] == symbol_rows[2][0]

@@ -57,6 +57,15 @@ class TestHonestBroadcast:
         with pytest.raises(ValueError):
             broadcast.run(source=7, value=1)
 
+    @pytest.mark.parametrize("value", [0x1FF, -1], ids=["wide", "negative"])
+    def test_out_of_range_value_rejected(self, value):
+        # Consensus refuses such a value (split_value); so must the
+        # broadcast, instead of delivering it reduced mod 2^L.
+        broadcast = MultiValuedBroadcast(n=7, t=2, l_bits=8)
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            broadcast.run(source=0, value=value)
+        assert broadcast.meter.total_bits == 0
+
     def test_bad_t_rejected(self):
         with pytest.raises(ValueError):
             MultiValuedBroadcast(n=6, t=2, l_bits=8)

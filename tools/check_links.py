@@ -22,11 +22,13 @@ fail the build:
   ``docs/measurements/*.md`` file which exists.  Older entries name
   files since deleted and are not link-checked;
 * member citations — ``tests/test_service.py::TestRetention``,
-  ``core/generation.py::_send_matching_symbols`` (a path not under a
-  top-level directory is looked up under ``src/repro/``) — in the
-  markdown files and in the docstrings of ``src/repro/**/*.py``: the
-  file must define ``class Name`` or ``def Name``, so renaming a cited
-  test cannot leave the citation behind.
+  ``core/generation.py::_send_matching_symbols``,
+  ``broadcast_bit/ideal.py::AccountedIdealBroadcast._row_loop`` (a path
+  not under a top-level directory is looked up under ``src/repro/``) —
+  in the markdown files and in the docstrings of ``src/repro/**/*.py``:
+  the file must define ``class Name`` or ``def Name``, and for
+  ``Class.method`` a ``def method`` inside that class, so renaming or
+  deleting a cited member cannot leave the citation behind.
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -40,6 +42,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -67,8 +70,9 @@ PROSE_PATH = re.compile(
 RUN_KEY = re.compile(r"^(\s*)(?:- )?run:(.*)$")
 CHANGES_ENTRY = re.compile(r"^PR (\d+):")
 MEASUREMENTS_FILE = re.compile(r"docs/measurements/[\w.-]+\.md")
-#: ``path/to/file.py::Name`` (docstrings wrap the whole in `` `` ``).
-CITATION = re.compile(r"((?:[\w.-]+/)+[\w-]+\.py)::(\w+)")
+#: ``path/to/file.py::Name`` or ``::Class.method`` (docstrings wrap the
+#: whole in `` `` ``).
+CITATION = re.compile(r"((?:[\w.-]+/)+[\w-]+\.py)::(\w+(?:\.\w+)?)")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -98,18 +102,38 @@ def looks_like_repo_path(target: str) -> bool:
     return "/" in target and first in KNOWN_DIRS
 
 
+def defines(source: str, name: str) -> bool:
+    """Whether the Python ``source`` defines ``name``: a class or
+    function at any depth, or for ``Class.method`` a function in the
+    body of that class."""
+    tree = ast.parse(source)
+    owner, _, member = name.rpartition(".")
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    if not owner:
+        return any(
+            isinstance(node, functions + (ast.ClassDef,))
+            and node.name == member
+            for node in ast.walk(tree)
+        )
+    return any(
+        isinstance(node, ast.ClassDef) and node.name == owner and any(
+            isinstance(child, functions) and child.name == member
+            for child in node.body
+        )
+        for node in ast.walk(tree)
+    )
+
+
 def check_citations(path: Path, text: str) -> list:
     """Every ``file.py::Name`` in ``text`` names a class or function
-    that ``file.py`` defines."""
+    that ``file.py`` defines, and every ``file.py::Class.method`` a
+    method of that class."""
     problems = []
     for cited, name in sorted(set(CITATION.findall(text))):
         target = REPO_ROOT / cited
         if cited.split("/", 1)[0] not in KNOWN_DIRS:
             target = REPO_ROOT / "src" / "repro" / cited
-        if not target.is_file() or not re.search(
-            r"^\s*(?:class|(?:async )?def) %s\b" % name,
-            target.read_text(), re.MULTILINE,
-        ):
+        if not target.is_file() or not defines(target.read_text(), name):
             problems.append(
                 "%s: cites %s::%s, which that file does not define"
                 % (path, cited, name)
