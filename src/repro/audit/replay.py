@@ -39,7 +39,9 @@ from repro.audit.transcript import (
 )
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import (
+    Adversary, GlobalView, m_row_bits, trust_row_bits,
+)
 
 #: Hooks whose deviations are observable protocol misbehavior.  Input
 #: substitution is excluded (see module docstring); signature forgery
@@ -138,10 +140,18 @@ class DeviationRecorder(Adversary):
         )
         return sent
 
+    # The M and Trust hooks note what is broadcast: the n - 1 bits of
+    # the length-normalized M row (own slot excluded), one Trust bit
+    # per P_match member (the honest dict's keys).
+
     def m_vector(self, pid, honest_m, generation, view):
-        honest = list(honest_m)
+        n = len(honest_m)
+        honest = m_row_bits(honest_m, pid, n)
         sent = self.inner.m_vector(pid, honest_m, generation, view)
-        self._note(pid, "m_vector", generation, None, honest, list(sent))
+        self._note(
+            pid, "m_vector", generation, None, honest,
+            m_row_bits(sent, pid, n),
+        )
         return sent
 
     def detected_flag(self, pid, honest_flag, generation, view):
@@ -157,9 +167,13 @@ class DeviationRecorder(Adversary):
         return sent
 
     def trust_vector(self, pid, honest_trust, generation, view):
-        honest = dict(honest_trust)
+        p_match = list(honest_trust)
+        honest = trust_row_bits(honest_trust, p_match, ())
         sent = self.inner.trust_vector(pid, honest_trust, generation, view)
-        self._note(pid, "trust_vector", generation, None, honest, dict(sent))
+        self._note(
+            pid, "trust_vector", generation, None, honest,
+            trust_row_bits(dict(sent), p_match, ()),
+        )
         return sent
 
     def bsb_source_bit(self, source, recipient, honest_bit, instance, view):

@@ -35,7 +35,11 @@ Two observationally identical executions coexist:
 Every adversary hook fires the same number of times, in the same order,
 with the same arguments on both paths — controlled rows are applied
 onto the batched arrays — so stateful adversaries (seeded RNGs, attack
-planners) behave identically and metering is byte-identical.
+planners) behave identically and metering is byte-identical.  The
+vectorized path asks for a controlled processor's M and Trust vectors
+in row form (``m_row``, ``trust_row``), whose derived base forms fire
+the scalar hooks with the scalar arguments; the scalar path asks
+``m_vector`` and ``trust_vector`` per processor.
 
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
@@ -57,7 +61,9 @@ fault-injection sweeps practical.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -69,19 +75,13 @@ from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import (
-    Adversary, GlobalView, hook_is_default,
+    Adversary, GlobalView, hook_is_default, m_row_bits, trust_row_bits,
 )
 from repro.utils.bits import PackedBits, is_exact_int
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
 _MISSING = -1
-
-
-def _row_bits(row: Sequence[bool], i: int) -> List[int]:
-    """Processor ``i``'s n-entry M row as its n-1 broadcast bits (the
-    own slot is never broadcast)."""
-    return [1 if flag else 0 for j, flag in enumerate(row) if j != i]
 
 
 class GenerationProtocol:
@@ -960,12 +960,13 @@ class GenerationProtocol:
         Returns the reference view ``m[i, j]`` = "``i`` claims its symbol
         from ``j`` matched" as every fault-free processor received it.
         It starts as the honest M matrix — validity makes a fault-free
-        source's row arrive as sent — and the controlled processors'
-        ``m_vector`` hooks fire on their honest rows, in pid order,
-        before anything is broadcast (as on the scalar path).  Every
-        live row then goes through :meth:`_dispatch_sources`, which
-        reads back only the rows it had to dispatch; an isolated source
-        broadcasts nothing, so its row is cleared.
+        source's row arrive as sent — and the controlled processors are
+        asked for their rows (``m_row``) on their honest rows, in pid
+        order, before anything is broadcast (the scalar path's
+        ``m_vector`` order).  Every live row then goes through
+        :meth:`_dispatch_sources`, which reads back only the rows it had
+        to dispatch; an isolated source broadcasts nothing, so its row
+        is cleared.
         """
         view = self._view()
         n = self.n
@@ -975,23 +976,22 @@ class GenerationProtocol:
         # A codeword symbol is never _MISSING, so a missing one mismatches.
         np.logical_and(mask, received == codeword_arr, out=m_matrix)
         np.fill_diagonal(m_matrix, True)
-        #: Controlled pid -> the n - 1 bits its hook chose to broadcast.
+        #: Controlled pid -> the n - 1 bits its answer broadcasts, for
+        #: the answers that are not the honest row the matrix holds.
         hooked: Dict[int, List[int]] = {}
         for i in self._controlled:
-            m_i = list(
-                self.adversary.m_vector(
-                    i, m_matrix[i].tolist(), self.generation, view
-                )
+            honest_row = tuple(m_matrix[i].tolist())
+            answer = self.adversary.m_row(
+                i, honest_row, self.generation, view
             )
-            if len(m_i) != n:
-                m_i = (m_i + [False] * n)[:n]
-            hooked[i] = _row_bits(m_i, i)
+            if answer is not honest_row:
+                hooked[i] = m_row_bits(answer, i, n)
 
         def plan(i: int) -> Callable[[], List[int]]:
             def bits() -> List[int]:
                 if i in hooked:
                     return hooked[i]
-                return _row_bits(m_matrix[i].tolist(), i)
+                return m_row_bits(m_matrix[i].tolist(), i, n)
             return bits
 
         outcomes = self._dispatch_sources(
@@ -1150,15 +1150,15 @@ class GenerationProtocol:
         matrix — and hand their per-source single-bit broadcasts to
         :meth:`_dispatch_sources`, which reads back only the rows it
         had to dispatch.  A dispatched source's *planner* fires that
-        source's adversary hook (``diagnosis_symbol``,
-        ``trust_vector``) immediately before that source's backend
-        instances, so every adversary and backend hook still fires in
-        the exact scalar plan/dispatch interleaving and seeded stateful
-        adversaries replay byte-identically.  The backend hands every
-        pid one shared row, so the ``O(n)`` views-per-source assembly
-        collapses to the reference view, and a symbol row costs no
-        conversion at all when the row that came back is the planned
-        one.
+        source's adversary hook (``diagnosis_symbol``, ``trust_row``,
+        whose derived form fires ``trust_vector``) immediately before
+        that source's backend instances, so every adversary and backend
+        hook still fires in the exact scalar plan/dispatch interleaving
+        and seeded stateful adversaries replay byte-identically.  The
+        backend hands every pid one shared row, so the ``O(n)``
+        views-per-source assembly collapses to the reference view, and
+        a symbol row costs no conversion at all when the row that came
+        back is the planned one.
         """
         view = self._view()
         n = self.n
@@ -1218,26 +1218,36 @@ class GenerationProtocol:
             & (mine == r_ref_arr[np.newaxis, :]).astype(bool)
         )
 
-        # Packed wire rows: one packbits over the honest trust matrix;
-        # controlled rows repack after an overridden hook (the base one
-        # returns its argument: the honest row).
+        # Packed wire rows: one packbits over the honest trust matrix.
+        # A controlled source is asked for its row (``trust_row``) when
+        # its class overrides either form (the base ones answer the
+        # honest row); an honest answer keeps its packed row, an accuse
+        # set is one mask and one packbits, and only an explicit
+        # mapping converts bit by bit.
         trust_packed = np.packbits(honest_trust_mat, axis=1)
-        trust_hooked = not hook_is_default(self.adversary, "trust_vector")
+        trust_hooked = not (
+            hook_is_default(self.adversary, "trust_vector")
+            and hook_is_default(self.adversary, "trust_row")
+        )
+        column = {j: index for index, j in enumerate(p_match)}
 
         def trust_plan(i: int) -> Callable[[], PackedBits]:
             def plan() -> PackedBits:
                 if trust_hooked and self.adversary.controls(i):
-                    trust_i = dict(
-                        self.adversary.trust_vector(
-                            i,
-                            dict(zip(p_match, honest_trust_mat[i].tolist())),
-                            self.generation,
-                            view,
-                        )
+                    honest_row = tuple(honest_trust_mat[i].tolist())
+                    answer = self.adversary.trust_row(
+                        i, p_match, honest_row, self.generation, view
                     )
-                    return PackedBits.from_bits([
-                        1 if trust_i.get(j, False) else 0 for j in p_match
-                    ])
+                    if isinstance(answer, AbstractSet):
+                        keep = honest_trust_mat[i].copy()
+                        keep[[column[j] for j in answer if j in column]] = (
+                            False
+                        )
+                        return PackedBits(np.packbits(keep), n_pm)
+                    if answer is not honest_row:
+                        return PackedBits.from_bits(
+                            trust_row_bits(answer, p_match, honest_row)
+                        )
                 return PackedBits(trust_packed[i], n_pm)
             return plan
 

@@ -13,12 +13,111 @@ take a ``recipient`` argument.  Hooks that feed ``Broadcast_Single_Bit``
 cannot equivocate in their *outcome* — the broadcast primitive guarantees
 all fault-free processors receive the same value — but faulty processors
 can still lie about the value itself.
+
+Three consensus hooks have a *row form* beside the scalar one, because
+Algorithm 1 has a processor emit a whole row at once: its one symbol to
+every peer it trusts (``matching_symbol`` / ``matching_row``), its M
+vector (``m_vector`` / ``m_row``) and its Trust vector over ``P_match``
+(``trust_vector`` / ``trust_row``).  A row answer names what the row is
+— the honest row itself, a constant, the members accused — so an engine
+that already holds the honest row reuses it instead of copying it into
+a list or dict and back.  The base row forms are *derived*: they fire
+the scalar hook with the scalar arguments and return its answer as an
+explicit row, so a strategy that overrides only the scalar form keeps
+its exact call sequence on every engine.  A strategy that writes a row
+form writes it in the same class body as its scalar form
+(``__init_subclass__`` enforces it).  The vectorized engines ask for
+rows; the scalar reference engine asks the scalar forms, per processor.
+:func:`m_row_bits` and :func:`trust_row_bits` say what any answer
+broadcasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+    Union,
+)
+
+
+class RowConstant:
+    """An :meth:`Adversary.m_row` answer that sets every broadcast flag
+    to ``bit``, whatever the honest row holds."""
+
+    __slots__ = ("name", "bit")
+
+    def __init__(self, name: str, bit: int):
+        self.name = name
+        self.bit = bit
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: The M row that accuses every peer.
+ALL_FALSE = RowConstant("ALL_FALSE", 0)
+#: The M row that claims a match with every peer.
+ALL_TRUE = RowConstant("ALL_TRUE", 1)
+
+#: What :meth:`Adversary.m_row` may answer: the honest row itself, a
+#: :class:`RowConstant`, or an explicit row of flags.
+MRow = Union[RowConstant, Sequence[Any]]
+#: What :meth:`Adversary.trust_row` may answer: the honest row itself,
+#: the set of members accused, or an explicit ``member -> flag`` mapping.
+TrustRow = Union[Tuple[bool, ...], AbstractSet[int], Mapping[int, Any]]
+
+#: (scalar hook, row form) pairs; see :meth:`Adversary.__init_subclass__`.
+_ROW_FORMS = (
+    ("matching_symbol", "matching_row"),
+    ("m_vector", "m_row"),
+    ("trust_vector", "trust_row"),
+)
+
+
+def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
+    """The ``n - 1`` bits processor ``pid`` broadcasts for an M row
+    answer.
+
+    A :class:`RowConstant` sets every bit.  Any other answer is read as
+    an :meth:`Adversary.m_vector` return is read: padded with ``False``
+    or truncated to ``n`` entries, each flag by its truthiness, and the
+    own slot never sent.
+    """
+    if isinstance(answer, RowConstant):
+        return [answer.bit] * (n - 1)
+    row = list(answer)
+    if len(row) != n:
+        row = (row + [False] * n)[:n]
+    return [1 if flag else 0 for j, flag in enumerate(row) if j != pid]
+
+
+def trust_row_bits(
+    answer: TrustRow, p_match: Sequence[int], honest_row: Sequence[bool]
+) -> List[int]:
+    """The ``|P_match|`` bits a Trust row answer broadcasts.
+
+    The honest row broadcasts itself.  A mapping is read as an
+    :meth:`Adversary.trust_vector` return is read, ``answer.get(j,
+    False)`` per member by truthiness.  A set turns the members it
+    names ``False`` on the honest row (a pid outside ``P_match`` is
+    ignored).  Anything else — a copy of the honest row included — is
+    refused, since a sequence of flags would read as a set of pids.
+    """
+    if answer is honest_row:
+        return [1 if flag else 0 for flag in honest_row]
+    if isinstance(answer, Mapping):
+        return [1 if answer.get(j, False) else 0 for j in p_match]
+    if isinstance(answer, AbstractSet):
+        return [
+            1 if flag and j not in answer else 0
+            for j, flag in zip(p_match, honest_row)
+        ]
+    raise TypeError(
+        "a trust_row answer is the honest row itself, a set of accused "
+        "members or a member -> flag mapping, got %s"
+        % type(answer).__name__
+    )
 
 
 @dataclass
@@ -49,22 +148,22 @@ class Adversary:
         self.faulty: Set[int] = set(faulty or ())
 
     def __init_subclass__(cls, **kwargs):
-        """Keep the two forms of the symbol hook from disagreeing: a
-        class that redefines :meth:`matching_symbol` alone gets the
-        derived :meth:`matching_row` back (whatever row an ancestor
-        wrote answered for the ancestor's scalar form), and a row
-        without its scalar form beside it is refused."""
+        """Keep the two forms of each row hook (:data:`_ROW_FORMS`) from
+        disagreeing: a class that redefines a scalar hook alone gets the
+        derived row form back (whatever row an ancestor wrote answered
+        for the ancestor's scalar form), and a row form without its
+        scalar form beside it is refused."""
         super().__init_subclass__(**kwargs)
         body = cls.__dict__
-        if "matching_symbol" in body:
-            if "matching_row" not in body:
-                cls.matching_row = Adversary.matching_row
-        elif "matching_row" in body:
-            raise TypeError(
-                "%s defines matching_row without the matching_symbol it "
-                "answers for; define both in one class body"
-                % cls.__name__
-            )
+        for scalar, row in _ROW_FORMS:
+            if scalar in body:
+                if row not in body:
+                    setattr(cls, row, getattr(Adversary, row))
+            elif row in body:
+                raise TypeError(
+                    "%s defines %s without the %s it answers for; define "
+                    "both in one class body" % (cls.__name__, row, scalar)
+                )
 
     def controls(self, pid: int) -> bool:
         return pid in self.faulty
@@ -146,6 +245,27 @@ class Adversary:
         """The M vector a faulty ``pid`` feeds into Broadcast_Single_Bit."""
         return honest_m
 
+    def m_row(
+        self,
+        pid: int,
+        honest_row: Tuple[bool, ...],
+        generation: int,
+        view: GlobalView,
+    ) -> MRow:
+        """The row form of :meth:`m_vector` (lines 1(c)-1(d)).
+
+        ``honest_row`` is the immutable ``n``-tuple of ``pid``'s honest
+        M flags, own slot included.  Answer ``honest_row`` itself to
+        broadcast it, :data:`ALL_FALSE` or :data:`ALL_TRUE` for a
+        constant row, or an explicit row of flags, read as an
+        :meth:`m_vector` return is read (:func:`m_row_bits`).
+
+        This base implementation *derives* the row: it fires
+        :meth:`m_vector` on a list copy of ``honest_row``, as the scalar
+        engine does, and returns the answer as an explicit row.
+        """
+        return self.m_vector(pid, list(honest_row), generation, view)
+
     # -- consensus: checking stage ---------------------------------------------
 
     def detected_flag(
@@ -179,6 +299,30 @@ class Adversary:
     ) -> Dict[int, bool]:
         """The Trust_i/P_match vector a faulty ``pid`` broadcasts."""
         return honest_trust
+
+    def trust_row(
+        self,
+        pid: int,
+        p_match: Sequence[int],
+        honest_row: Tuple[bool, ...],
+        generation: int,
+        view: GlobalView,
+    ) -> TrustRow:
+        """The row form of :meth:`trust_vector` (lines 3(c)-3(d)).
+
+        ``honest_row`` is the immutable tuple of ``pid``'s honest Trust
+        flags, one per member of ``p_match`` in order.  Answer
+        ``honest_row`` itself to broadcast it, a set of members to turn
+        those ``False``, or an explicit ``member -> flag`` mapping read
+        as a :meth:`trust_vector` return is read (:func:`trust_row_bits`).
+
+        This base implementation *derives* the row: it fires
+        :meth:`trust_vector` on ``dict(zip(p_match, honest_row))``, as
+        the scalar engine does, and returns the answer as a mapping.
+        """
+        return dict(self.trust_vector(
+            pid, dict(zip(p_match, honest_row)), generation, view
+        ))
 
     # -- 1-bit broadcast internals -----------------------------------------------
 

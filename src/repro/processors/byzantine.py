@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from typing import Collection, Dict, List, Optional, Sequence
 
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import (
+    ALL_FALSE, ALL_TRUE, Adversary, GlobalView,
+)
 
 
 def _codeword_symbol(
@@ -54,6 +56,9 @@ class CrashAdversary(Adversary):
         if self._crashed(generation):
             return [False] * len(honest_m)
         return honest_m
+
+    def m_row(self, pid, honest_row, generation, view):
+        return ALL_FALSE if self._crashed(generation) else honest_row
 
     def detected_flag(self, pid, honest_flag, generation, view):
         if self._crashed(generation):
@@ -163,6 +168,9 @@ class FalseAccusationAdversary(Adversary):
 
     def m_vector(self, pid, honest_m, generation, view):
         return [False] * len(honest_m)
+
+    def m_row(self, pid, honest_row, generation, view):
+        return ALL_FALSE
 
 
 class FalseDetectionAdversary(Adversary):
@@ -312,26 +320,41 @@ class SlowBleedAdversary(Adversary):
             return honest_symbol, {}
         return honest_symbol, {victim: honest_symbol ^ 1}
 
-    def m_vector(self, pid, honest_m, generation, view):
+    def _accused_by(self, pid, generation, view) -> Optional[int]:
+        """The fellow faulty pid ``pid`` falsely accuses this
+        generation, if it is the planned accuser."""
         plan = self._plan_for(generation, view)
         if plan is not None and plan[0] == "accuse" and pid == plan[1]:
+            return plan[2]
+        return None
+
+    def m_vector(self, pid, honest_m, generation, view):
+        if self._accused_by(pid, generation, view) is not None:
             return [False] * len(honest_m)
         return honest_m
 
+    def m_row(self, pid, honest_row, generation, view):
+        if self._accused_by(pid, generation, view) is not None:
+            return ALL_FALSE
+        return honest_row
+
     def detected_flag(self, pid, honest_flag, generation, view):
-        plan = self._plan_for(generation, view)
-        if plan is not None and plan[0] == "accuse" and pid == plan[1]:
+        if self._accused_by(pid, generation, view) is not None:
             return True
         return honest_flag
 
     def trust_vector(self, pid, honest_trust, generation, view):
-        plan = self._plan_for(generation, view)
-        if plan is not None and plan[0] == "accuse" and pid == plan[1]:
+        target = self._accused_by(pid, generation, view)
+        if target is not None:
             doctored = dict(honest_trust)
-            if plan[2] in doctored:
-                doctored[plan[2]] = False
+            if target in doctored:
+                doctored[target] = False
             return doctored
         return honest_trust
+
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        target = self._accused_by(pid, generation, view)
+        return honest_row if target is None else {target}
 
 
 class RandomAdversary(Adversary):
@@ -477,6 +500,9 @@ class TrustPoisoningAdversary(Adversary):
             for peer, flag in honest_trust.items()
         }
 
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        return set(p_match).difference(self.faulty)
+
 
 class StagedEquivocationAdversary(Adversary):
     """Faulty processors present codewords of a *different* value to a
@@ -517,3 +543,6 @@ class StagedEquivocationAdversary(Adversary):
         # Claim to match everyone: the pairwise condition lets the lie
         # survive only where the counterpart also claims a match.
         return [True] * len(honest_m)
+
+    def m_row(self, pid, honest_row, generation, view):
+        return ALL_TRUE

@@ -19,9 +19,11 @@ _ROUTED_HOOKS = (
     "matching_symbol",
     "matching_row",
     "m_vector",
+    "m_row",
     "detected_flag",
     "diagnosis_symbol",
     "trust_vector",
+    "trust_row",
     "bsb_source_bit",
     "ideal_broadcast_bit",
     "king_value",

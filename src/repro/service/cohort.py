@@ -28,20 +28,22 @@ matching_row`): the payload every recipient gets plus the recipients
    this engine never calls the scalar form itself, so the round costs
    O(faulty + deviations) for a strategy that answers in row form.
 2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
-   M expectation rows handed to the ``m_vector`` hooks, the unhooked M
-   broadcast rows, the match set they resolve to and, per match set,
-   the checking-stage facts (:class:`_Checking`).  When every deviation
-   is *silent* (missing/invalid, none valid-but-off-codeword) and no
-   controlled processor holds a distinct input, all of that is a
-   function of the pattern alone and the plan is memoized for the life
-   of the cohort — a crashed sender's second generation, and every
-   generation of a conforming run (the empty pattern), compute nothing.
-   Otherwise the plan depends on this generation's values and is built
-   fresh.
-3. *Execute.*  Fire the overridden ``m_vector`` hooks, dispatch the M
-   rows, resolve the match set, fire the overridden ``detected_flag``
-   hooks, dispatch the flags, then decide — or, when a flag is raised,
-   delegate to the vectorized
+   M expectation rows (tuples) handed to the ``m_row`` hooks, the
+   unhooked M broadcast rows, the match set they resolve to and, per
+   match set, the checking-stage facts (:class:`_Checking`).  When
+   every deviation is *silent* (missing/invalid, none
+   valid-but-off-codeword) and no controlled processor holds a distinct
+   input, all of that is a function of the pattern alone and the plan
+   is memoized for the life of the cohort — a crashed sender's second
+   generation, and every generation of a conforming run (the empty
+   pattern), compute nothing.  Otherwise the plan depends on this
+   generation's values and is built fresh.
+3. *Execute.*  Ask each controlled processor for its M row
+   (:meth:`~repro.processors.adversary.Adversary.m_row`: an honest
+   answer keeps the plan's row, a constant or explicit one replaces
+   it), dispatch the M rows, resolve the match set, fire the
+   overridden ``detected_flag`` hooks, dispatch the flags, then decide
+   — or, when a flag is raised, delegate to the vectorized
    :meth:`GenerationProtocol._diagnosis_stage_vec`, which is array
    work: it prices the fault-free sources' broadcasts, dispatches only
    the controlled sources' rows, removes the accused edges as one
@@ -96,10 +98,10 @@ import numpy as np
 from repro.coding.reed_solomon import DecodingError
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.consensus import MultiValuedConsensus
-from repro.core.generation import _MISSING, GenerationProtocol, _row_bits
+from repro.core.generation import _MISSING, GenerationProtocol
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
-from repro.processors.adversary import Adversary, hook_is_default
+from repro.processors.adversary import Adversary, hook_is_default, m_row_bits
 from repro.service.engine import finalize_result, prepare_instance
 from repro.utils.bits import is_exact_int
 
@@ -169,7 +171,8 @@ class _GraphStructure:
         )
         eye = np.eye(n, dtype=bool)
         m_base = mask | eye
-        self.base_bool = m_base.tolist()
+        #: Row tuples: a controlled row is handed to the m_row hook.
+        self.base_bool = tuple(map(tuple, m_base.tolist()))
         self.base_bits = (
             m_base.astype(np.int8)[~eye].reshape(n, n - 1).tolist()
         )
@@ -185,7 +188,7 @@ class _GraphStructure:
 
 class _Plan:
     """What one generation's deviation pattern determines before any
-    ``m_vector``/``detected_flag`` hook has fired.
+    ``m_row``/``detected_flag`` hook has fired.
 
     Memoized per (graph state, pattern) when every deviation is silent
     and no controlled processor holds a distinct input — then all of it
@@ -202,7 +205,7 @@ step`).  Overridden hooks fire every generation in scalar order
         #: The pattern's pairs with an honest recipient, sorted: with
         #: the graph state they determine every honest M row.
         self.hdev_key = hdev_key
-        #: Controlled pids' M expectation rows (the m_vector hook args).
+        #: Controlled pids' M expectation rows (the m_row hook args).
         self.ctrl_rows = ctrl_rows
         #: Every processor's unhooked M broadcast bits, isolated
         #: sources zeroed (the dispatch zeroes them whatever they hold).
@@ -317,7 +320,9 @@ class CohortContext:
         self.ms_default = hook_is_default(
             adversary, "matching_symbol"
         ) and hook_is_default(adversary, "matching_row")
-        self.mv_default = hook_is_default(adversary, "m_vector")
+        self.mv_default = hook_is_default(
+            adversary, "m_vector"
+        ) and hook_is_default(adversary, "m_row")
         self.df_default = hook_is_default(adversary, "detected_flag")
         self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
         #: Graph state -> its structure: the one table the cohort keeps.
@@ -589,12 +594,20 @@ class _InstanceRun:
                 struct.plans[pattern] = plan
 
         # -- lines 1(c)-1(e): M vectors and the match set ---------------
-        # Overridden m_vector hooks fire on every controlled row; the
-        # dispatch zeroes an isolated source's row whatever it returns.
+        # Every controlled processor is asked for its M row (m_row) when
+        # either form is overridden.  An honest answer keeps the plan's
+        # row; the dispatch zeroes an isolated source's row whatever it
+        # answers.
         rows = plan.m_rows
         if not ctx.mv_default:
             for i in ctx.controlled_sorted:
-                bits = self._hooked_m_bits(i, plan.ctrl_rows[i], g)
+                honest_row = plan.ctrl_rows[i]
+                answer = self.adversary.m_row(
+                    i, honest_row, g, self._make_view()
+                )
+                if answer is honest_row:
+                    continue
+                bits = m_row_bits(answer, i, ctx.n)
                 if struct.live[i]:
                     if rows is plan.m_rows:
                         rows = list(rows)
@@ -687,7 +700,7 @@ class _InstanceRun:
             if i in controlled:
                 if i in self.distinct or senders:
                     row = self._ctrl_row(struct, sym, i, g)
-                    bits = _row_bits(row, i)
+                    bits = m_row_bits(row, i, ctx.n)
                 else:
                     row = struct.base_bool[i]
                     bits = struct.base_bits[i]
@@ -795,17 +808,6 @@ class _InstanceRun:
             list(zip(sources, rows)), tag, struct.isolated
         )
 
-    def _hooked_m_bits(self, i, row_i, g):
-        """Fire controlled pid ``i``'s ``m_vector`` hook on its
-        expectation row; the return, normalized to broadcast bits."""
-        n = self.ctx.n
-        m_i = list(
-            self.adversary.m_vector(i, list(row_i), g, self._make_view())
-        )
-        if len(m_i) != n:
-            m_i = (m_i + [False] * n)[:n]
-        return _row_bits(m_i, i)
-
     def _ctrl_row(self, struct, sym, i, g):
         """Elementwise M row of controlled pid ``i`` — its expectation is
         its *own* codeword row, which differs from the honest one when
@@ -827,7 +829,7 @@ class _InstanceRun:
                 row.append(sym.payload(j, i) == exp[j])
             else:
                 row.append(row_of[j][j] == exp[j])
-        return row
+        return tuple(row)
 
     def _general_decisions(self, info, struct, sym, g):
         """Exact mirror of the vectorized line 2(c) decode, decoding

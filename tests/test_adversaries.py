@@ -24,7 +24,9 @@ from repro.processors import (
     TrustPoisoningAdversary,
     make_attack,
 )
-from repro.processors.adversary import GlobalView, hook_is_default
+from repro.processors.adversary import (
+    GlobalView, hook_is_default, m_row_bits, trust_row_bits,
+)
 from repro.service.cohort import CohortContext
 from repro.service.engine import prepare_instance
 
@@ -331,6 +333,140 @@ class TestRowFormAgreesWithScalarForm:
         assert not ms_default(OddPayloads([5, 6]))
         assert not ms_default(CompositeAdversary({5: Adversary([5])}))
         assert not ms_default(DeviationRecorder(Adversary([5, 6])))
+
+
+def _writes_a_row(cls, row):
+    return cls.__dict__.get(row, Adversary.__dict__[row]) is not (
+        Adversary.__dict__[row]
+    )
+
+
+#: The strategies whose M or Trust answer is written in row form, and
+#: two that derive it (a seeded scalar-only one and a router), each as
+#: ``(n, t) -> adversary``; the faulty set is the top ``t`` pids.
+M_TRUST_ROW_SUBJECTS = {
+    "CrashAdversary": lambda n, t: CrashAdversary(
+        range(n - t, n), crash_generation=1
+    ),
+    "FalseAccusationAdversary": lambda n, t: FalseAccusationAdversary(
+        range(n - t, n)
+    ),
+    "SlowBleedAdversary": lambda n, t: SlowBleedAdversary(range(n - t, n)),
+    "TrustPoisoningAdversary": lambda n, t: TrustPoisoningAdversary(
+        range(n - t, n)
+    ),
+    "StagedEquivocationAdversary": lambda n, t: StagedEquivocationAdversary(
+        range(n - t, n), deceived=[0], alt_value=99
+    ),
+    "RandomAdversary": lambda n, t: RandomAdversary(
+        range(n - t, n), seed=3, rate=0.5
+    ),
+    "CompositeAdversary": lambda n, t: CompositeAdversary({
+        n - 1: CrashAdversary([n - 1]),
+        **{pid: TrustPoisoningAdversary([pid]) for pid in range(n - t, n - 1)},
+    }),
+}
+
+
+class TestMAndTrustRowsAgreeWithScalarForms:
+    """``m_row`` is ``m_vector`` and ``trust_row`` is ``trust_vector``,
+    asked once: on two identically built adversaries, what one's row
+    answer broadcasts equals what the other's scalar answer broadcasts,
+    call after call."""
+
+    def test_every_row_writer_is_a_subject(self):
+        import repro.processors as processors
+
+        writers = {
+            name for name, cls in vars(processors).items()
+            if isinstance(cls, type) and issubclass(cls, Adversary)
+            and any(_writes_a_row(cls, row) for row in ("m_row", "trust_row"))
+        }
+        # The router writes both forms of every hook it routes.
+        assert writers == set(M_TRUST_ROW_SUBJECTS) - {"RandomAdversary"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_expand_to_the_scalar_answers(self, data):
+        name = data.draw(st.sampled_from(sorted(M_TRUST_ROW_SUBJECTS)))
+        n = data.draw(st.sampled_from([4, 7, 10]))
+        t = (n - 1) // 3
+        by_row = M_TRUST_ROW_SUBJECTS[name](n, t)
+        by_scalar = M_TRUST_ROW_SUBJECTS[name](n, t)
+        faulty = sorted(by_row.faulty)
+        generation = st.integers(0, 3)
+        if name == "SlowBleedAdversary":
+            # Both planners start from the same drawn plans: honest,
+            # attack and accuse generations alike.
+            plans = data.draw(st.dictionaries(generation, st.one_of(
+                st.none(),
+                st.tuples(st.just("attack"), st.sampled_from(faulty),
+                          st.integers(0, n - 1)),
+                st.tuples(st.just("accuse"), st.sampled_from(faulty),
+                          st.integers(0, n - 1)),
+            ), min_size=4, max_size=4))
+            by_row._plan, by_scalar._plan = dict(plans), dict(plans)
+        v = view(n=n, t=t, faulty=faulty)
+        flags = st.booleans()
+        for _ in range(data.draw(st.integers(1, 4))):
+            pid = data.draw(st.sampled_from(faulty))
+            g = data.draw(generation)
+            if data.draw(st.booleans()):
+                honest = tuple(data.draw(
+                    st.lists(flags, min_size=n, max_size=n)
+                ))
+                answer = by_row.m_row(pid, honest, g, v)
+                asked = by_scalar.m_vector(pid, list(honest), g, v)
+                assert m_row_bits(answer, pid, n) == m_row_bits(asked, pid, n)
+            else:
+                p_match = sorted(data.draw(st.sets(
+                    st.integers(0, n - 1), min_size=n - t, max_size=n - t
+                )))
+                honest = tuple(data.draw(st.lists(
+                    flags, min_size=n - t, max_size=n - t
+                )))
+                answer = by_row.trust_row(pid, p_match, honest, g, v)
+                asked = by_scalar.trust_vector(
+                    pid, dict(zip(p_match, honest)), g, v
+                )
+                assert trust_row_bits(answer, p_match, honest) == (
+                    trust_row_bits(dict(asked), p_match, honest)
+                )
+
+    def test_overriding_a_scalar_form_alone_gets_the_derived_row(self):
+        class Doubting(TrustPoisoningAdversary):
+            def m_vector(self, pid, honest_m, generation, view):
+                return honest_m[:1]
+
+            def trust_vector(self, pid, honest_trust, generation, view):
+                return {}
+
+        class Agreeing(CrashAdversary):
+            def m_vector(self, pid, honest_m, generation, view):
+                return [True] * len(honest_m)
+
+        assert Doubting.m_row is Adversary.m_row
+        assert Doubting.trust_row is Adversary.trust_row
+        assert TrustPoisoningAdversary.trust_row is not Adversary.trust_row
+        assert Agreeing.m_row is Adversary.m_row
+        assert CrashAdversary.m_row is not Adversary.m_row
+        v = view()
+        assert Agreeing([5]).m_row(5, (False,) * 7, 0, v) == [True] * 7
+        assert Doubting([5]).trust_row(5, (0, 1), (True, True), 0, v) == {}
+
+    @pytest.mark.parametrize("row, scalar", [
+        ("m_row", "m_vector"), ("trust_row", "trust_vector"),
+    ])
+    def test_a_row_without_its_scalar_form_is_refused(self, row, scalar):
+        for base in (Adversary, SlowBleedAdversary):
+            with pytest.raises(TypeError, match="%s without the %s" % (
+                row, scalar
+            )):
+                type("RowOnly", (base,), {row: lambda self, *args: None})
+
+    def test_trust_row_refuses_an_answer_of_no_known_kind(self):
+        with pytest.raises(TypeError, match="trust_row answer"):
+            trust_row_bits([True, False], [0, 1], (True, True))
 
 
 class TestRandomAdversary:

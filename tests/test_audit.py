@@ -42,7 +42,7 @@ from repro.core.result import ConsensusResult
 from repro.network.message import Message
 from repro.network.metrics import MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
-from repro.processors import ATTACKS, Adversary
+from repro.processors import ATTACKS, Adversary, FalseDetectionAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.serving.sdk import serve_background
 
@@ -636,6 +636,59 @@ def test_recorder_notes_a_type_punned_symbol(scalar):
     assert all(g.p_match == (1, 2, 3) for g in result.generation_results)
     noted = {(d.pid, d.hook) for d in recorder.deviations}
     assert noted == {(0, "matching_symbol")}
+
+
+class ClearsOwnSlot(Adversary):
+    """Clears the one M flag no processor broadcasts: its own."""
+
+    def m_vector(self, pid, honest_m, generation, view):
+        return [flag and j != pid for j, flag in enumerate(honest_m)]
+
+
+class TrustsAStranger(FalseDetectionAdversary):
+    """Cries Detected (a real deviation, forcing a diagnosis) and adds
+    a Trust entry for a pid outside ``P_match``, which no bit
+    carries."""
+
+    def trust_vector(self, pid, honest_trust, generation, view):
+        assert pid not in honest_trust
+        return {**honest_trust, pid: True}
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["default", "scalar"])
+@pytest.mark.parametrize(
+    "adversary_class, twin, hooks",
+    [
+        (ClearsOwnSlot, Adversary, set()),
+        (TrustsAStranger, FalseDetectionAdversary, {"detected_flag"}),
+    ],
+    ids=["own_m_slot", "trust_outside_p_match"],
+)
+def test_recorder_compares_what_is_broadcast(
+    scalar, adversary_class, twin, hooks
+):
+    """An M entry for the own slot and a Trust entry outside ``P_match``
+    are never broadcast: the run equals its twin's (which leaves them
+    alone) in meter and generation records, and the recorder notes no
+    deviation of those hooks."""
+    config = RunSpec(n=4, l_bits=64).make_config()
+    toggles = (
+        {"vectorized": False, "batch_generations": False} if scalar else {}
+    )
+
+    def run(adversary):
+        return MultiValuedConsensus(
+            config, adversary=adversary, **toggles
+        ).run([5] * 4)
+
+    recorder = DeviationRecorder(adversary_class([3]))
+    result = run(recorder)
+    expected = run(twin([3]))
+    assert result.meter == expected.meter
+    assert result.generation_results == expected.generation_results
+    if hooks:
+        assert result.diagnosis_count >= 1  # the trust hook fired
+    assert {d.hook for d in recorder.deviations} == hooks
 
 
 # -- serving-tier opt-in ---------------------------------------------------

@@ -30,6 +30,7 @@ from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
+from repro.processors.adversary import m_row_bits
 from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import cohort as cohort_module
@@ -412,28 +413,36 @@ def test_plan_memo(monkeypatch, encodes):
     the cohort's plan table, the adversary's hooks fire in the order
     (and with the arguments) the forced-scalar engine fires them — the
     symbol round as one ``matching_row`` per sender where the scalar
-    engine asks per recipient — and a failure-free run still encodes
-    nothing."""
+    engine asks per recipient, and one ``m_row`` per controlled pid
+    where it asks ``m_vector``, the expanded answers equal — and a
+    failure-free run still encodes nothing."""
     n, l_bits = 7, 256
     spec = RunSpec(n=n, l_bits=l_bits, attack="crash")
     instances = instances_for("crash", n)
 
     def hook_log(service):
         """Record every hook call of every adversary ``service`` makes,
-        per instance."""
+        per instance; an M hook's entry ends with the bits its answer
+        broadcasts."""
         logs = []
         make_engine = service._make_engine
 
         def logging_engine(adversary, *args, **kwargs):
             log = []
             logs.append(log)
-            for name in HOOKS + ("matching_row",):
+            for name in HOOKS + ("matching_row", "m_row"):
                 original = getattr(adversary, name)
 
                 def spy(pid, *rest, _name=name, _original=original):
-                    # The trailing argument is the view snapshot.
-                    log.append((_name, pid) + rest[:-1])
-                    return _original(pid, *rest)
+                    # The trailing argument is the view snapshot; the
+                    # entry takes its place in call order.
+                    at = len(log)
+                    log.append(None)
+                    answer = _original(pid, *rest)
+                    log[at] = (_name, pid) + rest[:-1]
+                    if _name in ("m_vector", "m_row"):
+                        log[at] += (m_row_bits(answer, pid, n),)
+                    return answer
 
                 setattr(adversary, name, spy)
             return make_engine(adversary, *args, **kwargs)
@@ -483,22 +492,29 @@ def test_plan_memo(monkeypatch, encodes):
 
     def per_recipient(log):
         """``log`` with every row call spelt as the scalar calls it
-        stands for."""
+        stands for: a symbol row as one call per recipient, an M row as
+        the ``m_vector`` call on the list copy, with equal bits."""
         for call in log:
             if call[0] == "matching_row":
                 _, pid, recipients, honest_symbol, g = call
                 for recipient in recipients:
                     yield ("matching_symbol", pid, recipient, honest_symbol, g)
+            elif call[0] == "m_row":
+                _, pid, honest_row, g, bits = call
+                yield ("m_vector", pid, list(honest_row), g, bits)
             elif call[0] in overridden:
                 yield call
 
     for log, scalar_log in zip(logs, scalar_logs):
         assert list(per_recipient(log)) == list(per_recipient(scalar_log))
-        # The cohort asked each sender once; the scalar engine has no
-        # row form to ask.
-        assert not any(call[0] == "matching_symbol" for call in log)
-        assert any(call[0] == "matching_row" for call in log)
-        assert not any(call[0] == "matching_row" for call in scalar_log)
+        # The cohort asked each sender and each controlled pid once, in
+        # row form; the scalar engine has no row form to ask.
+        for scalar_hook, row_hook in (
+            ("matching_symbol", "matching_row"), ("m_vector", "m_row"),
+        ):
+            assert not any(call[0] == scalar_hook for call in log)
+            assert any(call[0] == row_hook for call in log)
+            assert not any(call[0] == row_hook for call in scalar_log)
 
     # The failure-free cohort: one plan (the empty pattern), no encode.
     del encodes[:]  # the crash cohort above did encode
@@ -650,6 +666,90 @@ def test_symbol_round_asks_a_row_strategy_once_per_sender(monkeypatch):
     assert (by_scalar.rows, by_scalar.symbols) == (
         0, t * (n - 1) * generations
     )
+
+
+def _crash_and_poison(n, t):
+    """A coalition routed per pid: the top pid crashes (an all-false M
+    row from generation 0), the others poison Trust (an accuse set,
+    crying Detected to force diagnoses)."""
+    from repro.processors import (
+        CompositeAdversary, CrashAdversary, TrustPoisoningAdversary,
+    )
+
+    return CompositeAdversary({
+        n - 1: CrashAdversary([n - 1]),
+        **{
+            pid: TrustPoisoningAdversary([pid])
+            for pid in range(n - t, n - 1)
+        },
+    })
+
+
+def _poisoner_inside_p_match(n, t):
+    """Pid 0 sits in ``P_match``: the outside poisoner's accuse set
+    leaves its flag honest, which an accuse-everyone row would not."""
+    from repro.processors import TrustPoisoningAdversary
+
+    return TrustPoisoningAdversary([0, n - 1])
+
+
+@pytest.mark.parametrize("n", [7, 10])
+@pytest.mark.parametrize(
+    "make", [_crash_and_poison, _poisoner_inside_p_match],
+    ids=["crash_and_poison", "poisoner_inside_p_match"],
+)
+def test_row_strategies_equal_forced_scalar_reference(monkeypatch, make, n):
+    """The cohort asks for M and Trust rows (through the router, or
+    with a faulty member to spare); result, meter and clocks equal the
+    forced-scalar run."""
+    result, _, _ = cold_cohort_and_scalar(
+        monkeypatch, n, random.Random(n).getrandbits(512),
+        lambda config: make(n, config.t),
+    )
+    assert result.diagnosis_count >= 1
+
+
+def test_m_and_trust_rows_of_a_row_strategy_are_asked_once(monkeypatch):
+    """A count, not a timing: one ``slow_bleed`` instance at n = 31
+    through ``run_many`` asks every controlled pid for its M and Trust
+    rows, never the scalar ``m_vector`` / ``trust_vector``, and packs
+    no Trust row bit by bit (``PackedBits.from_bits``)."""
+    from repro.processors import SlowBleedAdversary
+    from repro.utils.bits import PackedBits
+
+    calls = dict.fromkeys(
+        ("m_vector", "trust_vector", "m_row", "trust_row", "from_bits"), 0
+    )
+    for name in ("m_vector", "trust_vector", "m_row", "trust_row"):
+        original = getattr(SlowBleedAdversary, name, None)
+        if original is None:
+            continue  # an engine without row forms: its scalar count fails
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SlowBleedAdversary, name, counted)
+    from_bits = PackedBits.from_bits.__func__
+
+    def counted_from_bits(cls, bits):
+        calls["from_bits"] += 1
+        return from_bits(cls, bits)
+
+    monkeypatch.setattr(
+        PackedBits, "from_bits", classmethod(counted_from_bits)
+    )
+    t = 10
+    service = ConsensusService(
+        RunSpec(n=31, l_bits=1 << 10, attack="slow_bleed")
+    )
+    [result] = service.run_many([0x5EED])
+    assert result.error_free and result.diagnosis_count >= 1
+    assert (calls["m_vector"], calls["trust_vector"], calls["from_bits"]) == (
+        0, 0, 0
+    )
+    assert calls["m_row"] == t * len(result.generation_results)
+    assert calls["trust_row"] >= t  # every live controlled pid, per diagnosis
 
 
 class OddAnswers(cohort_module.Adversary):
