@@ -116,6 +116,11 @@ def _same_hex(expected: str, stored: Any) -> bool:
     )
 
 
+#: HMAC's inner and outer pad bytes, as ``bytes.translate`` tables.
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
 class Keyring:
     """Per-processor HMAC keys derived from one master secret.
 
@@ -132,6 +137,7 @@ class Keyring:
             b"repro-audit-keyid:" + master
         ).hexdigest()[:16]
         self._keys: dict = {}
+        self._pads: dict = {}
 
     def key_for(self, pid: int) -> bytes:
         """The sending key of processor ``pid``."""
@@ -142,6 +148,26 @@ class Keyring:
             ).digest()
             self._keys[pid] = key
         return key
+
+    def tag(self, pid: int, link: bytes) -> str:
+        """``hmac.digest(self.key_for(pid), link, "sha256").hex()``,
+        byte for byte, from ``pid``'s pre-keyed SHA-256 states (RFC 2104
+        §4): the key-dependent first block of the inner and the outer
+        hash is absorbed once per pid, not once per tag."""
+        pads = self._pads.get(pid)
+        if pads is None:
+            # A per-pid key is a 32-byte HMAC output: zero-padded to the
+            # 64-byte block, never hashed down.
+            block = self.key_for(pid).ljust(64, b"\0")
+            pads = self._pads[pid] = (
+                hashlib.sha256(block.translate(_IPAD)),
+                hashlib.sha256(block.translate(_OPAD)),
+            )
+        inner = pads[0].copy()
+        inner.update(link)
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
     def seal(self, count: int, chain: bytes, result_bytes: bytes) -> str:
         """Tail seal binding entry count, chain head and result."""
@@ -269,10 +295,10 @@ class Transcript:
         for index, message in enumerate(journal):
             payload = _encode_payload(message.payload)
             link = chain + _entry_bytes(index, message, payload, quoted)
-            auth = hmac.digest(ring.key_for(message.sender), link, "sha256")
+            auth = ring.tag(message.sender, link)
             chain = hashlib.sha256(link).digest()
             entries.append(
-                TranscriptEntry(index, *_SENT(message), payload, auth.hex())
+                TranscriptEntry(index, *_SENT(message), payload, auth)
             )
         result_bytes = _canonical(result_to_wire(result))
         return cls(
@@ -312,7 +338,9 @@ class Transcript:
     def from_wire(cls, payload: dict) -> "Transcript":
         """Exact inverse of :meth:`to_wire`; ``ValueError`` if malformed."""
         version = _field(payload, "format", "transcript")
-        if version != TRANSCRIPT_VERSION:
+        # Exactly the int: 3.0 == 3, but it is stored, digested and
+        # saved as the float it is.
+        if type(version) is not int or version != TRANSCRIPT_VERSION:
             raise ValueError(
                 "transcript format %r, expected format %d"
                 % (version, TRANSCRIPT_VERSION)
@@ -454,8 +482,7 @@ def verify_transcript(
         except TypeError:
             link = None  # an inexact-typed field: no tag is valid over it
         if link is None or not _same_hex(
-            hmac.digest(ring.key_for(entry.sender), link, "sha256").hex(),
-            entry.auth,
+            ring.tag(entry.sender, link), entry.auth
         ):
             return VerifyReport(
                 ok=False,

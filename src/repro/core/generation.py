@@ -61,6 +61,7 @@ fault-injection sweeps practical.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import (
     AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
 )
@@ -82,6 +83,23 @@ from repro.utils.bits import PackedBits, is_exact_int
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
 _MISSING = -1
+
+
+def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
+    """``[convert(outcome[pid]) for pid in range(n)]`` with each distinct
+    row *object* converted once (keyed by ``id`` while ``outcome`` holds
+    every row alive): a backend that hands every pid one shared row
+    converts it once, and one object can only convert to one value.
+    Mutable values are the caller's to copy per pid."""
+    converted: Dict[int, object] = {}
+    views = []
+    for pid in range(n):
+        row = outcome[pid]
+        value = converted.get(id(row))
+        if value is None:
+            value = converted[id(row)] = convert(row)
+        views.append(value)
+    return views
 
 
 class GenerationProtocol:
@@ -510,17 +528,18 @@ class GenerationProtocol:
         m_view: Dict[int, Dict[int, List[bool]]] = {
             pid: {} for pid in range(self.n)
         }
+        n = self.n
+
+        def m_vector(i, row):
+            # The n - 1 broadcast flags with i's own slot put back.
+            vector = [bool(row[index]) for index in range(n - 1)]
+            vector.insert(i, True)
+            return vector
+
         for (i, _), outcome in zip(rows, outcomes):
-            for pid in range(self.n):
-                vector: List[bool] = []
-                index = 0
-                for j in range(self.n):
-                    if j == i:
-                        vector.append(True)
-                    else:
-                        vector.append(bool(outcome[pid][index]))
-                        index += 1
-                m_view[pid][i] = vector
+            vectors = _pid_views(outcome, n, partial(m_vector, i))
+            for pid, vector in enumerate(vectors):
+                m_view[pid][i] = list(vector)
         return m_view
 
     # -- checking stage (scalar) ------------------------------------------------------
@@ -603,6 +622,13 @@ class GenerationProtocol:
         r_sharp_view: Dict[int, Dict[int, int]] = {
             pid: {} for pid in range(self.n)
         }
+        c = self.c
+
+        def symbol_of(row):
+            return sum(
+                bit << (c - 1 - index) for index, bit in enumerate(row)
+            )
+
         for j in p_match:
             honest_symbol = codewords[j][j]
             symbol = honest_symbol
@@ -619,17 +645,19 @@ class GenerationProtocol:
             outcome = self.backend.broadcast_bits(
                 j, bit_list, symbol_tag, isolated
             )
-            for pid in range(self.n):
-                r_sharp_view[pid][j] = sum(
-                    bit << (self.c - 1 - index)
-                    for index, bit in enumerate(outcome[pid])
-                )
+            r_sharps = _pid_views(outcome, self.n, symbol_of)
+            for pid, r_sharp in enumerate(r_sharps):
+                r_sharp_view[pid][j] = r_sharp
 
         # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by everyone.
         trust_tag = "%s.diagnosis.trust" % self.tag
         trust_view: Dict[int, Dict[int, Dict[int, bool]]] = {
             pid: {} for pid in range(self.n)
         }
+
+        def trust_of(row):
+            return {j: bool(row[index]) for index, j in enumerate(p_match)}
+
         for i in range(self.n):
             if i in isolated:
                 continue
@@ -653,11 +681,8 @@ class GenerationProtocol:
                 )
             bit_list = [1 if trust_i.get(j, False) else 0 for j in p_match]
             outcome = self.backend.broadcast_bits(i, bit_list, trust_tag, isolated)
-            for pid in range(self.n):
-                trust_view[pid][i] = {
-                    j: bool(outcome[pid][index])
-                    for index, j in enumerate(p_match)
-                }
+            for pid, trust in enumerate(_pid_views(outcome, self.n, trust_of)):
+                trust_view[pid][i] = dict(trust)
 
         # Line 3(e): edge removal, from the reference view (identical at
         # every fault-free processor under an error-free backend).

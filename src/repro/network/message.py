@@ -112,16 +112,11 @@ class SymbolBatch:
 
     def materialize(self) -> List[Message]:
         """The batch as scalar :class:`Message` objects (journal order is
-        the caller's concern; this preserves batch order)."""
+        the caller's concern; this preserves batch order).  ``tolist()``
+        already made the pids exact ints."""
+        bits, tag, round_index = self.bits, self.tag, self.round_index
         return [
-            Message(
-                sender=int(sender),
-                receiver=int(receiver),
-                payload=payload,
-                bits=self.bits,
-                tag=self.tag,
-                round_index=self.round_index,
-            )
+            Message(sender, receiver, payload, bits, tag, round_index)
             for sender, receiver, payload in zip(
                 self.senders.tolist(),
                 self.receivers.tolist(),

@@ -40,12 +40,16 @@ never to be read (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.network.message import Message, SymbolBatch
 from repro.network.metrics import BitMeter
+
+#: A round's journal order.
+_JOURNAL_ORDER = attrgetter("receiver", "sender", "tag")
 
 
 class NetworkError(RuntimeError):
@@ -455,9 +459,7 @@ class SyncNetwork:
 
     def _journal_round(self, messages: List[Message]) -> None:
         if self.journal is not None:
-            self.journal.extend(
-                sorted(messages, key=lambda m: (m.receiver, m.sender, m.tag))
-            )
+            self.journal.extend(sorted(messages, key=_JOURNAL_ORDER))
 
     def charge_round(self, tag: str, count: int, bits: int) -> None:
         """Account one full round of ``count`` messages of ``bits`` bits

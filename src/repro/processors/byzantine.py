@@ -209,13 +209,15 @@ class SlowBleedAdversary(Adversary):
         super().__init__(faulty)
         self.attack_log: List[Dict[str, int]] = []
         self._plan: Dict[int, Optional[tuple]] = {}
+        #: ``_search``'s plans, keyed by everything a plan reads.
+        self._plan_memo: Dict[tuple, Optional[tuple]] = {}
 
     def _emulate_match(self, graph, n: int, t: int, broken=None):
         """Run the engine's exact P_match search for an all-honest-matching
         round, optionally with one (attacker, victim) mismatch.
 
         Works on the trust mask directly (no per-vertex set building):
-        the planner probes every (attacker, victim) pair per generation,
+        the planner probes every (attacker, victim) pair per graph state,
         so its clique searches are the adversary's own hot path at
         large n."""
         import numpy as np
@@ -236,59 +238,16 @@ class SlowBleedAdversary(Adversary):
         n, t = view.n, view.t
         choice = None
         if graph is not None:
-            # Play 1: find a viable (attacker, victim) symbol corruption.
-            for attacker in sorted(self.faulty):
-                if graph.is_isolated(attacker):
-                    continue
-                for victim in sorted(
-                    (
-                        peer
-                        for peer in graph.trusted_by(attacker)
-                        if peer not in self.faulty
-                    ),
-                    reverse=True,
-                ):
-                    match = self._emulate_match(
-                        graph, n, t, broken=(attacker, victim)
-                    )
-                    if (
-                        match is not None
-                        and attacker in match
-                        and victim not in match
-                    ):
-                        choice = ("attack", attacker, victim)
-                        break
-                if choice:
-                    break
-            # Play 2: burn a faulty-faulty edge via a false accusation.  The
-            # accuser broadcasts an all-false M vector, forcing itself out
-            # of P_match, then cries Detected and distrusts the target; the
-            # removed (accuser, target) edge shields it from line 3(f).
-            if choice is None:
-                import numpy as np
-
-                from repro.graphs.cliques import find_clique_matrix
-
-                for accuser in sorted(self.faulty):
-                    if graph.is_isolated(accuser):
-                        continue
-                    match = find_clique_matrix(
-                        np.asarray(graph.trust_mask()),
-                        n - t,
-                        candidates=[
-                            v for v in range(n) if v != accuser
-                        ],
-                    )
-                    if match is None:
-                        continue
-                    targets = [
-                        p
-                        for p in match
-                        if p in self.faulty and graph.trusts(accuser, p)
-                    ]
-                    if targets:
-                        choice = ("accuse", accuser, targets[0])
-                        break
+            # A plan is a pure function of the graph, n, t and the faulty
+            # set, so a generation whose graph has not changed since an
+            # earlier plan reuses that plan instead of re-probing.
+            key = (
+                n, t, frozenset(self.faulty),
+                graph.trust_mask().tobytes(), frozenset(graph.isolated),
+            )
+            if key not in self._plan_memo:
+                self._plan_memo[key] = self._search(graph, n, t)
+            choice = self._plan_memo[key]
         self._plan[generation] = choice
         if choice is not None:
             self.attack_log.append(
@@ -300,6 +259,57 @@ class SlowBleedAdversary(Adversary):
                 }
             )
         return choice
+
+    def _search(self, graph, n: int, t: int) -> Optional[tuple]:
+        """The planned play on ``graph``: ``("attack" | "accuse", actor,
+        target)``, or ``None`` when neither play is viable."""
+        # Play 1: find a viable (attacker, victim) symbol corruption.
+        for attacker in sorted(self.faulty):
+            if graph.is_isolated(attacker):
+                continue
+            for victim in sorted(
+                (
+                    peer
+                    for peer in graph.trusted_by(attacker)
+                    if peer not in self.faulty
+                ),
+                reverse=True,
+            ):
+                match = self._emulate_match(
+                    graph, n, t, broken=(attacker, victim)
+                )
+                if (
+                    match is not None
+                    and attacker in match
+                    and victim not in match
+                ):
+                    return ("attack", attacker, victim)
+        # Play 2: burn a faulty-faulty edge via a false accusation.  The
+        # accuser broadcasts an all-false M vector, forcing itself out of
+        # P_match, then cries Detected and distrusts the target; the
+        # removed (accuser, target) edge shields it from line 3(f).
+        import numpy as np
+
+        from repro.graphs.cliques import find_clique_matrix
+
+        for accuser in sorted(self.faulty):
+            if graph.is_isolated(accuser):
+                continue
+            match = find_clique_matrix(
+                np.asarray(graph.trust_mask()),
+                n - t,
+                candidates=[v for v in range(n) if v != accuser],
+            )
+            if match is None:
+                continue
+            targets = [
+                p
+                for p in match
+                if p in self.faulty and graph.trusts(accuser, p)
+            ]
+            if targets:
+                return ("accuse", accuser, targets[0])
+        return None
 
     def _victim_of(self, pid, generation, view) -> Optional[int]:
         """The one recipient ``pid`` corrupts this generation, if any."""

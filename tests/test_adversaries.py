@@ -1,5 +1,8 @@
 """Adversary framework: default honesty, hook coverage, strategy logic."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.audit.replay import DeviationRecorder
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
+from repro.graphs import cliques
 from repro.processors import (
     ATTACKS,
     AdaptiveAdversary,
@@ -24,6 +28,7 @@ from repro.processors import (
     TrustPoisoningAdversary,
     make_attack,
 )
+from repro.processors import byzantine
 from repro.processors.adversary import (
     GlobalView, hook_is_default, m_row_bits, trust_row_bits,
 )
@@ -530,3 +535,55 @@ class TestSlowBleed:
         graph.remove_edge(0, first[2])
         # Same generation: plan unchanged despite graph mutation.
         assert adversary._plan_for(0, v) == first
+
+
+class _Unmemoised(SlowBleedAdversary):
+    """slow_bleed with its graph-state memo cleared before every plan, so
+    every generation searches afresh."""
+
+    def _plan_for(self, generation, view):
+        self._plan_memo.clear()
+        return super()._plan_for(generation, view)
+
+
+def _slow_bleed_run(adversary_class, n, l_bits):
+    config = ConsensusConfig.create(n=n, l_bits=l_bits)
+    adversary = adversary_class(
+        make_attack("slow_bleed", n, config.t, l_bits).faulty
+    )
+    engine = MultiValuedConsensus(config, adversary=adversary, journal=True)
+    value = random.Random(11).getrandbits(l_bits)
+    result = engine.run([value] * n)
+    return adversary.attack_log, result, engine.network.journal
+
+
+@pytest.mark.parametrize("n,l_bits", [(7, 256), (15, 1 << 12)])
+def test_slow_bleed_memo_changes_no_plan(n, l_bits):
+    """A plan is a function of the graph state: reusing one leaves the
+    attack log, the result (records and meter included) and the journal
+    of planning afresh."""
+    memoised = _slow_bleed_run(SlowBleedAdversary, n, l_bits)
+    afresh = _slow_bleed_run(_Unmemoised, n, l_bits)
+    assert memoised[0] and memoised == afresh
+
+
+def test_slow_bleed_plans_once_per_graph_state(monkeypatch):
+    """A generation whose graph is unchanged reuses the last plan instead
+    of re-probing every (attacker, victim) pair: at n = 15 the planner's
+    clique searches at least halve."""
+    search = cliques.find_clique_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        # The planner looks the search up at call time; count its calls.
+        if sys._getframe(1).f_globals["__name__"] == byzantine.__name__:
+            calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cliques, "find_clique_matrix", counting)
+    counts = {}
+    for adversary_class in (SlowBleedAdversary, _Unmemoised):
+        calls.clear()
+        _slow_bleed_run(adversary_class, 15, 1 << 12)
+        counts[adversary_class] = len(calls)
+    assert 0 < 2 * counts[SlowBleedAdversary] <= counts[_Unmemoised]

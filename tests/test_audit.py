@@ -9,7 +9,8 @@ properties for the serialization, a tamper-localization fuzz over
 single-entry edits, journal-materialization equivalence across engine
 lanes, the ``charge_round`` recording-fallback regression, and the
 serving-tier / CLI opt-ins.  Format 3's bytes are pinned: the entry
-formatter against ``json.dumps`` as a property, a golden file saved by
+formatter against ``json.dumps`` and the pre-keyed tags against
+``hmac.digest`` as properties, a golden file saved by
 an earlier commit, and a table of hostile transcripts that must fail
 typed.
 """
@@ -17,6 +18,7 @@ typed.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import json
 import random
 from pathlib import Path
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.audit import (
     DEFAULT_KEY,
+    Keyring,
     Transcript,
     TranscriptRecorder,
     compare,
@@ -295,6 +298,27 @@ def test_digest_is_the_hash_of_the_canonical_wire_form(entries):
     ).hexdigest()
 
 
+def _bytes_of_sizes(*sizes):
+    return st.sampled_from(sizes).flatmap(
+        lambda size: st.binary(min_size=size, max_size=size)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    master=_bytes_of_sizes(1, 32, 64, 65, 200),
+    pid=st.sampled_from([0, 14, 1 << 40]),
+    link=_bytes_of_sizes(0, 1, 64, 4096),
+)
+def test_prekeyed_tag_is_the_hmac(master, pid, link):
+    """A tag from ``pid``'s pre-keyed pad states is the one-shot HMAC of
+    ``pid``'s key, byte for byte, the first time and from the cache."""
+    ring = Keyring(master)
+    expected = hmac.digest(ring.key_for(pid), link, "sha256").hex()
+    assert ring.tag(pid, link) == expected
+    assert ring.tag(pid, link) == expected
+
+
 @pytest.mark.parametrize("field", ["round_index", "sender", "receiver", "bits"])
 @pytest.mark.parametrize("value", [True, 1.0])
 def test_record_refuses_an_inexact_integer_field(field, value):
@@ -445,8 +469,8 @@ def _set(field, value):
 
 #: (edit, outcome): an int is the entry ``verify`` must fail at, "seal" a
 #: seal mismatch, any other string the ``ValueError`` ``from_wire`` must
-#: raise.  Every row made the verifier or the loader raise ``TypeError``
-#: or ``KeyError`` before they were total.
+#: raise.  Every row but the last made the verifier or the loader raise
+#: ``TypeError`` or ``KeyError`` before they were total.
 HOSTILE = {
     "auth-non-ascii": (_set_entry(2, "auth", "\u00e9" * 64), 2),
     "auth-null": (_set_entry(2, "auth", None), 2),
@@ -469,6 +493,9 @@ HOSTILE = {
     "entries-is-an-object": (_set("entries", {"0": {}}), "'entries'"),
     "entries-is-null": (_set("entries", None), "'entries'"),
     "entries-missing": (lambda wire: wire.pop("entries"), "'entries'"),
+    # 3.0 == 3, but a float format is stored: it verified and proved,
+    # while its digest and saved bytes were another document's.
+    "format-float": (_set("format", 3.0), r"format 3\.0"),
 }
 
 

@@ -9,16 +9,15 @@ per shape.  The contract under test: cohort batching is
 the looped one-shot reference field for field, for every registered
 attack, whatever the batch composition (interleaved attacks, duplicate
 cohorts, singleton cohorts, differing seeds within one cohort) or the
-places the batch is cut into chunks run by separate services —
-and must equal the **forced-scalar** (``vectorized=False``) engine as
-well: the same equivalence discipline the vectorized adversarial path
-is held to, extended to batches.
+places the batch is cut into chunks run by separate services.  The
+**forced-scalar** half of the same contract is the path × attack × n
+grid of ``tests/test_differential.py``.
 """
 
 import pytest
 
 from repro.core.consensus import MultiValuedConsensus
-from repro.processors import ATTACKS, FAULT_GRID_ATTACKS
+from repro.processors import ATTACKS
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from tests.conftest import run_chunked
 
@@ -26,20 +25,14 @@ from tests.conftest import run_chunked
 MIXED_CYCLE = ["none", "corrupt", "crash", "trust_poison", "random"]
 
 
-def looped_reference(spec, instances, vectorized=True):
-    """One fresh deployment per instance — the byte-identity baseline.
-
-    ``vectorized=False`` forces the scalar per-processor engine, the
-    strictest reference: cohort batching must replay even its hook
-    order and arguments exactly.
-    """
+def looped_reference(spec, instances):
+    """One fresh deployment per instance — the byte-identity baseline."""
     results = []
     for instance in instances:
         run_spec = instance.resolve(spec)
         consensus = MultiValuedConsensus(
             run_spec.make_config(),
             adversary=run_spec.make_adversary(),
-            vectorized=vectorized,
         )
         results.append(consensus.run(list(instance.inputs)))
     return results
@@ -77,7 +70,9 @@ def interleaved_cycle(n, count, stride=2):
 
 
 class TestEveryAttackCohorts:
-    """Every registered attack, at every tier-1 n, cohort-batched."""
+    """Every registered attack, at every tier-1 n, cohort-batched (the
+    forced-scalar half of each cell is ``tests/test_differential.py``'s
+    ``[run_many-<attack>-<n>-*]``)."""
 
     @pytest.mark.parametrize("attack", sorted(ATTACKS))
     @pytest.mark.parametrize("n,l_bits", [(4, 64), (7, 256), (31, 64)])
@@ -91,24 +86,6 @@ class TestEveryAttackCohorts:
         assert sum(r.total_bits for r in results) == sum(
             r.total_bits for r in reference
         )
-
-    # The fault-grid attacks' cells, and every attack's n = 4 cell, are
-    # held to the same reference by tests/test_differential.py
-    # ([run_many-<attack>-<n>-*]); their batch-composition half is
-    # test_cohort_batch_vs_looped[<n>-*].
-    @pytest.mark.parametrize("n, attack", [
-        (7, attack) for attack in sorted(ATTACKS)
-        if attack not in FAULT_GRID_ATTACKS
-    ])
-    def test_forced_scalar_reference(self, n, attack):
-        # The scalar engine fires every adversary hook one processor at
-        # a time; the cohort path must be indistinguishable from it.
-        spec = RunSpec(n=n, l_bits=128)
-        values = [0x51 * (i + 2) for i in range(3)]
-        instances = cohort_batch(spec, attack, values)
-        scalar = looped_reference(spec, instances, vectorized=False)
-        results = ConsensusService(spec).run_many(instances)
-        assert results == scalar
 
 
 class TestInterleavedExecutors:

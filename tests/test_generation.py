@@ -4,7 +4,8 @@ import pytest
 
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.core.config import ConsensusConfig
-from repro.core.generation import GenerationProtocol
+from repro.core.consensus import MultiValuedConsensus
+from repro.core.generation import GenerationProtocol, _pid_views
 from repro.core.result import GenerationOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import SyncNetwork
@@ -13,8 +14,10 @@ from repro.processors import (
     FalseAccusationAdversary,
     FalseDetectionAdversary,
     SymbolCorruptionAdversary,
+    make_attack,
 )
 from repro.processors.adversary import GlobalView
+from repro.service import RunSpec
 
 
 def make_protocol(n=7, t=2, adversary=None, graph=None, generation=0):
@@ -226,3 +229,68 @@ class TestMinimalConfiguration:
         result = protocol.run(equal_parts(4, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert len(result.p_match) == 4
+
+
+def _own_row_copies(backend):
+    """Make ``backend`` hand every pid its own copy of each outcome row
+    (the ideal backend shares one row object across pids); returns the
+    list the wrapper appends to on every call."""
+    calls = []
+    single, many = backend.broadcast_bits, backend.broadcast_bits_many
+
+    def copies(outcome):
+        calls.append(len(outcome))
+        return {pid: list(row) for pid, row in outcome.items()}
+
+    backend.broadcast_bits = lambda *args: copies(single(*args))
+    backend.broadcast_bits_many = lambda *args: [
+        copies(outcome) for outcome in many(*args)
+    ]
+    return calls
+
+
+def _scalar_oracle_run(attack, n=7, l_bits=256, copied=False):
+    config = RunSpec(n=n, l_bits=l_bits).make_config()
+    engine = MultiValuedConsensus(
+        config,
+        adversary=make_attack(attack, n, config.t, l_bits),
+        vectorized=False,
+        batch_generations=False,
+        journal=True,
+    )
+    calls = _own_row_copies(engine.backend) if copied else None
+    result = engine.run([0xA5C3 % (1 << l_bits)] * n)
+    if copied:
+        assert calls, "the scalar oracle never reached the wrapped backend"
+    return result, engine.network.journal
+
+
+class TestOutcomeRowConversion:
+    """The scalar oracle converts each distinct broadcast outcome row
+    object once and hands every pid its own view of it."""
+
+    def test_each_distinct_row_object_converts_once(self):
+        shared = [1, 0]
+        outcome = {0: shared, 1: [0, 1], 2: shared, 3: [0, 1], 4: shared}
+        converted = []
+
+        def convert(row):
+            converted.append(row)
+            return tuple(row)
+
+        assert _pid_views(outcome, 5, convert) == [
+            (1, 0), (0, 1), (1, 0), (0, 1), (1, 0),
+        ]
+        assert len(converted) == 3  # ``shared`` once, each copy once
+
+    @pytest.mark.parametrize(
+        "attack", ["slow_bleed", "trust_poison", "equivocate"]
+    )
+    def test_per_pid_row_copies_are_indistinguishable(self, attack):
+        """A backend that hands every pid its own copy of each row leaves
+        the same result (generation records and meter included) and
+        journal as the shared row: the conversion memo keys on the row
+        object, never on a pid."""
+        assert _scalar_oracle_run(attack, copied=True) == _scalar_oracle_run(
+            attack
+        )
