@@ -40,7 +40,7 @@ from repro.audit.transcript import (
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
 from repro.processors.adversary import (
-    Adversary, GlobalView, m_row_bits, trust_row_bits,
+    Adversary, GlobalView, m_row_bits, matching_row_payloads, trust_row_bits,
 )
 
 #: Hooks whose deviations are observable protocol misbehavior.  Input
@@ -122,37 +122,43 @@ class DeviationRecorder(Adversary):
                 )
             )
 
-    # Every hook follows the same shape; mutable honest arguments (lists,
-    # dicts) are copied before delegation so an in-place-editing attack
-    # cannot mask its own deviation.
+    # Every hook follows the same shape; mutable honest arguments (lists)
+    # are copied before delegation so an in-place-editing attack cannot
+    # mask its own deviation.  The three row hooks record under the
+    # names of what one record describes: a symbol sent to one
+    # recipient (``matching_symbol``), an M vector (``m_vector``), a
+    # Trust vector (``trust_vector``).
 
     def input_value(self, pid, honest_input, view):
         sent = self.inner.input_value(pid, honest_input, view)
         self._note(pid, "input_value", None, None, honest_input, sent)
         return sent
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        sent = self.inner.matching_symbol(
-            pid, recipient, honest_symbol, generation, view
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        answer = self.inner.matching_row(
+            pid, recipients, honest_symbol, generation, view
         )
-        self._note(
-            pid, "matching_symbol", generation, recipient, honest_symbol, sent
-        )
-        return sent
+        # One record per recipient whose payload deviates.
+        for recipient, sent in zip(
+            recipients, matching_row_payloads(answer, recipients)
+        ):
+            self._note(
+                pid, "matching_symbol", generation, recipient,
+                honest_symbol, sent,
+            )
+        return answer
 
     # The M and Trust hooks note what is broadcast: the n - 1 bits of
-    # the length-normalized M row (own slot excluded), one Trust bit
-    # per P_match member (the honest dict's keys).
+    # the M row (own slot excluded), one Trust bit per P_match member.
 
-    def m_vector(self, pid, honest_m, generation, view):
-        n = len(honest_m)
-        honest = m_row_bits(honest_m, pid, n)
-        sent = self.inner.m_vector(pid, honest_m, generation, view)
+    def m_row(self, pid, honest_row, generation, view):
+        n = len(honest_row)
+        answer = self.inner.m_row(pid, honest_row, generation, view)
         self._note(
-            pid, "m_vector", generation, None, honest,
-            m_row_bits(sent, pid, n),
+            pid, "m_vector", generation, None,
+            m_row_bits(honest_row, pid, n), m_row_bits(answer, pid, n),
         )
-        return sent
+        return answer
 
     def detected_flag(self, pid, honest_flag, generation, view):
         sent = self.inner.detected_flag(pid, honest_flag, generation, view)
@@ -166,15 +172,16 @@ class DeviationRecorder(Adversary):
         self._note(pid, "diagnosis_symbol", generation, None, honest_symbol, sent)
         return sent
 
-    def trust_vector(self, pid, honest_trust, generation, view):
-        p_match = list(honest_trust)
-        honest = trust_row_bits(honest_trust, p_match, ())
-        sent = self.inner.trust_vector(pid, honest_trust, generation, view)
-        self._note(
-            pid, "trust_vector", generation, None, honest,
-            trust_row_bits(dict(sent), p_match, ()),
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        answer = self.inner.trust_row(
+            pid, p_match, honest_row, generation, view
         )
-        return sent
+        self._note(
+            pid, "trust_vector", generation, None,
+            trust_row_bits(honest_row, p_match, honest_row),
+            trust_row_bits(answer, p_match, honest_row),
+        )
+        return answer
 
     def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
         sent = self.inner.bsb_source_bit(

@@ -105,7 +105,7 @@ class AccountedIdealBroadcast(BroadcastBackend):
         """Lazily planned ``(source, plan)`` rows through
         :meth:`_dispatch`: each ``plan()`` runs immediately before its
         row dispatches, so per-source planning hooks
-        (``diagnosis_symbol``, ``trust_vector``) keep the scalar
+        (``diagnosis_symbol``, ``trust_row``) keep the scalar
         plan/dispatch interleaving with this backend's per-instance
         hooks, which pre-planned rows (:meth:`broadcast_bits_many`)
         would reorder.  The vectorized engine's unit for controlled

@@ -48,7 +48,7 @@ from repro.core.config import BACKENDS, ProtocolInvariantError
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, trust_row_bits
 from repro.utils.bits import (
     bits_to_int,
     int_to_bits,
@@ -552,24 +552,23 @@ class MultiValuedBroadcast:
         # matches what j had forwarded to i.
         trust: Dict[int, Dict[int, bool]] = {}
         for i in active_peers:
-            honest_trust = {}
+            honest_trust = []
             for j in participating:
                 if j == i:
-                    honest_trust[j] = True
+                    honest_trust.append(True)
                     continue
                 if not graph.trusts(i, j):
-                    honest_trust[j] = False
+                    honest_trust.append(False)
                     continue
                 mine = relayed[i].get(j)
-                honest_trust[j] = mine is not None and mine == r_sharp[j]
-            trust_i = honest_trust
+                honest_trust.append(mine is not None and mine == r_sharp[j])
+            honest_row = tuple(honest_trust)
+            answer = honest_row
             if adversary.controls(i):
-                trust_i = dict(
-                    adversary.trust_vector(i, dict(honest_trust), g, view)
+                answer = adversary.trust_row(
+                    i, participating, honest_row, g, view
                 )
-            bit_list = [
-                1 if trust_i.get(j, False) else 0 for j in participating
-            ]
+            bit_list = trust_row_bits(answer, participating, honest_row)
             outcome = self.backend.broadcast_bits(
                 i, bit_list, "%s.diag.trust" % tag, isolated
             )

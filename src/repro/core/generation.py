@@ -35,11 +35,13 @@ Two observationally identical executions coexist:
 Every adversary hook fires the same number of times, in the same order,
 with the same arguments on both paths — controlled rows are applied
 onto the batched arrays — so stateful adversaries (seeded RNGs, attack
-planners) behave identically and metering is byte-identical.  The
-vectorized path asks for a controlled processor's M and Trust vectors
-in row form (``m_row``, ``trust_row``), whose derived base forms fire
-the scalar hooks with the scalar arguments; the scalar path asks
-``m_vector`` and ``trust_vector`` per processor.
+planners) behave identically and metering is byte-identical.  Both paths
+ask a faulty processor for its rows once each — its symbol round
+(``matching_row``), its M vector (``m_row``) and its Trust vector
+(``trust_row``) — and read the answers by the adversary module's
+expansion rules (``matching_row_payloads``, ``m_row_bits``,
+``trust_row_bits``); the scalar path then assembles its per-pid views
+from what was broadcast.
 
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
@@ -76,7 +78,8 @@ from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import (
-    Adversary, GlobalView, hook_is_default, m_row_bits, trust_row_bits,
+    Adversary, GlobalView, hook_is_default, m_row_bits,
+    matching_row_payloads, trust_row_bits,
 )
 from repro.utils.bits import PackedBits, is_exact_int
 
@@ -371,11 +374,13 @@ class GenerationProtocol:
         """Line 1(a) traffic, identical on both paths.
 
         Honest senders' traffic moves as one :class:`SymbolBatch` per
-        round (no per-edge Message objects); faulty senders keep their
-        per-edge adversary hooks (equivocation, selective silence), but
-        the surviving payloads ride a second batch instead of per-edge
-        scalar sends — the metering (Counter sums) and the journal
-        (sorted per round) are byte-identical either way.
+        round (no per-edge Message objects).  Each live faulty sender is
+        asked once, senders ascending, for its row (``matching_row``)
+        over its live trusted recipients, ascending; the expansion
+        (``matching_row_payloads``) puts one edge per non-``None``
+        payload on a second batch, in that order — the metering
+        (Counter sums) and the journal (sorted per round) are
+        byte-identical to per-edge sends.
 
         Returns the delivery plus the number of leading *trusted* batches
         whose payloads are this engine's own codeword symbols; later
@@ -415,20 +420,25 @@ class GenerationProtocol:
                 tag=symbol_tag,
             )
             trusted_batches = 1
-        # Faulty live senders: per-edge hooks, one shared batch.
+        # Faulty live senders: one row each, one shared batch.
         faulty_senders: List[int] = []
         faulty_receivers: List[int] = []
         faulty_payloads: List[object] = []
         for sender in range(self.n):
             if not live[sender] or honest_sender[sender]:
                 continue
-            own_symbol = codewords[sender][sender]
-            for recipient in sorted(self.graph.trusted_by(sender)):
-                if recipient in isolated:
-                    continue
-                payload = self.adversary.matching_symbol(
-                    sender, recipient, own_symbol, self.generation, view
-                )
+            recipients = tuple(
+                recipient
+                for recipient in sorted(self.graph.trusted_by(sender))
+                if recipient not in isolated
+            )
+            answer = self.adversary.matching_row(
+                sender, recipients, codewords[sender][sender],
+                self.generation, view,
+            )
+            for recipient, payload in zip(
+                recipients, matching_row_payloads(answer, recipients)
+            ):
                 if payload is None:
                     continue  # silent: no bits on the wire
                 faulty_senders.append(sender)
@@ -503,7 +513,7 @@ class GenerationProtocol:
         mask = self.graph.trust_mask()
         rows: List[Tuple[int, List[int]]] = []
         for i in range(self.n):
-            honest_m = [
+            honest_row = tuple(
                 j == i
                 or (
                     bool(mask[i, j])
@@ -511,33 +521,27 @@ class GenerationProtocol:
                     and received[i][j] == codewords[i][j]
                 )
                 for j in range(self.n)
-            ]
-            m_i = honest_m
-            if self.adversary.controls(i):
-                m_i = list(
-                    self.adversary.m_vector(
-                        i, list(honest_m), self.generation, view
-                    )
-                )
-                if len(m_i) != self.n:
-                    m_i = (m_i + [False] * self.n)[: self.n]
-            rows.append(
-                (i, [1 if m_i[j] else 0 for j in range(self.n) if j != i])
             )
+            answer = honest_row
+            if self.adversary.controls(i):
+                answer = self.adversary.m_row(
+                    i, honest_row, self.generation, view
+                )
+            rows.append((i, m_row_bits(answer, i, self.n)))
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         m_view: Dict[int, Dict[int, List[bool]]] = {
             pid: {} for pid in range(self.n)
         }
         n = self.n
 
-        def m_vector(i, row):
+        def m_flags(i, row):
             # The n - 1 broadcast flags with i's own slot put back.
             vector = [bool(row[index]) for index in range(n - 1)]
             vector.insert(i, True)
             return vector
 
         for (i, _), outcome in zip(rows, outcomes):
-            vectors = _pid_views(outcome, n, partial(m_vector, i))
+            vectors = _pid_views(outcome, n, partial(m_flags, i))
             for pid, vector in enumerate(vectors):
                 m_view[pid][i] = list(vector)
         return m_view
@@ -661,25 +665,24 @@ class GenerationProtocol:
         for i in range(self.n):
             if i in isolated:
                 continue
-            honest_trust = {}
+            honest_trust = []
             for j in p_match:
                 if i == j:
                     mine = codewords[i][i]
                 else:
                     mine = received[i].get(j)
-                honest_trust[j] = (
+                honest_trust.append(
                     self.graph.trusts(i, j)
                     and mine is not None
                     and mine == r_sharp_view[i][j]
                 )
-            trust_i = honest_trust
+            honest_row = tuple(honest_trust)
+            answer = honest_row
             if self.adversary.controls(i):
-                trust_i = dict(
-                    self.adversary.trust_vector(
-                        i, dict(honest_trust), self.generation, view
-                    )
+                answer = self.adversary.trust_row(
+                    i, p_match, honest_row, self.generation, view
                 )
-            bit_list = [1 if trust_i.get(j, False) else 0 for j in p_match]
+            bit_list = trust_row_bits(answer, p_match, honest_row)
             outcome = self.backend.broadcast_bits(i, bit_list, trust_tag, isolated)
             for pid, trust in enumerate(_pid_views(outcome, self.n, trust_of)):
                 trust_view[pid][i] = dict(trust)
@@ -987,8 +990,8 @@ class GenerationProtocol:
         It starts as the honest M matrix — validity makes a fault-free
         source's row arrive as sent — and the controlled processors are
         asked for their rows (``m_row``) on their honest rows, in pid
-        order, before anything is broadcast (the scalar path's
-        ``m_vector`` order).  Every live row then goes through
+        order, before anything is broadcast (the scalar path's order).
+        Every live row then goes through
         :meth:`_dispatch_sources`, which reads back only the rows it had
         to dispatch; an isolated source broadcasts nothing, so its row
         is cleared.
@@ -1175,8 +1178,8 @@ class GenerationProtocol:
         matrix — and hand their per-source single-bit broadcasts to
         :meth:`_dispatch_sources`, which reads back only the rows it
         had to dispatch.  A dispatched source's *planner* fires that
-        source's adversary hook (``diagnosis_symbol``, ``trust_row``,
-        whose derived form fires ``trust_vector``) immediately before
+        source's adversary hook (``diagnosis_symbol``, ``trust_row``)
+        immediately before
         that source's backend instances, so every adversary and backend
         hook still fires in the exact scalar plan/dispatch interleaving
         and seeded stateful adversaries replay byte-identically.  The
@@ -1245,15 +1248,12 @@ class GenerationProtocol:
 
         # Packed wire rows: one packbits over the honest trust matrix.
         # A controlled source is asked for its row (``trust_row``) when
-        # its class overrides either form (the base ones answer the
-        # honest row); an honest answer keeps its packed row, an accuse
-        # set is one mask and one packbits, and only an explicit
-        # mapping converts bit by bit.
+        # its class overrides it (the base answers the honest row); an
+        # honest answer keeps its packed row, an accuse set is one mask
+        # and one packbits, and only an explicit mapping converts bit by
+        # bit.
         trust_packed = np.packbits(honest_trust_mat, axis=1)
-        trust_hooked = not (
-            hook_is_default(self.adversary, "trust_vector")
-            and hook_is_default(self.adversary, "trust_row")
-        )
+        trust_hooked = not hook_is_default(self.adversary, "trust_row")
         column = {j: index for index, j in enumerate(p_match)}
 
         def trust_plan(i: int) -> Callable[[], PackedBits]:

@@ -151,12 +151,13 @@ class AdaptiveSplitAdversary(PlannedAdversary):
             plan[pid] = victim
         return plan
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation,
-                        view):
-        plan = self.plan_for(generation, view)
-        if plan.get(pid) == recipient:
-            return honest_symbol ^ 1
-        return honest_symbol
+    def matching_row(self, pid, recipients, honest_symbol, generation,
+                     view):
+        # Honest plus at most the one planned victim.
+        victim = self.plan_for(generation, view).get(pid)
+        if victim is None:
+            return honest_symbol, {}
+        return honest_symbol, {victim: honest_symbol ^ 1}
 
 
 def adaptive_split_adversary(

@@ -11,15 +11,32 @@ Because the engines ask ``adversary.controls(pid)`` at every emission
 point, flipping a processor's status between generations is exactly the
 paper's adaptive takeover: its past behaviour was honest, its future
 behaviour is adversarial, and the total ever corrupted stays <= t.
+Every pid-first hook (:data:`~repro.processors.adversary.PID_HOOKS`) is
+routed that way, so a hook added to the interface is gated too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+import inspect
+from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import PID_HOOKS, Adversary, route_pid_hooks
 
 
+def _when(hook: str) -> Tuple[int, str]:
+    """Where a call of ``hook`` says its generation: the position (after
+    the acting pid) and name of its ``generation`` argument, or of its
+    ``view`` when it has none."""
+    names = list(inspect.signature(getattr(Adversary, hook)).parameters)[2:]
+    name = "generation" if "generation" in names else "view"
+    return names.index(name), name
+
+
+#: Hook -> where its calls carry the generation (see :func:`_when`).
+_WHEN = {hook: _when(hook) for hook in PID_HOOKS}
+
+
+@route_pid_hooks
 class AdaptiveAdversary(Adversary):
     """Corruption schedule + inner behaviour strategy.
 
@@ -32,8 +49,11 @@ class AdaptiveAdversary(Adversary):
     (needed up front for the t-bound check and result bookkeeping: a
     processor that will ever be corrupted cannot be counted on as
     fault-free).  ``controls_at(pid, generation)`` exposes the time-aware
-    view, and every generation-indexed hook honours it: before its
-    corruption generation a scheduled processor behaves honestly.
+    view, and every hook honours it: before its corruption generation a
+    scheduled processor behaves honestly.  A hook is gated on its
+    ``generation`` argument, or on the view's ``extras["generation"]``
+    when it has none (a broadcast-internal hook; no recorded generation
+    routes to the strategy), and ``input_value`` on generation 0.
     """
 
     def __init__(
@@ -64,111 +84,17 @@ class AdaptiveAdversary(Adversary):
     def controls_at(self, pid: int, generation: int) -> bool:
         return pid in self.corrupted_at(generation)
 
-    # -- generation-indexed hooks defer to the strategy only once the pid
-    # -- is actually corrupted; otherwise honest passthrough.
-
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_symbol
-        return self.strategy.matching_symbol(
-            pid, recipient, honest_symbol, generation, view
-        )
-
-    def m_vector(self, pid, honest_m, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_m
-        return self.strategy.m_vector(pid, honest_m, generation, view)
-
-    def detected_flag(self, pid, honest_flag, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_flag
-        return self.strategy.detected_flag(pid, honest_flag, generation, view)
-
-    def diagnosis_symbol(self, pid, honest_symbol, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_symbol
-        return self.strategy.diagnosis_symbol(
-            pid, honest_symbol, generation, view
-        )
-
-    def trust_vector(self, pid, honest_trust, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_trust
-        return self.strategy.trust_vector(pid, honest_trust, generation, view)
-
-    def source_symbol(self, source, recipient, honest_symbol, generation, view):
-        if not self.controls_at(source, generation):
-            return honest_symbol
-        return self.strategy.source_symbol(
-            source, recipient, honest_symbol, generation, view
-        )
-
-    def forwarded_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if not self.controls_at(pid, generation):
-            return honest_symbol
-        return self.strategy.forwarded_symbol(
-            pid, recipient, honest_symbol, generation, view
-        )
-
-    def source_codeword(self, source, honest_codeword, generation, view):
-        if not self.controls_at(source, generation):
-            return list(honest_codeword)
-        return self.strategy.source_codeword(
-            source, honest_codeword, generation, view
-        )
-
-    # -- broadcast-internal hooks have no generation index; the engines
-    # -- only call them for pids in ``faulty``, so route through the
-    # -- current generation recorded in the view extras when available.
-
-    def _generation_from(self, view: GlobalView) -> Optional[int]:
-        return view.extras.get("generation")
-
-    def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
-        generation = self._generation_from(view)
-        if generation is not None and not self.controls_at(source, generation):
-            return honest_bit
-        return self.strategy.bsb_source_bit(
-            source, recipient, honest_bit, instance, view
-        )
-
-    def ideal_broadcast_bit(self, source, honest_bit, instance, view):
-        generation = self._generation_from(view)
-        if generation is not None and not self.controls_at(source, generation):
-            return honest_bit
-        return self.strategy.ideal_broadcast_bit(
-            source, honest_bit, instance, view
-        )
-
-    def king_value(self, pid, recipient, phase, honest_value, instance, view):
-        generation = self._generation_from(view)
+    def _route(self, hook: str, pid: int, args, kwargs):
+        if hook == "input_value":
+            generation: Optional[int] = 0
+        else:
+            index, name = _WHEN[hook]
+            argument = args[index] if index < len(args) else kwargs[name]
+            generation = (
+                argument if name == "generation"
+                else argument.extras.get("generation")
+            )
         if generation is not None and not self.controls_at(pid, generation):
-            return honest_value
-        return self.strategy.king_value(
-            pid, recipient, phase, honest_value, instance, view
-        )
-
-    def king_proposal(self, pid, recipient, phase, honest_proposal, instance,
-                      view):
-        generation = self._generation_from(view)
-        if generation is not None and not self.controls_at(pid, generation):
-            return honest_proposal
-        return self.strategy.king_proposal(
-            pid, recipient, phase, honest_proposal, instance, view
-        )
-
-    def king_bit(self, pid, recipient, phase, honest_bit, instance, view):
-        generation = self._generation_from(view)
-        if generation is not None and not self.controls_at(pid, generation):
-            return honest_bit
-        return self.strategy.king_bit(
-            pid, recipient, phase, honest_bit, instance, view
-        )
-
-    def eig_relay(self, pid, recipient, path, honest_value, instance, view):
-        generation = self._generation_from(view)
-        if generation is not None and not self.controls_at(pid, generation):
-            return honest_value
-        return self.strategy.eig_relay(
-            pid, recipient, path, honest_value, instance, view
-        )
+            # Not corrupted yet: honest passthrough via the base class.
+            return getattr(Adversary, hook)(self, pid, *args, **kwargs)
+        return getattr(self.strategy, hook)(pid, *args, **kwargs)

@@ -14,31 +14,29 @@ cannot equivocate in their *outcome* — the broadcast primitive guarantees
 all fault-free processors receive the same value — but faulty processors
 can still lie about the value itself.
 
-Three consensus hooks have a *row form* beside the scalar one, because
-Algorithm 1 has a processor emit a whole row at once: its one symbol to
-every peer it trusts (``matching_symbol`` / ``matching_row``), its M
-vector (``m_vector`` / ``m_row``) and its Trust vector over ``P_match``
-(``trust_vector`` / ``trust_row``).  A row answer names what the row is
-— the honest row itself, a constant, the members accused — so an engine
-that already holds the honest row reuses it instead of copying it into
-a list or dict and back.  The base row forms are *derived*: they fire
-the scalar hook with the scalar arguments and return its answer as an
-explicit row, so a strategy that overrides only the scalar form keeps
-its exact call sequence on every engine.  A strategy that writes a row
-form writes it in the same class body as its scalar form
-(``__init_subclass__`` enforces it).  The vectorized engines ask for
-rows; the scalar reference engine asks the scalar forms, per processor.
-:func:`m_row_bits` and :func:`trust_row_bits` say what any answer
-broadcasts.
+Three consensus hooks are asked for a whole *row*, because Algorithm 1
+has a processor emit one at once: its one symbol to every peer it trusts
+(:meth:`Adversary.matching_row`), its M vector (:meth:`Adversary.m_row`)
+and its Trust vector over ``P_match`` (:meth:`Adversary.trust_row`).
+Each has this one form, asked once per faulty processor and generation
+on every engine.  A row answer names what the row is — the honest row
+itself, a constant, the members accused, a payload plus its exceptions
+— so an engine that already holds the honest row reuses it instead of
+copying it.
+:func:`matching_row_payloads`, :func:`m_row_bits` and
+:func:`trust_row_bits` are the rules every engine reads an answer by.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
     Union,
 )
+
+from repro.utils.bits import is_exact_int
 
 
 class RowConstant:
@@ -60,6 +58,9 @@ ALL_FALSE = RowConstant("ALL_FALSE", 0)
 #: The M row that claims a match with every peer.
 ALL_TRUE = RowConstant("ALL_TRUE", 1)
 
+#: What :meth:`Adversary.matching_row` answers: the payload every
+#: recipient gets and a ``recipient -> payload`` mapping of exceptions.
+SymbolRow = Tuple[Any, Mapping[Any, Any]]
 #: What :meth:`Adversary.m_row` may answer: the honest row itself, a
 #: :class:`RowConstant`, or an explicit row of flags.
 MRow = Union[RowConstant, Sequence[Any]]
@@ -67,12 +68,27 @@ MRow = Union[RowConstant, Sequence[Any]]
 #: the set of members accused, or an explicit ``member -> flag`` mapping.
 TrustRow = Union[Tuple[bool, ...], AbstractSet[int], Mapping[int, Any]]
 
-#: (scalar hook, row form) pairs; see :meth:`Adversary.__init_subclass__`.
-_ROW_FORMS = (
-    ("matching_symbol", "matching_row"),
-    ("m_vector", "m_row"),
-    ("trust_vector", "trust_row"),
-)
+
+def matching_row_payloads(
+    answer: SymbolRow, recipients: Sequence[int]
+) -> List[Any]:
+    """The payload each of ``recipients`` gets, in order, for a
+    :meth:`Adversary.matching_row` answer ``(payload, exceptions)``.
+
+    A recipient named by an exception gets that exception's payload;
+    every other recipient gets ``payload``.  A key counts only when it
+    is an exact ``int`` among ``recipients``: ``True`` is not pid 1, and
+    a key naming the sender, a negative or absent pid or a peer outside
+    ``recipients`` is ignored.  ``None`` is silence: nothing is sent.
+    """
+    payload, exceptions = answer
+    if not exceptions:
+        return [payload] * len(recipients)
+    named = {
+        recipient: other for recipient, other in exceptions.items()
+        if is_exact_int(recipient)
+    }
+    return [named.get(recipient, payload) for recipient in recipients]
 
 
 def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
@@ -80,9 +96,8 @@ def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
     answer.
 
     A :class:`RowConstant` sets every bit.  Any other answer is read as
-    an :meth:`Adversary.m_vector` return is read: padded with ``False``
-    or truncated to ``n`` entries, each flag by its truthiness, and the
-    own slot never sent.
+    an explicit row: padded with ``False`` or truncated to ``n``
+    entries, each flag by its truthiness, and the own slot never sent.
     """
     if isinstance(answer, RowConstant):
         return [answer.bit] * (n - 1)
@@ -97,9 +112,8 @@ def trust_row_bits(
 ) -> List[int]:
     """The ``|P_match|`` bits a Trust row answer broadcasts.
 
-    The honest row broadcasts itself.  A mapping is read as an
-    :meth:`Adversary.trust_vector` return is read, ``answer.get(j,
-    False)`` per member by truthiness.  A set turns the members it
+    The honest row broadcasts itself.  A mapping is read ``answer.get(j,
+    False)`` per member, by truthiness.  A set turns the members it
     names ``False`` on the honest row (a pid outside ``P_match`` is
     ignored).  Anything else — a copy of the honest row included — is
     refused, since a sequence of flags would read as a set of pids.
@@ -147,24 +161,6 @@ class Adversary:
     def __init__(self, faulty: Optional[Sequence[int]] = None):
         self.faulty: Set[int] = set(faulty or ())
 
-    def __init_subclass__(cls, **kwargs):
-        """Keep the two forms of each row hook (:data:`_ROW_FORMS`) from
-        disagreeing: a class that redefines a scalar hook alone gets the
-        derived row form back (whatever row an ancestor wrote answered
-        for the ancestor's scalar form), and a row form without its
-        scalar form beside it is refused."""
-        super().__init_subclass__(**kwargs)
-        body = cls.__dict__
-        for scalar, row in _ROW_FORMS:
-            if scalar in body:
-                if row not in body:
-                    setattr(cls, row, getattr(Adversary, row))
-            elif row in body:
-                raise TypeError(
-                    "%s defines %s without the %s it answers for; define "
-                    "both in one class body" % (cls.__name__, row, scalar)
-                )
-
     def controls(self, pid: int) -> bool:
         return pid in self.faulty
 
@@ -176,21 +172,6 @@ class Adversary:
 
     # -- consensus: matching stage -------------------------------------------
 
-    def matching_symbol(
-        self,
-        pid: int,
-        recipient: int,
-        honest_symbol: int,
-        generation: int,
-        view: GlobalView,
-    ) -> Optional[int]:
-        """Symbol ``S_i[i]`` a faulty ``pid`` sends to ``recipient``.
-
-        Return ``None`` to stay silent (the receiver treats a missing
-        message from a trusted peer as a mismatching distinguished value).
-        """
-        return honest_symbol
-
     def matching_row(
         self,
         pid: int,
@@ -198,52 +179,21 @@ class Adversary:
         honest_symbol: int,
         generation: int,
         view: GlobalView,
-    ) -> Tuple[Optional[int], Mapping[int, Optional[int]]]:
-        """The row form of :meth:`matching_symbol`: everything a faulty
-        ``pid`` sends in one symbol round, asked once.
+    ) -> SymbolRow:
+        """Everything a faulty ``pid`` sends in one symbol round.
 
         Line 1(a) has a processor send the *one* symbol ``S_i[i]`` to
-        every processor it trusts, so a Byzantine sender's round is that
-        one payload plus its exceptions.  Returns ``(payload,
-        exceptions)``: the payload every one of ``recipients`` gets and
-        a mapping ``recipient -> payload`` of those that get something
-        else, keyed by the pids handed in (a key outside ``recipients``
-        is ignored).  Payloads mean what :meth:`matching_symbol`'s
-        return means, ``None`` included, and the answer expands to
-        exactly the scalar answers:
-        ``[exceptions.get(r, payload) for r in recipients]``.
-
-        This base implementation *derives* the row: it fires
-        :meth:`matching_symbol` once per recipient, in the order given,
-        with the one ``view`` — so a strategy that overrides only the
-        scalar form keeps its exact call sequence, arguments and RNG
-        draws whichever engine runs it.  A strategy whose answer does
-        not depend on who is asking overrides both forms, in one class
-        body (``__init_subclass__`` enforces it), with an
-        O(exceptions) row.  The cohort engine
-        (:mod:`repro.service.cohort`) asks for rows; the scalar and
-        per-generation engines ask per recipient.
+        every processor it trusts; ``recipients`` are those that are
+        live, ascending.  Returns ``(payload, exceptions)``: the payload
+        every one of ``recipients`` gets and a ``recipient -> payload``
+        mapping of those that get something else
+        (:func:`matching_row_payloads` expands it).  A payload of
+        ``None`` is silence (the receiver treats a missing message from
+        a trusted peer as a mismatching distinguished value); anything
+        that is not an exact ``int`` symbol is charged but missing on
+        receipt.
         """
-        exceptions = {}
-        for recipient in recipients:
-            sent = self.matching_symbol(
-                pid, recipient, honest_symbol, generation, view
-            )
-            # Exact comparison: True == 1 and 1.0 == 1, but neither is
-            # the symbol 1 on receipt.
-            if type(sent) is not type(honest_symbol) or sent != honest_symbol:
-                exceptions[recipient] = sent
-        return honest_symbol, exceptions
-
-    def m_vector(
-        self,
-        pid: int,
-        honest_m: List[bool],
-        generation: int,
-        view: GlobalView,
-    ) -> List[bool]:
-        """The M vector a faulty ``pid`` feeds into Broadcast_Single_Bit."""
-        return honest_m
+        return honest_symbol, {}
 
     def m_row(
         self,
@@ -252,19 +202,15 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> MRow:
-        """The row form of :meth:`m_vector` (lines 1(c)-1(d)).
+        """The M vector a faulty ``pid`` feeds into Broadcast_Single_Bit
+        (lines 1(c)-1(d)).
 
         ``honest_row`` is the immutable ``n``-tuple of ``pid``'s honest
         M flags, own slot included.  Answer ``honest_row`` itself to
         broadcast it, :data:`ALL_FALSE` or :data:`ALL_TRUE` for a
-        constant row, or an explicit row of flags, read as an
-        :meth:`m_vector` return is read (:func:`m_row_bits`).
-
-        This base implementation *derives* the row: it fires
-        :meth:`m_vector` on a list copy of ``honest_row``, as the scalar
-        engine does, and returns the answer as an explicit row.
+        constant row, or an explicit row of flags (:func:`m_row_bits`).
         """
-        return self.m_vector(pid, list(honest_row), generation, view)
+        return honest_row
 
     # -- consensus: checking stage ---------------------------------------------
 
@@ -290,16 +236,6 @@ class Adversary:
         """The symbol ``S_j[j]`` a faulty ``pid`` in P_match broadcasts."""
         return honest_symbol
 
-    def trust_vector(
-        self,
-        pid: int,
-        honest_trust: Dict[int, bool],
-        generation: int,
-        view: GlobalView,
-    ) -> Dict[int, bool]:
-        """The Trust_i/P_match vector a faulty ``pid`` broadcasts."""
-        return honest_trust
-
     def trust_row(
         self,
         pid: int,
@@ -308,21 +244,16 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> TrustRow:
-        """The row form of :meth:`trust_vector` (lines 3(c)-3(d)).
+        """The Trust_i/P_match vector a faulty ``pid`` broadcasts (lines
+        3(c)-3(d)).
 
         ``honest_row`` is the immutable tuple of ``pid``'s honest Trust
         flags, one per member of ``p_match`` in order.  Answer
         ``honest_row`` itself to broadcast it, a set of members to turn
-        those ``False``, or an explicit ``member -> flag`` mapping read
-        as a :meth:`trust_vector` return is read (:func:`trust_row_bits`).
-
-        This base implementation *derives* the row: it fires
-        :meth:`trust_vector` on ``dict(zip(p_match, honest_row))``, as
-        the scalar engine does, and returns the answer as a mapping.
+        those ``False``, or an explicit ``member -> flag`` mapping
+        (:func:`trust_row_bits`).
         """
-        return dict(self.trust_vector(
-            pid, dict(zip(p_match, honest_row)), generation, view
-        ))
+        return honest_row
 
     # -- 1-bit broadcast internals -----------------------------------------------
 
@@ -502,6 +433,36 @@ class Adversary:
         succeed.
         """
         return False
+
+
+#: Every hook whose first argument is the acting processor: each public
+#: method with a ``view`` parameter, bar those whose first argument is
+#: an ``instance`` (``coin_reveal``: the coin dealer is no processor).
+#: The routers (``CompositeAdversary``, ``AdaptiveAdversary``) forward
+#: exactly these, so a hook added here cannot be missed by them.
+PID_HOOKS: Tuple[str, ...] = tuple(
+    name for name, member in vars(Adversary).items()
+    if inspect.isfunction(member) and not name.startswith("_")
+    and "view" in inspect.signature(member).parameters
+    and list(inspect.signature(member).parameters)[1] != "instance"
+)
+
+
+def route_pid_hooks(cls: type) -> type:
+    """Class decorator for a router: every hook in :data:`PID_HOOKS`
+    becomes ``self._route(hook, pid, args, kwargs)``."""
+
+    def router(hook: str):
+        def routed(self, pid, *args, **kwargs):
+            return self._route(hook, pid, args, kwargs)
+
+        routed.__name__ = hook
+        routed.__doc__ = "Routed by the acting pid (see ``_route``)."
+        return routed
+
+    for hook in PID_HOOKS:
+        setattr(cls, hook, router(hook))
+    return cls
 
 
 def hook_is_default(adversary: Adversary, name: str) -> bool:

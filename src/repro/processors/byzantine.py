@@ -43,19 +43,9 @@ class CrashAdversary(Adversary):
     def _crashed(self, generation: int) -> bool:
         return generation >= self.crash_generation
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if self._crashed(generation):
-            return None
-        return honest_symbol
-
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         # Silent to all, or honest to all.
         return (None if self._crashed(generation) else honest_symbol), {}
-
-    def m_vector(self, pid, honest_m, generation, view):
-        if self._crashed(generation):
-            return [False] * len(honest_m)
-        return honest_m
 
     def m_row(self, pid, honest_row, generation, view):
         return ALL_FALSE if self._crashed(generation) else honest_row
@@ -112,11 +102,6 @@ class SymbolCorruptionAdversary(Adversary):
         targets = self._targets(pid)
         return targets is None or recipient in targets
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if self._is_victim(pid, recipient):
-            return honest_symbol ^ self.flip_mask
-        return honest_symbol
-
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         # Flipped to all, or honest plus the victims.
         targets = self._targets(pid)
@@ -151,12 +136,16 @@ class EquivocatingAdversary(Adversary):
     def input_value(self, pid, honest_input, view):
         return honest_input
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if recipient >= self.split:
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Honest below the split, the alternative codeword's symbol from
+        # it up: encoded once per row, and not at all when no recipient
+        # is at or above the split.
+        deceived = [r for r in recipients if r >= self.split]
+        if deceived:
             alt = _codeword_symbol(self.alt_value, pid, generation, view)
             if alt is not None:
-                return alt
-        return honest_symbol
+                return honest_symbol, dict.fromkeys(deceived, alt)
+        return honest_symbol, {}
 
 
 class FalseAccusationAdversary(Adversary):
@@ -165,9 +154,6 @@ class FalseAccusationAdversary(Adversary):
     This can prevent any P_match containing them; the protocol must still
     find a fault-free P_match (Lemma 1) or correctly fall to the default.
     """
-
-    def m_vector(self, pid, honest_m, generation, view):
-        return [False] * len(honest_m)
 
     def m_row(self, pid, honest_row, generation, view):
         return ALL_FALSE
@@ -318,11 +304,6 @@ class SlowBleedAdversary(Adversary):
             return plan[2]
         return None
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if recipient == self._victim_of(pid, generation, view):
-            return honest_symbol ^ 1
-        return honest_symbol
-
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         # Honest plus at most the one planned victim.
         victim = self._victim_of(pid, generation, view)
@@ -338,11 +319,6 @@ class SlowBleedAdversary(Adversary):
             return plan[2]
         return None
 
-    def m_vector(self, pid, honest_m, generation, view):
-        if self._accused_by(pid, generation, view) is not None:
-            return [False] * len(honest_m)
-        return honest_m
-
     def m_row(self, pid, honest_row, generation, view):
         if self._accused_by(pid, generation, view) is not None:
             return ALL_FALSE
@@ -352,15 +328,6 @@ class SlowBleedAdversary(Adversary):
         if self._accused_by(pid, generation, view) is not None:
             return True
         return honest_flag
-
-    def trust_vector(self, pid, honest_trust, generation, view):
-        target = self._accused_by(pid, generation, view)
-        if target is not None:
-            doctored = dict(honest_trust)
-            if target in doctored:
-                doctored[target] = False
-            return doctored
-        return honest_trust
 
     def trust_row(self, pid, p_match, honest_row, generation, view):
         target = self._accused_by(pid, generation, view)
@@ -394,17 +361,21 @@ class RandomAdversary(Adversary):
             return self.rng.randrange(1 << min(bits, 48))
         return honest_input
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if self._deviate():
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        # Per recipient in the order given: deviate?  then silent or a
+        # random symbol.
+        exceptions = {}
+        for recipient in recipients:
             if self._deviate():
-                return None
-            return self._random_symbol(view)
-        return honest_symbol
+                exceptions[recipient] = (
+                    None if self._deviate() else self._random_symbol(view)
+                )
+        return honest_symbol, exceptions
 
-    def m_vector(self, pid, honest_m, generation, view):
+    def m_row(self, pid, honest_row, generation, view):
         if self._deviate():
-            return [self.rng.random() < 0.5 for _ in honest_m]
-        return honest_m
+            return [self.rng.random() < 0.5 for _ in honest_row]
+        return honest_row
 
     def detected_flag(self, pid, honest_flag, generation, view):
         if self._deviate():
@@ -416,12 +387,10 @@ class RandomAdversary(Adversary):
             return self._random_symbol(view)
         return honest_symbol
 
-    def trust_vector(self, pid, honest_trust, generation, view):
+    def trust_row(self, pid, p_match, honest_row, generation, view):
         if self._deviate():
-            return {
-                peer: self.rng.random() < 0.5 for peer in honest_trust
-            }
-        return honest_trust
+            return {member: self.rng.random() < 0.5 for member in p_match}
+        return honest_row
 
     def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
         if self._deviate():
@@ -504,12 +473,6 @@ class TrustPoisoningAdversary(Adversary):
     def detected_flag(self, pid, honest_flag, generation, view):
         return True
 
-    def trust_vector(self, pid, honest_trust, generation, view):
-        return {
-            peer: False if peer not in self.faulty else flag
-            for peer, flag in honest_trust.items()
-        }
-
     def trust_row(self, pid, p_match, honest_row, generation, view):
         return set(p_match).difference(self.faulty)
 
@@ -531,17 +494,9 @@ class StagedEquivocationAdversary(Adversary):
         self.deceived = set(deceived)
         self.alt_value = alt_value
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if recipient in self.deceived:
-            alt = _codeword_symbol(self.alt_value, pid, generation, view)
-            if alt is not None:
-                return alt
-        return honest_symbol
-
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         # Honest plus the deceived; the alternative symbol is encoded
-        # once, not once per deceived recipient — and, like the scalar
-        # form, not at all once no deceived pid is left to send to.
+        # once, and not at all once no deceived pid is left to send to.
         if self.deceived.isdisjoint(recipients):
             return honest_symbol, {}
         alt = _codeword_symbol(self.alt_value, pid, generation, view)
@@ -549,10 +504,7 @@ class StagedEquivocationAdversary(Adversary):
             return honest_symbol, {}
         return honest_symbol, dict.fromkeys(self.deceived, alt)
 
-    def m_vector(self, pid, honest_m, generation, view):
+    def m_row(self, pid, honest_row, generation, view):
         # Claim to match everyone: the pairwise condition lets the lie
         # survive only where the counterpart also claims a match.
-        return [True] * len(honest_m)
-
-    def m_row(self, pid, honest_row, generation, view):
         return ALL_TRUE

@@ -11,33 +11,12 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.processors.adversary import Adversary
-
-#: Hooks whose first argument is the acting processor id.
-_ROUTED_HOOKS = (
-    "input_value",
-    "matching_symbol",
-    "matching_row",
-    "m_vector",
-    "m_row",
-    "detected_flag",
-    "diagnosis_symbol",
-    "trust_vector",
-    "trust_row",
-    "bsb_source_bit",
-    "ideal_broadcast_bit",
-    "king_value",
-    "king_proposal",
-    "king_bit",
-    "eig_relay",
-    "source_symbol",
-    "forwarded_symbol",
-    "source_codeword",
-)
+from repro.processors.adversary import Adversary, route_pid_hooks
 
 
+@route_pid_hooks
 class CompositeAdversary(Adversary):
-    """Route hooks to per-pid strategies.
+    """Route every pid-first hook to the strategy owning the acting pid.
 
     >>> from repro.processors import CrashAdversary, FalseDetectionAdversary
     >>> adversary = CompositeAdversary({
@@ -62,15 +41,3 @@ class CompositeAdversary(Adversary):
             return getattr(Adversary, hook)(self, pid, *args, **kwargs)
         return getattr(strategy, hook)(pid, *args, **kwargs)
 
-
-def _make_router(hook: str):
-    def routed(self, pid, *args, **kwargs):
-        return self._route(hook, pid, args, kwargs)
-
-    routed.__name__ = hook
-    routed.__doc__ = "Routed to the strategy owning the acting pid."
-    return routed
-
-
-for _hook in _ROUTED_HOOKS:
-    setattr(CompositeAdversary, _hook, _make_router(_hook))

@@ -22,11 +22,10 @@ matching_row`): the payload every recipient gets plus the recipients
    are the round's :class:`_SymbolRound` — a common payload per sender
    and a sparse ``(sender, recipient)`` table of exceptions — which
    every later step reads; the *deviation pattern* is its (silent
-   senders, exception pairs).  A strategy that only overrides the
-   per-recipient ``matching_symbol`` gets the derived row, which fires
-   that hook once per recipient in scalar order with scalar arguments;
-   this engine never calls the scalar form itself, so the round costs
-   O(faulty + deviations) for a strategy that answers in row form.
+   senders, exception pairs).  The exceptions are read by the
+   adversary module's expansion rule (an exact-int key among the
+   sender's recipients counts, nothing else), sparsely, so the round
+   costs O(faulty + deviations), not O(faulty · n).
 2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
    M expectation rows (tuples) handed to the ``m_row`` hooks, the
    unhooked M broadcast rows, the match set they resolve to and, per
@@ -315,14 +314,8 @@ class CohortContext:
         self.pids = range(self.n)
         self.honest = [pid for pid in self.pids if pid not in controlled]
         # Base-hook elision (module docstring): hook_is_default is the rule.
-        # The symbol hook has two forms; only a class leaving both at
-        # the base plays the round as the honest identity.
-        self.ms_default = hook_is_default(
-            adversary, "matching_symbol"
-        ) and hook_is_default(adversary, "matching_row")
-        self.mv_default = hook_is_default(
-            adversary, "m_vector"
-        ) and hook_is_default(adversary, "m_row")
+        self.ms_default = hook_is_default(adversary, "matching_row")
+        self.mv_default = hook_is_default(adversary, "m_row")
         self.df_default = hook_is_default(adversary, "detected_flag")
         self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
         #: Graph state -> its structure: the one table the cohort keeps.
@@ -409,8 +402,10 @@ class _SymbolRound:
         offcw = False
         mask = struct.mask
         n = len(mask)
-        # One row hook per sender, senders ascending, recipients sorted:
-        # a derived row fires the scalar hooks in the exact scalar order.
+        # One row hook per sender, senders ascending, recipients sorted
+        # (the per-generation engine's order).  An exception counts when
+        # its key is an exact int among the recipients
+        # (matching_row_payloads): in range and a live trusted peer.
         for f, recips in struct.fab_recips.items():
             payload, others = adversary.matching_row(
                 f, recips, row_of[f][f], g, view
@@ -595,7 +590,7 @@ class _InstanceRun:
 
         # -- lines 1(c)-1(e): M vectors and the match set ---------------
         # Every controlled processor is asked for its M row (m_row) when
-        # either form is overridden.  An honest answer keeps the plan's
+        # it is overridden.  An honest answer keeps the plan's
         # row; the dispatch zeroes an isolated source's row whatever it
         # answers.
         rows = plan.m_rows

@@ -42,8 +42,25 @@ class TestHonestBeforeTakeover:
     def test_hooks_honest_before_start(self):
         strategy = SymbolCorruptionAdversary(faulty=[5])
         adversary = AdaptiveAdversary(schedule={3: [5]}, strategy=strategy)
-        assert adversary.matching_symbol(5, 0, 9, 0, self._view(0)) == 9
-        assert adversary.matching_symbol(5, 0, 9, 3, self._view(3)) == 8
+        assert adversary.matching_row(5, (0,), 9, 0, self._view(0)) == (
+            9, {}
+        )
+        assert adversary.matching_row(5, (0,), 9, 3, self._view(3)) == (
+            8, {}
+        )
+
+    def test_input_value_is_gated_on_generation_zero(self):
+        class Substitute(Adversary):
+            def input_value(self, pid, honest_input, view):
+                return honest_input + 1
+
+        adversary = AdaptiveAdversary(
+            schedule={0: [5], 2: [6]}, strategy=Substitute([5, 6])
+        )
+        # Corrupted from the start: the input is the strategy's; taken
+        # over later: the processor held its own input.
+        assert adversary.input_value(5, 41, self._view(0)) == 42
+        assert adversary.input_value(6, 41, self._view(0)) == 41
 
     def test_broadcast_hooks_follow_generation_extra(self):
         class FlipBit(Adversary):

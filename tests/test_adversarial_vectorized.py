@@ -34,11 +34,11 @@ from repro.service.planner import Lane, plan_lane
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
 CONSENSUS_HOOKS = {
     "input_value",
-    "matching_symbol",
-    "m_vector",
+    "matching_row",
+    "m_row",
     "detected_flag",
     "diagnosis_symbol",
-    "trust_vector",
+    "trust_row",
 }
 
 

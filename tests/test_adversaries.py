@@ -30,14 +30,14 @@ from repro.processors import (
 )
 from repro.processors import byzantine
 from repro.processors.adversary import (
-    GlobalView, hook_is_default, m_row_bits, trust_row_bits,
+    ALL_FALSE, ALL_TRUE, GlobalView, RowConstant, hook_is_default,
+    m_row_bits, matching_row_payloads, trust_row_bits,
 )
-from repro.service.cohort import CohortContext
 from repro.service.engine import prepare_instance
 
 #: The hooks an engine may elide when they are left at the base.
 ELIDABLE_HOOKS = (
-    "matching_symbol", "m_vector", "detected_flag", "trust_vector",
+    "matching_row", "m_row", "detected_flag", "trust_row",
     "ideal_broadcast_bit",
 )
 
@@ -59,11 +59,13 @@ class TestBaseAdversary:
         adversary = Adversary(faulty=[0])
         v = view()
         assert adversary.input_value(0, 42, v) == 42
-        assert adversary.matching_symbol(0, 1, 7, 0, v) == 7
-        assert adversary.m_vector(0, [True, False], 0, v) == [True, False]
+        assert adversary.matching_row(0, (1, 2), 7, 0, v) == (7, {})
+        m_row = (True, False)
+        assert adversary.m_row(0, m_row, 0, v) is m_row
         assert adversary.detected_flag(0, True, 0, v) is True
         assert adversary.diagnosis_symbol(0, 3, 0, v) == 3
-        assert adversary.trust_vector(0, {1: True}, 0, v) == {1: True}
+        trust_row = (True,)
+        assert adversary.trust_row(0, (1,), trust_row, 0, v) is trust_row
         assert adversary.bsb_source_bit(0, 1, 1, 0, v) == 1
         assert adversary.ideal_broadcast_bit(0, 1, 0, v) == 1
         assert adversary.king_value(0, 1, 0, 1, 0, v) == 1
@@ -78,10 +80,10 @@ class TestBaseAdversary:
     def test_hook_is_default_reads_the_class(self):
         assert all(hook_is_default(Adversary([0]), h) for h in ELIDABLE_HOOKS)
         poison = TrustPoisoningAdversary([0])
-        assert not hook_is_default(poison, "trust_vector")
+        assert not hook_is_default(poison, "trust_row")
         assert not hook_is_default(poison, "detected_flag")
         assert hook_is_default(poison, "ideal_broadcast_bit")
-        assert hook_is_default(poison, "matching_symbol")
+        assert hook_is_default(poison, "matching_row")
 
     def test_routers_and_wrappers_read_as_overriding(self):
         # Both delegate to strategies the class cannot see: every hook
@@ -103,33 +105,32 @@ class TestCrashAdversary:
     def test_silent_after_crash(self):
         adversary = CrashAdversary(faulty=[0], crash_generation=2)
         v = view(faulty=[0])
-        assert adversary.matching_symbol(0, 1, 5, 1, v) == 5
-        assert adversary.matching_symbol(0, 1, 5, 2, v) is None
-        assert adversary.matching_symbol(0, 1, 5, 3, v) is None
+        assert adversary.matching_row(0, (1,), 5, 1, v) == (5, {})
+        assert adversary.matching_row(0, (1,), 5, 2, v) == (None, {})
+        assert adversary.matching_row(0, (1,), 5, 3, v) == (None, {})
 
     def test_m_vector_all_false_after_crash(self):
         adversary = CrashAdversary(faulty=[0], crash_generation=0)
         v = view(faulty=[0])
-        assert adversary.m_vector(0, [True] * 7, 0, v) == [False] * 7
+        assert adversary.m_row(0, (True,) * 7, 0, v) is ALL_FALSE
 
 
 class TestSymbolCorruption:
     def test_targets_only_victims(self):
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [3]})
         v = view(faulty=[0])
-        assert adversary.matching_symbol(0, 3, 5, 0, v) == 4  # 5 ^ 1
-        assert adversary.matching_symbol(0, 2, 5, 0, v) == 5
+        answer = adversary.matching_row(0, (2, 3), 5, 0, v)
+        assert matching_row_payloads(answer, (2, 3)) == [5, 4]  # 5 ^ 1
 
     def test_default_targets_everyone(self):
         adversary = SymbolCorruptionAdversary(faulty=[0])
         v = view(faulty=[0])
-        assert adversary.matching_symbol(0, 1, 5, 0, v) == 4
-        assert adversary.matching_symbol(0, 6, 5, 0, v) == 4
+        assert adversary.matching_row(0, (1, 6), 5, 0, v) == (4, {})
 
     def test_custom_flip_mask(self):
         adversary = SymbolCorruptionAdversary(faulty=[0], flip_mask=0xF)
         v = view(faulty=[0])
-        assert adversary.matching_symbol(0, 1, 0, 0, v) == 0xF
+        assert adversary.matching_row(0, (1,), 0, 0, v) == (0xF, {})
 
     def test_pid_absent_from_a_partial_map_corrupts_nobody(self):
         # None doubled as "everyone" and as dict.get's default, so the
@@ -137,11 +138,7 @@ class TestSymbolCorruption:
         adversary = SymbolCorruptionAdversary([0, 1], victims={0: [6]})
         v = view(faulty=[0, 1])
         recipients = [r for r in range(7) if r != 1]
-        assert [
-            adversary.matching_symbol(1, r, 5, 0, v) for r in recipients
-        ] == [5] * 6
         assert adversary.matching_row(1, recipients, 5, 0, v) == (5, {})
-        assert adversary.matching_symbol(0, 6, 5, 0, v) == 4
         assert adversary.matching_row(0, [1, 6], 5, 0, v) == (5, {6: 4})
         assert adversary.forwarded_symbol(1, 6, 5, 0, v) == 5
         assert adversary.source_symbol(1, 6, 5, 0, v) == 5
@@ -153,20 +150,18 @@ class TestSymbolCorruption:
         adversary = AdaptiveAdversary({0: [0], 1: [5]}, strategy)
         assert strategy.faulty == {0, 5}
         v = view(faulty=[0, 5])
-        assert adversary.matching_symbol(5, 6, 9, 1, v) == 9
         assert adversary.matching_row(5, [0, 6], 9, 1, v) == (9, {})
         assert adversary.matching_row(0, [5, 6], 9, 1, v) == (9, {6: 8})
         # Without a map "everyone" still covers a pid added later.
         everyone = SymbolCorruptionAdversary([0])
         AdaptiveAdversary({0: [0], 1: [5]}, everyone)
-        assert everyone.matching_symbol(5, 6, 9, 1, v) == 8
         assert everyone.matching_row(5, [0, 6], 9, 1, v) == (8, {})
 
 
 class TestSimpleStrategies:
     def test_false_accusation(self):
         adversary = FalseAccusationAdversary(faulty=[2])
-        assert adversary.m_vector(2, [True] * 5, 0, view()) == [False] * 5
+        assert adversary.m_row(2, (True,) * 5, 0, view()) is ALL_FALSE
 
     def test_false_detection(self):
         adversary = FalseDetectionAdversary(faulty=[2])
@@ -175,14 +170,16 @@ class TestSimpleStrategies:
     def test_equivocator_needs_extras(self):
         adversary = EquivocatingAdversary(faulty=[0], split=3, alt_value=9)
         # Without code/parts_of in extras it behaves honestly.
-        assert adversary.matching_symbol(0, 5, 7, 0, view()) == 7
+        assert adversary.matching_row(0, (5,), 7, 0, view()) == (7, {})
         # With what every consensus engine publishes, pids from the
         # split up see the alternative value's codeword.
         v, consensus = engine_view(7, adversary)
         alt = consensus.code.encode(consensus.parts_of(9)[0])
         honest = alt[0] ^ 1
-        assert adversary.matching_symbol(0, 5, honest, 0, v) == alt[0]
-        assert adversary.matching_symbol(0, 2, honest, 0, v) == honest
+        assert adversary.matching_row(0, (1, 2, 3, 5), honest, 0, v) == (
+            honest, {3: alt[0], 5: alt[0]}
+        )
+        assert adversary.matching_row(0, (1, 2), honest, 0, v) == (honest, {})
 
 
 def engine_view(n, adversary, l_bits=64):
@@ -196,12 +193,15 @@ def engine_view(n, adversary, l_bits=64):
 
 
 class OddPayloads(Adversary):
-    """Scalar form only: payloads no honest processor sends."""
+    """Payloads no honest processor sends, one per recipient."""
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        return (
-            None, True, -1, 1 << 40, float(honest_symbol), honest_symbol,
-        )[(recipient + generation) % 6]
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return honest_symbol, {
+            r: (
+                None, True, -1, 1 << 40, float(honest_symbol), honest_symbol,
+            )[(r + generation) % 6]
+            for r in recipients
+        }
 
 
 def _explicit(cls, **kwargs):
@@ -252,92 +252,87 @@ SUBJECTS.update({
 })
 
 
-class TestRowFormAgreesWithScalarForm:
-    """``matching_row`` is ``matching_symbol`` asked once: on two
-    identically built adversaries, expanding one's row answers equals
-    the other's per-recipient answers, call after call."""
+def _exact(payloads):
+    """Payloads compared exactly: ``True`` is not the symbol 1, ``5.0``
+    not the symbol 5."""
+    return [(type(payload), payload) for payload in payloads]
+
+
+def _rule_payloads(answer, recipients):
+    """The expansion rule, spelled out: each recipient gets the common
+    payload unless an exception's key is an ``int`` (not a ``bool``)
+    equal to it."""
+    payload, exceptions = answer
+    expanded = []
+    for recipient in recipients:
+        sent = payload
+        for key, other in exceptions.items():
+            if type(key) is int and key == recipient:
+                sent = other
+        expanded.append(sent)
+    return expanded
+
+
+class TestSymbolRowSemantics:
+    """A ``matching_row`` answer is one payload plus its exceptions,
+    read per recipient by one rule (``matching_row_payloads``)."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_row_expands_to_the_scalar_answers(self, data):
+    def test_row_answers_replay_and_expand_by_the_rule(self, data):
+        """On two identically built adversaries the answers expand alike,
+        call after call (seeded strategies replay), and every answer
+        expands as the rule spelled out in this file says."""
         name = data.draw(st.sampled_from(sorted(SUBJECTS)))
         n = data.draw(st.sampled_from([4, 7, 31]))
         t = (n - 1) // 3
-        by_row, by_symbol = SUBJECTS[name](n, t), SUBJECTS[name](n, t)
-        row_view, consensus = engine_view(n, by_row)
-        symbol_view, _ = engine_view(n, by_symbol)
-        senders = sorted(by_row.faulty) or [0]
+        first, second = SUBJECTS[name](n, t), SUBJECTS[name](n, t)
+        first_view, consensus = engine_view(n, first)
+        second_view, _ = engine_view(n, second)
+        senders = sorted(first.faulty) or [0]
         calls = data.draw(st.lists(
             st.tuples(
                 st.sampled_from(senders),
-                st.lists(st.integers(0, n - 1), unique=True),
+                st.lists(st.integers(0, n - 1), unique=True).map(sorted),
                 st.integers(0, consensus.code.symbol_limit - 1),
                 st.integers(0, consensus.config.generations - 1),
             ),
             min_size=1, max_size=4,
         ))
         for pid, recipients, honest_symbol, generation in calls:
-            payload, exceptions = by_row.matching_row(
-                pid, recipients, honest_symbol, generation, row_view
+            answer = first.matching_row(
+                pid, recipients, honest_symbol, generation, first_view
             )
-            expanded = [exceptions.get(r, payload) for r in recipients]
-            asked = [
-                by_symbol.matching_symbol(
-                    pid, r, honest_symbol, generation, symbol_view
-                )
-                for r in recipients
-            ]
-            # Exactly: True is not the symbol 1, 5.0 not the symbol 5.
-            assert [(type(x), x) for x in expanded] == [
-                (type(x), x) for x in asked
-            ]
+            again = second.matching_row(
+                pid, recipients, honest_symbol, generation, second_view
+            )
+            expanded = matching_row_payloads(answer, recipients)
+            assert len(expanded) == len(recipients)
+            assert _exact(expanded) == _exact(
+                _rule_payloads(answer, recipients)
+            )
+            assert _exact(expanded) == _exact(
+                matching_row_payloads(again, recipients)
+            )
 
-    def test_overriding_the_scalar_form_alone_gets_the_derived_row(self):
-        class Lopsided(CrashAdversary):
-            def matching_symbol(
-                self, pid, recipient, honest_symbol, generation, view
-            ):
-                return None if recipient % 2 else honest_symbol
-
-        # CrashAdversary's own row ("silent to all") answered for
-        # CrashAdversary's scalar form, not for this one.
-        assert Lopsided.matching_row is Adversary.matching_row
-        assert CrashAdversary.matching_row is not Adversary.matching_row
-        assert Lopsided([0]).matching_row(0, [1, 2, 3], 5, 0, view()) == (
-            5, {1: None, 3: None}
+    @pytest.mark.parametrize("answer, expected", [
+        ((5, {True: 9}), [5, 5, 5]),
+        ((5, {"2": 9}), [5, 5, 5]),
+        ((5, {-1: 9}), [5, 5, 5]),
+        ((5, {7: 9, 1 << 70: 9}), [5, 5, 5]),
+        ((5, {0: 9}), [5, 5, 5]),
+        ((5, {4: 9}), [5, 5, 5]),
+        ((None, {2: 9, 3: None}), [None, 9, None]),
+    ], ids=[
+        "bool_key", "str_key", "negative_pid", "out_of_range_pid",
+        "own_pid", "non_recipient", "none_payloads",
+    ])
+    def test_expansion_rule(self, answer, expected):
+        """Sender 0 of n = 7 with recipients 1, 2, 3: only an exact-int
+        key among them names a recipient; ``None`` is silence."""
+        assert _exact(matching_row_payloads(answer, (1, 2, 3))) == (
+            _exact(expected)
         )
-
-    def test_a_row_without_its_scalar_form_is_refused(self):
-        with pytest.raises(TypeError, match="matching_row"):
-            class RowOnly(Adversary):
-                def matching_row(
-                    self, pid, recipients, honest_symbol, generation, view
-                ):
-                    return None, {}
-
-        with pytest.raises(TypeError, match="matching_row"):
-            class InheritedScalar(CrashAdversary):
-                def matching_row(
-                    self, pid, recipients, honest_symbol, generation, view
-                ):
-                    return honest_symbol, {}
-
-    def test_ms_default_needs_both_forms_at_the_base(self):
-        def ms_default(adversary):
-            consensus = MultiValuedConsensus(
-                ConsensusConfig.create(n=7, l_bits=64), adversary=adversary
-            )
-            return CohortContext(
-                consensus.config, consensus.code, adversary,
-                consensus.ensure_arena(),
-            ).ms_default
-
-        assert ms_default(Adversary([5, 6]))
-        assert ms_default(TrustPoisoningAdversary([5, 6]))
-        assert not ms_default(CrashAdversary([5, 6]))
-        assert not ms_default(OddPayloads([5, 6]))
-        assert not ms_default(CompositeAdversary({5: Adversary([5])}))
-        assert not ms_default(DeviationRecorder(Adversary([5, 6])))
 
 
 def _writes_a_row(cls, row):
@@ -346,9 +341,9 @@ def _writes_a_row(cls, row):
     )
 
 
-#: The strategies whose M or Trust answer is written in row form, and
-#: two that derive it (a seeded scalar-only one and a router), each as
-#: ``(n, t) -> adversary``; the faulty set is the top ``t`` pids.
+#: Every exported strategy class that writes an M or Trust row, the
+#: routers included, as ``(n, t) -> adversary``; the faulty set is the
+#: top ``t`` pids.
 M_TRUST_ROW_SUBJECTS = {
     "CrashAdversary": lambda n, t: CrashAdversary(
         range(n - t, n), crash_generation=1
@@ -370,14 +365,18 @@ M_TRUST_ROW_SUBJECTS = {
         n - 1: CrashAdversary([n - 1]),
         **{pid: TrustPoisoningAdversary([pid]) for pid in range(n - t, n - 1)},
     }),
+    "AdaptiveAdversary": lambda n, t: AdaptiveAdversary(
+        {0: [n - t], 2: list(range(n - t + 1, n))},
+        RandomAdversary(range(n - t, n), seed=4, rate=0.5),
+    ),
 }
 
 
-class TestMAndTrustRowsAgreeWithScalarForms:
-    """``m_row`` is ``m_vector`` and ``trust_row`` is ``trust_vector``,
-    asked once: on two identically built adversaries, what one's row
-    answer broadcasts equals what the other's scalar answer broadcasts,
-    call after call."""
+class TestMAndTrustRowSemantics:
+    """An ``m_row`` answer is the honest row, a constant or an explicit
+    row; a ``trust_row`` answer the honest row, an accuse set or a
+    mapping — each read by one rule (``m_row_bits``,
+    ``trust_row_bits``)."""
 
     def test_every_row_writer_is_a_subject(self):
         import repro.processors as processors
@@ -387,18 +386,20 @@ class TestMAndTrustRowsAgreeWithScalarForms:
             if isinstance(cls, type) and issubclass(cls, Adversary)
             and any(_writes_a_row(cls, row) for row in ("m_row", "trust_row"))
         }
-        # The router writes both forms of every hook it routes.
-        assert writers == set(M_TRUST_ROW_SUBJECTS) - {"RandomAdversary"}
+        assert writers == set(M_TRUST_ROW_SUBJECTS)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_rows_expand_to_the_scalar_answers(self, data):
+    def test_row_answers_replay_and_read_by_the_rules(self, data):
+        """On two identically built adversaries the answers broadcast
+        alike, call after call; every answer is of a known kind, and an
+        honest answer broadcasts the honest flags."""
         name = data.draw(st.sampled_from(sorted(M_TRUST_ROW_SUBJECTS)))
         n = data.draw(st.sampled_from([4, 7, 10]))
         t = (n - 1) // 3
-        by_row = M_TRUST_ROW_SUBJECTS[name](n, t)
-        by_scalar = M_TRUST_ROW_SUBJECTS[name](n, t)
-        faulty = sorted(by_row.faulty)
+        first = M_TRUST_ROW_SUBJECTS[name](n, t)
+        second = M_TRUST_ROW_SUBJECTS[name](n, t)
+        faulty = sorted(first.faulty)
         generation = st.integers(0, 3)
         if name == "SlowBleedAdversary":
             # Both planners start from the same drawn plans: honest,
@@ -410,7 +411,7 @@ class TestMAndTrustRowsAgreeWithScalarForms:
                 st.tuples(st.just("accuse"), st.sampled_from(faulty),
                           st.integers(0, n - 1)),
             ), min_size=4, max_size=4))
-            by_row._plan, by_scalar._plan = dict(plans), dict(plans)
+            first._plan, second._plan = dict(plans), dict(plans)
         v = view(n=n, t=t, faulty=faulty)
         flags = st.booleans()
         for _ in range(data.draw(st.integers(1, 4))):
@@ -420,9 +421,17 @@ class TestMAndTrustRowsAgreeWithScalarForms:
                 honest = tuple(data.draw(
                     st.lists(flags, min_size=n, max_size=n)
                 ))
-                answer = by_row.m_row(pid, honest, g, v)
-                asked = by_scalar.m_vector(pid, list(honest), g, v)
-                assert m_row_bits(answer, pid, n) == m_row_bits(asked, pid, n)
+                answer = first.m_row(pid, honest, g, v)
+                again = second.m_row(pid, honest, g, v)
+                assert answer is honest or isinstance(
+                    answer, (RowConstant, list, tuple)
+                )
+                bits = m_row_bits(answer, pid, n)
+                assert bits == m_row_bits(again, pid, n)
+                if answer is honest:
+                    assert bits == [
+                        int(flag) for j, flag in enumerate(honest) if j != pid
+                    ]
             else:
                 p_match = sorted(data.draw(st.sets(
                     st.integers(0, n - 1), min_size=n - t, max_size=n - t
@@ -430,48 +439,72 @@ class TestMAndTrustRowsAgreeWithScalarForms:
                 honest = tuple(data.draw(st.lists(
                     flags, min_size=n - t, max_size=n - t
                 )))
-                answer = by_row.trust_row(pid, p_match, honest, g, v)
-                asked = by_scalar.trust_vector(
-                    pid, dict(zip(p_match, honest)), g, v
-                )
-                assert trust_row_bits(answer, p_match, honest) == (
-                    trust_row_bits(dict(asked), p_match, honest)
-                )
-
-    def test_overriding_a_scalar_form_alone_gets_the_derived_row(self):
-        class Doubting(TrustPoisoningAdversary):
-            def m_vector(self, pid, honest_m, generation, view):
-                return honest_m[:1]
-
-            def trust_vector(self, pid, honest_trust, generation, view):
-                return {}
-
-        class Agreeing(CrashAdversary):
-            def m_vector(self, pid, honest_m, generation, view):
-                return [True] * len(honest_m)
-
-        assert Doubting.m_row is Adversary.m_row
-        assert Doubting.trust_row is Adversary.trust_row
-        assert TrustPoisoningAdversary.trust_row is not Adversary.trust_row
-        assert Agreeing.m_row is Adversary.m_row
-        assert CrashAdversary.m_row is not Adversary.m_row
-        v = view()
-        assert Agreeing([5]).m_row(5, (False,) * 7, 0, v) == [True] * 7
-        assert Doubting([5]).trust_row(5, (0, 1), (True, True), 0, v) == {}
-
-    @pytest.mark.parametrize("row, scalar", [
-        ("m_row", "m_vector"), ("trust_row", "trust_vector"),
-    ])
-    def test_a_row_without_its_scalar_form_is_refused(self, row, scalar):
-        for base in (Adversary, SlowBleedAdversary):
-            with pytest.raises(TypeError, match="%s without the %s" % (
-                row, scalar
-            )):
-                type("RowOnly", (base,), {row: lambda self, *args: None})
+                answer = first.trust_row(pid, p_match, honest, g, v)
+                again = second.trust_row(pid, p_match, honest, g, v)
+                bits = trust_row_bits(answer, p_match, honest)
+                assert len(bits) == len(p_match)
+                assert bits == trust_row_bits(again, p_match, honest)
+                if answer is honest:
+                    assert bits == [int(flag) for flag in honest]
 
     def test_trust_row_refuses_an_answer_of_no_known_kind(self):
         with pytest.raises(TypeError, match="trust_row answer"):
             trust_row_bits([True, False], [0, 1], (True, True))
+
+
+_M_FLAG = st.one_of(st.booleans(), st.integers(-1, 2), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_m_row_bits_follows_the_rule(data):
+    """A constant sets all ``n - 1`` bits; a row is read slot by slot,
+    ``False`` past its end and slots past ``n`` dropped, each flag by
+    its truthiness, the sender's own slot never sent."""
+    n = data.draw(st.integers(2, 12))
+    pid = data.draw(st.integers(0, n - 1))
+    answer = data.draw(st.one_of(
+        st.sampled_from([ALL_FALSE, ALL_TRUE]),
+        st.lists(_M_FLAG, max_size=n + 3),
+        st.lists(_M_FLAG, max_size=n + 3).map(tuple),
+    ))
+    if answer is ALL_FALSE or answer is ALL_TRUE:
+        expected = [answer.bit] * (n - 1)
+    else:
+        expected = []
+        for j in range(n):
+            if j == pid:
+                continue
+            flag = answer[j] if j < len(answer) else False
+            expected.append(1 if flag else 0)
+    assert m_row_bits(answer, pid, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trust_row_bits_follows_the_rule(data):
+    """The honest row broadcasts itself; an accuse set clears the
+    members it names on the honest row (other pids are ignored); a
+    mapping sets a member's bit when it maps that member to a truthy
+    flag, and clears it otherwise."""
+    p_match = sorted(data.draw(st.sets(st.integers(0, 9), min_size=1)))
+    honest = tuple(data.draw(st.lists(
+        st.booleans(), min_size=len(p_match), max_size=len(p_match)
+    )))
+    kind = data.draw(st.sampled_from(["honest", "set", "mapping"]))
+    if kind == "honest":
+        answer = honest
+        expected = [1 if flag else 0 for flag in honest]
+    elif kind == "set":
+        answer = data.draw(st.sets(st.integers(-1, 11)))
+        expected = [
+            0 if j in answer else (1 if flag else 0)
+            for j, flag in zip(p_match, honest)
+        ]
+    else:
+        answer = data.draw(st.dictionaries(st.integers(-1, 11), _M_FLAG))
+        expected = [1 if answer.get(j) else 0 for j in p_match]
+    assert trust_row_bits(answer, p_match, honest) == expected
 
 
 class TestRandomAdversary:
@@ -479,14 +512,14 @@ class TestRandomAdversary:
         v = view()
         a1 = RandomAdversary(faulty=[0], seed=42)
         a2 = RandomAdversary(faulty=[0], seed=42)
-        seq1 = [a1.matching_symbol(0, 1, 5, 0, v) for _ in range(20)]
-        seq2 = [a2.matching_symbol(0, 1, 5, 0, v) for _ in range(20)]
+        seq1 = [a1.matching_row(0, (1, 2), 5, 0, v) for _ in range(20)]
+        seq2 = [a2.matching_row(0, (1, 2), 5, 0, v) for _ in range(20)]
         assert seq1 == seq2
 
     def test_rate_zero_is_honest(self):
         adversary = RandomAdversary(faulty=[0], seed=1, rate=0.0)
         v = view()
-        assert adversary.matching_symbol(0, 1, 5, 0, v) == 5
+        assert adversary.matching_row(0, (1, 2), 5, 0, v) == (5, {})
         assert adversary.detected_flag(0, False, 0, v) is False
 
     def test_rate_one_always_deviates_detected(self):

@@ -649,9 +649,9 @@ def test_recorder_notes_a_type_punned_symbol(scalar):
     ``P_match``, and the recorder must say why."""
 
     class Punned(Adversary):
-        def matching_symbol(self, pid, recipient, honest_symbol, generation,
-                            view):
-            return bool(honest_symbol)
+        def matching_row(self, pid, recipients, honest_symbol, generation,
+                         view):
+            return bool(honest_symbol), {}
 
     recorder = DeviationRecorder(Punned([0]))
     toggles = {"vectorized": False, "batch_generations": False} if scalar else {}
@@ -668,8 +668,8 @@ def test_recorder_notes_a_type_punned_symbol(scalar):
 class ClearsOwnSlot(Adversary):
     """Clears the one M flag no processor broadcasts: its own."""
 
-    def m_vector(self, pid, honest_m, generation, view):
-        return [flag and j != pid for j, flag in enumerate(honest_m)]
+    def m_row(self, pid, honest_row, generation, view):
+        return [flag and j != pid for j, flag in enumerate(honest_row)]
 
 
 class TrustsAStranger(FalseDetectionAdversary):
@@ -677,9 +677,9 @@ class TrustsAStranger(FalseDetectionAdversary):
     a Trust entry for a pid outside ``P_match``, which no bit
     carries."""
 
-    def trust_vector(self, pid, honest_trust, generation, view):
-        assert pid not in honest_trust
-        return {**honest_trust, pid: True}
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        assert pid not in p_match
+        return {**dict(zip(p_match, honest_row)), pid: True}
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["default", "scalar"])
@@ -767,3 +767,39 @@ def test_cli_audit_workflow(tmp_path, capsys):
 
 def test_default_key_is_not_a_deployment_secret():
     assert DEFAULT_KEY == b"repro-audit-demo-key"
+
+
+#: ``(attack, seed) -> (Transcript.digest(), sha256 of the canonical
+#: prove().to_wire())`` at n = 7, L = 256 for the value 0x410C: a moved
+#: RNG draw or planner call changes both.
+_PINNED_AUDITS = {
+    ("random", 0): (
+        "411f3a8d1bc9976db0c96701d475e6ab4f79d93a921e92debbe87031ad7a7914",
+        "d0c8acab109bb625fe2485775b2268dfcaadbe3f29d9a4aa050cc71642c9d10a",
+    ),
+    ("random", 7): (
+        "4a3837ec891646cd60a250533cf578b8a522661bfeedcf11edd822fe6a4d86c8",
+        "32ceb1b928e3f7c31cd44f065060fcef52d86780e1eb94518a697d7c4d05a0d3",
+    ),
+    ("adaptive_split", 11): (
+        "3c6c34ca3ad6f00b20f568b297a65ceec6afd68dc59855fa092975ad040903e4",
+        "56687faf4154ed1969c2b43382ac411c963a98901ea03284b09fed4bbcfcc3af",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "attack, seed", sorted(_PINNED_AUDITS), ids=lambda x: str(x)
+)
+def test_seeded_audit_is_pinned(attack, seed):
+    """The transcript digest and the proof (deviation records included)
+    of a seeded attack whose stream depends on hook order and count."""
+    spec = RunSpec(n=7, l_bits=256, attack=attack, seed=seed)
+    _, transcript = ConsensusService(spec).record(0x410C)
+    proof = prove(transcript).to_wire()
+    canonical = json.dumps(proof, sort_keys=True, separators=(",", ":"))
+    assert (
+        transcript.digest(),
+        hashlib.sha256(canonical.encode()).hexdigest(),
+    ) == _PINNED_AUDITS[(attack, seed)]
+    assert proof["culprits"] == proof["claimed_faulty"]

@@ -293,8 +293,8 @@ class TestMeterDiffRegression:
 class _BoolPayloadAdversary(Adversary):
     """Sends the Python bool ``True`` instead of its matching symbol."""
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        return True
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return True, {}
 
 
 class _InvalidIntAdversary(Adversary):
@@ -304,8 +304,8 @@ class _InvalidIntAdversary(Adversary):
         super().__init__(faulty)
         self._limit = limit
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        return self._limit
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return self._limit, {}
 
 
 class TestBoolPayloadRegression:

@@ -25,7 +25,7 @@ from repro.broadcast_bit.phase_king import (
 )
 from repro.network.metrics import BitMeter
 from repro.utils.bits import PackedBits
-from repro.processors import Adversary, RandomAdversary
+from repro.processors import Adversary, CompositeAdversary, RandomAdversary
 from repro.processors.adversary import GlobalView
 
 ERROR_FREE_BACKENDS = [AccountedIdealBroadcast, PhaseKingBroadcast, EIGBroadcast]
@@ -283,6 +283,15 @@ class TestDolevStrong:
         honest = {p: v for p, v in outcome.items() if p not in (0, 1)}
         assert len(set(honest.values())) == 2
         assert backend.stats.disagreements == 1
+
+    def test_forgeries_are_attempted_through_a_composite(self):
+        # The router used to play forge_signature honestly itself, so
+        # the wrapped strategy never saw an attempt.
+        forger = BernoulliForgingAdversary(faulty=[3], kappa=1, seed=0)
+        adversary = CompositeAdversary({3: forger})
+        backend = DolevStrongBroadcast(n=5, t=2, adversary=adversary, kappa=1)
+        backend.broadcast_bit(source=3, bit=1, tag="x")
+        assert forger.forgeries_attempted > 0
 
     def test_forgery_rate_tracks_kappa(self):
         adversary = BernoulliForgingAdversary(faulty=[0], kappa=1, seed=3)

@@ -1,11 +1,14 @@
 """Composite adversaries, ASCII plotting, graph serialization."""
 
+import inspect
+
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.analysis.plotting import ascii_plot
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.processors import (
+    AdaptiveAdversary,
     Adversary,
     CompositeAdversary,
     CrashAdversary,
@@ -33,12 +36,12 @@ class TestCompositeAdversary:
             6: CrashAdversary([6]),
         })
         # pid 5 corrupts (xor 1); pid 6 goes silent.
-        assert adversary.matching_symbol(5, 0, 8, 0, view()) == 9
-        assert adversary.matching_symbol(6, 0, 8, 0, view()) is None
+        assert adversary.matching_row(5, (0,), 8, 0, view()) == (9, {})
+        assert adversary.matching_row(6, (0,), 8, 0, view()) == (None, {})
 
     def test_unrouted_pid_honest(self):
         adversary = CompositeAdversary({5: CrashAdversary([5])})
-        assert adversary.matching_symbol(3, 0, 8, 0, view()) == 8
+        assert adversary.matching_row(3, (0,), 8, 0, view()) == (8, {})
 
     def test_strategy_faulty_set_fixed_up(self):
         inner = CrashAdversary([])
@@ -64,6 +67,59 @@ class TestCompositeAdversary:
             6: FalseDetectionAdversary([6]),
         })
         assert sorted(adversary.faulty) == [5, 6]
+
+
+def _pid_first_hooks():
+    """Every hook whose first argument is the acting processor, read off
+    the interface: each public method taking a ``view`` whose first
+    argument is not an ``instance``."""
+    hooks = []
+    for name, member in vars(Adversary).items():
+        if not inspect.isfunction(member) or name.startswith("_"):
+            continue
+        params = list(inspect.signature(member).parameters)
+        if "view" in params and params[1] != "instance":
+            hooks.append(name)
+    return hooks
+
+
+def _spy_strategy(hook, pid, answer):
+    """A strategy over ``pid`` whose ``hook`` logs its arguments and
+    answers ``answer``."""
+
+    def spy(self, *args):
+        self.calls.append(args)
+        return answer
+
+    strategy = type("Spy", (Adversary,), {hook: spy})([pid])
+    strategy.calls = []
+    return strategy
+
+
+#: The two routers, over a strategy that owns pid 3 from generation 0.
+ROUTERS = {
+    "composite": lambda strategy: CompositeAdversary({3: strategy}),
+    "adaptive": lambda strategy: AdaptiveAdversary({0: [3]}, strategy),
+}
+
+
+@pytest.mark.parametrize("router", sorted(ROUTERS))
+@pytest.mark.parametrize("hook", _pid_first_hooks())
+def test_router_forwards_every_pid_first_hook(hook, router):
+    """Each router hands every pid-first hook of the acting pid to the
+    strategy that owns it, with its arguments, and returns its answer:
+    a hook missing from a router's table plays honestly instead."""
+    answer = object()
+    strategy = _spy_strategy(hook, 3, answer)
+    adversary = ROUTERS[router](strategy)
+    v = GlobalView(n=7, t=2, faulty={3}, extras={"generation": 0})
+    params = list(inspect.signature(getattr(Adversary, hook)).parameters)
+    args = [
+        v if name == "view" else 0 if name == "generation" else (name, 1)
+        for name in params[2:]
+    ]
+    assert getattr(adversary, hook)(3, *args) is answer
+    assert strategy.calls == [(3, *args)]
 
 
 class TestAsciiPlot:

@@ -396,7 +396,7 @@ def test_journalled_failure_free_run_goes_through_the_empty_cohort(
 
 #: The adversary hooks either engine can fire on this grid's backend.
 HOOKS = (
-    "input_value", "matching_symbol", "m_vector", "detected_flag",
+    "input_value", "matching_row", "m_row", "detected_flag",
     "ideal_broadcast_bit",
 )
 
@@ -411,11 +411,10 @@ def test_plan_memo(monkeypatch, encodes):
     """The plan is what the one step memoizes: a crashed sender's
     second generation and a second same-shape instance add no entry to
     the cohort's plan table, the adversary's hooks fire in the order
-    (and with the arguments) the forced-scalar engine fires them — the
-    symbol round as one ``matching_row`` per sender where the scalar
-    engine asks per recipient, and one ``m_row`` per controlled pid
-    where it asks ``m_vector``, the expanded answers equal — and a
-    failure-free run still encodes nothing."""
+    (and with the arguments) the forced-scalar engine fires them — one
+    ``matching_row`` per live faulty sender and one ``m_row`` per
+    controlled pid, each with equal answers — and a failure-free run
+    still encodes nothing."""
     n, l_bits = 7, 256
     spec = RunSpec(n=n, l_bits=l_bits, attack="crash")
     instances = instances_for("crash", n)
@@ -430,7 +429,7 @@ def test_plan_memo(monkeypatch, encodes):
         def logging_engine(adversary, *args, **kwargs):
             log = []
             logs.append(log)
-            for name in HOOKS + ("matching_row", "m_row"):
+            for name in HOOKS:
                 original = getattr(adversary, name)
 
                 def spy(pid, *rest, _name=name, _original=original):
@@ -440,7 +439,7 @@ def test_plan_memo(monkeypatch, encodes):
                     log.append(None)
                     answer = _original(pid, *rest)
                     log[at] = (_name, pid) + rest[:-1]
-                    if _name in ("m_vector", "m_row"):
+                    if _name == "m_row":
                         log[at] += (m_row_bits(answer, pid, n),)
                     return answer
 
@@ -488,33 +487,19 @@ def test_plan_memo(monkeypatch, encodes):
         if getattr(type(spec.make_adversary()), name)
         is not getattr(cohort_module.Adversary, name)
     }
-    assert "matching_symbol" in overridden
+    assert {"matching_row", "m_row"} <= overridden
 
-    def per_recipient(log):
-        """``log`` with every row call spelt as the scalar calls it
-        stands for: a symbol row as one call per recipient, an M row as
-        the ``m_vector`` call on the list copy, with equal bits."""
-        for call in log:
-            if call[0] == "matching_row":
-                _, pid, recipients, honest_symbol, g = call
-                for recipient in recipients:
-                    yield ("matching_symbol", pid, recipient, honest_symbol, g)
-            elif call[0] == "m_row":
-                _, pid, honest_row, g, bits = call
-                yield ("m_vector", pid, list(honest_row), g, bits)
-            elif call[0] in overridden:
-                yield call
+    def fired(log):
+        return [call for call in log if call[0] in overridden]
 
     for log, scalar_log in zip(logs, scalar_logs):
-        assert list(per_recipient(log)) == list(per_recipient(scalar_log))
-        # The cohort asked each sender and each controlled pid once, in
-        # row form; the scalar engine has no row form to ask.
-        for scalar_hook, row_hook in (
-            ("matching_symbol", "matching_row"), ("m_vector", "m_row"),
-        ):
-            assert not any(call[0] == scalar_hook for call in log)
-            assert any(call[0] == row_hook for call in log)
-            assert not any(call[0] == row_hook for call in scalar_log)
+        assert fired(log) == fired(scalar_log)
+        # Each live faulty sender and each controlled pid was asked once
+        # a generation, in row form.
+        for row_hook in ("matching_row", "m_row"):
+            assert sum(call[0] == row_hook for call in log) == (
+                len(silent) * generations
+            )
 
     # The failure-free cohort: one plan (the empty pattern), no encode.
     del encodes[:]  # the crash cohort above did encode
@@ -551,7 +536,7 @@ def _logged(name):
     return hook
 
 
-for _name in HOOKS + ("diagnosis_symbol", "trust_vector"):
+for _name in HOOKS + ("diagnosis_symbol", "trust_row"):
     setattr(LoggingRandomAdversary, _name, _logged(_name))
 
 
@@ -593,11 +578,10 @@ def test_live_stateful_adversary_through_a_cold_cohort_of_one(
     monkeypatch, n, seed
 ):
     """The one-shot ``run`` of a live adversary object equals the
-    forced-scalar run in result, clocks and the full hook log: a
-    strategy that overrides only the scalar ``matching_symbol`` is
-    still asked per recipient (through the derived row), in the scalar
-    engine's exact (pid, recipient, honest symbol, generation)
-    sequence."""
+    forced-scalar run in result, clocks and the full hook log: every
+    row is asked in the scalar engine's exact (pid, recipients, honest
+    row, generation) sequence, so a strategy drawing per recipient from
+    one RNG replays its stream."""
 
     def make_adversary(config):
         # Pid 0 sits inside the lexicographic-first P_match (so its
@@ -613,7 +597,7 @@ def test_live_stateful_adversary_through_a_cold_cohort_of_one(
     # n = 31 pid 0 deviates towards some of its 30 recipients in every
     # generation, so it never sits in a P_match to be diagnosed from).
     assert {call[0] for call in by_cohort.log} == set(HOOKS) | {
-        "trust_vector",
+        "trust_row",
     } | ({"diagnosis_symbol"} if n < 31 else set())
 
 
@@ -635,37 +619,66 @@ def test_large_n_one_shot_equals_forced_scalar_reference(
     )
 
 
+def _recorded_and_proved(monkeypatch, spec, value, cls, hooks):
+    """Record ``value`` under ``spec`` (the per-generation engine),
+    then count the calls of ``cls``'s ``hooks`` that ``prove`` — the
+    audit replay on the forced-scalar engine — makes; returns
+    ``(counts, generations)``."""
+    from repro.audit import prove
+
+    _, transcript = ConsensusService(spec).record(value)
+    counts = dict.fromkeys(hooks, 0)
+    for name in hooks:
+        original = getattr(cls, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    proof = prove(transcript)
+    assert proof.ok and set(proof.culprits) <= set(proof.claimed_faulty)
+    return counts, len(transcript.result.generation_results)
+
+
 def test_symbol_round_asks_a_row_strategy_once_per_sender(monkeypatch):
-    """A count, not a timing: the cohort engine asks a strategy that
-    answers in row form once per live faulty sender per generation and
-    never per recipient; the scalar engine asks per recipient only."""
+    """A count, not a timing: the cohort, the per-generation engine, the
+    forced-scalar reference and the audit replay each ask a strategy
+    for its symbol row once per live faulty sender per generation, and
+    never per recipient."""
+    from repro.core.config import ConsensusConfig
     from repro.processors import CrashAdversary
 
     class CountingCrash(CrashAdversary):
         def __init__(self, faulty):
             super().__init__(faulty)
-            self.rows = self.symbols = 0
-
-        def matching_symbol(self, *args):
-            self.symbols += 1
-            return super().matching_symbol(*args)
+            self.rows = 0
 
         def matching_row(self, *args):
             self.rows += 1
             return super().matching_row(*args)
 
-    n, t = 31, 10
+    n, t, value = 31, 10, 0x5EED << 300
     result, by_cohort, by_scalar = cold_cohort_and_scalar(
-        monkeypatch, n, 0x5EED << 300,
-        lambda config: CountingCrash(range(n - t, n)),
+        monkeypatch, n, value, lambda config: CountingCrash(range(n - t, n)),
     )
+    per_generation = CountingCrash(range(n - t, n))
+    engine = MultiValuedConsensus(
+        ConsensusConfig.create(n=n, l_bits=512), adversary=per_generation,
+        batch_generations=False,
+    )
+    assert engine.run([value] * n) == result
     # Silence convicts nobody: all t senders stay live, trusted by all.
     generations = len(result.generation_results)
     assert generations > 2 and result.diagnosis_count == 0
-    assert (by_cohort.rows, by_cohort.symbols) == (t * generations, 0)
-    assert (by_scalar.rows, by_scalar.symbols) == (
-        0, t * (n - 1) * generations
+    assert (by_cohort.rows, per_generation.rows, by_scalar.rows) == (
+        (t * generations,) * 3
     )
+    counts, generations = _recorded_and_proved(
+        monkeypatch, RunSpec(n=7, l_bits=256, attack="crash"), 0xC0FFEE,
+        CrashAdversary, ("matching_row",),
+    )
+    assert counts["matching_row"] == 2 * generations
 
 
 def _crash_and_poison(n, t):
@@ -710,20 +723,19 @@ def test_row_strategies_equal_forced_scalar_reference(monkeypatch, make, n):
 
 
 def test_m_and_trust_rows_of_a_row_strategy_are_asked_once(monkeypatch):
-    """A count, not a timing: one ``slow_bleed`` instance at n = 31
-    through ``run_many`` asks every controlled pid for its M and Trust
-    rows, never the scalar ``m_vector`` / ``trust_vector``, and packs
-    no Trust row bit by bit (``PackedBits.from_bits``)."""
+    """A count, not a timing: one ``slow_bleed`` instance at n = 31 asks
+    every controlled pid for its M row once a generation and every live
+    one for its Trust row once a diagnosis — alike on the cohort
+    (``run_many``, which packs no Trust row bit by bit:
+    ``PackedBits.from_bits``), the per-generation engine, the
+    forced-scalar reference and the audit replay."""
     from repro.processors import SlowBleedAdversary
     from repro.utils.bits import PackedBits
 
-    calls = dict.fromkeys(
-        ("m_vector", "trust_vector", "m_row", "trust_row", "from_bits"), 0
-    )
-    for name in ("m_vector", "trust_vector", "m_row", "trust_row"):
-        original = getattr(SlowBleedAdversary, name, None)
-        if original is None:
-            continue  # an engine without row forms: its scalar count fails
+    hooks = ("m_row", "trust_row")
+    calls = dict.fromkeys(hooks + ("from_bits",), 0)
+    for name in hooks:
+        original = getattr(SlowBleedAdversary, name)
 
         def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
@@ -739,17 +751,32 @@ def test_m_and_trust_rows_of_a_row_strategy_are_asked_once(monkeypatch):
     monkeypatch.setattr(
         PackedBits, "from_bits", classmethod(counted_from_bits)
     )
-    t = 10
-    service = ConsensusService(
-        RunSpec(n=31, l_bits=1 << 10, attack="slow_bleed")
+    t, value = 10, 0x5EED
+    counts = {}
+    for engine, toggles in (
+        ("cohort", {}),
+        ("per_generation", {"batch_generations": False}),
+        ("forced_scalar", {"vectorized": False, "batch_generations": False}),
+    ):
+        for name in calls:
+            calls[name] = 0
+        service = ConsensusService(RunSpec(
+            n=31, l_bits=1 << 10, attack="slow_bleed", **toggles
+        ))
+        [result] = service.run_many([value])
+        assert result.error_free and result.diagnosis_count >= 1
+        assert calls["m_row"] == t * len(result.generation_results)
+        # Every live controlled pid, per diagnosis.
+        assert calls["trust_row"] >= t
+        counts[engine] = (calls["m_row"], calls["trust_row"])
+        if engine == "cohort":
+            assert calls["from_bits"] == 0
+    assert len(set(counts.values())) == 1
+    replayed, _ = _recorded_and_proved(
+        monkeypatch, RunSpec(n=31, l_bits=1 << 10, attack="slow_bleed"),
+        value, SlowBleedAdversary, hooks,
     )
-    [result] = service.run_many([0x5EED])
-    assert result.error_free and result.diagnosis_count >= 1
-    assert (calls["m_vector"], calls["trust_vector"], calls["from_bits"]) == (
-        0, 0, 0
-    )
-    assert calls["m_row"] == t * len(result.generation_results)
-    assert calls["trust_row"] >= t  # every live controlled pid, per diagnosis
+    assert (replayed["m_row"], replayed["trust_row"]) == counts["cohort"]
 
 
 class OddAnswers(cohort_module.Adversary):
@@ -768,25 +795,22 @@ class OddAnswers(cohort_module.Adversary):
             return {view.n - 1: None, pid: 0, view.n + 3: 0, -1: 0, "x": 0}
         return {1: True, 2: 1 << 40, 3: None}
 
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        return self._odd(pid, view).get(recipient, honest_symbol)
-
-
-class OddAnswersInRowForm(OddAnswers):
-    # Both forms in one body, as the class-creation guard asks.
-    matching_symbol = OddAnswers.matching_symbol
-
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         return honest_symbol, self._odd(pid, view)
+
+
+class TrueKeyedException(cohort_module.Adversary):
+    """An exception keyed ``True``, which names no pid — ``True == 1``,
+    but pid 1 must still get the honest symbol, so nothing deviates."""
+
+    def matching_row(self, pid, recipients, honest_symbol, generation, view):
+        return honest_symbol, {True: honest_symbol ^ 1}
 
 
 class TrueToAlmostAll(cohort_module.Adversary):
     """Every faulty sender's common payload is ``True``; pid 1 gets the
     honest symbol and pid 2 silence (exceptions under a common payload
     that is charged but never arrives)."""
-
-    def matching_symbol(self, pid, recipient, honest_symbol, generation, view):
-        return {1: honest_symbol, 2: None}.get(recipient, True)
 
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         return True, {1: honest_symbol, 2: None}
@@ -795,17 +819,18 @@ class TrueToAlmostAll(cohort_module.Adversary):
 @pytest.mark.parametrize(
     "adversary_class, diagnosed",
     [
-        (OddAnswers, True), (OddAnswersInRowForm, True),
+        (TrueKeyedException, False), (OddAnswers, True),
         (TrueToAlmostAll, False),
     ],
-    ids=["scalar_form", "row_form", "true_to_almost_all"],
+    ids=["true_key", "row_form", "true_to_almost_all"],
 )
 def test_row_answers_are_read_as_the_scalar_payloads_are(
     monkeypatch, adversary_class, diagnosed
 ):
-    """Exceptions aimed at an untrusted, own or non-existent pid are
-    ignored and a ``True`` payload is charged but missing: result
-    (meter included) and clocks equal the forced-scalar run."""
+    """Exceptions aimed at an untrusted, own or non-existent pid, or
+    keyed by something that is no pid, are ignored and a ``True``
+    payload is charged but missing: result (meter included) and clocks
+    equal the forced-scalar run."""
     result, _, _ = cold_cohort_and_scalar(
         monkeypatch, 7, 0xC0DE << 200,
         lambda config: adversary_class([0, 5]),

@@ -133,10 +133,8 @@ class TestCheckingStage:
 
     def test_silent_trusted_member_detected(self):
         class SilentToOne(Adversary):
-            def matching_symbol(self, pid, recipient, honest, generation, view):
-                if recipient == 6:
-                    return None
-                return honest
+            def matching_row(self, pid, recipients, honest, generation, view):
+                return honest, {6: None}
 
         protocol, config, _ = make_protocol(adversary=SilentToOne([0]))
         k = config.data_symbols

@@ -8,7 +8,7 @@ and only the controlled sources' rows go through
 ``broadcast_bits_many_grouped``, one call per maximal run of controlled
 sources.  The execution is observationally identical to the
 forced-scalar reference — per-source planning hooks
-(``diagnosis_symbol``, ``trust_vector``) interleave with the backend's
+(``diagnosis_symbol``, ``trust_row``) interleave with the backend's
 per-instance hooks in the exact scalar order, instance ids are
 sequential across rows, and the meter ``Counter`` state is
 byte-identical.  Also covers the backend-level contract directly (the
@@ -41,7 +41,7 @@ from test_adversarial_vectorized import assert_runs_equivalent
 class SharedRngDiagnosisAdversary(Adversary):
     """Stateful adversary sharing ONE RNG across planning and dispatch.
 
-    ``diagnosis_symbol``/``trust_vector`` (fired while planning a source's
+    ``diagnosis_symbol``/``trust_row`` (fired while planning a source's
     grouped row) and ``ideal_broadcast_bit`` (fired while dispatching a
     controlled source's instances) draw from the same stream, so any
     reordering of the scalar plan/dispatch interleaving changes its
@@ -62,11 +62,11 @@ class SharedRngDiagnosisAdversary(Adversary):
         self.events.append(("symbol", pid, honest_symbol))
         return honest_symbol ^ (1 if self.rng.random() < 0.5 else 0)
 
-    def trust_vector(self, pid, honest_trust, generation, view):
-        self.events.append(("trust", pid, dict(honest_trust)))
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        self.events.append(("trust", pid, dict(zip(p_match, honest_row))))
         return {
             j: trusted and self.rng.random() < 0.9
-            for j, trusted in honest_trust.items()
+            for j, trusted in zip(p_match, honest_row)
         }
 
     def ideal_broadcast_bit(self, source, bit, instance, view):
