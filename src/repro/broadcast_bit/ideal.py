@@ -34,12 +34,11 @@ class AccountedIdealBroadcast(BroadcastBackend):
     fire for it, every batched entry point here collapses honest work to
     pure accounting (:attr:`constant_cost_honest`): bulk instance bumps
     and one meter entry per call, with ``Counter`` state byte-identical
-    to the scalar per-instance loop.  Controlled sources whose adversary
-    overrides ``ideal_broadcast_bit`` always replay the exact scalar
-    per-instance sequence — same instance ids, same hook order and
-    arguments — at their position in the batch, so stateful seeded
-    adversaries cannot tell the paths apart; one that leaves the hook at
-    the base is accounted like an honest source (:meth:`_row_loop`).
+    to the scalar per-instance loop.  A controlled source whose adversary
+    overrides ``ideal_broadcast_bit`` is asked once per instance, with
+    the scalar loop's instance ids, at its position in the batch; one
+    that leaves the hook at the base is accounted like an honest source
+    (:meth:`_row_loop`).
     """
 
     name = "ideal"
@@ -87,7 +86,7 @@ class AccountedIdealBroadcast(BroadcastBackend):
         :meth:`broadcast_bit` calls under ``tag`` would perform — one
         instance bump, ``B(n)`` bits and ``n(n-1)`` messages each — as
         single batched increments.  The cohort engine and the diagnosis
-        stage call this to replay honest broadcasts without dispatching
+        stage call this to price honest broadcasts without dispatching
         any at all.  Zero instances touch nothing: zero scalar
         broadcasts leave no tag in the meter.
         """
@@ -102,18 +101,19 @@ class AccountedIdealBroadcast(BroadcastBackend):
         )
 
     def broadcast_bits_many_grouped(self, rows, tag, ignored=frozenset()):
-        """Lazily planned ``(source, plan)`` rows through
-        :meth:`_dispatch`: each ``plan()`` runs immediately before its
-        row dispatches, so per-source planning hooks
-        (``diagnosis_symbol``, ``trust_row``) keep the scalar
-        plan/dispatch interleaving with this backend's per-instance
-        hooks, which pre-planned rows (:meth:`broadcast_bits_many`)
-        would reorder.  The vectorized engine's unit for controlled
-        sources; a plan may return a :class:`~repro.utils.bits.\
-PackedBits` row, which comes back packed."""
-        return self._dispatch(
-            ((source, plan()) for source, plan in rows), tag, ignored
-        )
+        """The vectorized engines' unit: engine-normalized ``(source,
+        bits)`` rows known up front, one flat outcome row each instead
+        of a per-pid dict (agreement makes every fault-free view that
+        one row).
+
+        The observable execution is byte-identical to
+        :meth:`broadcast_bits_many` over the same rows (it is the same
+        :meth:`_row_loop`).  Bits must already be 0/1 (the engines
+        always normalize them), which is what lets this path skip the
+        per-bit validation; a :class:`~repro.utils.bits.PackedBits` row
+        comes back packed, and every row comes back shared and
+        read-only."""
+        return self._row_loop(rows, tag, ignored, validate=False)
 
     def broadcast_bits_many(self, rows, tag, ignored=frozenset()):
         """Rows known up front through :meth:`_dispatch`."""
@@ -129,27 +129,11 @@ PackedBits` row, which comes back packed."""
             for row in self._row_loop(rows, tag, ignored, validate=True)
         ]
 
-    def broadcast_rows_flat(self, rows, tag, ignored=frozenset()):
-        """Compact dispatch for engine-normalized rows: returns one flat
-        bit list per row instead of per-pid dicts (agreement makes every
-        fault-free view that shared list).
-
-        The observable execution is byte-identical to
-        :meth:`broadcast_bits_many` over the same rows (it is the same
-        :meth:`_row_loop`).  Callers must pass bits already normalized
-        to 0/1 (the engines always do), which is what lets this path
-        skip the per-bit validation; rows come back shared and
-        read-only.  This is the cohort engine's unit: the per-pid dict
-        fan-out of the generic entry points is pure allocation when the
-        caller only ever reads the reference view.
-        """
-        return self._row_loop(rows, tag, ignored, validate=False)
-
     def _row_loop(self, rows, tag, ignored, validate):
         """The one row loop behind every batched entry point.
 
-        ``rows`` is an iterable of ``(source, bits)``, consumed one row
-        at a time; returns each row's single outcome.  The source range
+        ``rows`` is a sequence of ``(source, bits)``; returns each row's
+        single outcome.  The source range
         and (with ``validate``) every bit are checked first, as the
         scalar loop does; then an ignored source yields a zero row
         without charges or hooks, and the call writes one summed meter
@@ -160,12 +144,12 @@ PackedBits` row, which comes back packed."""
         (:func:`~repro.processors.adversary.hook_is_default`: the
         stateless honest identity) — is pure accounting: one bulk
         instance bump, and the row comes back *as-is*.  An overridden
-        hook replays the scalar per-instance sequence, one view snapshot
-        per row.
+        hook is asked once per instance, with the scalar loop's instance
+        ids, one view snapshot per row.
 
         Packed rows (:class:`~repro.utils.bits.PackedBits`) are 0/1 by
-        construction and come back packed (a hooked one unpacked,
-        replayed and repacked).
+        construction and come back packed (a hooked one unpacked, asked
+        and repacked).
         """
         hooked = not hook_is_default(self.adversary, "ideal_broadcast_bit")
         outcomes: list = []

@@ -22,17 +22,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.network.metrics import BitMeter
 from repro.processors.adversary import Adversary, GlobalView
 
-#: A deferred row of the ideal backend's grouped broadcast
-#: (``AccountedIdealBroadcast.broadcast_bits_many_grouped``):
-#: ``(source, plan)`` where ``plan()`` returns the source's bit string.
-#: The plan is invoked immediately before the source's broadcast
-#: instances dispatch, so per-source planning hooks (e.g. an adversary
-#: choosing the bits) fire interleaved with the backend's own
-#: per-instance hooks, in exactly the order a per-source loop of
-#: :meth:`BroadcastBackend.broadcast_bits` calls would produce.
-PlannedRow = Tuple[int, Callable[[], Sequence[int]]]
-
-
 @dataclass
 class BroadcastStats:
     """Counters a backend keeps across its lifetime."""
@@ -49,18 +38,18 @@ class BroadcastBackend(abc.ABC):
     Two batched entry points layer on top of the per-instance
     :meth:`broadcast_bit` primitive, each with the same contract — the
     observable execution (outcomes, meter ``Counter`` state, instance
-    ids, adversary-hook order and arguments) is identical to the scalar
-    loop it replaces:
+    ids, the adversary hooks asked and their arguments) is identical to
+    the scalar loop it replaces:
 
     * :meth:`broadcast_bits` — one source, a bit string, one backend
       instance per bit;
-    * :meth:`broadcast_bits_many` — several pre-planned ``(source,
-      bits)`` rows under one tag (the scalar reference's unit).
+    * :meth:`broadcast_bits_many` — several ``(source, bits)`` rows
+      known up front, under one tag (the scalar reference's unit).
 
     A backend whose honest broadcasts are pure accounting
     (:attr:`constant_cost_honest`) also defines the vectorized engines'
-    entry points — ``charge_honest_instances``,
-    ``broadcast_bits_many_grouped`` and ``broadcast_rows_flat``
+    entry points — ``charge_honest_instances`` and
+    ``broadcast_bits_many_grouped``
     (:class:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast`); every
     other backend runs real rounds and serves the scalar reference only.
     """
@@ -191,12 +180,10 @@ class BroadcastBackend(abc.ABC):
         Semantically identical to one :meth:`broadcast_bits` call per
         row (and this default implementation is exactly that); backends
         with a cheaper bulk path override it with byte-identical
-        accounting.  This is the unit of the scalar reference's M and
-        Detected broadcasts — one call per (stage, generation) instead
-        of one per (stage, generation, source) — and is only appropriate
-        when every row's bits are known *before* the first row
-        dispatches (the scalar reference plans all rows up front, so
-        hook interleaving is preserved).
+        accounting.  This is the unit of each of the scalar reference's
+        four broadcast sub-stages — M vectors, Detected flags, diagnosis
+        symbols and Trust vectors — one call per (sub-stage, generation)
+        with every row's bits known up front.
 
         >>> from repro.broadcast_bit.ideal import AccountedIdealBroadcast
         >>> backend = AccountedIdealBroadcast(4, 1)

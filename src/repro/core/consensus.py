@@ -73,8 +73,8 @@ class MultiValuedConsensus:
     * ``batch_generations`` — ``True`` (default) sends any run whose
       honest processors share one input through the cohort engine:
       honest traffic is O(1) accounting per generation, adversary hooks
-      fire in scalar order, and a failure-free run never encodes at
-      all; ``False`` forces the per-generation protocol everywhere.
+      are asked with the scalar arguments, and a failure-free run never
+      encodes at all; ``False`` forces the per-generation protocol everywhere.
     * ``vectorized`` — ``True`` (default) runs each generation's
       array-backed path, which prices fault-free broadcasts and
       dispatches the controlled rows grouped; ``False`` forces the

@@ -32,11 +32,11 @@ Two observationally identical executions coexist:
   views are built once, for the reference processor: the backend hands
   every processor one shared row, so every view is that one.
 
-Every adversary hook fires the same number of times, in the same order,
-with the same arguments on both paths — controlled rows are applied
-onto the batched arrays — so stateful adversaries (seeded RNGs, attack
-planners) behave identically and metering is byte-identical.  Both paths
-ask a faulty processor for its rows once each — its symbol round
+Both paths ask every adversary hook with the same arguments — controlled
+rows are applied onto the batched arrays — and an answer is a function
+of those arguments (``docs/ARCHITECTURE.md``, rule 3), so metering is
+byte-identical.  Both paths ask a faulty processor for its rows once
+each — its symbol round
 (``matching_row``), its M vector (``m_row``) and its Trust vector
 (``trust_row``) — and read the answers by the adversary module's
 expansion rules (``matching_row_payloads``, ``m_row_bits``,
@@ -53,11 +53,9 @@ equals some processor's codeword on ``P_match`` as that codeword's data
 and decodes only the rest.  Every single-bit broadcast — M vectors,
 Detected flags, diagnosis symbols and trust vectors — goes through one
 dispatch rule (:meth:`GenerationProtocol._dispatch_sources`): fault-free
-sources are priced and the controlled ones dispatch through
-``broadcast_bits_many_grouped``, whose per-source *planners*
-keep the scalar plan/dispatch hook interleaving (see
-:mod:`repro.broadcast_bit.interface`), which is what makes ``n >= 127``
-fault-injection sweeps practical.
+sources are priced and only the controlled ones' rows are built and
+dispatched through ``broadcast_bits_many_grouped``, which is what makes
+``n >= 127`` fault-injection sweeps practical.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from typing import (
 
 import numpy as np
 
-from repro.broadcast_bit.interface import BroadcastBackend, PlannedRow
+from repro.broadcast_bit.interface import BroadcastBackend
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.result import GenerationOutcome, GenerationResult
@@ -375,11 +373,10 @@ class GenerationProtocol:
 
         Honest senders' traffic moves as one :class:`SymbolBatch` per
         round (no per-edge Message objects).  Each live faulty sender is
-        asked once, senders ascending, for its row (``matching_row``)
-        over its live trusted recipients, ascending; the expansion
-        (``matching_row_payloads``) puts one edge per non-``None``
-        payload on a second batch, in that order — the metering
-        (Counter sums) and the journal (sorted per round) are
+        asked once for its row (``matching_row``) over its live trusted
+        recipients, ascending; the expansion (``matching_row_payloads``)
+        puts one edge per non-``None`` payload on a second batch — the
+        metering (Counter sums) and the journal (sorted per round) are
         byte-identical to per-edge sends.
 
         Returns the delivery plus the number of leading *trusted* batches
@@ -424,8 +421,8 @@ class GenerationProtocol:
         faulty_senders: List[int] = []
         faulty_receivers: List[int] = []
         faulty_payloads: List[object] = []
-        for sender in range(self.n):
-            if not live[sender] or honest_sender[sender]:
+        for sender in self._controlled:
+            if not live[sender]:
                 continue
             recipients = tuple(
                 recipient
@@ -511,9 +508,8 @@ class GenerationProtocol:
         view = self._view()
         tag = "%s.matching.M" % self.tag
         mask = self.graph.trust_mask()
-        rows: List[Tuple[int, List[int]]] = []
-        for i in range(self.n):
-            honest_row = tuple(
+        answers: Dict[int, object] = {
+            i: tuple(
                 j == i
                 or (
                     bool(mask[i, j])
@@ -522,12 +518,13 @@ class GenerationProtocol:
                 )
                 for j in range(self.n)
             )
-            answer = honest_row
-            if self.adversary.controls(i):
-                answer = self.adversary.m_row(
-                    i, honest_row, self.generation, view
-                )
-            rows.append((i, m_row_bits(answer, i, self.n)))
+            for i in range(self.n)
+        }
+        for i in self._controlled:
+            answers[i] = self.adversary.m_row(
+                i, answers[i], self.generation, view
+            )
+        rows = [(i, m_row_bits(answers[i], i, self.n)) for i in range(self.n)]
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         m_view: Dict[int, Dict[int, List[bool]]] = {
             pid: {} for pid in range(self.n)
@@ -585,21 +582,17 @@ class GenerationProtocol:
         detected_view: Dict[int, Dict[int, bool]] = {
             pid: {} for pid in range(self.n)
         }
-        detectors: List[int] = []
-        rows: List[Tuple[int, List[int]]] = []
-        for q in range(self.n):
-            if q in match_set or q in isolated:
-                continue
-            flag = honest_detected[q]
-            if self.adversary.controls(q):
-                flag = bool(
-                    self.adversary.detected_flag(
-                        q, honest_detected[q], self.generation, view
-                    )
-                )
-            elif flag:
-                detectors.append(q)
-            rows.append((q, [1 if flag else 0]))
+        detectors = [
+            q for q, flag in honest_detected.items()
+            if flag and not self.adversary.controls(q)
+        ]
+        flags = dict(honest_detected)
+        for q in self._controlled:
+            if q in flags:
+                flags[q] = bool(self.adversary.detected_flag(
+                    q, honest_detected[q], self.generation, view
+                ))
+        rows = [(q, [1 if flag else 0]) for q, flag in flags.items()]
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         for (q, _), outcome in zip(rows, outcomes):
             for pid in range(self.n):
@@ -633,22 +626,18 @@ class GenerationProtocol:
                 bit << (c - 1 - index) for index, bit in enumerate(row)
             )
 
-        for j in p_match:
-            honest_symbol = codewords[j][j]
-            symbol = honest_symbol
-            if self.adversary.controls(j):
-                symbol = (
-                    self.adversary.diagnosis_symbol(
-                        j, honest_symbol, self.generation, view
-                    )
-                    % self.code.symbol_limit
-                )
-            bit_list = [
-                (symbol >> (self.c - 1 - b)) & 1 for b in range(self.c)
-            ]
-            outcome = self.backend.broadcast_bits(
-                j, bit_list, symbol_tag, isolated
-            )
+        symbols = {j: codewords[j][j] for j in p_match}
+        for j in self._controlled:
+            if j in symbols:
+                symbols[j] = self.adversary.diagnosis_symbol(
+                    j, symbols[j], self.generation, view
+                ) % self.code.symbol_limit
+        rows = [
+            (j, [(symbol >> (c - 1 - b)) & 1 for b in range(c)])
+            for j, symbol in symbols.items()
+        ]
+        outcomes = self.backend.broadcast_bits_many(rows, symbol_tag, isolated)
+        for j, outcome in zip(symbols, outcomes):
             r_sharps = _pid_views(outcome, self.n, symbol_of)
             for pid, r_sharp in enumerate(r_sharps):
                 r_sharp_view[pid][j] = r_sharp
@@ -662,28 +651,32 @@ class GenerationProtocol:
         def trust_of(row):
             return {j: bool(row[index]) for index, j in enumerate(p_match)}
 
-        for i in range(self.n):
-            if i in isolated:
-                continue
-            honest_trust = []
+        def honest_trust(i):
+            row = []
             for j in p_match:
-                if i == j:
-                    mine = codewords[i][i]
-                else:
-                    mine = received[i].get(j)
-                honest_trust.append(
+                mine = codewords[i][i] if i == j else received[i].get(j)
+                row.append(
                     self.graph.trusts(i, j)
                     and mine is not None
                     and mine == r_sharp_view[i][j]
                 )
-            honest_row = tuple(honest_trust)
-            answer = honest_row
-            if self.adversary.controls(i):
-                answer = self.adversary.trust_row(
-                    i, p_match, honest_row, self.generation, view
+            return tuple(row)
+
+        honest_rows = {
+            i: honest_trust(i) for i in range(self.n) if i not in isolated
+        }
+        answers = dict(honest_rows)
+        for i in self._controlled:
+            if i in answers:
+                answers[i] = self.adversary.trust_row(
+                    i, p_match, honest_rows[i], self.generation, view
                 )
-            bit_list = trust_row_bits(answer, p_match, honest_row)
-            outcome = self.backend.broadcast_bits(i, bit_list, trust_tag, isolated)
+        rows = [
+            (i, trust_row_bits(answer, p_match, honest_rows[i]))
+            for i, answer in answers.items()
+        ]
+        outcomes = self.backend.broadcast_bits_many(rows, trust_tag, isolated)
+        for i, outcome in zip(answers, outcomes):
             for pid, trust in enumerate(_pid_views(outcome, self.n, trust_of)):
                 trust_view[pid][i] = dict(trust)
 
@@ -989,12 +982,10 @@ class GenerationProtocol:
         from ``j`` matched" as every fault-free processor received it.
         It starts as the honest M matrix — validity makes a fault-free
         source's row arrive as sent — and the controlled processors are
-        asked for their rows (``m_row``) on their honest rows, in pid
-        order, before anything is broadcast (the scalar path's order).
-        Every live row then goes through
-        :meth:`_dispatch_sources`, which reads back only the rows it had
-        to dispatch; an isolated source broadcasts nothing, so its row
-        is cleared.
+        asked for their rows (``m_row``) on their honest rows.  Every
+        live row then goes through :meth:`_dispatch_sources`, which
+        reads back only the controlled rows; an isolated source
+        broadcasts nothing, so its row is cleared.
         """
         view = self._view()
         n = self.n
@@ -1004,32 +995,20 @@ class GenerationProtocol:
         # A codeword symbol is never _MISSING, so a missing one mismatches.
         np.logical_and(mask, received == codeword_arr, out=m_matrix)
         np.fill_diagonal(m_matrix, True)
-        #: Controlled pid -> the n - 1 bits its answer broadcasts, for
-        #: the answers that are not the honest row the matrix holds.
-        hooked: Dict[int, List[int]] = {}
+        #: Controlled pid -> the n - 1 bits its answer broadcasts.
+        rows: Dict[int, List[int]] = {}
         for i in self._controlled:
             honest_row = tuple(m_matrix[i].tolist())
-            answer = self.adversary.m_row(
-                i, honest_row, self.generation, view
+            rows[i] = m_row_bits(
+                self.adversary.m_row(i, honest_row, self.generation, view),
+                i, n,
             )
-            if answer is not honest_row:
-                hooked[i] = m_row_bits(answer, i, n)
-
-        def plan(i: int) -> Callable[[], List[int]]:
-            def bits() -> List[int]:
-                if i in hooked:
-                    return hooked[i]
-                return m_row_bits(m_matrix[i].tolist(), i, n)
-            return bits
-
         outcomes = self._dispatch_sources(
-            [(i, plan(i)) for i in range(n) if i not in isolated],
-            n - 1, tag, isolated,
+            [i for i in range(n) if i not in isolated], rows, n - 1, tag,
+            isolated,
         )
-        reference = self._reference
-        for i, outcome in outcomes.items():
+        for i, bits in outcomes.items():
             # The scalar ``row[:i]`` / ``row[i:]`` placement.
-            bits = outcome[reference]
             m_matrix[i, :i] = bits[:i]
             m_matrix[i, i + 1:] = bits[i:]
         for i in isolated:
@@ -1061,9 +1040,9 @@ class GenerationProtocol:
     ) -> Tuple[np.ndarray, List[int]]:
         """Lines 2(a)-2(b); returns the reference Detected flags as a
         boolean vector plus the fault-free detectors.  The controlled
-        outsiders' ``detected_flag`` hooks fire first, in outsider
-        order; the one-bit rows then go through
-        :meth:`_dispatch_sources` like the M rows."""
+        outsiders are asked for their flags (``detected_flag``) and the
+        one-bit rows go through :meth:`_dispatch_sources` like the M
+        rows."""
         view = self._view()
         tag = "%s.checking.detected" % self.tag
         match_set = set(p_match)
@@ -1089,71 +1068,62 @@ class GenerationProtocol:
             }
             honest_detected[q] = not self._cached_consistent(symbols)
 
-        detectors: List[int] = []
+        detectors = [
+            q for q in outsiders
+            if honest_detected[q] and not self.adversary.controls(q)
+        ]
         # Detected rows stay scalar one-bit lists by design (a flag is
         # not a "row of bits"); only the reference flag vector is arena'd.
         detected_ref = self._ensure_arena().detected_view()
-        rows: List[PlannedRow] = []
-        for q in outsiders:
-            flag = honest_detected[q]
-            if self.adversary.controls(q):
-                flag = bool(
-                    self.adversary.detected_flag(
-                        q, honest_detected[q], self.generation, view
-                    )
+        detected_ref[outsiders] = [honest_detected[q] for q in outsiders]
+        rows: Dict[int, List[int]] = {}
+        for q in self._controlled:
+            if q in honest_detected:
+                flag = self.adversary.detected_flag(
+                    q, honest_detected[q], self.generation, view
                 )
-            elif flag:
-                detectors.append(q)
-            detected_ref[q] = flag
-            rows.append((q, lambda bit=[1 if flag else 0]: bit))
-        outcomes = self._dispatch_sources(rows, 1, tag, isolated)
-        reference = self._reference
-        for q, outcome in outcomes.items():
-            detected_ref[q] = bool(outcome[reference][0])
+                rows[q] = [1 if flag else 0]
+        outcomes = self._dispatch_sources(outsiders, rows, 1, tag, isolated)
+        for q, bits in outcomes.items():
+            detected_ref[q] = bool(bits[0])
         return detected_ref, detectors
 
     def _dispatch_sources(
         self,
-        rows: Sequence[PlannedRow],
+        sources: Sequence[int],
+        rows: Dict[int, Sequence[int]],
         width: int,
         tag: str,
         isolated: FrozenSet[int],
-    ) -> Dict[int, Dict[int, Sequence[int]]]:
+    ) -> Dict[int, Sequence[int]]:
         """The vectorized path's one dispatch rule, for each of its four
         broadcast sub-stages (M, Detected, diagnosis symbols, trust
-        vectors): ``rows`` holds the ``(source, plan)`` rows of the
-        sub-stage's live sources, each ``width`` bits, in broadcast
-        order.
+        vectors): ``sources`` are the sub-stage's live sources in
+        broadcast order, each broadcasting ``width`` bits, and ``rows``
+        holds the row of every controlled one.
 
         The backend's honest broadcasts are pure accounting (the
         planner sends nothing else here), so a fault-free source's
         outcome is its own row at every processor (validity), which the
-        stage already holds, and no hook fires for it: each maximal run
-        of fault-free sources is priced with one
-        ``charge_honest_instances`` — its plans are never called — and
-        each maximal run of controlled sources goes through one
-        ``broadcast_bits_many_grouped`` call.  Runs are taken in order,
-        so a controlled source's planning hook and its per-instance
-        backend hooks fire at their scalar position with their scalar
-        instance ids, and the meter's sums, the instance count and the
-        bits charged equal the scalar loop's.
+        stage already holds: each maximal run of fault-free sources is
+        priced with one ``charge_honest_instances`` and its row is never
+        built, and each maximal run of controlled sources goes through
+        one ``broadcast_bits_many_grouped`` call.  Runs are taken in
+        order, so instance ids, the meter's sums, the instance count
+        and the bits charged equal the scalar loop's.
 
-        Returns ``source -> outcome`` for the dispatched rows only, each
-        row in the form its plan returned (a bit list or
-        :class:`~repro.utils.bits.PackedBits`).
+        Returns ``source -> outcome`` for the dispatched rows only: the
+        one row every processor holds, in the form ``rows`` gave it (a
+        bit list or :class:`~repro.utils.bits.PackedBits`).
         """
         backend = self.backend
-        controls = self.adversary.controls
-        outcomes: Dict[int, Dict[int, Sequence[int]]] = {}
-        for dispatch, run in itertools.groupby(
-            rows, key=lambda row: controls(row[0])
-        ):
+        outcomes: Dict[int, Sequence[int]] = {}
+        for dispatch, run in itertools.groupby(sources, key=rows.__contains__):
             run = list(run)
             if dispatch:
-                outcomes.update(zip(
-                    [source for source, _ in run],
-                    backend.broadcast_bits_many_grouped(run, tag, isolated),
-                ))
+                outcomes.update(zip(run, backend.broadcast_bits_many_grouped(
+                    [(source, rows[source]) for source in run], tag, isolated
+                )))
             else:
                 backend.charge_honest_instances(tag, len(run) * width)
         return outcomes
@@ -1177,16 +1147,12 @@ class GenerationProtocol:
         R# is the codeword diagonal and the Trust view the honest trust
         matrix — and hand their per-source single-bit broadcasts to
         :meth:`_dispatch_sources`, which reads back only the rows it
-        had to dispatch.  A dispatched source's *planner* fires that
-        source's adversary hook (``diagnosis_symbol``, ``trust_row``)
-        immediately before
-        that source's backend instances, so every adversary and backend
-        hook still fires in the exact scalar plan/dispatch interleaving
-        and seeded stateful adversaries replay byte-identically.  The
-        backend hands every pid one shared row, so the ``O(n)``
-        views-per-source assembly collapses to the reference view, and
-        a symbol row costs no conversion at all when the row that came
-        back is the planned one.
+        had to dispatch: the controlled sources', each asked for up
+        front (``diagnosis_symbol``, ``trust_row``).  The backend hands
+        every pid one shared row, so the ``O(n)`` views-per-source
+        assembly collapses to the reference view, and a symbol row costs
+        no conversion at all when the row that came back is the one
+        sent.
         """
         view = self._view()
         n = self.n
@@ -1198,38 +1164,25 @@ class GenerationProtocol:
         # (members are live: an isolated source's M row is all zero, so
         # it is in no clique).
         symbol_tag = "%s.diagnosis.symbol" % self.tag
-        reference = self._reference
         own_symbols = [codewords[j][j] for j in p_match]
         r_ref: Dict[int, int] = dict(zip(p_match, own_symbols))
-        #: Dispatched member -> its (wire row, symbol) pair.
-        planned: Dict[int, Tuple[PackedBits, int]] = {}
-
-        def symbol_plan(j: int) -> Callable[[], PackedBits]:
-            def plan() -> PackedBits:
-                symbol = codewords[j][j]
-                if self.adversary.controls(j):
-                    symbol = (
-                        self.adversary.diagnosis_symbol(
-                            j, symbol, self.generation, view
-                        )
-                        % self.code.symbol_limit
-                    )
-                # Packed wire row; big-int safe for wide super-symbols.
-                row = PackedBits.from_int(symbol, self.c)
-                planned[j] = (row, int(symbol))
-                return row
-            return plan
-
+        # A controlled member is asked for its symbol, and its row is
+        # one packed wire row (big-int safe for wide super-symbols).
+        symbol_rows: Dict[int, PackedBits] = {}
+        for j in self._controlled:
+            if j in r_ref:
+                r_ref[j] = int(self.adversary.diagnosis_symbol(
+                    j, r_ref[j], self.generation, view
+                ) % self.code.symbol_limit)
+                symbol_rows[j] = PackedBits.from_int(r_ref[j], self.c)
         symbol_outcomes = self._dispatch_sources(
-            [(j, symbol_plan(j)) for j in p_match],
-            self.c, symbol_tag, isolated,
+            p_match, symbol_rows, self.c, symbol_tag, isolated
         )
-        for j, outcome in symbol_outcomes.items():
-            row, symbol = planned[j]
-            ref_row = outcome[reference]
-            # The planned row handed straight back is the symbol the
-            # plan already holds; any other row is read once.
-            r_ref[j] = symbol if ref_row is row else ref_row.to_int()
+        for j, row in symbol_outcomes.items():
+            # The row handed straight back is the symbol already held;
+            # any other row is read once.
+            if row is not symbol_rows[j]:
+                r_ref[j] = row.to_int()
 
         # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
         # everyone live.  The honest baseline is one boolean matrix.
@@ -1247,41 +1200,39 @@ class GenerationProtocol:
         )
 
         # Packed wire rows: one packbits over the honest trust matrix.
-        # A controlled source is asked for its row (``trust_row``) when
-        # its class overrides it (the base answers the honest row); an
-        # honest answer keeps its packed row, an accuse set is one mask
-        # and one packbits, and only an explicit mapping converts bit by
-        # bit.
+        # A live controlled source is asked for its row (``trust_row``)
+        # when its class overrides it (the base answers the honest row);
+        # an honest answer keeps its packed row, an accuse set is one
+        # mask and one packbits, and only an explicit mapping converts
+        # bit by bit.
         trust_packed = np.packbits(honest_trust_mat, axis=1)
         trust_hooked = not hook_is_default(self.adversary, "trust_row")
         column = {j: index for index, j in enumerate(p_match)}
-
-        def trust_plan(i: int) -> Callable[[], PackedBits]:
-            def plan() -> PackedBits:
-                if trust_hooked and self.adversary.controls(i):
-                    honest_row = tuple(honest_trust_mat[i].tolist())
-                    answer = self.adversary.trust_row(
-                        i, p_match, honest_row, self.generation, view
+        trust_rows: Dict[int, PackedBits] = {}
+        for i in self._controlled:
+            if i in isolated:
+                continue
+            row = PackedBits(trust_packed[i], n_pm)
+            if trust_hooked:
+                honest_row = tuple(honest_trust_mat[i].tolist())
+                answer = self.adversary.trust_row(
+                    i, p_match, honest_row, self.generation, view
+                )
+                if isinstance(answer, AbstractSet):
+                    keep = honest_trust_mat[i].copy()
+                    keep[[column[j] for j in answer if j in column]] = False
+                    row = PackedBits(np.packbits(keep), n_pm)
+                elif answer is not honest_row:
+                    row = PackedBits.from_bits(
+                        trust_row_bits(answer, p_match, honest_row)
                     )
-                    if isinstance(answer, AbstractSet):
-                        keep = honest_trust_mat[i].copy()
-                        keep[[column[j] for j in answer if j in column]] = (
-                            False
-                        )
-                        return PackedBits(np.packbits(keep), n_pm)
-                    if answer is not honest_row:
-                        return PackedBits.from_bits(
-                            trust_row_bits(answer, p_match, honest_row)
-                        )
-                return PackedBits(trust_packed[i], n_pm)
-            return plan
+            trust_rows[i] = row
 
         live = np.array(
             [i for i in range(n) if i not in isolated], dtype=np.int64
         )
         trust_outcomes = self._dispatch_sources(
-            [(i, trust_plan(i)) for i in live.tolist()],
-            n_pm, trust_tag, isolated,
+            live.tolist(), trust_rows, n_pm, trust_tag, isolated
         )
         # The reference Trust view: validity for every live row, then
         # one bulk unpack of the rows that were dispatched; rows of
@@ -1289,10 +1240,7 @@ class GenerationProtocol:
         trust_ref = self._ensure_arena().trust_view(n_pm)
         trust_ref[live] = honest_trust_mat[live]
         if trust_outcomes:
-            lanes = np.stack([
-                outcome[reference].lanes
-                for outcome in trust_outcomes.values()
-            ])
+            lanes = np.stack([row.lanes for row in trust_outcomes.values()])
             trust_ref[list(trust_outcomes)] = np.unpackbits(
                 lanes, axis=1, count=n_pm
             ).astype(bool)

@@ -10,10 +10,10 @@ generation index), letting the strategy walk a phase state machine.
 Two disciplines keep subclasses replay-safe across the scalar,
 vectorized and cohort execution paths:
 
-* **plan at generation boundaries, not per hook call** — hooks may be
-  invoked in different orders (or, for all-honest generations, not at
-  all) depending on the path; :meth:`PlannedAdversary.plan_for` computes
-  each generation's plan exactly once, on the first hook call that
+* **plan at generation boundaries, not per hook call** — which hooks a
+  path asks in a generation is its own (an all-honest generation may
+  ask none); :meth:`PlannedAdversary.plan_for` computes each
+  generation's plan exactly once, on the first hook call that
   generation, and every hook reads the cached plan;
 * **seeded randomness only** — ``self.rng`` is derived from the
   strategy's seed via :func:`repro.utils.rng.derive_rng`, and the

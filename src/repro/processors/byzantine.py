@@ -2,7 +2,8 @@
 
 Each strategy deviates in exactly the hooks its attack needs; everything
 else stays honest, which makes tests precise about *which* misbehaviour a
-protocol property survives.  All randomness is seeded for reproducibility.
+protocol property survives.  All randomness is seeded and keyed, so every
+answer is a function of its hook's arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Collection, Dict, List, Optional, Sequence
 from repro.processors.adversary import (
     ALL_FALSE, ALL_TRUE, Adversary, GlobalView,
 )
+from repro.utils.rng import derive_rng, derive_seed
 
 
 def _codeword_symbol(
@@ -335,107 +337,138 @@ class SlowBleedAdversary(Adversary):
 
 
 class RandomAdversary(Adversary):
-    """Seeded chaos monkey: every hook deviates with probability ``rate``.
+    """Seeded chaos monkey: every decision deviates with probability ``rate``.
 
     Used by property-based tests: whatever this adversary does, the
     protocol must keep Termination, Consistency and Validity (the paper's
     algorithm is error-free against *arbitrary* behaviour).
+
+    Every decision is keyed, not streamed: it is drawn through
+    :func:`~repro.utils.rng.derive_seed` from ``(seed, hook, generation
+    or backend instance, pid, element)``, the element being the
+    recipient, column, ``P_match`` member or phase it is about.  An
+    answer is therefore a function of the hook's arguments: an engine
+    may ask in any order and any number of times.
     """
 
     def __init__(self, faulty: Sequence[int], seed: int = 0, rate: float = 0.5):
         super().__init__(faulty)
-        self.rng = random.Random(seed)
+        self.seed = seed
         self.rate = rate
 
-    def _deviate(self) -> bool:
-        return self.rng.random() < self.rate
+    def _deviates(self, *key) -> bool:
+        """Whether the decision ``key`` names deviates."""
+        return derive_seed(self.seed, *key) < self.rate * 2.0 ** 64
 
-    def _random_symbol(self, view: GlobalView) -> int:
+    def _deviation(self, *key) -> Optional[int]:
+        """``None`` when the decision ``key`` names plays honestly, else
+        the 64-bit word, keyed by the same ``key``, that its deviation
+        draws from."""
+        if not self._deviates(*key):
+            return None
+        return derive_seed(self.seed, "deviation", *key)
+
+    @staticmethod
+    def _symbol_limit(view: GlobalView) -> int:
         code = view.extras.get("code")
-        limit = code.symbol_limit if code is not None else 2
-        return self.rng.randrange(limit)
+        return code.symbol_limit if code is not None else 2
 
     def input_value(self, pid, honest_input, view):
-        bits = view.extras.get("l_bits", 8)
-        if self._deviate():
-            return self.rng.randrange(1 << min(bits, 48))
-        return honest_input
+        word = self._deviation("input_value", pid)
+        if word is None:
+            return honest_input
+        return word % (1 << min(view.extras.get("l_bits", 8), 48))
 
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
-        # Per recipient in the order given: deviate?  then silent or a
-        # random symbol.
+        # Per recipient: deviate?  then silent or a random symbol.  One
+        # stream draws the three for every pid in turn, so what a
+        # recipient gets is keyed by its pid, not its place in the list.
+        rng = derive_rng(self.seed, "matching_row", generation, pid)
+        limit = self._symbol_limit(view)
+        drawn = [
+            (rng.random(), rng.random(), rng.randrange(limit))
+            for _ in range(view.n)
+        ]
         exceptions = {}
         for recipient in recipients:
-            if self._deviate():
-                exceptions[recipient] = (
-                    None if self._deviate() else self._random_symbol(view)
-                )
+            deviate, silent, symbol = drawn[recipient]
+            if deviate < self.rate:
+                exceptions[recipient] = None if silent < self.rate else symbol
         return honest_symbol, exceptions
 
     def m_row(self, pid, honest_row, generation, view):
-        if self._deviate():
-            return [self.rng.random() < 0.5 for _ in honest_row]
-        return honest_row
+        word = self._deviation("m_row", generation, pid)
+        if word is None:
+            return honest_row
+        rng = random.Random(word)
+        return [rng.random() < 0.5 for _ in honest_row]
 
     def detected_flag(self, pid, honest_flag, generation, view):
-        if self._deviate():
+        if self._deviates("detected_flag", generation, pid):
             return not honest_flag
         return honest_flag
 
     def diagnosis_symbol(self, pid, honest_symbol, generation, view):
-        if self._deviate():
-            return self._random_symbol(view)
-        return honest_symbol
+        word = self._deviation("diagnosis_symbol", generation, pid)
+        if word is None:
+            return honest_symbol
+        return random.Random(word).randrange(self._symbol_limit(view))
 
     def trust_row(self, pid, p_match, honest_row, generation, view):
-        if self._deviate():
-            return {member: self.rng.random() < 0.5 for member in p_match}
-        return honest_row
+        word = self._deviation("trust_row", generation, pid)
+        if word is None:
+            return honest_row
+        # One flag per pid in turn, so a member's is keyed by its pid.
+        rng = random.Random(word)
+        flags = [rng.random() < 0.5 for _ in range(view.n)]
+        return {member: flags[member] for member in p_match}
 
     def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
-        if self._deviate():
-            return self.rng.randrange(2)
-        return honest_bit
+        word = self._deviation("bsb_source_bit", instance, source, recipient)
+        return honest_bit if word is None else word & 1
 
     def ideal_broadcast_bit(self, source, honest_bit, instance, view):
-        if self._deviate():
+        if self._deviates("ideal_broadcast_bit", instance, source):
             return honest_bit ^ 1
         return honest_bit
 
     def king_value(self, pid, recipient, phase, honest_value, instance, view):
-        if self._deviate():
-            return self.rng.randrange(2)
-        return honest_value
+        word = self._deviation("king_value", instance, pid, recipient, phase)
+        return honest_value if word is None else word & 1
 
     def king_proposal(self, pid, recipient, phase, honest_proposal, instance, view):
-        if self._deviate():
-            return self.rng.choice([None, 0, 1])
-        return honest_proposal
+        word = self._deviation(
+            "king_proposal", instance, pid, recipient, phase
+        )
+        return honest_proposal if word is None else (None, 0, 1)[word % 3]
 
     def king_bit(self, pid, recipient, phase, honest_bit, instance, view):
-        if self._deviate():
-            return self.rng.randrange(2)
-        return honest_bit
+        word = self._deviation("king_bit", instance, pid, recipient, phase)
+        return honest_bit if word is None else word & 1
 
     def eig_relay(self, pid, recipient, path, honest_value, instance, view):
-        if self._deviate():
-            return self.rng.randrange(2)
-        return honest_value
+        word = self._deviation("eig_relay", instance, pid, recipient, *path)
+        return honest_value if word is None else word & 1
 
     def source_symbol(self, source, recipient, honest_symbol, generation, view):
-        if self._deviate():
-            return self._random_symbol(view)
-        return honest_symbol
+        word = self._deviation("source_symbol", generation, source, recipient)
+        if word is None:
+            return honest_symbol
+        return random.Random(word).randrange(self._symbol_limit(view))
 
     def forwarded_symbol(self, pid, recipient, honest_symbol, generation, view):
-        if self._deviate():
-            return self._random_symbol(view)
-        return honest_symbol
+        word = self._deviation("forwarded_symbol", generation, pid, recipient)
+        if word is None:
+            return honest_symbol
+        return random.Random(word).randrange(self._symbol_limit(view))
 
     def source_codeword(self, source, honest_codeword, generation, view):
-        if self._deviate():
-            return [self._random_symbol(view) for _ in honest_codeword]
-        return list(honest_codeword)
+        word = self._deviation("source_codeword", generation, source)
+        if word is None:
+            return list(honest_codeword)
+        rng = random.Random(word)
+        limit = self._symbol_limit(view)
+        return [rng.randrange(limit) for _ in honest_codeword]
 
 
 class CollidingInputAdversary(Adversary):

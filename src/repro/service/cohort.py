@@ -15,10 +15,10 @@ the paper's Algorithm 1:
 
 1. *Symbol round.*  Honest traffic is value-independent accounting.
    Line 1(a) has a processor send its *one* symbol to everyone it
-   trusts, so each live faulty sender is asked once, senders ascending,
-   for its row (:meth:`~repro.processors.adversary.Adversary.\
-matching_row`): the payload every recipient gets plus the recipients
-   that get something else.  The answers, normalized as on receipt,
+   trusts, so each live faulty sender is asked once for its row
+   (:meth:`~repro.processors.adversary.Adversary.matching_row`): the
+   payload every recipient gets plus the recipients that get something
+   else.  The answers, normalized as on receipt,
    are the round's :class:`_SymbolRound` — a common payload per sender
    and a sparse ``(sender, recipient)`` table of exceptions — which
    every later step reads; the *deviation pattern* is its (silent
@@ -61,18 +61,18 @@ at :data:`MAX_PATTERN_ENTRIES`.
 The contract is the PR 3/PR 5 discipline wholesale: results — decisions,
 :class:`~repro.core.result.GenerationResult` records, meter snapshots,
 round clock, backend instance ids — are **byte-identical** to a looped
-one-shot run, and every per-instance :class:`Adversary` hook fires in
-the exact scalar order with the exact scalar arguments (the symbol hook
-through its row form, step 1), so seeded stateful attacks replay
-identically.  Two classes of shortcut keep that true while skipping
-work:
+one-shot run, and every per-instance :class:`Adversary` hook is asked
+with the scalar arguments (the symbol hook through its row form, step
+1); an answer is a function of those arguments, so the order the step
+asks in is its own.  Two classes of shortcut keep that true while
+skipping work:
 
 * *Unobservable accounting*: the matching round's one-or-two
   ``send_many`` + ``deliver_arrays`` collapse to one
   :meth:`~repro.network.simulator.SyncNetwork.charge_round` (equal
   ``Counter`` sums, one round advance), and broadcast dispatch uses
   :meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
-broadcast_rows_flat` (same hook sequence and instance ids, no per-pid
+broadcast_bits_many_grouped` (same hooks and instance ids, no per-pid
   dict fan-out) or, when the adversary leaves ``ideal_broadcast_bit``
   at the honest base implementation, pure bulk accounting
   (:meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
@@ -141,7 +141,7 @@ class _GraphStructure:
         "matches",
     )
 
-    def __init__(self, graph, controlled: FrozenSet[int], n: int):
+    def __init__(self, graph, controlled: Sequence[int], n: int):
         # Isolation drops every edge of the pid, so the mask alone
         # already encodes liveness (its isolated rows/columns are zero);
         # copy it because trust_mask() is a live view of mutable state.
@@ -151,19 +151,19 @@ class _GraphStructure:
         self.isolated = isolated
         live = [pid not in isolated for pid in range(n)]
         self.live = live
-        # Faulty live senders and their recipients, in the exact scalar
-        # hook order (sender ascending, recipients sorted); tuples,
-        # because the row hook is handed them.
+        # Faulty live senders, in the cohort's order, and their live
+        # trusted recipients, ascending; tuples, because the row hook is
+        # handed them.
         self.fab_recips = {
             s: tuple(
                 r for r in sorted(graph.trusted_by(s)) if r not in isolated
             )
-            for s in range(n)
-            if s in controlled and live[s]
+            for s in controlled
+            if live[s]
         }
         self.fab_sent = sum(len(r) for r in self.fab_recips.values())
         honest_rows = [
-            i for i in range(n) if live[i] and i not in controlled
+            i for i in range(n) if live[i] and i not in self.fab_recips
         ]
         self.honest_edges = (
             int(mask[honest_rows].sum()) if honest_rows else 0
@@ -193,8 +193,8 @@ class _Plan:
     and no controlled processor holds a distinct input — then all of it
     is a function of the pattern, not of the instance's values; built
     fresh for the one generation otherwise (see :meth:`_InstanceRun.\
-step`).  Overridden hooks fire every generation in scalar order
-    and their returns are honoured either way: the plan only holds what
+step`).  Overridden hooks fire every generation and their returns
+    are honoured either way: the plan only holds what
     is computed *around* them.
     """
 
@@ -359,7 +359,7 @@ class CohortContext:
         key = (mask.tobytes(), tuple(sorted(graph.isolated)))
         struct = self._structs.get(key)
         if struct is None:
-            struct = _GraphStructure(graph, self.controlled, self.n)
+            struct = _GraphStructure(graph, self.controlled_sorted, self.n)
             self._structs[key] = struct
         return struct
 
@@ -402,10 +402,10 @@ class _SymbolRound:
         offcw = False
         mask = struct.mask
         n = len(mask)
-        # One row hook per sender, senders ascending, recipients sorted
-        # (the per-generation engine's order).  An exception counts when
-        # its key is an exact int among the recipients
-        # (matching_row_payloads): in range and a live trusted peer.
+        # One row hook per sender, recipients sorted (the per-generation
+        # engine's arguments).  An exception counts when its key is an
+        # exact int among the recipients (matching_row_payloads): in
+        # range and a live trusted peer.
         for f, recips in struct.fab_recips.items():
             payload, others = adversary.matching_row(
                 f, recips, row_of[f][f], g, view
@@ -437,7 +437,7 @@ class _SymbolRound:
         self.common = common
         #: (sender, recipient) -> the payload that pair got instead.
         self.exceptions = exceptions
-        #: Senders whose common payload never arrives valid, ascending.
+        #: Senders whose common payload never arrives valid.
         self.silent = tuple(silent)
         #: Payloads charged: every one that was not silence.
         self.sent = sent
@@ -636,7 +636,7 @@ class _InstanceRun:
                 struct, info, sym, g
             )
         # Overridden detected_flag hooks fire on every controlled
-        # outsider, in outsider order.
+        # outsider.
         rows = check.rows
         if info.ctrl_outsider and not ctx.df_default:
             rows = list(rows)
@@ -790,16 +790,16 @@ class _InstanceRun:
 
     def _dispatch(self, sources, rows, tag, struct, total):
         """Broadcast ``rows[k]`` from ``sources[k]`` (isolated sources
-        hold zero rows; ``total`` is the live sources' bit count): the
-        flat row path when the adversary's ``ideal_broadcast_bit`` hook
-        must fire, pure bulk accounting (identical counters, and the
-        outcomes are ``rows`` itself) when it is the base honest
-        identity."""
+        hold zero rows; ``total`` is the live sources' bit count): one
+        flat outcome row each through ``broadcast_bits_many_grouped``
+        when the adversary's ``ideal_broadcast_bit`` hook must fire,
+        pure bulk accounting (identical counters, and the outcomes are
+        ``rows`` itself) when it is the base honest identity."""
         backend = self.consensus.backend
         if self.ctx.ib_default:
             backend.charge_honest_instances(tag, total)
             return rows
-        return backend.broadcast_rows_flat(
+        return backend.broadcast_bits_many_grouped(
             list(zip(sources, rows)), tag, struct.isolated
         )
 

@@ -40,8 +40,8 @@ def prepare_instance(
 
     Both engines — the per-instance loop below and the service layer's
     cohort runner (:mod:`repro.service.cohort`) — start a run with
-    exactly this sequence, so the hook order and arguments stateful
-    adversaries observe are identical whichever engine executes.
+    exactly this sequence, so the ``input_value`` hooks are asked with
+    the same arguments whichever engine executes.
     """
     config = consensus.config
     adversary = consensus.adversary

@@ -40,6 +40,7 @@ True
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict
 
 from repro.core.result import (
@@ -49,6 +50,7 @@ from repro.core.result import (
 )
 from repro.network.metrics import MeterSnapshot
 from repro.service.spec import InstanceSpec, RunSpec
+from repro.utils.bits import is_exact_int
 
 #: Wire protocol identifier, bumped on any incompatible codec change;
 #: the server advertises it in every ``ps`` response.  3: each distinct
@@ -60,22 +62,35 @@ WIRE_VERSION = 3
 INTERNAL_ERROR = "internal_error"
 
 
+#: What :func:`value_to_wire` emits: ``0`` or lowercase hex digits
+#: without a leading zero.
+_CANONICAL_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+
+
 def value_to_wire(value: int) -> str:
     """An L-bit value as a lowercase hex string (no prefix)."""
     return "%x" % value
 
 
 def value_from_wire(text: str) -> int:
-    """Exact inverse of :func:`value_to_wire` (``TypeError`` for a JSON
-    number: wire v1 sent decimal ints here)."""
+    """Exact inverse of :func:`value_to_wire`: ``ValueError`` for
+    anything it does not emit — a JSON number (wire v1 sent decimal ints
+    here), a prefix, a sign, an underscore, whitespace, an upper-case
+    digit or a leading zero — so one value has one spelling, and a
+    payload one digest."""
+    if not isinstance(text, str) or _CANONICAL_HEX.fullmatch(text) is None:
+        raise ValueError(
+            "value %.40r is not canonical lowercase hex" % (text,)
+        )
     return int(text, 16)
 
 
 def _at(table: list, index: int):
     """``table[index]`` for an index read off the wire.  Python would
-    wrap a negative index and raise ``IndexError`` past the end; on the
-    wire both are one malformed payload, a ``ValueError``."""
-    if not isinstance(index, int) or not 0 <= index < len(table):
+    wrap a negative index and raise ``IndexError`` past the end, and
+    read ``true`` as index 1; on the wire each is one malformed payload,
+    a ``ValueError``."""
+    if not is_exact_int(index) or not 0 <= index < len(table):
         raise ValueError(
             "index %r outside a table of %d entries" % (index, len(table))
         )

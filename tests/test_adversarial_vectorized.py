@@ -7,8 +7,7 @@ identical to the scalar per-edge reference implementation — decisions,
 per-generation records, trust-graph evolution, bits *and* messages by
 tag, the round clock and backend instance counts.  Every
 :class:`~repro.processors.adversary.Adversary` hook is exercised at
-n ∈ {4, 7, 10}, including stateful adversaries whose RNG stream would
-expose any change in hook ordering.
+n ∈ {4, 7, 10}, the seeded chaos monkey's included.
 
 Also covers the clique-search rewrite the large-n path depends on: the
 bitset/degree-pruned search must stay exactly lexicographic-first, and
@@ -149,12 +148,12 @@ class TestRegisteredAttackEquivalence:
 
 
 class TestRandomAdversaryEquivalence:
-    """Stateful seeded adversaries: any change in the number, order or
-    arguments of hook calls between the two paths would desynchronize
-    the RNG stream and fail loudly."""
+    """The seeded chaos monkey: its answers are drawn by key from the
+    hook arguments, so any change in those arguments between the two
+    paths changes what it sends and fails loudly."""
 
     @pytest.mark.parametrize("n", [4, 7, 10])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
     def test_equal_inputs(self, n, seed):
         config = ConsensusConfig.create(n=n, l_bits=256)
         value = random.Random(seed).getrandbits(256)
@@ -191,7 +190,7 @@ class TestRandomAdversaryEquivalence:
             "random low-pid",
         )
 
-    @pytest.mark.parametrize("n,seed", [(4, 0), (7, 2), (10, 2)])
+    @pytest.mark.parametrize("n,seed", [(4, 13), (7, 3), (10, 3)])
     def test_every_consensus_hook_fires(self, n, seed):
         # Faulty pid 0 mostly behaves (rate 0.25), so it regularly sits
         # inside P_match when another faulty processor triggers a

@@ -30,8 +30,8 @@ from repro.processors import (
 )
 from repro.processors import byzantine
 from repro.processors.adversary import (
-    ALL_FALSE, ALL_TRUE, GlobalView, RowConstant, hook_is_default,
-    m_row_bits, matching_row_payloads, trust_row_bits,
+    ALL_FALSE, ALL_TRUE, PID_HOOKS, GlobalView, RowConstant,
+    hook_is_default, m_row_bits, matching_row_payloads, trust_row_bits,
 )
 from repro.service.engine import prepare_instance
 
@@ -620,3 +620,116 @@ def test_slow_bleed_plans_once_per_graph_state(monkeypatch):
         _slow_bleed_run(adversary_class, 15, 1 << 12)
         counts[adversary_class] = len(calls)
     assert 0 < 2 * counts[SlowBleedAdversary] <= counts[_Unmemoised]
+
+
+# -- answers, not call order ------------------------------------------------
+
+_N, _L_BITS, _GENERATION, _INSTANCE = 7, 64, 2, 5
+
+
+def _order_view(adversary):
+    """One generation's view, as the engines publish it."""
+    from repro.graphs.diagnosis_graph import DiagnosisGraph
+
+    config = ConsensusConfig.create(n=_N, l_bits=_L_BITS)
+    consensus = MultiValuedConsensus(config)
+    return GlobalView(
+        n=_N, t=config.t, faulty=set(adversary.faulty), extras={
+            "code": consensus.code, "config": config,
+            "diag_graph": DiagnosisGraph(_N),
+            "parts_of": consensus.parts_of, "l_bits": _L_BITS,
+            "generation": _GENERATION,
+        },
+    )
+
+
+def _hook_calls(pids):
+    """``(hook, arguments without the view)`` for every hook, asked of
+    each of ``pids``; the row hooks once with their recipients or
+    ``P_match`` ascending and once descending."""
+    g, i = _GENERATION, _INSTANCE
+    others = tuple(range(_N))
+    p_match = (0, 1, 2, 3, 5)
+    trust = (True, False, True, True, False)
+    calls = [("coin_reveal", (i, 1, 0))]
+    for pid in pids:
+        peers = tuple(r for r in others if r != pid)
+        row = tuple(j % 3 != 0 for j in range(_N))
+        calls += [
+            ("input_value", (pid, 0xBEEF)),
+            ("matching_row", (pid, peers, 9, g)),
+            ("matching_row", (pid, peers[::-1], 9, g)),
+            ("m_row", (pid, row, g)),
+            ("detected_flag", (pid, False, g)),
+            ("diagnosis_symbol", (pid, 11, g)),
+            ("trust_row", (pid, p_match, trust, g)),
+            ("trust_row", (pid, p_match[::-1], trust[::-1], g)),
+            ("source_codeword", (pid, [1, 2, 3, 4, 5, 6, 7], g)),
+            ("forge_signature", (pid, 0, "m")),
+        ]
+        for recipient in (0, _N - 1):
+            calls += [
+                ("bsb_source_bit", (pid, recipient, 1, i)),
+                ("ideal_broadcast_bit", (pid, recipient % 2, i + recipient)),
+                ("king_value", (pid, recipient, 1, 1, i)),
+                ("king_proposal", (pid, recipient, 1, None, i)),
+                ("king_bit", (pid, recipient, 1, 0, i)),
+                ("eig_relay", (pid, recipient, (pid, 0), 1, i)),
+                ("est_value", (pid, recipient, 1, 2, i)),
+                ("aux_value", (pid, recipient, 0, 2, i)),
+                ("source_symbol", (pid, recipient, 4, g)),
+                ("forwarded_symbol", (pid, recipient, 4, g)),
+            ]
+    return calls
+
+
+def _answer(adversary, view, hook, args):
+    """``hook``'s answer, read by the engines' expansion rules."""
+    answer = getattr(adversary, hook)(*args, view)
+    if hook == "matching_row":
+        return dict(zip(args[1], matching_row_payloads(answer, args[1])))
+    if hook == "m_row":
+        return tuple(m_row_bits(answer, args[0], _N))
+    if hook == "trust_row":
+        return dict(zip(args[1], trust_row_bits(answer, args[1], args[2])))
+    if hook == "source_codeword":
+        return tuple(answer)
+    return answer
+
+
+def test_hook_calls_cover_every_hook():
+    assert {hook for hook, _ in _hook_calls([0])} == (
+        set(PID_HOOKS) | {"coin_reveal"}
+    )
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_answers_do_not_depend_on_call_order(attack, data):
+    """Rule 3 of the engine contract: an answer is a function of the
+    adversary's seed, the hook, its arguments and the generation's view.
+    A fresh adversary asked every hook in a shuffled order, some calls
+    repeated, answers each call as one asked in the listed order does —
+    and a row's answer does not depend on the order of its recipients
+    or ``P_match``."""
+    def fresh():
+        return make_attack(attack, _N, 2, _L_BITS, seed=3)
+
+    listed = fresh()
+    calls = _hook_calls(sorted(listed.faulty) or [_N - 1])
+    view = _order_view(listed)
+    expected = [_answer(listed, view, hook, args) for hook, args in calls]
+    for hook in ("matching_row", "trust_row"):
+        ascending, descending = [
+            answer for (name, _), answer in zip(calls, expected)
+            if name == hook
+        ][:2]
+        assert ascending == descending, hook
+    repeats = data.draw(st.lists(st.sampled_from(range(len(calls)))))
+    order = data.draw(st.permutations(list(range(len(calls))) + repeats))
+    shuffled = fresh()
+    view = _order_view(shuffled)
+    for index in order:
+        hook, args = calls[index]
+        assert _answer(shuffled, view, hook, args) == expected[index], hook

@@ -17,6 +17,7 @@ from repro.processors import (
     make_attack,
     normalize_attack,
 )
+from repro.processors.adversary import GlobalView
 
 
 class TestRegistryShape:
@@ -141,8 +142,19 @@ class TestMakeAttack:
         b = make_attack("random", 7, 2, 64, seed=5)
         c = make_attack("random", 7, 2, 64, seed=6)
         assert type(a) is RandomAdversary
-        assert a.rng.getstate() == b.rng.getstate()
-        assert a.rng.getstate() != c.rng.getstate()
+        view = GlobalView(n=7, t=2, faulty=set(a.faulty))
+
+        def answers(adversary):
+            return [
+                adversary.matching_row(6, (0, 1, 2, 3, 4, 5), 9, g, view)
+                for g in range(8)
+            ] + [
+                adversary.ideal_broadcast_bit(6, 1, instance, view)
+                for instance in range(32)
+            ]
+
+        assert answers(a) == answers(b)
+        assert answers(a) != answers(c)
 
     def test_builders_return_fresh_objects(self):
         assert make_attack("slow_bleed", 7, 2, 64) is not make_attack(

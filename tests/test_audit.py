@@ -366,6 +366,42 @@ def test_golden_format_3_transcript(tmp_path):
     assert resaved.read_bytes() == GOLDEN.read_bytes()
 
 
+def _respell(text):
+    def edit(wire):
+        wire["instance"]["values"] = wire["result"]["values"] = [text]
+    return edit
+
+
+def _bool_index(wire):
+    wire["instance"]["inputs"][0] = False
+
+
+#: Edits ``int(text, 16)`` and a plain ``isinstance(x, int)`` check
+#: would read as the golden file's own value and index.
+NON_CANONICAL = {
+    "prefix": _respell("0xbeef"),
+    "upper-case": _respell("BEEF"),
+    "leading-zero": _respell("0beef"),
+    "sign": _respell("+beef"),
+    "underscore": _respell("be_ef"),
+    "whitespace": _respell(" beef"),
+    "json-false-index": _bool_index,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_CANONICAL))
+def test_non_canonical_golden_transcript_is_refused(edit):
+    """A value has one spelling and an index is an exact int: any other
+    spelling of the golden file's ``beef`` (or ``false`` for its index
+    0) is a ``ValueError``, never the same document under a second
+    spelling."""
+    wire = json.loads(GOLDEN.read_text())
+    assert Transcript.from_wire(wire).digest() == GOLDEN_DIGEST
+    NON_CANONICAL[edit](wire)
+    with pytest.raises(ValueError):
+        Transcript.from_wire(wire)
+
+
 # -- satellite: single-entry tamper localization fuzz ----------------------
 
 
@@ -771,15 +807,17 @@ def test_default_key_is_not_a_deployment_secret():
 
 #: ``(attack, seed) -> (Transcript.digest(), sha256 of the canonical
 #: prove().to_wire())`` at n = 7, L = 256 for the value 0x410C: a moved
-#: RNG draw or planner call changes both.
+#: keyed draw or planner call changes both.  ``random`` draws each
+#: answer by key from its hook's arguments (re-pinned when it stopped
+#: drawing from one stream in hook order).
 _PINNED_AUDITS = {
     ("random", 0): (
-        "411f3a8d1bc9976db0c96701d475e6ab4f79d93a921e92debbe87031ad7a7914",
-        "d0c8acab109bb625fe2485775b2268dfcaadbe3f29d9a4aa050cc71642c9d10a",
+        "8c05b26d0ee9a3df35d4e4f8b9935d0d50c11ad99042bd96d0b08af801db96b0",
+        "397364ff8ce53493e72d821227f29652226c3ab30bb25a4c563fd662081ad3e8",
     ),
     ("random", 7): (
-        "4a3837ec891646cd60a250533cf578b8a522661bfeedcf11edd822fe6a4d86c8",
-        "32ceb1b928e3f7c31cd44f065060fcef52d86780e1eb94518a697d7c4d05a0d3",
+        "9a8f8018a16eab1ed2d7ea0d1da9c9b9cb751754cc5e2cfda033a4863ac19ff1",
+        "47258c58b31ecaf19b18f4b8188e918ffaf6c8c61e5a2500b05d5d0e3cad025e",
     ),
     ("adaptive_split", 11): (
         "3c6c34ca3ad6f00b20f568b297a65ceec6afd68dc59855fa092975ad040903e4",
@@ -793,7 +831,7 @@ _PINNED_AUDITS = {
 )
 def test_seeded_audit_is_pinned(attack, seed):
     """The transcript digest and the proof (deviation records included)
-    of a seeded attack whose stream depends on hook order and count."""
+    of a seeded attack: its keyed draws, or its plans, replay."""
     spec = RunSpec(n=7, l_bits=256, attack=attack, seed=seed)
     _, transcript = ConsensusService(spec).record(0x410C)
     proof = prove(transcript).to_wire()

@@ -7,20 +7,21 @@ broadcast is priced (its outcome is the row the stage already holds)
 and only the controlled sources' rows go through
 ``broadcast_bits_many_grouped``, one call per maximal run of controlled
 sources.  The execution is observationally identical to the
-forced-scalar reference — per-source planning hooks
-(``diagnosis_symbol``, ``trust_row``) interleave with the backend's
-per-instance hooks in the exact scalar order, instance ids are
-sequential across rows, and the meter ``Counter`` state is
-byte-identical.  Also covers the backend-level contract directly (the
-accounted-ideal bulk override), the cross-generation bulk bookkeeping
-primitives (``SyncNetwork.charge_round``, ``charge_honest_instances``),
-and what a diagnosis may cost in ``PackedBits`` conversions: at most
-one per live controlled source's row, counted at n = 127.
+forced-scalar reference — the same hooks asked with the same arguments
+(``diagnosis_symbol``, ``trust_row``, the backend's per-instance
+``ideal_broadcast_bit``), instance ids sequential across rows in the
+scalar sequence, and the meter ``Counter`` state byte-identical.  Also
+covers the backend-level contract directly (the accounted-ideal bulk
+override), the cross-generation bulk bookkeeping primitives
+(``SyncNetwork.charge_round``, ``charge_honest_instances``), and what a
+diagnosis may cost in ``PackedBits`` conversions: at most one per live
+controlled source's row, counted at n = 127.
 """
 
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -34,44 +35,61 @@ from repro.core.result import GenerationOutcome
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors.adversary import Adversary
 from repro.utils.bits import PackedBits
+from repro.utils.rng import derive_seed
 
 from test_adversarial_vectorized import assert_runs_equivalent
 
 
 class SharedRngDiagnosisAdversary(Adversary):
-    """Stateful adversary sharing ONE RNG across planning and dispatch.
+    """One seed shared by the diagnosis row hooks and the backend's hook.
 
-    ``diagnosis_symbol``/``trust_row`` (fired while planning a source's
-    grouped row) and ``ideal_broadcast_bit`` (fired while dispatching a
-    controlled source's instances) draw from the same stream, so any
-    reordering of the scalar plan/dispatch interleaving changes its
-    behaviour — and with it decisions, graph evolution and metering.
-    Crying Detected from outside ``P_match`` forces the diagnosis stage.
+    ``diagnosis_symbol``/``trust_row`` and ``ideal_broadcast_bit`` (asked
+    per instance of a controlled source's dispatch) each draw by key
+    from that seed — the generation or instance id, the pid and the
+    member — so an engine that asked with other arguments, or with
+    other instance ids, would change its behaviour, and with it
+    decisions, graph evolution and metering.  Crying Detected from
+    outside ``P_match`` forces the diagnosis stage.
     """
 
     def __init__(self, faulty, seed=0):
         super().__init__(faulty)
-        self.rng = random.Random(seed)
-        #: The planning and dispatch hooks, in the order they fired.
+        self.seed = seed
+        #: The row and dispatch hooks, in the order they fired.
         self.events = []
+
+    def _draw(self, *key):
+        return derive_seed(self.seed, *key) / 2.0 ** 64
 
     def detected_flag(self, pid, honest_flag, generation, view):
         return True
 
     def diagnosis_symbol(self, pid, honest_symbol, generation, view):
         self.events.append(("symbol", pid, honest_symbol))
-        return honest_symbol ^ (1 if self.rng.random() < 0.5 else 0)
+        flip = self._draw("symbol", generation, pid) < 0.5
+        return honest_symbol ^ (1 if flip else 0)
 
     def trust_row(self, pid, p_match, honest_row, generation, view):
-        self.events.append(("trust", pid, dict(zip(p_match, honest_row))))
+        self.events.append(("trust", pid, tuple(zip(p_match, honest_row))))
         return {
-            j: trusted and self.rng.random() < 0.9
+            j: trusted and self._draw("trust", generation, pid, j) < 0.9
             for j, trusted in zip(p_match, honest_row)
         }
 
     def ideal_broadcast_bit(self, source, bit, instance, view):
         self.events.append(("bsb", source, bit, instance))
-        return bit ^ (1 if self.rng.random() < 0.25 else 0)
+        flip = self._draw("bsb", instance, source) < 0.25
+        return bit ^ (1 if flip else 0)
+
+
+def assert_same_asks(events, expected):
+    """Rule 3: the same hooks asked with the same arguments, as often,
+    in any order; rule 4: the backend's instances in the same sequence
+    of ids."""
+    assert Counter(events) == Counter(expected)
+    assert [e for e in events if e[0] == "bsb"] == [
+        e for e in expected if e[0] == "bsb"
+    ]
 
 
 class InterleaveRecordingAdversary(Adversary):
@@ -87,24 +105,27 @@ class InterleaveRecordingAdversary(Adversary):
 
 
 class StatefulBroadcastOnlyAdversary(InterleaveRecordingAdversary):
-    """Overrides *only* ``ideal_broadcast_bit``, statefully: every third
-    instance it is asked about comes out flipped.  The backend may elide
-    the hook for classes that leave it at the base; for this one every
-    call must still fire, in order, or the flip positions move."""
+    """Overrides *only* ``ideal_broadcast_bit``, keyed by instance id:
+    every third instance comes out flipped.  The backend may elide the
+    hook for classes that leave it at the base; for this one every call
+    must still fire, with its scalar instance id, or the flip positions
+    move."""
 
     period = 3
 
     def ideal_broadcast_bit(self, source, bit, instance, view):
         self.events.append(("bsb", source, bit, instance))
-        calls = sum(1 for event in self.events if event[0] == "bsb")
-        return bit ^ (1 if calls % self.period == 0 else 0)
+        return bit ^ (1 if (instance + 1) % self.period == 0 else 0)
 
 
-class EverySecondBitAdversary(StatefulBroadcastOnlyAdversary):
-    """The same with every second instance flipped, which raises enough
-    Detected flags to reach the diagnosis stage from any faulty set."""
+class EverySecondBitAdversary(InterleaveRecordingAdversary):
+    """The same with about every second instance flipped, by a coin
+    keyed by the instance id, which raises enough Detected flags to
+    reach the diagnosis stage from any faulty set."""
 
-    period = 2
+    def ideal_broadcast_bit(self, source, bit, instance, view):
+        self.events.append(("bsb", source, bit, instance))
+        return bit ^ (derive_seed(0, instance) & 1)
 
 
 def count_conversions(monkeypatch, *names):
@@ -155,24 +176,12 @@ class TestGroupedDiagnosisEquivalence:
             "grouped %s n=%d" % (attack, n),
         )
 
-    @pytest.mark.parametrize("n", [4, 7, 10])
-    def test_shared_rng_interleaving(self, n):
-        """Plan/dispatch reordering would desynchronize the shared RNG."""
-        config = ConsensusConfig.create(n=n, l_bits=256)
-        value = random.Random(n).getrandbits(256)
-        assert_runs_equivalent(
-            config,
-            [value] * n,
-            lambda: SharedRngDiagnosisAdversary([n - 1], seed=n),
-            "shared-rng n=%d" % n,
-        )
-
     @pytest.mark.parametrize("n", [7, 10])
     @pytest.mark.parametrize("low", [False, True], ids=["ends", "low"])
     @pytest.mark.parametrize(
         "make",
         [
-            lambda faulty: SharedRngDiagnosisAdversary(faulty, seed=5),
+            lambda faulty: SharedRngDiagnosisAdversary(faulty, seed=3),
             lambda faulty: EverySecondBitAdversary(faulty, []),
         ],
         ids=["shared_rng", "broadcast_only"],
@@ -180,8 +189,8 @@ class TestGroupedDiagnosisEquivalence:
     def test_priced_runs_between_controlled_ones(self, make, low, n):
         """Two faulty pids with fault-free sources between them: the
         stage prices a run of honest broadcasts *between* two dispatched
-        runs, so a wrong instance id or a hook out of place shows in the
-        recorded stream.  ``[1, n - 1]`` sits inside and outside
+        runs, so a wrong instance id or argument shows in the recorded
+        hooks.  ``[1, n - 1]`` sits inside and outside
         ``P_match`` with pid 0 as the reference; ``[0, 2]`` moves the
         reference to pid 1; later diagnoses run with a controlled
         source already isolated."""
@@ -193,12 +202,12 @@ class TestGroupedDiagnosisEquivalence:
         )
         (vec, vec_result), (scalar, _) = runs[True], runs[False]
         assert vec_result.diagnosis_count >= 2
-        assert vec.adversary.events == scalar.adversary.events
+        assert_same_asks(vec.adversary.events, scalar.adversary.events)
         assert any(e[0] == "bsb" for e in vec.adversary.events)
         # The cohort engine delegates to the same stage.
         cohort = MultiValuedConsensus(config, adversary=make(faulty))
         cohort_result = cohort.run(inputs)
-        assert cohort.adversary.events == scalar.adversary.events
+        assert_same_asks(cohort.adversary.events, scalar.adversary.events)
         assert cohort_result.decisions == vec_result.decisions
         assert cohort_result.meter == vec_result.meter
         assert cohort.backend.stats == scalar.backend.stats
@@ -267,27 +276,22 @@ class TestIdealGroupedBackendContract:
     def _run_rows(grouped, faulty, rows, ignored=frozenset(),
                   adversary_class=InterleaveRecordingAdversary):
         """Run the row set through one backend; return everything
-        observable: outcomes, meter snapshot, stats and hook events."""
+        observable: outcomes (one row per source — the grouped call's
+        flat row, the scalar loop's one shared view), meter snapshot,
+        stats and hook events."""
         events = []
         adversary = adversary_class(faulty, events)
         backend = AccountedIdealBroadcast(5, 1, adversary=adversary)
         if grouped:
-            planned = []
-            for source, bits in rows:
-                def plan(source=source, bits=bits):
-                    events.append(("plan", source))
-                    return bits
-                planned.append((source, plan))
             outcomes = backend.broadcast_bits_many_grouped(
-                planned, "diag", ignored
+                rows, "diag", ignored
             )
         else:
             outcomes = []
             for source, bits in rows:
-                events.append(("plan", source))
-                outcomes.append(
-                    backend.broadcast_bits(source, bits, "diag", ignored)
-                )
+                outcome = backend.broadcast_bits(source, bits, "diag", ignored)
+                assert all(outcome[pid] == outcome[0] for pid in range(5))
+                outcomes.append(outcome[0])
         return outcomes, backend.meter.snapshot(), backend.stats, events
 
     def test_bulk_override_matches_scalar_rows(self):
@@ -299,12 +303,10 @@ class TestIdealGroupedBackendContract:
         assert grouped[1] == scalar[1]  # meter Counter state
         assert grouped[2].instances == scalar[2].instances
         assert grouped[2].bits_charged == scalar[2].bits_charged
-        # The full event stream — planner firing, then that source's
-        # per-instance hooks, source by source — is order-identical.
+        # The controlled source's per-instance hooks, with the scalar
+        # instance ids.
         assert grouped[3] == scalar[3]
-        assert grouped[3][:4] == [
-            ("plan", 0),
-            ("plan", 2),
+        assert grouped[3][:2] == [
             ("bsb", 2, 0, 3),  # instances 0-2 went to the honest row
             ("bsb", 2, 1, 4),
         ]
@@ -324,7 +326,7 @@ class TestIdealGroupedBackendContract:
                 adversary_class=StatefulBroadcastOnlyAdversary,
             )
             assert grouped[0] == scalar[0]
-            assert list(grouped[0][0][4]) == [0, 1, 0, 0]  # third flipped
+            assert list(grouped[0][0]) == [0, 1, 0, 0]  # third flipped
             assert grouped[1] == scalar[1]
             assert grouped[2].instances == scalar[2].instances == 10
             assert grouped[3] == scalar[3]
@@ -342,19 +344,17 @@ class TestIdealGroupedBackendContract:
         def run(grouped):
             backend = AccountedIdealBroadcast(5, 1, adversary=Adversary([2]))
             if grouped:
-                outcomes = backend.broadcast_bits_many_grouped(
-                    [(s, lambda bits=bits: bits) for s, bits in rows], "diag"
-                )
+                outcomes = backend.broadcast_bits_many_grouped(rows, "diag")
             else:
                 outcomes = [
-                    backend.broadcast_bits(s, bits, "diag")
+                    backend.broadcast_bits(s, bits, "diag")[0]
                     for s, bits in rows
                 ]
             return outcomes, backend.meter.snapshot(), backend.stats
 
         grouped, scalar = run(True), run(False)
         assert grouped[0] == scalar[0]
-        assert all(row is packed for row in grouped[0][1].values())
+        assert grouped[0][1] is packed
         assert grouped[1] == scalar[1]
         assert grouped[2].instances == scalar[2].instances == 6
         assert grouped[2].bits_charged == scalar[2].bits_charged
@@ -364,7 +364,7 @@ class TestIdealGroupedBackendContract:
         grouped = self._run_rows(True, [], rows, ignored=frozenset([3]))
         scalar = self._run_rows(False, [], rows, ignored=frozenset([3]))
         assert grouped[0] == scalar[0]
-        assert grouped[0][1] == {pid: [0, 0] for pid in range(5)}
+        assert grouped[0][1] == [0, 0]
         assert grouped[1] == scalar[1]
         assert grouped[2].instances == scalar[2].instances == 4
 
@@ -380,13 +380,12 @@ class TestIdealGroupedBackendContract:
         ]
 
     def test_invalid_bit_rejected(self):
+        # The grouped call takes engine-normalized bits; the per-pid
+        # entry points check every bit.
         for backend in self._backends():
             for ignored in (frozenset(), frozenset([0])):
-                if backend.constant_cost_honest:
-                    with pytest.raises(ValueError):
-                        backend.broadcast_bits_many_grouped(
-                            [(0, lambda: [2])], "diag", ignored
-                        )
+                with pytest.raises(ValueError):
+                    backend.broadcast_bits_many([(0, [2])], "diag", ignored)
                 with pytest.raises(ValueError):
                     backend.broadcast_bits(0, [2], "diag", ignored)
             assert backend.stats.instances == 0
@@ -397,15 +396,11 @@ class TestIdealGroupedBackendContract:
                 if backend.constant_cost_honest:
                     with pytest.raises(ValueError):
                         backend.broadcast_bits_many_grouped(
-                            [(7, lambda: [1, 0])], "diag", ignored
+                            [(7, [1, 0])], "diag", ignored
                         )
                 with pytest.raises(ValueError):
                     backend.broadcast_bits(7, [1, 0], "diag", ignored)
             assert backend.stats.instances == 0
-        with pytest.raises(ValueError):
-            AccountedIdealBroadcast(5, 1).broadcast_rows_flat(
-                [(7, [1, 0])], "diag", frozenset([7])
-            )
 
 
 class TestDefaultGroupedDispatch:
@@ -492,7 +487,7 @@ class TestLargeN:
     def test_n127_diagnosis_under_time_budget(self, monkeypatch):
         # One diagnosis at n = 127 (t = 42).  The budget is a count, not
         # a clock: a fault-free source's broadcast is priced and its
-        # planner never runs, so the stage converts at most once per
+        # row never built, so the stage converts at most once per
         # live controlled source — a symbol row out per controlled
         # P_match member (trust_poison's faulty pids sit outside
         # P_match: none), one trust row per controlled pid (it
@@ -522,7 +517,7 @@ class TestLargeN:
         ]
         faulty = adversary.faulty
         symbol_rows = [j for j in diagnosis.p_match if j in faulty]
-        # A plan runs only inside the grouped call: no honest source's did.
+        # Rows are built for controlled sources only: no honest one's.
         assert dispatched == symbol_rows + sorted(faulty)
         assert counts["from_int"] == len(symbol_rows) == 0
         assert sum(counts.values()) <= len(dispatched) == config.t

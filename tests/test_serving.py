@@ -738,11 +738,14 @@ class TestServingOverTCP:
             {"value": "7", "attack": ["corrupt"]},
             {"instance": {"values": ["7"], "inputs": [0] * 4,
                           "attack": ["corrupt"]}},
+            {"value": "0x7"},
+            {"instance": {"values": ["7"], "inputs": [False] * 4}},
         ],
         ids=[
             "v2-instance", "index-past-end", "negative-index",
             "faulty-out-of-range", "faulty-not-an-int", "faulty-more-than-t",
-            "attack-list", "instance-attack-list",
+            "attack-list", "instance-attack-list", "value-not-canonical",
+            "index-not-an-int",
         ],
     )
     def test_hostile_frame_gets_a_typed_reply_and_harms_nobody(self, hostile):
