@@ -82,8 +82,13 @@ class GF:
 
     def _build_tables(self) -> None:
         size = self.order - 1
-        exp = np.zeros(2 * size, dtype=np.int64)
+        # exp: alpha^i twice over (so mul skips a modulo), then a zero
+        # tail.  log[0] is the sentinel 2 * size, so a log sum with a
+        # zero operand lands in the tail (both zero: 4 * size) and
+        # exp[log[a] + log[b]] is the product for every pair of elements.
+        exp = np.zeros(4 * size + 1, dtype=np.int64)
         log = np.zeros(self.order, dtype=np.int64)
+        log[0] = 2 * size
         x = 1
         for i in range(size):
             exp[i] = x
@@ -91,8 +96,7 @@ class GF:
             x <<= 1
             if x & self.order:
                 x ^= self.poly
-        # Duplicate the exp table so mul can skip a modulo.
-        exp[size:] = exp[:size]
+        exp[size:2 * size] = exp[:size]
         self._exp = exp
         self._log = log
         exp_public = exp[:size].copy()
@@ -203,10 +207,10 @@ class GF:
         """Elementwise field multiplication of two broadcastable arrays.
 
         Operands must already be validated (see :meth:`check_array`).
+        A zero operand needs no mask: its log sentinel indexes the exp
+        table's zero tail.
         """
-        nz = (a != 0) & (b != 0)
-        # _log[0] is a dummy entry; the nz mask zeroes those products out.
-        return np.where(nz, self._exp[self._log[a] + self._log[b]], 0)
+        return self._exp[self._log[a] + self._log[b]]
 
     def matvec(self, matrix: np.ndarray, vector: Sequence[int]) -> List[int]:
         """Multiply an m-by-k GF matrix by a length-k vector.

@@ -179,8 +179,14 @@ class ReedSolomonCode:
     # used to issue ``m`` tiny matvecs.
 
     def encode_many(self, data: np.ndarray) -> np.ndarray:
-        """Encode an ``(m, k)`` array of data rows into ``(m, n)`` words."""
-        return self._rows_matmat(data, self._generator.T, "data")
+        """Encode an ``(m, k)`` array of data rows into ``(m, n)`` words.
+
+        The code is systematic, so only the ``n - k`` parity columns are
+        a product; the data rows are the words' first ``k`` symbols.
+        """
+        data = np.asarray(data, dtype=np.int64)
+        parity = self._rows_matmat(data, self._parity.T, "data")
+        return np.concatenate([data, parity], axis=1)
 
     def encode_generations(
         self, parts: Sequence[Sequence[int]]

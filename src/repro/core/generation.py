@@ -736,10 +736,11 @@ class GenerationProtocol:
         match_set = set(p_match)
 
         # Line 3(f): with a consistent R#, a complainer whose vertex lost
-        # no edge is provably lying; isolate it.
-        r_sharp_consistent = self.code.is_consistent(reference_r_sharp)
+        # no edge is provably lying; isolate it.  The codeword through
+        # R# is kept for line 3(i).
+        r_sharp_word = self.code.codeword_through(reference_r_sharp)
         isolated_now: List[int] = []
-        if r_sharp_consistent:
+        if r_sharp_word is not None:
             touched = {v for edge in removed_edges for v in edge}
             for q in range(self.n):
                 if q in match_set or q in isolated:
@@ -779,6 +780,14 @@ class GenerationProtocol:
                 detectors=detectors,
             )
 
+        if r_sharp_word is not None:
+            # The code is systematic and P_decide ⊆ P_match holds k
+            # positions, so the codeword through R#/P_decide is the one
+            # through R#: its data is the decode, with no second
+            # interpolation.
+            self._decode_cache[frozenset(
+                (j, reference_r_sharp[j]) for j in p_decide
+            )] = tuple(r_sharp_word[:self.k])
         if r_sharp_of is None:
             decisions = dict.fromkeys(self._honest, self._cached_decode(
                 {j: reference_r_sharp[j] for j in p_decide}
@@ -1209,6 +1218,9 @@ class GenerationProtocol:
         trust_hooked = not hook_is_default(self.adversary, "trust_row")
         column = {j: index for index, j in enumerate(p_match)}
         trust_rows: Dict[int, PackedBits] = {}
+        # The boolean form of each controlled row that is not the honest
+        # one, so a row handed back as sent is never unpacked.
+        deviant: Dict[int, np.ndarray] = {}
         for i in self._controlled:
             if i in isolated:
                 continue
@@ -1218,14 +1230,17 @@ class GenerationProtocol:
                 answer = self.adversary.trust_row(
                     i, p_match, honest_row, self.generation, view
                 )
-                if isinstance(answer, AbstractSet):
+                if answer is honest_row:
+                    pass
+                elif isinstance(answer, AbstractSet):
                     keep = honest_trust_mat[i].copy()
                     keep[[column[j] for j in answer if j in column]] = False
                     row = PackedBits(np.packbits(keep), n_pm)
-                elif answer is not honest_row:
-                    row = PackedBits.from_bits(
-                        trust_row_bits(answer, p_match, honest_row)
-                    )
+                    deviant[i] = keep
+                else:
+                    bits = trust_row_bits(answer, p_match, honest_row)
+                    row = PackedBits.from_bits(bits)
+                    deviant[i] = np.array(bits, dtype=bool)
             trust_rows[i] = row
 
         live = np.array(
@@ -1235,13 +1250,20 @@ class GenerationProtocol:
             live.tolist(), trust_rows, n_pm, trust_tag, isolated
         )
         # The reference Trust view: validity for every live row, then
-        # one bulk unpack of the rows that were dispatched; rows of
-        # isolated processors keep the view's reset-False fill.
+        # each deviant row handed back as sent, then one bulk unpack of
+        # the rows that came back changed; rows of isolated processors
+        # keep the view's reset-False fill.
         trust_ref = self._ensure_arena().trust_view(n_pm)
         trust_ref[live] = honest_trust_mat[live]
-        if trust_outcomes:
-            lanes = np.stack([row.lanes for row in trust_outcomes.values()])
-            trust_ref[list(trust_outcomes)] = np.unpackbits(
+        changed = []
+        for i, row in trust_outcomes.items():
+            if row is not trust_rows[i]:
+                changed.append(i)
+            elif i in deviant:
+                trust_ref[i] = deviant[i]
+        if changed:
+            lanes = np.stack([trust_outcomes[i].lanes for i in changed])
+            trust_ref[changed] = np.unpackbits(
                 lanes, axis=1, count=n_pm
             ).astype(bool)
 

@@ -16,16 +16,26 @@ Two entry points share one bitset core:
   vectorized engines' M-matrices without building per-vertex sets.
 
 The core keeps the candidate pool as Python-int bitmasks (one word per 64
-vertices) and applies an iterated degree bound before the depth-first
-search: a vertex with fewer than ``size - 1`` neighbours inside the pool
-cannot belong to a ``size``-clique, and removing it can expose further
-such vertices, so the pool shrinks to its ``(size - 1)``-core first.
-Neither the pruning nor the bitset DFS changes the answer — the first
-clique in lexicographic depth-first order, exactly as the original
-recursive search returned — they only cut the search space, keeping the
-worst case practical at ``n = 63`` and beyond (the exponential blow-up of
-the unpruned search was the asymptotic bottleneck of large-n
-fault-injection sweeps).
+vertices) and first takes the depth-first search's own first descent:
+repeatedly the lowest allowed position, intersecting neighbour masks.
+When that descent reaches ``size`` it is the answer.  This is exact:
+every position it picks is the lowest one that extends the prefix, so
+no ``size``-clique is lexicographically smaller, and a member of any
+``size``-clique survives the pruning below, so the descent is also the
+pruned search's first leaf.  Only a descent that dead-ends pays for
+the full search, which applies an iterated degree bound before
+backtracking: a vertex with fewer than ``size - 1`` neighbours inside
+the pool cannot belong to a ``size``-clique, and removing it can expose
+further such vertices, so the pool shrinks to its ``(size - 1)``-core
+first.  Neither the descent, the pruning nor the bitset DFS changes the
+answer — the first clique in lexicographic depth-first order, exactly
+as the original recursive search returned — they only cut the search
+space, keeping the worst case practical at ``n = 63`` and beyond (the
+exponential blow-up of the unpruned search was the asymptotic
+bottleneck of large-n fault-injection sweeps).
+
+Candidate pools are deduplicated and sorted before either entry point
+searches them, so a repeated candidate id is one vertex.
 """
 
 from __future__ import annotations
@@ -47,6 +57,17 @@ def _clique_positions(sym: List[int], size: int) -> Optional[List[int]]:
         return []
     if count < size:
         return None
+
+    # The DFS's first descent: when it reaches ``size``, it is the
+    # lexicographically-first clique and no pruning is needed.
+    found: List[int] = []
+    allowed = (1 << count) - 1
+    while allowed and len(found) < size:
+        p = (allowed & -allowed).bit_length() - 1
+        found.append(p)
+        allowed &= sym[p]
+    if len(found) == size:
+        return found
 
     # Iterated degree bound: shrink the pool to its (size - 1)-core.
     alive = (1 << count) - 1
@@ -115,7 +136,8 @@ def find_clique(
             asymmetric inputs the lower endpoint's row decides, see
             :func:`_symmetric_masks`).
         size: exact clique size sought; ``size <= 0`` returns ``[]``.
-        candidates: restricts the vertex pool (defaults to all vertices).
+        candidates: restricts the vertex pool (defaults to all vertices);
+            repeated ids count once.
 
     Returns:
         The first ``size``-clique in lexicographic depth-first order as
@@ -131,8 +153,10 @@ def find_clique(
     """
     if size <= 0:
         return []
-    pool = sorted(candidates) if candidates is not None else sorted(adjacency)
-    pool = [v for v in pool if v in adjacency]
+    pool = sorted(
+        {v for v in candidates if v in adjacency}
+        if candidates is not None else adjacency
+    )
     position = {v: p for p, v in enumerate(pool)}
     sub = np.zeros((len(pool), len(pool)), dtype=bool)
     for p, v in enumerate(pool):
@@ -162,7 +186,8 @@ def find_clique_matrix(
         adjacency: boolean ``(n, n)`` matrix; the diagonal is ignored
             and asymmetric entries resolve to the upper triangle.
         size: exact clique size sought; ``size <= 0`` returns ``[]``.
-        candidates: optional vertex pool restriction.
+        candidates: optional vertex pool restriction; repeated and
+            out-of-range ids are dropped.
 
     Returns:
         Exactly :func:`find_clique`'s answer on the same graph — the
@@ -178,7 +203,7 @@ def find_clique_matrix(
         return []
     n = adjacency.shape[0]
     if candidates is not None:
-        pool = [v for v in sorted(candidates) if 0 <= v < n]
+        pool = sorted({v for v in candidates if 0 <= v < n})
         sub = adjacency[np.ix_(pool, pool)].astype(bool, copy=True)
     else:
         pool = list(range(n))

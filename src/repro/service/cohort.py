@@ -873,24 +873,25 @@ class _InstanceRun:
         # The arena's exchange view, reset to _MISSING (the delegated
         # stage never retains it).
         received = ctx.arena.exchange_view()
-        mask = struct.mask
-        for j in ctx.honest:
-            received[mask[j], j] = row_of[j][j]
-        if sym is None:
-            # Conforming controlled senders delivered their honest
-            # symbol to every live trusted recipient, like honest ones.
-            for f in struct.fab_recips:
-                received[mask[f], f] = row_of[f][f]
-        else:
-            # One masked column per sender, then the exceptions (a
-            # missing payload is the buffer's own fill value).
+        diagonal = [row_of[i][i] for i in range(ctx.n)]
+        # Each sender's column payload: its own symbol (honest and
+        # conforming senders) or a controlled sender's common payload
+        # (a missing one is the buffer's own fill value).  Isolated
+        # senders' mask rows are zero, so one masked copy writes every
+        # live trusted recipient; then the exceptions and the diagonal.
+        payloads = list(diagonal)
+        if sym is not None:
             for f, payload in sym.common.items():
-                if payload != _MISSING:
-                    received[mask[f], f] = payload
+                payloads[f] = payload
+        np.copyto(
+            received,
+            np.asarray(payloads, dtype=received.dtype)[np.newaxis, :],
+            where=struct.mask.T,
+        )
+        if sym is not None:
             for (f, r), payload in sym.exceptions.items():
                 received[r, f] = payload
-        for i in range(ctx.n):
-            received[i, i] = row_of[i][i]
+        received[np.diag_indices(ctx.n)] = diagonal
         return received
 
 

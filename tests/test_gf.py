@@ -1,5 +1,6 @@
 """Field-axiom and operation tests for GF(2^c)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,42 @@ class TestFieldAxiomsHypothesis:
         a = data.draw(st.integers(0, 255))
         b = data.draw(st.integers(1, 255))
         assert field.div(field.mul(a, b), b) == a
+
+
+class TestMulManyMatchesMul:
+    """``mul_many`` reads every product, zero operands included, off one
+    table lookup (``log[0]`` indexes the exp table's zero tail); scalar
+    ``mul`` tests for zero first.  The two must agree on every pair."""
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_every_pair(self, c):
+        field = GF.get(c)
+        values = np.arange(field.order)
+        products = field.mul_many(values[:, np.newaxis], values)
+        expected = [
+            [field.mul(a, b) for b in range(field.order)]
+            for a in range(field.order)
+        ]
+        assert products.tolist() == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_pairs(self, data):
+        c = data.draw(st.integers(11, 16))
+        field = GF.get(c)
+        # Zero and the largest element are drawn often: the table's ends.
+        element = st.one_of(
+            st.sampled_from([0, 1, field.order - 1]),
+            st.integers(0, field.order - 1),
+        )
+        pairs = data.draw(
+            st.lists(st.tuples(element, element), min_size=1, max_size=64)
+        )
+        a = np.array([x for x, _ in pairs])
+        b = np.array([y for _, y in pairs])
+        assert field.mul_many(a, b).tolist() == [
+            field.mul(x, y) for x, y in pairs
+        ]
 
 
 class TestPolynomialOps:

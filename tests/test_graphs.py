@@ -1,11 +1,13 @@
 """Diagnosis graph and clique search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.cliques import find_clique
+from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 
 
@@ -79,6 +81,71 @@ class TestFindClique:
                 for j in clique:
                     if i != j:
                         assert j in adjacency[i]
+
+
+def brute_force_clique(adjacency, size, candidates=None):
+    """The lexicographically-first ``size``-clique by enumeration: the
+    pool is the distinct in-range candidates, and ``u < v`` are adjacent
+    iff ``adjacency[u, v]`` (the lower endpoint's row decides)."""
+    n = adjacency.shape[0]
+    if size <= 0:
+        return []
+    pool = sorted(
+        set(range(n)) if candidates is None
+        else {v for v in candidates if 0 <= v < n}
+    )
+    for combo in itertools.combinations(pool, size):
+        if all(adjacency[u, v] for u, v in itertools.combinations(combo, 2)):
+            return list(combo)
+    return None
+
+
+class TestFindCliqueMatrix:
+    """:func:`find_clique_matrix` against enumeration: the first descent
+    and the pruned backtracking search both return the
+    lexicographically-first clique."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force(self, data):
+        n = data.draw(st.integers(1, 12))
+        density = data.draw(st.sampled_from([0.3, 0.6, 0.85, 1.0]))
+        size = data.draw(st.integers(0, n + 1))
+        # Asymmetric, with arbitrary diagonal entries, drawn from a seed
+        # (hypothesis' own booleans cluster at all-True / all-False).
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        adjacency = rng.random((n, n)) < density
+        # A planted size-clique among sparse edges makes the first
+        # descent dead-end often, so the backtracking search answers.
+        if data.draw(st.booleans()):
+            planted = np.sort(rng.permutation(n)[:size])
+            adjacency[np.ix_(planted, planted)] = True
+        candidates = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(-2, n + 2), max_size=2 * n),
+        ))
+        assert find_clique_matrix(adjacency, size, candidates) == (
+            brute_force_clique(adjacency, size, candidates)
+        )
+
+    def test_dead_end_descent_backtracks(self):
+        # The first descent takes 0, then 1, and 1 has no neighbour
+        # beyond 0: it dead-ends at two vertices, and the search backs
+        # out to {0, 2, 3}.
+        adjacency = np.zeros((4, 4), dtype=bool)
+        for u, v in [(0, 1), (0, 2), (0, 3), (2, 3)]:
+            adjacency[u, v] = adjacency[v, u] = True
+        assert find_clique_matrix(adjacency, 3) == [0, 2, 3]
+        assert brute_force_clique(adjacency, 3) == [0, 2, 3]
+
+    def test_repeated_candidate_is_one_vertex(self):
+        # A repeated id once came back twice, as a 3-clique [0, 0, 1].
+        adjacency = np.ones((4, 4), dtype=bool)
+        assert find_clique_matrix(adjacency, 3, candidates=[0, 0, 1]) is None
+        assert find_clique(
+            complete_adjacency(4), 3, candidates=[0, 0, 1]
+        ) is None
+        assert find_clique_matrix(adjacency, 2, candidates=[1, 1, 0]) == [0, 1]
 
 
 class TestDiagnosisGraph:

@@ -31,6 +31,7 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
+from repro.core.generation import GenerationProtocol
 from repro.core.result import GenerationOutcome
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors.adversary import Adversary
@@ -159,22 +160,76 @@ def controlled_runs(sources, faulty):
     ]
 
 
-class TestGroupedDiagnosisEquivalence:
-    """Vectorized (grouped) vs forced-scalar, every attack at n = 10
-    (n ∈ {4, 7} are ``test_differential.py``'s, on every path: its
-    journal rows run this per-generation engine)."""
+class TestDiagnosisVerdict:
+    """Lines 3(f)-3(i) against a plain reference on every verdict of the
+    n = 10 attack grid, on both engines: the verdict interpolates once
+    through R#, and a consistent R# decides that codeword's data, which
+    must be the part ``decode_subset`` gives over ``P_decide``; an
+    inconsistent R# isolates no complainer by line 3(f) and decodes
+    through ``P_decide``."""
 
-    @pytest.mark.parametrize("n", [10])
-    @pytest.mark.parametrize("attack", sorted(FAULT_GRID_ATTACKS))
-    def test_attack(self, n, attack):
+    def test_attack_grid(self, monkeypatch):
+        original = GenerationProtocol._diagnosis_verdict
+        seen = Counter()
+
+        def checked(self, p_match, r_sharp, detected_ref, removed_edges,
+                    isolated, *args, **kwargs):
+            code, graph = self.code, self.graph.copy()
+            consistent = code.is_consistent(r_sharp)
+            expected_isolated = []
+            if consistent:
+                touched = {v for edge in removed_edges for v in edge}
+                for q in range(self.n):
+                    if (
+                        q not in p_match and q not in isolated
+                        and detected_ref[q] and q not in touched
+                        and not graph.is_isolated(q)
+                    ):
+                        graph.isolate(q)
+                        expected_isolated.append(q)
+            expected_isolated += graph.apply_overdegree_rule(self.t)
+            result = original(
+                self, p_match, r_sharp, detected_ref, removed_edges,
+                isolated, *args, **kwargs
+            )
+            assert result.isolated == expected_isolated
+            assert self.graph.to_dict() == graph.to_dict()
+            p_decide = graph.find_trusting_set(
+                self.n - 2 * self.t, candidates=sorted(p_match)
+            )
+            assert result.p_decide == tuple(p_decide)
+            part = tuple(code.decode_subset(
+                {j: r_sharp[j] for j in p_decide}
+            ))
+            assert set(result.decisions.values()) == {part}
+            seen[consistent] += 1
+            return result
+
+        monkeypatch.setattr(GenerationProtocol, "_diagnosis_verdict", checked)
+        n = 10
         config = ConsensusConfig.create(n=n, l_bits=512)
-        value = random.Random(127 * n).getrandbits(512)
-        assert_runs_equivalent(
-            config,
-            [value] * n,
-            lambda: make_attack(attack, n, config.t, 512),
-            "grouped %s n=%d" % (attack, n),
+        value = random.Random(n).getrandbits(512)
+        factories = {
+            attack: lambda attack=attack: make_attack(
+                attack, n, config.t, 512
+            )
+            for attack in sorted(FAULT_GRID_ATTACKS)
+        }
+        # Flipped diagnosis symbols put R# off every codeword.
+        factories["shared_rng"] = lambda: SharedRngDiagnosisAdversary(
+            [1, n - 1], seed=3
         )
+        for label, make in factories.items():
+            assert_runs_equivalent(config, [value] * n, make, label)
+        assert seen[True] and seen[False]
+
+
+class TestGroupedDiagnosisEquivalence:
+    """Vectorized (grouped) vs forced-scalar on the diagnosis stage's
+    dispatch edge cases (every attack at n = 10 is
+    ``test_adversarial_vectorized.py``'s registered-attack grid, and
+    n ∈ {4, 7} are ``test_differential.py``'s, on every path: its
+    journal rows run this per-generation engine)."""
 
     @pytest.mark.parametrize("n", [7, 10])
     @pytest.mark.parametrize("low", [False, True], ids=["ends", "low"])
