@@ -99,6 +99,13 @@ class GF:
         exp[size:2 * size] = exp[:size]
         self._exp = exp
         self._log = log
+        # The same tables on field-width lanes for the batched products:
+        # a log sum is at most 4 * size, which fits uint16 for c <= 14,
+        # and a product fits uint8 for c <= 8.
+        self._log_lanes = log.astype(np.uint16 if self.c <= 14 else np.int32)
+        self._exp_lanes = exp.astype(np.uint8 if self.c <= 8 else np.uint16)
+        #: check_array's shift: an element has no bit at or above c.
+        self._width = np.uint8(self.c)
         exp_public = exp[:size].copy()
         exp_public.setflags(write=False)
         self._exp_public = exp_public
@@ -186,22 +193,48 @@ class GF:
             acc = self.mul(acc, x) ^ self._check(coeff)
         return acc
 
-    def check_array(self, values: np.ndarray, what: str = "array") -> np.ndarray:
-        """Validate that every entry of ``values`` lies in the field.
+    def check_array(self, values, what: str = "array") -> np.ndarray:
+        """Validate that every entry of ``values`` is a field element.
 
         Returns the array as ``int64``; raises :class:`GFElementError`
-        naming ``what`` otherwise.  Used at matrix-construction time so the
-        table lookups below can never index out of bounds or silently
-        alias an out-of-field entry.
+        naming ``what`` otherwise: for an entry outside ``[0, 2^c)`` of
+        any size and for one that is not an integer (a float, or any
+        object without ``__index__``), so no value is ever truncated
+        or silently aliased to an element.  Used at matrix-construction
+        time and on every caller-supplied operand, so the table lookups
+        below can never index out of bounds.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.size and ((arr < 0) | (arr >= self.order)).any():
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biu":
+            arr = self._exact_elements(values, what)
+        # A negative entry shifts to -1, one of 2^c or more to >= 1.
+        if (arr >> self._width).any():
             bad = arr[(arr < 0) | (arr >= self.order)].flat[0]
             raise GFElementError(
                 "%s contains value %d outside GF(2^%d)"
                 % (what, int(bad), self.c)
             )
-        return arr
+        return arr.astype(np.int64, copy=False)
+
+    def _exact_elements(self, values, what: str) -> np.ndarray:
+        """``check_array``'s path for values numpy did not type as
+        integers (a float, an int beyond 64 bits, any other object):
+        each entry, read as the object it is, must be an integer in
+        range."""
+        arr = np.asarray(values, dtype=object)
+        for value in arr.flat:
+            if not hasattr(value, "__index__"):
+                raise GFElementError(
+                    "%s contains non-integer %r, not an element of GF(2^%d)"
+                    % (what, value, self.c)
+                )
+            value = value.__index__()
+            if not 0 <= value < self.order:
+                raise GFElementError(
+                    "%s contains value %d outside GF(2^%d)"
+                    % (what, value, self.c)
+                )
+        return arr.astype(np.int64)
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field multiplication of two broadcastable arrays.
@@ -212,6 +245,29 @@ class GF:
         """
         return self._exp[self._log[a] + self._log[b]]
 
+    def log_image(self, values: np.ndarray) -> np.ndarray:
+        """The logs of *validated* elements on the products' sum lanes
+        (zero's sentinel included): the operand form of
+        :meth:`product_of_logs`, which a code keeps for its own
+        matrices so only the data operand is gathered per call."""
+        return self._log_lanes[values]
+
+    def product_of_logs(
+        self, lhs_log: np.ndarray, rhs_log: np.ndarray
+    ) -> np.ndarray:
+        """GF product of an ``(m, k)`` by a ``(k, p)`` operand, both
+        given as :meth:`log_image` s: the log sums stay on uint16 lanes
+        (int32 for ``c >= 15``), the products are read off uint8 lanes
+        (uint16 for ``c > 8``) and XOR-reduced there.  Returns the
+        ``(m, p)`` product on those lanes."""
+        m, k = lhs_log.shape
+        if k == 0:
+            return np.zeros((m, rhs_log.shape[1]), dtype=self._exp_lanes.dtype)
+        products = self._exp_lanes.take(
+            lhs_log[:, :, np.newaxis] + rhs_log[np.newaxis, :, :]
+        )
+        return np.bitwise_xor.reduce(products, axis=1)
+
     def matvec(self, matrix: np.ndarray, vector: Sequence[int]) -> List[int]:
         """Multiply an m-by-k GF matrix by a length-k vector.
 
@@ -219,18 +275,16 @@ class GF:
         generator matrix is fixed per code, so each encode is a single
         table-driven matrix-vector product.
         """
-        mat = np.asarray(matrix, dtype=np.int64)
-        vec = np.asarray(list(vector), dtype=np.int64)
+        mat = self.check_array(matrix, "matrix")
+        vec = self.check_array(list(vector), "vector")
         if mat.ndim != 2 or vec.ndim != 1 or mat.shape[1] != vec.shape[0]:
             raise ValueError(
                 "shape mismatch: matrix %r, vector %r"
                 % (mat.shape, vec.shape)
             )
-        self.check_array(mat, "matrix")
-        self.check_array(vec, "vector")
-        # XOR-reduce products along rows.
-        result = np.bitwise_xor.reduce(self.mul_many(mat, vec), axis=1)
-        return [int(v) for v in result]
+        return self.product_of_logs(
+            self.log_image(mat), self.log_image(vec)[:, np.newaxis]
+        )[:, 0].tolist()
 
     def matmat(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """GF matrix-matrix product of an ``(m, k)`` by a ``(k, p)`` array.
@@ -240,27 +294,15 @@ class GF:
         encoding, extension and syndrome checking.  Returns an ``(m, p)``
         int64 array.
         """
-        lhs = np.asarray(a, dtype=np.int64)
-        rhs = np.asarray(b, dtype=np.int64)
+        lhs = self.check_array(a, "lhs matrix")
+        rhs = self.check_array(b, "rhs matrix")
         if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[1] != rhs.shape[0]:
             raise ValueError(
                 "shape mismatch: lhs %r, rhs %r" % (lhs.shape, rhs.shape)
             )
-        self.check_array(lhs, "lhs matrix")
-        self.check_array(rhs, "rhs matrix")
-        return self._matmat_core(lhs, rhs)
-
-    def _matmat_core(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Table-driven product of two *pre-validated* int64 arrays.
-
-        Internal fast path: callers that own one operand (e.g. a code's
-        generator matrix, validated once at construction) skip re-scanning
-        it on every call.
-        """
-        if lhs.shape[1] == 0:
-            return np.zeros((lhs.shape[0], rhs.shape[1]), dtype=np.int64)
-        products = self.mul_many(lhs[:, :, np.newaxis], rhs[np.newaxis, :, :])
-        return np.bitwise_xor.reduce(products, axis=1)
+        return self.product_of_logs(
+            self.log_image(lhs), self.log_image(rhs)
+        ).astype(np.int64)
 
     def poly_eval_many(
         self, coeffs: Sequence[int], xs: Sequence[int]

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.coding.gf import GFElementError
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 from repro.utils.bits import bit_matrix_to_ints, ints_to_bit_matrix
 
@@ -78,9 +79,17 @@ class InterleavedCode:
     def _split_many(self, symbols: Sequence[int]) -> np.ndarray:
         """Unpack super-symbols into an ``(m, len(symbols))`` row array."""
         symbols = list(symbols)
-        for symbol in symbols:
+        for index, symbol in enumerate(symbols):
+            if type(symbol) is not int:
+                # Integers only, read as the int they are: a float is
+                # not a symbol, however close to one.
+                if not hasattr(symbol, "__index__"):
+                    raise GFElementError(
+                        "symbol %r is not an integer" % (symbol,)
+                    )
+                symbol = symbols[index] = symbol.__index__()
             if not 0 <= symbol < self.symbol_limit:
-                raise ValueError(
+                raise GFElementError(
                     "symbol %r outside [0, 2^%d)" % (symbol, self.symbol_bits)
                 )
         if not symbols:

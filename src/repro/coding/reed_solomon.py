@@ -85,30 +85,28 @@ class ReedSolomonCode:
         self.distance = n - k + 1
         # Evaluation points alpha_j = alpha^j, j = 0..n-1 — distinct, nonzero.
         self.points: List[int] = [field.alpha(j) for j in range(n)]
-        self._generator = self._build_generator()
+        # The n-by-k systematic generator: row i holds the Lagrange
+        # basis values l_j(alpha_i) for the basis of the first k points,
+        # so G @ v evaluates the interpolating polynomial everywhere.
+        generator = field.check_array(
+            self._interpolation_matrix(tuple(range(k))), "generator matrix"
+        )
         # Systematic parity check: a word w is a codeword iff
         # G[k:] @ w[:k] == w[k:], i.e. H @ w == 0 for H = [G[k:] | I].
         # One syndrome matmat replaces interpolate-and-compare for
         # full-length membership tests.
-        self._parity = self._generator[self.k:]
         self.parity_check: np.ndarray = np.concatenate(
-            [self._parity, np.eye(n - k, dtype=np.int64)], axis=1
+            [generator[k:], np.eye(n - k, dtype=np.int64)], axis=1
         )
-        # Matrices are validated once here (and per interpolation matrix as
-        # it enters the cache); per-call validation covers only the
-        # caller-supplied data operand.
-        field.check_array(self._generator, "generator matrix")
-        field.check_array(self.parity_check, "parity-check matrix")
+        # Matrices are validated and logged once here (and per
+        # interpolation matrix as it enters the cache): a product
+        # validates and gathers the logs of the caller-supplied data
+        # operand only.
+        self._generator_log = field.log_image(generator)
+        self._parity_log_t = self._generator_log[k:].T.copy()
+        self._check_log_t = field.log_image(self.parity_check.T)
+        #: positions -> the log image of their interpolation matrix.
         self._interp_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-
-    def _build_generator(self) -> np.ndarray:
-        """Precompute the n-by-k systematic generator matrix.
-
-        Row ``i`` holds the Lagrange basis values ``l_j(alpha_i)`` for the
-        basis defined by the first ``k`` points, so ``G @ v`` evaluates the
-        interpolating polynomial at every evaluation point.
-        """
-        return self._interpolation_matrix(tuple(range(self.k)))
 
     def _interpolation_matrix(self, positions: Tuple[int, ...]) -> np.ndarray:
         """n-by-k matrix mapping codeword values at ``positions`` (exactly k
@@ -136,31 +134,34 @@ class ReedSolomonCode:
 
     # -- public API ---------------------------------------------------------
 
-    def _apply_matrix(self, matrix: np.ndarray, values: Sequence[int]) -> List[int]:
-        """``matrix @ values`` with only the caller-supplied vector
-        validated — the matrix is one of the code's own (pre-validated)."""
-        vec = np.asarray(list(values), dtype=np.int64)
-        if vec.ndim != 1 or vec.shape[0] != matrix.shape[1]:
+    def _apply_logged(self, matrix_log: np.ndarray, values) -> np.ndarray:
+        """``matrix @ values`` for one of the code's own (logged)
+        ``(n, k)`` matrices and a length-``k`` symbol vector: one
+        matvec on field-width lanes."""
+        vec = self.field.check_array(values, "vector")
+        if vec.ndim != 1 or vec.shape[0] != matrix_log.shape[1]:
             raise ValueError(
                 "shape mismatch: matrix %r, vector %r"
-                % (matrix.shape, vec.shape)
+                % (matrix_log.shape, vec.shape)
             )
-        self.field.check_array(vec, "vector")
-        result = self.field._matmat_core(matrix, vec[:, np.newaxis])
-        return [int(v) for v in result[:, 0]]
+        field = self.field
+        return field.product_of_logs(
+            matrix_log, field.log_image(vec)[:, np.newaxis]
+        )[:, 0]
 
     def _rows_matmat(
-        self, rows: np.ndarray, matrix_t: np.ndarray, what: str
+        self, rows, matrix_log_t: np.ndarray, what: str
     ) -> np.ndarray:
-        """``rows @ matrix_t`` with only ``rows`` validated per call."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != matrix_t.shape[0]:
+        """``rows @ matrix_t`` for a logged ``matrix_t`` of the code's,
+        with only ``rows`` validated and logged per call."""
+        rows = self.field.check_array(rows, what)
+        if rows.ndim != 2 or rows.shape[1] != matrix_log_t.shape[0]:
             raise ValueError(
                 "expected an (m, %d) %s array, got shape %r"
-                % (matrix_t.shape[0], what, rows.shape)
+                % (matrix_log_t.shape[0], what, rows.shape)
             )
-        self.field.check_array(rows, what)
-        return self.field._matmat_core(rows, matrix_t)
+        field = self.field
+        return field.product_of_logs(field.log_image(rows), matrix_log_t)
 
     def encode(self, data: Sequence[int]) -> List[int]:
         """``C_2t(v)``: encode ``k`` data symbols into ``n`` coded symbols."""
@@ -169,7 +170,7 @@ class ReedSolomonCode:
             raise ValueError(
                 "expected %d data symbols, got %d" % (self.k, len(data))
             )
-        return self._apply_matrix(self._generator, data)
+        return self._apply_logged(self._generator_log, data).tolist()
 
     # -- batched (row-stacked) API ------------------------------------------
     #
@@ -184,8 +185,8 @@ class ReedSolomonCode:
         The code is systematic, so only the ``n - k`` parity columns are
         a product; the data rows are the words' first ``k`` symbols.
         """
-        data = np.asarray(data, dtype=np.int64)
-        parity = self._rows_matmat(data, self._parity.T, "data")
+        data = self.field.check_array(data, "data")
+        parity = self._rows_matmat(data, self._parity_log_t, "data")
         return np.concatenate([data, parity], axis=1)
 
     def encode_generations(
@@ -201,7 +202,9 @@ class ReedSolomonCode:
         """
         if not parts:
             return []
-        rows = np.asarray([list(part) for part in parts], dtype=np.int64)
+        rows = self.field.check_array(
+            [list(part) for part in parts], "part"
+        )
         if rows.ndim != 2 or rows.shape[1] != self.k:
             raise ValueError(
                 "expected (g, %d) parts, got shape %r" % (self.k, rows.shape)
@@ -213,8 +216,8 @@ class ReedSolomonCode:
     ) -> np.ndarray:
         """Batched :meth:`extend`: ``(m, k)`` known-symbol rows at exactly
         ``k`` ``positions`` -> the ``(m, n)`` full codewords."""
-        matrix = self._interp_for(tuple(positions))
-        return self._rows_matmat(values, matrix.T, "value")
+        matrix_log = self._interp_for(tuple(positions))
+        return self._rows_matmat(values, matrix_log.T, "value")
 
     def codeword_through_many(
         self, positions: Sequence[int], values: np.ndarray
@@ -233,7 +236,7 @@ class ReedSolomonCode:
                 raise ValueError(
                     "position %d out of range [0, %d)" % (p, self.n)
                 )
-        rows = np.asarray(values, dtype=np.int64)
+        rows = self.field.check_array(values, "value")
         if rows.ndim != 2 or rows.shape[1] != len(positions):
             raise ValueError(
                 "expected an (m, %d) value array, got shape %r"
@@ -255,27 +258,30 @@ class ReedSolomonCode:
         parity-check matmat instead of ``m`` Lagrange
         interpolate-and-compare passes.
         """
-        return self._rows_matmat(words, self.parity_check.T, "word")
+        return self._rows_matmat(words, self._check_log_t, "word")
 
     def _interp_for(self, key: Tuple[int, ...]) -> np.ndarray:
-        """The cached k-point interpolation matrix for ``key`` (validated)."""
-        if len(key) != self.k:
-            raise ValueError(
-                "need exactly k=%d positions, got %d" % (self.k, len(key))
-            )
-        if len(set(key)) != len(key):
-            raise ValueError("positions must be distinct: %r" % (key,))
-        for p in key:
-            if not 0 <= p < self.n:
+        """The cached log image of the k-point interpolation matrix for
+        ``key``; a key is validated when its matrix enters the cache."""
+        matrix_log = self._interp_cache.get(key)
+        if matrix_log is None:
+            if len(key) != self.k:
                 raise ValueError(
-                    "position %d out of range [0, %d)" % (p, self.n)
+                    "need exactly k=%d positions, got %d"
+                    % (self.k, len(key))
                 )
-        matrix = self._interp_cache.get(key)
-        if matrix is None:
-            matrix = self._interpolation_matrix(key)
-            self.field.check_array(matrix, "interpolation matrix")
-            self._interp_cache[key] = matrix
-        return matrix
+            if len(set(key)) != len(key):
+                raise ValueError("positions must be distinct: %r" % (key,))
+            for p in key:
+                if not 0 <= p < self.n:
+                    raise ValueError(
+                        "position %d out of range [0, %d)" % (p, self.n)
+                    )
+            matrix_log = self.field.log_image(self.field.check_array(
+                self._interpolation_matrix(key), "interpolation matrix"
+            ))
+            self._interp_cache[key] = matrix_log
+        return matrix_log
 
     def extend(self, positions: Sequence[int], values: Sequence[int]) -> List[int]:
         """Reconstruct the full codeword from exactly ``k`` known symbols.
@@ -285,8 +291,8 @@ class ReedSolomonCode:
         repeated reconstructions (e.g. every generation with the same
         ``P_decide``) cost one matvec.
         """
-        matrix = self._interp_for(tuple(positions))
-        return self._apply_matrix(matrix, list(values))
+        matrix_log = self._interp_for(tuple(positions))
+        return self._apply_logged(matrix_log, list(values)).tolist()
 
     def codeword_through(
         self, symbols: Dict[int, int]
@@ -296,25 +302,29 @@ class ReedSolomonCode:
 
         ``symbols`` maps 0-based position -> symbol value and must contain at
         least ``k`` entries.  This realises the paper's ``V/A ∈ C_2t`` test
-        constructively.
+        constructively: one range check on the sorted positions, one
+        array of the symbols, one matvec through the first ``k`` and one
+        comparison at the rest.
         """
-        if len(symbols) < self.k:
+        k = self.k
+        if len(symbols) < k:
             raise ValueError(
                 "need at least k=%d symbols to identify a codeword, got %d"
-                % (self.k, len(symbols))
+                % (k, len(symbols))
             )
         positions = sorted(symbols)
-        for p in positions:
+        for p in (positions[0], positions[-1]):
             if not 0 <= p < self.n:
                 raise ValueError(
                     "position %d out of range [0, %d)" % (p, self.n)
                 )
-        base = positions[: self.k]
-        word = self.extend(base, [symbols[p] for p in base])
-        for p in positions[self.k:]:
-            if word[p] != symbols[p]:
-                return None
-        return word
+        values = self.field.check_array(
+            [symbols[p] for p in positions], "symbols"
+        )
+        word = self.extend_many(positions[:k], values[np.newaxis, :k])[0]
+        if (word[positions[k:]] != values[k:]).any():
+            return None
+        return word.tolist()
 
     def is_consistent(self, symbols: Dict[int, int]) -> bool:
         """``V/A ∈ C_2t``: is the symbol subset consistent with a codeword?
@@ -358,9 +368,7 @@ class ReedSolomonCode:
         codeword = list(codeword)
         if len(codeword) != self.n:
             return False
-        return not self.syndrome_many(
-            np.asarray([codeword], dtype=np.int64)
-        ).any()
+        return not self.syndrome_many([codeword]).any()
 
     def __repr__(self) -> str:
         return "ReedSolomonCode(n=%d, k=%d, c=%d)" % (self.n, self.k, self.c)

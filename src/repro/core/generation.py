@@ -137,14 +137,13 @@ class GenerationProtocol:
         #: the vectorized path prices fault-free broadcasts and shares
         #: one broadcast view, so it needs a priced-honest backend.
         self.vectorized = vectorized
-        self._honest = sorted(
-            pid for pid in range(self.n) if not adversary.controls(pid)
-        )
-        if not self._honest:
-            raise ValueError("at least one fault-free processor required")
         self._controlled = [
             pid for pid in range(self.n) if adversary.controls(pid)
         ]
+        controlled = set(self._controlled)
+        self._honest = [pid for pid in range(self.n) if pid not in controlled]
+        if not self._honest:
+            raise ValueError("at least one fault-free processor required")
         self._reference = self._honest[0]
         # Per-generation memos: the n processors of one generation hold
         # few distinct symbol sets, so each is coded once; nothing here
@@ -780,19 +779,22 @@ class GenerationProtocol:
                 detectors=detectors,
             )
 
-        if r_sharp_word is not None:
-            # The code is systematic and P_decide ⊆ P_match holds k
-            # positions, so the codeword through R#/P_decide is the one
-            # through R#: its data is the decode, with no second
-            # interpolation.
-            self._decode_cache[frozenset(
-                (j, reference_r_sharp[j]) for j in p_decide
-            )] = tuple(r_sharp_word[:self.k])
+        # The code is systematic and P_decide ⊆ P_match holds k
+        # positions, so with R# on a codeword the codeword through
+        # R#/P_decide is that one: its data is the decode, with no
+        # second interpolation.
+        data = None if r_sharp_word is None else tuple(r_sharp_word[:self.k])
         if r_sharp_of is None:
-            decisions = dict.fromkeys(self._honest, self._cached_decode(
-                {j: reference_r_sharp[j] for j in p_decide}
-            ))
+            if data is None:
+                data = self._cached_decode(
+                    {j: reference_r_sharp[j] for j in p_decide}
+                )
+            decisions = dict.fromkeys(self._honest, data)
         else:
+            if data is not None:
+                self._decode_cache[frozenset(
+                    (j, reference_r_sharp[j]) for j in p_decide
+                )] = data
             decisions = {}
             for pid in self._honest:
                 r_sharp = r_sharp_of(pid)
@@ -881,8 +883,8 @@ class GenerationProtocol:
             )
 
         return self._diagnosis_stage_vec(
-            p_match, codewords, received, detected_ref, detectors,
-            isolated, default_part,
+            p_match, codewords, received[:, list(p_match)], detected_ref,
+            detectors, isolated, default_part,
         )
 
     def _checking_decision(
@@ -1141,7 +1143,7 @@ class GenerationProtocol:
         self,
         p_match: Tuple[int, ...],
         codewords: Dict[int, List[int]],
-        received: np.ndarray,
+        received_pm: np.ndarray,
         detected_ref: np.ndarray,
         detectors: List[int],
         isolated: FrozenSet[int],
@@ -1150,6 +1152,10 @@ class GenerationProtocol:
         """Lines 3(a)-3(i) as array work: R# one vector, Trust one
         boolean ``(n, |P_match|)`` matrix, edge removal one matrix
         update.
+
+        ``received_pm`` holds the checking stage's received symbols in
+        ``P_match``'s columns only (the stage reads no other), as an
+        ``(n, |P_match|)`` array the stage may write into.
 
         Both sub-stages (symbols, then trust vectors) start from what
         validity gives — a fault-free source's row arrives as sent, so
@@ -1175,14 +1181,18 @@ class GenerationProtocol:
         symbol_tag = "%s.diagnosis.symbol" % self.tag
         own_symbols = [codewords[j][j] for j in p_match]
         r_ref: Dict[int, int] = dict(zip(p_match, own_symbols))
-        # A controlled member is asked for its symbol, and its row is
-        # one packed wire row (big-int safe for wide super-symbols).
+        # A controlled member is asked for its symbol when its class
+        # overrides the hook (the base answers the symbol it holds), and
+        # its row is one packed wire row (big-int safe for wide
+        # super-symbols).
+        symbol_hooked = not hook_is_default(self.adversary, "diagnosis_symbol")
         symbol_rows: Dict[int, PackedBits] = {}
         for j in self._controlled:
             if j in r_ref:
-                r_ref[j] = int(self.adversary.diagnosis_symbol(
-                    j, r_ref[j], self.generation, view
-                ) % self.code.symbol_limit)
+                if symbol_hooked:
+                    r_ref[j] = int(self.adversary.diagnosis_symbol(
+                        j, r_ref[j], self.generation, view
+                    ) % self.code.symbol_limit)
                 symbol_rows[j] = PackedBits.from_int(r_ref[j], self.c)
         symbol_outcomes = self._dispatch_sources(
             p_match, symbol_rows, self.c, symbol_tag, isolated
@@ -1194,39 +1204,40 @@ class GenerationProtocol:
                 r_ref[j] = row.to_int()
 
         # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
-        # everyone live.  The honest baseline is one boolean matrix.
+        # everyone live.  The honest baseline is one boolean matrix: a
+        # trusted member's symbol equals the R# one (a valid symbol, so
+        # equality already rules out a missing one), and a member's own
+        # column is its own symbol.
         trust_tag = "%s.diagnosis.trust" % self.tag
-        mine = received[:, pm].copy()
-        mine[pm, np.arange(n_pm)] = own_symbols
-        trusts_mat = np.asarray(self.graph.trust_mask())[:, pm] | (
-            np.arange(n)[:, np.newaxis] == pm[np.newaxis, :]
-        )
+        own_column = np.arange(n_pm)
+        received_pm[pm, own_column] = own_symbols
+        trusts_mat = np.asarray(self.graph.trust_mask())[:, pm]
+        trusts_mat[pm, own_column] = True
         r_ref_arr = np.array([r_ref[j] for j in p_match], dtype=dtype)
-        honest_trust_mat = (
-            trusts_mat
-            & (mine != _MISSING).astype(bool)
-            & (mine == r_ref_arr[np.newaxis, :]).astype(bool)
-        )
+        honest_trust_mat = trusts_mat & (received_pm == r_ref_arr)
 
         # Packed wire rows: one packbits over the honest trust matrix.
         # A live controlled source is asked for its row (``trust_row``)
-        # when its class overrides it (the base answers the honest row);
-        # an honest answer keeps its packed row, an accuse set is one
-        # mask and one packbits, and only an explicit mapping converts
-        # bit by bit.
+        # when its class overrides it (the base answers the honest row),
+        # the honest rows read off the matrix with one ``tolist``; an
+        # honest answer keeps its packed row, an accuse set is one mask
+        # and one packbits, and only an explicit mapping converts bit by
+        # bit.
         trust_packed = np.packbits(honest_trust_mat, axis=1)
-        trust_hooked = not hook_is_default(self.adversary, "trust_row")
+        live_controlled = [i for i in self._controlled if i not in isolated]
+        honest_rows = (
+            honest_trust_mat[live_controlled].tolist()
+            if not hook_is_default(self.adversary, "trust_row") else None
+        )
         column = {j: index for index, j in enumerate(p_match)}
         trust_rows: Dict[int, PackedBits] = {}
         # The boolean form of each controlled row that is not the honest
         # one, so a row handed back as sent is never unpacked.
         deviant: Dict[int, np.ndarray] = {}
-        for i in self._controlled:
-            if i in isolated:
-                continue
+        for index, i in enumerate(live_controlled):
             row = PackedBits(trust_packed[i], n_pm)
-            if trust_hooked:
-                honest_row = tuple(honest_trust_mat[i].tolist())
+            if honest_rows is not None:
+                honest_row = tuple(honest_rows[index])
                 answer = self.adversary.trust_row(
                     i, p_match, honest_row, self.generation, view
                 )
@@ -1243,18 +1254,16 @@ class GenerationProtocol:
                     deviant[i] = np.array(bits, dtype=bool)
             trust_rows[i] = row
 
-        live = np.array(
-            [i for i in range(n) if i not in isolated], dtype=np.int64
-        )
+        live = [i for i in range(n) if i not in isolated]
         trust_outcomes = self._dispatch_sources(
-            live.tolist(), trust_rows, n_pm, trust_tag, isolated
+            live, trust_rows, n_pm, trust_tag, isolated
         )
-        # The reference Trust view: validity for every live row, then
-        # each deviant row handed back as sent, then one bulk unpack of
-        # the rows that came back changed; rows of isolated processors
-        # keep the view's reset-False fill.
+        # The reference Trust view: validity for every row, then each
+        # deviant row handed back as sent, then one bulk unpack of the
+        # rows that came back changed; isolated processors' rows are
+        # never read.
         trust_ref = self._ensure_arena().trust_view(n_pm)
-        trust_ref[live] = honest_trust_mat[live]
+        np.copyto(trust_ref, honest_trust_mat)
         changed = []
         for i, row in trust_outcomes.items():
             if row is not trust_rows[i]:
@@ -1268,10 +1277,12 @@ class GenerationProtocol:
             ).astype(bool)
 
         # Line 3(e): every live processor accuses the members its
-        # broadcast Trust vector rejects; one matrix update, in the
-        # scalar removal order.
+        # broadcast Trust vector rejects, as one column assignment (an
+        # isolated processor's row names only edges already gone, which
+        # remove_accused skips); one matrix update, in the scalar
+        # removal order.
         accuse = np.zeros((n, n), dtype=bool)
-        accuse[live[:, np.newaxis], pm] = ~trust_ref[live]
+        accuse[:, pm] = ~trust_ref
         removed_edges = self.graph.remove_accused(accuse)
 
         return self._diagnosis_verdict(

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.cliques import find_clique_matrix
+from repro.graphs.cliques import find_clique_matrix, lower_triangle
 
 
 class DiagnosisGraph:
@@ -143,14 +143,22 @@ class DiagnosisGraph:
         removes them: row-major over the accusations, an edge accused
         from both ends listed where it is first accused.
         """
+        n = self.n
         adj = self._adj
-        # An accusation below the diagonal comes second when its mirror
-        # (an earlier row) accuses too.
-        first = accuse & adj & ~np.tril(accuse.T)
-        adj &= ~(first | first.T)
-        pairs = np.argwhere(first)
+        hit = accuse & adj
+        # A hit below the diagonal comes second when its mirror (an
+        # earlier row) is hit too.
+        hit &= ~(hit.T & lower_triangle(n))
+        # The hits' row-major flat indices, then both mirrors cleared
+        # through the flat view (the matrix is C-contiguous: only this
+        # class builds it).
+        flat = np.flatnonzero(hit)
+        rows, cols = np.divmod(flat, n)
+        entries = adj.reshape(-1)
+        entries[flat] = False
+        entries[cols * n + rows] = False
         return list(zip(
-            pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()
+            np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()
         ))
 
     def isolate(self, i: int) -> None:
@@ -170,12 +178,12 @@ class DiagnosisGraph:
         picked up on the next diagnosis.  (Fault-free vertices can never
         exceed the threshold: they keep their >= n - t - 1 mutual edges.)
         """
+        # (n - 1) - degree >= t + 1, i.e. degree <= n - t - 2.
         degrees = self._adj.sum(axis=1)
         over = [
             i
-            for i in range(self.n)
+            for i in np.flatnonzero(degrees <= self.n - t - 2).tolist()
             if i not in self._isolated
-            and (self.n - 1) - int(degrees[i]) >= t + 1
         ]
         for i in over:
             self.isolate(i)

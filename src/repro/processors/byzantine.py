@@ -200,25 +200,6 @@ class SlowBleedAdversary(Adversary):
         #: ``_search``'s plans, keyed by everything a plan reads.
         self._plan_memo: Dict[tuple, Optional[tuple]] = {}
 
-    def _emulate_match(self, graph, n: int, t: int, broken=None):
-        """Run the engine's exact P_match search for an all-honest-matching
-        round, optionally with one (attacker, victim) mismatch.
-
-        Works on the trust mask directly (no per-vertex set building):
-        the planner probes every (attacker, victim) pair per graph state,
-        so its clique searches are the adversary's own hot path at
-        large n."""
-        import numpy as np
-
-        from repro.graphs.cliques import find_clique_matrix
-
-        adjacency = np.array(graph.trust_mask())
-        if broken is not None:
-            i, j = broken
-            adjacency[i, j] = adjacency[j, i] = False
-        clique = find_clique_matrix(adjacency, n - t)
-        return tuple(clique) if clique is not None else None
-
     def _plan_for(self, generation: int, view: GlobalView):
         if generation in self._plan:
             return self._plan[generation]
@@ -250,8 +231,20 @@ class SlowBleedAdversary(Adversary):
 
     def _search(self, graph, n: int, t: int) -> Optional[tuple]:
         """The planned play on ``graph``: ``("attack" | "accuse", actor,
-        target)``, or ``None`` when neither play is viable."""
-        # Play 1: find a viable (attacker, victim) symbol corruption.
+        target)``, or ``None`` when neither play is viable.
+
+        Both plays emulate the engine's exact P_match search
+        (:func:`~repro.graphs.cliques.find_clique_masks`, the core of
+        ``find_clique_matrix``) on the trust mask, packed once here: an
+        (attacker, victim) probe clears that edge's two bits in a copy
+        of the mask list instead of copying and re-packing the
+        matrix."""
+        from repro.graphs.cliques import adjacency_masks, find_clique_masks
+
+        masks = adjacency_masks(graph.trust_mask())
+        size = n - t
+        # Play 1: find a viable (attacker, victim) symbol corruption, as
+        # an all-honest matching round with that one mismatch.
         for attacker in sorted(self.faulty):
             if graph.is_isolated(attacker):
                 continue
@@ -263,9 +256,10 @@ class SlowBleedAdversary(Adversary):
                 ),
                 reverse=True,
             ):
-                match = self._emulate_match(
-                    graph, n, t, broken=(attacker, victim)
-                )
+                broken = list(masks)
+                broken[attacker] &= ~(1 << victim)
+                broken[victim] &= ~(1 << attacker)
+                match = find_clique_masks(broken, size)
                 if (
                     match is not None
                     and attacker in match
@@ -276,17 +270,12 @@ class SlowBleedAdversary(Adversary):
         # accuser broadcasts an all-false M vector, forcing itself out of
         # P_match, then cries Detected and distrusts the target; the
         # removed (accuser, target) edge shields it from line 3(f).
-        import numpy as np
-
-        from repro.graphs.cliques import find_clique_matrix
-
+        everyone = (1 << n) - 1
         for accuser in sorted(self.faulty):
             if graph.is_isolated(accuser):
                 continue
-            match = find_clique_matrix(
-                np.asarray(graph.trust_mask()),
-                n - t,
-                candidates=[v for v in range(n) if v != accuser],
+            match = find_clique_masks(
+                masks, size, pool=everyone & ~(1 << accuser)
             )
             if match is None:
                 continue

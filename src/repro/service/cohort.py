@@ -52,9 +52,9 @@ What the context keeps across its instances is **value-independent**:
 one table of diagnosis-graph *structures*, each holding the plans and
 the M view → ``P_match`` match sets (one clique search per distinct M
 view, however many generations and instances produce it) reached in its
-graph state, plus the ``(n, n)`` diagnosis scatter buffer.  Everything
-derived from an instance's values — part tuples, whole-run codewords —
-lives on its :class:`_InstanceRun` and dies with it.  A seeded attack
+graph state.  Everything derived from an instance's values — part
+tuples, whole-run codewords, a diagnosis's received columns — lives on
+its :class:`_InstanceRun` and dies with it.  A seeded attack
 (``random``) makes a pattern a value in disguise, so the table forgets
 at :data:`MAX_PATTERN_ENTRIES`.
 
@@ -136,9 +136,9 @@ class _GraphStructure:
     """
 
     __slots__ = (
-        "mask", "isolated", "live", "fab_recips", "fab_sent",
-        "honest_edges", "base_bool", "base_bits", "m_total", "plans",
-        "matches",
+        "mask", "isolated", "live", "live_controlled", "fab_recips",
+        "fab_sent", "honest_edges", "base_bool", "base_bits", "m_total",
+        "plans", "matches",
     )
 
     def __init__(self, graph, controlled: Sequence[int], n: int):
@@ -151,6 +151,8 @@ class _GraphStructure:
         self.isolated = isolated
         live = [pid not in isolated for pid in range(n)]
         self.live = live
+        #: Live controlled pids, ascending: whose M rows key a match.
+        self.live_controlled = [s for s in controlled if live[s]]
         # Faulty live senders, in the cohort's order, and their live
         # trusted recipients, ascending; tuples, because the row hook is
         # handed them.
@@ -201,7 +203,8 @@ step`).  Overridden hooks fire every generation and their returns
     __slots__ = ("hdev_key", "ctrl_rows", "m_rows", "info", "checks")
 
     def __init__(self, hdev_key, ctrl_rows, m_rows):
-        #: The pattern's pairs with an honest recipient, sorted: with
+        #: The pattern's pairs with an honest recipient, as a frozenset
+        #: (its hash is computed once, not at every match lookup): with
         #: the graph state they determine every honest M row.
         self.hdev_key = hdev_key
         #: Controlled pids' M expectation rows (the m_row hook args).
@@ -321,19 +324,19 @@ class CohortContext:
         #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
         #: The owner's exchange arena (the service's, or a one-shot
-        #: run's own), so the cohort reuses the same (n, n) buffers as
-        #: the per-instance engines; delegated diagnosis protocols get
-        #: it too.
+        #: run's own), handed to the delegated diagnosis protocols so
+        #: they reuse the per-instance engines' buffers (and its symbol
+        #: dtype types the diagnosis scatter).
         self.arena = arena
 
     def match_info_for(self, struct, hdev_key, outcomes) -> _MatchInfo:
         """The match set of one dispatched M view, memoized — honest
         rows are determined by (graph, deviation) and isolated rows are
         zero, so the key only carries the live controlled rows on top
-        of that."""
-        live = struct.live
-        mkey = (hdev_key, tuple(
-            tuple(outcomes[i]) for i in self.controlled_sorted if live[i]
+        of that, as one ``bytes`` object (exact: every row is ``n - 1``
+        bits of 0/1)."""
+        mkey = (hdev_key, b"".join(
+            map(bytes, map(outcomes.__getitem__, struct.live_controlled))
         ))
         info = struct.matches.get(mkey)
         if info is None:
@@ -708,10 +711,10 @@ class _InstanceRun:
                         bits[f - 1 if f > i else f] = 0
             m_rows.append(bits if struct.live[i] else zero)
         return _Plan(
-            tuple(sorted(
+            frozenset(
                 (f, r) for r, senders in touched.items()
                 if r not in controlled for f in senders
-            )),
+            ),
             ctrl_rows, m_rows,
         )
 
@@ -761,7 +764,7 @@ class _InstanceRun:
         # Diagnosis mutates the graph: drop the carried structure.
         self.struct = None
         row_of = self._rows(g)[0]
-        received = self._scatter_received(struct, row_of, sym)
+        received = self._scatter_received(struct, row_of, sym, p_match)
         detected_arr = np.zeros(ctx.n, dtype=bool)
         detected_arr[flagged] = True
         protocol = GenerationProtocol(
@@ -866,32 +869,35 @@ class _InstanceRun:
             decisions[pid] = decided
         return decisions
 
-    def _scatter_received(self, struct, row_of, sym):
-        """Materialize the checking-stage received matrix for the
-        delegated diagnosis stage."""
-        ctx = self.ctx
-        # The arena's exchange view, reset to _MISSING (the delegated
-        # stage never retains it).
-        received = ctx.arena.exchange_view()
-        diagonal = [row_of[i][i] for i in range(ctx.n)]
-        # Each sender's column payload: its own symbol (honest and
-        # conforming senders) or a controlled sender's common payload
-        # (a missing one is the buffer's own fill value).  Isolated
-        # senders' mask rows are zero, so one masked copy writes every
-        # live trusted recipient; then the exceptions and the diagonal.
-        payloads = list(diagonal)
+    def _scatter_received(self, struct, row_of, sym, p_match):
+        """Materialize the checking-stage received symbols in
+        ``P_match``'s columns — the only ones the delegated diagnosis
+        stage reads — as a fresh ``(n, |P_match|)`` array.
+
+        Each member's column payload is its own symbol (honest and
+        conforming senders) or a controlled member's common payload (a
+        missing one is :data:`_MISSING`); isolated senders' mask rows
+        are zero, so one masked select writes every live trusted
+        recipient and leaves the rest missing.  Then the exceptions;
+        the diagonal is the stage's own to write.
+        """
+        payloads = [row_of[j][j] for j in p_match]
         if sym is not None:
-            for f, payload in sym.common.items():
-                payloads[f] = payload
-        np.copyto(
-            received,
-            np.asarray(payloads, dtype=received.dtype)[np.newaxis, :],
-            where=struct.mask.T,
+            common = sym.common
+            payloads = [
+                common.get(j, payload) for j, payload in zip(p_match, payloads)
+            ]
+        received = np.where(
+            struct.mask[list(p_match)].T,
+            np.asarray(payloads, dtype=self.ctx.arena.symbol_dtype),
+            _MISSING,
         )
-        if sym is not None:
+        if sym is not None and sym.exceptions:
+            column = {j: index for index, j in enumerate(p_match)}
             for (f, r), payload in sym.exceptions.items():
-                received[r, f] = payload
-        received[np.diag_indices(ctx.n)] = diagonal
+                index = column.get(f)
+                if index is not None:
+                    received[r, index] = payload
         return received
 
 

@@ -67,10 +67,9 @@ class PackedBits:
     zero by construction, so lane-level operations (xor, popcount,
     equality) never need masking.
 
-    ``from_int``/``to_int`` run through the big-int-safe
-    :func:`_bit_array`/:func:`_int_of_bit_array` pair, which is the
-    object-dtype escape hatch for wide super-symbols: a several-hundred-
-    bit symbol packs into lanes without ever touching an int64.
+    ``from_int``/``to_int`` write and read the lanes as the value's
+    big-endian bytes, so a several-hundred-bit super-symbol packs into
+    lanes without ever touching an int64 or an unpacked bit.
 
     Instances are treated as immutable once constructed; holders may
     share them freely (the ideal backend hands the *same* row object to
@@ -89,6 +88,15 @@ class PackedBits:
             )
         self.lanes = lanes
         self.length = length
+
+    @classmethod
+    def _of(cls, lanes: np.ndarray, length: int) -> "PackedBits":
+        """A row over lanes this class built itself (uint8, exactly
+        enough of them, zero tail), so nothing is re-validated."""
+        row = object.__new__(cls)
+        row.lanes = lanes
+        row.length = length
+        return row
 
     # -- constructors -------------------------------------------------
 
@@ -116,7 +124,7 @@ class PackedBits:
             raise ValueError(
                 "bits must be 0 or 1, got %r" % (int(arr[bad_mask][0]),)
             )
-        return cls(np.packbits(arr), int(arr.shape[0]))
+        return cls._of(np.packbits(arr), int(arr.shape[0]))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "PackedBits":
@@ -125,7 +133,9 @@ class PackedBits:
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "PackedBits":
-        """``width`` MSB-first bits of a (possibly huge) ``value``."""
+        """``width`` MSB-first bits of a (possibly huge) ``value``: the
+        value shifted onto whole lane bytes (the tail bits zero) and
+        written big-endian, one buffer read."""
         if width < 0:
             raise ValueError("width must be non-negative, got %d" % width)
         if value < 0:
@@ -134,13 +144,15 @@ class PackedBits:
             raise ValueError(
                 "value %d does not fit in %d bits" % (value, width)
             )
-        return cls(np.packbits(_bit_array(value, width)), width)
+        nbytes = (width + 7) >> 3
+        raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
+        return cls._of(np.frombuffer(raw, dtype=np.uint8), width)
 
     @classmethod
     def zeros(cls, length: int) -> "PackedBits":
         if length < 0:
             raise ValueError("length must be non-negative, got %d" % length)
-        return cls(np.zeros((length + 7) // 8, dtype=np.uint8), length)
+        return cls._of(np.zeros((length + 7) // 8, dtype=np.uint8), length)
 
     # -- views --------------------------------------------------------
 
@@ -152,8 +164,11 @@ class PackedBits:
         return self.to_array().tolist()
 
     def to_int(self) -> int:
-        """The row as a big integer, first bit most significant."""
-        return _int_of_bit_array(self.to_array())
+        """The row as a big integer, first bit most significant: the
+        lanes read big-endian, the zero tail shifted off."""
+        return int.from_bytes(self.lanes.tobytes(), "big") >> (
+            -self.length & 7
+        )
 
     # -- sequence protocol --------------------------------------------
 
@@ -184,7 +199,7 @@ class PackedBits:
             )
         # Tail bits are zero in both operands, so the result's tail is
         # zero too — the invariant survives without masking.
-        return PackedBits(self.lanes ^ other.lanes, self.length)
+        return PackedBits._of(self.lanes ^ other.lanes, self.length)
 
     def popcount(self) -> int:
         """Number of set bits (tail lanes are zero, so no masking)."""

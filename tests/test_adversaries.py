@@ -604,7 +604,7 @@ def test_slow_bleed_plans_once_per_graph_state(monkeypatch):
     """A generation whose graph is unchanged reuses the last plan instead
     of re-probing every (attacker, victim) pair: at n = 15 the planner's
     clique searches at least halve."""
-    search = cliques.find_clique_matrix
+    search = cliques.find_clique_masks
     calls = []
 
     def counting(*args, **kwargs):
@@ -613,13 +613,74 @@ def test_slow_bleed_plans_once_per_graph_state(monkeypatch):
             calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(cliques, "find_clique_matrix", counting)
+    monkeypatch.setattr(cliques, "find_clique_masks", counting)
     counts = {}
     for adversary_class in (SlowBleedAdversary, _Unmemoised):
         calls.clear()
         _slow_bleed_run(adversary_class, 15, 1 << 12)
         counts[adversary_class] = len(calls)
     assert 0 < 2 * counts[SlowBleedAdversary] <= counts[_Unmemoised]
+
+
+def _search_on_copies(adversary, graph, n, t):
+    """``slow_bleed``'s plan search with every probe on a copied and
+    edited matrix through ``find_clique_matrix`` (the planner's search
+    before it packed the masks once)."""
+    import numpy as np
+
+    faulty = adversary.faulty
+    for attacker in sorted(faulty):
+        if graph.is_isolated(attacker):
+            continue
+        for victim in sorted(
+            (p for p in graph.trusted_by(attacker) if p not in faulty),
+            reverse=True,
+        ):
+            adjacency = np.array(graph.trust_mask())
+            adjacency[attacker, victim] = adjacency[victim, attacker] = False
+            match = cliques.find_clique_matrix(adjacency, n - t)
+            if match is not None and attacker in match and victim not in match:
+                return ("attack", attacker, victim)
+    for accuser in sorted(faulty):
+        if graph.is_isolated(accuser):
+            continue
+        match = cliques.find_clique_matrix(
+            np.asarray(graph.trust_mask()), n - t,
+            candidates=[v for v in range(n) if v != accuser],
+        )
+        if match is None:
+            continue
+        targets = [
+            p for p in match if p in faulty and graph.trusts(accuser, p)
+        ]
+        if targets:
+            return ("accuse", accuser, targets[0])
+    return None
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_slow_bleed_probes_equal_searches_on_edited_copies(data):
+    """The planner packs the trust mask once and clears an (attacker,
+    victim) edge's two bits per probe: every plan equals the search that
+    copies and edits the matrix for each probe, on graph states with
+    removed edges and isolated vertices, faulty pids anywhere."""
+    from repro.graphs.diagnosis_graph import DiagnosisGraph
+
+    n = data.draw(st.sampled_from([4, 7, 10, 13]))
+    t = (n - 1) // 3
+    faulty = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=t))
+    graph = DiagnosisGraph(n)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in data.draw(st.lists(pair, max_size=3 * n)):
+        if a != b and (a in faulty or b in faulty):
+            graph.remove_edge(a, b)
+    for v in data.draw(st.sets(st.sampled_from(sorted(faulty)), max_size=1)):
+        graph.isolate(v)
+    adversary = SlowBleedAdversary(sorted(faulty))
+    assert adversary._search(graph, n, t) == (
+        _search_on_copies(adversary, graph, n, t)
+    )
 
 
 # -- answers, not call order ------------------------------------------------

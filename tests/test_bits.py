@@ -137,6 +137,25 @@ class TestPackedBits:
         assert row.to_int() == bits_to_int(bits)
         assert PackedBits.from_int(row.to_int(), length) == row
 
+    def test_int_roundtrip_every_width(self):
+        """``from_int`` / ``to_int`` write and read the lanes as the
+        value's big-endian bytes: every width up to 300, byte tails or
+        not, at 0, at 2^w - 1 and at a value with both end bits set."""
+        for width in range(301):
+            top = (1 << width) - 1
+            for value in {0, top, (1 << (width - 1)) | 1 if width else 0}:
+                row = PackedBits.from_int(value, width)
+                bits = int_to_bits(value, width)
+                assert len(row) == width
+                assert row.lanes.shape == ((width + 7) // 8,)
+                assert row.to_int() == value
+                assert row.tolist() == bits
+                assert row == PackedBits.from_bits(bits)
+            with pytest.raises(ValueError):
+                PackedBits.from_int(top + 1, width)
+            with pytest.raises(ValueError):
+                PackedBits.from_int(-1, width)
+
     def test_tail_bits_zero_by_construction(self):
         row = PackedBits.from_bits([1] * 5)
         assert row.lanes.shape == (1,)

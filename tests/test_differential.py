@@ -31,7 +31,7 @@ from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
-from repro.processors.adversary import m_row_bits
+from repro.processors.adversary import ALL_FALSE, m_row_bits
 from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import cohort as cohort_module
@@ -719,6 +719,31 @@ def test_row_strategies_equal_forced_scalar_reference(monkeypatch, make, n):
         lambda config: make(n, config.t),
     )
     assert result.diagnosis_count >= 1
+
+
+class AlternatingMRows(cohort_module.Adversary):
+    """Every controlled pid but the lowest broadcasts an all-false M row
+    in even generations and its honest row in odd ones; the lowest
+    always answers honestly.  Successive M views of one graph state then
+    differ only past the first controlled row, and so do their match
+    sets."""
+
+    def m_row(self, pid, honest_row, generation, view):
+        if pid != min(self.faulty) and generation % 2 == 0:
+            return ALL_FALSE
+        return honest_row
+
+
+def test_match_memo_keys_every_live_controlled_row(monkeypatch):
+    """The cohort's match memo keys the live controlled M rows as one
+    ``bytes`` object: two M views that share their first controlled row
+    resolve to their own match sets, as the forced-scalar run does."""
+    result, _, _ = cold_cohort_and_scalar(
+        monkeypatch, 10, random.Random(10).getrandbits(512),
+        lambda config: AlternatingMRows(range(config.t)),
+    )
+    assert result.diagnosis_count == 0
+    assert len({r.p_match for r in result.generation_results}) == 2
 
 
 def test_m_and_trust_rows_of_a_row_strategy_are_asked_once(monkeypatch):

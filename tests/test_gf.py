@@ -176,6 +176,74 @@ class TestMulManyMatchesMul:
         ]
 
 
+def _table_product(field, lhs, rhs):
+    """The int64 reference product: ``mul_many`` on every (row, column)
+    pair, XOR-reduced over the inner axis."""
+    products = field.mul_many(lhs[:, :, np.newaxis], rhs[np.newaxis, :, :])
+    return np.bitwise_xor.reduce(products, axis=1)
+
+
+class TestFieldWidthProduct:
+    """:meth:`GF.product_of_logs` sums logs on uint16 lanes (int32 for
+    ``c >= 15``) and reads products off uint8/uint16 lanes; it must equal
+    the int64 table product for every width, the table's ends included
+    (``4 * (2^c - 1)``, two zero operands, is the largest log sum)."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_int64_table_product(self, data):
+        c = data.draw(st.integers(1, 16))
+        field = GF.get(c)
+        m, k, p = (data.draw(st.integers(0, 9)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ends = np.array([0, field.order - 1])
+
+        def operand(shape):
+            # Zero and 2^c - 1 drawn often: the lanes' extremes.
+            values = rng.integers(0, field.order, size=shape)
+            pick = rng.random(shape) < 0.4
+            values[pick] = rng.choice(ends, size=int(pick.sum()))
+            return values
+
+        lhs, rhs = operand((m, k)), operand((k, p))
+        fast = field.product_of_logs(
+            field.log_image(lhs), field.log_image(rhs)
+        )
+        assert fast.shape == (m, p)
+        assert fast.tolist() == _table_product(field, lhs, rhs).tolist()
+        assert field.matmat(lhs, rhs).tolist() == fast.tolist()
+
+    @pytest.mark.parametrize("c", [8, 14, 15, 16])
+    def test_all_zero_and_all_top_operands(self, c):
+        field = GF.get(c)
+        for value in (0, field.order - 1):
+            lhs = np.full((3, 7), value)
+            rhs = np.full((7, 2), value)
+            assert field.matmat(lhs, rhs).tolist() == (
+                _table_product(field, lhs, rhs).tolist()
+            )
+
+
+class TestCheckArrayNeverTruncates:
+    """A non-integer or an out-of-field value of any size raises
+    :class:`GFElementError` (a ``ValueError``); nothing is truncated."""
+
+    @pytest.mark.parametrize("bad", [
+        [1.5, 2], [2.0], [2 ** 63], [2 ** 64, 1], [-1], [object()], ["3"],
+    ], ids=["float", "integral-float", "2^63", "2^64", "negative",
+            "object", "string"])
+    def test_refused(self, bad):
+        with pytest.raises(GFElementError):
+            GF.get(4).check_array(bad)
+
+    def test_integers_of_any_integer_type_pass(self):
+        field = GF.get(4)
+        assert field.check_array([np.int32(3), 15, np.uint8(0)]).tolist() == [
+            3, 15, 0,
+        ]
+        assert field.check_array([]).shape == (0,)
+
+
 class TestPolynomialOps:
     def test_poly_eval_constant(self, field):
         assert field.poly_eval([1], 0) == 1

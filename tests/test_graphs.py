@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.cliques import find_clique, find_clique_matrix
+from repro.graphs.cliques import (
+    adjacency_masks, find_clique, find_clique_masks, find_clique_matrix,
+)
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 
 
@@ -146,6 +148,82 @@ class TestFindCliqueMatrix:
             complete_adjacency(4), 3, candidates=[0, 0, 1]
         ) is None
         assert find_clique_matrix(adjacency, 2, candidates=[1, 1, 0]) == [0, 1]
+
+
+class TestPoolMasks:
+    """A candidate pool is a bitmask over the full matrix's vertex ids,
+    and ``slow_bleed``'s planner edits two bits of the packed masks per
+    probe: both equal the search on the copied (or edited) matrix."""
+
+    @staticmethod
+    def _draw(data):
+        n = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        density = data.draw(st.sampled_from([0.4, 0.7, 0.9, 1.0]))
+        # Asymmetric, arbitrary diagonal: the upper triangle decides.
+        return n, rng, rng.random((n, n)) < density
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pool_bitmask_equals_the_copied_submatrix(self, data):
+        n, rng, adjacency = self._draw(data)
+        count = data.draw(st.integers(0, n))
+        pool = sorted(rng.permutation(n)[:count].tolist())
+        size = data.draw(st.integers(0, len(pool) + 1))
+        sub = adjacency[np.ix_(pool, pool)]
+        on_copy = find_clique_matrix(sub, size)
+        expected = None if on_copy is None else [pool[p] for p in on_copy]
+        bits = sum(1 << v for v in pool)
+        assert find_clique_masks(adjacency_masks(adjacency), size, bits) == (
+            expected
+        )
+        assert find_clique_matrix(adjacency, size, candidates=pool) == (
+            expected
+        )
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_two_bit_edit_equals_the_edited_matrix(self, data):
+        n, rng, adjacency = self._draw(data)
+        a, v = (int(x) for x in rng.integers(0, n, size=2))
+        size = data.draw(st.integers(0, n))
+        masks = adjacency_masks(adjacency)
+        broken = list(masks)
+        broken[a] &= ~(1 << v)
+        broken[v] &= ~(1 << a)
+        edited = adjacency.copy()
+        edited[a, v] = edited[v, a] = False
+        assert find_clique_masks(broken, size) == (
+            find_clique_matrix(edited, size)
+        )
+        # The edit is made on a copy: the packed masks are unchanged.
+        assert masks == adjacency_masks(adjacency)
+
+
+class TestPoolIds:
+    """Pool ids go through ``operator.index``; a bool is refused, and an
+    answer is made of Python ints."""
+
+    def test_numpy_ids_answer_python_ints(self):
+        answer = find_clique_matrix(
+            np.ones((4, 4), dtype=bool), 2, candidates=np.array([3, 1])
+        )
+        assert answer == [1, 3]
+        assert all(type(v) is int for v in answer)
+        answer = find_clique(
+            complete_adjacency(4), 2, candidates=np.array([3, 1])
+        )
+        assert answer == [1, 3]
+        assert all(type(v) is int for v in answer)
+
+    @pytest.mark.parametrize("candidates", [
+        [True, False, 3], [np.True_, 2], [1, 2.0],
+    ])
+    def test_non_ids_refused_by_both_entry_points(self, candidates):
+        with pytest.raises(TypeError):
+            find_clique_matrix(np.ones((4, 4), dtype=bool), 2, candidates)
+        with pytest.raises(TypeError):
+            find_clique(complete_adjacency(4), 2, candidates)
 
 
 class TestDiagnosisGraph:
@@ -323,6 +401,29 @@ class TestMatrixUpdatesMatchEdgeLoops:
         before = accuse.copy()
         assert graph.remove_accused(accuse) == expected
         assert np.array_equal(accuse, before)  # the argument is read only
+        self._assert_same_state(graph, oracle)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_remove_accused_with_mirrors_and_self_accusations(self, data):
+        """The documented loop on accusations a seed draws: mirrored
+        pairs (an edge accused from both ends), self-accusations, edges
+        already gone and isolated vertices."""
+        n = data.draw(st.integers(2, 12))
+        graph = self._random_graph(data, n)
+        oracle = graph.copy()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        accuse = rng.random((n, n)) < data.draw(
+            st.sampled_from([0.1, 0.3, 0.6])
+        )
+        mirrored = rng.random((n, n)) < 0.5
+        accuse |= accuse.T & mirrored
+        np.fill_diagonal(accuse, rng.random(n) < 0.5)
+        expected = []
+        for i, j in np.argwhere(accuse):
+            if i != j and oracle.remove_edge(int(i), int(j)):
+                expected.append(tuple(sorted((int(i), int(j)))))
+        assert graph.remove_accused(accuse) == expected
         self._assert_same_state(graph, oracle)
 
     @pytest.mark.parametrize("n", [4, 7, 10])

@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding.gf import GFElementError
 from repro.coding.interleaved import InterleavedCode, make_symbol_code
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 
@@ -154,3 +156,24 @@ class TestHypothesis:
         symbols = {p: word[p] for p in subset}
         symbols[victim] ^= delta
         assert not code.is_consistent(symbols)
+
+
+class TestNonSymbolsRefused:
+    """Super-symbols are integers: a float is refused, not truncated, and
+    an out-of-range one is a :class:`GFElementError` (a ``ValueError``)."""
+
+    def test_float_symbol_refused(self, code):
+        with pytest.raises(GFElementError):
+            code.decode_subset({0: 1.5, 1: 2, 2: 3})
+        word = code.encode([1, 2, 3])
+        with pytest.raises(GFElementError):
+            code.is_codeword([word[0] + 0.5] + word[1:])
+
+    def test_out_of_range_symbol_is_a_field_error(self, code):
+        with pytest.raises(GFElementError):
+            code.encode([1 << code.symbol_bits, 0, 0])
+
+    def test_numpy_integers_read_as_ints(self, code):
+        word = code.encode([1, 2, 3])
+        symbols = {p: np.int64(word[p]) for p in (0, 3, 5)}
+        assert code.decode_subset(symbols) == [1, 2, 3]

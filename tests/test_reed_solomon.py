@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding.gf import GFElementError
 from repro.coding.reed_solomon import (
     DecodingError,
     ReedSolomonCode,
@@ -239,3 +241,77 @@ class TestHypothesis:
         symbols = {p: word[p] for p in subset}
         symbols[victim] ^= delta
         assert not code.is_consistent(symbols)
+
+
+class TestNonSymbolsRefused:
+    """A non-integer symbol, or an integer outside ``[0, 2^c)`` of any
+    size, raises :class:`GFElementError` — a ``ValueError``, so callers
+    catching ``(DecodingError, ValueError)`` see it — and is never
+    truncated onto a field element."""
+
+    def test_float_symbol_in_the_interpolation_base(self, code):
+        with pytest.raises(GFElementError):
+            code.decode_subset({0: 1.5, 1: 2, 2: 3})
+
+    def test_float_symbol_at_an_extra_position(self, code):
+        word = code.encode([1, 2, 3])
+        symbols = dict(enumerate(word))
+        symbols[5] = word[5] + 0.0
+        with pytest.raises(GFElementError):
+            code.codeword_through(symbols)
+
+    def test_is_codeword_does_not_truncate(self, code):
+        word = code.encode([1, 2, 3])
+        with pytest.raises(GFElementError):
+            code.is_codeword([word[0] + 0.5] + word[1:])
+
+    @pytest.mark.parametrize(
+        "huge", [2 ** 63, 2 ** 64, 2 ** 200], ids=["2^63", "2^64", "2^200"]
+    )
+    def test_huge_symbol_is_a_field_error_not_an_overflow(self, code, huge):
+        with pytest.raises(GFElementError):
+            code.decode_subset({0: huge, 1: 2, 2: 3})
+        with pytest.raises(GFElementError):
+            code.encode([huge, 0, 0])
+
+    def test_float_data_refused_by_the_batched_encoders(self, code):
+        with pytest.raises(GFElementError):
+            code.encode_generations([[1, 2, 3.5]])
+        with pytest.raises(GFElementError):
+            code.encode_many(np.array([[1.0, 2.0, 3.0]]))
+
+
+class TestPreLoggedMatricesAreTheCodes:
+    """Each code keeps the log image of its own matrices; every product
+    through them equals the int64 table product with the matrix itself,
+    across interpolation matrices entering the cache."""
+
+    @staticmethod
+    def _table(field, lhs, rhs):
+        products = field.mul_many(
+            lhs[:, :, np.newaxis], rhs[np.newaxis, :, :]
+        )
+        return np.bitwise_xor.reduce(products, axis=1).tolist()
+
+    @pytest.mark.parametrize("n,k,c", [(7, 3, 4), (15, 5, 8), (13, 5, 15)])
+    def test_products_through_logged_matrices(self, n, k, c):
+        code = ReedSolomonCode(n=n, k=k, c=c)
+        field = code.field
+        rng = np.random.default_rng(n * c)
+        data = rng.integers(0, field.order, size=(6, k))
+        words = code.encode_many(data)
+        generator = code._interpolation_matrix(tuple(range(k)))
+        assert words.tolist() == self._table(field, data, generator.T)
+        assert code.encode(data[0].tolist()) == words[0].tolist()
+        assert not code.syndrome_many(words).any()
+        for positions in itertools.islice(
+            itertools.combinations(range(n), k), 0, None, 7
+        ):
+            matrix = code._interpolation_matrix(positions)
+            values = words[:, list(positions)]
+            assert code.extend_many(positions, values).tolist() == (
+                self._table(field, values, matrix.T)
+            )
+            assert code.extend(positions, values[1].tolist()) == (
+                words[1].tolist()
+            )
