@@ -40,7 +40,8 @@ from repro.audit.transcript import (
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
 from repro.processors.adversary import (
-    Adversary, GlobalView, m_row_bits, matching_row_payloads, trust_row_bits,
+    Adversary, GlobalView, diagnosis_symbol_value, m_row_bits,
+    matching_row_payloads, trust_row_bits,
 )
 
 #: Hooks whose deviations are observable protocol misbehavior.  Input
@@ -148,8 +149,9 @@ class DeviationRecorder(Adversary):
             )
         return answer
 
-    # The M and Trust hooks note what is broadcast: the n - 1 bits of
-    # the M row (own slot excluded), one Trust bit per P_match member.
+    # The M, diagnosis-symbol and Trust hooks note what is broadcast:
+    # the n - 1 bits of the M row (own slot excluded), the symbol mod
+    # the symbol limit, one Trust bit per P_match member.
 
     def m_row(self, pid, honest_row, generation, view):
         n = len(honest_row)
@@ -169,7 +171,10 @@ class DeviationRecorder(Adversary):
         sent = self.inner.diagnosis_symbol(
             pid, honest_symbol, generation, view
         )
-        self._note(pid, "diagnosis_symbol", generation, None, honest_symbol, sent)
+        self._note(
+            pid, "diagnosis_symbol", generation, None, honest_symbol,
+            diagnosis_symbol_value(sent, view.extras["code"].symbol_limit),
+        )
         return sent
 
     def trust_row(self, pid, p_match, honest_row, generation, view):

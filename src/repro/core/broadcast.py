@@ -34,6 +34,7 @@ Failure-free cost per generation is ``(n-1)² · D/(n-1-t)`` bits, which for
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -48,7 +49,12 @@ from repro.core.config import BACKENDS, ProtocolInvariantError
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView, trust_row_bits
+from repro.processors.adversary import (
+    Adversary,
+    GlobalView,
+    diagnosis_symbol_value,
+    trust_row_bits,
+)
 from repro.utils.bits import (
     bits_to_int,
     int_to_bits,
@@ -163,7 +169,7 @@ class MultiValuedBroadcast:
     def parts_of(self, value: int) -> List[List[int]]:
         """Honest-case generation split (fixed ``k`` symbols per part).
 
-        Used for sizing and tests; :meth:`run` slices the bit stream
+        Used for sizing and tests; :meth:`run` slices the symbol stream
         dynamically because the per-generation code dimension shrinks when
         the source loses diagnosis-graph edges (see ``_generation_code``).
         """
@@ -223,16 +229,21 @@ class MultiValuedBroadcast:
             "l_bits": self.l_bits,
         }
 
-        stream = int_to_bits(value, self.l_bits)
-        decided_bits: Dict[int, List[int]] = {pid: [] for pid in honest}
+        # The zero-padded value as one stream of whole symbols: every
+        # generation consumes k_g of them.
+        c = self.symbol_bits
+        count = -(-self.l_bits // c)
+        stream = unpack_symbols(
+            value << (count * c - self.l_bits), count, c
+        )
+        decided: Dict[int, List[Sequence[int]]] = {pid: [] for pid in honest}
         diagnosis_count = 0
         removed_edges_total: List[Tuple[int, int]] = []
         default_used = False
         consumed = 0
         g = 0
-        c = self.symbol_bits
 
-        while consumed < self.l_bits:
+        while consumed < count:
             self._extras["generation"] = g
             graph = self.graph
             if graph.is_isolated(source):
@@ -241,24 +252,17 @@ class MultiValuedBroadcast:
             isolated = frozenset(graph.isolated)
             source_trust = graph.trust_mask()[source]
             participating = [
-                j
-                for j in peers
-                if j not in isolated and source_trust[j]
+                j for j in peers if j not in isolated and source_trust[j]
             ]
             t_remaining = max(0, self.t - len(isolated))
             k_g = len(participating) - t_remaining
             if k_g < 1:
-                if not graph.is_isolated(source):
-                    graph.isolate(source)
+                graph.isolate(source)
                 default_used = True
                 break
             code = self._generation_code(len(participating), k_g)
-            d_g = k_g * c
-            chunk = stream[consumed:consumed + d_g]
-            chunk = chunk + [0] * (d_g - len(chunk))
-            part = [
-                bits_to_int(chunk[s * c:(s + 1) * c]) for s in range(k_g)
-            ]
+            part = stream[consumed:consumed + k_g]
+            part += [0] * (k_g - len(part))
             self._extras["code"] = code
 
             outcome = self._run_generation(
@@ -272,17 +276,15 @@ class MultiValuedBroadcast:
                 default_used = True
                 break
             for pid in honest:
-                for symbol in part_decisions[pid]:
-                    decided_bits[pid].extend(int_to_bits(symbol, c))
-            consumed += d_g
+                decided[pid].append(part_decisions[pid])
+            consumed += k_g
             g += 1
 
-        decisions: Dict[int, int] = {}
-        for pid in honest:
-            if default_used:
-                decisions[pid] = self.default_value
-            else:
-                decisions[pid] = bits_to_int(decided_bits[pid][: self.l_bits])
+        decisions = {
+            pid: self.default_value if default_used
+            else self.value_of(decided[pid])
+            for pid in honest
+        }
         return BroadcastResult(
             source=source,
             source_value=value,
@@ -313,27 +315,57 @@ class MultiValuedBroadcast:
         k_g = code.k
         position = {pid: index for index, pid in enumerate(participating)}
         active_peers = [j for j in peers if j not in isolated]
-        participating_set = set(participating)
+        reference = min(set(range(self.n)) - adversary.faulty)
 
         codeword = code.encode(list(part))
         mask = graph.trust_mask()
 
-        def valid_symbol(payload: object) -> Optional[int]:
-            # Exact int check: a Byzantine payload of True would pass an
-            # isinstance check and the range check as the symbol 1.
-            if is_exact_int(payload) and 0 <= payload < code.symbol_limit:
-                return payload
-            return None
+        def receive(senders) -> List[Tuple[int, int, int]]:
+            """End the round and read it: ``(sender, recipient, symbol)``
+            for every edge, batched or scalar, whose sender is one of
+            ``senders``, trusted by its recipient, with a valid symbol.
+            The check is for an exact int: a Byzantine payload of
+            ``True`` would pass the range check as the symbol 1."""
+            delivery = self.network.deliver_arrays()
+            edges = itertools.chain(*(
+                zip(batch.senders.tolist(), batch.receivers.tolist(),
+                    batch.payload_list())
+                for batch in delivery.batches
+            ), (
+                (message.sender, message.receiver, message.payload)
+                for inbox in delivery.inboxes.values() for message in inbox
+            ))
+            return [
+                (sender, recipient, payload)
+                for sender, recipient, payload in edges
+                if sender in senders and mask[recipient, sender]
+                and is_exact_int(payload)
+                and 0 <= payload < code.symbol_limit
+            ]
+
+        def broadcast_rows(rows, stage) -> List[List[int]]:
+            """One ``Broadcast_Single_Bit`` dispatch of ``(source, bits)``
+            rows under ``stage``: the reference processor's rows."""
+            outcomes = self.backend.broadcast_bits_many(
+                rows, "%s.%s" % (tag, stage), isolated
+            )
+            return [outcome[reference] for outcome in outcomes]
+
+        def broadcast_symbols(rows, stage) -> List[int]:
+            """``(source, symbol)`` rows as ``c``-bit rows, one dispatch."""
+            received = broadcast_rows(
+                [(pid, int_to_bits(symbol, c)) for pid, symbol in rows],
+                stage,
+            )
+            return [bits_to_int(bits) for bits in received]
 
         # -- stage 1: dispersal ------------------------------------------------
         dispersal_tag = "%s.dispersal" % tag
-        from_source: Dict[int, Optional[int]] = {}
         if participating and not adversary.controls(source):
             # Honest source: one batch carries every peer's symbol.
-            receivers = np.asarray(participating, dtype=np.int64)
             self.network.send_many(
                 np.full(len(participating), source, dtype=np.int64),
-                receivers,
+                np.asarray(participating, dtype=np.int64),
                 [codeword[position[peer]] for peer in participating],
                 bits=c,
                 tag=dispersal_tag,
@@ -348,40 +380,23 @@ class MultiValuedBroadcast:
                 self.network.send(
                     source, peer, symbol, bits=c, tag=dispersal_tag
                 )
-        delivery = self.network.deliver_arrays()
-        for peer in participating:
-            from_source[peer] = None
-        for batch in delivery.batches:
-            for sender, recipient, payload in zip(
-                batch.senders.tolist(),
-                batch.receivers.tolist(),
-                batch.payload_list(),
-            ):
-                if sender == source and mask[recipient, source]:
-                    from_source[recipient] = valid_symbol(payload)
-        for peer in participating:
-            for message in delivery.inboxes[peer]:
-                if message.sender == source and mask[peer, source]:
-                    value_received = valid_symbol(message.payload)
-                    if value_received is not None:
-                        from_source[peer] = value_received
+        from_source: Dict[int, Optional[int]] = dict.fromkeys(participating)
+        for _, peer, symbol in receive({source}):
+            from_source[peer] = symbol
 
         # -- stage 2: relay ------------------------------------------------------
         relay_tag = "%s.relay" % tag
-        relayed: Dict[int, Dict[int, Optional[int]]] = {
-            peer: {} for peer in peers
-        }
         # Honest relayers that hold a symbol: one batch over the trust
-        # mask.  Faulty relayers (and honest ones holding nothing, which
-        # stay silent) go through the scalar per-edge hooks.
+        # mask (an honest one holding nothing stays silent).  Faulty
+        # relayers go through the scalar per-edge hooks.
         active_mask = np.zeros(self.n, dtype=bool)
         active_mask[active_peers] = True
         honest_rows = np.zeros(self.n, dtype=bool)
-        for sender in participating:
-            if not adversary.controls(sender) and (
-                from_source.get(sender) is not None
-            ):
-                honest_rows[sender] = True
+        honest_rows[[
+            sender for sender in participating
+            if from_source[sender] is not None
+            and not adversary.controls(sender)
+        ]] = True
         edge_mask = mask & honest_rows[:, np.newaxis] & active_mask[np.newaxis, :]
         senders, receivers = np.nonzero(edge_mask)
         if senders.shape[0]:
@@ -393,12 +408,10 @@ class MultiValuedBroadcast:
                 tag=relay_tag,
             )
         for sender in participating:
-            if honest_rows[sender] or not adversary.controls(sender):
+            if not adversary.controls(sender):
                 continue
-            held = from_source.get(sender)
+            held = from_source[sender]
             for recipient in active_peers:
-                if recipient == sender:
-                    continue
                 if not mask[sender, recipient]:
                     continue
                 payload = adversary.forwarded_symbol(
@@ -410,123 +423,79 @@ class MultiValuedBroadcast:
                 self.network.send(
                     sender, recipient, payload, bits=c, tag=relay_tag
                 )
-        delivery = self.network.deliver_arrays()
-        for batch in delivery.batches:
-            for sender, recipient, payload in zip(
-                batch.senders.tolist(),
-                batch.receivers.tolist(),
-                batch.payload_list(),
-            ):
-                if sender in participating_set and mask[recipient, sender]:
-                    value_received = valid_symbol(payload)
-                    if value_received is not None:
-                        relayed[recipient][sender] = value_received
-        for peer in active_peers:
-            for message in delivery.inboxes[peer]:
-                if message.sender not in participating_set:
-                    continue
-                if not mask[peer, message.sender]:
-                    continue
-                value_received = valid_symbol(message.payload)
-                if value_received is not None:
-                    relayed[peer][message.sender] = value_received
-            if peer in participating_set:
-                own = from_source.get(peer)
-                if own is not None:
-                    relayed[peer][peer] = own
+        relayed: Dict[int, Dict[int, int]] = {peer: {} for peer in peers}
+        for sender, peer, symbol in receive(set(participating)):
+            relayed[peer][sender] = symbol
+        for peer in participating:
+            if from_source[peer] is not None:
+                relayed[peer][peer] = from_source[peer]
 
         # -- stage 3: checking ------------------------------------------------------
         # In the common case every peer holds the same symbol set, so
         # consistency checks and decodes are memoised per distinct set.
-        consistency_cache: Dict[frozenset, bool] = {}
-        decode_cache: Dict[frozenset, tuple] = {}
+        memo: Dict[tuple, object] = {}
 
-        def cached_consistent(symbol_map):
-            cache_key = frozenset(symbol_map.items())
-            if cache_key not in consistency_cache:
-                consistency_cache[cache_key] = code.is_consistent(symbol_map)
-            return consistency_cache[cache_key]
+        def memoised(rule, symbol_map):
+            key = (rule, frozenset(symbol_map.items()))
+            if key not in memo:
+                memo[key] = rule(symbol_map)
+            return memo[key]
 
-        def cached_decode(symbol_map):
-            cache_key = frozenset(symbol_map.items())
-            if cache_key not in decode_cache:
-                decode_cache[cache_key] = tuple(
-                    code.decode_subset(symbol_map)
-                )
-            return decode_cache[cache_key]
-
-        honest_detected: Dict[int, bool] = {}
+        flags: List[int] = []
         for peer in active_peers:
             missing = False
             symbols: Dict[int, int] = {}
             for other in participating:
-                if other == peer:
-                    if from_source.get(peer) is None:
-                        missing = True
-                    else:
-                        symbols[position[peer]] = from_source[peer]
-                    continue
-                if not mask[peer, other]:
+                if other != peer and not mask[peer, other]:
                     continue  # untrusted senders are ignored, not evidence
-                value_received = relayed[peer].get(other)
-                if value_received is None:
+                held = relayed[peer].get(other)
+                if held is None:
                     missing = True  # a trusted live peer stayed silent
                 else:
-                    symbols[position[other]] = value_received
-            honest_detected[peer] = (
+                    symbols[position[other]] = held
+            flag = (
                 missing
                 or len(symbols) < k_g
-                or not cached_consistent(symbols)
+                or not memoised(code.is_consistent, symbols)
             )
-
-        detected_view: Dict[int, bool] = {}
-        any_detected = False
-        reference = min(
-            p for p in range(self.n) if p not in adversary.faulty
-        )
-        for peer in active_peers:
-            flag = honest_detected[peer]
             if adversary.controls(peer):
                 flag = bool(adversary.detected_flag(peer, flag, g, view))
-            outcome = self.backend.broadcast_bit(
-                peer, 1 if flag else 0, "%s.detected" % tag, isolated
-            )
-            detected_view[peer] = bool(outcome[reference])
-            any_detected = any_detected or detected_view[peer]
+            flags.append(1 if flag else 0)
 
-        if not any_detected:
-            decisions: Dict[int, Sequence[int]] = {}
-            for pid in range(self.n):
-                if adversary.controls(pid):
-                    continue
-                if pid == source:
-                    decisions[pid] = tuple(part)
-                    continue
-                symbols = {
-                    position[other]: sym
-                    for other, sym in relayed[pid].items()
-                }
-                decisions[pid] = cached_decode(symbols)
+        received_flags = broadcast_rows(
+            [(peer, [flag]) for peer, flag in zip(active_peers, flags)],
+            "detected",
+        )
+        detected_view = {
+            peer: bool(bits[0])
+            for peer, bits in zip(active_peers, received_flags)
+        }
+
+        honest = [pid for pid in range(self.n) if not adversary.controls(pid)]
+        if not any(detected_view.values()):
+            decisions = {
+                pid: tuple(part) if pid == source else tuple(memoised(
+                    code.decode_subset,
+                    {position[j]: sym for j, sym in relayed[pid].items()},
+                ))
+                for pid in honest
+            }
             return decisions, False, [], False
 
         # -- stage 4: diagnosis ---------------------------------------------------------
-        r_sharp: Dict[int, int] = {}
+        diagnosis_rows = []
         for peer in participating:
-            held = from_source.get(peer)
-            honest_symbol = held if held is not None else 0
-            symbol = honest_symbol
+            held = from_source[peer]
+            symbol = held if held is not None else 0
             if adversary.controls(peer):
-                symbol = adversary.diagnosis_symbol(
-                    peer, honest_symbol, g, view
-                ) % code.symbol_limit
-            bit_list = [(symbol >> (c - 1 - b)) & 1 for b in range(c)]
-            outcome = self.backend.broadcast_bits(
-                peer, bit_list, "%s.diag.symbol" % tag, isolated
-            )
-            r_sharp[peer] = sum(
-                bit << (c - 1 - index)
-                for index, bit in enumerate(outcome[reference])
-            )
+                symbol = diagnosis_symbol_value(
+                    adversary.diagnosis_symbol(peer, symbol, g, view),
+                    code.symbol_limit,
+                )
+            diagnosis_rows.append((peer, symbol))
+        r_sharp = dict(zip(
+            participating, broadcast_symbols(diagnosis_rows, "diag.symbol")
+        ))
 
         claimed = list(codeword)
         if adversary.controls(source):
@@ -535,47 +504,29 @@ class MultiValuedBroadcast:
                 for sym in adversary.source_codeword(source, codeword, g, view)
             ]
             claimed = (claimed + [0] * len(codeword))[: len(codeword)]
-        s_sharp: List[int] = []
-        for symbol in claimed:
-            bit_list = [(symbol >> (c - 1 - b)) & 1 for b in range(c)]
-            outcome = self.backend.broadcast_bits(
-                source, bit_list, "%s.diag.codeword" % tag, isolated
-            )
-            s_sharp.append(
-                sum(
-                    bit << (c - 1 - i)
-                    for i, bit in enumerate(outcome[reference])
-                )
-            )
+        s_sharp = broadcast_symbols(
+            [(source, symbol) for symbol in claimed], "diag.codeword"
+        )
 
         # Trust flags: peer i reports whether each live peer j's broadcast
         # matches what j had forwarded to i.
-        trust: Dict[int, Dict[int, bool]] = {}
+        trust_rows = []
         for i in active_peers:
-            honest_trust = []
-            for j in participating:
-                if j == i:
-                    honest_trust.append(True)
-                    continue
-                if not graph.trusts(i, j):
-                    honest_trust.append(False)
-                    continue
-                mine = relayed[i].get(j)
-                honest_trust.append(mine is not None and mine == r_sharp[j])
-            honest_row = tuple(honest_trust)
+            honest_row = tuple(
+                j == i or (
+                    graph.trusts(i, j) and relayed[i].get(j) == r_sharp[j]
+                )
+                for j in participating
+            )
             answer = honest_row
             if adversary.controls(i):
                 answer = adversary.trust_row(
                     i, participating, honest_row, g, view
                 )
-            bit_list = trust_row_bits(answer, participating, honest_row)
-            outcome = self.backend.broadcast_bits(
-                i, bit_list, "%s.diag.trust" % tag, isolated
+            trust_rows.append(
+                (i, trust_row_bits(answer, participating, honest_row))
             )
-            trust[i] = {
-                j: bool(outcome[reference][index])
-                for index, j in enumerate(participating)
-            }
+        trust = np.array(broadcast_rows(trust_rows, "diag.trust"), dtype=bool)
 
         removed: List[Tuple[int, int]] = []
         # Source vs peer: broadcast symbol must match the claimed codeword.
@@ -583,25 +534,18 @@ class MultiValuedBroadcast:
             if r_sharp[peer] != s_sharp[position[peer]]:
                 if graph.remove_edge(source, peer):
                     removed.append(tuple(sorted((source, peer))))
-        # Peer vs peer: relayed symbol must match broadcast symbol.
-        for i in active_peers:
-            if i not in trust:
-                continue
-            for j in participating:
-                if i == j:
-                    continue
-                if not trust[i].get(j, False) and graph.trusts(i, j):
-                    if graph.remove_edge(i, j):
-                        removed.append(tuple(sorted((i, j))))
+        # Peer vs peer (line 3(e)): a relayed symbol that does not match
+        # the broadcast one, as one matrix update in the loop's order.
+        accuse = np.zeros((self.n, self.n), dtype=bool)
+        accuse[np.ix_(active_peers, participating)] = ~trust
+        removed.extend(graph.remove_accused(accuse))
 
         # False-alarm isolation (3(f) analogue): a complainer whose vertex
         # lost no edge, against a broadcast record that is consistent over
         # everything the complainer could see, is provably lying.
         touched = {v for edge in removed for v in edge}
         for peer in active_peers:
-            if peer in touched:
-                continue
-            if not detected_view.get(peer, False):
+            if peer in touched or not detected_view[peer]:
                 continue
             check_positions = {
                 position[j]: r_sharp[j]
@@ -622,27 +566,21 @@ class MultiValuedBroadcast:
             if graph.trusts(source, peer)
             and r_sharp[peer] == s_sharp[position[peer]]
         ]
-        s_consistent = code.is_consistent(
-            {position[peer]: s_sharp[position[peer]] for peer in agreeing}
-        )
-        if (
-            len(agreeing) < k_g
-            or not s_consistent
-            or graph.is_isolated(source)
-        ):
-            if not graph.is_isolated(source):
-                graph.isolate(source)
-            return {}, True, removed, True
-
         symbols = {
             position[peer]: s_sharp[position[peer]] for peer in agreeing
         }
+        if (
+            len(agreeing) < k_g
+            or not code.is_consistent(symbols)
+            or graph.is_isolated(source)
+        ):
+            graph.isolate(source)
+            return {}, True, removed, True
         common_part = tuple(code.decode_subset(symbols))
-        decisions = {}
-        for pid in range(self.n):
-            if adversary.controls(pid):
-                continue
-            decisions[pid] = common_part if pid != source else tuple(part)
+        decisions = {
+            pid: tuple(part) if pid == source else common_part
+            for pid in honest
+        }
         if not adversary.controls(source) and common_part != tuple(part):
             raise ProtocolInvariantError(
                 "honest source's value altered by diagnosis in generation %d"

@@ -76,8 +76,8 @@ from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import (
-    Adversary, GlobalView, hook_is_default, m_row_bits,
-    matching_row_payloads, trust_row_bits,
+    Adversary, GlobalView, diagnosis_symbol_value, hook_is_default,
+    m_row_bits, matching_row_payloads, trust_row_bits,
 )
 from repro.utils.bits import PackedBits, is_exact_int
 
@@ -628,9 +628,12 @@ class GenerationProtocol:
         symbols = {j: codewords[j][j] for j in p_match}
         for j in self._controlled:
             if j in symbols:
-                symbols[j] = self.adversary.diagnosis_symbol(
-                    j, symbols[j], self.generation, view
-                ) % self.code.symbol_limit
+                symbols[j] = diagnosis_symbol_value(
+                    self.adversary.diagnosis_symbol(
+                        j, symbols[j], self.generation, view
+                    ),
+                    self.code.symbol_limit,
+                )
         rows = [
             (j, [(symbol >> (c - 1 - b)) & 1 for b in range(c)])
             for j, symbol in symbols.items()
@@ -1190,9 +1193,12 @@ class GenerationProtocol:
         for j in self._controlled:
             if j in r_ref:
                 if symbol_hooked:
-                    r_ref[j] = int(self.adversary.diagnosis_symbol(
-                        j, r_ref[j], self.generation, view
-                    ) % self.code.symbol_limit)
+                    r_ref[j] = diagnosis_symbol_value(
+                        self.adversary.diagnosis_symbol(
+                            j, r_ref[j], self.generation, view
+                        ),
+                        self.code.symbol_limit,
+                    )
                 symbol_rows[j] = PackedBits.from_int(r_ref[j], self.c)
         symbol_outcomes = self._dispatch_sources(
             p_match, symbol_rows, self.c, symbol_tag, isolated

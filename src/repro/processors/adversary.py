@@ -23,8 +23,9 @@ on every engine.  A row answer names what the row is — the honest row
 itself, a constant, the members accused, a payload plus its exceptions
 — so an engine that already holds the honest row reuses it instead of
 copying it.
-:func:`matching_row_payloads`, :func:`m_row_bits` and
-:func:`trust_row_bits` are the rules every engine reads an answer by.
+:func:`matching_row_payloads`, :func:`m_row_bits`,
+:func:`trust_row_bits` and :func:`diagnosis_symbol_value` are the rules
+every engine reads an answer by.
 """
 
 from __future__ import annotations
@@ -134,6 +135,21 @@ def trust_row_bits(
     )
 
 
+def diagnosis_symbol_value(answer: Any, symbol_limit: int) -> int:
+    """The symbol a :meth:`Adversary.diagnosis_symbol` answer broadcasts.
+
+    The answer must be an exact ``int`` (``True`` is refused, as it is
+    on receipt), reduced mod ``symbol_limit``; anything else raises
+    :class:`TypeError`.
+    """
+    if not is_exact_int(answer):
+        raise TypeError(
+            "a diagnosis_symbol answer is an exact int symbol, got %s"
+            % type(answer).__name__
+        )
+    return answer % symbol_limit
+
+
 @dataclass
 class GlobalView:
     """Everything the omniscient adversary can see.
@@ -233,7 +249,9 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> int:
-        """The symbol ``S_j[j]`` a faulty ``pid`` in P_match broadcasts."""
+        """The symbol ``S_j[j]`` a faulty ``pid`` in P_match broadcasts:
+        an exact ``int``, read mod the symbol limit
+        (:func:`diagnosis_symbol_value`)."""
         return honest_symbol
 
     def trust_row(

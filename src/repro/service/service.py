@@ -100,6 +100,12 @@ class ConsensusService:
                 "expected a ConsensusConfig or RunSpec, got %r"
                 % type(config_or_spec).__name__
             )
+        #: Whether ``self.spec`` rebuilds ``self.config`` (a config's
+        #: ``coin_seed`` and ``b_function`` have no RunSpec field).
+        self._recordable = self.config.b_function is None and (
+            config_or_spec is self.spec
+            or self.spec.make_config() == self.config
+        )
         self.reuse_results = reuse_results
         #: One code instance for every run of this service; its
         #: interpolation caches warm monotonically across instances.
@@ -183,7 +189,9 @@ class ConsensusService:
         every delivered message and the recorder captures an
         authenticated :class:`~repro.audit.Transcript` of the run.
         Recording requires a declarative instance (a live ``adversary``
-        object cannot be replayed from the transcript alone).
+        object cannot be replayed from the transcript alone) on a
+        deployment its :class:`RunSpec` describes; either refusal is a
+        ``ValueError`` before any traffic.
 
         Always executes a real engine — byte-identical to
         ``MultiValuedConsensus(config, adversary).run(inputs)`` but with
@@ -196,12 +204,8 @@ class ConsensusService:
                 "attack/seed/faulty overrides conflict with a live "
                 "adversary object; pass one or the other"
             )
-        if adversary is not None and transcript is not None:
-            raise ValueError(
-                "transcript recording needs a declarative instance; a "
-                "live adversary object cannot be replayed from the "
-                "transcript alone"
-            )
+        if transcript is not None:
+            self._refuse_recording(adversary)
         instance = self._coerce(
             inputs, attack=attack, seed=seed, faulty=faulty
         )
@@ -300,6 +304,8 @@ class ConsensusService:
                 :class:`~repro.audit.TranscriptRecorder`; captures one
                 authenticated transcript per instance, in order.
         """
+        if transcript is not None:
+            self._refuse_recording()
         return self._run_many_local(
             [
                 self._coerce(instance).validate(self.spec)
@@ -309,6 +315,26 @@ class ConsensusService:
         )
 
     # -- internals ----------------------------------------------------------
+
+    def _refuse_recording(
+        self, adversary: Optional[Adversary] = None
+    ) -> None:
+        """Recording's refusals, made before any traffic: ``prove()``
+        rebuilds a run from the transcript's spec and instance, so
+        neither a live adversary nor a config the spec does not
+        describe can be recorded."""
+        if adversary is not None:
+            raise ValueError(
+                "transcript recording needs a declarative instance; a "
+                "live adversary object cannot be replayed from the "
+                "transcript alone"
+            )
+        if not self._recordable:
+            raise ValueError(
+                "transcript recording needs a deployment its RunSpec "
+                "describes; this config's coin_seed or b_function has no "
+                "RunSpec field"
+            )
 
     def _coerce(
         self,

@@ -97,10 +97,11 @@ class RunSpec:
 
     @classmethod
     def from_config(cls, config: ConsensusConfig) -> "RunSpec":
-        """Describe an existing config (``b_function`` excepted — that
-        field is a live callable and cannot be described declaratively;
-        configs carrying one stay usable in-process but cannot cross a
-        process boundary)."""
+        """Describe an existing config (``b_function`` and
+        ``coin_seed`` excepted — the one is a live callable, the other
+        has no field here, as adding one would change the wire; configs
+        setting either stay usable in-process but cannot cross a process
+        boundary or be recorded)."""
         return cls(
             n=config.n,
             l_bits=config.l_bits,

@@ -40,12 +40,19 @@ from repro.audit import (
 from repro.audit.replay import DeviationRecorder
 from repro.audit.transcript import TranscriptEntry, _canonical, _entry_bytes
 from repro.cli import main as cli_main
+from repro.core.config import ConsensusConfig
+from repro.core import MultiValuedBroadcast
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
 from repro.network.message import Message
-from repro.network.metrics import MeterSnapshot
+from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
-from repro.processors import ATTACKS, Adversary, FalseDetectionAdversary
+from repro.processors import (
+    ATTACKS,
+    Adversary,
+    FalseDetectionAdversary,
+    SymbolCorruptionAdversary,
+)
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.serving.sdk import serve_background
 
@@ -151,6 +158,43 @@ def test_record_refuses_live_adversary():
             adversary=Adversary([0]),
             transcript=TranscriptRecorder(),
         )
+
+
+@pytest.mark.parametrize(
+    "extra, attack",
+    [
+        (dict(backend="mostefaoui", coin_seed=17), "random"),
+        (dict(b_function=lambda n: 3 * n * n), "crash"),
+    ],
+    ids=["coin_seed", "b_function"],
+)
+def test_record_refuses_a_config_its_spec_cannot_rebuild(extra, attack):
+    """A transcript carries the service's ``RunSpec`` and ``prove()``
+    rebuilds the deployment from it: a config setting what no spec
+    field carries recorded, verified and then could never prove.  Every
+    recording entry point now refuses it before any traffic."""
+    service = ConsensusService(
+        ConsensusConfig.create(n=4, t=1, l_bits=16, **extra)
+    )
+    refused = pytest.raises(ValueError, match="its RunSpec describes")
+    with refused:
+        service.record(0xBEEF, attack=attack, seed=3)
+    meter = BitMeter()
+    with refused:
+        service.run(
+            0xBEEF, attack=attack, seed=3, meter=meter,
+            transcript=TranscriptRecorder(),
+        )
+    assert meter.total_bits == 0
+    with refused:
+        service.run_many([0xBEEF], transcript=TranscriptRecorder())
+    assert service.run(0xBEEF, attack=attack, seed=3).error_free
+
+    plain = {k: v for k, v in extra.items() if k == "backend"}
+    twin = ConsensusService(ConsensusConfig.create(n=4, t=1, l_bits=16, **plain))
+    _, transcript = twin.record(0xBEEF, attack=attack, seed=3)
+    assert verify_transcript(transcript).ok
+    assert prove(transcript).ok
 
 
 def test_wrong_key_is_localized_before_tags():
@@ -752,6 +796,69 @@ def test_recorder_compares_what_is_broadcast(
     if hooks:
         assert result.diagnosis_count >= 1  # the trust hook fired
     assert {d.hook for d in recorder.deviations} == hooks
+
+
+class DiagnosisAnswer(SymbolCorruptionAdversary):
+    """Corrupts the symbol pid 0 sends pid 6, forcing a diagnosis, and
+    answers ``diagnosis_symbol`` with ``answer(honest, symbol_limit)``."""
+
+    def __init__(self, answer):
+        super().__init__([0], victims={0: [6]})
+        self.answer = answer
+
+    def diagnosis_symbol(self, pid, honest_symbol, generation, view):
+        return self.answer(honest_symbol, view.extras["code"].symbol_limit)
+
+
+def _run_engine(engine, adversary):
+    """One n = 7, L = 64 run on ``engine``: the default (cohort and
+    vectorized diagnosis) or forced-scalar consensus, or the §4
+    broadcast from pid 1 (pid 0 is a relay)."""
+    if engine == "broadcast":
+        return MultiValuedBroadcast(n=7, l_bits=64, adversary=adversary).run(
+            source=1, value=5
+        )
+    toggles = (
+        {"vectorized": False, "batch_generations": False}
+        if engine == "scalar" else {}
+    )
+    return MultiValuedConsensus(
+        RunSpec(n=7, l_bits=64).make_config(), adversary=adversary, **toggles
+    ).run([5] * 7)
+
+
+ENGINES = ["default", "scalar", "broadcast"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "answer, kind", [(3.5, "float"), (True, "bool")], ids=["float", "bool"]
+)
+def test_an_inexact_diagnosis_symbol_is_refused_alike(engine, answer, kind):
+    """Every engine reads a ``diagnosis_symbol`` answer by one rule:
+    an exact int, or ``TypeError`` naming the hook (the vectorized
+    stage used to read 3.5 as the honest symbol)."""
+    with pytest.raises(
+        TypeError,
+        match="a diagnosis_symbol answer is an exact int symbol, got %s"
+        % kind,
+    ):
+        _run_engine(engine, DiagnosisAnswer(lambda honest, limit: answer))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_diagnosis_symbol_is_read_mod_the_symbol_limit(engine):
+    """``honest + symbol_limit`` broadcasts the honest symbol: the run
+    equals the honest answer's, and the recorder notes no deviation."""
+    recorder = DeviationRecorder(
+        DiagnosisAnswer(lambda honest, limit: honest + limit)
+    )
+    result = _run_engine(engine, recorder)
+    expected = _run_engine(engine, DiagnosisAnswer(lambda honest, limit: honest))
+    assert result.diagnosis_count >= 1
+    assert result.meter == expected.meter
+    assert result.decisions == expected.decisions
+    assert "diagnosis_symbol" not in {d.hook for d in recorder.deviations}
 
 
 # -- serving-tier opt-in ---------------------------------------------------
