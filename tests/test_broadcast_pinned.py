@@ -8,8 +8,8 @@ clock and the backend's instance count.  The digests in
 ``tests/data/broadcast_grid.json`` were taken from the module as it
 stood before its rewrite onto the consensus code's shared rules; a
 change that moves one changes observable behaviour and has to say so
-by re-pinning (``python tests/test_broadcast_pinned.py`` rewrites the
-file).
+by re-pinning (``PYTHONPATH=src python tests/test_broadcast_pinned.py``
+rewrites the file).
 """
 
 import hashlib
