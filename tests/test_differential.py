@@ -37,6 +37,7 @@ from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import cohort as cohort_module
 from repro.service import engine as engine_module
 from repro.service import service as service_module
+from repro.service.serving.wire import result_to_wire
 
 SIZES = {4: 64, 7: 256, 31: 64}
 PATHS = ["one_shot", "service_run", "run_many", "run_many_no_reuse"]
@@ -74,6 +75,9 @@ class Observed:
 
     def __init__(self, result, engine=None, transcript=None):
         self.result = result
+        #: The result as it crosses the wire and is sealed: unlike
+        #: ``MeterSnapshot ==``, it sees the meter's tag order.
+        self.wire = result_to_wire(result)
         #: (round clock, backend instances, backend bits charged); a
         #: cloned instance has no engine, hence no clocks to compare.
         self.clocks = None if engine is None else (
@@ -165,6 +169,7 @@ def test_path_equals_forced_scalar_reference(path, attack, n, journal):
     expected = reference(attack, n)
     observed = observe(path, attack, n, journal)
     assert observed.result == expected.result
+    assert observed.wire == expected.wire
     if observed.clocks is not None:
         assert observed.clocks == expected.clocks
     if journal:
@@ -189,6 +194,7 @@ def test_split_inputs_equal_forced_scalar_reference(
         assert expected.result.default_used == (split == "defaults")
     observed = observe(path, attack, n, journal, holders)
     assert observed.result == expected.result
+    assert observed.wire == expected.wire
     assert observed.clocks == expected.clocks
     if journal:
         assert observed.journal == expected.journal
@@ -280,6 +286,7 @@ class TestFailureFreeRunsNeverEncode:
     def test_zero_whole_run_encodes(self, encodes, path, n):
         observed = observe(path, "none", n, journal=False)
         assert observed.result == reference("none", n).result
+        assert observed.wire == reference("none", n).wire
         assert encodes == []
 
     def test_wide_symbol_one_shot(self, encodes):
@@ -909,6 +916,7 @@ def test_reversed_asking_order_equals_forced_scalar_reference(
         scalar,
     ):
         assert observed.result == expected.result
+        assert observed.wire == expected.wire
         assert observed.clocks == expected.clocks
         if observed.journal is not None:
             assert observed.journal == expected.journal
@@ -939,4 +947,5 @@ def test_large_n_reversed_asking_order(monkeypatch, attack):
     for toggles in ({}, {"batch_generations": False}):
         observed = run(**toggles)
         assert observed.result == expected.result
+        assert observed.wire == expected.wire
         assert observed.clocks == expected.clocks
