@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, input_value_of
 from repro.utils.bits import bits_to_int, int_to_bits
 
 
@@ -116,8 +116,10 @@ class BitwiseConsensus:
         for pid in range(self.n):
             value = inputs[pid]
             if self.adversary.controls(pid):
-                value = self.adversary.input_value(pid, value, self._view())
-                value %= 1 << self.l_bits
+                value = input_value_of(
+                    self.adversary.input_value(pid, value, self._view()),
+                    self.l_bits,
+                )
             bit_rows[pid] = int_to_bits(value, self.l_bits)
 
         decided_bits: Dict[int, List[int]] = {

@@ -43,7 +43,7 @@ from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, input_value_of
 from repro.utils.bits import int_to_bits
 
 
@@ -224,8 +224,10 @@ class FitziHirtConsensus:
         for pid in range(self.n):
             value = inputs[pid]
             if self.adversary.controls(pid):
-                value = self.adversary.input_value(pid, value, view)
-                value %= 1 << self.l_bits
+                value = input_value_of(
+                    self.adversary.input_value(pid, value, view),
+                    self.l_bits,
+                )
             effective[pid] = value
 
         # Phase 1: common key (modelled coin: kappa bits charged per pair).

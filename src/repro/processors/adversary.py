@@ -150,6 +150,20 @@ def diagnosis_symbol_value(answer: Any, symbol_limit: int) -> int:
     return answer % symbol_limit
 
 
+def input_value_of(answer: Any, l_bits: int) -> int:
+    """The input an :meth:`Adversary.input_value` answer runs with.
+
+    The answer must be an exact ``int`` (``True`` is not the input 1),
+    reduced mod ``2^l_bits``; anything else raises :class:`TypeError`.
+    """
+    if not is_exact_int(answer):
+        raise TypeError(
+            "an input_value answer is an exact int value, got %s"
+            % type(answer).__name__
+        )
+    return answer % (1 << l_bits)
+
+
 @dataclass
 class GlobalView:
     """Everything the omniscient adversary can see.

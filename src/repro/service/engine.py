@@ -25,6 +25,7 @@ from repro.core.result import (
     GenerationOutcome,
     GenerationResult,
 )
+from repro.processors.adversary import input_value_of
 from repro.service.planner import Lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -60,10 +61,10 @@ def prepare_instance(
     for pid in range(config.n):
         value = inputs[pid]
         if adversary.controls(pid):
-            value = adversary.input_value(
-                pid, value, consensus._make_view()
+            value = input_value_of(
+                adversary.input_value(pid, value, consensus._make_view()),
+                config.l_bits,
             )
-            value %= 1 << config.l_bits
         effective[pid] = value
     return effective
 

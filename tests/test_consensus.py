@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
+from repro.baselines import BitwiseConsensus, FitziHirtConsensus
 from repro.core.result import GenerationOutcome
 from repro.processors import (
     Adversary,
@@ -252,3 +253,48 @@ class TestMetering:
         # Terminating at the first generation costs far less than running
         # all generations.
         assert fragmented.total_bits < unanimous.total_bits
+
+
+class AnswersInput(Adversary):
+    """Pid 6 answers ``input_value`` with a fixed object."""
+
+    def __init__(self, answer):
+        super().__init__([6])
+        self.answer = answer
+
+    def input_value(self, pid, honest_input, view):
+        return self.answer
+
+
+class TestInputValueAnswers:
+    """An ``input_value`` answer is an exact int, read by one rule
+    (``input_value_of``) on both engine lanes and both baselines."""
+
+    RUNNERS = {
+        "cohort": lambda adversary: MultiValuedConsensus(
+            ConsensusConfig.create(n=7, l_bits=64), adversary=adversary
+        ).run,
+        "per_generation": lambda adversary: MultiValuedConsensus(
+            ConsensusConfig.create(n=7, l_bits=64), adversary=adversary,
+            batch_generations=False,
+        ).run,
+        "bitwise": lambda adversary: BitwiseConsensus(
+            n=7, t=2, l_bits=64, adversary=adversary
+        ).run,
+        "fitzi_hirt": lambda adversary: FitziHirtConsensus(
+            n=7, t=2, l_bits=64, adversary=adversary
+        ).run,
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("answer", [True, 3.5, "x"], ids=repr)
+    def test_non_int_answer_is_refused_typed(self, runner, answer):
+        run = self.RUNNERS[runner](AnswersInput(answer))
+        with pytest.raises(TypeError, match="input_value answer"):
+            run([0xABCD] * 7)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_int_answer_is_reduced_mod_2_to_the_l(self, runner):
+        run = self.RUNNERS[runner](AnswersInput((1 << 64) + 5))
+        result = run([0xABCD] * 7)
+        assert set(result.decisions.values()) == {0xABCD}
