@@ -185,6 +185,25 @@ class InterleavedCode:
         _, ok = self.base.codeword_through_many(positions, values)
         return bool(ok.all())
 
+    def consistent_rows(
+        self, positions: Sequence[int], rows: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """Batched :meth:`is_consistent` over ``rows`` of super-symbols
+        at the sorted ``positions``: every row's ``m`` interleaved rows
+        go through one base ``codeword_through_many``."""
+        count = len(rows)
+        width = len(positions)
+        if width < self.k or not count:
+            return np.ones(count, dtype=bool)
+        split = self._split_many([symbol for row in rows for symbol in row])
+        stacked = (
+            split.reshape(self.rows, count, width)
+            .transpose(1, 0, 2)
+            .reshape(count * self.rows, width)
+        )
+        _, ok = self.base.codeword_through_many(positions, stacked)
+        return ok.reshape(count, self.rows).all(axis=1)
+
     def codeword_through(self, symbols: Dict[int, int]) -> Optional[List[int]]:
         """The unique codeword through >= k positions, or None."""
         if len(symbols) < self.k:

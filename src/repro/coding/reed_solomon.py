@@ -340,6 +340,17 @@ class ReedSolomonCode:
             return self.is_codeword([symbols[p] for p in range(self.n)])
         return self.codeword_through(symbols) is not None
 
+    def consistent_rows(
+        self, positions: Sequence[int], rows: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """Batched :meth:`is_consistent`: ``rows[i]`` holds one word's
+        symbols at the sorted ``positions``, and entry ``i`` of the
+        result says whether they lie on a codeword — one
+        :meth:`codeword_through_many` for all rows."""
+        if len(positions) < self.k or not len(rows):
+            return np.ones(len(rows), dtype=bool)
+        return self.codeword_through_many(positions, rows)[1]
+
     def decode_subset(self, symbols: Dict[int, int]) -> List[int]:
         """``C_2t^{-1}(V/A)``: recover the data from >= k codeword symbols.
 

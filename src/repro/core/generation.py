@@ -1,4 +1,9 @@
-"""One generation of Algorithm 1: matching, checking, diagnosis.
+"""Algorithm 1's generations: matching, checking, diagnosis.
+
+:meth:`GenerationProtocol.run` executes a *stretch* — consecutive
+generations under one diagnosis-graph state, ending at the first that
+diagnoses or defaults.  One generation is a stretch of one, and the
+scalar path only ever runs one.
 
 The engine keeps a separate state for every processor and only lets
 information flow through the two legitimate channels — point-to-point
@@ -46,9 +51,15 @@ from what was broadcast.
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
 (:func:`repro.service.engine.execute_consensus`), which holds it for one
-run: the generation's codewords arrive encoded (one whole-run
+run: the stretch's codewords arrive encoded (one whole-run
 ``encode_generations`` per distinct value) and the line 1(e) clique
-search is memoized per distinct adjacency.  Line 2(c) decides a row that
+search is memoized per distinct adjacency.  Within a stretch the honest
+traffic is array work over ``(s, n, n)`` blocks, computed once: received
+symbols, M matrices, adjacency keys, and the outsiders' consistency
+checks batched per key.  Each generation still runs its own symbol
+round, hook asks and broadcast charges, in the order a one-generation
+run would, and a delivery that departs from the honest block is folded
+into that generation's row.  Line 2(c) decides a row that
 equals some processor's codeword on ``P_match`` as that codeword's data
 and decodes only the rest.  Every single-bit broadcast — M vectors,
 Detected flags, diagnosis symbols and trust vectors — goes through one
@@ -104,7 +115,7 @@ def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
 
 
 class GenerationProtocol:
-    """Executes Algorithm 1 for one generation ``g``."""
+    """Executes Algorithm 1 for a stretch of generations from ``g``."""
 
     def __init__(
         self,
@@ -119,6 +130,7 @@ class GenerationProtocol:
         vectorized: bool = True,
         arena=None,
         clique_memo: Optional[Dict[bytes, Optional[Tuple[int, ...]]]] = None,
+        on_generation: Optional[Callable[[int], None]] = None,
     ):
         self.config = config
         self.code = code
@@ -145,9 +157,9 @@ class GenerationProtocol:
         if not self._honest:
             raise ValueError("at least one fault-free processor required")
         self._reference = self._honest[0]
-        # Per-generation memos: the n processors of one generation hold
-        # few distinct symbol sets, so each is coded once; nothing here
-        # outlives the generation.
+        # Per-stretch memos: the n processors of a stretch hold few
+        # distinct symbol sets, so each is coded once; nothing here
+        # outlives the stretch.
         self._clique_cache: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
         self._decode_cache: Dict[frozenset, Tuple[int, ...]] = {}
         self._consistency_cache: Dict[frozenset, bool] = {}
@@ -164,6 +176,10 @@ class GenerationProtocol:
         #: run loop passes one per run (a diagnosis changes the key, so
         #: an entry is never stale), default one per generation.
         self._clique_memo = {} if clique_memo is None else clique_memo
+        #: Told each generation index as the stretch enters it, before
+        #: the generation's first hook is asked (the run loop points
+        #: the views' ``generation`` extra at it).
+        self._on_generation = on_generation
 
     # -- helpers -----------------------------------------------------------------
 
@@ -257,25 +273,64 @@ class GenerationProtocol:
 
     # -- main entry point -----------------------------------------------------------
 
+    def _enter(self, generation: int) -> None:
+        """Make ``generation`` the one the stage methods work on."""
+        self.generation = generation
+        self.tag = "gen%d" % generation
+        if self._on_generation is not None:
+            self._on_generation(generation)
+
     def run(
         self,
-        parts: Dict[int, Sequence[int]],
-        default_part: Sequence[int],
-        codewords: Optional[Dict[int, List[int]]] = None,
-    ) -> GenerationResult:
-        """Run one generation on ``parts[pid]`` (``k`` symbols each).
+        parts: Dict[int, Sequence[Sequence[int]]],
+        default_parts: Sequence[Sequence[int]],
+        codewords: Optional[Dict[int, Sequence[List[int]]]] = None,
+    ) -> List[GenerationResult]:
+        """Run a *stretch*: consecutive generations from
+        :attr:`generation` under the diagnosis graph as it stands, one
+        per entry of ``default_parts``.
 
-        ``codewords[pid]`` is the encode of ``parts[pid]`` where the
-        caller already holds it (the run loop's whole-run encode); the
-        vectorized path encodes ``parts`` here otherwise, and the scalar
-        path always does.
+        ``parts[pid][i]`` is ``pid``'s part (``k`` symbols) in the
+        stretch's ``i``-th generation and ``codewords[pid][i]`` its
+        encode, where the caller already holds it (the run loop's
+        whole-run encode); the vectorized path encodes ``parts``
+        otherwise.  The stretch ends early at the first generation that
+        diagnoses (the graph changes) or decides the default (the run
+        ends); the returned records are the generations run.  The
+        scalar path runs a stretch of one generation.
         """
+        if not default_parts:
+            raise ValueError("a stretch has at least one generation")
         isolated = frozenset(self.graph.isolated)
         if self.vectorized:
             if codewords is None:
-                codewords = self._encode_codewords(parts)
-            return self._run_vectorized(codewords, default_part, isolated)
+                codewords = {pid: [] for pid in range(self.n)}
+                for index in range(len(default_parts)):
+                    words = self._encode_codewords(
+                        {pid: parts[pid][index] for pid in range(self.n)}
+                    )
+                    for pid, word in words.items():
+                        codewords[pid].append(word)
+            return self._run_vectorized(codewords, default_parts, isolated)
+        if len(default_parts) != 1:
+            raise ValueError(
+                "the scalar path runs a stretch of one generation, got %d"
+                % len(default_parts)
+            )
+        self._enter(self.generation)
+        return [self._run_scalar(
+            {pid: parts[pid][0] for pid in range(self.n)},
+            default_parts[0],
+            isolated,
+        )]
 
+    def _run_scalar(
+        self,
+        parts: Dict[int, Sequence[int]],
+        default_part: Sequence[int],
+        isolated: FrozenSet[int],
+    ) -> GenerationResult:
+        """One generation on the scalar reference path."""
         codewords, received = self._matching_exchange(parts, isolated)
         m_view = self._matching_broadcast(codewords, received, isolated)
 
@@ -363,41 +418,51 @@ class GenerationProtocol:
             codewords[pid] = self._cached_encode(part)
         return codewords
 
-    def _send_matching_symbols(
-        self,
-        codewords: Dict[int, List[int]],
-        isolated: FrozenSet[int],
-    ) -> Tuple[RoundDelivery, int]:
-        """Line 1(a) traffic, identical on both paths.
-
-        Honest senders' traffic moves as one :class:`SymbolBatch` per
-        round (no per-edge Message objects).  Each live faulty sender is
-        asked once for its row (``matching_row``) over its live trusted
-        recipients, ascending; the expansion (``matching_row_payloads``)
-        puts one edge per non-``None`` payload on a second batch — the
-        metering (Counter sums) and the journal (sorted per round) are
-        byte-identical to per-edge sends.
-
-        Returns the delivery plus the number of leading *trusted* batches
-        whose payloads are this engine's own codeword symbols; later
-        batches carry Byzantine payloads and must be validated.
-        """
-        view = self._view()
-        symbol_tag = "%s.matching.symbols" % self.tag
+    def _symbol_round_shape(
+        self, isolated: FrozenSet[int]
+    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Tuple[int, ...]]]]:
+        """Who sends to whom in a symbol round under the graph as it
+        stands: the honest live senders' edges to their trusted live
+        recipients (``senders``, ``receivers``), and each live faulty
+        sender with its live trusted recipients, ascending."""
         mask = self.graph.trust_mask()
         live = np.ones(self.n, dtype=bool)
-        for pid in isolated:
-            live[pid] = False
+        live[list(isolated)] = False
         honest_sender = live.copy()
-        for pid in range(self.n):
-            if self.adversary.controls(pid):
-                honest_sender[pid] = False
-        # Honest, live senders: every trusted live recipient gets the
-        # sender's own symbol — one batch for the whole round.
-        edge_mask = mask & honest_sender[:, np.newaxis] & live[np.newaxis, :]
-        senders, receivers = np.nonzero(edge_mask)
-        diagonal = [codewords[pid][pid] for pid in range(self.n)]
-        trusted_batches = 0
+        honest_sender[self._controlled] = False
+        senders, receivers = np.nonzero(
+            mask & honest_sender[:, np.newaxis] & live[np.newaxis, :]
+        )
+        faulty = [
+            (sender, tuple(
+                recipient
+                for recipient in sorted(self.graph.trusted_by(sender))
+                if recipient not in isolated
+            ))
+            for sender in self._controlled
+            if live[sender]
+        ]
+        return senders, receivers, faulty
+
+    def _send_matching_symbols(
+        self,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        faulty: List[Tuple[int, Tuple[int, ...]]],
+        diagonal: Sequence[int],
+    ) -> RoundDelivery:
+        """Line 1(a) traffic, identical on both paths: every processor
+        sends its own symbol ``diagonal[pid]`` over the round's shape
+        (:meth:`_symbol_round_shape`).
+
+        Honest senders' traffic moves as one :class:`SymbolBatch` (no
+        per-edge Message objects).  Each live faulty sender is asked
+        once for its row (``matching_row``); the expansion
+        (``matching_row_payloads``) puts one edge per non-``None``
+        payload on a second batch — the metering (Counter sums) and the
+        journal (sorted per round) are byte-identical to per-edge sends.
+        """
+        symbol_tag = "%s.matching.symbols" % self.tag
         if senders.shape[0]:
             if self._symbol_dtype is object:
                 # Wide super-symbols exceed an int64 lane: keep the
@@ -409,28 +474,16 @@ class GenerationProtocol:
                 # keeps the lane without copying).
                 payloads = np.asarray(diagonal, dtype=np.int64)[senders]
             self.network.send_many(
-                senders,
-                receivers,
-                payloads,
-                bits=self.c,
-                tag=symbol_tag,
+                senders, receivers, payloads, bits=self.c, tag=symbol_tag,
             )
-            trusted_batches = 1
         # Faulty live senders: one row each, one shared batch.
         faulty_senders: List[int] = []
         faulty_receivers: List[int] = []
         faulty_payloads: List[object] = []
-        for sender in self._controlled:
-            if not live[sender]:
-                continue
-            recipients = tuple(
-                recipient
-                for recipient in sorted(self.graph.trusted_by(sender))
-                if recipient not in isolated
-            )
+        view = self._view() if faulty else None
+        for sender, recipients in faulty:
             answer = self.adversary.matching_row(
-                sender, recipients, codewords[sender][sender],
-                self.generation, view,
+                sender, recipients, diagonal[sender], self.generation, view,
             )
             for recipient, payload in zip(
                 recipients, matching_row_payloads(answer, recipients)
@@ -448,7 +501,7 @@ class GenerationProtocol:
                 bits=self.c,
                 tag=symbol_tag,
             )
-        return self.network.deliver_arrays(), trusted_batches
+        return self.network.deliver_arrays()
 
     # -- matching stage (scalar) ------------------------------------------------------
 
@@ -459,7 +512,10 @@ class GenerationProtocol:
     ) -> Tuple[Dict[int, List[int]], Dict[int, Dict[int, Optional[int]]]]:
         """Lines 1(a)-1(b): encode and exchange one symbol per processor."""
         codewords = self._encode_codewords(parts)
-        delivery, _ = self._send_matching_symbols(codewords, isolated)
+        delivery = self._send_matching_symbols(
+            *self._symbol_round_shape(isolated),
+            [codewords[pid][pid] for pid in range(self.n)],
+        )
         mask = self.graph.trust_mask()
 
         received: Dict[int, Dict[int, Optional[int]]] = {
@@ -816,16 +872,17 @@ class GenerationProtocol:
             detectors=detectors,
         )
 
-    # -- vectorized path ---------------------------------------------------------------
+    # -- vectorized path: a stretch of generations ------------------------------------
 
     def _run_vectorized(
         self,
-        codewords: Dict[int, List[int]],
-        default_part: Sequence[int],
+        codewords: Dict[int, Sequence[List[int]]],
+        default_parts: Sequence[Sequence[int]],
         isolated: FrozenSet[int],
-    ) -> GenerationResult:
+    ) -> List[GenerationResult]:
         """Array-backed replay of :meth:`run` for priced-honest
-        backends, on the generation's already encoded ``codewords``.
+        backends, over a stretch of generations whose codewords are
+        already encoded.
 
         The broadcast contract (agreement at every fault-free processor)
         lets one *reference* view stand in for all fault-free views, so
@@ -833,142 +890,203 @@ class GenerationProtocol:
         to ``O(n²)`` boolean matrices; the per-processor ``_assert_common``
         checks become vacuous here and live on in the scalar path, which
         the equivalence suite replays against this one.
-        """
-        codeword_arr, received = self._matching_exchange_vec(
-            codewords, isolated
-        )
-        m_matrix = self._matching_broadcast_vec(
-            codeword_arr, received, isolated
-        )
-        p_match = self._find_match_set_vec(m_matrix)
 
-        if p_match is None:
-            # Line 1(f): honest inputs provably differ; decide the default.
-            decisions = {
-                pid: tuple(default_part) for pid in self._honest
-            }
-            return GenerationResult(
-                generation=self.generation,
-                outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                decisions=decisions,
-                p_match=None,
+        Honest traffic is the processors' own codeword symbols, sent
+        over a shape the unchanged graph fixes for the whole stretch, so
+        what follows from it is array work over ``(s, n, n)`` blocks,
+        done once: the received symbols, the honest M-matrices and their
+        adjacency keys; the outsiders' consistency checks are batched
+        per adjacency key (:meth:`_outsider_checks`) on first use.
+        Everything observable is walked generation by generation, in
+        the order of a one-generation run: the symbol round (its own
+        ``send_many`` + ``deliver_arrays``, whose delivery is folded into
+        the generation's row wherever it differs from the prediction),
+        the M rows, the Detected flags, the decision.
+        """
+        n = self.n
+        first = self.generation
+        count = len(default_parts)
+        mask = np.asarray(self.graph.trust_mask())
+        senders, receivers, faulty = self._symbol_round_shape(isolated)
+        block = self._codeword_block(codewords, count)
+        everyone = np.arange(n)
+        # The honest prediction of every generation's received symbols:
+        # each trusted live edge carries its sender's own symbol; a
+        # processor holds its own.
+        diagonals = block[:, everyone, everyone]
+        received = np.full((count, n, n), _MISSING, dtype=self._symbol_dtype)
+        received[:, receivers, senders] = diagonals[:, senders]
+        received[:, everyone, everyone] = diagonals
+        # A codeword symbol is never _MISSING, so a missing one
+        # mismatches.  An isolated processor's trust row is empty, so
+        # its M row is its own slot alone, as its broadcast-free row
+        # must read.
+        m_block = mask & (received == block)
+        m_block[:, everyone, everyone] = True
+        adjacency = m_block & m_block.transpose(0, 2, 1)
+        adjacency[:, everyone, everyone] = False
+        predicted = [adjacency[index].tobytes() for index in range(count)]
+        live = [i for i in range(n) if i not in isolated]
+        controlled = np.zeros(n, dtype=bool)
+        controlled[self._controlled] = True
+        #: Adjacency key -> {stretch index: outsider -> honest Detected}.
+        checks: Dict[bytes, Dict[int, Dict[int, bool]]] = {}
+
+        results: List[GenerationResult] = []
+        for index in range(count):
+            self._enter(first + index)
+            words = {pid: codewords[pid][index] for pid in range(n)}
+            row, m = received[index], m_block[index]
+            adjacent = adjacency[index]
+            delivery = self._send_matching_symbols(
+                senders, receivers, faulty,
+                [words[pid][pid] for pid in range(n)],
+            )
+            folded = self._fold_round(
+                row, delivery, senders, receivers, controlled, mask
+            )
+            if folded:
+                np.logical_and(mask, row == block[index], out=m)
+                np.fill_diagonal(m, True)
+            if self._matching_broadcast_vec(m, live, isolated) or folded:
+                np.logical_and(m, m.T, out=adjacent)
+                np.fill_diagonal(adjacent, False)
+                key = adjacent.tobytes()
+            else:
+                key = predicted[index]
+            if key not in self._clique_memo:
+                # Line 1(e), searched once per distinct adjacency.
+                clique = find_clique_matrix(adjacent, n - self.t)
+                self._clique_memo[key] = (
+                    tuple(clique) if clique is not None else None
+                )
+            p_match = self._clique_memo[key]
+
+            if p_match is None:
+                # Line 1(f): honest inputs provably differ; decide the
+                # default, and the run ends here.
+                results.append(GenerationResult(
+                    generation=self.generation,
+                    outcome=GenerationOutcome.NO_MATCH_DEFAULT,
+                    decisions={
+                        pid: tuple(default_parts[index])
+                        for pid in self._honest
+                    },
+                    p_match=None,
+                ))
+                break
+
+            if folded:
+                honest_detected = self._outsider_checks(
+                    p_match, received, [index], mask, isolated
+                )[index]
+            else:
+                known = checks.get(key)
+                if known is None or index not in known:
+                    known = checks[key] = self._outsider_checks(
+                        p_match, received,
+                        [index] + [
+                            later for later in range(index + 1, count)
+                            if predicted[later] == key
+                        ],
+                        mask, isolated,
+                    )
+                honest_detected = known[index]
+            detected_ref, detectors = self._checking_stage_vec(
+                honest_detected, isolated
             )
 
-        detected_ref, detectors = self._checking_stage_vec(
-            p_match, received, isolated
-        )
-
-        outside = np.ones(self.n, dtype=bool)
-        outside[list(p_match)] = False
-        if not bool((detected_ref & outside).any()):
-            # Line 2(c): decide C^{-1}(R_i / P_match).  Honest processors
-            # usually hold identical symbol rows, so decide once per
-            # distinct row.
-            decisions = {}
-            pm = np.array(p_match, dtype=np.int64)
-            classes = codeword_arr[:, pm]
-            row_cache: Dict[tuple, Tuple[int, ...]] = {}
-            for pid in self._honest:
-                values = received[pid, pm]
-                key = tuple(values.tolist())
-                decided = row_cache.get(key)
-                if decided is None:
-                    decided = row_cache[key] = self._checking_decision(
-                        pid, p_match, values, classes, codeword_arr
-                    )
-                decisions[pid] = decided
-            return GenerationResult(
+            if detected_ref.any():
+                # Detected outsiders: lines 3(a)-3(i), after which the
+                # graph has changed and the stretch ends.
+                results.append(self._diagnosis_stage_vec(
+                    p_match, words, row[:, list(p_match)], detected_ref,
+                    detectors, isolated, default_parts[index],
+                ))
+                break
+            results.append(GenerationResult(
                 generation=self.generation,
                 outcome=GenerationOutcome.DECIDED_CHECKING,
-                decisions=decisions,
+                decisions=self._checking_decisions(
+                    p_match, row, block[index], words
+                ),
                 p_match=p_match,
                 detectors=detectors,
-            )
+            ))
+        return results
 
-        return self._diagnosis_stage_vec(
-            p_match, codewords, received[:, list(p_match)], detected_ref,
-            detectors, isolated, default_part,
-        )
-
-    def _checking_decision(
-        self,
-        pid: int,
-        p_match: Tuple[int, ...],
-        values: np.ndarray,
-        classes: np.ndarray,
-        codeword_arr: np.ndarray,
-    ) -> Tuple[int, ...]:
-        """Line 2(c) for one distinct symbol row ``values`` (``pid``'s
-        row over ``P_match``).
-
-        A row equal to some processor's codeword at every ``P_match``
-        position (``classes`` holds those restrictions) decides that
-        codeword's first ``k`` symbols: the code is systematic and MDS
-        and ``|P_match| = n - t >= k``, so exactly one codeword passes
-        through those positions, and its data is what ``decode_subset``
-        would return.  Any other row — a missing symbol, a Byzantine
-        one on no processor's codeword — is decoded.
-        """
-        hits = np.flatnonzero((classes == values).all(axis=1))
-        if hits.size:
-            return tuple(codeword_arr[hits[0], :self.k].tolist())
-        positions = {
-            int(j): int(v) for j, v in zip(p_match, values) if v != _MISSING
-        }
-        try:
-            return self._cached_decode(positions)
-        except (DecodingError, ValueError):
-            raise ProtocolInvariantError(
-                "undecodable checking-stage symbols at pid %d" % pid
-            )
-
-    def _matching_exchange_vec(
-        self,
-        codewords: Dict[int, List[int]],
-        isolated: FrozenSet[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Lines 1(a)-1(b) with the symbol view as one ``(n, n)`` matrix.
-
-        Returns the codeword matrix (row ``pid`` is ``codewords[pid]``)
-        and ``received[i, j]``, the symbol ``j`` sent to ``i``
-        (:data:`_MISSING` for silence, invalid payloads and untrusted
-        senders), scattered straight from the round's
-        :class:`SymbolBatch` arrays.
-        """
-        delivery, trusted_batches = self._send_matching_symbols(
-            codewords, isolated
-        )
-        mask = self.graph.trust_mask()
-        dtype = self._symbol_dtype
-        arena = self._ensure_arena()
-        codeword_arr = arena.codeword_view()
-        codeword_arr[...] = [codewords[pid] for pid in range(self.n)]
-        received = arena.exchange_view()
-        for index, batch in enumerate(delivery.batches):
-            if index < trusted_batches:
-                # Honest batched traffic: payloads are this engine's own
-                # codeword symbols, valid by construction (the scalar
-                # path's per-payload `_valid_symbol` is a no-op on them)
-                # and already trust-filtered at send time.  The batch
-                # usually carries them as a packed int64 lane already.
-                received[batch.receivers, batch.senders] = (
-                    batch.payload_lanes(dtype)
+    def _codeword_block(
+        self, codewords: Dict[int, Sequence[List[int]]], count: int
+    ) -> np.ndarray:
+        """The stretch's codewords as one ``(count, n, n)`` block, row
+        ``[i, pid]`` being ``pid``'s codeword in the ``i``-th generation;
+        processors handed one sequence object share its conversion."""
+        block = np.empty((count, self.n, self.n), dtype=self._symbol_dtype)
+        converted: Dict[int, np.ndarray] = {}
+        for pid in range(self.n):
+            run = codewords[pid]
+            rows = converted.get(id(run))
+            if rows is None:
+                rows = converted[id(run)] = np.array(
+                    run[:count], dtype=self._symbol_dtype
                 )
-                continue
-            # Byzantine batch: arbitrary payloads, validated per edge
-            # exactly as the scalar path does.
+            block[:, pid] = rows
+        return block
+
+    def _fold_round(
+        self,
+        row: np.ndarray,
+        delivery: RoundDelivery,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+        controlled: np.ndarray,
+        mask: np.ndarray,
+    ) -> bool:
+        """Lines 1(a)-1(b): fold what the symbol round delivered into
+        ``row``, which holds the honest prediction (``row[i, j]`` the
+        symbol ``j`` sent to ``i``, :data:`_MISSING` for silence,
+        invalid payloads and untrusted senders).
+
+        Returns ``False`` when the round delivered exactly the
+        prediction: the whole honest batch and nothing else.  Otherwise
+        a partly delivered honest batch (a fault plan omitted or delayed
+        edges) is scattered afresh, and Byzantine batches and scalar
+        messages are validated per edge, exactly as the scalar path
+        does; a batch is Byzantine when its senders are controlled (a
+        batch never mixes honest and faulty senders).
+        """
+        honest: List = []
+        byzantine: List = []
+        for batch in delivery.batches:
+            (byzantine if controlled[batch.senders[0]] else honest).append(
+                batch
+            )
+        complete = (
+            sum(batch.senders.shape[0] for batch in honest)
+            == senders.shape[0]
+        )
+        inboxes = delivery.inboxes
+        if complete and not byzantine and not any(inboxes.values()):
+            return False
+        if not complete:
+            # Honest traffic: this engine's own codeword symbols, valid
+            # by construction and trust-filtered at send time.
+            row[receivers, senders] = _MISSING
+            for batch in honest:
+                row[batch.receivers, batch.senders] = batch.payload_lanes(
+                    self._symbol_dtype
+                )
+        for batch in byzantine:
             for sender, recipient, payload in zip(
                 batch.senders.tolist(),
                 batch.receivers.tolist(),
                 batch.payload_list(),
             ):
                 symbol = self._valid_symbol(payload)
-                received[recipient, sender] = (
-                    _MISSING if symbol is None else symbol
-                )
+                row[recipient, sender] = _MISSING if symbol is None else symbol
         symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
-            for message in delivery.inboxes[pid]:
+            for message in inboxes[pid]:
                 if message.tag != symbol_tag:
                     # Stale traffic a delay fault carried in from an
                     # earlier round (see _matching_exchange).
@@ -976,112 +1094,104 @@ class GenerationProtocol:
                 if not mask[pid, message.sender]:
                     continue  # line 1(b): ignore untrusted senders
                 symbol = self._valid_symbol(message.payload)
-                received[pid, message.sender] = (
+                row[pid, message.sender] = (
                     _MISSING if symbol is None else symbol
                 )
-        received[np.arange(self.n), np.arange(self.n)] = codeword_arr[
-            np.arange(self.n), np.arange(self.n)
-        ]
-        return codeword_arr, received
+        return True
 
     def _matching_broadcast_vec(
-        self,
-        codeword_arr: np.ndarray,
-        received: np.ndarray,
-        isolated: FrozenSet[int],
-    ) -> np.ndarray:
-        """Lines 1(c)-1(d) as one boolean M-matrix.
+        self, m_matrix: np.ndarray, live: List[int], isolated: FrozenSet[int]
+    ) -> bool:
+        """Lines 1(c)-1(d) on the generation's M-matrix.
 
-        Returns the reference view ``m[i, j]`` = "``i`` claims its symbol
-        from ``j`` matched" as every fault-free processor received it.
-        It starts as the honest M matrix — validity makes a fault-free
-        source's row arrive as sent — and the controlled processors are
-        asked for their rows (``m_row``) on their honest rows.  Every
-        live row then goes through :meth:`_dispatch_sources`, which
-        reads back only the controlled rows; an isolated source
-        broadcasts nothing, so its row is cleared.
+        ``m_matrix`` holds the honest M matrix — validity makes a
+        fault-free source's row arrive as sent — and becomes the
+        reference view ``m[i, j]`` = "``i`` claims its symbol from ``j``
+        matched" as every fault-free processor received it: the
+        controlled processors are asked for their rows (``m_row``) on
+        their honest rows, and every live row goes through
+        :meth:`_dispatch_sources`, which reads back only the controlled
+        rows (an isolated source broadcasts nothing; its honest row is
+        its own slot alone).  Returns whether a row was read back.
         """
-        view = self._view()
         n = self.n
-        tag = "%s.matching.M" % self.tag
-        mask = np.asarray(self.graph.trust_mask())
-        m_matrix = self._ensure_arena().m_view()
-        # A codeword symbol is never _MISSING, so a missing one mismatches.
-        np.logical_and(mask, received == codeword_arr, out=m_matrix)
-        np.fill_diagonal(m_matrix, True)
         #: Controlled pid -> the n - 1 bits its answer broadcasts.
         rows: Dict[int, List[int]] = {}
-        for i in self._controlled:
-            honest_row = tuple(m_matrix[i].tolist())
-            rows[i] = m_row_bits(
-                self.adversary.m_row(i, honest_row, self.generation, view),
-                i, n,
-            )
+        if self._controlled:
+            view = self._view()
+            for i in self._controlled:
+                honest_row = tuple(m_matrix[i].tolist())
+                rows[i] = m_row_bits(
+                    self.adversary.m_row(i, honest_row, self.generation, view),
+                    i, n,
+                )
         outcomes = self._dispatch_sources(
-            [i for i in range(n) if i not in isolated], rows, n - 1, tag,
-            isolated,
+            live, rows, n - 1, "%s.matching.M" % self.tag, isolated
         )
         for i, bits in outcomes.items():
             # The scalar ``row[:i]`` / ``row[i:]`` placement.
             m_matrix[i, :i] = bits[:i]
             m_matrix[i, i + 1:] = bits[i:]
-        for i in isolated:
-            m_matrix[i] = False
-            m_matrix[i, i] = True
-        return m_matrix
+        return bool(outcomes)
 
-    def _find_match_set_vec(
-        self, m_matrix: np.ndarray
-    ) -> Optional[Tuple[int, ...]]:
-        """Line 1(e) on the M-matrix: pairwise-matching = ``m & m.T``,
-        searched once per distinct adjacency (:attr:`_clique_memo`)."""
-        adjacency = self._ensure_arena().adjacency_view()
-        np.logical_and(m_matrix, m_matrix.T, out=adjacency)
-        np.fill_diagonal(adjacency, False)
-        key = adjacency.tobytes()
-        if key not in self._clique_memo:
-            clique = find_clique_matrix(adjacency, self.n - self.t)
-            self._clique_memo[key] = (
-                tuple(clique) if clique is not None else None
-            )
-        return self._clique_memo[key]
-
-    def _checking_stage_vec(
+    def _outsider_checks(
         self,
         p_match: Tuple[int, ...],
         received: np.ndarray,
+        indices: List[int],
+        mask: np.ndarray,
         isolated: FrozenSet[int],
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Lines 2(a)-2(b); returns the reference Detected flags as a
-        boolean vector plus the fault-free detectors.  The controlled
-        outsiders are asked for their flags (``detected_flag``) and the
-        one-bit rows go through :meth:`_dispatch_sources` like the M
-        rows."""
-        view = self._view()
-        tag = "%s.checking.detected" % self.tag
-        match_set = set(p_match)
-        mask = np.asarray(self.graph.trust_mask())
-        pm = np.array(p_match, dtype=np.int64)
+    ) -> Dict[int, Dict[int, bool]]:
+        """Line 2(a) for the stretch generations ``indices``: each live
+        outsider's Detected flag on its ``received`` row, as
+        ``{index: {outsider: flag}}``.
 
+        A trusted ``P_match`` member that stayed silent is proof of a
+        fault by itself; untrusted members are ignored, not evidence.
+        The rest are consistency checks, one batched
+        ``consistent_rows`` call over every generation and outsider
+        that trusts the same members.
+        """
+        match_set = set(p_match)
         outsiders = [
             q for q in range(self.n)
             if q not in match_set and q not in isolated
         ]
-        honest_detected: Dict[int, bool] = {}
+        groups: Dict[Tuple[int, ...], List[int]] = {}
         for q in outsiders:
-            trusted = mask[q, pm]
-            values = received[q, pm]
-            # A trusted member staying silent is itself proof of a fault.
-            if bool((trusted & (values == _MISSING).astype(bool)).any()):
-                honest_detected[q] = True
-                continue
-            symbols = {
-                int(j): int(v)
-                for j, v, ok in zip(p_match, values, trusted)
-                if ok
-            }
-            honest_detected[q] = not self._cached_consistent(symbols)
+            trusted = tuple(j for j in p_match if mask[q, j])
+            groups.setdefault(trusted, []).append(q)
+        flags: Dict[int, Dict[int, bool]] = {index: {} for index in indices}
+        for trusted, group in groups.items():
+            values = received[
+                np.ix_(indices, group, np.array(trusted, dtype=np.intp))
+            ].reshape(
+                len(indices) * len(group), len(trusted)
+            )
+            detected = (values == _MISSING).any(axis=1)
+            whole = ~detected
+            if whole.any():
+                detected[whole] = ~self.code.consistent_rows(
+                    trusted, values[whole].tolist()
+                )
+            cells = iter(detected.tolist())
+            for index in indices:
+                for q in group:
+                    flags[index][q] = next(cells)
+        return {
+            index: {q: flags[index][q] for q in outsiders}
+            for index in indices
+        }
 
+    def _checking_stage_vec(
+        self, honest_detected: Dict[int, bool], isolated: FrozenSet[int]
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Line 2(b) on the live outsiders' ``honest_detected`` flags;
+        returns the reference Detected flags as a boolean vector plus
+        the fault-free detectors.  The controlled outsiders are asked
+        for their flags (``detected_flag``) and the one-bit rows go
+        through :meth:`_dispatch_sources` like the M rows."""
+        outsiders = list(honest_detected)
         detectors = [
             q for q in outsiders
             if honest_detected[q] and not self.adversary.controls(q)
@@ -1089,18 +1199,71 @@ class GenerationProtocol:
         # Detected rows stay scalar one-bit lists by design (a flag is
         # not a "row of bits"); only the reference flag vector is arena'd.
         detected_ref = self._ensure_arena().detected_view()
-        detected_ref[outsiders] = [honest_detected[q] for q in outsiders]
+        detected_ref[outsiders] = list(honest_detected.values())
         rows: Dict[int, List[int]] = {}
-        for q in self._controlled:
-            if q in honest_detected:
-                flag = self.adversary.detected_flag(
-                    q, honest_detected[q], self.generation, view
-                )
-                rows[q] = [1 if flag else 0]
-        outcomes = self._dispatch_sources(outsiders, rows, 1, tag, isolated)
+        if self._controlled:
+            view = self._view()
+            for q in self._controlled:
+                if q in honest_detected:
+                    flag = self.adversary.detected_flag(
+                        q, honest_detected[q], self.generation, view
+                    )
+                    rows[q] = [1 if flag else 0]
+        outcomes = self._dispatch_sources(
+            outsiders, rows, 1, "%s.checking.detected" % self.tag, isolated
+        )
         for q, bits in outcomes.items():
             detected_ref[q] = bool(bits[0])
         return detected_ref, detectors
+
+    def _checking_decisions(
+        self,
+        p_match: Tuple[int, ...],
+        row: np.ndarray,
+        codeword_arr: np.ndarray,
+        words: Dict[int, List[int]],
+    ) -> Dict[int, Tuple[int, ...]]:
+        """Line 2(c): every fault-free processor decides
+        ``C^{-1}(R_i / P_match)`` from its ``row``, once per distinct
+        symbol row.
+
+        A row equal to some processor's codeword at every ``P_match``
+        position (``codeword_arr`` holds the codewords) decides that
+        codeword's first ``k`` symbols: the code is systematic and MDS
+        and ``|P_match| = n - t >= k``, so exactly one codeword passes
+        through those positions, and its data is what ``decode_subset``
+        would return.  Any other row — a missing symbol, a Byzantine
+        one on no processor's codeword — is decoded.
+        """
+        columns = list(p_match)
+        classes: Dict[tuple, int] = {}
+        for pid, values in enumerate(codeword_arr[:, columns].tolist()):
+            classes.setdefault(tuple(values), pid)
+        decided_by_row: Dict[tuple, Tuple[int, ...]] = {}
+        decisions: Dict[int, Tuple[int, ...]] = {}
+        for pid, values in zip(
+            self._honest, row[self._honest][:, columns].tolist()
+        ):
+            values = tuple(values)
+            decided = decided_by_row.get(values)
+            if decided is None:
+                hit = classes.get(values)
+                if hit is not None:
+                    decided = tuple(words[hit][:self.k])
+                else:
+                    positions = {
+                        j: v for j, v in zip(p_match, values) if v != _MISSING
+                    }
+                    try:
+                        decided = self._cached_decode(positions)
+                    except (DecodingError, ValueError):
+                        raise ProtocolInvariantError(
+                            "undecodable checking-stage symbols at pid %d"
+                            % pid
+                        )
+                decided_by_row[values] = decided
+            decisions[pid] = decided
+        return decisions
 
     def _dispatch_sources(
         self,

@@ -1,9 +1,13 @@
 """The per-generation engine and the run prologue/epilogue.
 
 :func:`execute_consensus` runs one consensus instance as the paper
-writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1, one
-:class:`~repro.core.generation.GenerationProtocol` per generation —
-operating on the per-instance state held by a
+writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1 — one
+*stretch* at a time: a run of consecutive generations under one
+diagnosis-graph state, which one
+:meth:`~repro.core.generation.GenerationProtocol.run` call executes and
+which ends at the first generation that diagnoses or defaults.
+Generation 0 is a stretch of one, and so is every generation of the
+scalar reference.  It operates on the per-instance state held by a
 :class:`~repro.core.consensus.MultiValuedConsensus` object (diagnosis
 graph, metered network, backend, code).  It is the lane the planner
 (:mod:`repro.service.planner`) picks when no work can be shared
@@ -126,9 +130,10 @@ def finalize_result(
 def execute_consensus(
     consensus: "MultiValuedConsensus", inputs: Sequence[int], lane: Lane
 ) -> ConsensusResult:
-    """Run one consensus instance over ``inputs[pid]``, generation by
-    generation, on the vectorized generation (``Lane.PER_GENERATION``)
-    or the scalar reference (``Lane.REFERENCE``) as the planner chose.
+    """Run one consensus instance over ``inputs[pid]``, stretch by
+    stretch, on the vectorized generation (``Lane.PER_GENERATION``) or
+    the scalar reference (``Lane.REFERENCE``, one generation a stretch)
+    as the planner chose.
 
     Consumes the instance state owned by ``consensus`` (which must be
     fresh — the diagnosis graph, meter and round clock are mutated) and
@@ -149,7 +154,7 @@ def execute_consensus(
     }
     default_parts = consensus.parts_for(config.default_value)
     vectorized = lane is Lane.PER_GENERATION
-    # The shared arena persists the (n, n) buffers across generations;
+    # The shared arena persists its buffers across generations;
     # reference runs must never build one.
     arena = consensus.ensure_arena() if vectorized else None
     # Per-run work the vectorized generations share, done once and
@@ -167,8 +172,16 @@ def execute_consensus(
     }
     default_used = False
     generations = config.generations
-    for g in range(generations):
+
+    def enter(g: int) -> None:
         consensus._view_extras["generation"] = g
+
+    g = 0
+    while g < generations:
+        # A stretch runs to the end of the run unless a generation in it
+        # diagnoses or defaults.  Generation 0 is a stretch of one, as is
+        # every generation of the scalar reference.
+        stop = g + 1 if codeword_runs is None else generations
         protocol = GenerationProtocol(
             config=config,
             code=consensus.code,
@@ -181,23 +194,32 @@ def execute_consensus(
             vectorized=vectorized,
             arena=arena,
             clique_memo=clique_memo,
+            on_generation=enter,
         )
-        result = protocol.run(
-            {pid: parts_by_pid[pid][g] for pid in range(config.n)},
-            default_parts[g],
-            codewords=None if codeword_runs is None else {
-                pid: codeword_runs[id(parts)][g]
-                for pid, parts in parts_by_pid.items()
-            },
+        stretch: Optional[Dict[int, List[List[int]]]] = None
+        if codeword_runs is not None:
+            # Processors holding one value share one slice of its run.
+            slices = {
+                key: run[g:stop] for key, run in codeword_runs.items()
+            }
+            stretch = {
+                pid: slices[id(parts)] for pid, parts in parts_by_pid.items()
+            }
+        results = protocol.run(
+            {pid: parts_by_pid[pid][g:stop] for pid in range(config.n)},
+            default_parts[g:stop],
+            codewords=stretch,
         )
-        generation_results.append(result)
-        if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
+        generation_results.extend(results)
+        if results[-1].outcome is GenerationOutcome.NO_MATCH_DEFAULT:
             # Line 1(f): the whole algorithm terminates on the default.
             default_used = True
             break
-        for pid in honest:
-            decided_parts[pid].append(result.decisions[pid])
-        if vectorized and codeword_runs is None and g + 1 < generations:
+        for result in results:
+            for pid in honest:
+                decided_parts[pid].append(result.decisions[pid])
+        g += len(results)
+        if vectorized and codeword_runs is None and g < generations:
             codeword_runs = {}
             for parts in parts_by_pid.values():
                 if id(parts) not in codeword_runs:

@@ -45,6 +45,16 @@ def run_consensus(n, t, l_bits, inputs, adversary=None, backend="ideal",
     return protocol.run(inputs)
 
 
+def run_generation(protocol, parts, default_part):
+    """One generation through ``GenerationProtocol.run`` (a stretch of
+    one): ``parts[pid]`` is pid's part; returns the generation's
+    record."""
+    [result] = protocol.run(
+        {pid: [part] for pid, part in parts.items()}, [default_part]
+    )
+    return result
+
+
 def assert_error_free(result, expected=None):
     """Assert the paper's three properties on a finished run."""
     assert result.consistent, "consistency violated: %r" % (result.decisions,)

@@ -30,6 +30,7 @@ from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
 from repro.processors.adversary import ALL_FALSE, m_row_bits
 from repro.processors.byzantine import RandomAdversary
@@ -303,28 +304,33 @@ class TestFailureFreeRunsNeverEncode:
 
 class TestPerRunWorkIsDoneOnce:
     """Counts, not timings: the per-generation engine does its per-run
-    work once a run.  An instance whose honest inputs differ encodes
-    each distinct value's whole run in one ``encode_generations`` call
-    once generation 0 has not defaulted, searches each distinct M
-    pattern's clique once, decides line 2(c) off the codeword classes
-    (no ``decode_subset``) and, under the ideal backend, prices its
-    fault-free M and Detected broadcasts (no ``broadcast_bits_many``)."""
+    work once a run and its per-stretch work once a stretch.  An
+    instance whose honest inputs differ runs generation 0 and then one
+    stretch (two ``GenerationProtocol.run`` calls), encodes each
+    distinct value's whole run in one ``encode_generations`` call once
+    generation 0 has not defaulted, searches each distinct M pattern's
+    clique once, checks the outsiders' symbols with one batched
+    ``codeword_through_many`` a stretch, decides line 2(c) off the
+    codeword classes (no ``decode_subset``) and, under the ideal
+    backend, prices its fault-free M and Detected broadcasts (no
+    ``broadcast_bits_many``)."""
 
     @staticmethod
     def run_counted(monkeypatch, inputs):
         """One-shot run of ``inputs`` at n = 7, L = 2^12: its result
-        and how often the three counted calls were made."""
+        and how often the counted calls were made."""
         from repro.core import generation as generation_module
         from repro.core.config import ConsensusConfig
 
         counts = dict.fromkeys(
-            ("find_clique_matrix", "decode_subset", "broadcast_bits_many"), 0
+            ("run", "find_clique_matrix", "codeword_through_many",
+             "decode_subset", "broadcast_bits_many"), 0
         )
 
         def counted(name, original):
-            def spy(*args):
+            def spy(*args, **kwargs):
                 counts[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             return spy
 
         monkeypatch.setattr(
@@ -336,6 +342,11 @@ class TestPerRunWorkIsDoneOnce:
             monkeypatch.setattr(cls, "decode_subset", counted(
                 "decode_subset", cls.decode_subset
             ))
+        for cls, name in (
+            (generation_module.GenerationProtocol, "run"),
+            (ReedSolomonCode, "codeword_through_many"),
+        ):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         engine = MultiValuedConsensus(
             ConsensusConfig.create(n=7, l_bits=1 << 12)
         )
@@ -358,8 +369,8 @@ class TestPerRunWorkIsDoneOnce:
         )
         assert encodes == [generations, generations]  # a's run, b's run
         assert counts == {
-            "find_clique_matrix": 1, "decode_subset": 0,
-            "broadcast_bits_many": 0,
+            "run": 2, "find_clique_matrix": 1, "codeword_through_many": 2,
+            "decode_subset": 0, "broadcast_bits_many": 0,
         }
 
     def test_all_distinct_instance_encodes_generation_0_only(
@@ -373,9 +384,169 @@ class TestPerRunWorkIsDoneOnce:
         assert len(result.generation_results) == 1
         assert encodes == []
         assert counts == {
-            "find_clique_matrix": 1, "decode_subset": 0,
-            "broadcast_bits_many": 0,
+            "run": 1, "find_clique_matrix": 1, "codeword_through_many": 0,
+            "decode_subset": 0, "broadcast_bits_many": 0,
         }
+
+
+def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7):
+    """One instance on the per-generation engine
+    (``batch_generations=False``) and on the forced-scalar reference,
+    journalling both: ``(observed, expected)``."""
+    from repro.core.config import ConsensusConfig
+
+    config = ConsensusConfig.create(n=n, l_bits=l_bits)
+    runs = []
+    for toggles in ({"batch_generations": False},
+                    {"batch_generations": False, "vectorized": False}):
+        engine = MultiValuedConsensus(
+            config, adversary=make_adversary(), journal=True, **toggles
+        )
+        observed = Observed(engine.run(list(inputs)), engine)
+        observed.journal = [
+            (m.round_index, m.sender, m.receiver, m.tag, m.bits, m.payload)
+            for m in engine.network.journal
+        ]
+        runs.append(observed)
+    return runs
+
+
+def assert_same_execution(observed, expected):
+    assert observed.result == expected.result
+    assert observed.wire == expected.wire
+    assert observed.clocks == expected.clocks
+    assert observed.journal == expected.journal
+
+
+class TestStretchBoundaries:
+    """Where a stretch of the per-generation engine ends, or where one
+    generation inside it departs from the stretch's honest prediction,
+    the run still equals the forced-scalar reference: result, wire form
+    (meter tag order included), clocks and journal."""
+
+    @staticmethod
+    def split_sharing_parts(shared):
+        """Two values whose parts agree exactly in the generations
+        ``shared`` (n = 7, L = 256: eight generations)."""
+        from repro.core.config import ConsensusConfig
+
+        engine = MultiValuedConsensus(ConsensusConfig.create(n=7, l_bits=256))
+        rng = random.Random(35)
+        a = rng.getrandbits(256)
+        parts = [list(part) for part in engine.parts_of(a)]
+        for g, part in enumerate(parts[:-1]):
+            if g not in shared:
+                part[0] ^= 1
+        return a, engine.value_of(parts)
+
+    def test_match_set_changes_inside_a_stretch(self):
+        # b on the low pids: a generation where the values share parts
+        # matches all seven, P_match (0, .., 4); elsewhere the a-holders
+        # (2, .., 6) match alone.
+        a, b = self.split_sharing_parts({1, 2, 5})
+        observed, expected = engine_runs([b] * 2 + [a] * 5)
+        assert_same_execution(observed, expected)
+        p_matches = [r.p_match for r in observed.result.generation_results]
+        assert p_matches[1] == p_matches[2] == p_matches[5] == (0, 1, 2, 3, 4)
+        assert p_matches[3] == (2, 3, 4, 5, 6)
+        assert observed.result.diagnosis_count == 0
+
+    @pytest.mark.parametrize("faulty, rules, diagnosed", [
+        # A faulty receiver: an honest edge omitted in round 3 and one
+        # delayed from round 5 into 6 are found by pid 6 and diagnosed.
+        ((6,), (
+            FaultRule(kind="omit", senders=frozenset({0}),
+                      receivers=frozenset({6}), rounds=(3, 4)),
+            FaultRule(kind="delay", senders=frozenset({2}),
+                      receivers=frozenset({6}), rounds=(5, 6)),
+        ), [3, 5]),
+        # No faulty processor: a duplicated honest edge in round 2 and a
+        # delayed one in round 4 that lands after the run's last round.
+        ((), (
+            FaultRule(kind="duplicate", senders=frozenset({1}),
+                      receivers=frozenset({4}), rounds=(2, 3)),
+            FaultRule(kind="delay", senders=frozenset({3}),
+                      receivers=frozenset({0}), rounds=(4, 5), delay=9),
+        ), []),
+        # No faulty processor: an outsider misses a match member's
+        # symbol in round 4, mid-stretch, and the generation diagnoses.
+        ((), (
+            FaultRule(kind="omit", senders=frozenset({1}),
+                      receivers=frozenset({5}), rounds=(4, 5)),
+        ), [4]),
+    ], ids=["omit-delay", "duplicate-late", "omit-outsider"])
+    @pytest.mark.parametrize("split", [False, True], ids=["equal", "split"])
+    def test_fault_plan_firing_mid_run(self, faulty, rules, diagnosed, split):
+        from repro.faults.attacks import FaultPlanAdversary
+
+        a, b = 0x5A5A << 200, 0xC3C3 << 100
+        inputs = [a] * 5 + [b if split else a] * 2
+        observed, expected = engine_runs(inputs, lambda: FaultPlanAdversary(
+            faulty, FaultPlan(rules=rules, seed=3)
+        ))
+        assert_same_execution(observed, expected)
+        assert observed.result.error_free
+        assert [
+            r.generation for r in observed.result.generation_results
+            if r.diagnosis_performed
+        ] == diagnosed
+
+    def test_controlled_m_rows_change_the_match_set_inside_a_stretch(self):
+        # A controlled M row read back from the broadcast alternates the
+        # match set generation by generation (AlternatingMRows, below).
+        value = random.Random(10).getrandbits(512)
+        observed, expected = engine_runs(
+            [value] * 10, lambda: AlternatingMRows(range(3)),
+            l_bits=512, n=10,
+        )
+        assert_same_execution(observed, expected)
+        records = observed.result.generation_results
+        assert observed.result.diagnosis_count == 0
+        assert len({r.p_match for r in records}) == 2
+
+    def test_recorded_split_run(self):
+        a, b = self.split_sharing_parts({0, 4})
+        instance = InstanceSpec(inputs=(a,) * 5 + (b,) * 2)
+        recorded = []
+        for toggles in ({}, {"vectorized": False,
+                             "batch_generations": False}):
+            service = ConsensusService(
+                RunSpec(n=7, l_bits=256, **toggles), reuse_results=False
+            )
+            engines = capture_engines(service)
+            result, transcript = service.record(instance)
+            observed = Observed(result, engines[-1], transcript)
+            recorded.append(observed)
+        assert_same_execution(*recorded)
+
+    @pytest.mark.parametrize("attack", FAULT_GRID_ATTACKS)
+    def test_diagnosis_ends_a_stretch_mid_run(self, attack):
+        from repro.core.config import ConsensusConfig
+
+        config = ConsensusConfig.create(n=7, l_bits=1024)
+        value = random.Random(7).getrandbits(1024)
+        observed, expected = engine_runs(
+            [value] * 7,
+            lambda: make_attack(attack, 7, config.t, 1024, seed=5),
+            l_bits=1024,
+        )
+        assert_same_execution(observed, expected)
+        records = observed.result.generation_results
+        assert observed.result.error_free
+        # A crashed sender is silent: its stretch is the whole run.
+        assert attack == "crash" or any(
+            r.diagnosis_performed for r in records[:-1]
+        ), "no diagnosis before the last generation"
+
+    @pytest.mark.parametrize("values", [3, 4, 7])
+    def test_distinct_inputs_default_at_generation_0(self, values):
+        rng = random.Random(values)
+        pool = [rng.getrandbits(256) for _ in range(values)]
+        inputs = [pool[pid % values] for pid in range(7)]
+        observed, expected = engine_runs(inputs)
+        assert_same_execution(observed, expected)
+        assert observed.result.default_used
+        assert len(observed.result.generation_results) == 1
 
 
 def test_journalled_failure_free_run_goes_through_the_empty_cohort(

@@ -18,6 +18,7 @@ from repro.processors import (
 )
 from repro.processors.adversary import GlobalView
 from repro.service import RunSpec
+from tests.conftest import run_generation
 
 
 def make_protocol(n=7, t=2, adversary=None, graph=None, generation=0):
@@ -51,7 +52,7 @@ class TestMatchingStage:
     def test_unanimous_inputs_decide_in_checking(self):
         protocol, config, _ = make_protocol()
         parts = equal_parts(7, config.data_symbols)
-        result = protocol.run(parts, [0] * config.data_symbols)
+        result = run_generation(protocol, parts, [0] * config.data_symbols)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert result.p_match is not None and len(result.p_match) == 5
         for decision in result.decisions.values():
@@ -61,7 +62,7 @@ class TestMatchingStage:
         protocol, config, _ = make_protocol()
         k = config.data_symbols
         parts = {pid: [pid % 4 + 1] * k for pid in range(7)}
-        result = protocol.run(parts, [9] * k)
+        result = run_generation(protocol, parts, [9] * k)
         assert result.outcome is GenerationOutcome.NO_MATCH_DEFAULT
         assert result.p_match is None
         for decision in result.decisions.values():
@@ -73,7 +74,7 @@ class TestMatchingStage:
         parts = {pid: [5] * k for pid in range(7)}
         parts[5] = [6] * k
         parts[6] = [7] * k
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert set(result.p_match) == {0, 1, 2, 3, 4}
         for decision in result.decisions.values():
@@ -83,7 +84,7 @@ class TestMatchingStage:
         adversary = FalseAccusationAdversary(faulty=[0, 1])
         protocol, config, _ = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert 0 not in result.p_match and 1 not in result.p_match
 
@@ -96,7 +97,7 @@ class TestMatchingStage:
             adversary=Adversary(faulty=[6]), graph=graph
         )
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert 6 not in result.p_match
 
@@ -105,7 +106,7 @@ class TestMatchingStage:
         parts = equal_parts(7, config.data_symbols)
         parts[3] = parts[3][:-1]
         with pytest.raises(ValueError):
-            protocol.run(parts, [0] * config.data_symbols)
+            run_generation(protocol, parts, [0] * config.data_symbols)
 
 
 class TestCheckingStage:
@@ -115,7 +116,7 @@ class TestCheckingStage:
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [6]})
         protocol, config, _ = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
         assert 6 in result.detectors
         for decision in result.decisions.values():
@@ -127,7 +128,7 @@ class TestCheckingStage:
         adversary = SymbolCorruptionAdversary(faulty=[6], victims={6: [0]})
         protocol, config, _ = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert 6 not in result.p_match
 
@@ -138,7 +139,7 @@ class TestCheckingStage:
 
         protocol, config, _ = make_protocol(adversary=SilentToOne([0]))
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
         assert 6 in result.detectors
 
@@ -148,7 +149,7 @@ class TestDiagnosisStage:
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [6]})
         protocol, config, graph = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.removed_edges == [(0, 6)]
         assert not graph.trusts(0, 6)
 
@@ -156,7 +157,7 @@ class TestDiagnosisStage:
         adversary = SymbolCorruptionAdversary(faulty=[0, 1])
         protocol, config, graph = make_protocol(adversary=adversary)
         k = config.data_symbols
-        protocol.run(equal_parts(7, k), [0] * k)
+        run_generation(protocol, equal_parts(7, k), [0] * k)
         for i in range(2, 7):
             for j in range(2, 7):
                 assert graph.trusts(i, j)
@@ -165,7 +166,7 @@ class TestDiagnosisStage:
         adversary = FalseDetectionAdversary(faulty=[6])
         protocol, config, graph = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
         # Line 3(f): consistent R#, no edge at 6 removed -> liar isolated.
         assert graph.is_isolated(6)
@@ -176,7 +177,7 @@ class TestDiagnosisStage:
         protocol, config, _ = make_protocol(adversary=adversary)
         k = config.data_symbols
         parts = equal_parts(7, k, base=7)
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         # Lemma 5: decision equals the fault-free P_match members' input.
         for decision in result.decisions.values():
             assert list(decision) == parts[1]
@@ -185,7 +186,7 @@ class TestDiagnosisStage:
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [6]})
         protocol, config, _ = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         assert result.p_decide is not None
         assert set(result.p_decide) <= set(result.p_match)
         assert len(result.p_decide) == 7 - 2 * 2
@@ -198,7 +199,7 @@ class TestDiagnosisStage:
         adversary = LyingBroadcast(faulty=[0], victims={0: [6]})
         protocol, config, graph = make_protocol(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(7, k), [0] * k)
+        result = run_generation(protocol, equal_parts(7, k), [0] * k)
         # 0 broadcast a symbol different from what it actually sent to the
         # honest P_match members: they all distrust 0 now.
         assert result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
@@ -211,20 +212,20 @@ class TestMinimalConfiguration:
     def test_n4_t1(self):
         protocol, config, _ = make_protocol(n=4, t=1)
         k = config.data_symbols
-        result = protocol.run(equal_parts(4, k), [0] * k)
+        result = run_generation(protocol, equal_parts(4, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
 
     def test_n4_t1_with_fault(self):
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [3]})
         protocol, config, _ = make_protocol(n=4, t=1, adversary=adversary)
         k = config.data_symbols
-        result = protocol.run(equal_parts(4, k), [0] * k)
+        result = run_generation(protocol, equal_parts(4, k), [0] * k)
         assert result.consistent
 
     def test_t_zero(self):
         protocol, config, _ = make_protocol(n=4, t=0)
         k = config.data_symbols
-        result = protocol.run(equal_parts(4, k), [0] * k)
+        result = run_generation(protocol, equal_parts(4, k), [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         assert len(result.p_match) == 4
 

@@ -22,6 +22,7 @@ from repro.processors import (
     SymbolCorruptionAdversary,
 )
 from repro.processors.adversary import GlobalView
+from tests.conftest import run_generation
 
 
 def build(n=7, t=2, adversary=None, graph=None):
@@ -60,7 +61,7 @@ class TestLemma1:
         protocol, config, _ = build(adversary=adversary)
         k = config.data_symbols
         parts = {pid: [7] * k for pid in range(7)}
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         assert result.outcome is not GenerationOutcome.NO_MATCH_DEFAULT
         assert result.p_match is not None
 
@@ -71,7 +72,7 @@ class TestLemma1:
         protocol, config, _ = build()
         k = config.data_symbols
         parts = {pid: [pid] * k for pid in range(7)}
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         assert result.outcome is GenerationOutcome.NO_MATCH_DEFAULT
 
 
@@ -85,7 +86,7 @@ class TestLemma2:
         k = config.data_symbols
         parts = {pid: [3] * k for pid in range(7)}
         parts[0] = [9] * k  # one honest dissenter
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         if result.p_match is None:
             return
         honest_members = [
@@ -102,7 +103,7 @@ class TestLemma3:
         protocol, config, _ = build()
         k = config.data_symbols
         parts = {pid: [11] * k for pid in range(7)}
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_CHECKING
         for decision in result.decisions.values():
             assert list(decision) == [11] * k
@@ -119,7 +120,7 @@ class TestLemma4:
         protocol, config, graph = build(adversary=adversary)
         k = config.data_symbols
         parts = {pid: [5] * k for pid in range(7)}
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         for a, b in graph.removed_edges():
             assert a in faulty or b in faulty
         if result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS:
@@ -132,7 +133,7 @@ class TestLemma4:
         adversary = RandomAdversary(faulty=faulty, seed=seed, rate=1.0)
         protocol, config, graph = build(adversary=adversary)
         k = config.data_symbols
-        protocol.run({pid: [1] * k for pid in range(7)}, [0] * k)
+        run_generation(protocol, {pid: [1] * k for pid in range(7)}, [0] * k)
         honest = [pid for pid in range(7) if pid not in faulty]
         for i, j in itertools.combinations(honest, 2):
             assert graph.trusts(i, j)
@@ -146,7 +147,7 @@ class TestLemma5:
         protocol, config, _ = build(adversary=adversary)
         k = config.data_symbols
         parts = {pid: [13] * k for pid in range(7)}
-        result = protocol.run(parts, [0] * k)
+        result = run_generation(protocol, parts, [0] * k)
         assert result.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
         assert result.p_decide is not None
         assert len(set(result.decisions.values())) == 1
@@ -156,7 +157,9 @@ class TestLemma5:
         adversary = SymbolCorruptionAdversary(faulty=[0], victims={0: [6]})
         protocol, config, _ = build(adversary=adversary)
         k = config.data_symbols
-        result = protocol.run({pid: [2] * k for pid in range(7)}, [0] * k)
+        result = run_generation(
+            protocol, {pid: [2] * k for pid in range(7)}, [0] * k
+        )
         assert len(result.p_decide) == 7 - 2 * 2
 
 
