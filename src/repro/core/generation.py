@@ -96,6 +96,12 @@ from repro.utils.bits import PackedBits, is_exact_int
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
 _MISSING = -1
 
+#: Cells of one ``(s, n, n)`` block of a stretch: its array work runs in
+#: windows of ``max(1, _BLOCK_CELLS // n²)`` generations, so a long
+#: stretch at large ``n`` holds a few blocks of this size, not ``L/D``
+#: generations' worth.
+_BLOCK_CELLS = 1 << 20
+
 
 def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
     """``[convert(outcome[pid]) for pid in range(n)]`` with each distinct
@@ -908,13 +914,124 @@ class GenerationProtocol:
         count = len(default_parts)
         mask = np.asarray(self.graph.trust_mask())
         senders, receivers, faulty = self._symbol_round_shape(isolated)
-        block = self._codeword_block(codewords, count)
+        live = [i for i in range(n) if i not in isolated]
+        controlled = np.zeros(n, dtype=bool)
+        controlled[self._controlled] = True
+        window = max(1, _BLOCK_CELLS // (n * n))
+
+        results: List[GenerationResult] = []
+        for start in range(0, count, window):
+            stop = min(count, start + window)
+            block, received, m_block, adjacency = self._honest_blocks(
+                codewords, start, stop, mask, senders, receivers
+            )
+            predicted = [adjacency[i].tobytes() for i in range(stop - start)]
+            #: Adjacency key -> {window index: outsider -> Detected}.
+            checks: Dict[bytes, Dict[int, Dict[int, bool]]] = {}
+            for index in range(stop - start):
+                self._enter(first + start + index)
+                words = {
+                    pid: codewords[pid][start + index] for pid in range(n)
+                }
+                row, m = received[index], m_block[index]
+                adjacent = adjacency[index]
+                delivery = self._send_matching_symbols(
+                    senders, receivers, faulty,
+                    [words[pid][pid] for pid in range(n)],
+                )
+                folded = self._fold_round(
+                    row, delivery, senders, receivers, controlled, mask
+                )
+                if folded:
+                    np.logical_and(mask, row == block[index], out=m)
+                    np.fill_diagonal(m, True)
+                if self._matching_broadcast_vec(m, live, isolated) or folded:
+                    np.logical_and(m, m.T, out=adjacent)
+                    np.fill_diagonal(adjacent, False)
+                    key = adjacent.tobytes()
+                else:
+                    key = predicted[index]
+                if key not in self._clique_memo:
+                    # Line 1(e), searched once per distinct adjacency.
+                    clique = find_clique_matrix(adjacent, n - self.t)
+                    self._clique_memo[key] = (
+                        tuple(clique) if clique is not None else None
+                    )
+                p_match = self._clique_memo[key]
+
+                if p_match is None:
+                    # Line 1(f): honest inputs provably differ; decide
+                    # the default, and the run ends here.
+                    results.append(GenerationResult(
+                        generation=self.generation,
+                        outcome=GenerationOutcome.NO_MATCH_DEFAULT,
+                        decisions={
+                            pid: tuple(default_parts[start + index])
+                            for pid in self._honest
+                        },
+                        p_match=None,
+                    ))
+                    return results
+
+                if folded:
+                    honest_detected = self._outsider_checks(
+                        p_match, received, [index], mask, isolated
+                    )[index]
+                else:
+                    known = checks.get(key)
+                    if known is None or index not in known:
+                        known = checks[key] = self._outsider_checks(
+                            p_match, received,
+                            [index] + [
+                                later
+                                for later in range(index + 1, stop - start)
+                                if predicted[later] == key
+                            ],
+                            mask, isolated,
+                        )
+                    honest_detected = known[index]
+                detected_ref, detectors = self._checking_stage_vec(
+                    honest_detected, isolated
+                )
+
+                if detected_ref.any():
+                    # Detected outsiders: lines 3(a)-3(i), after which
+                    # the graph has changed and the stretch ends.
+                    results.append(self._diagnosis_stage_vec(
+                        p_match, words, row[:, list(p_match)], detected_ref,
+                        detectors, isolated, default_parts[start + index],
+                    ))
+                    return results
+                results.append(GenerationResult(
+                    generation=self.generation,
+                    outcome=GenerationOutcome.DECIDED_CHECKING,
+                    decisions=self._checking_decisions(
+                        p_match, row, block[index], words
+                    ),
+                    p_match=p_match,
+                    detectors=detectors,
+                ))
+        return results
+
+    def _honest_blocks(
+        self,
+        codewords: Dict[int, Sequence[List[int]]],
+        start: int,
+        stop: int,
+        mask: np.ndarray,
+        senders: np.ndarray,
+        receivers: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The honest prediction of the stretch's generations ``start``
+        to ``stop``, as ``(stop - start, n, n)`` blocks: the codewords
+        (``[i, pid]`` is ``pid``'s codeword), the received symbols (each
+        trusted live edge carries its sender's own symbol, a processor
+        holds its own), the M-matrices and their adjacencies."""
+        n = self.n
+        block = self._codeword_block(codewords, start, stop)
         everyone = np.arange(n)
-        # The honest prediction of every generation's received symbols:
-        # each trusted live edge carries its sender's own symbol; a
-        # processor holds its own.
         diagonals = block[:, everyone, everyone]
-        received = np.full((count, n, n), _MISSING, dtype=self._symbol_dtype)
+        received = np.full(block.shape, _MISSING, dtype=self._symbol_dtype)
         received[:, receivers, senders] = diagonals[:, senders]
         received[:, everyone, everyone] = diagonals
         # A codeword symbol is never _MISSING, so a missing one
@@ -925,110 +1042,25 @@ class GenerationProtocol:
         m_block[:, everyone, everyone] = True
         adjacency = m_block & m_block.transpose(0, 2, 1)
         adjacency[:, everyone, everyone] = False
-        predicted = [adjacency[index].tobytes() for index in range(count)]
-        live = [i for i in range(n) if i not in isolated]
-        controlled = np.zeros(n, dtype=bool)
-        controlled[self._controlled] = True
-        #: Adjacency key -> {stretch index: outsider -> honest Detected}.
-        checks: Dict[bytes, Dict[int, Dict[int, bool]]] = {}
-
-        results: List[GenerationResult] = []
-        for index in range(count):
-            self._enter(first + index)
-            words = {pid: codewords[pid][index] for pid in range(n)}
-            row, m = received[index], m_block[index]
-            adjacent = adjacency[index]
-            delivery = self._send_matching_symbols(
-                senders, receivers, faulty,
-                [words[pid][pid] for pid in range(n)],
-            )
-            folded = self._fold_round(
-                row, delivery, senders, receivers, controlled, mask
-            )
-            if folded:
-                np.logical_and(mask, row == block[index], out=m)
-                np.fill_diagonal(m, True)
-            if self._matching_broadcast_vec(m, live, isolated) or folded:
-                np.logical_and(m, m.T, out=adjacent)
-                np.fill_diagonal(adjacent, False)
-                key = adjacent.tobytes()
-            else:
-                key = predicted[index]
-            if key not in self._clique_memo:
-                # Line 1(e), searched once per distinct adjacency.
-                clique = find_clique_matrix(adjacent, n - self.t)
-                self._clique_memo[key] = (
-                    tuple(clique) if clique is not None else None
-                )
-            p_match = self._clique_memo[key]
-
-            if p_match is None:
-                # Line 1(f): honest inputs provably differ; decide the
-                # default, and the run ends here.
-                results.append(GenerationResult(
-                    generation=self.generation,
-                    outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                    decisions={
-                        pid: tuple(default_parts[index])
-                        for pid in self._honest
-                    },
-                    p_match=None,
-                ))
-                break
-
-            if folded:
-                honest_detected = self._outsider_checks(
-                    p_match, received, [index], mask, isolated
-                )[index]
-            else:
-                known = checks.get(key)
-                if known is None or index not in known:
-                    known = checks[key] = self._outsider_checks(
-                        p_match, received,
-                        [index] + [
-                            later for later in range(index + 1, count)
-                            if predicted[later] == key
-                        ],
-                        mask, isolated,
-                    )
-                honest_detected = known[index]
-            detected_ref, detectors = self._checking_stage_vec(
-                honest_detected, isolated
-            )
-
-            if detected_ref.any():
-                # Detected outsiders: lines 3(a)-3(i), after which the
-                # graph has changed and the stretch ends.
-                results.append(self._diagnosis_stage_vec(
-                    p_match, words, row[:, list(p_match)], detected_ref,
-                    detectors, isolated, default_parts[index],
-                ))
-                break
-            results.append(GenerationResult(
-                generation=self.generation,
-                outcome=GenerationOutcome.DECIDED_CHECKING,
-                decisions=self._checking_decisions(
-                    p_match, row, block[index], words
-                ),
-                p_match=p_match,
-                detectors=detectors,
-            ))
-        return results
+        return block, received, m_block, adjacency
 
     def _codeword_block(
-        self, codewords: Dict[int, Sequence[List[int]]], count: int
+        self, codewords: Dict[int, Sequence[List[int]]], start: int, stop: int
     ) -> np.ndarray:
-        """The stretch's codewords as one ``(count, n, n)`` block, row
-        ``[i, pid]`` being ``pid``'s codeword in the ``i``-th generation;
-        processors handed one sequence object share its conversion."""
-        block = np.empty((count, self.n, self.n), dtype=self._symbol_dtype)
+        """The codewords of the stretch's generations ``start`` to
+        ``stop`` as one block, ``[i, pid]`` being ``pid``'s codeword in
+        generation ``start + i``; processors handed one sequence object
+        share its conversion."""
+        block = np.empty(
+            (stop - start, self.n, self.n), dtype=self._symbol_dtype
+        )
         converted: Dict[int, np.ndarray] = {}
         for pid in range(self.n):
             run = codewords[pid]
             rows = converted.get(id(run))
             if rows is None:
                 rows = converted[id(run)] = np.array(
-                    run[:count], dtype=self._symbol_dtype
+                    run[start:stop], dtype=self._symbol_dtype
                 )
             block[:, pid] = rows
         return block

@@ -11,12 +11,12 @@ An instance runs one of four ways, and this module's
   empty faulty set.
 * ``Lane.PER_GENERATION`` — :func:`repro.service.engine.
   execute_consensus` with one vectorized :class:`~repro.core.generation.
-  GenerationProtocol` per generation: the traffic that cannot share,
-  and every recorded run.
+  GenerationProtocol` run per stretch of generations under one graph
+  state: the traffic that cannot share, and every recorded run.
 * ``Lane.REFERENCE`` — the same loop on the scalar reference
-  generation: ``vectorized`` off, or a backend whose honest broadcasts
-  run real rounds (``phase_king``, ``eig``, ``dolev_strong``,
-  ``mostefaoui``).
+  generation, one generation a stretch: ``vectorized`` off, or a
+  backend whose honest broadcasts run real rounds (``phase_king``,
+  ``eig``, ``dolev_strong``, ``mostefaoui``).
 
 All four are byte-identical to the forced-scalar reference; the choice
 only decides how much work is shared.

@@ -504,6 +504,21 @@ class TestStretchBoundaries:
         assert observed.result.diagnosis_count == 0
         assert len({r.p_match for r in records}) == 2
 
+    @pytest.mark.parametrize("attack", [None, "corrupt"])
+    def test_a_stretch_in_windows(self, monkeypatch, attack):
+        """A stretch's array work runs in windows of generations (three
+        at a time here), its walk crossing from one to the next."""
+        from repro.core import generation as generation_module
+
+        monkeypatch.setattr(generation_module, "_BLOCK_CELLS", 3 * 7 * 7)
+        a, b = self.split_sharing_parts({1, 2, 5})
+        observed, expected = engine_runs(
+            [b] * 2 + [a] * 5,
+            lambda: make_attack(attack, 7, 2, 256, seed=4) if attack else None,
+        )
+        assert_same_execution(observed, expected)
+        assert len(observed.result.generation_results) == 8
+
     def test_recorded_split_run(self):
         a, b = self.split_sharing_parts({0, 4})
         instance = InstanceSpec(inputs=(a,) * 5 + (b,) * 2)
