@@ -902,7 +902,7 @@ class GenerationProtocol:
         what follows from it is array work over ``(s, n, n)`` blocks,
         done once: the received symbols, the honest M-matrices and their
         adjacency keys; the outsiders' consistency checks are batched
-        per adjacency key (:meth:`_outsider_checks`) on first use.
+        per adjacency key (:meth:`_checking_tables`) on first use.
         Everything observable is walked generation by generation, in
         the order of a one-generation run: the symbol round (its own
         ``send_many`` + ``deliver_arrays``, whose delivery is folded into
@@ -926,8 +926,8 @@ class GenerationProtocol:
                 codewords, start, stop, mask, senders, receivers
             )
             predicted = [adjacency[i].tobytes() for i in range(stop - start)]
-            #: Adjacency key -> {window index: outsider -> Detected}.
-            checks: Dict[bytes, Dict[int, Dict[int, bool]]] = {}
+            #: Adjacency key -> {window index: its line 2 table}.
+            checks: Dict[bytes, Dict[int, tuple]] = {}
             for index in range(stop - start):
                 self._enter(first + start + index)
                 words = {
@@ -973,23 +973,23 @@ class GenerationProtocol:
                     ))
                     return results
 
-                if folded:
-                    honest_detected = self._outsider_checks(
-                        p_match, received, [index], mask, isolated
-                    )[index]
-                else:
-                    known = checks.get(key)
-                    if known is None or index not in known:
-                        known = checks[key] = self._outsider_checks(
-                            p_match, received,
-                            [index] + [
-                                later
-                                for later in range(index + 1, stop - start)
-                                if predicted[later] == key
-                            ],
-                            mask, isolated,
-                        )
-                    honest_detected = known[index]
+                # A folded row is checked on its own; an unfolded one
+                # shares its key's table with every later generation
+                # the prediction gives that key.
+                known = None if folded else checks.get(key)
+                if known is None or index not in known:
+                    known = self._checking_tables(
+                        p_match, received, block,
+                        [index] if folded else [index] + [
+                            later
+                            for later in range(index + 1, stop - start)
+                            if predicted[later] == key
+                        ],
+                        mask, isolated,
+                    )
+                    if not folded:
+                        checks[key] = known
+                honest_detected, rows, classes = known[index]
                 detected_ref, detectors = self._checking_stage_vec(
                     honest_detected, isolated
                 )
@@ -1006,7 +1006,7 @@ class GenerationProtocol:
                     generation=self.generation,
                     outcome=GenerationOutcome.DECIDED_CHECKING,
                     decisions=self._checking_decisions(
-                        p_match, row, block[index], words
+                        p_match, rows, classes, words
                     ),
                     p_match=p_match,
                     detectors=detectors,
@@ -1166,17 +1166,20 @@ class GenerationProtocol:
             m_matrix[i, i + 1:] = bits[i:]
         return bool(outcomes)
 
-    def _outsider_checks(
+    def _checking_tables(
         self,
         p_match: Tuple[int, ...],
         received: np.ndarray,
+        block: np.ndarray,
         indices: List[int],
         mask: np.ndarray,
         isolated: FrozenSet[int],
-    ) -> Dict[int, Dict[int, bool]]:
-        """Line 2(a) for the stretch generations ``indices``: each live
-        outsider's Detected flag on its ``received`` row, as
-        ``{index: {outsider: flag}}``.
+    ) -> Dict[int, Tuple[Dict[int, bool], list, list]]:
+        """What line 2 reads in the window generations ``indices``, as
+        ``{index: (flags, rows, classes)}``: each live outsider's honest
+        Detected flag on its ``received`` row (line 2(a)), and for line
+        2(c) the fault-free processors' rows and every processor's
+        codeword over ``P_match`` (``block`` holds the codewords).
 
         A trusted ``P_match`` member that stayed silent is proof of a
         fault by itself; untrusted members are ignored, not evidence.
@@ -1210,9 +1213,16 @@ class GenerationProtocol:
             for index in indices:
                 for q in group:
                     flags[index][q] = next(cells)
+        columns = np.array(p_match, dtype=np.intp)
+        rows = received[np.ix_(indices, self._honest, columns)].tolist()
+        classes = block[np.ix_(indices, range(self.n), columns)].tolist()
         return {
-            index: {q: flags[index][q] for q in outsiders}
-            for index in indices
+            index: (
+                {q: flags[index][q] for q in outsiders},
+                rows[position],
+                classes[position],
+            )
+            for position, index in enumerate(indices)
         }
 
     def _checking_stage_vec(
@@ -1251,35 +1261,32 @@ class GenerationProtocol:
     def _checking_decisions(
         self,
         p_match: Tuple[int, ...],
-        row: np.ndarray,
-        codeword_arr: np.ndarray,
+        rows: List[List[int]],
+        classes: List[List[int]],
         words: Dict[int, List[int]],
     ) -> Dict[int, Tuple[int, ...]]:
         """Line 2(c): every fault-free processor decides
-        ``C^{-1}(R_i / P_match)`` from its ``row``, once per distinct
-        symbol row.
+        ``C^{-1}(R_i / P_match)`` from its symbol row over ``P_match``
+        (``rows``, in fault-free pid order), once per distinct row.
 
         A row equal to some processor's codeword at every ``P_match``
-        position (``codeword_arr`` holds the codewords) decides that
-        codeword's first ``k`` symbols: the code is systematic and MDS
-        and ``|P_match| = n - t >= k``, so exactly one codeword passes
+        position (``classes``, in pid order) decides that codeword's
+        first ``k`` symbols: the code is systematic and MDS and
+        ``|P_match| = n - t >= k``, so exactly one codeword passes
         through those positions, and its data is what ``decode_subset``
         would return.  Any other row — a missing symbol, a Byzantine
         one on no processor's codeword — is decoded.
         """
-        columns = list(p_match)
-        classes: Dict[tuple, int] = {}
-        for pid, values in enumerate(codeword_arr[:, columns].tolist()):
-            classes.setdefault(tuple(values), pid)
+        hit_of: Dict[tuple, int] = {}
+        for pid, values in enumerate(classes):
+            hit_of.setdefault(tuple(values), pid)
         decided_by_row: Dict[tuple, Tuple[int, ...]] = {}
         decisions: Dict[int, Tuple[int, ...]] = {}
-        for pid, values in zip(
-            self._honest, row[self._honest][:, columns].tolist()
-        ):
+        for pid, values in zip(self._honest, rows):
             values = tuple(values)
             decided = decided_by_row.get(values)
             if decided is None:
-                hit = classes.get(values)
+                hit = hit_of.get(values)
                 if hit is not None:
                     decided = tuple(words[hit][:self.k])
                 else:
