@@ -522,6 +522,19 @@ class TestCrossGenerationBatchingEquivalence:
                 config, [value] * n, lambda: None, "equal n=%d" % n
             )
 
+    def test_differing_inputs_fall_back_per_generation(self):
+        rng = random.Random(22)
+        config = ConsensusConfig.create(n=7, l_bits=512)
+        inputs = [rng.getrandbits(512) for _ in range(7)]
+        _assert_runs_equivalent(config, inputs, lambda: None, "differing")
+
+    def test_single_generation_mismatch_replays_only_that_generation(self):
+        rng = random.Random(23)
+        config = ConsensusConfig.create(n=7, l_bits=1024)
+        base = rng.getrandbits(1024)
+        inputs = [base] * 6 + [base ^ 1]  # last generation differs only
+        _assert_runs_equivalent(config, inputs, lambda: None, "one-bit")
+
     def test_t_zero(self):
         config = ConsensusConfig.create(n=4, t=0, l_bits=256)
         _assert_runs_equivalent(
