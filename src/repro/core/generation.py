@@ -96,12 +96,6 @@ from repro.utils.bits import PackedBits, is_exact_int
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
 _MISSING = -1
 
-#: Cells of one ``(s, n, n)`` block of a stretch: its array work runs in
-#: windows of ``max(1, _BLOCK_CELLS // n²)`` generations, so a long
-#: stretch at large ``n`` holds a few blocks of this size, not ``L/D``
-#: generations' worth.
-_BLOCK_CELLS = 1 << 20
-
 
 def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
     """``[convert(outcome[pid]) for pid in range(n)]`` with each distinct
@@ -902,7 +896,9 @@ class GenerationProtocol:
         what follows from it is array work over ``(s, n, n)`` blocks,
         done once: the received symbols, the honest M-matrices and their
         adjacency keys; the outsiders' consistency checks are batched
-        per adjacency key (:meth:`_checking_tables`) on first use.
+        per adjacency key (:meth:`_checking_tables`) on first use.  The
+        blocks are built a window of generations at a time, each window
+        as long as the stretch has run so far.
         Everything observable is walked generation by generation, in
         the order of a one-generation run: the symbol round (its own
         ``send_many`` + ``deliver_arrays``, whose delivery is folded into
@@ -917,11 +913,14 @@ class GenerationProtocol:
         live = [i for i in range(n) if i not in isolated]
         controlled = np.zeros(n, dtype=bool)
         controlled[self._controlled] = True
-        window = max(1, _BLOCK_CELLS // (n * n))
 
         results: List[GenerationResult] = []
-        for start in range(0, count, window):
-            stop = min(count, start + window)
+        start = 0
+        while start < count:
+            # A window as long as the stretch has survived so far (1, 1,
+            # 2, 4, ... generations): a stretch that ends early wastes
+            # at most the work it used.
+            stop = min(count, max(1, 2 * start))
             block, received, m_block, adjacency = self._honest_blocks(
                 codewords, start, stop, mask, senders, receivers
             )
@@ -1011,6 +1010,7 @@ class GenerationProtocol:
                     p_match=p_match,
                     detectors=detectors,
                 ))
+            start = stop
         return results
 
     def _honest_blocks(

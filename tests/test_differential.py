@@ -310,7 +310,7 @@ class TestPerRunWorkIsDoneOnce:
     distinct value's whole run in one ``encode_generations`` call once
     generation 0 has not defaulted, searches each distinct M pattern's
     clique once, checks the outsiders' symbols with one batched
-    ``codeword_through_many`` a stretch, decides line 2(c) off the
+    ``codeword_through_many`` per window of a stretch, decides line 2(c) off the
     codeword classes (no ``decode_subset``) and, under the ideal
     backend, prices its fault-free M and Detected broadcasts (no
     ``broadcast_bits_many``)."""
@@ -368,8 +368,10 @@ class TestPerRunWorkIsDoneOnce:
             for record in result.generation_results
         )
         assert encodes == [generations, generations]  # a's run, b's run
+        # One consistency check for generation 0, one per window of the
+        # stretch of 30 that follows (1, 1, 2, 4, 8 and 14 generations).
         assert counts == {
-            "run": 2, "find_clique_matrix": 1, "codeword_through_many": 2,
+            "run": 2, "find_clique_matrix": 1, "codeword_through_many": 7,
             "decode_subset": 0, "broadcast_bits_many": 0,
         }
 
@@ -389,15 +391,16 @@ class TestPerRunWorkIsDoneOnce:
         }
 
 
-def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7):
-    """One instance on the per-generation engine
-    (``batch_generations=False``) and on the forced-scalar reference,
+def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7,
+                d_bits=None, batch_generations=False):
+    """One instance on the default engines (the per-generation one
+    unless ``batch_generations``) and on the forced-scalar reference,
     journalling both: ``(observed, expected)``."""
     from repro.core.config import ConsensusConfig
 
-    config = ConsensusConfig.create(n=n, l_bits=l_bits)
+    config = ConsensusConfig.create(n=n, l_bits=l_bits, d_bits=d_bits)
     runs = []
-    for toggles in ({"batch_generations": False},
+    for toggles in ({"batch_generations": batch_generations},
                     {"batch_generations": False, "vectorized": False}):
         engine = MultiValuedConsensus(
             config, adversary=make_adversary(), journal=True, **toggles
@@ -425,14 +428,16 @@ class TestStretchBoundaries:
     (meter tag order included), clocks and journal."""
 
     @staticmethod
-    def split_sharing_parts(shared):
+    def split_sharing_parts(shared, l_bits=256, d_bits=None):
         """Two values whose parts agree exactly in the generations
         ``shared`` (n = 7, L = 256: eight generations)."""
         from repro.core.config import ConsensusConfig
 
-        engine = MultiValuedConsensus(ConsensusConfig.create(n=7, l_bits=256))
+        engine = MultiValuedConsensus(
+            ConsensusConfig.create(n=7, l_bits=l_bits, d_bits=d_bits)
+        )
         rng = random.Random(35)
-        a = rng.getrandbits(256)
+        a = rng.getrandbits(l_bits)
         parts = [list(part) for part in engine.parts_of(a)]
         for g, part in enumerate(parts[:-1]):
             if g not in shared:
@@ -506,11 +511,20 @@ class TestStretchBoundaries:
 
     @pytest.mark.parametrize("attack", [None, "corrupt"])
     def test_a_stretch_in_windows(self, monkeypatch, attack):
-        """A stretch's array work runs in windows of generations (three
-        at a time here), its walk crossing from one to the next."""
+        """A stretch's array work runs in windows of generations, each
+        as long as the stretch has run so far (1, 1, 2, 4, ...), its
+        walk crossing from one to the next."""
         from repro.core import generation as generation_module
 
-        monkeypatch.setattr(generation_module, "_BLOCK_CELLS", 3 * 7 * 7)
+        protocol = generation_module.GenerationProtocol
+        honest_blocks = protocol._honest_blocks
+        windows = []
+
+        def spy(self, codewords, start, stop, *args):
+            windows.append((start, stop))
+            return honest_blocks(self, codewords, start, stop, *args)
+
+        monkeypatch.setattr(protocol, "_honest_blocks", spy)
         a, b = self.split_sharing_parts({1, 2, 5})
         observed, expected = engine_runs(
             [b] * 2 + [a] * 5,
@@ -518,6 +532,11 @@ class TestStretchBoundaries:
         )
         assert_same_execution(observed, expected)
         assert len(observed.result.generation_results) == 8
+        assert all(stop == min(stop, max(1, 2 * start))
+                   for start, stop in windows)
+        if attack is None:
+            # Generation 0, then one stretch of seven.
+            assert windows == [(0, 1), (0, 1), (1, 2), (2, 4), (4, 7)]
 
     def test_recorded_split_run(self):
         a, b = self.split_sharing_parts({0, 4})
@@ -552,6 +571,60 @@ class TestStretchBoundaries:
         assert attack == "crash" or any(
             r.diagnosis_performed for r in records[:-1]
         ), "no diagnosis before the last generation"
+
+    @pytest.mark.parametrize("attack", [None, "corrupt", "one-victim"])
+    @pytest.mark.parametrize("symbol_bits", [40, 70], ids=["int64", "object"])
+    def test_wide_symbols(self, symbol_bits, attack):
+        """Symbols wider than 16 bits run an interleaved code, whose
+        ``consistent_rows`` decides the outsiders' flags; past 62 bits
+        the stretch's blocks are object arrays.  Under ``one-victim``
+        pid 6 corrupts what it sends to outsider 0 alone, so one batched
+        check holds a failing row beside a passing one (outsider 1's)."""
+        from repro.core.config import ConsensusConfig
+        from repro.processors import SymbolCorruptionAdversary
+
+        l_bits, d_bits = 1024, 3 * symbol_bits
+        a, b = self.split_sharing_parts({1, 3}, l_bits, d_bits)
+
+        def adversary():
+            if attack == "one-victim":
+                return SymbolCorruptionAdversary(faulty=[6], victims={6: [0]})
+            return make_attack(attack, 7, 2, l_bits, seed=6) if attack else None
+
+        observed, expected = engine_runs(
+            [b] * 2 + [a] * 5, adversary, l_bits=l_bits, d_bits=d_bits,
+        )
+        assert_same_execution(observed, expected)
+        assert isinstance(
+            ConsensusConfig.create(n=7, l_bits=l_bits, d_bits=d_bits)
+            .make_code(),
+            InterleavedCode,
+        )
+        records = observed.result.generation_results
+        assert observed.result.error_free and len(records) > 4
+
+    @pytest.mark.parametrize("batch_generations", [True, False],
+                             ids=["batched", "per-generation"])
+    @pytest.mark.parametrize("case", ["distinct", "last-generation"])
+    def test_lane_inputs_against_the_reference(self, case, batch_generations):
+        """The inputs of ``TestCrossGenerationBatchingEquivalence``'s
+        two differing-input rows (``test_batched_network.py``), with
+        and without cross-generation batching, against the
+        forced-scalar reference: seven distinct values, and one value
+        whose last generation differs on one processor."""
+        if case == "distinct":
+            rng = random.Random(22)
+            l_bits = 512
+            inputs = [rng.getrandbits(l_bits) for _ in range(7)]
+        else:
+            rng = random.Random(23)
+            l_bits = 1024
+            base = rng.getrandbits(l_bits)
+            inputs = [base] * 6 + [base ^ 1]
+        observed, expected = engine_runs(
+            inputs, l_bits=l_bits, batch_generations=batch_generations
+        )
+        assert_same_execution(observed, expected)
 
     @pytest.mark.parametrize("values", [3, 4, 7])
     def test_distinct_inputs_default_at_generation_0(self, values):
