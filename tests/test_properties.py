@@ -182,3 +182,34 @@ class TestCodewordClassProperty:
         restricted = {p: word[p] for p in subset}
         assert code.is_consistent(restricted)
         assert code.decode_subset(restricted) == word[:code.k] == part
+
+
+class TestConsistentRowsProperty:
+    """``consistent_rows`` is :meth:`is_consistent` batched: over any
+    sorted positions (fewer than ``k`` included) and any rows —
+    codewords restricted to them, some with symbols overwritten — entry
+    ``i`` is ``is_consistent`` of row ``i`` at those positions.  Line 2
+    reads every outsider's Detected flag through it."""
+
+    @pytest.mark.parametrize("code", CODES, ids=repr)
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_is_consistent_row_by_row(self, code, data):
+        symbol = st.integers(0, code.symbol_limit - 1)
+        positions = sorted(data.draw(
+            st.sets(st.integers(0, code.n - 1), min_size=1)
+        ))
+        parts = data.draw(st.lists(
+            st.lists(symbol, min_size=code.k, max_size=code.k),
+            min_size=0, max_size=6,
+        ))
+        rows = []
+        for word in code.encode_generations(parts):
+            row = [word[p] for p in positions]
+            for slot in data.draw(st.sets(st.integers(0, len(row) - 1))):
+                row[slot] = data.draw(symbol)
+            rows.append(row)
+        expected = [
+            code.is_consistent(dict(zip(positions, row))) for row in rows
+        ]
+        assert code.consistent_rows(positions, rows).tolist() == expected
