@@ -948,3 +948,51 @@ def test_seeded_audit_is_pinned(attack, seed):
         hashlib.sha256(canonical.encode()).hexdigest(),
     ) == _PINNED_AUDITS[(attack, seed)]
     assert proof["culprits"] == proof["claimed_faulty"]
+
+
+#: ``(backend, attack) -> (transcript digest, culprits)`` of ``repro-sim
+#: audit record --n 7 --l-bits 64 --seed 11``: the real-round backends
+#: read the phase-king / EIG hook answers themselves, so their
+#: transcripts are pinned apart from the ideal backend's grid.
+_PINNED_REAL_ROUNDS = {
+    ("phase_king", "random"): (
+        "cb3b0fc905587853415062b8d81093446e7100bca27c6fb473b22abb42db725a",
+        [0, 1],
+    ),
+    ("phase_king", "crash"): (
+        "b55c4608f6a2035e53614100417c1fbac24d502fa625cf65d2fd5c8dc2548b87",
+        [5, 6],
+    ),
+    ("eig", "random"): (
+        "e401138058249ebe0027d91f8f112c69d8c61dcd7c7f18f002829152f385c1c4",
+        [0, 1],
+    ),
+    ("eig", "crash"): (
+        "44c92e2df2492918a7a186d24b35adc98dd34a863b03af7e8a0dc63b03e03a5d",
+        [5, 6],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "backend, attack", sorted(_PINNED_REAL_ROUNDS), ids="-".join
+)
+def test_real_round_transcript_is_pinned(backend, attack, tmp_path, capsys):
+    """record → prove under a real-round backend: the transcript digest
+    and the culprits the proof names."""
+    digest, culprits = _PINNED_REAL_ROUNDS[(backend, attack)]
+    out = str(tmp_path / "transcript.json")
+    assert cli_main([
+        "audit", "record", "--n", "7", "--l-bits", "64", "--seed", "11",
+        "--backend", backend, "--attack", attack, "--out", out,
+    ]) == 0
+    assert Transcript.load(out).digest() == digest
+    proof_path = str(tmp_path / "proof.json")
+    assert cli_main([
+        "audit", "prove", "--transcript", out, "--json", proof_path,
+    ]) == 0
+    capsys.readouterr()
+    with open(proof_path, "r", encoding="utf-8") as handle:
+        proof = json.load(handle)
+    assert proof["culprits"] == culprits
+    assert proof["verified"] and proof["journal_match"]
