@@ -26,8 +26,10 @@ is reported as a deviation but never as proof of misbehavior.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.audit.compare import DivergenceReport, compare
 from repro.audit.transcript import (
@@ -39,9 +41,11 @@ from repro.audit.transcript import (
 )
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
-from repro.processors.adversary import (
-    Adversary, GlobalView, diagnosis_symbol_value, m_row_bits,
-    matching_row_payloads, trust_row_bits,
+from repro.processors.adversary import PID_HOOKS, Adversary, GlobalView
+from repro.processors.answers import (
+    bit_answer, codeword_symbols, diagnosis_symbol_value, input_value_of,
+    m_row_bits, matching_row_payloads, message_bit, received_symbol,
+    trust_row_bits,
 )
 
 #: Hooks whose deviations are observable protocol misbehavior.  Input
@@ -52,10 +56,6 @@ from repro.processors.adversary import (
 _UNPROVABLE_HOOKS = frozenset(
     {"input_value", "forge_signature", "coin_reveal"}
 )
-
-#: Hooks whose receiver applies ``is_exact_int``: ``True`` or ``1.0`` sent
-#: for ``1`` is missing to it, so another type deviates though ``==`` holds.
-_EXACT_HOOKS = frozenset({"matching_symbol", "source_symbol", "forwarded_symbol"})
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,10 @@ class DeviationRecorder(Adversary):
 
     Each hook snapshots the honest argument, delegates to the wrapped
     adversary, and logs a :class:`Deviation` when the returned value
-    differs (``None`` — staying silent — counts).  The wrapper is
+    reads differently, by the engines' own readers
+    (:mod:`repro.processors.answers`), from the honest one (``None`` —
+    staying silent — counts; ``True`` for the symbol 1 is missing to a
+    receiver, so it counts too).  The wrapper is
     behavior-preserving: it returns exactly what the inner adversary
     returned, so a replay under the recorder is byte-identical to one
     under the original adversary.
@@ -101,57 +104,36 @@ class DeviationRecorder(Adversary):
         self.fault_plan = getattr(inner, "fault_plan", None)
 
     def _note(
-        self,
-        pid: int,
-        hook: str,
-        generation: Optional[int],
-        recipient: Optional[int],
-        honest: Any,
-        sent: Any,
+        self, pid: int, hook: str, generation: Optional[int],
+        recipient: Optional[int], honest: Any, sent: Any,
+        read: Callable[[Any], Any] = lambda answer: answer,
     ) -> None:
-        if sent != honest or (
-            hook in _EXACT_HOOKS and type(sent) is not type(honest)
-        ):
-            self.deviations.append(
-                Deviation(
-                    pid=pid,
-                    hook=hook,
-                    generation=generation,
-                    recipient=recipient,
-                    honest=honest,
-                    sent=sent,
-                )
-            )
+        if read(sent) != read(honest):
+            self.deviations.append(Deviation(
+                pid, hook, generation, recipient, honest, sent
+            ))
 
-    # Every hook follows the same shape; mutable honest arguments (lists)
-    # are copied before delegation so an in-place-editing attack cannot
-    # mask its own deviation.  The three row hooks record under the
-    # names of what one record describes: a symbol sent to one
-    # recipient (``matching_symbol``), an M vector (``m_vector``), a
-    # Trust vector (``trust_vector``).
-
-    def input_value(self, pid, honest_input, view):
-        sent = self.inner.input_value(pid, honest_input, view)
-        self._note(pid, "input_value", None, None, honest_input, sent)
-        return sent
+    # The three row hooks note what is broadcast, under the names of
+    # what one record describes: a symbol sent to one recipient
+    # (``matching_symbol``), the n - 1 bits of an M vector (``m_vector``,
+    # own slot excluded), one Trust bit per P_match member
+    # (``trust_vector``).  Every other hook is recorded by
+    # :func:`_recording`.
 
     def matching_row(self, pid, recipients, honest_symbol, generation, view):
         answer = self.inner.matching_row(
             pid, recipients, honest_symbol, generation, view
         )
         # One record per recipient whose payload deviates.
+        read = partial(_read, "source_symbol", view, honest_symbol)
         for recipient, sent in zip(
             recipients, matching_row_payloads(answer, recipients)
         ):
             self._note(
                 pid, "matching_symbol", generation, recipient,
-                honest_symbol, sent,
+                honest_symbol, sent, read,
             )
         return answer
-
-    # The M, diagnosis-symbol and Trust hooks note what is broadcast:
-    # the n - 1 bits of the M row (own slot excluded), the symbol mod
-    # the symbol limit, one Trust bit per P_match member.
 
     def m_row(self, pid, honest_row, generation, view):
         n = len(honest_row)
@@ -161,21 +143,6 @@ class DeviationRecorder(Adversary):
             m_row_bits(honest_row, pid, n), m_row_bits(answer, pid, n),
         )
         return answer
-
-    def detected_flag(self, pid, honest_flag, generation, view):
-        sent = self.inner.detected_flag(pid, honest_flag, generation, view)
-        self._note(pid, "detected_flag", generation, None, honest_flag, sent)
-        return sent
-
-    def diagnosis_symbol(self, pid, honest_symbol, generation, view):
-        sent = self.inner.diagnosis_symbol(
-            pid, honest_symbol, generation, view
-        )
-        self._note(
-            pid, "diagnosis_symbol", generation, None, honest_symbol,
-            diagnosis_symbol_value(sent, view.extras["code"].symbol_limit),
-        )
-        return sent
 
     def trust_row(self, pid, p_match, honest_row, generation, view):
         answer = self.inner.trust_row(
@@ -188,111 +155,57 @@ class DeviationRecorder(Adversary):
         )
         return answer
 
-    def bsb_source_bit(self, source, recipient, honest_bit, instance, view):
-        sent = self.inner.bsb_source_bit(
-            source, recipient, honest_bit, instance, view
-        )
+
+def _read(hook: str, view: GlobalView, honest: Any, answer: Any) -> Any:
+    """``answer`` to ``hook`` as the engines read it (a coin as is)."""
+    if hook in ("detected_flag", "ideal_broadcast_bit"):
+        return bit_answer(hook, answer)
+    if hook == "input_value":
+        return input_value_of(answer, view.extras["l_bits"])
+    if hook == "coin_reveal":
+        return answer
+    code = view.extras.get("code")
+    if hook in ("source_symbol", "forwarded_symbol"):
+        return received_symbol(answer, code.symbol_limit)
+    if hook == "diagnosis_symbol":
+        return diagnosis_symbol_value(answer, code.symbol_limit)
+    if hook == "source_codeword":
+        return codeword_symbols(answer, len(honest), code.symbol_limit)
+    return message_bit(hook, answer)
+
+
+def _recording(hook: str):
+    """``DeviationRecorder.<hook>``: snapshot the honest argument (a list
+    is copied: an in-place edit cannot mask a deviation), delegate and
+    note the answer (pid ``-1`` for the coin dealer)."""
+    names = list(inspect.signature(getattr(Adversary, hook)).parameters)[1:]
+    honest_name = next((name for name in names if "honest" in name), None)
+
+    def recorded(self, *args, **kwargs):
+        if honest_name is None:  # forge_signature: a substrate event
+            return getattr(self.inner, hook)(*args, **kwargs)
+        bound = dict(zip(names, args), **kwargs)
+        honest = bound[honest_name]
+        copied = isinstance(honest, list)
+        if copied:
+            honest = list(honest)
+        sent = getattr(self.inner, hook)(*args, **kwargs)
         self._note(
-            source, "bsb_source_bit", instance, recipient, honest_bit, sent
+            -1 if names[0] == "instance" else bound[names[0]], hook,
+            bound.get("generation", bound.get("instance")),
+            bound.get("recipient"), honest,
+            list(sent) if copied else sent,
+            partial(_read, hook, bound["view"], honest),
         )
         return sent
 
-    def ideal_broadcast_bit(self, source, honest_bit, instance, view):
-        sent = self.inner.ideal_broadcast_bit(
-            source, honest_bit, instance, view
-        )
-        self._note(
-            source, "ideal_broadcast_bit", instance, None, honest_bit, sent
-        )
-        return sent
+    recorded.__name__ = hook
+    return recorded
 
-    def king_value(self, pid, recipient, phase, honest_value, instance, view):
-        sent = self.inner.king_value(
-            pid, recipient, phase, honest_value, instance, view
-        )
-        self._note(pid, "king_value", instance, recipient, honest_value, sent)
-        return sent
 
-    def king_proposal(
-        self, pid, recipient, phase, honest_proposal, instance, view
-    ):
-        sent = self.inner.king_proposal(
-            pid, recipient, phase, honest_proposal, instance, view
-        )
-        self._note(
-            pid, "king_proposal", instance, recipient, honest_proposal, sent
-        )
-        return sent
-
-    def king_bit(self, pid, recipient, phase, honest_bit, instance, view):
-        sent = self.inner.king_bit(
-            pid, recipient, phase, honest_bit, instance, view
-        )
-        self._note(pid, "king_bit", instance, recipient, honest_bit, sent)
-        return sent
-
-    def eig_relay(self, pid, recipient, path, honest_value, instance, view):
-        sent = self.inner.eig_relay(
-            pid, recipient, path, honest_value, instance, view
-        )
-        self._note(pid, "eig_relay", instance, recipient, honest_value, sent)
-        return sent
-
-    def source_symbol(self, source, recipient, honest_symbol, generation, view):
-        sent = self.inner.source_symbol(
-            source, recipient, honest_symbol, generation, view
-        )
-        self._note(
-            source, "source_symbol", generation, recipient, honest_symbol, sent
-        )
-        return sent
-
-    def forwarded_symbol(self, pid, recipient, honest_symbol, generation, view):
-        sent = self.inner.forwarded_symbol(
-            pid, recipient, honest_symbol, generation, view
-        )
-        self._note(
-            pid, "forwarded_symbol", generation, recipient, honest_symbol, sent
-        )
-        return sent
-
-    def source_codeword(self, source, honest_codeword, generation, view):
-        honest = list(honest_codeword)
-        sent = self.inner.source_codeword(
-            source, honest_codeword, generation, view
-        )
-        self._note(
-            source, "source_codeword", generation, None, honest, list(sent)
-        )
-        return sent
-
-    def est_value(self, pid, recipient, honest_est, round_index, instance,
-                  view):
-        sent = self.inner.est_value(
-            pid, recipient, honest_est, round_index, instance, view
-        )
-        self._note(pid, "est_value", instance, recipient, honest_est, sent)
-        return sent
-
-    def aux_value(self, pid, recipient, honest_aux, round_index, instance,
-                  view):
-        sent = self.inner.aux_value(
-            pid, recipient, honest_aux, round_index, instance, view
-        )
-        self._note(pid, "aux_value", instance, recipient, honest_aux, sent)
-        return sent
-
-    def coin_reveal(self, instance, round_index, honest_coin, view):
-        sent = self.inner.coin_reveal(
-            instance, round_index, honest_coin, view
-        )
-        # The coin dealer is not a processor: recorded (pid -1) but
-        # unprovable (see _UNPROVABLE_HOOKS).
-        self._note(-1, "coin_reveal", instance, None, honest_coin, sent)
-        return sent
-
-    def forge_signature(self, forger, victim, message, view: GlobalView):
-        return self.inner.forge_signature(forger, victim, message, view)
+for _hook in PID_HOOKS + ("coin_reveal",):
+    if _hook not in vars(DeviationRecorder):
+        setattr(DeviationRecorder, _hook, _recording(_hook))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView, input_value_of
+from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import substituted_inputs
 from repro.utils.bits import bits_to_int, int_to_bits
 
 
@@ -112,15 +113,12 @@ class BitwiseConsensus:
             raise ValueError(
                 "expected %d inputs, got %d" % (self.n, len(inputs))
             )
-        bit_rows: Dict[int, List[int]] = {}
-        for pid in range(self.n):
-            value = inputs[pid]
-            if self.adversary.controls(pid):
-                value = input_value_of(
-                    self.adversary.input_value(pid, value, self._view()),
-                    self.l_bits,
-                )
-            bit_rows[pid] = int_to_bits(value, self.l_bits)
+        bit_rows = {
+            pid: int_to_bits(value, self.l_bits)
+            for pid, value in substituted_inputs(
+                self.adversary, inputs, self.l_bits, self._view
+            ).items()
+        }
 
         decided_bits: Dict[int, List[int]] = {
             pid: []

@@ -43,7 +43,8 @@ from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView, input_value_of
+from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import bit_answer, substituted_inputs
 from repro.utils.bits import int_to_bits
 
 
@@ -152,10 +153,12 @@ class FitziHirtConsensus:
         """1-bit broadcast of a happy flag (ideal-charged)."""
         self.meter.add(tag, default_b(self.n), self.n * (self.n - 1))
         if self.adversary.controls(source):
-            outcome = self.adversary.ideal_broadcast_bit(
-                source, 1 if flag else 0, 0, self._view()
-            )
-            return bool(outcome)
+            return bool(bit_answer(
+                "ideal_broadcast_bit",
+                self.adversary.ideal_broadcast_bit(
+                    source, 1 if flag else 0, 0, self._view()
+                ),
+            ))
         return flag
 
     def _as_symbols(self, value: int) -> List[int]:
@@ -220,15 +223,9 @@ class FitziHirtConsensus:
             pid for pid in range(self.n)
             if not self.adversary.controls(pid)
         ]
-        effective: Dict[int, int] = {}
-        for pid in range(self.n):
-            value = inputs[pid]
-            if self.adversary.controls(pid):
-                value = input_value_of(
-                    self.adversary.input_value(pid, value, view),
-                    self.l_bits,
-                )
-            effective[pid] = value
+        effective = substituted_inputs(
+            self.adversary, inputs, self.l_bits, lambda: view
+        )
 
         # Phase 1: common key (modelled coin: kappa bits charged per pair).
         key = self.draw_key()

@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.processors.adversary import Adversary
+from repro.processors.answers import bit_answer, message_bit
 from repro.utils.rng import derive_rng
 
 #: A simulated signature chain: the bit plus the ordered signer list.
@@ -111,17 +112,10 @@ class DolevStrongBroadcast(BroadcastBackend):
         # Round 0: the source signs and sends its bit (a faulty source
         # may equivocate per recipient via the bsb_source_bit hook).
         sent_bits = 0
-        for recipient in active:
-            if recipient == source:
+        sent = self._source_bits(source, bit, active, instance, view)
+        for recipient, payload_bit in sent.items():
+            if payload_bit is None:
                 continue
-            if source in faulty:
-                payload_bit = adversary.bsb_source_bit(
-                    source, recipient, bit, instance, view
-                )
-                if payload_bit not in (0, 1):
-                    continue
-            else:
-                payload_bit = bit
             chain: Chain = (payload_bit, (source,))
             sent_bits += self._chain_bits(chain)
             extracted[recipient].add(payload_bit)
@@ -135,9 +129,9 @@ class DolevStrongBroadcast(BroadcastBackend):
         forged_chain_planted = False
         if faulty & active_set and source in faulty:
             forger = min(faulty & active_set)
-            if adversary.forge_signature(
+            if bit_answer("forge_signature", adversary.forge_signature(
                 forger, source, ("ds", instance), view
-            ):
+            )):
                 forged_chain_planted = True
 
         # Rounds 1..t: relay newly extracted values with one more signature.
@@ -157,9 +151,12 @@ class DolevStrongBroadcast(BroadcastBackend):
                         if sender in faulty:
                             # A faulty relay can drop the message; it cannot
                             # alter the signed value without forging.
-                            relayed = adversary.eig_relay(
-                                sender, recipient, signers, value, instance,
-                                view,
+                            relayed = message_bit(
+                                "eig_relay",
+                                adversary.eig_relay(
+                                    sender, recipient, signers, value,
+                                    instance, view,
+                                ),
                             )
                             if relayed is None:
                                 continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.broadcast_bit.interface import BroadcastBackend
+from repro.processors.answers import message_bit
 
 Path = Tuple[int, ...]
 
@@ -62,20 +63,12 @@ class EIGBroadcast(BroadcastBackend):
         trees: Dict[int, Dict[Path, int]] = {pid: {} for pid in active}
 
         # Round 0: source sends its bit to everyone else.
-        sent = 0
-        for recipient in active:
-            if recipient == source:
-                continue
-            payload: Optional[int] = bit
-            if adversary.controls(source):
-                payload = adversary.bsb_source_bit(
-                    source, recipient, bit, instance, view
-                )
-            sent += 1
+        sent = self._source_bits(source, bit, active, instance, view)
+        for recipient, payload in sent.items():
             trees[recipient][(source,)] = payload if payload in (0, 1) else 0
         if source in active_set:
             trees[source][(source,)] = bit
-        self._charge("%s.eig.r0" % tag, sent, messages=sent)
+        self._charge("%s.eig.r0" % tag, len(sent), messages=len(sent))
 
         # Rounds 1..t: relay every node of the previous layer.
         frontier: List[Path] = [(source,)]
@@ -98,9 +91,12 @@ class EIGBroadcast(BroadcastBackend):
                             continue
                         payload = held
                         if adversary.controls(relay):
-                            payload = adversary.eig_relay(
-                                relay, recipient, new_path, held, instance,
-                                view,
+                            payload = message_bit(
+                                "eig_relay",
+                                adversary.eig_relay(
+                                    relay, recipient, new_path, held,
+                                    instance, view,
+                                ),
                             )
                         sent += 1
                         deliveries.append((recipient, new_path, payload))

@@ -19,6 +19,7 @@ from typing import Callable, Dict, FrozenSet, Optional
 
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.processors.adversary import hook_is_default
+from repro.processors.answers import bit_answer
 from repro.utils.bits import PackedBits
 
 
@@ -61,18 +62,8 @@ class AccountedIdealBroadcast(BroadcastBackend):
     def _broadcast_one(
         self, source: int, bit: int, tag: str, ignored: FrozenSet[int]
     ) -> Dict[int, int]:
-        instance = self._next_instance()
-        if self.adversary.controls(source):
-            outcome = self.adversary.ideal_broadcast_bit(
-                source, bit, instance, self._view()
-            )
-            outcome = 1 if outcome else 0
-        else:
-            outcome = bit
-        # One instance costs B(n) bits across ~n(n-1) messages; the message
-        # count is a modelling convention and does not affect bit totals.
-        self._charge(tag, self._b, messages=self.n * (self.n - 1))
-        return {pid: outcome for pid in range(self.n)}
+        row = self._row_loop([(source, [bit])], tag, ignored, validate=False)
+        return dict.fromkeys(range(self.n), row[0][0])
 
     def broadcast_bits(self, source, bits, tag, ignored=frozenset()):
         """One row through :meth:`_dispatch`: the base class's
@@ -176,10 +167,12 @@ class AccountedIdealBroadcast(BroadcastBackend):
                 row = []
                 for bit in bits.tolist() if packed else bits:
                     instance = self._next_instance()
-                    value = self.adversary.ideal_broadcast_bit(
-                        source, bit, instance, view
-                    )
-                    row.append(1 if value else 0)
+                    row.append(bit_answer(
+                        "ideal_broadcast_bit",
+                        self.adversary.ideal_broadcast_bit(
+                            source, bit, instance, view
+                        ),
+                    ))
                 if packed:
                     row = PackedBits.from_bits(row)
             else:

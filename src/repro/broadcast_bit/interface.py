@@ -21,6 +21,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.network.metrics import BitMeter
 from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import message_bit
 
 @dataclass
 class BroadcastStats:
@@ -101,6 +102,21 @@ class BroadcastBackend(abc.ABC):
     def _charge(self, tag: str, bits: int, messages: int = 1) -> None:
         self.meter.add(tag, bits, messages)
         self.stats.bits_charged += bits
+
+    def _source_bits(
+        self, source: int, bit: int, active: Sequence[int], instance: int,
+        view: GlobalView,
+    ) -> Dict[int, Optional[int]]:
+        """What each of ``active`` bar ``source`` gets in a source round:
+        ``bit``, or a controlled source's ``bsb_source_bit`` answers."""
+        if not self.adversary.controls(source):
+            return {r: bit for r in active if r != source}
+        return {
+            r: message_bit("bsb_source_bit", self.adversary.bsb_source_bit(
+                source, r, bit, instance, view
+            ))
+            for r in active if r != source
+        }
 
     # -- public API -----------------------------------------------------------
 

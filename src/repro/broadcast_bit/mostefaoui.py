@@ -54,6 +54,7 @@ from repro.broadcast_bit.interface import BroadcastBackend
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import message_bit
 from repro.utils.rng import derive_seed
 
 
@@ -220,15 +221,8 @@ class MostefaouiBroadcast(BroadcastBackend):
         """The source sends its bit to everybody; per-edge equivocation
         and silence through ``bsb_source_bit`` exactly like Phase-King."""
         source_tag = "%s.source" % tag
-        adversary = self.adversary
-        for recipient in active:
-            if recipient == source:
-                continue
-            payload: Optional[int] = bit
-            if adversary.controls(source):
-                payload = adversary.bsb_source_bit(
-                    source, recipient, bit, instance, view
-                )
+        sent = self._source_bits(source, bit, active, instance, view)
+        for recipient, payload in sent.items():
             self.network.send(source, recipient, payload, 1, source_tag)
         inboxes = self.network.deliver()
         est = {}
@@ -282,11 +276,14 @@ class MostefaouiBroadcast(BroadcastBackend):
                     for value in todo:
                         payload: Optional[int] = value
                         if adversary.controls(pid):
-                            payload = adversary.est_value(
-                                pid, recipient, value, round_index,
-                                instance, view,
+                            payload = message_bit(
+                                "est_value",
+                                adversary.est_value(
+                                    pid, recipient, value, round_index,
+                                    instance, view,
+                                ),
                             )
-                        if payload in (0, 1):
+                        if payload is not None:
                             out.append(payload)
                     if out:
                         self.network.send(
@@ -341,10 +338,10 @@ class MostefaouiBroadcast(BroadcastBackend):
                     continue
                 payload: Optional[int] = aux[pid]
                 if adversary.controls(pid):
-                    payload = adversary.aux_value(
+                    payload = message_bit("aux_value", adversary.aux_value(
                         pid, recipient, aux[pid], round_index, instance, view
-                    )
-                if payload in (0, 1):
+                    ))
+                if payload is not None:
                     self.network.send(pid, recipient, payload, 1, aux_tag)
         inboxes = self.network.deliver()
         received: Dict[int, Set[int]] = {}

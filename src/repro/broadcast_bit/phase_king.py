@@ -37,6 +37,7 @@ from typing import Dict, FrozenSet, List, Optional
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.network.metrics import BitMeter
 from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import message_bit
 
 
 def phase_king_bits(n: int, t: int) -> int:
@@ -88,12 +89,12 @@ def run_king_consensus(
             for recipient in recipients[sender]:
                 payload: Optional[int] = current[sender]
                 if adversary.controls(sender):
-                    payload = adversary.king_value(
+                    payload = message_bit("king_value", adversary.king_value(
                         sender, recipient, phase, current[sender],
                         instance, view,
-                    )
+                    ))
                 sent += 1
-                if payload in (0, 1):
+                if payload is not None:
                     counts[recipient][payload] += 1
         for pid in active:
             counts[pid][current[pid]] += 1  # own value, not transmitted
@@ -116,11 +117,14 @@ def run_king_consensus(
             for recipient in recipients[sender]:
                 payload = proposals[sender]
                 if adversary.controls(sender):
-                    payload = adversary.king_proposal(
-                        sender, recipient, phase, proposals[sender],
-                        instance, view,
+                    payload = message_bit(
+                        "king_proposal",
+                        adversary.king_proposal(
+                            sender, recipient, phase, proposals[sender],
+                            instance, view,
+                        ),
                     )
-                if payload in (0, 1):
+                if payload is not None:
                     sent += 1
                     proposal_counts[recipient][payload] += 1
         for pid in active:
@@ -148,10 +152,10 @@ def run_king_consensus(
             for recipient in recipients[king]:
                 payload = current[king]
                 if adversary.controls(king):
-                    payload = adversary.king_bit(
+                    payload = message_bit("king_bit", adversary.king_bit(
                         king, recipient, phase, current[king],
                         instance, view,
-                    )
+                    ))
                 sent += 1
                 king_broadcast[recipient] = payload
         meter.add("%s.king.r3" % tag, sent, sent)
@@ -188,21 +192,9 @@ class PhaseKingBroadcast(BroadcastBackend):
         active = [pid for pid in range(self.n) if pid not in ignored]
 
         # -- source round: source sends its bit to everyone ------------------
-        value: Dict[int, Optional[int]] = {pid: None for pid in range(self.n)}
+        value = self._source_bits(source, bit, active, instance, view)
+        self._charge("%s.source" % tag, len(value), messages=len(value))
         value[source] = bit
-        sent = 0
-        for recipient in active:
-            if recipient == source:
-                continue
-            payload: Optional[int] = bit
-            if adversary.controls(source):
-                payload = adversary.bsb_source_bit(
-                    source, recipient, bit, instance, view
-                )
-            sent += 1
-            value[recipient] = payload
-        self._charge("%s.source" % tag, sent, messages=sent)
-
         inputs = {
             pid: value[pid] if value[pid] in (0, 1) else 0 for pid in active
         }

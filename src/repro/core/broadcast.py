@@ -49,16 +49,14 @@ from repro.core.config import BACKENDS, ProtocolInvariantError
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import SyncNetwork
-from repro.processors.adversary import (
-    Adversary,
-    GlobalView,
-    diagnosis_symbol_value,
-    trust_row_bits,
+from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import (
+    bit_answer, codeword_symbols, diagnosis_symbol_value, received_symbol,
+    trust_row_bits, wire_payload,
 )
 from repro.utils.bits import (
     bits_to_int,
     int_to_bits,
-    is_exact_int,
     pack_symbols,
     unpack_symbols,
 )
@@ -323,9 +321,8 @@ class MultiValuedBroadcast:
         def receive(senders) -> List[Tuple[int, int, int]]:
             """End the round and read it: ``(sender, recipient, symbol)``
             for every edge, batched or scalar, whose sender is one of
-            ``senders``, trusted by its recipient, with a valid symbol.
-            The check is for an exact int: a Byzantine payload of
-            ``True`` would pass the range check as the symbol 1."""
+            ``senders``, trusted by its recipient, with a valid symbol
+            (``received_symbol``)."""
             delivery = self.network.deliver_arrays()
             edges = itertools.chain(*(
                 zip(batch.senders.tolist(), batch.receivers.tolist(),
@@ -339,8 +336,7 @@ class MultiValuedBroadcast:
                 (sender, recipient, payload)
                 for sender, recipient, payload in edges
                 if sender in senders and mask[recipient, sender]
-                and is_exact_int(payload)
-                and 0 <= payload < code.symbol_limit
+                and received_symbol(payload, code.symbol_limit) is not None
             ]
 
         def broadcast_rows(rows, stage) -> List[List[int]]:
@@ -372,9 +368,9 @@ class MultiValuedBroadcast:
             )
         else:
             for peer in participating:
-                symbol = adversary.source_symbol(
+                symbol = wire_payload(adversary.source_symbol(
                     source, peer, codeword[position[peer]], g, view
-                )
+                ))
                 if symbol is None:
                     continue
                 self.network.send(
@@ -414,10 +410,10 @@ class MultiValuedBroadcast:
             for recipient in active_peers:
                 if not mask[sender, recipient]:
                     continue
-                payload = adversary.forwarded_symbol(
+                payload = wire_payload(adversary.forwarded_symbol(
                     sender, recipient,
                     held if held is not None else 0, g, view,
-                )
+                ))
                 if payload is None:
                     continue
                 self.network.send(
@@ -459,7 +455,9 @@ class MultiValuedBroadcast:
                 or not memoised(code.is_consistent, symbols)
             )
             if adversary.controls(peer):
-                flag = bool(adversary.detected_flag(peer, flag, g, view))
+                flag = bit_answer("detected_flag", adversary.detected_flag(
+                    peer, flag, g, view
+                ))
             flags.append(1 if flag else 0)
 
         received_flags = broadcast_rows(
@@ -499,11 +497,10 @@ class MultiValuedBroadcast:
 
         claimed = list(codeword)
         if adversary.controls(source):
-            claimed = [
-                sym % code.symbol_limit
-                for sym in adversary.source_codeword(source, codeword, g, view)
-            ]
-            claimed = (claimed + [0] * len(codeword))[: len(codeword)]
+            claimed = codeword_symbols(
+                adversary.source_codeword(source, codeword, g, view),
+                len(codeword), code.symbol_limit,
+            )
         s_sharp = broadcast_symbols(
             [(source, symbol) for symbol in claimed], "diag.codeword"
         )
@@ -518,14 +515,14 @@ class MultiValuedBroadcast:
                 )
                 for j in participating
             )
-            answer = honest_row
             if adversary.controls(i):
-                answer = adversary.trust_row(
-                    i, participating, honest_row, g, view
+                bits = trust_row_bits(
+                    adversary.trust_row(i, participating, honest_row, g, view),
+                    participating, honest_row,
                 )
-            trust_rows.append(
-                (i, trust_row_bits(answer, participating, honest_row))
-            )
+            else:
+                bits = trust_row_bits(honest_row, participating, honest_row)
+            trust_rows.append((i, bits))
         trust = np.array(broadcast_rows(trust_rows, "diag.trust"), dtype=bool)
 
         removed: List[Tuple[int, int]] = []

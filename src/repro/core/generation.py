@@ -41,12 +41,9 @@ Both paths ask every adversary hook with the same arguments — controlled
 rows are applied onto the batched arrays — and an answer is a function
 of those arguments (``docs/ARCHITECTURE.md``, rule 3), so metering is
 byte-identical.  Both paths ask a faulty processor for its rows once
-each — its symbol round
-(``matching_row``), its M vector (``m_row``) and its Trust vector
-(``trust_row``) — and read the answers by the adversary module's
-expansion rules (``matching_row_payloads``, ``m_row_bits``,
-``trust_row_bits``); the scalar path then assembles its per-pid views
-from what was broadcast.
+each (``matching_row``, ``m_row``, ``trust_row``) and read every answer
+through :mod:`repro.processors.answers`; the scalar path then assembles
+its per-pid views from what was broadcast.
 
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
@@ -86,11 +83,12 @@ from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
-from repro.processors.adversary import (
-    Adversary, GlobalView, diagnosis_symbol_value, hook_is_default,
-    m_row_bits, matching_row_payloads, trust_row_bits,
+from repro.processors.adversary import Adversary, GlobalView, hook_is_default
+from repro.processors.answers import (
+    bit_answer, diagnosis_symbol_value, m_row_bits, matching_row_payloads,
+    received_symbol, trust_row_bits, trust_row_change,
 )
-from repro.utils.bits import PackedBits, is_exact_int
+from repro.utils.bits import PackedBits
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
@@ -244,12 +242,11 @@ class GenerationProtocol:
             self._consistency_cache[key] = cached
         return cached
 
-    def _valid_symbol(self, payload: object) -> Optional[int]:
-        # Exact int check: a Byzantine payload of True would pass an
-        # isinstance check and the range check as the symbol 1.
-        if is_exact_int(payload) and 0 <= payload < self.code.symbol_limit:
-            return payload
-        return None
+    def _detected(self, q: int, honest_flag: bool, view: GlobalView) -> int:
+        """The Detected bit controlled outsider ``q`` broadcasts."""
+        return bit_answer("detected_flag", self.adversary.detected_flag(
+            q, honest_flag, self.generation, view
+        ))
 
     def _find_match_set(
         self, m_view: Dict[int, List[bool]]
@@ -482,12 +479,10 @@ class GenerationProtocol:
         faulty_payloads: List[object] = []
         view = self._view() if faulty else None
         for sender, recipients in faulty:
-            answer = self.adversary.matching_row(
+            payloads = matching_row_payloads(self.adversary.matching_row(
                 sender, recipients, diagonal[sender], self.generation, view,
-            )
-            for recipient, payload in zip(
-                recipients, matching_row_payloads(answer, recipients)
-            ):
+            ), recipients)
+            for recipient, payload in zip(recipients, payloads):
                 if payload is None:
                     continue  # silent: no bits on the wire
                 faulty_senders.append(sender)
@@ -517,6 +512,7 @@ class GenerationProtocol:
             [codewords[pid][pid] for pid in range(self.n)],
         )
         mask = self.graph.trust_mask()
+        limit = self.code.symbol_limit
 
         received: Dict[int, Dict[int, Optional[int]]] = {
             pid: {} for pid in range(self.n)
@@ -531,7 +527,7 @@ class GenerationProtocol:
                 batch.receivers.tolist(),
                 batch.payload_list(),
             ):
-                received[recipient][sender] = self._valid_symbol(payload)
+                received[recipient][sender] = received_symbol(payload, limit)
         symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
             for message in delivery.inboxes[pid]:
@@ -543,8 +539,8 @@ class GenerationProtocol:
                     continue
                 if not mask[pid, message.sender]:
                     continue  # line 1(b): ignore untrusted senders
-                received[pid][message.sender] = self._valid_symbol(
-                    message.payload
+                received[pid][message.sender] = received_symbol(
+                    message.payload, limit
                 )
             received[pid][pid] = codewords[pid][pid]
         return codewords, received
@@ -563,7 +559,7 @@ class GenerationProtocol:
         view = self._view()
         tag = "%s.matching.M" % self.tag
         mask = self.graph.trust_mask()
-        answers: Dict[int, object] = {
+        honest_rows = {
             i: tuple(
                 j == i
                 or (
@@ -575,11 +571,14 @@ class GenerationProtocol:
             )
             for i in range(self.n)
         }
+        bits = {
+            i: m_row_bits(row, i, self.n) for i, row in honest_rows.items()
+        }
         for i in self._controlled:
-            answers[i] = self.adversary.m_row(
-                i, answers[i], self.generation, view
-            )
-        rows = [(i, m_row_bits(answers[i], i, self.n)) for i in range(self.n)]
+            bits[i] = m_row_bits(self.adversary.m_row(
+                i, honest_rows[i], self.generation, view
+            ), i, self.n)
+        rows = list(bits.items())
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         m_view: Dict[int, Dict[int, List[bool]]] = {
             pid: {} for pid in range(self.n)
@@ -644,9 +643,7 @@ class GenerationProtocol:
         flags = dict(honest_detected)
         for q in self._controlled:
             if q in flags:
-                flags[q] = bool(self.adversary.detected_flag(
-                    q, honest_detected[q], self.generation, view
-                ))
+                flags[q] = self._detected(q, honest_detected[q], view)
         rows = [(q, [1 if flag else 0]) for q, flag in flags.items()]
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
         for (q, _), outcome in zip(rows, outcomes):
@@ -723,18 +720,18 @@ class GenerationProtocol:
         honest_rows = {
             i: honest_trust(i) for i in range(self.n) if i not in isolated
         }
-        answers = dict(honest_rows)
+        bits = {
+            i: trust_row_bits(row, p_match, row)
+            for i, row in honest_rows.items()
+        }
         for i in self._controlled:
-            if i in answers:
-                answers[i] = self.adversary.trust_row(
+            if i in honest_rows:
+                bits[i] = trust_row_bits(self.adversary.trust_row(
                     i, p_match, honest_rows[i], self.generation, view
-                )
-        rows = [
-            (i, trust_row_bits(answer, p_match, honest_rows[i]))
-            for i, answer in answers.items()
-        ]
+                ), p_match, honest_rows[i])
+        rows = list(bits.items())
         outcomes = self.backend.broadcast_bits_many(rows, trust_tag, isolated)
-        for i, outcome in zip(answers, outcomes):
+        for (i, _), outcome in zip(rows, outcomes):
             for pid, trust in enumerate(_pid_views(outcome, self.n, trust_of)):
                 trust_view[pid][i] = dict(trust)
 
@@ -1087,6 +1084,7 @@ class GenerationProtocol:
         does; a batch is Byzantine when its senders are controlled (a
         batch never mixes honest and faulty senders).
         """
+        limit = self.code.symbol_limit
         honest: List = []
         byzantine: List = []
         for batch in delivery.batches:
@@ -1114,8 +1112,9 @@ class GenerationProtocol:
                 batch.receivers.tolist(),
                 batch.payload_list(),
             ):
-                symbol = self._valid_symbol(payload)
-                row[recipient, sender] = _MISSING if symbol is None else symbol
+                row[recipient, sender] = received_symbol(
+                    payload, limit, _MISSING
+                )
         symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
             for message in inboxes[pid]:
@@ -1125,9 +1124,8 @@ class GenerationProtocol:
                     continue
                 if not mask[pid, message.sender]:
                     continue  # line 1(b): ignore untrusted senders
-                symbol = self._valid_symbol(message.payload)
-                row[pid, message.sender] = (
-                    _MISSING if symbol is None else symbol
+                row[pid, message.sender] = received_symbol(
+                    message.payload, limit, _MISSING
                 )
         return True
 
@@ -1247,10 +1245,7 @@ class GenerationProtocol:
             view = self._view()
             for q in self._controlled:
                 if q in honest_detected:
-                    flag = self.adversary.detected_flag(
-                        q, honest_detected[q], self.generation, view
-                    )
-                    rows[q] = [1 if flag else 0]
+                    rows[q] = [self._detected(q, honest_detected[q], view)]
         outcomes = self._dispatch_sources(
             outsiders, rows, 1, "%s.checking.detected" % self.tag, isolated
         )
@@ -1446,20 +1441,17 @@ class GenerationProtocol:
             row = PackedBits(trust_packed[i], n_pm)
             if honest_rows is not None:
                 honest_row = tuple(honest_rows[index])
-                answer = self.adversary.trust_row(
+                change = trust_row_change(self.adversary.trust_row(
                     i, p_match, honest_row, self.generation, view
-                )
-                if answer is honest_row:
-                    pass
-                elif isinstance(answer, AbstractSet):
+                ), p_match, honest_row)
+                if isinstance(change, AbstractSet):
                     keep = honest_trust_mat[i].copy()
-                    keep[[column[j] for j in answer if j in column]] = False
+                    keep[[column[j] for j in change if j in column]] = False
                     row = PackedBits(np.packbits(keep), n_pm)
                     deviant[i] = keep
-                else:
-                    bits = trust_row_bits(answer, p_match, honest_row)
-                    row = PackedBits.from_bits(bits)
-                    deviant[i] = np.array(bits, dtype=bool)
+                elif change is not None:
+                    row = PackedBits.from_bits(change)
+                    deviant[i] = np.array(change, dtype=bool)
             trust_rows[i] = row
 
         live = [i for i in range(n) if i not in isolated]

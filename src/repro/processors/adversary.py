@@ -19,149 +19,17 @@ has a processor emit one at once: its one symbol to every peer it trusts
 (:meth:`Adversary.matching_row`), its M vector (:meth:`Adversary.m_row`)
 and its Trust vector over ``P_match`` (:meth:`Adversary.trust_row`).
 Each has this one form, asked once per faulty processor and generation
-on every engine.  A row answer names what the row is — the honest row
-itself, a constant, the members accused, a payload plus its exceptions
-— so an engine that already holds the honest row reuses it instead of
-copying it.
-:func:`matching_row_payloads`, :func:`m_row_bits`,
-:func:`trust_row_bits` and :func:`diagnosis_symbol_value` are the rules
-every engine reads an answer by.
+on every engine.  Each hook's docstring states its answer domain; what
+an answer means is decided by :mod:`repro.processors.answers` alone.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.utils.bits import is_exact_int
-
-
-class RowConstant:
-    """An :meth:`Adversary.m_row` answer that sets every broadcast flag
-    to ``bit``, whatever the honest row holds."""
-
-    __slots__ = ("name", "bit")
-
-    def __init__(self, name: str, bit: int):
-        self.name = name
-        self.bit = bit
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-#: The M row that accuses every peer.
-ALL_FALSE = RowConstant("ALL_FALSE", 0)
-#: The M row that claims a match with every peer.
-ALL_TRUE = RowConstant("ALL_TRUE", 1)
-
-#: What :meth:`Adversary.matching_row` answers: the payload every
-#: recipient gets and a ``recipient -> payload`` mapping of exceptions.
-SymbolRow = Tuple[Any, Mapping[Any, Any]]
-#: What :meth:`Adversary.m_row` may answer: the honest row itself, a
-#: :class:`RowConstant`, or an explicit row of flags.
-MRow = Union[RowConstant, Sequence[Any]]
-#: What :meth:`Adversary.trust_row` may answer: the honest row itself,
-#: the set of members accused, or an explicit ``member -> flag`` mapping.
-TrustRow = Union[Tuple[bool, ...], AbstractSet[int], Mapping[int, Any]]
-
-
-def matching_row_payloads(
-    answer: SymbolRow, recipients: Sequence[int]
-) -> List[Any]:
-    """The payload each of ``recipients`` gets, in order, for a
-    :meth:`Adversary.matching_row` answer ``(payload, exceptions)``.
-
-    A recipient named by an exception gets that exception's payload;
-    every other recipient gets ``payload``.  A key counts only when it
-    is an exact ``int`` among ``recipients``: ``True`` is not pid 1, and
-    a key naming the sender, a negative or absent pid or a peer outside
-    ``recipients`` is ignored.  ``None`` is silence: nothing is sent.
-    """
-    payload, exceptions = answer
-    if not exceptions:
-        return [payload] * len(recipients)
-    named = {
-        recipient: other for recipient, other in exceptions.items()
-        if is_exact_int(recipient)
-    }
-    return [named.get(recipient, payload) for recipient in recipients]
-
-
-def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
-    """The ``n - 1`` bits processor ``pid`` broadcasts for an M row
-    answer.
-
-    A :class:`RowConstant` sets every bit.  Any other answer is read as
-    an explicit row: padded with ``False`` or truncated to ``n``
-    entries, each flag by its truthiness, and the own slot never sent.
-    """
-    if isinstance(answer, RowConstant):
-        return [answer.bit] * (n - 1)
-    row = list(answer)
-    if len(row) != n:
-        row = (row + [False] * n)[:n]
-    return [1 if flag else 0 for j, flag in enumerate(row) if j != pid]
-
-
-def trust_row_bits(
-    answer: TrustRow, p_match: Sequence[int], honest_row: Sequence[bool]
-) -> List[int]:
-    """The ``|P_match|`` bits a Trust row answer broadcasts.
-
-    The honest row broadcasts itself.  A mapping is read ``answer.get(j,
-    False)`` per member, by truthiness.  A set turns the members it
-    names ``False`` on the honest row (a pid outside ``P_match`` is
-    ignored).  Anything else — a copy of the honest row included — is
-    refused, since a sequence of flags would read as a set of pids.
-    """
-    if answer is honest_row:
-        return [1 if flag else 0 for flag in honest_row]
-    if isinstance(answer, Mapping):
-        return [1 if answer.get(j, False) else 0 for j in p_match]
-    if isinstance(answer, AbstractSet):
-        return [
-            1 if flag and j not in answer else 0
-            for j, flag in zip(p_match, honest_row)
-        ]
-    raise TypeError(
-        "a trust_row answer is the honest row itself, a set of accused "
-        "members or a member -> flag mapping, got %s"
-        % type(answer).__name__
-    )
-
-
-def diagnosis_symbol_value(answer: Any, symbol_limit: int) -> int:
-    """The symbol a :meth:`Adversary.diagnosis_symbol` answer broadcasts.
-
-    The answer must be an exact ``int`` (``True`` is refused, as it is
-    on receipt), reduced mod ``symbol_limit``; anything else raises
-    :class:`TypeError`.
-    """
-    if not is_exact_int(answer):
-        raise TypeError(
-            "a diagnosis_symbol answer is an exact int symbol, got %s"
-            % type(answer).__name__
-        )
-    return answer % symbol_limit
-
-
-def input_value_of(answer: Any, l_bits: int) -> int:
-    """The input an :meth:`Adversary.input_value` answer runs with.
-
-    The answer must be an exact ``int`` (``True`` is not the input 1),
-    reduced mod ``2^l_bits``; anything else raises :class:`TypeError`.
-    """
-    if not is_exact_int(answer):
-        raise TypeError(
-            "an input_value answer is an exact int value, got %s"
-            % type(answer).__name__
-        )
-    return answer % (1 << l_bits)
+from repro.processors.answers import MRow, SymbolRow, TrustRow
 
 
 @dataclass
@@ -197,7 +65,8 @@ class Adversary:
     # -- consensus: input substitution ---------------------------------------
 
     def input_value(self, pid: int, honest_input: int, view: GlobalView) -> int:
-        """The L-bit input a faulty processor pretends to hold."""
+        """The L-bit input a faulty processor pretends to hold: an exact
+        ``int`` (``answers.input_value_of``)."""
         return honest_input
 
     # -- consensus: matching stage -------------------------------------------
@@ -216,10 +85,10 @@ class Adversary:
         every processor it trusts; ``recipients`` are those that are
         live, ascending.  Returns ``(payload, exceptions)``: the payload
         every one of ``recipients`` gets and a ``recipient -> payload``
-        mapping of those that get something else
-        (:func:`matching_row_payloads` expands it).  A payload of
-        ``None`` is silence (the receiver treats a missing message from
-        a trusted peer as a mismatching distinguished value); anything
+        mapping, keyed by exact ``int`` pids, of those that get something
+        else (``answers.matching_row_payloads``).  A payload of ``None``
+        is silence (the receiver treats a missing message from a trusted
+        peer as a mismatching distinguished value); anything
         that is not an exact ``int`` symbol is charged but missing on
         receipt.
         """
@@ -237,8 +106,9 @@ class Adversary:
 
         ``honest_row`` is the immutable ``n``-tuple of ``pid``'s honest
         M flags, own slot included.  Answer ``honest_row`` itself to
-        broadcast it, :data:`ALL_FALSE` or :data:`ALL_TRUE` for a
-        constant row, or an explicit row of flags (:func:`m_row_bits`).
+        broadcast it, ``answers.ALL_FALSE`` or ``answers.ALL_TRUE`` for a
+        constant row, or an explicit row of flags read by truthiness
+        (``answers.m_row_bits``).
         """
         return honest_row
 
@@ -251,7 +121,8 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> bool:
-        """The Detected bit a faulty ``pid`` (outside P_match) broadcasts."""
+        """The Detected bit a faulty ``pid`` (outside P_match)
+        broadcasts: a bit (``answers.bit_answer``)."""
         return honest_flag
 
     # -- consensus: diagnosis stage ---------------------------------------------
@@ -264,8 +135,7 @@ class Adversary:
         view: GlobalView,
     ) -> int:
         """The symbol ``S_j[j]`` a faulty ``pid`` in P_match broadcasts:
-        an exact ``int``, read mod the symbol limit
-        (:func:`diagnosis_symbol_value`)."""
+        an exact ``int`` (``answers.diagnosis_symbol_value``)."""
         return honest_symbol
 
     def trust_row(
@@ -282,8 +152,8 @@ class Adversary:
         ``honest_row`` is the immutable tuple of ``pid``'s honest Trust
         flags, one per member of ``p_match`` in order.  Answer
         ``honest_row`` itself to broadcast it, a set of members to turn
-        those ``False``, or an explicit ``member -> flag`` mapping
-        (:func:`trust_row_bits`).
+        those ``False``, or an explicit ``member -> flag`` mapping read
+        by truthiness (``answers.trust_row_bits``).
         """
         return honest_row
 
@@ -299,7 +169,8 @@ class Adversary:
     ) -> Optional[int]:
         """Initial bit a faulty broadcast *source* sends to ``recipient``.
 
-        Equivocation allowed; ``None`` = silent (receiver assumes 0).
+        Equivocation allowed; ``None`` = silent (receiver assumes 0),
+        anything else a bit (``answers.message_bit``).
         """
         return honest_bit
 
@@ -313,7 +184,8 @@ class Adversary:
         """Outcome a faulty source imposes under the accounted-ideal backend.
 
         A correct broadcast still guarantees agreement, so the adversary
-        picks one bit delivered identically to everybody.
+        picks one bit delivered identically to everybody
+        (``answers.bit_answer``).
         """
         return honest_bit
 
@@ -326,7 +198,8 @@ class Adversary:
         instance: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Phase-King round-1 value a faulty ``pid`` sends to ``recipient``."""
+        """Phase-King round-1 value a faulty ``pid`` sends to ``recipient``
+        (``answers.message_bit``; ``None`` is silence, still charged)."""
         return honest_value
 
     def king_proposal(
@@ -338,7 +211,8 @@ class Adversary:
         instance: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Phase-King round-2 proposal (``None`` = no proposal)."""
+        """Phase-King round-2 proposal (``answers.message_bit``; ``None``
+        = no proposal)."""
         return honest_proposal
 
     def king_bit(
@@ -350,7 +224,8 @@ class Adversary:
         instance: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Phase-King round-3 king message from a faulty king."""
+        """Phase-King round-3 king message from a faulty king
+        (``answers.message_bit``; ``None`` is silence, still charged)."""
         return honest_bit
 
     def eig_relay(
@@ -362,7 +237,8 @@ class Adversary:
         instance: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Value a faulty ``pid`` relays for EIG tree node ``path``."""
+        """Value a faulty ``pid`` relays for EIG tree node ``path``
+        (``answers.message_bit``; ``None`` is silence)."""
         return honest_value
 
     # -- randomized common-coin backend (Mostefaoui) -------------------------------
@@ -378,7 +254,8 @@ class Adversary:
     ) -> Optional[int]:
         """EST bit a faulty ``pid`` sends ``recipient`` in BV-broadcast.
 
-        Equivocation allowed; ``None`` = silent (omission).
+        Equivocation allowed; ``None`` = silent (omission), anything
+        else a bit (``answers.message_bit``).
         """
         return honest_est
 
@@ -393,7 +270,8 @@ class Adversary:
     ) -> Optional[int]:
         """AUX bit a faulty ``pid`` sends ``recipient``.
 
-        Equivocation allowed; ``None`` = silent (omission).
+        Equivocation allowed; ``None`` = silent (omission), anything
+        else a bit (``answers.message_bit``).
         """
         return honest_aux
 
@@ -408,9 +286,9 @@ class Adversary:
 
         Models a corruptible coin dealer: the returned bit *is* the coin
         every processor sees (the coin stays common — per-processor coin
-        splits are out of model).  After the backend's derandomization
-        cap the hook is ignored, so termination cannot be stalled
-        forever.
+        splits are out of model); an answer other than 0 or 1 keeps the
+        honest coin.  After the backend's derandomization cap the hook
+        is ignored, so termination cannot be stalled forever.
         """
         return honest_coin
 
@@ -424,7 +302,8 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Symbol a faulty *source* disperses to ``recipient``."""
+        """Symbol a faulty *source* disperses to ``recipient``, sent as
+        answered (``answers.wire_payload``)."""
         return honest_symbol
 
     def forwarded_symbol(
@@ -435,7 +314,8 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> Optional[int]:
-        """Symbol a faulty peer forwards during broadcast relay."""
+        """Symbol a faulty peer forwards during broadcast relay, sent as
+        answered (``answers.wire_payload``)."""
         return honest_symbol
 
     def source_codeword(
@@ -445,7 +325,8 @@ class Adversary:
         generation: int,
         view: GlobalView,
     ) -> List[int]:
-        """Codeword a faulty source claims during broadcast diagnosis."""
+        """Codeword a faulty source claims during broadcast diagnosis:
+        exact ``int`` symbols (``answers.codeword_symbols``)."""
         return list(honest_codeword)
 
     # -- signatures (t >= n/3 probabilistic substrate) ------------------------------
@@ -461,8 +342,8 @@ class Adversary:
 
         The information-theoretic pseudo-signatures the paper cites ([10],
         [4]) fail with probability ~2^-kappa; simulated substrates call
-        this to decide each attempt.  Honest default: forgeries never
-        succeed.
+        this to decide each attempt, a bit (``answers.bit_answer``).
+        Honest default: forgeries never succeed.
         """
         return False
 

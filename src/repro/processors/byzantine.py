@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from typing import Collection, Dict, List, Optional, Sequence
 
-from repro.processors.adversary import (
-    ALL_FALSE, ALL_TRUE, Adversary, GlobalView,
-)
+from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.answers import ALL_FALSE, ALL_TRUE
 from repro.utils.rng import derive_rng, derive_seed
 
 

@@ -18,14 +18,12 @@ the paper's Algorithm 1:
    trusts, so each live faulty sender is asked once for its row
    (:meth:`~repro.processors.adversary.Adversary.matching_row`): the
    payload every recipient gets plus the recipients that get something
-   else.  The answers, normalized as on receipt,
-   are the round's :class:`_SymbolRound` — a common payload per sender
-   and a sparse ``(sender, recipient)`` table of exceptions — which
-   every later step reads; the *deviation pattern* is its (silent
-   senders, exception pairs).  The exceptions are read by the
-   adversary module's expansion rule (an exact-int key among the
-   sender's recipients counts, nothing else), sparsely, so the round
-   costs O(faulty + deviations), not O(faulty · n).
+   else.  The answers, read as on receipt, are the round's
+   :class:`_SymbolRound` — a common payload per sender and a sparse
+   ``(sender, recipient)`` table of exceptions — which every later step
+   reads; the *deviation pattern* is its (silent senders, exception
+   pairs).  The exceptions are read sparsely, so the round costs
+   O(faulty + deviations), not O(faulty · n).
 2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
    M expectation rows (tuples) handed to the ``m_row`` hooks, the
    unhooked M broadcast rows, the match set they resolve to and, per
@@ -100,9 +98,12 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.core.generation import _MISSING, GenerationProtocol
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
-from repro.processors.adversary import Adversary, hook_is_default, m_row_bits
+from repro.processors.adversary import Adversary, hook_is_default
+from repro.processors.answers import (
+    bit_answer, m_row_bits, m_row_change, matching_row_answer,
+    received_symbol,
+)
 from repro.service.engine import finalize_result, prepare_instance
-from repro.utils.bits import is_exact_int
 
 #: Pattern entries (graph structures, their plans and match sets) a
 #: cohort keeps before it starts over: each is a pure function of its
@@ -387,9 +388,9 @@ class _SymbolRound:
     round: per sender the payload every recipient got, plus the sparse
     table of the (sender, recipient) pairs that got something else.
 
-    Payloads are held as the recipient reads them: an exact ``int`` in
-    ``[0, symbol_limit)``, or :data:`_MISSING` for silence (``None``,
-    not charged) and for anything else (charged, invalid on receipt).
+    Payloads are held as the recipient reads them (``received_symbol``),
+    :data:`_MISSING` for silence (not charged) and for anything else
+    (charged, invalid on receipt).
     An exception naming a pid the sender has no live trusted edge to is
     ignored, and one that reads like the sender's common payload is not
     kept, so ``exceptions`` holds exactly the pairs that differ.
@@ -406,18 +407,17 @@ class _SymbolRound:
         mask = struct.mask
         n = len(mask)
         # One row hook per sender, recipients sorted (the per-generation
-        # engine's arguments).  An exception counts when its key is an
-        # exact int among the recipients (matching_row_payloads): in
-        # range and a live trusted peer.
+        # engine's arguments).  An exception counts when its key is one
+        # of the recipients: in range and a live trusted peer.
         for f, recips in struct.fab_recips.items():
-            payload, others = adversary.matching_row(
-                f, recips, row_of[f][f], g, view
+            payload, others = matching_row_answer(
+                adversary.matching_row(f, recips, row_of[f][f], g, view)
             )
             quiet = payload is None
             if not quiet:
                 sent += len(recips)
-            if not (is_exact_int(payload) and 0 <= payload < limit):
-                payload = _MISSING
+            payload = received_symbol(payload, limit, _MISSING)
+            if payload == _MISSING:
                 silent.append(f)
             elif payload != cw[f]:
                 offcw = True
@@ -426,12 +426,11 @@ class _SymbolRound:
                 continue
             trusted = mask[f]
             for r, other in others.items():
-                if not (is_exact_int(r) and 0 <= r < n and trusted[r]):
+                if not (0 <= r < n and trusted[r]):
                     continue
                 if (other is None) != quiet:
                     sent += 1 if quiet else -1
-                if not (is_exact_int(other) and 0 <= other < limit):
-                    other = _MISSING
+                other = received_symbol(other, limit, _MISSING)
                 if other != payload:
                     exceptions[(f, r)] = other
                     if other != _MISSING and other != cw[f]:
@@ -600,13 +599,10 @@ class _InstanceRun:
         if not ctx.mv_default:
             for i in ctx.controlled_sorted:
                 honest_row = plan.ctrl_rows[i]
-                answer = self.adversary.m_row(
+                bits = m_row_change(self.adversary.m_row(
                     i, honest_row, g, self._make_view()
-                )
-                if answer is honest_row:
-                    continue
-                bits = m_row_bits(answer, i, ctx.n)
-                if struct.live[i]:
+                ), honest_row, i, ctx.n)
+                if bits is not None and struct.live[i]:
                     if rows is plan.m_rows:
                         rows = list(rows)
                     rows[i] = bits
@@ -645,8 +641,11 @@ class _InstanceRun:
             rows = list(rows)
             for k, (q, hit) in enumerate(check.detected):
                 if q in ctx.controlled:
-                    flag = self.adversary.detected_flag(
-                        q, hit, g, self._make_view()
+                    flag = bit_answer(
+                        "detected_flag",
+                        self.adversary.detected_flag(
+                            q, hit, g, self._make_view()
+                        ),
                     )
                     rows[k] = _SET if flag else _CLEAR
         outcomes = self._dispatch(

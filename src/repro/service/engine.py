@@ -29,7 +29,7 @@ from repro.core.result import (
     GenerationOutcome,
     GenerationResult,
 )
-from repro.processors.adversary import input_value_of
+from repro.processors.answers import substituted_inputs
 from repro.service.planner import Lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -61,16 +61,9 @@ def prepare_instance(
         "parts_of": consensus.parts_of,
         "l_bits": config.l_bits,
     }
-    effective: Dict[int, int] = {}
-    for pid in range(config.n):
-        value = inputs[pid]
-        if adversary.controls(pid):
-            value = input_value_of(
-                adversary.input_value(pid, value, consensus._make_view()),
-                config.l_bits,
-            )
-        effective[pid] = value
-    return effective
+    return substituted_inputs(
+        adversary, inputs, config.l_bits, consensus._make_view
+    )
 
 
 def finalize_result(

@@ -30,6 +30,7 @@ from repro.processors.registry import (
     make_attack,
     normalize_attack,
 )
+from repro.utils.bits import is_exact_int
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,19 @@ class InstanceSpec:
         Called where an instance enters — ``ConsensusService.submit`` /
         ``run_many`` and the server's admission — so a bad one fails
         alone instead of mid-batch, taking its batch-mates with it.
-        Returns ``self``; raises :class:`ValueError`.
+        Returns ``self``; raises :class:`ValueError`.  The seed, inputs
+        and faulty pids are exact ``int`` values (``True`` is not 1).
         """
         if len(self.inputs) != spec.n:
             raise ValueError(
                 "instance carries %d inputs for an n=%d deployment"
                 % (len(self.inputs), spec.n)
             )
+        if self.seed is not None and not is_exact_int(self.seed):
+            raise ValueError("seed %r is not an int" % (self.seed,))
         for value in self.inputs:
+            if not is_exact_int(value):
+                raise ValueError("input value %r is not an int" % (value,))
             if value < 0 or value >> spec.l_bits:
                 raise ValueError(
                     "input value 0x%x does not fit in l_bits=%d"
@@ -176,7 +182,7 @@ class InstanceSpec:
             )
         faulty = self.faulty if self.faulty is not None else spec.faulty
         for pid in faulty or ():
-            if not isinstance(pid, int) or not 0 <= pid < spec.n:
+            if not is_exact_int(pid) or not 0 <= pid < spec.n:
                 raise ValueError(
                     "faulty pid %r is not a processor of an n=%d deployment"
                     % (pid, spec.n)

@@ -29,9 +29,10 @@ from repro.processors import (
     make_attack,
 )
 from repro.processors import byzantine
-from repro.processors.adversary import (
-    ALL_FALSE, ALL_TRUE, PID_HOOKS, GlobalView, RowConstant,
-    hook_is_default, m_row_bits, matching_row_payloads, trust_row_bits,
+from repro.processors.adversary import PID_HOOKS, GlobalView, hook_is_default
+from repro.processors.answers import (
+    ALL_FALSE, ALL_TRUE, RowConstant, m_row_bits, matching_row_payloads,
+    trust_row_bits,
 )
 from repro.service.engine import prepare_instance
 

@@ -321,23 +321,14 @@ class TestBoolPayloadRegression:
         assert not is_exact_int("1")
 
     def test_generation_valid_symbol_rejects_bool(self):
-        config = ConsensusConfig.create(n=4, l_bits=64)
-        consensus = MultiValuedConsensus(config)
-        from repro.core.generation import GenerationProtocol
+        # Every engine receives a symbol by the one rule.
+        from repro.processors.answers import received_symbol
 
-        protocol = GenerationProtocol(
-            config=config,
-            code=consensus.code,
-            network=consensus.network,
-            graph=consensus.graph,
-            backend=consensus.backend,
-            adversary=consensus.adversary,
-            generation=0,
-            view_provider=consensus._make_view,
-        )
-        assert protocol._valid_symbol(True) is None
-        assert protocol._valid_symbol(False) is None
-        assert protocol._valid_symbol(1) == 1
+        config = ConsensusConfig.create(n=4, l_bits=64)
+        limit = MultiValuedConsensus(config).code.symbol_limit
+        assert received_symbol(True, limit) is None
+        assert received_symbol(False, limit) is None
+        assert received_symbol(1, limit) == 1
 
     def test_bool_payload_treated_exactly_like_invalid_symbol(self):
         # A Byzantine True payload must take the same code path as any

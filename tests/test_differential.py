@@ -32,7 +32,7 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
-from repro.processors.adversary import ALL_FALSE, m_row_bits
+from repro.processors.answers import ALL_FALSE, m_row_bits
 from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import cohort as cohort_module

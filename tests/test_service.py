@@ -404,6 +404,27 @@ class TestValidation:
         assert (per_generation, cohort) == ([], [])
         assert service._template is None
 
+    def test_a_bad_seed_or_input_fails_alone(self, monkeypatch):
+        """A seed that is not an int fails its own admission, not its
+        batch-mates' run; so does an input of ``True``."""
+        per_generation, cohort = count_executions(monkeypatch)
+        service = ConsensusService(RunSpec(n=7, l_bits=64, attack="random"))
+        good = InstanceSpec(inputs=(5,) * 7, seed=1)
+        for bad, message in (
+            (InstanceSpec(inputs=(5,) * 7, seed="x"), "seed 'x' is not"),
+            (InstanceSpec(inputs=(True,) * 7), "input value True is not"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                service.run_many([good, bad, good])
+            assert (per_generation, cohort) == ([], [])
+            assert service.submit(good) == 0
+            with pytest.raises(ValueError, match=message):
+                service.submit(bad)
+            assert service.submit(good) == 1
+            assert [r.value for r in service.drain()] == [5, 5]
+            per_generation.clear()
+            cohort.clear()
+
 
 def test_the_batch_surface_has_no_knob():
     """A re-added executor knob, or an export that names nothing, fails

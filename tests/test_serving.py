@@ -740,12 +740,17 @@ class TestServingOverTCP:
                           "attack": ["corrupt"]}},
             {"value": "0x7"},
             {"instance": {"values": ["7"], "inputs": [False] * 4}},
+            {"value": "7", "seed": "x"},
+            {"value": "7", "seed": 1.5},
+            {"value": "7", "seed": True},
+            {"value": "7", "faulty": [True]},
         ],
         ids=[
             "v2-instance", "index-past-end", "negative-index",
             "faulty-out-of-range", "faulty-not-an-int", "faulty-more-than-t",
             "attack-list", "instance-attack-list", "value-not-canonical",
-            "index-not-an-int",
+            "index-not-an-int", "seed-not-an-int", "seed-float", "seed-bool",
+            "faulty-bool",
         ],
     )
     def test_hostile_frame_gets_a_typed_reply_and_harms_nobody(self, hostile):
