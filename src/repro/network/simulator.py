@@ -51,6 +51,21 @@ from repro.network.metrics import BitMeter
 #: A round's journal order.
 _JOURNAL_ORDER = attrgetter("receiver", "sender", "tag")
 
+#: Validated batch shapes a network keeps (least recently used goes
+#: first): one per diagnosis-graph state for the honest symbol round,
+#: plus room for faulty senders' shapes that change every generation.
+_SHAPE_TABLE_SIZE = 8
+
+
+def _as_int(value: Any, field: str, error: type) -> int:
+    """``value`` as an ``int``: a Python int or a numpy integer, never a
+    ``bool`` or a float.  Anything else raises ``error``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error("%s must be an int, got %r" % (field, value))
+
 
 class NetworkError(RuntimeError):
     """Raised on misuse of the simulator (bad pid, self-send, duplicates)."""
@@ -129,13 +144,14 @@ class SyncNetwork:
         self.round_index = 0
         self._pending: List[Message] = []
         self._pending_batches: List[SymbolBatch] = []
-        self._sent_this_round: Dict[tuple, bool] = {}
         #: packed (sender * n + receiver) edge ids per tag, covering the
-        #: round's batched sends — the duplicate check the scalar path and
-        #: later batches test against.  A set, so the adversarial paths'
-        #: per-edge scalar sends check in O(1) instead of scanning batch
-        #: arrays.
-        self._batch_edges: Dict[str, set] = {}
+        #: round's scalar and batched sends — the one duplicate check
+        #: every later send of the round tests against.
+        self._round_edges: Dict[str, set] = {}
+        #: validated batch shapes, ``senders.tobytes() +
+        #: receivers.tobytes()`` -> the shape's sorted packed edge ids
+        #: (see :meth:`_shape_edges`).
+        self._shapes: Dict[bytes, tuple] = {}
         #: When journalling, every delivered message is retained here in
         #: delivery order — an execution trace for debugging and audits.
         #: Batched sends are materialized into the journal so the trace is
@@ -169,9 +185,11 @@ class SyncNetwork:
             )
         self.fault_schedule = schedule
 
-    def _check_pid(self, pid: int) -> None:
+    def _check_pid(self, pid: int) -> int:
+        pid = _as_int(pid, "processor id", NetworkError)
         if not 0 <= pid < self.n:
             raise NetworkError("processor id %d out of range [0, %d)" % (pid, self.n))
+        return pid
 
     def send(
         self, sender: int, receiver: int, payload: Any, bits: int, tag: str
@@ -182,21 +200,18 @@ class SyncNetwork:
         protocols here never need more, and the restriction catches
         orchestration bugs early.
         """
-        self._check_pid(sender)
-        self._check_pid(receiver)
+        sender = self._check_pid(sender)
+        receiver = self._check_pid(receiver)
+        bits = _as_int(bits, "bits", ValueError)
         if sender == receiver:
             raise NetworkError(
                 "self-send: processor %d to itself in round %d"
                 % (sender, self.round_index)
             )
-        key = (sender, receiver, tag)
-        if key in self._sent_this_round or self._edge_in_batches(
-            tag, sender, receiver
-        ):
-            raise NetworkError(
-                "duplicate message %r in round %d" % (key, self.round_index)
-            )
-        self._sent_this_round[key] = True
+        edge = sender * self.n + receiver
+        edges = self._round_edges.setdefault(tag, set())
+        if edge in edges:
+            self._raise_duplicate(edge, tag)
         message = Message(
             sender=sender,
             receiver=receiver,
@@ -205,6 +220,7 @@ class SyncNetwork:
             tag=tag,
             round_index=self.round_index,
         )
+        edges.add(edge)
         if self.fault_schedule is not None:
             decision = self.fault_schedule.decide(
                 self.round_index, sender, receiver, tag
@@ -266,9 +282,11 @@ class SyncNetwork:
                 kind,
             )
 
-    def _edge_in_batches(self, tag: str, sender: int, receiver: int) -> bool:
-        edges = self._batch_edges.get(tag)
-        return edges is not None and sender * self.n + receiver in edges
+    def _raise_duplicate(self, edge: int, tag: str) -> None:
+        key = (edge // self.n, edge % self.n, tag)
+        raise NetworkError(
+            "duplicate message %r in round %d" % (key, self.round_index)
+        )
 
     def send_many(
         self,
@@ -286,16 +304,26 @@ class SyncNetwork:
         per round, including against scalar sends), same metering totals
         — without constructing any per-edge :class:`Message` objects.
 
+        The checks that depend only on the edges (pid ranges, self-sends,
+        repeats inside the batch) run once per shape: a shape that
+        passed is kept in a small table (:meth:`_shape_edges`), so a
+        symbol round over an unchanged diagnosis graph pays only the
+        checks that depend on the round — repeats against the round's
+        earlier sends under ``tag``, the fault schedule, buffering and
+        metering.  A shape that fails is never kept and fails again.
+
         Args:
-            senders: 1-d array/sequence of sender pids.
-            receivers: matching 1-d array/sequence of receiver pids.
+            senders: 1-d integer array/sequence of sender pids.
+            receivers: matching 1-d integer array/sequence of receiver
+                pids.
             payloads: one payload per edge; an integer ndarray is kept
                 as the batch's packed payload lane (symbols wider than
                 an int64 lane stay Python-int lists; scalar consumers
                 read either form through
                 :meth:`~repro.network.message.SymbolBatch.payload_list`,
                 which restores exact Python ints).
-            bits: metered width of every message in the batch.
+            bits: metered width of every message in the batch (an int
+                or a numpy integer; never a bool or a float).
             tag: hierarchical meter tag.
 
         Metering invariant: one accounting entry with the batch totals,
@@ -303,8 +331,8 @@ class SyncNetwork:
         replaces.  Raises :class:`NetworkError` on any validation
         failure (the whole batch is rejected, nothing is buffered).
         """
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
+        senders = np.asarray(senders)
+        receivers = np.asarray(receivers)
         if senders.shape != receivers.shape or senders.ndim != 1:
             raise NetworkError(
                 "senders/receivers must be equal-length 1-d arrays, got "
@@ -315,54 +343,25 @@ class SyncNetwork:
                 "payload count %d does not match edge count %d"
                 % (len(payloads), senders.shape[0])
             )
+        bits = _as_int(bits, "bits", ValueError)
         if bits < 0:
             raise ValueError("bits must be non-negative, got %d" % bits)
-        count = senders.shape[0]
-        if count == 0:
+        if senders.shape[0] == 0:
             return
-        if (senders < 0).any() or (senders >= self.n).any() or (
-            (receivers < 0).any() or (receivers >= self.n).any()
-        ):
-            bad = senders[(senders < 0) | (senders >= self.n)]
-            if bad.shape[0] == 0:
-                bad = receivers[(receivers < 0) | (receivers >= self.n)]
+        if senders.dtype.kind not in "iu" or receivers.dtype.kind not in "iu":
             raise NetworkError(
-                "processor id %d out of range [0, %d)" % (int(bad[0]), self.n)
+                "processor ids must be integers, got dtypes %s and %s"
+                % (senders.dtype, receivers.dtype)
             )
-        self_mask = senders == receivers
-        if self_mask.any():
-            raise NetworkError(
-                "self-send: processor %d to itself in round %d"
-                % (int(senders[self_mask][0]), self.round_index)
+        senders = senders.astype(np.int64, copy=False)
+        receivers = receivers.astype(np.int64, copy=False)
+        edges = self._shape_edges(senders, receivers, tag)
+        sent = self._round_edges.setdefault(tag, set())
+        if sent and not sent.isdisjoint(edges):
+            self._raise_duplicate(
+                next(edge for edge in edges if edge in sent), tag
             )
-        packed = senders * self.n + receivers
-        unique = np.unique(packed)
-        duplicate = None
-        if unique.shape[0] != count:
-            # Intra-batch duplicate: find one for the error message.
-            order = np.argsort(packed, kind="stable")
-            repeats = np.flatnonzero(np.diff(packed[order]) == 0)
-            duplicate = int(packed[order][repeats[0]])
-        else:
-            existing = self._batch_edges.get(tag)
-            if existing:
-                for edge in unique.tolist():
-                    if edge in existing:
-                        duplicate = edge
-                        break
-            if duplicate is None and self._sent_this_round:
-                for sender, receiver, sent_tag in self._sent_this_round:
-                    if sent_tag == tag and (
-                        sender * self.n + receiver == packed
-                    ).any():
-                        duplicate = sender * self.n + receiver
-                        break
-        if duplicate is not None:
-            key = (duplicate // self.n, duplicate % self.n, tag)
-            raise NetworkError(
-                "duplicate message %r in round %d" % (key, self.round_index)
-            )
-        self._batch_edges.setdefault(tag, set()).update(unique.tolist())
+        sent.update(edges)
         if self.fault_schedule is not None:
             decisions = [
                 self.fault_schedule.decide(self.round_index, s, r, tag)
@@ -374,6 +373,50 @@ class SyncNetwork:
                 )
                 return
         self._buffer_batch(senders, receivers, payloads, bits, tag)
+
+    def _shape_edges(
+        self, senders: np.ndarray, receivers: np.ndarray, tag: str
+    ) -> tuple:
+        """The sorted packed edge ids of a batch shape, validated once.
+
+        A shape is its ``(senders, receivers)`` int64 arrays.  A shape
+        in the table is a hit and skips validation; a miss runs
+        :meth:`_validate_shape`, which raises before anything is kept.
+        The table holds :data:`_SHAPE_TABLE_SIZE` shapes, the least
+        recently used evicted first.
+        """
+        key = senders.tobytes() + receivers.tobytes()
+        edges = self._shapes.pop(key, None)
+        if edges is None:
+            edges = self._validate_shape(senders, receivers, tag)
+            if len(self._shapes) == _SHAPE_TABLE_SIZE:
+                del self._shapes[next(iter(self._shapes))]
+        self._shapes[key] = edges
+        return edges
+
+    def _validate_shape(
+        self, senders: np.ndarray, receivers: np.ndarray, tag: str
+    ) -> tuple:
+        """Check a batch's edges on their own (pid ranges, self-sends,
+        repeated edges) and return its sorted packed edge ids; ``tag``
+        only names a repeated edge."""
+        pids = np.concatenate((senders, receivers))
+        bad = pids[(pids < 0) | (pids >= self.n)]
+        if bad.shape[0]:
+            raise NetworkError(
+                "processor id %d out of range [0, %d)" % (int(bad[0]), self.n)
+            )
+        self_mask = senders == receivers
+        if self_mask.any():
+            raise NetworkError(
+                "self-send: processor %d to itself in round %d"
+                % (int(senders[self_mask][0]), self.round_index)
+            )
+        packed = senders * self.n + receivers
+        unique, counts = np.unique(packed, return_counts=True)
+        if unique.shape[0] != packed.shape[0]:
+            self._raise_duplicate(int(unique[counts > 1][0]), tag)
+        return tuple(unique.tolist())
 
     def _buffer_batch(self, senders, receivers, payloads, bits, tag) -> None:
         # Carrier form: an integer ndarray stays a packed payload lane
@@ -453,8 +496,7 @@ class SyncNetwork:
     def _end_round(self) -> None:
         self._pending = []
         self._pending_batches = []
-        self._sent_this_round = {}
-        self._batch_edges = {}
+        self._round_edges = {}
         self.round_index += 1
 
     def _journal_round(self, messages: List[Message]) -> None:
@@ -484,6 +526,8 @@ class SyncNetwork:
         >>> net.meter.total_bits, net.round_index
         (24, 1)
         """
+        count = _as_int(count, "count", ValueError)
+        bits = _as_int(bits, "bits", ValueError)
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)
         if bits < 0:
