@@ -52,9 +52,12 @@ from repro.network.metrics import BitMeter
 _JOURNAL_ORDER = attrgetter("receiver", "sender", "tag")
 
 #: Validated batch shapes a network keeps (least recently used goes
-#: first): one per diagnosis-graph state for the honest symbol round,
-#: plus room for faulty senders' shapes that change every generation.
-_SHAPE_TABLE_SIZE = 8
+#: first).  A round sends at most two batches: the honest and the faulty
+#: symbol batch of a generation, or a broadcast's dispersal and relay.
+#: An old diagnosis-graph state never comes back and a faulty shape that
+#: changes every generation never hits, so a third slot holds only dead
+#: shapes (measured: 2 slots hit exactly as often as an unbounded table).
+_SHAPE_TABLE_SIZE = 2
 
 
 def _as_int(value: Any, field: str, error: type) -> int:
