@@ -32,10 +32,10 @@ Two observationally identical executions coexist:
 * the **vectorized** path (the planner's ``Lane.PER_GENERATION``, under
   a backend whose honest broadcasts are priced) — the symbol exchange
   lands in one ``(n, n)`` numpy view assembled from
-  :class:`~repro.network.message.SymbolBatch` arrays, M vectors,
-  Detected flags and Trust vectors are boolean matrices, and broadcast
-  views are built once, for the reference processor: the backend hands
-  every processor one shared row, so every view is that one.
+  :class:`~repro.network.message.SymbolBatch` arrays, M vectors and
+  Detected flags are boolean matrices, and broadcast views are built
+  once, for the reference processor: the backend hands every processor
+  one shared row, so every view is that one.
 
 Both paths ask every adversary hook with the same arguments — controlled
 rows are applied onto the batched arrays — and an answer is a function
@@ -43,7 +43,8 @@ of those arguments (``docs/ARCHITECTURE.md``, rule 3), so metering is
 byte-identical.  Both paths ask a faulty processor for its rows once
 each (``matching_row``, ``m_row``, ``trust_row``) and read every answer
 through :mod:`repro.processors.answers`; the scalar path then assembles
-its per-pid views from what was broadcast.
+its per-pid views from what was broadcast.  Lines 3(f)-3(i) are one
+function for every engine, :func:`diagnosis_verdict`.
 
 The vectorized path leaves the work that does not change from one
 generation to the next to the run loop
@@ -56,23 +57,20 @@ symbols, M matrices, adjacency keys, and the outsiders' consistency
 checks batched per key.  Each generation still runs its own symbol
 round, hook asks and broadcast charges, in the order a one-generation
 run would, and a delivery that departs from the honest block is folded
-into that generation's row.  Line 2(c) decides a row that
-equals some processor's codeword on ``P_match`` as that codeword's data
-and decodes only the rest.  Every single-bit broadcast — M vectors,
-Detected flags, diagnosis symbols and trust vectors — goes through one
-dispatch rule (:meth:`GenerationProtocol._dispatch_sources`): fault-free
-sources are priced and only the controlled ones' rows are built and
-dispatched through ``broadcast_bits_many_grouped``, which is what makes
-``n >= 127`` fault-injection sweeps practical.
+into that generation's row.  The batched pieces it shares with the
+cohort engine live in :mod:`repro.service.cohort`, reached through a
+lazy import: the dispatch rule every single-bit broadcast goes through
+(``dispatch_sources``: fault-free sources priced, only the controlled
+ones' rows dispatched through ``broadcast_bits_many_grouped``, which is
+what makes ``n >= 127`` fault-injection sweeps practical), line 2(c)'s
+decode-once rule (``checking_decisions``) and the diagnosis stage
+(``CohortContext.diagnose``).
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import partial
-from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
-)
+from functools import cache, partial
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,12 +81,11 @@ from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView, hook_is_default
+from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import (
     bit_answer, diagnosis_symbol_value, m_row_bits, matching_row_payloads,
-    received_symbol, trust_row_bits, trust_row_change,
+    received_symbol, trust_row_bits,
 )
-from repro.utils.bits import PackedBits
 
 #: Sentinel for "no valid symbol received" in the vectorized view matrix
 #: (symbols are non-negative, so -1 is unambiguous in every dtype).
@@ -110,6 +107,96 @@ def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
             value = converted[id(row)] = convert(row)
         views.append(value)
     return views
+
+
+@cache
+def _cohort_module():
+    """:mod:`repro.service.cohort`, home of the batched rules and the
+    diagnosis stage the vectorized path shares with the cohort engine;
+    imported on first use, as the arena is (``repro.service`` imports
+    core modules at package init)."""
+    from repro.service import cohort
+
+    return cohort
+
+
+def diagnosis_verdict(
+    code,
+    graph: DiagnosisGraph,
+    t: int,
+    honest: Sequence[int],
+    error_free: bool,
+    generation: int,
+    p_match: Tuple[int, ...],
+    r_sharp: Dict[int, int],
+    detected_ref: Sequence[bool],
+    removed_edges: List[Tuple[int, int]],
+    isolated: FrozenSet[int],
+    default_part: Sequence[int],
+    detectors: List[int],
+) -> GenerationResult:
+    """Lines 3(f)-3(i), once the reference R# over ``P_match``
+    (``r_sharp``), the reference Detected flags and the removed edges
+    are known: false-alarm isolation, the over-degree rule, ``P_decide``
+    and the decode, which every fault-free processor in ``honest``
+    decides.  The one verdict of every engine; the scalar oracle, which
+    holds a per-pid R#, checks its processors' decodes against it.
+    """
+    n = graph.n
+    match_set = set(p_match)
+
+    # Line 3(f): with a consistent R#, a complainer whose vertex lost
+    # no edge is provably lying; isolate it.  The codeword through R#
+    # is kept for line 3(i).
+    r_sharp_word = code.codeword_through(r_sharp)
+    isolated_now: List[int] = []
+    if r_sharp_word is not None:
+        touched = {v for edge in removed_edges for v in edge}
+        for q in range(n):
+            if q in match_set or q in isolated:
+                continue
+            if (
+                detected_ref[q]
+                and q not in touched
+                and not graph.is_isolated(q)
+            ):
+                graph.isolate(q)
+                isolated_now.append(q)
+
+    # Line 3(g): over-degree rule.
+    isolated_now.extend(graph.apply_overdegree_rule(t))
+
+    # Lines 3(h)-3(i): find P_decide and decode from R#.
+    p_decide = graph.find_trusting_set(
+        n - 2 * t, candidates=sorted(match_set)
+    )
+    if p_decide is None:
+        if error_free:
+            raise ProtocolInvariantError(
+                "no P_decide of size %d inside P_match %r"
+                % (n - 2 * t, p_match)
+            )
+        decided = tuple(default_part)
+    else:
+        # The code is systematic and P_decide ⊆ P_match holds k
+        # positions, so with R# on a codeword the codeword through
+        # R#/P_decide is that one: its data is the decode, with no
+        # second interpolation.
+        p_decide = tuple(p_decide)
+        decided = tuple(
+            code.decode_subset({j: r_sharp[j] for j in p_decide})
+            if r_sharp_word is None else r_sharp_word[:code.k]
+        )
+    return GenerationResult(
+        generation=generation,
+        outcome=GenerationOutcome.DECIDED_DIAGNOSIS,
+        decisions=dict.fromkeys(honest, decided),
+        p_match=p_match,
+        p_decide=p_decide,
+        removed_edges=removed_edges,
+        isolated=isolated_now,
+        detectors=detectors,
+    )
 
 
 class GenerationProtocol:
@@ -750,124 +837,29 @@ class GenerationProtocol:
                         removed_edges.append(tuple(sorted((i, j))))
 
         reference_r_sharp = r_sharp_view[self._reference]
-        detected_ref = [
-            bool(detected_view[self._reference].get(q, False))
-            for q in range(self.n)
-        ]
-        return self._diagnosis_verdict(
-            p_match,
+        result = diagnosis_verdict(
+            self.code, self.graph, self.t, self._honest,
+            self.backend.error_free, self.generation, p_match,
             {j: reference_r_sharp[j] for j in p_match},
-            detected_ref,
-            removed_edges,
-            isolated,
-            default_part,
-            detectors,
-            lambda pid: {
-                j: r_sharp_view[pid][j] for j in p_match
-            },
+            [
+                bool(detected_view[self._reference].get(q, False))
+                for q in range(self.n)
+            ],
+            removed_edges, isolated, default_part, detectors,
         )
-
-    # -- diagnosis verdict shared by both paths ----------------------------------------
-
-    def _diagnosis_verdict(
-        self,
-        p_match: Tuple[int, ...],
-        reference_r_sharp: Dict[int, int],
-        detected_ref: List[bool],
-        removed_edges: List[Tuple[int, int]],
-        isolated: FrozenSet[int],
-        default_part: Sequence[int],
-        detectors: List[int],
-        r_sharp_of: Optional[Callable[[int], Dict[int, int]]] = None,
-    ) -> GenerationResult:
-        """Lines 3(f)-3(i): false-alarm isolation, over-degree rule,
-        ``P_decide`` and the decode — identical on both paths once the
-        reference R#/Detected views and the removed edges are known.
-        ``r_sharp_of(pid)`` supplies the per-pid R# for the final decode
-        (the scalar path, which checks the decisions agree); without it
-        every fault-free processor holds the reference R# — the
-        vectorized path's agreement premise — and one decode serves all.
-        """
-        match_set = set(p_match)
-
-        # Line 3(f): with a consistent R#, a complainer whose vertex lost
-        # no edge is provably lying; isolate it.  The codeword through
-        # R# is kept for line 3(i).
-        r_sharp_word = self.code.codeword_through(reference_r_sharp)
-        isolated_now: List[int] = []
-        if r_sharp_word is not None:
-            touched = {v for edge in removed_edges for v in edge}
-            for q in range(self.n):
-                if q in match_set or q in isolated:
-                    continue
-                if (
-                    detected_ref[q]
-                    and q not in touched
-                    and not self.graph.is_isolated(q)
-                ):
-                    self.graph.isolate(q)
-                    isolated_now.append(q)
-
-        # Line 3(g): over-degree rule.
-        isolated_now.extend(self.graph.apply_overdegree_rule(self.t))
-
-        # Lines 3(h)-3(i): find P_decide and decode from R#.
-        p_decide = self.graph.find_trusting_set(
-            self.n - 2 * self.t, candidates=sorted(match_set)
-        )
-        if p_decide is None:
-            if self.backend.error_free:
-                raise ProtocolInvariantError(
-                    "no P_decide of size %d inside P_match %r"
-                    % (self.n - 2 * self.t, p_match)
-                )
-            decisions = {
-                pid: tuple(default_part) for pid in self._honest
-            }
-            return GenerationResult(
-                generation=self.generation,
-                outcome=GenerationOutcome.DECIDED_DIAGNOSIS,
-                decisions=decisions,
-                p_match=p_match,
-                p_decide=None,
-                removed_edges=removed_edges,
-                isolated=isolated_now,
-                detectors=detectors,
-            )
-
-        # The code is systematic and P_decide ⊆ P_match holds k
-        # positions, so with R# on a codeword the codeword through
-        # R#/P_decide is that one: its data is the decode, with no
-        # second interpolation.
-        data = None if r_sharp_word is None else tuple(r_sharp_word[:self.k])
-        if r_sharp_of is None:
-            if data is None:
-                data = self._cached_decode(
-                    {j: reference_r_sharp[j] for j in p_decide}
-                )
-            decisions = dict.fromkeys(self._honest, data)
-        else:
-            if data is not None:
-                self._decode_cache[frozenset(
-                    (j, reference_r_sharp[j]) for j in p_decide
-                )] = data
-            decisions = {}
+        if result.p_decide is not None:
+            # Line 3(i) at every fault-free processor, from its own R#:
+            # one holding the reference R# on P_decide holds the
+            # verdict's decision.
+            reference = {j: reference_r_sharp[j] for j in result.p_decide}
             for pid in self._honest:
-                r_sharp = r_sharp_of(pid)
-                positions = {j: r_sharp[j] for j in p_decide}
-                decisions[pid] = self._cached_decode(positions)
-            self._assert_common(decisions, "diagnosis-stage decision")
-
-        return GenerationResult(
-            generation=self.generation,
-            outcome=GenerationOutcome.DECIDED_DIAGNOSIS,
-            decisions=decisions,
-            p_match=p_match,
-            p_decide=tuple(p_decide),
-            removed_edges=removed_edges,
-            isolated=isolated_now,
-            detectors=detectors,
-        )
+                positions = {
+                    j: r_sharp_view[pid][j] for j in result.p_decide
+                }
+                if positions != reference:
+                    result.decisions[pid] = self._cached_decode(positions)
+            self._assert_common(result.decisions, "diagnosis-stage decision")
+        return result
 
     # -- vectorized path: a stretch of generations ------------------------------------
 
@@ -991,18 +983,26 @@ class GenerationProtocol:
                 )
 
                 if detected_ref.any():
-                    # Detected outsiders: lines 3(a)-3(i), after which
-                    # the graph has changed and the stretch ends.
-                    results.append(self._diagnosis_stage_vec(
-                        p_match, words, row[:, list(p_match)], detected_ref,
-                        detectors, isolated, default_parts[start + index],
+                    # Detected outsiders: lines 3(a)-3(i) on the cohort
+                    # engine's stage, after which the graph has changed
+                    # and the stretch ends.
+                    context = _cohort_module().CohortContext(
+                        self.config, self.code, self.adversary,
+                        self._ensure_arena(),
+                    )
+                    results.append(context.diagnose(
+                        self.graph, self.backend, self.adversary,
+                        self._view(), self.generation, p_match, words,
+                        row[:, list(p_match)], detected_ref, detectors,
+                        isolated, default_parts[start + index],
                     ))
                     return results
                 results.append(GenerationResult(
                     generation=self.generation,
                     outcome=GenerationOutcome.DECIDED_CHECKING,
-                    decisions=self._checking_decisions(
-                        p_match, rows, classes, words
+                    decisions=_cohort_module().checking_decisions(
+                        self.code, self._honest, p_match, rows, classes,
+                        words,
                     ),
                     p_match=p_match,
                     detectors=detectors,
@@ -1139,10 +1139,11 @@ class GenerationProtocol:
         reference view ``m[i, j]`` = "``i`` claims its symbol from ``j``
         matched" as every fault-free processor received it: the
         controlled processors are asked for their rows (``m_row``) on
-        their honest rows, and every live row goes through
-        :meth:`_dispatch_sources`, which reads back only the controlled
-        rows (an isolated source broadcasts nothing; its honest row is
-        its own slot alone).  Returns whether a row was read back.
+        their honest rows, and every live row goes through the one
+        dispatch rule (``repro.service.cohort.dispatch_sources``), which
+        reads back only the controlled rows (an isolated source
+        broadcasts nothing; its honest row is its own slot alone).
+        Returns whether a row was read back.
         """
         n = self.n
         #: Controlled pid -> the n - 1 bits its answer broadcasts.
@@ -1155,8 +1156,9 @@ class GenerationProtocol:
                     self.adversary.m_row(i, honest_row, self.generation, view),
                     i, n,
                 )
-        outcomes = self._dispatch_sources(
-            live, rows, n - 1, "%s.matching.M" % self.tag, isolated
+        outcomes = _cohort_module().dispatch_sources(
+            self.backend, live, rows, n - 1, "%s.matching.M" % self.tag,
+            isolated,
         )
         for i, bits in outcomes.items():
             # The scalar ``row[:i]`` / ``row[i:]`` placement.
@@ -1230,7 +1232,7 @@ class GenerationProtocol:
         returns the reference Detected flags as a boolean vector plus
         the fault-free detectors.  The controlled outsiders are asked
         for their flags (``detected_flag``) and the one-bit rows go
-        through :meth:`_dispatch_sources` like the M rows."""
+        through the dispatch rule like the M rows."""
         outsiders = list(honest_detected)
         detectors = [
             q for q in outsiders
@@ -1246,251 +1248,10 @@ class GenerationProtocol:
             for q in self._controlled:
                 if q in honest_detected:
                     rows[q] = [self._detected(q, honest_detected[q], view)]
-        outcomes = self._dispatch_sources(
-            outsiders, rows, 1, "%s.checking.detected" % self.tag, isolated
+        outcomes = _cohort_module().dispatch_sources(
+            self.backend, outsiders, rows, 1,
+            "%s.checking.detected" % self.tag, isolated,
         )
         for q, bits in outcomes.items():
             detected_ref[q] = bool(bits[0])
         return detected_ref, detectors
-
-    def _checking_decisions(
-        self,
-        p_match: Tuple[int, ...],
-        rows: List[List[int]],
-        classes: List[List[int]],
-        words: Dict[int, List[int]],
-    ) -> Dict[int, Tuple[int, ...]]:
-        """Line 2(c): every fault-free processor decides
-        ``C^{-1}(R_i / P_match)`` from its symbol row over ``P_match``
-        (``rows``, in fault-free pid order), once per distinct row.
-
-        A row equal to some processor's codeword at every ``P_match``
-        position (``classes``, in pid order) decides that codeword's
-        first ``k`` symbols: the code is systematic and MDS and
-        ``|P_match| = n - t >= k``, so exactly one codeword passes
-        through those positions, and its data is what ``decode_subset``
-        would return.  Any other row — a missing symbol, a Byzantine
-        one on no processor's codeword — is decoded.
-        """
-        hit_of: Dict[tuple, int] = {}
-        for pid, values in enumerate(classes):
-            hit_of.setdefault(tuple(values), pid)
-        decided_by_row: Dict[tuple, Tuple[int, ...]] = {}
-        decisions: Dict[int, Tuple[int, ...]] = {}
-        for pid, values in zip(self._honest, rows):
-            values = tuple(values)
-            decided = decided_by_row.get(values)
-            if decided is None:
-                hit = hit_of.get(values)
-                if hit is not None:
-                    decided = tuple(words[hit][:self.k])
-                else:
-                    positions = {
-                        j: v for j, v in zip(p_match, values) if v != _MISSING
-                    }
-                    try:
-                        decided = self._cached_decode(positions)
-                    except (DecodingError, ValueError):
-                        raise ProtocolInvariantError(
-                            "undecodable checking-stage symbols at pid %d"
-                            % pid
-                        )
-                decided_by_row[values] = decided
-            decisions[pid] = decided
-        return decisions
-
-    def _dispatch_sources(
-        self,
-        sources: Sequence[int],
-        rows: Dict[int, Sequence[int]],
-        width: int,
-        tag: str,
-        isolated: FrozenSet[int],
-    ) -> Dict[int, Sequence[int]]:
-        """The vectorized path's one dispatch rule, for each of its four
-        broadcast sub-stages (M, Detected, diagnosis symbols, trust
-        vectors): ``sources`` are the sub-stage's live sources in
-        broadcast order, each broadcasting ``width`` bits, and ``rows``
-        holds the row of every controlled one.
-
-        The backend's honest broadcasts are pure accounting (the
-        planner sends nothing else here), so a fault-free source's
-        outcome is its own row at every processor (validity), which the
-        stage already holds: each maximal run of fault-free sources is
-        priced with one ``charge_honest_instances`` and its row is never
-        built, and each maximal run of controlled sources goes through
-        one ``broadcast_bits_many_grouped`` call.  Runs are taken in
-        order, so instance ids, the meter's sums, the instance count
-        and the bits charged equal the scalar loop's.
-
-        Returns ``source -> outcome`` for the dispatched rows only: the
-        one row every processor holds, in the form ``rows`` gave it (a
-        bit list or :class:`~repro.utils.bits.PackedBits`).
-        """
-        backend = self.backend
-        outcomes: Dict[int, Sequence[int]] = {}
-        for dispatch, run in itertools.groupby(sources, key=rows.__contains__):
-            run = list(run)
-            if dispatch:
-                outcomes.update(zip(run, backend.broadcast_bits_many_grouped(
-                    [(source, rows[source]) for source in run], tag, isolated
-                )))
-            else:
-                backend.charge_honest_instances(tag, len(run) * width)
-        return outcomes
-
-    def _diagnosis_stage_vec(
-        self,
-        p_match: Tuple[int, ...],
-        codewords: Dict[int, List[int]],
-        received_pm: np.ndarray,
-        detected_ref: np.ndarray,
-        detectors: List[int],
-        isolated: FrozenSet[int],
-        default_part: Sequence[int],
-    ) -> GenerationResult:
-        """Lines 3(a)-3(i) as array work: R# one vector, Trust one
-        boolean ``(n, |P_match|)`` matrix, edge removal one matrix
-        update.
-
-        ``received_pm`` holds the checking stage's received symbols in
-        ``P_match``'s columns only (the stage reads no other), as an
-        ``(n, |P_match|)`` array the stage may write into.
-
-        Both sub-stages (symbols, then trust vectors) start from what
-        validity gives — a fault-free source's row arrives as sent, so
-        R# is the codeword diagonal and the Trust view the honest trust
-        matrix — and hand their per-source single-bit broadcasts to
-        :meth:`_dispatch_sources`, which reads back only the rows it
-        had to dispatch: the controlled sources', each asked for up
-        front (``diagnosis_symbol``, ``trust_row``).  The backend hands
-        every pid one shared row, so the ``O(n)`` views-per-source
-        assembly collapses to the reference view, and a symbol row costs
-        no conversion at all when the row that came back is the one
-        sent.
-        """
-        view = self._view()
-        n = self.n
-        dtype = self._symbol_dtype
-        pm = np.array(p_match, dtype=np.int64)
-        n_pm = len(p_match)
-
-        # Lines 3(a)-3(b): P_match members broadcast their own symbol
-        # (members are live: an isolated source's M row is all zero, so
-        # it is in no clique).
-        symbol_tag = "%s.diagnosis.symbol" % self.tag
-        own_symbols = [codewords[j][j] for j in p_match]
-        r_ref: Dict[int, int] = dict(zip(p_match, own_symbols))
-        # A controlled member is asked for its symbol when its class
-        # overrides the hook (the base answers the symbol it holds), and
-        # its row is one packed wire row (big-int safe for wide
-        # super-symbols).
-        symbol_hooked = not hook_is_default(self.adversary, "diagnosis_symbol")
-        symbol_rows: Dict[int, PackedBits] = {}
-        for j in self._controlled:
-            if j in r_ref:
-                if symbol_hooked:
-                    r_ref[j] = diagnosis_symbol_value(
-                        self.adversary.diagnosis_symbol(
-                            j, r_ref[j], self.generation, view
-                        ),
-                        self.code.symbol_limit,
-                    )
-                symbol_rows[j] = PackedBits.from_int(r_ref[j], self.c)
-        symbol_outcomes = self._dispatch_sources(
-            p_match, symbol_rows, self.c, symbol_tag, isolated
-        )
-        for j, row in symbol_outcomes.items():
-            # The row handed straight back is the symbol already held;
-            # any other row is read once.
-            if row is not symbol_rows[j]:
-                r_ref[j] = row.to_int()
-
-        # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
-        # everyone live.  The honest baseline is one boolean matrix: a
-        # trusted member's symbol equals the R# one (a valid symbol, so
-        # equality already rules out a missing one), and a member's own
-        # column is its own symbol.
-        trust_tag = "%s.diagnosis.trust" % self.tag
-        own_column = np.arange(n_pm)
-        received_pm[pm, own_column] = own_symbols
-        trusts_mat = np.asarray(self.graph.trust_mask())[:, pm]
-        trusts_mat[pm, own_column] = True
-        r_ref_arr = np.array([r_ref[j] for j in p_match], dtype=dtype)
-        honest_trust_mat = trusts_mat & (received_pm == r_ref_arr)
-
-        # Packed wire rows: one packbits over the honest trust matrix.
-        # A live controlled source is asked for its row (``trust_row``)
-        # when its class overrides it (the base answers the honest row),
-        # the honest rows read off the matrix with one ``tolist``; an
-        # honest answer keeps its packed row, an accuse set is one mask
-        # and one packbits, and only an explicit mapping converts bit by
-        # bit.
-        trust_packed = np.packbits(honest_trust_mat, axis=1)
-        live_controlled = [i for i in self._controlled if i not in isolated]
-        honest_rows = (
-            honest_trust_mat[live_controlled].tolist()
-            if not hook_is_default(self.adversary, "trust_row") else None
-        )
-        column = {j: index for index, j in enumerate(p_match)}
-        trust_rows: Dict[int, PackedBits] = {}
-        # The boolean form of each controlled row that is not the honest
-        # one, so a row handed back as sent is never unpacked.
-        deviant: Dict[int, np.ndarray] = {}
-        for index, i in enumerate(live_controlled):
-            row = PackedBits(trust_packed[i], n_pm)
-            if honest_rows is not None:
-                honest_row = tuple(honest_rows[index])
-                change = trust_row_change(self.adversary.trust_row(
-                    i, p_match, honest_row, self.generation, view
-                ), p_match, honest_row)
-                if isinstance(change, AbstractSet):
-                    keep = honest_trust_mat[i].copy()
-                    keep[[column[j] for j in change if j in column]] = False
-                    row = PackedBits(np.packbits(keep), n_pm)
-                    deviant[i] = keep
-                elif change is not None:
-                    row = PackedBits.from_bits(change)
-                    deviant[i] = np.array(change, dtype=bool)
-            trust_rows[i] = row
-
-        live = [i for i in range(n) if i not in isolated]
-        trust_outcomes = self._dispatch_sources(
-            live, trust_rows, n_pm, trust_tag, isolated
-        )
-        # The reference Trust view: validity for every row, then each
-        # deviant row handed back as sent, then one bulk unpack of the
-        # rows that came back changed; isolated processors' rows are
-        # never read.
-        trust_ref = self._ensure_arena().trust_view(n_pm)
-        np.copyto(trust_ref, honest_trust_mat)
-        changed = []
-        for i, row in trust_outcomes.items():
-            if row is not trust_rows[i]:
-                changed.append(i)
-            elif i in deviant:
-                trust_ref[i] = deviant[i]
-        if changed:
-            lanes = np.stack([trust_outcomes[i].lanes for i in changed])
-            trust_ref[changed] = np.unpackbits(
-                lanes, axis=1, count=n_pm
-            ).astype(bool)
-
-        # Line 3(e): every live processor accuses the members its
-        # broadcast Trust vector rejects, as one column assignment (an
-        # isolated processor's row names only edges already gone, which
-        # remove_accused skips); one matrix update, in the scalar
-        # removal order.
-        accuse = np.zeros((n, n), dtype=bool)
-        accuse[:, pm] = ~trust_ref
-        removed_edges = self.graph.remove_accused(accuse)
-
-        return self._diagnosis_verdict(
-            p_match,
-            r_ref,
-            detected_ref.tolist(),
-            removed_edges,
-            isolated,
-            default_part,
-            detectors,
-        )

@@ -14,7 +14,8 @@ holds the honest row reuses it.
 from __future__ import annotations
 
 from typing import (
-    AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+    AbstractSet, Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.utils.bits import is_exact_int
@@ -141,7 +142,18 @@ def received_symbol(
 def matching_row_answer(answer: SymbolRow) -> Tuple[Any, Mapping[int, Any]]:
     """A ``matching_row`` answer ``(payload, exceptions)`` keeping the
     exceptions keyed by an exact ``int`` (``True`` is not pid 1); a key
-    that is no recipient of the row is the engine's to ignore."""
+    that is no recipient of the row is the engine's to ignore.  Any
+    other shape — not a pair, or exceptions that are neither a mapping
+    nor ``None`` — is refused."""
+    if not (
+        isinstance(answer, (tuple, list)) and len(answer) == 2
+        and (answer[1] is None or isinstance(answer[1], (dict, Mapping)))
+    ):
+        raise _refused(
+            "matching_row", answer,
+            "a (payload, exceptions) pair with a recipient -> payload "
+            "mapping or None for exceptions",
+        )
     payload, exceptions = answer
     if not exceptions:
         return answer
@@ -173,12 +185,18 @@ def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
     """The ``n - 1`` bits processor ``pid`` broadcasts for an M row
     answer.
 
-    A :class:`RowConstant` sets every bit.  Any other answer is read as
-    an explicit row: padded with ``False`` or truncated to ``n``
-    entries, each flag by its truthiness, and the own slot never sent.
+    A :class:`RowConstant` sets every bit.  Any other iterable but a
+    ``str`` or ``bytes`` is read as an explicit row: padded with
+    ``False`` or truncated to ``n`` entries, each flag by its
+    truthiness, and the own slot never sent.  Anything else is refused.
     """
     if isinstance(answer, RowConstant):
         return [answer.bit] * (n - 1)
+    if isinstance(answer, (str, bytes)) or not isinstance(answer, Iterable):
+        raise _refused(
+            "m_row", answer,
+            "the honest row itself, a row constant or a row of flags",
+        )
     row = list(answer)
     if len(row) != n:
         row = (row + [False] * n)[:n]
@@ -201,17 +219,21 @@ def trust_row_bits(
 
     The honest row broadcasts itself.  A mapping is read ``answer.get(j,
     False)`` per member, by truthiness.  A set turns the members it
-    names ``False`` on the honest row (a pid outside ``P_match`` is
-    ignored).  Anything else — a copy of the honest row included — is
-    refused, since a sequence of flags would read as a set of pids.
+    names ``False`` on the honest row.  Only an exact ``int`` names a
+    member (``True``, ``1.0`` and ``numpy.int64(1)`` are not pid 1),
+    and a pid outside ``P_match`` is ignored.  Anything else — a copy
+    of the honest row included — is refused, since a sequence of flags
+    would read as a set of pids.
     """
     if answer is honest_row:
         return [1 if flag else 0 for flag in honest_row]
     if isinstance(answer, Mapping):
-        return [1 if answer.get(j, False) else 0 for j in p_match]
+        flags = {j: flag for j, flag in answer.items() if is_exact_int(j)}
+        return [1 if flags.get(j, False) else 0 for j in p_match]
     if isinstance(answer, AbstractSet):
+        accused = {j for j in answer if is_exact_int(j)}
         return [
-            1 if flag and j not in answer else 0
+            1 if flag and j not in accused else 0
             for j, flag in zip(p_match, honest_row)
         ]
     raise _refused(
@@ -224,10 +246,11 @@ def trust_row_bits(
 def trust_row_change(
     answer: TrustRow, p_match: Sequence[int], honest_row: Tuple[bool, ...]
 ) -> Union[None, AbstractSet[int], List[int]]:
-    """``None`` for ``honest_row`` itself, an accuse set as is (a pid
-    outside ``P_match`` is the engine's to ignore), else the bits."""
+    """``None`` for ``honest_row`` itself, an accuse set as the exact
+    ``int`` pids it names (a pid outside ``P_match`` is the engine's to
+    ignore), else the bits."""
     if answer is honest_row:
         return None
     if isinstance(answer, AbstractSet) and not isinstance(answer, Mapping):
-        return answer
+        return {j for j in answer if is_exact_int(j)}
     return trust_row_bits(answer, p_match, honest_row)

@@ -40,11 +40,15 @@ the paper's Algorithm 1:
    answer keeps the plan's row, a constant or explicit one replaces
    it), dispatch the M rows, resolve the match set, fire the
    overridden ``detected_flag`` hooks, dispatch the flags, then decide
-   — or, when a flag is raised, delegate to the vectorized
-   :meth:`GenerationProtocol._diagnosis_stage_vec`, which is array
+   (line 2(c), :func:`checking_decisions` once a deviation reaches a
+   decision row) — or, when a flag is raised, run the context's own
+   diagnosis stage, :meth:`CohortContext.diagnose`, which is array
    work: it prices the fault-free sources' broadcasts, dispatches only
-   the controlled sources' rows, removes the accused edges as one
-   matrix update and decodes once.
+   the controlled sources' rows (:func:`dispatch_sources`), removes the
+   accused edges as one matrix update and hands lines 3(f)-3(i) to the
+   one verdict, :func:`~repro.core.generation.diagnosis_verdict`.  The
+   per-generation engine's diagnosis, M, Detected and line 2(c) steps
+   call the same three.
 
 What the context keeps across its instances is **value-independent**:
 one table of diagnosis-graph *structures*, each holding the plans and
@@ -88,22 +92,26 @@ planner keeps such runs on the per-generation engine.
 from __future__ import annotations
 
 import functools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+import itertools
+from typing import (
+    AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from repro.coding.reed_solomon import DecodingError
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.consensus import MultiValuedConsensus
-from repro.core.generation import _MISSING, GenerationProtocol
+from repro.core.generation import _MISSING, diagnosis_verdict
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
 from repro.processors.adversary import Adversary, hook_is_default
 from repro.processors.answers import (
-    bit_answer, m_row_bits, m_row_change, matching_row_answer,
-    received_symbol,
+    bit_answer, diagnosis_symbol_value, m_row_bits, m_row_change,
+    matching_row_answer, received_symbol, trust_row_change,
 )
 from repro.service.engine import finalize_result, prepare_instance
+from repro.utils.bits import PackedBits
 
 #: Pattern entries (graph structures, their plans and match sets) a
 #: cohort keeps before it starts over: each is a pure function of its
@@ -322,12 +330,13 @@ class CohortContext:
         self.mv_default = hook_is_default(adversary, "m_row")
         self.df_default = hook_is_default(adversary, "detected_flag")
         self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
+        self.ds_default = hook_is_default(adversary, "diagnosis_symbol")
+        self.tr_default = hook_is_default(adversary, "trust_row")
         #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
         #: The owner's exchange arena (the service's, or a one-shot
-        #: run's own), handed to the delegated diagnosis protocols so
-        #: they reuse the per-instance engines' buffers (and its symbol
-        #: dtype types the diagnosis scatter).
+        #: run's own): the diagnosis stage's Trust buffer, and its
+        #: symbol dtype types the diagnosis arrays.
         self.arena = arena
 
     def match_info_for(self, struct, hdev_key, outcomes) -> _MatchInfo:
@@ -367,6 +376,147 @@ class CohortContext:
             self._structs[key] = struct
         return struct
 
+    def diagnose(
+        self, graph, backend, adversary, view, g: int,
+        p_match: Tuple[int, ...], codewords, received_pm: np.ndarray,
+        detected_ref: np.ndarray, detectors: List[int],
+        isolated: FrozenSet[int], default_part: Sequence[int],
+    ) -> GenerationResult:
+        """Lines 3(a)-3(i) of generation ``g`` for the instance whose
+        ``graph``, ``backend``, ``adversary`` and hook ``view`` are
+        given, as array work: R# one vector, Trust one boolean
+        ``(n, |P_match|)`` matrix, edge removal one matrix update.
+
+        ``codewords[pid]`` is ``pid``'s codeword, ``received_pm`` the
+        checking stage's received symbols in ``P_match``'s columns only
+        (the stage reads no other), an ``(n, |P_match|)`` array in which
+        each member holds its own symbol, and ``detected_ref`` the
+        reference Detected flags.
+
+        Both sub-stages (symbols, then trust vectors) start from what
+        validity gives — a fault-free source's row arrives as sent, so
+        R# is the codeword diagonal and the Trust view the honest trust
+        matrix — and hand their per-source single-bit broadcasts to
+        :func:`dispatch_sources`, which reads back only the rows it had
+        to dispatch: the controlled sources', each asked for up front
+        (``diagnosis_symbol``, ``trust_row``) when its class overrides
+        the hook.  The backend hands every pid one shared row, so the
+        ``O(n)`` views-per-source assembly collapses to the reference
+        view, and a symbol row costs no conversion at all when the row
+        that came back is the one sent.
+        """
+        n = self.n
+        pm = np.array(p_match, dtype=np.int64)
+        n_pm = len(p_match)
+
+        # Lines 3(a)-3(b): P_match members broadcast their own symbol
+        # (members are live: an isolated source's M row is all zero, so
+        # it is in no clique).  A controlled member's row is one packed
+        # wire row (big-int safe for wide super-symbols).
+        r_ref: Dict[int, int] = {j: codewords[j][j] for j in p_match}
+        symbol_rows: Dict[int, PackedBits] = {}
+        for j in self.controlled_sorted:
+            if j in r_ref:
+                if not self.ds_default:
+                    r_ref[j] = diagnosis_symbol_value(
+                        adversary.diagnosis_symbol(j, r_ref[j], g, view),
+                        self.symbol_limit,
+                    )
+                symbol_rows[j] = PackedBits.from_int(r_ref[j], self.c)
+        symbol_outcomes = dispatch_sources(
+            backend, p_match, symbol_rows, self.c,
+            "gen%d.diagnosis.symbol" % g, isolated,
+        )
+        for j, row in symbol_outcomes.items():
+            # The row handed straight back is the symbol already held;
+            # any other row is read once.
+            if row is not symbol_rows[j]:
+                r_ref[j] = row.to_int()
+
+        # Lines 3(c)-3(d): Trust vectors over P_match, broadcast by
+        # everyone live.  The honest baseline is one boolean matrix: a
+        # trusted member's symbol equals the R# one (a valid symbol, so
+        # equality already rules out a missing one), and a member's own
+        # column is its own symbol.
+        own_column = np.arange(n_pm)
+        trusts_mat = np.asarray(graph.trust_mask())[:, pm]
+        trusts_mat[pm, own_column] = True
+        r_ref_arr = np.array(
+            [r_ref[j] for j in p_match], dtype=self.arena.symbol_dtype
+        )
+        honest_trust_mat = trusts_mat & (received_pm == r_ref_arr)
+
+        # Packed wire rows: one packbits over the honest trust matrix,
+        # the honest rows a hook is handed read off it with one
+        # ``tolist``; an honest answer keeps its packed row, an accuse
+        # set is one mask and one packbits, and only an explicit
+        # mapping converts bit by bit.
+        trust_packed = np.packbits(honest_trust_mat, axis=1)
+        live_controlled = [
+            i for i in self.controlled_sorted if i not in isolated
+        ]
+        honest_rows = (
+            None if self.tr_default
+            else honest_trust_mat[live_controlled].tolist()
+        )
+        column = {j: index for index, j in enumerate(p_match)}
+        trust_rows: Dict[int, PackedBits] = {}
+        # The boolean form of each controlled row that is not the honest
+        # one, so a row handed back as sent is never unpacked.
+        deviant: Dict[int, np.ndarray] = {}
+        for index, i in enumerate(live_controlled):
+            row = PackedBits(trust_packed[i], n_pm)
+            if honest_rows is not None:
+                honest_row = tuple(honest_rows[index])
+                change = trust_row_change(adversary.trust_row(
+                    i, p_match, honest_row, g, view
+                ), p_match, honest_row)
+                if isinstance(change, AbstractSet):
+                    keep = honest_trust_mat[i].copy()
+                    keep[[column[j] for j in change if j in column]] = False
+                    row = PackedBits(np.packbits(keep), n_pm)
+                    deviant[i] = keep
+                elif change is not None:
+                    row = PackedBits.from_bits(change)
+                    deviant[i] = np.array(change, dtype=bool)
+            trust_rows[i] = row
+        trust_outcomes = dispatch_sources(
+            backend, [i for i in range(n) if i not in isolated], trust_rows,
+            n_pm, "gen%d.diagnosis.trust" % g, isolated,
+        )
+        # The reference Trust view: validity for every row, then each
+        # deviant row handed back as sent, then one bulk unpack of the
+        # rows that came back changed; isolated processors' rows are
+        # never read.
+        trust_ref = self.arena.trust_view(n_pm)
+        np.copyto(trust_ref, honest_trust_mat)
+        changed = []
+        for i, row in trust_outcomes.items():
+            if row is not trust_rows[i]:
+                changed.append(i)
+            elif i in deviant:
+                trust_ref[i] = deviant[i]
+        if changed:
+            lanes = np.stack([trust_outcomes[i].lanes for i in changed])
+            trust_ref[changed] = np.unpackbits(
+                lanes, axis=1, count=n_pm
+            ).astype(bool)
+
+        # Line 3(e): every live processor accuses the members its
+        # broadcast Trust vector rejects, as one column assignment (an
+        # isolated processor's row names only edges already gone, which
+        # remove_accused skips); one matrix update, in the scalar
+        # removal order.
+        accuse = np.zeros((n, n), dtype=bool)
+        accuse[:, pm] = ~trust_ref
+        removed_edges = graph.remove_accused(accuse)
+
+        return diagnosis_verdict(
+            self.code, graph, self.t, self.honest, backend.error_free, g,
+            p_match, r_ref, detected_ref.tolist(), removed_edges, isolated,
+            default_part, detectors,
+        )
+
     def forget_if_full(self) -> None:
         """Start the pattern table over once it holds
         :data:`MAX_PATTERN_ENTRIES` (checked between instances, so a
@@ -377,6 +527,94 @@ class CohortContext:
         )
         if retained >= MAX_PATTERN_ENTRIES:
             self._structs.clear()
+
+
+def dispatch_sources(
+    backend,
+    sources: Sequence[int],
+    rows: Dict[int, Sequence[int]],
+    width: int,
+    tag: str,
+    isolated: FrozenSet[int],
+) -> Dict[int, Sequence[int]]:
+    """The one dispatch rule of a broadcast sub-stage in which every
+    source's bits are known: ``sources`` are its live sources in
+    broadcast order, each broadcasting ``width`` bits, and ``rows``
+    holds the row of every controlled one.  The diagnosis stage's
+    symbol and trust broadcasts and the per-generation engine's M and
+    Detected broadcasts go through it.
+
+    The backend's honest broadcasts are pure accounting (the planner
+    sends nothing else here), so a fault-free source's outcome is its
+    own row at every processor (validity), which the stage already
+    holds: each maximal run of fault-free sources is priced with one
+    ``charge_honest_instances`` and its row is never built, and each
+    maximal run of controlled sources goes through one
+    ``broadcast_bits_many_grouped`` call.  Runs are taken in order, so
+    instance ids, the meter's sums, the instance count and the bits
+    charged equal the scalar loop's.
+
+    Returns ``source -> outcome`` for the dispatched rows only: the one
+    row every processor holds, in the form ``rows`` gave it (a bit list
+    or :class:`~repro.utils.bits.PackedBits`).
+    """
+    outcomes: Dict[int, Sequence[int]] = {}
+    for dispatch, run in itertools.groupby(sources, key=rows.__contains__):
+        run = list(run)
+        if dispatch:
+            outcomes.update(zip(run, backend.broadcast_bits_many_grouped(
+                [(source, rows[source]) for source in run], tag, isolated
+            )))
+        else:
+            backend.charge_honest_instances(tag, len(run) * width)
+    return outcomes
+
+
+def checking_decisions(
+    code,
+    honest: Sequence[int],
+    p_match: Tuple[int, ...],
+    rows: List[List[int]],
+    classes: List[List[int]],
+    codewords,
+) -> Dict[int, Tuple[int, ...]]:
+    """Line 2(c): every fault-free processor in ``honest`` decides
+    ``C^{-1}(R_i / P_match)`` from its symbol row over ``P_match``
+    (``rows``, in ``honest`` order, :data:`_MISSING` where it holds no
+    symbol), once per distinct row.
+
+    A row equal to some processor's codeword at every ``P_match``
+    position (``classes``, in pid order; ``codewords[pid]`` the whole
+    codeword) decides that codeword's first ``k`` symbols: the code is
+    systematic and MDS and ``|P_match| = n - t >= k``, so exactly one
+    codeword passes through those positions, and its data is what
+    ``decode_subset`` would return.  Any other row — a missing symbol,
+    a Byzantine one on no processor's codeword — is decoded.
+    """
+    hit_of: Dict[tuple, int] = {}
+    for pid, values in enumerate(classes):
+        hit_of.setdefault(tuple(values), pid)
+    decided_by_row: Dict[tuple, Tuple[int, ...]] = {}
+    decisions: Dict[int, Tuple[int, ...]] = {}
+    for pid, values in zip(honest, rows):
+        values = tuple(values)
+        decided = decided_by_row.get(values)
+        if decided is None:
+            hit = hit_of.get(values)
+            if hit is not None:
+                decided = tuple(codewords[hit][:code.k])
+            else:
+                try:
+                    decided = tuple(code.decode_subset({
+                        j: v for j, v in zip(p_match, values) if v != _MISSING
+                    }))
+                except (DecodingError, ValueError):
+                    raise ProtocolInvariantError(
+                        "undecodable checking-stage symbols at pid %d" % pid
+                    )
+            decided_by_row[values] = decided
+        decisions[pid] = decided
+    return decisions
 
 
 #: The plan key of a symbol round in which nothing deviates.
@@ -668,7 +906,13 @@ class _InstanceRun:
             decisions = dict.fromkeys(ctx.honest, self.ref_tuples[g])
         else:
             self.conforming = False
-            decisions = self._general_decisions(info, struct, sym, g)
+            p_match = info.p_match
+            row_of = self._rows(g)[0]
+            received = self._scatter_received(struct, row_of, sym, p_match)
+            decisions = checking_decisions(
+                ctx.code, ctx.honest, p_match, received[ctx.honest].tolist(),
+                [[row[j] for j in p_match] for row in row_of], row_of,
+            )
         return GenerationResult(
             generation=g,
             outcome=GenerationOutcome.DECIDED_CHECKING,
@@ -754,38 +998,20 @@ class _InstanceRun:
         return _Checking(detected, controlled, clean)
 
     def _diagnose(self, struct, g, p_match, sym, flagged, detectors):
-        """Lines 3(a)-3(i), delegated to the vectorized protocol's own
-        stage (recorded runs need it there too).
-        ``flagged`` are the outsiders whose broadcast Detected flag is
-        set."""
-        ctx = self.ctx
+        """Lines 3(a)-3(i) on the context's stage
+        (:meth:`CohortContext.diagnose`).  ``flagged`` are the
+        outsiders whose broadcast Detected flag is set."""
         consensus = self.consensus
         # Diagnosis mutates the graph: drop the carried structure.
         self.struct = None
         row_of = self._rows(g)[0]
-        received = self._scatter_received(struct, row_of, sym, p_match)
-        detected_arr = np.zeros(ctx.n, dtype=bool)
-        detected_arr[flagged] = True
-        protocol = GenerationProtocol(
-            config=ctx.config,
-            code=ctx.code,
-            network=consensus.network,
-            graph=consensus.graph,
-            backend=consensus.backend,
-            adversary=self.adversary,
-            generation=g,
-            view_provider=consensus._make_view,
-            vectorized=True,
-            arena=ctx.arena,
-        )
-        return protocol._diagnosis_stage_vec(
-            p_match,
-            dict(enumerate(row_of)),
-            received,
-            detected_arr,
-            detectors,
-            struct.isolated,
-            self.default_parts[g],
+        detected = np.zeros(self.ctx.n, dtype=bool)
+        detected[flagged] = True
+        return self.ctx.diagnose(
+            consensus.graph, consensus.backend, self.adversary,
+            self._make_view(), g, p_match, row_of,
+            self._scatter_received(struct, row_of, sym, p_match), detected,
+            detectors, struct.isolated, self.default_parts[g],
         )
 
     # -- helpers --------------------------------------------------------
@@ -828,63 +1054,24 @@ class _InstanceRun:
                 row.append(row_of[j][j] == exp[j])
         return tuple(row)
 
-    def _general_decisions(self, info, struct, sym, g):
-        """Exact mirror of the vectorized line 2(c) decode, decoding
-        once per distinct symbol row."""
-        ctx = self.ctx
-        row_of, cw = self._rows(g)
-        mask = struct.mask
-        controlled = ctx.controlled
-        p_match = info.p_match
-        decisions: Dict[int, tuple] = {}
-        row_cache: Dict[tuple, tuple] = {}
-        for pid in ctx.honest:
-            values = []
-            for j in p_match:
-                if j == pid:
-                    values.append(row_of[pid][pid])
-                elif not mask[pid, j]:
-                    values.append(_MISSING)
-                elif sym is not None and j in controlled:
-                    values.append(sym.payload(j, pid))
-                else:
-                    # An honest sender, or a controlled one with no
-                    # hook to fire: its shared-codeword symbol.
-                    values.append(cw[j])
-            key = tuple(values)
-            decided = row_cache.get(key)
-            if decided is None:
-                positions = {
-                    j: v for j, v in zip(p_match, values) if v != _MISSING
-                }
-                try:
-                    decided = tuple(ctx.code.decode_subset(positions))
-                except (DecodingError, ValueError):
-                    raise ProtocolInvariantError(
-                        "undecodable checking-stage symbols at pid %d"
-                        % pid
-                    )
-                row_cache[key] = decided
-            decisions[pid] = decided
-        return decisions
-
     def _scatter_received(self, struct, row_of, sym, p_match):
         """Materialize the checking-stage received symbols in
-        ``P_match``'s columns — the only ones the delegated diagnosis
-        stage reads — as a fresh ``(n, |P_match|)`` array.
+        ``P_match``'s columns — the only ones line 2(c) and the
+        diagnosis stage read — as a fresh ``(n, |P_match|)`` array.
 
         Each member's column payload is its own symbol (honest and
         conforming senders) or a controlled member's common payload (a
         missing one is :data:`_MISSING`); isolated senders' mask rows
         are zero, so one masked select writes every live trusted
-        recipient and leaves the rest missing.  Then the exceptions;
-        the diagonal is the stage's own to write.
+        recipient and leaves the rest missing.  Then the exceptions,
+        and each member holds its own symbol.
         """
-        payloads = [row_of[j][j] for j in p_match]
+        own = [row_of[j][j] for j in p_match]
+        payloads = own
         if sym is not None:
             common = sym.common
             payloads = [
-                common.get(j, payload) for j, payload in zip(p_match, payloads)
+                common.get(j, payload) for j, payload in zip(p_match, own)
             ]
         received = np.where(
             struct.mask[list(p_match)].T,
@@ -897,6 +1084,7 @@ class _InstanceRun:
                 index = column.get(f)
                 if index is not None:
                     received[r, index] = payload
+        received[list(p_match), np.arange(len(p_match))] = own
         return received
 
 

@@ -219,23 +219,80 @@ ASKED_BY = {
 }
 
 
+def _reads_alike(hook, engines, adversary, answer, read, value):
+    """Every engine in ``engines`` runs ``answer`` as it runs ``read``,
+    or refuses it with one ``TypeError`` naming the hook."""
+    refusals = {}
+    for name, run in engines:
+        if read is REFUSED:
+            with pytest.raises(TypeError) as refused:
+                run(adversary(hook, answer), value)
+            refusals[name] = str(refused.value)
+            continue
+        observed = run(adversary(hook, answer), value)
+        if read is not HONEST and read is not None:
+            assert observed == run(adversary(hook, read), value), name
+    if refusals:
+        messages = set(refusals.values())
+        assert len(messages) == 1, refusals
+        assert messages.pop().startswith("hook=%r answer=" % hook)
+
+
 @pytest.mark.parametrize("answer", ANSWERS, ids=repr)
 @pytest.mark.parametrize("hook", sorted(ASKED_BY))
 @settings(max_examples=2, deadline=None)
 @given(value=st.integers(0, (1 << L) - 1))
 def test_every_engine_reads_an_answer_alike(hook, answer, value):
-    read = reading(hook, answer)
-    refusals = {}
-    for name, run in ASKED_BY[hook]:
-        if read is REFUSED:
-            with pytest.raises(TypeError) as refused:
-                run(_adversary(hook, answer), value)
-            refusals[name] = str(refused.value)
-            continue
-        observed = run(_adversary(hook, answer), value)
-        if read is not HONEST and read is not None:
-            assert observed == run(_adversary(hook, read), value), name
-    if refusals:
-        messages = set(refusals.values())
-        assert len(messages) == 1, refusals
-        assert messages.pop().startswith("hook=%r answer=" % hook)
+    _reads_alike(
+        hook, ASKED_BY[hook], _adversary, answer, reading(hook, answer), value
+    )
+
+
+class RowAnswering(Answering):
+    """Answers the row hook ``hook`` with ``answer`` every time it is
+    asked; pid 0 corrupts pid 6's symbol, so that a diagnosis asks
+    ``trust_row``."""
+
+    def __init__(self, hook, answer):
+        super().__init__([0], hook, answer, victim=6)
+
+    def matching_row(self, pid, *args):
+        if self.hook == "matching_row":
+            return self.answer
+        return super().matching_row(pid, *args)
+
+    def m_row(self, pid, honest_row, generation, view):
+        return self.answer if self.hook == "m_row" else honest_row
+
+    def trust_row(self, pid, p_match, honest_row, generation, view):
+        return self.answer if self.hook == "trust_row" else honest_row
+
+
+#: (hook, a row answer, the answer it stands for or ``REFUSED``): an
+#: accuse set or mapping names a pid by an exact ``int`` only, and a
+#: row of another shape is refused.
+ROW_ANSWERS = [
+    ("matching_row", (0, [1, 2]), REFUSED),
+    ("matching_row", (0, ((1, 5),)), REFUSED),
+    ("matching_row", 0, REFUSED),
+    ("matching_row", None, REFUSED),
+    ("matching_row", (0, {}, 1), REFUSED),
+    ("m_row", None, REFUSED),
+    ("m_row", 5, REFUSED),
+    ("m_row", "10101", REFUSED),
+    ("m_row", b"10101", REFUSED),
+    ("trust_row", {True}, set()),
+    ("trust_row", {1.0}, set()),
+    ("trust_row", {np.int64(1)}, set()),
+    ("trust_row", {True: True}, {}),
+]
+
+
+@pytest.mark.parametrize("hook, answer, read", [
+    pytest.param(*cell, id="%s-%r" % cell[:2]) for cell in ROW_ANSWERS
+])
+@settings(max_examples=2, deadline=None)
+@given(value=st.integers(0, (1 << L) - 1))
+def test_every_engine_reads_a_row_answer_alike(hook, answer, read, value):
+    engines = _CONSENSUS + (_SECTION4 if hook == "trust_row" else [])
+    _reads_alike(hook, engines, RowAnswering, answer, read, value)

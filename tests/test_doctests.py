@@ -144,3 +144,27 @@ def test_a_citation_names_a_member_its_file_defines(tmp_path):
     )
     [problem] = check_links.check_file(fixture)
     assert "BroadcastBackend.broadcast_bits_many_grouped" in problem
+
+
+def test_a_class_member_citation_names_a_member_of_that_class(tmp_path):
+    """``tools/check_links.py`` on a backticked ``Class.member``: a
+    moved method fails the docs job instead of leaving its old owner
+    cited."""
+    location = importlib.util.spec_from_file_location(
+        "check_links",
+        pathlib.Path(__file__).parent.parent / "tools" / "check_links.py",
+    )
+    check_links = importlib.util.module_from_spec(location)
+    location.loader.exec_module(check_links)
+    fixture = tmp_path / "fixture.md"
+    # A method, an inherited one, a self. attribute and a slot.
+    fixture.write_text(
+        "`CohortContext.diagnose`, `AccountedIdealBroadcast.broadcast_bit`,"
+        " `GenerationProtocol.graph`, `~repro.service.cohort._Plan.checks`\n"
+    )
+    assert check_links.check_file(fixture) == []
+    fixture.write_text(
+        ":meth:`GenerationProtocol._diagnosis_stage_vec`, `SyncNetwork.send`\n"
+    )
+    [problem] = check_links.check_file(fixture)
+    assert "GenerationProtocol._diagnosis_stage_vec" in problem

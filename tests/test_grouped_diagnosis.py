@@ -31,10 +31,13 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
+from repro.core import generation as generation_module
 from repro.core.generation import GenerationProtocol
 from repro.core.result import GenerationOutcome
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors.adversary import Adversary
+from repro.service import ConsensusService, RunSpec
+from repro.service import cohort as cohort_module
 from repro.utils.bits import PackedBits
 from repro.utils.rng import derive_seed
 
@@ -169,33 +172,35 @@ class TestDiagnosisVerdict:
     through ``P_decide``."""
 
     def test_attack_grid(self, monkeypatch):
-        original = GenerationProtocol._diagnosis_verdict
+        original = generation_module.diagnosis_verdict
         seen = Counter()
 
-        def checked(self, p_match, r_sharp, detected_ref, removed_edges,
-                    isolated, *args, **kwargs):
-            code, graph = self.code, self.graph.copy()
+        def checked(code, graph, t, honest, error_free, generation,
+                    p_match, r_sharp, detected_ref, removed_edges,
+                    isolated, *args):
+            expected_graph = graph.copy()
+            n = graph.n
             consistent = code.is_consistent(r_sharp)
             expected_isolated = []
             if consistent:
                 touched = {v for edge in removed_edges for v in edge}
-                for q in range(self.n):
+                for q in range(n):
                     if (
                         q not in p_match and q not in isolated
                         and detected_ref[q] and q not in touched
-                        and not graph.is_isolated(q)
+                        and not expected_graph.is_isolated(q)
                     ):
-                        graph.isolate(q)
+                        expected_graph.isolate(q)
                         expected_isolated.append(q)
-            expected_isolated += graph.apply_overdegree_rule(self.t)
+            expected_isolated += expected_graph.apply_overdegree_rule(t)
             result = original(
-                self, p_match, r_sharp, detected_ref, removed_edges,
-                isolated, *args, **kwargs
+                code, graph, t, honest, error_free, generation, p_match,
+                r_sharp, detected_ref, removed_edges, isolated, *args
             )
             assert result.isolated == expected_isolated
-            assert self.graph.to_dict() == graph.to_dict()
-            p_decide = graph.find_trusting_set(
-                self.n - 2 * self.t, candidates=sorted(p_match)
+            assert graph.to_dict() == expected_graph.to_dict()
+            p_decide = expected_graph.find_trusting_set(
+                n - 2 * t, candidates=sorted(p_match)
             )
             assert result.p_decide == tuple(p_decide)
             part = tuple(code.decode_subset(
@@ -205,7 +210,10 @@ class TestDiagnosisVerdict:
             seen[consistent] += 1
             return result
 
-        monkeypatch.setattr(GenerationProtocol, "_diagnosis_verdict", checked)
+        # The scalar oracle and the cohort's stage, which the
+        # per-generation engine's diagnosis runs, each call the verdict.
+        for module in (generation_module, cohort_module):
+            monkeypatch.setattr(module, "diagnosis_verdict", checked)
         n = 10
         config = ConsensusConfig.create(n=n, l_bits=512)
         value = random.Random(n).getrandbits(512)
@@ -590,3 +598,62 @@ class TestLargeN:
         assert result.error_free
         assert result.decisions == dict.fromkeys(range(n), value)
         assert elapsed < 5.0
+
+
+class TestOneDiagnosisStage:
+    """No engine builds a second engine: the cohort runs each diagnosis
+    on its context's own stage, and the per-generation engine's
+    diagnosis calls that same stage."""
+
+    @staticmethod
+    def _count_protocols(monkeypatch):
+        built = []
+        original = GenerationProtocol.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs["generation"])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GenerationProtocol, "__init__", counted)
+        return built
+
+    def test_a_diagnosing_cohort_instance_builds_no_protocol(
+        self, monkeypatch
+    ):
+        built = self._count_protocols(monkeypatch)
+        n = 7
+        config = ConsensusConfig.create(n=n, l_bits=256)
+        value = random.Random(n).getrandbits(256)
+        consensus = MultiValuedConsensus(
+            config, adversary=make_attack("corrupt", n, config.t, 256)
+        )
+        result = consensus.run([value] * n)
+        assert result.error_free
+        assert result.diagnosis_count >= 1
+        assert built == []
+
+    def test_cohort_and_recorded_run_call_the_one_stage(self, monkeypatch):
+        built = self._count_protocols(monkeypatch)
+        stages = []
+        original = cohort_module.CohortContext.diagnose
+
+        def spy(self, graph, backend, adversary, view, g, *args):
+            stages.append(g)
+            return original(self, graph, backend, adversary, view, g, *args)
+
+        monkeypatch.setattr(cohort_module.CohortContext, "diagnose", spy)
+        service = ConsensusService(RunSpec(n=7, l_bits=256))
+        value = random.Random(7).getrandbits(256)
+
+        def diagnosed(result):
+            return [
+                record.generation for record in result.generation_results
+                if record.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
+            ]
+
+        cohort = service.run(value, attack="corrupt")
+        assert built == [] and stages == diagnosed(cohort) != []
+        del stages[:]
+        recorded, _ = service.record(value, attack="corrupt")
+        assert built  # the per-generation engine ran it
+        assert stages == diagnosed(recorded) == diagnosed(cohort)

@@ -28,7 +28,14 @@ fail the build:
   in the markdown files and in the docstrings of ``src/repro/**/*.py``:
   the file must define ``class Name`` or ``def Name``, and for
   ``Class.method`` a ``def method`` inside that class, so renaming or
-  deleting a cited member cannot leave the citation behind.
+  deleting a cited member cannot leave the citation behind;
+* member citations by class — a backtick span ``Class.member``,
+  ``Class.member()`` or ``~repro.module.Class.member`` — in the same
+  files, for any ``Class`` defined under ``src/repro/``: the member
+  must be a method, a class-level name, a ``__slots__`` entry or a
+  ``self.`` attribute of that class or of a base defined there (a class
+  with a base from outside ``src/repro/`` other than ``object`` or
+  ``ABC`` is not checked for the members it may inherit from it).
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -43,6 +50,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -73,6 +81,9 @@ MEASUREMENTS_FILE = re.compile(r"docs/measurements/[\w.-]+\.md")
 #: ``path/to/file.py::Name`` or ``::Class.method`` (docstrings wrap the
 #: whole in `` `` ``).
 CITATION = re.compile(r"((?:[\w.-]+/)+[\w-]+\.py)::(\w+(?:\.\w+)?)")
+#: A backtick span citing ``Class.member``: the last two dotted names,
+#: optionally called, optionally with a module path and Sphinx's ``~``.
+MEMBER_SPAN = re.compile(r"~?(?:\w+\.)*([A-Za-z_]\w*)\.(\w+)(?:\(\))?")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -141,11 +152,99 @@ def check_citations(path: Path, text: str) -> list:
     return problems
 
 
+def class_members(node: ast.ClassDef) -> set:
+    """What ``Class.member`` may name in the class ``node``: its
+    methods and nested classes, class-level names (``__slots__``
+    entries included) and every attribute a method assigns on
+    ``self``."""
+    names = set()
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            names.add(child.name)
+        elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                child.targets if isinstance(child, ast.Assign)
+                else [child.target]
+            )
+            assigned = {
+                leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            }
+            names |= assigned
+            if "__slots__" in assigned and child.value is not None:
+                names.update(
+                    leaf.value for leaf in ast.walk(child.value)
+                    if isinstance(leaf, ast.Constant)
+                    and isinstance(leaf.value, str)
+                )
+    names.update(
+        leaf.attr for leaf in ast.walk(node)
+        if isinstance(leaf, ast.Attribute)
+        and isinstance(leaf.ctx, ast.Store)
+        and isinstance(leaf.value, ast.Name) and leaf.value.id == "self"
+    )
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def class_index() -> dict:
+    """Every class defined under ``src/repro``: name -> one
+    ``(members, base names)`` pair per definition."""
+    index: dict = {}
+    for source in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases = [
+                    base.attr if isinstance(base, ast.Attribute)
+                    else getattr(base, "id", None)
+                    for base in node.bases
+                ]
+                index.setdefault(node.name, []).append(
+                    (class_members(node), bases)
+                )
+    return index
+
+
+def has_member(name: str, member: str, seen: frozenset = frozenset()) -> bool:
+    """Whether some definition of class ``name`` (or a base of it)
+    defines ``member``; a base from outside ``src/repro`` other than
+    ``object`` and ``ABC`` may, so it counts as defining everything."""
+    for members, bases in class_index().get(name, ()):
+        if member in members:
+            return True
+        for base in bases:
+            if base not in class_index():
+                if base not in ("object", "ABC"):
+                    return True
+            elif base not in seen and has_member(base, member, seen | {name}):
+                return True
+    return False
+
+
+def check_members(path: Path, text: str) -> list:
+    """Every backticked ``Class.member`` in ``text`` whose ``Class`` is
+    defined under ``src/repro`` names a member of it."""
+    problems = []
+    cited = set()
+    for match in BACKTICK_SPAN.finditer(text):
+        span = MEMBER_SPAN.fullmatch(match.group(1).strip())
+        if span and span.group(1) in class_index():
+            cited.add(span.groups())
+    for name, member in sorted(cited):
+        if not has_member(name, member):
+            problems.append(
+                "%s: cites %s.%s, which that class does not define"
+                % (path, name, member)
+            )
+    return problems
+
+
 def check_file(path: Path) -> list:
     text = path.read_text()
     prose = CODE_FENCE.sub("", text)
     anchors = {anchor_of(h) for h in HEADING.findall(text)}
-    problems = check_citations(path, text)
+    problems = check_citations(path, text) + check_members(path, prose)
 
     def check_target(target: str, kind: str) -> None:
         if target.startswith(("http://", "https://", "mailto:")):
@@ -279,7 +378,9 @@ def main(argv) -> int:
         elif path.name == CHANGES.name:
             problems.extend(check_changes(path))
         elif path.suffix == ".py":
-            problems.extend(check_citations(path, path.read_text()))
+            text = path.read_text()
+            problems.extend(check_citations(path, text))
+            problems.extend(check_members(path, text))
         else:
             problems.extend(check_file(path))
     for problem in problems:
