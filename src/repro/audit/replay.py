@@ -29,6 +29,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.audit.compare import DivergenceReport, compare
@@ -36,6 +37,7 @@ from repro.audit.transcript import (
     DEFAULT_KEY,
     Transcript,
     VerifyReport,
+    _ROW,
     _encode_payload,
     verify_transcript,
 )
@@ -302,50 +304,54 @@ def _fault_deviations(schedule) -> List[Deviation]:
     ]
 
 
+def _wire_row(row: Sequence) -> dict:
+    """A replayed journal row as a divergence report shows it."""
+    round_index, sender, receiver, tag, bits, payload = row
+    return {
+        "round": round_index,
+        "sender": sender,
+        "receiver": receiver,
+        "tag": tag,
+        "bits": bits,
+        "payload": _encode_payload(payload),
+    }
+
+
 def _journal_divergence(
     entries: Sequence, journal: Sequence
 ) -> Optional[dict]:
-    """First position where the recorded and replayed journals differ."""
-    for index, entry in enumerate(entries):
-        if index >= len(journal):
-            return {
-                "index": index,
-                "field": "length",
-                "recorded": entry.to_wire(),
-                "replayed": None,
-            }
-        field = entry.matches_message(journal[index])
+    """First position where the recorded entries and the replayed
+    journal rows differ (by :meth:`TranscriptEntry.matches_row`)."""
+    recorded = list(map(_ROW, entries))
+    replayed = [
+        row if type(row[5]) is int else (*row[:5], _encode_payload(row[5]))
+        for row in journal
+    ]
+    # The common case at once: every field equal and of the same type.
+    if recorded == replayed and list(
+        map(type, chain.from_iterable(recorded))
+    ) == list(map(type, chain.from_iterable(replayed))):
+        return None
+    for index, (entry, row) in enumerate(zip(entries, journal)):
+        field = entry.matches_row(row)
         if field is not None:
-            message = journal[index]
             return {
                 "index": index,
                 "field": field,
                 "recorded": entry.to_wire(),
-                "replayed": {
-                    "round": message.round_index,
-                    "sender": message.sender,
-                    "receiver": message.receiver,
-                    "tag": message.tag,
-                    "bits": message.bits,
-                    "payload": _encode_payload(message.payload),
-                },
+                "replayed": _wire_row(row),
             }
-    if len(journal) > len(entries):
-        message = journal[len(entries)]
-        return {
-            "index": len(entries),
-            "field": "length",
-            "recorded": None,
-            "replayed": {
-                "round": message.round_index,
-                "sender": message.sender,
-                "receiver": message.receiver,
-                "tag": message.tag,
-                "bits": message.bits,
-                "payload": _encode_payload(message.payload),
-            },
-        }
-    return None
+    if len(entries) == len(journal):
+        return None
+    index = min(len(entries), len(journal))
+    return {
+        "index": index,
+        "field": "length",
+        "recorded": None if index == len(entries)
+        else entries[index].to_wire(),
+        "replayed": None if index == len(journal)
+        else _wire_row(journal[index]),
+    }
 
 
 def replay(

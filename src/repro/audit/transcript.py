@@ -3,7 +3,7 @@
 A :class:`Transcript` freezes one consensus run into an auditable
 artifact: the declarative :class:`~repro.service.spec.RunSpec` /
 :class:`~repro.service.spec.InstanceSpec` pair that reproduces it, every
-journalled :class:`~repro.network.message.Message` in delivery order,
+journalled message (a network journal row) in delivery order,
 and the full :class:`~repro.core.result.ConsensusResult` (decisions,
 per-generation records, meter snapshot).  Each journal entry carries a
 per-processor HMAC authentication tag computed over a running hash
@@ -36,13 +36,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Union
 
 from repro.core.result import ConsensusResult
-from repro.network.message import Message
 from repro.service.serving.wire import (
     instance_from_wire,
     instance_to_wire,
@@ -78,19 +77,22 @@ def _encode_payload(payload: Any) -> Any:
     return {"repr": repr(payload)}
 
 
-#: The fields a journalled ``Message`` and a ``TranscriptEntry`` share.
-_SENT = attrgetter("round_index", "sender", "receiver", "tag", "bits")
+#: An entry's fields in journal-row order, payload in wire form.
+_ROW = attrgetter(
+    "round_index", "sender", "receiver", "tag", "bits", "payload"
+)
 
 
-def _entry_bytes(index: int, sent: Any, payload: Any, quoted: dict) -> bytes:
+def _entry_bytes(
+    index: int, round_index: int, sender: int, receiver: int, tag: str,
+    bits: int, payload: Any, quoted: dict,
+) -> bytes:
     """Entry ``index``'s authenticated bytes: ``_canonical`` of
-    :meth:`TranscriptEntry.content_wire` byte for byte, written from the
-    fields of ``sent`` (``Message`` or ``TranscriptEntry``) and its
-    wire-form ``payload``; ``quoted`` keeps each distinct tag's JSON quoting
-    for one walk.  ``TypeError`` unless the integer fields are exact ``int``
-    and the tag a ``str``: ``%d`` prints ``True`` or ``4.0`` as the int it
-    is not, and the tag over that would verify."""
-    round_index, sender, receiver, tag, bits = _SENT(sent)
+    :meth:`TranscriptEntry.content_wire` byte for byte, written from its
+    fields (``payload`` in wire form); ``quoted`` keeps each distinct
+    tag's JSON quoting for one walk.  ``TypeError`` unless the integer
+    fields are exact ``int`` and the tag a ``str``: ``%d`` prints ``True``
+    or ``4.0`` as the int it is not, and the tag over that would verify."""
     if not (
         type(index) is type(round_index) is type(sender) is type(receiver)
         is type(bits) is int
@@ -185,6 +187,11 @@ class TranscriptEntry:
     ``payload`` is stored in wire form (an exact int for symbol
     messages, ``{"repr": ...}`` for anything non-numeric), ``auth`` is
     the hex HMAC of the sender over the hash chain up to this entry.
+    ``content_bytes`` are the authenticated bytes (``_entry_bytes`` of
+    the other fields), made with the entry: ``None`` when a field is not
+    exactly typed, as no tag is valid over such an entry.
+    :meth:`Transcript.record` passes the bytes it just formatted from the
+    same fields as ``formatted``; every other entry formats its own.
     """
 
     index: int
@@ -195,6 +202,18 @@ class TranscriptEntry:
     bits: int
     payload: Any
     auth: str
+    formatted: InitVar[Optional[bytes]] = None
+    content_bytes: Optional[bytes] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self, formatted: Optional[bytes]) -> None:
+        if formatted is None:
+            try:
+                formatted = _entry_bytes(self.index, *_ROW(self), {})
+            except TypeError:
+                pass
+        object.__setattr__(self, "content_bytes", formatted)
 
     def content_wire(self) -> dict:
         """The authenticated fields (everything except ``auth``)."""
@@ -217,20 +236,15 @@ class TranscriptEntry:
     def from_wire(cls, payload: dict, where: str = "entry") -> "TranscriptEntry":
         return cls(*[_field(payload, name, where) for name in _ENTRY_KEYS])
 
-    def matches_message(self, message: Message) -> Optional[str]:
-        """Name of the first field differing from ``message`` (or None)."""
-        if self.round_index != message.round_index:
-            return "round"
-        if self.sender != message.sender:
-            return "sender"
-        if self.receiver != message.receiver:
-            return "receiver"
-        if self.tag != message.tag:
-            return "tag"
-        if self.bits != message.bits:
-            return "bits"
-        if self.payload != _encode_payload(message.payload):
-            return "payload"
+    def matches_row(self, row: Sequence) -> Optional[str]:
+        """Name of the first field differing from a journal ``row`` (or
+        None).  A field matches only when equal and of the same type: the
+        authenticated bytes tell ``1`` from ``True`` and ``4`` from ``4.0``."""
+        replayed = (*row[:5], _encode_payload(row[5]))
+        # The row's fields under their wire names.
+        for name, mine, theirs in zip(_ENTRY_KEYS[1:7], _ROW(self), replayed):
+            if type(mine) is not type(theirs) or mine != theirs:
+                return name
         return None
 
 
@@ -276,11 +290,11 @@ class Transcript:
         cls,
         spec: RunSpec,
         instance: InstanceSpec,
-        journal: Sequence[Message],
+        journal: Sequence[tuple],
         result: ConsensusResult,
         key: bytes = DEFAULT_KEY,
     ) -> "Transcript":
-        """Authenticate a journal into a transcript.
+        """Authenticate a network journal (its rows) into a transcript.
 
         Entries are chained: ``auth_i`` is the sender's HMAC over the
         chain head after entry ``i-1`` plus entry ``i``'s canonical
@@ -292,14 +306,20 @@ class Transcript:
         chain = cls._chain_seed(spec, instance, ring.key_id)
         entries: List[TranscriptEntry] = []
         quoted: dict = {}
-        for index, message in enumerate(journal):
-            payload = _encode_payload(message.payload)
-            link = chain + _entry_bytes(index, message, payload, quoted)
-            auth = ring.tag(message.sender, link)
-            chain = hashlib.sha256(link).digest()
-            entries.append(
-                TranscriptEntry(index, *_SENT(message), payload, auth)
+        for index, row in enumerate(journal):
+            round_index, sender, receiver, tag, bits, payload = row
+            if type(payload) is not int:
+                payload = _encode_payload(payload)
+            content = _entry_bytes(
+                index, round_index, sender, receiver, tag, bits, payload,
+                quoted,
             )
+            link = chain + content
+            chain = hashlib.sha256(link).digest()
+            entries.append(TranscriptEntry(
+                index, round_index, sender, receiver, tag, bits, payload,
+                ring.tag(sender, link), content,
+            ))
         result_bytes = _canonical(result_to_wire(result))
         return cls(
             spec=spec,
@@ -364,64 +384,52 @@ class Transcript:
         )
 
     def save(self, path: Union[str, "object"]) -> None:
-        """Write the canonical JSON form to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                self.to_wire(), handle, sort_keys=True, separators=(",", ":")
-            )
-            handle.write("\n")
+        """Write the canonical JSON form (the bytes :meth:`digest`
+        hashes) and a newline to ``path``."""
+        with open(path, "wb") as handle:
+            handle.write(self.canonical_bytes() + b"\n")
 
     @classmethod
     def load(cls, path: Union[str, "object"]) -> "Transcript":
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_wire(json.load(handle))
 
-    def digest(self) -> str:
-        """Stable content digest over the canonical serialized form."""
-        quoted: dict = {}
+    def canonical_bytes(self) -> bytes:
+        """The canonical serialized form: ``_canonical(self.to_wire())``
+        byte for byte, each entry written from its stored bytes."""
         try:
             entries = b",".join(
                 b'{"auth":%b,%b' % (
-                    _json_str(entry.auth).encode(),
-                    _entry_bytes(entry.index, entry, entry.payload, quoted)[1:],
+                    _json_str(entry.auth).encode(), entry.content_bytes[1:]
                 )
                 for entry in self.entries
             )
         except TypeError:  # a hostile entry: only the generic encoder is total
-            return hashlib.sha256(_canonical(self.to_wire())).hexdigest()
+            return _canonical(self.to_wire())
         # "entries" sorts first, so the first "[]" is its empty list.
         frame = _canonical(replace(self, entries=()).to_wire())
-        return hashlib.sha256(
-            frame.replace(b"[]", b"[%b]" % entries, 1)
-        ).hexdigest()
+        return frame.replace(b"[]", b"[%b]" % entries, 1)
+
+    def digest(self) -> str:
+        """Stable content digest over the canonical serialized form."""
+        return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     # -- inspection ---------------------------------------------------
 
-    def messages(self) -> List[Message]:
-        """The journalled messages, reconstructed in recorded order.
+    def journal(self) -> List[tuple]:
+        """The journal rows, reconstructed in recorded order.
 
         Only exact-int payloads are invertible; entries whose payload
         was stored as a ``repr`` marker raise, since replay comparison
         happens in wire form and never needs the original object.
         """
-        out = []
         for entry in self.entries:
             if isinstance(entry.payload, dict):
                 raise ValueError(
                     "entry %d payload is non-numeric (%r); compare in"
                     " wire form instead" % (entry.index, entry.payload)
                 )
-            out.append(
-                Message(
-                    sender=entry.sender,
-                    receiver=entry.receiver,
-                    payload=entry.payload,
-                    bits=entry.bits,
-                    tag=entry.tag,
-                    round_index=entry.round_index,
-                )
-            )
-        return out
+        return [_ROW(entry) for entry in self.entries]
 
     def verify(self, key: bytes = DEFAULT_KEY) -> VerifyReport:
         """Check every authentication tag and the seal; see
@@ -467,7 +475,6 @@ def verify_transcript(
     chain = Transcript._chain_seed(
         transcript.spec, transcript.instance, ring.key_id
     )
-    quoted: dict = {}
     for position, entry in enumerate(transcript.entries):
         if entry.index != position:
             return VerifyReport(
@@ -477,10 +484,8 @@ def verify_transcript(
                 reason="entry index %r found at position %d: an entry"
                 " was dropped or reordered" % (entry.index, position),
             )
-        try:
-            link = chain + _entry_bytes(entry.index, entry, entry.payload, quoted)
-        except TypeError:
-            link = None  # an inexact-typed field: no tag is valid over it
+        content = entry.content_bytes
+        link = None if content is None else chain + content
         if link is None or not _same_hex(
             ring.tag(entry.sender, link), entry.auth
         ):
@@ -525,7 +530,7 @@ class TranscriptRecorder:
         self,
         spec: RunSpec,
         instance: InstanceSpec,
-        journal: Sequence[Message],
+        journal: Sequence[tuple],
         result: ConsensusResult,
     ) -> Transcript:
         recorded = Transcript.record(

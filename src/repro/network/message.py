@@ -3,8 +3,8 @@
 Two granularities share the same on-wire semantics:
 
 * :class:`Message` — one payload on one directed channel (the scalar
-  unit of the simulator's original API, still used by tests, journals
-  and adversarial paths);
+  unit of the simulator's original API, still used by tests, scalar
+  inboxes and adversarial paths; a journal keeps rows instead);
 * :class:`SymbolBatch` — every payload sent under one ``(tag, round)``
   as parallel sender/receiver/payload arrays, the unit of the
   vectorized :meth:`~repro.network.simulator.SyncNetwork.send_many`

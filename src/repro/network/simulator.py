@@ -27,8 +27,9 @@ the :class:`BitMeter`, and their accounting is byte-identical: a batch of
 ``m`` messages of ``b`` bits meters exactly like ``m`` scalar sends of
 ``b`` bits.  Mixing the two in one round is allowed; ``deliver`` always
 reports everything (materializing batches into messages), while
-``deliver_arrays`` keeps batches as arrays and only materializes for the
-journal.
+``deliver_arrays`` keeps batches as arrays.  A journal keeps every
+delivered message as one row, a plain tuple, zipped straight from a
+batch's columns (see :attr:`SyncNetwork.journal`).
 
 A third, traffic-free granularity serves the cohort engine:
 :meth:`SyncNetwork.charge_round` accounts a full round's bits/messages
@@ -40,7 +41,8 @@ never to be read (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -48,8 +50,8 @@ import numpy as np
 from repro.network.message import Message, SymbolBatch
 from repro.network.metrics import BitMeter
 
-#: A round's journal order.
-_JOURNAL_ORDER = attrgetter("receiver", "sender", "tag")
+#: A round's journal order: receiver, sender, tag of a journal row.
+_JOURNAL_ORDER = itemgetter(2, 1, 3)
 
 #: Validated batch shapes a network keeps (least recently used goes
 #: first).  A round sends at most two batches: the honest and the faulty
@@ -156,10 +158,10 @@ class SyncNetwork:
         #: (see :meth:`_shape_edges`).
         self._shapes: Dict[bytes, tuple] = {}
         #: When journalling, every delivered message is retained here in
-        #: delivery order — an execution trace for debugging and audits.
-        #: Batched sends are materialized into the journal so the trace is
-        #: identical whichever path produced the traffic.
-        self.journal: Optional[List[Message]] = [] if journal else None
+        #: delivery order as one row ``(round_index, sender, receiver,
+        #: tag, bits, payload)`` — an execution trace for debugging and
+        #: audits, identical whichever send path produced the traffic.
+        self.journal: Optional[List[tuple]] = [] if journal else None
         #: Installed fault schedule (see repro.faults), or None for the
         #: fault-free network.  Duck-typed: anything with a
         #: ``decide(round_index, sender, receiver, tag)`` method returning
@@ -502,9 +504,24 @@ class SyncNetwork:
         self._round_edges = {}
         self.round_index += 1
 
-    def _journal_round(self, messages: List[Message]) -> None:
-        if self.journal is not None:
-            self.journal.extend(sorted(messages, key=_JOURNAL_ORDER))
+    def _journal_round(
+        self, messages: List[Message], batches: Sequence[SymbolBatch] = ()
+    ) -> None:
+        """Journal a round's scalar messages, then its batches, as rows
+        sorted by receiver, sender and tag; a batch's rows are zipped
+        from its columns (``tolist()`` keeps pids exact ints)."""
+        rows = [
+            (m.round_index, m.sender, m.receiver, m.tag, m.bits, m.payload)
+            for m in messages
+        ]
+        for batch in batches:
+            rows.extend(zip(
+                repeat(batch.round_index), batch.senders.tolist(),
+                batch.receivers.tolist(), repeat(batch.tag),
+                repeat(batch.bits), batch.payload_list(),
+            ))
+        rows.sort(key=_JOURNAL_ORDER)
+        self.journal.extend(rows)
 
     def charge_round(self, tag: str, count: int, bits: int) -> None:
         """Account one full round of ``count`` messages of ``bits`` bits
@@ -521,8 +538,8 @@ class SyncNetwork:
 
         Refuses to run when scalar or batched traffic is already
         buffered in the current round (the caller would silently swallow
-        it) or when journalling is on (the journal must see materialized
-        messages, so such networks take the real send path).
+        it) or when journalling is on (the journal must see every
+        delivered message, so such networks take the real send path).
 
         >>> net = SyncNetwork(3)
         >>> net.charge_round("replay", count=6, bits=4)
@@ -577,7 +594,8 @@ class SyncNetwork:
             inboxes[message.receiver].append(message)
         for inbox in inboxes.values():
             inbox.sort(key=lambda m: (m.sender, m.tag))
-        self._journal_round(delivered)
+        if self.journal is not None:
+            self._journal_round(delivered)
         self._end_round()
         return inboxes
 
@@ -587,8 +605,8 @@ class SyncNetwork:
         Scalar sends come back as per-receiver inboxes (exactly as
         :meth:`deliver` reports them); batched sends come back as the
         :class:`SymbolBatch` objects in send order.  When journalling is
-        on, batches *are* materialized — into the journal only — so the
-        trace stays identical to the scalar path's.
+        on, the batches' rows go into the journal, the same rows the
+        scalar path journals.
         """
         inboxes: Dict[int, List[Message]] = {pid: [] for pid in range(self.n)}
         scalar = self._pending
@@ -600,9 +618,7 @@ class SyncNetwork:
             inbox.sort(key=lambda m: (m.sender, m.tag))
         batches = list(self._pending_batches)
         if self.journal is not None:
-            self._journal_round(
-                scalar + self._materialize_pending_batches()
-            )
+            self._journal_round(scalar, batches)
         delivery = RoundDelivery(
             round_index=self.round_index, inboxes=inboxes, batches=batches
         )

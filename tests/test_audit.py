@@ -17,6 +17,7 @@ typed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac
 import json
@@ -37,7 +38,8 @@ from repro.audit import (
     replay,
     verify_transcript,
 )
-from repro.audit.replay import DeviationRecorder
+from repro.audit import transcript as transcript_module
+from repro.audit.replay import DeviationRecorder, _journal_divergence
 from repro.audit.transcript import TranscriptEntry, _canonical, _entry_bytes
 from repro.cli import main as cli_main
 from repro.core.config import ConsensusConfig
@@ -234,26 +236,24 @@ _payloads = st.one_of(
 
 @st.composite
 def _journals(draw):
+    """Network journal rows ``(round, sender, receiver, tag, bits,
+    payload)``."""
     count = draw(st.integers(min_value=0, max_value=12))
-    messages = []
+    rows = []
     for i in range(count):
         sender = draw(st.integers(min_value=0, max_value=3))
         receiver = (sender + draw(st.integers(min_value=1, max_value=3))) % 4
-        messages.append(
-            Message(
-                sender=sender,
-                receiver=receiver,
-                payload=draw(_payloads),
-                bits=draw(st.integers(min_value=0, max_value=4096)),
-                tag=draw(
-                    st.sampled_from(
-                        ["gen0.matching.symbols", "gen1.matching.symbols"]
-                    )
-                ),
-                round_index=draw(st.integers(min_value=0, max_value=3)),
-            )
-        )
-    return messages
+        rows.append((
+            draw(st.integers(min_value=0, max_value=3)),
+            sender,
+            receiver,
+            draw(st.sampled_from(
+                ["gen0.matching.symbols", "gen1.matching.symbols"]
+            )),
+            draw(st.integers(min_value=0, max_value=4096)),
+            draw(_payloads),
+        ))
+    return rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +265,7 @@ def test_transcript_roundtrip(journal):
     wire = json.loads(json.dumps(transcript.to_wire()))
     loaded = Transcript.from_wire(wire)
     assert loaded == transcript
-    assert loaded.messages() == list(journal)
+    assert loaded.journal() == list(journal)
     assert verify_transcript(loaded).ok
 
 
@@ -324,10 +324,22 @@ _inexact_entries = st.builds(
 @given(entry=_exact_entries)
 def test_entry_formatter_is_canonical_json(entry):
     """The one producer of an entry's authenticated bytes writes what
-    ``json.dumps`` wrote before it (transcript format 3)."""
-    assert _entry_bytes(entry.index, entry, entry.payload, {}) == json.dumps(
+    ``json.dumps`` wrote before it (transcript format 3), and an entry
+    stores those bytes."""
+    formatted = _entry_bytes(
+        entry.index, entry.round_index, entry.sender, entry.receiver,
+        entry.tag, entry.bits, entry.payload, {},
+    )
+    assert entry.content_bytes == formatted == json.dumps(
         entry.content_wire(), sort_keys=True, separators=(",", ":")
     ).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=_inexact_entries)
+def test_an_inexact_entry_stores_no_bytes(entry):
+    """No tag is valid over an entry the formatter refuses."""
+    assert entry.content_bytes is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,13 +381,14 @@ def test_record_refuses_an_inexact_integer_field(field, value):
     """``%d`` would write ``True`` and ``1.0`` as ``1`` where the
     parent's ``json.dumps`` wrote ``true`` and ``1.0``: refused up front
     (the one property this formatter gives up)."""
-    fields = dict(sender=1, receiver=0, payload=3, bits=1,
-                  tag="gen0.matching.symbols", round_index=1)
+    fields = dict(round_index=1, sender=1, receiver=0,
+                  tag="gen0.matching.symbols", bits=1, payload=3)
     if field == "receiver":
         fields["sender"] = 0
     fields[field] = value
+    row = tuple(fields.values())
     with pytest.raises(TypeError, match="not an int"):
-        Transcript.record(_SPEC, _INSTANCE, [Message(**fields)], _RESULT)
+        Transcript.record(_SPEC, _INSTANCE, [row], _RESULT)
 
 
 GOLDEN = Path(__file__).parent / "data" / "transcript_v3_n4_crash.json"
@@ -647,7 +660,7 @@ def test_journal_equivalence_across_engine_lanes(attack):
     vec_service = ConsensusService(spec)
     vec_recorder = TranscriptRecorder()
     vec_result = vec_service.run(VALUE, transcript=vec_recorder)
-    assert vec_recorder.transcript.messages() == scalar_journal
+    assert vec_recorder.transcript.journal() == scalar_journal
 
     batch_service = ConsensusService(spec)
     batch_recorder = TranscriptRecorder()
@@ -656,10 +669,116 @@ def test_journal_equivalence_across_engine_lanes(attack):
     )
     # The cohort's rounds are accounting a journal cannot observe.
     assert not batch_service._cohorts
-    assert batch_recorder.transcript.messages() == scalar_journal
+    assert batch_recorder.transcript.journal() == scalar_journal
 
     assert compare(scalar_result, vec_result).identical
     assert compare(scalar_result, batch_result).identical
+
+
+#: A recorded entry ``(round 3, 1 -> 2, bits 4, payload 1)`` and, per
+#: field, a replayed value ``==`` calls equal while the entry's
+#: authenticated bytes spell it differently.
+_ENTRY = TranscriptEntry(0, 3, 1, 2, "gen0.matching.symbols", 4, 1, "")
+_LOOSE_ROWS = {
+    "payload": (3, 1, 2, "gen0.matching.symbols", 4, True),
+    "bits": (3, 1, 2, "gen0.matching.symbols", 4.0, 1),
+    "round": (3.0, 1, 2, "gen0.matching.symbols", 4, 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_LOOSE_ROWS))
+def test_a_replayed_row_matches_only_exactly_typed(field):
+    """Replay compares journals as the transcript authenticates them: a
+    replayed ``True``, ``4.0`` or ``3.0`` is not the recorded ``1``,
+    ``4`` or ``3``."""
+    row = _LOOSE_ROWS[field]
+    assert _ENTRY.matches_row(row) == field
+    divergence = _journal_divergence([_ENTRY], [row])
+    assert divergence is not None and divergence["field"] == field
+    assert _journal_divergence(
+        [_ENTRY], [(3, 1, 2, "gen0.matching.symbols", 4, 1)]
+    ) is None
+
+
+def test_an_edited_entry_formats_its_own_bytes():
+    """An entry's stored bytes are its own fields': an entry rebuilt
+    with one field changed (``dataclasses.replace``) re-formats them, so
+    the old tag fails there."""
+    _, transcript = ConsensusService(
+        RunSpec(n=4, l_bits=16, attack="crash")
+    ).record(0xBEEF)
+    entries = list(transcript.entries)
+    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    assert entries[2].content_bytes != transcript.entries[2].content_bytes
+    report = verify_transcript(
+        dataclasses.replace(transcript, entries=tuple(entries))
+    )
+    assert (report.ok, report.failed_index) == (False, 2)
+
+
+# -- the work is counted ---------------------------------------------------
+
+
+def test_an_audit_formats_each_entry_once(monkeypatch):
+    """Record, verify, prove (replay and digest) and save format each
+    entry's authenticated bytes once, when the entry is made; every
+    other walk reads them (four formats an entry before)."""
+    calls = []
+    formatter = transcript_module._entry_bytes
+
+    def counted(*args):
+        calls.append(args[0])
+        return formatter(*args)
+
+    monkeypatch.setattr(transcript_module, "_entry_bytes", counted)
+    spec = RunSpec(n=15, l_bits=1 << 10, attack="corrupt")
+    _, transcript = ConsensusService(spec).record(VALUE)
+    assert transcript.verify().ok
+    proof = prove(transcript)
+    assert proof.ok and proof.culprits == proof.claimed_faulty
+    assert transcript.digest() == proof.transcript_digest
+    assert calls == list(range(len(transcript.entries)))
+
+
+def test_a_journalled_audit_builds_no_message(monkeypatch):
+    """Batched traffic is journalled as rows zipped from a batch's
+    columns: recording and replaying build no ``Message`` (two an entry
+    before)."""
+    built = []
+    check = Message.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Message, "__post_init__", counted)
+    spec = RunSpec(n=15, l_bits=1 << 10, attack="corrupt")
+    _, transcript = ConsensusService(spec).record(VALUE)
+    assert transcript.entries and prove(transcript).ok
+    assert built == []
+
+
+SAVED_GRID = [
+    (n, attack) for n in (4, 7) for attack in sorted(ATTACKS)
+]
+
+
+@pytest.mark.parametrize(
+    "n,attack", SAVED_GRID, ids=["n%d-%s" % case for case in SAVED_GRID]
+)
+def test_the_saved_file_is_what_the_digest_hashes(n, attack, tmp_path):
+    """``save`` writes the digest's bytes and a newline: one serializer
+    for the file and the digest."""
+    spec = RunSpec(
+        n=n, l_bits=64, attack=attack, faulty=_case_faulty(attack)
+    )
+    _, transcript = ConsensusService(spec).record(VALUE)
+    path = tmp_path / "transcript.json"
+    transcript.save(path)
+    saved = path.read_bytes()
+    assert saved.endswith(b"\n")
+    assert hashlib.sha256(saved[:-1]).hexdigest() == transcript.digest()
+    assert saved[:-1] == _canonical(transcript.to_wire())
 
 
 # -- satellite: recording stays off charge_round ---------------------------

@@ -406,10 +406,7 @@ def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7,
             config, adversary=make_adversary(), journal=True, **toggles
         )
         observed = Observed(engine.run(list(inputs)), engine)
-        observed.journal = [
-            (m.round_index, m.sender, m.receiver, m.tag, m.bits, m.payload)
-            for m in engine.network.journal
-        ]
+        observed.journal = list(engine.network.journal)
         runs.append(observed)
     return runs
 

@@ -177,7 +177,7 @@ class TestJournal:
         net.send(1, 0, payload=3, bits=1, tag="y")
         net.deliver()
         assert len(net.journal) == 3
-        assert [m.round_index for m in net.journal] == [0, 0, 1]
+        assert [row[0] for row in net.journal] == [0, 0, 1]
 
     def test_journal_order_deterministic(self):
         net = SyncNetwork(4, journal=True)
@@ -185,4 +185,4 @@ class TestJournal:
         net.send(1, 0, payload="a", bits=1, tag="x")
         net.send(2, 0, payload="b", bits=1, tag="x")
         net.deliver()
-        assert [m.sender for m in net.journal] == [1, 2, 3]
+        assert [row[1] for row in net.journal] == [1, 2, 3]
