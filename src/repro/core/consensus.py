@@ -171,6 +171,10 @@ class MultiValuedConsensus:
         #: on reference runs — the arena-reuse tests assert that).
         self.arena = arena
         self._view_extras: Dict[str, object] = {}
+        #: What the first run was handed (a short form of its inputs),
+        #: once one has started: the engines' shared prologue refuses a
+        #: second run of one object.
+        self._first_run: Optional[str] = None
         self.backend = config.make_backend(
             self.meter, self.adversary, self._make_view
         )
@@ -247,8 +251,9 @@ class MultiValuedConsensus:
             of returning.
 
         A consensus object owns mutable cross-generation state (the
-        diagnosis graph, the meter, the round clock), so run it once;
-        build a fresh instance per execution.
+        diagnosis graph, the meter, the round clock), so it runs once: a
+        second call raises :class:`RuntimeError` before any hook fires or
+        any traffic moves.  Build a fresh instance per execution.
         """
         # Imported lazily: repro.service imports this module at package
         # init, so a top-level import here would be circular.

@@ -2,8 +2,9 @@
 
 :meth:`GenerationProtocol.run` executes a *stretch* — consecutive
 generations under one diagnosis-graph state, ending at the first that
-diagnoses or defaults.  One generation is a stretch of one, and the
-scalar path only ever runs one.
+diagnoses or defaults — and one protocol runs a whole instance, stretch
+after stretch.  One generation is a stretch of one, and the scalar path
+only ever runs one.
 
 The engine keeps a separate state for every processor and only lets
 information flow through the two legitimate channels — point-to-point
@@ -22,20 +23,22 @@ error mode the paper describes for that variant.  Common-knowledge
 bookkeeping (who broadcasts next, the shared diagnosis graph) follows the
 lowest-pid fault-free processor's view, the *reference view*.
 
-Two observationally identical executions coexist:
+Two observationally identical executions sit behind
+:meth:`GenerationProtocol.run`:
 
-* the **scalar** path — per-edge dicts and per-pid view assembly, the
-  reference implementation every other engine is held to, and the only
-  engine for backends whose honest broadcasts run real rounds
-  (``phase_king``, ``eig`` and the probabilistic ones, where honest
-  views can genuinely diverge);
+* the **scalar** path, here — per-edge dicts and per-pid view
+  assembly, the reference implementation every other engine is held
+  to, and the only engine for backends whose honest broadcasts run
+  real rounds (``phase_king``, ``eig`` and the probabilistic ones,
+  where honest views can genuinely diverge);
 * the **vectorized** path (the planner's ``Lane.PER_GENERATION``, under
-  a backend whose honest broadcasts are priced) — the symbol exchange
-  lands in one ``(n, n)`` numpy view assembled from
-  :class:`~repro.network.message.SymbolBatch` arrays, M vectors and
-  Detected flags are boolean matrices, and broadcast views are built
-  once, for the reference processor: the backend hands every processor
-  one shared row, so every view is that one.
+  a backend whose honest broadcasts are priced) — a door onto the
+  cohort lane's batched generation body
+  (:class:`repro.service.cohort._InstanceRun`) over a *sent* symbol
+  round: the traffic lands in one ``(n, n)`` numpy view, and broadcast
+  views are built once, for the reference processor.  The protocol
+  keeps that instance run, with its whole-run codewords and match memo,
+  for the run's later stretches.
 
 Both paths ask every adversary hook with the same arguments — controlled
 rows are applied onto the batched arrays — and an answer is a function
@@ -43,34 +46,18 @@ of those arguments (``docs/ARCHITECTURE.md``, rule 3), so metering is
 byte-identical.  Both paths ask a faulty processor for its rows once
 each (``matching_row``, ``m_row``, ``trust_row``) and read every answer
 through :mod:`repro.processors.answers`; the scalar path then assembles
-its per-pid views from what was broadcast.  Lines 3(f)-3(i) are one
-function for every engine, :func:`diagnosis_verdict`.
-
-The vectorized path leaves the work that does not change from one
-generation to the next to the run loop
-(:func:`repro.service.engine.execute_consensus`), which holds it for one
-run: the stretch's codewords arrive encoded (one whole-run
-``encode_generations`` per distinct value) and the line 1(e) clique
-search is memoized per distinct adjacency.  Within a stretch the honest
-traffic is array work over ``(s, n, n)`` blocks, computed once: received
-symbols, M matrices, adjacency keys, and the outsiders' consistency
-checks batched per key.  Each generation still runs its own symbol
-round, hook asks and broadcast charges, in the order a one-generation
-run would, and a delivery that departs from the honest block is folded
-into that generation's row.  The batched pieces it shares with the
-cohort engine live in :mod:`repro.service.cohort`, reached through a
-lazy import: the dispatch rule every single-bit broadcast goes through
-(``dispatch_sources``: fault-free sources priced, only the controlled
-ones' rows dispatched through ``broadcast_bits_many_grouped``, which is
-what makes ``n >= 127`` fault-injection sweeps practical), line 2(c)'s
-decode-once rule (``checking_decisions``) and the diagnosis stage
-(``CohortContext.diagnose``).
+its per-pid views from what was broadcast.  Line 1(a)'s traffic is one
+function for every engine that sends it, :func:`_send_matching_symbols`,
+and lines 3(f)-3(i) are one function for every engine,
+:func:`diagnosis_verdict`.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -107,17 +94,6 @@ def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
             value = converted[id(row)] = convert(row)
         views.append(value)
     return views
-
-
-@cache
-def _cohort_module():
-    """:mod:`repro.service.cohort`, home of the batched rules and the
-    diagnosis stage the vectorized path shares with the cohort engine;
-    imported on first use, as the arena is (``repro.service`` imports
-    core modules at package init)."""
-    from repro.service import cohort
-
-    return cohort
 
 
 def diagnosis_verdict(
@@ -199,8 +175,96 @@ def diagnosis_verdict(
     )
 
 
+def symbol_round_shape(
+    graph: DiagnosisGraph, controlled: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, Tuple[int, ...]]]:
+    """Who sends to whom in a symbol round under ``graph`` as it stands:
+    the honest live senders' edges to their trusted recipients
+    (``senders``, ``receivers``; isolation drops every edge of a pid, so
+    the trust mask alone encodes liveness), and each live ``controlled``
+    sender, in that order, with its live trusted recipients, ascending
+    (tuples: the row hook is handed them)."""
+    isolated = graph.isolated
+    faulty = {
+        sender: tuple(
+            recipient for recipient in sorted(graph.trusted_by(sender))
+            if recipient not in isolated
+        )
+        for sender in controlled if sender not in isolated
+    }
+    honest = np.ones(graph.n, dtype=bool)
+    honest[list(isolated) + list(faulty)] = False
+    senders, receivers = np.nonzero(graph.trust_mask() & honest[:, None])
+    return senders, receivers, faulty
+
+
+def _send_matching_symbols(
+    network: SyncNetwork,
+    adversary: Adversary,
+    view_provider: Callable[[], GlobalView],
+    generation: int,
+    bits: int,
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    faulty: Iterable[Tuple[int, Tuple[int, ...]]],
+    diagonal: Sequence[int],
+) -> RoundDelivery:
+    """Line 1(a) traffic, identical on every engine that sends it: every
+    processor sends its own ``bits``-bit symbol ``diagonal[pid]`` over
+    the round's shape — the honest live senders' edges (``senders``,
+    ``receivers``) and each live faulty sender with its live trusted
+    recipients, ascending (``faulty``).
+
+    Honest senders' traffic moves as one :class:`SymbolBatch` (no
+    per-edge Message objects).  Each live faulty sender is asked once
+    for its row (``matching_row``, with one ``view_provider`` snapshot);
+    the expansion (``matching_row_payloads``) puts one edge per
+    non-``None`` payload on a second batch — the metering (Counter sums)
+    and the journal (sorted per round) are byte-identical to per-edge
+    sends.
+    """
+    symbol_tag = "gen%d.matching.symbols" % generation
+    if senders.shape[0]:
+        if bits > 62:
+            # Wide super-symbols exceed an int64 lane: keep the exact-int
+            # list carrier.
+            payloads = [diagonal[s] for s in senders.tolist()]
+        else:
+            # Packed payload lane: one gather, no per-edge Python objects
+            # (fancy indexing owns its data, so send_many keeps the lane
+            # without copying).
+            payloads = np.asarray(diagonal, dtype=np.int64)[senders]
+        network.send_many(
+            senders, receivers, payloads, bits=bits, tag=symbol_tag,
+        )
+    # Faulty live senders: one row each, one shared batch.
+    faulty_senders: List[int] = []
+    faulty_receivers: List[int] = []
+    faulty_payloads: List[object] = []
+    view = None
+    for sender, recipients in faulty:
+        if view is None:
+            view = view_provider()
+        payloads = matching_row_payloads(adversary.matching_row(
+            sender, recipients, diagonal[sender], generation, view,
+        ), recipients)
+        for recipient, payload in zip(recipients, payloads):
+            if payload is None:
+                continue  # silent: no bits on the wire
+            faulty_senders.append(sender)
+            faulty_receivers.append(recipient)
+            faulty_payloads.append(payload)
+    if faulty_senders:
+        network.send_many(
+            faulty_senders, faulty_receivers, faulty_payloads, bits=bits,
+            tag=symbol_tag,
+        )
+    return network.deliver_arrays()
+
+
 class GenerationProtocol:
-    """Executes Algorithm 1 for a stretch of generations from ``g``."""
+    """Executes Algorithm 1 for a run's generations, a stretch at a time,
+    from ``generation`` on."""
 
     def __init__(
         self,
@@ -214,8 +278,6 @@ class GenerationProtocol:
         view_provider: Callable[[], GlobalView],
         vectorized: bool = True,
         arena=None,
-        clique_memo: Optional[Dict[bytes, Optional[Tuple[int, ...]]]] = None,
-        on_generation: Optional[Callable[[int], None]] = None,
     ):
         self.config = config
         self.code = code
@@ -223,13 +285,13 @@ class GenerationProtocol:
         self.graph = graph
         self.backend = backend
         self.adversary = adversary
+        #: The next generation to run; each stretch advances it.
         self.generation = generation
         self._view_provider = view_provider
         self.n = config.n
         self.t = config.t
         self.k = config.data_symbols
         self.c = config.symbol_bits
-        self.tag = "gen%d" % generation
         #: The planner's choice (:func:`repro.service.planner.plan_lane`):
         #: the vectorized path prices fault-free broadcasts and shares
         #: one broadcast view, so it needs a priced-honest backend.
@@ -242,49 +304,24 @@ class GenerationProtocol:
         if not self._honest:
             raise ValueError("at least one fault-free processor required")
         self._reference = self._honest[0]
-        # Per-stretch memos: the n processors of a stretch hold few
-        # distinct symbol sets, so each is coded once; nothing here
-        # outlives the stretch.
+        # Scalar memos: the n processors of a run hold few distinct
+        # symbol sets, so each is coded once; nothing here outlives the
+        # protocol.
         self._clique_cache: Dict[Tuple, Optional[Tuple[int, ...]]] = {}
         self._decode_cache: Dict[frozenset, Tuple[int, ...]] = {}
         self._consistency_cache: Dict[frozenset, bool] = {}
         self._codeword_cache: Dict[Tuple[int, ...], List[int]] = {}
-        #: numpy lane for symbol matrices: wide interleaved super-symbols
-        #: do not fit an int64, so they fall back to object arrays (the
-        #: boolean mask algebra is dtype-independent).
-        self._symbol_dtype = np.int64 if self.c <= 62 else object
-        #: Preallocated (n, n) exchange/M/adjacency/Detected/Trust
-        #: buffers; the engine owner (service or one-shot consensus)
-        #: passes its arena so buffers persist across generations.
+        #: The vectorized path's exchange arena (the engine owner's, so
+        #: its buffers persist across instances) and instance run, which
+        #: the first stretch builds and the later ones reuse.
         self._arena = arena
-        #: Vectorized line 1(e) memo, adjacency bytes -> match set; the
-        #: run loop passes one per run (a diagnosis changes the key, so
-        #: an entry is never stale), default one per generation.
-        self._clique_memo = {} if clique_memo is None else clique_memo
-        #: Told each generation index as the stretch enters it, before
-        #: the generation's first hook is asked (the run loop points
-        #: the views' ``generation`` extra at it).
-        self._on_generation = on_generation
+        self._batched = None
 
     # -- helpers -----------------------------------------------------------------
 
-    def _ensure_arena(self):
-        """The protocol's exchange arena, built lazily when no owner
-        passed one in.  Only the vectorized stage methods call this:
-        forced-scalar runs never touch an arena (asserted by the
-        arena-reuse tests)."""
-        arena = self._arena
-        if arena is None:
-            # Imported lazily: repro.service imports core modules at
-            # package init, so a top-level import here would be circular.
-            from repro.service.arena import ExchangeArena
-
-            arena = ExchangeArena(self.n, self._symbol_dtype, _MISSING)
-            self._arena = arena
-        return arena
-
-    def _view(self) -> GlobalView:
-        return self._view_provider()
+    @property
+    def tag(self) -> str:
+        return "gen%d" % self.generation
 
     def _assert_common(self, views: Dict[int, object], what: str) -> None:
         """Under an error-free backend all honest views must coincide."""
@@ -357,56 +394,47 @@ class GenerationProtocol:
 
     # -- main entry point -----------------------------------------------------------
 
-    def _enter(self, generation: int) -> None:
-        """Make ``generation`` the one the stage methods work on."""
-        self.generation = generation
-        self.tag = "gen%d" % generation
-        if self._on_generation is not None:
-            self._on_generation(generation)
-
     def run(
         self,
         parts: Dict[int, Sequence[Sequence[int]]],
         default_parts: Sequence[Sequence[int]],
-        codewords: Optional[Dict[int, Sequence[List[int]]]] = None,
     ) -> List[GenerationResult]:
-        """Run a *stretch*: consecutive generations from
-        :attr:`generation` under the diagnosis graph as it stands, one
-        per entry of ``default_parts``.
+        """Run a *stretch*: generations :attr:`generation` to the last
+        ``default_parts`` holds, under the diagnosis graph as it stands,
+        ending early at the first that diagnoses (the graph changes) or
+        defaults (the run ends); :attr:`generation` moves past the
+        generations run, whose records are returned.  The scalar path
+        runs a stretch of one generation.
 
-        ``parts[pid][i]`` is ``pid``'s part (``k`` symbols) in the
-        stretch's ``i``-th generation and ``codewords[pid][i]`` its
-        encode, where the caller already holds it (the run loop's
-        whole-run encode); the vectorized path encodes ``parts``
-        otherwise.  The stretch ends early at the first generation that
-        diagnoses (the graph changes) or decides the default (the run
-        ends); the returned records are the generations run.  The
-        scalar path runs a stretch of one generation.
+        ``parts[pid][g]`` is ``pid``'s part (``k`` symbols) and
+        ``default_parts[g]`` the default part in generation ``g``: every
+        stretch of a run is handed the same ``parts``, processors holding
+        one value sharing one sequence.
         """
-        if not default_parts:
+        first = self.generation
+        if len(default_parts) <= first:
             raise ValueError("a stretch has at least one generation")
-        isolated = frozenset(self.graph.isolated)
         if self.vectorized:
-            if codewords is None:
-                codewords = {pid: [] for pid in range(self.n)}
-                for index in range(len(default_parts)):
-                    words = self._encode_codewords(
-                        {pid: parts[pid][index] for pid in range(self.n)}
-                    )
-                    for pid, word in words.items():
-                        codewords[pid].append(word)
-            return self._run_vectorized(codewords, default_parts, isolated)
-        if len(default_parts) != 1:
+            if self._batched is None:
+                # Imported here: repro.service imports core modules at
+                # package init, so a top-level import would be circular.
+                from repro.service.cohort import sent_run
+
+                self._batched = sent_run(self, parts)
+            results = self._batched.stretch(first, default_parts)
+        elif len(default_parts) != first + 1:
             raise ValueError(
                 "the scalar path runs a stretch of one generation, got %d"
-                % len(default_parts)
+                % (len(default_parts) - first)
             )
-        self._enter(self.generation)
-        return [self._run_scalar(
-            {pid: parts[pid][0] for pid in range(self.n)},
-            default_parts[0],
-            isolated,
-        )]
+        else:
+            results = [self._run_scalar(
+                {pid: parts[pid][first] for pid in range(self.n)},
+                default_parts[first],
+                frozenset(self.graph.isolated),
+            )]
+        self.generation = first + len(results)
+        return results
 
     def _run_scalar(
         self,
@@ -502,89 +530,6 @@ class GenerationProtocol:
             codewords[pid] = self._cached_encode(part)
         return codewords
 
-    def _symbol_round_shape(
-        self, isolated: FrozenSet[int]
-    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, Tuple[int, ...]]]]:
-        """Who sends to whom in a symbol round under the graph as it
-        stands: the honest live senders' edges to their trusted live
-        recipients (``senders``, ``receivers``), and each live faulty
-        sender with its live trusted recipients, ascending."""
-        mask = self.graph.trust_mask()
-        live = np.ones(self.n, dtype=bool)
-        live[list(isolated)] = False
-        honest_sender = live.copy()
-        honest_sender[self._controlled] = False
-        senders, receivers = np.nonzero(
-            mask & honest_sender[:, np.newaxis] & live[np.newaxis, :]
-        )
-        faulty = [
-            (sender, tuple(
-                recipient
-                for recipient in sorted(self.graph.trusted_by(sender))
-                if recipient not in isolated
-            ))
-            for sender in self._controlled
-            if live[sender]
-        ]
-        return senders, receivers, faulty
-
-    def _send_matching_symbols(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        faulty: List[Tuple[int, Tuple[int, ...]]],
-        diagonal: Sequence[int],
-    ) -> RoundDelivery:
-        """Line 1(a) traffic, identical on both paths: every processor
-        sends its own symbol ``diagonal[pid]`` over the round's shape
-        (:meth:`_symbol_round_shape`).
-
-        Honest senders' traffic moves as one :class:`SymbolBatch` (no
-        per-edge Message objects).  Each live faulty sender is asked
-        once for its row (``matching_row``); the expansion
-        (``matching_row_payloads``) puts one edge per non-``None``
-        payload on a second batch — the metering (Counter sums) and the
-        journal (sorted per round) are byte-identical to per-edge sends.
-        """
-        symbol_tag = "%s.matching.symbols" % self.tag
-        if senders.shape[0]:
-            if self._symbol_dtype is object:
-                # Wide super-symbols exceed an int64 lane: keep the
-                # exact-int list carrier.
-                payloads = [diagonal[s] for s in senders.tolist()]
-            else:
-                # Packed payload lane: one gather, no per-edge Python
-                # objects (fancy indexing owns its data, so send_many
-                # keeps the lane without copying).
-                payloads = np.asarray(diagonal, dtype=np.int64)[senders]
-            self.network.send_many(
-                senders, receivers, payloads, bits=self.c, tag=symbol_tag,
-            )
-        # Faulty live senders: one row each, one shared batch.
-        faulty_senders: List[int] = []
-        faulty_receivers: List[int] = []
-        faulty_payloads: List[object] = []
-        view = self._view() if faulty else None
-        for sender, recipients in faulty:
-            payloads = matching_row_payloads(self.adversary.matching_row(
-                sender, recipients, diagonal[sender], self.generation, view,
-            ), recipients)
-            for recipient, payload in zip(recipients, payloads):
-                if payload is None:
-                    continue  # silent: no bits on the wire
-                faulty_senders.append(sender)
-                faulty_receivers.append(recipient)
-                faulty_payloads.append(payload)
-        if faulty_senders:
-            self.network.send_many(
-                faulty_senders,
-                faulty_receivers,
-                faulty_payloads,
-                bits=self.c,
-                tag=symbol_tag,
-            )
-        return self.network.deliver_arrays()
-
     # -- matching stage (scalar) ------------------------------------------------------
 
     def _matching_exchange(
@@ -594,8 +539,12 @@ class GenerationProtocol:
     ) -> Tuple[Dict[int, List[int]], Dict[int, Dict[int, Optional[int]]]]:
         """Lines 1(a)-1(b): encode and exchange one symbol per processor."""
         codewords = self._encode_codewords(parts)
-        delivery = self._send_matching_symbols(
-            *self._symbol_round_shape(isolated),
+        senders, receivers, faulty = symbol_round_shape(
+            self.graph, self._controlled
+        )
+        delivery = _send_matching_symbols(
+            self.network, self.adversary, self._view_provider, self.generation,
+            self.c, senders, receivers, faulty.items(),
             [codewords[pid][pid] for pid in range(self.n)],
         )
         mask = self.graph.trust_mask()
@@ -643,7 +592,7 @@ class GenerationProtocol:
         Returns ``m_view[pid][i]`` = the M vector of processor ``i`` as
         received by ``pid`` (self-entries implicitly true).
         """
-        view = self._view()
+        view = self._view_provider()
         tag = "%s.matching.M" % self.tag
         mask = self.graph.trust_mask()
         honest_rows = {
@@ -698,7 +647,7 @@ class GenerationProtocol:
         Returns ``detected_view[pid][q]`` = Detected_q as seen by ``pid``,
         plus the list of fault-free detectors (ground truth for results).
         """
-        view = self._view()
+        view = self._view_provider()
         tag = "%s.checking.detected" % self.tag
         match_set = set(p_match)
 
@@ -751,7 +700,7 @@ class GenerationProtocol:
         default_part: Sequence[int],
     ) -> GenerationResult:
         """Lines 3(a)-3(i): assign blame, update the graph, decide."""
-        view = self._view()
+        view = self._view_provider()
 
         # Lines 3(a)-3(b): P_match members broadcast their own symbol.
         symbol_tag = "%s.diagnosis.symbol" % self.tag
@@ -860,398 +809,3 @@ class GenerationProtocol:
                     result.decisions[pid] = self._cached_decode(positions)
             self._assert_common(result.decisions, "diagnosis-stage decision")
         return result
-
-    # -- vectorized path: a stretch of generations ------------------------------------
-
-    def _run_vectorized(
-        self,
-        codewords: Dict[int, Sequence[List[int]]],
-        default_parts: Sequence[Sequence[int]],
-        isolated: FrozenSet[int],
-    ) -> List[GenerationResult]:
-        """Array-backed replay of :meth:`run` for priced-honest
-        backends, over a stretch of generations whose codewords are
-        already encoded.
-
-        The broadcast contract (agreement at every fault-free processor)
-        lets one *reference* view stand in for all fault-free views, so
-        the per-pid ``O(n³)`` view assembly of the scalar path collapses
-        to ``O(n²)`` boolean matrices; the per-processor ``_assert_common``
-        checks become vacuous here and live on in the scalar path, which
-        the equivalence suite replays against this one.
-
-        Honest traffic is the processors' own codeword symbols, sent
-        over a shape the unchanged graph fixes for the whole stretch, so
-        what follows from it is array work over ``(s, n, n)`` blocks,
-        done once: the received symbols, the honest M-matrices and their
-        adjacency keys; the outsiders' consistency checks are batched
-        per adjacency key (:meth:`_checking_tables`) on first use.  The
-        blocks are built a window of generations at a time, each window
-        as long as the stretch has run so far.
-        Everything observable is walked generation by generation, in
-        the order of a one-generation run: the symbol round (its own
-        ``send_many`` + ``deliver_arrays``, whose delivery is folded into
-        the generation's row wherever it differs from the prediction),
-        the M rows, the Detected flags, the decision.
-        """
-        n = self.n
-        first = self.generation
-        count = len(default_parts)
-        mask = np.asarray(self.graph.trust_mask())
-        senders, receivers, faulty = self._symbol_round_shape(isolated)
-        live = [i for i in range(n) if i not in isolated]
-        controlled = np.zeros(n, dtype=bool)
-        controlled[self._controlled] = True
-
-        results: List[GenerationResult] = []
-        start = 0
-        while start < count:
-            # A window as long as the stretch has survived so far (1, 1,
-            # 2, 4, ... generations): a stretch that ends early wastes
-            # at most the work it used.
-            stop = min(count, max(1, 2 * start))
-            block, received, m_block, adjacency = self._honest_blocks(
-                codewords, start, stop, mask, senders, receivers
-            )
-            predicted = [adjacency[i].tobytes() for i in range(stop - start)]
-            #: Adjacency key -> {window index: its line 2 table}.
-            checks: Dict[bytes, Dict[int, tuple]] = {}
-            for index in range(stop - start):
-                self._enter(first + start + index)
-                words = {
-                    pid: codewords[pid][start + index] for pid in range(n)
-                }
-                row, m = received[index], m_block[index]
-                adjacent = adjacency[index]
-                delivery = self._send_matching_symbols(
-                    senders, receivers, faulty,
-                    [words[pid][pid] for pid in range(n)],
-                )
-                folded = self._fold_round(
-                    row, delivery, senders, receivers, controlled, mask
-                )
-                if folded:
-                    np.logical_and(mask, row == block[index], out=m)
-                    np.fill_diagonal(m, True)
-                if self._matching_broadcast_vec(m, live, isolated) or folded:
-                    np.logical_and(m, m.T, out=adjacent)
-                    np.fill_diagonal(adjacent, False)
-                    key = adjacent.tobytes()
-                else:
-                    key = predicted[index]
-                if key not in self._clique_memo:
-                    # Line 1(e), searched once per distinct adjacency.
-                    clique = find_clique_matrix(adjacent, n - self.t)
-                    self._clique_memo[key] = (
-                        tuple(clique) if clique is not None else None
-                    )
-                p_match = self._clique_memo[key]
-
-                if p_match is None:
-                    # Line 1(f): honest inputs provably differ; decide
-                    # the default, and the run ends here.
-                    results.append(GenerationResult(
-                        generation=self.generation,
-                        outcome=GenerationOutcome.NO_MATCH_DEFAULT,
-                        decisions={
-                            pid: tuple(default_parts[start + index])
-                            for pid in self._honest
-                        },
-                        p_match=None,
-                    ))
-                    return results
-
-                # A folded row is checked on its own; an unfolded one
-                # shares its key's table with every later generation
-                # the prediction gives that key.
-                known = None if folded else checks.get(key)
-                if known is None or index not in known:
-                    known = self._checking_tables(
-                        p_match, received, block,
-                        [index] if folded else [index] + [
-                            later
-                            for later in range(index + 1, stop - start)
-                            if predicted[later] == key
-                        ],
-                        mask, isolated,
-                    )
-                    if not folded:
-                        checks[key] = known
-                honest_detected, rows, classes = known[index]
-                detected_ref, detectors = self._checking_stage_vec(
-                    honest_detected, isolated
-                )
-
-                if detected_ref.any():
-                    # Detected outsiders: lines 3(a)-3(i) on the cohort
-                    # engine's stage, after which the graph has changed
-                    # and the stretch ends.
-                    context = _cohort_module().CohortContext(
-                        self.config, self.code, self.adversary,
-                        self._ensure_arena(),
-                    )
-                    results.append(context.diagnose(
-                        self.graph, self.backend, self.adversary,
-                        self._view(), self.generation, p_match, words,
-                        row[:, list(p_match)], detected_ref, detectors,
-                        isolated, default_parts[start + index],
-                    ))
-                    return results
-                results.append(GenerationResult(
-                    generation=self.generation,
-                    outcome=GenerationOutcome.DECIDED_CHECKING,
-                    decisions=_cohort_module().checking_decisions(
-                        self.code, self._honest, p_match, rows, classes,
-                        words,
-                    ),
-                    p_match=p_match,
-                    detectors=detectors,
-                ))
-            start = stop
-        return results
-
-    def _honest_blocks(
-        self,
-        codewords: Dict[int, Sequence[List[int]]],
-        start: int,
-        stop: int,
-        mask: np.ndarray,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The honest prediction of the stretch's generations ``start``
-        to ``stop``, as ``(stop - start, n, n)`` blocks: the codewords
-        (``[i, pid]`` is ``pid``'s codeword), the received symbols (each
-        trusted live edge carries its sender's own symbol, a processor
-        holds its own), the M-matrices and their adjacencies."""
-        n = self.n
-        block = self._codeword_block(codewords, start, stop)
-        everyone = np.arange(n)
-        diagonals = block[:, everyone, everyone]
-        received = np.full(block.shape, _MISSING, dtype=self._symbol_dtype)
-        received[:, receivers, senders] = diagonals[:, senders]
-        received[:, everyone, everyone] = diagonals
-        # A codeword symbol is never _MISSING, so a missing one
-        # mismatches.  An isolated processor's trust row is empty, so
-        # its M row is its own slot alone, as its broadcast-free row
-        # must read.
-        m_block = mask & (received == block)
-        m_block[:, everyone, everyone] = True
-        adjacency = m_block & m_block.transpose(0, 2, 1)
-        adjacency[:, everyone, everyone] = False
-        return block, received, m_block, adjacency
-
-    def _codeword_block(
-        self, codewords: Dict[int, Sequence[List[int]]], start: int, stop: int
-    ) -> np.ndarray:
-        """The codewords of the stretch's generations ``start`` to
-        ``stop`` as one block, ``[i, pid]`` being ``pid``'s codeword in
-        generation ``start + i``; processors handed one sequence object
-        share its conversion."""
-        block = np.empty(
-            (stop - start, self.n, self.n), dtype=self._symbol_dtype
-        )
-        converted: Dict[int, np.ndarray] = {}
-        for pid in range(self.n):
-            run = codewords[pid]
-            rows = converted.get(id(run))
-            if rows is None:
-                rows = converted[id(run)] = np.array(
-                    run[start:stop], dtype=self._symbol_dtype
-                )
-            block[:, pid] = rows
-        return block
-
-    def _fold_round(
-        self,
-        row: np.ndarray,
-        delivery: RoundDelivery,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        controlled: np.ndarray,
-        mask: np.ndarray,
-    ) -> bool:
-        """Lines 1(a)-1(b): fold what the symbol round delivered into
-        ``row``, which holds the honest prediction (``row[i, j]`` the
-        symbol ``j`` sent to ``i``, :data:`_MISSING` for silence,
-        invalid payloads and untrusted senders).
-
-        Returns ``False`` when the round delivered exactly the
-        prediction: the whole honest batch and nothing else.  Otherwise
-        a partly delivered honest batch (a fault plan omitted or delayed
-        edges) is scattered afresh, and Byzantine batches and scalar
-        messages are validated per edge, exactly as the scalar path
-        does; a batch is Byzantine when its senders are controlled (a
-        batch never mixes honest and faulty senders).
-        """
-        limit = self.code.symbol_limit
-        honest: List = []
-        byzantine: List = []
-        for batch in delivery.batches:
-            (byzantine if controlled[batch.senders[0]] else honest).append(
-                batch
-            )
-        complete = (
-            sum(batch.senders.shape[0] for batch in honest)
-            == senders.shape[0]
-        )
-        inboxes = delivery.inboxes
-        if complete and not byzantine and not any(inboxes.values()):
-            return False
-        if not complete:
-            # Honest traffic: this engine's own codeword symbols, valid
-            # by construction and trust-filtered at send time.
-            row[receivers, senders] = _MISSING
-            for batch in honest:
-                row[batch.receivers, batch.senders] = batch.payload_lanes(
-                    self._symbol_dtype
-                )
-        for batch in byzantine:
-            for sender, recipient, payload in zip(
-                batch.senders.tolist(),
-                batch.receivers.tolist(),
-                batch.payload_list(),
-            ):
-                row[recipient, sender] = received_symbol(
-                    payload, limit, _MISSING
-                )
-        symbol_tag = "%s.matching.symbols" % self.tag
-        for pid in range(self.n):
-            for message in inboxes[pid]:
-                if message.tag != symbol_tag:
-                    # Stale traffic a delay fault carried in from an
-                    # earlier round (see _matching_exchange).
-                    continue
-                if not mask[pid, message.sender]:
-                    continue  # line 1(b): ignore untrusted senders
-                row[pid, message.sender] = received_symbol(
-                    message.payload, limit, _MISSING
-                )
-        return True
-
-    def _matching_broadcast_vec(
-        self, m_matrix: np.ndarray, live: List[int], isolated: FrozenSet[int]
-    ) -> bool:
-        """Lines 1(c)-1(d) on the generation's M-matrix.
-
-        ``m_matrix`` holds the honest M matrix — validity makes a
-        fault-free source's row arrive as sent — and becomes the
-        reference view ``m[i, j]`` = "``i`` claims its symbol from ``j``
-        matched" as every fault-free processor received it: the
-        controlled processors are asked for their rows (``m_row``) on
-        their honest rows, and every live row goes through the one
-        dispatch rule (``repro.service.cohort.dispatch_sources``), which
-        reads back only the controlled rows (an isolated source
-        broadcasts nothing; its honest row is its own slot alone).
-        Returns whether a row was read back.
-        """
-        n = self.n
-        #: Controlled pid -> the n - 1 bits its answer broadcasts.
-        rows: Dict[int, List[int]] = {}
-        if self._controlled:
-            view = self._view()
-            for i in self._controlled:
-                honest_row = tuple(m_matrix[i].tolist())
-                rows[i] = m_row_bits(
-                    self.adversary.m_row(i, honest_row, self.generation, view),
-                    i, n,
-                )
-        outcomes = _cohort_module().dispatch_sources(
-            self.backend, live, rows, n - 1, "%s.matching.M" % self.tag,
-            isolated,
-        )
-        for i, bits in outcomes.items():
-            # The scalar ``row[:i]`` / ``row[i:]`` placement.
-            m_matrix[i, :i] = bits[:i]
-            m_matrix[i, i + 1:] = bits[i:]
-        return bool(outcomes)
-
-    def _checking_tables(
-        self,
-        p_match: Tuple[int, ...],
-        received: np.ndarray,
-        block: np.ndarray,
-        indices: List[int],
-        mask: np.ndarray,
-        isolated: FrozenSet[int],
-    ) -> Dict[int, Tuple[Dict[int, bool], list, list]]:
-        """What line 2 reads in the window generations ``indices``, as
-        ``{index: (flags, rows, classes)}``: each live outsider's honest
-        Detected flag on its ``received`` row (line 2(a)), and for line
-        2(c) the fault-free processors' rows and every processor's
-        codeword over ``P_match`` (``block`` holds the codewords).
-
-        A trusted ``P_match`` member that stayed silent is proof of a
-        fault by itself; untrusted members are ignored, not evidence.
-        The rest are consistency checks, one batched
-        ``consistent_rows`` call over every generation and outsider
-        that trusts the same members.
-        """
-        match_set = set(p_match)
-        outsiders = [
-            q for q in range(self.n)
-            if q not in match_set and q not in isolated
-        ]
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for q in outsiders:
-            trusted = tuple(j for j in p_match if mask[q, j])
-            groups.setdefault(trusted, []).append(q)
-        flags: Dict[int, Dict[int, bool]] = {index: {} for index in indices}
-        for trusted, group in groups.items():
-            values = received[
-                np.ix_(indices, group, np.array(trusted, dtype=np.intp))
-            ].reshape(
-                len(indices) * len(group), len(trusted)
-            )
-            detected = (values == _MISSING).any(axis=1)
-            whole = ~detected
-            if whole.any():
-                detected[whole] = ~self.code.consistent_rows(
-                    trusted, values[whole].tolist()
-                )
-            cells = iter(detected.tolist())
-            for index in indices:
-                for q in group:
-                    flags[index][q] = next(cells)
-        columns = np.array(p_match, dtype=np.intp)
-        rows = received[np.ix_(indices, self._honest, columns)].tolist()
-        classes = block[np.ix_(indices, range(self.n), columns)].tolist()
-        return {
-            index: (
-                {q: flags[index][q] for q in outsiders},
-                rows[position],
-                classes[position],
-            )
-            for position, index in enumerate(indices)
-        }
-
-    def _checking_stage_vec(
-        self, honest_detected: Dict[int, bool], isolated: FrozenSet[int]
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Line 2(b) on the live outsiders' ``honest_detected`` flags;
-        returns the reference Detected flags as a boolean vector plus
-        the fault-free detectors.  The controlled outsiders are asked
-        for their flags (``detected_flag``) and the one-bit rows go
-        through the dispatch rule like the M rows."""
-        outsiders = list(honest_detected)
-        detectors = [
-            q for q in outsiders
-            if honest_detected[q] and not self.adversary.controls(q)
-        ]
-        # Detected rows stay scalar one-bit lists by design (a flag is
-        # not a "row of bits"); only the reference flag vector is arena'd.
-        detected_ref = self._ensure_arena().detected_view()
-        detected_ref[outsiders] = list(honest_detected.values())
-        rows: Dict[int, List[int]] = {}
-        if self._controlled:
-            view = self._view()
-            for q in self._controlled:
-                if q in honest_detected:
-                    rows[q] = [self._detected(q, honest_detected[q], view)]
-        outcomes = _cohort_module().dispatch_sources(
-            self.backend, outsiders, rows, 1,
-            "%s.checking.detected" % self.tag, isolated,
-        )
-        for q, bits in outcomes.items():
-            detected_ref[q] = bool(bits[0])
-        return detected_ref, detectors

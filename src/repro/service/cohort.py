@@ -1,56 +1,59 @@
-"""Attack-cohort batching: one generation engine per attack shape.
+"""The batched generation engine: one generation body, two symbol rounds.
 
-Instances whose honest processors share one input value run here
-instead of through one full
-:class:`~repro.core.generation.GenerationProtocol` per generation.
-Instances that share an *attack shape* — same ``(n, t, L, D)`` layout,
-same canonical attack and declared faulty set
-(:func:`repro.service.spec.cohort_key`) — run through one
-:class:`CohortContext`.  A failure-free run is the cohort of the empty
-faulty set: no hook exists to fire, so every generation is three
-charges and no codeword is ever encoded.
+Every vectorized run executes Algorithm 1's generations through
+:meth:`_InstanceRun.step`, the one batched generation body, over a
+:class:`CohortContext`.  The body takes its symbol round as a
+parameter, the one place the planner's two vectorized lanes differ:
 
-A generation has **one path** (:meth:`_InstanceRun.step`), the shape of
-the paper's Algorithm 1:
+* the **cohort** lane (:func:`run_cohort_instance`) — instances whose
+  honest processors share one input value.  Instances that share an
+  *attack shape* — same ``(n, t, L, D)`` layout, same canonical attack
+  and declared faulty set (:func:`repro.service.spec.cohort_key`) — run
+  through one context, and the round is *priced*
+  (:class:`_PricedRound`): honest traffic is value-independent
+  accounting.  A failure-free run is the cohort of the empty faulty
+  set: no hook exists to fire, so every generation is three charges and
+  no codeword is ever encoded.
+* the **per-generation** lane (honest inputs that differ, fault plans,
+  recorded runs) enters through :func:`sent_run`, over a private context
+  and a *sent* round (:class:`_SentRound`): the traffic really moves.
 
-1. *Symbol round.*  Honest traffic is value-independent accounting.
-   Line 1(a) has a processor send its *one* symbol to everyone it
-   trusts, so each live faulty sender is asked once for its row
-   (:meth:`~repro.processors.adversary.Adversary.matching_row`): the
-   payload every recipient gets plus the recipients that get something
-   else.  The answers, read as on receipt, are the round's
+A generation, the shape of the paper's Algorithm 1:
+
+1. *Symbol round.*  Line 1(a) has a processor send its *one* symbol to
+   everyone it trusts, so each live faulty sender is asked once for its
+   row (:meth:`~repro.processors.adversary.Adversary.matching_row`).  A
+   priced round holds the answers, read as on receipt, as a
    :class:`_SymbolRound` — a common payload per sender and a sparse
-   ``(sender, recipient)`` table of exceptions — which every later step
-   reads; the *deviation pattern* is its (silent senders, exception
-   pairs).  The exceptions are read sparsely, so the round costs
-   O(faulty + deviations), not O(faulty · n).
-2. *Plan.*  ``(graph state, pattern)`` looks up a :class:`_Plan`: the
-   M expectation rows (tuples) handed to the ``m_row`` hooks, the
-   unhooked M broadcast rows, the match set they resolve to and, per
-   match set, the checking-stage facts (:class:`_Checking`).  When
-   every deviation is *silent* (missing/invalid, none
-   valid-but-off-codeword) and no controlled processor holds a distinct
-   input, all of that is a function of the pattern alone and the plan
-   is memoized for the life of the cohort — a crashed sender's second
-   generation, and every generation of a conforming run (the empty
-   pattern), compute nothing.  Otherwise the plan depends on this
-   generation's values and is built fresh.
-3. *Execute.*  Ask each controlled processor for its M row
-   (:meth:`~repro.processors.adversary.Adversary.m_row`: an honest
-   answer keeps the plan's row, a constant or explicit one replaces
-   it), dispatch the M rows, resolve the match set, fire the
+   ``(sender, recipient)`` table of exceptions; the *deviation pattern*
+   is its (silent senders, exception pairs), read sparsely, so the
+   round costs O(faulty + deviations), not O(faulty · n).
+2. *Plan.*  The round yields a :class:`_Plan`: the M expectation rows
+   (tuples) handed to the ``m_row`` hooks, the unhooked M broadcast
+   rows, the key of the match set they resolve to and, per match set,
+   the checking-stage facts (:class:`_Checking`).  A priced round looks
+   its plan up by ``(graph state, pattern)``: when every deviation is
+   *silent* (missing/invalid, none valid-but-off-codeword) and no
+   controlled processor holds a distinct input, all of that is a
+   function of the pattern alone and the plan is memoized for the life
+   of the cohort — a crashed sender's second generation, and every
+   generation of a conforming run (the empty pattern), compute nothing.
+   A sent round builds its plan from the generation's M view.
+3. *Execute*, one body for both rounds.  Ask each controlled processor
+   for its M row (:meth:`~repro.processors.adversary.Adversary.m_row`:
+   an honest answer keeps the plan's row, a constant or explicit one
+   replaces it), dispatch the M rows, resolve the match set, fire the
    overridden ``detected_flag`` hooks, dispatch the flags, then decide
    (line 2(c), :func:`checking_decisions` once a deviation reaches a
    decision row) — or, when a flag is raised, run the context's own
    diagnosis stage, :meth:`CohortContext.diagnose`, which is array
    work: it prices the fault-free sources' broadcasts, dispatches only
-   the controlled sources' rows (:func:`dispatch_sources`), removes the
-   accused edges as one matrix update and hands lines 3(f)-3(i) to the
-   one verdict, :func:`~repro.core.generation.diagnosis_verdict`.  The
-   per-generation engine's diagnosis, M, Detected and line 2(c) steps
-   call the same three.
+   the controlled sources' rows (:func:`dispatch_sources`, the one
+   dispatch rule), removes the accused edges as one matrix update and
+   hands lines 3(f)-3(i) to the one verdict,
+   :func:`~repro.core.generation.diagnosis_verdict`.
 
-What the context keeps across its instances is **value-independent**:
+What a context keeps across its instances is **value-independent**:
 one table of diagnosis-graph *structures*, each holding the plans and
 the M view → ``P_match`` match sets (one clique search per distinct M
 view, however many generations and instances produce it) reached in its
@@ -62,31 +65,33 @@ at :data:`MAX_PATTERN_ENTRIES`.
 
 The contract is the PR 3/PR 5 discipline wholesale: results — decisions,
 :class:`~repro.core.result.GenerationResult` records, meter snapshots,
-round clock, backend instance ids — are **byte-identical** to a looped
-one-shot run, and every per-instance :class:`Adversary` hook is asked
-with the scalar arguments (the symbol hook through its row form, step
-1); an answer is a function of those arguments, so the order the step
-asks in is its own.  Two classes of shortcut keep that true while
-skipping work:
+round clock, backend instance ids — are **byte-identical** to the
+forced-scalar reference, and every per-instance :class:`Adversary` hook
+is asked with the scalar arguments (the symbol hook through its row
+form, step 1); an answer is a function of those arguments, so the order
+the step asks in is its own.  Two classes of shortcut keep that true
+while skipping work:
 
-* *Unobservable accounting*: the matching round's one-or-two
-  ``send_many`` + ``deliver_arrays`` collapse to one
+* *Unobservable accounting*: a priced round's one-or-two ``send_many``
+  + ``deliver_arrays`` collapse to one
   :meth:`~repro.network.simulator.SyncNetwork.charge_round` (equal
-  ``Counter`` sums, one round advance), and broadcast dispatch uses
+  ``Counter`` sums, one round advance), and broadcast dispatch prices
+  fault-free sources
+  (:meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
+charge_honest_instances` — identical counters) and sends only the
+  controlled rows through
   :meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
 broadcast_bits_many_grouped` (same hooks and instance ids, no per-pid
-  dict fan-out) or, when the adversary leaves ``ideal_broadcast_bit``
-  at the honest base implementation, pure bulk accounting
-  (:meth:`~repro.broadcast_bit.ideal.AccountedIdealBroadcast.\
-charge_honest_instances` — identical counters).
+  dict fan-out), or none at all when the adversary leaves
+  ``ideal_broadcast_bit`` at the honest base implementation.
 * *Base-hook elision*: a hook the attack leaves at the base
   (:func:`~repro.processors.adversary.hook_is_default`) is the stateless
   implementation returning its honest argument; skipping the call
   cannot be observed.  Overridden hooks always fire.
 
-A recorded run never comes here: the journal must observe materialized
-messages, ``charge_round`` refuses a journalling network, and the
-planner keeps such runs on the per-generation engine.
+A recorded run never takes the priced round: the journal must observe
+materialized messages, ``charge_round`` refuses a journalling network,
+and the planner keeps such runs on the per-generation lane.
 """
 
 from __future__ import annotations
@@ -102,7 +107,9 @@ import numpy as np
 from repro.coding.reed_solomon import DecodingError
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
 from repro.core.consensus import MultiValuedConsensus
-from repro.core.generation import _MISSING, diagnosis_verdict
+from repro.core.generation import (
+    _MISSING, _send_matching_symbols, diagnosis_verdict, symbol_round_shape,
+)
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.graphs.cliques import find_clique_matrix
 from repro.processors.adversary import Adversary, hook_is_default
@@ -110,6 +117,7 @@ from repro.processors.answers import (
     bit_answer, diagnosis_symbol_value, m_row_bits, m_row_change,
     matching_row_answer, received_symbol, trust_row_change,
 )
+from repro.service.arena import ExchangeArena
 from repro.service.engine import finalize_result, prepare_instance
 from repro.utils.bits import PackedBits
 
@@ -162,23 +170,11 @@ class _GraphStructure:
         self.live = live
         #: Live controlled pids, ascending: whose M rows key a match.
         self.live_controlled = [s for s in controlled if live[s]]
-        # Faulty live senders, in the cohort's order, and their live
-        # trusted recipients, ascending; tuples, because the row hook is
-        # handed them.
-        self.fab_recips = {
-            s: tuple(
-                r for r in sorted(graph.trusted_by(s)) if r not in isolated
-            )
-            for s in controlled
-            if live[s]
-        }
+        #: The faulty live senders with their recipients, and how many
+        #: edges the honest live senders' traffic takes.
+        senders, _, self.fab_recips = symbol_round_shape(graph, controlled)
         self.fab_sent = sum(len(r) for r in self.fab_recips.values())
-        honest_rows = [
-            i for i in range(n) if live[i] and i not in self.fab_recips
-        ]
-        self.honest_edges = (
-            int(mask[honest_rows].sum()) if honest_rows else 0
-        )
+        self.honest_edges = len(senders)
         eye = np.eye(n, dtype=bool)
         m_base = mask | eye
         #: Row tuples: a controlled row is handed to the m_row hook.
@@ -259,8 +255,8 @@ class _MatchInfo:
     """Checking-stage structure derived from one (graph, M view) pair."""
 
     __slots__ = (
-        "p_match", "match_set", "outsiders", "ctrl_outsider", "pm_ctrl",
-        "pos_ok",
+        "p_match", "columns", "match_set", "outsiders", "ctrl_outsider",
+        "pm_ctrl", "pos_ok",
     )
 
     def __init__(
@@ -291,10 +287,11 @@ class _MatchInfo:
         # Conforming-case decode feasibility: with every payload on the
         # honest codeword, does every honest processor hold >= k
         # checking-stage positions?
-        pm_arr = np.array(p_match, dtype=np.int64)
+        #: P_match as an index array, for taking its columns.
+        self.columns = np.array(p_match, dtype=np.intp)
         pos_ok = True
         for pid in honest:
-            count = int(mask[pid, pm_arr].sum())
+            count = int(mask[pid, self.columns].sum())
             if pid in match_set:
                 count += 1  # own diagonal symbol, always present
             if count < k:
@@ -541,8 +538,8 @@ def dispatch_sources(
     source's bits are known: ``sources`` are its live sources in
     broadcast order, each broadcasting ``width`` bits, and ``rows``
     holds the row of every controlled one.  The diagnosis stage's
-    symbol and trust broadcasts and the per-generation engine's M and
-    Detected broadcasts go through it.
+    symbol and trust broadcasts and, when a broadcast hook can fire, the
+    generation body's M and Detected broadcasts go through it.
 
     The backend's honest broadcasts are pure accounting (the planner
     sends nothing else here), so a fault-free source's outcome is its
@@ -575,34 +572,33 @@ def checking_decisions(
     honest: Sequence[int],
     p_match: Tuple[int, ...],
     rows: List[List[int]],
-    classes: List[List[int]],
     codewords,
 ) -> Dict[int, Tuple[int, ...]]:
     """Line 2(c): every fault-free processor in ``honest`` decides
     ``C^{-1}(R_i / P_match)`` from its symbol row over ``P_match``
-    (``rows``, in ``honest`` order, :data:`_MISSING` where it holds no
-    symbol), once per distinct row.
+    (``rows[pid]``, :data:`_MISSING` where it holds no symbol), once per
+    distinct row.
 
-    A row equal to some processor's codeword at every ``P_match``
-    position (``classes``, in pid order; ``codewords[pid]`` the whole
-    codeword) decides that codeword's first ``k`` symbols: the code is
-    systematic and MDS and ``|P_match| = n - t >= k``, so exactly one
-    codeword passes through those positions, and its data is what
-    ``decode_subset`` would return.  Any other row — a missing symbol,
-    a Byzantine one on no processor's codeword — is decoded.
+    A row equal to some processor's codeword (``codewords[pid]``;
+    processors holding one value may share one list) at every
+    ``P_match`` position decides that codeword's first ``k`` symbols:
+    the code is systematic and MDS and ``|P_match| = n - t >= k``, so
+    exactly one codeword passes through those positions, and its data
+    is what ``decode_subset`` would return.  Any other row — a missing
+    symbol, a Byzantine one on no processor's codeword — is decoded.
     """
-    hit_of: Dict[tuple, int] = {}
-    for pid, values in enumerate(classes):
-        hit_of.setdefault(tuple(values), pid)
+    hit_of: Dict[tuple, List[int]] = {}
+    for word in {id(word): word for word in codewords}.values():
+        hit_of.setdefault(tuple([word[j] for j in p_match]), word)
     decided_by_row: Dict[tuple, Tuple[int, ...]] = {}
     decisions: Dict[int, Tuple[int, ...]] = {}
-    for pid, values in zip(honest, rows):
-        values = tuple(values)
+    for pid in honest:
+        values = tuple(rows[pid])
         decided = decided_by_row.get(values)
         if decided is None:
             hit = hit_of.get(values)
             if hit is not None:
-                decided = tuple(codewords[hit][:code.k])
+                decided = tuple(hit[:code.k])
             else:
                 try:
                     decided = tuple(code.decode_subset({
@@ -705,128 +701,137 @@ class _SymbolRound:
 
 
 class _InstanceRun:
-    """One cohort instance's generation loop over the shared context."""
+    """One instance's generation loop over a context: the one batched
+    generation body (:meth:`step`) of both vectorized lanes.  It takes
+    its collaborators (network, diagnosis graph, backend, adversary,
+    view provider), not the engine that owns them, and its symbol round,
+    a :class:`_PricedRound` or a :class:`_SentRound`."""
 
     __slots__ = (
-        "ctx", "consensus", "adversary", "ref_parts", "ref_codewords",
-        "cw_runs", "ref_tuples", "distinct", "ms_skip", "default_parts",
+        "ctx", "network", "graph", "backend", "adversary", "view_provider",
+        "round", "parts", "ref_parts", "ref_codewords", "cw_runs",
+        "ref_tuples", "distinct", "ms_skip", "default_parts", "generation",
         "view", "struct", "rows", "conforming",
     )
 
-    def __init__(self, ctx, consensus, ref_parts, ref_codewords, distinct,
-                 default_parts):
+    def __init__(self, ctx, network, graph, backend, adversary,
+                 view_provider, parts, symbol_round, default_parts=None,
+                 ref_codewords=None):
         self.ctx = ctx
-        self.consensus = consensus
-        self.adversary = consensus.adversary
-        self.ref_parts = ref_parts
-        #: The honest value's whole-run codewords, if its batch encoded them.
+        self.network = network
+        self.graph = graph
+        self.backend = backend
+        self.adversary = adversary
+        self.view_provider = view_provider
+        # The backend's own hook (ideal_broadcast_bit) reads the
+        # generation's snapshot too.
+        backend._view_provider = self._make_view
+        self.round = symbol_round
+        #: Per-pid whole-run parts; pids holding one value share one
+        #: parts object.
+        self.parts = parts
+        ref_parts = self.ref_parts = parts[ctx.honest[0]]
+        #: The reference value's whole-run codewords, if its batch
+        #: encoded them.
         self.ref_codewords = ref_codewords
         #: Per-pid whole-run codewords, encoded on first read (_rows).
         self.cw_runs = None
-        #: Per-generation part tuples of the honest value (a conforming
-        #: decision row decodes to exactly the sender's own part).
+        #: Per-generation part tuples of the reference value (a
+        #: conforming decision row decodes to exactly the sender's own
+        #: part).
         self.ref_tuples = [tuple(part) for part in ref_parts]
         #: Controlled pid -> parts, where its effective input differs
-        #: from the honest one.
-        self.distinct = distinct
+        #: from the reference one.
+        self.distinct = {
+            pid: parts[pid] for pid in ctx.controlled_sorted
+            if parts[pid] is not ref_parts
+        }
         # With the symbol hook at the base and no controlled processor
         # holding a distinct value, every payload is the sender's honest
         # shared-codeword symbol: there is no round to read.
-        self.ms_skip = ctx.ms_default and not distinct
+        self.ms_skip = ctx.ms_default and not self.distinct
+        #: ``default_parts[g]`` is generation ``g``'s default part.
         self.default_parts = default_parts
+        self.generation = 0
         #: Graph structure carried across generations; only a diagnosis
         #: can mutate the graph, so it is invalidated exactly there.
         self.struct = None
         #: The current generation's view snapshot and (codeword rows,
-        #: honest codeword), each built on first use (step resets them).
+        #: reference codeword), each built on first use (step resets
+        #: them).
         self.view = self.rows = None
         #: Every generation so far decided the shared codeword's own
         #: part for every honest processor.
         self.conforming = True
 
+    def _whole_run_codewords(self):
+        """Every processor's whole-run codewords, made on first need:
+        one batched ``(generations * rows, k)`` generator matmat per
+        distinct value (pids holding one value share its parts object),
+        the reference value's first."""
+        if self.cw_runs is None:
+            encode = self.ctx.code.encode_generations
+            ref_parts = self.ref_parts
+            runs_of = {id(ref_parts): self.ref_codewords or encode(ref_parts)}
+            for parts in self.parts:
+                if id(parts) not in runs_of:
+                    runs_of[id(parts)] = encode(parts)
+            self.cw_runs = [runs_of[id(parts)] for parts in self.parts]
+        return self.cw_runs
+
     def _rows(self, g: int):
         """Every processor's codeword row for generation ``g`` and the
-        shared honest codeword.  The whole-run encode happens on the
-        first read, so a run in which no payload is ever inspected
-        (every failure-free run) never encodes at all."""
-        rows = self.rows
-        if rows is None:
-            cw_runs = self.cw_runs
-            if cw_runs is None:
-                # One batched (generations * rows, k) generator matmat
-                # per distinct value: parts_for hands the pids holding
-                # one value one parts object.
-                ctx = self.ctx
-                encode = ctx.code.encode_generations
-                ref_parts = self.ref_parts
-                runs_of = {
-                    id(ref_parts): self.ref_codewords or encode(ref_parts)
-                }
-                for parts in self.distinct.values():
-                    if id(parts) not in runs_of:
-                        runs_of[id(parts)] = encode(parts)
-                cw_runs = self.cw_runs = [
-                    runs_of[id(self.distinct.get(pid, ref_parts))]
-                    for pid in ctx.pids
-                ]
-            row_of = [runs[g] for runs in cw_runs]
-            rows = self.rows = (row_of, row_of[self.ctx.honest[0]])
-        return rows
+        reference codeword, made on first read, so a run in which no
+        payload is ever inspected (every failure-free cohort run) never
+        encodes.  A sent round reads generation 0 before it is known
+        whether the run goes on (inputs that differ may default there),
+        so it encodes that generation alone, once per distinct part."""
+        if self.rows is None:
+            if g == 0 and isinstance(self.round, _SentRound):
+                words = {}
+                for parts in self.parts:
+                    if id(parts) not in words:
+                        words[id(parts)] = self.ctx.code.encode(parts[0])
+                row_of = [words[id(parts)] for parts in self.parts]
+            else:
+                row_of = [runs[g] for runs in self._whole_run_codewords()]
+            self.rows = (row_of, row_of[self.ctx.honest[0]])
+        return self.rows
 
     def _make_view(self):
-        """One snapshot per generation, shared across its hook sites
-        (snapshots are pure and content-identical within a generation,
-        so sharing is unobservable)."""
+        """One snapshot per generation, stamped with it and shared
+        across its hook sites and the backend's (snapshots are pure and
+        content-identical within a generation, so sharing is
+        unobservable)."""
         view = self.view
         if view is None:
-            view = self.consensus._make_view()
-            self.view = view
+            view = self.view = self.view_provider()
+            view.extras["generation"] = self.generation
         return view
 
+    def stretch(self, first: int, default_parts) -> List[GenerationResult]:
+        """A stretch for :meth:`GenerationProtocol.run`: generations
+        ``first`` on, to the first that diagnoses or defaults."""
+        self.default_parts = default_parts
+        self.round.begin(self, first, len(default_parts))
+        results: List[GenerationResult] = []
+        for g in range(first, len(default_parts)):
+            results.append(self.step(g))
+            if results[-1].outcome is not GenerationOutcome.DECIDED_CHECKING:
+                break
+        return results
+
     def step(self, g: int) -> GenerationResult:
-        """Generation ``g`` of Algorithm 1: the symbol round, the plan
-        of its deviation pattern, then one execute body."""
+        """Generation ``g`` of Algorithm 1: the symbol round and the
+        plan it yields, then the one execute body."""
         ctx = self.ctx
-        consensus = self.consensus
-        consensus._view_extras["generation"] = g
+        self.generation = g
         self.view = self.rows = None
         struct = self.struct
         if struct is None:
-            struct = self.struct = ctx.structure_for(consensus.graph)
-        sym_tag, m_tag, det_tag = _generation_tags(g)
-
-        # -- lines 1(a)-1(b): the symbol round --------------------------
-        # Honest traffic is value-independent accounting; each live
-        # faulty sender is asked once for its row (matching_row), which
-        # the round holds as its recipients read it.
-        if struct.fab_recips and not self.ms_skip:
-            row_of, cw = self._rows(g)
-            sym = _SymbolRound(
-                self.adversary, struct, row_of, cw, g, self._make_view(),
-                ctx.symbol_limit,
-            )
-            n_sent = sym.sent
-            # Memoized when every deviating payload is missing/invalid
-            # and every controlled input is the honest one (each M
-            # expectation row is then a function of the pattern alone),
-            # built fresh otherwise.
-            pattern = None if sym.offcw or self.distinct else (
-                sym.silent, tuple(sym.exceptions)
-            )
-        else:
-            # No hook to fire: every live faulty sender delivers its own
-            # symbol, nothing deviates.
-            sym = None
-            n_sent = struct.fab_sent
-            pattern = _CONFORMING
-        consensus.network.charge_round(
-            sym_tag, struct.honest_edges + n_sent, ctx.c
-        )
-        plan = struct.plans.get(pattern)
-        if plan is None:
-            plan = self._build_plan(struct, sym, g)
-            if pattern is not None:
-                struct.plans[pattern] = plan
+            struct = self.struct = ctx.structure_for(self.graph)
+        _, m_tag, det_tag = _generation_tags(g)
+        plan = self.round.open(self, struct, g)
 
         # -- lines 1(c)-1(e): M vectors and the match set ---------------
         # Every controlled processor is asked for its M row (m_row) when
@@ -845,7 +850,7 @@ class _InstanceRun:
                         rows = list(rows)
                     rows[i] = bits
         outcomes = self._dispatch(
-            ctx.pids, rows, m_tag, struct, struct.m_total
+            ctx.pids, rows, ctx.n - 1, struct.m_total, m_tag, struct
         )
         if outcomes is plan.m_rows:  # nothing hooked: the plan's view
             info = plan.info
@@ -869,8 +874,8 @@ class _InstanceRun:
         # -- lines 2(a)-2(b): checking stage ----------------------------
         check = plan.checks.get(info)
         if check is None:
-            check = plan.checks[info] = self._checking(
-                struct, info, sym, g
+            check = plan.checks[info] = self.round.checking(
+                self, struct, info, g
             )
         # Overridden detected_flag hooks fire on every controlled
         # outsider.
@@ -887,7 +892,7 @@ class _InstanceRun:
                     )
                     rows[k] = _SET if flag else _CLEAR
         outcomes = self._dispatch(
-            info.outsiders, rows, det_tag, struct, len(rows)
+            info.outsiders, rows, 1, len(rows), det_tag, struct
         )
         if outcomes is check.rows:  # nothing hooked: the plan's flags
             flagged = check.flagged
@@ -898,9 +903,7 @@ class _InstanceRun:
         detectors = list(check.detectors)
         if flagged:
             self.conforming = False
-            return self._diagnose(
-                struct, g, info.p_match, sym, flagged, detectors
-            )
+            return self._diagnose(struct, g, info, flagged, detectors)
         # Line 2(c): decide C^{-1}(R_i / P_match).
         if check.clean:
             decisions = dict.fromkeys(ctx.honest, self.ref_tuples[g])
@@ -908,10 +911,10 @@ class _InstanceRun:
             self.conforming = False
             p_match = info.p_match
             row_of = self._rows(g)[0]
-            received = self._scatter_received(struct, row_of, sym, p_match)
             decisions = checking_decisions(
-                ctx.code, ctx.honest, p_match, received[ctx.honest].tolist(),
-                [[row[j] for j in p_match] for row in row_of], row_of,
+                ctx.code, ctx.honest, p_match,
+                self.round.received(self, struct, row_of, info).tolist(),
+                row_of,
             )
         return GenerationResult(
             generation=g,
@@ -921,16 +924,112 @@ class _InstanceRun:
             detectors=detectors,
         )
 
-    def _build_plan(self, struct, sym, g):
+    def _diagnose(self, struct, g, info, flagged, detectors):
+        """Lines 3(a)-3(i) on the context's stage
+        (:meth:`CohortContext.diagnose`) under ``info``'s match set.
+        ``flagged`` are the outsiders whose broadcast Detected flag is
+        set."""
+        # Diagnosis mutates the graph: drop the carried structure.
+        self.struct = None
+        row_of = self._rows(g)[0]
+        detected = np.zeros(self.ctx.n, dtype=bool)
+        detected[flagged] = True
+        received = self.round.received(self, struct, row_of, info)
+        return self.ctx.diagnose(
+            self.graph, self.backend, self.adversary, self._make_view(), g,
+            info.p_match, row_of, received, detected, detectors,
+            struct.isolated, self.default_parts[g],
+        )
+
+    def _dispatch(self, sources, rows, width, total, tag, struct):
+        """Broadcast ``rows[k]``, ``width`` bits, from ``sources[k]``
+        (``total``: the live sources' bits); returns the row every
+        processor holds for each.  Pure bulk accounting, returning
+        ``rows`` itself, when ``ideal_broadcast_bit`` is the base honest
+        identity; otherwise the live sources go through
+        :func:`dispatch_sources` and the controlled rows read back."""
+        backend = self.backend
+        if self.ctx.ib_default:
+            backend.charge_honest_instances(tag, total)
+            return rows
+        isolated = struct.isolated
+        controlled = self.ctx.controlled
+        at = {
+            source: k for k, source in enumerate(sources)
+            if source in controlled and source not in isolated
+        }
+        outcomes = dispatch_sources(
+            backend, [s for s in sources if s not in isolated],
+            {source: rows[k] for source, k in at.items()}, width, tag,
+            isolated,
+        )
+        if not outcomes:
+            return rows
+        rows = list(rows)
+        for source, row in outcomes.items():
+            rows[at[source]] = row
+        return rows
+
+
+class _PricedRound:
+    """The cohort lane's symbol round (module docstring, steps 1-2):
+    honest traffic is value-independent accounting, one
+    ``charge_round``; each live faulty sender is asked once for its row
+    (:class:`_SymbolRound`); and the deviation pattern looks up the
+    generation's :class:`_Plan`, memoized per graph state when it is a
+    function of the pattern alone."""
+
+    #: The current generation's faulty payloads (None: nothing to read).
+    sym = None
+
+    def open(self, run, struct, g) -> _Plan:
+        """Lines 1(a)-1(b) of generation ``g``, and its plan."""
+        ctx = run.ctx
+        # Honest traffic is value-independent accounting; each live
+        # faulty sender is asked once for its row (matching_row), which
+        # the round holds as its recipients read it.
+        if struct.fab_recips and not run.ms_skip:
+            row_of, cw = run._rows(g)
+            sym = _SymbolRound(
+                run.adversary, struct, row_of, cw, g, run._make_view(),
+                ctx.symbol_limit,
+            )
+            n_sent = sym.sent
+            # Memoized when every deviating payload is missing/invalid
+            # and every controlled input is the honest one (each M
+            # expectation row is then a function of the pattern alone),
+            # built fresh otherwise.
+            pattern = None if sym.offcw or run.distinct else (
+                sym.silent, tuple(sym.exceptions)
+            )
+        else:
+            # No hook to fire: every live faulty sender delivers its own
+            # symbol, nothing deviates.
+            sym = None
+            n_sent = struct.fab_sent
+            pattern = _CONFORMING
+        self.sym = sym
+        run.network.charge_round(
+            _generation_tags(g)[0], struct.honest_edges + n_sent, ctx.c
+        )
+        plan = struct.plans.get(pattern)
+        if plan is None:
+            plan = self._build_plan(run, struct, g)
+            if pattern is not None:
+                struct.plans[pattern] = plan
+        return plan
+
+    def _build_plan(self, run, struct, g):
         """The plan of one generation's deviation pattern."""
-        ctx = self.ctx
+        ctx = run.ctx
+        sym = self.sym
         controlled = ctx.controlled
         #: recipient -> the senders whose payload is not the honest
         #: codeword's symbol (what an honest M bit rejects).
         touched: Dict[int, List[int]] = {}
         if sym is not None:
             for f, r, _ in sym.deviations(
-                self._rows(g)[1], struct.fab_recips, sym.common
+                run._rows(g)[1], struct.fab_recips, sym.common
             ):
                 touched.setdefault(r, []).append(f)
         zero = [0] * (ctx.n - 1)
@@ -939,8 +1038,8 @@ class _InstanceRun:
         for i in range(ctx.n):
             senders = touched.get(i)
             if i in controlled:
-                if i in self.distinct or senders:
-                    row = self._ctrl_row(struct, sym, i, g)
+                if i in run.distinct or senders:
+                    row = self._ctrl_row(run, struct, i, g)
                     bits = m_row_bits(row, i, ctx.n)
                 else:
                     row = struct.base_bool[i]
@@ -961,10 +1060,11 @@ class _InstanceRun:
             ctrl_rows, m_rows,
         )
 
-    def _checking(self, struct, info, sym, g):
+    def checking(self, run, struct, info, g):
         """Each outsider's honest Detected value under this round's
         deviations and whether the conforming decode applies."""
-        ctx = self.ctx
+        ctx = run.ctx
+        sym = self.sym
         controlled = ctx.controlled
         # Only a controlled P_match member's deviating payload matters:
         # to an outsider it is a silent trusted member (detected) or a
@@ -974,7 +1074,7 @@ class _InstanceRun:
         suspect: Set[int] = set()
         clean = info.pos_ok
         if sym is not None and info.pm_ctrl:
-            cw = self._rows(g)[1]
+            cw = run._rows(g)[1]
             match_set = info.match_set
             for _, r, payload in sym.deviations(
                 cw, struct.fab_recips, info.pm_ctrl
@@ -997,48 +1097,14 @@ class _InstanceRun:
             detected.append((q, flag))
         return _Checking(detected, controlled, clean)
 
-    def _diagnose(self, struct, g, p_match, sym, flagged, detectors):
-        """Lines 3(a)-3(i) on the context's stage
-        (:meth:`CohortContext.diagnose`).  ``flagged`` are the
-        outsiders whose broadcast Detected flag is set."""
-        consensus = self.consensus
-        # Diagnosis mutates the graph: drop the carried structure.
-        self.struct = None
-        row_of = self._rows(g)[0]
-        detected = np.zeros(self.ctx.n, dtype=bool)
-        detected[flagged] = True
-        return self.ctx.diagnose(
-            consensus.graph, consensus.backend, self.adversary,
-            self._make_view(), g, p_match, row_of,
-            self._scatter_received(struct, row_of, sym, p_match), detected,
-            detectors, struct.isolated, self.default_parts[g],
-        )
-
-    # -- helpers --------------------------------------------------------
-
-    def _dispatch(self, sources, rows, tag, struct, total):
-        """Broadcast ``rows[k]`` from ``sources[k]`` (isolated sources
-        hold zero rows; ``total`` is the live sources' bit count): one
-        flat outcome row each through ``broadcast_bits_many_grouped``
-        when the adversary's ``ideal_broadcast_bit`` hook must fire,
-        pure bulk accounting (identical counters, and the outcomes are
-        ``rows`` itself) when it is the base honest identity."""
-        backend = self.consensus.backend
-        if self.ctx.ib_default:
-            backend.charge_honest_instances(tag, total)
-            return rows
-        return backend.broadcast_bits_many_grouped(
-            list(zip(sources, rows)), tag, struct.isolated
-        )
-
-    def _ctrl_row(self, struct, sym, i, g):
+    def _ctrl_row(self, run, struct, i, g):
         """Elementwise M row of controlled pid ``i`` — its expectation is
         its *own* codeword row, which differs from the honest one when
         its effective input does."""
-        ctx = self.ctx
+        ctx = run.ctx
         mask = struct.mask
         controlled = ctx.controlled
-        row_of = self._rows(g)[0]
+        row_of = run._rows(g)[0]
         exp = row_of[i]
         row = []
         for j in range(ctx.n):
@@ -1049,12 +1115,12 @@ class _InstanceRun:
             elif j in controlled:
                 # A live controlled sender, so the round holds its
                 # payload; _MISSING equals no symbol.
-                row.append(sym.payload(j, i) == exp[j])
+                row.append(self.sym.payload(j, i) == exp[j])
             else:
                 row.append(row_of[j][j] == exp[j])
         return tuple(row)
 
-    def _scatter_received(self, struct, row_of, sym, p_match):
+    def received(self, run, struct, row_of, info):
         """Materialize the checking-stage received symbols in
         ``P_match``'s columns — the only ones line 2(c) and the
         diagnosis stage read — as a fresh ``(n, |P_match|)`` array.
@@ -1066,6 +1132,8 @@ class _InstanceRun:
         recipient and leaves the rest missing.  Then the exceptions,
         and each member holds its own symbol.
         """
+        sym = self.sym
+        p_match = info.p_match
         own = [row_of[j][j] for j in p_match]
         payloads = own
         if sym is not None:
@@ -1075,7 +1143,7 @@ class _InstanceRun:
             ]
         received = np.where(
             struct.mask[list(p_match)].T,
-            np.asarray(payloads, dtype=self.ctx.arena.symbol_dtype),
+            np.asarray(payloads, dtype=run.ctx.arena.symbol_dtype),
             _MISSING,
         )
         if sym is not None and sym.exceptions:
@@ -1086,6 +1154,271 @@ class _InstanceRun:
                     received[r, index] = payload
         received[list(p_match), np.arange(len(p_match))] = own
         return received
+
+
+class _SentRound:
+    """The per-generation lane's symbol round: the traffic moves
+    (:func:`~repro.core.generation._send_matching_symbols` over the
+    structure's round shape, then ``deliver_arrays``), as a journal, a
+    fault plan or inputs that differ need.
+
+    The honest prediction is array work over ``(s, n, n)`` blocks, a
+    window of generations at a time, each as long as the stretch has
+    run so far (1, 1, 2, 4, ...): received symbols, M matrices, their
+    adjacencies and, per match set, the outsiders' consistency checks,
+    one batched ``consistent_rows`` per trusted-member set and window.
+    A delivery that departs from it is folded into that generation's
+    dense ``(n, n)`` row (:data:`_MISSING`: silence, an invalid payload
+    or an untrusted sender).
+    """
+
+    __slots__ = (
+        "controlled", "offdiag", "claims", "first", "count", "senders",
+        "receivers", "start", "block", "heard", "m_block", "keys", "checks",
+        "row", "folded",
+    )
+
+    def __init__(self, ctx):
+        n = ctx.n
+        self.controlled = np.zeros(n, dtype=bool)
+        self.controlled[ctx.controlled_sorted] = True
+        self.offdiag = ~np.eye(n, dtype=bool)
+        #: The M cells an honest processor claims about a controlled
+        #: one: with the M view's adjacency and the controlled rows the
+        #: broadcast reads back, they fix every edge of the view.
+        self.claims = (
+            np.ix_(ctx.honest, sorted(ctx.controlled)) if ctx.controlled
+            else None
+        )
+
+    def begin(self, run, first: int, stop: int) -> None:
+        """A stretch of generations ``first`` to ``stop - 1``, whose
+        honest edges the graph as it stands fixes (one batch a round)."""
+        self.first = first
+        self.count = stop - first
+        self.senders, self.receivers, _ = symbol_round_shape(
+            run.graph, run.ctx.controlled_sorted
+        )
+        self.start = 0
+        #: The current window's honest adjacencies, one per generation.
+        self.keys: List[bytes] = []
+        #: Match info -> {window index: its line 2 facts}.
+        self.checks: Dict[_MatchInfo, Dict[int, _Checking]] = {}
+
+    def open(self, run, struct, g) -> _Plan:
+        """Lines 1(a)-1(b) of generation ``g``, and its (unmemoized)
+        plan: every row of the honest M view."""
+        ctx = run.ctx
+        n = ctx.n
+        index = g - self.first - self.start
+        if index >= len(self.keys):
+            start = self.start + len(self.keys)
+            self._window(
+                run, struct, start, min(self.count, max(1, 2 * start))
+            )
+            index = 0
+        row = self.row = self.heard[index]
+        m = self.m_block[index]
+        row_of = run._rows(g)[0]
+        delivery = _send_matching_symbols(
+            run.network, run.adversary, run._make_view, g, ctx.c,
+            self.senders, self.receivers, struct.fab_recips.items(),
+            [row_of[pid][pid] for pid in ctx.pids],
+        )
+        self.folded = self._fold(row, delivery, struct, ctx, g)
+        if self.folded:
+            np.logical_and(struct.mask, row == self.block[index], out=m)
+            np.fill_diagonal(m, True)
+            adjacency = m & m.T
+            np.fill_diagonal(adjacency, False)
+            key = adjacency.tobytes()
+        else:
+            key = self.keys[index]
+        if self.claims is not None:
+            key += m[self.claims].tobytes()
+        return _Plan(
+            key,
+            {i: tuple(m[i].tolist()) for i in ctx.controlled_sorted},
+            m[self.offdiag].reshape(n, n - 1).view(np.int8).tolist(),
+        )
+
+    def _window(self, run, struct, start, stop):
+        """The honest prediction of the stretch's generations ``start``
+        to ``stop`` (counted from its first), as ``(stop - start, n,
+        n)`` blocks: the codewords (``[i, pid]`` is ``pid``'s codeword),
+        the received symbols (each trusted live edge carries its
+        sender's own symbol, a processor holds its own), the M matrices
+        and their adjacencies' bytes."""
+        ctx = run.ctx
+        n = ctx.n
+        dtype = ctx.arena.symbol_dtype
+        g = self.first + start
+        if stop - start == 1:
+            block = np.array([run._rows(g)[0]], dtype=dtype)
+        else:
+            # Processors holding one value share its run's conversion.
+            block = np.empty((stop - start, n, n), dtype=dtype)
+            converted: Dict[int, np.ndarray] = {}
+            for pid, runs in enumerate(run._whole_run_codewords()):
+                rows = converted.get(id(runs))
+                if rows is None:
+                    rows = converted[id(runs)] = np.array(
+                        runs[g:g + stop - start], dtype=dtype
+                    )
+                block[:, pid] = rows
+        everyone = np.arange(n)
+        diagonals = block[:, everyone, everyone]
+        received = np.full(block.shape, _MISSING, dtype=dtype)
+        received[:, self.receivers, self.senders] = (
+            diagonals[:, self.senders]
+        )
+        received[:, everyone, everyone] = diagonals
+        # A codeword symbol is never _MISSING, so a missing one
+        # mismatches.  An isolated processor's trust row is empty, so
+        # its M row is its own slot alone, as its broadcast-free row
+        # must read.
+        m_block = struct.mask & (received == block)
+        m_block[:, everyone, everyone] = True
+        adjacency = m_block & m_block.transpose(0, 2, 1)
+        adjacency[:, everyone, everyone] = False
+        self.start = start
+        self.block, self.heard, self.m_block = block, received, m_block
+        self.keys = [view.tobytes() for view in adjacency]
+        self.checks = {}
+
+    def _fold(self, row, delivery, struct, ctx, g) -> bool:
+        """Lines 1(a)-1(b): fold what the symbol round delivered into
+        ``row``, which holds the honest prediction (``row[i, j]`` the
+        symbol ``j`` sent to ``i``).
+
+        Returns ``False`` when the round delivered exactly the
+        prediction: the whole honest batch and nothing else.  Otherwise
+        a partly delivered honest batch (a fault plan omitted or delayed
+        edges) is scattered afresh, and Byzantine batches and scalar
+        messages are validated per edge, exactly as the scalar path
+        does; a batch is Byzantine when its senders are controlled (a
+        batch never mixes honest and faulty senders).
+        """
+        limit = ctx.symbol_limit
+        honest: List = []
+        byzantine: List = []
+        for batch in delivery.batches:
+            (byzantine if self.controlled[batch.senders[0]] else honest
+             ).append(batch)
+        complete = (
+            sum(batch.senders.shape[0] for batch in honest)
+            == self.senders.shape[0]
+        )
+        inboxes = delivery.inboxes
+        if complete and not byzantine and not any(inboxes.values()):
+            return False
+        if not complete:
+            # Honest traffic: codeword symbols, valid by construction
+            # and trust-filtered at send time.
+            row[self.receivers, self.senders] = _MISSING
+            for batch in honest:
+                row[batch.receivers, batch.senders] = batch.payload_lanes(
+                    ctx.arena.symbol_dtype
+                )
+        # Byzantine batches, then scalar messages of this round's tag
+        # (a delay fault may carry in stale ones, journaled and metered
+        # but not read), each validated per edge; line 1(b) ignores
+        # untrusted senders (a batch is trust-filtered at send time).
+        symbol_tag = _generation_tags(g)[0]
+        for sender, recipient, payload in itertools.chain(*(
+            zip(batch.senders.tolist(), batch.receivers.tolist(),
+                batch.payload_list())
+            for batch in byzantine
+        ), (
+            (message.sender, message.receiver, message.payload)
+            for pid in ctx.pids for message in inboxes[pid]
+            if message.tag == symbol_tag
+        )):
+            if struct.mask[recipient, sender]:
+                row[recipient, sender] = received_symbol(
+                    payload, limit, _MISSING
+                )
+        return True
+
+    def checking(self, run, struct, info, g):
+        """Line 2(a) of generation ``g`` under ``info``'s match set.  A
+        folded row is checked on its own; an unfolded one shares one
+        batch with every later generation of its window whose honest M
+        view has the same adjacency."""
+        index = g - self.first - self.start
+        if self.folded:
+            return self._tables(run, struct, info, [index])[index]
+        known = self.checks.get(info)
+        if known is None or index not in known:
+            key = self.keys[index]
+            known = self.checks[info] = self._tables(
+                run, struct, info, [index] + [
+                    later for later in range(index + 1, len(self.keys))
+                    if self.keys[later] == key
+                ],
+            )
+        return known[index]
+
+    def _tables(self, run, struct, info, indices):
+        """Each live outsider's honest Detected flag in the window
+        generations ``indices`` (line 2(a)), as ``{index: _Checking}``.
+
+        A trusted ``P_match`` member that stayed silent is proof of a
+        fault by itself; untrusted members are ignored, not evidence.
+        The rest are consistency checks, one batched
+        ``consistent_rows`` call over every generation and outsider
+        that trusts the same members.
+        """
+        ctx = run.ctx
+        mask = struct.mask
+        p_match = info.p_match
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for q in info.outsiders:
+            trusted = tuple(j for j in p_match if mask[q, j])
+            groups.setdefault(trusted, []).append(q)
+        flags: Dict[int, Dict[int, bool]] = {index: {} for index in indices}
+        for trusted, group in groups.items():
+            values = self.heard[
+                np.ix_(indices, group, np.array(trusted, dtype=np.intp))
+            ].reshape(len(indices) * len(group), len(trusted))
+            detected = (values == _MISSING).any(axis=1)
+            whole = ~detected
+            if whole.any():
+                detected[whole] = ~ctx.code.consistent_rows(
+                    trusted, values[whole].tolist()
+                )
+            cells = iter(detected.tolist())
+            for index in indices:
+                for q in group:
+                    flags[index][q] = next(cells)
+        return {
+            index: _Checking(
+                [(q, flags[index][q]) for q in info.outsiders],
+                ctx.controlled, False,
+            )
+            for index in indices
+        }
+
+    def received(self, run, struct, row_of, info):
+        """The generation's received symbols in ``P_match``'s columns."""
+        return self.row.take(info.columns, axis=1)
+
+
+def sent_run(protocol, parts) -> _InstanceRun:
+    """The instance run behind :meth:`~repro.core.generation.\
+GenerationProtocol.run`'s vectorized door: ``protocol``'s collaborators,
+    a private context and a :class:`_SentRound`; ``parts[pid]`` is
+    ``pid``'s whole-run parts."""
+    arena = protocol._arena or ExchangeArena.for_symbol_bits(
+        protocol.n, protocol.c
+    )
+    ctx = CohortContext(protocol.config, protocol.code, protocol.adversary,
+                        arena)
+    return _InstanceRun(
+        ctx, protocol.network, protocol.graph, protocol.backend,
+        protocol.adversary, protocol._view_provider,
+        [parts[pid] for pid in ctx.pids], _SentRound(ctx),
+    )
 
 
 def run_cohort_instance(
@@ -1108,42 +1441,35 @@ def run_cohort_instance(
     the caller's batch computed them (:meth:`ConsensusService._prewarm`).
     """
     config = consensus.config
-    honest = ctx.honest
     ctx.forget_if_full()
     effective = prepare_instance(consensus, inputs)
-    ref_value = effective[honest[0]]
+    ref_value = effective[ctx.honest[0]]
     warm = prewarmed.get(ref_value) if prewarmed else None
     ref_parts, ref_codewords = warm or (consensus.parts_for(ref_value), None)
-    default_parts = consensus.parts_for(config.default_value)
     # Controlled pids whose effective input differs from the honest one
-    # (input_value hooks): their M expectation rows need elementwise
-    # treatment; everything honest-facing still keys off the shared
-    # codeword.
-    distinct = {
-        pid: consensus.parts_for(effective[pid])
-        for pid in ctx.controlled_sorted
-        if effective[pid] != ref_value
-    }
+    # (input_value hooks) hold their own parts: their M expectation rows
+    # need elementwise treatment; everything honest-facing still keys
+    # off the shared codeword.
+    parts = [
+        ref_parts if effective[pid] == ref_value
+        else consensus.parts_for(effective[pid])
+        for pid in ctx.pids
+    ]
     run = _InstanceRun(
-        ctx, consensus, ref_parts, ref_codewords, distinct, default_parts
+        ctx, consensus.network, consensus.graph, consensus.backend,
+        consensus.adversary, consensus._make_view, parts, _PricedRound(),
+        consensus.parts_for(config.default_value), ref_codewords,
     )
     generation_results: List[GenerationResult] = []
-    default_used = False
     for g in range(config.generations):
         result = run.step(g)
         generation_results.append(result)
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
-            default_used = True
             break
     # A conforming run decided the reference part itself every
     # generation, whose packed value is the honest input: nothing to
     # reassemble.
-    conforming = run.conforming
-    decided_parts = None if conforming else {
-        pid: [result.decisions[pid] for result in generation_results]
-        for pid in honest
-    }
     return finalize_result(
-        consensus, inputs, honest, generation_results, decided_parts,
-        default_used, conforming_value=ref_value if conforming else None,
+        consensus, inputs, generation_results,
+        conforming_value=ref_value if run.conforming else None,
     )

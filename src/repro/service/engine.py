@@ -1,27 +1,28 @@
-"""The per-generation engine and the run prologue/epilogue.
+"""The per-generation lane's run loop and every run's prologue/epilogue.
 
 :func:`execute_consensus` runs one consensus instance as the paper
 writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1 — one
 *stretch* at a time: a run of consecutive generations under one
 diagnosis-graph state, which one
 :meth:`~repro.core.generation.GenerationProtocol.run` call executes and
-which ends at the first generation that diagnoses or defaults.
-Generation 0 is a stretch of one, and so is every generation of the
-scalar reference.  It operates on the per-instance state held by a
+which ends at the first generation that diagnoses or defaults.  One
+protocol serves the whole instance.  Generation 0 is a stretch of one,
+and so is every generation of the scalar reference.  The loop operates
+on the per-instance state held by a
 :class:`~repro.core.consensus.MultiValuedConsensus` object (diagnosis
-graph, metered network, backend, code).  It is the lane the planner
-(:mod:`repro.service.planner`) picks when no work can be shared
-(``Lane.PER_GENERATION``), and on ``Lane.REFERENCE`` it is the scalar
-reference every other lane is held byte-identical to.
+graph, metered network, backend, code) and keeps no per-lane state: on
+``Lane.PER_GENERATION`` (no work can be shared) each stretch runs on
+the cohort engine's batched generation body behind the protocol's door,
+and on ``Lane.REFERENCE`` it is the scalar reference every other lane is
+held byte-identical to.
 
 :func:`prepare_instance` and :func:`finalize_result` are the prologue
-and epilogue it shares with the cohort engine
-(:mod:`repro.service.cohort`).
-"""
+and epilogue every run goes through, the cohort lane's
+(:mod:`repro.service.cohort`) included."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.generation import GenerationProtocol
 from repro.core.result import (
@@ -46,14 +47,26 @@ def prepare_instance(
     Both engines — the per-instance loop below and the service layer's
     cohort runner (:mod:`repro.service.cohort`) — start a run with
     exactly this sequence, so the ``input_value`` hooks are asked with
-    the same arguments whichever engine executes.
+    the same arguments whichever engine executes.  A consensus object
+    runs once: its graph, meter and round clock carry the first run's
+    state, so a second entry raises :class:`RuntimeError`, whatever the
+    lane, before any hook fires.
     """
     config = consensus.config
     adversary = consensus.adversary
+    if consensus._first_run is not None:
+        raise RuntimeError(
+            "this MultiValuedConsensus already ran once (inputs %s); "
+            "build a fresh one per run" % consensus._first_run
+        )
     if len(inputs) != config.n:
         raise ValueError(
             "expected %d inputs, got %d" % (config.n, len(inputs))
         )
+    first = inputs[0]
+    consensus._first_run = "%d values, the first %.18s" % (
+        len(inputs), hex(first) if isinstance(first, int) else repr(first)
+    )
     consensus._view_extras = {
         "code": consensus.code,
         "config": config,
@@ -69,20 +82,24 @@ def prepare_instance(
 def finalize_result(
     consensus: "MultiValuedConsensus",
     inputs: Sequence[int],
-    honest: List[int],
     generation_results: List[GenerationResult],
-    decided_parts: Optional[Dict[int, List[Sequence[int]]]],
-    default_used: bool,
     conforming_value: Optional[int] = None,
 ) -> ConsensusResult:
     """Shared run epilogue: reassemble per-generation decisions into the
     L-bit outputs and snapshot the meter — identical for every engine.
+    A run whose last generation decided the default (line 1(f)) decides
+    the default value.
 
     ``conforming_value`` is the value every fault-free processor
     decided, when the caller knows it without reassembling (the cohort
-    runner's conforming runs decide the honest input's own parts);
-    ``decided_parts`` is then not read."""
+    runner's conforming runs decide the honest input's own parts)."""
     config = consensus.config
+    honest = [
+        pid for pid in range(config.n) if not consensus.adversary.controls(pid)
+    ]
+    default_used = (
+        generation_results[-1].outcome is GenerationOutcome.NO_MATCH_DEFAULT
+    )
     if default_used:
         decisions = dict.fromkeys(honest, config.default_value)
     elif conforming_value is not None:
@@ -93,8 +110,9 @@ def finalize_result(
         decisions = {}
         parts = value = None
         for pid in honest:
-            if decided_parts[pid] != parts:  # else: same as the last pid
-                parts = decided_parts[pid]
+            mine = [result.decisions[pid] for result in generation_results]
+            if mine != parts:  # else: same as the last pid
+                parts = mine
                 value = consensus.value_of(parts)
             decisions[pid] = value
 
@@ -133,11 +151,6 @@ def execute_consensus(
     returns the :class:`~repro.core.result.ConsensusResult`.
     """
     config = consensus.config
-    adversary = consensus.adversary
-    honest = [
-        pid for pid in range(config.n)
-        if not adversary.controls(pid)
-    ]
     effective = prepare_instance(consensus, inputs)
     # Honest processors holding the same value derive the same symbol
     # view; parts_for keys the (expensive, deterministic) split by
@@ -147,84 +160,36 @@ def execute_consensus(
     }
     default_parts = consensus.parts_for(config.default_value)
     vectorized = lane is Lane.PER_GENERATION
-    # The shared arena persists its buffers across generations;
-    # reference runs must never build one.
-    arena = consensus.ensure_arena() if vectorized else None
-    # Per-run work the vectorized generations share, done once and
-    # dropped with the run: the line 1(e) clique memo, and the whole
-    # run's codewords — one encode_generations per distinct value (pids
-    # holding one value share its parts object), made once generation 0
-    # has not decided the default, so a run that stops there encodes
-    # that generation only.
-    clique_memo: Dict[bytes, Optional[Tuple[int, ...]]] = {}
-    codeword_runs: Optional[Dict[int, List[List[int]]]] = None
+    # One protocol runs the whole instance, stretch by stretch; on the
+    # vectorized lane it keeps the run's work (whole-run codewords, the
+    # match memo) for its later stretches.  The shared arena persists
+    # its buffers across instances; reference runs never build one.
+    protocol = GenerationProtocol(
+        config=config,
+        code=consensus.code,
+        network=consensus.network,
+        graph=consensus.graph,
+        backend=consensus.backend,
+        adversary=consensus.adversary,
+        generation=0,
+        view_provider=consensus._make_view,
+        vectorized=vectorized,
+        arena=consensus.ensure_arena() if vectorized else None,
+    )
 
     generation_results: List[GenerationResult] = []
-    decided_parts: Dict[int, List[Sequence[int]]] = {
-        pid: [] for pid in honest
-    }
-    default_used = False
-    generations = config.generations
-
-    def enter(g: int) -> None:
-        consensus._view_extras["generation"] = g
-
-    g = 0
-    while g < generations:
+    while protocol.generation < config.generations:
         # A stretch runs to the end of the run unless a generation in it
-        # diagnoses or defaults.  Generation 0 is a stretch of one, as is
-        # every generation of the scalar reference.
-        stop = g + 1 if codeword_runs is None else generations
-        protocol = GenerationProtocol(
-            config=config,
-            code=consensus.code,
-            network=consensus.network,
-            graph=consensus.graph,
-            backend=consensus.backend,
-            adversary=adversary,
-            generation=g,
-            view_provider=consensus._make_view,
-            vectorized=vectorized,
-            arena=arena,
-            clique_memo=clique_memo,
-            on_generation=enter,
-        )
-        stretch: Optional[Dict[int, List[List[int]]]] = None
-        if codeword_runs is not None:
-            # Processors holding one value share one slice of its run.
-            slices = {
-                key: run[g:stop] for key, run in codeword_runs.items()
-            }
-            stretch = {
-                pid: slices[id(parts)] for pid, parts in parts_by_pid.items()
-            }
-        results = protocol.run(
-            {pid: parts_by_pid[pid][g:stop] for pid in range(config.n)},
-            default_parts[g:stop],
-            codewords=stretch,
-        )
-        generation_results.extend(results)
+        # diagnoses or defaults.  Generation 0 is a stretch of one (a
+        # run whose inputs differ may default there, before the rest of
+        # it is encoded), as is every generation of the scalar
+        # reference, whose views read the generation from the extras.
+        g = protocol.generation
+        stop = g + 1 if g == 0 or not vectorized else config.generations
+        consensus._view_extras["generation"] = g
+        results = protocol.run(parts_by_pid, default_parts[:stop])
+        generation_results += results
         if results[-1].outcome is GenerationOutcome.NO_MATCH_DEFAULT:
-            # Line 1(f): the whole algorithm terminates on the default.
-            default_used = True
-            break
-        for result in results:
-            for pid in honest:
-                decided_parts[pid].append(result.decisions[pid])
-        g += len(results)
-        if vectorized and codeword_runs is None and g < generations:
-            codeword_runs = {}
-            for parts in parts_by_pid.values():
-                if id(parts) not in codeword_runs:
-                    codeword_runs[id(parts)] = (
-                        consensus.code.encode_generations(parts)
-                    )
+            break  # line 1(f): the whole algorithm terminates on the default
 
-    return finalize_result(
-        consensus,
-        inputs,
-        honest,
-        generation_results,
-        decided_parts,
-        default_used,
-    )
+    return finalize_result(consensus, inputs, generation_results)

@@ -6,13 +6,14 @@ An instance runs one of four ways, and this module's
 * ``Lane.CLONE`` — priced from the service's failure-free template
   (:meth:`ConsensusService._clone_result`); nothing executes.
 * ``Lane.COHORT`` — :func:`repro.service.cohort.run_cohort_instance`
-  over a :class:`~repro.service.cohort.CohortContext`.  A single
-  instance is a cohort of one, a failure-free run the cohort of the
-  empty faulty set.
-* ``Lane.PER_GENERATION`` — :func:`repro.service.engine.
-  execute_consensus` with one vectorized :class:`~repro.core.generation.
-  GenerationProtocol` run per stretch of generations under one graph
-  state: the traffic that cannot share, and every recorded run.
+  over a :class:`~repro.service.cohort.CohortContext`: the batched
+  generation body over a priced symbol round.  A single instance is a
+  cohort of one, a failure-free run the cohort of the empty faulty set.
+* ``Lane.PER_GENERATION`` — :func:`repro.service.engine.execute_consensus`,
+  one vectorized ``GenerationProtocol.run`` call per stretch of
+  generations under one graph state: the same batched body over a sent
+  symbol round, for the traffic that cannot share and every recorded
+  run.
 * ``Lane.REFERENCE`` — the same loop on the scalar reference
   generation, one generation a stretch: ``vectorized`` off, or a
   backend whose honest broadcasts run real rounds (``phase_king``,

@@ -131,7 +131,7 @@ class ConsensusService:
 
     # -- engine construction ------------------------------------------------
 
-    def _ensure_arena(self) -> ExchangeArena:
+    def _shared_arena(self) -> ExchangeArena:
         """The service's shared exchange arena, built on first need."""
         if self._arena is None:
             self._arena = ExchangeArena.for_symbol_bits(
@@ -150,7 +150,7 @@ class ConsensusService:
         service's shared read-only state (code tables, the default
         split) and, off the reference lane, the shared exchange
         arena."""
-        arena = self._ensure_arena() if lane is not Lane.REFERENCE else None
+        arena = self._shared_arena() if lane is not Lane.REFERENCE else None
         return MultiValuedConsensus(
             self.config,
             adversary=adversary,
@@ -418,7 +418,7 @@ class ConsensusService:
             ctx = self._cohorts.get(key)
             if ctx is None:
                 ctx = CohortContext(
-                    self.config, self.code, adversary, self._ensure_arena()
+                    self.config, self.code, adversary, self._shared_arena()
                 )
                 self._cohorts[key] = ctx
             result = run_cohort_instance(

@@ -45,6 +45,16 @@ def run_consensus(n, t, l_bits, inputs, adversary=None, backend="ideal",
     return protocol.run(inputs)
 
 
+def typed_rows(rows):
+    """Journal rows in comparable form: each field as ``(type name,
+    value)``, so ``1`` and ``True``, ``4`` and ``4.0`` differ as they do
+    in a sealed transcript (``TranscriptEntry.matches_row``)."""
+    return [
+        tuple((type(field).__name__, field) for field in row)
+        for row in rows
+    ]
+
+
 def run_generation(protocol, parts, default_part):
     """One generation through ``GenerationProtocol.run`` (a stretch of
     one): ``parts[pid]`` is pid's part; returns the generation's

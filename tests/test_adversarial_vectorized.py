@@ -276,13 +276,13 @@ class TestVectorizedDispatch:
     ):
         # A backend whose honest broadcasts run real rounds prices
         # nothing, so a diagnosing run takes the scalar reference: the
-        # vectorized generation never runs and no arena is built.
-        from repro.core.generation import GenerationProtocol
+        # batched generation body never runs and no arena is built.
+        from repro.service.cohort import _InstanceRun
 
         def boom(*args, **kwargs):
-            raise AssertionError("vectorized generation under %s" % backend)
+            raise AssertionError("batched generation under %s" % backend)
 
-        monkeypatch.setattr(GenerationProtocol, "_run_vectorized", boom)
+        monkeypatch.setattr(_InstanceRun, "step", boom)
         config = ConsensusConfig.create(n=7, l_bits=64, backend=backend)
         consensus = MultiValuedConsensus(
             config, adversary=make_attack("corrupt", 7, config.t, 64)

@@ -89,6 +89,49 @@ class TestInputValidation:
             MultiValuedConsensus(config, adversary=Adversary([0, 1, 2]))
 
 
+class TestOneRunPerObject:
+    """A consensus object's graph, meter and round clock carry its run,
+    so a second run on one object is refused, typed, before a hook
+    fires or a bit moves, whichever lane either run took."""
+
+    class Counting(SymbolCorruptionAdversary):
+        """``corrupt`` on pid 0, counting every hook call."""
+
+        def __init__(self):
+            super().__init__(faulty=[0], victims={0: [6]})
+            self.calls = 0
+
+        def __getattribute__(self, name):
+            attribute = super().__getattribute__(name)
+            if name in ("input_value", "matching_row", "m_row",
+                        "detected_flag", "ideal_broadcast_bit"):
+                self.calls += 1
+            return attribute
+
+    @pytest.mark.parametrize("toggles, inputs", [
+        ({}, [5] * 7),  # one shared input: the cohort lane
+        ({}, [5] * 5 + [6] * 2),  # split inputs: the per-generation lane
+        ({"batch_generations": False}, [5] * 7),
+        ({"vectorized": False, "batch_generations": False}, [5] * 7),
+    ], ids=["cohort", "per-generation-split", "per-generation",
+            "reference"])
+    def test_second_run_is_refused(self, toggles, inputs):
+        adversary = self.Counting()
+        engine = MultiValuedConsensus(
+            ConsensusConfig.create(n=7, l_bits=256), adversary=adversary,
+            **toggles,
+        )
+        first = engine.run(inputs)
+        calls, bits = adversary.calls, engine.meter.total_bits
+        clock = engine.network.round_index
+        with pytest.raises(RuntimeError, match=r"already ran once \(inputs"):
+            engine.run(inputs)
+        assert adversary.calls == calls
+        assert engine.meter.total_bits == bits
+        assert engine.network.round_index == clock
+        assert first.error_free
+
+
 class TestPartsPlumbing:
     def test_parts_roundtrip(self):
         config = ConsensusConfig.create(n=7, t=2, l_bits=100, d_bits=24)

@@ -39,6 +39,7 @@ from repro.service import cohort as cohort_module
 from repro.service import engine as engine_module
 from repro.service import service as service_module
 from repro.service.serving.wire import result_to_wire
+from tests.conftest import typed_rows
 
 SIZES = {4: 64, 7: 256, 31: 64}
 PATHS = ["one_shot", "service_run", "run_many", "run_many_no_reuse"]
@@ -86,11 +87,12 @@ class Observed:
             engine.backend.stats.instances,
             engine.backend.stats.bits_charged,
         )
-        #: The journal in wire form, without the (spec-bound) HMACs.
-        self.journal = None if transcript is None else [
+        #: The journal in wire form, without the (spec-bound) HMACs,
+        #: each field tagged with its type.
+        self.journal = None if transcript is None else typed_rows(
             (e.round_index, e.sender, e.receiver, e.tag, e.bits, e.payload)
             for e in transcript.entries
-        ]
+        )
 
 
 def capture_engines(service):
@@ -210,6 +212,16 @@ def test_reference_holds_theorem_1(attack, n):
     t = (n - 1) // 3
     assert result.error_free
     assert result.diagnosis_count <= t * (t + 1)
+
+
+def test_journal_rows_compare_by_type():
+    """What the grid's journal comparisons see: rows equal under ``==``
+    but journalling a float or a bool where the other has an int are
+    told apart."""
+    exact, loose = (3, 1, 2, "t", 4, 1), (3.0, 1, 2, "t", 4.0, True)
+    assert exact == loose
+    assert typed_rows([exact]) != typed_rows([loose])
+    assert typed_rows([exact]) == typed_rows([exact])
 
 
 def test_grid_reaches_every_lane(monkeypatch):
@@ -333,9 +345,11 @@ class TestPerRunWorkIsDoneOnce:
                 return original(*args, **kwargs)
             return spy
 
+        # The generation body looks the clique search up in the cohort
+        # module, where it lives.
         monkeypatch.setattr(
-            generation_module, "find_clique_matrix", counted(
-                "find_clique_matrix", generation_module.find_clique_matrix
+            cohort_module, "find_clique_matrix", counted(
+                "find_clique_matrix", cohort_module.find_clique_matrix
             ),
         )
         for cls in (ReedSolomonCode, InterleavedCode):
@@ -406,7 +420,7 @@ def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7,
             config, adversary=make_adversary(), journal=True, **toggles
         )
         observed = Observed(engine.run(list(inputs)), engine)
-        observed.journal = list(engine.network.journal)
+        observed.journal = typed_rows(engine.network.journal)
         runs.append(observed)
     return runs
 
@@ -511,17 +525,15 @@ class TestStretchBoundaries:
         """A stretch's array work runs in windows of generations, each
         as long as the stretch has run so far (1, 1, 2, 4, ...), its
         walk crossing from one to the next."""
-        from repro.core import generation as generation_module
-
-        protocol = generation_module.GenerationProtocol
-        honest_blocks = protocol._honest_blocks
+        sent = cohort_module._SentRound
+        window = sent._window
         windows = []
 
-        def spy(self, codewords, start, stop, *args):
+        def spy(self, run, struct, start, stop):
             windows.append((start, stop))
-            return honest_blocks(self, codewords, start, stop, *args)
+            return window(self, run, struct, start, stop)
 
-        monkeypatch.setattr(protocol, "_honest_blocks", spy)
+        monkeypatch.setattr(sent, "_window", spy)
         a, b = self.split_sharing_parts({1, 2, 5})
         observed, expected = engine_runs(
             [b] * 2 + [a] * 5,
@@ -879,6 +891,31 @@ def test_large_n_one_shot_equals_forced_scalar_reference(
         lambda config: make_attack(attack, n, config.t, l_bits),
         l_bits=l_bits,
     )
+
+
+@pytest.mark.large_n
+@pytest.mark.parametrize("attack", ("none",) + FAULT_GRID_ATTACKS)
+def test_large_n_split_inputs_equal_forced_scalar_reference(attack):
+    """The per-generation lane at n = 127, L = 2^12: pids 1 .. t on a
+    second value, the other n - t (the faulty ones among them) on the
+    first, so fault-free processors hold both.  The default one-shot
+    run, journalled, equals the forced-scalar run in result, wire form,
+    clocks and the type-tagged journal; the scalar leg costs ~2 s a
+    row."""
+    n, l_bits = 127, 1 << 12
+    t = (n - 1) // 3
+    rng = random.Random(127)
+    a, b = rng.getrandbits(l_bits), rng.getrandbits(l_bits)
+    observed, expected = engine_runs(
+        [a] + [b] * t + [a] * (n - t - 1),
+        lambda: None if attack == "none" else make_attack(
+            attack, n, t, l_bits
+        ),
+        l_bits=l_bits, n=n, batch_generations=True,
+    )
+    assert_same_execution(observed, expected)
+    assert not observed.result.honest_inputs_equal
+    assert observed.result.error_free
 
 
 def _recorded_and_proved(monkeypatch, spec, value, cls, hooks):
