@@ -3,9 +3,9 @@ with memory across generations (the shared diagnosis graph).
 
 :class:`MultiValuedConsensus` holds the state of *one* consensus
 instance — the diagnosis graph, the metered network, the
-``Broadcast_Single_Bit`` backend — and delegates its execution to the
-service layer's engine (:mod:`repro.service.engine`).  It remains the
-one-shot compatibility entry point::
+``Broadcast_Single_Bit`` backend — and runs it on the protocol in
+``core`` through the service layer's two doors (:mod:`repro.service.engine`,
+:mod:`repro.service.cohort`).  It remains the one-shot entry point::
 
     config = ConsensusConfig.create(n=7, t=2, l_bits=256)
     result = MultiValuedConsensus(config).run(inputs)
@@ -25,13 +25,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
+from repro.core.planner import Lane, plan_lane
 from repro.core.result import ConsensusResult
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
-from repro.utils.bits import pack_symbols, unpack_symbols
+from repro.utils.bits import check_input_value, pack_symbols, unpack_symbols
 
 
 def split_value(config: ConsensusConfig, value: int) -> List[List[int]]:
@@ -58,14 +60,13 @@ class MultiValuedConsensus:
     Owns the cross-generation state of one instance (diagnosis graph,
     metered network, ``Broadcast_Single_Bit`` backend), runs ``⌈L/D⌉``
     generations of Algorithm 1 and reassembles the per-generation symbol
-    decisions into one L-bit value per fault-free processor.  The
-    execution itself lives in the service package: :meth:`run` asks the
-    lane planner (:mod:`repro.service.planner`) and either runs the
-    per-generation engine
+    decisions into one L-bit value per fault-free processor.
+    :meth:`run` checks the inputs, asks the lane planner
+    (:func:`repro.core.planner.plan_lane`) and either runs the run loop
     (:func:`repro.service.engine.execute_consensus`) or, for any run
     whose honest processors share one input (adversarial or not), the
-    cohort engine over a private cohort of one
-    (:mod:`repro.service.cohort`).
+    cohort lane over a private cohort of one
+    (:func:`repro.service.cohort.run_cohort_instance`).
 
     Two toggles select between the observationally identical engines
     (see ``docs/ARCHITECTURE.md`` for the contract):
@@ -237,8 +238,9 @@ class MultiValuedConsensus:
         """Run consensus over ``inputs[pid]`` (one L-bit int per processor).
 
         Args:
-            inputs: exactly ``n`` values, each fitting in ``l_bits``
-                bits; controlled processors' inputs pass through the
+            inputs: exactly ``n`` exact ``int`` values, each fitting in
+                ``l_bits`` bits (else :class:`ValueError`, on any lane);
+                controlled processors' inputs pass through the
                 adversary's ``input_value`` hook first.
 
         Returns:
@@ -255,10 +257,8 @@ class MultiValuedConsensus:
         second call raises :class:`RuntimeError` before any hook fires or
         any traffic moves.  Build a fresh instance per execution.
         """
-        # Imported lazily: repro.service imports this module at package
-        # init, so a top-level import here would be circular.
-        from repro.service.planner import Lane, plan_lane
-
+        for value in inputs:
+            check_input_value(value, self.config.l_bits)
         lane = plan_lane(
             self.config,
             self.vectorized,
@@ -268,7 +268,9 @@ class MultiValuedConsensus:
             journal=self.network.journal is not None,
         )
         if lane is Lane.COHORT:
-            from repro.service.cohort import CohortContext, run_cohort_instance
+            # The doors are imported lazily: repro.service imports this
+            # module at package init, so a top-level import is circular.
+            from repro.service.cohort import run_cohort_instance
 
             context = CohortContext(
                 self.config, self.code, self.adversary, self.ensure_arena()

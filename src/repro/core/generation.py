@@ -33,12 +33,11 @@ Two observationally identical executions sit behind
   where honest views can genuinely diverge);
 * the **vectorized** path (the planner's ``Lane.PER_GENERATION``, under
   a backend whose honest broadcasts are priced) — a door onto the
-  cohort lane's batched generation body
-  (:class:`repro.service.cohort._InstanceRun`) over a *sent* symbol
-  round: the traffic lands in one ``(n, n)`` numpy view, and broadcast
-  views are built once, for the reference processor.  The protocol
-  keeps that instance run, with its whole-run codewords and match memo,
-  for the run's later stretches.
+  batched generation body (:class:`repro.core.batched._InstanceRun`)
+  over a *sent* symbol round: the traffic lands in one ``(n, n)`` numpy
+  view, and broadcast views are built once, for the reference processor.
+  The protocol keeps that instance run, with its whole-run codewords and
+  match memo, for the run's later stretches.
 
 Both paths ask every adversary hook with the same arguments — controlled
 rows are applied onto the batched arrays — and an answer is a function
@@ -49,7 +48,7 @@ through :mod:`repro.processors.answers`; the scalar path then assembles
 its per-pid views from what was broadcast.  Line 1(a)'s traffic is one
 function for every engine that sends it, :func:`_send_matching_symbols`,
 and lines 3(f)-3(i) are one function for every engine,
-:func:`diagnosis_verdict`.
+:func:`~repro.core.diagnosis.diagnosis_verdict`.
 """
 
 from __future__ import annotations
@@ -64,8 +63,9 @@ import numpy as np
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
 from repro.core.config import ConsensusConfig, ProtocolInvariantError
+from repro.core.diagnosis import diagnosis_verdict
 from repro.core.result import GenerationOutcome, GenerationResult
-from repro.graphs.cliques import find_clique, find_clique_matrix
+from repro.graphs.cliques import find_clique
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.simulator import RoundDelivery, SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
@@ -73,10 +73,6 @@ from repro.processors.answers import (
     bit_answer, diagnosis_symbol_value, m_row_bits, matching_row_payloads,
     received_symbol, trust_row_bits,
 )
-
-#: Sentinel for "no valid symbol received" in the vectorized view matrix
-#: (symbols are non-negative, so -1 is unambiguous in every dtype).
-_MISSING = -1
 
 
 def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
@@ -94,85 +90,6 @@ def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
             value = converted[id(row)] = convert(row)
         views.append(value)
     return views
-
-
-def diagnosis_verdict(
-    code,
-    graph: DiagnosisGraph,
-    t: int,
-    honest: Sequence[int],
-    error_free: bool,
-    generation: int,
-    p_match: Tuple[int, ...],
-    r_sharp: Dict[int, int],
-    detected_ref: Sequence[bool],
-    removed_edges: List[Tuple[int, int]],
-    isolated: FrozenSet[int],
-    default_part: Sequence[int],
-    detectors: List[int],
-) -> GenerationResult:
-    """Lines 3(f)-3(i), once the reference R# over ``P_match``
-    (``r_sharp``), the reference Detected flags and the removed edges
-    are known: false-alarm isolation, the over-degree rule, ``P_decide``
-    and the decode, which every fault-free processor in ``honest``
-    decides.  The one verdict of every engine; the scalar oracle, which
-    holds a per-pid R#, checks its processors' decodes against it.
-    """
-    n = graph.n
-    match_set = set(p_match)
-
-    # Line 3(f): with a consistent R#, a complainer whose vertex lost
-    # no edge is provably lying; isolate it.  The codeword through R#
-    # is kept for line 3(i).
-    r_sharp_word = code.codeword_through(r_sharp)
-    isolated_now: List[int] = []
-    if r_sharp_word is not None:
-        touched = {v for edge in removed_edges for v in edge}
-        for q in range(n):
-            if q in match_set or q in isolated:
-                continue
-            if (
-                detected_ref[q]
-                and q not in touched
-                and not graph.is_isolated(q)
-            ):
-                graph.isolate(q)
-                isolated_now.append(q)
-
-    # Line 3(g): over-degree rule.
-    isolated_now.extend(graph.apply_overdegree_rule(t))
-
-    # Lines 3(h)-3(i): find P_decide and decode from R#.
-    p_decide = graph.find_trusting_set(
-        n - 2 * t, candidates=sorted(match_set)
-    )
-    if p_decide is None:
-        if error_free:
-            raise ProtocolInvariantError(
-                "no P_decide of size %d inside P_match %r"
-                % (n - 2 * t, p_match)
-            )
-        decided = tuple(default_part)
-    else:
-        # The code is systematic and P_decide ⊆ P_match holds k
-        # positions, so with R# on a codeword the codeword through
-        # R#/P_decide is that one: its data is the decode, with no
-        # second interpolation.
-        p_decide = tuple(p_decide)
-        decided = tuple(
-            code.decode_subset({j: r_sharp[j] for j in p_decide})
-            if r_sharp_word is None else r_sharp_word[:code.k]
-        )
-    return GenerationResult(
-        generation=generation,
-        outcome=GenerationOutcome.DECIDED_DIAGNOSIS,
-        decisions=dict.fromkeys(honest, decided),
-        p_match=p_match,
-        p_decide=p_decide,
-        removed_edges=removed_edges,
-        isolated=isolated_now,
-        detectors=detectors,
-    )
 
 
 def symbol_round_shape(
@@ -292,7 +209,7 @@ class GenerationProtocol:
         self.t = config.t
         self.k = config.data_symbols
         self.c = config.symbol_bits
-        #: The planner's choice (:func:`repro.service.planner.plan_lane`):
+        #: The planner's choice (:func:`repro.core.planner.plan_lane`):
         #: the vectorized path prices fault-free broadcasts and shares
         #: one broadcast view, so it needs a priced-honest backend.
         self.vectorized = vectorized
@@ -416,9 +333,8 @@ class GenerationProtocol:
             raise ValueError("a stretch has at least one generation")
         if self.vectorized:
             if self._batched is None:
-                # Imported here: repro.service imports core modules at
-                # package init, so a top-level import would be circular.
-                from repro.service.cohort import sent_run
+                # Imported here: the rounds module imports this one.
+                from repro.core.rounds import sent_run
 
                 self._batched = sent_run(self, parts)
             results = self._batched.stretch(first, default_parts)

@@ -6,7 +6,7 @@ An instance runs one of four ways, and this module's
 * ``Lane.CLONE`` — priced from the service's failure-free template
   (:meth:`ConsensusService._clone_result`); nothing executes.
 * ``Lane.COHORT`` — :func:`repro.service.cohort.run_cohort_instance`
-  over a :class:`~repro.service.cohort.CohortContext`: the batched
+  over a :class:`~repro.core.batched.CohortContext`: the batched
   generation body over a priced symbol round.  A single instance is a
   cohort of one, a failure-free run the cohort of the empty faulty set.
 * ``Lane.PER_GENERATION`` — :func:`repro.service.engine.execute_consensus`,
@@ -15,9 +15,9 @@ An instance runs one of four ways, and this module's
   symbol round, for the traffic that cannot share and every recorded
   run.
 * ``Lane.REFERENCE`` — the same loop on the scalar reference
-  generation, one generation a stretch: ``vectorized`` off, or a
-  backend whose honest broadcasts run real rounds (``phase_king``,
-  ``eig``, ``dolev_strong``, ``mostefaoui``).
+  generation, one generation a stretch: ``vectorized`` off, a backend
+  whose honest broadcasts run real rounds (``phase_king``, ``eig``,
+  ``dolev_strong``, ``mostefaoui``), or a fault plan (``repro.faults``).
 
 All four are byte-identical to the forced-scalar reference; the choice
 only decides how much work is shared.
@@ -54,6 +54,10 @@ def plan_lane(
     ``reuse_results`` says the caller holds a result template;
     ``journal`` that the run is recorded.
     """
+    # Injected network faults can deliver an honest batch in part: only
+    # the scalar reference reads a round edge by edge.
+    if getattr(adversary, "fault_plan", None) is not None:
+        return Lane.REFERENCE
     backend = BACKENDS[config.backend]
     faulty = adversary.faulty
     n = config.n
@@ -66,14 +70,12 @@ def plan_lane(
     # which needs nobody watching the messages (a journal must observe
     # materialized ones: ``charge_round`` refuses a journalling network,
     # a cloned result has no journal at all), agreement (an error-free
-    # backend), content-independent traffic (no injected network faults)
-    # and one common honest input — checked on the raw inputs:
+    # backend) and one common honest input — checked on the raw inputs:
     # input_value hooks fire once, inside the run.
     if not (
         batch_generations
         and not journal
         and backend.error_free
-        and getattr(adversary, "fault_plan", None) is None
         and len(inputs) == n
         and len({inputs[pid] for pid in range(n) if pid not in faulty}) == 1
     ):

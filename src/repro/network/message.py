@@ -58,14 +58,12 @@ class SymbolBatch:
     * a 1-D integer ndarray — the *packed payload lane* of the
       vectorized data plane, which moves no per-edge Python objects.
 
-    Scalar consumers must go through :meth:`payload_list`, which
-    normalizes either form to Python scalars (receivers' exact-type
-    payload validation must never see ``np.int64``); vectorized
-    consumers take :meth:`payload_lanes` and skip the materialization
-    entirely.  ``bits`` is the accounted size *per message* — every
-    message in a batch is the same protocol step, so all carry the same
-    bit count, and the batch meters ``bits * len`` in one accounting
-    entry regardless of carrier form.
+    Consumers go through :meth:`payload_list`, which normalizes either
+    form to Python scalars (receivers' exact-type payload validation
+    must never see ``np.int64``).  ``bits`` is the accounted size *per
+    message* — every message in a batch is the same protocol step, so
+    all carry the same bit count, and the batch meters ``bits * len`` in
+    one accounting entry regardless of carrier form.
     """
 
     tag: str
@@ -101,14 +99,6 @@ class SymbolBatch:
         if isinstance(payloads, np.ndarray):
             return payloads.tolist()
         return list(payloads)
-
-    def payload_lanes(self, dtype) -> np.ndarray:
-        """The payloads as a 1-D array of ``dtype`` — zero-copy when the
-        batch already carries a matching lane."""
-        payloads = self.payloads
-        if isinstance(payloads, np.ndarray):
-            return payloads.astype(dtype, copy=False)
-        return np.array(payloads, dtype=dtype)
 
     def materialize(self) -> List[Message]:
         """The batch as scalar :class:`Message` objects (journal order is

@@ -1,17 +1,17 @@
 """Preallocated exchange arenas for the vectorized data plane.
 
-The vectorized generation engine works on a handful of ``(n, n)``-shaped
-views — the symbol exchange matrix, the codeword matrix, the M/adjacency
-boolean matrices, the Detected flags and the diagnosis Trust matrix.
-Allocating them per generation is what made ``n >= 255`` sweeps
-allocation-bound: a single n=255 fault sweep runs thousands of
-generations, each previously paying several fresh ``(n, n)`` arrays.
-
-An :class:`ExchangeArena` owns one buffer per view kind and hands out
-*reset views* instead: buffers are allocated lazily on first acquisition
-(a forced-scalar run never touches numpy matrices, so it must never pay
-for them — the arena-reuse tests assert exactly that) and then reset —
-never reallocated — between generations and between instances.
+An :class:`ExchangeArena` offers six ``(n, n)``-shaped views — the
+symbol exchange matrix, the codeword matrix, the M/adjacency boolean
+matrices, the Detected flags and the diagnosis Trust matrix — because
+allocating them per generation once made ``n >= 255`` sweeps
+allocation-bound.  The library now acquires one, the Trust view of the
+diagnosis stage (:func:`repro.core.diagnosis.diagnose`), and types its
+symbol arrays by :attr:`ExchangeArena.symbol_dtype`.  The arena owns
+one buffer per view kind and hands out *reset views*: buffers are
+allocated lazily on first acquisition (a forced-scalar run never
+touches numpy matrices, so it must never pay for them — the
+arena-reuse tests assert exactly that) and then reset — never
+reallocated — between generations and between instances.
 
 Ownership and reset rules (also documented in ``docs/ARCHITECTURE.md``):
 
@@ -81,7 +81,8 @@ class ExchangeArena:
     ) -> "ExchangeArena":
         """The arena for a deployment's symbol width: int64 lanes up to
         62-bit symbols, object-dtype escape hatch for wider interleaved
-        super-symbols (matching the engines' ``_symbol_dtype`` rule)."""
+        super-symbols (the one dtype rule: the batched body reads it as
+        :attr:`symbol_dtype`)."""
         dtype = np.int64 if symbol_bits <= 62 else object
         return cls(n, dtype, fill_value)
 

@@ -1,4 +1,4 @@
-"""The per-generation lane's run loop and every run's prologue/epilogue.
+"""The run loop's door and every run's prologue/epilogue.
 
 :func:`execute_consensus` runs one consensus instance as the paper
 writes it — the ``⌈L/D⌉``-generation loop of Algorithm 1 — one
@@ -12,9 +12,9 @@ on the per-instance state held by a
 :class:`~repro.core.consensus.MultiValuedConsensus` object (diagnosis
 graph, metered network, backend, code) and keeps no per-lane state: on
 ``Lane.PER_GENERATION`` (no work can be shared) each stretch runs on
-the cohort engine's batched generation body behind the protocol's door,
-and on ``Lane.REFERENCE`` it is the scalar reference every other lane is
-held byte-identical to.
+the batched generation body (:mod:`repro.core.batched`) behind the
+protocol's door, and on ``Lane.REFERENCE`` it is the scalar reference
+every other lane is held byte-identical to.
 
 :func:`prepare_instance` and :func:`finalize_result` are the prologue
 and epilogue every run goes through, the cohort lane's
@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.generation import GenerationProtocol
+from repro.core.planner import Lane
 from repro.core.result import (
     ConsensusResult,
     GenerationOutcome,
     GenerationResult,
 )
 from repro.processors.answers import substituted_inputs
-from repro.service.planner import Lane
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.consensus import MultiValuedConsensus

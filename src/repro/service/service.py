@@ -10,8 +10,8 @@ values:
 * the code tables (one ``config.make_code()``, interpolation caches
   warm across instances),
 * the default value's split (a function of the config alone),
-* the attack-shape cohort contexts (:mod:`repro.service.cohort`):
-  graph structures, plans, match sets,
+* the attack-shape cohort contexts (:mod:`repro.core.batched`): graph
+  structures, plans, match sets,
 * the failure-free *result template* (the metering of an all-match run
   is value-independent, so one real run prices every failure-free
   instance of the batch).
@@ -23,7 +23,7 @@ the batch's adversarial cohort values), and dies with it
 (``docs/ARCHITECTURE.md``, "What a deployment remembers").
 
 Which engine runs an instance is the lane planner's decision
-(:func:`repro.service.planner.plan_lane`), nowhere else's.
+(:func:`repro.core.planner.plan_lane`), nowhere else's.
 
 ``run`` executes one instance; ``run_many`` executes a batch with
 cross-instance batching; ``submit``/``drain`` queue instances between
@@ -52,15 +52,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus, split_value
+from repro.core.planner import Lane, plan_lane
 from repro.core.result import ConsensusResult, GenerationResult
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary
 from repro.service.arena import ExchangeArena
-from repro.service.cohort import CohortContext, run_cohort_instance
+from repro.service.cohort import run_cohort_instance
 from repro.service.engine import execute_consensus
-from repro.service.planner import Lane, plan_lane
 from repro.service.spec import InstanceSpec, RunSpec, cohort_key
 
 #: Anything ``run_many``/``submit`` accepts as one instance: a spec, the

@@ -30,7 +30,7 @@ from repro.processors.registry import (
     make_attack,
     normalize_attack,
 )
-from repro.utils.bits import is_exact_int
+from repro.utils.bits import check_input_value, is_exact_int
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,7 @@ class InstanceSpec:
         if self.seed is not None and not is_exact_int(self.seed):
             raise ValueError("seed %r is not an int" % (self.seed,))
         for value in self.inputs:
-            if not is_exact_int(value):
-                raise ValueError("input value %r is not an int" % (value,))
-            if value < 0 or value >> spec.l_bits:
-                raise ValueError(
-                    "input value 0x%x does not fit in l_bits=%d"
-                    % (value, spec.l_bits)
-                )
+            check_input_value(value, spec.l_bits)
         attack = self.attack if self.attack is not None else spec.attack
         if attack not in ATTACKS:
             raise ValueError(

@@ -23,12 +23,13 @@ import numpy as np
 import pytest
 
 from repro.processors import FAULT_GRID_ATTACKS, make_attack
+from repro.core.batched import _InstanceRun
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import RandomAdversary
-from repro.service.planner import Lane, plan_lane
+from repro.core.planner import Lane, plan_lane
 
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
 CONSENSUS_HOOKS = {
@@ -277,8 +278,6 @@ class TestVectorizedDispatch:
         # A backend whose honest broadcasts run real rounds prices
         # nothing, so a diagnosing run takes the scalar reference: the
         # batched generation body never runs and no arena is built.
-        from repro.service.cohort import _InstanceRun
-
         def boom(*args, **kwargs):
             raise AssertionError("batched generation under %s" % backend)
 
@@ -289,6 +288,38 @@ class TestVectorizedDispatch:
         )
         result = consensus.run([0x5A5A] * 7)
         assert result.error_free and result.diagnosis_count >= 1
+        assert consensus.arena is None
+
+    @pytest.mark.parametrize("attack", ["omit_rounds", "delay_storm"])
+    def test_fault_plans_run_the_reference(self, attack, monkeypatch):
+        # A fault plan attacks the network itself: an honest batch may
+        # arrive in part and stale messages arrive late, which only the
+        # scalar reference reads edge by edge.  Every toggle, recorded
+        # or not, takes it there; forcing the sent round is refused.
+        from repro.service.engine import execute_consensus
+
+        config = ConsensusConfig.create(n=7, l_bits=64)
+        adversary = make_attack(attack, 7, config.t, 64, seed=3)
+        for vectorized in (True, False):
+            for batch_generations in (True, False):
+                for journal in (True, False):
+                    assert plan_lane(
+                        config, vectorized, batch_generations, adversary,
+                        [7] * 7, reuse_results=True, journal=journal,
+                    ) is Lane.REFERENCE
+        with pytest.raises(ValueError, match="injected faults"):
+            execute_consensus(MultiValuedConsensus(
+                config, adversary=make_attack(attack, 7, config.t, 64, seed=3)
+            ), [7] * 7, Lane.PER_GENERATION)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("batched generation under a fault plan")
+
+        monkeypatch.setattr(_InstanceRun, "step", boom)
+        consensus = MultiValuedConsensus(
+            config, adversary=make_attack(attack, 7, config.t, 64, seed=3)
+        )
+        assert consensus.run([0x5A5A] * 7).error_free
         assert consensus.arena is None
 
     def test_phase_king_backend_equivalence(self):

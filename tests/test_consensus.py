@@ -1,5 +1,8 @@
 """End-to-end tests for the L-bit consensus algorithm."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
@@ -87,6 +90,26 @@ class TestInputValidation:
         config = ConsensusConfig.create(n=7, t=2, l_bits=8)
         with pytest.raises(ValueError):
             MultiValuedConsensus(config, adversary=Adversary([0, 1, 2]))
+
+    @pytest.mark.parametrize("toggles", [
+        {}, {"batch_generations": False}, {"vectorized": False},
+        {"vectorized": False, "batch_generations": False},
+    ], ids=["cohort", "per_generation", "reference", "forced_scalar"])
+    @pytest.mark.parametrize("inputs, named", [
+        ([True] * 4, "True is not an int"),
+        ([5, 5.0, 5, 5], "5.0 is not an int"),
+        ([5.0] * 4, "5.0 is not an int"),
+        (np.array([5] * 4), "is not an int"),
+        ([5, 5, -1, 5], "-0x1 does not fit"),
+        ([1 << 16] * 4, "0x10000 does not fit"),
+    ], ids=["bool", "one_float", "floats", "numpy", "negative", "wide"])
+    def test_inputs_are_exact_ints_on_every_lane(self, toggles, inputs, named):
+        # The service's instance rule, on the one-shot run too: whichever
+        # lane the toggles pick, a value that is not an exact int in
+        # [0, 2^L) is refused, named, before any lane runs.
+        config = ConsensusConfig.create(n=4, t=1, l_bits=16)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            MultiValuedConsensus(config, **toggles).run(inputs)
 
 
 class TestOneRunPerObject:

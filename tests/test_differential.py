@@ -28,10 +28,13 @@ import pytest
 from repro.audit import Transcript, TranscriptRecorder
 from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
+from repro.core import batched as batched_module
+from repro.core import rounds as rounds_module
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.processors import ATTACKS, FAULT_GRID_ATTACKS, make_attack
+from repro.processors.adversary import Adversary
 from repro.processors.answers import ALL_FALSE, m_row_bits
 from repro.processors.byzantine import RandomAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
@@ -229,8 +232,9 @@ def test_grid_reaches_every_lane(monkeypatch):
     second-of-batch instance must be a clone, an adversarial instance a
     cohort run on every path (``run_many``, ``service.run`` and the
     one-shot alike: a single instance is a cohort of one), an instance
-    under a fault plan a per-generation run, and a recorded run never
-    enters the cohort whatever path asks for it."""
+    under a fault plan an ``execute_consensus`` run (on the scalar
+    reference), and a recorded run never enters the cohort whatever path
+    asks for it."""
     calls = {"execute_consensus": 0, "run_cohort_instance": 0}
     # The service binds both engines by name; the one-shot dispatch
     # looks them up in their home modules at call time.
@@ -345,11 +349,11 @@ class TestPerRunWorkIsDoneOnce:
                 return original(*args, **kwargs)
             return spy
 
-        # The generation body looks the clique search up in the cohort
-        # module, where it lives.
+        # The generation body looks the clique search up in its own
+        # module.
         monkeypatch.setattr(
-            cohort_module, "find_clique_matrix", counted(
-                "find_clique_matrix", cohort_module.find_clique_matrix
+            batched_module, "find_clique_matrix", counted(
+                "find_clique_matrix", batched_module.find_clique_matrix
             ),
         )
         for cls in (ReedSolomonCode, InterleavedCode):
@@ -525,7 +529,7 @@ class TestStretchBoundaries:
         """A stretch's array work runs in windows of generations, each
         as long as the stretch has run so far (1, 1, 2, 4, ...), its
         walk crossing from one to the next."""
-        sent = cohort_module._SentRound
+        sent = rounds_module._SentRound
         window = sent._window
         windows = []
 
@@ -736,14 +740,14 @@ def test_plan_memo(monkeypatch, encodes):
     service = ConsensusService(spec)
     logs = hook_log(service)
     sizes = []
-    original_step = cohort_module._InstanceRun.step
+    original_step = batched_module._InstanceRun.step
 
     def counting_step(run, g):
         result = original_step(run, g)
         sizes.append(plan_count(run.ctx))
         return result
 
-    monkeypatch.setattr(cohort_module._InstanceRun, "step", counting_step)
+    monkeypatch.setattr(batched_module._InstanceRun, "step", counting_step)
     assert service.run_many(instances) == expected
     [ctx] = service._cohorts.values()
     generations = len(expected[0].generation_results)
@@ -761,7 +765,7 @@ def test_plan_memo(monkeypatch, encodes):
     overridden = {
         name for name in HOOKS
         if getattr(type(spec.make_adversary()), name)
-        is not getattr(cohort_module.Adversary, name)
+        is not getattr(Adversary, name)
     }
     assert {"matching_row", "m_row"} <= overridden
 
@@ -1021,7 +1025,7 @@ def test_row_strategies_equal_forced_scalar_reference(monkeypatch, make, n):
     assert result.diagnosis_count >= 1
 
 
-class AlternatingMRows(cohort_module.Adversary):
+class AlternatingMRows(Adversary):
     """Every controlled pid but the lowest broadcasts an all-false M row
     in even generations and its honest row in odd ones; the lowest
     always answers honestly.  Successive M views of one graph state then
@@ -1103,7 +1107,7 @@ def test_m_and_trust_rows_of_a_row_strategy_are_asked_once(monkeypatch):
     assert (replayed["m_row"], replayed["trust_row"]) == counts["cohort"]
 
 
-class OddAnswers(cohort_module.Adversary):
+class OddAnswers(Adversary):
     """Answers no honest processor gives.  Pid 0, inside the
     lexicographic-first P_match, stays silent towards the last pid —
     which costs it that pid's trust in the first diagnosis, so from
@@ -1123,7 +1127,7 @@ class OddAnswers(cohort_module.Adversary):
         return honest_symbol, self._odd(pid, view)
 
 
-class TrueKeyedException(cohort_module.Adversary):
+class TrueKeyedException(Adversary):
     """An exception keyed ``True``, which names no pid — ``True == 1``,
     but pid 1 must still get the honest symbol, so nothing deviates."""
 
@@ -1131,7 +1135,7 @@ class TrueKeyedException(cohort_module.Adversary):
         return honest_symbol, {True: honest_symbol ^ 1}
 
 
-class TrueToAlmostAll(cohort_module.Adversary):
+class TrueToAlmostAll(Adversary):
     """Every faulty sender's common payload is ``True``; pid 1 gets the
     honest symbol and pid 2 silence (exceptions under a common payload
     that is charged but never arrives)."""
@@ -1174,7 +1178,7 @@ def reverse_asking(monkeypatch):
 
     for cls, name in (
         (GenerationProtocol, "_controlled"),
-        (cohort_module.CohortContext, "controlled_sorted"),
+        (batched_module.CohortContext, "controlled_sorted"),
     ):
         def reversed_init(self, *args, _init=cls.__init__, _name=name,
                           **kwargs):

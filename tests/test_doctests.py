@@ -159,8 +159,9 @@ def test_a_class_member_citation_names_a_member_of_that_class(tmp_path):
     fixture = tmp_path / "fixture.md"
     # A method, an inherited one, a self. attribute and a slot.
     fixture.write_text(
-        "`CohortContext.diagnose`, `AccountedIdealBroadcast.broadcast_bit`,"
-        " `GenerationProtocol.graph`, `~repro.service.cohort._Plan.checks`\n"
+        "`CohortContext.match_info_for`,"
+        " `AccountedIdealBroadcast.broadcast_bit`,"
+        " `GenerationProtocol.graph`, `~repro.core.batched._Plan.checks`\n"
     )
     assert check_links.check_file(fixture) == []
     fixture.write_text(
@@ -168,3 +169,32 @@ def test_a_class_member_citation_names_a_member_of_that_class(tmp_path):
     )
     [problem] = check_links.check_file(fixture)
     assert "GenerationProtocol._diagnosis_stage_vec" in problem
+
+
+def test_a_dotted_citation_names_a_module_that_defines_it(tmp_path):
+    """``tools/check_links.py`` on a backticked ``repro.…`` name: a
+    moved or deleted module fails the docs job instead of leaving its
+    dotted citations behind."""
+    location = importlib.util.spec_from_file_location(
+        "check_links",
+        pathlib.Path(__file__).parent.parent / "tools" / "check_links.py",
+    )
+    check_links = importlib.util.module_from_spec(location)
+    location.loader.exec_module(check_links)
+    fixture = tmp_path / "fixture.md"
+    # A module, a function, a package's import, a class member, a
+    # module-level name, Sphinx's ``~`` and a call.
+    fixture.write_text(
+        "`repro.service.cohort`, `repro.core.planner.plan_lane`,"
+        " `repro.ConsensusService`, `~repro.core.planner.Lane.COHORT`,"
+        " `repro.core.batched.MAX_PATTERN_ENTRIES`,"
+        " `repro.service.engine.execute_consensus()`\n"
+    )
+    assert check_links.check_file(fixture) == []
+    for stale in (
+        "repro.service.planner.plan_lane", "repro.service.cohort.sent_run",
+        "~repro.service.cohort._Plan.checks", "repro.core.nowhere",
+    ):
+        fixture.write_text("`%s`\n" % stale)
+        [problem] = check_links.check_file(fixture)
+        assert stale.lstrip("~") in problem

@@ -31,13 +31,14 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
+from repro.core import batched as batched_module
+from repro.core import diagnosis as diagnosis_module
 from repro.core import generation as generation_module
 from repro.core.generation import GenerationProtocol
 from repro.core.result import GenerationOutcome
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors.adversary import Adversary
 from repro.service import ConsensusService, RunSpec
-from repro.service import cohort as cohort_module
 from repro.utils.bits import PackedBits
 from repro.utils.rng import derive_seed
 
@@ -210,9 +211,9 @@ class TestDiagnosisVerdict:
             seen[consistent] += 1
             return result
 
-        # The scalar oracle and the cohort's stage, which the
-        # per-generation engine's diagnosis runs, each call the verdict.
-        for module in (generation_module, cohort_module):
+        # The scalar oracle and the batched body's stage, which both
+        # vectorized lanes' diagnoses run, each call the verdict.
+        for module in (generation_module, diagnosis_module):
             monkeypatch.setattr(module, "diagnosis_verdict", checked)
         n = 10
         config = ConsensusConfig.create(n=n, l_bits=512)
@@ -635,13 +636,14 @@ class TestOneDiagnosisStage:
     def test_cohort_and_recorded_run_call_the_one_stage(self, monkeypatch):
         built = self._count_protocols(monkeypatch)
         stages = []
-        original = cohort_module.CohortContext.diagnose
+        original = diagnosis_module.diagnose
 
-        def spy(self, graph, backend, adversary, view, g, *args):
+        def spy(ctx, graph, backend, adversary, view, g, *args):
             stages.append(g)
-            return original(self, graph, backend, adversary, view, g, *args)
+            return original(ctx, graph, backend, adversary, view, g, *args)
 
-        monkeypatch.setattr(cohort_module.CohortContext, "diagnose", spy)
+        # The generation body looks the stage up in its own module.
+        monkeypatch.setattr(batched_module, "diagnose", spy)
         service = ConsensusService(RunSpec(n=7, l_bits=256))
         value = random.Random(7).getrandbits(256)
 

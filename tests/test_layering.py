@@ -1,0 +1,137 @@
+"""The layering rule, enforced on the source.
+
+The protocol packages — ``core``, ``coding``, ``graphs``, ``network``,
+``processors``, ``broadcast_bit`` and ``utils`` — never import the
+service or the audit tier (``repro.service``, ``repro.audit``), at
+module level or inside a function: Algorithm 1 runs without them, and
+the service batches and keys runs of it.  The allowlist names every
+exception, one line each, and each must still be in use.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SOURCE = Path(repro.__file__).resolve().parent
+
+LOWER = (
+    "core", "coding", "graphs", "network", "processors", "broadcast_bit",
+    "utils",
+)
+UPPER = ("repro.service", "repro.audit")
+
+#: ``(importing scope, imported module)``; a scope of ``None`` allows the
+#: import anywhere below the service.
+ALLOWED = frozenset({
+    # The one-shot run's two doors, pinned by the benchmark's seams.
+    ("repro.core.consensus:MultiValuedConsensus.run", "repro.service.engine"),
+    ("repro.core.consensus:MultiValuedConsensus.run", "repro.service.cohort"),
+    # The exchange arena, until it leaves the service package.
+    (None, "repro.service.arena"),
+})
+
+
+def _is_module(dotted: str) -> bool:
+    path = SOURCE.parent.joinpath(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def upward_imports(source: str, module: str):
+    """``(scope, imported module)`` of every import in ``source`` (the
+    text of ``module``) that reaches the service or the audit tier; the
+    scope is ``module:Qualified.name`` of the enclosing function, or
+    ``module`` at module level."""
+    tree = ast.parse(source)
+    parent = {
+        child: node for node in ast.walk(tree)
+        for child in ast.iter_child_nodes(node)
+    }
+    package = module.rpartition(".")[0]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = anchor + ("." + base if base else "")
+            targets = [
+                base + "." + alias.name
+                if _is_module(base + "." + alias.name) else base
+                for alias in node.names
+            ]
+        else:
+            continue
+        names = []
+        enclosing = parent.get(node)
+        while enclosing is not None:
+            if isinstance(enclosing, (
+                ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+            )):
+                names.append(enclosing.name)
+            enclosing = parent.get(enclosing)
+        scope = module + (":" + ".".join(reversed(names)) if names else "")
+        for target in targets:
+            if any(
+                target == upper or target.startswith(upper + ".")
+                for upper in UPPER
+            ):
+                found.append((scope, target))
+    return found
+
+
+def _lower_modules():
+    for package in LOWER:
+        for path in sorted((SOURCE / package).rglob("*.py")):
+            parts = path.relative_to(SOURCE.parent).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            yield ".".join(parts), path.read_text(encoding="utf-8")
+
+
+def _allowed(scope: str, target: str) -> tuple:
+    for entry in ((scope, target), (None, target)):
+        if entry in ALLOWED:
+            return entry
+    return ()
+
+
+def test_protocol_packages_never_import_the_service():
+    found = [
+        found for module, source in _lower_modules()
+        for found in upward_imports(source, module)
+    ]
+    assert [entry for entry in found if not _allowed(*entry)] == []
+    # Every allowlisted exception is still taken: a dropped import
+    # retires its line.
+    assert {_allowed(*entry) for entry in found} == ALLOWED
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from repro.service.engine import execute_consensus",
+         [("repro.core.m", "repro.service.engine")]),
+        ("def f():\n    import repro.audit.replay",
+         [("repro.core.m:f", "repro.audit.replay")]),
+        ("class C:\n    def run(self):\n        from repro.service import"
+         " cohort", [("repro.core.m:C.run", "repro.service.cohort")]),
+        ("from repro import service", [("repro.core.m", "repro.service")]),
+        ("from ..service.arena import ExchangeArena",
+         [("repro.core.m", "repro.service.arena")]),
+        ("from repro.core.planner import Lane", []),
+        ("import repro.serviceable", []),
+    ],
+    ids=[
+        "module_level", "function_level", "method_level", "package",
+        "relative", "sideways", "prefix_only",
+    ],
+)
+def test_the_walk_finds_an_upward_import(source, found):
+    assert upward_imports(source, "repro.core.m") == found

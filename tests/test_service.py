@@ -19,12 +19,12 @@ import weakref
 
 import pytest
 
+from repro.core.batched import MAX_PATTERN_ENTRIES
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
 from repro.processors import ATTACKS
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import service as service_module
-from repro.service.cohort import MAX_PATTERN_ENTRIES
 from tests.conftest import BAD_IDS, BAD_INSTANCES, run_chunked
 
 

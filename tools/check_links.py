@@ -35,7 +35,14 @@ fail the build:
   must be a method, a class-level name, a ``__slots__`` entry or a
   ``self.`` attribute of that class or of a base defined there (a class
   with a base from outside ``src/repro/`` other than ``object`` or
-  ``ABC`` is not checked for the members it may inherit from it).
+  ``ABC`` is not checked for the members it may inherit from it);
+* dotted module citations — a backtick span ``repro.pkg.module``,
+  ``repro.pkg.module.name`` or ``~repro.pkg.module.Class.member``
+  (optionally called) — in the same files: the longest dotted prefix
+  must be a module or package under ``src/repro/``, and a name after
+  it must be one that module defines at its top level (a class,
+  function or assignment; a package's imports count), so moving or
+  deleting a module cannot leave its dotted citations behind.
 
 External targets (``http(s)://``, ``mailto:``) are only validated
 syntactically — CI must not depend on the network — and intra-document
@@ -84,6 +91,9 @@ CITATION = re.compile(r"((?:[\w.-]+/)+[\w-]+\.py)::(\w+(?:\.\w+)?)")
 #: A backtick span citing ``Class.member``: the last two dotted names,
 #: optionally called, optionally with a module path and Sphinx's ``~``.
 MEMBER_SPAN = re.compile(r"~?(?:\w+\.)*([A-Za-z_]\w*)\.(\w+)(?:\(\))?")
+#: A backtick span citing a dotted name under the package, Sphinx's
+#: ``~`` and a call allowed.
+DOTTED_SPAN = re.compile(r"~?(repro(?:\.\w+)+)(?:\(\))?")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -240,11 +250,84 @@ def check_members(path: Path, text: str) -> list:
     return problems
 
 
+def module_file(dotted: str):
+    """The source file of module or package ``dotted``, or ``None``."""
+    base = REPO_ROOT.joinpath("src", *dotted.split("."))
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def top_level_names(source: Path) -> frozenset:
+    """What ``module.name`` may name in the module at ``source``: its
+    top-level classes, functions and assigned names, and for a package
+    the names its ``__init__`` imports."""
+    names = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            names.update(
+                leaf.id for target in targets for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            )
+        elif (
+            isinstance(node, (ast.Import, ast.ImportFrom))
+            and source.name == "__init__.py"
+        ):
+            names.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+            )
+    return frozenset(names)
+
+
+def check_dotted(path: Path, text: str) -> list:
+    """Every backticked ``repro.…`` dotted name in ``text`` resolves: its
+    longest module prefix exists under ``src/repro/`` and defines the
+    next name, and a ``Class.member`` after it is a member of that
+    class."""
+    problems = []
+    cited = set()
+    for match in BACKTICK_SPAN.finditer(text):
+        span = DOTTED_SPAN.fullmatch(match.group(1).strip())
+        if span:
+            cited.add(span.group(1))
+    for dotted in sorted(cited):
+        parts = dotted.split(".")
+        cut = len(parts)
+        while module_file(".".join(parts[:cut])) is None:
+            cut -= 1
+        rest = parts[cut:]
+        source = module_file(".".join(parts[:cut]))
+        if not rest:
+            continue
+        if rest[0] not in top_level_names(source) or (
+            len(rest) > 1 and rest[0] in class_index()
+            and not has_member(rest[0], rest[1])
+        ) or len(rest) > 2:
+            problems.append(
+                "%s: cites %s, which %s does not define"
+                % (path, dotted, ".".join(parts[:cut]))
+            )
+    return problems
+
+
 def check_file(path: Path) -> list:
     text = path.read_text()
     prose = CODE_FENCE.sub("", text)
     anchors = {anchor_of(h) for h in HEADING.findall(text)}
-    problems = check_citations(path, text) + check_members(path, prose)
+    problems = (
+        check_citations(path, text) + check_members(path, prose)
+        + check_dotted(path, prose)
+    )
 
     def check_target(target: str, kind: str) -> None:
         if target.startswith(("http://", "https://", "mailto:")):
@@ -381,6 +464,7 @@ def main(argv) -> int:
             text = path.read_text()
             problems.extend(check_citations(path, text))
             problems.extend(check_members(path, text))
+            problems.extend(check_dotted(path, text))
         else:
             problems.extend(check_file(path))
     for problem in problems:
