@@ -6,18 +6,19 @@ Every vectorized run executes Algorithm 1's generations through
 then the M and Detected stages, then line 2(c) or the diagnosis
 (:mod:`repro.core.diagnosis`).  The round is a parameter, the one place
 the planner's two vectorized lanes differ: the cohort lane prices
-honest traffic, over a context shared by every instance of one attack
-shape; the per-generation lane sends it, over a private context.
+honest traffic, the per-generation lane sends it; both run over the
+context every instance of one attack shape shares.
 
 What a context keeps across its instances is **value-independent**:
 one table of diagnosis-graph *structures*, each holding the plans and
 the M view → ``P_match`` match sets (one clique search per distinct M
-view, however many generations and instances produce it) reached in its
-graph state.  Everything derived from an instance's values — part
-tuples, whole-run codewords, a diagnosis's received columns — lives on
-its :class:`_InstanceRun` and dies with it.  A seeded attack
-(``random``) makes a pattern a value in disguise, so the table forgets
-at :data:`MAX_PATTERN_ENTRIES`.
+view, however many generations, instances and lanes produce it) reached
+in its graph state.  Everything derived from an instance's values —
+part tuples, whole-run codewords, a diagnosis's received columns —
+lives on its :class:`_InstanceRun` and dies with it.  A seeded attack
+(``random``), or split inputs whose codewords coincide in places, make
+a pattern a value in disguise, so the table forgets at
+:data:`MAX_PATTERN_ENTRIES`.
 
 Results — decisions, :class:`~repro.core.result.GenerationResult`
 records, meter snapshots, round clock, backend instance ids — are
@@ -236,18 +237,41 @@ class _MatchInfo:
         self.pos_ok = pos_ok
 
 
+def _hook_profile(adversary: Adversary) -> Tuple[bool, ...]:
+    """Whether ``adversary`` leaves each hook the batched body elides at
+    the base (module docstring: hook_is_default is the rule)."""
+    return tuple(hook_is_default(adversary, name) for name in (
+        "matching_row", "m_row", "detected_flag", "ideal_broadcast_bit",
+        "diagnosis_symbol", "trust_row",
+    ))
+
+
 class CohortContext:
-    """Shared state for every instance of one attack cohort."""
+    """What outlives an instance, for every instance of one deployment
+    shape — config, faulty set and hook profile: the code, the default
+    split, the exchange arena and the pattern table.
+
+    The service keeps one per cohort key and hands it to every lane's
+    engine; a one-shot run builds a private one on first vectorized need
+    (:attr:`~repro.core.consensus.MultiValuedConsensus.context`).
+    Everything here is a shape, never a value (module docstring)."""
 
     def __init__(
         self,
         config: ConsensusConfig,
         code,
         adversary: Adversary,
-        arena,
+        default_parts: List[List[int]],
     ):
+        # Imported here: repro.service imports this module (through
+        # repro.core.consensus) at package init, so a top-level import
+        # would be circular.
+        from repro.service.arena import ExchangeArena
+
         self.config = config
         self.code = code
+        #: The split of ``config.default_value``, one per deployment.
+        self.default_parts = default_parts
         self.n = config.n
         self.t = config.t
         self.k = config.data_symbols
@@ -258,19 +282,27 @@ class CohortContext:
         self.controlled_sorted = sorted(controlled)
         self.pids = range(self.n)
         self.honest = [pid for pid in self.pids if pid not in controlled]
-        # Base-hook elision (module docstring): hook_is_default is the rule.
-        self.ms_default = hook_is_default(adversary, "matching_row")
-        self.mv_default = hook_is_default(adversary, "m_row")
-        self.df_default = hook_is_default(adversary, "detected_flag")
-        self.ib_default = hook_is_default(adversary, "ideal_broadcast_bit")
-        self.ds_default = hook_is_default(adversary, "diagnosis_symbol")
-        self.tr_default = hook_is_default(adversary, "trust_row")
+        self.hooks = _hook_profile(adversary)
+        (self.ms_default, self.mv_default, self.df_default,
+         self.ib_default, self.ds_default, self.tr_default) = self.hooks
         #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
-        #: The owner's exchange arena (the service's, or a one-shot
-        #: run's own): the diagnosis stage's Trust buffer, and its
-        #: symbol dtype types the diagnosis arrays.
-        self.arena = arena
+        #: The context's own exchange arena (buffers allocated on first
+        #: acquisition): the diagnosis stage's Trust buffer, and its
+        #: symbol dtype types the batched arrays.
+        self.arena = ExchangeArena.for_symbol_bits(self.n, self.c)
+
+    def refuse_mismatch(self, config: ConsensusConfig, adversary) -> None:
+        """Raise :class:`ValueError` unless this context was built for
+        ``config`` and an adversary of ``adversary``'s faulty set and
+        hook profile: another's tables would elide a hook it overrides."""
+        if (config, frozenset(adversary.faulty), _hook_profile(adversary)) != (
+            self.config, self.controlled, self.hooks
+        ):
+            raise ValueError(
+                "this CohortContext was built for another config, faulty "
+                "set or hook profile"
+            )
 
     def match_info_for(self, struct, hdev_key, outcomes) -> _MatchInfo:
         """The match set of one dispatched M view, memoized — honest

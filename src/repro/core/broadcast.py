@@ -56,7 +56,9 @@ from repro.processors.answers import (
 )
 from repro.utils.bits import (
     bits_to_int,
+    check_input_value,
     int_to_bits,
+    is_exact_int,
     pack_symbols,
     unpack_symbols,
 )
@@ -171,8 +173,7 @@ class MultiValuedBroadcast:
         dynamically because the per-generation code dimension shrinks when
         the source loses diagnosis-graph edges (see ``_generation_code``).
         """
-        if value < 0 or value >> self.l_bits:
-            raise ValueError("value does not fit in %d bits" % self.l_bits)
+        check_input_value(value, self.l_bits)
         padded = self.generations * self.d_bits
         shifted = value << (padded - self.l_bits)
         symbols = unpack_symbols(
@@ -211,10 +212,11 @@ class MultiValuedBroadcast:
     def run(self, source: int, value: int) -> BroadcastResult:
         """Broadcast ``value`` from ``source``; every fault-free processor
         (including the source) ends with a decision."""
-        if not 0 <= source < self.n:
-            raise ValueError("source %d out of range" % source)
-        if value < 0 or value >> self.l_bits:
-            raise ValueError("value does not fit in %d bits" % self.l_bits)
+        if not (is_exact_int(source) and 0 <= source < self.n):
+            raise ValueError("source %r is not a pid below %d" % (
+                source, self.n
+            ))
+        check_input_value(value, self.l_bits)
         honest = [
             pid for pid in range(self.n)
             if not self.adversary.controls(pid)

@@ -12,8 +12,9 @@ instance — the diagnosis graph, the metered network, the
 
 For anything beyond a single run, prefer the service layer
 (:class:`~repro.service.service.ConsensusService`), which is constructed
-once per configuration and amortizes the code tables, the default
-split and the attack-shape plans across many instances::
+once per configuration and keeps one cohort context per attack shape
+(code tables, default split, arena, pattern memos) across many
+instances::
 
     from repro import ConsensusService
 
@@ -65,8 +66,10 @@ class MultiValuedConsensus:
     (:func:`repro.core.planner.plan_lane`) and either runs the run loop
     (:func:`repro.service.engine.execute_consensus`) or, for any run
     whose honest processors share one input (adversarial or not), the
-    cohort lane over a private cohort of one
-    (:func:`repro.service.cohort.run_cohort_instance`).
+    cohort lane (:func:`repro.service.cohort.run_cohort_instance`).  Both
+    vectorized lanes run on one :class:`~repro.core.batched.CohortContext`
+    (:attr:`context`), what outlives the instance: the service's keyed
+    one, or a private one.
 
     Two toggles select between the observationally identical engines
     (see ``docs/ARCHITECTURE.md`` for the contract):
@@ -103,9 +106,7 @@ class MultiValuedConsensus:
         meter: Optional[BitMeter] = None,
         batch_generations: bool = True,
         vectorized: bool = True,
-        code=None,
-        default_parts: Optional[List[List[int]]] = None,
-        arena=None,
+        context: Optional[CohortContext] = None,
         journal: bool = False,
     ):
         """Set up one deployment.
@@ -117,21 +118,12 @@ class MultiValuedConsensus:
             meter: shared :class:`BitMeter`; default a fresh one.
             batch_generations: see the class docstring.
             vectorized: see the class docstring.
-            code: a prebuilt code for this config
-                (``config.make_code()``); the service layer passes one
-                shared instance so its (deterministic, content-keyed)
-                interpolation caches warm across instances.  Default:
-                build a fresh one.
-            default_parts: the split of ``config.default_value``, which
-                a deployment computes once for all its instances.
-                Default: split on first need.
-            arena: a preallocated
-                :class:`~repro.service.arena.ExchangeArena` for the
-                vectorized data plane; the service passes its own so
-                the ``(n, n)`` buffers persist across instances.
-                Default: built lazily on the first vectorized
-                generation (:meth:`ensure_arena`) — reference runs
-                never build one.
+            context: the :class:`~repro.core.batched.CohortContext` to
+                run on (the service passes its keyed one, so what
+                outlives the instance outlives it), built for this
+                config, faulty set and hook profile (else
+                :class:`ValueError`).  Default: a private one, built on
+                first vectorized need (:attr:`context`).
             journal: when True the network records every delivered
                 :class:`~repro.network.message.Message` (the raw
                 material of :mod:`repro.audit` transcripts); metering is
@@ -150,6 +142,8 @@ class MultiValuedConsensus:
                 "adversary controls %d processors but config tolerates t=%d"
                 % (len(self.adversary.faulty), config.t)
             )
+        if context is not None:
+            context.refuse_mismatch(config, self.adversary)
         self.meter = meter if meter is not None else BitMeter()
         self.graph = DiagnosisGraph(config.n)
         self.network = SyncNetwork(config.n, self.meter, journal=journal)
@@ -161,16 +155,13 @@ class MultiValuedConsensus:
         fault_plan = getattr(self.adversary, "fault_plan", None)
         if fault_plan is not None:
             self.network.install_faults(fault_plan.compile(config.n))
-        self.code = code if code is not None else config.make_code()
+        self._context = context
+        self.code = config.make_code() if context is None else context.code
         #: This instance's splits by value (see :meth:`parts_for`).
         self._parts: Dict[int, List[List[int]]] = (
-            {} if default_parts is None
-            else {config.default_value: default_parts}
+            {} if context is None
+            else {config.default_value: context.default_parts}
         )
-        #: The vectorized data plane's preallocated exchange arena;
-        #: ``None`` until a vectorized generation needs it (and forever
-        #: on reference runs — the arena-reuse tests assert that).
-        self.arena = arena
         self._view_extras: Dict[str, object] = {}
         #: What the first run was handed (a short form of its inputs),
         #: once one has started: the engines' shared prologue refuses a
@@ -207,22 +198,17 @@ class MultiValuedConsensus:
             return packed >> (total_bits - config.l_bits)
         return packed
 
-    def ensure_arena(self):
-        """This instance's exchange arena, built on first need.
-
-        Callers (the engines) only invoke this on a vectorized lane;
-        buffers inside the arena are in turn allocated lazily, so
-        merely ensuring it never allocates an ``(n, n)`` matrix.
-        """
-        if self.arena is None:
-            # Imported lazily: repro.service imports this module at
-            # package init, so a top-level import here would be circular.
-            from repro.service.arena import ExchangeArena
-
-            self.arena = ExchangeArena.for_symbol_bits(
-                self.config.n, self.config.symbol_bits
+    @property
+    def context(self) -> CohortContext:
+        """The cohort context this instance's vectorized lanes run on:
+        the one handed in, else a private one built here on first need
+        (the engines ask only on a vectorized lane)."""
+        if self._context is None:
+            self._context = CohortContext(
+                self.config, self.code, self.adversary,
+                self.parts_for(self.config.default_value),
             )
-        return self.arena
+        return self._context
 
     def _make_view(self) -> GlobalView:
         return GlobalView(
@@ -272,10 +258,7 @@ class MultiValuedConsensus:
             # module at package init, so a top-level import is circular.
             from repro.service.cohort import run_cohort_instance
 
-            context = CohortContext(
-                self.config, self.code, self.adversary, self.ensure_arena()
-            )
-            return run_cohort_instance(context, self, inputs)
+            return run_cohort_instance(self, inputs)
         from repro.service.engine import execute_consensus
 
         return execute_consensus(self, inputs, lane)

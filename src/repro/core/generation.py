@@ -194,7 +194,7 @@ class GenerationProtocol:
         generation: int,
         view_provider: Callable[[], GlobalView],
         vectorized: bool = True,
-        arena=None,
+        context=None,
     ):
         self.config = config
         self.code = code
@@ -228,10 +228,10 @@ class GenerationProtocol:
         self._decode_cache: Dict[frozenset, Tuple[int, ...]] = {}
         self._consistency_cache: Dict[frozenset, bool] = {}
         self._codeword_cache: Dict[Tuple[int, ...], List[int]] = {}
-        #: The vectorized path's exchange arena (the engine owner's, so
-        #: its buffers persist across instances) and instance run, which
-        #: the first stretch builds and the later ones reuse.
-        self._arena = arena
+        #: The vectorized path's cohort context (the caller's, so its
+        #: memos outlive the instance) and instance run, which the first
+        #: stretch builds and the later ones reuse.
+        self.context = context
         self._batched = None
 
     # -- helpers -----------------------------------------------------------------

@@ -38,15 +38,13 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.core.batched import (
-    CohortContext, _Checking, _InstanceRun, _MatchInfo, _Plan,
-    _generation_tags,
+    _Checking, _InstanceRun, _MatchInfo, _Plan, _generation_tags,
 )
 from repro.core.diagnosis import _MISSING
 from repro.core.generation import _send_matching_symbols, symbol_round_shape
 from repro.processors.answers import (
     m_row_bits, matching_row_answer, received_symbol,
 )
-from repro.service.arena import ExchangeArena
 
 #: The plan key of a symbol round in which nothing deviates.
 _CONFORMING = ((), ())
@@ -548,15 +546,14 @@ class _SentRound:
 def sent_run(protocol, parts) -> _InstanceRun:
     """The instance run behind :meth:`~repro.core.generation.\
 GenerationProtocol.run`'s vectorized door: ``protocol``'s collaborators,
-    a private context and a :class:`_SentRound`; ``parts[pid]`` is
-    ``pid``'s whole-run parts.  Injected faults are refused."""
+    its context and a :class:`_SentRound`; ``parts[pid]`` is ``pid``'s
+    whole-run parts.  The context's pattern table starts over here when
+    full, before the run takes any structure.  Injected faults are
+    refused."""
     if protocol.network.fault_schedule is not None:
         raise ValueError("injected faults run on the scalar reference")
-    arena = protocol._arena or ExchangeArena.for_symbol_bits(
-        protocol.n, protocol.c
-    )
-    ctx = CohortContext(protocol.config, protocol.code, protocol.adversary,
-                        arena)
+    ctx = protocol.context
+    ctx.forget_if_full()
     return _InstanceRun(
         ctx, protocol.network, protocol.graph, protocol.backend,
         protocol.adversary, protocol._view_provider,

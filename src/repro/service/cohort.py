@@ -1,12 +1,13 @@
 """The cohort lane's door: :func:`run_cohort_instance` runs one instance
 on the batched generation body (:mod:`repro.core.batched`) over a priced
-symbol round, on a cohort context the caller keeps."""
+symbol round, on the instance's cohort context (the service's keyed one,
+or a one-shot run's private one)."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batched import CohortContext, _InstanceRun
+from repro.core.batched import _InstanceRun
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome, GenerationResult
 from repro.core.rounds import _PricedRound
@@ -14,7 +15,6 @@ from repro.service.engine import finalize_result, prepare_instance
 
 
 def run_cohort_instance(
-    ctx: CohortContext,
     consensus: MultiValuedConsensus,
     inputs: Sequence[int],
     prewarmed: Optional[Dict[int, Tuple[list, list]]] = None,
@@ -33,6 +33,7 @@ def run_cohort_instance(
     the caller's batch computed them (:meth:`ConsensusService._prewarm`).
     """
     config = consensus.config
+    ctx = consensus.context
     ctx.forget_if_full()
     effective = prepare_instance(consensus, inputs)
     ref_value = effective[ctx.honest[0]]
@@ -50,7 +51,7 @@ def run_cohort_instance(
     run = _InstanceRun(
         ctx, consensus.network, consensus.graph, consensus.backend,
         consensus.adversary, consensus._make_view, parts, _PricedRound(),
-        consensus.parts_for(config.default_value), ref_codewords,
+        ctx.default_parts, ref_codewords,
     )
     generation_results: List[GenerationResult] = []
     for g in range(config.generations):

@@ -161,9 +161,9 @@ def execute_consensus(
     default_parts = consensus.parts_for(config.default_value)
     vectorized = lane is Lane.PER_GENERATION
     # One protocol runs the whole instance, stretch by stretch; on the
-    # vectorized lane it keeps the run's work (whole-run codewords, the
-    # match memo) for its later stretches.  The shared arena persists
-    # its buffers across instances; reference runs never build one.
+    # vectorized lane it keeps the run's work (whole-run codewords) for
+    # its later stretches, over the instance's context, whose memos
+    # outlive the run.  Reference runs never ask for a context.
     protocol = GenerationProtocol(
         config=config,
         code=consensus.code,
@@ -174,7 +174,7 @@ def execute_consensus(
         generation=0,
         view_provider=consensus._make_view,
         vectorized=vectorized,
-        arena=consensus.ensure_arena() if vectorized else None,
+        context=consensus.context if vectorized else None,
     )
 
     generation_results: List[GenerationResult] = []

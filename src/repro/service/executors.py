@@ -10,8 +10,8 @@ micro-batching requests.  It is what
 and nothing else: a synchronous caller calls ``run_many``.
 
 Exactly **one** worker thread, deliberately: the service contract (see
-:mod:`repro.service.arena`) allows one generation in flight per service
-arena, and a second thread would buy no parallelism under the GIL
+:mod:`repro.service.arena`) allows one generation in flight per
+context's arena, and a second thread would buy no parallelism under the GIL
 anyway.  Batches submitted concurrently execute in submission order, on
 the same local batching path ``run_many`` takes, so results are
 byte-identical to it.

@@ -7,11 +7,13 @@ deployment and owns everything reusable across instances.  What it
 keeps for its lifetime is **value-independent** — *shapes*, never
 values:
 
-* the code tables (one ``config.make_code()``, interpolation caches
-  warm across instances),
-* the default value's split (a function of the config alone),
-* the attack-shape cohort contexts (:mod:`repro.core.batched`): graph
-  structures, plans, match sets,
+* one cohort context per cohort key
+  (:class:`~repro.core.batched.CohortContext`), the one home of what
+  outlives an instance — the code tables (one ``config.make_code()``
+  for every context, interpolation caches warm across instances), the
+  default value's split, an exchange arena, and the graph structures,
+  plans and match sets — which every lane's engine runs on (at most
+  :data:`MAX_COHORT_CONTEXTS` of them),
 * the failure-free *result template* (the metering of an all-match run
   is value-independent, so one real run prices every failure-free
   instance of the batch).
@@ -59,7 +61,6 @@ from repro.core.planner import Lane, plan_lane
 from repro.core.result import ConsensusResult, GenerationResult
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary
-from repro.service.arena import ExchangeArena
 from repro.service.cohort import run_cohort_instance
 from repro.service.engine import execute_consensus
 from repro.service.spec import InstanceSpec, RunSpec, cohort_key
@@ -67,6 +68,10 @@ from repro.service.spec import InstanceSpec, RunSpec, cohort_key
 #: Anything ``run_many``/``submit`` accepts as one instance: a spec, the
 #: per-processor input sequence, or a single value every processor holds.
 InstanceLike = Union[InstanceSpec, Sequence[int], int]
+
+#: Cohort contexts a service keeps before it starts over: each is a pure
+#: function of its key, and a declared faulty set is part of the key.
+MAX_COHORT_CONTEXTS = 32
 
 
 class ConsensusService:
@@ -111,56 +116,49 @@ class ConsensusService:
         #: One code instance for every run of this service; its
         #: interpolation caches warm monotonically across instances.
         self.code = self.config.make_code()
-        #: The default value's split, a function of the config alone.
-        self._default_parts = split_value(
-            self.config, self.config.default_value
-        )
         #: value-independent failure-free template (see _clone_result).
         self._template: Optional[ConsensusResult] = None
         self._pending: List[InstanceSpec] = []
-        #: The deployment's preallocated exchange arena: every engine
-        #: and cohort this service builds shares its ``(n, n)`` buffers
-        #: (the service runs instances strictly sequentially, so one
-        #: generation is ever in flight).  Built on first vectorized
-        #: need; a service whose instances all take the reference lane
-        #: never builds one.
-        self._arena: Optional[ExchangeArena] = None
-        #: Cohort contexts, keyed by ``cohort_key`` (see
-        #: :mod:`repro.service.cohort`); persistent, so repeated
-        #: ``run_many`` calls keep their warmth.
+        #: Cohort contexts, keyed by ``cohort_key``: every lane's engine
+        #: runs on its instance's, so repeated ``run_many`` calls keep
+        #: their warmth; at most :data:`MAX_COHORT_CONTEXTS`.
         self._cohorts: Dict[tuple, CohortContext] = {}
 
     # -- engine construction ------------------------------------------------
 
-    def _shared_arena(self) -> ExchangeArena:
-        """The service's shared exchange arena, built on first need."""
-        if self._arena is None:
-            self._arena = ExchangeArena.for_symbol_bits(
-                self.config.n, self.config.symbol_bits
+    def _context_for(
+        self, instance: InstanceSpec, adversary: Adversary
+    ) -> CohortContext:
+        """The context of ``instance``'s cohort key, built on first need.
+        The table starts over when full (between instances: a context
+        holds only memos, so forgetting one never changes a result)."""
+        key = cohort_key(self.spec, instance)
+        ctx = self._cohorts.get(key)
+        if ctx is None:
+            if len(self._cohorts) >= MAX_COHORT_CONTEXTS:
+                self._cohorts.clear()
+            ctx = self._cohorts[key] = CohortContext(
+                self.config, self.code, adversary,
+                split_value(self.config, self.config.default_value),
             )
-        return self._arena
+        return ctx
 
     def _make_engine(
         self,
         adversary: Adversary,
-        lane: Lane,
+        context: Optional[CohortContext],
         meter: Optional[BitMeter] = None,
         journal: bool = False,
     ) -> MultiValuedConsensus:
-        """A fresh per-instance engine for ``lane``, wired to this
-        service's shared read-only state (code tables, the default
-        split) and, off the reference lane, the shared exchange
-        arena."""
-        arena = self._shared_arena() if lane is not Lane.REFERENCE else None
+        """A fresh per-instance engine over ``context`` (``None``: the
+        engine builds a private one if it needs one)."""
         return MultiValuedConsensus(
             self.config,
             adversary=adversary,
             meter=meter,
             batch_generations=self.spec.batch_generations,
             vectorized=self.spec.vectorized,
-            code=self.code,
-            default_parts=self._default_parts,
-            arena=arena,
+            context=context,
             journal=journal,
         )
 
@@ -195,8 +193,9 @@ class ConsensusService:
         ``ValueError`` before any traffic.
 
         Always executes a real engine — byte-identical to
-        ``MultiValuedConsensus(config, adversary).run(inputs)`` but with
-        the service's shared code tables.
+        ``MultiValuedConsensus(config, adversary).run(inputs)`` but on
+        the instance's keyed cohort context (a live adversary's engine
+        builds a private one).
         """
         if adversary is not None and (
             attack is not None or seed is not None or faulty is not None
@@ -210,14 +209,14 @@ class ConsensusService:
         instance = self._coerce(
             inputs, attack=attack, seed=seed, faulty=faulty
         )
+        # A live adversary is not described by its cohort key: its
+        # engine builds a private context.
+        context = None
         if adversary is None:
             adversary = instance.resolve(self.spec).make_adversary()
-        journal = transcript is not None
+            context = self._context_for(instance, adversary)
         engine = self._make_engine(
-            adversary,
-            self._plan(instance, adversary, False, journal=journal),
-            meter=meter,
-            journal=journal,
+            adversary, context, meter=meter, journal=transcript is not None
         )
         result = engine.run(list(instance.inputs))
         if transcript is not None:
@@ -367,8 +366,10 @@ class ConsensusService:
         plan: List[Tuple[InstanceSpec, Adversary, Lane]] = []
         for instance in specs:
             adversary = instance.resolve(self.spec).make_adversary()
-            lane = self._plan(
-                instance, adversary, self.reuse_results,
+            lane = plan_lane(
+                self.config, self.spec.vectorized,
+                self.spec.batch_generations, adversary, instance.inputs,
+                reuse_results=self.reuse_results,
                 journal=transcript is not None,
             )
             plan.append((instance, adversary, lane))
@@ -382,24 +383,6 @@ class ConsensusService:
                 )
         return results  # type: ignore[return-value]
 
-    def _plan(
-        self,
-        instance: InstanceSpec,
-        adversary: Adversary,
-        reuse_results: bool,
-        journal: bool = False,
-    ) -> Lane:
-        """The lane of one ``run_many`` instance of this deployment."""
-        return plan_lane(
-            self.config,
-            self.spec.vectorized,
-            self.spec.batch_generations,
-            adversary,
-            instance.inputs,
-            reuse_results=reuse_results,
-            journal=journal,
-        )
-
     def _execute(
         self,
         instance: InstanceSpec,
@@ -412,19 +395,11 @@ class ConsensusService:
         it its batch's :meth:`_prewarm` table), recording it when a
         ``transcript`` recorder is given."""
         engine = self._make_engine(
-            adversary, lane, journal=transcript is not None
+            adversary, self._context_for(instance, adversary),
+            journal=transcript is not None,
         )
         if lane is Lane.COHORT:
-            key = cohort_key(self.spec, instance)
-            ctx = self._cohorts.get(key)
-            if ctx is None:
-                ctx = CohortContext(
-                    self.config, self.code, adversary, self._shared_arena()
-                )
-                self._cohorts[key] = ctx
-            result = run_cohort_instance(
-                ctx, engine, instance.inputs, prewarmed
-            )
+            result = run_cohort_instance(engine, instance.inputs, prewarmed)
         else:
             result = execute_consensus(engine, list(instance.inputs), lane)
         if transcript is not None:
@@ -482,11 +457,10 @@ class ConsensusService:
         ``tests/test_service.py::TestRunManyEquivalence``.
         """
         if self._template is None:
-            template = self._execute(
-                instance,
-                adversary,
-                self._plan(instance, adversary, reuse_results=False),
-            )
+            template = self._execute(instance, adversary, plan_lane(
+                self.config, self.spec.vectorized,
+                self.spec.batch_generations, adversary, instance.inputs,
+            ))
             expected_generations = self.config.generations
             if (
                 template.default_used

@@ -29,6 +29,7 @@ from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.cliques import find_clique, find_clique_matrix
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import RandomAdversary
+from repro.service.arena import ExchangeArena
 from repro.core.planner import Lane, plan_lane
 
 #: Consensus-engine adversary hooks the equivalence suite must exercise.
@@ -277,18 +278,20 @@ class TestVectorizedDispatch:
     ):
         # A backend whose honest broadcasts run real rounds prices
         # nothing, so a diagnosing run takes the scalar reference: the
-        # batched generation body never runs and no arena is built.
+        # batched generation body never runs, and the run builds no
+        # context and acquires nothing.
         def boom(*args, **kwargs):
             raise AssertionError("batched generation under %s" % backend)
 
         monkeypatch.setattr(_InstanceRun, "step", boom)
+        monkeypatch.setattr(ExchangeArena, "trust_view", boom)
         config = ConsensusConfig.create(n=7, l_bits=64, backend=backend)
         consensus = MultiValuedConsensus(
             config, adversary=make_attack("corrupt", 7, config.t, 64)
         )
         result = consensus.run([0x5A5A] * 7)
         assert result.error_free and result.diagnosis_count >= 1
-        assert consensus.arena is None
+        assert consensus._context is None
 
     @pytest.mark.parametrize("attack", ["omit_rounds", "delay_storm"])
     def test_fault_plans_run_the_reference(self, attack, monkeypatch):
@@ -316,11 +319,13 @@ class TestVectorizedDispatch:
             raise AssertionError("batched generation under a fault plan")
 
         monkeypatch.setattr(_InstanceRun, "step", boom)
+        monkeypatch.setattr(ExchangeArena, "trust_view", boom)
         consensus = MultiValuedConsensus(
             config, adversary=make_attack(attack, 7, config.t, 64, seed=3)
         )
         assert consensus.run([0x5A5A] * 7).error_free
-        assert consensus.arena is None
+        # A reference run builds no context and acquires nothing.
+        assert consensus._context is None
 
     def test_phase_king_backend_equivalence(self):
         # A real (non-ideal) error-free backend under faults: both

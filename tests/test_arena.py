@@ -1,34 +1,40 @@
 """Arena reuse: reset rules, no stale-data leaks, forced-scalar purity.
 
-The :class:`~repro.service.arena.ExchangeArena` hands the vectorized
-data plane *reset views* of preallocated ``(n, n)`` buffers.  These
-tests pin the three contractual properties the refactor rides on:
+The :class:`~repro.service.arena.ExchangeArena` hands the diagnosis
+stage a *reset view* of a preallocated ``(n, n)`` Trust buffer, and
+each :class:`~repro.core.batched.CohortContext` owns one.  These tests
+pin the three contractual properties the batched body rides on:
 
-* acquiring a view resets exactly what the contract says it resets
-  (exchange → sentinel, Detected/Trust → ``False``) and hands back
-  dirty only what its producer fully overwrites;
+* acquiring the view resets it to ``False``;
 * a dirty arena — one that just served a diagnosis-heavy adversarial
   instance — must not leak a single stale cell into the next
   generation or the next instance (byte-identity with a fresh-state
   reference run);
-* forced-scalar runs never touch the arena at all.
+* forced-scalar runs never touch an arena at all.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus
+from repro.core.consensus import MultiValuedConsensus, split_value
 from repro.processors import make_attack
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.arena import ExchangeArena
 
 N, T, L = 7, 2, 256
 #: Every buffer an arena can hold.
-BUFFERS = (
-    "_exchange", "_codewords", "_m", "_adjacency", "_detected", "_trust",
-)
+BUFFERS = ("_trust",)
 VALUE = 0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A
+
+
+def corrupt_context(config):
+    """A context for the ``corrupt`` attack's shape on ``config``."""
+    return CohortContext(
+        config, config.make_code(), make_attack("corrupt", N, T, L, seed=3),
+        split_value(config, config.default_value),
+    )
 
 
 class TestExchangeArenaUnit:
@@ -38,35 +44,13 @@ class TestExchangeArenaUnit:
         for name in BUFFERS:
             assert getattr(arena, name) is None
 
-    def test_exchange_view_resets_to_sentinel(self):
-        arena = ExchangeArena(4, np.int64, fill_value=-1)
-        view = arena.exchange_view()
-        view[...] = 99
-        again = arena.exchange_view()
-        assert again is view  # same buffer, not a new allocation
-        assert (again == -1).all()
-        assert arena.acquisitions == 2
-
     def test_detected_and_trust_reset_to_false(self):
         arena = ExchangeArena(4, np.int64)
-        detected = arena.detected_view()
-        detected[...] = True
-        assert not arena.detected_view().any()
         trust = arena.trust_view(3)
         trust[...] = True
         again = arena.trust_view(3)
         assert again.shape == (4, 3)
         assert not again.any()
-
-    def test_dirty_views_reuse_buffer_without_reset(self):
-        arena = ExchangeArena(4, np.int64)
-        m = arena.m_view()
-        m[...] = True
-        assert arena.m_view() is m  # producer overwrites every cell
-        codewords = arena.codeword_view()
-        assert arena.codeword_view() is codewords
-        adjacency = arena.adjacency_view()
-        assert arena.adjacency_view() is adjacency
 
     def test_trust_width_validated(self):
         arena = ExchangeArena(4, np.int64)
@@ -137,27 +121,30 @@ class TestDirtyArenaRegression:
         service = ConsensusService(spec)
         instance = InstanceSpec(inputs=(VALUE,) * N, attack="corrupt", seed=3)
         first = service.run_many([instance])[0]
-        arena = service._arena
-        assert arena is not None and arena.acquisitions > 0
+        [context] = service._cohorts.values()
+        arena = context.arena
+        assert arena.acquisitions > 0
         acquired, buffers = arena.acquisitions, self._buffers(arena)
         second = service.run_many([instance])[0]
         assert first == second
         # The re-run went through the same arena (the count grew) and
         # its buffers were reset, never reallocated (they did not move).
-        assert service._arena is arena and arena.acquisitions > acquired
+        assert list(service._cohorts.values()) == [context]
+        assert context.arena is arena and arena.acquisitions > acquired
         assert buffers and self._buffers(arena) == buffers
 
     def test_one_shot_runs_share_no_state(self):
-        # Two one-shot consensus objects build private arenas lazily;
-        # an explicit shared arena between them must also be harmless.
+        # Two one-shot consensus objects build private contexts lazily;
+        # an explicit shared context (and its arena) between them must
+        # also be harmless.
         config = ConsensusConfig.create(n=N, t=T, l_bits=L)
-        arena = ExchangeArena.for_symbol_bits(N, config.symbol_bits)
+        context = corrupt_context(config)
         results = []
         for _ in range(2):
             consensus = MultiValuedConsensus(
                 config,
                 adversary=make_attack("corrupt", N, T, L, seed=3),
-                arena=arena,
+                context=context,
                 batch_generations=False,
             )
             results.append(consensus.run([VALUE] * N))
@@ -165,7 +152,7 @@ class TestDirtyArenaRegression:
             config, adversary=make_attack("corrupt", N, T, L, seed=3)
         ).run([VALUE] * N)
         assert results[0] == results[1] == private
-        assert arena.acquisitions > 0
+        assert context.arena.acquisitions > 0
 
 
 class TestForcedScalarNeverTouchesArena:
@@ -178,20 +165,20 @@ class TestForcedScalarNeverTouchesArena:
         )
         result = consensus.run([VALUE] * N)
         assert result.diagnosis_count > 0  # the per-generation path ran
-        assert consensus.arena is None
+        assert consensus._context is None  # so no arena either
 
     def test_one_shot_scalar_leaves_provided_arena_untouched(self):
         config = ConsensusConfig.create(n=N, t=T, l_bits=L)
-        arena = ExchangeArena.for_symbol_bits(N, config.symbol_bits)
+        context = corrupt_context(config)
         consensus = MultiValuedConsensus(
             config,
             adversary=make_attack("corrupt", N, T, L, seed=3),
             vectorized=False,
-            arena=arena,
+            context=context,
         )
         consensus.run([VALUE] * N)
-        assert arena.acquisitions == 0
-        assert arena._exchange is None
+        assert context.arena.acquisitions == 0
+        assert context.arena._trust is None
 
     def test_service_scalar_never_builds_arena(self):
         spec = RunSpec(n=N, l_bits=L, vectorized=False)
@@ -202,4 +189,8 @@ class TestForcedScalarNeverTouchesArena:
                 InstanceSpec(inputs=(VALUE,) * N),
             ]
         )
-        assert service._arena is None
+        # Every instance has its context; none allocated a buffer.
+        assert len(service._cohorts) == 2
+        for context in service._cohorts.values():
+            assert context.arena.acquisitions == 0
+            assert context.arena._trust is None

@@ -56,6 +56,7 @@ from repro.processors import (
     SymbolCorruptionAdversary,
 )
 from repro.service import ConsensusService, InstanceSpec, RunSpec
+from repro.service import service as service_module
 from repro.service.serving.sdk import serve_background
 
 VALUE = 0xDEADBEEF
@@ -639,8 +640,22 @@ def test_result_tampering_breaks_the_seal():
 # -- satellite: journal-materialization equivalence ------------------------
 
 
+def cohort_runs(monkeypatch):
+    """The engines every service from here on runs on the cohort lane
+    (:func:`~repro.service.cohort.run_cohort_instance`), in order."""
+    runs = []
+    original = service_module.run_cohort_instance
+
+    def spy(engine, *args):
+        runs.append(engine)
+        return original(engine, *args)
+
+    monkeypatch.setattr(service_module, "run_cohort_instance", spy)
+    return runs
+
+
 @pytest.mark.parametrize("attack", sorted(ATTACKS))
-def test_journal_equivalence_across_engine_lanes(attack):
+def test_journal_equivalence_across_engine_lanes(attack, monkeypatch):
     """Scalar, vectorized and batched (``run_many``) runs of one spec
     leave byte-identical journals (not just bits and decisions); the
     recorded batch never enters the cohort engine."""
@@ -664,11 +679,12 @@ def test_journal_equivalence_across_engine_lanes(attack):
 
     batch_service = ConsensusService(spec)
     batch_recorder = TranscriptRecorder()
+    cohort = cohort_runs(monkeypatch)
     [batch_result] = batch_service.run_many(
         [InstanceSpec(inputs=(VALUE,) * 7)], transcript=batch_recorder
     )
     # The cohort's rounds are accounting a journal cannot observe.
-    assert not batch_service._cohorts
+    assert not cohort
     assert batch_recorder.transcript.journal() == scalar_journal
 
     assert compare(scalar_result, vec_result).identical
@@ -792,7 +808,7 @@ def test_charge_round_still_refuses_on_journalling_networks():
         network.charge_round("x", count=6, bits=4)
 
 
-def test_transcript_composes_with_batched_fast_paths():
+def test_transcript_composes_with_batched_fast_paths(monkeypatch):
     """A batch the cohort engine would serve (its rounds collapse into
     ``charge_round``) is recorded on the per-generation engine instead:
     same result as the unrecorded cohort run, and the transcript
@@ -800,15 +816,16 @@ def test_transcript_composes_with_batched_fast_paths():
     spec = RunSpec(n=7, l_bits=128, attack="crash")
     recorder = TranscriptRecorder()
     service = ConsensusService(spec)
+    cohort = cohort_runs(monkeypatch)
     [result] = service.run_many(
         [InstanceSpec(inputs=(VALUE,) * 7)], transcript=recorder
     )
-    assert not service._cohorts, "a recorded run entered the cohort"
+    assert not cohort, "a recorded run entered the cohort"
     reference_service = ConsensusService(spec)
     [reference] = reference_service.run_many(
         [InstanceSpec(inputs=(VALUE,) * 7)]
     )
-    assert reference_service._cohorts, "expected the cohort engine"
+    assert cohort, "expected the cohort engine"
     assert compare(result, reference).identical
     assert replay(recorder.transcript).ok
 

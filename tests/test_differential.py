@@ -425,6 +425,8 @@ def engine_runs(inputs, make_adversary=lambda: None, l_bits=256, n=7,
         )
         observed = Observed(engine.run(list(inputs)), engine)
         observed.journal = typed_rows(engine.network.journal)
+        #: The installed fault schedule, if the adversary carries a plan.
+        observed.faults = engine.network.fault_schedule
         runs.append(observed)
     return runs
 
@@ -497,14 +499,29 @@ class TestStretchBoundaries:
     ], ids=["omit-delay", "duplicate-late", "omit-outsider"])
     @pytest.mark.parametrize("split", [False, True], ids=["equal", "split"])
     def test_fault_plan_firing_mid_run(self, faulty, rules, diagnosed, split):
+        """A default-toggle run under a fault plan firing mid-run equals
+        the forced-scalar run.  A fault plan takes the scalar reference
+        whatever the toggles, so these cells reach no stretch: they
+        guard the planner's choice and the schedule's replay."""
+        from repro.core.config import ConsensusConfig
+        from repro.core.planner import Lane, plan_lane
         from repro.faults.attacks import FaultPlanAdversary
 
         a, b = 0x5A5A << 200, 0xC3C3 << 100
         inputs = [a] * 5 + [b if split else a] * 2
-        observed, expected = engine_runs(inputs, lambda: FaultPlanAdversary(
-            faulty, FaultPlan(rules=rules, seed=3)
-        ))
+
+        def adversary():
+            return FaultPlanAdversary(faulty, FaultPlan(rules=rules, seed=3))
+
+        assert plan_lane(
+            ConsensusConfig.create(n=7, l_bits=256), True, False,
+            adversary(), inputs, journal=True,
+        ) is Lane.REFERENCE
+        observed, expected = engine_runs(inputs, adversary)
         assert_same_execution(observed, expected)
+        # The plan fired: neither run passes vacuously.
+        assert observed.faults.events
+        assert observed.faults.event_log() == expected.faults.event_log()
         assert observed.result.error_free
         assert [
             r.generation for r in observed.result.generation_results

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
+from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus
+from repro.core.consensus import MultiValuedConsensus, split_value
 from repro.core.generation import GenerationProtocol, _pid_views
 from repro.core.result import GenerationOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
@@ -36,10 +37,13 @@ def make_protocol(n=7, t=2, adversary=None, graph=None, generation=0):
         )
 
     backend = AccountedIdealBroadcast(n, t, network.meter, adversary, view)
+    context = CohortContext(
+        config, code, adversary, split_value(config, config.default_value)
+    )
     protocol = GenerationProtocol(
         config=config, code=code, network=network, graph=graph,
         backend=backend, adversary=adversary, generation=generation,
-        view_provider=view,
+        view_provider=view, context=context,
     )
     return protocol, config, graph
 

@@ -25,14 +25,14 @@ LOWER = (
 )
 UPPER = ("repro.service", "repro.audit")
 
-#: ``(importing scope, imported module)``; a scope of ``None`` allows the
-#: import anywhere below the service.
+#: ``(importing scope, imported module)``.
 ALLOWED = frozenset({
     # The one-shot run's two doors, pinned by the benchmark's seams.
     ("repro.core.consensus:MultiValuedConsensus.run", "repro.service.engine"),
     ("repro.core.consensus:MultiValuedConsensus.run", "repro.service.cohort"),
-    # The exchange arena, until it leaves the service package.
-    (None, "repro.service.arena"),
+    # The exchange arena, which the context builds and owns, until it
+    # leaves the service package.
+    ("repro.core.batched:CohortContext.__init__", "repro.service.arena"),
 })
 
 
@@ -96,10 +96,7 @@ def _lower_modules():
 
 
 def _allowed(scope: str, target: str) -> tuple:
-    for entry in ((scope, target), (None, target)):
-        if entry in ALLOWED:
-            return entry
-    return ()
+    return (scope, target) if (scope, target) in ALLOWED else ()
 
 
 def test_protocol_packages_never_import_the_service():

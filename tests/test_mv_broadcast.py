@@ -1,5 +1,6 @@
 """Scenario tests for the §4 multi-valued broadcast."""
 
+import numpy as np
 import pytest
 
 from repro.core import MultiValuedBroadcast
@@ -62,8 +63,31 @@ class TestHonestBroadcast:
         # Consensus refuses such a value (split_value); so must the
         # broadcast, instead of delivering it reduced mod 2^L.
         broadcast = MultiValuedBroadcast(n=7, t=2, l_bits=8)
-        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+        with pytest.raises(ValueError, match="does not fit in l_bits=8"):
             broadcast.run(source=0, value=value)
+        assert broadcast.meter.total_bits == 0
+
+    @pytest.mark.parametrize("source, value, message", [
+        (0, True, "True is not an int"),
+        (0, 5.0, "5.0 is not an int"),
+        (0, np.int64(5), "is not an int"),
+        (True, 5, "source True is not a pid"),
+        (1.0, 5, "source 1.0 is not a pid"),
+        (np.int64(1), 5, "is not a pid"),
+    ], ids=[
+        "bool_value", "float_value", "numpy_value", "bool_source",
+        "float_source", "numpy_source",
+    ])
+    def test_inexact_source_or_value_refused(self, source, value, message):
+        # The one input rule of consensus (check_input_value) holds for
+        # the broadcast too: True once decided 1, a float or numpy value
+        # failed untyped, a bool or float source inside numpy indexing.
+        broadcast = MultiValuedBroadcast(n=4, l_bits=16)
+        with pytest.raises(ValueError, match=message):
+            broadcast.run(source, value)
+        if source == 0:
+            with pytest.raises(ValueError, match=message):
+                broadcast.parts_of(value)
         assert broadcast.meter.total_bits == 0
 
     def test_bad_t_rejected(self):

@@ -14,17 +14,20 @@ import collections
 import contextlib
 import gc
 import inspect
+import itertools
 import pickle
 import weakref
 
 import pytest
 
-from repro.core.batched import MAX_PATTERN_ENTRIES
+from repro.core import batched as batched_module
+from repro.core.batched import MAX_PATTERN_ENTRIES, CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus
-from repro.processors import ATTACKS
+from repro.core.consensus import MultiValuedConsensus, split_value
+from repro.processors import ATTACKS, Adversary, CrashAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import service as service_module
+from repro.service.serving.wire import result_to_wire
 from tests.conftest import BAD_IDS, BAD_INSTANCES, run_chunked
 
 
@@ -157,9 +160,9 @@ def count_executions(monkeypatch):
     (per-generation, cohort) input logs.  A cloned instance shows up in
     neither."""
     logs = []
-    # (engine, inputs) and (context, engine, inputs, ...).
+    # (engine, inputs, ...) on both doors.
     for name, inputs_at in (
-        ("execute_consensus", 1), ("run_cohort_instance", 2)
+        ("execute_consensus", 1), ("run_cohort_instance", 1)
     ):
         calls = []
         original = getattr(service_module, name)
@@ -515,29 +518,65 @@ PATTERNS = "service._cohorts[]._structs"
 PATTERN_TABLES = (PATTERNS, PATTERNS + "[].plans", PATTERNS + "[].matches")
 
 
+def split_inputs(spec, attack, value, other, faulty=None):
+    """``value`` everywhere but at the last two honest processors of
+    ``attack``'s faulty set (declared, or the attack's default), which
+    hold ``other``: the honest processors split, so the instance runs
+    on the per-generation lane."""
+    if faulty is None:
+        faulty = InstanceSpec(
+            inputs=(0,) * spec.n, attack=attack
+        ).resolve(spec).make_adversary().faulty
+    inputs = [value] * spec.n
+    for pid in [pid for pid in range(spec.n) if pid not in faulty][-2:]:
+        inputs[pid] = other
+    return tuple(inputs)
+
+
 class TestRetention:
     """A deployment remembers shapes, not values: what a long-lived
     service retains does not grow with the instances it has served,
-    every fresh value and fresh seed of them — and forgetting never
-    changes a result."""
+    every fresh value, fresh seed and fresh declared faulty set of them
+    — split-input instances included, whose per-generation lane writes
+    into the same keyed contexts — and forgetting never changes a
+    result."""
 
     BATCH = 16
 
-    def serve(self, services, spec, attack, batches, start):
+    def serve(self, services, spec, attack, batches, start, split=False):
         for batch in range(start, start + batches):
-            instances = [
-                InstanceSpec(
-                    inputs=(
-                        (0x9E3779B1 * (self.BATCH * batch + i + 1))
-                        % (1 << spec.l_bits),
-                    ) * spec.n,
-                    attack=attack,
-                    seed=self.BATCH * batch + i,
-                )
-                for i in range(self.BATCH)
-            ]
+            instances = []
+            for i in range(self.BATCH):
+                index = self.BATCH * batch + i
+                value = (0x9E3779B1 * (index + 1)) % (1 << spec.l_bits)
+                inputs = (value,) * spec.n
+                if split:  # the honest processors split, fresh too
+                    inputs = split_inputs(spec, attack, value, (
+                        0x7F4A7C15 * (index + 1)
+                    ) % (1 << spec.l_bits))
+                instances.append(InstanceSpec(
+                    inputs=inputs, attack=attack, seed=index,
+                ))
             first, *rest = [s.run_many(instances) for s in services]
             assert all(results == first for results in rest)
+
+    @staticmethod
+    def assert_bounded(services, before, after):
+        """The pattern tables stay under the bound (an instance adds at
+        most a structure, a plan and two match sets per generation), and
+        everything else is flat."""
+        ceiling = MAX_PATTERN_ENTRIES + 4 * services[0].config.generations
+        for census_before, census_after in zip(before, after):
+            assert sum(census_after[path] for path in PATTERN_TABLES) < (
+                ceiling
+            )
+            assert {
+                path: size for path, size in census_after.items()
+                if not path.startswith(PATTERNS)
+            } == {
+                path: size for path, size in census_before.items()
+                if not path.startswith(PATTERNS)
+            }
 
     @pytest.mark.parametrize("n,l_bits,attack", [
         (7, 64, attack) for attack in COHORT_ATTACKS
@@ -548,27 +587,133 @@ class TestRetention:
             ConsensusService(spec),
             ConsensusService(spec, reuse_results=False),
         ]
+        # Split-input instances on the per-generation lane, against the
+        # forced-scalar service: their match keys say where two fresh
+        # values' codewords coincide, a value in disguise, so their
+        # pattern table is bounded, not flat.
+        split_services = [ConsensusService(spec), ConsensusService(
+            RunSpec(n=n, l_bits=l_bits, vectorized=False,
+                    batch_generations=False),
+        )]
         batches = 64 // self.BATCH
         self.serve(services, spec, attack, batches, 0)          # N
+        self.serve(split_services, spec, attack, batches, 0, split=True)
         after_n = [census(service) for service in services]
+        split_n = [census(service) for service in split_services]
         self.serve(services, spec, attack, 2 * batches, batches)  # 3N
+        self.serve(
+            split_services, spec, attack, 2 * batches, batches, split=True
+        )
         after_3n = [census(service) for service in services]
+        self.assert_bounded(
+            split_services, split_n,
+            [census(service) for service in split_services],
+        )
         if attack != "random":
             assert after_3n == after_n
             return
         # A seeded attack's patterns never recur: the pattern table is
-        # bounded instead (an instance adds at most a structure, a plan
-        # and two match sets per generation), everything else is flat.
-        ceiling = MAX_PATTERN_ENTRIES + 4 * services[0].config.generations
-        for before, after in zip(after_n, after_3n):
-            assert sum(after[path] for path in PATTERN_TABLES) < ceiling
-            assert {
-                path: size for path, size in after.items()
-                if not path.startswith(PATTERNS)
-            } == {
-                path: size for path, size in before.items()
-                if not path.startswith(PATTERNS)
-            }
+        # bounded instead.
+        self.assert_bounded(services, after_n, after_3n)
+
+
+    def test_fresh_declared_faulty_sets(self):
+        # A declared faulty set is part of the cohort key: ever-fresh
+        # ones leave at most MAX_COHORT_CONTEXTS contexts, and starting
+        # the table over changes no result.
+        bound = service_module.MAX_COHORT_CONTEXTS
+        spec = RunSpec(n=13, l_bits=64)
+        service = ConsensusService(spec)
+        sets = itertools.islice(itertools.chain(
+            itertools.combinations(range(13), 1),
+            itertools.combinations(range(13), 2),
+        ), bound + 9)
+        instances = [
+            InstanceSpec(
+                inputs=split_inputs(spec, "corrupt", 0xBEEF, i, faulty)
+                if i % 3 == 2 else (0xBEEF + i,) * 13,
+                attack="corrupt", faulty=faulty,
+            )
+            for i, faulty in enumerate(sets)
+        ]
+        for start in range(0, len(instances), 8):
+            chunk = instances[start:start + 8]
+            results = service.run_many(chunk)
+            assert 0 < len(service._cohorts) <= bound
+            for instance, result in zip(chunk, results):
+                effective = instance.resolve(spec)
+                assert result == MultiValuedConsensus(
+                    effective.make_config(),
+                    adversary=effective.make_adversary(),
+                ).run(list(instance.inputs))
+
+
+class TestSharedContexts:
+    """Every lane's engine runs on the service's keyed context, so a
+    split-input instance reads the match sets its predecessors found."""
+
+    @pytest.mark.parametrize("attack", ["none", "corrupt", "random"])
+    def test_warm_split_batches_equal_fresh_forced_scalar(
+        self, monkeypatch, attack
+    ):
+        # A small pattern bound makes the table start over inside the
+        # batches (the spy sees a full table emptied).
+        monkeypatch.setattr(batched_module, "MAX_PATTERN_ENTRIES", 2)
+        resets = []
+        forget = CohortContext.forget_if_full
+
+        def spy(ctx):
+            before = len(ctx._structs)
+            forget(ctx)
+            resets.append(before > 0 and not ctx._structs)
+
+        monkeypatch.setattr(CohortContext, "forget_if_full", spy)
+        per_generation, cohort = count_executions(monkeypatch)
+        spec = RunSpec(n=7, l_bits=128, attack=attack)
+        service = ConsensusService(spec)
+        for batch in range(3):
+            instances = [
+                InstanceSpec(
+                    inputs=split_inputs(
+                        spec, attack, 0xA5A5 << (8 * i), 0x5A5A << (4 * i)
+                    ),
+                    seed=batch,
+                )
+                for i in range(4)
+            ]
+            results = service.run_many(instances)
+            for instance, result in zip(instances, results):
+                effective = instance.resolve(spec)
+                expected = MultiValuedConsensus(
+                    effective.make_config(),
+                    adversary=effective.make_adversary(),
+                    vectorized=False,
+                    batch_generations=False,
+                ).run(list(instance.inputs))
+                assert result == expected
+                assert result_to_wire(result) == result_to_wire(expected)
+        assert len(per_generation) == 12 and not cohort
+        assert len(service._cohorts) == 1 and any(resets)
+
+    def test_a_mismatched_context_is_refused(self):
+        config = ConsensusConfig.create(n=7, l_bits=64)
+        context = CohortContext(
+            config, config.make_code(), CrashAdversary([5, 6]),
+            split_value(config, config.default_value),
+        )
+        engine = MultiValuedConsensus(
+            config, adversary=CrashAdversary([6, 5]), context=context
+        )
+        assert engine.context is context and engine.code is context.code
+        for other_config, adversary in (
+            (ConsensusConfig.create(n=7, l_bits=128), CrashAdversary([5, 6])),
+            (config, CrashAdversary([4, 6])),  # another faulty set
+            (config, Adversary([5, 6])),  # another hook profile
+        ):
+            with pytest.raises(ValueError, match="built for another"):
+                MultiValuedConsensus(
+                    other_config, adversary=adversary, context=context
+                )
 
 
 @contextlib.contextmanager
