@@ -50,7 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import ConsensusConfig
+from repro.core.config import ConsensusConfig, split_value
 from repro.core.diagnosis import checking_decisions, diagnose, dispatch_sources
 from repro.core.generation import symbol_round_shape
 from repro.core.result import GenerationOutcome, GenerationResult
@@ -256,22 +256,11 @@ class CohortContext:
     (:attr:`~repro.core.consensus.MultiValuedConsensus.context`).
     Everything here is a shape, never a value (module docstring)."""
 
-    def __init__(
-        self,
-        config: ConsensusConfig,
-        code,
-        adversary: Adversary,
-        default_parts: List[List[int]],
-    ):
-        # Imported here: repro.service imports this module (through
-        # repro.core.consensus) at package init, so a top-level import
-        # would be circular.
-        from repro.service.arena import ExchangeArena
-
+    def __init__(self, config: ConsensusConfig, code, adversary: Adversary):
         self.config = config
         self.code = code
-        #: The split of ``config.default_value``, one per deployment.
-        self.default_parts = default_parts
+        #: The split of ``config.default_value``, one per context.
+        self.default_parts = split_value(config, config.default_value)
         self.n = config.n
         self.t = config.t
         self.k = config.data_symbols
@@ -287,10 +276,18 @@ class CohortContext:
          self.ib_default, self.ds_default, self.tr_default) = self.hooks
         #: Graph state -> its structure: the one table the cohort keeps.
         self._structs: Dict[Tuple, _GraphStructure] = {}
-        #: The context's own exchange arena (buffers allocated on first
-        #: acquisition): the diagnosis stage's Trust buffer, and its
-        #: symbol dtype types the batched arrays.
-        self.arena = ExchangeArena.for_symbol_bits(self.n, self.c)
+
+    @functools.cached_property
+    def arena(self):
+        """The context's own exchange arena, built on first vectorized
+        need (its buffers on first acquisition): the diagnosis stage's
+        Trust buffer, and its symbol dtype types the batched arrays."""
+        # Imported here: repro.service imports this module (through
+        # repro.core.consensus) at package init, so a top-level import
+        # would be circular.
+        from repro.service.arena import ExchangeArena
+
+        return ExchangeArena.for_symbol_bits(self.n, self.c)
 
     def refuse_mismatch(self, config: ConsensusConfig, adversary) -> None:
         """Raise :class:`ValueError` unless this context was built for

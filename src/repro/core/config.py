@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.analysis.complexity import optimal_d_feasible
 from repro.broadcast_bit.dolev_strong import DolevStrongBroadcast
@@ -23,6 +23,7 @@ from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
+from repro.utils.bits import unpack_symbols
 
 #: Registry of Broadcast_Single_Bit backends by config name.
 BACKENDS = {
@@ -214,3 +215,21 @@ class ConsensusConfig:
             allow_t_ge_n3=allow_t_ge_n3,
             b_function=b_function,
         )
+
+
+def split_value(config: ConsensusConfig, value: int) -> List[List[int]]:
+    """Split an L-bit value into ``generations`` lists of ``k`` symbols.
+
+    Big-endian throughout; the tail generation is zero-padded, matching
+    the paper's divisibility convenience assumption.
+    """
+    if value < 0 or value >> config.l_bits:
+        raise ValueError("value does not fit in %d bits" % config.l_bits)
+    # Right-pad to the generation boundary, then split the whole value
+    # into symbols with one vectorised unpack instead of per-bit lists.
+    padded = value << (config.padded_bits - config.l_bits)
+    k = config.data_symbols
+    symbols = unpack_symbols(
+        padded, config.generations * k, config.symbol_bits
+    )
+    return [symbols[g * k:(g + 1) * k] for g in range(config.generations)]

@@ -27,32 +27,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.batched import CohortContext
-from repro.core.config import ConsensusConfig
+from repro.core.config import ConsensusConfig, split_value
 from repro.core.planner import Lane, plan_lane
 from repro.core.result import ConsensusResult
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
-from repro.utils.bits import check_input_value, pack_symbols, unpack_symbols
-
-
-def split_value(config: ConsensusConfig, value: int) -> List[List[int]]:
-    """Split an L-bit value into ``generations`` lists of ``k`` symbols.
-
-    Big-endian throughout; the tail generation is zero-padded, matching
-    the paper's divisibility convenience assumption.
-    """
-    if value < 0 or value >> config.l_bits:
-        raise ValueError("value does not fit in %d bits" % config.l_bits)
-    # Right-pad to the generation boundary, then split the whole value
-    # into symbols with one vectorised unpack instead of per-bit lists.
-    padded = value << (config.padded_bits - config.l_bits)
-    k = config.data_symbols
-    symbols = unpack_symbols(
-        padded, config.generations * k, config.symbol_bits
-    )
-    return [symbols[g * k:(g + 1) * k] for g in range(config.generations)]
+from repro.utils.bits import check_input_value, pack_symbols
 
 
 class MultiValuedConsensus:
@@ -205,8 +187,7 @@ class MultiValuedConsensus:
         (the engines ask only on a vectorized lane)."""
         if self._context is None:
             self._context = CohortContext(
-                self.config, self.code, self.adversary,
-                self.parts_for(self.config.default_value),
+                self.config, self.code, self.adversary
             )
         return self._context
 

@@ -13,7 +13,7 @@ reallocated — between generations and between instances.
 Ownership and reset rules (also documented in ``docs/ARCHITECTURE.md``):
 
 * Each :class:`~repro.core.batched.CohortContext` builds and owns one
-  arena: the service keeps one context per cohort key, and a one-shot
+  arena, on first vectorized need: the service keeps one context per cohort key, and a one-shot
   :class:`~repro.core.consensus.MultiValuedConsensus` run builds a
   private one on first vectorized need.
 * A view is only valid until the *next* acquisition: the engine is

@@ -127,31 +127,31 @@ class ConsensusService:
     # -- engine construction ------------------------------------------------
 
     def _context_for(
-        self, instance: InstanceSpec, adversary: Adversary
+        self, instance: Optional[InstanceSpec], adversary: Adversary
     ) -> CohortContext:
         """The context of ``instance``'s cohort key, built on first need.
         The table starts over when full (between instances: a context
-        holds only memos, so forgetting one never changes a result)."""
-        key = cohort_key(self.spec, instance)
+        holds only memos, so forgetting one never changes a result).
+        ``instance`` is ``None`` for a live adversary, which no cohort
+        key describes: its context is private, on the service's code."""
+        key = None if instance is None else cohort_key(self.spec, instance)
         ctx = self._cohorts.get(key)
         if ctx is None:
-            if len(self._cohorts) >= MAX_COHORT_CONTEXTS:
-                self._cohorts.clear()
-            ctx = self._cohorts[key] = CohortContext(
-                self.config, self.code, adversary,
-                split_value(self.config, self.config.default_value),
-            )
+            ctx = CohortContext(self.config, self.code, adversary)
+            if key is not None:
+                if len(self._cohorts) >= MAX_COHORT_CONTEXTS:
+                    self._cohorts.clear()
+                self._cohorts[key] = ctx
         return ctx
 
     def _make_engine(
         self,
         adversary: Adversary,
-        context: Optional[CohortContext],
+        context: CohortContext,
         meter: Optional[BitMeter] = None,
         journal: bool = False,
     ) -> MultiValuedConsensus:
-        """A fresh per-instance engine over ``context`` (``None``: the
-        engine builds a private one if it needs one)."""
+        """A fresh per-instance engine over ``context``."""
         return MultiValuedConsensus(
             self.config,
             adversary=adversary,
@@ -194,8 +194,8 @@ class ConsensusService:
 
         Always executes a real engine — byte-identical to
         ``MultiValuedConsensus(config, adversary).run(inputs)`` but on
-        the instance's keyed cohort context (a live adversary's engine
-        builds a private one).
+        the instance's keyed cohort context (a live adversary's context
+        is private, built on the service's code).
         """
         if adversary is not None and (
             attack is not None or seed is not None or faulty is not None
@@ -210,13 +210,13 @@ class ConsensusService:
             inputs, attack=attack, seed=seed, faulty=faulty
         )
         # A live adversary is not described by its cohort key: its
-        # engine builds a private context.
-        context = None
+        # context is private.
+        keyed = instance if adversary is None else None
         if adversary is None:
             adversary = instance.resolve(self.spec).make_adversary()
-            context = self._context_for(instance, adversary)
         engine = self._make_engine(
-            adversary, context, meter=meter, journal=transcript is not None
+            adversary, self._context_for(keyed, adversary),
+            meter=meter, journal=transcript is not None,
         )
         result = engine.run(list(instance.inputs))
         if transcript is not None:

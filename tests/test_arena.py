@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus, split_value
+from repro.core.consensus import MultiValuedConsensus
 from repro.processors import make_attack
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service.arena import ExchangeArena
@@ -32,8 +32,7 @@ VALUE = 0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A
 def corrupt_context(config):
     """A context for the ``corrupt`` attack's shape on ``config``."""
     return CohortContext(
-        config, config.make_code(), make_attack("corrupt", N, T, L, seed=3),
-        split_value(config, config.default_value),
+        config, config.make_code(), make_attack("corrupt", N, T, L, seed=3)
     )
 
 
@@ -177,10 +176,15 @@ class TestForcedScalarNeverTouchesArena:
             context=context,
         )
         consensus.run([VALUE] * N)
+        assert "arena" not in vars(context)  # never built, so:
         assert context.arena.acquisitions == 0
         assert context.arena._trust is None
 
-    def test_service_scalar_never_builds_arena(self):
+    def test_service_scalar_never_builds_arena(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forced-scalar run built an arena")
+
+        monkeypatch.setattr(ExchangeArena, "__init__", refuse)
         spec = RunSpec(n=N, l_bits=L, vectorized=False)
         service = ConsensusService(spec)
         service.run_many(
@@ -189,8 +193,7 @@ class TestForcedScalarNeverTouchesArena:
                 InstanceSpec(inputs=(VALUE,) * N),
             ]
         )
-        # Every instance has its context; none allocated a buffer.
+        # Every instance has its context; none built its arena.
         assert len(service._cohorts) == 2
         for context in service._cohorts.values():
-            assert context.arena.acquisitions == 0
-            assert context.arena._trust is None
+            assert "arena" not in vars(context)

@@ -5,7 +5,7 @@ import pytest
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.core.batched import CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus, split_value
+from repro.core.consensus import MultiValuedConsensus
 from repro.core.generation import GenerationProtocol, _pid_views
 from repro.core.result import GenerationOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
@@ -37,9 +37,7 @@ def make_protocol(n=7, t=2, adversary=None, graph=None, generation=0):
         )
 
     backend = AccountedIdealBroadcast(n, t, network.meter, adversary, view)
-    context = CohortContext(
-        config, code, adversary, split_value(config, config.default_value)
-    )
+    context = CohortContext(config, code, adversary)
     protocol = GenerationProtocol(
         config=config, code=code, network=network, graph=graph,
         backend=backend, adversary=adversary, generation=generation,

@@ -32,7 +32,7 @@ ALLOWED = frozenset({
     ("repro.core.consensus:MultiValuedConsensus.run", "repro.service.cohort"),
     # The exchange arena, which the context builds and owns, until it
     # leaves the service package.
-    ("repro.core.batched:CohortContext.__init__", "repro.service.arena"),
+    ("repro.core.batched:CohortContext.arena", "repro.service.arena"),
 })
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.core.batched import CohortContext
-from repro.core.consensus import split_value
 from repro.core.generation import GenerationProtocol
 from repro.core.result import GenerationOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
@@ -47,10 +46,8 @@ def build(n=7, t=2, adversary=None, graph=None):
         GenerationProtocol(
             config=config, code=code, network=network, graph=graph,
             backend=backend, adversary=adversary, generation=0,
-            view_provider=view, context=CohortContext(
-                config, code, adversary,
-                split_value(config, config.default_value),
-            ),
+            view_provider=view,
+            context=CohortContext(config, code, adversary),
         ),
         config,
         graph,

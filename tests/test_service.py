@@ -23,7 +23,7 @@ import pytest
 from repro.core import batched as batched_module
 from repro.core.batched import MAX_PATTERN_ENTRIES, CohortContext
 from repro.core.config import ConsensusConfig
-from repro.core.consensus import MultiValuedConsensus, split_value
+from repro.core.consensus import MultiValuedConsensus
 from repro.processors import ATTACKS, Adversary, CrashAdversary
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import service as service_module
@@ -698,8 +698,7 @@ class TestSharedContexts:
     def test_a_mismatched_context_is_refused(self):
         config = ConsensusConfig.create(n=7, l_bits=64)
         context = CohortContext(
-            config, config.make_code(), CrashAdversary([5, 6]),
-            split_value(config, config.default_value),
+            config, config.make_code(), CrashAdversary([5, 6])
         )
         engine = MultiValuedConsensus(
             config, adversary=CrashAdversary([6, 5]), context=context
@@ -714,6 +713,27 @@ class TestSharedContexts:
                 MultiValuedConsensus(
                     other_config, adversary=adversary, context=context
                 )
+
+    def test_a_live_adversary_runs_on_the_services_code(self, monkeypatch):
+        """A live adversary's context is private (no cohort key describes
+        it), yet built on the service's code: its run builds no code."""
+        config = ConsensusConfig.create(n=7, l_bits=64)
+        service = ConsensusService(config)
+        monkeypatch.setattr(
+            ConsensusConfig, "make_code",
+            lambda self: pytest.fail("a second code was built"),
+        )
+        inputs = [3, 3, 3, 3, 3, 9, 9]
+        for adversary in (CrashAdversary([5, 6]), Adversary([5, 6])):
+            result = service.run(inputs, adversary=adversary)
+            expected = MultiValuedConsensus(
+                config, adversary=type(adversary)([5, 6]),
+                context=CohortContext(
+                    config, service.code, type(adversary)([5, 6])
+                ),
+            ).run(inputs)
+            assert result_to_wire(result) == result_to_wire(expected)
+        assert not service._cohorts
 
 
 @contextlib.contextmanager
