@@ -35,7 +35,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.coding.gf import GFElementError
-from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
+from repro.coding.reed_solomon import (
+    FAR, DecodingError, ReedSolomonCode, agreement_answer,
+)
 from repro.utils.bits import bit_matrix_to_ints, ints_to_bit_matrix
 
 
@@ -173,10 +175,19 @@ class InterleavedCode:
             symbols[g * self.n:(g + 1) * self.n] for g in range(count)
         ]
 
-    def is_consistent(self, symbols: Dict[int, int]) -> bool:
-        """True iff every interleaved row is consistent with a codeword."""
+    def is_consistent(
+        self, symbols: Dict[int, int], near: Optional[Sequence[int]] = None
+    ) -> bool:
+        """True iff every interleaved row is consistent with a codeword;
+        counted, not interpolated, given a codeword ``near`` that agrees
+        at ``>= k`` positions (:func:`~repro.coding.reed_solomon.\
+agreement_answer`)."""
         if len(symbols) < self.k:
             return True
+        if near is not None:
+            answer = agreement_answer(self, symbols, near)
+            if answer is not FAR:
+                return answer is not None
         positions = sorted(symbols)
         values = self._split_many([symbols[p] for p in positions])
         if positions == list(range(self.n)):
@@ -204,12 +215,21 @@ class InterleavedCode:
         _, ok = self.base.codeword_through_many(positions, stacked)
         return ok.reshape(count, self.rows).all(axis=1)
 
-    def codeword_through(self, symbols: Dict[int, int]) -> Optional[List[int]]:
-        """The unique codeword through >= k positions, or None."""
+    def codeword_through(
+        self, symbols: Dict[int, int], near: Optional[Sequence[int]] = None
+    ) -> Optional[List[int]]:
+        """The unique codeword through >= k positions, or None; counted,
+        not interpolated, given a codeword ``near`` that agrees at
+        ``>= k`` positions (:func:`~repro.coding.reed_solomon.\
+agreement_answer`)."""
         if len(symbols) < self.k:
             raise ValueError(
                 "need at least k=%d symbols, got %d" % (self.k, len(symbols))
             )
+        if near is not None:
+            answer = agreement_answer(self, symbols, near)
+            if answer is not FAR:
+                return answer
         positions = sorted(symbols)
         values = self._split_many([symbols[p] for p in positions])
         words, ok = self.base.codeword_through_many(positions, values)

@@ -13,6 +13,12 @@ all of which this module provides:
 * :meth:`ReedSolomonCode.is_consistent` — the membership test
   ``V/A ∈ C_2t``: does *some* codeword agree with the given positions?
 
+Both questions take an optional codeword ``near`` the caller already
+holds, and then follow the *agreement rule* (:func:`agreement_answer`):
+the code is MDS, so symbols that agree with ``near`` at ``>= k``
+positions lie on ``near`` if they agree everywhere and on no codeword
+otherwise — a count, not an interpolation.
+
 Construction: the data vector ``v`` of ``k`` symbols defines the unique
 polynomial ``p`` of degree < ``k`` with ``p(alpha_j) = v[j]`` for the first
 ``k`` evaluation points; the codeword is ``(p(alpha_1), ..., p(alpha_n))``.
@@ -29,11 +35,48 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.gf import GF
+from repro.coding.gf import GF, GFElementError
 
 
 class DecodingError(ValueError):
     """Raised when a symbol subset is not consistent with any codeword."""
+
+
+#: :func:`agreement_answer`'s "fewer than ``k`` agreements": interpolate.
+FAR = object()
+
+
+def agreement_answer(code, symbols: Dict[int, int], near: Sequence[int]):
+    """The agreement rule, one for both code classes: ``near`` is a
+    codeword of ``code``, and ``symbols`` (position -> symbol) agree
+    with it at ``a`` positions.  Any ``k`` positions fix a codeword, so
+    with ``a >= k`` the only codeword through ``symbols`` can be
+    ``near``: it is ``list(near)`` when they agree everywhere, and there
+    is none (``None``) otherwise.  With ``a < k`` the count settles
+    nothing and the answer is :data:`FAR`.
+
+    Positions and symbols are validated as an interpolation would:
+    a position outside ``[0, n)`` is a :class:`ValueError`, and a symbol
+    that is not an integer, or lies outside ``[0, symbol_limit)``, a
+    :class:`~repro.coding.gf.GFElementError`."""
+    n, limit = code.n, code.symbol_limit
+    agree = 0
+    for p, value in symbols.items():
+        if not 0 <= p < n:
+            raise ValueError("position %d out of range [0, %d)" % (p, n))
+        if type(value) is not int:
+            if not hasattr(value, "__index__"):
+                raise GFElementError("symbol %r is not an integer" % (value,))
+            value = value.__index__()
+        if not 0 <= value < limit:
+            raise GFElementError(
+                "symbol %r outside [0, %d)" % (value, limit)
+            )
+        if value == near[p]:
+            agree += 1
+    if agree < code.k:
+        return FAR
+    return list(near) if agree == len(symbols) else None
 
 
 def min_symbol_bits(n: int) -> int:
@@ -295,7 +338,7 @@ class ReedSolomonCode:
         return self._apply_logged(matrix_log, list(values)).tolist()
 
     def codeword_through(
-        self, symbols: Dict[int, int]
+        self, symbols: Dict[int, int], near: Optional[Sequence[int]] = None
     ) -> Optional[List[int]]:
         """Return the unique codeword agreeing with ``symbols`` at all given
         positions, or ``None`` if no codeword does.
@@ -304,7 +347,9 @@ class ReedSolomonCode:
         least ``k`` entries.  This realises the paper's ``V/A ∈ C_2t`` test
         constructively: one range check on the sorted positions, one
         array of the symbols, one matvec through the first ``k`` and one
-        comparison at the rest.
+        comparison at the rest.  Given a codeword ``near`` that agrees
+        with ``symbols`` at ``>= k`` positions, the answer is counted
+        instead (:func:`agreement_answer`).
         """
         k = self.k
         if len(symbols) < k:
@@ -312,6 +357,10 @@ class ReedSolomonCode:
                 "need at least k=%d symbols to identify a codeword, got %d"
                 % (k, len(symbols))
             )
+        if near is not None:
+            answer = agreement_answer(self, symbols, near)
+            if answer is not FAR:
+                return answer
         positions = sorted(symbols)
         for p in (positions[0], positions[-1]):
             if not 0 <= p < self.n:
@@ -326,16 +375,25 @@ class ReedSolomonCode:
             return None
         return word.tolist()
 
-    def is_consistent(self, symbols: Dict[int, int]) -> bool:
+    def is_consistent(
+        self, symbols: Dict[int, int], near: Optional[Sequence[int]] = None
+    ) -> bool:
         """``V/A ∈ C_2t``: is the symbol subset consistent with a codeword?
 
         Subsets with fewer than ``k`` symbols are vacuously consistent (some
-        codeword always passes through fewer than ``k`` points).  A
-        full-length subset is a single syndrome matmat; partial subsets go
-        through the cached interpolation matrices.
+        codeword always passes through fewer than ``k`` points).  Given a
+        codeword ``near`` that agrees with the subset at ``>= k``
+        positions, the answer is whether it agrees everywhere
+        (:func:`agreement_answer`).  Otherwise a full-length subset is a
+        single syndrome matmat; partial subsets go through the cached
+        interpolation matrices.
         """
         if len(symbols) < self.k:
             return True
+        if near is not None:
+            answer = agreement_answer(self, symbols, near)
+            if answer is not FAR:
+                return answer is not None
         if len(symbols) == self.n and all(p in symbols for p in range(self.n)):
             return self.is_codeword([symbols[p] for p in range(self.n)])
         return self.codeword_through(symbols) is not None

@@ -410,8 +410,10 @@ class _InstanceRun:
         #: reference codeword), each built on first use (step resets
         #: them).
         self.view = self.rows = None
-        #: Every generation so far decided the shared codeword's own
-        #: part for every honest processor.
+        #: Every honest decision so far equals the reference part
+        #: (``ref_tuples[g]``): measured after each generation that did
+        #: not decide it by construction (:meth:`_measure`), for the
+        #: cohort door (``sent_run`` clears it: its door reassembles).
         self.conforming = True
 
     def _whole_run_codewords(self):
@@ -552,13 +554,13 @@ class _InstanceRun:
             ]
         detectors = list(check.detectors)
         if flagged:
-            self.conforming = False
-            return self._diagnose(struct, g, info, flagged, detectors)
+            result = self._diagnose(struct, g, info, flagged, detectors)
+            self._measure(result.decisions, g)
+            return result
         # Line 2(c): decide C^{-1}(R_i / P_match).
         if check.clean:
             decisions = dict.fromkeys(ctx.honest, self.ref_tuples[g])
         else:
-            self.conforming = False
             p_match = info.p_match
             row_of = self._rows(g)[0]
             decisions = checking_decisions(
@@ -566,6 +568,7 @@ class _InstanceRun:
                 self.round.received(self, struct, row_of, info).tolist(),
                 row_of,
             )
+            self._measure(decisions, g)
         return GenerationResult(
             generation=g,
             outcome=GenerationOutcome.DECIDED_CHECKING,
@@ -573,6 +576,18 @@ class _InstanceRun:
             p_match=info.p_match,
             detectors=detectors,
         )
+
+    def _measure(self, decisions, g) -> None:
+        """Keep :attr:`conforming` only if every honest processor
+        decided generation ``g``'s reference part (processors deciding
+        alike share one tuple, compared once)."""
+        if self.conforming:
+            ref = self.ref_tuples[g]
+            self.conforming = all(
+                decided == ref for decided in
+                {id(decided): decided for decided in decisions.values()}
+                .values()
+            )
 
     def _diagnose(self, struct, g, info, flagged, detectors):
         """Lines 3(a)-3(i) (:func:`~repro.core.diagnosis.diagnose`) under

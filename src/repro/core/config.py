@@ -23,7 +23,7 @@ from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
-from repro.utils.bits import unpack_symbols
+from repro.utils.bits import check_input_value, is_exact_int, unpack_symbols
 
 #: Registry of Broadcast_Single_Bit backends by config name.
 BACKENDS = {
@@ -37,6 +37,19 @@ BACKENDS = {
 #: Largest directly-supported field width; wider symbols interleave
 #: multiple GF(2^c) rows (see repro.coding.interleaved).
 MAX_SYMBOL_BITS = 16
+
+
+def check_exact_ints(derived=(), **fields) -> None:
+    """The exact-int rule (:func:`~repro.utils.bits.is_exact_int`) for a
+    deployment's integer fields: ``True`` is not 1, and neither ``7.0``
+    nor ``numpy.int64(7)`` is 7.  A field named in ``derived`` may be
+    ``None`` (:meth:`ConsensusConfig.create` derives it).  Raises
+    :class:`ValueError` naming the first field that breaks it."""
+    for name, value in fields.items():
+        if value is None and name in derived:
+            continue
+        if not is_exact_int(value):
+            raise ValueError("%s=%r is not an int" % (name, value))
 
 
 class ProtocolInvariantError(AssertionError):
@@ -74,6 +87,11 @@ class ConsensusConfig:
     )
 
     def __post_init__(self) -> None:
+        check_exact_ints(
+            n=self.n, t=self.t, l_bits=self.l_bits, d_bits=self.d_bits,
+            symbol_bits=self.symbol_bits, kappa=self.kappa,
+            coin_seed=self.coin_seed,
+        )
         if self.n < 4 and not self.allow_t_ge_n3:
             if self.t > 0:
                 raise ValueError(
@@ -138,10 +156,7 @@ class ConsensusConfig:
                         self.t,
                     )
                 )
-        if self.default_value < 0 or self.default_value >> self.l_bits:
-            raise ValueError(
-                "default_value must fit in %d bits" % self.l_bits
-            )
+        check_input_value(self.default_value, self.l_bits, "default_value")
 
     # -- derived quantities ---------------------------------------------------
 
@@ -193,6 +208,10 @@ class ConsensusConfig:
     ) -> "ConsensusConfig":
         """Build a config, deriving ``t`` (max tolerable) and ``D``
         (paper-optimal, rounded feasible) when not given."""
+        check_exact_ints(
+            derived=("t", "d_bits"), n=n, l_bits=l_bits, t=t,
+            d_bits=d_bits, kappa=kappa, coin_seed=coin_seed,
+        )
         if t is None:
             t = (n - 1) // 3
         k = n - 2 * t

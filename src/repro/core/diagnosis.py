@@ -12,7 +12,9 @@ reference's too).  Otherwise line 2(c) is :func:`checking_decisions`.
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -42,6 +44,7 @@ def diagnosis_verdict(
     isolated: FrozenSet[int],
     default_part: Sequence[int],
     detectors: List[int],
+    near: Optional[Sequence[int]] = None,
 ) -> GenerationResult:
     """Lines 3(f)-3(i), once the reference R# over ``P_match``
     (``r_sharp``), the reference Detected flags and the removed edges
@@ -49,6 +52,12 @@ def diagnosis_verdict(
     and the decode, which every fault-free processor in ``honest``
     decides.  The one verdict of every engine; the scalar oracle, which
     holds a per-pid R#, checks its processors' decodes against it.
+
+    ``near`` is a codeword the caller holds (the batched stage's
+    reference codeword): R# is checked against it by the agreement rule
+    (:meth:`~repro.coding.reed_solomon.ReedSolomonCode.codeword_through`)
+    and interpolated only when it agrees at fewer than ``k`` positions.
+    The scalar oracle passes none, so it interpolates every time.
     """
     n = graph.n
     match_set = set(p_match)
@@ -56,7 +65,7 @@ def diagnosis_verdict(
     # Line 3(f): with a consistent R#, a complainer whose vertex lost
     # no edge is provably lying; isolate it.  The codeword through R#
     # is kept for line 3(i).
-    r_sharp_word = code.codeword_through(r_sharp)
+    r_sharp_word = code.codeword_through(r_sharp, near=near)
     isolated_now: List[int] = []
     if r_sharp_word is not None:
         touched = {v for edge in removed_edges for v in edge}
@@ -118,7 +127,8 @@ def diagnose(
     ``view`` are given, as array work: R# one vector, Trust one boolean
     ``(n, |P_match|)`` matrix, edge removal one matrix update.
 
-    ``codewords[pid]`` is ``pid``'s codeword, ``received_pm`` the
+    ``codewords[pid]`` is ``pid``'s codeword (the first honest pid's is
+    the one the verdict counts R# against), ``received_pm`` the
     checking stage's received symbols in ``P_match``'s columns only
     (the stage reads no other), an ``(n, |P_match|)`` array in which
     each member holds its own symbol, and ``detected_ref`` the
@@ -245,7 +255,7 @@ def diagnose(
     return diagnosis_verdict(
         ctx.code, graph, ctx.t, ctx.honest, backend.error_free, g,
         p_match, r_ref, detected_ref.tolist(), removed_edges, isolated,
-        default_part, detectors,
+        default_part, detectors, near=codewords[ctx.honest[0]],
     )
 
 

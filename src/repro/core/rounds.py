@@ -251,12 +251,14 @@ class _PricedRound:
             flag = q in hit
             if not flag and q in suspect:
                 # Its honest consistency check over the received
-                # P_match symbols, some valid but off the codeword.
+                # P_match symbols, some valid but off the codeword:
+                # counted against the codeword, which they mostly
+                # agree with (the agreement rule).
                 mask = struct.mask
                 flag = not ctx.code.is_consistent({
                     j: sym.payload(j, q) if j in controlled else cw[j]
                     for j in info.p_match if mask[q, j]
-                })
+                }, near=cw)
             detected.append((q, flag))
         return _Checking(detected, controlled, clean)
 
@@ -554,8 +556,12 @@ GenerationProtocol.run`'s vectorized door: ``protocol``'s collaborators,
         raise ValueError("injected faults run on the scalar reference")
     ctx = protocol.context
     ctx.forget_if_full()
-    return _InstanceRun(
+    run = _InstanceRun(
         ctx, protocol.network, protocol.graph, protocol.backend,
         protocol.adversary, protocol._view_provider,
         [parts[pid] for pid in ctx.pids], _SentRound(ctx),
     )
+    # This door always reassembles its decisions, so nothing reads
+    # whether they conform: measure nothing.
+    run.conforming = False
+    return run

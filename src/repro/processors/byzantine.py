@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Collection, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import ALL_FALSE, ALL_TRUE
 from repro.utils.rng import derive_rng, derive_seed
@@ -172,6 +174,16 @@ class FalseDetectionAdversary(Adversary):
         return True
 
 
+#: ``SlowBleedAdversary``'s plans, one per (n, t, faulty set, packed
+#: trust mask, isolated set), kept for the process: the graph starts
+#: afresh every instance, so instances on one trajectory meet the same
+#: graph states.  Cleared when it holds :data:`MAX_PLAN_ENTRIES`; a key's
+#: mask packs to ``ceil(n^2 / 8)`` bytes, 32 641 at n = 511, so the full
+#: table's keys hold about 8.4 MB there (about 0.5 MB at n = 127).
+_PLANS: Dict[tuple, Optional[tuple]] = {}
+MAX_PLAN_ENTRIES = 256
+
+
 class SlowBleedAdversary(Adversary):
     """Worst-case diagnosis-count strategy for Theorem 1's t(t+1) bound.
 
@@ -196,26 +208,14 @@ class SlowBleedAdversary(Adversary):
         super().__init__(faulty)
         self.attack_log: List[Dict[str, int]] = []
         self._plan: Dict[int, Optional[tuple]] = {}
-        #: ``_search``'s plans, keyed by everything a plan reads.
-        self._plan_memo: Dict[tuple, Optional[tuple]] = {}
 
     def _plan_for(self, generation: int, view: GlobalView):
         if generation in self._plan:
             return self._plan[generation]
         graph = view.extras.get("diag_graph")
-        n, t = view.n, view.t
         choice = None
         if graph is not None:
-            # A plan is a pure function of the graph, n, t and the faulty
-            # set, so a generation whose graph has not changed since an
-            # earlier plan reuses that plan instead of re-probing.
-            key = (
-                n, t, frozenset(self.faulty),
-                graph.trust_mask().tobytes(), frozenset(graph.isolated),
-            )
-            if key not in self._plan_memo:
-                self._plan_memo[key] = self._search(graph, n, t)
-            choice = self._plan_memo[key]
+            choice = self._planned(graph, view.n, view.t)
         self._plan[generation] = choice
         if choice is not None:
             self.attack_log.append(
@@ -227,6 +227,23 @@ class SlowBleedAdversary(Adversary):
                 }
             )
         return choice
+
+    def _planned(self, graph, n: int, t: int) -> Optional[tuple]:
+        """The plan on ``graph``, searched once per process: a plan is a
+        pure function of (n, t, faulty set, trust mask, isolated set),
+        so every instance on one trajectory shares the searches of the
+        first (:data:`_PLANS`).  A subclass whose ``_search`` differs
+        overrides this too."""
+        key = (
+            n, t, frozenset(self.faulty),
+            np.packbits(graph.trust_mask()).tobytes(),
+            frozenset(graph.isolated),
+        )
+        if key not in _PLANS:
+            if len(_PLANS) >= MAX_PLAN_ENTRIES:
+                _PLANS.clear()
+            _PLANS[key] = self._search(graph, n, t)
+        return _PLANS[key]
 
     def _search(self, graph, n: int, t: int) -> Optional[tuple]:
         """The planned play on ``graph``: ``("attack" | "accuse", actor,

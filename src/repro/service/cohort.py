@@ -59,9 +59,9 @@ def run_cohort_instance(
         generation_results.append(result)
         if result.outcome is GenerationOutcome.NO_MATCH_DEFAULT:
             break
-    # A conforming run decided the reference part itself every
-    # generation, whose packed value is the honest input: nothing to
-    # reassemble.
+    # A conforming run decided the reference part every generation (a
+    # diagnosing one too, when its verdict decoded that part), whose
+    # packed value is the honest input: nothing to reassemble.
     return finalize_result(
         consensus, inputs, generation_results,
         conforming_value=ref_value if run.conforming else None,

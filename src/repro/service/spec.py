@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.core.config import ConsensusConfig
+from repro.core.config import ConsensusConfig, check_exact_ints
 from repro.processors.adversary import Adversary
 from repro.processors.registry import (
     ATTACKS,
@@ -61,6 +61,13 @@ class RunSpec:
     batch_generations: bool = True
 
     def __post_init__(self):
+        # The config's exact-int rule, at construction: a spec that can
+        # never make a config fails where it is written.
+        check_exact_ints(
+            derived=("t", "d_bits"), n=self.n, l_bits=self.l_bits,
+            t=self.t, d_bits=self.d_bits, default_value=self.default_value,
+            kappa=self.kappa,
+        )
         object.__setattr__(self, "attack", normalize_attack(self.attack))
         if self.faulty is not None:
             object.__setattr__(self, "faulty", tuple(self.faulty))

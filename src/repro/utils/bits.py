@@ -36,14 +36,17 @@ def is_exact_int(value: object) -> bool:
     return type(value) is int
 
 
-def check_input_value(value: object, l_bits: int) -> None:
-    """The one input rule of a run, one-shot or served: an exact ``int``
-    in ``[0, 2^l_bits)``, else a :class:`ValueError` naming it."""
+def check_input_value(
+    value: object, l_bits: int, what: str = "input value"
+) -> None:
+    """The one input rule of a run, one-shot or served, and of a
+    config's default value: an exact ``int`` in ``[0, 2^l_bits)``, else
+    a :class:`ValueError` naming it as ``what``."""
     if not is_exact_int(value):
-        raise ValueError("input value %r is not an int" % (value,))
+        raise ValueError("%s %r is not an int" % (what, value))
     if value < 0 or value >> l_bits:
         raise ValueError(
-            "input value %#x does not fit in l_bits=%d" % (value, l_bits)
+            "%s %#x does not fit in l_bits=%d" % (what, value, l_bits)
         )
 
 

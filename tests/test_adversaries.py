@@ -1,5 +1,6 @@
 """Adversary framework: default honesty, hook coverage, strategy logic."""
 
+import itertools
 import random
 import sys
 
@@ -572,12 +573,11 @@ class TestSlowBleed:
 
 
 class _Unmemoised(SlowBleedAdversary):
-    """slow_bleed with its graph-state memo cleared before every plan, so
-    every generation searches afresh."""
+    """slow_bleed bypassing the process-wide plan table, so every
+    generation searches afresh."""
 
-    def _plan_for(self, generation, view):
-        self._plan_memo.clear()
-        return super()._plan_for(generation, view)
+    def _planned(self, graph, n, t):
+        return self._search(graph, n, t)
 
 
 def _slow_bleed_run(adversary_class, n, l_bits):
@@ -615,12 +615,58 @@ def test_slow_bleed_plans_once_per_graph_state(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(cliques, "find_clique_masks", counting)
+    # The table outlives instances: start it empty, so the memoised run
+    # searches each of its graph states once.
+    monkeypatch.setattr(byzantine, "_PLANS", {})
     counts = {}
     for adversary_class in (SlowBleedAdversary, _Unmemoised):
         calls.clear()
         _slow_bleed_run(adversary_class, 15, 1 << 12)
         counts[adversary_class] = len(calls)
     assert 0 < 2 * counts[SlowBleedAdversary] <= counts[_Unmemoised]
+
+
+def test_slow_bleed_second_instance_on_a_trajectory_searches_nothing(
+    monkeypatch
+):
+    """The plan table is per process: a second instance meets the graph
+    states the first searched and searches none of them, while each
+    instance keeps its own attack log."""
+    monkeypatch.setattr(byzantine, "_PLANS", {})
+    searched = []
+    search = SlowBleedAdversary._search
+
+    def counting(self, graph, n, t):
+        searched.append(1)
+        return search(self, graph, n, t)
+
+    monkeypatch.setattr(SlowBleedAdversary, "_search", counting)
+    first = _slow_bleed_run(SlowBleedAdversary, 15, 1 << 12)
+    assert searched
+    del searched[:]
+    second = _slow_bleed_run(SlowBleedAdversary, 15, 1 << 12)
+    assert searched == []
+    assert second[0] and second == first
+
+
+def test_slow_bleed_plan_table_keeps_to_its_bound(monkeypatch):
+    """Filled past :data:`MAX_PLAN_ENTRIES` with distinct faulty sets,
+    the table starts over instead of growing, and a plan read after the
+    reset is still the plan."""
+    from repro.graphs.diagnosis_graph import DiagnosisGraph
+
+    monkeypatch.setattr(byzantine, "_PLANS", {})
+    monkeypatch.setattr(byzantine, "MAX_PLAN_ENTRIES", 8)
+    n, t = 13, 4
+    graph = DiagnosisGraph(n)
+    sizes = []
+    for faulty in itertools.combinations(range(n), 2):
+        adversary = SlowBleedAdversary(list(faulty))
+        plan = adversary._planned(graph, n, t)
+        assert plan == adversary._search(graph, n, t)
+        sizes.append(len(byzantine._PLANS))
+    assert len(sizes) > 2 * 8
+    assert max(sizes) == 8 and 1 in sizes[8:]
 
 
 def _search_on_copies(adversary, graph, n, t):

@@ -1,8 +1,10 @@
 """ConsensusConfig validation and derivation rules."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import BACKENDS, ConsensusConfig
+from repro.service import RunSpec
 
 
 class TestCreate:
@@ -76,6 +78,64 @@ class TestValidation:
     def test_inconsistent_symbol_bits_rejected(self):
         with pytest.raises(ValueError):
             ConsensusConfig(n=7, t=2, l_bits=64, d_bits=24, symbol_bits=4)
+
+
+#: A valid n = 7 deployment, field by field.
+_GOOD = {"n": 7, "l_bits": 64, "t": 2, "d_bits": 24, "kappa": 16,
+         "coin_seed": 0, "default_value": 5}
+#: Each integer field with each loose type: a bool, a float, a numpy int.
+_LOOSE = [
+    (field, bad) for field in _GOOD
+    for bad in (True, float(_GOOD[field]), np.int64(_GOOD[field]))
+]
+
+
+def _loose_id(value):
+    return value if isinstance(value, str) else type(value).__name__
+
+
+class TestExactIntFields:
+    """A config reads its integers by the exact-int rule, as inputs are
+    read: each field with a bool, a float or a numpy integer is refused
+    with a ValueError that names it, where the config or the spec is
+    built."""
+
+    @pytest.mark.parametrize(
+        "field, bad", _LOOSE, ids=_loose_id
+    )
+    def test_create_refuses(self, field, bad):
+        with pytest.raises(ValueError, match="%s.*is not an int" % field):
+            ConsensusConfig.create(**dict(_GOOD, **{field: bad}))
+
+    @pytest.mark.parametrize(
+        "field, bad", _LOOSE + [("symbol_bits", 8.0)],
+        ids=_loose_id,
+    )
+    def test_constructor_refuses(self, field, bad):
+        fields = dict(_GOOD, symbol_bits=8)
+        with pytest.raises(ValueError, match="%s.*is not an int" % field):
+            ConsensusConfig(**dict(fields, **{field: bad}))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [(field, bad) for field, bad in _LOOSE if field != "coin_seed"],
+        ids=_loose_id,
+    )
+    def test_run_spec_refuses(self, field, bad):
+        # A spec has no coin_seed field.
+        fields = dict(_GOOD, **{field: bad})
+        del fields["coin_seed"]
+        with pytest.raises(ValueError, match="%s.*is not an int" % field):
+            RunSpec(**fields)
+
+    def test_exact_ints_still_build(self):
+        config = ConsensusConfig.create(**_GOOD)
+        assert (config.t, config.default_value) == (2, 5)
+        fields = dict(_GOOD)
+        del fields["coin_seed"]
+        assert RunSpec(**fields).make_config() == ConsensusConfig.create(
+            **fields
+        )
 
 
 class TestFactories:

@@ -178,7 +178,7 @@ class TestDiagnosisVerdict:
 
         def checked(code, graph, t, honest, error_free, generation,
                     p_match, r_sharp, detected_ref, removed_edges,
-                    isolated, *args):
+                    isolated, *args, **kwargs):
             expected_graph = graph.copy()
             n = graph.n
             consistent = code.is_consistent(r_sharp)
@@ -196,7 +196,8 @@ class TestDiagnosisVerdict:
             expected_isolated += expected_graph.apply_overdegree_rule(t)
             result = original(
                 code, graph, t, honest, error_free, generation, p_match,
-                r_sharp, detected_ref, removed_edges, isolated, *args
+                r_sharp, detected_ref, removed_edges, isolated, *args,
+                **kwargs,
             )
             assert result.isolated == expected_isolated
             assert graph.to_dict() == expected_graph.to_dict()

@@ -6,6 +6,11 @@ service or the audit tier (``repro.service``, ``repro.audit``), at
 module level or inside a function: Algorithm 1 runs without them, and
 the service batches and keys runs of it.  The allowlist names every
 exception, one line each, and each must still be in use.
+
+The scalar oracle (``core/generation.py``) stays independent of the
+agreement rule: it never passes a held codeword (``near=``) to a code
+or to the verdict, so the differential grid compares the rule with
+interpolation, never with itself.
 """
 
 from __future__ import annotations
@@ -132,3 +137,24 @@ def test_protocol_packages_never_import_the_service():
 )
 def test_the_walk_finds_an_upward_import(source, found):
     assert upward_imports(source, "repro.core.m") == found
+
+
+def near_arguments(source: str):
+    """Line numbers of every call in ``source`` that passes ``near=``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(keyword.arg == "near" for keyword in node.keywords)
+    ]
+
+
+def test_the_scalar_oracle_never_counts_agreement():
+    source = (SOURCE / "core" / "generation.py").read_text(encoding="utf-8")
+    assert near_arguments(source) == []
+
+
+def test_the_walk_finds_a_near_argument():
+    assert near_arguments(
+        "ok = code.is_consistent(symbols)\n"
+        "word = code.codeword_through(\n    symbols, near=held)\n"
+    ) == [2]
