@@ -115,7 +115,7 @@ def run_baselines(records):
         inputs = [(1 << record["l_bits"]) - 1] * record["n"]
         bitwise = BitwiseConsensus(**shape).run(inputs)
         fitzi_hirt = FitziHirtConsensus(kappa=E3_KAPPA, **shape).run(inputs)
-        assert bitwise.error_free and not fitzi_hirt.erred
+        assert bitwise.error_free and fitzi_hirt.error_free
         record["bitwise_run_bits"] = bitwise.total_bits
         record["fitzi_hirt_run_bits"] = fitzi_hirt.total_bits
 

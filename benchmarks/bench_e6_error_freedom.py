@@ -11,12 +11,14 @@ split the honest processors across them.  Fitzi-Hirt concludes "all equal"
 and the honest processors commit different values — an error.  Algorithm 1
 on the *same inputs* detects the difference and decides consistently.  We
 also run randomly-differing inputs, where Fitzi-Hirt only errs at its
-(d-1)/2^κ collision floor.
+(d-1)/2^κ collision floor.  An Algorithm 1 error is a run that breaks
+any claim of Theorem 1 (:mod:`repro.core.invariants`).
 """
 
 from _common import print_table
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.baselines import FitziHirtConsensus, PolynomialHash, collision_for
+from repro.core import invariants
 
 N, T, L_BITS, KAPPA = 7, 2, 64, 8
 TRIALS = 25
@@ -35,12 +37,12 @@ def run_attack_trials():
         inputs = [base] * 4 + [forged] * 3
 
         fh_result = fh.run(inputs)
-        if fh_result.erred:
+        if not fh_result.error_free:
             fh_errors += 1
 
         config = ConsensusConfig.create(n=N, t=T, l_bits=L_BITS)
         ours = MultiValuedConsensus(config).run(inputs)
-        if not ours.error_free:
+        if invariants.violations(config, inputs, ours):
             ours_errors += 1
     return fh_errors, ours_errors
 
@@ -53,10 +55,11 @@ def run_random_trials():
                   for pid in range(N)]
         fh = FitziHirtConsensus(n=N, t=T, l_bits=L_BITS, kappa=KAPPA,
                                 key_seed=seed)
-        if fh.run(inputs).erred:
+        if not fh.run(inputs).error_free:
             fh_errors += 1
         config = ConsensusConfig.create(n=N, t=T, l_bits=L_BITS)
-        if not MultiValuedConsensus(config).run(inputs).error_free:
+        ours = MultiValuedConsensus(config).run(inputs)
+        if invariants.violations(config, inputs, ours):
             ours_errors += 1
     return fh_errors, ours_errors
 

@@ -86,7 +86,7 @@ def main() -> None:
         family.digest(value, key) == family.digest(tampered, key)
     ))
     print("  consistent: %s  -> erred: %s" % (
-        fh_result.consistent, fh_result.erred
+        fh_result.consistent, not fh_result.error_free
     ))
 
     ours = service.run(inputs)

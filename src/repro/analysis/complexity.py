@@ -283,16 +283,16 @@ def measured_complexity_sweep(specs, kappa: float = 128.0) -> list:
     from repro.analysis.report import stage_rows
     from repro.broadcast_bit.ideal import default_b
     from repro.core.consensus import MultiValuedConsensus
+    from repro.core.invariants import check
 
     records = []
     for spec in specs:
         config = spec.make_config()
         n, t, l_bits = config.n, config.t, config.l_bits
-        result = MultiValuedConsensus(
+        inputs = [(1 << l_bits) - 1] * n
+        result = check(config, inputs, MultiValuedConsensus(
             config, adversary=spec.make_adversary()
-        ).run([(1 << l_bits) - 1] * n)
-        if not result.error_free:
-            raise AssertionError("consensus failed under %r" % (spec,))
+        ).run(inputs))
         measured = result.meter.total_bits
         data_bits = sum(
             bits

@@ -9,7 +9,8 @@ A sweep under faults passes an ``adversary_factory``; the fault *grid*
 sweep driver but a pinned table — ``tests/test_pinned_bits.py`` holds its
 bit totals, ``tests/test_differential.py`` its engine equivalence and the
 ``t(t+1)`` diagnosis bound, ``benchmarks/bench_e5_diagnosis_bound.py`` the
-bound's worst case.
+bound's worst case.  Every point is held to Theorem 1 (imported on first
+use, so no deployment loads :func:`repro.core.invariants.check`).
 
 Every sweep consumes :class:`repro.service.RunSpec` — the one
 declarative run description shared with the CLI and the benchmarks —
@@ -57,15 +58,13 @@ def _run_point(
     l_bits: int,
     adversary_factory: Optional[Callable[[], Adversary]],
 ) -> SweepPoint:
+    from repro.core.invariants import check
+
     service = ConsensusService(RunSpec(n=n, t=t, l_bits=l_bits))
     config = service.config
     adversary = adversary_factory() if adversary_factory else Adversary()
-    result = service.run((1 << l_bits) - 1, adversary=adversary)
-    if not (result.consistent and result.valid):
-        raise AssertionError(
-            "sweep point n=%d t=%d L=%d produced an inconsistent run"
-            % (n, t, l_bits)
-        )
+    inputs = [(1 << l_bits) - 1] * n
+    result = check(config, inputs, service.run(inputs, adversary=adversary))
     b = default_b(n)
     analytic = config.generations * (
         matching_stage_bits(n, t, config.d_bits, b)

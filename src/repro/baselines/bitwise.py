@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
+from repro.core.result import ConsensusOutcome, ground_truth
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import substituted_inputs
@@ -25,37 +26,13 @@ from repro.utils.bits import bits_to_int, int_to_bits
 
 
 @dataclass
-class BitwiseResult:
+class BitwiseResult(ConsensusOutcome):
     """Outcome of an L x 1-bit consensus run."""
 
     decisions: Dict[int, int]
     meter: MeterSnapshot
     honest_inputs_equal: bool
     common_input: Optional[int] = None
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.decisions.values())) <= 1
-
-    @property
-    def value(self) -> Optional[int]:
-        if not self.consistent or not self.decisions:
-            return None
-        return next(iter(self.decisions.values()))
-
-    @property
-    def valid(self) -> bool:
-        if not self.honest_inputs_equal:
-            return True
-        return self.consistent and self.value == self.common_input
-
-    @property
-    def error_free(self) -> bool:
-        return self.consistent and self.valid
-
-    @property
-    def total_bits(self) -> int:
-        return self.meter.total_bits
 
 
 class BitwiseConsensus:
@@ -135,15 +112,9 @@ class BitwiseConsensus:
         decisions = {
             pid: bits_to_int(bits) for pid, bits in decided_bits.items()
         }
-        honest_inputs = [
-            inputs[pid]
-            for pid in range(self.n)
-            if not self.adversary.controls(pid)
-        ]
-        equal = len(set(honest_inputs)) == 1
         return BitwiseResult(
             decisions=decisions,
             meter=self.meter.snapshot(),
-            honest_inputs_equal=equal,
-            common_input=honest_inputs[0] if equal else None,
+            **ground_truth([inputs[pid] for pid in range(self.n)
+                            if not self.adversary.controls(pid)]),
         )

@@ -42,6 +42,7 @@ from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
+from repro.core.result import ConsensusOutcome, ground_truth
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import bit_answer, substituted_inputs
@@ -49,7 +50,7 @@ from repro.utils.bits import int_to_bits
 
 
 @dataclass
-class FitziHirtResult:
+class FitziHirtResult(ConsensusOutcome):
     """Outcome of one Fitzi-Hirt run, with ground-truth error accounting."""
 
     decisions: Dict[int, int]
@@ -59,31 +60,6 @@ class FitziHirtResult:
     default_used: bool
     honest_inputs_equal: bool
     common_input: Optional[int] = None
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.decisions.values())) <= 1
-
-    @property
-    def value(self) -> Optional[int]:
-        if not self.consistent or not self.decisions:
-            return None
-        return next(iter(self.decisions.values()))
-
-    @property
-    def valid(self) -> bool:
-        if not self.honest_inputs_equal:
-            return True
-        return self.consistent and self.value == self.common_input
-
-    @property
-    def erred(self) -> bool:
-        """True when consistency or validity was violated."""
-        return not (self.consistent and self.valid)
-
-    @property
-    def total_bits(self) -> int:
-        return self.meter.total_bits
 
 
 class FitziHirtConsensus:
@@ -261,16 +237,13 @@ class FitziHirtConsensus:
 
         if len(happy_set) < self.n - self.t:
             decisions = {pid: self.default_value for pid in honest}
-            honest_inputs = [inputs[pid] for pid in honest]
-            equal = len(set(honest_inputs)) == 1
             return FitziHirtResult(
                 decisions=decisions,
                 meter=self.meter.snapshot(),
                 key=key,
                 agreed_digest=agreed_digest,
                 default_used=True,
-                honest_inputs_equal=equal,
-                common_input=honest_inputs[0] if equal else None,
+                **ground_truth([inputs[pid] for pid in honest]),
             )
 
         # Phase 4: joint delivery via coded dispersal.  Each happy
@@ -318,14 +291,11 @@ class FitziHirtConsensus:
             }
             decisions[pid] = self._recover(symbols, agreed_digest, key)
 
-        honest_inputs = [inputs[pid] for pid in honest]
-        equal = len(set(honest_inputs)) == 1
         return FitziHirtResult(
             decisions=decisions,
             meter=self.meter.snapshot(),
             key=key,
             agreed_digest=agreed_digest,
             default_used=False,
-            honest_inputs_equal=equal,
-            common_input=honest_inputs[0] if equal else None,
+            **ground_truth([inputs[pid] for pid in honest]),
         )

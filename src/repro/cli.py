@@ -119,11 +119,11 @@ def cmd_consensus(args) -> int:
                 rows,
             )
         )
-        ok = all(r.consistent and r.valid for r in results)
+        ok = all(r.error_free for r in results)
         return 0 if ok else 1
     result = service.run(value)
     print(consensus_report(result, service.config))
-    return 0 if result.consistent and result.valid else 1
+    return 0 if result.error_free else 1
 
 
 def cmd_broadcast(args) -> int:
@@ -155,17 +155,15 @@ def cmd_baseline(args) -> int:
         result = BitwiseConsensus(n=args.n, t=t, l_bits=args.l_bits).run(
             inputs
         )
-        erred = not result.error_free
     else:
         result = FitziHirtConsensus(
             n=args.n, t=t, l_bits=args.l_bits, kappa=args.kappa
         ).run(inputs)
-        erred = result.erred
     print("%s baseline" % args.which)
     print("consistent : %s" % result.consistent)
-    print("erred      : %s" % erred)
+    print("erred      : %s" % (not result.error_free))
     print("total bits : %d" % result.total_bits)
-    return 0 if not erred else 1
+    return 0 if result.error_free else 1
 
 
 def cmd_analyze(args) -> int:
@@ -348,7 +346,7 @@ def cmd_submit(args) -> int:
             rows,
         )
     )
-    return 0 if all(r.consistent and r.valid for r in results) else 1
+    return 0 if all(r.error_free for r in results) else 1
 
 
 def cmd_stop(args) -> int:
@@ -388,7 +386,7 @@ def cmd_audit(args) -> int:
         print("consistent : %s" % result.consistent)
         print("valid      : %s" % result.valid)
         print("total bits : %d" % result.total_bits)
-        return 0 if result.consistent and result.valid else 1
+        return 0 if result.error_free else 1
     transcript = Transcript.load(args.transcript)
     if args.action == "verify":
         report = verify_transcript(transcript, key=key)

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.coding.gf import GFElementError
 from repro.coding.reed_solomon import (
-    FAR, DecodingError, ReedSolomonCode, agreement_answer,
+    FAR, DecodingError, ReedSolomonCode, agreement_answer, min_symbol_bits,
 )
 from repro.utils.bits import bit_matrix_to_ints, ints_to_bit_matrix
 
@@ -270,28 +270,29 @@ agreement_answer`)."""
         )
 
 
-def make_symbol_code(n: int, k: int, symbol_bits: int):
-    """A code with ``symbol_bits``-bit symbols: plain RS when a field of
-    that width exists, interleaved otherwise.
-
-    ``symbol_bits`` must admit a field width ``c`` with ``n <= 2^c - 1``
-    and ``c | symbol_bits`` and ``c <= 16``; the largest such ``c`` is
-    used (fewest interleaved rows).
-    """
-    from repro.coding.reed_solomon import min_symbol_bits
-
+def field_width(n: int, symbol_bits: int) -> int:
+    """The field width ``c`` :func:`make_symbol_code` builds on, by
+    arithmetic: ``symbol_bits`` up to 16, else the largest ``c <= 16``
+    with ``n <= 2^c - 1`` and ``c | symbol_bits`` (fewest rows)."""
     c_min = min_symbol_bits(n)
     if symbol_bits < c_min:
         raise ValueError(
             "symbol width %d too small for n=%d (need >= %d)"
             % (symbol_bits, n, c_min)
         )
-    if symbol_bits <= 16:
-        return ReedSolomonCode(n, k, symbol_bits)
-    for c in range(16, c_min - 1, -1):
+    for c in range(min(symbol_bits, 16), c_min - 1, -1):
         if symbol_bits % c == 0:
-            return InterleavedCode(n, k, c, symbol_bits // c)
+            return c
     raise ValueError(
         "symbol width %d has no field-width divisor in [%d, 16] for n=%d"
         % (symbol_bits, c_min, n)
     )
+
+
+def make_symbol_code(n: int, k: int, symbol_bits: int):
+    """A code with ``symbol_bits``-bit symbols over GF(2^c), ``c =``
+    :func:`field_width`: plain RS, or interleaved when ``c`` is less."""
+    c = field_width(n, symbol_bits)
+    if c == symbol_bits:
+        return ReedSolomonCode(n, k, c)
+    return InterleavedCode(n, k, c, symbol_bits // c)

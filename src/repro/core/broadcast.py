@@ -46,6 +46,7 @@ from repro.broadcast_bit.ideal import default_b
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
 from repro.core.config import BACKENDS, ProtocolInvariantError
+from repro.core.result import RunOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import SyncNetwork
@@ -65,7 +66,7 @@ from repro.utils.bits import (
 
 
 @dataclass
-class BroadcastResult:
+class BroadcastResult(RunOutcome):
     """Outcome of one L-bit broadcast."""
 
     source: int
@@ -75,20 +76,6 @@ class BroadcastResult:
     diagnosis_count: int
     default_used: bool
     removed_edges: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.decisions.values())) <= 1
-
-    @property
-    def value(self) -> Optional[int]:
-        if not self.consistent or not self.decisions:
-            return None
-        return next(iter(self.decisions.values()))
-
-    @property
-    def total_bits(self) -> int:
-        return self.meter.total_bits
 
 
 class MultiValuedBroadcast:

@@ -21,7 +21,7 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast, default_b
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
-from repro.coding.interleaved import make_symbol_code
+from repro.coding.interleaved import field_width, make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
 from repro.utils.bits import check_input_value, is_exact_int, unpack_symbols
 
@@ -129,7 +129,7 @@ class ConsensusConfig:
                 % (self.n, self.symbol_bits)
             )
         # Wide symbols must decompose into supported field widths.
-        make_symbol_code(self.n, self.data_symbols, self.symbol_bits)
+        field_width(self.n, self.symbol_bits)
         if self.backend not in BACKENDS:
             raise ValueError(
                 "unknown backend %r (choose from %s)"

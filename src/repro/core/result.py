@@ -4,9 +4,58 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.metrics import MeterSnapshot
+
+
+class Agreed:
+    """Agreement over ``decisions`` (pid -> decision, one per fault-free
+    processor): the one rule for every result record."""
+
+    @property
+    def consistent(self) -> bool:
+        return len(set(self.decisions.values())) <= 1
+
+    @property
+    def value(self):
+        """The agreed decision, when consistent."""
+        if not self.consistent or not self.decisions:
+            return None
+        return next(iter(self.decisions.values()))
+
+
+class RunOutcome(Agreed):
+    """A run's record: agreement, and the bits its ``meter`` counted."""
+
+    @property
+    def total_bits(self) -> int:
+        return self.meter.total_bits
+
+
+class ConsensusOutcome(RunOutcome):
+    """A consensus run's record; validity reads its ground truth,
+    ``honest_inputs_equal`` and ``common_input``."""
+
+    @property
+    def valid(self) -> bool:
+        """Equal honest inputs are decided (vacuous when they differ)."""
+        return not self.honest_inputs_equal or (
+            self.consistent and self.value == self.common_input
+        )
+
+    @property
+    def error_free(self) -> bool:
+        """Consistent and valid (termination is ``run`` returning)."""
+        return self.consistent and self.valid
+
+
+def ground_truth(honest_inputs: Sequence[int]) -> dict:
+    """A consensus result's ``honest_inputs_equal`` and ``common_input``
+    fields, from the inputs its fault-free processors held."""
+    equal = len(set(honest_inputs)) == 1
+    return {"honest_inputs_equal": equal,
+            "common_input": honest_inputs[0] if equal else None}
 
 
 class GenerationOutcome(enum.Enum):
@@ -22,7 +71,7 @@ class GenerationOutcome(enum.Enum):
 
 
 @dataclass
-class GenerationResult:
+class GenerationResult(Agreed):
     """Outcome of one generation, from the fault-free perspective."""
 
     generation: int
@@ -44,15 +93,9 @@ class GenerationResult:
     def diagnosis_performed(self) -> bool:
         return self.outcome is GenerationOutcome.DECIDED_DIAGNOSIS
 
-    @property
-    def consistent(self) -> bool:
-        """Did all fault-free processors decide identically?"""
-        values = set(self.decisions.values())
-        return len(values) <= 1
-
 
 @dataclass
-class ConsensusResult:
+class ConsensusResult(ConsensusOutcome):
     """Outcome of a full L-bit consensus run."""
 
     #: pid -> decided L-bit value, for every fault-free pid.
@@ -69,34 +112,3 @@ class ConsensusResult:
     honest_inputs_equal: bool
     #: the common honest input when honest_inputs_equal (else None).
     common_input: Optional[int] = None
-
-    @property
-    def consistent(self) -> bool:
-        """Consistency: all fault-free outputs equal."""
-        return len(set(self.decisions.values())) <= 1
-
-    @property
-    def value(self) -> Optional[int]:
-        """The agreed value, when consistent."""
-        if not self.consistent or not self.decisions:
-            return None
-        return next(iter(self.decisions.values()))
-
-    @property
-    def valid(self) -> bool:
-        """Validity: if honest inputs were equal, the output matches them.
-
-        Vacuously true when honest inputs differed.
-        """
-        if not self.honest_inputs_equal:
-            return True
-        return self.consistent and self.value == self.common_input
-
-    @property
-    def error_free(self) -> bool:
-        """Termination is structural; this checks the two other properties."""
-        return self.consistent and self.valid
-
-    @property
-    def total_bits(self) -> int:
-        return self.meter.total_bits

@@ -30,6 +30,7 @@ from repro.core.result import (
     ConsensusResult,
     GenerationOutcome,
     GenerationResult,
+    ground_truth,
 )
 from repro.processors.answers import substituted_inputs
 
@@ -123,8 +124,6 @@ def finalize_result(
     consensus._view_extras = {}
     consensus.backend._view_provider = None
 
-    honest_inputs = [inputs[pid] for pid in honest]
-    honest_inputs_equal = len(set(honest_inputs)) == 1
     return ConsensusResult(
         decisions=decisions,
         generation_results=generation_results,
@@ -133,8 +132,7 @@ def finalize_result(
             1 for r in generation_results if r.diagnosis_performed
         ),
         default_used=default_used,
-        honest_inputs_equal=honest_inputs_equal,
-        common_input=honest_inputs[0] if honest_inputs_equal else None,
+        **ground_truth([inputs[pid] for pid in honest]),
     )
 
 

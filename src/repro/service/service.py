@@ -208,7 +208,7 @@ class ConsensusService:
             self._refuse_recording(adversary)
         instance = self._coerce(
             inputs, attack=attack, seed=seed, faulty=faulty
-        )
+        ).validate(self.spec)
         # A live adversary is not described by its cohort key: its
         # context is private.
         keyed = instance if adversary is None else None

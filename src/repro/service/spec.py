@@ -66,7 +66,7 @@ class RunSpec:
         check_exact_ints(
             derived=("t", "d_bits"), n=self.n, l_bits=self.l_bits,
             t=self.t, d_bits=self.d_bits, default_value=self.default_value,
-            kappa=self.kappa,
+            kappa=self.kappa, seed=self.seed,
         )
         object.__setattr__(self, "attack", normalize_attack(self.attack))
         if self.faulty is not None:
@@ -160,9 +160,9 @@ class InstanceSpec:
     def validate(self, spec: RunSpec) -> "InstanceSpec":
         """Refuse an instance that can never run on deployment ``spec``.
 
-        Called where an instance enters — ``ConsensusService.submit`` /
-        ``run_many`` and the server's admission — so a bad one fails
-        alone instead of mid-batch, taking its batch-mates with it.
+        Called where an instance enters — ``ConsensusService.run`` /
+        ``submit`` / ``run_many`` and the server's admission — so a bad
+        one fails alone instead of mid-batch, taking its batch-mates.
         Returns ``self``; raises :class:`ValueError`.  The seed, inputs
         and faulty pids are exact ``int`` values (``True`` is not 1).
         """

@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
+from repro.core import invariants
 from repro.processors import Adversary
 
 
@@ -37,12 +38,13 @@ NT_PAIRS = [(4, 1), (5, 1), (7, 2), (10, 3), (13, 4)]
 
 def run_consensus(n, t, l_bits, inputs, adversary=None, backend="ideal",
                   d_bits=None, **kwargs):
-    """One-call consensus run used across the integration tests."""
+    """One-call consensus run used across the integration tests; the
+    run is held to every claim of Theorem 1 (:mod:`repro.core.invariants`)."""
     config = ConsensusConfig.create(
         n=n, t=t, l_bits=l_bits, backend=backend, d_bits=d_bits, **kwargs
     )
     protocol = MultiValuedConsensus(config, adversary=adversary)
-    return protocol.run(inputs)
+    return invariants.check(config, inputs, protocol.run(inputs))
 
 
 def typed_rows(rows):
@@ -65,16 +67,8 @@ def run_generation(protocol, parts, default_part):
     return result
 
 
-def assert_error_free(result, expected=None):
-    """Assert the paper's three properties on a finished run."""
-    assert result.consistent, "consistency violated: %r" % (result.decisions,)
-    assert result.valid, "validity violated: %r" % (result.decisions,)
-    if expected is not None:
-        assert result.value == expected
-
-
-#: The five ways an instance can never run on RunSpec(n=4, l_bits=16),
-#: as (kind, submit/run_many arguments, message) — the messages are the
+#: The ways an instance can never run on RunSpec(n=4, l_bits=16), as
+#: (kind, run/record/submit/run_many arguments, message) — the messages are the
 #: server's ``invalid_request`` texts, byte for byte.
 BAD_INSTANCES = [
     ("oversized", dict(inputs=1 << 20),
@@ -87,6 +81,8 @@ BAD_INSTANCES = [
      "faulty pid 9 is not a processor of an n=4 deployment"),
     ("faulty_over_t", dict(inputs=1, attack="crash", faulty=(0, 1)),
      "2 faulty processors, but the deployment tolerates t=1"),
+    ("bool_seed", dict(inputs=1, attack="random", seed=True),
+     "seed True is not an int"),
 ]
 BAD_IDS = [kind for kind, _, _ in BAD_INSTANCES]
 

@@ -124,7 +124,7 @@ class TestFitziHirt:
     def test_honest_equal_inputs(self):
         fh = FitziHirtConsensus(n=7, t=2, l_bits=64, kappa=8)
         result = fh.run([0xFEEDFACE] * 7)
-        assert not result.erred
+        assert result.error_free
         assert result.value == 0xFEEDFACE
 
     def test_differing_inputs_default(self):
@@ -150,7 +150,7 @@ class TestFitziHirt:
         v1 = 0x1111222233334444
         v2 = collision_for(family, v1, key)
         result = fh.run([v1] * 4 + [v2] * 3)
-        assert result.erred
+        assert not result.error_free
         assert not result.consistent
 
     def test_error_free_algorithm_survives_same_inputs(self):

@@ -56,6 +56,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConsensusConfig.create(n=7, t=2, l_bits=64, d_bits=6)
 
+    def test_symbol_without_a_field_width_rejected(self):
+        # 17 is prime, and wider than any field the codes build.
+        with pytest.raises(
+            ValueError,
+            match=r"symbol width 17 has no field-width divisor in \[7, 16\] "
+            "for n=127",
+        ):
+            ConsensusConfig.create(n=127, l_bits=4096, d_bits=17 * 43)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ConsensusConfig.create(n=7, t=2, l_bits=8, backend="magic")
@@ -118,11 +127,12 @@ class TestExactIntFields:
 
     @pytest.mark.parametrize(
         "field, bad",
-        [(field, bad) for field, bad in _LOOSE if field != "coin_seed"],
+        [(field, bad) for field, bad in _LOOSE if field != "coin_seed"]
+        + [("seed", bad) for bad in (True, 0.0, np.int64(0))],
         ids=_loose_id,
     )
     def test_run_spec_refuses(self, field, bad):
-        # A spec has no coin_seed field.
+        # A spec has no coin_seed field; its attack seed is its own.
         fields = dict(_GOOD, **{field: bad})
         del fields["coin_seed"]
         with pytest.raises(ValueError, match="%s.*is not an int" % field):
@@ -139,6 +149,32 @@ class TestExactIntFields:
 
 
 class TestFactories:
+    def test_codes_are_built_where_they_are_kept(self, monkeypatch):
+        """A config checks its symbol width by arithmetic and builds no
+        code; a service builds the one it keeps, from a config or a
+        spec (every code, interleaved or not, builds one RS code)."""
+        from repro.coding.reed_solomon import ReedSolomonCode
+        from repro.service import ConsensusService
+
+        builds = []
+        original = ReedSolomonCode.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReedSolomonCode, "__init__", counting)
+        for l_bits in (64, 1 << 16):  # plain and interleaved symbols
+            spec = RunSpec(n=7, l_bits=l_bits)
+            config = ConsensusConfig.create(n=7, l_bits=l_bits)
+            assert spec.make_config() == config
+            assert builds == []
+            ConsensusService(config)
+            assert len(builds) == 1
+            ConsensusService(spec)
+            assert len(builds) == 2
+            builds.clear()
+
     def test_make_code_dimensions(self):
         config = ConsensusConfig.create(n=7, t=2, l_bits=64)
         code = config.make_code()

@@ -29,6 +29,7 @@ from repro.audit import Transcript, TranscriptRecorder
 from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core import batched as batched_module
+from repro.core import invariants
 from repro.core import rounds as rounds_module
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import GenerationOutcome
@@ -209,12 +210,12 @@ def test_split_inputs_equal_forced_scalar_reference(
 @pytest.mark.parametrize("n", sorted(SIZES))
 @pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_reference_holds_theorem_1(attack, n):
-    """What every cell above is equal to is itself error-free and
-    within the ``t(t+1)`` diagnosis bound, for every registry attack."""
-    result = reference(attack, n).result
-    t = (n - 1) // 3
-    assert result.error_free
-    assert result.diagnosis_count <= t * (t + 1)
+    """What every cell above is equal to keeps every claim of Theorem 1
+    (:mod:`repro.core.invariants`), for every registry attack."""
+    invariants.check(
+        RunSpec(n=n, l_bits=SIZES[n]).make_config(),
+        instances_for(attack, n)[-1].inputs, reference(attack, n).result,
+    )
 
 
 def test_journal_rows_compare_by_type():

@@ -38,7 +38,7 @@ class TestFitziHirtPhaseKing:
             n=7, t=2, l_bits=32, kappa=8, substrate="phase_king"
         )
         result = fh.run([0xBEEF] * 7)
-        assert not result.erred and result.value == 0xBEEF
+        assert result.error_free and result.value == 0xBEEF
 
     @pytest.mark.parametrize("seed", range(3))
     def test_real_substrate_adversarial(self, seed):

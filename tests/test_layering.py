@@ -11,6 +11,11 @@ The scalar oracle (``core/generation.py``) stays independent of the
 agreement rule: it never passes a held codeword (``near=``) to a code
 or to the verdict, so the differential grid compares the rule with
 interpolation, never with itself.
+
+The judge of Theorem 1 (``core/invariants.py``) stays independent of
+what it judges: it imports configuration, result records, Eq. (1) and
+``B(n)``, and no engine, round, diagnosis, clique, coding or service
+module, so a bug in shared stage code cannot hide from its own check.
 """
 
 from __future__ import annotations
@@ -46,11 +51,10 @@ def _is_module(dotted: str) -> bool:
     return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
 
 
-def upward_imports(source: str, module: str):
+def imports(source: str, module: str):
     """``(scope, imported module)`` of every import in ``source`` (the
-    text of ``module``) that reaches the service or the audit tier; the
-    scope is ``module:Qualified.name`` of the enclosing function, or
-    ``module`` at module level."""
+    text of ``module``); the scope is ``module:Qualified.name`` of the
+    enclosing function, or ``module`` at module level."""
     tree = ast.parse(source)
     parent = {
         child: node for node in ast.walk(tree)
@@ -82,13 +86,20 @@ def upward_imports(source: str, module: str):
                 names.append(enclosing.name)
             enclosing = parent.get(enclosing)
         scope = module + (":" + ".".join(reversed(names)) if names else "")
-        for target in targets:
-            if any(
-                target == upper or target.startswith(upper + ".")
-                for upper in UPPER
-            ):
-                found.append((scope, target))
+        found.extend((scope, target) for target in targets)
     return found
+
+
+def upward_imports(source: str, module: str):
+    """The :func:`imports` of ``source`` that reach the service or the
+    audit tier."""
+    return [
+        (scope, target) for scope, target in imports(source, module)
+        if any(
+            target == upper or target.startswith(upper + ".")
+            for upper in UPPER
+        )
+    ]
 
 
 def _lower_modules():
@@ -158,3 +169,33 @@ def test_the_walk_finds_a_near_argument():
         "ok = code.is_consistent(symbols)\n"
         "word = code.codeword_through(\n    symbols, near=held)\n"
     ) == [2]
+
+
+#: Everything the judge of Theorem 1 may import from the package.
+JUDGE_IMPORTS = frozenset({
+    "repro.core.config", "repro.core.result", "repro.analysis.complexity",
+    "repro.broadcast_bit.ideal",
+})
+
+
+def forbidden_imports(source: str):
+    """The package modules ``source`` (as ``repro.core.invariants``)
+    imports that the judge may not."""
+    return sorted(
+        target for _, target in imports(source, "repro.core.invariants")
+        if target.split(".")[0] == "repro" and target not in JUDGE_IMPORTS
+    )
+
+
+def test_the_judge_imports_no_stage_code():
+    source = (SOURCE / "core" / "invariants.py").read_text(encoding="utf-8")
+    assert forbidden_imports(source) == []
+
+
+def test_the_walk_finds_stage_code_in_the_judge():
+    assert forbidden_imports(
+        "from fractions import Fraction\n"
+        "from repro.core.result import ConsensusResult\n"
+        "from . import rounds\n"
+        "def f():\n    from repro.coding.reed_solomon import FAR\n"
+    ) == ["repro.coding.reed_solomon", "repro.core.rounds"]

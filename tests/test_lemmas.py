@@ -12,6 +12,7 @@ import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
+from repro.core import invariants
 from repro.core.batched import CohortContext
 from repro.core.generation import GenerationProtocol
 from repro.core.result import GenerationOutcome
@@ -166,7 +167,7 @@ class TestLemma5:
 
 
 class TestTheorem1:
-    """End-to-end: correctness in all executions + the t(t+1) bound."""
+    """End-to-end: every claim of Theorem 1 in all executions."""
 
     @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -176,10 +177,6 @@ class TestTheorem1:
         config = ConsensusConfig.create(
             n=n, t=t, l_bits=(n - 2 * t) * 32
         )
-        result = MultiValuedConsensus(config, adversary=adversary).run(
-            [0xC0FFEE % (1 << config.l_bits)] * n
-        )
-        # Termination is run() returning; the other two:
-        assert result.consistent
-        assert result.valid
-        assert result.diagnosis_count <= t * (t + 1)
+        inputs = [0xC0FFEE % (1 << config.l_bits)] * n
+        result = MultiValuedConsensus(config, adversary=adversary).run(inputs)
+        assert invariants.violations(config, inputs, result) == []

@@ -364,7 +364,7 @@ class TestServiceApi:
 
     def test_wrong_input_count(self):
         service = ConsensusService(RunSpec(n=4, l_bits=16))
-        with pytest.raises(ValueError, match="expected 4 inputs"):
+        with pytest.raises(ValueError, match="carries 3 inputs for an n=4"):
             service.run((1, 2, 3))
 
     def test_oversized_value(self):
@@ -406,6 +406,23 @@ class TestValidation:
         assert message in str(info.value)
         assert (per_generation, cohort) == ([], [])
         assert service._template is None
+
+    @pytest.mark.parametrize("entry", ["run", "record"])
+    @pytest.mark.parametrize("_kind, bad, message", BAD_INSTANCES, ids=BAD_IDS)
+    def test_run_and_record_refuse_before_any_engine(
+        self, monkeypatch, entry, _kind, bad, message
+    ):
+        """The one-shot doors refuse the same table with the same text,
+        before an engine (and so any adversary hook) exists."""
+        service = ConsensusService(RunSpec(n=4, l_bits=16))
+        engines = []
+        monkeypatch.setattr(
+            service, "_make_engine", lambda *args, **kw: engines.append(args)
+        )
+        with pytest.raises(ValueError) as info:
+            getattr(service, entry)(**bad)
+        assert message in str(info.value)
+        assert engines == []
 
     def test_a_bad_seed_or_input_fails_alone(self, monkeypatch):
         """A seed that is not an int fails its own admission, not its
