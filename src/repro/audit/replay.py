@@ -43,7 +43,9 @@ from repro.audit.transcript import (
 )
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
-from repro.processors.adversary import PID_HOOKS, Adversary, GlobalView
+from repro.processors.adversary import (
+    PID_HOOKS, Adversary, GlobalView, hook_is_default,
+)
 from repro.processors.answers import (
     bit_answer, codeword_symbols, diagnosis_symbol_value, input_value_of,
     m_row_bits, matching_row_payloads, message_bit, received_symbol,
@@ -94,12 +96,20 @@ class DeviationRecorder(Adversary):
     behavior-preserving: it returns exactly what the inner adversary
     returned, so a replay under the recorder is byte-identical to one
     under the original adversary.
+
+    A hook the inner adversary leaves at the :class:`Adversary` base
+    (:func:`~repro.processors.adversary.hook_is_default`) plays the
+    honest identity and cannot deviate: the recorder forwards it
+    straight to the inner adversary and notes nothing.
     """
 
     def __init__(self, inner: Adversary):
         super().__init__(sorted(inner.faulty))
         self.inner = inner
         self.deviations: List[Deviation] = []
+        for hook in _HOOKS:
+            if hook_is_default(inner, hook):
+                setattr(self, hook, getattr(inner, hook))
         # Fault-plan adversaries attack through the network: forward the
         # plan so the replay engine installs the identical compiled
         # schedule (the journal would diverge otherwise).
@@ -205,7 +215,10 @@ def _recording(hook: str):
     return recorded
 
 
-for _hook in PID_HOOKS + ("coin_reveal",):
+#: Every hook the recorder wraps.
+_HOOKS = PID_HOOKS + ("coin_reveal",)
+
+for _hook in _HOOKS:
     if _hook not in vars(DeviationRecorder):
         setattr(DeviationRecorder, _hook, _recording(_hook))
 

@@ -39,7 +39,7 @@ import json
 from dataclasses import InitVar, dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.result import ConsensusResult
 from repro.service.serving.wire import (
@@ -180,7 +180,7 @@ class Keyring:
         return mac.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     """One journalled message plus its authentication tag.
 
@@ -189,9 +189,11 @@ class TranscriptEntry:
     the hex HMAC of the sender over the hash chain up to this entry.
     ``content_bytes`` are the authenticated bytes (``_entry_bytes`` of
     the other fields), made with the entry: ``None`` when a field is not
-    exactly typed, as no tag is valid over such an entry.
-    :meth:`Transcript.record` passes the bytes it just formatted from the
-    same fields as ``formatted``; every other entry formats its own.
+    exactly typed, as no tag is valid over such an entry.  An entry made
+    by the constructor (``from_wire``, ``dataclasses.replace``) formats
+    its own bytes, or takes them as ``formatted``; :meth:`Transcript.record`
+    fills the slots of an entry it made directly (``_recorded_entry``)
+    with the bytes and tag it has just computed.
     """
 
     index: int
@@ -248,6 +250,37 @@ class TranscriptEntry:
         return None
 
 
+#: The slot setters of an entry, in ``_recorded_entry``'s argument order.
+_ENTRY_SLOTS = tuple(
+    getattr(TranscriptEntry, name).__set__ for name in (
+        "index", "round_index", "sender", "receiver", "tag", "bits",
+        "payload", "auth", "content_bytes",
+    )
+)
+
+
+def _recorded_entry(
+    index: int, round_index: int, sender: int, receiver: int, tag: str,
+    bits: int, payload: Any, auth: str, content: bytes,
+) -> TranscriptEntry:
+    """The entry :meth:`Transcript.record` just authenticated: its slots
+    filled directly, as ``TranscriptEntry(..., formatted=content)``
+    would fill them, without the dataclass ``__init__`` (a recorded
+    audit makes one per journalled message)."""
+    entry = object.__new__(TranscriptEntry)
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = _ENTRY_SLOTS
+    s0(entry, index)
+    s1(entry, round_index)
+    s2(entry, sender)
+    s3(entry, receiver)
+    s4(entry, tag)
+    s5(entry, bits)
+    s6(entry, payload)
+    s7(entry, auth)
+    s8(entry, content)
+    return entry
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of :func:`verify_transcript`.
@@ -273,7 +306,16 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class Transcript:
-    """An authenticated record of one consensus run."""
+    """An authenticated record of one consensus run.
+
+    ``entries`` is stored as a tuple of frozen entries, so the walk of
+    their tags and chain is a function of the transcript and a key:
+    :func:`verify_transcript` keeps it on the transcript (the private
+    ``_walked``, under a SHA-256 of the key) and a later check under the
+    same key reads it.  The seal, over the result, is checked every
+    time.  A transcript made by ``replace``, ``from_wire`` or ``load``
+    is a new object and is walked afresh.
+    """
 
     spec: RunSpec
     instance: InstanceSpec
@@ -282,6 +324,10 @@ class Transcript:
     key_id: str
     seal: str
     version: int = TRANSCRIPT_VERSION
+
+    def __post_init__(self) -> None:
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
 
     # -- construction -------------------------------------------------
 
@@ -316,7 +362,7 @@ class Transcript:
             )
             link = chain + content
             chain = hashlib.sha256(link).digest()
-            entries.append(TranscriptEntry(
+            entries.append(_recorded_entry(
                 index, round_index, sender, receiver, tag, bits, payload,
                 ring.tag(sender, link), content,
             ))
@@ -463,6 +509,11 @@ def verify_transcript(
       position, reported at the drop point;
     - tail entry dropped, or result tampered → seal mismatch
       (``failed_index = None``).
+
+    The walk of the entries is made once per transcript and key (see
+    :class:`Transcript`): it is kept with a SHA-256 of the key, never
+    with the key.  The seal binds the result, which is a mutable object,
+    so it is recomputed on every call.
     """
     ring = Keyring(key)
     if ring.key_id != transcript.key_id:
@@ -472,10 +523,37 @@ def verify_transcript(
             reason="key id mismatch: transcript was recorded under %s,"
             " verifier key is %s" % (transcript.key_id, ring.key_id),
         )
-    chain = Transcript._chain_seed(
-        transcript.spec, transcript.instance, ring.key_id
-    )
-    for position, entry in enumerate(transcript.entries):
+    fingerprint = hashlib.sha256(key).digest()
+    walked = transcript.__dict__.get("_walked")
+    if walked is None or walked[0] != fingerprint:
+        walked = (fingerprint, *_walk(
+            transcript.entries, ring, Transcript._chain_seed(
+                transcript.spec, transcript.instance, ring.key_id
+            ),
+        ))
+        object.__setattr__(transcript, "_walked", walked)
+    _, failure, chain = walked
+    if failure is not None:
+        return failure
+    result_bytes = _canonical(result_to_wire(transcript.result))
+    expected_seal = ring.seal(len(transcript.entries), chain, result_bytes)
+    if not _same_hex(expected_seal, transcript.seal):
+        return VerifyReport(
+            ok=False,
+            checked=len(transcript.entries),
+            reason="seal mismatch: entries dropped from the tail or"
+            " the recorded result was tampered with",
+        )
+    return VerifyReport(ok=True, checked=len(transcript.entries))
+
+
+def _walk(
+    entries: tuple, ring: Keyring, chain: bytes
+) -> Tuple[Optional[VerifyReport], Optional[bytes]]:
+    """Every entry's position and tag along the chain from ``chain``:
+    ``(the report of the first broken entry, None)``, or ``(None, the
+    chain head)`` when every entry holds."""
+    for position, entry in enumerate(entries):
         if entry.index != position:
             return VerifyReport(
                 ok=False,
@@ -483,7 +561,7 @@ def verify_transcript(
                 failed_index=position,
                 reason="entry index %r found at position %d: an entry"
                 " was dropped or reordered" % (entry.index, position),
-            )
+            ), None
         content = entry.content_bytes
         link = None if content is None else chain + content
         if link is None or not _same_hex(
@@ -496,18 +574,9 @@ def verify_transcript(
                 reason="authentication tag mismatch at entry %d"
                 " (sender %r, round %r, tag %r)"
                 % (position, entry.sender, entry.round_index, entry.tag),
-            )
+            ), None
         chain = hashlib.sha256(link).digest()
-    result_bytes = _canonical(result_to_wire(transcript.result))
-    expected_seal = ring.seal(len(transcript.entries), chain, result_bytes)
-    if not _same_hex(expected_seal, transcript.seal):
-        return VerifyReport(
-            ok=False,
-            checked=len(transcript.entries),
-            reason="seal mismatch: entries dropped from the tail or"
-            " the recorded result was tampered with",
-        )
-    return VerifyReport(ok=True, checked=len(transcript.entries))
+    return None, chain
 
 
 @dataclass

@@ -12,9 +12,8 @@ reference's too).  Otherwise line 2(c) is :func:`checking_decisions`.
 from __future__ import annotations
 
 import itertools
-from typing import (
-    AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple,
-)
+from collections import abc
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,7 +211,7 @@ def diagnose(
             change = trust_row_change(adversary.trust_row(
                 i, p_match, honest_row, g, view
             ), p_match, honest_row)
-            if isinstance(change, AbstractSet):
+            if isinstance(change, abc.Set):
                 keep = honest_trust_mat[i].copy()
                 keep[[column[j] for j in change if j in column]] = False
                 row = PackedBits(np.packbits(keep), n_pm)

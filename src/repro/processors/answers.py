@@ -13,9 +13,9 @@ holds the honest row reuses it.
 
 from __future__ import annotations
 
+from collections import abc
 from typing import (
-    AbstractSet, Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.utils.bits import is_exact_int
@@ -147,7 +147,7 @@ def matching_row_answer(answer: SymbolRow) -> Tuple[Any, Mapping[int, Any]]:
     nor ``None`` — is refused."""
     if not (
         isinstance(answer, (tuple, list)) and len(answer) == 2
-        and (answer[1] is None or isinstance(answer[1], (dict, Mapping)))
+        and (answer[1] is None or isinstance(answer[1], (dict, abc.Mapping)))
     ):
         raise _refused(
             "matching_row", answer,
@@ -192,7 +192,9 @@ def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
     """
     if isinstance(answer, RowConstant):
         return [answer.bit] * (n - 1)
-    if isinstance(answer, (str, bytes)) or not isinstance(answer, Iterable):
+    if isinstance(answer, (str, bytes)) or not isinstance(
+        answer, abc.Iterable
+    ):
         raise _refused(
             "m_row", answer,
             "the honest row itself, a row constant or a row of flags",
@@ -227,10 +229,10 @@ def trust_row_bits(
     """
     if answer is honest_row:
         return [1 if flag else 0 for flag in honest_row]
-    if isinstance(answer, Mapping):
+    if isinstance(answer, abc.Mapping):
         flags = {j: flag for j, flag in answer.items() if is_exact_int(j)}
         return [1 if flags.get(j, False) else 0 for j in p_match]
-    if isinstance(answer, AbstractSet):
+    if isinstance(answer, abc.Set):
         accused = {j for j in answer if is_exact_int(j)}
         return [
             1 if flag and j not in accused else 0
@@ -251,6 +253,6 @@ def trust_row_change(
     ignore), else the bits."""
     if answer is honest_row:
         return None
-    if isinstance(answer, AbstractSet) and not isinstance(answer, Mapping):
+    if isinstance(answer, abc.Set) and not isinstance(answer, abc.Mapping):
         return {j for j in answer if is_exact_int(j)}
     return trust_row_bits(answer, p_match, honest_row)

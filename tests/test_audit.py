@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import hmac
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -40,7 +41,9 @@ from repro.audit import (
 )
 from repro.audit import transcript as transcript_module
 from repro.audit.replay import DeviationRecorder, _journal_divergence
-from repro.audit.transcript import TranscriptEntry, _canonical, _entry_bytes
+from repro.audit.transcript import (
+    _ROW, TranscriptEntry, _canonical, _entry_bytes,
+)
 from repro.cli import main as cli_main
 from repro.core.config import ConsensusConfig
 from repro.core import MultiValuedBroadcast
@@ -51,10 +54,12 @@ from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors import (
     ATTACKS,
+    FAULT_GRID_ATTACKS,
     Adversary,
     FalseDetectionAdversary,
     SymbolCorruptionAdversary,
 )
+from repro.processors.adversary import GlobalView
 from repro.service import ConsensusService, InstanceSpec, RunSpec
 from repro.service import service as service_module
 from repro.service.serving.sdk import serve_background
@@ -756,6 +761,180 @@ def test_an_audit_formats_each_entry_once(monkeypatch):
     assert calls == list(range(len(transcript.entries)))
 
 
+# -- a transcript is walked once per key -------------------------------------
+
+
+def _crash_transcript():
+    return ConsensusService(
+        RunSpec(n=4, l_bits=16, attack="crash")
+    ).record(0xBEEF)[1]
+
+
+def _counted_tags(monkeypatch):
+    """The pids of every tag computed from here on."""
+    calls = []
+    tag = Keyring.tag
+
+    def counted(self, pid, link):
+        calls.append(pid)
+        return tag(self, pid, link)
+
+    monkeypatch.setattr(Keyring, "tag", counted)
+    return calls
+
+
+def test_an_audit_walks_its_transcript_once(monkeypatch):
+    """The first check computes every tag; a second ``verify``,
+    ``replay`` and ``prove`` under the same key compute none and report
+    what the first check reported."""
+    _, transcript = ConsensusService(
+        RunSpec(n=7, l_bits=64, attack="corrupt")
+    ).record(VALUE)
+    calls = _counted_tags(monkeypatch)
+    first = transcript.verify()
+    assert first.ok and len(calls) == len(transcript.entries)
+    calls.clear()
+    assert transcript.verify() == verify_transcript(transcript) == first
+    assert replay(transcript).verify == first
+    proof = prove(transcript)
+    assert proof.ok and proof.culprits == proof.claimed_faulty
+    assert calls == []
+
+
+def _tampered(transcript):
+    """``transcript`` with entry 2's bit count edited."""
+    entries = list(transcript.entries)
+    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    return dataclasses.replace(transcript, entries=tuple(entries))
+
+
+def _loaded(transcript, tmp_path):
+    transcript.save(tmp_path / "copy.json")
+    return Transcript.load(tmp_path / "copy.json")
+
+
+#: Three ways to make a transcript from one already checked.
+MADE = {
+    "replace": lambda transcript, tmp_path: dataclasses.replace(transcript),
+    "from_wire": lambda transcript, tmp_path: Transcript.from_wire(
+        transcript.to_wire()
+    ),
+    "load": _loaded,
+}
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["intact", "tampered"])
+@pytest.mark.parametrize("made", sorted(MADE))
+def test_a_made_transcript_is_walked_afresh(
+    made, tampered, monkeypatch, tmp_path
+):
+    """A transcript made by ``replace``, ``from_wire`` or ``load`` from a
+    checked one is a new object: its first check computes its tags, and
+    a tampered one fails where it was edited."""
+    source = _crash_transcript()
+    assert source.verify().ok
+    if tampered:
+        source = _tampered(source)
+        assert source.verify().failed_index == 2
+    copy = MADE[made](source, tmp_path)
+    calls = _counted_tags(monkeypatch)
+    report = copy.verify()
+    assert calls
+    assert report == source.verify()
+    assert (report.ok, report.failed_index) == (
+        (False, 2) if tampered else (True, None)
+    )
+
+
+def test_another_key_is_never_served_from_the_kept_walk(monkeypatch):
+    """The walk is kept under a SHA-256 of the whole key, not its short
+    id: with every key given one id, so the id check passes, a
+    transcript checked under its key fails under another at its first
+    tag, and still verifies under its own.  The key itself is not kept."""
+    init = Keyring.__init__
+
+    def one_id(self, master=DEFAULT_KEY):
+        init(self, master)
+        self.key_id = "0" * 16
+
+    monkeypatch.setattr(Keyring, "__init__", one_id)
+    transcript = _crash_transcript()
+    assert transcript.verify().ok
+    other = transcript.verify(key=b"another deployment's key")
+    assert (other.ok, other.failed_index) == (False, 0)
+    assert transcript.verify().ok
+    assert DEFAULT_KEY not in pickle.dumps(transcript)
+
+
+@pytest.mark.parametrize(
+    "key", ["repro-audit-demo-key", b"", None, bytearray(DEFAULT_KEY)],
+    ids=["str", "empty", "none", "bytearray"],
+)
+def test_a_key_that_is_not_bytes_is_refused_after_a_walk(key):
+    transcript = _crash_transcript()
+    assert transcript.verify().ok
+    with pytest.raises(ValueError, match="master key must be non-empty bytes"):
+        transcript.verify(key=key)
+
+
+def test_a_check_changes_no_form_of_a_transcript():
+    """Equality, the wire form, the canonical bytes, the digest and the
+    repr read the same before and after a check."""
+    transcript = _crash_transcript()
+    twin = Transcript.from_wire(transcript.to_wire())
+
+    def forms():
+        return (
+            transcript.to_wire(), transcript.canonical_bytes(),
+            transcript.digest(), repr(transcript),
+        )
+
+    before = forms()
+    assert transcript.verify().ok
+    assert forms() == before
+    assert transcript == twin and twin == transcript
+
+
+def test_entries_are_held_as_a_tuple():
+    """A list of entries is copied into a tuple, so an edit to the list
+    after a check cannot go unseen by the kept walk."""
+    transcript = _crash_transcript()
+    entries = list(transcript.entries)
+    held = dataclasses.replace(transcript, entries=entries)
+    assert type(held.entries) is tuple and held == transcript
+    assert held.verify().ok
+    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    del entries[-1]
+    assert held == transcript and held.verify().ok
+
+
+def test_an_edit_to_the_result_after_a_check_breaks_the_seal():
+    """The result is a mutable object, so the seal over it is checked
+    on every call, kept walk or not."""
+    transcript = _crash_transcript()
+    assert transcript.verify().ok
+    transcript.result.decisions[0] ^= 1
+    report = transcript.verify()
+    assert (report.ok, report.failed_index) == (False, None)
+    assert "seal" in report.reason
+
+
+def test_a_recorded_entry_is_the_entry_its_fields_make():
+    """``record`` fills an entry's slots directly: the constructor makes
+    the same entry (fields, bytes, repr) from the same fields, and the
+    entry is slotted, frozen and pickles."""
+    transcript = _crash_transcript()
+    for entry in transcript.entries:
+        made = TranscriptEntry(entry.index, *_ROW(entry), entry.auth)
+        assert made == entry and repr(made) == repr(entry)
+        assert made.content_bytes == entry.content_bytes
+    entry = transcript.entries[0]
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.bits = 5
+    assert pickle.loads(pickle.dumps(entry)) == entry
+
+
 def test_a_journalled_audit_builds_no_message(monkeypatch):
     """Batched traffic is journalled as rows zipped from a batch's
     columns: recording and replaying build no ``Message`` (two an entry
@@ -997,6 +1176,32 @@ def test_a_diagnosis_symbol_is_read_mod_the_symbol_limit(engine):
     assert "diagnosis_symbol" not in {d.hook for d in recorder.deviations}
 
 
+class FlipsDetected(Adversary):
+    """Overrides one hook; every other hook stays at the base."""
+
+    def detected_flag(self, pid, honest_flag, generation, view):
+        return not honest_flag
+
+
+def test_a_base_hook_is_forwarded_and_noted_nowhere():
+    """A hook the attack leaves at the base is the inner adversary's own
+    bound method on the recorder: it answers as the inner one does and
+    notes nothing.  An overridden hook is still noted."""
+    inner = FlipsDetected([0])
+    recorder = DeviationRecorder(inner)
+    view = GlobalView(n=4, t=1, faulty={0})
+    assert recorder.input_value == inner.input_value
+    assert recorder.m_row == inner.m_row
+    row = (True, False, True, True)
+    assert recorder.input_value(0, 7, view) == 7
+    assert recorder.m_row(0, row, 0, view) is row
+    assert recorder.deviations == []
+    assert recorder.detected_flag(0, False, 0, view) is True
+    assert [(d.pid, d.hook) for d in recorder.deviations] == [
+        (0, "detected_flag")
+    ]
+
+
 # -- serving-tier opt-in ---------------------------------------------------
 
 
@@ -1084,6 +1289,39 @@ def test_seeded_audit_is_pinned(attack, seed):
         hashlib.sha256(canonical.encode()).hexdigest(),
     ) == _PINNED_AUDITS[(attack, seed)]
     assert proof["culprits"] == proof["claimed_faulty"]
+
+
+#: ``prove()``'s culprits and deviations (``proof_sha256``, over the
+#: canonical JSON of both) and each transcript's digest and seal, for
+#: the fault grid at n in {7, 15} (L = 1024, seed 11, value 0xDEADBEEF),
+#: as made by a replay recorder that noted every hook, base hooks too.
+FAULT_GRID_PINS = json.loads(
+    (Path(__file__).parent / "data" / "prove_fault_grid.json").read_text()
+)
+
+
+def test_the_fault_grid_pins_cover_the_grid():
+    assert sorted((pin["n"], pin["attack"]) for pin in FAULT_GRID_PINS) == [
+        (n, attack) for n in (7, 15) for attack in FAULT_GRID_ATTACKS
+    ]
+
+
+@pytest.mark.parametrize(
+    "pin", FAULT_GRID_PINS,
+    ids=lambda pin: "n%d-%s" % (pin["n"], pin["attack"]),
+)
+def test_fault_grid_proofs_are_pinned(pin):
+    spec = RunSpec(n=pin["n"], l_bits=1024, attack=pin["attack"], seed=11)
+    _, transcript = ConsensusService(spec).record(0xDEADBEEF)
+    proof = prove(transcript).to_wire()
+    assert (transcript.digest(), transcript.seal) == (
+        pin["transcript_digest"], pin["seal"]
+    )
+    assert proof["culprits"] == pin["culprits"]
+    assert len(proof["deviations"]) == pin["deviations"]
+    assert hashlib.sha256(_canonical({
+        "culprits": proof["culprits"], "deviations": proof["deviations"],
+    })).hexdigest() == pin["proof_sha256"]
 
 
 #: ``(backend, attack) -> (transcript digest, culprits)`` of ``repro-sim

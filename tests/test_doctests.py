@@ -198,3 +198,47 @@ def test_a_dotted_citation_names_a_module_that_defines_it(tmp_path):
         fixture.write_text("`%s`\n" % stale)
         [problem] = check_links.check_file(fixture)
         assert stale.lstrip("~") in problem
+
+
+def test_an_entry_from_45_on_carries_its_benchmark_pairs(
+    tmp_path, monkeypatch
+):
+    """``tools/check_links.py`` on ``CHANGES.md``: from entry 45 on, the
+    entry's own measurements file holds its benchmark pairs as exactly
+    one fenced ``json`` block, an object with a non-empty ``"pairs"``
+    list; entry 44 is held to the older rule only."""
+    location = importlib.util.spec_from_file_location(
+        "check_links",
+        pathlib.Path(__file__).parent.parent / "tools" / "check_links.py",
+    )
+    check_links = importlib.util.module_from_spec(location)
+    location.loader.exec_module(check_links)
+    monkeypatch.setattr(check_links, "REPO_ROOT", tmp_path)
+    measurements = tmp_path / "docs" / "measurements"
+    measurements.mkdir(parents=True)
+    (measurements / "pr44-old.md").write_text("# no pairs block\n")
+    changes = tmp_path / "CHANGES.md"
+
+    def problems(body):
+        (measurements / "pr45-new.md").write_text(body)
+        changes.write_text(
+            "PR 44: old (docs/measurements/pr44-old.md).\n"
+            "PR 45: new (docs/measurements/pr45-new.md).\n"
+        )
+        return check_links.check_changes(changes)
+
+    block = '```json\n{"pairs": [{"workload": "w"}]}\n```\n'
+    assert problems("# PR 45\n\n" + block) == []
+    for body, expected in (
+        ("# no block\n", "0 fenced json blocks"),
+        (block + block, "2 fenced json blocks"),
+        ('```json\n{"pairs": [\n```\n', "does not parse"),
+        ('```json\n{"pairs": []}\n```\n', 'non-empty "pairs" list'),
+        ("```json\n[1, 2]\n```\n", 'non-empty "pairs" list'),
+    ):
+        [problem] = problems(body)
+        assert "PR 45" in problem and expected in problem
+    # An entry that names only another entry's file has no pairs file.
+    changes.write_text("PR 46: cites (docs/measurements/pr45-new.md).\n")
+    [problem] = check_links.check_changes(changes)
+    assert "pr46-*.md" in problem

@@ -20,7 +20,11 @@ fail the build:
 * in ``CHANGES.md`` (any file of that name), the house rule for entries
   numbered 22 and up: one line of at most 1 200 characters that names a
   ``docs/measurements/*.md`` file which exists.  Older entries name
-  files since deleted and are not link-checked;
+  files since deleted and are not link-checked.  From entry 45 on, the
+  entry also names its own ``docs/measurements/prN-*.md`` file, which
+  carries the change's benchmark pairs as exactly one fenced ``json``
+  block: an object whose ``"pairs"`` is a non-empty list, so a script
+  can read every measured pair without parsing tables;
 * member citations — ``tests/test_service.py::TestRetention``,
   ``core/generation.py::_send_matching_symbols``,
   ``broadcast_bit/ideal.py::AccountedIdealBroadcast._row_loop`` (a path
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import json
 import re
 import sys
 from pathlib import Path
@@ -74,6 +79,8 @@ CHANGES = REPO_ROOT / "CHANGES.md"
 #: The first entry held to the house rule, and the rule's length limit.
 CHANGES_ENFORCED_FROM = 22
 CHANGES_ENTRY_LIMIT = 1200
+#: The first entry whose measurements file holds its benchmark pairs.
+PAIRS_ENFORCED_FROM = 45
 
 INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
@@ -96,6 +103,7 @@ MEMBER_SPAN = re.compile(r"~?(?:\w+\.)*([A-Za-z_]\w*)\.(\w+)(?:\(\))?")
 DOTTED_SPAN = re.compile(r"~?(repro(?:\.\w+)+)(?:\(\))?")
 HEADING = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE = re.compile(r"^```.*?^```\s*$", re.MULTILINE | re.DOTALL)
+JSON_FENCE = re.compile(r"^```json\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
 
 def anchor_of(heading: str) -> str:
@@ -439,6 +447,51 @@ def check_changes(path: Path) -> list:
             problems.append(
                 "%s: entry PR %s names no existing docs/measurements/ file"
                 % (path, entry.group(1))
+            )
+        if int(entry.group(1)) >= PAIRS_ENFORCED_FROM:
+            problems.extend(
+                "%s: entry PR %s: %s" % (path, entry.group(1), problem)
+                for problem in check_pairs(entry.group(1), line)
+            )
+    return problems
+
+
+def check_pairs(number: str, line: str) -> list:
+    """What is wrong with the benchmark pairs of entry ``number``: its
+    own measurements file (``docs/measurements/pr<number>-*.md``, named
+    in ``line``) must hold one fenced ``json`` block, an object whose
+    ``"pairs"`` is a non-empty list."""
+    own = [
+        REPO_ROOT / name for name in MEASUREMENTS_FILE.findall(line)
+        if name.startswith("docs/measurements/pr%s-" % number)
+        and (REPO_ROOT / name).is_file()
+    ]
+    if not own:
+        return ["names no existing docs/measurements/pr%s-*.md file" % number]
+    problems = []
+    for measurements in own:
+        blocks = JSON_FENCE.findall(measurements.read_text())
+        if len(blocks) != 1:
+            problems.append(
+                "%s holds %d fenced json blocks, not one"
+                % (measurements.name, len(blocks))
+            )
+            continue
+        try:
+            pairs = json.loads(blocks[0])
+        except ValueError as error:
+            problems.append(
+                "%s: the json block does not parse (%s)"
+                % (measurements.name, error)
+            )
+            continue
+        if not (
+            isinstance(pairs, dict) and isinstance(pairs.get("pairs"), list)
+            and pairs["pairs"]
+        ):
+            problems.append(
+                '%s: the json block is not an object with a non-empty'
+                ' "pairs" list' % measurements.name
             )
     return problems
 
