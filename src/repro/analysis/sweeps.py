@@ -4,9 +4,9 @@ Each sweep runs the real protocol (never just the formulas), collects
 exact bit counts, and returns plain dataclass rows, so callers can print,
 plot or assert over them without re-running simulations.
 
-A sweep under faults passes an ``adversary_factory``; the fault *grid*
-(every :data:`repro.processors.FAULT_GRID_ATTACKS` attack × n) is not a
-sweep driver but a pinned table — ``tests/test_pinned_bits.py`` holds its
+A sweep point is one failure-free instance; the fault *grid* (every
+:data:`repro.processors.FAULT_GRID_ATTACKS` attack × n) is not a sweep
+driver but a pinned table — ``tests/test_pinned_bits.py`` holds its
 bit totals, ``tests/test_differential.py`` its engine equivalence and the
 ``t(t+1)`` diagnosis bound, ``benchmarks/bench_e5_diagnosis_bound.py`` the
 bound's worst case.  Every point is held to Theorem 1 (imported on first
@@ -14,13 +14,14 @@ use, so no deployment loads :func:`repro.core.invariants.check`).
 
 Every sweep consumes :class:`repro.service.RunSpec` — the one
 declarative run description shared with the CLI and the benchmarks —
-and runs through a :class:`repro.service.ConsensusService`.
+and runs each point's declarative instance on the keyed context of a
+:class:`repro.service.ConsensusService`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.complexity import (
     checking_stage_bits,
@@ -28,7 +29,6 @@ from repro.analysis.complexity import (
     matching_stage_bits,
 )
 from repro.broadcast_bit.ideal import default_b
-from repro.processors.adversary import Adversary
 from repro.service.service import ConsensusService
 from repro.service.spec import RunSpec
 
@@ -52,19 +52,13 @@ class SweepPoint:
         return self.per_bit / self.asymptote
 
 
-def _run_point(
-    n: int,
-    t: int,
-    l_bits: int,
-    adversary_factory: Optional[Callable[[], Adversary]],
-) -> SweepPoint:
+def _run_point(n: int, t: int, l_bits: int) -> SweepPoint:
     from repro.core.invariants import check
 
     service = ConsensusService(RunSpec(n=n, t=t, l_bits=l_bits))
     config = service.config
-    adversary = adversary_factory() if adversary_factory else Adversary()
     inputs = [(1 << l_bits) - 1] * n
-    result = check(config, inputs, service.run(inputs, adversary=adversary))
+    result = check(config, inputs, service.run(inputs))
     b = default_b(n)
     analytic = config.generations * (
         matching_stage_bits(n, t, config.d_bits, b)
@@ -83,23 +77,11 @@ def _run_point(
     )
 
 
-def sweep_l(
-    n: int,
-    t: int,
-    l_values: Sequence[int],
-    adversary_factory: Optional[Callable[[], Adversary]] = None,
-) -> List[SweepPoint]:
+def sweep_l(n: int, t: int, l_values: Sequence[int]) -> List[SweepPoint]:
     """Measure total complexity across message lengths."""
-    return [_run_point(n, t, l, adversary_factory) for l in l_values]
+    return [_run_point(n, t, l) for l in l_values]
 
 
-def sweep_n(
-    n_values: Sequence[int],
-    l_bits: int,
-    adversary_factory: Optional[Callable[[], Adversary]] = None,
-) -> List[SweepPoint]:
+def sweep_n(n_values: Sequence[int], l_bits: int) -> List[SweepPoint]:
     """Measure total complexity across network sizes (t = ⌊(n-1)/3⌋)."""
-    return [
-        _run_point(n, (n - 1) // 3, l_bits, adversary_factory)
-        for n in n_values
-    ]
+    return [_run_point(n, (n - 1) // 3, l_bits) for n in n_values]

@@ -51,6 +51,7 @@ from repro.service.serving.wire import (
     runspec_to_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
+from repro.utils.boundary import check_int
 
 #: Transcript format identifier, bumped on any incompatible change.
 #: 3: instance and result in wire v3 (each distinct thing once).
@@ -403,10 +404,10 @@ class Transcript:
     @classmethod
     def from_wire(cls, payload: dict) -> "Transcript":
         """Exact inverse of :meth:`to_wire`; ``ValueError`` if malformed."""
-        version = _field(payload, "format", "transcript")
         # Exactly the int: 3.0 == 3, but it is stored, digested and
         # saved as the float it is.
-        if type(version) is not int or version != TRANSCRIPT_VERSION:
+        version = check_int(_field(payload, "format", "transcript"), "format")
+        if version != TRANSCRIPT_VERSION:
             raise ValueError(
                 "transcript format %r, expected format %d"
                 % (version, TRANSCRIPT_VERSION)

@@ -23,6 +23,10 @@ from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import substituted_inputs
 from repro.utils.bits import bits_to_int, int_to_bits
+from repro.utils.boundary import check_choice, check_input_value, check_int
+
+#: The binary-consensus substrates a baseline runs on.
+SUBSTRATES = ("ideal", "phase_king")
 
 
 @dataclass
@@ -47,10 +51,11 @@ class BitwiseConsensus:
         adversary: Optional[Adversary] = None,
         meter: Optional[BitMeter] = None,
     ):
+        for name, value in (("n", n), ("t", t), ("l_bits", l_bits)):
+            check_int(value, name)
+        check_choice(substrate, SUBSTRATES, "substrate")
         if n < 3 * t + 1:
             raise ValueError("binary consensus requires n >= 3t + 1")
-        if substrate not in ("ideal", "phase_king"):
-            raise ValueError("substrate must be 'ideal' or 'phase_king'")
         self.n = n
         self.t = t
         self.l_bits = l_bits
@@ -90,6 +95,8 @@ class BitwiseConsensus:
             raise ValueError(
                 "expected %d inputs, got %d" % (self.n, len(inputs))
             )
+        for value in inputs:
+            check_input_value(value, self.l_bits)
         bit_rows = {
             pid: int_to_bits(value, self.l_bits)
             for pid, value in substituted_inputs(

@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.baselines.bitwise import SUBSTRATES
 from repro.baselines.hashing import PolynomialHash
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
@@ -47,6 +48,7 @@ from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import bit_answer, substituted_inputs
 from repro.utils.bits import int_to_bits
+from repro.utils.boundary import check_choice, check_input_value, check_int
 
 
 @dataclass
@@ -77,10 +79,13 @@ class FitziHirtConsensus:
         adversary: Optional[Adversary] = None,
         meter: Optional[BitMeter] = None,
     ):
+        for name, value in (("n", n), ("t", t), ("l_bits", l_bits),
+                            ("kappa", kappa), ("key_seed", key_seed)):
+            check_int(value, name)
+        check_choice(substrate, SUBSTRATES, "substrate")
+        check_input_value(default_value, l_bits, "default_value")
         if n < 3 * t + 1:
             raise ValueError("requires n >= 3t + 1")
-        if substrate not in ("ideal", "phase_king"):
-            raise ValueError("substrate must be 'ideal' or 'phase_king'")
         self.n = n
         self.t = t
         self.l_bits = l_bits
@@ -194,6 +199,8 @@ class FitziHirtConsensus:
             raise ValueError(
                 "expected %d inputs, got %d" % (self.n, len(inputs))
             )
+        for value in inputs:
+            check_input_value(value, self.l_bits)
         view = self._view()
         honest = [
             pid for pid in range(self.n)

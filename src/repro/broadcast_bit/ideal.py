@@ -5,8 +5,8 @@ The paper's analysis treats the 1-bit broadcast as a black box of cost
 (Berman-Garay-Perry; Coan-Welch).  This backend models exactly that black
 box: the *outcome* obeys the broadcast contract (agreement always;
 validity for an honest source; a faulty source picks any single bit), and
-the *cost* charged to the meter is a configurable ``B(n)``, default
-``2·n²`` bits, which makes measured totals line up with Eq. (1)-(3).
+the *cost* charged to the meter is ``B(n) = 2·n²`` bits, which makes
+measured totals line up with Eq. (1)-(3).
 
 Using this backend is a substitution (``docs/BENCHMARKS.md``); the
 Phase-King backend provides the end-to-end error-free execution, and
@@ -15,7 +15,7 @@ benchmark E10 quantifies the gap between the two.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.processors.adversary import hook_is_default
@@ -53,11 +53,9 @@ class AccountedIdealBroadcast(BroadcastBackend):
         meter=None,
         adversary=None,
         view_provider=None,
-        b_function: Optional[Callable[[int], int]] = None,
     ):
         super().__init__(n, t, meter, adversary, view_provider)
-        self._b_function = b_function if b_function is not None else default_b
-        self._b = int(self._b_function(n))
+        self._b = default_b(n)
 
     def _broadcast_one(
         self, source: int, bit: int, tag: str, ignored: FrozenSet[int]

@@ -19,6 +19,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.utils.boundary import engine_int
+
 #: Standard primitive polynomials for GF(2^c), c = 1..16, written as bit
 #: masks including the leading term.  E.g. 0x11D = x^8+x^4+x^3+x^2+1 is the
 #: usual AES-adjacent choice for GF(256).
@@ -197,16 +199,28 @@ class GF:
         """Validate that every entry of ``values`` is a field element.
 
         Returns the array as ``int64``; raises :class:`GFElementError`
-        naming ``what`` otherwise: for an entry outside ``[0, 2^c)`` of
-        any size and for one that is not an integer (a float, or any
-        object without ``__index__``), so no value is ever truncated
-        or silently aliased to an element.  Used at matrix-construction
-        time and on every caller-supplied operand, so the table lookups
-        below can never index out of bounds.
+        naming ``what`` for an entry outside ``[0, 2^c)`` of any size or
+        one that is not an engine integer, so no value is ever truncated
+        or aliased to an element.  Used on every caller-supplied operand,
+        so the table lookups below never index out of bounds.
         """
         arr = np.asarray(values)
-        if arr.dtype.kind not in "biu":
-            arr = self._exact_elements(values, what)
+        # numpy reads True in a sequence as 1, so a sequence takes the
+        # typed path unless every entry is an exact int.
+        if arr.dtype.kind not in "iu" or (
+            arr is not values
+            and set(map(type, np.asarray(values, dtype=object).flat)) != {int}
+        ):
+            arr = np.asarray(values, dtype=object)
+            for value in arr.flat:
+                if type(value) is not int:
+                    engine_int(value, what + " entry", GFElementError)
+                if not 0 <= value < self.order:
+                    raise GFElementError(
+                        "%s contains value %d outside GF(2^%d)"
+                        % (what, value, self.c)
+                    )
+            arr = arr.astype(np.int64)
         # A negative entry shifts to -1, one of 2^c or more to >= 1.
         if (arr >> self._width).any():
             bad = arr[(arr < 0) | (arr >= self.order)].flat[0]
@@ -215,26 +229,6 @@ class GF:
                 % (what, int(bad), self.c)
             )
         return arr.astype(np.int64, copy=False)
-
-    def _exact_elements(self, values, what: str) -> np.ndarray:
-        """``check_array``'s path for values numpy did not type as
-        integers (a float, an int beyond 64 bits, any other object):
-        each entry, read as the object it is, must be an integer in
-        range."""
-        arr = np.asarray(values, dtype=object)
-        for value in arr.flat:
-            if not hasattr(value, "__index__"):
-                raise GFElementError(
-                    "%s contains non-integer %r, not an element of GF(2^%d)"
-                    % (what, value, self.c)
-                )
-            value = value.__index__()
-            if not 0 <= value < self.order:
-                raise GFElementError(
-                    "%s contains value %d outside GF(2^%d)"
-                    % (what, value, self.c)
-                )
-        return arr.astype(np.int64)
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field multiplication of two broadcastable arrays.

@@ -39,6 +39,7 @@ from repro.coding.reed_solomon import (
     FAR, DecodingError, ReedSolomonCode, agreement_answer, min_symbol_bits,
 )
 from repro.utils.bits import bit_matrix_to_ints, ints_to_bit_matrix
+from repro.utils.boundary import engine_int
 
 
 class InterleavedCode:
@@ -83,13 +84,9 @@ class InterleavedCode:
         symbols = list(symbols)
         for index, symbol in enumerate(symbols):
             if type(symbol) is not int:
-                # Integers only, read as the int they are: a float is
-                # not a symbol, however close to one.
-                if not hasattr(symbol, "__index__"):
-                    raise GFElementError(
-                        "symbol %r is not an integer" % (symbol,)
-                    )
-                symbol = symbols[index] = symbol.__index__()
+                symbol = symbols[index] = engine_int(
+                    symbol, "symbol", GFElementError
+                )
             if not 0 <= symbol < self.symbol_limit:
                 raise GFElementError(
                     "symbol %r outside [0, 2^%d)" % (symbol, self.symbol_bits)

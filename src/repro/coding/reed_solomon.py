@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.coding.gf import GF, GFElementError
+from repro.utils.boundary import engine_int
 
 
 class DecodingError(ValueError):
@@ -57,7 +58,7 @@ def agreement_answer(code, symbols: Dict[int, int], near: Sequence[int]):
 
     Positions and symbols are validated as an interpolation would:
     a position outside ``[0, n)`` is a :class:`ValueError`, and a symbol
-    that is not an integer, or lies outside ``[0, symbol_limit)``, a
+    that is not an engine integer, or lies outside ``[0, symbol_limit)``, a
     :class:`~repro.coding.gf.GFElementError`."""
     n, limit = code.n, code.symbol_limit
     agree = 0
@@ -65,9 +66,7 @@ def agreement_answer(code, symbols: Dict[int, int], near: Sequence[int]):
         if not 0 <= p < n:
             raise ValueError("position %d out of range [0, %d)" % (p, n))
         if type(value) is not int:
-            if not hasattr(value, "__index__"):
-                raise GFElementError("symbol %r is not an integer" % (value,))
-            value = value.__index__()
+            value = engine_int(value, "symbol", GFElementError)
         if not 0 <= value < limit:
             raise GFElementError(
                 "symbol %r outside [0, %d)" % (value, limit)
@@ -177,11 +176,13 @@ class ReedSolomonCode:
 
     # -- public API ---------------------------------------------------------
 
-    def _apply_logged(self, matrix_log: np.ndarray, values) -> np.ndarray:
+    def _apply_logged(
+        self, matrix_log: np.ndarray, values, what: str = "vector"
+    ) -> np.ndarray:
         """``matrix @ values`` for one of the code's own (logged)
         ``(n, k)`` matrices and a length-``k`` symbol vector: one
         matvec on field-width lanes."""
-        vec = self.field.check_array(values, "vector")
+        vec = self.field.check_array(values, what)
         if vec.ndim != 1 or vec.shape[0] != matrix_log.shape[1]:
             raise ValueError(
                 "shape mismatch: matrix %r, vector %r"
@@ -213,7 +214,7 @@ class ReedSolomonCode:
             raise ValueError(
                 "expected %d data symbols, got %d" % (self.k, len(data))
             )
-        return self._apply_logged(self._generator_log, data).tolist()
+        return self._apply_logged(self._generator_log, data, "data").tolist()
 
     # -- batched (row-stacked) API ------------------------------------------
     #

@@ -57,11 +57,12 @@ from repro.processors.answers import (
 )
 from repro.utils.bits import (
     bits_to_int,
-    check_input_value,
     int_to_bits,
-    is_exact_int,
     pack_symbols,
     unpack_symbols,
+)
+from repro.utils.boundary import (
+    check_choice, check_input_value, check_int, check_pid,
 )
 
 
@@ -93,6 +94,12 @@ class MultiValuedBroadcast:
         meter: Optional[BitMeter] = None,
         graph: Optional[DiagnosisGraph] = None,
     ):
+        check_int(n, "n")
+        check_int(l_bits, "l_bits")
+        check_int(t, "t", optional=True)
+        check_int(d_bits, "d_bits", optional=True)
+        check_choice(backend, BACKENDS, "backend")
+        check_input_value(default_value, l_bits, "default_value")
         if t is None:
             t = (n - 1) // 3
         if t < 0 or 3 * t >= n:
@@ -199,10 +206,7 @@ class MultiValuedBroadcast:
     def run(self, source: int, value: int) -> BroadcastResult:
         """Broadcast ``value`` from ``source``; every fault-free processor
         (including the source) ends with a decision."""
-        if not (is_exact_int(source) and 0 <= source < self.n):
-            raise ValueError("source %r is not a pid below %d" % (
-                source, self.n
-            ))
+        check_pid(source, self.n, "source")
         check_input_value(value, self.l_bits)
         honest = [
             pid for pid in range(self.n)

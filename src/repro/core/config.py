@@ -11,8 +11,8 @@ is given, and validates every constraint otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.analysis.complexity import optimal_d_feasible
 from repro.broadcast_bit.dolev_strong import DolevStrongBroadcast
@@ -23,7 +23,8 @@ from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.coding.interleaved import field_width, make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
-from repro.utils.bits import check_input_value, is_exact_int, unpack_symbols
+from repro.utils.bits import unpack_symbols
+from repro.utils.boundary import check_choice, check_input_value, check_int
 
 #: Registry of Broadcast_Single_Bit backends by config name.
 BACKENDS = {
@@ -37,19 +38,6 @@ BACKENDS = {
 #: Largest directly-supported field width; wider symbols interleave
 #: multiple GF(2^c) rows (see repro.coding.interleaved).
 MAX_SYMBOL_BITS = 16
-
-
-def check_exact_ints(derived=(), **fields) -> None:
-    """The exact-int rule (:func:`~repro.utils.bits.is_exact_int`) for a
-    deployment's integer fields: ``True`` is not 1, and neither ``7.0``
-    nor ``numpy.int64(7)`` is 7.  A field named in ``derived`` may be
-    ``None`` (:meth:`ConsensusConfig.create` derives it).  Raises
-    :class:`ValueError` naming the first field that breaks it."""
-    for name, value in fields.items():
-        if value is None and name in derived:
-            continue
-        if not is_exact_int(value):
-            raise ValueError("%s=%r is not an int" % (name, value))
 
 
 class ProtocolInvariantError(AssertionError):
@@ -82,16 +70,13 @@ class ConsensusConfig:
     #: ignored by the deterministic backends.
     coin_seed: int = 0
     allow_t_ge_n3: bool = False
-    b_function: Optional[Callable[[int], int]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self) -> None:
-        check_exact_ints(
-            n=self.n, t=self.t, l_bits=self.l_bits, d_bits=self.d_bits,
-            symbol_bits=self.symbol_bits, kappa=self.kappa,
-            coin_seed=self.coin_seed,
-        )
+        for name in (
+            "n", "t", "l_bits", "d_bits", "symbol_bits", "kappa", "coin_seed"
+        ):
+            check_int(getattr(self, name), name)
+        check_choice(self.backend, BACKENDS, "backend")
         if self.n < 4 and not self.allow_t_ge_n3:
             if self.t > 0:
                 raise ValueError(
@@ -130,11 +115,6 @@ class ConsensusConfig:
             )
         # Wide symbols must decompose into supported field widths.
         field_width(self.n, self.symbol_bits)
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                "unknown backend %r (choose from %s)"
-                % (self.backend, sorted(BACKENDS))
-            )
         if self.allow_t_ge_n3 and 3 * self.t >= self.n:
             backend_cls = BACKENDS[self.backend]
             if backend_cls.error_free:
@@ -182,8 +162,6 @@ class ConsensusConfig:
     def make_backend(self, meter, adversary, view_provider) -> BroadcastBackend:
         cls = BACKENDS[self.backend]
         kwargs = {}
-        if self.backend == "ideal" and self.b_function is not None:
-            kwargs["b_function"] = self.b_function
         if self.backend == "dolev_strong":
             kwargs["kappa"] = self.kappa
         if self.backend == "mostefaoui":
@@ -204,22 +182,20 @@ class ConsensusConfig:
         kappa: int = 16,
         coin_seed: int = 0,
         allow_t_ge_n3: bool = False,
-        b_function: Optional[Callable[[int], int]] = None,
     ) -> "ConsensusConfig":
         """Build a config, deriving ``t`` (max tolerable) and ``D``
         (paper-optimal, rounded feasible) when not given."""
-        check_exact_ints(
-            derived=("t", "d_bits"), n=n, l_bits=l_bits, t=t,
-            d_bits=d_bits, kappa=kappa, coin_seed=coin_seed,
-        )
+        check_int(n, "n")
+        check_int(l_bits, "l_bits")
+        check_int(t, "t", optional=True)
+        check_int(d_bits, "d_bits", optional=True)
         if t is None:
             t = (n - 1) // 3
         k = n - 2 * t
         if k < 1:
             raise ValueError("n - 2t must be >= 1 (n=%d, t=%d)" % (n, t))
         if d_bits is None:
-            b = float((b_function or default_b)(n))
-            d_bits = optimal_d_feasible(n, t, l_bits, b)
+            d_bits = optimal_d_feasible(n, t, l_bits, float(default_b(n)))
         symbol_bits = d_bits // k
         return cls(
             n=n,
@@ -232,7 +208,6 @@ class ConsensusConfig:
             kappa=kappa,
             coin_seed=coin_seed,
             allow_t_ge_n3=allow_t_ge_n3,
-            b_function=b_function,
         )
 
 

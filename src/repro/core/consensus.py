@@ -34,7 +34,8 @@ from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
-from repro.utils.bits import check_input_value, pack_symbols
+from repro.utils.bits import pack_symbols
+from repro.utils.boundary import check_input_value
 
 
 class MultiValuedConsensus:

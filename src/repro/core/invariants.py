@@ -60,7 +60,7 @@ def violations(
         broken.append("blames_only_faulty")
     if config.backend == "ideal":
         # D is a multiple of n - 2t, so every term is an exact integer.
-        b = int((config.b_function or default_b)(n))
+        b = default_b(n)
         d = Fraction(config.d_bits)
         per_diagnosis = complexity.diagnosis_stage_bits(n, t, d, b)
         if result.total_bits > complexity.failure_free_total_bits(

@@ -32,6 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
+from repro.utils.boundary import (
+    check_choice, check_int, check_pid, check_probability,
+)
 from repro.utils.rng import derive_seed
 
 #: Fault kinds a rule may inject.  ``partition`` is sugar: it compiles to
@@ -105,39 +108,34 @@ class FaultRule:
     groups: Optional[Tuple[FrozenSet[int], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                "unknown fault kind %r (choose from %s)"
-                % (self.kind, list(FAULT_KINDS))
-            )
-        if self.senders is not None:
-            object.__setattr__(self, "senders", frozenset(self.senders))
-        if self.receivers is not None:
-            object.__setattr__(self, "receivers", frozenset(self.receivers))
+        check_choice(self.kind, FAULT_KINDS, "fault kind")
+        for name in ("senders", "receivers"):
+            pids = getattr(self, name)
+            if pids is not None:
+                object.__setattr__(self, name, frozenset(
+                    check_int(pid, name) for pid in pids
+                ))
         if self.rounds is not None:
-            start, stop = self.rounds
+            start, stop = (check_int(r, "rounds") for r in self.rounds)
             if start < 0 or stop < start:
                 raise ValueError(
                     "rounds window must be 0 <= start <= stop, got %r"
                     % (self.rounds,)
                 )
-            object.__setattr__(self, "rounds", (int(start), int(stop)))
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                "probability must lie in [0, 1], got %r" % self.probability
-            )
-        if self.delay < 1:
-            raise ValueError("delay must be >= 1 round, got %d" % self.delay)
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1, got %d" % self.copies)
+            object.__setattr__(self, "rounds", (start, stop))
+        check_probability(self.probability, "probability")
+        for name in ("delay", "copies"):
+            if check_int(getattr(self, name), name) < 1:
+                raise ValueError("%s must be >= 1, got %d" % (
+                    name, getattr(self, name)
+                ))
         if self.kind == "partition":
             if not self.groups:
                 raise ValueError("a partition rule needs non-empty groups")
-            object.__setattr__(
-                self,
-                "groups",
-                tuple(frozenset(group) for group in self.groups),
-            )
+            object.__setattr__(self, "groups", tuple(
+                frozenset(check_int(pid, "groups") for pid in group)
+                for group in self.groups
+            ))
         elif self.groups is not None:
             raise ValueError("groups is only meaningful for kind='partition'")
 
@@ -172,6 +170,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
+        check_int(self.seed, "seed")
 
     def compile(self, n: int) -> "FaultSchedule":
         """Bind the plan to an ``n``-processor network."""
@@ -203,12 +202,7 @@ class FaultSchedule:
             membership = {}
             for index, group in enumerate(rule.groups):
                 for pid in group:
-                    if not 0 <= pid < n:
-                        raise ValueError(
-                            "partition pid %d out of range [0, %d)"
-                            % (pid, n)
-                        )
-                    if pid in membership:
+                    if check_pid(pid, n, "partition pid") in membership:
                         raise ValueError(
                             "pid %d appears in two partition groups" % pid
                         )

@@ -42,19 +42,21 @@ the worst case practical at ``n = 63`` and beyond (the exponential
 blow-up of the unpruned search was the asymptotic bottleneck of
 large-n fault-injection sweeps).
 
-Candidate pools are sets of vertex ids: each id goes through
-:func:`operator.index` (a ``bool`` is refused with :class:`TypeError`,
-so ``True`` never stands for vertex 1), a repeated id is one vertex,
-and answers are Python ints.
+Candidate pools are sets of vertex ids: each id is read by the
+engine-integer rule (:func:`repro.utils.boundary.engine_int`; a
+``bool`` or a float is refused with :class:`TypeError`, so ``True``
+never stands for vertex 1), a repeated id is one vertex, and answers
+are Python ints.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
+
+from repro.utils.boundary import engine_int
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,13 +70,8 @@ def lower_triangle(n: int) -> np.ndarray:
 
 
 def _vertex_id(v: object) -> int:
-    """A candidate id as a Python int: :func:`operator.index`, refusing
-    ``bool`` (an ``int`` to it, but never a vertex id)."""
-    if type(v) is int:
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("candidate %r is a bool, not a vertex id" % (v,))
-    return operator.index(v)
+    """A candidate id as a Python int: an engine integer, never a bool."""
+    return v if type(v) is int else engine_int(v, "candidate", TypeError)
 
 
 def find_clique_masks(

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.network.message import Message, SymbolBatch
 from repro.network.metrics import BitMeter
+from repro.utils.boundary import engine_int
 
 #: A round's journal order: receiver, sender, tag of a journal row.
 _JOURNAL_ORDER = itemgetter(2, 1, 3)
@@ -60,16 +61,6 @@ _JOURNAL_ORDER = itemgetter(2, 1, 3)
 #: changes every generation never hits, so a third slot holds only dead
 #: shapes (measured: 2 slots hit exactly as often as an unbounded table).
 _SHAPE_TABLE_SIZE = 2
-
-
-def _as_int(value: Any, field: str, error: type) -> int:
-    """``value`` as an ``int``: a Python int or a numpy integer, never a
-    ``bool`` or a float.  Anything else raises ``error``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise error("%s must be an int, got %r" % (field, value))
 
 
 class NetworkError(RuntimeError):
@@ -191,7 +182,8 @@ class SyncNetwork:
         self.fault_schedule = schedule
 
     def _check_pid(self, pid: int) -> int:
-        pid = _as_int(pid, "processor id", NetworkError)
+        if type(pid) is not int:
+            pid = engine_int(pid, "processor id", NetworkError)
         if not 0 <= pid < self.n:
             raise NetworkError("processor id %d out of range [0, %d)" % (pid, self.n))
         return pid
@@ -207,7 +199,8 @@ class SyncNetwork:
         """
         sender = self._check_pid(sender)
         receiver = self._check_pid(receiver)
-        bits = _as_int(bits, "bits", ValueError)
+        if type(bits) is not int:
+            bits = engine_int(bits, "bits")
         if sender == receiver:
             raise NetworkError(
                 "self-send: processor %d to itself in round %d"
@@ -348,7 +341,8 @@ class SyncNetwork:
                 "payload count %d does not match edge count %d"
                 % (len(payloads), senders.shape[0])
             )
-        bits = _as_int(bits, "bits", ValueError)
+        if type(bits) is not int:
+            bits = engine_int(bits, "bits")
         if bits < 0:
             raise ValueError("bits must be non-negative, got %d" % bits)
         if senders.shape[0] == 0:
@@ -546,8 +540,8 @@ class SyncNetwork:
         >>> net.meter.total_bits, net.round_index
         (24, 1)
         """
-        count = _as_int(count, "count", ValueError)
-        bits = _as_int(bits, "bits", ValueError)
+        count = engine_int(count, "count")
+        bits = engine_int(bits, "bits")
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)
         if bits < 0:

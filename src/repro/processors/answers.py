@@ -18,7 +18,7 @@ from typing import (
     AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-from repro.utils.bits import is_exact_int
+from repro.utils.boundary import is_exact_int
 
 
 class RowConstant:

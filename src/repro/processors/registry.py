@@ -41,6 +41,7 @@ from repro.processors.byzantine import (
     SymbolCorruptionAdversary,
     TrustPoisoningAdversary,
 )
+from repro.utils.boundary import check_choice, check_int, check_pid
 
 #: Signature of an entry's builder: ``(n, t, l_bits, faulty, seed)``;
 #: ``faulty`` is ``None`` when the caller wants the entry's default.
@@ -294,14 +295,13 @@ def make_attack(
         identical adversaries (the service layer relies on this to
         reconstruct adversaries inside executor processes).
     """
-    key = normalize_attack(name)
-    try:
-        entry = ATTACKS[key]
-    except KeyError:
-        raise ValueError(
-            "unknown attack %r (choose from %s)" % (name, sorted(ATTACKS))
-        )
+    entry = ATTACKS[check_choice(normalize_attack(name), ATTACKS, "attack")]
+    for arg, value in (("n", n), ("t", t), ("l_bits", l_bits), ("seed", seed)):
+        check_int(value, arg)
     if entry.byzantine and t < 1:
-        raise ValueError("attack %r needs t >= 1, got t=%d" % (key, t))
-    resolved = list(faulty) if faulty is not None else None
+        raise ValueError("attack %r needs t >= 1, got t=%d" % (entry.name, t))
+    resolved = (
+        [check_pid(pid, n, "faulty pid") for pid in faulty]
+        if faulty is not None else None
+    )
     return entry.build(n, t, l_bits, resolved, seed)

@@ -107,8 +107,8 @@ class ConsensusService:
                 % type(config_or_spec).__name__
             )
         #: Whether ``self.spec`` rebuilds ``self.config`` (a config's
-        #: ``coin_seed`` and ``b_function`` have no RunSpec field).
-        self._recordable = self.config.b_function is None and (
+        #: ``coin_seed`` has no RunSpec field).
+        self._recordable = (
             config_or_spec is self.spec
             or self.spec.make_config() == self.config
         )
@@ -332,8 +332,8 @@ class ConsensusService:
         if not self._recordable:
             raise ValueError(
                 "transcript recording needs a deployment its RunSpec "
-                "describes; this config's coin_seed or b_function has no "
-                "RunSpec field"
+                "describes; this config's coin_seed has no RunSpec "
+                "field"
             )
 
     def _coerce(

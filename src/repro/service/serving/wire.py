@@ -50,7 +50,7 @@ from repro.core.result import (
 )
 from repro.network.metrics import MeterSnapshot
 from repro.service.spec import InstanceSpec, RunSpec
-from repro.utils.bits import is_exact_int
+from repro.utils.boundary import check_int
 
 #: Wire protocol identifier, bumped on any incompatible codec change;
 #: the server advertises it in every ``ps`` response.  3: each distinct
@@ -85,14 +85,14 @@ def value_from_wire(text: str) -> int:
     return int(text, 16)
 
 
-def _at(table: list, index: int):
-    """``table[index]`` for an index read off the wire.  Python would
-    wrap a negative index and raise ``IndexError`` past the end, and
-    read ``true`` as index 1; on the wire each is one malformed payload,
-    a ``ValueError``."""
-    if not is_exact_int(index) or not 0 <= index < len(table):
+def _at(table: list, index: int, name: str):
+    """``table[index]`` for the index ``name`` read off the wire.
+    Python would wrap a negative index and raise ``IndexError`` past the
+    end, and read ``true`` as index 1; on the wire each is one malformed
+    payload, a ``ValueError`` naming the field."""
+    if not 0 <= check_int(index, name) < len(table):
         raise ValueError(
-            "index %r outside a table of %d entries" % (index, len(table))
+            "%s %r outside a table of %d entries" % (name, index, len(table))
         )
     return table[index]
 
@@ -161,7 +161,7 @@ def instance_from_wire(payload: dict) -> InstanceSpec:
     """Exact inverse of :func:`instance_to_wire`."""
     values = [value_from_wire(text) for text in payload["values"]]
     return InstanceSpec(
-        inputs=tuple(_at(values, slot) for slot in payload["inputs"]),
+        inputs=tuple(_at(values, i, "inputs") for i in payload["inputs"]),
         attack=payload.get("attack"),
         seed=payload.get("seed"),
         faulty=(
@@ -261,7 +261,7 @@ def result_from_wire(payload: dict) -> ConsensusResult:
         (
             outcome, groups, p_match, p_decide,
             removed_edges, isolated, detectors,
-        ) = _at(shapes, slot)
+        ) = _at(shapes, slot, "generations")
         generation_results.append(GenerationResult(
             generation=generation,
             outcome=outcome,
@@ -276,7 +276,7 @@ def result_from_wire(payload: dict) -> ConsensusResult:
     meter = payload["meter"]
     return ConsensusResult(
         decisions=_ungrouped(
-            pids, [_at(values, slot) for slot in decided]
+            pids, [_at(values, slot, "decisions") for slot in decided]
         ),
         generation_results=generation_results,
         meter=MeterSnapshot(
@@ -292,6 +292,6 @@ def result_from_wire(payload: dict) -> ConsensusResult:
         honest_inputs_equal=payload["honest_inputs_equal"],
         common_input=(
             None if payload["common_input"] is None
-            else _at(values, payload["common_input"])
+            else _at(values, payload["common_input"], "common_input")
         ),
     )

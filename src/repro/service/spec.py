@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.core.config import ConsensusConfig, check_exact_ints
+from repro.core.config import BACKENDS, ConsensusConfig
 from repro.processors.adversary import Adversary
 from repro.processors.registry import (
     ATTACKS,
@@ -30,7 +30,9 @@ from repro.processors.registry import (
     make_attack,
     normalize_attack,
 )
-from repro.utils.bits import check_input_value, is_exact_int
+from repro.utils.boundary import (
+    check_choice, check_input_value, check_int, check_pid,
+)
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,18 @@ class RunSpec:
     batch_generations: bool = True
 
     def __post_init__(self):
-        # The config's exact-int rule, at construction: a spec that can
-        # never make a config fails where it is written.
-        check_exact_ints(
-            derived=("t", "d_bits"), n=self.n, l_bits=self.l_bits,
-            t=self.t, d_bits=self.d_bits, default_value=self.default_value,
-            kappa=self.kappa, seed=self.seed,
-        )
+        # A spec that can never make a config fails where it is written;
+        # faulty pids and the attack are checked where an instance enters.
+        for name in ("n", "l_bits", "default_value", "kappa", "seed"):
+            check_int(getattr(self, name), name)
+        check_int(self.t, "t", optional=True)
+        check_int(self.d_bits, "d_bits", optional=True)
+        check_choice(self.backend, BACKENDS, "backend")
         object.__setattr__(self, "attack", normalize_attack(self.attack))
         if self.faulty is not None:
             object.__setattr__(self, "faulty", tuple(self.faulty))
+            for pid in self.faulty:
+                check_int(pid, "faulty pid")
 
     @property
     def resolved_t(self) -> int:
@@ -105,10 +109,9 @@ class RunSpec:
 
     @classmethod
     def from_config(cls, config: ConsensusConfig) -> "RunSpec":
-        """Describe an existing config (``b_function`` and
-        ``coin_seed`` excepted — the one is a live callable, the other
-        has no field here, as adding one would change the wire; configs
-        setting either stay usable in-process but cannot cross a process
+        """Describe an existing config (``coin_seed`` excepted: it has
+        no field here, as adding one would change the wire; a config
+        setting it stays usable in-process but cannot cross a process
         boundary or be recorded)."""
         return cls(
             n=config.n,
@@ -171,23 +174,16 @@ class InstanceSpec:
                 "instance carries %d inputs for an n=%d deployment"
                 % (len(self.inputs), spec.n)
             )
-        if self.seed is not None and not is_exact_int(self.seed):
-            raise ValueError("seed %r is not an int" % (self.seed,))
+        check_int(self.seed, "seed", optional=True)
         for value in self.inputs:
             check_input_value(value, spec.l_bits)
-        attack = self.attack if self.attack is not None else spec.attack
-        if attack not in ATTACKS:
-            raise ValueError(
-                "unknown attack %r (choose from %s)"
-                % (attack, sorted(ATTACKS))
-            )
+        check_choice(
+            self.attack if self.attack is not None else spec.attack,
+            ATTACKS, "attack",
+        )
         faulty = self.faulty if self.faulty is not None else spec.faulty
         for pid in faulty or ():
-            if not is_exact_int(pid) or not 0 <= pid < spec.n:
-                raise ValueError(
-                    "faulty pid %r is not a processor of an n=%d deployment"
-                    % (pid, spec.n)
-                )
+            check_pid(pid, spec.n, "faulty pid")
         if (
             faulty
             and not spec.allow_t_ge_n3

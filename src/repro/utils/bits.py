@@ -24,32 +24,6 @@ import numpy as np
 _VECTOR_THRESHOLD_BITS = 64
 
 
-def is_exact_int(value: object) -> bool:
-    """True iff ``value`` is exactly ``int`` — not ``bool``, not a numpy
-    integer.
-
-    The payload-validation predicate of every protocol engine: a
-    Byzantine payload of ``True`` passes ``isinstance(x, int)`` *and* the
-    ``0 <= x < limit`` range check, so it would masquerade as the symbol
-    ``1``; an exact type check keeps non-symbol payloads out.
-    """
-    return type(value) is int
-
-
-def check_input_value(
-    value: object, l_bits: int, what: str = "input value"
-) -> None:
-    """The one input rule of a run, one-shot or served, and of a
-    config's default value: an exact ``int`` in ``[0, 2^l_bits)``, else
-    a :class:`ValueError` naming it as ``what``."""
-    if not is_exact_int(value):
-        raise ValueError("%s %r is not an int" % (what, value))
-    if value < 0 or value >> l_bits:
-        raise ValueError(
-            "%s %#x does not fit in l_bits=%d" % (what, value, l_bits)
-        )
-
-
 def _bit_array(value: int, width: int) -> np.ndarray:
     """``width`` bits of ``value`` as a uint8 array, MSB first."""
     if width == 0:

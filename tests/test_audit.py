@@ -172,9 +172,8 @@ def test_record_refuses_live_adversary():
     "extra, attack",
     [
         (dict(backend="mostefaoui", coin_seed=17), "random"),
-        (dict(b_function=lambda n: 3 * n * n), "crash"),
     ],
-    ids=["coin_seed", "b_function"],
+    ids=["coin_seed"],
 )
 def test_record_refuses_a_config_its_spec_cannot_rebuild(extra, attack):
     """A transcript carries the service's ``RunSpec`` and ``prove()``

@@ -21,7 +21,7 @@ from repro.network import (
     SyncNetwork,
 )
 from repro.processors.adversary import Adversary
-from repro.utils.bits import is_exact_int
+from repro.utils.boundary import is_exact_int
 from tests.conftest import typed_rows
 
 

@@ -166,15 +166,6 @@ class TestAccounting:
         backend.broadcast_bits(source=0, bits=[1, 0, 1], tag="x")
         assert meter.total_bits == 3 * 2 * 36
 
-    def test_ideal_custom_b_function(self):
-        meter = BitMeter()
-        backend = AccountedIdealBroadcast(
-            n=6, t=1, meter=meter, b_function=lambda n: 10 * n
-        )
-        backend.broadcast_bit(source=0, bit=1, tag="x")
-        assert meter.total_bits == 60
-        assert backend.bits_per_instance() == 60
-
     def test_phase_king_within_worst_case(self):
         meter = BitMeter()
         backend = PhaseKingBroadcast(n=7, t=2, meter=meter)

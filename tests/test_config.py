@@ -195,16 +195,6 @@ class TestFactories:
         backend = config.make_backend(BitMeter(), Adversary(), None)
         assert backend.name == name
 
-    def test_custom_b_function_passed_to_ideal(self):
-        config = ConsensusConfig.create(
-            n=7, t=2, l_bits=8, b_function=lambda n: 5 * n
-        )
-        from repro.network.metrics import BitMeter
-        from repro.processors import Adversary
-
-        backend = config.make_backend(BitMeter(), Adversary(), None)
-        assert backend.bits_per_instance() == 35
-
     def test_frozen(self):
         config = ConsensusConfig.create(n=7, t=2, l_bits=8)
         with pytest.raises(Exception):

@@ -93,6 +93,7 @@ def test_agreement_rule_refuses_what_interpolation_refuses(interleave):
     near = code.encode(list(range(1, code.k + 1)))
     for bad, error in (
         ({**dict(enumerate(near)), 6: 1.0}, GFElementError),
+        ({**dict(enumerate(near)), 6: True}, GFElementError),
         ({**dict(enumerate(near)), 6: code.symbol_limit}, GFElementError),
         ({**dict(enumerate(near)), 7: near[0]}, ValueError),
     ):

@@ -173,6 +173,13 @@ class TestNonSymbolsRefused:
         with pytest.raises(GFElementError):
             code.encode([1 << code.symbol_bits, 0, 0])
 
+    def test_bool_symbol_refused(self, code):
+        # True is not the symbol 1, in a data part or a received word.
+        with pytest.raises(GFElementError):
+            code.encode([True, 2, 3])
+        with pytest.raises(GFElementError):
+            code.decode_subset({0: True, 1: 2, 2: 3})
+
     def test_numpy_integers_read_as_ints(self, code):
         word = code.encode([1, 2, 3])
         symbols = {p: np.int64(word[p]) for p in (0, 3, 5)}

@@ -140,15 +140,6 @@ def test_agreement_and_envelope_bind_only_their_backends():
     assert invariants.violations(probabilistic, INPUTS, split) == []
 
 
-def test_b_function_sets_the_envelope():
-    """B is the config's ``b_function``: at B = 1 the default-B
-    failure-free total breaks the envelope."""
-    cheap = ConsensusConfig.create(
-        n=4, t=1, l_bits=24, d_bits=8, b_function=lambda n: 1
-    )
-    assert invariants.violations(cheap, INPUTS, run()) == ["bit_envelope"]
-
-
 def test_a_false_detection_isolates_without_removing_an_edge():
     """A diagnosis removes an edge *or isolates a processor*: the false
     accuser of ``false_detect`` is isolated and no edge is recorded."""

@@ -16,6 +16,11 @@ The judge of Theorem 1 (``core/invariants.py``) stays independent of
 what it judges: it imports configuration, result records, Eq. (1) and
 ``B(n)``, and no engine, round, diagnosis, clique, coding or service
 module, so a bug in shared stage code cannot hide from its own check.
+
+``repro.utils``, where the boundary rules live, imports nothing else
+of the package.  Every argument of a constructor or run-like method of
+a class the boundary table (``tests/boundary_table.py``) lists has a
+row there, so a new public argument cannot arrive without a rule.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ def upward_imports(source: str, module: str):
     ]
 
 
-def _lower_modules():
-    for package in LOWER:
+def _lower_modules(packages=LOWER):
+    for package in packages:
         for path in sorted((SOURCE / package).rglob("*.py")):
             parts = path.relative_to(SOURCE.parent).with_suffix("").parts
             if parts[-1] == "__init__":
@@ -124,6 +129,16 @@ def test_protocol_packages_never_import_the_service():
     # Every allowlisted exception is still taken: a dropped import
     # retires its line.
     assert {_allowed(*entry) for entry in found} == ALLOWED
+
+
+def test_utils_imports_nothing_above_it():
+    # The boundary rules live in repro.utils, which every package reads.
+    assert [
+        (scope, target) for module, source in _lower_modules(("utils",))
+        for scope, target in imports(source, module)
+        if target.split(".")[0] == "repro"
+        and not target.startswith("repro.utils")
+    ] == []
 
 
 @pytest.mark.parametrize(
@@ -199,3 +214,94 @@ def test_the_walk_finds_stage_code_in_the_judge():
         "from . import rounds\n"
         "def f():\n    from repro.coding.reed_solomon import FAR\n"
     ) == ["repro.coding.reed_solomon", "repro.core.rounds"]
+
+
+#: Methods that take a run's arguments, beside the constructor.
+RUN_LIKE = frozenset(
+    {"create", "run", "run_many", "submit", "record", "validate"}
+)
+
+
+def _parameters(function: ast.FunctionDef):
+    arguments = function.args
+    names = [
+        arg.arg for arg in (
+            arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        )
+    ]
+    return [name for name in names if name not in ("self", "cls")]
+
+
+def boundary_parameters(source: str, name: str):
+    """``(callable, argument)`` of every parameter of class ``name``'s
+    constructor (a dataclass's fields, or ``__init__``) and of its
+    run-like methods, in ``source``."""
+    [cls] = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    ]
+    found = []
+    if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        found.extend(
+            (name, node.target.id) for node in cls.body
+            if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and "ClassVar" not in ast.unparse(node.annotation)
+        )
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and (
+            node.name in RUN_LIKE or node.name == "__init__"
+        ):
+            found.extend(
+                ("%s.%s" % (name, node.name), argument)
+                for argument in _parameters(node)
+            )
+    return found
+
+
+def _listed_classes():
+    """``dotted class path -> arguments with a row``, for every class
+    whose constructor or a run-like method is a table entry."""
+    from tests.boundary_table import TABLE
+
+    listed = {}
+    for row in TABLE:
+        path, _, last = row.entry.rpartition(".")
+        if last in RUN_LIKE:
+            listed.setdefault(path, set()).add(row.argument)
+        elif last[0].isupper():
+            listed.setdefault(row.entry, set()).add(row.argument)
+    return listed
+
+
+def test_every_boundary_argument_has_a_row():
+    missing = []
+    for path, rows in sorted(_listed_classes().items()):
+        module, _, name = path.rpartition(".")
+        source = SOURCE.parent.joinpath(*module.split(".")).with_suffix(
+            ".py"
+        ).read_text(encoding="utf-8")
+        missing.extend(
+            "%s.%s(%s)" % (module, where, argument)
+            for where, argument in boundary_parameters(source, name)
+            if argument not in rows
+        )
+    assert missing == []
+
+
+def test_the_walk_finds_every_boundary_parameter():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    n: int\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "    def run(self, inputs, *, seed=0):\n        pass\n"
+        "    def helper(self, other):\n        pass\n"
+        "class Other:\n"
+        "    def __init__(self, t):\n        pass\n"
+    )
+    assert boundary_parameters(source, "Spec") == [
+        ("Spec", "n"), ("Spec.run", "inputs"), ("Spec.run", "seed"),
+    ]
+    assert boundary_parameters(source, "Other") == [("Other.__init__", "t")]

@@ -71,9 +71,9 @@ class TestHonestBroadcast:
         (0, True, "True is not an int"),
         (0, 5.0, "5.0 is not an int"),
         (0, np.int64(5), "is not an int"),
-        (True, 5, "source True is not a pid"),
-        (1.0, 5, "source 1.0 is not a pid"),
-        (np.int64(1), 5, "is not a pid"),
+        (True, 5, "source True is not a processor"),
+        (1.0, 5, "source 1.0 is not a processor"),
+        (np.int64(1), 5, "is not a processor"),
     ], ids=[
         "bool_value", "float_value", "numpy_value", "bool_source",
         "float_source", "numpy_source",

@@ -274,6 +274,14 @@ class TestNonSymbolsRefused:
         with pytest.raises(GFElementError):
             code.encode([huge, 0, 0])
 
+    def test_bool_symbol_is_not_the_element_1(self, code):
+        with pytest.raises(GFElementError):
+            code.encode([True, 2, 3])
+        with pytest.raises(GFElementError):
+            code.decode_subset({0: True, 1: 2, 2: 3})
+        with pytest.raises(GFElementError):
+            code.encode_many(np.array([[True, False, True]]))
+
     def test_float_data_refused_by_the_batched_encoders(self, code):
         with pytest.raises(GFElementError):
             code.encode_generations([[1, 2, 3.5]])

@@ -84,6 +84,18 @@ class TestSweeps:
         points = sweep_n([4, 7], l_bits=512)
         assert [(point.n, point.t) for point in points] == [(4, 1), (7, 2)]
 
+    def test_sweep_rows_are_pinned(self):
+        # Each point runs its declarative instance on the service's keyed
+        # context; the rows are those the live-adversary points gave.
+        rows = [
+            (p.n, p.t, p.l_bits, p.d_bits, p.generations, p.total_bits)
+            for p in sweep_l(7, 2, [256, 4096]) + sweep_n([4, 10], 512)
+        ]
+        assert rows == [
+            (7, 2, 256, 33, 8, 38192), (7, 2, 4096, 135, 31, 192262),
+            (4, 1, 512, 48, 11, 7744), (10, 3, 512, 48, 11, 216480),
+        ]
+
 
 class TestCli:
     def test_consensus_exit_zero(self, capsys):
