@@ -136,31 +136,35 @@ def optimal_d(n: int, t: int, l_bits: float, b: float) -> float:
     return math.sqrt(numerator / denominator)
 
 
-def optimal_d_feasible(n: int, t: int, l_bits: int, b: float) -> int:
-    """Optimal D rounded to a feasible value.
+def feasible_width(target: float, k: int, c_min: int, l_bits: int) -> int:
+    """The symbol width nearest ``target`` that our codes represent.
 
-    Feasibility: ``D = w (n - 2t)`` for an integer symbol width ``w`` that
-    is representable by our codes — either a direct field width
-    (``c_min <= w <= 16``) or a multiple of the minimal field width
-    (interleaved rows) — with ``D <= L`` when possible.
+    Either a direct field width (``c_min <= w <= 16``) or a multiple of
+    the minimal field width (interleaved rows), stepped down while the
+    ``k``-symbol generation exceeds ``l_bits`` (a single generation
+    suffices then).  Algorithm 1 and the §4 broadcast size D by it.
     """
-    _validate(n, t)
-    if l_bits < 1:
-        raise ValueError("l_bits must be positive, got %d" % l_bits)
-    k = n - 2 * t
-    c_min = min_symbol_bits(n)
-    target = optimal_d(n, t, l_bits, b) / k
     if target <= 16:
         width = max(c_min, min(16, int(round(target)) or 1))
     else:
         width = max(1, int(round(target / c_min))) * c_min
-    # Never exceed L (a single generation suffices then).
     while width > c_min and width * k > l_bits:
         if width > 16 and width - c_min >= c_min:
             width -= c_min
         else:
             width = max(c_min, min(width - 1, 16))
-    return width * k
+    return width
+
+
+def optimal_d_feasible(n: int, t: int, l_bits: int, b: float) -> int:
+    """Optimal D rounded to a feasible value: ``D = w (n - 2t)`` for the
+    :func:`feasible_width` ``w`` nearest ``D*/(n - 2t)``."""
+    _validate(n, t)
+    if l_bits < 1:
+        raise ValueError("l_bits must be positive, got %d" % l_bits)
+    k = n - 2 * t
+    target = optimal_d(n, t, l_bits, b) / k
+    return feasible_width(target, k, min_symbol_bits(n), l_bits) * k
 
 
 def consensus_total_bits_optimal(

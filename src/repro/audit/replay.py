@@ -47,9 +47,9 @@ from repro.processors.adversary import (
     PID_HOOKS, Adversary, GlobalView, hook_is_default,
 )
 from repro.processors.answers import (
-    bit_answer, codeword_symbols, diagnosis_symbol_value, input_value_of,
-    m_row_bits, matching_row_payloads, message_bit, received_symbol,
-    trust_row_bits,
+    bit_answer, codeword_symbols, delivery_value_of, diagnosis_symbol_value,
+    input_value_of, m_row_bits, matching_row_payloads, message_bit,
+    received_symbol, trust_row_bits,
 )
 
 #: Hooks whose deviations are observable protocol misbehavior.  Input
@@ -174,6 +174,8 @@ def _read(hook: str, view: GlobalView, honest: Any, answer: Any) -> Any:
         return bit_answer(hook, answer)
     if hook == "input_value":
         return input_value_of(answer, view.extras["l_bits"])
+    if hook == "delivery_value":
+        return delivery_value_of(answer, view.extras["l_bits"])
     if hook == "coin_reveal":
         return answer
     code = view.extras.get("code")

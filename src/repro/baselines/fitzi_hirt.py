@@ -45,9 +45,11 @@ from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
 from repro.core.result import ConsensusOutcome, ground_truth
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView
-from repro.processors.answers import bit_answer, substituted_inputs
-from repro.utils.bits import int_to_bits
+from repro.processors.adversary import Adversary, GlobalView, hook_is_default
+from repro.processors.answers import (
+    bit_answer, delivery_value_of, substituted_inputs,
+)
+from repro.utils.bits import int_to_bits, join_symbols, split_symbols
 from repro.utils.boundary import check_choice, check_input_value, check_int
 
 
@@ -142,28 +144,6 @@ class FitziHirtConsensus:
             ))
         return flag
 
-    def _as_symbols(self, value: int) -> List[int]:
-        """Split an L-bit value into the k data symbols of the code."""
-        k, c = self.code.k, self.symbol_bits
-        padded = k * c
-        bits = int_to_bits(value, self.l_bits) + [0] * (padded - self.l_bits)
-        return [
-            sum(
-                bit << (c - 1 - i)
-                for i, bit in enumerate(bits[s * c:(s + 1) * c])
-            )
-            for s in range(k)
-        ]
-
-    def _from_symbols(self, symbols: List[int]) -> int:
-        bits: List[int] = []
-        for symbol in symbols:
-            bits.extend(int_to_bits(symbol, self.symbol_bits))
-        candidate = 0
-        for bit in bits[: self.l_bits]:
-            candidate = (candidate << 1) | bit
-        return candidate
-
     def _recover(self, symbols, agreed_digest: int, key: int) -> int:
         """Decode a candidate value whose digest matches the agreement.
 
@@ -176,8 +156,9 @@ class FitziHirtConsensus:
 
         k = self.code.k
         if len(symbols) >= k and self.code.is_consistent(symbols):
-            candidate = self._from_symbols(
-                self.code.decode_subset(symbols)
+            candidate = join_symbols(
+                self.code.decode_subset(symbols), self.symbol_bits,
+                self.l_bits,
             )
             if self.hash_family.digest(candidate, key) == agreed_digest:
                 return candidate
@@ -188,7 +169,7 @@ class FitziHirtConsensus:
                 )
             except (DecodingError, ValueError):
                 continue
-            candidate = self._from_symbols(data)
+            candidate = join_symbols(data, self.symbol_bits, self.l_bits)
             if self.hash_family.digest(candidate, key) == agreed_digest:
                 return candidate
         return self.default_value
@@ -268,21 +249,20 @@ class FitziHirtConsensus:
             if happy[pid]:
                 decisions[pid] = effective[pid]
 
+        # A faulty happy sender delivers what its ``delivery_value``
+        # answers; the hook is asked only where it is overridden.
+        forging = not hook_is_default(self.adversary, "delivery_value")
         delivered_symbols: Dict[int, int] = {}
         for sender in happy_set:
-            symbol = self.code.encode(
-                self._as_symbols(effective[sender])
+            value = effective[sender]
+            if forging and self.adversary.controls(sender):
+                value = delivery_value_of(
+                    self.adversary.delivery_value(sender, value, view),
+                    self.l_bits,
+                )
+            delivered_symbols[sender] = self.code.encode(
+                split_symbols(value, self.l_bits, c, k)
             )[sender]
-            if self.adversary.controls(sender):
-                forged_hook = getattr(self.adversary, "delivery_value", None)
-                if forged_hook is not None:
-                    forged_value = forged_hook(
-                        sender, effective[sender], view
-                    ) % (1 << self.l_bits)
-                    symbol = self.code.encode(
-                        self._as_symbols(forged_value)
-                    )[sender]
-            delivered_symbols[sender] = symbol
 
         unhappy_honest = [pid for pid in honest if not happy[pid]]
         self.meter.add(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.coding.gf import GF
-from repro.utils.bits import bits_to_int, int_to_bits
+from repro.utils.bits import join_symbols, split_symbols
 
 
 class PolynomialHash:
@@ -44,19 +44,11 @@ class PolynomialHash:
         first becomes m_0; zero-padded on the right)."""
         if value < 0 or value >> self.l_bits:
             raise ValueError("value does not fit in %d bits" % self.l_bits)
-        padded = self.chunks * self.kappa
-        bits = int_to_bits(value, self.l_bits) + [0] * (padded - self.l_bits)
-        return [
-            bits_to_int(bits[i * self.kappa:(i + 1) * self.kappa])
-            for i in range(self.chunks)
-        ]
+        return split_symbols(value, self.l_bits, self.kappa, self.chunks)
 
     def value_from_coefficients(self, coeffs: List[int]) -> int:
         """Inverse of :meth:`coefficients` (truncates padding)."""
-        bits: List[int] = []
-        for coeff in coeffs:
-            bits.extend(int_to_bits(coeff, self.kappa))
-        return bits_to_int(bits[: self.l_bits])
+        return join_symbols(coeffs, self.kappa, self.l_bits)
 
     def digest(self, value: int, key: int) -> int:
         """``h_key(value)``: evaluate the chunk polynomial at ``key``."""

@@ -21,6 +21,7 @@ from repro.broadcast_bit.interface import BroadcastBackend
 from repro.processors.adversary import hook_is_default
 from repro.processors.answers import bit_answer
 from repro.utils.bits import PackedBits
+from repro.utils.boundary import check_pid
 
 
 def default_b(n: int) -> int:
@@ -122,9 +123,9 @@ class AccountedIdealBroadcast(BroadcastBackend):
         """The one row loop behind every batched entry point.
 
         ``rows`` is a sequence of ``(source, bits)``; returns each row's
-        single outcome.  The source range
-        and (with ``validate``) every bit are checked first, as the
-        scalar loop does; then an ignored source yields a zero row
+        single outcome.  The source (the pid rule) and (with
+        ``validate``) every bit are checked first, as the scalar loop
+        does; then an ignored source yields a zero row
         without charges or hooks, and the call writes one summed meter
         entry for the rest.
 
@@ -145,8 +146,8 @@ class AccountedIdealBroadcast(BroadcastBackend):
         total = 0
         for source, bits in rows:
             packed = isinstance(bits, PackedBits)
-            if not 0 <= source < self.n:
-                raise ValueError("source %d out of range" % source)
+            if type(source) is not int or not 0 <= source < self.n:
+                check_pid(source, self.n, "source")
             if validate and not packed:
                 bits = list(bits)
                 for bit in bits:

@@ -22,6 +22,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.network.metrics import BitMeter
 from repro.processors.adversary import Adversary, GlobalView
 from repro.processors.answers import message_bit
+from repro.utils.boundary import check_pid
 
 @dataclass
 class BroadcastStats:
@@ -135,8 +136,8 @@ class BroadcastBackend(abc.ABC):
         """
         if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1, got %r" % (bit,))
-        if not 0 <= source < self.n:
-            raise ValueError("source %d out of range" % source)
+        if type(source) is not int or not 0 <= source < self.n:
+            check_pid(source, self.n, "source")
         if source in ignored:
             return {pid: 0 for pid in range(self.n)}
         result = self._broadcast_one(source, bit, tag, ignored)

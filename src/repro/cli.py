@@ -50,6 +50,7 @@ from repro.analysis.sweeps import sweep_l
 from repro.baselines import BitwiseConsensus, FitziHirtConsensus
 from repro.broadcast_bit.ideal import default_b
 from repro.core import MultiValuedBroadcast
+from repro.core.config import BACKENDS
 from repro.processors import normalize_attack
 from repro.processors import ATTACKS as _ATTACKS
 from repro.service import ConsensusService, InstanceSpec, RunSpec
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l-bits", type=int, default=256,
                        help="value length in bits")
         p.add_argument("--backend", default="ideal",
-                       choices=["ideal", "phase_king", "eig"],
+                       choices=sorted(BACKENDS),
                        help="Broadcast_Single_Bit backend")
         p.add_argument("--attack", default="none", type=normalize_attack,
                        choices=sorted(_ATTACKS),

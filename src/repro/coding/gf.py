@@ -136,6 +136,12 @@ class GF:
     # -- scalar operations -------------------------------------------------
 
     def _check(self, value: int) -> int:
+        """``value`` as a field element: an engine integer (never a bool
+        or a float) in ``[0, 2^c)``, as ``check_array`` reads one."""
+        if type(value) is not int:
+            value = engine_int(
+                value, "GF(2^%d) element" % self.c, GFElementError
+            )
         if not 0 <= value < self.order:
             raise GFElementError(
                 "value %r outside GF(2^%d)" % (value, self.c)
@@ -150,16 +156,16 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via log tables."""
-        self._check(a)
-        self._check(b)
+        a = self._check(a)
+        b = self._check(b)
         if a == 0 or b == 0:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
     def div(self, a: int, b: int) -> int:
         """Field division; raises :class:`GFElementError` on divide-by-zero."""
-        self._check(a)
-        self._check(b)
+        a = self._check(a)
+        b = self._check(b)
         if b == 0:
             raise GFElementError("division by zero in GF(2^%d)" % self.c)
         if a == 0:
@@ -174,7 +180,7 @@ class GF:
 
     def pow(self, a: int, e: int) -> int:
         """Raise ``a`` to the integer power ``e`` (``e`` may be negative)."""
-        self._check(a)
+        a = self._check(a)
         if a == 0:
             if e == 0:
                 return 1
@@ -189,7 +195,7 @@ class GF:
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """Evaluate a polynomial with ``coeffs[i]`` the coefficient of x^i."""
-        self._check(x)
+        x = self._check(x)
         acc = 0
         for coeff in reversed(list(coeffs)):
             acc = self.mul(acc, x) ^ self._check(coeff)
@@ -309,8 +315,7 @@ class GF:
         points = self.check_array(np.asarray(list(xs)), "points")
         acc = np.zeros_like(points)
         for coeff in reversed(list(coeffs)):
-            self._check(coeff)
-            acc = self.mul_many(acc, points) ^ coeff
+            acc = self.mul_many(acc, points) ^ self._check(coeff)
         return acc
 
     def lagrange_interpolate(

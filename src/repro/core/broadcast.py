@@ -41,7 +41,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.complexity import broadcast_optimal_d
+from repro.analysis.complexity import broadcast_optimal_d, feasible_width
 from repro.broadcast_bit.ideal import default_b
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
@@ -56,10 +56,7 @@ from repro.processors.answers import (
     trust_row_bits, wire_payload,
 )
 from repro.utils.bits import (
-    bits_to_int,
-    int_to_bits,
-    pack_symbols,
-    unpack_symbols,
+    bits_to_int, int_to_bits, join_symbols, split_symbols,
 )
 from repro.utils.boundary import (
     check_choice, check_input_value, check_int, check_pid,
@@ -110,19 +107,8 @@ class MultiValuedBroadcast:
             raise ValueError("need n - 1 - t >= 1")
         c_min = min_symbol_bits(peers)
         if d_bits is None:
-            b = float(default_b(n))
-            target = broadcast_optimal_d(n, t, l_bits, b) / k
-            if target <= 16:
-                width = max(c_min, min(16, int(round(target)) or 1))
-            else:
-                width = max(1, int(round(target / c_min))) * c_min
-            while width > c_min and width * k > l_bits:
-                width = (
-                    width - c_min
-                    if width > 16
-                    else max(c_min, min(width - 1, 16))
-                )
-            d_bits = width * k
+            target = broadcast_optimal_d(n, t, l_bits, float(default_b(n)))
+            d_bits = feasible_width(target / k, k, c_min, l_bits) * k
         if d_bits % k:
             raise ValueError(
                 "d_bits=%d not a multiple of n-1-t=%d" % (d_bits, k)
@@ -168,23 +154,11 @@ class MultiValuedBroadcast:
         the source loses diagnosis-graph edges (see ``_generation_code``).
         """
         check_input_value(value, self.l_bits)
-        padded = self.generations * self.d_bits
-        shifted = value << (padded - self.l_bits)
-        symbols = unpack_symbols(
-            shifted, self.generations * self.k, self.symbol_bits
+        k = self.k
+        symbols = split_symbols(
+            value, self.l_bits, self.symbol_bits, self.generations * k
         )
-        return [
-            symbols[g * self.k:(g + 1) * self.k]
-            for g in range(self.generations)
-        ]
-
-    def value_of(self, parts: Sequence[Sequence[int]]) -> int:
-        symbols = [symbol for part in parts for symbol in part]
-        total_bits = len(symbols) * self.symbol_bits
-        packed = pack_symbols(symbols, self.symbol_bits)
-        if total_bits > self.l_bits:
-            return packed >> (total_bits - self.l_bits)
-        return packed
+        return [symbols[g * k:(g + 1) * k] for g in range(self.generations)]
 
     def _generation_code(self, m: int, k: int):
         """The (m, k) code for a generation with ``m`` live positions.
@@ -224,10 +198,8 @@ class MultiValuedBroadcast:
         # generation consumes k_g of them.
         c = self.symbol_bits
         count = -(-self.l_bits // c)
-        stream = unpack_symbols(
-            value << (count * c - self.l_bits), count, c
-        )
-        decided: Dict[int, List[Sequence[int]]] = {pid: [] for pid in honest}
+        stream = split_symbols(value, self.l_bits, c, count)
+        decided: Dict[int, List[int]] = {pid: [] for pid in honest}
         diagnosis_count = 0
         removed_edges_total: List[Tuple[int, int]] = []
         default_used = False
@@ -267,13 +239,13 @@ class MultiValuedBroadcast:
                 default_used = True
                 break
             for pid in honest:
-                decided[pid].append(part_decisions[pid])
+                decided[pid].extend(part_decisions[pid])
             consumed += k_g
             g += 1
 
         decisions = {
             pid: self.default_value if default_used
-            else self.value_of(decided[pid])
+            else join_symbols(decided[pid], c, self.l_bits)
             for pid in honest
         }
         return BroadcastResult(

@@ -23,7 +23,7 @@ from repro.broadcast_bit.mostefaoui import MostefaouiBroadcast
 from repro.broadcast_bit.phase_king import PhaseKingBroadcast
 from repro.coding.interleaved import field_width, make_symbol_code
 from repro.coding.reed_solomon import min_symbol_bits
-from repro.utils.bits import unpack_symbols
+from repro.utils.bits import split_symbols
 from repro.utils.boundary import check_choice, check_input_value, check_int
 
 #: Registry of Broadcast_Single_Bit backends by config name.
@@ -219,11 +219,8 @@ def split_value(config: ConsensusConfig, value: int) -> List[List[int]]:
     """
     if value < 0 or value >> config.l_bits:
         raise ValueError("value does not fit in %d bits" % config.l_bits)
-    # Right-pad to the generation boundary, then split the whole value
-    # into symbols with one vectorised unpack instead of per-bit lists.
-    padded = value << (config.padded_bits - config.l_bits)
     k = config.data_symbols
-    symbols = unpack_symbols(
-        padded, config.generations * k, config.symbol_bits
+    symbols = split_symbols(
+        value, config.l_bits, config.symbol_bits, config.generations * k
     )
     return [symbols[g * k:(g + 1) * k] for g in range(config.generations)]

@@ -34,7 +34,7 @@ from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
 from repro.processors.adversary import Adversary, GlobalView
-from repro.utils.bits import pack_symbols
+from repro.utils.bits import join_symbols
 from repro.utils.boundary import check_input_value
 
 
@@ -174,12 +174,10 @@ class MultiValuedConsensus:
     def value_of(self, parts: Sequence[Sequence[int]]) -> int:
         """Inverse of :meth:`parts_of` (drops the padding)."""
         config = self.config
-        symbols = [symbol for part in parts for symbol in part]
-        total_bits = len(symbols) * config.symbol_bits
-        packed = pack_symbols(symbols, config.symbol_bits)
-        if total_bits > config.l_bits:
-            return packed >> (total_bits - config.l_bits)
-        return packed
+        return join_symbols(
+            [symbol for part in parts for symbol in part],
+            config.symbol_bits, config.l_bits,
+        )
 
     @property
     def context(self) -> CohortContext:

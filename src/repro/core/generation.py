@@ -73,6 +73,7 @@ from repro.processors.answers import (
     bit_answer, diagnosis_symbol_value, m_row_bits, matching_row_payloads,
     received_symbol, trust_row_bits,
 )
+from repro.utils.bits import bits_to_int, int_to_bits
 
 
 def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
@@ -623,12 +624,6 @@ class GenerationProtocol:
         r_sharp_view: Dict[int, Dict[int, int]] = {
             pid: {} for pid in range(self.n)
         }
-        c = self.c
-
-        def symbol_of(row):
-            return sum(
-                bit << (c - 1 - index) for index, bit in enumerate(row)
-            )
 
         symbols = {j: codewords[j][j] for j in p_match}
         for j in self._controlled:
@@ -640,12 +635,11 @@ class GenerationProtocol:
                     self.code.symbol_limit,
                 )
         rows = [
-            (j, [(symbol >> (c - 1 - b)) & 1 for b in range(c)])
-            for j, symbol in symbols.items()
+            (j, int_to_bits(symbol, self.c)) for j, symbol in symbols.items()
         ]
         outcomes = self.backend.broadcast_bits_many(rows, symbol_tag, isolated)
         for j, outcome in zip(symbols, outcomes):
-            r_sharps = _pid_views(outcome, self.n, symbol_of)
+            r_sharps = _pid_views(outcome, self.n, bits_to_int)
             for pid, r_sharp in enumerate(r_sharps):
                 r_sharp_view[pid][j] = r_sharp
 

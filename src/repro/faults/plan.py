@@ -255,16 +255,6 @@ class FaultSchedule:
             return decision
         return PASS
 
-    def culprit_senders(self) -> List[int]:
-        """Sorted pids that sent at least one faulted message.
-
-        Registry timing attacks scope their rules to faulty-sender
-        edges, so the event senders *are* the culpable processors; the
-        audit tier merges them with hook-level deviations when proving
-        culpability.
-        """
-        return sorted({event.sender for event in self.events})
-
     def event_log(self) -> List[Tuple[int, str, int, int, str, int]]:
         """The event log as plain tuples (stable, comparable, dumpable)."""
         return [event.key() for event in self.events]

@@ -91,9 +91,6 @@ class PlannedAdversary(Adversary):
         self.phase = name
         self.phase_log.append(name)
 
-    def budget_left(self) -> int:
-        return self.corruption_budget - self.corruptions_spent
-
     def spend(self, amount: int = 1) -> bool:
         """Debit ``amount`` corruptions; False (and dormancy) if it
         does not fit."""

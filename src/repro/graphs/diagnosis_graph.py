@@ -101,10 +101,6 @@ class DiagnosisGraph:
     def isolated(self) -> Set[int]:
         return set(self._isolated)
 
-    def is_complete(self) -> bool:
-        """True iff no edge has ever been removed (the failure-free state)."""
-        return int(self._adj.sum()) == self.n * (self.n - 1)
-
     def edges(self) -> List[Tuple[int, int]]:
         """All present edges as sorted (i, j) pairs with i < j."""
         upper = np.triu(self._adj, k=1)

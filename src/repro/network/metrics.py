@@ -85,10 +85,6 @@ class BitMeter:
     def total_messages(self) -> int:
         return sum(self._messages.values())
 
-    def bits_for(self, tag: str) -> int:
-        """Bits recorded under exactly ``tag``."""
-        return self._bits[tag]
-
     def bits_with_prefix(self, prefix: str) -> int:
         """Bits under ``prefix`` or any nested tag."""
         return sum(

@@ -36,7 +36,6 @@ from repro.processors.answers import MRow, SymbolRow, TrustRow
 class GlobalView:
     """Everything the omniscient adversary can see.
 
-    ``states`` maps pid -> the engine's per-processor state object;
     ``extras`` carries engine-specific context (generation index, stage
     name, the diagnosis graph, ...).  Adversaries must treat the view as
     read-only; engines share live objects for efficiency.
@@ -45,7 +44,6 @@ class GlobalView:
     n: int
     t: int
     faulty: Set[int]
-    states: Dict[int, Any] = field(default_factory=dict)
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -328,6 +326,16 @@ class Adversary:
         """Codeword a faulty source claims during broadcast diagnosis:
         exact ``int`` symbols (``answers.codeword_symbols``)."""
         return list(honest_codeword)
+
+    # -- Fitzi-Hirt baseline ---------------------------------------------
+
+    def delivery_value(
+        self, pid: int, honest_value: int, view: GlobalView
+    ) -> int:
+        """The L-bit value a faulty happy ``pid`` hands over in the
+        Fitzi-Hirt joint delivery: an exact ``int``
+        (``answers.delivery_value_of``)."""
+        return honest_value
 
     # -- signatures (t >= n/3 probabilistic substrate) ------------------------------
 

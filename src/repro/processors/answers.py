@@ -108,6 +108,12 @@ def input_value_of(answer: Any, l_bits: int) -> int:
     return _exact("input_value", answer, 1 << l_bits, "value")
 
 
+def delivery_value_of(answer: Any, l_bits: int) -> int:
+    """The value a ``delivery_value`` answer hands over in the
+    Fitzi-Hirt joint delivery: an exact ``int`` mod ``2^l_bits``."""
+    return _exact("delivery_value", answer, 1 << l_bits, "value")
+
+
 def substituted_inputs(
     adversary: Any, inputs: Sequence[int], l_bits: int, view: Any
 ) -> Dict[int, int]:

@@ -491,9 +491,7 @@ class CollidingInputAdversary(Adversary):
         super().__init__(faulty)
         self.forged_value = forged_value
 
-    def delivery_value(self, pid: int, honest_value: int, view: GlobalView) -> int:
-        """Value a faulty processor hands over in FH delivery (hook used by
-        the baseline, not by Algorithm 1)."""
+    def delivery_value(self, pid, honest_value, view):
         return self.forged_value
 
 

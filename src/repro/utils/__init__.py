@@ -2,10 +2,8 @@
 
 from repro.utils.bits import (
     bits_to_int,
-    bytes_to_symbols,
     int_to_bits,
     pack_symbols,
-    symbols_to_bytes,
     unpack_symbols,
 )
 from repro.utils.rng import derive_rng, derive_seed
@@ -15,8 +13,6 @@ __all__ = [
     "int_to_bits",
     "pack_symbols",
     "unpack_symbols",
-    "bytes_to_symbols",
-    "symbols_to_bytes",
     "derive_rng",
     "derive_seed",
 ]

@@ -2,9 +2,11 @@
 
 The consensus protocol views an L-bit value as a sequence of generations,
 each generation as a vector of ``k = n - 2t`` symbols from ``GF(2^c)``.
-These helpers convert between Python integers, bit lists, byte strings and
-symbol vectors deterministically (big-endian bit order throughout), so that
-every processor derives an identical symbol view of the same input.
+These helpers convert between Python integers, bit lists and symbol
+vectors deterministically (big-endian bit order throughout), so that
+every processor derives an identical symbol view of the same input;
+:func:`split_symbols`/:func:`join_symbols` are the one home of the value
+layout, an L-bit value as zero-padded symbols.
 
 Wide conversions (multi-kilobit values, the protocol's per-run plumbing)
 run through ``np.unpackbits``/``np.packbits`` on the value's big-endian
@@ -52,8 +54,7 @@ class PackedBits:
     vectors, symbol bit-planes.  Bits are MSB-first within each lane
     byte (numpy's default ``bitorder="big"``), matching the repo-wide
     big-endian convention, and the tail bits of the final lane byte are
-    zero by construction, so lane-level operations (xor, popcount,
-    equality) never need masking.
+    zero by construction, so lane equality never needs masking.
 
     ``from_int``/``to_int`` write and read the lanes as the value's
     big-endian bytes, so a several-hundred-bit super-symbol packs into
@@ -174,24 +175,6 @@ class PackedBits:
         if not 0 <= index < self.length:
             raise IndexError("bit index out of range")
         return int((self.lanes[index >> 3] >> (7 - (index & 7))) & 1)
-
-    # -- lane-level operations ----------------------------------------
-
-    def __xor__(self, other: "PackedBits") -> "PackedBits":
-        if not isinstance(other, PackedBits):
-            return NotImplemented
-        if other.length != self.length:
-            raise ValueError(
-                "xor of mismatched bit lengths: %d vs %d"
-                % (self.length, other.length)
-            )
-        # Tail bits are zero in both operands, so the result's tail is
-        # zero too — the invariant survives without masking.
-        return PackedBits._of(self.lanes ^ other.lanes, self.length)
-
-    def popcount(self) -> int:
-        """Number of set bits (tail lanes are zero, so no masking)."""
-        return int(np.unpackbits(self.lanes).sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedBits):
@@ -348,27 +331,29 @@ def unpack_symbols(value: int, count: int, symbol_bits: int) -> List[int]:
     return bit_matrix_to_ints(bits)
 
 
-def bytes_to_symbols(data: bytes, symbol_bits: int) -> List[int]:
-    """Split ``data`` into symbols of ``symbol_bits`` bits (MSB first).
+def split_symbols(
+    value: int, l_bits: int, width: int, count: int
+) -> List[int]:
+    """The value layout: an ``l_bits``-bit ``value`` right-padded with
+    zeros to ``count * width`` bits, as ``count`` symbols of ``width``
+    bits, first symbol most significant.
 
-    The total bit length of ``data`` must be a multiple of ``symbol_bits``.
+    Algorithm 1's generations, the §4 broadcast's symbol stream, the
+    Fitzi-Hirt delivery and the polynomial hash's chunks are this one
+    layout under their own width and count.
     """
-    total_bits = 8 * len(data)
-    if total_bits % symbol_bits:
+    pad = count * width - l_bits
+    if pad < 0:
         raise ValueError(
-            "%d bits of data not divisible into %d-bit symbols"
-            % (total_bits, symbol_bits)
+            "%d symbols of %d bits cannot hold %d bits"
+            % (count, width, l_bits)
         )
-    value = int.from_bytes(data, "big")
-    return unpack_symbols(value, total_bits // symbol_bits, symbol_bits)
+    return unpack_symbols(value << pad, count, width)
 
 
-def symbols_to_bytes(symbols: Sequence[int], symbol_bits: int) -> bytes:
-    """Inverse of :func:`bytes_to_symbols`."""
-    total_bits = len(symbols) * symbol_bits
-    if total_bits % 8:
-        raise ValueError(
-            "%d symbol bits do not form whole bytes" % total_bits
-        )
-    value = pack_symbols(symbols, symbol_bits)
-    return value.to_bytes(total_bits // 8, "big")
+def join_symbols(symbols: Sequence[int], width: int, l_bits: int) -> int:
+    """Inverse of :func:`split_symbols`: the symbols packed, first one
+    high, with the padding beyond ``l_bits`` shifted off."""
+    return pack_symbols(symbols, width) >> max(
+        0, len(symbols) * width - l_bits
+    )

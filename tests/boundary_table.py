@@ -167,4 +167,12 @@ TABLE = (
         lambda value: [value, 2]),
     Row("repro.coding.reed_solomon.ReedSolomonCode.encode", "data", "engine",
         np.int64(7), lambda value: [value, 2, 3]),
+    *(Row("repro.coding.gf.GF." + op, "a", "engine", np.int64(7),
+          named="GF(2^4)") for op in ("add", "mul")),
+    # -- Broadcast_Single_Bit backends -------------------------------------
+    Row("repro.broadcast_bit.interface.BroadcastBackend.broadcast_bit",
+        "source", "pid", 3),
+    Row("repro.broadcast_bit.ideal.AccountedIdealBroadcast"
+        ".broadcast_bits_many", "source", "pid", 3,
+        lambda value: [(value, [1])]),
 )

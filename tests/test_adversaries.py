@@ -77,6 +77,7 @@ class TestBaseAdversary:
         assert adversary.source_symbol(0, 1, 9, 0, v) == 9
         assert adversary.forwarded_symbol(0, 1, 9, 0, v) == 9
         assert adversary.source_codeword(0, [1, 2], 0, v) == [1, 2]
+        assert adversary.delivery_value(0, 0xBEEF, v) == 0xBEEF
         assert adversary.forge_signature(0, 1, "m", v) is False
 
     def test_hook_is_default_reads_the_class(self):
@@ -765,6 +766,7 @@ def _hook_calls(pids):
         row = tuple(j % 3 != 0 for j in range(_N))
         calls += [
             ("input_value", (pid, 0xBEEF)),
+            ("delivery_value", (pid, 0xBEEF)),
             ("matching_row", (pid, peers, 9, g)),
             ("matching_row", (pid, peers[::-1], 9, g)),
             ("m_row", (pid, row, g)),

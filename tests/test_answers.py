@@ -101,7 +101,9 @@ def _answering(hook):
     return answer
 
 
-for _hook in BIT_HOOKS + MESSAGE_HOOKS + ("diagnosis_symbol", "input_value"):
+for _hook in BIT_HOOKS + MESSAGE_HOOKS + (
+    "diagnosis_symbol", "input_value", "delivery_value",
+):
     setattr(Answering, _hook, _answering(_hook))
 
 
@@ -193,6 +195,18 @@ _SECTION4 = [("section4", _section4)]
 _FITZI_HIRT = [("fitzi_hirt", _baseline(FitziHirtConsensus))]
 
 
+def _fitzi_hirt_delivery(adversary, value):
+    """Fitzi-Hirt with the honest pid 5 holding another value: it
+    recovers from what the happy processors deliver, the faulty pid 6
+    among them."""
+    inputs = [value] * N
+    inputs[5] ^= 1
+    result = FitziHirtConsensus(
+        n=N, t=T, l_bits=L, adversary=adversary
+    ).run(inputs)
+    return result.decisions, result.meter
+
+
 def _real_rounds(*names):
     return [(name, _backend(name)) for name in names] + [
         ("recorder", _recorded(_backend(names[0])))
@@ -206,6 +220,10 @@ ASKED_BY = {
     "diagnosis_symbol": _CONSENSUS + _SECTION4,
     "input_value": _CONSENSUS + _FITZI_HIRT + [
         ("bitwise", _baseline(BitwiseConsensus))
+    ],
+    "delivery_value": [
+        ("fitzi_hirt", _fitzi_hirt_delivery),
+        ("recorder", _recorded(_fitzi_hirt_delivery)),
     ],
     "bsb_source_bit": _real_rounds(
         "phase_king", "eig", "dolev_strong", "mostefaoui"

@@ -9,7 +9,9 @@ from repro.baselines import (
     PolynomialHash,
     collision_for,
 )
-from repro.processors import CollidingInputAdversary, RandomAdversary
+from repro.processors import (
+    CollidingInputAdversary, CompositeAdversary, RandomAdversary,
+)
 
 
 class TestPolynomialHash:
@@ -176,6 +178,24 @@ class TestFitziHirt:
         result = fh.run(inputs)
         assert result.consistent
         assert result.value in (0x1234, fh.default_value)
+
+    def test_delivery_value_is_asked_through_a_composite(self):
+        """``delivery_value`` is a declared hook: a router asks the member
+        that controls the sender."""
+        asked = []
+
+        class Forging(CollidingInputAdversary):
+            def delivery_value(self, pid, honest_value, view):
+                asked.append(pid)
+                return super().delivery_value(pid, honest_value, view)
+
+        inputs = [0x1234] * 5 + [0x5678] + [0x1234]
+        composite = CompositeAdversary({
+            6: Forging(faulty=[6], forged_value=0x9999),
+        })
+        FitziHirtConsensus(n=7, t=2, l_bits=64, kappa=16, key_seed=2,
+                           adversary=composite).run(inputs)
+        assert asked == [6]
 
     def test_complexity_linear_leading_term(self):
         small = FitziHirtConsensus(n=7, t=2, l_bits=1024, kappa=16)

@@ -400,9 +400,9 @@ class TestDiagnosisGraphMask:
 
     def test_is_complete(self):
         graph = DiagnosisGraph(4)
-        assert graph.is_complete()
+        assert graph.removed_edges() == []
         graph.remove_edge(1, 2)
-        assert not graph.is_complete()
+        assert graph.removed_edges() == [(1, 2)]
 
     def test_copy_is_independent(self):
         graph = DiagnosisGraph(4)

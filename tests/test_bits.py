@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.bits import (
     PackedBits,
     bits_to_int,
-    bytes_to_symbols,
     int_to_bits,
+    join_symbols,
     pack_symbols,
-    symbols_to_bytes,
+    split_symbols,
     unpack_symbols,
 )
 
@@ -97,31 +97,54 @@ class TestUnpackSymbols:
             unpack_symbols(0, -1, 4)
 
 
-class TestByteConversions:
-    def test_bytes_roundtrip(self):
-        data = bytes([1, 2, 3, 4])
-        symbols = bytes_to_symbols(data, 8)
-        assert symbols == [1, 2, 3, 4]
-        assert symbols_to_bytes(symbols, 8) == data
+def per_bit_split(value, l_bits, width, count):
+    """The value layout walked bit by bit: ``l_bits`` bits of ``value``,
+    MSB first, zero-padded to ``count * width``, cut into symbols."""
+    bits = [(value >> (l_bits - 1 - i)) & 1 for i in range(l_bits)]
+    bits += [0] * (count * width - l_bits)
+    return [
+        sum(bit << (width - 1 - b)
+            for b, bit in enumerate(bits[s * width:(s + 1) * width]))
+        for s in range(count)
+    ]
 
-    def test_sub_byte_symbols(self):
-        assert bytes_to_symbols(b"\xab", 4) == [0xA, 0xB]
 
-    def test_indivisible_rejected(self):
+@st.composite
+def layouts(draw):
+    """``(value, l_bits, width, count)``: widths of 1 and above 64, L
+    not a multiple of the width, and counts past the last symbol."""
+    width = draw(st.one_of(
+        st.just(1), st.integers(2, 16), st.integers(60, 200)
+    ))
+    l_bits = draw(st.integers(1, 700))
+    count = -(-l_bits // width) + draw(st.integers(0, 2))
+    value = draw(st.integers(0, (1 << l_bits) - 1))
+    return value, l_bits, width, count
+
+
+class TestValueLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(layouts())
+    def test_split_matches_per_bit_and_join_inverts(self, layout):
+        value, l_bits, width, count = layout
+        symbols = split_symbols(value, l_bits, width, count)
+        assert symbols == per_bit_split(value, l_bits, width, count)
+        assert join_symbols(symbols, width, l_bits) == value
+
+    def test_the_cases_the_property_draws(self):
+        assert split_symbols(0b101, 3, 1, 3) == [1, 0, 1]
+        assert split_symbols(0xABC, 12, 8, 2) == [0xAB, 0xC0]
+        assert join_symbols([0xAB, 0xC0], 8, 12) == 0xABC
+        wide = (1 << 99) | 1
+        assert split_symbols(wide, 100, 70, 2) == [1 << 69, 1 << 40]
+
+    def test_too_few_symbols_or_too_wide_a_value_refused(self):
         with pytest.raises(ValueError):
-            bytes_to_symbols(b"\xab", 3)
-
-    def test_partial_byte_rejected(self):
+            split_symbols(0, 9, 4, 2)
         with pytest.raises(ValueError):
-            symbols_to_bytes([1, 2, 3], 4)  # 12 bits, not whole bytes
-
-    @given(st.binary(max_size=64))
-    def test_roundtrip_various(self, data):
-        for width in (4, 8, 16):
-            if (8 * len(data)) % width == 0:
-                assert symbols_to_bytes(
-                    bytes_to_symbols(data, width), width
-                ) == data
+            split_symbols(1 << 8, 8, 4, 2)
+        with pytest.raises(ValueError):
+            split_symbols(-1, 8, 4, 2)
 
 
 class TestPackedBits:
@@ -168,8 +191,6 @@ class TestPackedBits:
         assert row.to_int() == 0
         assert row.lanes.shape == (0,)
         assert row == PackedBits.zeros(0)
-        assert (row ^ row) == row
-        assert row.popcount() == 0
 
     def test_widest_super_symbol_object_dtype_fallback(self):
         # A multi-hundred-bit interleaved super-symbol cannot live in an
@@ -181,7 +202,6 @@ class TestPackedBits:
         assert row.to_int() == value
         assert row[0] == 1
         assert row.tolist() == int_to_bits(value, width)
-        assert row.popcount() == bin(value).count("1")
 
     def test_from_int_rejects_overflow_and_negatives(self):
         with pytest.raises(ValueError):
@@ -204,14 +224,6 @@ class TestPackedBits:
             PackedBits(np.zeros(2, dtype=np.uint8), 3)
         with pytest.raises(ValueError):
             PackedBits(np.zeros(1, dtype=np.int64), 8)
-
-    def test_xor_and_popcount(self):
-        a = PackedBits.from_bits([1, 0, 1, 1, 0])
-        b = PackedBits.from_bits([0, 0, 1, 0, 1])
-        assert (a ^ b).tolist() == [1, 0, 0, 1, 1]
-        assert (a ^ b).popcount() == 3
-        with pytest.raises(ValueError):
-            a ^ PackedBits.from_bits([1, 0])
 
     def test_getitem_and_slice(self):
         row = PackedBits.from_bits([1, 0, 1, 1, 0, 0, 1, 0, 1])

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.audit.transcript import Transcript
 from repro.baselines import BitwiseConsensus, FitziHirtConsensus
+from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.coding.gf import GF, GFElementError
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.faults.plan import FaultPlan, FaultRule
@@ -141,11 +142,26 @@ CALLS = {
         lambda arg, value: GF(4).check_array(value, arg),
     "repro.coding.reed_solomon.ReedSolomonCode.encode":
         lambda arg, value: ReedSolomonCode(7, 3, 4).encode(value),
+    **{
+        "repro.coding.gf.GF." + op:
+            lambda arg, value, op=op: getattr(GF(4), op)(value, 2)
+        for op in ("add", "mul")
+    },
+    "repro.broadcast_bit.interface.BroadcastBackend.broadcast_bit":
+        lambda arg, value: AccountedIdealBroadcast(4, 1).broadcast_bit(
+            source=value, bit=1, tag="x"
+        ),
+    "repro.broadcast_bit.ideal.AccountedIdealBroadcast.broadcast_bits_many":
+        lambda arg, value: AccountedIdealBroadcast(4, 1).broadcast_bits_many(
+            value, "x"
+        ),
 }
 
 #: The error class each entry raises; every other entry raises ValueError.
 ERRORS = {
     "repro.coding.gf.GF.check_array": GFElementError,
+    "repro.coding.gf.GF.add": GFElementError,
+    "repro.coding.gf.GF.mul": GFElementError,
     "repro.coding.reed_solomon.ReedSolomonCode.encode": GFElementError,
 }
 

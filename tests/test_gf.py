@@ -244,6 +244,32 @@ class TestCheckArrayNeverTruncates:
         assert field.check_array([]).shape == (0,)
 
 
+class TestScalarOpsTakeTheEngineIntegerRule:
+    """The scalar operations read an element as ``check_array`` does: a
+    bool or a float is refused typed, never read as 1 or indexed."""
+
+    @pytest.mark.parametrize("op, a, b", [
+        ("add", True, 1), ("mul", True, 3), ("add", 2.0, 3), ("mul", 2.0, 3),
+        ("div", 3, True), ("pow", 1.0, 2), ("inv", True, None),
+    ], ids=repr)
+    def test_refused(self, op, a, b):
+        args = (a,) if b is None else (a, b)
+        with pytest.raises(GFElementError, match="must be an int"):
+            getattr(GF(4), op)(*args)
+
+    def test_poly_eval_refuses_a_bool_coefficient_or_point(self):
+        with pytest.raises(GFElementError):
+            GF(4).poly_eval([1, True], 2)
+        with pytest.raises(GFElementError):
+            GF(4).poly_eval([1, 2], True)
+
+    def test_numpy_integers_read_as_ints(self):
+        field = GF(4)
+        assert field.add(np.int64(2), 3) == 1
+        assert type(field.mul(np.uint8(2), 3)) is int
+        assert field.mul(np.uint8(2), 3) == field.mul(2, 3)
+
+
 class TestPolynomialOps:
     def test_poly_eval_constant(self, field):
         assert field.poly_eval([1], 0) == 1

@@ -379,7 +379,6 @@ class TestMatrixUpdatesMatchEdgeLoops:
         assert np.array_equal(graph.trust_mask(), oracle.trust_mask())
         assert graph.removed_edges() == oracle.removed_edges()
         assert graph.to_dict() == oracle.to_dict()
-        assert graph.is_complete() == oracle.is_complete()
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     @given(data=st.data())
@@ -448,11 +447,10 @@ class TestMatrixUpdatesMatchEdgeLoops:
         assert graph.remove_accused(accuse) == [(0, 3), (1, 2)]
         assert graph.remove_accused(accuse) == []
         assert graph.removed_edges() == [(0, 3), (1, 2)]
-        assert not graph.is_complete()
 
     def test_history_is_read_off_the_matrix(self):
         graph = DiagnosisGraph(5)
-        assert graph.is_complete() and graph.removed_edges() == []
+        assert graph.removed_edges() == []
         graph.isolate(4)
         assert graph.removed_edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
         assert DiagnosisGraph.from_dict(graph.to_dict()).to_dict() == (

@@ -34,7 +34,7 @@ class TestBitMeter:
         meter = BitMeter()
         meter.add("a", 10)
         meter.add("a", 5, messages=2)
-        assert meter.bits_for("a") == 15
+        assert meter.snapshot().bits_by_tag["a"] == 15
         assert meter.total_messages == 3
 
     def test_negative_rejected(self):
@@ -65,7 +65,7 @@ class TestBitMeter:
         snap = meter.snapshot()
         meter.add("a", 1)
         assert snap.bits_by_tag["a"] == 1
-        assert meter.bits_for("a") == 2
+        assert meter.snapshot().bits_by_tag["a"] == 2
 
     def test_snapshot_diff(self):
         meter = BitMeter()

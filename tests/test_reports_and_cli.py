@@ -107,6 +107,17 @@ class TestCli:
         assert code == 0
         assert "consistent : True" in out
 
+    @pytest.mark.parametrize("backend", ["mostefaoui", "dolev_strong"])
+    def test_consensus_on_every_backend(self, capsys, backend):
+        # The --backend choices are the config's BACKENDS registry.
+        code = main([
+            "consensus", "--n", "4", "--l-bits", "16", "--value", "0x12",
+            "--backend", backend,
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "consistent : True" in out
+
     def test_consensus_with_attack(self, capsys):
         code = main([
             "consensus", "--n", "7", "--t", "2", "--l-bits", "96",
