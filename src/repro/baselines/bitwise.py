@@ -14,7 +14,7 @@ substrates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
@@ -27,6 +27,29 @@ from repro.utils.boundary import check_choice, check_input_value, check_int
 
 #: The binary-consensus substrates a baseline runs on.
 SUBSTRATES = ("ideal", "phase_king")
+
+
+def binary_consensus(
+    substrate: str, n: int, t: int, inputs: Dict[int, int],
+    adversary: Adversary, meter: BitMeter, view: Callable[[], GlobalView],
+    tag: str, index: int,
+) -> Dict[int, int]:
+    """One binary consensus on ``inputs`` (pid -> bit): pid -> decision.
+
+    ``phase_king`` runs the King algorithm as instance ``index``;
+    ``ideal`` has agreement and validity by construction, a mixed honest
+    input resolving to the honest majority (ties toward 0), charged
+    ``B(n)`` bits and ``n(n - 1)`` messages under ``tag``."""
+    if substrate == "phase_king":
+        return run_king_consensus(
+            n, t, inputs, adversary, meter, view(), tag, instance=index,
+        )
+    honest_bits = [
+        inputs[pid] for pid in range(n) if not adversary.controls(pid)
+    ]
+    outcome = 1 if 2 * sum(honest_bits) > len(honest_bits) else 0
+    meter.add(tag, default_b(n), n * (n - 1))
+    return {pid: outcome for pid in range(n)}
 
 
 @dataclass
@@ -68,27 +91,6 @@ class BitwiseConsensus:
             n=self.n, t=self.t, faulty=set(self.adversary.faulty)
         )
 
-    def _consensus_on_bit(
-        self, inputs: Dict[int, int], index: int
-    ) -> Dict[int, int]:
-        tag = "bitwise.bit%d" % index
-        if self.substrate == "phase_king":
-            return run_king_consensus(
-                self.n, self.t, inputs, self.adversary, self.meter,
-                self._view(), tag, instance=index,
-            )
-        # Ideal substrate: agreement and validity by construction; a mixed
-        # honest input resolves to the honest majority (ties toward 0).
-        honest_bits = [
-            inputs[pid]
-            for pid in range(self.n)
-            if not self.adversary.controls(pid)
-        ]
-        ones = sum(honest_bits)
-        outcome = 1 if 2 * ones > len(honest_bits) else 0
-        self.meter.add(tag, default_b(self.n), self.n * (self.n - 1))
-        return {pid: outcome for pid in range(self.n)}
-
     def run(self, inputs: Sequence[int]) -> BitwiseResult:
         """Agree on each of the L bits independently."""
         if len(inputs) != self.n:
@@ -110,8 +112,11 @@ class BitwiseConsensus:
             if not self.adversary.controls(pid)
         }
         for index in range(self.l_bits):
-            outcome = self._consensus_on_bit(
-                {pid: bit_rows[pid][index] for pid in range(self.n)}, index
+            outcome = binary_consensus(
+                self.substrate, self.n, self.t,
+                {pid: bit_rows[pid][index] for pid in range(self.n)},
+                self.adversary, self.meter, self._view,
+                "bitwise.bit%d" % index, index,
             )
             for pid in decided_bits:
                 decided_bits[pid].append(outcome[pid])

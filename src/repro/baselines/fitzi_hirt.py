@@ -37,10 +37,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.bitwise import SUBSTRATES
+from repro.baselines.bitwise import SUBSTRATES, binary_consensus
 from repro.baselines.hashing import PolynomialHash
 from repro.broadcast_bit.ideal import default_b
-from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
 from repro.core.result import ConsensusOutcome, ground_truth
@@ -115,22 +114,6 @@ class FitziHirtConsensus:
     def draw_key(self) -> int:
         """The common random hash key (public coin, adversary-visible)."""
         return random.Random(self.key_seed).randrange(1, 1 << self.kappa)
-
-    def _binary_consensus(self, inputs: Dict[int, int], tag: str, index: int):
-        if self.substrate == "phase_king":
-            return run_king_consensus(
-                self.n, self.t, inputs, self.adversary, self.meter,
-                self._view(), tag, instance=index,
-            )
-        honest_bits = [
-            inputs[pid]
-            for pid in range(self.n)
-            if not self.adversary.controls(pid)
-        ]
-        ones = sum(honest_bits)
-        outcome = 1 if 2 * ones > len(honest_bits) else 0
-        self.meter.add(tag, default_b(self.n), self.n * (self.n - 1))
-        return {pid: outcome for pid in range(self.n)}
 
     def _broadcast_flag(self, source: int, flag: bool, tag: str) -> bool:
         """1-bit broadcast of a happy flag (ideal-charged)."""
@@ -207,9 +190,10 @@ class FitziHirtConsensus:
         }
         agreed_bits: List[int] = []
         for index in range(self.kappa):
-            outcome = self._binary_consensus(
+            outcome = binary_consensus(
+                self.substrate, self.n, self.t,
                 {pid: digest_bits[pid][index] for pid in range(self.n)},
-                "fh.digest", index,
+                self.adversary, self.meter, self._view, "fh.digest", index,
             )
             agreed_bits.append(outcome[min(honest)])
         agreed_digest = 0

@@ -24,13 +24,15 @@ from typing import List
 
 from repro.coding.gf import GF
 from repro.utils.bits import join_symbols, split_symbols
+from repro.utils.boundary import check_input_value, check_int
 
 
 class PolynomialHash:
     """The universal hash family ``h_r`` for L-bit values, κ-bit digests."""
 
     def __init__(self, l_bits: int, kappa: int):
-        if kappa < 1 or kappa > 16:
+        check_int(l_bits, "l_bits")
+        if check_int(kappa, "kappa") < 1 or kappa > 16:
             raise ValueError("kappa must be in 1..16, got %d" % kappa)
         if l_bits < 1:
             raise ValueError("l_bits must be positive, got %d" % l_bits)
@@ -42,8 +44,7 @@ class PolynomialHash:
     def coefficients(self, value: int) -> List[int]:
         """Split ``value`` into κ-bit chunks ``m_0..m_{d-1}`` (MSB chunk
         first becomes m_0; zero-padded on the right)."""
-        if value < 0 or value >> self.l_bits:
-            raise ValueError("value does not fit in %d bits" % self.l_bits)
+        check_input_value(value, self.l_bits, "value")
         return split_symbols(value, self.l_bits, self.kappa, self.chunks)
 
     def value_from_coefficients(self, coeffs: List[int]) -> int:

@@ -34,7 +34,7 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.complexity import (
     bitwise_baseline_bits,
@@ -49,6 +49,7 @@ from repro.analysis.report import consensus_report, format_table
 from repro.analysis.sweeps import sweep_l
 from repro.baselines import BitwiseConsensus, FitziHirtConsensus
 from repro.broadcast_bit.ideal import default_b
+from repro.coding.reed_solomon import DecodingError
 from repro.core import MultiValuedBroadcast
 from repro.core.config import BACKENDS
 from repro.processors import normalize_attack
@@ -61,26 +62,33 @@ from repro.service.serving import (
     ServingClient,
     ServingError,
 )
+from repro.utils.boundary import check_input_value
 
 
-def _parse_value(text: str, l_bits: int) -> int:
-    value = int(text, 0)
-    if value < 0 or value >> l_bits:
-        raise SystemExit("value %s does not fit in %d bits" % (text, l_bits))
-    return value
+def _int_literal(text: str) -> int:
+    """``--value``: an int literal (``0x…`` and ``0b…`` too)."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an int literal: %r" % text)
 
 
-def _parse_faulty(args) -> Optional[Sequence[int]]:
-    """Explicit ``--faulty`` pids, or None for the attack registry's
-    attack-specific default set (chosen so the attack bites)."""
-    if not args.faulty:
-        return None
-    return [int(x) for x in args.faulty.split(",")]
+def _pid_list(text: str) -> List[int]:
+    """``--faulty``: comma-separated pids."""
+    try:
+        return [int(pid) for pid in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not comma-separated pids: %r" % text
+        )
+
+
+def _parse_value(value: int, l_bits: int) -> int:
+    return check_input_value(value, l_bits, "value")
 
 
 def _make_spec(args) -> RunSpec:
     """The one declarative run description every subcommand shares."""
-    faulty = _parse_faulty(args)
     return RunSpec(
         n=args.n,
         t=args.t,
@@ -89,7 +97,7 @@ def _make_spec(args) -> RunSpec:
         backend=args.backend,
         attack=args.attack,
         seed=args.seed,
-        faulty=tuple(faulty) if faulty is not None else None,
+        faulty=tuple(args.faulty) if args.faulty is not None else None,
     )
 
 
@@ -304,14 +312,14 @@ def cmd_ps(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    value = int(args.value, 0)
+    value = args.value
     with _client(args) as client:
         if args.count > 1:
             # Pipeline the whole batch so it lands in one server-side
             # collection window; vary seeds so instances stay distinct.
             n = client.ps()["default_deployment"]["n"]
             base = args.seed if args.seed is not None else 0
-            faulty = _parse_faulty(args)
+            faulty = args.faulty
             batch = [
                 InstanceSpec(
                     inputs=(value,) * n,
@@ -328,7 +336,7 @@ def cmd_submit(args) -> int:
                     value,
                     attack=args.attack,
                     seed=args.seed,
-                    faulty=_parse_faulty(args),
+                    faulty=args.faulty,
                 )
             ]
     rows = [
@@ -456,13 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Byzantine strategy for the faulty processors "
                        "(canonical registry names; hyphenated spellings "
                        "like slow-bleed are normalized)")
-        p.add_argument("--faulty", default="",
+        p.add_argument("--faulty", type=_pid_list, default=None,
                        help="comma-separated faulty pids (default: the "
                        "attack's registry-chosen set)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomised attacks")
         if with_value:
-            p.add_argument("--value", default="0xDEADBEEF",
+            p.add_argument("--value", type=_int_literal,
+                           default=0xDEADBEEF,
                            help="common input value (int literal)")
 
     p = sub.add_parser("consensus", help="run the paper's Algorithm 1")
@@ -528,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submit", help="submit instances to a server")
     endpoint(p)
-    p.add_argument("--value", default="0xDEADBEEF",
+    p.add_argument("--value", type=_int_literal, default=0xDEADBEEF,
                    help="common input value (int literal; the server "
                    "broadcasts it to all n processors)")
     p.add_argument("--count", type=int, default=1,
@@ -539,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Byzantine strategy (default: the deployment's)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomised attacks")
-    p.add_argument("--faulty", default="",
+    p.add_argument("--faulty", type=_pid_list, default=None,
                    help="comma-separated faulty pids")
     p.set_defaults(func=cmd_submit)
 
@@ -581,6 +590,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DecodingError:
+        raise
+    except ValueError as exc:
+        # A refused deployment or instance argument (the boundary rules
+        # raise ValueError naming it) is a usage error, not a traceback.
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, exc))
     except ServingError as exc:
         print("serving error: %s" % exc, file=sys.stderr)
         return 2

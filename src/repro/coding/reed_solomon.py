@@ -152,26 +152,23 @@ class ReedSolomonCode:
 
     def _interpolation_matrix(self, positions: Tuple[int, ...]) -> np.ndarray:
         """n-by-k matrix mapping codeword values at ``positions`` (exactly k
-        of them) to the full codeword."""
+        of them) to the full codeword.
+
+        Entry (i, j) is the Lagrange basis value
+        ``prod_{m != j} (alpha_i + x_m) / prod_{m != j} (x_j + x_m)`` for
+        the points ``x`` at ``positions``, summed in the log domain; a row
+        whose point is one of the positions is one-hot."""
         field = self.field
-        xs = [self.points[p] for p in positions]
-        matrix = np.zeros((self.n, self.k), dtype=np.int64)
-        for j in range(self.k):
-            # Lagrange basis polynomial l_j for the points xs.
-            basis = [1]
-            denom = 1
-            for m in range(self.k):
-                if m == j:
-                    continue
-                new = [0] * (len(basis) + 1)
-                for d, coeff in enumerate(basis):
-                    new[d + 1] ^= coeff
-                    new[d] ^= field.mul(coeff, xs[m])
-                basis = new
-                denom = field.mul(denom, xs[j] ^ xs[m])
-            inv_denom = field.inv(denom)
-            scaled = [field.mul(coeff, inv_denom) for coeff in basis]
-            matrix[:, j] = field.poly_eval_many(scaled, self.points)
+        points = np.asarray(self.points, dtype=np.int64)
+        rows = list(positions)
+        xs = points[rows]
+        # Logs summed in int64: the uint16 log lanes overflow here.
+        spans = field.log_image(points[:, None] ^ xs).astype(np.int64)
+        gaps = field.log_image(xs[:, None] ^ xs).astype(np.int64)
+        np.fill_diagonal(gaps, 0)
+        logs = spans.sum(axis=1, keepdims=True) - spans - gaps.sum(axis=1)
+        matrix = field.exp_table[logs % (field.order - 1)].astype(np.int64)
+        matrix[rows] = np.eye(self.k, dtype=np.int64)
         return matrix
 
     # -- public API ---------------------------------------------------------

@@ -144,22 +144,6 @@ class MultiValuedBroadcast:
             extras=dict(self._extras),
         )
 
-    # -- value plumbing ---------------------------------------------------------
-
-    def parts_of(self, value: int) -> List[List[int]]:
-        """Honest-case generation split (fixed ``k`` symbols per part).
-
-        Used for sizing and tests; :meth:`run` slices the symbol stream
-        dynamically because the per-generation code dimension shrinks when
-        the source loses diagnosis-graph edges (see ``_generation_code``).
-        """
-        check_input_value(value, self.l_bits)
-        k = self.k
-        symbols = split_symbols(
-            value, self.l_bits, self.symbol_bits, self.generations * k
-        )
-        return [symbols[g * k:(g + 1) * k] for g in range(self.generations)]
-
     def _generation_code(self, m: int, k: int):
         """The (m, k) code for a generation with ``m`` live positions.
 

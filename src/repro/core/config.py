@@ -150,10 +150,6 @@ class ConsensusConfig:
         """Number of generations ``⌈L/D⌉`` (the last one zero-padded)."""
         return math.ceil(self.l_bits / self.d_bits)
 
-    @property
-    def padded_bits(self) -> int:
-        return self.generations * self.d_bits
-
     def make_code(self):
         """The paper's ``C_2t``: an ``(n, n-2t)`` code with ``D/(n-2t)``-bit
         symbols (interleaved over GF(2^c) rows when wider than 16 bits)."""

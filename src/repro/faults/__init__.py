@@ -1,4 +1,4 @@
-"""Fault-injection subsystem: timing faults and planned strategies.
+"""Fault-injection subsystem: timing faults and the attacks built on them.
 
 Byzantine strategies (:mod:`repro.processors.byzantine`) lie about
 *content*; this package attacks *timing and delivery*.  A declarative
@@ -7,20 +7,14 @@ seed) compiles into a :class:`FaultSchedule` that
 :class:`~repro.network.simulator.SyncNetwork` consults on every edge
 once installed — deterministically, so audit replays re-derive the
 identical fault pattern and fold the schedule's event log into
-culpability proofs.  :class:`PlannedAdversary` adds the multi-phase
-strategy life cycle (``setup_plan`` / ``adjust_strategy`` / corruption
-budgets) that hook-level adaptive attacks build on.
+culpability proofs.  :class:`FaultPlanAdversary` carries a plan into a
+run; :class:`AdaptiveSplitAdversary` is the budgeted multi-phase hook
+attack.
 
 See ``docs/FAULTS.md`` for the fault-model taxonomy and the schema.
 """
 
-from repro.faults.attacks import (
-    AdaptiveSplitAdversary,
-    FaultPlanAdversary,
-    adaptive_split_adversary,
-    delay_storm_adversary,
-    omit_rounds_adversary,
-)
+from repro.faults.attacks import AdaptiveSplitAdversary, FaultPlanAdversary
 from repro.faults.errors import FaultInjectionError
 from repro.faults.plan import (
     FAULT_KINDS,
@@ -30,7 +24,6 @@ from repro.faults.plan import (
     FaultRule,
     FaultSchedule,
 )
-from repro.faults.strategy import PlannedAdversary
 
 __all__ = [
     "FAULT_KINDS",
@@ -40,10 +33,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultSchedule",
-    "PlannedAdversary",
     "FaultPlanAdversary",
     "AdaptiveSplitAdversary",
-    "omit_rounds_adversary",
-    "delay_storm_adversary",
-    "adaptive_split_adversary",
 ]

@@ -25,11 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.attacks import (
-    adaptive_split_adversary,
-    delay_storm_adversary,
-    omit_rounds_adversary,
-)
+from repro.faults.attacks import AdaptiveSplitAdversary, FaultPlanAdversary
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.processors.adversary import Adversary
 from repro.processors.byzantine import (
     CrashAdversary,
@@ -43,9 +40,9 @@ from repro.processors.byzantine import (
 )
 from repro.utils.boundary import check_choice, check_int, check_pid
 
-#: Signature of an entry's builder: ``(n, t, l_bits, faulty, seed)``;
-#: ``faulty`` is ``None`` when the caller wants the entry's default.
-Builder = Callable[[int, int, int, Optional[List[int]], int], Adversary]
+#: Signature of an entry's builder: ``(faulty, n, seed)``, ``faulty``
+#: resolved to pids.
+Builder = Callable[[List[int], int, int], Adversary]
 
 
 @dataclass(frozen=True)
@@ -53,14 +50,17 @@ class AttackEntry:
     """One named Byzantine strategy and its deployment defaults."""
 
     name: str
-    #: Builds the adversary; resolves ``faulty=None`` to its own default.
+    #: Builds the adversary for a declared faulty set.
     build: Builder
     #: Attack-specific default faulty pids for an ``(n, t)`` deployment.
     default_faulty: Callable[[int, int], List[int]]
     #: One-line description shown by CLI help and docs.
-    summary: str = ""
+    summary: str
     #: Whether the strategy actually deviates (False only for "none").
     byzantine: bool = True
+    #: Builds the adversary for the default faulty set, where that is
+    #: another shape than ``build`` gives a declared set.
+    build_default: Optional[Builder] = None
 
 
 def _low(n: int, t: int) -> List[int]:
@@ -71,128 +71,87 @@ def _high(n: int, t: int) -> List[int]:
     return list(range(n - t, n))
 
 
-def _build_corrupt(n, t, l_bits, faulty, seed):
-    if faulty is None:
-        # The registry default: one P_match member corrupts the symbol it
-        # sends to the last processor, which detects and triggers a
-        # diagnosis (the sweeps' historical shape, kept byte-identical).
-        return SymbolCorruptionAdversary([0], victims={0: [n - 1]})
-    return SymbolCorruptionAdversary(faulty)
-
-
-def _build_equivocate(n, t, l_bits, faulty, seed):
+def _equivocate(faulty, n, seed):
     # Self-consistent equivocation towards the last processor: show it a
     # genuine codeword of value 0, which differs from any non-zero input.
-    faulty = [0] if faulty is None else faulty
     deceived = [pid for pid in (n - 1,) if pid not in faulty]
     return StagedEquivocationAdversary(faulty, deceived=deceived, alt_value=0)
 
 
-def _simple(
-    adversary_class, default_faulty: Callable[[int, int], List[int]]
-) -> Builder:
-    """Builder for strategies fully described by their faulty set."""
-
-    def build(n, t, l_bits, faulty, seed):
-        if faulty is None:
-            faulty = default_faulty(n, t)
-        return adversary_class(faulty)
-
-    return build
-
-
-def _build_random(n, t, l_bits, faulty, seed):
-    if faulty is None:
-        faulty = _low(n, t)
-    return RandomAdversary(faulty, seed=seed)
-
-
-def _seeded(factory, default_faulty: Callable[[int, int], List[int]]) -> Builder:
-    """Builder for ``factory(faulty, seed=...)`` fault-layer strategies."""
-
-    def build(n, t, l_bits, faulty, seed):
-        if faulty is None:
-            faulty = default_faulty(n, t)
-        return factory(faulty, seed=seed)
-
-    return build
+def _senders_fault(kind: str) -> Builder:
+    """Every message a faulty pid sends suffers ``kind`` (one rule)."""
+    return lambda faulty, n, seed: FaultPlanAdversary(faulty, FaultPlan(
+        rules=(FaultRule(kind=kind, senders=frozenset(faulty)),), seed=seed,
+    ))
 
 
 ATTACKS: Dict[str, AttackEntry] = {
     entry.name: entry
     for entry in (
         AttackEntry(
-            name="none",
-            build=_simple(Adversary, lambda n, t: []),
-            default_faulty=lambda n, t: [],
-            summary="compliant no-op (faulty pids behave honestly)",
+            "none", lambda faulty, n, seed: Adversary(faulty),
+            lambda n, t: [],
+            "compliant no-op (faulty pids behave honestly)",
             byzantine=False,
         ),
         AttackEntry(
-            name="crash",
-            build=_simple(CrashAdversary, _high),
-            default_faulty=_high,
-            summary="fail-stop: faulty processors fall silent",
+            "crash", lambda faulty, n, seed: CrashAdversary(faulty), _high,
+            "fail-stop: faulty processors fall silent",
         ),
         AttackEntry(
-            name="corrupt",
-            build=_build_corrupt,
-            default_faulty=lambda n, t: [0],
-            summary="a P_match member corrupts one victim's symbol",
+            "corrupt",
+            lambda faulty, n, seed: SymbolCorruptionAdversary(faulty),
+            lambda n, t: [0],
+            "a P_match member corrupts one victim's symbol",
+            # The default corrupts only the symbol sent to the last
+            # processor, which detects and triggers a diagnosis (the
+            # sweeps' historical shape); a declared set corrupts every
+            # recipient (the CLI's).
+            build_default=lambda faulty, n, seed: SymbolCorruptionAdversary(
+                faulty, victims={pid: [n - 1] for pid in faulty}
+            ),
         ),
         AttackEntry(
-            name="equivocate",
-            build=_build_equivocate,
-            default_faulty=lambda n, t: [0],
-            summary="self-consistent codeword of a different value",
+            "equivocate", _equivocate, lambda n, t: [0],
+            "self-consistent codeword of a different value",
         ),
         AttackEntry(
-            name="false_accuse",
-            build=_simple(FalseAccusationAdversary, _low),
-            default_faulty=_low,
-            summary="all-false M vectors accusing every peer",
+            "false_accuse",
+            lambda faulty, n, seed: FalseAccusationAdversary(faulty), _low,
+            "all-false M vectors accusing every peer",
         ),
         AttackEntry(
-            name="false_detect",
-            build=_simple(FalseDetectionAdversary, _high),
-            default_faulty=_high,
-            summary="outsiders cry Detected every generation",
+            "false_detect",
+            lambda faulty, n, seed: FalseDetectionAdversary(faulty), _high,
+            "outsiders cry Detected every generation",
         ),
         AttackEntry(
-            name="trust_poison",
-            build=_simple(TrustPoisoningAdversary, _high),
-            default_faulty=_high,
-            summary="diagnosis Trust vectors accuse honest P_match",
+            "trust_poison",
+            lambda faulty, n, seed: TrustPoisoningAdversary(faulty), _high,
+            "diagnosis Trust vectors accuse honest P_match",
         ),
         AttackEntry(
-            name="slow_bleed",
-            build=_simple(SlowBleedAdversary, _low),
-            default_faulty=_low,
-            summary="one bad edge per generation (worst-case diagnoses)",
+            "slow_bleed",
+            lambda faulty, n, seed: SlowBleedAdversary(faulty), _low,
+            "one bad edge per generation (worst-case diagnoses)",
         ),
         AttackEntry(
-            name="random",
-            build=_build_random,
-            default_faulty=_low,
-            summary="seeded chaos monkey: every hook deviates at random",
+            "random",
+            lambda faulty, n, seed: RandomAdversary(faulty, seed=seed), _low,
+            "seeded chaos monkey: every hook deviates at random",
         ),
         AttackEntry(
-            name="omit_rounds",
-            build=_seeded(omit_rounds_adversary, _low),
-            default_faulty=_low,
-            summary="network omits every faulty-sender message (timing fault)",
+            "omit_rounds", _senders_fault("omit"), _low,
+            "network omits every faulty-sender message (timing fault)",
         ),
         AttackEntry(
-            name="delay_storm",
-            build=_seeded(delay_storm_adversary, _low),
-            default_faulty=_low,
-            summary="faulty-sender messages arrive one round late (timing fault)",
+            "delay_storm", _senders_fault("delay"), _low,
+            "faulty-sender messages arrive one round late (timing fault)",
         ),
         AttackEntry(
-            name="adaptive_split",
-            build=_seeded(adaptive_split_adversary, _low),
-            default_faulty=_low,
-            summary="probe, then strike the weakest honest victim on a budget",
+            "adaptive_split",
+            lambda faulty, n, seed: AdaptiveSplitAdversary(faulty), _low,
+            "probe, then strike the weakest honest victim on a budget",
         ),
     )
 }
@@ -283,9 +242,10 @@ def make_attack(
         name: a key of :data:`ATTACKS`, in any accepted spelling.
         n: number of processors.
         t: tolerated faults; Byzantine attacks require ``t >= 1``.
-        l_bits: the consensus value width (some strategies size their
-            forged values to it).
-        seed: seed for randomised strategies (ignored by the rest).
+        l_bits: the consensus value width (checked; no registry
+            strategy reads it).
+        seed: seed for ``random`` and for the timing attacks' fault
+            plans (ignored by the rest).
         faulty: explicit faulty pids; default the entry's
             attack-specific choice.
 
@@ -300,8 +260,9 @@ def make_attack(
         check_int(value, arg)
     if entry.byzantine and t < 1:
         raise ValueError("attack %r needs t >= 1, got t=%d" % (entry.name, t))
-    resolved = (
-        [check_pid(pid, n, "faulty pid") for pid in faulty]
-        if faulty is not None else None
+    if faulty is None:
+        build = entry.build_default or entry.build
+        return build(entry.default_faulty(n, t), n, seed)
+    return entry.build(
+        [check_pid(pid, n, "faulty pid") for pid in faulty], n, seed
     )
-    return entry.build(n, t, l_bits, resolved, seed)

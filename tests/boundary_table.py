@@ -45,6 +45,7 @@ _INSTANCE = "repro.service.spec.InstanceSpec.validate"
 _BROADCAST = "repro.core.broadcast.MultiValuedBroadcast"
 _BITWISE = "repro.baselines.bitwise.BitwiseConsensus"
 _FH = "repro.baselines.fitzi_hirt.FitziHirtConsensus"
+_HASH = "repro.baselines.hashing.PolynomialHash"
 _RULE = "repro.faults.plan.FaultRule"
 _WIRE = "repro.service.serving.wire."
 _RUN = "repro.core.consensus.MultiValuedConsensus"
@@ -137,6 +138,9 @@ TABLE = (
       for name in ("adversary", "meter")),
     *(Row(entry + ".run", "inputs", "value", 7, _first, "input value")
       for entry in (_BITWISE, _FH)),
+    Row(_HASH, "l_bits", "int", 16),
+    Row(_HASH, "kappa", "int", 8),
+    Row(_HASH + ".coefficients", "value", "value", 7),
     # -- fault plans -------------------------------------------------------
     Row(_RULE, "kind", "choice", "delay"),
     Row(_RULE, "rounds", "int", 3, lambda value: (0, value)),

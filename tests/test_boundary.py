@@ -19,7 +19,9 @@ from repro import (
     MultiValuedConsensus,
 )
 from repro.audit.transcript import Transcript
-from repro.baselines import BitwiseConsensus, FitziHirtConsensus
+from repro.baselines import (
+    BitwiseConsensus, FitziHirtConsensus, PolynomialHash,
+)
 from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.coding.gf import GF, GFElementError
 from repro.coding.reed_solomon import ReedSolomonCode
@@ -118,6 +120,12 @@ CALLS = {
         ),
     "repro.baselines.fitzi_hirt.FitziHirtConsensus.run":
         lambda arg, value: FitziHirtConsensus(4, 1, 16).run(value),
+    "repro.baselines.hashing.PolynomialHash":
+        lambda arg, value: PolynomialHash(
+            **_with(dict(l_bits=16, kappa=8), arg, value)
+        ),
+    "repro.baselines.hashing.PolynomialHash.coefficients":
+        lambda arg, value: PolynomialHash(16, 8).coefficients(value),
     "repro.faults.plan.FaultRule": lambda arg, value: FaultRule(**_with(
         dict(kind="partition" if arg == "groups" else "omit"), arg, value
     )),

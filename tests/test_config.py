@@ -25,7 +25,7 @@ class TestCreate:
     def test_generations_ceiling(self):
         config = ConsensusConfig.create(n=7, t=2, l_bits=100, d_bits=24)
         assert config.generations == 5
-        assert config.padded_bits == 120
+        assert config.generations * config.d_bits == 120
 
     def test_data_symbols(self):
         assert ConsensusConfig.create(n=7, t=2, l_bits=8).data_symbols == 3

@@ -1,5 +1,5 @@
 """The fault-injection subsystem: plans, schedules, the network seam,
-planned multi-phase strategies, and end-to-end accountability.
+the multi-phase ``adaptive_split`` attack, and end-to-end accountability.
 
 Timing faults (delay, omission, duplication, partitions) are injected at
 the ``SyncNetwork.send`` boundary, so every layer above — backends,
@@ -19,10 +19,6 @@ from repro.faults import (
     FaultInjectionError,
     FaultPlan,
     FaultRule,
-    PlannedAdversary,
-    adaptive_split_adversary,
-    delay_storm_adversary,
-    omit_rounds_adversary,
 )
 from repro.network.metrics import BitMeter
 from repro.network.simulator import NetworkError, SyncNetwork
@@ -250,7 +246,7 @@ class TestNetworkSeam:
 
 class TestPlannedStrategy:
     def test_lifecycle_and_budget(self):
-        adversary = PlannedAdversary([0, 1], seed=3)
+        adversary = AdaptiveSplitAdversary([0, 1])
         assert adversary.phase == "probe"
         assert adversary.phase_log == ["probe"]
         assert adversary.corruption_budget == 8
@@ -277,7 +273,7 @@ class TestPlannedStrategy:
         ]
         assert set(honest) == {0xAB}
         # The multi-phase state machine advanced: probe on generation 0,
-        # strike once the observation phase fed adjust_strategy.
+        # strike once generation 1's plan read the diagnosis graph.
         assert adversary.phase_log[0] == "probe"
         if config.generations > 1:
             assert "strike" in adversary.phase_log
@@ -290,13 +286,9 @@ class TestPlannedStrategy:
         assert again.phase_log == adversary.phase_log
 
     def test_factories_are_seed_deterministic(self):
-        for factory in (
-            omit_rounds_adversary,
-            delay_storm_adversary,
-            adaptive_split_adversary,
-        ):
-            a = factory([0, 1], seed=5)
-            b = factory([0, 1], seed=5)
+        for name in ("omit_rounds", "delay_storm", "adaptive_split"):
+            a = make_attack(name, 7, 2, 64, seed=5, faulty=[0, 1])
+            b = make_attack(name, 7, 2, 64, seed=5, faulty=[0, 1])
             assert a.faulty == b.faulty == {0, 1}
             plan_a = getattr(a, "fault_plan", None)
             assert plan_a == getattr(b, "fault_plan", None)
@@ -335,9 +327,9 @@ class TestEndToEnd:
         assert digest() == digest()
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**16), delay=st.integers(1, 3))
-    def test_delay_storm_agreement_fuzzed(self, seed, delay):
-        adversary = delay_storm_adversary([0, 1], seed=seed, delay=delay)
+    @given(seed=st.integers(0, 2**16))
+    def test_delay_storm_agreement_fuzzed(self, seed):
+        adversary = make_attack("delay_storm", 7, 2, 32, seed=seed)
         spec = RunSpec(n=7, l_bits=32, attack="delay_storm", seed=seed)
         service = ConsensusService(spec)
         results = service.run_many([[3] * 7, [9] * 7])

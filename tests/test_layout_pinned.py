@@ -8,10 +8,12 @@ before the baselines and the §4 broadcast moved onto them: Fitzi-Hirt
 decisions and meters on E6's cells (and on cells that reach its
 recovery path), ``PolynomialHash`` digests and chunkings of fixed
 values, and the ``d_bits`` that ``ConsensusConfig.create`` and
-``MultiValuedBroadcast`` choose over a grid of n and L.  A change that
-moves one changes observable behaviour and has to say so by re-pinning
-(``PYTHONPATH=src python tests/test_layout_pinned.py`` rewrites the
-file).
+``MultiValuedBroadcast`` choose over a grid of n and L (the §4 rows
+for all but 21 of the n were added later, from the code as it stood
+before its interpolation matrices were computed in closed form).  A
+change that moves one changes observable behaviour and has to say so by
+re-pinning (``PYTHONPATH=src python tests/test_layout_pinned.py``
+rewrites the file).
 """
 
 import hashlib
@@ -115,28 +117,25 @@ def hash_document(l_bits, kappa):
     return document
 
 
-#: The d_bits grid: every n of ConsensusConfig, a spread of n for the
-#: §4 broadcast (each of its instances builds its code), and L from 1
-#: to 2^16 around the powers of two.
+#: The d_bits grid: every n from 4 to 64, for ConsensusConfig and for
+#: the §4 broadcast, and L from 1 to 2^16 around the powers of two.
 D_BITS_L = [1, 2, 3, 7, 16, 31, 64, 100, 255, 256, 1000, 1023, 1024, 4095,
             4096, 10000, 16383, 16384, 30000, 32768, 65535, 65536]
 D_BITS_N = list(range(4, 65))
-BROADCAST_N = list(range(4, 17)) + [22, 31, 32, 33, 47, 48, 63, 64]
 
 
 def d_bits_row(n):
-    """``n``'s consensus ``d_bits`` per L, and (on the broadcast grid)
-    the §4 broadcast's."""
-    row = {"consensus": [
-        ConsensusConfig.create(n=n, l_bits=l_bits).d_bits
-        for l_bits in D_BITS_L
-    ]}
-    if n in BROADCAST_N:
-        row["broadcast"] = [
+    """``n``'s consensus and §4 broadcast ``d_bits`` per L."""
+    return {
+        "consensus": [
+            ConsensusConfig.create(n=n, l_bits=l_bits).d_bits
+            for l_bits in D_BITS_L
+        ],
+        "broadcast": [
             MultiValuedBroadcast(n=n, l_bits=l_bits).d_bits
             for l_bits in D_BITS_L
-        ]
-    return row
+        ],
+    }
 
 
 def load_pins():

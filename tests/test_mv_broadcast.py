@@ -85,9 +85,6 @@ class TestHonestBroadcast:
         broadcast = MultiValuedBroadcast(n=4, l_bits=16)
         with pytest.raises(ValueError, match=message):
             broadcast.run(source, value)
-        if source == 0:
-            with pytest.raises(ValueError, match=message):
-                broadcast.parts_of(value)
         assert broadcast.meter.total_bits == 0
 
     def test_bad_t_rejected(self):

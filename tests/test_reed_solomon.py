@@ -242,6 +242,27 @@ class TestHypothesis:
         symbols[victim] ^= delta
         assert not code.is_consistent(symbols)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interpolation_matrix_is_lagrange(self, data):
+        """``extend`` through the closed-form matrix equals the
+        interpolating polynomial, evaluated at every point, for any
+        k positions in any order."""
+        n = data.draw(st.integers(1, 70))
+        k = data.draw(st.integers(1, n))
+        code = ReedSolomonCode(n, k)
+        positions = data.draw(st.permutations(range(n)))[:k]
+        values = data.draw(st.lists(
+            st.integers(0, code.symbol_limit - 1), min_size=k, max_size=k
+        ))
+        field = code.field
+        coefficients = field.lagrange_interpolate(
+            [code.points[p] for p in positions], values
+        )
+        assert code.extend(positions, values) == [
+            field.poly_eval(coefficients, x) for x in code.points
+        ]
+
 
 class TestNonSymbolsRefused:
     """A non-integer symbol, or an integer outside ``[0, 2^c)`` of any

@@ -171,6 +171,19 @@ class TestCli:
             main(["consensus", "--n", "7", "--l-bits", "4",
                   "--value", "0xFFFF"])
 
+    @pytest.mark.parametrize("argument, message", [
+        (["--value", "abc"], "argument --value: not an int literal: 'abc'"),
+        (["--faulty", "x"], "argument --faulty: not comma-separated pids"),
+        (["--value", "5", "--faulty", "9"],
+         "faulty pid 9 is not a processor of an n=4 deployment"),
+    ], ids=["value_not_int", "faulty_not_int", "faulty_out_of_range"])
+    def test_bad_argument_is_a_usage_error(self, capsys, argument, message):
+        with pytest.raises(SystemExit) as info:
+            main(["consensus", "--n", "4", "--l-bits", "16", *argument])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert message in err and "Traceback" not in err
+
     def test_parser_requires_command(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
