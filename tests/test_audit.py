@@ -1273,6 +1273,48 @@ _PINNED_AUDITS = {
 }
 
 
+def _journal_digest(transcript):
+    """SHA-256 of the entries' authenticated bytes, comma-joined: what
+    a transcript journals, whatever its format tags and seals."""
+    return hashlib.sha256(
+        b",".join(entry.content_bytes for entry in transcript.entries)
+    ).hexdigest()
+
+
+def _run_pins(transcript, proof):
+    """``(culprits, deviation count, proof_sha256, journal digest)`` of
+    a recorded run and its proof wire: the columns no transcript format
+    moves (``proof_sha256`` over the culprits and deviations only)."""
+    return (
+        proof["culprits"],
+        len(proof["deviations"]),
+        hashlib.sha256(_canonical({
+            "culprits": proof["culprits"], "deviations": proof["deviations"],
+        })).hexdigest(),
+        _journal_digest(transcript),
+    )
+
+
+#: ``(attack, seed) -> _run_pins`` of the runs ``_PINNED_AUDITS`` pins.
+_PINNED_AUDIT_RUNS = {
+    ("random", 0): (
+        [0, 1], 41,
+        "e9e9071fdc42203f2a4960c90d2355536c998eea2ec6bd2b2ccd40488848d046",
+        "1861439383147fedb916000efdac7e9af584c870731181d6943ea98f896a0898",
+    ),
+    ("random", 7): (
+        [0, 1], 57,
+        "11f264f0703136d99bf459e021d43c375869b6e3aea0fb5743d5d446d46dd448",
+        "f43de8eee261c690ae63c3ca8f4b56c0a7424ba9fdf67f8d460158236f42d756",
+    ),
+    ("adaptive_split", 11): (
+        [0, 1], 2,
+        "587cd5a823c72e6ceabd372c5bb6e390ade40d58b2596dbfbf393666148356d8",
+        "f8e45fb18a1ff29094447b56678be440f4eae17245543691a3ec846daec0c6ee",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "attack, seed", sorted(_PINNED_AUDITS), ids=lambda x: str(x)
 )
@@ -1288,12 +1330,14 @@ def test_seeded_audit_is_pinned(attack, seed):
         hashlib.sha256(canonical.encode()).hexdigest(),
     ) == _PINNED_AUDITS[(attack, seed)]
     assert proof["culprits"] == proof["claimed_faulty"]
+    assert _run_pins(transcript, proof) == _PINNED_AUDIT_RUNS[(attack, seed)]
 
 
 #: ``prove()``'s culprits and deviations (``proof_sha256``, over the
-#: canonical JSON of both) and each transcript's digest and seal, for
-#: the fault grid at n in {7, 15} (L = 1024, seed 11, value 0xDEADBEEF),
-#: as made by a replay recorder that noted every hook, base hooks too.
+#: canonical JSON of both), the journal digest and each transcript's
+#: digest and seal, for the fault grid at n in {7, 15} (L = 1024, seed
+#: 11, value 0xDEADBEEF), as made by a replay recorder that noted every
+#: hook, base hooks too.
 FAULT_GRID_PINS = json.loads(
     (Path(__file__).parent / "data" / "prove_fault_grid.json").read_text()
 )
@@ -1316,33 +1360,50 @@ def test_fault_grid_proofs_are_pinned(pin):
     assert (transcript.digest(), transcript.seal) == (
         pin["transcript_digest"], pin["seal"]
     )
-    assert proof["culprits"] == pin["culprits"]
-    assert len(proof["deviations"]) == pin["deviations"]
-    assert hashlib.sha256(_canonical({
-        "culprits": proof["culprits"], "deviations": proof["deviations"],
-    })).hexdigest() == pin["proof_sha256"]
+    assert _run_pins(transcript, proof) == (
+        pin["culprits"], pin["deviations"], pin["proof_sha256"],
+        pin["journal_digest"],
+    )
 
 
-#: ``(backend, attack) -> (transcript digest, culprits)`` of ``repro-sim
+#: ``(backend, attack) -> transcript digest`` of ``repro-sim
 #: audit record --n 7 --l-bits 64 --seed 11``: the real-round backends
 #: read the phase-king / EIG hook answers themselves, so their
 #: transcripts are pinned apart from the ideal backend's grid.
 _PINNED_REAL_ROUNDS = {
-    ("phase_king", "random"): (
+    ("phase_king", "random"):
         "cb3b0fc905587853415062b8d81093446e7100bca27c6fb473b22abb42db725a",
-        [0, 1],
+    ("phase_king", "crash"):
+        "b55c4608f6a2035e53614100417c1fbac24d502fa625cf65d2fd5c8dc2548b87",
+    ("eig", "random"):
+        "e401138058249ebe0027d91f8f112c69d8c61dcd7c7f18f002829152f385c1c4",
+    ("eig", "crash"):
+        "44c92e2df2492918a7a186d24b35adc98dd34a863b03af7e8a0dc63b03e03a5d",
+}
+
+
+#: ``(backend, attack) -> _run_pins`` of the runs ``_PINNED_REAL_ROUNDS``
+#: pins.
+_PINNED_REAL_ROUND_RUNS = {
+    ("phase_king", "random"): (
+        [0, 1], 2640,
+        "5a200522646157e790cdb323f9fd80317551b35b84e460d2809939f32660f15f",
+        "a03733138506d263e6455b9e97bd95e4edb7d3976b0c9a347ae5a9ea18760988",
     ),
     ("phase_king", "crash"): (
-        "b55c4608f6a2035e53614100417c1fbac24d502fa625cf65d2fd5c8dc2548b87",
-        [5, 6],
+        [5, 6], 56,
+        "3b653956cf77ded51ac55696dcc6f7f0c514f9229d39c7a83b99afe0c6660f52",
+        "c6746e3ca5b5eebaeb766cd2979ae460f472dde64b15df8a199f31a858ef402b",
     ),
     ("eig", "random"): (
-        "e401138058249ebe0027d91f8f112c69d8c61dcd7c7f18f002829152f385c1c4",
-        [0, 1],
+        [0, 1], 1807,
+        "a7aa7fcef5a709534a71ee65f237a466b4ab6001513c77598b7fffd21a577dc6",
+        "a03733138506d263e6455b9e97bd95e4edb7d3976b0c9a347ae5a9ea18760988",
     ),
     ("eig", "crash"): (
-        "44c92e2df2492918a7a186d24b35adc98dd34a863b03af7e8a0dc63b03e03a5d",
-        [5, 6],
+        [5, 6], 56,
+        "3b653956cf77ded51ac55696dcc6f7f0c514f9229d39c7a83b99afe0c6660f52",
+        "c6746e3ca5b5eebaeb766cd2979ae460f472dde64b15df8a199f31a858ef402b",
     ),
 }
 
@@ -1351,15 +1412,16 @@ _PINNED_REAL_ROUNDS = {
     "backend, attack", sorted(_PINNED_REAL_ROUNDS), ids="-".join
 )
 def test_real_round_transcript_is_pinned(backend, attack, tmp_path, capsys):
-    """record → prove under a real-round backend: the transcript digest
-    and the culprits the proof names."""
-    digest, culprits = _PINNED_REAL_ROUNDS[(backend, attack)]
+    """record → prove under a real-round backend: the transcript digest,
+    the journal and the proof."""
+    digest = _PINNED_REAL_ROUNDS[(backend, attack)]
     out = str(tmp_path / "transcript.json")
     assert cli_main([
         "audit", "record", "--n", "7", "--l-bits", "64", "--seed", "11",
         "--backend", backend, "--attack", attack, "--out", out,
     ]) == 0
-    assert Transcript.load(out).digest() == digest
+    transcript = Transcript.load(out)
+    assert transcript.digest() == digest
     proof_path = str(tmp_path / "proof.json")
     assert cli_main([
         "audit", "prove", "--transcript", out, "--json", proof_path,
@@ -1367,5 +1429,7 @@ def test_real_round_transcript_is_pinned(backend, attack, tmp_path, capsys):
     capsys.readouterr()
     with open(proof_path, "r", encoding="utf-8") as handle:
         proof = json.load(handle)
-    assert proof["culprits"] == culprits
+    assert _run_pins(transcript, proof) == _PINNED_REAL_ROUND_RUNS[
+        (backend, attack)
+    ]
     assert proof["verified"] and proof["journal_match"]
