@@ -5,12 +5,14 @@ artifact: the declarative :class:`~repro.service.spec.RunSpec` /
 :class:`~repro.service.spec.InstanceSpec` pair that reproduces it, every
 journalled message (a network journal row) in delivery order,
 and the full :class:`~repro.core.result.ConsensusResult` (decisions,
-per-generation records, meter snapshot).  Each journal entry carries a
-per-processor HMAC authentication tag computed over a running hash
-chain, so flipping a payload, swapping tags between entries, dropping a
-message, or truncating the tail all break verification at a localizable
-position — the accountability property the pod line of work makes a
-first-class consensus feature.
+per-generation records, meter snapshot).  A sender signs what it sends
+in a round, not each message: each (round block, sender) group of
+entries carries one HMAC authentication tag under the sender's key over
+a running hash chain, and the chain advances once a block, so flipping
+a payload, swapping tags between groups, dropping a message, or
+truncating the tail all break verification at a localizable position —
+the accountability property the pod line of work makes a first-class
+consensus feature.
 
 Serialization reuses the lossless codecs of
 :mod:`repro.service.serving.wire` (v3): plain JSON, each distinct L-bit
@@ -55,7 +57,8 @@ from repro.utils.boundary import check_int
 
 #: Transcript format identifier, bumped on any incompatible change.
 #: 3: instance and result in wire v3 (each distinct thing once).
-TRANSCRIPT_VERSION = 3
+#: 4: one tag per (round block, sender) group, not per entry.
+TRANSCRIPT_VERSION = 4
 
 #: Demo master key used when the caller does not supply one.  Real
 #: deployments derive per-deployment keys; the default exists so that
@@ -89,7 +92,7 @@ def _entry_bytes(
     bits: int, payload: Any, quoted: dict,
 ) -> bytes:
     """Entry ``index``'s authenticated bytes: ``_canonical`` of
-    :meth:`TranscriptEntry.content_wire` byte for byte, written from its
+    :meth:`TranscriptEntry.to_wire` byte for byte, written from its
     fields (``payload`` in wire form); ``quoted`` keeps each distinct
     tag's JSON quoting for one walk.  ``TypeError`` unless the integer
     fields are exact ``int`` and the tag a ``str``: ``%d`` prints ``True``
@@ -172,10 +175,13 @@ class Keyring:
         outer.update(inner.digest())
         return outer.hexdigest()
 
-    def seal(self, count: int, chain: bytes, result_bytes: bytes) -> str:
-        """Tail seal binding entry count, chain head and result."""
+    def seal(
+        self, entries: int, tags: int, chain: bytes, result_bytes: bytes
+    ) -> str:
+        """Tail seal binding entry count, tag count, chain head and
+        result."""
         mac = hmac.new(self._master, b"repro-audit-seal:", hashlib.sha256)
-        mac.update(b"%d:" % count)
+        mac.update(b"%d:%d:" % (entries, tags))
         mac.update(chain)
         mac.update(hashlib.sha256(result_bytes).digest())
         return mac.hexdigest()
@@ -183,18 +189,19 @@ class Keyring:
 
 @dataclass(frozen=True, slots=True)
 class TranscriptEntry:
-    """One journalled message plus its authentication tag.
+    """One journalled message.
 
     ``payload`` is stored in wire form (an exact int for symbol
-    messages, ``{"repr": ...}`` for anything non-numeric), ``auth`` is
-    the hex HMAC of the sender over the hash chain up to this entry.
+    messages, ``{"repr": ...}`` for anything non-numeric).
     ``content_bytes`` are the authenticated bytes (``_entry_bytes`` of
-    the other fields), made with the entry: ``None`` when a field is not
-    exactly typed, as no tag is valid over such an entry.  An entry made
-    by the constructor (``from_wire``, ``dataclasses.replace``) formats
-    its own bytes, or takes them as ``formatted``; :meth:`Transcript.record`
-    fills the slots of an entry it made directly (``_recorded_entry``)
-    with the bytes and tag it has just computed.
+    the fields), made with the entry: ``None`` when a field is not
+    exactly typed, as no tag is valid over such an entry.  The tag that
+    covers an entry is its (round block, sender) group's, held by the
+    :class:`Transcript`.  An entry made by the constructor
+    (``from_wire``, ``dataclasses.replace``) formats its own bytes, or
+    takes them as ``formatted``; :meth:`Transcript.record` fills the
+    slots of an entry it made directly (``_recorded_entry``) with the
+    bytes it has just formatted.
     """
 
     index: int
@@ -204,7 +211,6 @@ class TranscriptEntry:
     tag: str
     bits: int
     payload: Any
-    auth: str
     formatted: InitVar[Optional[bytes]] = None
     content_bytes: Optional[bytes] = field(
         init=False, repr=False, compare=False
@@ -218,8 +224,9 @@ class TranscriptEntry:
                 pass
         object.__setattr__(self, "content_bytes", formatted)
 
-    def content_wire(self) -> dict:
-        """The authenticated fields (everything except ``auth``)."""
+    def to_wire(self) -> dict:
+        """The entry's fields under their wire names: what its
+        ``content_bytes`` spell."""
         return {
             "index": self.index,
             "round": self.round_index,
@@ -229,11 +236,6 @@ class TranscriptEntry:
             "bits": self.bits,
             "payload": self.payload,
         }
-
-    def to_wire(self) -> dict:
-        payload = self.content_wire()
-        payload["auth"] = self.auth
-        return payload
 
     @classmethod
     def from_wire(cls, payload: dict, where: str = "entry") -> "TranscriptEntry":
@@ -255,21 +257,21 @@ class TranscriptEntry:
 _ENTRY_SLOTS = tuple(
     getattr(TranscriptEntry, name).__set__ for name in (
         "index", "round_index", "sender", "receiver", "tag", "bits",
-        "payload", "auth", "content_bytes",
+        "payload", "content_bytes",
     )
 )
 
 
 def _recorded_entry(
     index: int, round_index: int, sender: int, receiver: int, tag: str,
-    bits: int, payload: Any, auth: str, content: bytes,
+    bits: int, payload: Any, content: bytes,
 ) -> TranscriptEntry:
-    """The entry :meth:`Transcript.record` just authenticated: its slots
+    """The entry :meth:`Transcript.record` just formatted: its slots
     filled directly, as ``TranscriptEntry(..., formatted=content)``
     would fill them, without the dataclass ``__init__`` (a recorded
     audit makes one per journalled message)."""
     entry = object.__new__(TranscriptEntry)
-    s0, s1, s2, s3, s4, s5, s6, s7, s8 = _ENTRY_SLOTS
+    s0, s1, s2, s3, s4, s5, s6, s7 = _ENTRY_SLOTS
     s0(entry, index)
     s1(entry, round_index)
     s2(entry, sender)
@@ -277,8 +279,7 @@ def _recorded_entry(
     s4(entry, tag)
     s5(entry, bits)
     s6(entry, payload)
-    s7(entry, auth)
-    s8(entry, content)
+    s7(entry, content)
     return entry
 
 
@@ -286,9 +287,11 @@ def _recorded_entry(
 class VerifyReport:
     """Outcome of :func:`verify_transcript`.
 
-    ``failed_index`` localizes the first broken entry; ``None`` with
-    ``ok=False`` means the failure is structural (wrong key, or a seal
-    mismatch from tail truncation / result tampering).
+    ``failed_index`` localizes the first broken entry, or the first
+    entry of the first broken (round block, sender) group; ``None`` with
+    ``ok=False`` means the failure is structural (wrong key, a tag list
+    that does not match the entries' groups, or a seal mismatch from
+    tail truncation / result tampering).
     """
 
     ok: bool
@@ -309,8 +312,11 @@ class VerifyReport:
 class Transcript:
     """An authenticated record of one consensus run.
 
-    ``entries`` is stored as a tuple of frozen entries, so the walk of
-    their tags and chain is a function of the transcript and a key:
+    ``entries`` holds one frozen entry per journalled message and
+    ``tags`` one ``(round, sender, auth)`` row per (round block, sender)
+    group, in the order :func:`verify_transcript` recomputes them
+    (:func:`_groups`).  Both are held as tuples, so the walk of the tags
+    and chain is a function of the transcript and a key:
     :func:`verify_transcript` keeps it on the transcript (the private
     ``_walked``, under a SHA-256 of the key) and a later check under the
     same key reads it.  The seal, over the result, is checked every
@@ -321,14 +327,16 @@ class Transcript:
     spec: RunSpec
     instance: InstanceSpec
     entries: tuple
+    tags: tuple
     result: ConsensusResult
     key_id: str
     seal: str
     version: int = TRANSCRIPT_VERSION
 
     def __post_init__(self) -> None:
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
+        for name in ("entries", "tags"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # -- construction -------------------------------------------------
 
@@ -343,38 +351,45 @@ class Transcript:
     ) -> "Transcript":
         """Authenticate a network journal (its rows) into a transcript.
 
-        Entries are chained: ``auth_i`` is the sender's HMAC over the
-        chain head after entry ``i-1`` plus entry ``i``'s canonical
-        bytes, and the seal binds the final chain head, the entry count
-        and the result — so no single-entry edit, swap or drop survives
+        Entries are grouped into round blocks (maximal runs of
+        consecutive entries that share a round) and, within a block, by
+        sender.  Each group's tag is the sender's HMAC over the chain
+        head before its block plus the group's entry bytes; the chain
+        advances once a block over all its entry bytes, and the seal
+        binds the entry count, the tag count, the final chain head and
+        the result — so no single-entry edit, swap or drop survives
         :func:`verify_transcript`.
         """
         ring = Keyring(key)
-        chain = cls._chain_seed(spec, instance, ring.key_id)
         entries: List[TranscriptEntry] = []
         quoted: dict = {}
         for index, row in enumerate(journal):
             round_index, sender, receiver, tag, bits, payload = row
             if type(payload) is not int:
                 payload = _encode_payload(payload)
-            content = _entry_bytes(
-                index, round_index, sender, receiver, tag, bits, payload,
-                quoted,
-            )
-            link = chain + content
-            chain = hashlib.sha256(link).digest()
             entries.append(_recorded_entry(
                 index, round_index, sender, receiver, tag, bits, payload,
-                ring.tag(sender, link), content,
+                _entry_bytes(
+                    index, round_index, sender, receiver, tag, bits,
+                    payload, quoted,
+                ),
             ))
+        _, groups, chain = _groups(
+            entries, cls._chain_seed(spec, instance, ring.key_id)
+        )
+        tags = tuple(
+            (round_index, sender, ring.tag(sender, link))
+            for round_index, sender, _, link in groups
+        )
         result_bytes = _canonical(result_to_wire(result))
         return cls(
             spec=spec,
             instance=instance,
             entries=tuple(entries),
+            tags=tags,
             result=result,
             key_id=ring.key_id,
-            seal=ring.seal(len(entries), chain, result_bytes),
+            seal=ring.seal(len(entries), len(tags), chain, result_bytes),
         )
 
     @staticmethod
@@ -397,14 +412,16 @@ class Transcript:
             "instance": instance_to_wire(self.instance),
             "key_id": self.key_id,
             "entries": [entry.to_wire() for entry in self.entries],
+            "tags": [dict(zip(_TAG_KEYS, row)) for row in self.tags],
             "result": result_to_wire(self.result),
             "seal": self.seal,
         }
 
     @classmethod
     def from_wire(cls, payload: dict) -> "Transcript":
-        """Exact inverse of :meth:`to_wire`; ``ValueError`` if malformed."""
-        # Exactly the int: 3.0 == 3, but it is stored, digested and
+        """Exact inverse of :meth:`to_wire`; ``ValueError`` if malformed,
+        or of another format."""
+        # Exactly the int: 4.0 == 4, but it is stored, digested and
         # saved as the float it is.
         version = check_int(_field(payload, "format", "transcript"), "format")
         if version != TRANSCRIPT_VERSION:
@@ -412,9 +429,6 @@ class Transcript:
                 "transcript format %r, expected format %d"
                 % (version, TRANSCRIPT_VERSION)
             )
-        entries = _field(payload, "entries", "transcript")
-        if not isinstance(entries, list):
-            raise ValueError("transcript: field 'entries' is not a list")
         return cls(
             spec=runspec_from_wire(_field(payload, "spec", "transcript")),
             instance=instance_from_wire(
@@ -422,7 +436,14 @@ class Transcript:
             ),
             entries=tuple(
                 TranscriptEntry.from_wire(entry, "entry %d" % position)
-                for position, entry in enumerate(entries)
+                for position, entry in enumerate(_list(payload, "entries"))
+            ),
+            tags=tuple(
+                tuple(
+                    _field(row, name, "tag %d" % position)
+                    for name in _TAG_KEYS
+                )
+                for position, row in enumerate(_list(payload, "tags"))
             ),
             result=result_from_wire(_field(payload, "result", "transcript")),
             key_id=_field(payload, "key_id", "transcript"),
@@ -443,13 +464,10 @@ class Transcript:
 
     def canonical_bytes(self) -> bytes:
         """The canonical serialized form: ``_canonical(self.to_wire())``
-        byte for byte, each entry written from its stored bytes."""
+        byte for byte, the entries one join of their stored bytes."""
         try:
             entries = b",".join(
-                b'{"auth":%b,%b' % (
-                    _json_str(entry.auth).encode(), entry.content_bytes[1:]
-                )
-                for entry in self.entries
+                [entry.content_bytes for entry in self.entries]
             )
         except TypeError:  # a hostile entry: only the generic encoder is total
             return _canonical(self.to_wire())
@@ -485,7 +503,9 @@ class Transcript:
 
 
 #: Wire names of an entry's fields, in ``TranscriptEntry`` field order.
-_ENTRY_KEYS = ("index", "round", "sender", "receiver", "tag", "bits", "payload", "auth")
+_ENTRY_KEYS = ("index", "round", "sender", "receiver", "tag", "bits", "payload")
+#: Wire names of a tag row's fields, in row order.
+_TAG_KEYS = ("round", "sender", "auth")
 
 
 def _field(container: Any, name: str, where: str) -> Any:
@@ -493,6 +513,14 @@ def _field(container: Any, name: str, where: str) -> Any:
     if not isinstance(container, dict) or name not in container:
         raise ValueError("%s: missing field %r" % (where, name))
     return container[name]
+
+
+def _list(payload: Any, name: str) -> list:
+    """The transcript field ``name``, which must be a list."""
+    value = _field(payload, name, "transcript")
+    if not isinstance(value, list):
+        raise ValueError("transcript: field %r is not a list" % name)
+    return value
 
 
 def verify_transcript(
@@ -503,13 +531,15 @@ def verify_transcript(
     Failure modes and how they are localized:
 
     - payload/field flip at entry *i* → authentication tag mismatch at
-      ``failed_index = i``;
-    - authentication tags swapped between entries → mismatch at the
-      earlier of the two positions;
+      the first entry of *i*'s (round block, sender) group;
+    - authentication tags swapped between groups → mismatch at the
+      earlier group's first entry;
     - interior entry dropped → stored ``index`` disagrees with the
       position, reported at the drop point;
-    - tail entry dropped, or result tampered → seal mismatch
-      (``failed_index = None``).
+    - a tag row added or removed, or a tail block dropped → the tag
+      list does not match the entries' groups (``failed_index = None``);
+    - tail entry dropped → its group's tag, or the tag list, fails;
+    - result tampered → seal mismatch (``failed_index = None``).
 
     The walk of the entries is made once per transcript and key (see
     :class:`Transcript`): it is kept with a SHA-256 of the key, never
@@ -528,7 +558,8 @@ def verify_transcript(
     walked = transcript.__dict__.get("_walked")
     if walked is None or walked[0] != fingerprint:
         walked = (fingerprint, *_walk(
-            transcript.entries, ring, Transcript._chain_seed(
+            transcript.entries, transcript.tags, ring,
+            Transcript._chain_seed(
                 transcript.spec, transcript.instance, ring.key_id
             ),
         ))
@@ -537,7 +568,9 @@ def verify_transcript(
     if failure is not None:
         return failure
     result_bytes = _canonical(result_to_wire(transcript.result))
-    expected_seal = ring.seal(len(transcript.entries), chain, result_bytes)
+    expected_seal = ring.seal(
+        len(transcript.entries), len(transcript.tags), chain, result_bytes
+    )
     if not _same_hex(expected_seal, transcript.seal):
         return VerifyReport(
             ok=False,
@@ -548,12 +581,26 @@ def verify_transcript(
     return VerifyReport(ok=True, checked=len(transcript.entries))
 
 
-def _walk(
-    entries: tuple, ring: Keyring, chain: bytes
-) -> Tuple[Optional[VerifyReport], Optional[bytes]]:
-    """Every entry's position and tag along the chain from ``chain``:
-    ``(the report of the first broken entry, None)``, or ``(None, the
-    chain head)`` when every entry holds."""
+def _groups(
+    entries: Sequence[TranscriptEntry], chain: bytes
+) -> Tuple[Optional[VerifyReport], list, bytes]:
+    """The (round block, sender) groups of ``entries`` along the chain
+    from ``chain``: ``(None, groups, the chain head)`` with one
+    ``(round, sender, first entry index, chain before the block +
+    the group's entry bytes)`` a group, in tag order, or ``(the report
+    of the first broken entry, [], b"")``.
+
+    A block is a maximal run of consecutive entries that share
+    ``round``; its groups come in the order of their senders' first
+    entries, and the chain advances once a block, over all its entry
+    bytes.  An entry is broken when its ``index`` is not its position
+    (reported there) or it has no authenticated bytes (reported at its
+    group's first entry; an entry whose ``sender`` is not an int is a
+    group of its own)."""
+    groups: list = []
+    block: list = []
+    senders: dict = {}
+    current: Any = None
     for position, entry in enumerate(entries):
         if entry.index != position:
             return VerifyReport(
@@ -562,21 +609,74 @@ def _walk(
                 failed_index=position,
                 reason="entry index %r found at position %d: an entry"
                 " was dropped or reordered" % (entry.index, position),
-            ), None
+            ), [], b""
+        if not block or entry.round_index != current:
+            if block:
+                chain = _close_block(groups, current, senders, block, chain)
+            block = []
+            senders = {}
+            current = entry.round_index
+        sender = entry.sender
+        if type(sender) is not int:
+            sender = (position,)
         content = entry.content_bytes
-        link = None if content is None else chain + content
-        if link is None or not _same_hex(
-            ring.tag(entry.sender, link), entry.auth
-        ):
-            return VerifyReport(
-                ok=False,
-                checked=position,
-                failed_index=position,
-                reason="authentication tag mismatch at entry %d"
-                " (sender %r, round %r, tag %r)"
-                % (position, entry.sender, entry.round_index, entry.tag),
-            ), None
-        chain = hashlib.sha256(link).digest()
+        group = senders.get(sender)
+        if group is None:
+            group = senders[sender] = (position, [])
+        if content is None:
+            return _tag_mismatch(group[0], entry), [], b""
+        group[1].append(content)
+        block.append(content)
+    if block:
+        chain = _close_block(groups, current, senders, block, chain)
+    return None, groups, chain
+
+
+def _close_block(
+    groups: list, round_index: Any, senders: dict, block: list, chain: bytes
+) -> bytes:
+    """Append a block's groups to ``groups``; the chain after it."""
+    for sender, (first, parts) in senders.items():
+        groups.append((round_index, sender, first, chain + b"".join(parts)))
+    return hashlib.sha256(chain + b"".join(block)).digest()
+
+
+def _tag_mismatch(first: int, entry: TranscriptEntry) -> VerifyReport:
+    """The report of a broken group, at its first entry ``first``."""
+    return VerifyReport(
+        ok=False,
+        checked=first,
+        failed_index=first,
+        reason="authentication tag mismatch at the group of entry %d"
+        " (sender %r, round %r)" % (first, entry.sender, entry.round_index),
+    )
+
+
+def _walk(
+    entries: tuple, tags: tuple, ring: Keyring, chain: bytes
+) -> Tuple[Optional[VerifyReport], Optional[bytes]]:
+    """Every entry's position and every group's tag along the chain from
+    ``chain``: ``(the report of the first broken entry or group, or of a
+    tag list that does not match the groups, None)``, or ``(None, the
+    chain head)`` when everything holds."""
+    failure, groups, chain = _groups(entries, chain)
+    if failure is not None:
+        return failure, None
+    if len(tags) != len(groups) or any(
+        type(row[0]) is not int or type(row[1]) is not int
+        or row[:2] != group[:2]
+        for row, group in zip(tags, groups)
+    ):
+        return VerifyReport(
+            ok=False,
+            checked=0,
+            reason="the tag list does not match the entries' (round"
+            " block, sender) groups: a tag row was added, dropped or"
+            " reordered, or entries were dropped from the tail",
+        ), None
+    for (_, sender, first, link), row in zip(groups, tags):
+        if not _same_hex(ring.tag(sender, link), row[2]):
+            return _tag_mismatch(first, entries[first]), None
     return None, chain
 
 

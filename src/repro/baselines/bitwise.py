@@ -20,7 +20,7 @@ from repro.broadcast_bit.ideal import default_b
 from repro.broadcast_bit.phase_king import run_king_consensus
 from repro.core.result import ConsensusOutcome, ground_truth
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, check_tolerated
 from repro.processors.answers import substituted_inputs
 from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.boundary import check_choice, check_input_value, check_int
@@ -84,6 +84,7 @@ class BitwiseConsensus:
         self.l_bits = l_bits
         self.substrate = substrate
         self.adversary = adversary if adversary is not None else Adversary()
+        check_tolerated(self.adversary, t)
         self.meter = meter if meter is not None else BitMeter()
 
     def _view(self) -> GlobalView:

@@ -44,7 +44,9 @@ from repro.coding.interleaved import make_symbol_code
 from repro.coding.reed_solomon import DecodingError, min_symbol_bits
 from repro.core.result import ConsensusOutcome, ground_truth
 from repro.network.metrics import BitMeter, MeterSnapshot
-from repro.processors.adversary import Adversary, GlobalView, hook_is_default
+from repro.processors.adversary import (
+    Adversary, GlobalView, check_tolerated, hook_is_default,
+)
 from repro.processors.answers import (
     bit_answer, delivery_value_of, substituted_inputs,
 )
@@ -95,6 +97,7 @@ class FitziHirtConsensus:
         self.key_seed = key_seed
         self.default_value = default_value
         self.adversary = adversary if adversary is not None else Adversary()
+        check_tolerated(self.adversary, t)
         self.meter = meter if meter is not None else BitMeter()
         self.hash_family = PolynomialHash(l_bits, kappa)
         k = n - 2 * t

@@ -396,7 +396,18 @@ def cmd_audit(args) -> int:
         print("valid      : %s" % result.valid)
         print("total bits : %d" % result.total_bits)
         return 0 if result.error_free else 1
-    transcript = Transcript.load(args.transcript)
+    try:
+        transcript = Transcript.load(args.transcript)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            "cannot load %s: not JSON (%s)" % (args.transcript, exc)
+        ) from None
+    except OSError as exc:
+        raise ValueError(
+            "cannot load %s: %s" % (args.transcript, exc.strerror or exc)
+        ) from None
+    except ValueError as exc:
+        raise ValueError("cannot load %s: %s" % (args.transcript, exc)) from None
     if args.action == "verify":
         report = verify_transcript(transcript, key=key)
         print("verified   : %s" % report.ok)

@@ -50,7 +50,7 @@ from repro.core.result import RunOutcome
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, check_tolerated
 from repro.processors.answers import (
     bit_answer, codeword_symbols, diagnosis_symbol_value, received_symbol,
     trust_row_bits, wire_payload,
@@ -126,6 +126,7 @@ class MultiValuedBroadcast:
         self.generations = math.ceil(l_bits / d_bits)
         self.default_value = default_value
         self.adversary = adversary if adversary is not None else Adversary()
+        check_tolerated(self.adversary, t)
         self.meter = meter if meter is not None else BitMeter()
         self.graph = graph if graph is not None else DiagnosisGraph(n)
         self.network = SyncNetwork(n, self.meter)

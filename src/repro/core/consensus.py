@@ -33,7 +33,7 @@ from repro.core.result import ConsensusResult
 from repro.graphs.diagnosis_graph import DiagnosisGraph
 from repro.network.metrics import BitMeter
 from repro.network.simulator import SyncNetwork
-from repro.processors.adversary import Adversary, GlobalView
+from repro.processors.adversary import Adversary, GlobalView, check_tolerated
 from repro.utils.bits import join_symbols
 from repro.utils.boundary import check_input_value
 
@@ -117,14 +117,8 @@ class MultiValuedConsensus:
         self.batch_generations = batch_generations
         self.vectorized = vectorized
         self.adversary = adversary if adversary is not None else Adversary()
-        if (
-            not config.allow_t_ge_n3
-            and len(self.adversary.faulty) > config.t
-        ):
-            raise ValueError(
-                "adversary controls %d processors but config tolerates t=%d"
-                % (len(self.adversary.faulty), config.t)
-            )
+        if not config.allow_t_ge_n3:
+            check_tolerated(self.adversary, config.t)
         if context is not None:
             context.refuse_mismatch(config, self.adversary)
         self.meter = meter if meter is not None else BitMeter()

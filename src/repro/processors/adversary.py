@@ -394,3 +394,14 @@ def hook_is_default(adversary: Adversary, name: str) -> bool:
     (``CompositeAdversary``), a wrapper (``DeviationRecorder``) — reads
     as overriding and must keep firing."""
     return getattr(type(adversary), name) is getattr(Adversary, name)
+
+
+def check_tolerated(adversary: Adversary, t: int) -> None:
+    """``ValueError`` unless ``adversary`` controls at most the ``t``
+    processors a protocol instance tolerates: past t, no guarantee of
+    the paper holds, so an engine refuses to run rather than decide."""
+    if len(adversary.faulty) > t:
+        raise ValueError(
+            "adversary controls %d processors but config tolerates t=%d"
+            % (len(adversary.faulty), t)
+        )

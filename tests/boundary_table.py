@@ -165,7 +165,7 @@ TABLE = (
     Row(_WIRE + "result_from_wire", "decisions", "index", 0),
     Row(_WIRE + "result_from_wire", "common_input", "index?", 0),
     Row(_WIRE + "result_from_wire", "generations", "index", 0),
-    Row("repro.audit.transcript.Transcript.from_wire", "format", "int", 3),
+    Row("repro.audit.transcript.Transcript.from_wire", "format", "int", 4),
     # -- engine integers ---------------------------------------------------
     Row("repro.coding.gf.GF.check_array", "values", "engine", np.int64(7),
         lambda value: [value, 2]),

@@ -8,11 +8,11 @@ result byte-identical), and proven — the culpability proof must name
 properties for the serialization, a tamper-localization fuzz over
 single-entry edits, journal-materialization equivalence across engine
 lanes, the ``charge_round`` recording-fallback regression, and the
-serving-tier / CLI opt-ins.  Format 3's bytes are pinned: the entry
+serving-tier / CLI opt-ins.  Format 4's bytes are pinned: the entry
 formatter against ``json.dumps`` and the pre-keyed tags against
-``hmac.digest`` as properties, a golden file saved by
-an earlier commit, and a table of hostile transcripts that must fail
-typed.
+``hmac.digest`` as properties, a golden file that recording the same
+run again must reproduce, and a table of hostile transcripts that must
+fail typed; the golden format-3 file is refused by its format.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
+import itertools
 import json
 import pickle
 import random
@@ -139,10 +140,14 @@ def test_full_width_value_at_l_2_16(tmp_path):
 
 def test_other_transcript_formats_are_refused():
     _, transcript = ConsensusService(RunSpec(n=4, l_bits=32)).record(VALUE)
-    wire = transcript.to_wire()
-    wire["format"] = 2
-    with pytest.raises(ValueError, match="format 2"):
-        Transcript.from_wire(wire)
+    for version in (2, 3, 5):
+        wire = transcript.to_wire()
+        wire["format"] = version
+        with pytest.raises(
+            ValueError,
+            match="transcript format %d, expected format 4" % version,
+        ):
+            Transcript.from_wire(wire)
 
 
 def test_audited_service_fixture(audited_service):
@@ -313,7 +318,7 @@ _exact_entries = st.builds(
     TranscriptEntry,
     index=_field_ints, round_index=_field_ints, sender=_field_ints,
     receiver=_field_ints, tag=_texts, bits=_field_ints,
-    payload=_wire_payloads, auth=_texts,
+    payload=_wire_payloads,
 )
 #: What a hostile file can put where an int belongs; such an entry has
 #: no authenticated bytes, but it still has a digest.
@@ -321,7 +326,13 @@ _inexact_entries = st.builds(
     TranscriptEntry,
     index=st.booleans(), round_index=st.floats(allow_nan=False),
     sender=st.none(), receiver=_texts, tag=st.integers(), bits=_field_ints,
-    payload=_wire_payloads, auth=st.one_of(st.none(), st.integers(), _texts),
+    payload=_wire_payloads,
+)
+#: Tag rows, exactly typed or as a hostile file can spell them.
+_tag_rows = st.tuples(
+    st.one_of(_field_ints, st.floats(allow_nan=False), st.none()),
+    st.one_of(_field_ints, _texts),
+    st.one_of(_texts, st.none(), st.integers()),
 )
 
 
@@ -329,14 +340,14 @@ _inexact_entries = st.builds(
 @given(entry=_exact_entries)
 def test_entry_formatter_is_canonical_json(entry):
     """The one producer of an entry's authenticated bytes writes what
-    ``json.dumps`` wrote before it (transcript format 3), and an entry
-    stores those bytes."""
+    ``json.dumps`` wrote before it (transcript formats 3 and 4 alike),
+    and an entry stores those bytes."""
     formatted = _entry_bytes(
         entry.index, entry.round_index, entry.sender, entry.receiver,
         entry.tag, entry.bits, entry.payload, {},
     )
     assert entry.content_bytes == formatted == json.dumps(
-        entry.content_wire(), sort_keys=True, separators=(",", ":")
+        entry.to_wire(), sort_keys=True, separators=(",", ":")
     ).encode()
 
 
@@ -348,11 +359,15 @@ def test_an_inexact_entry_stores_no_bytes(entry):
 
 
 @settings(max_examples=60, deadline=None)
-@given(entries=st.lists(st.one_of(_exact_entries, _inexact_entries), max_size=5))
-def test_digest_is_the_hash_of_the_canonical_wire_form(entries):
+@given(
+    entries=st.lists(st.one_of(_exact_entries, _inexact_entries), max_size=5),
+    tags=st.lists(_tag_rows, max_size=3),
+)
+def test_digest_is_the_hash_of_the_canonical_wire_form(entries, tags):
     transcript = Transcript(
         spec=_SPEC, instance=_INSTANCE, entries=tuple(entries),
-        result=_RESULT, key_id="0123456789abcdef", seal="\"seal\\",
+        tags=tuple(tags), result=_RESULT, key_id="0123456789abcdef",
+        seal="\"seal\\",
     )
     assert transcript.digest() == hashlib.sha256(
         _canonical(transcript.to_wire())
@@ -396,22 +411,43 @@ def test_record_refuses_an_inexact_integer_field(field, value):
         Transcript.record(_SPEC, _INSTANCE, [row], _RESULT)
 
 
-GOLDEN = Path(__file__).parent / "data" / "transcript_v3_n4_crash.json"
+GOLDEN_V3 = Path(__file__).parent / "data" / "transcript_v3_n4_crash.json"
+GOLDEN = Path(__file__).parent / "data" / "transcript_v4_n4_crash.json"
 GOLDEN_DIGEST = (
-    "dc9867ea4c4632f5705c790ffd166644c4ef4df1176212df5c14b636ea9f6322"
+    "b3749e14cefe14c91b520f953da88cf5e3355639f97e43b99338452c6d6b984b"
 )
 
 
-def test_golden_format_3_transcript(tmp_path):
-    """A file saved by the commit before the entry formatter existed
-    (``repro-sim audit record --n 4 --l-bits 16 --attack crash --seed 11
-    --value 0xBEEF``): it loads, verifies, convicts exactly its faulty
-    pid, and recording the same run again saves the same bytes."""
+def test_golden_format_3_transcript():
+    """The format-3 file of the same run (saved by the commit before
+    the entry formatter existed) is refused by its format, typed: no
+    walk of per-entry tags is kept beside format 4's."""
+    assert json.loads(GOLDEN_V3.read_text())["format"] == 3
+    with pytest.raises(
+        ValueError, match="transcript format 3, expected format 4"
+    ):
+        Transcript.load(GOLDEN_V3)
+
+
+def test_golden_format_4_transcript(tmp_path):
+    """``repro-sim audit record --n 4 --l-bits 16 --attack crash --seed
+    11 --value 0xBEEF`` saved in format 4: it loads, verifies (18
+    entries under 6 tags: two round blocks of three senders), convicts
+    exactly its faulty pid, journals what the format-3 file journals,
+    and recording the same run again saves the same bytes."""
     transcript = Transcript.load(GOLDEN)
-    assert transcript.version == 3
+    assert transcript.version == 4
     assert transcript.digest() == GOLDEN_DIGEST
     report = verify_transcript(transcript)
     assert report.ok and report.checked == len(transcript.entries) == 18
+    assert [row[:2] for row in transcript.tags] == [
+        (0, 1), (0, 2), (0, 0), (1, 1), (1, 2), (1, 0),
+    ]
+    v3_entries = json.loads(GOLDEN_V3.read_text())["entries"]
+    assert [entry.to_wire() for entry in transcript.entries] == [
+        {name: value for name, value in entry.items() if name != "auth"}
+        for entry in v3_entries
+    ]
     proof = prove(transcript)
     assert proof.ok
     assert proof.culprits == proof.claimed_faulty == (3,)
@@ -467,28 +503,56 @@ def test_non_canonical_golden_transcript_is_refused(edit):
 # -- satellite: single-entry tamper localization fuzz ----------------------
 
 
-def _tamper(wire, rng):
-    """Apply one random single-entry edit; returns (mode, index)."""
-    entries = wire["entries"]
+def _group_first(entries, index):
+    """The first entry of entry ``index``'s (round block, sender) group,
+    found by reading the block backwards from ``index``."""
+    entry = entries[index]
+    first = index
+    for position in range(index - 1, -1, -1):
+        if entries[position].round_index != entry.round_index:
+            break
+        if entries[position].sender == entry.sender:
+            first = position
+    return first
+
+
+def _tag_firsts(entries):
+    """Each tag row's first entry, in tag order: a group's first entries
+    ascend within a block and from block to block."""
+    return [
+        index for index in range(len(entries))
+        if _group_first(entries, index) == index
+    ]
+
+
+def _tamper(transcript, wire, rng):
+    """Apply one random edit to ``wire``; returns (mode, the failed_index
+    verification must report: an entry, or None for a tag list that no
+    longer matches the groups)."""
+    entries = transcript.entries
+    firsts = _tag_firsts(entries)
     index = rng.randrange(len(entries))
     mode = rng.choice(["flip", "swap", "drop"])
-    if mode == "swap" and len(entries) < 2:
-        mode = "flip"
     if mode == "flip":
-        payload = entries[index]["payload"]
-        entries[index]["payload"] = (
+        payload = wire["entries"][index]["payload"]
+        wire["entries"][index]["payload"] = (
             payload + 1 if isinstance(payload, int) else 1
         )
-    elif mode == "swap":
-        other = (index + 1) % len(entries)
-        index, other = min(index, other), max(index, other)
-        entries[index]["auth"], entries[other]["auth"] = (
-            entries[other]["auth"],
-            entries[index]["auth"],
+        return mode, _group_first(entries, index)
+    if mode == "swap":
+        row = rng.randrange(len(firsts) - 1)
+        other = rng.randrange(row + 1, len(firsts))
+        tags = wire["tags"]
+        tags[row]["auth"], tags[other]["auth"] = (
+            tags[other]["auth"], tags[row]["auth"]
         )
-    else:
-        del entries[index]
-    return mode, index
+        return mode, firsts[row]
+    del wire["entries"][index]
+    if index < len(entries) - 1:
+        return mode, index
+    # The tail entry: its group's tag fails, or the group is gone.
+    first = _group_first(entries, index)
+    return mode, None if first == index else first
 
 
 FUZZ_CASES = [
@@ -507,9 +571,12 @@ FUZZ_CASES = [
     ids=["n%d-%s-s%d" % case for case in FUZZ_CASES],
 )
 def test_tampering_is_detected_and_localized(n, attack, seed):
-    """Any single journal-entry edit — payload flip, auth-tag swap,
-    dropped message — fails verification and names the tampered entry
-    (a dropped tail entry is pinned on the seal instead)."""
+    """Any single journal-entry edit fails verification where it stands:
+    a payload flip at its (round block, sender) group's first entry, an
+    auth swap between two groups at the earlier group, an interior drop
+    at its exact index; a dropped tail entry at its group, or as a tag
+    list that no longer matches the groups.  A tag row added or removed
+    and a dropped tail block are such structural failures."""
     spec = RunSpec(
         n=n, l_bits=64, attack=attack, seed=seed,
         faulty=_case_faulty(attack),
@@ -519,19 +586,31 @@ def test_tampering_is_detected_and_localized(n, attack, seed):
     rng = random.Random((n, attack, seed).__repr__())
     for trial in range(12):
         wire = transcript.to_wire()
-        mode, index = _tamper(wire, rng)
-        tampered = Transcript.from_wire(wire)
-        report = verify_transcript(tampered)
-        assert not report.ok, (mode, index)
-        if mode == "drop" and index == len(transcript.entries) - 1:
-            # Tail drop: chain and indexes stay consistent, the seal
-            # catches the truncation.
-            assert report.failed_index is None
-            assert "seal" in report.reason
-        else:
-            assert report.failed_index == index, (mode, index, report)
+        mode, expected = _tamper(transcript, wire, rng)
+        report = verify_transcript(Transcript.from_wire(wire))
+        assert not report.ok, mode
+        assert report.failed_index == expected, (mode, expected, report)
+        if expected is None:
+            assert "tag list" in report.reason
+    last_round = transcript.entries[-1].round_index
+    tail = sum(
+        1 for _ in itertools.takewhile(
+            lambda entry: entry.round_index == last_round,
+            reversed(transcript.entries),
+        )
+    )
+    for edit in [
+        lambda wire: wire["tags"].append(dict(wire["tags"][-1])),
+        lambda wire: wire["tags"].pop(rng.randrange(len(wire["tags"]))),
+        lambda wire: wire["entries"].__delitem__(slice(-tail, None)),
+    ]:
+        wire = transcript.to_wire()
+        edit(wire)
+        report = verify_transcript(Transcript.from_wire(wire))
+        assert (report.ok, report.failed_index) == (False, None)
+        assert "tag list" in report.reason
     # Type swaps JSON can express and ``==`` cannot see: each field keeps
-    # its value and changes its type, and must fail where it stands (a
+    # its value and changes its type, and must fail at its group (a
     # ``%d`` formatter alone would print the same bytes and verify).
     entries = transcript.to_wire()["entries"]
     symbol = next(
@@ -548,14 +627,64 @@ def test_tampering_is_detected_and_localized(n, attack, seed):
         entry[field] = swap(entry[field])
         assert entry[field] == entries[index][field]
         report = verify_transcript(Transcript.from_wire(wire))
+        first = _group_first(transcript.entries, index)
         assert (report.ok, report.checked, report.failed_index) == (
-            False, index, index
+            False, first, first
         ), (field, report)
+
+
+#: The edits of an entry field ``test_every_single_entry_edit_fails``
+#: makes: another value of the same type, or of another.
+_EDITS = {
+    "index": [lambda v: v + 1, lambda v: v - 1, float],
+    "round": [lambda v: v + 1, lambda v: v - 1, float, str],
+    "sender": [lambda v: v + 1, lambda v: v - 1, float, str],
+    "receiver": [lambda v: v + 1, float],
+    "tag": [lambda v: v + "x", lambda v: None],
+    "bits": [lambda v: v + 1, float],
+    "payload": [
+        lambda v: v + 1 if isinstance(v, int) else 1, lambda v: str(v),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,attack", [(4, "crash"), (7, "corrupt")])
+def test_every_single_entry_edit_fails(n, attack):
+    """Every edit of every field of every entry of a small transcript,
+    and every entry's drop, fails verification, never later than the
+    edited entry."""
+    _, transcript = ConsensusService(
+        RunSpec(n=n, l_bits=16, attack=attack)
+    ).record(0xBEEF)
+    base = transcript.to_wire()
+    edits = 0
+    for position in range(len(base["entries"])):
+        for field, changes in _EDITS.items():
+            for change in changes:
+                wire = json.loads(json.dumps(base))
+                entry = wire["entries"][position]
+                entry[field] = change(entry[field])
+                report = verify_transcript(Transcript.from_wire(wire))
+                assert not report.ok, (position, field, entry[field])
+                assert report.failed_index is None or (
+                    report.failed_index <= position
+                ), (position, field, report)
+                edits += 1
+        wire = json.loads(json.dumps(base))
+        del wire["entries"][position]
+        assert not verify_transcript(Transcript.from_wire(wire)).ok
+    assert edits == len(base["entries"]) * sum(map(len, _EDITS.values()))
 
 
 def _set_entry(index, field, value):
     def edit(wire):
         wire["entries"][index][field] = value
+    return edit
+
+
+def _set_tag(index, field, value):
+    def edit(wire):
+        wire["tags"][index][field] = value
     return edit
 
 
@@ -565,22 +694,35 @@ def _set(field, value):
     return edit
 
 
-#: (edit, outcome): an int is the entry ``verify`` must fail at, "seal" a
-#: seal mismatch, any other string the ``ValueError`` ``from_wire`` must
-#: raise.  Every row but the last made the verifier or the loader raise
-#: ``TypeError`` or ``KeyError`` before they were total.
+def _swap_tag_rows(wire):
+    wire["tags"][0], wire["tags"][1] = wire["tags"][1], wire["tags"][0]
+
+
+#: (edit, outcome): an int is the entry ``verify`` must fail at (a tag
+#: row's group starts there: row 2 is sender 0's group of round 0, from
+#: entry 2; entry 3 is in sender 2's group from entry 1), "seal" a seal
+#: mismatch, "tags" a tag list that does not match the entries' groups,
+#: any other string the ``ValueError`` ``from_wire`` must raise.  The
+#: format-3 rows that ``TypeError`` or ``KeyError`` escaped from before
+#: the verifier and the loader were total are kept, restated for tag
+#: rows.
 HOSTILE = {
-    "auth-non-ascii": (_set_entry(2, "auth", "\u00e9" * 64), 2),
-    "auth-null": (_set_entry(2, "auth", None), 2),
-    "auth-number": (_set_entry(2, "auth", 7), 2),
+    "auth-non-ascii": (_set_tag(2, "auth", "\u00e9" * 64), 2),
+    "auth-null": (_set_tag(2, "auth", None), 2),
+    "auth-number": (_set_tag(2, "auth", 7), 2),
     "sender-string": (_set_entry(3, "sender", "1"), 3),
     "sender-null": (_set_entry(3, "sender", None), 3),
-    "tag-number": (_set_entry(3, "tag", 5), 3),
-    "tag-list": (_set_entry(3, "tag", ["gen0"]), 3),
+    "tag-number": (_set_entry(3, "tag", 5), 1),
+    "tag-list": (_set_entry(3, "tag", ["gen0"]), 1),
     "index-string": (_set_entry(1, "index", "1"), 1),
     "seal-non-ascii": (_set("seal", "\u00e9" * 64), "seal"),
     "seal-null": (_set("seal", None), "seal"),
     "seal-number": (_set("seal", 3), "seal"),
+    "tag-round-float": (_set_tag(0, "round", 0.0), "tags"),
+    "tag-sender-string": (_set_tag(0, "sender", "1"), "tags"),
+    "tag-rows-reordered": (_swap_tag_rows, "tags"),
+    "tag-row-added": (lambda wire: wire["tags"].append(wire["tags"][0]), "tags"),
+    "tag-row-dropped": (lambda wire: wire["tags"].pop(), "tags"),
     "entry-field-missing": (
         lambda wire: wire["entries"][4].pop("bits"), "entry 4.*'bits'",
     ),
@@ -591,9 +733,18 @@ HOSTILE = {
     "entries-is-an-object": (_set("entries", {"0": {}}), "'entries'"),
     "entries-is-null": (_set("entries", None), "'entries'"),
     "entries-missing": (lambda wire: wire.pop("entries"), "'entries'"),
-    # 3.0 == 3, but a float format is stored: it verified and proved,
+    "tag-field-missing": (
+        lambda wire: wire["tags"][1].pop("auth"), "tag 1.*'auth'",
+    ),
+    "tag-is-a-list": (
+        lambda wire: wire["tags"].__setitem__(1, [0, 2, "00"]),
+        "tag 1.*'round'",
+    ),
+    "tags-is-null": (_set("tags", None), "'tags'"),
+    "tags-missing": (lambda wire: wire.pop("tags"), "'tags'"),
+    # 4.0 == 4, but a float format is stored: it verified and proved,
     # while its digest and saved bytes were another document's.
-    "format-float": (_set("format", 3.0), r"format 3\.0"),
+    "format-float": (_set("format", 4.0), r"format 4\.0"),
 }
 
 
@@ -608,7 +759,7 @@ def test_hostile_transcripts_fail_typed(row):
     ).record(0xBEEF)
     wire = transcript.to_wire()
     edit(wire)
-    if isinstance(outcome, str) and outcome != "seal":
+    if isinstance(outcome, str) and outcome not in ("seal", "tags"):
         with pytest.raises(ValueError, match=outcome):
             Transcript.from_wire(wire)
     else:
@@ -618,6 +769,9 @@ def test_hostile_transcripts_fail_typed(row):
         if outcome == "seal":
             assert report.failed_index is None and "seal" in report.reason
             assert report.checked == len(transcript.entries)
+        elif outcome == "tags":
+            assert (report.checked, report.failed_index) == (0, None)
+            assert "tag list" in report.reason
         else:
             assert (report.checked, report.failed_index) == (outcome, outcome)
         # prove() verifies for itself and has a digest to report.
@@ -698,7 +852,7 @@ def test_journal_equivalence_across_engine_lanes(attack, monkeypatch):
 #: A recorded entry ``(round 3, 1 -> 2, bits 4, payload 1)`` and, per
 #: field, a replayed value ``==`` calls equal while the entry's
 #: authenticated bytes spell it differently.
-_ENTRY = TranscriptEntry(0, 3, 1, 2, "gen0.matching.symbols", 4, 1, "")
+_ENTRY = TranscriptEntry(0, 3, 1, 2, "gen0.matching.symbols", 4, 1)
 _LOOSE_ROWS = {
     "payload": (3, 1, 2, "gen0.matching.symbols", 4, True),
     "bits": (3, 1, 2, "gen0.matching.symbols", 4.0, 1),
@@ -783,15 +937,16 @@ def _counted_tags(monkeypatch):
 
 
 def test_an_audit_walks_its_transcript_once(monkeypatch):
-    """The first check computes every tag; a second ``verify``,
-    ``replay`` and ``prove`` under the same key compute none and report
-    what the first check reported."""
+    """The first check computes every tag, one a (round block, sender)
+    group; a second ``verify``, ``replay`` and ``prove`` under the same
+    key compute none and report what the first check reported."""
     _, transcript = ConsensusService(
         RunSpec(n=7, l_bits=64, attack="corrupt")
     ).record(VALUE)
     calls = _counted_tags(monkeypatch)
     first = transcript.verify()
-    assert first.ok and len(calls) == len(transcript.entries)
+    assert first.ok and len(calls) == len(transcript.tags)
+    assert calls == [sender for _, sender, _ in transcript.tags]
     calls.clear()
     assert transcript.verify() == verify_transcript(transcript) == first
     assert replay(transcript).verify == first
@@ -924,7 +1079,7 @@ def test_a_recorded_entry_is_the_entry_its_fields_make():
     entry is slotted, frozen and pickles."""
     transcript = _crash_transcript()
     for entry in transcript.entries:
-        made = TranscriptEntry(entry.index, *_ROW(entry), entry.auth)
+        made = TranscriptEntry(entry.index, *_ROW(entry))
         assert made == entry and repr(made) == repr(entry)
         assert made.content_bytes == entry.content_bytes
     entry = transcript.entries[0]
@@ -1259,16 +1414,16 @@ def test_default_key_is_not_a_deployment_secret():
 #: drawing from one stream in hook order).
 _PINNED_AUDITS = {
     ("random", 0): (
-        "8c05b26d0ee9a3df35d4e4f8b9935d0d50c11ad99042bd96d0b08af801db96b0",
-        "397364ff8ce53493e72d821227f29652226c3ab30bb25a4c563fd662081ad3e8",
+        "3126bf5977cfcecc6dee879fb062758c2e5675029dd6f5f5970674c1ad0fbdc4",
+        "df71648f0fd6c961934b03f565f8c2f1e97d268395ca99e1e76453f00600ad8a",
     ),
     ("random", 7): (
-        "9a8f8018a16eab1ed2d7ea0d1da9c9b9cb751754cc5e2cfda033a4863ac19ff1",
-        "47258c58b31ecaf19b18f4b8188e918ffaf6c8c61e5a2500b05d5d0e3cad025e",
+        "88c1a68e4073b0219a7befa1c3cfe79201845650fc1a52825442c6c4b402b284",
+        "15fab3428214bc37eafa84d048a9526ad9807c0f01e448c01d3206fba5e845a5",
     ),
     ("adaptive_split", 11): (
-        "3c6c34ca3ad6f00b20f568b297a65ceec6afd68dc59855fa092975ad040903e4",
-        "56687faf4154ed1969c2b43382ac411c963a98901ea03284b09fed4bbcfcc3af",
+        "a9bf93d61d36076bcab7731a7dd47517cf93b00866874844f7d1accbe32674ae",
+        "aad221522982c2bea2b481833994114970ab1d3318a56c17c401e34afbcaca35",
     ),
 }
 
@@ -1372,13 +1527,13 @@ def test_fault_grid_proofs_are_pinned(pin):
 #: transcripts are pinned apart from the ideal backend's grid.
 _PINNED_REAL_ROUNDS = {
     ("phase_king", "random"):
-        "cb3b0fc905587853415062b8d81093446e7100bca27c6fb473b22abb42db725a",
+        "df670d09906119dd4d675f9f2c8230db5e6f90d79669c85339d83aed8f3e7bec",
     ("phase_king", "crash"):
-        "b55c4608f6a2035e53614100417c1fbac24d502fa625cf65d2fd5c8dc2548b87",
+        "5f7d85b0b3bd278d837838ada3c641ac55d3247a635920b7a75e5094761d2712",
     ("eig", "random"):
-        "e401138058249ebe0027d91f8f112c69d8c61dcd7c7f18f002829152f385c1c4",
+        "2ee29c02819b2f7dc2f010b0e9f0bbe5e165286b8b98687cab7aa74dcaa85141",
     ("eig", "crash"):
-        "44c92e2df2492918a7a186d24b35adc98dd34a863b03af7e8a0dc63b03e03a5d",
+        "3339d6262686175475c800d581b81ee4adae90ff0ce7b4fc65d5164bb2b2ebb1",
 }
 
 

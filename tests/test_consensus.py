@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from repro import ConsensusConfig, MultiValuedConsensus
+from repro import ConsensusConfig, MultiValuedBroadcast, MultiValuedConsensus
 from repro.baselines import BitwiseConsensus, FitziHirtConsensus
 from repro.core.result import GenerationOutcome
 from repro.processors import (
@@ -16,6 +16,7 @@ from repro.processors import (
     FalseDetectionAdversary,
     SlowBleedAdversary,
     SymbolCorruptionAdversary,
+    make_attack,
 )
 from tests.conftest import NT_PAIRS, run_consensus
 
@@ -90,6 +91,32 @@ class TestInputValidation:
         config = ConsensusConfig.create(n=7, t=2, l_bits=8)
         with pytest.raises(ValueError):
             MultiValuedConsensus(config, adversary=Adversary([0, 1, 2]))
+
+    @pytest.mark.parametrize("build", [
+        lambda adversary: MultiValuedConsensus(
+            ConsensusConfig.create(n=4, t=1, l_bits=16), adversary=adversary
+        ),
+        lambda adversary: MultiValuedBroadcast(
+            n=4, l_bits=16, adversary=adversary
+        ),
+        lambda adversary: FitziHirtConsensus(
+            n=4, t=1, l_bits=16, adversary=adversary
+        ),
+        lambda adversary: BitwiseConsensus(
+            n=4, t=1, l_bits=16, adversary=adversary
+        ),
+    ], ids=["consensus", "broadcast", "fitzi_hirt", "bitwise"])
+    def test_an_adversary_past_t_is_refused_at_construction(self, build):
+        """Every engine refuses an adversary that controls more than t
+        processors before it runs (the broadcast decided {3: 0} and the
+        baselines {3: 5} under three crashed pids of four)."""
+        adversary = make_attack("crash", 4, 1, 16, faulty=[0, 1, 2])
+        with pytest.raises(
+            ValueError,
+            match="adversary controls 3 processors but config tolerates t=1",
+        ):
+            build(adversary)
+        assert build(make_attack("crash", 4, 1, 16, faulty=[3]))
 
     @pytest.mark.parametrize("toggles", [
         {}, {"batch_generations": False}, {"vectorized": False},

@@ -1,5 +1,7 @@
 """Reports, sweeps and the CLI driver."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import ConsensusConfig, MultiValuedConsensus
@@ -12,6 +14,8 @@ from repro.analysis.report import (
 from repro.analysis.sweeps import SweepPoint, sweep_l, sweep_n
 from repro.cli import build_parser, main
 from repro.processors import SlowBleedAdversary
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(n=7, t=2, l_bits=96, adversary=None, d_bits=24):
@@ -183,6 +187,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert info.value.code == 2
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("action", ["verify", "replay", "prove"])
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "No such file or directory"),
+        ("not_json", "not JSON (Expecting ',' delimiter"),
+        ("format_3", "transcript format 3, expected format 4"),
+    ])
+    def test_unloadable_transcript_is_a_usage_error(
+        self, capsys, tmp_path, action, case, message
+    ):
+        """A transcript that is missing, not JSON or of another format
+        is refused in one line naming the file, never a traceback."""
+        path = {
+            "missing": tmp_path / "missing.json",
+            "not_json": tmp_path / "not_json.json",
+            "format_3": DATA / "transcript_v3_n4_crash.json",
+        }[case]
+        if case == "not_json":
+            path.write_text('{"format": 4\n"entries": []}')
+        with pytest.raises(SystemExit) as info:
+            main(["audit", action, "--transcript", str(path)])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("repro-sim: error: cannot load %s: " % path)
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_parser_requires_command(self):
         parser = build_parser()
