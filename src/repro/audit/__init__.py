@@ -24,7 +24,6 @@ from repro.audit.transcript import (
     Keyring,
     Transcript,
     TranscriptEntry,
-    TranscriptRecorder,
     VerifyReport,
     verify_transcript,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "Keyring",
     "Transcript",
     "TranscriptEntry",
-    "TranscriptRecorder",
     "VerifyReport",
     "verify_transcript",
     "Divergence",

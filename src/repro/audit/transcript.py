@@ -678,33 +678,3 @@ def _walk(
         if not _same_hex(ring.tag(sender, link), row[2]):
             return _tag_mismatch(first, entries[first]), None
     return None, chain
-
-
-@dataclass
-class TranscriptRecorder:
-    """Sink passed to ``ConsensusService.run(..., transcript=...)``.
-
-    The service captures one :class:`Transcript` per instance it runs;
-    the recorder accumulates them (``transcripts``) and exposes the most
-    recent one (:attr:`transcript`) for the common single-run case.
-    """
-
-    key: bytes = DEFAULT_KEY
-    transcripts: List[Transcript] = field(default_factory=list)
-
-    @property
-    def transcript(self) -> Optional[Transcript]:
-        return self.transcripts[-1] if self.transcripts else None
-
-    def capture(
-        self,
-        spec: RunSpec,
-        instance: InstanceSpec,
-        journal: Sequence[tuple],
-        result: ConsensusResult,
-    ) -> Transcript:
-        recorded = Transcript.record(
-            spec, instance, journal, result, key=self.key
-        )
-        self.transcripts.append(recorded)
-        return recorded

@@ -59,7 +59,7 @@ from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus, split_value
 from repro.core.planner import Lane, plan_lane
 from repro.core.result import ConsensusResult, GenerationResult
-from repro.network.metrics import BitMeter, MeterSnapshot
+from repro.network.metrics import MeterSnapshot
 from repro.processors.adversary import Adversary
 from repro.service.cohort import run_cohort_instance
 from repro.service.engine import execute_consensus
@@ -148,14 +148,12 @@ class ConsensusService:
         self,
         adversary: Adversary,
         context: CohortContext,
-        meter: Optional[BitMeter] = None,
         journal: bool = False,
     ) -> MultiValuedConsensus:
         """A fresh per-instance engine over ``context``."""
         return MultiValuedConsensus(
             self.config,
             adversary=adversary,
-            meter=meter,
             batch_generations=self.spec.batch_generations,
             vectorized=self.spec.vectorized,
             context=context,
@@ -171,8 +169,6 @@ class ConsensusService:
         seed: Optional[int] = None,
         faulty: Optional[Sequence[int]] = None,
         adversary: Optional[Adversary] = None,
-        meter: Optional[BitMeter] = None,
-        transcript=None,
     ) -> ConsensusResult:
         """Run one consensus instance.
 
@@ -182,15 +178,6 @@ class ConsensusService:
         the canonical attack registry; passing a live ``adversary``
         object bypasses the registry entirely (such instances cannot be
         described declaratively, hence neither recorded nor served).
-
-        ``transcript`` is an optional
-        :class:`~repro.audit.TranscriptRecorder`: the engine journals
-        every delivered message and the recorder captures an
-        authenticated :class:`~repro.audit.Transcript` of the run.
-        Recording requires a declarative instance (a live ``adversary``
-        object cannot be replayed from the transcript alone) on a
-        deployment its :class:`RunSpec` describes; either refusal is a
-        ``ValueError`` before any traffic.
 
         Always executes a real engine — byte-identical to
         ``MultiValuedConsensus(config, adversary).run(inputs)`` but on
@@ -204,8 +191,6 @@ class ConsensusService:
                 "attack/seed/faulty overrides conflict with a live "
                 "adversary object; pass one or the other"
             )
-        if transcript is not None:
-            self._refuse_recording(adversary)
         instance = self._coerce(
             inputs, attack=attack, seed=seed, faulty=faulty
         ).validate(self.spec)
@@ -215,15 +200,9 @@ class ConsensusService:
         if adversary is None:
             adversary = instance.resolve(self.spec).make_adversary()
         engine = self._make_engine(
-            adversary, self._context_for(keyed, adversary),
-            meter=meter, journal=transcript is not None,
+            adversary, self._context_for(keyed, adversary)
         )
-        result = engine.run(list(instance.inputs))
-        if transcript is not None:
-            transcript.capture(
-                self.spec, instance, engine.network.journal, result
-            )
-        return result
+        return engine.run(list(instance.inputs))
 
     def record(
         self,
@@ -234,25 +213,38 @@ class ConsensusService:
         key: Optional[bytes] = None,
     ):
         """Run one instance with transcript recording; returns
-        ``(result, transcript)``.
+        ``(result, transcript)``, the result byte-identical to
+        :meth:`run`'s.
 
-        Convenience wrapper over :meth:`run` with a fresh
-        :class:`~repro.audit.TranscriptRecorder` (``key`` overrides the
-        demo signing key).  See ``docs/AUDIT.md``.
+        The service's one journalling door: the engine journals every
+        delivered message (so the run takes the per-generation lane,
+        never the cohort or a clone) and the journal is authenticated
+        into a :class:`~repro.audit.Transcript` (``key`` overrides the
+        demo signing key).  ``prove()`` rebuilds the run from the
+        transcript's spec and instance, so a deployment its
+        :class:`RunSpec` does not describe is refused, a ``ValueError``
+        before any traffic.  See ``docs/AUDIT.md``.
         """
-        from repro.audit import TranscriptRecorder
+        from repro.audit import DEFAULT_KEY, Transcript
 
-        recorder = (
-            TranscriptRecorder() if key is None else TranscriptRecorder(key)
+        if not self._recordable:
+            raise ValueError(
+                "transcript recording needs a deployment its RunSpec "
+                "describes; this config's coin_seed has no RunSpec "
+                "field"
+            )
+        instance = self._coerce(
+            inputs, attack=attack, seed=seed, faulty=faulty
+        ).validate(self.spec)
+        adversary = instance.resolve(self.spec).make_adversary()
+        engine = self._make_engine(
+            adversary, self._context_for(instance, adversary), journal=True
         )
-        result = self.run(
-            inputs,
-            attack=attack,
-            seed=seed,
-            faulty=faulty,
-            transcript=recorder,
+        result = engine.run(list(instance.inputs))
+        return result, Transcript.record(
+            self.spec, instance, engine.network.journal, result,
+            key=DEFAULT_KEY if key is None else key,
         )
-        return result, recorder.transcript
 
     # -- batch API ----------------------------------------------------------
 
@@ -286,9 +278,7 @@ class ConsensusService:
         return self._run_many_local(batch)
 
     def run_many(
-        self,
-        instances: Sequence[InstanceLike],
-        transcript=None,
+        self, instances: Sequence[InstanceLike]
     ) -> List[ConsensusResult]:
         """Run a batch of independent consensus instances, in-process,
         with cross-instance batching.
@@ -296,45 +286,15 @@ class ConsensusService:
         Results arrive in instance order and are byte-identical — per
         instance: decisions, generation records, meter snapshot — to
         looping ``MultiValuedConsensus`` over the same instances.  Every
-        instance is validated before the first one executes.
-
-        Args:
-            instances: instance descriptions (:data:`InstanceLike`).
-            transcript: optional
-                :class:`~repro.audit.TranscriptRecorder`; captures one
-                authenticated transcript per instance, in order.
+        instance is validated before the first one executes.  A batch
+        is never recorded: :meth:`record` is the journalling door.
         """
-        if transcript is not None:
-            self._refuse_recording()
-        return self._run_many_local(
-            [
-                self._coerce(instance).validate(self.spec)
-                for instance in instances
-            ],
-            transcript=transcript,
-        )
+        return self._run_many_local([
+            self._coerce(instance).validate(self.spec)
+            for instance in instances
+        ])
 
     # -- internals ----------------------------------------------------------
-
-    def _refuse_recording(
-        self, adversary: Optional[Adversary] = None
-    ) -> None:
-        """Recording's refusals, made before any traffic: ``prove()``
-        rebuilds a run from the transcript's spec and instance, so
-        neither a live adversary nor a config the spec does not
-        describe can be recorded."""
-        if adversary is not None:
-            raise ValueError(
-                "transcript recording needs a declarative instance; a "
-                "live adversary object cannot be replayed from the "
-                "transcript alone"
-            )
-        if not self._recordable:
-            raise ValueError(
-                "transcript recording needs a deployment its RunSpec "
-                "describes; this config's coin_seed has no RunSpec "
-                "field"
-            )
 
     def _coerce(
         self,
@@ -360,7 +320,7 @@ class ConsensusService:
         )
 
     def _run_many_local(
-        self, specs: Sequence[InstanceSpec], transcript=None
+        self, specs: Sequence[InstanceSpec]
     ) -> List[ConsensusResult]:
         results: List[Optional[ConsensusResult]] = [None] * len(specs)
         plan: List[Tuple[InstanceSpec, Adversary, Lane]] = []
@@ -370,7 +330,6 @@ class ConsensusService:
                 self.config, self.spec.vectorized,
                 self.spec.batch_generations, adversary, instance.inputs,
                 reuse_results=self.reuse_results,
-                journal=transcript is not None,
             )
             plan.append((instance, adversary, lane))
         prewarmed = self._prewarm(plan)  # dies with the batch
@@ -379,7 +338,7 @@ class ConsensusService:
                 results[idx] = self._run_or_clone(instance, adversary)
             else:
                 results[idx] = self._execute(
-                    instance, adversary, lane, transcript, prewarmed
+                    instance, adversary, lane, prewarmed
                 )
         return results  # type: ignore[return-value]
 
@@ -388,25 +347,16 @@ class ConsensusService:
         instance: InstanceSpec,
         adversary: Adversary,
         lane: Lane,
-        transcript=None,
         prewarmed=None,
     ) -> ConsensusResult:
-        """Execute one instance on ``lane`` with a fresh engine (handing
-        it its batch's :meth:`_prewarm` table), recording it when a
-        ``transcript`` recorder is given."""
+        """Execute one instance on ``lane`` with a fresh engine, handing
+        it its batch's :meth:`_prewarm` table."""
         engine = self._make_engine(
-            adversary, self._context_for(instance, adversary),
-            journal=transcript is not None,
+            adversary, self._context_for(instance, adversary)
         )
         if lane is Lane.COHORT:
-            result = run_cohort_instance(engine, instance.inputs, prewarmed)
-        else:
-            result = execute_consensus(engine, list(instance.inputs), lane)
-        if transcript is not None:
-            transcript.capture(
-                self.spec, instance, engine.network.journal, result
-            )
-        return result
+            return run_cohort_instance(engine, instance.inputs, prewarmed)
+        return execute_consensus(engine, list(instance.inputs), lane)
 
     def _prewarm(self, plan) -> Dict[int, Tuple[list, list]]:
         """The cross-*instance* batched encode: one

@@ -9,9 +9,9 @@ the caller drains.  One server owns one
 and a single flush task that converts the service layer's 4–13×
 cross-instance batching win into a latency/throughput knob: requests
 collect for ``window_ms`` (or until ``max_batch``), then each
-compatible group flushes as **one** ``run_many`` cohort on an
-:class:`~repro.service.executors.AsyncExecutor` worker thread, keeping
-the event loop free to admit the next window's traffic.
+compatible group flushes as **one** ``run_many`` cohort on the
+server's one worker thread, keeping the event loop free to admit the
+next window's traffic.
 
 Every served result is byte-identical to a direct ``run_many`` on the
 same :class:`~repro.service.spec.InstanceSpec`s — micro-batching
@@ -43,10 +43,10 @@ import asyncio
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.result import ConsensusResult
-from repro.service.executors import AsyncExecutor
 from repro.service.service import ConsensusService, InstanceLike
 from repro.service.serving.batcher import (
     AdmissionError,
@@ -66,6 +66,7 @@ from repro.service.serving.wire import (
     value_from_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
+from repro.utils.boundary import check_duration, check_int
 
 logger = logging.getLogger(__name__)
 
@@ -103,15 +104,14 @@ class ConsensusServer:
             passing their own :class:`RunSpec`; each distinct spec gets
             its own long-lived service, and one flush never mixes
             deployments).
-        window_ms: micro-batch collection window in milliseconds,
-            measured from the oldest queued request.
+        window_ms: micro-batch collection window in milliseconds (a
+            float or an int, at least 0), measured from the oldest
+            queued request.
         max_batch: flush size cap per cohort; a group reaching it
             flushes without waiting out the window.
         max_queue: bounded admission queue across all deployments;
             beyond it, :meth:`submit` raises
             :class:`~repro.service.serving.batcher.QueueFullError`.
-        sample_cap: latency samples retained for percentiles (see
-            :class:`~repro.service.serving.stats.ServingStats`).
     """
 
     def __init__(
@@ -120,7 +120,6 @@ class ConsensusServer:
         window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
-        sample_cap: int = 65536,
     ):
         if isinstance(spec, ConsensusService):
             self.spec = spec.spec
@@ -135,17 +134,23 @@ class ConsensusServer:
                 "expected a RunSpec or ConsensusService, got %r"
                 % type(spec).__name__
             )
-        self.window_ms = float(window_ms)
-        self.max_batch = int(max_batch)
-        self.max_queue = int(max_queue)
+        self.window_ms = check_duration(window_ms, "window_ms")
+        self.max_batch = check_int(max_batch, "max_batch")
+        self.max_queue = check_int(max_queue, "max_queue")
         self._batcher: MicroBatcher[_Request] = MicroBatcher(
             window_s=self.window_ms / 1000.0,
             max_batch=self.max_batch,
             max_queue=self.max_queue,
         )
-        #: the one worker thread every flush of this server runs on.
-        self._executor = AsyncExecutor()
-        self.stats = ServingStats(sample_cap=sample_cap)
+        #: The one worker thread every flush and recorded submit runs
+        #: on, from :meth:`start` to :meth:`stop`: on the loop, a
+        #: synchronous engine run would stall admission.  One thread,
+        #: deliberately: a context's arena holds one generation in
+        #: flight (:mod:`repro.service.arena`), so a recording must
+        #: serialize with every flush, and a second thread would buy no
+        #: parallelism under the GIL anyway.
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self.stats = ServingStats()
         self._flush_task: Optional[asyncio.Task] = None
         #: set on any admission — wakes an idle flush loop.
         self._wake: Optional[asyncio.Event] = None
@@ -173,6 +178,10 @@ class ConsensusServer:
         self._wake = asyncio.Event()
         self._kick = asyncio.Event()
         self._started_at = time.monotonic()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-batch"
+            )
         self._flush_task = asyncio.create_task(
             self._flush_loop(), name="repro-serve-flush"
         )
@@ -203,7 +212,9 @@ class ConsensusServer:
         if self._flush_task is not None:
             await self._flush_task
             self._flush_task = None
-        self._executor.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -241,11 +252,12 @@ class ConsensusServer:
         has flushed — byte-identical to a direct ``run_many``.
 
         With ``transcript=True`` the request is recorded: it executes
-        individually (recording is per-instance; it still runs on the
-        executor's single worker thread, serialized with batched
-        flushes) and the coroutine resolves to ``(result,
-        Transcript)`` — the authenticated journal ``repro-sim audit``
-        can verify, replay and prove against.  The result itself stays
+        individually through :meth:`ConsensusService.record
+        <repro.service.service.ConsensusService.record>` (recording is
+        per-instance; it still runs on the server's one worker thread,
+        serialized with batched flushes) and the coroutine resolves to
+        ``(result, Transcript)`` — the authenticated journal
+        ``repro-sim audit`` can verify, replay and prove against.  The result itself stays
         byte-identical to the batched path.
 
         Raises:
@@ -291,18 +303,15 @@ class ConsensusServer:
         """Run one admitted instance with transcript recording; returns
         ``(result, Transcript)``.  Bypasses the micro-batch queue but
         not the worker thread, so it never interleaves with a flush."""
-        from repro.audit import TranscriptRecorder
-
         service = self.service_for(spec)
-        recorder = TranscriptRecorder()
         enqueued = time.monotonic()
         started = time.perf_counter()
-        [result] = await self._executor.run_async(
-            service, [instance], transcript=recorder
+        recorded = await asyncio.get_running_loop().run_in_executor(
+            self._pool, service.record, instance
         )
         self.stats.record_flush(1, time.perf_counter() - started)
         self.stats.record_latency(time.monotonic() - enqueued)
-        return result, recorder.transcript
+        return recorded
 
     # -- the flush loop -----------------------------------------------------
 
@@ -355,7 +364,11 @@ class ConsensusServer:
         }
         started = time.perf_counter()
         try:
-            results = await self._executor.run_async(service, batch)
+            # Looked up per flush: a wrapper patched onto the service
+            # class between flushes sees the next one.
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._pool, service._run_many_local, batch
+            )
         except Exception as exc:  # engine failure: fail the cohort
             for request in requests:
                 if not request.future.done():

@@ -10,6 +10,7 @@ and the network read an *engine integer*, which may be a numpy integer.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Collection
 
 import numpy as np
@@ -64,6 +65,18 @@ def check_probability(value: Any, name: str) -> float:
     if (type(value) is int or isinstance(value, float)) and 0 <= value <= 1:
         return value
     raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
+
+
+def check_duration(value: Any, name: str) -> float:
+    """A duration (a window, a timeout): a float, or an exact ``int``,
+    finite and at least 0."""
+    if (type(value) is int or isinstance(value, float)) and (
+        0 <= value < math.inf
+    ):
+        return value
+    raise ValueError(
+        "%s must be a finite number >= 0, got %r" % (name, value)
+    )
 
 
 def engine_int(value: Any, name: str, error: type = ValueError) -> int:

@@ -14,6 +14,7 @@ A rule is one of:
   (L = 16);
 * ``"choice"`` — :func:`~repro.utils.boundary.check_choice`;
 * ``"probability"`` — :func:`~repro.utils.boundary.check_probability`;
+* ``"duration"`` — :func:`~repro.utils.boundary.check_duration`;
 * ``"index"`` — a wire table index (an exact int below the table's
   length);
 * ``"engine"`` — :func:`~repro.utils.boundary.engine_int`, on a 4-bit
@@ -50,6 +51,7 @@ _RULE = "repro.faults.plan.FaultRule"
 _WIRE = "repro.service.serving.wire."
 _RUN = "repro.core.consensus.MultiValuedConsensus"
 _SERVICE = "repro.service.service.ConsensusService"
+_SERVER = "repro.service.serving.server.ConsensusServer"
 
 
 def _first(value):
@@ -115,9 +117,20 @@ TABLE = (
     Row(_SERVICE + ".run_many", "instances", "value", 7,
         lambda value: [_first(value)], "input value"),
     *(Row(_SERVICE, name, None, None) for name in (
-        "config_or_spec", "reuse_results", "adversary", "meter",
-        "transcript", "key",
+        "config_or_spec", "reuse_results", "adversary", "key",
     )),
+    # -- the serving front-end --------------------------------------------
+    Row(_SERVER, "window_ms", "duration", 1.0),
+    Row(_SERVER, "max_batch", "int", 8),
+    Row(_SERVER, "max_queue", "int", 16),
+    Row(_SERVER + ".submit", "inputs", "value", 7, _first, "input value"),
+    Row(_SERVER + ".submit", "seed", "int?", 3),
+    Row(_SERVER + ".submit", "faulty", "pid", 3, _one),
+    Row(_SERVER + ".submit", "attack", "choice?", "crash"),
+    # A deployment (the constructor's, or a submit's target) and the
+    # recording flag.
+    Row(_SERVER, "spec", None, None),
+    Row(_SERVER + ".submit", "transcript", None, False),
     # -- the §4 broadcast ------------------------------------------------
     Row(_BROADCAST, "n", "int", 4),
     Row(_BROADCAST, "l_bits", "int", 16),

@@ -34,7 +34,6 @@ from repro.audit import (
     DEFAULT_KEY,
     Keyring,
     Transcript,
-    TranscriptRecorder,
     compare,
     prove,
     replay,
@@ -51,7 +50,7 @@ from repro.core import MultiValuedBroadcast
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
 from repro.network.message import Message
-from repro.network.metrics import BitMeter, MeterSnapshot
+from repro.network.metrics import MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors import (
     ATTACKS,
@@ -62,6 +61,7 @@ from repro.processors import (
 )
 from repro.processors.adversary import GlobalView
 from repro.service import ConsensusService, InstanceSpec, RunSpec
+from repro.service import cohort as cohort_module
 from repro.service import service as service_module
 from repro.service.serving.sdk import serve_background
 
@@ -161,18 +161,6 @@ def test_audited_service_fixture(audited_service):
     assert compare(result, reference).identical
 
 
-def test_record_refuses_live_adversary():
-    from repro.processors import Adversary
-
-    service = ConsensusService(RunSpec(n=4, l_bits=16))
-    with pytest.raises(ValueError, match="declarative"):
-        service.run(
-            0xBEEF,
-            adversary=Adversary([0]),
-            transcript=TranscriptRecorder(),
-        )
-
-
 @pytest.mark.parametrize(
     "extra, attack",
     [
@@ -180,27 +168,30 @@ def test_record_refuses_live_adversary():
     ],
     ids=["coin_seed"],
 )
-def test_record_refuses_a_config_its_spec_cannot_rebuild(extra, attack):
+def test_record_refuses_a_config_its_spec_cannot_rebuild(
+    extra, attack, monkeypatch
+):
     """A transcript carries the service's ``RunSpec`` and ``prove()``
     rebuilds the deployment from it: a config setting what no spec
-    field carries recorded, verified and then could never prove.  Every
-    recording entry point now refuses it before any traffic."""
+    field carries recorded, verified and then could never prove.  The
+    recording door refuses it before any engine exists, hence before
+    any traffic."""
     service = ConsensusService(
         ConsensusConfig.create(n=4, t=1, l_bits=16, **extra)
     )
-    refused = pytest.raises(ValueError, match="its RunSpec describes")
-    with refused:
+    engines = []
+    make_engine = service._make_engine
+
+    def counting(*args, **kwargs):
+        engines.append(make_engine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(service, "_make_engine", counting)
+    with pytest.raises(ValueError, match="its RunSpec describes"):
         service.record(0xBEEF, attack=attack, seed=3)
-    meter = BitMeter()
-    with refused:
-        service.run(
-            0xBEEF, attack=attack, seed=3, meter=meter,
-            transcript=TranscriptRecorder(),
-        )
-    assert meter.total_bits == 0
-    with refused:
-        service.run_many([0xBEEF], transcript=TranscriptRecorder())
+    assert engines == []
     assert service.run(0xBEEF, attack=attack, seed=3).error_free
+    assert len(engines) == 1
 
     plain = {k: v for k, v in extra.items() if k == "backend"}
     twin = ConsensusService(ConsensusConfig.create(n=4, t=1, l_bits=16, **plain))
@@ -800,7 +791,8 @@ def test_result_tampering_breaks_the_seal():
 
 def cohort_runs(monkeypatch):
     """The engines every service from here on runs on the cohort lane
-    (:func:`~repro.service.cohort.run_cohort_instance`), in order."""
+    (:func:`~repro.service.cohort.run_cohort_instance`), in order,
+    whether a batch or a one-shot engine reaches it."""
     runs = []
     original = service_module.run_cohort_instance
 
@@ -808,15 +800,17 @@ def cohort_runs(monkeypatch):
         runs.append(engine)
         return original(engine, *args)
 
-    monkeypatch.setattr(service_module, "run_cohort_instance", spy)
+    for module in (service_module, cohort_module):
+        monkeypatch.setattr(module, "run_cohort_instance", spy)
     return runs
 
 
 @pytest.mark.parametrize("attack", sorted(ATTACKS))
 def test_journal_equivalence_across_engine_lanes(attack, monkeypatch):
-    """Scalar, vectorized and batched (``run_many``) runs of one spec
-    leave byte-identical journals (not just bits and decisions); the
-    recorded batch never enters the cohort engine."""
+    """A scalar engine and the service's recording door leave
+    byte-identical journals (not just bits and decisions) on one spec;
+    a recording never enters the cohort engine, and its result equals
+    the batch's (``run_many``)."""
     spec = RunSpec(n=7, l_bits=64, attack=attack)
     effective = InstanceSpec(inputs=(VALUE,) * 7).resolve(spec)
 
@@ -831,22 +825,23 @@ def test_journal_equivalence_across_engine_lanes(attack, monkeypatch):
     scalar_journal = engine.network.journal
 
     vec_service = ConsensusService(spec)
-    vec_recorder = TranscriptRecorder()
-    vec_result = vec_service.run(VALUE, transcript=vec_recorder)
-    assert vec_recorder.transcript.journal() == scalar_journal
+    vec_result, vec_transcript = vec_service.record(VALUE)
+    assert vec_transcript.journal() == scalar_journal
 
+    # A service whose batches take the cohort lane records off it.
     batch_service = ConsensusService(spec)
-    batch_recorder = TranscriptRecorder()
     cohort = cohort_runs(monkeypatch)
-    [batch_result] = batch_service.run_many(
-        [InstanceSpec(inputs=(VALUE,) * 7)], transcript=batch_recorder
+    batch_result, batch_transcript = batch_service.record(
+        InstanceSpec(inputs=(VALUE,) * 7)
     )
     # The cohort's rounds are accounting a journal cannot observe.
     assert not cohort
-    assert batch_recorder.transcript.journal() == scalar_journal
+    assert batch_transcript.journal() == scalar_journal
 
     assert compare(scalar_result, vec_result).identical
     assert compare(scalar_result, batch_result).identical
+    [batched] = batch_service.run_many([InstanceSpec(inputs=(VALUE,) * 7)])
+    assert compare(scalar_result, batched).identical
 
 
 #: A recorded entry ``(round 3, 1 -> 2, bits 4, payload 1)`` and, per
@@ -1147,12 +1142,9 @@ def test_transcript_composes_with_batched_fast_paths(monkeypatch):
     same result as the unrecorded cohort run, and the transcript
     replays."""
     spec = RunSpec(n=7, l_bits=128, attack="crash")
-    recorder = TranscriptRecorder()
     service = ConsensusService(spec)
     cohort = cohort_runs(monkeypatch)
-    [result] = service.run_many(
-        [InstanceSpec(inputs=(VALUE,) * 7)], transcript=recorder
-    )
+    result, transcript = service.record(InstanceSpec(inputs=(VALUE,) * 7))
     assert not cohort, "a recorded run entered the cohort"
     reference_service = ConsensusService(spec)
     [reference] = reference_service.run_many(
@@ -1160,26 +1152,25 @@ def test_transcript_composes_with_batched_fast_paths(monkeypatch):
     )
     assert cohort, "expected the cohort engine"
     assert compare(result, reference).identical
-    assert replay(recorder.transcript).ok
+    assert replay(transcript).ok
 
     # A failure-free run (unrecorded: the empty cohort) records too.
     honest = ConsensusService(RunSpec(n=7, l_bits=128))
-    honest_recorder = TranscriptRecorder()
-    honest.run(VALUE, transcript=honest_recorder)
-    assert replay(honest_recorder.transcript).ok
+    _, honest_transcript = honest.record(VALUE)
+    assert replay(honest_transcript).ok
 
 
-def test_run_many_recording_disables_result_cloning():
-    """Cloned (priced) results have no journal; with a recorder every
-    instance executes for real and yields a verifiable transcript."""
+def test_recording_disables_result_cloning():
+    """Cloned (priced) results have no journal; a recorded instance
+    executes for real, every time, and yields a verifiable transcript
+    whose result equals the batch's."""
     spec = RunSpec(n=4, l_bits=32)
     service = ConsensusService(spec)
-    recorder = TranscriptRecorder()
-    results = service.run_many(
-        [VALUE, VALUE, VALUE], transcript=recorder
-    )
-    assert len(recorder.transcripts) == 3
-    for result, transcript in zip(results, recorder.transcripts):
+    recorded = [service.record(VALUE) for _ in range(3)]
+    results = [result for result, _ in recorded]
+    transcripts = [transcript for _, transcript in recorded]
+    assert len(transcripts) == 3
+    for result, transcript in zip(results, transcripts):
         assert verify_transcript(transcript).ok
         assert transcript.entries
         assert transcript.result.decisions == result.decisions
@@ -1366,6 +1357,10 @@ def test_serving_transcript_opt_in():
         result, transcript = client.submit(VALUE, transcript=True)
     assert compare(plain, result).identical
     assert verify_transcript(transcript).ok
+    # The server records through the service's one journalling door.
+    assert transcript.digest() == ConsensusService(spec).record(VALUE)[
+        1
+    ].digest()
     proof = prove(transcript)
     assert proof.ok
     assert proof.culprits == (0,)
@@ -1564,7 +1559,8 @@ _PINNED_REAL_ROUND_RUNS = {
 
 
 @pytest.mark.parametrize(
-    "backend, attack", sorted(_PINNED_REAL_ROUNDS), ids="-".join
+    "backend, attack", sorted(_PINNED_REAL_ROUNDS),
+    ids=["-".join(cell) for cell in sorted(_PINNED_REAL_ROUNDS)],
 )
 def test_real_round_transcript_is_pinned(backend, attack, tmp_path, capsys):
     """record → prove under a real-round backend: the transcript digest,

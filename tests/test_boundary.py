@@ -9,6 +9,7 @@ the message names the argument.  The row's valid value passes.
 
 from __future__ import annotations
 
+import asyncio
 import copy
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.coding.reed_solomon import ReedSolomonCode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.processors.registry import make_attack
 from repro.service import InstanceSpec, RunSpec
-from repro.service.serving import wire
+from repro.service.serving import ConsensusServer, InvalidRequestError, wire
 from tests.boundary_table import TABLE
 
 _BREAKERS = (True, 1.0, np.int64(1), "1", None)
@@ -40,6 +41,9 @@ DRAWS = {
     "value": _BREAKERS + (-1, 1 << 16, 2 ** 70),
     "choice": (True, 1.0, np.int64(1), "nonesuch", None, -1, 2 ** 70),
     "probability": (True, np.int64(1), "1", None, -0.5, 1.5, 2 ** 70),
+    "duration": (
+        True, np.int64(1), "1", None, -0.5, float("nan"), float("inf"),
+    ),
     "index": (True, 1.0, np.int64(0), "0", None, -1, 1, 2 ** 70),
     "engine": (True, 1.0, "1", None, -1, 16, 2 ** 70),
 }
@@ -72,6 +76,22 @@ def _service(method: str):
     ))
 
 
+def _served(arg, value):
+    """``ConsensusServer.submit`` on a started server, one argument
+    replaced."""
+    async def submit():
+        server = ConsensusServer(RunSpec(n=4, l_bits=16), window_ms=0)
+        await server.start()
+        try:
+            return await server.submit(**_with(
+                dict(inputs=(5,) * 4, attack="crash"), arg, value
+            ))
+        finally:
+            await server.stop()
+
+    return asyncio.run(submit())
+
+
 #: Each entry, called with one argument replaced and the rest valid.
 CALLS = {
     "repro.core.consensus.MultiValuedConsensus.run":
@@ -84,6 +104,11 @@ CALLS = {
     },
     "repro.service.service.ConsensusService.run_many":
         lambda arg, value: _SERVICE.run_many(value),
+    "repro.service.serving.server.ConsensusServer":
+        lambda arg, value: ConsensusServer(
+            RunSpec(n=4, l_bits=16), **{arg: value}
+        ),
+    "repro.service.serving.server.ConsensusServer.submit": _served,
     "repro.core.config.ConsensusConfig": lambda arg, value: ConsensusConfig(
         **_with(
             dict(n=4, t=1, l_bits=16, d_bits=8, symbol_bits=4), arg, value
@@ -171,15 +196,20 @@ ERRORS = {
     "repro.coding.gf.GF.add": GFElementError,
     "repro.coding.gf.GF.mul": GFElementError,
     "repro.coding.reed_solomon.ReedSolomonCode.encode": GFElementError,
+    # Admission wraps every refusal, a name that is not a str included.
+    "repro.service.serving.server.ConsensusServer.submit":
+        InvalidRequestError,
 }
 
 
 def _error(row, value) -> type:
+    if row.entry in ERRORS:
+        return ERRORS[row.entry]
     if row.argument in ("attack", "name") and type(value) is not str:
         # normalize_attack refuses a name that is not a str before the
         # lookup, as it always has.
         return TypeError
-    return ERRORS.get(row.entry, ValueError)
+    return ValueError
 
 
 def _call(row, value):

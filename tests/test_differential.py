@@ -7,11 +7,13 @@ the one-shot ``MultiValuedConsensus.run``, ``ConsensusService.run``,
 (``vectorized=False, batch_generations=False, reuse_results=False``)
 returns — decisions, per-generation records, meter snapshot — and leave
 the same round clock, backend instance counts and, when recording, the
-same journal.  One grid checks that for every registry attack
-(``none`` included) at n ∈ {4, 7, 31}, with and without a journal; its
-``large_n`` rows (n = 127 and 255, a minute of forced-scalar reference,
-selected only by ``-m large_n`` — the CI ``fault-grid`` job) hold the
-one-shot path to the same reference where the lanes are packed.
+same journal (a service records through ``record``, its one journalling
+door, whatever the path's batching).  One grid checks that for every
+registry attack (``none`` included) at n ∈ {4, 7, 31}, with and without
+a journal; its ``large_n`` rows (n = 127 and 255, a minute of
+forced-scalar reference, selected only by ``-m large_n`` — the CI
+``fault-grid`` job) hold the one-shot path to the same reference where
+the lanes are packed.
 
 The instance under test is always the *second* of its batch, behind a
 same-shape instance with another value: on the ``run_many`` path that
@@ -25,7 +27,7 @@ from collections import Counter
 
 import pytest
 
-from repro.audit import Transcript, TranscriptRecorder
+from repro.audit import Transcript
 from repro.coding.interleaved import InterleavedCode
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core import batched as batched_module
@@ -114,23 +116,24 @@ def capture_engines(service):
 
 def run_service(spec, instances, journal, batch, reuse_results=True):
     """The instance under test through a service: ``run_many`` over the
-    batch, or ``run`` instance by instance."""
+    batch, or ``run`` instance by instance; journalled, ``record``
+    instance by instance (the service's one journalling door)."""
     service = ConsensusService(spec, reuse_results=reuse_results)
     engines = capture_engines(service)
-    recorder = TranscriptRecorder() if journal else None
-    if batch:
-        results = service.run_many(instances, transcript=recorder)
+    transcript = None
+    if journal:
+        results = []
+        for instance in instances:
+            result, transcript = service.record(instance)
+            results.append(result)
+    elif batch:
+        results = service.run_many(instances)
     else:
-        results = [
-            service.run(instance, transcript=recorder)
-            for instance in instances
-        ]
+        results = [service.run(instance) for instance in instances]
     # A clone builds no engine: with one engine fewer than instances,
     # the instance under test (the last) was priced, not executed.
     engine = engines[-1] if len(engines) == len(instances) else None
-    return Observed(
-        results[-1], engine, recorder.transcript if journal else None
-    )
+    return Observed(results[-1], engine, transcript)
 
 
 @functools.lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ import repro.graphs.diagnosis_graph
 import repro.network.simulator
 import repro.processors.composite
 import repro.utils.rng
-import repro.service.executors
 import repro.service.service
 import repro.service.serving.batcher
 import repro.service.serving.sdk
@@ -59,7 +58,6 @@ MODULES = [
     repro.processors.composite,
     repro.utils.rng,
     repro.service.service,
-    repro.service.executors,
     repro.service.serving.batcher,
     repro.service.serving.stats,
     repro.service.serving.wire,

@@ -222,7 +222,7 @@ RUN_LIKE = frozenset(
 )
 
 
-def _parameters(function: ast.FunctionDef):
+def _parameters(function):
     arguments = function.args
     names = [
         arg.arg for arg in (
@@ -249,7 +249,7 @@ def boundary_parameters(source: str, name: str):
             and "ClassVar" not in ast.unparse(node.annotation)
         )
     for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and (
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
             node.name in RUN_LIKE or node.name == "__init__"
         ):
             found.extend(
@@ -297,11 +297,13 @@ def test_the_walk_finds_every_boundary_parameter():
         "    n: int\n"
         "    LIMIT: ClassVar[int] = 3\n"
         "    def run(self, inputs, *, seed=0):\n        pass\n"
+        "    async def submit(self, value):\n        pass\n"
         "    def helper(self, other):\n        pass\n"
         "class Other:\n"
         "    def __init__(self, t):\n        pass\n"
     )
     assert boundary_parameters(source, "Spec") == [
         ("Spec", "n"), ("Spec.run", "inputs"), ("Spec.run", "seed"),
+        ("Spec.submit", "value"),
     ]
     assert boundary_parameters(source, "Other") == [("Other.__init__", "t")]

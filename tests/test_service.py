@@ -447,22 +447,24 @@ class TestValidation:
 
 
 def test_the_batch_surface_has_no_knob():
-    """A re-added executor knob, or an export that names nothing, fails
-    here rather than in review."""
+    """A re-added executor knob, a second journalling door, or an export
+    that names nothing, fails here rather than in review."""
     import repro
     import repro.service
     from repro.service.serving import ConsensusServer
 
     run_many = inspect.signature(ConsensusService.run_many).parameters
-    assert list(run_many) == ["self", "instances", "transcript"]
+    assert list(run_many) == ["self", "instances"]
     assert run_many["instances"].default is inspect.Parameter.empty
-    assert run_many["transcript"].default is None
+    assert list(inspect.signature(ConsensusService.run).parameters) == [
+        "self", "inputs", "attack", "seed", "faulty", "adversary",
+    ]
     assert list(inspect.signature(ConsensusService.drain).parameters) == [
         "self"
     ]
-    assert "executor" not in inspect.signature(
-        ConsensusServer.__init__
-    ).parameters
+    assert list(inspect.signature(ConsensusServer.__init__).parameters) == [
+        "self", "spec", "window_ms", "max_batch", "max_queue",
+    ]
     for module in (repro, repro.service):
         for name in module.__all__:
             assert hasattr(module, name), "%s.__all__ names %r" % (

@@ -17,6 +17,7 @@ import asyncio
 import json
 import random
 import socket
+import threading
 import time
 from unittest import mock
 
@@ -31,7 +32,6 @@ from repro.core.result import (
 )
 from repro.network.metrics import MeterSnapshot
 from repro.service import ConsensusService, InstanceSpec, RunSpec
-from repro.service.executors import AsyncExecutor
 from repro.service.serving import (
     AdmissionError,
     ConsensusServer,
@@ -366,61 +366,63 @@ class TestWireCodec:
             result_from_wire(wire)
 
 
-# -- AsyncExecutor ----------------------------------------------------------
-
-
-class TestAsyncExecutor:
-    def test_results_byte_identical_to_serial(self):
-        # Two batches submitted at once run one after the other, in
-        # submission order, each equal to a run_many of its own.
-        first, second = list(MIXED), list(reversed(MIXED))
-
-        async def scenario():
-            executor = AsyncExecutor()
-            service = ConsensusService(SPEC)
-            try:
-                return await asyncio.gather(
-                    executor.run_async(service, first),
-                    executor.run_async(service, second),
-                )
-            finally:
-                executor.shutdown()
-
-        direct = ConsensusService(SPEC)
-        assert [wires(batch) for batch in asyncio.run(scenario())] == [
-            wires(direct.run_many(first)), wires(direct.run_many(second))
-        ]
-
-    def test_run_async_from_a_loop(self):
-        service = ConsensusService(SPEC)
-
-        async def scenario():
-            executor = AsyncExecutor()
-            try:
-                return await executor.run_async(service, list(MIXED))
-            finally:
-                executor.shutdown()
-
-        assert wires(asyncio.run(scenario())) == wires(
-            service.run_many(list(MIXED))
-        )
-
-    def test_shutdown_is_idempotent_and_executor_stays_usable(self):
-        service = ConsensusService(SPEC)
-        executor = AsyncExecutor()
-        batch = [InstanceSpec(inputs=(3, 3, 3, 3))]
-        first = asyncio.run(executor.run_async(service, batch))
-        executor.shutdown()
-        executor.shutdown()
-        again = asyncio.run(executor.run_async(service, batch))
-        executor.shutdown()
-        assert wires(first) == wires(again)
-
-
 # -- ConsensusServer (in-process) -------------------------------------------
 
 
 class TestConsensusServer:
+    def test_concurrent_flushes_run_in_submission_order(self):
+        # Two cohorts due at once run one after the other, in submission
+        # order, on the server's one worker thread, each equal to a
+        # run_many of its own.
+        first, second = list(MIXED), list(reversed(MIXED))
+        service = ConsensusService(SPEC)
+        executed = []
+        run_batch = service._run_many_local
+
+        def spy(batch):
+            executed.append((threading.current_thread().name, batch))
+            return run_batch(batch)
+
+        service._run_many_local = spy
+
+        async def scenario():
+            server = ConsensusServer(
+                service, window_ms=60_000.0, max_batch=len(MIXED)
+            )
+            await server.start()
+            try:
+                return await asyncio.gather(
+                    *(server.submit(i) for i in first + second)
+                )
+            finally:
+                await server.stop()
+
+        served = asyncio.run(scenario())
+        direct = ConsensusService(SPEC)
+        assert [batch for _, batch in executed] == [first, second]
+        assert len({thread for thread, _ in executed}) == 1
+        assert executed[0][0].startswith("repro-batch")
+        assert wires(served) == (
+            wires(direct.run_many(first)) + wires(direct.run_many(second))
+        )
+
+    def test_a_stopped_server_serves_again_after_start(self):
+        service = ConsensusService(SPEC)
+        server = ConsensusServer(service, window_ms=1.0)
+
+        async def serve_once():
+            await server.start()
+            try:
+                return await server.submit(InstanceSpec(inputs=(3, 3, 3, 3)))
+            finally:
+                await server.stop()
+                await server.stop()  # idempotent
+
+        first = asyncio.run(serve_once())
+        again = asyncio.run(serve_once())
+        assert wires([first]) == wires([again])
+        assert server.stats.snapshot()["flushes"] == 2
+
     def test_served_results_byte_identical_to_direct_run_many(self):
         direct = ConsensusService(SPEC).run_many(list(MIXED))
 
