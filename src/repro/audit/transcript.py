@@ -38,9 +38,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.result import ConsensusResult
@@ -79,12 +79,6 @@ def _encode_payload(payload: Any) -> Any:
     if isinstance(payload, int):
         return int(payload)
     return {"repr": repr(payload)}
-
-
-#: An entry's fields in journal-row order, payload in wire form.
-_ROW = attrgetter(
-    "round_index", "sender", "receiver", "tag", "bits", "payload"
-)
 
 
 def _entry_bytes(
@@ -187,9 +181,9 @@ class Keyring:
         return mac.hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptEntry:
-    """One journalled message.
+class TranscriptEntry(tuple):
+    """One journalled message: one immutable tuple ``(index, round_index,
+    sender, receiver, tag, bits, payload, content_bytes)``.
 
     ``payload`` is stored in wire form (an exact int for symbol
     messages, ``{"repr": ...}`` for anything non-numeric).
@@ -197,45 +191,77 @@ class TranscriptEntry:
     the fields), made with the entry: ``None`` when a field is not
     exactly typed, as no tag is valid over such an entry.  The tag that
     covers an entry is its (round block, sender) group's, held by the
-    :class:`Transcript`.  An entry made by the constructor
-    (``from_wire``, ``dataclasses.replace``) formats its own bytes, or
-    takes them as ``formatted``; :meth:`Transcript.record` fills the
-    slots of an entry it made directly (``_recorded_entry``) with the
-    bytes it has just formatted.
+    :class:`Transcript`.  The constructor (``from_wire``,
+    :meth:`replace`) formats an entry's bytes, or takes them as
+    ``formatted``; :meth:`Transcript.record` makes each entry with one
+    ``tuple.__new__`` over the bytes it has just formatted.  Equality
+    and hashing read the seven fields, not the bytes they spell.
     """
 
-    index: int
-    round_index: int
-    sender: int
-    receiver: int
-    tag: str
-    bits: int
-    payload: Any
-    formatted: InitVar[Optional[bytes]] = None
-    content_bytes: Optional[bytes] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self, formatted: Optional[bytes]) -> None:
+    def __new__(
+        cls, index: int, round_index: int, sender: int, receiver: int,
+        tag: str, bits: int, payload: Any, formatted: Optional[bytes] = None,
+    ) -> "TranscriptEntry":
         if formatted is None:
             try:
-                formatted = _entry_bytes(self.index, *_ROW(self), {})
+                formatted = _entry_bytes(
+                    index, round_index, sender, receiver, tag, bits,
+                    payload, {},
+                )
             except TypeError:
                 pass
-        object.__setattr__(self, "content_bytes", formatted)
+        return tuple.__new__(cls, (
+            index, round_index, sender, receiver, tag, bits, payload,
+            formatted,
+        ))
+
+    index = property(itemgetter(0))
+    round_index = property(itemgetter(1))
+    sender = property(itemgetter(2))
+    receiver = property(itemgetter(3))
+    tag = property(itemgetter(4))
+    bits = property(itemgetter(5))
+    payload = property(itemgetter(6))
+    content_bytes = property(itemgetter(7))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    # An entry equals only an entry: a plain tuple of the same items
+    # would otherwise compare equal through tuple's own comparison.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is TranscriptEntry and self[:7] == other[:7]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
+
+    def __repr__(self) -> str:
+        return "TranscriptEntry(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(_ENTRY_FIELDS, self)
+        )
+
+    def replace(self, **changes: Any) -> "TranscriptEntry":
+        """This entry with ``changes`` to its fields, its bytes
+        formatted afresh."""
+        fields = dict(zip(_ENTRY_FIELDS, self))
+        fields.update(changes)
+        return TranscriptEntry(**fields)
 
     def to_wire(self) -> dict:
         """The entry's fields under their wire names: what its
         ``content_bytes`` spell."""
-        return {
-            "index": self.index,
-            "round": self.round_index,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "tag": self.tag,
-            "bits": self.bits,
-            "payload": self.payload,
-        }
+        return dict(zip(_ENTRY_KEYS, self))
 
     @classmethod
     def from_wire(cls, payload: dict, where: str = "entry") -> "TranscriptEntry":
@@ -253,34 +279,14 @@ class TranscriptEntry:
         return None
 
 
-#: The slot setters of an entry, in ``_recorded_entry``'s argument order.
-_ENTRY_SLOTS = tuple(
-    getattr(TranscriptEntry, name).__set__ for name in (
-        "index", "round_index", "sender", "receiver", "tag", "bits",
-        "payload", "content_bytes",
-    )
+#: An entry's field names, in tuple order.
+_ENTRY_FIELDS = (
+    "index", "round_index", "sender", "receiver", "tag", "bits", "payload",
 )
-
-
-def _recorded_entry(
-    index: int, round_index: int, sender: int, receiver: int, tag: str,
-    bits: int, payload: Any, content: bytes,
-) -> TranscriptEntry:
-    """The entry :meth:`Transcript.record` just formatted: its slots
-    filled directly, as ``TranscriptEntry(..., formatted=content)``
-    would fill them, without the dataclass ``__init__`` (a recorded
-    audit makes one per journalled message)."""
-    entry = object.__new__(TranscriptEntry)
-    s0, s1, s2, s3, s4, s5, s6, s7 = _ENTRY_SLOTS
-    s0(entry, index)
-    s1(entry, round_index)
-    s2(entry, sender)
-    s3(entry, receiver)
-    s4(entry, tag)
-    s5(entry, bits)
-    s6(entry, payload)
-    s7(entry, content)
-    return entry
+#: An entry's fields in journal-row order, payload in wire form.
+_ROW = itemgetter(slice(1, 7))
+#: An entry's authenticated bytes.
+_CONTENT = itemgetter(7)
 
 
 @dataclass(frozen=True)
@@ -361,22 +367,43 @@ class Transcript:
         :func:`verify_transcript`.
         """
         ring = Keyring(key)
+        chain = cls._chain_seed(spec, instance, ring.key_id)
         entries: List[TranscriptEntry] = []
+        groups: list = []
+        block: list = []
+        members: dict = {}
+        current: Any = None
         quoted: dict = {}
+        # One pass: format an entry's bytes, make the entry in one
+        # tuple.__new__ and add the bytes to its (round block, sender)
+        # group, the groups _groups recomputes for the verifier.
         for index, row in enumerate(journal):
             round_index, sender, receiver, tag, bits, payload = row
             if type(payload) is not int:
                 payload = _encode_payload(payload)
-            entries.append(_recorded_entry(
+            content = _entry_bytes(
                 index, round_index, sender, receiver, tag, bits, payload,
-                _entry_bytes(
-                    index, round_index, sender, receiver, tag, bits,
-                    payload, quoted,
-                ),
-            ))
-        _, groups, chain = _groups(
-            entries, cls._chain_seed(spec, instance, ring.key_id)
-        )
+                quoted,
+            )
+            entries.append(tuple.__new__(TranscriptEntry, (
+                index, round_index, sender, receiver, tag, bits, payload,
+                content,
+            )))
+            if round_index != current or not block:
+                if block:
+                    chain = _close_block(
+                        groups, current, members, block, chain
+                    )
+                block = []
+                members = {}
+                current = round_index
+            group = members.get(sender)
+            if group is None:
+                group = members[sender] = (index, [])
+            group[1].append(content)
+            block.append(content)
+        if block:
+            chain = _close_block(groups, current, members, block, chain)
         tags = tuple(
             (round_index, sender, ring.tag(sender, link))
             for round_index, sender, _, link in groups
@@ -466,9 +493,7 @@ class Transcript:
         """The canonical serialized form: ``_canonical(self.to_wire())``
         byte for byte, the entries one join of their stored bytes."""
         try:
-            entries = b",".join(
-                [entry.content_bytes for entry in self.entries]
-            )
+            entries = b",".join(map(_CONTENT, self.entries))
         except TypeError:  # a hostile entry: only the generic encoder is total
             return _canonical(self.to_wire())
         # "entries" sorts first, so the first "[]" is its empty list.
@@ -494,7 +519,7 @@ class Transcript:
                     "entry %d payload is non-numeric (%r); compare in"
                     " wire form instead" % (entry.index, entry.payload)
                 )
-        return [_ROW(entry) for entry in self.entries]
+        return list(map(_ROW, self.entries))
 
     def verify(self, key: bytes = DEFAULT_KEY) -> VerifyReport:
         """Check every authentication tag and the seal; see
@@ -602,24 +627,23 @@ def _groups(
     senders: dict = {}
     current: Any = None
     for position, entry in enumerate(entries):
-        if entry.index != position:
+        index, round_index, sender, _, _, _, _, content = entry
+        if index != position:
             return VerifyReport(
                 ok=False,
                 checked=position,
                 failed_index=position,
                 reason="entry index %r found at position %d: an entry"
-                " was dropped or reordered" % (entry.index, position),
+                " was dropped or reordered" % (index, position),
             ), [], b""
-        if not block or entry.round_index != current:
+        if not block or round_index != current:
             if block:
                 chain = _close_block(groups, current, senders, block, chain)
             block = []
             senders = {}
-            current = entry.round_index
-        sender = entry.sender
+            current = round_index
         if type(sender) is not int:
             sender = (position,)
-        content = entry.content_bytes
         group = senders.get(sender)
         if group is None:
             group = senders[sender] = (position, [])

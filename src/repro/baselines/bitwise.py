@@ -84,7 +84,7 @@ class BitwiseConsensus:
         self.l_bits = l_bits
         self.substrate = substrate
         self.adversary = adversary if adversary is not None else Adversary()
-        check_tolerated(self.adversary, t)
+        check_tolerated(self.adversary, n, t)
         self.meter = meter if meter is not None else BitMeter()
 
     def _view(self) -> GlobalView:

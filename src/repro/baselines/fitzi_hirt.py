@@ -97,7 +97,7 @@ class FitziHirtConsensus:
         self.key_seed = key_seed
         self.default_value = default_value
         self.adversary = adversary if adversary is not None else Adversary()
-        check_tolerated(self.adversary, t)
+        check_tolerated(self.adversary, n, t)
         self.meter = meter if meter is not None else BitMeter()
         self.hash_family = PolynomialHash(l_bits, kappa)
         k = n - 2 * t

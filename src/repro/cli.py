@@ -251,8 +251,6 @@ def cmd_serve(args) -> int:
         finally:
             if server.running:
                 await server.stop()
-            tcp.close()
-            await tcp.wait_closed()
         snap = server.stats.snapshot()
         print(
             "drained: served %d | rejected %d | flushes %d"

@@ -30,6 +30,7 @@ API so the protocol engines can use either interchangeably.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -38,8 +39,12 @@ from repro.coding.gf import GFElementError
 from repro.coding.reed_solomon import (
     FAR, DecodingError, ReedSolomonCode, agreement_answer, min_symbol_bits,
 )
-from repro.utils.bits import bit_matrix_to_ints, ints_to_bit_matrix
+from repro.utils.bits import INT64_LANE_BITS
 from repro.utils.boundary import engine_int
+
+#: The one element type :meth:`InterleavedCode._split_many` packs without
+#: a per-symbol check.
+_EXACT_INT = frozenset({int})
 
 
 class InterleavedCode:
@@ -72,42 +77,86 @@ class InterleavedCode:
         self.symbol_limit = 1 << self.symbol_bits
         self.distance = self.base.distance
         self.field = self.base.field
-        #: per-row bit weights for the (s, rows, c) -> (s, rows) contraction.
-        self._bit_weights = (
-            1 << np.arange(c - 1, -1, -1, dtype=np.int64)
-        )
+        self._mask = (1 << c) - 1
+        if self.symbol_bits <= INT64_LANE_BITS:
+            #: row r's shift in its super-symbol (row 0 most significant).
+            self._shifts = c * np.arange(
+                interleave - 1, -1, -1, dtype=np.int64
+            )[:, np.newaxis]
+        else:
+            # A wide super-symbol as big-endian 16-bit limbs: row r's
+            # c <= 16 bits lie in the 32-bit window of limbs limb[r] and
+            # limb[r] + 1, shifted up by shift[r] (at least 16 when the
+            # row ends in limb[r], which may be the last: then the window
+            # reads it twice and shifts the copy out).
+            self._limbs = limbs = (self.symbol_bits + 15) // 16
+            start = 16 * limbs - self.symbol_bits + c * np.arange(
+                interleave, dtype=np.int64
+            )
+            self._limb = start // 16
+            self._next_limb = np.minimum(self._limb + 1, limbs - 1)
+            self._limb_shift = (32 - start % 16 - c)[:, np.newaxis]
+            #: Which limb each row's high and low 16 bits land in; rows
+            #: share no bit, so the sum of their halves is their OR (and
+            #: exact in float64).  A low half past the last limb is zero.
+            place = np.zeros((limbs + 1, 2 * interleave))
+            place[self._limb, np.arange(interleave)] = 1
+            place[self._limb + 1, np.arange(interleave, 2 * interleave)] = 1
+            self._place = place[:limbs]
 
     # -- packing -----------------------------------------------------------------
 
     def _split_many(self, symbols: Sequence[int]) -> np.ndarray:
-        """Unpack super-symbols into an ``(m, len(symbols))`` row array."""
+        """Unpack super-symbols into an ``(m, len(symbols))`` row array:
+        shifts on int64 lanes for a super-symbol of at most
+        :data:`~repro.utils.bits.INT64_LANE_BITS` bits, one byte-level
+        repack through 16-bit limbs for a wider one."""
         symbols = list(symbols)
-        for index, symbol in enumerate(symbols):
-            if type(symbol) is not int:
-                symbol = symbols[index] = engine_int(
-                    symbol, "symbol", GFElementError
-                )
-            if not 0 <= symbol < self.symbol_limit:
-                raise GFElementError(
-                    "symbol %r outside [0, 2^%d)" % (symbol, self.symbol_bits)
-                )
         if not symbols:
             return np.zeros((self.rows, 0), dtype=np.int64)
-        bits = ints_to_bit_matrix(symbols, self.symbol_bits)
-        rows = bits.reshape(len(symbols), self.rows, self.c).astype(
-            np.int64
-        ) @ self._bit_weights
-        return rows.T
+        if not (
+            _EXACT_INT.issuperset(map(type, symbols))
+            and min(symbols) >= 0 and max(symbols) < self.symbol_limit
+        ):
+            for index, symbol in enumerate(symbols):
+                if type(symbol) is not int:
+                    symbol = symbols[index] = engine_int(
+                        symbol, "symbol", GFElementError
+                    )
+                if not 0 <= symbol < self.symbol_limit:
+                    raise GFElementError(
+                        "symbol %r outside [0, 2^%d)"
+                        % (symbol, self.symbol_bits)
+                    )
+        if self.symbol_bits <= INT64_LANE_BITS:
+            lanes = np.array(symbols, dtype=np.int64)
+            return (lanes >> self._shifts) & self._mask
+        width = 2 * self._limbs
+        limbs = np.frombuffer(
+            b"".join(map(int.to_bytes, symbols, repeat(width), repeat("big"))),
+            dtype=">u2",
+        ).reshape(len(symbols), self._limbs).T.astype(np.int64)
+        windows = (limbs[self._limb] << 16) | limbs[self._next_limb]
+        return (windows >> self._limb_shift) & self._mask
 
     def _join_many(self, rows: np.ndarray) -> List[int]:
-        """Pack an ``(m, s)`` row array back into ``s`` super-symbols."""
-        arr = np.asarray(rows, dtype=np.int64).T  # (s, m)
-        count = arr.shape[0]
+        """Pack an ``(m, s)`` row array back into ``s`` super-symbols
+        (the low ``c`` bits of each row value), by the packing rule of
+        :meth:`_split_many`."""
+        rows = np.asarray(rows, dtype=np.int64) & self._mask
+        count = rows.shape[1]
         if count == 0:
             return []
-        shifts = np.arange(self.c - 1, -1, -1, dtype=np.int64)
-        bits = ((arr[:, :, np.newaxis] >> shifts) & 1).astype(np.uint8)
-        return bit_matrix_to_ints(bits.reshape(count, self.symbol_bits))
+        if self.symbol_bits <= INT64_LANE_BITS:
+            return np.bitwise_or.reduce(rows << self._shifts).tolist()
+        windows = rows << self._limb_shift  # each below 2^32
+        halves = np.concatenate([windows >> 16, windows & 0xFFFF])
+        limbs = (self._place @ halves).T.astype(">u2")
+        return list(map(
+            int.from_bytes,
+            np.frombuffer(limbs.tobytes(), "V%d" % (2 * self._limbs)).tolist(),
+            repeat("big"),
+        ))
 
     def _split(self, symbol: int) -> List[int]:
         """Unpack a super-symbol into its ``m`` row symbols."""

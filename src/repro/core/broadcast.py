@@ -126,7 +126,7 @@ class MultiValuedBroadcast:
         self.generations = math.ceil(l_bits / d_bits)
         self.default_value = default_value
         self.adversary = adversary if adversary is not None else Adversary()
-        check_tolerated(self.adversary, t)
+        check_tolerated(self.adversary, n, t)
         self.meter = meter if meter is not None else BitMeter()
         self.graph = graph if graph is not None else DiagnosisGraph(n)
         self.network = SyncNetwork(n, self.meter)

@@ -117,8 +117,10 @@ class MultiValuedConsensus:
         self.batch_generations = batch_generations
         self.vectorized = vectorized
         self.adversary = adversary if adversary is not None else Adversary()
-        if not config.allow_t_ge_n3:
-            check_tolerated(self.adversary, config.t)
+        check_tolerated(
+            self.adversary, config.n,
+            None if config.allow_t_ge_n3 else config.t,
+        )
         if context is not None:
             context.refuse_mismatch(config, self.adversary)
         self.meter = meter if meter is not None else BitMeter()

@@ -54,6 +54,7 @@ and lines 3(f)-3(i) are one function for every engine,
 from __future__ import annotations
 
 from functools import partial
+from operator import and_, eq
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -73,7 +74,7 @@ from repro.processors.answers import (
     bit_answer, diagnosis_symbol_value, m_row_bits, matching_row_payloads,
     received_symbol, trust_row_bits,
 )
-from repro.utils.bits import bits_to_int, int_to_bits
+from repro.utils.bits import INT64_LANE_BITS, bits_to_int, int_to_bits
 
 
 def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
@@ -81,16 +82,13 @@ def _pid_views(outcome: Dict[int, Sequence[int]], n: int, convert) -> list:
     row *object* converted once (keyed by ``id`` while ``outcome`` holds
     every row alive): a backend that hands every pid one shared row
     converts it once, and one object can only convert to one value.
-    Mutable values are the caller's to copy per pid."""
-    converted: Dict[int, object] = {}
-    views = []
-    for pid in range(n):
-        row = outcome[pid]
-        value = converted.get(id(row))
-        if value is None:
-            value = converted[id(row)] = convert(row)
-        views.append(value)
-    return views
+    The pids handed one row share its value, which is read, never
+    written."""
+    ids = list(map(id, map(outcome.__getitem__, range(n))))
+    converted = dict(zip(ids, map(outcome.__getitem__, range(n))))
+    for key, row in converted.items():
+        converted[key] = convert(row)
+    return list(map(converted.__getitem__, ids))
 
 
 def symbol_round_shape(
@@ -143,7 +141,7 @@ def _send_matching_symbols(
     """
     symbol_tag = "gen%d.matching.symbols" % generation
     if senders.shape[0]:
-        if bits > 62:
+        if bits > INT64_LANE_BITS:
             # Wide super-symbols exceed an int64 lane: keep the exact-int
             # list carrier.
             payloads = [diagonal[s] for s in senders.tolist()]
@@ -291,12 +289,12 @@ class GenerationProtocol:
         ))
 
     def _find_match_set(
-        self, m_view: Dict[int, List[bool]]
+        self, m_view: Tuple[Tuple[bool, ...], ...]
     ) -> Optional[Tuple[int, ...]]:
-        """Line 1(e): a clique of ``n - t`` pairwise-matching processors."""
-        key = tuple(tuple(m_view[i]) for i in range(self.n))
-        if key in self._clique_cache:
-            return self._clique_cache[key]
+        """Line 1(e): a clique of ``n - t`` pairwise-matching processors
+        in one pid's view (its M row of every processor)."""
+        if m_view in self._clique_cache:
+            return self._clique_cache[m_view]
         adjacency = {
             i: {
                 j
@@ -307,7 +305,7 @@ class GenerationProtocol:
         }
         clique = find_clique(adjacency, self.n - self.t)
         result = tuple(clique) if clique is not None else None
-        self._clique_cache[key] = result
+        self._clique_cache[m_view] = result
         return result
 
     # -- main entry point -----------------------------------------------------------
@@ -363,9 +361,16 @@ class GenerationProtocol:
         codewords, received = self._matching_exchange(parts, isolated)
         m_view = self._matching_broadcast(codewords, received, isolated)
 
-        p_match_views: Dict[int, Optional[Tuple[int, ...]]] = {
-            pid: self._find_match_set(m_view[pid]) for pid in self._honest
-        }
+        # One P_match search per distinct view: pids handed the same M
+        # row objects (every pid, under a backend that shares its rows)
+        # hold one view, and m_view keeps every row alive for the ids.
+        searched: Dict[Tuple[int, ...], Optional[Tuple[int, ...]]] = {}
+        p_match_views: Dict[int, Optional[Tuple[int, ...]]] = {}
+        for pid in self._honest:
+            key = tuple(map(id, m_view[pid]))
+            if key not in searched:
+                searched[key] = self._find_match_set(m_view[pid])
+            p_match_views[pid] = searched[key]
         self._assert_common(p_match_views, "P_match")
         p_match = p_match_views[self._reference]
 
@@ -385,14 +390,18 @@ class GenerationProtocol:
             p_match, p_match_views, received, isolated
         )
 
-        any_detected = {
-            pid: any(
-                detected_view[pid].get(q, False)
-                for q in range(self.n)
-                if q not in (p_match_views[pid] or ())
+        outsiders: Dict[Optional[Tuple[int, ...]], List[int]] = {}
+        any_detected = {}
+        for pid in self._honest:
+            match = p_match_views[pid]
+            if match not in outsiders:
+                members = set(match or ())
+                outsiders[match] = [
+                    q for q in range(self.n) if q not in members
+                ]
+            any_detected[pid] = any(
+                map(detected_view[pid].get, outsiders[match])
             )
-            for pid in self._honest
-        }
         self._assert_common(any_detected, "Detected outcome")
 
         if not any_detected[self._reference]:
@@ -474,13 +483,22 @@ class GenerationProtocol:
             # Batched edges are already filtered by the trust mask at
             # send time (the mask is symmetric, so the receiver-side
             # line 1(b) filter is equivalent for honest and faulty
-            # senders alike).
-            for sender, recipient, payload in zip(
-                batch.senders.tolist(),
-                batch.receivers.tolist(),
-                batch.payload_list(),
+            # senders alike).  An int64 lane within the symbol range
+            # reads as its exact ints, as each would one by one.
+            lanes = batch.payloads
+            if isinstance(lanes, np.ndarray) and lanes.dtype.kind in "iu" and (
+                not lanes.size or (0 <= lanes.min() and lanes.max() < limit)
             ):
-                received[recipient][sender] = received_symbol(payload, limit)
+                symbols = lanes.tolist()
+            else:
+                symbols = [
+                    received_symbol(payload, limit)
+                    for payload in batch.payload_list()
+                ]
+            for sender, recipient, symbol in zip(
+                batch.senders.tolist(), batch.receivers.tolist(), symbols,
+            ):
+                received[recipient][sender] = symbol
         symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
             for message in delivery.inboxes[pid]:
@@ -503,27 +521,26 @@ class GenerationProtocol:
         codewords: Dict[int, List[int]],
         received: Dict[int, Dict[int, Optional[int]]],
         isolated: FrozenSet[int],
-    ) -> Dict[int, Dict[int, List[bool]]]:
+    ) -> List[Tuple[Tuple[bool, ...], ...]]:
         """Lines 1(c)-1(d): compute and broadcast the M vectors.
 
         Returns ``m_view[pid][i]`` = the M vector of processor ``i`` as
-        received by ``pid`` (self-entries implicitly true).
+        received by ``pid`` (self-entries implicitly true): one tuple
+        per distinct row the backend returned, shared by the pids it
+        handed that row.
         """
         view = self._view_provider()
         tag = "%s.matching.M" % self.tag
         mask = self.graph.trust_mask()
-        honest_rows = {
-            i: tuple(
-                j == i
-                or (
-                    bool(mask[i, j])
-                    and received[i].get(j) is not None
-                    and received[i][j] == codewords[i][j]
-                )
-                for j in range(self.n)
-            )
-            for i in range(self.n)
-        }
+        honest_rows = {}
+        for i, trusted in enumerate(mask.tolist()):
+            # M_i[j]: j is trusted and sent i the symbol i's codeword
+            # holds there (a missing symbol is None, never equal).
+            row = list(map(and_, map(
+                eq, map(received[i].get, range(self.n)), codewords[i]
+            ), trusted))
+            row[i] = True
+            honest_rows[i] = tuple(row)
         bits = {
             i: m_row_bits(row, i, self.n) for i, row in honest_rows.items()
         }
@@ -533,22 +550,19 @@ class GenerationProtocol:
             ), i, self.n)
         rows = list(bits.items())
         outcomes = self.backend.broadcast_bits_many(rows, tag, isolated)
-        m_view: Dict[int, Dict[int, List[bool]]] = {
-            pid: {} for pid in range(self.n)
-        }
         n = self.n
 
         def m_flags(i, row):
             # The n - 1 broadcast flags with i's own slot put back.
-            vector = [bool(row[index]) for index in range(n - 1)]
+            vector = list(map(bool, row))
             vector.insert(i, True)
-            return vector
+            return tuple(vector)
 
-        for (i, _), outcome in zip(rows, outcomes):
-            vectors = _pid_views(outcome, n, partial(m_flags, i))
-            for pid, vector in enumerate(vectors):
-                m_view[pid][i] = list(vector)
-        return m_view
+        # rows lists every i in order, so a pid's view is its column.
+        return list(zip(*[
+            _pid_views(outcome, n, partial(m_flags, i))
+            for (i, _), outcome in zip(rows, outcomes)
+        ]))
 
     # -- checking stage (scalar) ------------------------------------------------------
 
@@ -567,6 +581,7 @@ class GenerationProtocol:
         view = self._view_provider()
         tag = "%s.checking.detected" % self.tag
         match_set = set(p_match)
+        mask = self.graph.trust_mask()
 
         honest_detected: Dict[int, bool] = {}
         for q in range(self.n):
@@ -574,8 +589,9 @@ class GenerationProtocol:
                 continue
             symbols: Dict[int, int] = {}
             missing = False
+            trusted = mask[q].tolist()  # q is no member: q != j below
             for j in p_match:
-                if not self.graph.trusts(q, j):
+                if not trusted[j]:
                     continue  # untrusted members are ignored, not evidence
                 value = received[q].get(j)
                 if value is None:
@@ -679,7 +695,7 @@ class GenerationProtocol:
         outcomes = self.backend.broadcast_bits_many(rows, trust_tag, isolated)
         for (i, _), outcome in zip(rows, outcomes):
             for pid, trust in enumerate(_pid_views(outcome, self.n, trust_of)):
-                trust_view[pid][i] = dict(trust)
+                trust_view[pid][i] = trust
 
         # Line 3(e): edge removal, from the reference view (identical at
         # every fault-free processor under an error-free backend).

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.graphs.cliques import find_clique_matrix, lower_triangle
+from repro.utils.boundary import check_int
 
 
 class DiagnosisGraph:
@@ -48,6 +49,7 @@ class DiagnosisGraph:
     """
 
     def __init__(self, n: int):
+        check_int(n, "n")
         if n < 2:
             raise ValueError("need at least 2 processors, got %d" % n)
         self.n = n

@@ -41,7 +41,7 @@ never to be read (see ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -504,6 +504,23 @@ class SyncNetwork:
         """Journal a round's scalar messages, then its batches, as rows
         sorted by receiver, sender and tag; a batch's rows are zipped
         from its columns (``tolist()`` keeps pids exact ints)."""
+        shapes = {(b.round_index, b.tag, b.bits) for b in batches}
+        if not messages and len(shapes) == 1:
+            # Batches of one round, tag and size: their rows in receiver,
+            # then sender order, by a stable sort of the columns.
+            [(round_index, tag, bits)] = shapes
+            senders = np.concatenate([batch.senders for batch in batches])
+            receivers = np.concatenate([batch.receivers for batch in batches])
+            order = np.lexsort((senders, receivers))
+            payloads = list(chain.from_iterable(
+                batch.payload_list() for batch in batches
+            ))
+            self.journal.extend(zip(
+                repeat(round_index), senders[order].tolist(),
+                receivers[order].tolist(), repeat(tag), repeat(bits),
+                map(payloads.__getitem__, order.tolist()),
+            ))
+            return
         rows = [
             (m.round_index, m.sender, m.receiver, m.tag, m.bits, m.payload)
             for m in messages

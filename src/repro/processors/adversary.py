@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.processors.answers import MRow, SymbolRow, TrustRow
+from repro.utils.boundary import check_int, check_pid
 
 
 @dataclass
@@ -55,7 +56,11 @@ class Adversary:
     """Base adversary: controls ``faulty`` but plays every hook honestly."""
 
     def __init__(self, faulty: Optional[Sequence[int]] = None):
-        self.faulty: Set[int] = set(faulty or ())
+        # Exact ints: True would control pid 1 and index like it; the
+        # range is checked where n is known (the engine, the spec).
+        self.faulty: Set[int] = {
+            check_int(pid, "faulty pid") for pid in faulty or ()
+        }
 
     def controls(self, pid: int) -> bool:
         return pid in self.faulty
@@ -396,11 +401,17 @@ def hook_is_default(adversary: Adversary, name: str) -> bool:
     return getattr(type(adversary), name) is getattr(Adversary, name)
 
 
-def check_tolerated(adversary: Adversary, t: int) -> None:
-    """``ValueError`` unless ``adversary`` controls at most the ``t``
-    processors a protocol instance tolerates: past t, no guarantee of
-    the paper holds, so an engine refuses to run rather than decide."""
-    if len(adversary.faulty) > t:
+def check_tolerated(
+    adversary: Adversary, n: int, t: Optional[int]
+) -> None:
+    """``ValueError`` unless every pid ``adversary`` controls is a
+    processor of the ``n``-processor deployment and, given ``t``, it
+    controls at most the ``t`` processors a protocol instance tolerates:
+    past t, no guarantee of the paper holds, so an engine refuses to
+    run rather than decide."""
+    for pid in sorted(adversary.faulty):
+        check_pid(pid, n, "faulty pid")
+    if t is not None and len(adversary.faulty) > t:
         raise ValueError(
             "adversary controls %d processors but config tolerates t=%d"
             % (len(adversary.faulty), t)

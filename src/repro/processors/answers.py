@@ -208,7 +208,9 @@ def m_row_bits(answer: MRow, pid: int, n: int) -> List[int]:
     row = list(answer)
     if len(row) != n:
         row = (row + [False] * n)[:n]
-    return [1 if flag else 0 for j, flag in enumerate(row) if j != pid]
+    if 0 <= pid < n:
+        del row[pid]
+    return list(map(int, map(bool, row)))
 
 
 def m_row_change(
@@ -234,7 +236,7 @@ def trust_row_bits(
     would read as a set of pids.
     """
     if answer is honest_row:
-        return [1 if flag else 0 for flag in honest_row]
+        return list(map(int, map(bool, honest_row)))
     if isinstance(answer, abc.Mapping):
         flags = {j: flag for j, flag in answer.items() if is_exact_int(j)}
         return [1 if flags.get(j, False) else 0 for j in p_match]

@@ -33,6 +33,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.bits import INT64_LANE_BITS
+
 
 class ExchangeArena:
     """A reusable ``(n, n)`` Trust buffer for one strictly-sequential
@@ -56,10 +58,10 @@ class ExchangeArena:
     @classmethod
     def for_symbol_bits(cls, n: int, symbol_bits: int) -> "ExchangeArena":
         """The arena for a deployment's symbol width: int64 lanes up to
-        62-bit symbols, object-dtype escape hatch for wider interleaved
+        :data:`~repro.utils.bits.INT64_LANE_BITS`-bit symbols, object-dtype escape hatch for wider interleaved
         super-symbols (the one dtype rule: the batched body and the
         diagnosis read it as :attr:`symbol_dtype`)."""
-        dtype = np.int64 if symbol_bits <= 62 else object
+        dtype = np.int64 if symbol_bits <= INT64_LANE_BITS else object
         return cls(n, dtype)
 
     def trust_view(self, width: int) -> np.ndarray:

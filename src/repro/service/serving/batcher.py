@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
+from repro.utils.boundary import check_duration, check_int
+
 T = TypeVar("T")
 
 
@@ -86,8 +88,9 @@ class MicroBatcher(Generic[T]):
     """Bounded queue grouping compatible requests into flushable batches.
 
     Args:
-        window_s: collection window in seconds, measured from the
-            oldest queued request.
+        window_s: collection window in seconds (a float or an int,
+            finite and at least 0), measured from the oldest queued
+            request.
         max_batch: per-group size cap; a group reaching it is ready to
             flush immediately.
         max_queue: total queued-request bound across all groups.
@@ -96,8 +99,9 @@ class MicroBatcher(Generic[T]):
     def __init__(
         self, window_s: float, max_batch: int, max_queue: int
     ):
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0, got %r" % window_s)
+        check_duration(window_s, "window_s")
+        check_int(max_batch, "max_batch")
+        check_int(max_queue, "max_queue")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1, got %r" % max_batch)
         if max_queue < 1:

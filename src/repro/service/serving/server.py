@@ -159,6 +159,11 @@ class ConsensusServer:
         self._closing = False
         self._in_flight: Optional[dict] = None
         self._tcp: Optional[asyncio.AbstractServer] = None
+        #: Each open TCP connection's handler task, and its reader and
+        #: writer.
+        self._connections: Dict[asyncio.Task, tuple] = {}
+        #: The stop a TCP ``shutdown`` op started.
+        self._stopping: Optional[asyncio.Task] = None
         self._closed = asyncio.Event()
         self._started_at: Optional[float] = None
 
@@ -195,7 +200,8 @@ class ConsensusServer:
         :class:`ServerClosedError` (a batch already executing on the
         worker thread still completes and resolves — the engine is not
         preemptible, and killing results that are milliseconds away
-        helps nobody).
+        helps nobody).  Then the TCP front-end closes: the listener, and
+        every open connection once its in-flight submits are answered.
         """
         self._closing = True
         if self._wake is not None:
@@ -215,6 +221,7 @@ class ConsensusServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        await self._close_tcp()
         self._closed.set()
 
     async def wait_closed(self) -> None:
@@ -447,9 +454,29 @@ class ConsensusServer:
         )
         return self._tcp
 
+    async def _close_tcp(self) -> None:
+        """Close the TCP listener and end every open connection: its
+        reading stops, its handler reads end of file, answers the submits
+        it has in flight and closes the connection, and is awaited.  A
+        handler left reading when the loop ends would be cancelled, which
+        asyncio reports as an error in the stream's callback."""
+        if self._tcp is not None:
+            self._tcp.close()
+            await self._tcp.wait_closed()
+            self._tcp = None
+        for reader, writer in list(self._connections.values()):
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.gather(
+                *list(self._connections), return_exceptions=True
+            )
+
     async def _handle_connection(self, reader, writer) -> None:
         write_lock = asyncio.Lock()
         submits: List[asyncio.Task] = []
+        handler = asyncio.current_task()
+        self._connections[handler] = (reader, writer)
 
         async def respond(payload: dict) -> None:
             async with write_lock:
@@ -488,7 +515,10 @@ class ConsensusServer:
                     )
                 elif op == "shutdown":
                     await respond({"id": message.get("id"), "ok": True})
-                    asyncio.create_task(self._shutdown_from_op())
+                    # A draining stop, kept so the loop holds it strongly.
+                    self._stopping = asyncio.create_task(
+                        self.stop(drain=True), name="repro-serve-shutdown"
+                    )
                     break
                 else:
                     await respond(
@@ -505,6 +535,7 @@ class ConsensusServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._connections.pop(handler, None)
 
     async def _handle_submit(self, message: dict, respond) -> None:
         request_id = message.get("id")
@@ -562,14 +593,6 @@ class ConsensusServer:
             logger.exception("submit %r failed", request_id)
             payload = _error(request_id, exc)
         await respond(payload)
-
-    async def _shutdown_from_op(self) -> None:
-        """The TCP ``shutdown`` op: drain, then close the listener."""
-        await self.stop(drain=True)
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
 
 
 def _error(request_id, exc: Exception) -> dict:

@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict
 
+from repro.utils.boundary import check_int
+
 
 class ServingStats:
     """Counters and latency samples for one server's lifetime.
@@ -38,6 +40,7 @@ class ServingStats:
     """
 
     def __init__(self, sample_cap: int = 65536):
+        check_int(sample_cap, "sample_cap")
         if sample_cap < 1:
             raise ValueError("sample_cap must be >= 1, got %r" % sample_cap)
         self.sample_cap = sample_cap

@@ -25,6 +25,10 @@ import numpy as np
 #: overhead; above it the vectorised byte paths win by orders of magnitude.
 _VECTOR_THRESHOLD_BITS = 64
 
+#: The widest symbol an int64 lane carries: its shifts and masks never
+#: reach the sign bit.  Wider symbols stay exact Python ints, or bytes.
+INT64_LANE_BITS = 62
+
 
 def _bit_array(value: int, width: int) -> np.ndarray:
     """``width`` bits of ``value`` as a uint8 array, MSB first."""
@@ -323,7 +327,7 @@ def unpack_symbols(value: int, count: int, symbol_bits: int) -> List[int]:
             for i in range(count)
         ]
     bits = _bit_array(value, total_bits).reshape(count, symbol_bits)
-    if symbol_bits < 63:
+    if symbol_bits <= INT64_LANE_BITS:
         weights = 1 << np.arange(symbol_bits - 1, -1, -1, dtype=np.int64)
         return (bits.astype(np.int64) @ weights).tolist()
     # Wide symbols (the protocol's multi-hundred-bit super-symbols) cannot

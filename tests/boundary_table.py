@@ -52,6 +52,7 @@ _WIRE = "repro.service.serving.wire."
 _RUN = "repro.core.consensus.MultiValuedConsensus"
 _SERVICE = "repro.service.service.ConsensusService"
 _SERVER = "repro.service.serving.server.ConsensusServer"
+_BATCHER = "repro.service.serving.batcher.MicroBatcher"
 
 
 def _first(value):
@@ -131,6 +132,10 @@ TABLE = (
     # recording flag.
     Row(_SERVER, "spec", None, None),
     Row(_SERVER + ".submit", "transcript", None, False),
+    Row(_BATCHER, "window_s", "duration", 0.001),
+    Row(_BATCHER, "max_batch", "int", 2),
+    Row(_BATCHER, "max_queue", "int", 4),
+    Row("repro.service.serving.stats.ServingStats", "sample_cap", "int", 8),
     # -- the §4 broadcast ------------------------------------------------
     Row(_BROADCAST, "n", "int", 4),
     Row(_BROADCAST, "l_bits", "int", 16),
@@ -172,6 +177,12 @@ TABLE = (
     *(Row("repro.processors.registry.make_attack", name, "int", valid)
       for name, valid in (("n", 4), ("t", 1), ("l_bits", 16), ("seed", 3))),
     Row("repro.processors.registry.make_attack", "faulty", "pid", 3, _one),
+    # Every adversary's faulty set, where it is built (its range is the
+    # engine's to check, where n is known).
+    Row("repro.processors.adversary.Adversary", "faulty", "int", 3, _one,
+        "faulty pid"),
+    # -- the diagnosis graph ---------------------------------------------
+    Row("repro.graphs.diagnosis_graph.DiagnosisGraph", "n", "int", 4),
     # -- the wire and the transcript --------------------------------------
     Row(_WIRE + "instance_from_wire", "inputs", "index", 0,
         lambda value: [value] * 4),

@@ -843,3 +843,23 @@ def test_answers_do_not_depend_on_call_order(attack, data):
     for index in order:
         hook, args = calls[index]
         assert _answer(shuffled, view, hook, args) == expected[index], hook
+
+
+@pytest.mark.parametrize("pid", [True, 1.0, None], ids=repr)
+def test_an_adversary_refuses_an_inexact_pid_when_built(pid):
+    """``True`` would control pid 1 and index like it, and ``1.0`` would
+    fail deep in a run: both are refused where the adversary is built,
+    before any engine sees them."""
+    with pytest.raises(ValueError, match="faulty pid"):
+        CrashAdversary([pid])
+
+
+@pytest.mark.parametrize("pid", [-1, 4, 2 ** 70], ids=repr)
+def test_an_engine_refuses_a_faulty_pid_outside_n(pid):
+    """The range of a faulty pid is checked where n is known: the
+    engine's constructor, not a numpy index mid-run."""
+    adversary = CrashAdversary([pid])
+    with pytest.raises(ValueError, match="faulty pid"):
+        MultiValuedConsensus(
+            ConsensusConfig.create(n=4, l_bits=16), adversary=adversary
+        )

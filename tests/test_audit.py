@@ -871,13 +871,13 @@ def test_a_replayed_row_matches_only_exactly_typed(field):
 
 def test_an_edited_entry_formats_its_own_bytes():
     """An entry's stored bytes are its own fields': an entry rebuilt
-    with one field changed (``dataclasses.replace``) re-formats them, so
+    with one field changed (``TranscriptEntry.replace``) re-formats them, so
     the old tag fails there."""
     _, transcript = ConsensusService(
         RunSpec(n=4, l_bits=16, attack="crash")
     ).record(0xBEEF)
     entries = list(transcript.entries)
-    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    entries[2] = entries[2].replace(bits=entries[2].bits + 1)
     assert entries[2].content_bytes != transcript.entries[2].content_bytes
     report = verify_transcript(
         dataclasses.replace(transcript, entries=tuple(entries))
@@ -953,7 +953,7 @@ def test_an_audit_walks_its_transcript_once(monkeypatch):
 def _tampered(transcript):
     """``transcript`` with entry 2's bit count edited."""
     entries = list(transcript.entries)
-    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    entries[2] = entries[2].replace(bits=entries[2].bits + 1)
     return dataclasses.replace(transcript, entries=tuple(entries))
 
 
@@ -1052,7 +1052,7 @@ def test_entries_are_held_as_a_tuple():
     held = dataclasses.replace(transcript, entries=entries)
     assert type(held.entries) is tuple and held == transcript
     assert held.verify().ok
-    entries[2] = dataclasses.replace(entries[2], bits=entries[2].bits + 1)
+    entries[2] = entries[2].replace(bits=entries[2].bits + 1)
     del entries[-1]
     assert held == transcript and held.verify().ok
 
@@ -1069,9 +1069,9 @@ def test_an_edit_to_the_result_after_a_check_breaks_the_seal():
 
 
 def test_a_recorded_entry_is_the_entry_its_fields_make():
-    """``record`` fills an entry's slots directly: the constructor makes
-    the same entry (fields, bytes, repr) from the same fields, and the
-    entry is slotted, frozen and pickles."""
+    """``record`` makes an entry in one ``tuple.__new__``: the
+    constructor makes the same entry (fields, bytes, repr) from the same
+    fields, and the entry is slotted, frozen and pickles."""
     transcript = _crash_transcript()
     for entry in transcript.entries:
         made = TranscriptEntry(entry.index, *_ROW(entry))
@@ -1082,6 +1082,47 @@ def test_a_recorded_entry_is_the_entry_its_fields_make():
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.bits = 5
     assert pickle.loads(pickle.dumps(entry)) == entry
+
+
+def test_an_entry_keeps_its_api_as_one_tuple():
+    """An entry is one immutable tuple: its seven fields by name, its
+    bytes made with it, the wire form both ways, row matching, and
+    equality and hashing over the seven fields (not the bytes, which
+    ``formatted`` may supply)."""
+    tag = "gen0.matching.symbols"
+    entry = TranscriptEntry(0, 3, 1, 2, tag, 4, 1)
+    assert isinstance(entry, tuple)
+    assert (
+        entry.index, entry.round_index, entry.sender, entry.receiver,
+        entry.tag, entry.bits, entry.payload,
+    ) == (0, 3, 1, 2, tag, 4, 1)
+    assert entry.content_bytes == _entry_bytes(0, 3, 1, 2, tag, 4, 1, {})
+    assert entry.to_wire() == {
+        "index": 0, "round": 3, "sender": 1, "receiver": 2, "tag": tag,
+        "bits": 4, "payload": 1,
+    }
+    assert TranscriptEntry.from_wire(entry.to_wire()) == entry
+    assert repr(entry) == (
+        "TranscriptEntry(index=0, round_index=3, sender=1, receiver=2,"
+        " tag='gen0.matching.symbols', bits=4, payload=1)"
+    )
+    supplied = TranscriptEntry(0, 3, 1, 2, tag, 4, 1, formatted=b"x")
+    assert supplied.content_bytes == b"x"
+    assert supplied == entry and hash(supplied) == hash(entry)
+    assert not supplied != entry
+    # True == 1, as the dataclass compared it; only the bytes tell.
+    loose = TranscriptEntry(0, 3, True, 2, tag, 4, 1)
+    assert loose == entry and loose.content_bytes is None
+    assert entry.matches_row((3, 1, 2, tag, 4, 1)) is None
+    assert entry.matches_row((3, True, 2, tag, 4, 1)) == "sender"
+    edited = entry.replace(bits=5)
+    assert edited != entry and edited.bits == 5 and entry.bits == 4
+    assert edited.content_bytes == TranscriptEntry(
+        0, 3, 1, 2, tag, 5, 1
+    ).content_bytes
+    with pytest.raises(TypeError):
+        entry.replace(auth="00")
+    assert entry != tuple(entry) and tuple(entry) != entry
 
 
 def test_a_journalled_audit_builds_no_message(monkeypatch):

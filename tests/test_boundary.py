@@ -27,9 +27,13 @@ from repro.broadcast_bit.ideal import AccountedIdealBroadcast
 from repro.coding.gf import GF, GFElementError
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.graphs.diagnosis_graph import DiagnosisGraph
+from repro.processors.adversary import Adversary
 from repro.processors.registry import make_attack
 from repro.service import InstanceSpec, RunSpec
-from repro.service.serving import ConsensusServer, InvalidRequestError, wire
+from repro.service.serving import (
+    ConsensusServer, InvalidRequestError, MicroBatcher, ServingStats, wire,
+)
 from tests.boundary_table import TABLE
 
 _BREAKERS = (True, 1.0, np.int64(1), "1", None)
@@ -159,6 +163,16 @@ CALLS = {
     "repro.processors.registry.make_attack": lambda arg, value: make_attack(
         **_with(dict(name="crash", n=4, t=1, l_bits=16), arg, value)
     ),
+    "repro.processors.adversary.Adversary":
+        lambda arg, value: Adversary(value),
+    "repro.graphs.diagnosis_graph.DiagnosisGraph":
+        lambda arg, value: DiagnosisGraph(value),
+    "repro.service.serving.batcher.MicroBatcher":
+        lambda arg, value: MicroBatcher(**_with(
+            dict(window_s=0.001, max_batch=2, max_queue=4), arg, value
+        )),
+    "repro.service.serving.stats.ServingStats":
+        lambda arg, value: ServingStats(value),
     "repro.service.serving.wire.instance_from_wire":
         lambda arg, value: wire.instance_from_wire(
             {"values": ["5"], arg: value}

@@ -295,3 +295,42 @@ class TestOutcomeRowConversion:
         assert _scalar_oracle_run(attack, copied=True) == _scalar_oracle_run(
             attack
         )
+
+
+@pytest.mark.parametrize("attack", ["corrupt", "slow_bleed", "crash"])
+def test_the_scalar_path_searches_p_match_once_a_generation(
+    attack, monkeypatch,
+):
+    """Under the ideal backend every honest pid is handed the same M row
+    objects, so the scalar path runs one ``P_match`` search per
+    generation, not one per pid, and each pid's view holds those rows."""
+    searches, views, generations = [], [], []
+    search = GenerationProtocol._find_match_set
+    broadcast = GenerationProtocol._matching_broadcast
+    run = GenerationProtocol._run_scalar
+
+    def counted_search(self, m_view):
+        searches.append(len(generations))
+        return search(self, m_view)
+
+    def kept_views(self, *args):
+        m_view = broadcast(self, *args)
+        views.append((self._honest, m_view))
+        return m_view
+
+    def counted_run(self, *args):
+        generations.append(self.generation)
+        return run(self, *args)
+
+    monkeypatch.setattr(GenerationProtocol, "_find_match_set", counted_search)
+    monkeypatch.setattr(GenerationProtocol, "_matching_broadcast", kept_views)
+    monkeypatch.setattr(GenerationProtocol, "_run_scalar", counted_run)
+    result, _ = _scalar_oracle_run(attack)
+    assert len(generations) == len(result.generation_results) > 1
+    assert searches == list(range(1, len(generations) + 1))
+    for honest, m_view in views:
+        reference = m_view[honest[0]]
+        for pid in honest:
+            assert all(map(
+                lambda mine, theirs: mine is theirs, m_view[pid], reference
+            ))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.coding.gf import GFElementError
 from repro.coding.interleaved import InterleavedCode, make_symbol_code
 from repro.coding.reed_solomon import DecodingError, ReedSolomonCode
+from repro.utils.bits import ints_to_bit_matrix
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +185,72 @@ class TestNonSymbolsRefused:
         word = code.encode([1, 2, 3])
         symbols = {p: np.int64(word[p]) for p in (0, 3, 5)}
         assert code.decode_subset(symbols) == [1, 2, 3]
+
+
+#: ``(c, interleave)`` shapes of super-symbols 1 to 200 bits wide,
+#: field widths 1 to 16 (most not a multiple of 8).
+_PACKING_SHAPES = [
+    (c, rows) for c in range(1, 17) for rows in range(1, 200 // c + 1)
+]
+#: The int64 lane's edge: 62 bits is the widest it carries, 63 and 64
+#: go through 16-bit limbs.
+_LANE_EDGE = [(2, 31), (1, 62), (7, 9), (9, 7), (3, 21), (8, 8), (16, 4)]
+
+
+def _reference_rows(symbols, c, rows):
+    """The ``(rows, s)`` row symbols by way of the bit matrix."""
+    bits = ints_to_bit_matrix(symbols, c * rows).reshape(
+        len(symbols), rows, c
+    )
+    weights = 1 << np.arange(c - 1, -1, -1, dtype=np.int64)
+    return (bits.astype(np.int64) @ weights).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(
+        st.sampled_from(_LANE_EDGE), st.sampled_from(_PACKING_SHAPES)
+    ),
+    data=st.data(),
+)
+def test_split_and_join_agree_with_the_bit_matrix(shape, data):
+    """Shifts on int64 lanes up to 62 bits and 16-bit limbs beyond split
+    a super-symbol into the rows its bit matrix holds, and join them
+    back, at every width from 1 to 200 bits."""
+    c, rows = shape
+    code = InterleavedCode(n=1, k=1, c=c, interleave=rows)
+    top = code.symbol_limit - 1
+    symbols = data.draw(st.lists(
+        st.one_of(st.integers(0, top), st.sampled_from([0, top])),
+        max_size=12,
+    ))
+    split = code._split_many(symbols)
+    assert split.shape == (rows, len(symbols))
+    assert split.dtype == np.int64
+    assert np.array_equal(split, _reference_rows(symbols, c, rows))
+    assert code._join_many(split) == symbols
+
+
+@pytest.mark.parametrize("shape", _LANE_EDGE + [(12, 15), (13, 39)])
+@pytest.mark.parametrize(
+    "bad", [-1, "limit", True, 1.0, "1", None], ids=repr
+)
+def test_a_bad_symbol_is_refused_at_every_width(shape, bad):
+    """An out-of-range or non-int symbol is a :class:`GFElementError`
+    on either side of the int64 lane, wherever it sits in the list."""
+    c, rows = shape
+    code = InterleavedCode(n=1, k=1, c=c, interleave=rows)
+    bad = code.symbol_limit if bad == "limit" else bad
+    with pytest.raises(GFElementError):
+        code._split_many([1, bad, 2])
+
+
+@pytest.mark.parametrize("shape", [(2, 31), (7, 9), (12, 15)])
+def test_numpy_integers_split_as_ints(shape):
+    c, rows = shape
+    code = InterleavedCode(n=1, k=1, c=c, interleave=rows)
+    symbols = [5, (1 << code.symbol_bits) - 1]
+    assert np.array_equal(
+        code._split_many([np.int64(5), symbols[1]]),
+        code._split_many(symbols),
+    )

@@ -15,16 +15,22 @@ No ``pytest-asyncio`` in the container: async scenarios run via
 
 import asyncio
 import json
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.result import (
     ConsensusResult,
     GenerationOutcome,
@@ -856,3 +862,41 @@ class TestServingOverTCP:
                 time.sleep(0.05)
             else:
                 pytest.fail("listener still serving after shutdown")
+
+
+@pytest.mark.parametrize("stop", ["sigint", "shutdown_op"])
+def test_stopping_serve_with_a_client_connected_prints_nothing(stop):
+    """Ctrl-C on ``repro-sim serve``, or a ``shutdown`` op from another
+    client, while a client holds a connection open exits 0 with nothing
+    on stderr, and the open connection reads end of file: the server
+    ends each connection and waits for its handler before the loop ends
+    (a handler the loop's end cancels is reported as an asyncio error)."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH")))
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--n", "4",
+         "--l-bits", "16", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        proc.stdout.readline()  # the knobs line: the loop is serving
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(b'{"op":"submit","id":1,"value":"beef"}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["ok"]
+            if stop == "sigint":
+                proc.send_signal(signal.SIGINT)
+            else:
+                with ServingClient(port=port) as client:
+                    client.shutdown()
+            _, stderr = proc.communicate(timeout=60)
+            assert stream.readline() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, stderr) == (0, "")

@@ -17,6 +17,13 @@ A change whose block has no pair of the workload (at that seed) is
 left out.  The medians are of what each file recorded; two changes'
 figures were measured at different times on a shared machine, so the
 parent → change step within a line is the comparison to read.
+
+A second table measures that machine: whenever no commit between
+change k − 1 (the commit that added its measurements file) and change
+k's parent touched ``src/`` (``git rev-parse <commit>:src`` agrees),
+the two sessions ran the same code, and the step from change k − 1's
+change-side median to change k's parent-side median is the workload's
+session noise.  Without a git repository the table is left out.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import argparse
 import json
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -42,15 +50,21 @@ def end_to_end_metrics() -> List[str]:
     return [metric["name"] for metric in declared["end_to_end"]]
 
 
-def blocks(directory: Path) -> Iterator[Tuple[int, dict]]:
-    """``(change number, its json block)`` of every measurements file
-    from change :data:`FIRST` on, in change order."""
+def measurement_files(directory: Path) -> List[Tuple[int, Path]]:
+    """``(change number, path)`` of every measurements file from change
+    :data:`FIRST` on, in change order."""
     files = []
     for path in directory.glob("pr*-*.md"):
         match = _NAME.fullmatch(path.name)
         if match and int(match.group(1)) >= FIRST:
             files.append((int(match.group(1)), path))
-    for number, path in sorted(files):
+    return sorted(files)
+
+
+def blocks(directory: Path) -> Iterator[Tuple[int, dict]]:
+    """``(change number, its json block)`` of every measurements file
+    from change :data:`FIRST` on, in change order."""
+    for number, path in measurement_files(directory):
         found = _BLOCK.findall(path.read_text())
         if len(found) != 1:
             raise ValueError(
@@ -85,6 +99,50 @@ def trajectory(
     return rows
 
 
+def _git(root: Path, *args: str) -> Optional[str]:
+    """``git args`` in ``root``: its first output line, or None when git
+    cannot answer (no repository, an unknown commit)."""
+    try:
+        done = subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True,
+        )
+    except OSError:
+        return None
+    lines = done.stdout.split()
+    return lines[0] if done.returncode == 0 and lines else None
+
+
+def same_tree(
+    rows, directory: Path, root: Path = ROOT,
+) -> List[Tuple[int, int, Dict[str, Tuple[float, float]]]]:
+    """``(k - 1, k, {metric: (k - 1's change median, k's parent
+    median)})`` for each pair of consecutive changes in ``rows`` (what
+    :func:`trajectory` returns) between whose commits no commit touched
+    ``src/``: change k − 1's commit is the one that added its
+    measurements file, change k's parent is its block's ``parent``."""
+    medians = {number: measured for number, _, measured in rows}
+    parents = {number: block["parent"] for number, block in blocks(directory)}
+    paths = dict(measurement_files(directory))
+    found = []
+    for number, _, after in rows:
+        before = medians.get(number - 1)
+        if before is None:
+            continue
+        change = _git(
+            root, "log", "--diff-filter=A", "--format=%H", "-1", "--",
+            str(paths[number - 1].resolve()),
+        )
+        tree = change and _git(root, "rev-parse", "--verify", change + ":src")
+        if tree and tree == _git(
+            root, "rev-parse", "--verify", parents[number] + ":src"
+        ):
+            found.append((number - 1, number, {
+                metric: (before[metric][1], after[metric][0])
+                for metric in after
+            }))
+    return found
+
+
 def render(rows, metrics: Sequence[str]) -> List[str]:
     """Aligned text lines: a header, then one line a change, each
     metric as ``parent median -> change median``."""
@@ -93,6 +151,29 @@ def render(rows, metrics: Sequence[str]) -> List[str]:
         table.append([str(number), str(count)] + [
             "%.6g -> %.6g" % medians[metric] for metric in metrics
         ])
+    return _aligned(table)
+
+
+def render_same_tree(rows, metrics: Sequence[str]) -> List[str]:
+    """Aligned text lines: a header, then one line a same-tree pair of
+    changes, each metric as ``k - 1's change median -> k's parent
+    median`` and the step in percent."""
+    table = [["same src/", *metrics]]
+    for before, after, medians in rows:
+        table.append(["%d -> %d" % (before, after)] + [
+            "%.6g -> %.6g (%+.1f%%)" % (
+                *medians[metric], _step(*medians[metric])
+            )
+            for metric in metrics
+        ])
+    return _aligned(table)
+
+
+def _step(before: float, after: float) -> float:
+    return 100.0 * (after - before) / before if before else 0.0
+
+
+def _aligned(table: List[List[str]]) -> List[str]:
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return [
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
@@ -119,6 +200,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 1
     print("\n".join(render(rows, metrics)))
+    noise = same_tree(rows, args.dir)
+    if noise:
+        print("\n".join(render_same_tree(noise, metrics)))
     return 0
 
 
