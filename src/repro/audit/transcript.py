@@ -367,16 +367,13 @@ class Transcript:
         :func:`verify_transcript`.
         """
         ring = Keyring(key)
-        chain = cls._chain_seed(spec, instance, ring.key_id)
+        grouping = _Grouping(cls._chain_seed(spec, instance, ring.key_id))
+        group = grouping.add
         entries: List[TranscriptEntry] = []
-        groups: list = []
-        block: list = []
-        members: dict = {}
-        current: Any = None
         quoted: dict = {}
         # One pass: format an entry's bytes, make the entry in one
         # tuple.__new__ and add the bytes to its (round block, sender)
-        # group, the groups _groups recomputes for the verifier.
+        # group, by the one rule (_Grouping) the verifier applies.
         for index, row in enumerate(journal):
             round_index, sender, receiver, tag, bits, payload = row
             if type(payload) is not int:
@@ -389,24 +386,11 @@ class Transcript:
                 index, round_index, sender, receiver, tag, bits, payload,
                 content,
             )))
-            if round_index != current or not block:
-                if block:
-                    chain = _close_block(
-                        groups, current, members, block, chain
-                    )
-                block = []
-                members = {}
-                current = round_index
-            group = members.get(sender)
-            if group is None:
-                group = members[sender] = (index, [])
-            group[1].append(content)
-            block.append(content)
-        if block:
-            chain = _close_block(groups, current, members, block, chain)
+            group(index, round_index, sender, content)
+        chain = grouping.close()
         tags = tuple(
             (round_index, sender, ring.tag(sender, link))
-            for round_index, sender, _, link in groups
+            for round_index, sender, _, link in grouping.groups
         )
         result_bytes = _canonical(result_to_wire(result))
         return cls(
@@ -610,22 +594,15 @@ def _groups(
     entries: Sequence[TranscriptEntry], chain: bytes
 ) -> Tuple[Optional[VerifyReport], list, bytes]:
     """The (round block, sender) groups of ``entries`` along the chain
-    from ``chain``: ``(None, groups, the chain head)`` with one
-    ``(round, sender, first entry index, chain before the block +
-    the group's entry bytes)`` a group, in tag order, or ``(the report
-    of the first broken entry, [], b"")``.
+    from ``chain`` (:class:`_Grouping`): ``(None, groups, the chain
+    head)``, or ``(the report of the first broken entry, [], b"")``.
 
-    A block is a maximal run of consecutive entries that share
-    ``round``; its groups come in the order of their senders' first
-    entries, and the chain advances once a block, over all its entry
-    bytes.  An entry is broken when its ``index`` is not its position
-    (reported there) or it has no authenticated bytes (reported at its
-    group's first entry; an entry whose ``sender`` is not an int is a
-    group of its own)."""
-    groups: list = []
-    block: list = []
-    senders: dict = {}
-    current: Any = None
+    An entry is broken when its ``index`` is not its position (reported
+    there) or it has no authenticated bytes (reported at its group's
+    first entry; an entry whose ``sender`` is not an int is a group of
+    its own)."""
+    grouping = _Grouping(chain)
+    group = grouping.add
     for position, entry in enumerate(entries):
         index, round_index, sender, _, _, _, _, content = entry
         if index != position:
@@ -636,33 +613,61 @@ def _groups(
                 reason="entry index %r found at position %d: an entry"
                 " was dropped or reordered" % (index, position),
             ), [], b""
-        if not block or round_index != current:
-            if block:
-                chain = _close_block(groups, current, senders, block, chain)
-            block = []
-            senders = {}
-            current = round_index
         if type(sender) is not int:
             sender = (position,)
-        group = senders.get(sender)
-        if group is None:
-            group = senders[sender] = (position, [])
+        first = group(position, round_index, sender, content)
         if content is None:
-            return _tag_mismatch(group[0], entry), [], b""
+            return _tag_mismatch(first, entry), [], b""
+    chain = grouping.close()
+    return None, grouping.groups, chain
+
+
+class _Grouping:
+    """The one rule that groups entries for tags, fed an entry at a time
+    by :meth:`Transcript.record` and :func:`_groups` alike.
+
+    A block is a maximal run of consecutive entries that share
+    ``round``; its groups come in the order of their senders' first
+    entries, and the chain advances once a block, over all its entry
+    bytes.  ``groups`` holds one ``(round, sender, first entry index,
+    chain before the block + the group's entry bytes)`` a group, in tag
+    order."""
+
+    __slots__ = ("groups", "chain", "_round", "_block", "_senders")
+
+    def __init__(self, chain: bytes) -> None:
+        self.groups: list = []
+        self.chain = chain
+        self._round: Any = None
+        self._block: list = []
+        self._senders: dict = {}
+
+    def add(self, position: int, round_index: Any, sender: Any,
+            content: Optional[bytes]) -> int:
+        """Add entry ``position``'s bytes to its group; the group's first
+        entry index."""
+        if not self._block or round_index != self._round:
+            self.close()
+            self._round = round_index
+        group = self._senders.get(sender)
+        if group is None:
+            group = self._senders[sender] = (position, [])
         group[1].append(content)
-        block.append(content)
-    if block:
-        chain = _close_block(groups, current, senders, block, chain)
-    return None, groups, chain
+        self._block.append(content)
+        return group[0]
 
-
-def _close_block(
-    groups: list, round_index: Any, senders: dict, block: list, chain: bytes
-) -> bytes:
-    """Append a block's groups to ``groups``; the chain after it."""
-    for sender, (first, parts) in senders.items():
-        groups.append((round_index, sender, first, chain + b"".join(parts)))
-    return hashlib.sha256(chain + b"".join(block)).digest()
+    def close(self) -> bytes:
+        """Close the open block, if any; the chain head after it."""
+        if self._block:
+            chain = self.chain
+            for sender, (first, parts) in self._senders.items():
+                self.groups.append(
+                    (self._round, sender, first, chain + b"".join(parts))
+                )
+            self.chain = hashlib.sha256(chain + b"".join(self._block)).digest()
+            self._block = []
+            self._senders = {}
+        return self.chain
 
 
 def _tag_mismatch(first: int, entry: TranscriptEntry) -> VerifyReport:

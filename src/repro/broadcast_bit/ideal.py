@@ -150,14 +150,11 @@ class AccountedIdealBroadcast(BroadcastBackend):
                 check_pid(source, self.n, "source")
             if validate and not packed:
                 bits = list(bits)
-                # Every bit equals 0 or 1 when the two counts cover the
-                # row; else the scalar loop names the first that does not.
-                if bits.count(0) + bits.count(1) != len(bits):
-                    for bit in bits:
-                        if bit not in (0, 1):
-                            raise ValueError(
-                                "bit must be 0 or 1, got %r" % (bit,)
-                            )
+                for bit in bits:
+                    if bit not in (0, 1):
+                        raise ValueError(
+                            "bit must be 0 or 1, got %r" % (bit,)
+                        )
             if source in ignored:
                 outcomes.append(
                     PackedBits.zeros(len(bits)) if packed
@@ -166,18 +163,15 @@ class AccountedIdealBroadcast(BroadcastBackend):
                 continue
             if hooked and self.adversary.controls(source):
                 view = self._view()
-                ask = self.adversary.ideal_broadcast_bit
-                # One instance id a bit, as _next_instance hands them out.
-                first = self.stats.instances
-                self.stats.instances += len(bits)
-                row = [
-                    bit_answer(
-                        "ideal_broadcast_bit", ask(source, bit, instance, view)
-                    )
-                    for instance, bit in enumerate(
-                        bits.tolist() if packed else bits, first
-                    )
-                ]
+                row = []
+                for bit in bits.tolist() if packed else bits:
+                    instance = self._next_instance()
+                    row.append(bit_answer(
+                        "ideal_broadcast_bit",
+                        self.adversary.ideal_broadcast_bit(
+                            source, bit, instance, view
+                        ),
+                    ))
                 if packed:
                     row = PackedBits.from_bits(row)
             else:

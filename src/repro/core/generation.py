@@ -483,22 +483,13 @@ class GenerationProtocol:
             # Batched edges are already filtered by the trust mask at
             # send time (the mask is symmetric, so the receiver-side
             # line 1(b) filter is equivalent for honest and faulty
-            # senders alike).  An int64 lane within the symbol range
-            # reads as its exact ints, as each would one by one.
-            lanes = batch.payloads
-            if isinstance(lanes, np.ndarray) and lanes.dtype.kind in "iu" and (
-                not lanes.size or (0 <= lanes.min() and lanes.max() < limit)
+            # senders alike).
+            for sender, recipient, payload in zip(
+                batch.senders.tolist(),
+                batch.receivers.tolist(),
+                batch.payload_list(),
             ):
-                symbols = lanes.tolist()
-            else:
-                symbols = [
-                    received_symbol(payload, limit)
-                    for payload in batch.payload_list()
-                ]
-            for sender, recipient, symbol in zip(
-                batch.senders.tolist(), batch.receivers.tolist(), symbols,
-            ):
-                received[recipient][sender] = symbol
+                received[recipient][sender] = received_symbol(payload, limit)
         symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
             for message in delivery.inboxes[pid]:

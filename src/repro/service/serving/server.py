@@ -77,6 +77,11 @@ DEFAULT_PORT = 7411
 #: default is below one instance at n=4, L=2^16: n × L/4 hex digits).
 MAX_FRAME_BYTES = 1 << 24
 
+#: How long :meth:`ConsensusServer.stop` gives the open connections to
+#: send their last replies and close before it aborts them: a client
+#: that stopped reading leaves its replies unsent for ever.
+_CLOSE_GRACE_S = 5.0
+
 
 class _Request:
     """One admitted request: its instance, deployment, future, clock."""
@@ -159,8 +164,8 @@ class ConsensusServer:
         self._closing = False
         self._in_flight: Optional[dict] = None
         self._tcp: Optional[asyncio.AbstractServer] = None
-        #: Each open TCP connection's handler task, and its reader and
-        #: writer.
+        #: Each open TCP connection's handler task, and its reader,
+        #: writer and submit tasks.
         self._connections: Dict[asyncio.Task, tuple] = {}
         #: The stop a TCP ``shutdown`` op started.
         self._stopping: Optional[asyncio.Task] = None
@@ -456,27 +461,43 @@ class ConsensusServer:
 
     async def _close_tcp(self) -> None:
         """Close the TCP listener and end every open connection: its
-        reading stops, its handler reads end of file, answers the submits
-        it has in flight and closes the connection, and is awaited.  A
-        handler left reading when the loop ends would be cancelled, which
-        asyncio reports as an error in the stream's callback."""
-        if self._tcp is not None:
-            self._tcp.close()
-            await self._tcp.wait_closed()
-            self._tcp = None
-        for reader, writer in list(self._connections.values()):
+        reading stops and its handler reads end of file, answers the
+        submits it has in flight, closes the connection and returns.  A
+        connection whose handler is not done within ``_CLOSE_GRACE_S``
+        (a client that stopped reading) is aborted and its submits
+        cancelled.  A handler left running when the loop ends would be
+        cancelled, which asyncio reports as an error in the stream's
+        callback.  The listener is awaited last: from Python 3.12.1 its
+        ``wait_closed`` waits for every connection it accepted."""
+        listener, self._tcp = self._tcp, None
+        if listener is not None:
+            listener.close()
+        connections = dict(self._connections)
+        for reader, writer, _ in connections.values():
             writer.transport.pause_reading()
             reader.feed_eof()
-        if self._connections:
-            await asyncio.gather(
-                *list(self._connections), return_exceptions=True
+        if connections:
+            _, stuck = await asyncio.wait(
+                list(connections), timeout=_CLOSE_GRACE_S
             )
+            for handler in stuck:
+                _, writer, submits = connections[handler]
+                writer.transport.abort()
+                for submit in submits:
+                    submit.cancel()
+            if stuck:
+                await asyncio.wait(stuck)
+        if listener is not None:
+            await listener.wait_closed()
 
     async def _handle_connection(self, reader, writer) -> None:
         write_lock = asyncio.Lock()
         submits: List[asyncio.Task] = []
         handler = asyncio.current_task()
-        self._connections[handler] = (reader, writer)
+        self._connections[handler] = (reader, writer, submits)
+        if self._tcp is None:
+            # Accepted just before the listener closed: nothing reads it.
+            reader.feed_eof()
 
         async def respond(payload: dict) -> None:
             async with write_lock:
@@ -527,6 +548,8 @@ class ConsensusServer:
                             InvalidRequestError("unknown op %r" % (op,)),
                         )
                     )
+        except ConnectionError:
+            pass  # the client went away, or stop() aborted the connection
         finally:
             if submits:
                 await asyncio.gather(*submits, return_exceptions=True)

@@ -900,3 +900,90 @@ def test_stopping_serve_with_a_client_connected_prints_nothing(stop):
             proc.kill()
             proc.communicate()
     assert (proc.returncode, stderr) == (0, "")
+
+
+class _ListenerAsOf312:
+    """A TCP listener whose ``wait_closed`` returns, as from Python
+    3.12.1, only once the connections it accepted are closed (here the
+    one connection whose end of file sets ``eof``)."""
+
+    def __init__(self, listener, eof: asyncio.Event):
+        self._listener = listener
+        self._eof = eof
+
+    def close(self) -> None:
+        self._listener.close()
+
+    async def wait_closed(self) -> None:
+        await self._listener.wait_closed()
+        await self._eof.wait()
+
+
+def test_stop_ends_open_connections_before_awaiting_the_listener():
+    """With a client still connected, ``stop()`` returns under a listener
+    that waits for its connections: the server ends each connection
+    first, and the client reads its reply and then end of file."""
+
+    async def scenario():
+        server = ConsensusServer(RunSpec(n=4, l_bits=16))
+        listener = await server.serve_tcp(port=0)
+        port = listener.sockets[0].getsockname()[1]
+        eof = asyncio.Event()
+        server._tcp = _ListenerAsOf312(listener, eof)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b'{"op":"submit","id":1,"value":"beef"}\n')
+        await writer.drain()
+        reply = json.loads(await reader.readline())
+
+        async def read_to_eof():
+            rest = await reader.read()
+            eof.set()
+            return rest
+
+        reading = asyncio.create_task(read_to_eof())
+        await asyncio.wait_for(server.stop(), timeout=30)
+        rest = await reading
+        writer.close()
+        return reply, rest
+
+    reply, rest = asyncio.run(scenario())
+    assert reply["ok"] and rest == b""
+
+
+def test_stop_aborts_a_client_that_stopped_reading(monkeypatch):
+    """A client that pipelines submits and requests, then never reads,
+    leaves its replies unsent; ``stop()`` aborts its connection after
+    the grace period instead of waiting for ever, and asyncio reports
+    no error."""
+    from repro.service.serving import server as server_module
+
+    monkeypatch.setattr(server_module, "_CLOSE_GRACE_S", 0.2)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _, context: errors.append(context))
+        server = ConsensusServer(RunSpec(n=4, l_bits=16))
+        listener = await server.serve_tcp(port=0)
+        port = listener.sockets[0].getsockname()[1]
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await loop.sock_connect(sock, ("127.0.0.1", port))
+            # The ps replies (about 0.7 KiB each, 33 MB in all) fill
+            # every buffer between the server and this socket, which
+            # reads nothing.
+            await loop.sock_sendall(sock, b"".join(
+                b'{"op":"submit","id":%d,"value":"beef"}\n' % index
+                for index in range(8)
+            ) + b'{"op":"ps"}\n' * 50000)
+            await asyncio.sleep(0.5)
+            started = time.monotonic()
+            await asyncio.wait_for(server.stop(), timeout=30)
+            elapsed = time.monotonic() - started
+        await asyncio.sleep(0)
+        return elapsed, errors
+
+    elapsed, errors = asyncio.run(scenario())
+    assert 0.2 <= elapsed < 30
+    assert errors == []
