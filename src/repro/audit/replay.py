@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -99,17 +99,22 @@ class DeviationRecorder(Adversary):
 
     A hook the inner adversary leaves at the :class:`Adversary` base
     (:func:`~repro.processors.adversary.hook_is_default`) plays the
-    honest identity and cannot deviate: the recorder forwards it
-    straight to the inner adversary and notes nothing.
+    stateless honest identity and cannot deviate: the recorder's class
+    leaves it at the base too (one subclass per set of hooks the inner
+    overrides), so it answers as the inner does, notes nothing, and
+    ``hook_is_default`` reads the recorder as it reads the inner — an
+    engine accounts those rows in bulk.
     """
+
+    def __new__(cls, inner: Adversary):
+        return super().__new__(_recorder_class(frozenset(
+            hook for hook in _HOOKS if hook_is_default(inner, hook)
+        )))
 
     def __init__(self, inner: Adversary):
         super().__init__(sorted(inner.faulty))
         self.inner = inner
         self.deviations: List[Deviation] = []
-        for hook in _HOOKS:
-            if hook_is_default(inner, hook):
-                setattr(self, hook, getattr(inner, hook))
         # Fault-plan adversaries attack through the network: forward the
         # plan so the replay engine installs the identical compiled
         # schedule (the journal would diverge otherwise).
@@ -223,6 +228,15 @@ _HOOKS = PID_HOOKS + ("coin_reveal",)
 for _hook in _HOOKS:
     if _hook not in vars(DeviationRecorder):
         setattr(DeviationRecorder, _hook, _recording(_hook))
+
+
+@cache
+def _recorder_class(defaults: frozenset) -> type:
+    """The recorder class that leaves the hooks in ``defaults`` at the
+    :class:`Adversary` base and records every other."""
+    return type(DeviationRecorder.__name__, (DeviationRecorder,), {
+        hook: getattr(Adversary, hook) for hook in defaults
+    })
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Installed as the ``repro-sim`` entry point::
     repro-sim baseline --which fitzi-hirt --n 7 --l-bits 128
     repro-sim analyze --n 7 --t 2 --l-bits 1048576
     repro-sim sweep --n 7 --t 2 --l-min 10 --l-max 18
-    repro-sim serve --n 7 --l-bits 1024 --port 7411 --window-ms 2
+    repro-sim serve --n 7 --l-bits 1024 --port 7411
     repro-sim submit --port 7411 --value 0xBEEF --count 8
     repro-sim ps --port 7411
     repro-sim stop --port 7411
@@ -62,6 +62,7 @@ from repro.service.serving import (
     ServingClient,
     ServingError,
 )
+from repro.service.serving.wire import runspec_from_wire
 from repro.utils.boundary import check_input_value
 
 
@@ -230,20 +231,17 @@ def cmd_serve(args) -> int:
 
     async def _serve() -> None:
         server = ConsensusServer(
-            spec,
-            window_ms=args.window_ms,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
+            spec, max_batch=args.max_batch, max_queue=args.max_queue
         )
         tcp = await server.serve_tcp(host=args.host, port=args.port)
         host, port = tcp.sockets[0].getsockname()[:2]
         print(
-            "serving n=%d t=%s l_bits=%d on %s:%s"
-            % (spec.n, spec.t, spec.l_bits, host, port)
+            "serving n=%d t=%d l_bits=%d on %s:%s"
+            % (spec.n, spec.resolved_t, spec.l_bits, host, port)
         )
         print(
-            "knobs: window %.1f ms | max batch %d | max queue %d"
-            % (args.window_ms, args.max_batch, args.max_queue),
+            "knobs: max batch %d | max queue %d"
+            % (args.max_batch, args.max_queue),
             flush=True,
         )
         try:
@@ -273,14 +271,16 @@ def cmd_ps(args) -> int:
         snap = client.ps()
     stats = snap["stats"]
     latency = stats["latency_ms"]
-    deployment = snap["default_deployment"]
+    deployment = runspec_from_wire(snap["default_deployment"])
     in_flight = snap["in_flight"]
     rows = [
         ("running", snap["running"]),
         ("uptime", "%.1f s" % snap["uptime_s"]),
         (
             "default deployment",
-            "n=%(n)d t=%(t)s l_bits=%(l_bits)d" % deployment,
+            "n=%d t=%d l_bits=%d" % (
+                deployment.n, deployment.resolved_t, deployment.l_bits
+            ),
         ),
         ("deployments seen", len(snap["deployments"]) or 1),
         ("queued", snap["queued"]),
@@ -293,8 +293,7 @@ def cmd_ps(args) -> int:
         ),
         (
             "knobs",
-            "window %(window_ms).1f ms | batch %(max_batch)d "
-            "| queue %(max_queue)d" % snap["knobs"],
+            "batch %(max_batch)d | queue %(max_queue)d" % snap["knobs"],
         ),
         ("served", stats["served"]),
         ("rejected", stats["rejected_total"]),
@@ -313,8 +312,8 @@ def cmd_submit(args) -> int:
     value = args.value
     with _client(args) as client:
         if args.count > 1:
-            # Pipeline the whole batch so it lands in one server-side
-            # collection window; vary seeds so instances stay distinct.
+            # Pipeline the whole batch so it queues at once and flushes
+            # together; vary seeds so instances stay distinct.
             n = client.ps()["default_deployment"]["n"]
             base = args.seed if args.seed is not None else 0
             faulty = args.faulty
@@ -532,10 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     endpoint(p)
     p.add_argument("--d-bits", type=int, default=None,
                    help="generation size (default: paper-optimal)")
-    p.add_argument("--window-ms", type=float, default=2.0,
-                   help="micro-batch collection window in ms")
     p.add_argument("--max-batch", type=int, default=64,
-                   help="flush size cap per cohort")
+                   help="size cap per cohort")
     p.add_argument("--max-queue", type=int, default=1024,
                    help="admission queue bound (beyond it: queue_full)")
     p.set_defaults(func=cmd_serve)

@@ -396,8 +396,9 @@ def hook_is_default(adversary: Adversary, name: str) -> bool:
     :class:`Adversary` base, i.e. plays it as the stateless honest
     identity, so an engine may elide the call unobservably.  Anything
     else — a subclass override, a class-level router
-    (``CompositeAdversary``), a wrapper (``DeviationRecorder``) — reads
-    as overriding and must keep firing."""
+    (``CompositeAdversary``) — reads as overriding and must keep
+    firing; ``DeviationRecorder``'s class overrides exactly the hooks
+    its inner adversary's does."""
     return getattr(type(adversary), name) is getattr(Adversary, name)
 
 

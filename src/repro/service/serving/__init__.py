@@ -3,10 +3,10 @@
 ``submit()``/``drain()`` on a :class:`~repro.service.ConsensusService`
 is a buffer the *caller* drains; this package is the deployment that
 **receives** traffic.  :class:`ConsensusServer` admits requests into a
-bounded micro-batching queue (collect for ``window_ms`` or until
-``max_batch``, flush each compatible group as one ``run_many`` cohort
-on the server's one worker thread),
-rejects explicitly on overload, tracks client-observed p50/p99 latency,
+bounded micro-batching queue (whenever the server's one worker thread
+is free, everything queued flushes there, each compatible group as
+one ``run_many`` cohort of at most ``max_batch``), rejects explicitly
+on overload, tracks client-observed p50/p99 latency,
 and speaks newline-delimited JSON over TCP to the typed
 :class:`ServingClient` SDK and the ``repro-sim serve`` / ``ps`` /
 ``submit`` CLI.

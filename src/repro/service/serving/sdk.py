@@ -11,7 +11,8 @@ exception classes the server raises
 :class:`~repro.service.serving.batcher.InvalidRequestError`,
 :class:`~repro.service.serving.batcher.ServerClosedError`).
 :meth:`~ServingClient.submit_many` pipelines a whole batch over the
-connection so one client can fill a server-side micro-batch window.
+connection, so it queues at once and flushes together, in cohorts of
+at most the server's ``max_batch``.
 
 :func:`serve_background` hosts a server on a daemon thread (its own
 event loop, ephemeral port) and yields a connected client — the
@@ -65,9 +66,8 @@ class ServingClient:
     Args:
         host / port: where ``repro-sim serve`` listens.
         timeout: per-response socket timeout in seconds.  It bounds the
-            wait for one reply line — covering queue wait, the
-            micro-batch window and batch execution — not the lifetime
-            of the connection.
+            wait for one reply line — covering queue wait and batch
+            execution — not the lifetime of the connection.
 
     The connection opens lazily on first use and the client is a
     context manager (``with ServingClient(...) as client:``) that
@@ -123,7 +123,7 @@ class ServingClient:
     def _send(self, payloads: Sequence[dict]) -> List[int]:
         """Number and send request lines — however many, one ``write``
         and one ``flush``, so a pipelined chunk reaches the server
-        together and lands in one collection window."""
+        together and queues at once."""
         ids = []
         lines = []
         for payload in payloads:
@@ -217,9 +217,8 @@ class ServingClient:
         for all results, returned in submission order.
 
         All requests go out in one write before any reply is read, so
-        the batch lands inside one server-side collection window (sizes
-        up to the server's ``max_batch`` flush as one ``run_many``
-        cohort).
+        the batch queues at once and flushes together, in cohorts of at
+        most the server's ``max_batch``.
         """
         ids = self._send([
             self._submit_payload(inputs, None, None, None, spec)
@@ -290,7 +289,7 @@ def serve_background(
 
     The server listens on an ephemeral port on ``host``;
     ``server_kwargs`` pass through to the server constructor
-    (``window_ms``, ``max_batch``, ``max_queue``, ...).  On exit the
+    (``max_batch``, ``max_queue``).  On exit the
     server drains cleanly (a ``shutdown`` op) and the thread joins.
     """
     from repro.service.serving.server import ConsensusServer

@@ -1,4 +1,4 @@
-"""The long-lived serving front-end: admission, micro-batching, flush.
+"""The long-lived serving front-end: admission, batching, flush.
 
 :class:`ConsensusServer` is the deployment shape ROADMAP item 1 asks
 for — a process that *receives* consensus traffic rather than a buffer
@@ -6,12 +6,14 @@ the caller drains.  One server owns one
 :class:`~repro.service.service.ConsensusService` per deployment
 (:class:`~repro.service.spec.RunSpec`) it has seen, a bounded
 :class:`~repro.service.serving.batcher.MicroBatcher` admission queue,
-and a single flush task that converts the service layer's 4–13×
-cross-instance batching win into a latency/throughput knob: requests
-collect for ``window_ms`` (or until ``max_batch``), then each
-compatible group flushes as **one** ``run_many`` cohort on the
-server's one worker thread, keeping the event loop free to admit the
-next window's traffic.
+and a single flush task.  The flush is work-conserving: whenever the
+server's one worker thread is free, everything queued drains, and each
+compatible group (split at ``max_batch``) runs as **one** ``run_many``
+cohort there, keeping the event loop free to admit the next cohort's
+traffic.  Load makes the batch: a lone request on an idle server runs
+at once, and the requests that arrive while a cohort runs form the
+next one, so the service layer's 4–13× cross-instance batching win
+engages exactly when there is traffic to amortise, with no timer.
 
 Every served result is byte-identical to a direct ``run_many`` on the
 same :class:`~repro.service.spec.InstanceSpec`s — micro-batching
@@ -26,7 +28,7 @@ and the client SDK in :mod:`repro.service.serving.sdk` layer on top):
 >>> import asyncio
 >>> from repro.service import RunSpec
 >>> async def demo():
-...     server = ConsensusServer(RunSpec(n=4, l_bits=16), window_ms=1.0)
+...     server = ConsensusServer(RunSpec(n=4, l_bits=16))
 ...     await server.start()
 ...     results = await asyncio.gather(
 ...         server.submit(0xBEEF), server.submit(0xF00D, attack="corrupt")
@@ -66,7 +68,7 @@ from repro.service.serving.wire import (
     value_from_wire,
 )
 from repro.service.spec import InstanceSpec, RunSpec
-from repro.utils.boundary import check_duration, check_int
+from repro.utils.boundary import check_int
 
 logger = logging.getLogger(__name__)
 
@@ -109,11 +111,8 @@ class ConsensusServer:
             passing their own :class:`RunSpec`; each distinct spec gets
             its own long-lived service, and one flush never mixes
             deployments).
-        window_ms: micro-batch collection window in milliseconds (a
-            float or an int, at least 0), measured from the oldest
-            queued request.
-        max_batch: flush size cap per cohort; a group reaching it
-            flushes without waiting out the window.
+        max_batch: size cap per cohort; a flush splits a larger group
+            into cap-sized cohorts.
         max_queue: bounded admission queue across all deployments;
             beyond it, :meth:`submit` raises
             :class:`~repro.service.serving.batcher.QueueFullError`.
@@ -122,7 +121,6 @@ class ConsensusServer:
     def __init__(
         self,
         spec: Union[RunSpec, "ConsensusService"],
-        window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
     ):
@@ -139,11 +137,9 @@ class ConsensusServer:
                 "expected a RunSpec or ConsensusService, got %r"
                 % type(spec).__name__
             )
-        self.window_ms = check_duration(window_ms, "window_ms")
         self.max_batch = check_int(max_batch, "max_batch")
         self.max_queue = check_int(max_queue, "max_queue")
         self._batcher: MicroBatcher[_Request] = MicroBatcher(
-            window_s=self.window_ms / 1000.0,
             max_batch=self.max_batch,
             max_queue=self.max_queue,
         )
@@ -157,10 +153,9 @@ class ConsensusServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self.stats = ServingStats()
         self._flush_task: Optional[asyncio.Task] = None
-        #: set on any admission — wakes an idle flush loop.
+        #: set on any admission and on shutdown — wakes an idle flush
+        #: loop.
         self._wake: Optional[asyncio.Event] = None
-        #: set on size-cap or shutdown — cuts a running window short.
-        self._kick: Optional[asyncio.Event] = None
         self._closing = False
         self._in_flight: Optional[dict] = None
         self._tcp: Optional[asyncio.AbstractServer] = None
@@ -186,7 +181,6 @@ class ConsensusServer:
         self._closing = False
         self._closed = asyncio.Event()
         self._wake = asyncio.Event()
-        self._kick = asyncio.Event()
         self._started_at = time.monotonic()
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
@@ -218,8 +212,6 @@ class ConsensusServer:
                         request.future.set_exception(
                             ServerClosedError("server stopped before flush")
                         )
-        if self._kick is not None:
-            self._kick.set()
         if self._flush_task is not None:
             await self._flush_task
             self._flush_task = None
@@ -300,15 +292,11 @@ class ConsensusServer:
         )
         request = _Request(instance, spec, future, time.monotonic())
         try:
-            capped = self._batcher.offer(
-                spec, request, now=request.enqueued_at
-            )
+            self._batcher.offer(spec, request)
         except QueueFullError:
             self.stats.record_rejection(QueueFullError.code)
             raise
         self._wake.set()
-        if capped:
-            self._kick.set()
         return await future
 
     async def _submit_recorded(self, spec: RunSpec, instance: InstanceSpec):
@@ -328,37 +316,15 @@ class ConsensusServer:
     # -- the flush loop -----------------------------------------------------
 
     async def _flush_loop(self) -> None:
-        assert self._wake is not None and self._kick is not None
+        # Work-conserving: whenever the worker is free, run everything
+        # queued; what arrives meanwhile is the next drain's.
+        assert self._wake is not None
         while True:
             while not self._batcher.pending and not self._closing:
                 self._wake.clear()
                 await self._wake.wait()
-            if not self._batcher.pending and self._closing:
+            if not self._batcher.pending:
                 return
-            # Collection window: wait out the oldest request's window,
-            # cut short by a size-cap kick or shutdown.
-            while not self._closing:
-                # Flush every group already at the size cap *before*
-                # re-arming the kick: a kick set while this loop was
-                # elsewhere (admissions during a flush, or before the
-                # loop first woke) must not be lost to the clear below.
-                while True:
-                    capped = self._batcher.drain_capped()
-                    if not capped:
-                        break
-                    for spec, requests in capped:
-                        await self._execute(spec, requests)
-                deadline = self._batcher.deadline()
-                if deadline is None:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._kick.clear()
-                try:
-                    await asyncio.wait_for(self._kick.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
             for spec, requests in self._batcher.drain_all():
                 await self._execute(spec, requests)
 
@@ -430,7 +396,6 @@ class ConsensusServer:
             "queued": self._batcher.pending,
             "in_flight": in_flight,
             "knobs": {
-                "window_ms": self.window_ms,
                 "max_batch": self.max_batch,
                 "max_queue": self.max_queue,
             },
@@ -524,7 +489,8 @@ class ConsensusServer:
                 op = message.get("op")
                 if op == "submit":
                     # Each submit is its own task: the connection keeps
-                    # reading, so one client can fill a whole window.
+                    # reading, so one client's pipelined submits queue
+                    # together and flush together.
                     submits.append(
                         asyncio.create_task(
                             self._handle_submit(message, respond)

@@ -3,8 +3,8 @@
 The pod paper (see ``PAPERS.md``) treats client-observed latency as a
 first-class consensus property, so the serving tier measures it from
 day one: one latency sample per served request, covering the whole
-admission-to-result interval (queue wait + collection window + batch
-execution), i.e. what a client actually waits.  Percentiles are exact
+admission-to-result interval (queue wait + batch execution), i.e.
+what a client actually waits.  Percentiles are exact
 over a bounded sample window (the most recent ``sample_cap`` samples),
 not estimates.
 
@@ -92,8 +92,8 @@ class ServingStats:
 
     def snapshot(self) -> dict:
         """Plain-dict view (JSON-safe) for ``ps`` and the benchmark
-        report; latencies in milliseconds because that is the scale
-        the micro-batch window knob is quoted in."""
+        report; latencies in milliseconds, the scale a request's
+        queue wait and execution are read in."""
         return {
             "served": self.served,
             "rejected": dict(self.rejected),

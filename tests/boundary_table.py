@@ -14,7 +14,6 @@ A rule is one of:
   (L = 16);
 * ``"choice"`` — :func:`~repro.utils.boundary.check_choice`;
 * ``"probability"`` — :func:`~repro.utils.boundary.check_probability`;
-* ``"duration"`` — :func:`~repro.utils.boundary.check_duration`;
 * ``"index"`` — a wire table index (an exact int below the table's
   length);
 * ``"engine"`` — :func:`~repro.utils.boundary.engine_int`, on a 4-bit
@@ -121,7 +120,6 @@ TABLE = (
         "config_or_spec", "reuse_results", "adversary", "key",
     )),
     # -- the serving front-end --------------------------------------------
-    Row(_SERVER, "window_ms", "duration", 1.0),
     Row(_SERVER, "max_batch", "int", 8),
     Row(_SERVER, "max_queue", "int", 16),
     Row(_SERVER + ".submit", "inputs", "value", 7, _first, "input value"),
@@ -132,7 +130,6 @@ TABLE = (
     # recording flag.
     Row(_SERVER, "spec", None, None),
     Row(_SERVER + ".submit", "transcript", None, False),
-    Row(_BATCHER, "window_s", "duration", 0.001),
     Row(_BATCHER, "max_batch", "int", 2),
     Row(_BATCHER, "max_queue", "int", 4),
     Row("repro.service.serving.stats.ServingStats", "sample_cap", "int", 8),

@@ -89,15 +89,27 @@ class TestBaseAdversary:
         assert hook_is_default(poison, "matching_row")
 
     def test_routers_and_wrappers_read_as_overriding(self):
-        # Both delegate to strategies the class cannot see: every hook
-        # must keep firing, even around an all-honest inner adversary.
-        for adversary in (
-            CompositeAdversary({0: Adversary([0])}),
-            DeviationRecorder(Adversary([0])),
-        ):
-            assert not any(
-                hook_is_default(adversary, h) for h in ELIDABLE_HOOKS
-            )
+        # A router delegates to strategies its class cannot see: every
+        # hook must keep firing, even around an all-honest strategy.
+        # The recorder overrides exactly what its inner adversary does.
+        router = CompositeAdversary({0: Adversary([0])})
+        assert not any(hook_is_default(router, h) for h in ELIDABLE_HOOKS)
+        for inner in (Adversary([0]), TrustPoisoningAdversary([0]), router):
+            recorder = DeviationRecorder(inner)
+            assert [hook_is_default(recorder, h) for h in ELIDABLE_HOOKS] == [
+                hook_is_default(inner, h) for h in ELIDABLE_HOOKS
+            ]
+
+    def test_recorders_share_one_class_per_hook_profile(self):
+        # The recorder's class is made once per set of hooks its inner
+        # adversary leaves at the base, not once per recorder.
+        first = DeviationRecorder(TrustPoisoningAdversary([0]))
+        second = DeviationRecorder(TrustPoisoningAdversary([1]))
+        honest = DeviationRecorder(Adversary([0]))
+        assert type(first) is type(second)
+        assert type(honest) is not type(first)
+        assert isinstance(first, DeviationRecorder)
+        assert isinstance(honest, DeviationRecorder)
 
     def test_global_view_honest_property(self):
         v = view(n=5, t=1, faulty=[4])

@@ -1370,14 +1370,14 @@ class FlipsDetected(Adversary):
 
 
 def test_a_base_hook_is_forwarded_and_noted_nowhere():
-    """A hook the attack leaves at the base is the inner adversary's own
-    bound method on the recorder: it answers as the inner one does and
-    notes nothing.  An overridden hook is still noted."""
+    """A hook the attack leaves at the base is the base's on the
+    recorder's class too: it answers as the inner one does and notes
+    nothing.  An overridden hook is still noted."""
     inner = FlipsDetected([0])
     recorder = DeviationRecorder(inner)
     view = GlobalView(n=4, t=1, faulty={0})
-    assert recorder.input_value == inner.input_value
-    assert recorder.m_row == inner.m_row
+    assert type(recorder).input_value is Adversary.input_value
+    assert type(recorder).m_row is Adversary.m_row
     row = (True, False, True, True)
     assert recorder.input_value(0, 7, view) == 7
     assert recorder.m_row(0, row, 0, view) is row
@@ -1388,12 +1388,40 @@ def test_a_base_hook_is_forwarded_and_noted_nowhere():
     ]
 
 
+def test_a_replay_asks_no_base_broadcast_bit_by_bit(monkeypatch):
+    """Under replay, a controlled source whose attack leaves
+    ``ideal_broadcast_bit`` at the base is accounted in bulk, as in the
+    recorded run: the recorder is asked for no bit of its rows.  An
+    attack that overrides the hook is still asked bit by bit."""
+    from repro.broadcast_bit import ideal as ideal_module
+
+    asks = []
+    answer = ideal_module.bit_answer
+
+    def counted(hook, *rest):
+        asks.append(hook)
+        return answer(hook, *rest)
+
+    monkeypatch.setattr(ideal_module, "bit_answer", counted)
+    counts = {}
+    for attack in ("corrupt", "random"):
+        spec = RunSpec(
+            n=7, l_bits=64, attack=attack, faulty=_case_faulty(attack)
+        )
+        _, transcript = ConsensusService(spec).record(VALUE)
+        asks.clear()
+        assert replay(transcript).journal_match
+        counts[attack] = len(asks)
+    assert counts["corrupt"] == 0
+    assert counts["random"] > 0
+
+
 # -- serving-tier opt-in ---------------------------------------------------
 
 
 def test_serving_transcript_opt_in():
     spec = RunSpec(n=4, l_bits=32, attack="corrupt")
-    with serve_background(spec, window_ms=1.0) as client:
+    with serve_background(spec) as client:
         plain = client.submit(VALUE)
         result, transcript = client.submit(VALUE, transcript=True)
     assert compare(plain, result).identical

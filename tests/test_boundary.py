@@ -45,9 +45,6 @@ DRAWS = {
     "value": _BREAKERS + (-1, 1 << 16, 2 ** 70),
     "choice": (True, 1.0, np.int64(1), "nonesuch", None, -1, 2 ** 70),
     "probability": (True, np.int64(1), "1", None, -0.5, 1.5, 2 ** 70),
-    "duration": (
-        True, np.int64(1), "1", None, -0.5, float("nan"), float("inf"),
-    ),
     "index": (True, 1.0, np.int64(0), "0", None, -1, 1, 2 ** 70),
     "engine": (True, 1.0, "1", None, -1, 16, 2 ** 70),
 }
@@ -84,7 +81,7 @@ def _served(arg, value):
     """``ConsensusServer.submit`` on a started server, one argument
     replaced."""
     async def submit():
-        server = ConsensusServer(RunSpec(n=4, l_bits=16), window_ms=0)
+        server = ConsensusServer(RunSpec(n=4, l_bits=16))
         await server.start()
         try:
             return await server.submit(**_with(
@@ -169,7 +166,7 @@ CALLS = {
         lambda arg, value: DiagnosisGraph(value),
     "repro.service.serving.batcher.MicroBatcher":
         lambda arg, value: MicroBatcher(**_with(
-            dict(window_s=0.001, max_batch=2, max_queue=4), arg, value
+            dict(max_batch=2, max_queue=4), arg, value
         )),
     "repro.service.serving.stats.ServingStats":
         lambda arg, value: ServingStats(value),

@@ -463,7 +463,7 @@ def test_the_batch_surface_has_no_knob():
         "self"
     ]
     assert list(inspect.signature(ConsensusServer.__init__).parameters) == [
-        "self", "spec", "window_ms", "max_batch", "max_queue",
+        "self", "spec", "max_batch", "max_queue",
     ]
     for module in (repro, repro.service):
         for name in module.__all__:

@@ -4,12 +4,13 @@ The load-bearing contract extends the service layer's: micro-batching
 changes *when* instances execute, never what they return.  Every result
 served by a :class:`ConsensusServer` — in-process or over TCP — must be
 field-for-field equal to a direct ``run_many`` on the same specs.  On
-top of that, this file pins the admission-control semantics: window
-expiry vs size cap as flush triggers, incompatible specs splitting into
-separate cohorts, bounded-queue rejection, and clean shutdown draining
-everything already admitted.
+top of that, this file pins the admission-control semantics: a flush
+whenever the worker is free (a lone request runs at once, what queues
+during a flush is the next cohort), the size cap splitting a cohort,
+incompatible specs splitting into separate cohorts, bounded-queue
+rejection, and clean shutdown draining everything already admitted.
 
-No ``pytest-asyncio`` in the container: async scenarios run via
+No ``pytest-asyncio`` is installed: async scenarios run via
 ``asyncio.run`` inside ordinary sync tests.
 """
 
@@ -17,12 +18,14 @@ import asyncio
 import json
 import os
 import random
+import re
 import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -79,68 +82,43 @@ def wires(results):
 
 
 class TestMicroBatcher:
-    def test_window_expiry_is_measured_from_oldest_request(self):
-        batcher = MicroBatcher(window_s=0.010, max_batch=100, max_queue=100)
-        batcher.offer("a", "r1", now=5.0)
-        batcher.offer("a", "r2", now=5.008)
-        assert batcher.deadline() == pytest.approx(5.010)
-        assert not batcher.due(now=5.009)
-        assert batcher.due(now=5.010)
-
-    def test_size_cap_reports_ready_before_window(self):
-        batcher = MicroBatcher(window_s=60.0, max_batch=3, max_queue=100)
-        assert batcher.offer("a", "r1", now=0.0) is False
-        assert batcher.offer("a", "r2", now=0.0) is False
-        assert batcher.offer("a", "r3", now=0.0) is True
-        assert not batcher.due(now=1.0)  # window far away; cap is the trigger
-        assert batcher.drain_capped() == [("a", ["r1", "r2", "r3"])]
-        assert batcher.pending == 0
-
-    def test_drain_capped_leaves_partial_groups_queued(self):
-        batcher = MicroBatcher(window_s=60.0, max_batch=2, max_queue=100)
-        batcher.offer("a", "r1", now=0.0)
-        batcher.offer("a", "r2", now=0.0)
-        batcher.offer("b", "r3", now=0.0)
-        assert batcher.drain_capped() == [("a", ["r1", "r2"])]
-        assert batcher.pending == 1
-        assert batcher.group_sizes() == {"b": 1}
-
     def test_incompatible_keys_split_into_separate_cohorts(self):
-        batcher = MicroBatcher(window_s=0.0, max_batch=100, max_queue=100)
-        batcher.offer("a", "r1", now=0.0)
-        batcher.offer("b", "r2", now=0.0)
-        batcher.offer("a", "r3", now=0.0)
+        batcher = MicroBatcher(max_batch=100, max_queue=100)
+        batcher.offer("a", "r1")
+        batcher.offer("b", "r2")
+        batcher.offer("a", "r3")
         assert batcher.drain_all() == [
             ("a", ["r1", "r3"]),
             ("b", ["r2"]),
         ]
 
     def test_drain_all_chunks_oversized_groups_at_the_cap(self):
-        batcher = MicroBatcher(window_s=60.0, max_batch=2, max_queue=100)
+        batcher = MicroBatcher(max_batch=2, max_queue=100)
         for i in range(5):
-            batcher.offer("a", "r%d" % i, now=0.0)
+            batcher.offer("a", "r%d" % i)
         assert batcher.drain_all() == [
             ("a", ["r0", "r1"]),
             ("a", ["r2", "r3"]),
             ("a", ["r4"]),
         ]
         assert batcher.pending == 0
+        assert batcher.group_sizes() == {}
 
     def test_offer_beyond_capacity_raises_and_does_not_queue(self):
-        batcher = MicroBatcher(window_s=60.0, max_batch=100, max_queue=2)
-        batcher.offer("a", "r1", now=0.0)
-        batcher.offer("b", "r2", now=0.0)
+        batcher = MicroBatcher(max_batch=100, max_queue=2)
+        batcher.offer("a", "r1")
+        batcher.offer("b", "r2")
         with pytest.raises(QueueFullError):
-            batcher.offer("a", "r3", now=0.0)
+            batcher.offer("a", "r3")
         assert batcher.pending == 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"window_s": -0.001, "max_batch": 1, "max_queue": 1},
-            {"window_s": 0.0, "max_batch": 0, "max_queue": 1},
-            {"window_s": 0.0, "max_batch": 1, "max_queue": 0},
+            {"max_batch": 0, "max_queue": 1},
+            {"max_batch": 1, "max_queue": 0},
         ],
+        ids=["max_batch-0", "max_queue-0"],
     )
     def test_knob_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -375,6 +353,30 @@ class TestWireCodec:
 # -- ConsensusServer (in-process) -------------------------------------------
 
 
+def _held(service, error=None):
+    """``service`` with its first flush held on the worker thread until
+    the test sets ``held.release`` (``held.entered`` says it is held),
+    and the values of every cohort it runs, in order.  Given ``error``,
+    the held flush raises it once released."""
+    held = types.SimpleNamespace(
+        entered=threading.Event(), release=threading.Event()
+    )
+    cohorts = []
+    run_batch = service._run_many_local
+
+    def spy(batch):
+        cohorts.append([instance.inputs[0] for instance in batch])
+        if len(cohorts) == 1:
+            held.entered.set()
+            held.release.wait(timeout=60)  # a guard against a hang
+            if error is not None:
+                raise error
+        return run_batch(batch)
+
+    service._run_many_local = spy
+    return service, held, cohorts
+
+
 class TestConsensusServer:
     def test_concurrent_flushes_run_in_submission_order(self):
         # Two cohorts due at once run one after the other, in submission
@@ -392,9 +394,7 @@ class TestConsensusServer:
         service._run_many_local = spy
 
         async def scenario():
-            server = ConsensusServer(
-                service, window_ms=60_000.0, max_batch=len(MIXED)
-            )
+            server = ConsensusServer(service, max_batch=len(MIXED))
             await server.start()
             try:
                 return await asyncio.gather(
@@ -414,7 +414,7 @@ class TestConsensusServer:
 
     def test_a_stopped_server_serves_again_after_start(self):
         service = ConsensusService(SPEC)
-        server = ConsensusServer(service, window_ms=1.0)
+        server = ConsensusServer(service)
 
         async def serve_once():
             await server.start()
@@ -433,7 +433,7 @@ class TestConsensusServer:
         direct = ConsensusService(SPEC).run_many(list(MIXED))
 
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=2.0, max_batch=64)
+            server = ConsensusServer(SPEC, max_batch=64)
             await server.start()
             try:
                 return await asyncio.gather(
@@ -444,42 +444,132 @@ class TestConsensusServer:
 
         assert wires(asyncio.run(scenario())) == wires(direct)
 
-    def test_size_cap_flushes_before_the_window(self):
+    def test_a_lone_request_on_an_idle_server_runs_with_no_timer(self):
+        """Nothing waits for company: the flush loop arms no timer, and
+        the request is one cohort of one."""
+
         async def scenario():
-            server = ConsensusServer(
-                SPEC, window_ms=60_000.0, max_batch=3, max_queue=100
-            )
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
+
+            def spy(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = spy
+            server = ConsensusServer(SPEC)
             await server.start()
-            started = time.monotonic()
-            results = await asyncio.gather(
-                server.submit(1), server.submit(2), server.submit(3)
-            )
-            elapsed = time.monotonic() - started
-            await server.stop()
-            return results, elapsed, server.stats.snapshot()
+            try:
+                result = await server.submit(5)
+            finally:
+                await server.stop()
+            return result, timers, server.stats.snapshot()
 
-        results, elapsed, snapshot = asyncio.run(scenario())
-        assert [r.value for r in results] == [1, 2, 3]
-        assert elapsed < 30.0  # nowhere near the 60 s window
-        assert snapshot["flushes"] == 1
-        assert snapshot["max_batch"] == 3
+        result, timers, snapshot = asyncio.run(scenario())
+        assert result.value == 5
+        assert timers == []
+        assert (snapshot["flushes"], snapshot["max_batch"]) == (1, 1)
 
-    def test_window_expiry_flushes_a_partial_batch(self):
+    def test_requests_admitted_during_a_flush_form_the_next_cohort(self):
+        service, held, cohorts = _held(ConsensusService(SPEC))
+
         async def scenario():
-            server = ConsensusServer(
-                SPEC, window_ms=20.0, max_batch=1000, max_queue=100
-            )
+            server = ConsensusServer(service, max_batch=2)
             await server.start()
-            results = await asyncio.gather(
-                server.submit(7), server.submit(8)
-            )
-            await server.stop()
-            return results, server.stats.snapshot()
+            try:
+                first = asyncio.create_task(server.submit(1))
+                await asyncio.to_thread(held.entered.wait)
+                rest = [
+                    asyncio.create_task(server.submit(value))
+                    for value in (2, 3, 4, 5, 6)
+                ]
+                while server.ps()["queued"] < len(rest):
+                    await asyncio.sleep(0)
+                held.release.set()
+                return await asyncio.gather(first, *rest)
+            finally:
+                await server.stop()
 
-        results, snapshot = asyncio.run(scenario())
-        assert [r.value for r in results] == [7, 8]
-        assert snapshot["flushes"] == 1  # one cohort, cut by the window
-        assert snapshot["mean_batch"] == 2.0
+        served = asyncio.run(scenario())
+        assert cohorts == [[1], [2, 3], [4, 5], [6]]
+        direct = ConsensusService(SPEC)
+        assert wires(served) == [
+            wire for cohort in cohorts
+            for wire in wires(direct.run_many(cohort))
+        ]
+
+    def test_cohorts_queued_during_a_flush_split_per_deployment(self):
+        """What queues behind a running cohort drains as one cohort per
+        deployment, in the order each deployment first arrived."""
+        other = RunSpec(n=7, l_bits=16)
+        service, held, _ = _held(ConsensusService(SPEC))
+        order = []
+
+        def logged(service, name):
+            run_batch = service._run_many_local
+
+            def spy(batch):
+                order.append((name, [i.inputs[0] for i in batch]))
+                return run_batch(batch)
+
+            service._run_many_local = spy
+
+        async def scenario():
+            server = ConsensusServer(service, max_batch=64)
+            logged(service, "a")
+            logged(server.service_for(other), "b")
+            await server.start()
+            try:
+                first = asyncio.create_task(server.submit(1))
+                await asyncio.to_thread(held.entered.wait)
+                rest = [
+                    asyncio.create_task(server.submit(value, spec=spec))
+                    for value, spec in ((2, other), (3, SPEC), (4, other))
+                ]
+                while server.ps()["queued"] < len(rest):
+                    await asyncio.sleep(0)
+                held.release.set()
+                return await asyncio.gather(first, *rest)
+            finally:
+                await server.stop()
+
+        served = asyncio.run(scenario())
+        assert order == [("a", [1]), ("b", [2, 4]), ("a", [3])]
+        direct_b = ConsensusService(other).run_many([2, 4])
+        assert wires([served[1], served[3]]) == wires(direct_b)
+        assert [r.value for r in served] == [1, 2, 3, 4]
+
+    def test_a_failed_cohort_does_not_stall_the_queue_behind_it(self):
+        """An engine failure fails its own cohort only: what queued
+        while it ran still flushes and resolves."""
+        service, held, cohorts = _held(
+            ConsensusService(SPEC), error=RuntimeError("engine exploded")
+        )
+
+        async def scenario():
+            server = ConsensusServer(service, max_batch=64)
+            await server.start()
+            try:
+                failing = asyncio.create_task(server.submit(1))
+                await asyncio.to_thread(held.entered.wait)
+                rest = [
+                    asyncio.create_task(server.submit(value))
+                    for value in (2, 3)
+                ]
+                while server.ps()["queued"] < len(rest):
+                    await asyncio.sleep(0)
+                held.release.set()
+                with pytest.raises(RuntimeError, match="engine exploded"):
+                    await failing
+                return await asyncio.gather(*rest), server.ps()
+            finally:
+                await server.stop()
+
+        served, snapshot = asyncio.run(scenario())
+        assert cohorts == [[1], [2, 3]]
+        assert [r.value for r in served] == [2, 3]
+        assert (snapshot["stats"]["served"], snapshot["running"]) == (2, True)
 
     def test_incompatible_specs_never_share_a_flush(self):
         other = RunSpec(n=7, l_bits=16)
@@ -487,7 +577,7 @@ class TestConsensusServer:
         direct_b = ConsensusService(other).run_many([6])
 
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=20.0, max_batch=64)
+            server = ConsensusServer(SPEC, max_batch=64)
             await server.start()
             results = await asyncio.gather(
                 server.submit(5), server.submit(6, spec=other)
@@ -501,43 +591,58 @@ class TestConsensusServer:
         assert wires(results[1:]) == wires(direct_b)
 
     def test_queue_full_rejection_and_queued_work_still_drains(self):
+        service, held, _ = _held(ConsensusService(SPEC))
+
         async def scenario():
-            server = ConsensusServer(
-                SPEC, window_ms=60_000.0, max_batch=64, max_queue=2
-            )
+            server = ConsensusServer(service, max_batch=64, max_queue=2)
             await server.start()
-            first = asyncio.create_task(server.submit(1))
-            second = asyncio.create_task(server.submit(2))
-            await asyncio.sleep(0.05)  # both enqueue; window far away
+            running = asyncio.create_task(server.submit(1))
+            await asyncio.to_thread(held.entered.wait)
+            queued = [
+                asyncio.create_task(server.submit(v)) for v in (2, 3)
+            ]
+            while server.ps()["queued"] < len(queued):
+                await asyncio.sleep(0)
             with pytest.raises(QueueFullError):
-                await server.submit(3)
-            await server.stop(drain=True)  # admitted work still executes
-            return await asyncio.gather(first, second), server.ps()
+                await server.submit(4)
+            stopping = asyncio.create_task(server.stop(drain=True))
+            await asyncio.sleep(0)
+            held.release.set()
+            await stopping  # admitted work still executes
+            return await asyncio.gather(running, *queued), server.ps()
 
         results, snapshot = asyncio.run(scenario())
-        assert [r.value for r in results] == [1, 2]
+        assert [r.value for r in results] == [1, 2, 3]
         assert snapshot["stats"]["rejected"] == {"queue_full": 1}
-        assert snapshot["stats"]["served"] == 2
+        assert snapshot["stats"]["served"] == 3
 
     def test_non_draining_stop_fails_queued_requests(self):
+        service, held, _ = _held(ConsensusService(SPEC))
+
         async def scenario():
-            server = ConsensusServer(
-                SPEC, window_ms=60_000.0, max_batch=64, max_queue=100
-            )
+            server = ConsensusServer(service, max_batch=64, max_queue=100)
             await server.start()
-            pending = asyncio.create_task(server.submit(1))
-            await asyncio.sleep(0.05)
-            await server.stop(drain=False)
+            running = asyncio.create_task(server.submit(1))
+            await asyncio.to_thread(held.entered.wait)
+            pending = asyncio.create_task(server.submit(2))
+            while not server.ps()["queued"]:
+                await asyncio.sleep(0)
+            stopping = asyncio.create_task(server.stop(drain=False))
+            await asyncio.sleep(0)
+            held.release.set()
+            await stopping
             with pytest.raises(ServerClosedError):
                 await pending
-            return server.ps()
+            # The cohort already executing still completes.
+            return (await running).value, server.ps()
 
-        snapshot = asyncio.run(scenario())
-        assert snapshot["stats"]["served"] == 0
+        value, snapshot = asyncio.run(scenario())
+        assert value == 1
+        assert snapshot["stats"]["served"] == 1
 
     def test_submit_after_stop_is_rejected(self):
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=1.0)
+            server = ConsensusServer(SPEC)
             await server.start()
             await server.stop()
             with pytest.raises(ServerClosedError):
@@ -549,7 +654,7 @@ class TestConsensusServer:
 
     def test_invalid_requests_are_rejected_immediately(self):
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=1.0)
+            server = ConsensusServer(SPEC)
             await server.start()
             try:
                 with pytest.raises(InvalidRequestError):
@@ -582,7 +687,7 @@ class TestConsensusServer:
         every cohort-mate's future with its own exception."""
 
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=20.0)
+            server = ConsensusServer(SPEC)
             await server.start()
             try:
                 return await asyncio.gather(
@@ -606,7 +711,7 @@ class TestConsensusServer:
         same function, so the same text under ``invalid_request``."""
 
         async def scenario():
-            server = ConsensusServer(RunSpec(n=4, l_bits=16), window_ms=1.0)
+            server = ConsensusServer(RunSpec(n=4, l_bits=16))
             await server.start()
             try:
                 with pytest.raises(InvalidRequestError) as info:
@@ -621,7 +726,7 @@ class TestConsensusServer:
 
     def test_faulty_is_validated_on_the_deployment_default_too(self):
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=1.0)
+            server = ConsensusServer(SPEC)
             await server.start()
             try:
                 with pytest.raises(InvalidRequestError, match="faulty pid 9"):
@@ -638,7 +743,7 @@ class TestConsensusServer:
 
     def test_ps_snapshot_shape(self):
         async def scenario():
-            server = ConsensusServer(SPEC, window_ms=2.0, max_batch=8)
+            server = ConsensusServer(SPEC, max_batch=8)
             await server.start()
             await server.submit(1)
             snapshot = server.ps()
@@ -650,7 +755,7 @@ class TestConsensusServer:
         assert snapshot["queued"] == 0
         assert snapshot["default_deployment"]["n"] == SPEC.n
         assert snapshot["knobs"] == {
-            "window_ms": 2.0, "max_batch": 8, "max_queue": 1024,
+            "max_batch": 8, "max_queue": 1024,
         }
         assert snapshot["stats"]["served"] == 1
         assert snapshot["stats"]["latency_ms"]["p50"] > 0
@@ -663,7 +768,7 @@ class TestConsensusServer:
         service = ConsensusService(SPEC)
 
         async def scenario():
-            server = ConsensusServer(service, window_ms=1.0)
+            server = ConsensusServer(service)
             await server.start()
             assert server.service_for() is service
             result = await server.submit(4)
@@ -679,7 +784,7 @@ class TestConsensusServer:
 class TestServingOverTCP:
     def test_pipelined_batch_byte_identical_to_direct_run_many(self):
         direct = ConsensusService(SPEC).run_many(list(MIXED))
-        with serve_background(SPEC, window_ms=5.0) as client:
+        with serve_background(SPEC) as client:
             served = client.submit_many(list(MIXED))
             snapshot = client.ps()
         assert wires(served) == wires(direct)
@@ -771,7 +876,7 @@ class TestServingOverTCP:
                 json.dumps(message).encode() + b"\n" for message in messages
             )
 
-        with serve_background(SPEC, window_ms=20.0) as client:
+        with serve_background(SPEC) as client:
             with socket.create_connection(
                 (client.host, client.port), timeout=10.0
             ) as sock:
@@ -810,7 +915,7 @@ class TestServingOverTCP:
             assert client.submit(5).value == 5  # same connection
 
     def test_submit_many_is_one_write_and_one_server_side_flush(self):
-        with serve_background(SPEC, window_ms=250.0, max_batch=64) as client:
+        with serve_background(SPEC, max_batch=64) as client:
             client.ps()  # connects
             client._file = stream = mock.Mock(wraps=client._file)
             served = client.submit_many(list(range(32)))
@@ -846,7 +951,7 @@ class TestServingOverTCP:
             client.ps()
 
     def test_shutdown_drains_and_closes_the_listener(self):
-        with serve_background(SPEC, window_ms=1.0) as client:
+        with serve_background(SPEC) as client:
             port = client.port
             assert client.submit(3).value == 3
             client.shutdown()
@@ -864,6 +969,34 @@ class TestServingOverTCP:
                 pytest.fail("listener still serving after shutdown")
 
 
+def _cli(*args, **kwargs) -> "subprocess.Popen":
+    """``python -m repro.cli <args>`` as a child, on this checkout's
+    ``repro``, text pipes on stdout and stderr."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        **kwargs,
+    )
+
+
+def _serve(*args) -> "tuple[subprocess.Popen, int]":
+    """A ``repro-sim serve`` child on an ephemeral port, once its knobs
+    line says the loop is serving, and the port."""
+    proc = _cli("serve", "--port", "0", *args)
+    port = int(proc.stdout.readline().rsplit(":", 1)[1])
+    assert proc.stdout.readline().startswith("knobs: ")
+    return proc, port
+
+
+def _finish(proc, timeout=60) -> "tuple[int, str, str]":
+    stdout, stderr = proc.communicate(timeout=timeout)
+    return proc.returncode, stdout, stderr
+
+
 @pytest.mark.parametrize("stop", ["sigint", "shutdown_op"])
 def test_stopping_serve_with_a_client_connected_prints_nothing(stop):
     """Ctrl-C on ``repro-sim serve``, or a ``shutdown`` op from another
@@ -871,18 +1004,8 @@ def test_stopping_serve_with_a_client_connected_prints_nothing(stop):
     on stderr, and the open connection reads end of file: the server
     ends each connection and waits for its handler before the loop ends
     (a handler the loop's end cancels is reported as an asyncio error)."""
-    source = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (source, os.environ.get("PYTHONPATH")))
-    ))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--n", "4",
-         "--l-bits", "16", "--port", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
+    proc, port = _serve("--n", "4", "--l-bits", "16")
     try:
-        port = int(proc.stdout.readline().rsplit(":", 1)[1])
-        proc.stdout.readline()  # the knobs line: the loop is serving
         with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
             stream = sock.makefile("rwb")
             stream.write(b'{"op":"submit","id":1,"value":"beef"}\n')
@@ -900,6 +1023,72 @@ def test_stopping_serve_with_a_client_connected_prints_nothing(stop):
             proc.kill()
             proc.communicate()
     assert (proc.returncode, stderr) == (0, "")
+
+
+def test_ps_and_submit_against_a_serve_process():
+    """``repro-sim ps`` renders the server's knobs and ``repro-sim submit
+    --count 8`` pipelines one batch; ``repro-sim stop`` drains it.  Every
+    command exits 0 with an empty stderr."""
+    proc, port = _serve("--n", "4", "--l-bits", "16", "--max-batch", "8")
+    try:
+        endpoint = ("--port", str(port))
+        ps = _finish(_cli("ps", *endpoint))
+        submit = _finish(_cli("submit", *endpoint, "--count", "8",
+                              "--value", "0xbeef", "--attack", "corrupt"))
+        after = _finish(_cli("ps", *endpoint))
+        stop = _finish(_cli("stop", *endpoint))
+        served = _finish(proc)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    for code, _, stderr in (ps, submit, after, stop, served):
+        assert (code, stderr) == (0, "")
+    assert _fields(ps[1])["knobs"] == "batch 8 | queue 1024"
+    assert submit[1].count(" True   True   0xbeef ") == 8
+    after = _fields(after[1])
+    # The pipelined batch queued at once on an idle server: one cohort.
+    assert (after["served"], after["flushes"], after["mean batch"]) == (
+        "8", "1", "8.00"
+    )
+
+
+def test_serve_and_ps_print_the_t_the_server_runs_with():
+    """Without ``--t``, ``repro-sim serve --n 7`` runs t = 2, the largest
+    t below n / 3: its banner and ``repro-sim ps`` print that t."""
+    proc = _cli("serve", "--port", "0", "--n", "7", "--l-bits", "16")
+    try:
+        banner = proc.stdout.readline()
+        port = int(banner.rsplit(":", 1)[1])
+        endpoint = ("--port", str(port))
+        ps = _finish(_cli("ps", *endpoint))
+        stop = _finish(_cli("stop", *endpoint))
+        served = _finish(proc)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    for code, _, stderr in (ps, stop, served):
+        assert (code, stderr) == (0, "")
+    assert banner.startswith("serving n=7 t=2 l_bits=16 on ")
+    assert _fields(ps[1])["default deployment"] == "n=7 t=2 l_bits=16"
+
+
+def test_serve_refuses_the_window_flag():
+    """``--window-ms`` is gone with the collection window: a script that
+    still passes it is refused with exit 2, before anything serves."""
+    code, stdout, stderr = _finish(_cli("serve", "--window-ms", "2"))
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --window-ms 2" in stderr
+
+
+def _fields(table: str) -> dict:
+    """``repro-sim ps``'s two-column table as field -> value."""
+    return dict(
+        re.split(r"\s{2,}", line.strip(), maxsplit=1)
+        for line in table.splitlines()[2:]
+        if line.strip()
+    )
 
 
 class _ListenerAsOf312:
