@@ -48,7 +48,9 @@ True
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.broadcast_bit.interface import BroadcastBackend
 from repro.network.metrics import BitMeter
@@ -220,20 +222,42 @@ class MostefaouiBroadcast(BroadcastBackend):
     ) -> Dict[int, int]:
         """The source sends its bit to everybody; per-edge equivocation
         and silence through ``bsb_source_bit`` exactly like Phase-King."""
-        source_tag = "%s.source" % tag
         sent = self._source_bits(source, bit, active, instance, view)
-        for recipient, payload in sent.items():
-            self.network.send(source, recipient, payload, 1, source_tag)
-        inboxes = self.network.deliver()
-        est = {}
-        for pid in active:
-            received: Optional[int] = None
-            for message in inboxes[pid]:
-                if message.tag == source_tag and message.payload in (0, 1):
-                    received = message.payload
-            est[pid] = received if received is not None else 0
+        est = dict.fromkeys(active, 0)
+        for _, recipient, payload in self._round(
+            [(source, recipient, payload, 1)
+             for recipient, payload in sent.items()],
+            "%s.source" % tag,
+        ):
+            if payload in (0, 1):
+                est[recipient] = payload
         est[source] = bit
         return est
+
+    def _round(
+        self, edges: List[Tuple[int, int, object, int]], tag: str
+    ) -> List[Tuple[int, int, object]]:
+        """One network round under ``tag``: ``(sender, recipient,
+        payload, bits)`` edges go out as one batch per bit width, and
+        the round's ``(sender, recipient, payload)`` edges come back."""
+        by_width: Dict[int, List[tuple]] = {}
+        for sender, recipient, payload, bits in edges:
+            by_width.setdefault(bits, []).append((sender, recipient, payload))
+        for bits, group in by_width.items():
+            senders, recipients, payloads = zip(*group)
+            self.network.send_many(
+                np.asarray(senders, dtype=np.int64),
+                np.asarray(recipients, dtype=np.int64),
+                payloads, bits, tag,
+            )
+        return [
+            edge
+            for batch in self.network.deliver_arrays().batches
+            for edge in zip(
+                batch.senders.tolist(), batch.receivers.tolist(),
+                batch.payload_list(),
+            )
+        ]
 
     def _bv_broadcast(
         self,
@@ -261,6 +285,7 @@ class MostefaouiBroadcast(BroadcastBackend):
         pending: Dict[int, List[int]] = {pid: [est[pid]] for pid in active}
         sub_rounds = 0
         while any(pending.values()):
+            edges = []
             for pid in active:
                 todo = pending[pid]
                 pending[pid] = []
@@ -286,17 +311,11 @@ class MostefaouiBroadcast(BroadcastBackend):
                         if payload is not None:
                             out.append(payload)
                     if out:
-                        self.network.send(
-                            pid, recipient, tuple(out), len(out), est_tag
-                        )
-            inboxes = self.network.deliver()
-            for pid in active:
-                for message in inboxes[pid]:
-                    if message.tag != est_tag:
-                        continue
-                    for value in message.payload:
-                        if value in (0, 1):
-                            senders_of[pid][value].add(message.sender)
+                        edges.append((pid, recipient, tuple(out), len(out)))
+            for sender, recipient, payload in self._round(edges, est_tag):
+                for value in payload:
+                    if value in (0, 1):
+                        senders_of[recipient][value].add(sender)
             for pid in active:
                 for value in (0, 1):
                     if (
@@ -330,8 +349,8 @@ class MostefaouiBroadcast(BroadcastBackend):
     ) -> Dict[int, Set[int]]:
         """AUX phase: one bit per edge; returns the set of values each
         processor received (own AUX included)."""
-        aux_tag = "%s.aux" % tag
         adversary = self.adversary
+        edges = []
         for pid in active:
             for recipient in active:
                 if recipient == pid:
@@ -342,15 +361,11 @@ class MostefaouiBroadcast(BroadcastBackend):
                         pid, recipient, aux[pid], round_index, instance, view
                     ))
                 if payload is not None:
-                    self.network.send(pid, recipient, payload, 1, aux_tag)
-        inboxes = self.network.deliver()
-        received: Dict[int, Set[int]] = {}
-        for pid in active:
-            values = {aux[pid]}
-            for message in inboxes[pid]:
-                if message.tag == aux_tag and message.payload in (0, 1):
-                    values.add(message.payload)
-            received[pid] = values
+                    edges.append((pid, recipient, payload, 1))
+        received: Dict[int, Set[int]] = {pid: {aux[pid]} for pid in active}
+        for _, recipient, payload in self._round(edges, "%s.aux" % tag):
+            if payload in (0, 1):
+                received[recipient].add(payload)
         return received
 
     def _coin(self, instance: int, round_index: int, view: GlobalView) -> int:

@@ -270,17 +270,12 @@ class MultiValuedBroadcast:
 
         def receive(senders) -> List[Tuple[int, int, int]]:
             """End the round and read it: ``(sender, recipient, symbol)``
-            for every edge, batched or scalar, whose sender is one of
-            ``senders``, trusted by its recipient, with a valid symbol
-            (``received_symbol``)."""
-            delivery = self.network.deliver_arrays()
+            for every edge whose sender is one of ``senders``, trusted by
+            its recipient, with a valid symbol (``received_symbol``)."""
             edges = itertools.chain(*(
                 zip(batch.senders.tolist(), batch.receivers.tolist(),
                     batch.payload_list())
-                for batch in delivery.batches
-            ), (
-                (message.sender, message.receiver, message.payload)
-                for inbox in delivery.inboxes.values() for message in inbox
+                for batch in self.network.deliver_arrays().batches
             ))
             return [
                 (sender, recipient, payload)
@@ -306,26 +301,24 @@ class MultiValuedBroadcast:
             return [bits_to_int(bits) for bits in received]
 
         # -- stage 1: dispersal ------------------------------------------------
-        dispersal_tag = "%s.dispersal" % tag
-        if participating and not adversary.controls(source):
-            # Honest source: one batch carries every peer's symbol.
-            self.network.send_many(
-                np.full(len(participating), source, dtype=np.int64),
-                np.asarray(participating, dtype=np.int64),
-                [codeword[position[peer]] for peer in participating],
-                bits=c,
-                tag=dispersal_tag,
-            )
-        else:
-            for peer in participating:
+        # One batch carries every peer's symbol; a faulty source answers
+        # the per-edge hook (None is silence).
+        sent = {}
+        for peer in participating:
+            symbol = codeword[position[peer]]
+            if adversary.controls(source):
                 symbol = wire_payload(adversary.source_symbol(
-                    source, peer, codeword[position[peer]], g, view
+                    source, peer, symbol, g, view
                 ))
-                if symbol is None:
-                    continue
-                self.network.send(
-                    source, peer, symbol, bits=c, tag=dispersal_tag
-                )
+            if symbol is not None:
+                sent[peer] = symbol
+        self.network.send_many(
+            np.full(len(sent), source, dtype=np.int64),
+            np.fromiter(sent, dtype=np.int64, count=len(sent)),
+            list(sent.values()),
+            bits=c,
+            tag="%s.dispersal" % tag,
+        )
         from_source: Dict[int, Optional[int]] = dict.fromkeys(participating)
         for _, peer, symbol in receive({source}):
             from_source[peer] = symbol
@@ -334,7 +327,7 @@ class MultiValuedBroadcast:
         relay_tag = "%s.relay" % tag
         # Honest relayers that hold a symbol: one batch over the trust
         # mask (an honest one holding nothing stays silent).  Faulty
-        # relayers go through the scalar per-edge hooks.
+        # relayers answer the per-edge hook, on a second batch.
         active_mask = np.zeros(self.n, dtype=bool)
         active_mask[active_peers] = True
         honest_rows = np.zeros(self.n, dtype=bool)
@@ -353,6 +346,7 @@ class MultiValuedBroadcast:
                 bits=c,
                 tag=relay_tag,
             )
+        forwarded = []
         for sender in participating:
             if not adversary.controls(sender):
                 continue
@@ -364,11 +358,15 @@ class MultiValuedBroadcast:
                     sender, recipient,
                     held if held is not None else 0, g, view,
                 ))
-                if payload is None:
-                    continue
-                self.network.send(
-                    sender, recipient, payload, bits=c, tag=relay_tag
-                )
+                if payload is not None:
+                    forwarded.append((sender, recipient, payload))
+        if forwarded:
+            senders, receivers, payloads = zip(*forwarded)
+            self.network.send_many(
+                np.asarray(senders, dtype=np.int64),
+                np.asarray(receivers, dtype=np.int64),
+                payloads, bits=c, tag=relay_tag,
+            )
         relayed: Dict[int, Dict[int, int]] = {peer: {} for peer in peers}
         for sender, peer, symbol in receive(set(participating)):
             relayed[peer][sender] = symbol

@@ -108,9 +108,10 @@ class MultiValuedConsensus:
                 :class:`ValueError`).  Default: a private one, built on
                 first vectorized need (:attr:`context`).
             journal: when True the network records every delivered
-                :class:`~repro.network.message.Message` (the raw
-                material of :mod:`repro.audit` transcripts); metering is
-                unchanged either way.
+                message as one row (the raw material of
+                :mod:`repro.audit` transcripts; see
+                :attr:`~repro.network.simulator.SyncNetwork.journal`);
+                metering is unchanged either way.
         """
         self.config = config
         #: The engine toggles (see the class docstring).

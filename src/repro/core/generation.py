@@ -131,13 +131,11 @@ def _send_matching_symbols(
     ``receivers``) and each live faulty sender with its live trusted
     recipients, ascending (``faulty``).
 
-    Honest senders' traffic moves as one :class:`SymbolBatch` (no
-    per-edge Message objects).  Each live faulty sender is asked once
-    for its row (``matching_row``, with one ``view_provider`` snapshot);
-    the expansion (``matching_row_payloads``) puts one edge per
-    non-``None`` payload on a second batch — the metering (Counter sums)
-    and the journal (sorted per round) are byte-identical to per-edge
-    sends.
+    Honest senders' traffic moves as one :class:`SymbolBatch`.  Each
+    live faulty sender is asked once for its row (``matching_row``, with
+    one ``view_provider`` snapshot); the expansion
+    (``matching_row_payloads``) puts one edge per non-``None`` payload
+    on a second batch.
     """
     symbol_tag = "gen%d.matching.symbols" % generation
     if senders.shape[0]:
@@ -473,37 +471,28 @@ class GenerationProtocol:
             self.c, senders, receivers, faulty.items(),
             [codewords[pid][pid] for pid in range(self.n)],
         )
-        mask = self.graph.trust_mask()
         limit = self.code.symbol_limit
-
         received: Dict[int, Dict[int, Optional[int]]] = {
             pid: {} for pid in range(self.n)
         }
+        symbol_tag = "%s.matching.symbols" % self.tag
         for batch in delivery.batches:
-            # Batched edges are already filtered by the trust mask at
-            # send time (the mask is symmetric, so the receiver-side
-            # line 1(b) filter is equivalent for honest and faulty
-            # senders alike).
+            if batch.tag != symbol_tag:
+                # A delay fault carried this in from an earlier
+                # generation: journaled and metered, but stale to the
+                # protocol (synchronous receivers only read the current
+                # round's tag).
+                continue
+            # Edges are already filtered by the trust mask at send time
+            # (the mask is symmetric, so the receiver-side line 1(b)
+            # filter is equivalent for honest and faulty senders alike).
             for sender, recipient, payload in zip(
                 batch.senders.tolist(),
                 batch.receivers.tolist(),
                 batch.payload_list(),
             ):
                 received[recipient][sender] = received_symbol(payload, limit)
-        symbol_tag = "%s.matching.symbols" % self.tag
         for pid in range(self.n):
-            for message in delivery.inboxes[pid]:
-                if message.tag != symbol_tag:
-                    # A delay fault carried this in from an earlier
-                    # round: journaled and metered, but stale to the
-                    # protocol (synchronous receivers only read the
-                    # current round's tag).
-                    continue
-                if not mask[pid, message.sender]:
-                    continue  # line 1(b): ignore untrusted senders
-                received[pid][message.sender] = received_symbol(
-                    message.payload, limit
-                )
             received[pid][pid] = codewords[pid][pid]
         return codewords, received
 

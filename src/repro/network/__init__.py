@@ -9,12 +9,11 @@ tagged by protocol stage, so measured totals can be reconciled against the
 paper's closed-form expressions (see :mod:`repro.analysis.complexity`).
 """
 
-from repro.network.message import Message, SymbolBatch
+from repro.network.message import SymbolBatch
 from repro.network.metrics import BitMeter, MeterSnapshot
 from repro.network.simulator import NetworkError, RoundDelivery, SyncNetwork
 
 __all__ = [
-    "Message",
     "SymbolBatch",
     "BitMeter",
     "MeterSnapshot",

@@ -1,37 +1,27 @@
 """Round-based synchronous network.
 
-Messages buffered with :meth:`SyncNetwork.send` during a round are delivered
-together by :meth:`SyncNetwork.deliver`, which advances the round counter —
-the standard lockstep synchronous model of the paper.  By default the
-network never drops, duplicates, reorders within a (sender, receiver)
-pair, or forges messages; Byzantine behaviour lives entirely in *what*
-faulty processors choose to send (see :mod:`repro.processors.byzantine`),
-not in the network.  Timing faults are opt-in: a compiled
-:class:`repro.faults.FaultSchedule` installed with
-:meth:`SyncNetwork.install_faults` may omit, delay (to a later round),
-or duplicate individual edges — deterministically, from a seed — with
-every decision journalled for audit replay (see ``docs/FAULTS.md``).
+Traffic moves in batches: :meth:`SyncNetwork.send_many` buffers one
+:class:`SymbolBatch` (parallel sender/receiver/payload arrays, one bit
+width, one tag) for the current round, and
+:meth:`SyncNetwork.deliver_arrays` ends the round and hands the round's
+batches back untouched, advancing the round counter — the standard
+lockstep synchronous model of the paper, in which a round carries every
+processor's messages at once.  No per-edge Python object is built.  By
+default the network never drops, duplicates or forges messages;
+Byzantine behaviour lives entirely in *what* faulty processors choose
+to send (see :mod:`repro.processors.byzantine`), not in the network.
+Timing faults are opt-in: a compiled :class:`repro.faults.FaultSchedule`
+installed with :meth:`SyncNetwork.install_faults` may omit, delay (to a
+later round), or duplicate individual edges — deterministically, from a
+seed — with every decision journalled for audit replay (see
+``docs/FAULTS.md``).
 
-Two delivery granularities coexist:
+A batch of ``m`` messages of ``b`` bits meters ``m * b`` bits in one
+:class:`BitMeter` entry.  A journal keeps every delivered message as one
+row, a plain tuple, zipped straight from a batch's columns (see
+:attr:`SyncNetwork.journal`).
 
-* the scalar path — :meth:`SyncNetwork.send` one :class:`Message` per
-  edge, :meth:`SyncNetwork.deliver` per-receiver inboxes — kept for
-  tests, journals and adversarial paths;
-* the vectorized path — :meth:`SyncNetwork.send_many` one
-  :class:`SymbolBatch` (parallel sender/receiver/payload arrays) per
-  ``(tag, round)``, :meth:`SyncNetwork.deliver_arrays` the batches
-  untouched — which moves no per-edge Python objects at all.
-
-Both paths share the round clock, the duplicate-detection bookkeeping and
-the :class:`BitMeter`, and their accounting is byte-identical: a batch of
-``m`` messages of ``b`` bits meters exactly like ``m`` scalar sends of
-``b`` bits.  Mixing the two in one round is allowed; ``deliver`` always
-reports everything (materializing batches into messages), while
-``deliver_arrays`` keeps batches as arrays.  A journal keeps every
-delivered message as one row, a plain tuple, zipped straight from a
-batch's columns (see :attr:`SyncNetwork.journal`).
-
-A third, traffic-free granularity serves the cohort engine:
+A traffic-free granularity serves the cohort engine:
 :meth:`SyncNetwork.charge_round` accounts a full round's bits/messages
 and advances the round clock without materializing anything — the
 bookkeeping-only replay of a round whose delivered payloads are known
@@ -40,16 +30,16 @@ never to be read (see ``docs/ARCHITECTURE.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.network.message import Message, SymbolBatch
+from repro.network.message import SymbolBatch
 from repro.network.metrics import BitMeter
-from repro.utils.boundary import engine_int
+from repro.utils.boundary import check_int, engine_int
 
 #: A round's journal order: receiver, sender, tag of a journal row.
 _JOURNAL_ORDER = itemgetter(2, 1, 3)
@@ -103,28 +93,25 @@ class FaultInjectionError(NetworkError):
 
 @dataclass
 class RoundDelivery:
-    """Everything delivered at the end of one round, arrays kept as arrays.
-
-    ``inboxes`` holds the round's *scalar* messages exactly as
-    :meth:`SyncNetwork.deliver` would report them; ``batches`` holds the
-    round's :class:`SymbolBatch` objects in send order, unmaterialized.
-    """
+    """Everything delivered at the end of one round: the round's
+    :class:`SymbolBatch` objects in send order, then the batches a delay
+    fault carried into it (each keeps the ``round_index`` it was sent
+    in)."""
 
     round_index: int
-    inboxes: Dict[int, List[Message]]
-    batches: List[SymbolBatch] = field(default_factory=list)
+    batches: List[SymbolBatch]
 
 
 class SyncNetwork:
     """A synchronous, fully connected network of ``n`` processors.
 
     >>> net = SyncNetwork(3)
-    >>> net.send(0, 1, payload=1, bits=1, tag="demo")
-    >>> inboxes = net.deliver()
-    >>> inboxes[1][0].payload
-    1
-    >>> net.meter.total_bits
-    1
+    >>> net.send_many([0, 2], [1, 1], [5, 6], bits=4, tag="demo")
+    >>> [batch] = net.deliver_arrays().batches
+    >>> batch.senders.tolist(), batch.payload_list()
+    ([0, 2], [5, 6])
+    >>> net.meter.total_bits, net.round_index
+    (8, 1)
     """
 
     def __init__(
@@ -133,16 +120,15 @@ class SyncNetwork:
         meter: Optional[BitMeter] = None,
         journal: bool = False,
     ):
-        if n < 1:
+        if check_int(n, "n") < 1:
             raise ValueError("n must be positive, got %d" % n)
         self.n = n
         self.meter = meter if meter is not None else BitMeter()
         self.round_index = 0
-        self._pending: List[Message] = []
         self._pending_batches: List[SymbolBatch] = []
         #: packed (sender * n + receiver) edge ids per tag, covering the
-        #: round's scalar and batched sends — the one duplicate check
-        #: every later send of the round tests against.
+        #: round's sends — the one duplicate check every later send of
+        #: the round tests against.
         self._round_edges: Dict[str, set] = {}
         #: validated batch shapes, ``senders.tobytes() +
         #: receivers.tobytes()`` -> the shape's sorted packed edge ids
@@ -151,134 +137,35 @@ class SyncNetwork:
         #: When journalling, every delivered message is retained here in
         #: delivery order as one row ``(round_index, sender, receiver,
         #: tag, bits, payload)`` — an execution trace for debugging and
-        #: audits, identical whichever send path produced the traffic.
+        #: audits.
         self.journal: Optional[List[tuple]] = [] if journal else None
         #: Installed fault schedule (see repro.faults), or None for the
         #: fault-free network.  Duck-typed: anything with a
         #: ``decide(round_index, sender, receiver, tag)`` method returning
         #: a decision with ``kind``/``delay``/``copies`` fields works.
         self.fault_schedule = None
-        #: Delayed messages keyed by the *absolute* round index in which
-        #: they will be delivered; each keeps the round_index it was sent
-        #: in, so journals and audits can see the displacement.
-        self._delayed: Dict[int, List[Message]] = {}
+        #: Delayed one-edge batches keyed by the *absolute* round index
+        #: in which they will be delivered; each keeps the round_index it
+        #: was sent in, so journals and audits can see the displacement.
+        self._delayed: Dict[int, List[SymbolBatch]] = {}
 
     def install_faults(self, schedule) -> None:
         """Install a compiled fault schedule on this network.
 
-        Every subsequent :meth:`send`/:meth:`send_many` edge is routed
-        through ``schedule.decide``; the schedule must be installed while
+        Every subsequent :meth:`send_many` edge is routed through
+        ``schedule.decide``; the schedule must be installed while
         the network is quiet (no buffered traffic) and at most once.
         """
         if self.fault_schedule is not None:
             raise FaultInjectionError(
                 "a fault schedule is already installed", self.round_index
             )
-        if self._pending or self._pending_batches:
+        if self._pending_batches:
             raise FaultInjectionError(
                 "cannot install a fault schedule with traffic buffered",
                 self.round_index,
             )
         self.fault_schedule = schedule
-
-    def _check_pid(self, pid: int) -> int:
-        if type(pid) is not int:
-            pid = engine_int(pid, "processor id", NetworkError)
-        if not 0 <= pid < self.n:
-            raise NetworkError("processor id %d out of range [0, %d)" % (pid, self.n))
-        return pid
-
-    def send(
-        self, sender: int, receiver: int, payload: Any, bits: int, tag: str
-    ) -> None:
-        """Buffer one message for delivery at the end of the current round.
-
-        At most one message per (sender, receiver, tag) per round — the
-        protocols here never need more, and the restriction catches
-        orchestration bugs early.
-        """
-        sender = self._check_pid(sender)
-        receiver = self._check_pid(receiver)
-        if type(bits) is not int:
-            bits = engine_int(bits, "bits")
-        if sender == receiver:
-            raise NetworkError(
-                "self-send: processor %d to itself in round %d"
-                % (sender, self.round_index)
-            )
-        edge = sender * self.n + receiver
-        edges = self._round_edges.setdefault(tag, set())
-        if edge in edges:
-            self._raise_duplicate(edge, tag)
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            bits=bits,
-            tag=tag,
-            round_index=self.round_index,
-        )
-        edges.add(edge)
-        if self.fault_schedule is not None:
-            decision = self.fault_schedule.decide(
-                self.round_index, sender, receiver, tag
-            )
-            if decision.kind != "pass":
-                self._apply_fault(message, decision)
-                return
-        self.meter.add(tag, bits)
-        self._pending.append(message)
-
-    def _apply_fault(self, message: Message, decision) -> None:
-        """Route one scalar message according to a non-pass decision.
-
-        Metering is always "sender pays": an omitted or delayed message
-        is charged in the round it was *sent*, exactly as if it had gone
-        through, so the cost model observed by the meter is independent
-        of what the network did to the traffic.
-        """
-        kind = decision.kind
-        if kind == "omit":
-            self.meter.add(message.tag, message.bits)
-        elif kind == "delay":
-            delay = int(decision.delay)
-            if delay < 1:
-                raise FaultInjectionError(
-                    "delay fault needs delay >= 1, got %d" % delay,
-                    self.round_index,
-                    message.sender,
-                    message.receiver,
-                    kind,
-                )
-            self.meter.add(message.tag, message.bits)
-            self._delayed.setdefault(
-                self.round_index + delay, []
-            ).append(message)
-        elif kind == "duplicate":
-            copies = int(decision.copies)
-            if copies < 1:
-                raise FaultInjectionError(
-                    "duplicate fault needs copies >= 1, got %d" % copies,
-                    self.round_index,
-                    message.sender,
-                    message.receiver,
-                    kind,
-                )
-            self.meter.add(
-                message.tag,
-                message.bits * (1 + copies),
-                messages=1 + copies,
-            )
-            for _ in range(1 + copies):
-                self._pending.append(message)
-        else:
-            raise FaultInjectionError(
-                "unknown fault kind %r" % kind,
-                self.round_index,
-                message.sender,
-                message.receiver,
-                kind,
-            )
 
     def _raise_duplicate(self, edge: int, tag: str) -> None:
         key = (edge // self.n, edge % self.n, tag)
@@ -296,11 +183,11 @@ class SyncNetwork:
     ) -> None:
         """Buffer one message per ``(senders[i], receivers[i])`` edge.
 
-        The batched equivalent of ``len(senders)`` :meth:`send` calls of
-        ``bits`` bits each under ``tag`` — same validation (pid ranges,
-        no self-sends, at most one message per (sender, receiver, tag)
-        per round, including against scalar sends), same metering totals
-        — without constructing any per-edge :class:`Message` objects.
+        Every message is ``bits`` bits under ``tag``.  Pids must lie in
+        ``[0, n)``, no processor sends to itself, and a round carries at
+        most one message per (sender, receiver, tag) — the protocols
+        here never need more, and the restriction catches orchestration
+        bugs early.
 
         The checks that depend only on the edges (pid ranges, self-sends,
         repeats inside the batch) run once per shape: a shape that
@@ -316,18 +203,17 @@ class SyncNetwork:
                 pids.
             payloads: one payload per edge; an integer ndarray is kept
                 as the batch's packed payload lane (symbols wider than
-                an int64 lane stay Python-int lists; scalar consumers
-                read either form through
+                an int64 lane stay Python-int lists; consumers read
+                either form through
                 :meth:`~repro.network.message.SymbolBatch.payload_list`,
                 which restores exact Python ints).
             bits: metered width of every message in the batch (an int
                 or a numpy integer; never a bool or a float).
             tag: hierarchical meter tag.
 
-        Metering invariant: one accounting entry with the batch totals,
-        byte-identical ``Counter`` state to the per-edge scalar sends it
-        replaces.  Raises :class:`NetworkError` on any validation
-        failure (the whole batch is rejected, nothing is buffered).
+        Metering: one accounting entry with the batch totals.  Raises
+        :class:`NetworkError` on any validation failure (the whole batch
+        is rejected, nothing is buffered).
         """
         senders = np.asarray(senders)
         receivers = np.asarray(receivers)
@@ -417,14 +303,13 @@ class SyncNetwork:
             self._raise_duplicate(int(unique[counts > 1][0]), tag)
         return tuple(unique.tolist())
 
-    def _buffer_batch(self, senders, receivers, payloads, bits, tag) -> None:
+    def _batch(self, senders, receivers, payloads, bits, tag) -> SymbolBatch:
         # Carrier form: an integer ndarray stays a packed payload lane
-        # (scalar consumers normalize through SymbolBatch.payload_list,
-        # so np.int64 never leaks to receiver-side validation); object
-        # or bool dtypes fall back to the scalar list form.  A lane that
-        # is a view of a caller-owned buffer (an arena slice) is copied —
-        # the buffer may be reset before the batch is consumed.
-        count = senders.shape[0]
+        # (consumers normalize through SymbolBatch.payload_list, so
+        # np.int64 never leaks to receiver-side validation); object or
+        # bool dtypes fall back to the list form.  A lane that is a view
+        # of a caller-owned buffer (an arena slice) is copied — the
+        # buffer may be reset before the batch is consumed.
         if isinstance(payloads, np.ndarray):
             if payloads.dtype == object or payloads.dtype == np.bool_:
                 payloads = payloads.tolist()
@@ -432,7 +317,7 @@ class SyncNetwork:
                 payloads = payloads.copy()
         else:
             payloads = list(payloads)
-        batch = SymbolBatch(
+        return SymbolBatch(
             tag=tag,
             senders=senders,
             receivers=receivers,
@@ -440,23 +325,34 @@ class SyncNetwork:
             bits=bits,
             round_index=self.round_index,
         )
-        # One accounting entry with the batch totals — byte-identical to
-        # `count` scalar sends of `bits` bits (Counter sums are equal).
+
+    def _buffer_batch(self, senders, receivers, payloads, bits, tag) -> None:
+        count = senders.shape[0]
         self.meter.add(tag, bits * count, messages=count)
-        self._pending_batches.append(batch)
+        self._pending_batches.append(
+            self._batch(senders, receivers, payloads, bits, tag)
+        )
 
     def _send_many_faulted(
         self, senders, receivers, payloads, bits, tag, decisions
     ) -> None:
-        """Split a batch whose edges drew at least one non-pass decision.
+        """Route a batch whose edges drew at least one non-pass decision.
 
-        Edges that pass stay batched (one :class:`SymbolBatch`, one meter
-        entry, untouched carrier lane); every faulted edge is
-        materialized into a scalar :class:`Message` and routed through
-        :meth:`_apply_fault`, in edge order, so the journal and meter are
-        deterministic functions of (traffic, schedule).
+        The edges that pass stay one batch (one meter entry, untouched
+        carrier lane).  Each faulted edge, in edge order, is metered as
+        sent — the sender pays whatever the network does with it, so
+        the cost the meter observes is independent of the faults — and
+        then:
+
+        * an omitted edge is dropped;
+        * a delayed edge is kept as a one-edge batch for its later
+          round, carrying its send round as ``round_index``;
+        * a duplicated edge is buffered ``1 + copies`` times, as a
+          one-edge batch.
+
+        The journal and the meter are deterministic functions of
+        (traffic, schedule).
         """
-        is_array = isinstance(payloads, np.ndarray)
         pass_idx = [
             i for i, decision in enumerate(decisions)
             if decision.kind == "pass"
@@ -464,48 +360,66 @@ class SyncNetwork:
         if pass_idx:
             keep = np.asarray(pass_idx, dtype=np.int64)
             kept_payloads = (
-                payloads[keep] if is_array
+                payloads[keep] if isinstance(payloads, np.ndarray)
                 else [payloads[i] for i in pass_idx]
             )
             self._buffer_batch(
                 senders[keep], receivers[keep], kept_payloads, bits, tag
             )
         for i, decision in enumerate(decisions):
-            if decision.kind == "pass":
+            kind = decision.kind
+            if kind == "pass":
                 continue
-            payload = payloads[i]
-            if is_array:
-                payload = payload.item()
-            message = Message(
-                sender=int(senders[i]),
-                receiver=int(receivers[i]),
-                payload=payload,
-                bits=bits,
-                tag=tag,
-                round_index=self.round_index,
+            sent = 1
+            if kind == "delay":
+                delay = int(decision.delay)
+                if delay < 1:
+                    self._raise_fault(
+                        "delay fault needs delay >= 1, got %d" % delay,
+                        senders[i], receivers[i], kind,
+                    )
+            elif kind == "duplicate":
+                sent = 1 + int(decision.copies)
+                if sent < 2:
+                    self._raise_fault(
+                        "duplicate fault needs copies >= 1, got %d"
+                        % (sent - 1), senders[i], receivers[i], kind,
+                    )
+            elif kind != "omit":
+                self._raise_fault(
+                    "unknown fault kind %r" % kind,
+                    senders[i], receivers[i], kind,
+                )
+            self.meter.add(tag, bits * sent, messages=sent)
+            if kind == "omit":
+                continue
+            edge = self._batch(
+                senders[i:i + 1], receivers[i:i + 1], payloads[i:i + 1],
+                bits, tag,
             )
-            self._apply_fault(message, decision)
+            if kind == "delay":
+                self._delayed.setdefault(
+                    self.round_index + delay, []
+                ).append(edge)
+            else:
+                self._pending_batches.extend([edge] * sent)
 
-    def _materialize_pending_batches(self) -> List[Message]:
-        messages: List[Message] = []
-        for batch in self._pending_batches:
-            messages.extend(batch.materialize())
-        return messages
+    def _raise_fault(self, reason, sender, receiver, kind) -> None:
+        raise FaultInjectionError(
+            reason, self.round_index, int(sender), int(receiver), kind
+        )
 
     def _end_round(self) -> None:
-        self._pending = []
         self._pending_batches = []
         self._round_edges = {}
         self.round_index += 1
 
-    def _journal_round(
-        self, messages: List[Message], batches: Sequence[SymbolBatch] = ()
-    ) -> None:
-        """Journal a round's scalar messages, then its batches, as rows
-        sorted by receiver, sender and tag; a batch's rows are zipped
-        from its columns (``tolist()`` keeps pids exact ints)."""
+    def _journal_round(self, batches: Sequence[SymbolBatch]) -> None:
+        """Journal a round's batches as rows sorted by receiver, sender
+        and tag; a batch's rows are zipped from its columns
+        (``tolist()`` keeps pids exact ints)."""
         shapes = {(b.round_index, b.tag, b.bits) for b in batches}
-        if not messages and len(shapes) == 1:
+        if len(shapes) == 1:
             # Batches of one round, tag and size: their rows in receiver,
             # then sender order, by a stable sort of the columns.
             [(round_index, tag, bits)] = shapes
@@ -521,10 +435,7 @@ class SyncNetwork:
                 map(payloads.__getitem__, order.tolist()),
             ))
             return
-        rows = [
-            (m.round_index, m.sender, m.receiver, m.tag, m.bits, m.payload)
-            for m in messages
-        ]
+        rows = []
         for batch in batches:
             rows.extend(zip(
                 repeat(batch.round_index), batch.senders.tolist(),
@@ -547,8 +458,8 @@ class SyncNetwork:
         read (honest senders deliver their shared-codeword symbol;
         faulty payloads are classified at the hook, not on receipt).
 
-        Refuses to run when scalar or batched traffic is already
-        buffered in the current round (the caller would silently swallow
+        Refuses to run when traffic is already buffered in the current
+        round (the caller would silently swallow
         it) or when journalling is on (the journal must see every
         delivered message, so such networks take the real send path).
 
@@ -563,7 +474,7 @@ class SyncNetwork:
             raise ValueError("count must be non-negative, got %d" % count)
         if bits < 0:
             raise ValueError("bits must be non-negative, got %d" % bits)
-        if self._pending or self._pending_batches:
+        if self._pending_batches:
             raise NetworkError(
                 "charge_round with traffic buffered in round %d"
                 % self.round_index
@@ -581,57 +492,20 @@ class SyncNetwork:
             )
         if count:
             # A zero-edge round must not touch the meter: the real path
-            # (send_many of zero edges + deliver) records nothing, and a
+            # (send_many of zero edges + deliver_arrays) records nothing, and a
             # Counter entry of 0 bits would still show up in snapshots.
             self.meter.add(tag, bits * count, messages=count)
         self._end_round()
 
-    def deliver(self) -> Dict[int, List[Message]]:
-        """End the round: deliver all buffered messages, keyed by receiver.
-
-        Every processor appears in the result (possibly with an empty
-        inbox), and each inbox is sorted by sender for determinism.
-        Batched sends are materialized into scalar messages here, so
-        legacy callers observe identical traffic whichever send path
-        produced it.
-        """
-        delivered = self._pending + self._materialize_pending_batches()
-        if self._delayed:
-            # Messages a delay fault carried into this round; each keeps
-            # the round_index it was sent in.
-            delivered = delivered + self._delayed.pop(self.round_index, [])
-        inboxes: Dict[int, List[Message]] = {pid: [] for pid in range(self.n)}
-        for message in delivered:
-            inboxes[message.receiver].append(message)
-        for inbox in inboxes.values():
-            inbox.sort(key=lambda m: (m.sender, m.tag))
-        if self.journal is not None:
-            self._journal_round(delivered)
-        self._end_round()
-        return inboxes
-
     def deliver_arrays(self) -> RoundDelivery:
-        """End the round without materializing batches.
-
-        Scalar sends come back as per-receiver inboxes (exactly as
-        :meth:`deliver` reports them); batched sends come back as the
-        :class:`SymbolBatch` objects in send order.  When journalling is
-        on, the batches' rows go into the journal, the same rows the
-        scalar path journals.
-        """
-        inboxes: Dict[int, List[Message]] = {pid: [] for pid in range(self.n)}
-        scalar = self._pending
+        """End the round: its batches in send order, then the batches a
+        delay fault carried into it.  When journalling is on, their rows
+        go into the journal."""
+        batches = self._pending_batches
         if self._delayed:
-            scalar = scalar + self._delayed.pop(self.round_index, [])
-        for message in scalar:
-            inboxes[message.receiver].append(message)
-        for inbox in inboxes.values():
-            inbox.sort(key=lambda m: (m.sender, m.tag))
-        batches = list(self._pending_batches)
+            batches = batches + self._delayed.pop(self.round_index, [])
         if self.journal is not None:
-            self._journal_round(scalar, batches)
-        delivery = RoundDelivery(
-            round_index=self.round_index, inboxes=inboxes, batches=batches
-        )
+            self._journal_round(batches)
+        delivery = RoundDelivery(self.round_index, batches)
         self._end_round()
         return delivery

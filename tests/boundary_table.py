@@ -18,6 +18,8 @@ A rule is one of:
   length);
 * ``"engine"`` — :func:`~repro.utils.boundary.engine_int`, on a 4-bit
   field (an element is below 16);
+* ``"width"`` — :func:`~repro.utils.boundary.engine_int`, non-negative
+  (a bit width);
 * ``None`` — not a boundary value: a live object the caller owns, a
   flag, or a record checked by its own constructor.
 
@@ -180,6 +182,16 @@ TABLE = (
         "faulty pid"),
     # -- the diagnosis graph ---------------------------------------------
     Row("repro.graphs.diagnosis_graph.DiagnosisGraph", "n", "int", 4),
+    # -- the network -----------------------------------------------------
+    Row("repro.network.simulator.SyncNetwork", "n", "int", 4),
+    *(Row("repro.network.simulator.SyncNetwork", name, None, None)
+      for name in ("meter", "journal")),
+    Row("repro.network.message.SymbolBatch", "bits", "width", 4),
+    # The edge arrays and the payloads are checked by send_many, which
+    # builds every batch; tag and round are the network's own.
+    *(Row("repro.network.message.SymbolBatch", name, None, None)
+      for name in ("tag", "senders", "receivers", "payloads",
+                   "round_index")),
     # -- the wire and the transcript --------------------------------------
     Row(_WIRE + "instance_from_wire", "inputs", "index", 0,
         lambda value: [value] * 4),

@@ -57,6 +57,24 @@ def typed_rows(rows):
     ]
 
 
+def send(net, sender, receiver, payload, bits, tag):
+    """One edge on ``net``, as a one-edge batch."""
+    net.send_many([sender], [receiver], [payload], bits=bits, tag=tag)
+
+
+def inboxes(net):
+    """End ``net``'s round: ``receiver -> [(sender, payload,
+    round_index)]`` over the delivered batches, in delivery order."""
+    received = {pid: [] for pid in range(net.n)}
+    for batch in net.deliver_arrays().batches:
+        for sender, receiver, payload in zip(
+            batch.senders.tolist(), batch.receivers.tolist(),
+            batch.payload_list(),
+        ):
+            received[receiver].append((sender, payload, batch.round_index))
+    return received
+
+
 def run_generation(protocol, parts, default_part):
     """One generation through ``GenerationProtocol.run`` (a stretch of
     one): ``parts[pid]`` is pid's part; returns the generation's

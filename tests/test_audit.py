@@ -49,7 +49,6 @@ from repro.core.config import ConsensusConfig
 from repro.core import MultiValuedBroadcast
 from repro.core.consensus import MultiValuedConsensus
 from repro.core.result import ConsensusResult
-from repro.network.message import Message
 from repro.network.metrics import MeterSnapshot
 from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors import (
@@ -1123,24 +1122,6 @@ def test_an_entry_keeps_its_api_as_one_tuple():
     with pytest.raises(TypeError):
         entry.replace(auth="00")
     assert entry != tuple(entry) and tuple(entry) != entry
-
-
-def test_a_journalled_audit_builds_no_message(monkeypatch):
-    """Batched traffic is journalled as rows zipped from a batch's
-    columns: recording and replaying build no ``Message`` (two an entry
-    before)."""
-    built = []
-    check = Message.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(Message, "__post_init__", counted)
-    spec = RunSpec(n=15, l_bits=1 << 10, attack="corrupt")
-    _, transcript = ConsensusService(spec).record(VALUE)
-    assert transcript.entries and prove(transcript).ok
-    assert built == []
 
 
 SAVED_GRID = [

@@ -1,6 +1,6 @@
-"""Batched network path: equivalence with the scalar path, plus the
-network-layer bugfix regressions (self-send, diff negative deltas, bool
-payload validation)."""
+"""The network's batches: delivery, carrier forms and validation, plus
+the network-layer bugfix regressions (self-send, diff negative deltas,
+bool payload validation)."""
 
 import random
 
@@ -13,111 +13,52 @@ from repro.core.broadcast import MultiValuedBroadcast
 from repro.core.config import ConsensusConfig
 from repro.core.consensus import MultiValuedConsensus
 from repro.graphs.diagnosis_graph import DiagnosisGraph
-from repro.network import (
-    BitMeter,
-    Message,
-    NetworkError,
-    SymbolBatch,
-    SyncNetwork,
-)
+from repro.network import BitMeter, NetworkError, SymbolBatch, SyncNetwork
 from repro.processors.adversary import Adversary
 from repro.utils.boundary import is_exact_int
 from tests.conftest import typed_rows
 
 
-def scalar_edges(n, tag="x", bits=3):
+def all_edges(n):
     """All off-diagonal edges with payload = sender * 10 + receiver."""
-    return [
-        (s, r, s * 10 + r, bits, tag)
-        for s in range(n)
-        for r in range(n)
-        if s != r
-    ]
+    return [(s, r, s * 10 + r) for s in range(n) for r in range(n) if s != r]
 
 
 class TestSendManyEquivalence:
-    def test_deliver_materializes_batches_identically(self):
-        n = 5
-        edges = scalar_edges(n)
-        scalar = SyncNetwork(n)
-        for s, r, p, b, tag in edges:
-            scalar.send(s, r, p, bits=b, tag=tag)
-        batched = SyncNetwork(n)
-        batched.send_many(
-            [e[0] for e in edges],
-            [e[1] for e in edges],
-            [e[2] for e in edges],
-            bits=3,
-            tag="x",
-        )
-        assert scalar.deliver() == batched.deliver()
-
-    def test_meter_totals_byte_identical(self):
-        n = 6
-        edges = scalar_edges(n, bits=7)
-        scalar = SyncNetwork(n)
-        for s, r, p, b, tag in edges:
-            scalar.send(s, r, p, bits=b, tag=tag)
-        scalar.deliver()
-        batched = SyncNetwork(n)
-        batched.send_many(
-            [e[0] for e in edges],
-            [e[1] for e in edges],
-            [e[2] for e in edges],
-            bits=7,
-            tag="x",
-        )
-        batched.deliver()
-        assert (
-            scalar.meter.snapshot().bits_by_tag
-            == batched.meter.snapshot().bits_by_tag
-        )
-        assert (
-            scalar.meter.snapshot().messages_by_tag
-            == batched.meter.snapshot().messages_by_tag
-        )
+    """What a batch delivers and journals does not depend on how its
+    edges were ordered or carried."""
 
     def test_journal_order_identical(self):
+        """The journal sorts a round's rows by receiver, then sender:
+        the order edges were sent in does not show."""
         n = 4
-        edges = scalar_edges(n, bits=1)
-        scalar = SyncNetwork(n, journal=True)
-        for s, r, p, b, tag in edges:
-            scalar.send(s, r, p, bits=b, tag=tag)
-        scalar.deliver()
-        batched = SyncNetwork(n, journal=True)
-        # Send in a scrambled order: journal order must not depend on it.
-        shuffled = list(reversed(edges))
-        batched.send_many(
-            [e[0] for e in shuffled],
-            [e[1] for e in shuffled],
-            [e[2] for e in shuffled],
-            bits=1,
-            tag="x",
-        )
-        batched.deliver_arrays()
-        assert typed_rows(scalar.journal) == typed_rows(batched.journal)
+        journals = []
+        for edges in (all_edges(n), list(reversed(all_edges(n)))):
+            net = SyncNetwork(n, journal=True)
+            senders, receivers, payloads = zip(*edges)
+            net.send_many(senders, receivers, payloads, bits=1, tag="x")
+            net.deliver_arrays()
+            journals.append(typed_rows(net.journal))
+        assert journals[0] == journals[1]
+        assert [row[1:3] for row in journals[0]] == [
+            (("int", s), ("int", r))
+            for r in range(n) for s in range(n) if s != r
+        ]
 
-    def test_deliver_arrays_returns_batches_and_scalar_inboxes(self):
+    def test_deliver_arrays_returns_batches_in_send_order(self):
         net = SyncNetwork(4)
         net.send_many([0, 0], [1, 2], [10, 20], bits=2, tag="batch")
-        net.send(3, 1, payload="s", bits=2, tag="scalar")
+        net.send_many([3], [1], ["s"], bits=2, tag="other")
         delivery = net.deliver_arrays()
         assert delivery.round_index == 0
         assert net.round_index == 1
-        assert len(delivery.batches) == 1
+        assert [batch.tag for batch in delivery.batches] == ["batch", "other"]
         batch = delivery.batches[0]
         assert isinstance(batch, SymbolBatch)
         assert batch.tag == "batch" and batch.round_index == 0
         assert batch.senders.tolist() == [0, 0]
         assert batch.payloads == [10, 20]
-        assert [m.payload for m in delivery.inboxes[1]] == ["s"]
-
-    def test_mixed_round_deliver_merges_both_paths(self):
-        net = SyncNetwork(3)
-        net.send_many([0], [1], [5], bits=1, tag="a")
-        net.send(2, 1, payload=6, bits=1, tag="b")
-        inbox = net.deliver()[1]
-        assert [(m.sender, m.payload) for m in inbox] == [(0, 5), (2, 6)]
+        assert delivery.batches[1].payload_list() == ["s"]
 
     def test_numpy_payload_array_supported(self):
         net = SyncNetwork(3)
@@ -131,9 +72,8 @@ class TestSendManyEquivalence:
 
     def test_numpy_payloads_kept_as_lane_but_scalars_stay_exact(self):
         # An integer ndarray payload is retained as the batch's packed
-        # payload lane; scalar consumers go through payload_list() and
-        # the inboxes through materialize(), so np.int64 never reaches
-        # the receivers' exact-type payload validation.
+        # payload lane; consumers go through payload_list(), so np.int64
+        # never reaches the receivers' exact-type payload validation.
         net = SyncNetwork(3)
         net.send_many(
             np.array([0]), np.array([1]), np.array([7], dtype=np.int64),
@@ -144,15 +84,6 @@ class TestSendManyEquivalence:
         assert isinstance(batch.payloads, np.ndarray)
         assert batch.payloads.dtype == np.int64
         assert all(is_exact_int(p) for p in batch.payload_list())
-        assert all(
-            is_exact_int(m.payload) for m in batch.materialize()
-        )
-        net.send_many(
-            np.array([0]), np.array([1]), np.array([7], dtype=np.int64),
-            bits=4, tag="y",
-        )
-        inbox = net.deliver()[1]
-        assert all(is_exact_int(m.payload) for m in inbox)
 
     def test_lane_payloads_copied_when_caller_buffer_is_a_view(self):
         # An ndarray payload that is a view of a caller-owned buffer
@@ -194,25 +125,13 @@ class TestSendManyValidation:
         with pytest.raises(NetworkError, match="duplicate"):
             net.send_many([0], [1], [2], bits=1, tag="x")
 
-    def test_duplicate_batch_then_scalar_rejected(self):
-        net = SyncNetwork(3)
-        net.send_many([0], [1], [1], bits=1, tag="x")
-        with pytest.raises(NetworkError, match="duplicate"):
-            net.send(0, 1, payload=2, bits=1, tag="x")
-
-    def test_duplicate_scalar_then_batch_rejected(self):
-        net = SyncNetwork(3)
-        net.send(0, 1, payload=1, bits=1, tag="x")
-        with pytest.raises(NetworkError, match="duplicate"):
-            net.send_many([0], [1], [2], bits=1, tag="x")
-
     def test_distinct_tags_and_next_round_allowed(self):
         net = SyncNetwork(3)
         net.send_many([0], [1], [1], bits=1, tag="x")
         net.send_many([0], [1], [2], bits=1, tag="y")
-        net.deliver()
+        net.deliver_arrays()
         net.send_many([0], [1], [3], bits=1, tag="x")
-        assert len(net.deliver()[1]) == 1
+        assert len(net.deliver_arrays().batches) == 1
 
     def test_bad_pid_rejected(self):
         net = SyncNetwork(3)
@@ -231,27 +150,20 @@ class TestSendManyValidation:
 
 class TestSelfSendRegression:
     """Satellite: self-sends must be a NetworkError naming the round, not
-    a bare ValueError escaping from Message.__post_init__."""
-
-    def test_scalar_self_send_is_network_error_naming_round(self):
-        net = SyncNetwork(3)
-        net.deliver()
-        net.deliver()
-        with pytest.raises(NetworkError, match="round 2"):
-            net.send(1, 1, payload=0, bits=1, tag="x")
+    a bare ValueError."""
 
     def test_batched_self_send_is_network_error_naming_round(self):
         net = SyncNetwork(3)
-        net.deliver()
+        net.deliver_arrays()
         with pytest.raises(NetworkError, match="round 1"):
             net.send_many([0, 1], [1, 1], [1, 2], bits=1, tag="x")
 
     def test_self_send_rejected_before_any_buffering(self):
         net = SyncNetwork(3)
         with pytest.raises(NetworkError):
-            net.send(2, 2, payload=0, bits=1, tag="x")
+            net.send_many([2], [2], [0], bits=1, tag="x")
         assert net.meter.total_bits == 0
-        assert net.deliver() == {0: [], 1: [], 2: []}
+        assert net.deliver_arrays().batches == []
 
 
 class TestMeterDiffRegression:

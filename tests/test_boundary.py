@@ -28,6 +28,7 @@ from repro.coding.gf import GF, GFElementError
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.graphs.diagnosis_graph import DiagnosisGraph
+from repro.network import SymbolBatch, SyncNetwork
 from repro.processors.adversary import Adversary
 from repro.processors.registry import make_attack
 from repro.service import InstanceSpec, RunSpec
@@ -47,6 +48,7 @@ DRAWS = {
     "probability": (True, np.int64(1), "1", None, -0.5, 1.5, 2 ** 70),
     "index": (True, 1.0, np.int64(0), "0", None, -1, 1, 2 ** 70),
     "engine": (True, 1.0, "1", None, -1, 16, 2 ** 70),
+    "width": (True, 1.0, "1", None, -1),
 }
 
 _SERVICE = ConsensusService(RunSpec(n=4, l_bits=16))
@@ -164,6 +166,11 @@ CALLS = {
         lambda arg, value: Adversary(value),
     "repro.graphs.diagnosis_graph.DiagnosisGraph":
         lambda arg, value: DiagnosisGraph(value),
+    "repro.network.simulator.SyncNetwork":
+        lambda arg, value: SyncNetwork(value),
+    "repro.network.message.SymbolBatch": lambda arg, value: SymbolBatch(
+        "t", np.array([0]), np.array([1]), [5], bits=value
+    ),
     "repro.service.serving.batcher.MicroBatcher":
         lambda arg, value: MicroBatcher(**_with(
             dict(max_batch=2, max_queue=4), arg, value

@@ -2,7 +2,7 @@
 the multi-phase ``adaptive_split`` attack, and end-to-end accountability.
 
 Timing faults (delay, omission, duplication, partitions) are injected at
-the ``SyncNetwork.send`` boundary, so every layer above — backends,
+the ``SyncNetwork.send_many`` boundary, so every layer above — backends,
 engines, the audit journal — sees a consistent world: omitted messages
 are paid for but never delivered, delayed messages arrive in a later
 round carrying their original ``round_index``, and audit replay convicts
@@ -25,6 +25,7 @@ from repro.network.simulator import NetworkError, SyncNetwork
 from repro.processors import TIMING_FAULT_ATTACKS, make_attack
 from repro.service import ConsensusService, RunSpec
 from repro.audit import prove, replay
+from tests.conftest import inboxes, send
 
 
 def _schedule(*rules, seed=0, n=4):
@@ -149,10 +150,9 @@ class TestNetworkSeam:
         net.install_faults(
             _schedule(FaultRule(kind="omit", senders=frozenset({0})), n=3)
         )
-        net.send(0, 1, 7, 8, "t")
-        net.send(2, 1, 9, 8, "t")
-        inboxes = net.deliver()
-        assert [m.payload for m in inboxes[1]] == [9]
+        send(net, 0, 1, 7, 8, "t")
+        send(net, 2, 1, 9, 8, "t")
+        assert [payload for _, payload, _ in inboxes(net)[1]] == [9]
         # The sender pays for the omitted message ("sender pays").
         assert net.meter.total_bits == 16
 
@@ -164,15 +164,15 @@ class TestNetworkSeam:
                 n=3,
             )
         )
-        net.send(0, 1, 42, 8, "t")
+        send(net, 0, 1, 42, 8, "t")
         assert net.meter.total_bits == 8  # paid at send time
-        assert net.deliver()[1] == []     # round 0: held back
-        assert net.deliver()[1] == []     # round 1: still held
-        late = net.deliver()[1]           # round 2: arrives
-        assert [m.payload for m in late] == [42]
+        assert inboxes(net)[1] == []     # round 0: held back
+        assert inboxes(net)[1] == []     # round 1: still held
+        late = inboxes(net)[1]           # round 2: arrives
+        assert [payload for _, payload, _ in late] == [42]
         # The message keeps the round it was *sent* in, so journals and
         # audits can see the displacement.
-        assert late[0].round_index == 0
+        assert late[0][2] == 0
 
     def test_duplicate_meters_and_delivers_every_copy(self):
         net = SyncNetwork(3, BitMeter())
@@ -184,9 +184,8 @@ class TestNetworkSeam:
                 n=3,
             )
         )
-        net.send(0, 1, 5, 8, "t")
-        inboxes = net.deliver()
-        assert [m.payload for m in inboxes[1]] == [5, 5, 5]
+        send(net, 0, 1, 5, 8, "t")
+        assert [payload for _, payload, _ in inboxes(net)[1]] == [5, 5, 5]
         assert net.meter.total_bits == 24
 
     def test_charge_round_refuses_installed_schedule(self):
@@ -218,8 +217,8 @@ class TestNetworkSeam:
         assert "round 3" in str(error) and "1->2" in str(error)
 
     def test_send_many_matches_scalar_sends(self):
-        """A faulted batch meters and delivers exactly like the per-edge
-        scalar sends it replaces."""
+        """A faulted batch meters and delivers exactly like the one-edge
+        sends it could be split into."""
         rule = FaultRule(kind="omit", senders=frozenset({0}))
         senders = [0, 0, 1, 2]
         receivers = [1, 2, 0, 1]
@@ -228,20 +227,16 @@ class TestNetworkSeam:
         batched = SyncNetwork(3, BitMeter())
         batched.install_faults(_schedule(rule, n=3))
         batched.send_many(senders, receivers, payloads, 8, "t")
-        batched_inboxes = batched.deliver()
+        batched_inboxes = inboxes(batched)
 
-        scalar = SyncNetwork(3, BitMeter())
-        scalar.install_faults(_schedule(rule, n=3))
+        per_edge = SyncNetwork(3, BitMeter())
+        per_edge.install_faults(_schedule(rule, n=3))
         for s, r, p in zip(senders, receivers, payloads):
-            scalar.send(s, r, p, 8, "t")
-        scalar_inboxes = scalar.deliver()
+            send(per_edge, s, r, p, 8, "t")
+        per_edge_inboxes = inboxes(per_edge)
 
-        for pid in range(3):
-            assert (
-                [(m.sender, m.payload) for m in batched_inboxes[pid]]
-                == [(m.sender, m.payload) for m in scalar_inboxes[pid]]
-            )
-        assert batched.meter.snapshot() == scalar.meter.snapshot()
+        assert batched_inboxes == per_edge_inboxes
+        assert batched.meter.snapshot() == per_edge.meter.snapshot()
 
 
 class TestPlannedStrategy:

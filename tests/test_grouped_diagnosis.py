@@ -508,7 +508,7 @@ class TestBulkBookkeepingPrimitives:
 
     def test_charge_round_refuses_pending_traffic(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=1, bits=1, tag="x")
+        net.send_many([0], [1], [1], bits=1, tag="x")
         with pytest.raises(NetworkError):
             net.charge_round("x", count=1, bits=1)
 

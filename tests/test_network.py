@@ -2,26 +2,8 @@
 
 import pytest
 
-from repro.network import BitMeter, Message, NetworkError, SyncNetwork
-
-
-class TestMessage:
-    def test_fields(self):
-        msg = Message(sender=0, receiver=1, payload="x", bits=8, tag="t")
-        assert msg.sender == 0 and msg.bits == 8
-
-    def test_self_channel_rejected(self):
-        with pytest.raises(ValueError):
-            Message(sender=1, receiver=1, payload=0, bits=1, tag="t")
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Message(sender=0, receiver=1, payload=0, bits=-1, tag="t")
-
-    def test_frozen(self):
-        msg = Message(sender=0, receiver=1, payload=0, bits=1, tag="t")
-        with pytest.raises(AttributeError):
-            msg.bits = 2
+from repro.network import BitMeter, NetworkError, SyncNetwork
+from tests.conftest import inboxes, send
 
 
 class TestBitMeter:
@@ -93,63 +75,61 @@ class TestBitMeter:
 class TestSyncNetwork:
     def test_roundtrip(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=42, bits=8, tag="x")
-        inboxes = net.deliver()
-        assert len(inboxes[1]) == 1
-        assert inboxes[1][0].payload == 42
-        assert inboxes[0] == [] and inboxes[2] == []
+        send(net, 0, 1, payload=42, bits=8, tag="x")
+        received = inboxes(net)
+        assert len(received[1]) == 1
+        assert received[1][0][1] == 42
+        assert received[0] == [] and received[2] == []
 
     def test_bits_metered_at_send(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=0, bits=7, tag="x")
+        send(net, 0, 1, payload=0, bits=7, tag="x")
         assert net.meter.total_bits == 7
 
     def test_round_counter(self):
         net = SyncNetwork(2)
         assert net.round_index == 0
-        net.deliver()
+        net.deliver_arrays()
         assert net.round_index == 1
 
     def test_messages_tagged_with_round(self):
         net = SyncNetwork(2)
-        net.deliver()
-        net.send(0, 1, payload=0, bits=1, tag="x")
-        inboxes = net.deliver()
-        assert inboxes[1][0].round_index == 1
+        net.deliver_arrays()
+        send(net, 0, 1, payload=0, bits=1, tag="x")
+        assert inboxes(net)[1][0][2] == 1
 
     def test_inbox_sorted_by_sender(self):
-        net = SyncNetwork(4)
-        net.send(2, 0, payload="c", bits=1, tag="x")
-        net.send(1, 0, payload="b", bits=1, tag="x")
-        net.send(3, 0, payload="d", bits=1, tag="x")
-        inbox = net.deliver()[0]
-        assert [m.sender for m in inbox] == [1, 2, 3]
+        """The journal orders a round by receiver, then sender."""
+        net = SyncNetwork(4, journal=True)
+        net.send_many([2, 1, 3], [0, 0, 0], ["c", "b", "d"], bits=1, tag="x")
+        net.deliver_arrays()
+        assert [row[1] for row in net.journal] == [1, 2, 3]
 
     def test_duplicate_send_rejected(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=0, bits=1, tag="x")
+        send(net, 0, 1, payload=0, bits=1, tag="x")
         with pytest.raises(NetworkError):
-            net.send(0, 1, payload=1, bits=1, tag="x")
+            send(net, 0, 1, payload=1, bits=1, tag="x")
 
     def test_duplicate_allowed_with_distinct_tags(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=0, bits=1, tag="x")
-        net.send(0, 1, payload=1, bits=1, tag="y")
-        assert len(net.deliver()[1]) == 2
+        send(net, 0, 1, payload=0, bits=1, tag="x")
+        send(net, 0, 1, payload=1, bits=1, tag="y")
+        assert len(inboxes(net)[1]) == 2
 
     def test_duplicate_allowed_next_round(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=0, bits=1, tag="x")
-        net.deliver()
-        net.send(0, 1, payload=1, bits=1, tag="x")
-        assert len(net.deliver()[1]) == 1
+        send(net, 0, 1, payload=0, bits=1, tag="x")
+        net.deliver_arrays()
+        send(net, 0, 1, payload=1, bits=1, tag="x")
+        assert len(inboxes(net)[1]) == 1
 
     def test_bad_pid_rejected(self):
         net = SyncNetwork(3)
         with pytest.raises(NetworkError):
-            net.send(0, 3, payload=0, bits=1, tag="x")
+            send(net, 0, 3, payload=0, bits=1, tag="x")
         with pytest.raises(NetworkError):
-            net.send(-1, 0, payload=0, bits=1, tag="x")
+            send(net, -1, 0, payload=0, bits=1, tag="x")
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
@@ -158,31 +138,31 @@ class TestSyncNetwork:
     def test_shared_meter(self):
         meter = BitMeter()
         net = SyncNetwork(2, meter)
-        net.send(0, 1, payload=0, bits=3, tag="x")
+        send(net, 0, 1, payload=0, bits=3, tag="x")
         assert meter.total_bits == 3
 
 
 class TestJournal:
     def test_disabled_by_default(self):
         net = SyncNetwork(3)
-        net.send(0, 1, payload=1, bits=1, tag="x")
-        net.deliver()
+        send(net, 0, 1, payload=1, bits=1, tag="x")
+        net.deliver_arrays()
         assert net.journal is None
 
     def test_journal_retains_delivered_messages(self):
         net = SyncNetwork(3, journal=True)
-        net.send(0, 1, payload=1, bits=1, tag="x")
-        net.send(2, 1, payload=2, bits=1, tag="x")
-        net.deliver()
-        net.send(1, 0, payload=3, bits=1, tag="y")
-        net.deliver()
+        send(net, 0, 1, payload=1, bits=1, tag="x")
+        send(net, 2, 1, payload=2, bits=1, tag="x")
+        net.deliver_arrays()
+        send(net, 1, 0, payload=3, bits=1, tag="y")
+        net.deliver_arrays()
         assert len(net.journal) == 3
         assert [row[0] for row in net.journal] == [0, 0, 1]
 
     def test_journal_order_deterministic(self):
         net = SyncNetwork(4, journal=True)
-        net.send(3, 0, payload="c", bits=1, tag="x")
-        net.send(1, 0, payload="a", bits=1, tag="x")
-        net.send(2, 0, payload="b", bits=1, tag="x")
-        net.deliver()
+        send(net, 3, 0, payload="c", bits=1, tag="x")
+        send(net, 1, 0, payload="a", bits=1, tag="x")
+        send(net, 2, 0, payload="b", bits=1, tag="x")
+        net.deliver_arrays()
         assert [row[1] for row in net.journal] == [1, 2, 3]

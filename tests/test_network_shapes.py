@@ -5,7 +5,7 @@ shapes.
 ranges, self-sends, repeats inside the batch) once per shape; a shape
 sent again hits the table.  These tests hold a hit to exactly what a
 cold network does, count the validations, and pin the bound.  The
-boundary tests hold every pid, bit width and count to an exact integer
+boundary tests hold every pid, bit width and count to an engine integer
 (a Python int or a numpy integer, never a bool or a float).
 """
 
@@ -30,28 +30,15 @@ class TestExactIntBoundary:
         assert net.deliver_arrays().batches == []
         assert net.meter.total_bits == 0
 
-    def test_float_scalar_pid_is_refused(self):
-        with pytest.raises(NetworkError, match="processor id"):
-            SyncNetwork(4).send(0.0, 2, payload=1, bits=1, tag="t")
-
-    def test_bool_scalar_pid_is_refused(self):
-        with pytest.raises(NetworkError, match="processor id"):
-            SyncNetwork(4).send(True, 2, payload=1, bits=1, tag="t")
-
     def test_numpy_pid_is_journalled_as_an_int(self):
         net = SyncNetwork(4, journal=True)
-        net.send(np.int64(0), np.int32(2), payload=1, bits=np.int64(1), tag="t")
-        net.deliver()
+        net.send_many(
+            np.array([0], dtype=np.int64), np.array([2], dtype=np.int32),
+            [1], bits=np.int64(1), tag="t",
+        )
+        net.deliver_arrays()
         ((_, sender, receiver, _, bits, _),) = net.journal
         assert (type(sender), type(receiver), type(bits)) == (int, int, int)
-
-    def test_float_bits_on_a_scalar_send_are_refused(self):
-        net = SyncNetwork(4)
-        with pytest.raises(ValueError, match="bits"):
-            net.send(0, 1, payload=3, bits=2.5, tag="a")
-        assert net.meter.total_bits == 0
-        # Nothing was buffered: the edge is still free this round.
-        net.send(0, 1, payload=3, bits=2, tag="a")
 
     def test_float_bits_and_bool_count_in_a_charged_round_are_refused(self):
         net = SyncNetwork(4)
@@ -63,9 +50,12 @@ class TestExactIntBoundary:
 
     def test_bool_bits_on_a_batch_are_refused(self):
         net = SyncNetwork(4)
-        with pytest.raises(ValueError, match="bits"):
-            net.send_many([0, 1], [2, 3], [5, 6], bits=True, tag="t")
+        for bits in (True, 2.5):
+            with pytest.raises(ValueError, match="bits"):
+                net.send_many([0, 1], [2, 3], [5, 6], bits=bits, tag="t")
         assert net.meter.total_bits == 0
+        # Nothing was buffered: the edges are still free this round.
+        net.send_many([0, 1], [2, 3], [5, 6], bits=2, tag="t")
 
     def test_bool_pid_arrays_are_refused(self):
         with pytest.raises(NetworkError, match="integers"):
@@ -105,10 +95,9 @@ def _observe(net, calls):
          b.bits, b.round_index)
         for b in delivery.batches
     ]
-    inboxes = {pid: list(inbox) for pid, inbox in delivery.inboxes.items()}
     snapshot = net.meter.snapshot()
     return (
-        outcomes, batches, inboxes, snapshot.bits_by_tag,
+        outcomes, batches, snapshot.bits_by_tag,
         snapshot.messages_by_tag, list(net.journal), net.round_index,
     )
 
@@ -145,11 +134,11 @@ def _cold(n):
 
 
 #: Round-1 sends: the shape once, twice under one tag (and once under
-#: another), and after a scalar send on its first edge.
+#: another), and after a one-edge batch on its first edge.
 _CASES = {
     "once": ["t"],
     "twice": ["t", "t", "u"],
-    "after_scalar": ["scalar", "t"],
+    "after_edge": ["edge", "t"],
 }
 
 
@@ -157,12 +146,22 @@ def _calls(net, ops, senders, receivers):
     payloads = np.arange(len(senders), dtype=np.int64) * 7
 
     def call(op):
-        if op == "scalar":
+        if op == "edge":
             sender, receiver = (senders[0], receivers[0]) if senders else (0, 1)
-            return lambda: net.send(sender, receiver, "s", bits=5, tag="t")
+            return lambda: net.send_many(
+                [sender], [receiver], ["s"], bits=5, tag="t"
+            )
         return lambda: net.send_many(senders, receivers, payloads, bits=3, tag=op)
 
     return [call(op) for op in ops]
+
+
+def _key(senders, receivers):
+    """A shape's key in the network's table."""
+    return (
+        np.asarray(senders, dtype=np.int64).tobytes()
+        + np.asarray(receivers, dtype=np.int64).tobytes()
+    )
 
 
 @st.composite
@@ -190,12 +189,19 @@ class TestWarmShapeIsCold:
             assert _observe(warm, _calls(warm, ops, senders, receivers)) == (
                 _observe(cold, _calls(cold, ops, senders, receivers))
             )
+            key = _key(senders, receivers)
+            own = [
+                args for args in validations if _key(*args[:2]) == key
+            ]
             if valid:
-                assert validations == []  # every batch in round 1 hit
+                assert own == []  # every batch of the shape in round 1 hit
             else:
-                # A failing shape is never kept: each batch validates it.
-                assert warm._shapes == {}
-                assert len(validations) == sum(op != "scalar" for op in ops)
+                # A failing shape is never kept: each batch validates it
+                # (the one-edge batch is the shape when it has one edge).
+                assert key not in warm._shapes
+                assert len(own) == sum(
+                    op != "edge" or len(senders) == 1 for op in ops
+                )
 
     def test_an_invalid_shape_raises_on_every_send(self):
         net = SyncNetwork(4)
@@ -215,11 +221,11 @@ class TestWarmShapeIsCold:
         with pytest.raises(NetworkError, match=r"\(0, 2, 't'\) in round 2"):
             net.send_many([0, 1], [2, 3], [5, 6], bits=4, tag="t")
 
-    def test_a_hit_still_catches_a_repeat_of_a_scalar_send(self):
+    def test_a_hit_still_catches_a_repeat_of_another_batch(self):
         net = SyncNetwork(4)
         net.send_many([0, 1], [2, 3], [5, 6], bits=4, tag="t")
         net.deliver_arrays()
-        net.send(1, 3, payload=9, bits=4, tag="t")
+        net.send_many([1], [3], [9], bits=4, tag="t")
         with pytest.raises(NetworkError, match=r"\(1, 3, 't'\) in round 1"):
             net.send_many([0, 1], [2, 3], [5, 6], bits=4, tag="t")
 
